@@ -30,7 +30,11 @@
 #      width while staying within noise of the best fixed width
 #      (gates on BENCH_adaptive.json); plus a profile warm-start
 #      smoke over the daemon's disk tier;
-#  13. rustfmt check.
+#  13. end-to-end benchmark check: `bench/run.sh --quick` runs all four
+#      benchmark workloads once on every backend and through pashd, on
+#      small inputs, and compares every output byte for byte with the
+#      unmodified script under host /bin/sh + coreutils;
+#  14. rustfmt check.
 set -eu
 
 cd "$(dirname "$0")"
@@ -233,6 +237,22 @@ vs_best=$(sed -n 's/.*"adaptive_vs_best_fixed_ratio":\([0-9.]*\).*/\1/p' \
 test -n "$vs_best"
 awk "BEGIN { exit !($vs_best <= 1.05) }"
 echo "    adaptive vs worst fixed: ${vs_worst}x, vs best fixed: ${vs_best}"
+
+echo "==> benchmark quick check (4 workloads, every path once, vs host /bin/sh)"
+# The oracle is the host's shell and coreutils: without them there is
+# nothing to compare against, so say so and move on. Any other failure
+# (a diverging byte, a supervisor retry, a crashed daemon) exits
+# non-zero and fails the gate.
+missing=
+for util in bash cat comm cut fold grep head nl rev sed sort tail tr uniq wc xargs; do
+    command -v "$util" >/dev/null 2>&1 || missing="$missing $util"
+done
+if [ -n "$missing" ]; then
+    echo "    skipped: host utilities the oracle needs are absent:$missing"
+else
+    bash bench/run.sh --quick >target/bench-smoke/bench-quick.log
+    grep 'failed/attempted' target/bench-smoke/bench-quick.log | sed 's/^/    /'
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

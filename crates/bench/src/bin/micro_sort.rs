@@ -2,13 +2,17 @@
 //! `sort` (with and without eager) versus `sort --parallel`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use pash_bench::Fig7Config;
 use pash_coreutils::fs::MemFs;
-use pash_coreutils::Registry;
+use pash_coreutils::{run_command, Registry};
 use pash_runtime::exec::{run_script, ExecConfig};
 use pash_sim::{simulate_compiled, CostModel, InputSizes, SimConfig};
 use pash_workloads::text_corpus;
+
+/// Size of the corpus the measured kernel rates are taken on.
+const MEASURED_MB: usize = 32;
 
 fn main() {
     println!("§6.5 parallel sort: PaSh vs sort --parallel\n");
@@ -68,6 +72,24 @@ fn main() {
         );
     }
     println!("\npaper: PaSh-with-eager ≈ 2x over sort --parallel; no-eager ≈ comparable.");
+
+    // --- Wall clock: the kernels the table above prices -------------
+    let corpus = text_corpus(17, MEASURED_MB << 20);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("\nmeasured kernel rates ({MEASURED_MB} MiB corpus, best of 3, {cores} cores):");
+    for argv in [&["sort"][..], &["sort", "--parallel=2"]] {
+        let best = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                let out = run_command(&Registry::standard(), Arc::new(MemFs::new()), argv, &corpus)
+                    .expect("sort runs");
+                assert_eq!(out.stdout.len(), corpus.len());
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        let rate = corpus.len() as f64 / 1e6 / best;
+        println!("{:>20} {best:>7.3} s {rate:>8.1} MB/s", argv.join(" "));
+    }
 
     // --- Correctness: all three agree byte-for-byte -----------------
     let fs = Arc::new(MemFs::new());

@@ -4,12 +4,19 @@
 //! (merge pre-sorted inputs — the aggregation phase PaSh uses, spelled
 //! `sort -m` on GNU systems, §5.2), and `--parallel=N` (an internal
 //! threaded sort used as the §6.5 baseline).
+//!
+//! Every input is appended to one buffer; the sort moves an index of
+//! line slices decorated with keys computed once per line
+//! ([`SortSpec::prepare`]), and output is gathered into large writes.
+//! `sort -m`, `--parallel` and the runtime's `pash-agg-sort` share one
+//! streaming k-way [`merge`].
 
-use std::io;
+use std::cmp::Ordering;
+use std::io::{self, BufWriter, Write};
 
-use crate::lines::{read_all_lines, write_line};
-use crate::sortkeys::SortSpec;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::lines::buffer_lines;
+use crate::sortkeys::{line_order, Keyed, Prepared, SortSpec};
+use crate::{CmdIo, Command, ExitStatus};
 
 /// The `sort` command (class P: map = sort, aggregate = merge).
 pub struct Sort;
@@ -37,32 +44,24 @@ pub fn parse_args(args: &[String]) -> Result<SortArgs, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-n" => out.spec.numeric = true,
-            "-r" => out.spec.reverse = true,
-            "-u" => out.spec.unique = true,
-            "-m" => out.merge = true,
-            "-k" => {
-                let k = it.next().ok_or("missing -k argument")?;
-                out.spec
-                    .keys
-                    .push(SortSpec::parse_key(k).ok_or_else(|| format!("bad key `{k}`"))?);
-            }
-            "-t" => {
-                let t = it.next().ok_or("missing -t argument")?;
-                out.spec.separator = t.as_bytes().first().copied();
-            }
             s if s.starts_with("--parallel=") => {
                 out.parallel = s["--parallel=".len()..]
                     .parse()
                     .map_err(|_| format!("bad --parallel in `{s}`"))?;
             }
-            s if s.starts_with("-k") && s.len() > 2 => {
-                out.spec
-                    .keys
-                    .push(SortSpec::parse_key(&s[2..]).ok_or_else(|| format!("bad key `{s}`"))?);
-            }
-            s if s.starts_with("-t") && s.len() > 2 => {
-                out.spec.separator = s.as_bytes().get(2).copied();
+            // `-k KEY` / `-kKEY`, `-t SEP` / `-tSEP`.
+            s if s.starts_with("-k") || s.starts_with("-t") => {
+                let (flag, attached) = s.split_at(2);
+                let value = match attached {
+                    "" => it.next().ok_or(format!("missing {flag} argument"))?,
+                    attached => attached,
+                };
+                if flag == "-k" {
+                    let key = SortSpec::parse_key(value);
+                    out.spec.keys.push(key.ok_or(format!("bad key `{value}`"))?);
+                } else {
+                    out.spec.separator = value.as_bytes().first().copied();
+                }
             }
             s if s.starts_with('-')
                 && s.len() > 1
@@ -94,117 +93,299 @@ impl Command for Sort {
             Ok(p) => p,
             Err(e) => return crate::usage_error(io, "sort", &e),
         };
-        let mut files = parsed.files.clone();
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
+        let spec = &parsed.spec;
+        let (arena, ends) = read_inputs(io, &parsed.files)?;
         if parsed.merge {
-            // K-way merge of pre-sorted inputs.
-            let mut readers = Vec::new();
-            for f in &files {
-                let mut r = open_input(&io.fs, f, io.stdin)?;
-                readers.push(read_all_lines(&mut r)?);
+            let mut start = 0;
+            let runs = ends.iter().map(|&end| {
+                let run = buffer_lines(&arena[start..end]);
+                start = end;
+                run
+            });
+            merge(spec, runs.collect(), io.stdout)?;
+        } else if spec.whole_line() {
+            // Bare slices under the bare comparator, its direction
+            // fixed here: the sort moves entries, and a third fewer
+            // bytes per entry plus a comparison that inlines to a
+            // `memcmp` is a third off.
+            let keyed = |line| (Prepared::default(), line);
+            if spec.reverse {
+                let compare = |a: &&[u8], b: &&[u8]| line_order::<true>(a, b);
+                sort_lines(&parsed, &arena, io.stdout, |line| line, keyed, compare)?;
+            } else {
+                let compare = |a: &&[u8], b: &&[u8]| line_order::<false>(a, b);
+                sort_lines(&parsed, &arena, io.stdout, |line| line, keyed, compare)?;
             }
-            let merged = merge_sorted(&parsed.spec, readers);
-            write_out(io, &parsed.spec, merged)?;
-            return Ok(0);
-        }
-        let mut lines = Vec::new();
-        for f in &files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
-            lines.extend(read_all_lines(&mut r)?);
-        }
-        let sorted = if parsed.parallel > 1 {
-            parallel_sort(&parsed.spec, lines, parsed.parallel)
         } else {
-            let spec = parsed.spec.clone();
-            let mut l = lines;
-            l.sort_by(|a, b| spec.compare(a, b));
-            l
-        };
-        write_out(io, &parsed.spec, sorted)?;
+            let entry = |line| (spec.prepare(line), line);
+            let compare = |a: &Keyed<'_>, b: &Keyed<'_>| spec.compare_prepared(*a, *b);
+            sort_lines(&parsed, &arena, io.stdout, entry, |e| e, compare)?;
+        }
         Ok(0)
     }
 }
 
-fn write_out(io: &mut CmdIo<'_>, spec: &SortSpec, lines: Vec<Vec<u8>>) -> io::Result<()> {
-    let mut last: Option<&Vec<u8>> = None;
-    for line in &lines {
-        if spec.unique {
-            if let Some(prev) = last {
-                if spec.key_equal(prev, line) {
-                    continue;
-                }
-            }
+/// Appends every input to one buffer, restoring a missing final
+/// newline per file, and returns it with each file's end offset.
+fn read_inputs(io: &mut CmdIo<'_>, files: &[String]) -> io::Result<(Vec<u8>, Vec<usize>)> {
+    let stdin = ["-".to_string()];
+    let files = if files.is_empty() { &stdin } else { files };
+    let mut arena = Vec::new();
+    let mut ends = Vec::with_capacity(files.len());
+    for f in files {
+        let before = arena.len();
+        if f == "-" {
+            io.stdin.read_to_end(&mut arena)?;
+        } else {
+            io.fs.open(f)?.read_to_end(&mut arena)?;
         }
-        write_line(io.stdout, line)?;
-        last = Some(line);
+        if arena.len() > before && arena.last() != Some(&b'\n') {
+            arena.push(b'\n');
+        }
+        ends.push(arena.len());
     }
-    Ok(())
+    Ok((arena, ends))
 }
 
-/// Stable k-way merge of pre-sorted runs (the `sort -m` aggregator).
-pub fn merge_sorted(spec: &SortSpec, mut runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
-    // Positions into each run; pick the smallest head each step
-    // (ties resolved by run index for stability).
-    let mut pos = vec![0usize; runs.len()];
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            if pos[i] >= run.len() {
+/// Most threads `--parallel=N` is honoured with (a failed spawn would
+/// abort the sort).
+const MAX_THREADS: usize = 64;
+
+/// Sorts the lines of `arena` and writes them out: one index `entry`
+/// per line (its key prepared once), a stable sort (ties keep input
+/// order, which `-u` relies on), a gather. With `--parallel=N` the
+/// index is sorted in that many chunks on scoped threads and the
+/// chunks are merged — GNU `sort --parallel` for the §6.5
+/// microbenchmark.
+fn sort_lines<'a, E: Copy + Send>(
+    SortArgs { spec, parallel, .. }: &SortArgs,
+    arena: &'a [u8],
+    out: &mut dyn Write,
+    entry: impl Fn(&'a [u8]) -> E,
+    keyed: impl Fn(E) -> Keyed<'a>,
+    compare: impl Fn(&E, &E) -> Ordering + Copy + Send,
+) -> io::Result<()> {
+    let mut index: Vec<E> = Vec::with_capacity(pash_regex::memmem::count_bytes(b'\n', arena));
+    index.extend(buffer_lines(arena).map(entry));
+    let chunk = index
+        .len()
+        .div_ceil((*parallel).clamp(1, MAX_THREADS))
+        .max(1);
+    if chunk < index.len() {
+        std::thread::scope(|scope| {
+            for part in index.chunks_mut(chunk) {
+                scope.spawn(move || part.sort_by(compare));
+            }
+        });
+        let runs = index.chunks(chunk).map(|c| c.iter().map(|&e| keyed(e).1));
+        return merge(spec, runs.collect(), out);
+    }
+    index.sort_by(compare);
+    let mut out = BufWriter::with_capacity(arena.len().min(CHUNK), out);
+    let mut last: Option<Keyed<'_>> = None;
+    for cur in index.into_iter().map(keyed) {
+        if spec.unique {
+            if last.is_some_and(|prev| spec.equal_prepared(prev, cur)) {
                 continue;
             }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if spec.compare(&run[pos[i]], &runs[b][pos[b]]) == std::cmp::Ordering::Less {
-                        best = Some(i);
-                    }
-                }
-            }
+            last = Some(cur);
         }
-        match best {
-            None => break,
-            Some(b) => {
-                out.push(std::mem::take(&mut runs[b][pos[b]]));
-                pos[b] += 1;
-            }
-        }
+        out.write_all(cur.1)?;
+        out.write_all(b"\n")?;
     }
-    out
+    out.flush()
 }
 
-/// Internal threaded sort: chunk, sort chunks in parallel, merge.
-///
-/// This models GNU `sort --parallel` for the §6.5 microbenchmark.
-fn parallel_sort(spec: &SortSpec, lines: Vec<Vec<u8>>, threads: usize) -> Vec<Vec<u8>> {
-    let threads = threads.max(1).min(lines.len().max(1));
-    let chunk = lines.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<Vec<u8>>> = Vec::new();
-    let mut rest = lines;
-    while !rest.is_empty() {
-        let tail = rest.split_off(chunk.min(rest.len()));
-        chunks.push(rest);
-        rest = tail;
+/// Output leaves through a `BufWriter` of this many bytes — two plain
+/// copies per line (`lines::write_line`'s stack assembly would double
+/// them) and one `write_all` per chunk, keeping the per-line cost off
+/// the `dyn Write`.
+const CHUNK: usize = 256 * 1024;
+
+/// One pre-sorted input of a [`merge`].
+pub trait LineSource {
+    /// Replaces `buf` with the next line (terminator stripped);
+    /// `false` at the end of the input.
+    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool>;
+}
+
+/// Replaces `buf` with `line`, if there is one — what a
+/// [`LineSource`] does with the line it found.
+pub fn replace_line(buf: &mut Vec<u8>, line: Option<&[u8]>) -> bool {
+    buf.clear();
+    line.is_some_and(|line| {
+        buf.extend_from_slice(line);
+        true
+    })
+}
+
+impl<'a, I: Iterator<Item = &'a [u8]>> LineSource for I {
+    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool> {
+        Ok(replace_line(buf, self.next()))
     }
-    let sorted: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|mut c| {
-                scope.spawn(move || {
-                    c.sort_by(|a, b| spec.compare(a, b));
-                    c
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sort worker panicked"))
-            .collect()
-    });
-    merge_sorted(spec, sorted)
+}
+
+/// The current head line of one merge input with its key, prepared
+/// when the line is pulled (buffer reused across lines; `live ==
+/// false` means the input is exhausted).
+#[derive(Default)]
+struct Head {
+    buf: Vec<u8>,
+    key: Prepared,
+    live: bool,
+}
+
+impl Head {
+    fn advance(&mut self, spec: &SortSpec, src: &mut impl LineSource) -> io::Result<()> {
+        self.live = src.next_into(&mut self.buf)?;
+        if self.live {
+            self.key = spec.prepare(&self.buf);
+        }
+        Ok(())
+    }
+
+    fn keyed(&self) -> Keyed<'_> {
+        (self.key, &self.buf)
+    }
+}
+
+/// A loser tree (tournament tree) over `k` merge inputs.
+///
+/// Scanning all `k` heads per output line costs O(k) comparisons per
+/// line, which dominates at high widths. A loser tree keeps the losers
+/// of past matches in internal nodes, so after advancing the winning
+/// stream only the path from its leaf to the root is replayed:
+/// O(log k) comparisons per line.
+///
+/// Indices are stream ids; `EMPTY` marks a match slot not yet played.
+struct LoserTree {
+    /// `tree[1..k]` hold losers; `tree[0]` is unused. Leaf `i`'s
+    /// parent is `(i + k) / 2`.
+    tree: Vec<usize>,
+    /// Current overall winner (a stream id, or `EMPTY` before build).
+    winner: usize,
+    k: usize,
+}
+
+const EMPTY: usize = usize::MAX;
+
+impl LoserTree {
+    /// Builds the tree by replaying every leaf once.
+    fn build(k: usize, mut beats: impl FnMut(usize, usize) -> bool) -> LoserTree {
+        let mut t = LoserTree {
+            tree: vec![EMPTY; k.max(1)],
+            winner: EMPTY,
+            k,
+        };
+        for i in 0..k {
+            t.replay(i, &mut beats);
+        }
+        t
+    }
+
+    /// Replays the path from leaf `i` to the root after stream `i`
+    /// changed (new head line, or exhausted).
+    ///
+    /// During the build, a climber reaching a not-yet-played match
+    /// slot deposits itself there and waits for the sibling subtree's
+    /// winner (sequential insertion guarantees the last leaf's whole
+    /// path is played, so the build always crowns a winner). After the
+    /// build every slot is filled and a replay runs the full path.
+    fn replay(&mut self, i: usize, beats: &mut impl FnMut(usize, usize) -> bool) {
+        let mut w = i;
+        let mut slot = (i + self.k) / 2;
+        while slot > 0 {
+            let held = self.tree[slot];
+            if held == EMPTY {
+                self.tree[slot] = w;
+                return;
+            }
+            // The slot keeps the loser; the winner moves up.
+            if beats(held, w) {
+                self.tree[slot] = w;
+                w = held;
+            }
+            slot /= 2;
+        }
+        self.winner = w;
+    }
+
+    /// The best of the losers on `i`'s root path: in a tournament the
+    /// second-best lost directly to the winner, so it sits there.
+    fn challenger(&self, i: usize, mut beats: impl FnMut(usize, usize) -> bool) -> usize {
+        let mut best = EMPTY;
+        let mut slot = (i + self.k) / 2;
+        while slot > 0 {
+            let held = self.tree[slot];
+            if held != EMPTY && (best == EMPTY || beats(held, best)) {
+                best = held;
+            }
+            slot /= 2;
+        }
+        best
+    }
+}
+
+/// Streaming, stable k-way merge of pre-sorted inputs under the
+/// sequential comparator, driven by a [`LoserTree`]: `sort -m`, the
+/// merge phase of `--parallel`, and the runtime's `pash-agg-sort`.
+pub fn merge<S: LineSource>(
+    spec: &SortSpec,
+    mut sources: Vec<S>,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    let mut heads = Vec::with_capacity(sources.len());
+    for src in sources.iter_mut() {
+        let mut head = Head::default();
+        head.advance(spec, src)?;
+        heads.push(head);
+    }
+    // Does stream `a` come before stream `b`? Exhausted streams lose;
+    // compare-equal heads break toward the lower id (stability).
+    let beats = |heads: &[Head], a: usize, b: usize| -> bool {
+        match (heads[a].live, heads[b].live) {
+            (false, _) => false,
+            (true, false) => true,
+            (true, true) => spec
+                .compare_prepared(heads[a].keyed(), heads[b].keyed())
+                .then(a.cmp(&b))
+                .is_lt(),
+        }
+    };
+    let mut tree = LoserTree::build(heads.len(), |a, b| beats(&heads, a, b));
+    // For `sort -u`, duplicates may also straddle input boundaries.
+    let mut last = Head::default();
+    let mut out = BufWriter::with_capacity(CHUNK, out);
+    // Run fast path: when the same stream wins twice running, cache
+    // the best loser on its root path and keep emitting from the
+    // winner with one comparison per line — no tree replay — until
+    // its head stops beating the cached challenger. Computed lazily
+    // (only on a repeat win) so interleaved streams pay nothing extra.
+    let mut challenger = EMPTY;
+    while tree.winner != EMPTY && heads[tree.winner].live {
+        let b = tree.winner;
+        if !(last.live && spec.equal_prepared(last.keyed(), heads[b].keyed())) {
+            out.write_all(&heads[b].buf)?;
+            out.write_all(b"\n")?;
+            if spec.unique {
+                last.buf.clone_from(&heads[b].buf);
+                last.key = heads[b].key;
+                last.live = true;
+            }
+        }
+        heads[b].advance(spec, &mut sources[b])?;
+        if challenger != EMPTY {
+            if heads[b].live && beats(&heads, b, challenger) {
+                continue;
+            }
+            challenger = EMPTY;
+        }
+        tree.replay(b, &mut |a, b| beats(&heads, a, b));
+        if tree.winner == b {
+            challenger = tree.challenger(b, |a, b| beats(&heads, a, b));
+        }
+    }
+    out.flush()
 }
 
 #[cfg(test)]
@@ -263,10 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_stable_for_equal_keys() {
+    fn merge_breaks_key_ties_by_whole_line() {
         let fs = Arc::new(MemFs::new());
-        fs.add("m1", b"1 first\n".to_vec());
-        fs.add("m2", b"1 second\n".to_vec());
+        fs.add("m1", b"1 second\n".to_vec());
+        fs.add("m2", b"1 first\n".to_vec());
         let out = run_command(
             &Registry::standard(),
             fs,
@@ -275,8 +456,61 @@ mod tests {
         )
         .expect("run");
         // With equal numeric keys, last-resort comparison orders
-        // "1 first" < "1 second".
+        // "1 first" < "1 second" whichever input they came from.
         assert_eq!(out.stdout, b"1 first\n1 second\n");
+    }
+
+    #[test]
+    fn numeric_ties_fall_to_the_whole_line() {
+        // KNOWN_DIVERGENCES §1: GNU breaks `-n` ties by byte order,
+        // and `-r` reverses that last resort too.
+        assert_eq!(sort(&["-n"], "1 b\n1 a\n"), "1 a\n1 b\n");
+        assert_eq!(sort(&["-rn"], "1 a\n1 b\n2 x\n"), "2 x\n1 b\n1 a\n");
+        assert_eq!(sort(&["-n"], "he\nyou\n0 a\n"), "0 a\nhe\nyou\n");
+    }
+
+    #[test]
+    fn unique_keeps_the_first_line_of_a_key_group() {
+        // GNU disables the last resort under `-u`.
+        assert_eq!(sort(&["-u", "-k1,1"], "a z\na b\n"), "a z\n");
+        assert_eq!(sort(&["-k2,2n", "-u"], "b 1\na 1\n"), "b 1\n");
+        assert_eq!(sort(&["-nu"], "1 b\n01 a\n0\n"), "0\n1 b\n");
+        assert_eq!(
+            sort(&["-u", "-k1,1", "--parallel=2"], "a z\nb y\na b\nb c\n"),
+            "a z\nb y\n"
+        );
+    }
+
+    #[test]
+    fn inputs_concatenate_with_missing_newlines_restored() {
+        let fs = Arc::new(MemFs::new());
+        fs.add("u1", b"d\nb".to_vec());
+        fs.add("u2", b"".to_vec());
+        fs.add("u3", b"c\n\na".to_vec());
+        let out = run_command(
+            &Registry::standard(),
+            fs,
+            &["sort", "u1", "-", "u2", "u3"],
+            b"e",
+        )
+        .expect("run");
+        assert_eq!(out.stdout, b"\na\nb\nc\nd\ne\n");
+    }
+
+    #[test]
+    fn output_crosses_gather_chunks_intact() {
+        // ~0.9 MiB of output: several full gather chunks, and one
+        // line longer than a chunk in the middle.
+        let long = "m".repeat(300 * 1024);
+        let mut lines: Vec<String> = (0..60_000)
+            .map(|i| format!("{:08}", i * 7919 % 60_000))
+            .collect();
+        lines.push(long);
+        let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        lines.sort();
+        let expected: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        assert_eq!(sort(&[], &input), expected);
+        assert_eq!(sort(&["--parallel=3"], &input), expected);
     }
 
     #[test]

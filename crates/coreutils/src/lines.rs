@@ -74,24 +74,42 @@ pub fn split_whitespace(line: &[u8]) -> Vec<&[u8]> {
         .collect()
 }
 
+/// The lines of an in-memory buffer, terminators stripped; a final
+/// unterminated line is still a line and an empty buffer has none.
+pub fn buffer_lines(buf: &[u8]) -> impl Iterator<Item = &[u8]> {
+    buf.split_inclusive(|&b| b == b'\n')
+        .map(|l| l.strip_suffix(b"\n").unwrap_or(l))
+}
+
 /// Parses a decimal prefix of a byte string as `f64`, the way
 /// `sort -n` does: optional blanks, optional sign, digits, optional
-/// fraction. Unparsable values compare as 0.
+/// fraction (no exponent). Unparsable values compare as 0.
 pub fn numeric_prefix(s: &[u8]) -> f64 {
     let mut i = 0;
     while i < s.len() && (s[i] == b' ' || s[i] == b'\t') {
         i += 1;
     }
     let start = i;
-    if i < s.len() && (s[i] == b'-' || s[i] == b'+') {
+    let negative = s.get(i) == Some(&b'-');
+    if negative || s.get(i) == Some(&b'+') {
         i += 1;
     }
-    let mut seen_digit = false;
+    // Digits accumulate straight into the number: every partial sum
+    // stays below 10^15 < 2^53, so each step is exact in an `f64`.
+    const EXACT_DIGITS: usize = 15;
+    let digits = i;
+    let mut int = 0.0;
     while i < s.len() && s[i].is_ascii_digit() {
+        int = int * 10.0 + f64::from(s[i] - b'0');
         i += 1;
-        seen_digit = true;
     }
-    if i < s.len() && s[i] == b'.' {
+    let mut seen_digit = i > digits;
+    if s.get(i) != Some(&b'.') && i - digits <= EXACT_DIGITS {
+        return if negative { -int } else { int };
+    }
+    // Fractions and very long integers take the correctly rounded
+    // library parse of the same prefix.
+    if s.get(i) == Some(&b'.') {
         i += 1;
         while i < s.len() && s[i].is_ascii_digit() {
             i += 1;
@@ -184,6 +202,20 @@ mod tests {
         assert_eq!(numeric_prefix(b"abc"), 0.0);
         assert_eq!(numeric_prefix(b""), 0.0);
         assert_eq!(numeric_prefix(b"+7"), 7.0);
+        assert_eq!(numeric_prefix(b"-0"), 0.0);
+        assert!(numeric_prefix(b"-0").is_sign_negative());
+        assert_eq!(numeric_prefix(b"+.5"), 0.5);
+        assert_eq!(numeric_prefix(b"-."), 0.0);
+        // GNU `-n` has no exponent: the prefix ends at the `e`.
+        assert_eq!(numeric_prefix(b"1e3"), 1.0);
+        assert_eq!(numeric_prefix(b"\t\t 12 x"), 12.0);
+        assert_eq!(numeric_prefix(b"     64 the the"), 64.0);
+        // Past the exact range the library parse rounds correctly.
+        assert_eq!(numeric_prefix(b"9007199254740993"), 9007199254740992.0);
+        assert_eq!(
+            numeric_prefix(b"12345678901234567890"),
+            1.2345678901234567e19
+        );
     }
 
     #[test]

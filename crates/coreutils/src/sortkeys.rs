@@ -1,13 +1,16 @@
-//! Sort key extraction and comparison, shared between `sort` and the
-//! runtime's `sort -m`-style merge aggregator.
+//! Sort keys and the one comparator, shared by `sort`, `sort -m` and
+//! the runtime's `pash-agg-sort` merge aggregator.
 //!
+//! A line's key is computed once ([`SortSpec::prepare`]) and every
+//! comparison runs on prepared keys ([`SortSpec::compare_prepared`]).
 //! Keeping one implementation guarantees that the parallel merge uses
 //! exactly the sequential comparator — the invariant the map/aggregate
 //! law for `sort` rests on.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
-use crate::lines::{numeric_prefix, split_fields, split_whitespace};
+use crate::lines::numeric_prefix;
 
 /// One `-k POS1[,POS2]` key definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +42,46 @@ pub struct SortSpec {
     pub keys: Vec<KeySpec>,
 }
 
+/// A line's sort key, computed once by [`SortSpec::prepare`]: nothing
+/// for plain byte order, the parsed number when the first (or only)
+/// key is numeric, otherwise the first key's byte range in the line.
+/// One word, so a decorated index entry is three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Prepared(u64);
+
+/// A line together with its prepared key. The key must come from
+/// [`SortSpec::prepare`] on that line under the comparing spec.
+pub type Keyed<'a> = (Prepared, &'a [u8]);
+
+impl Prepared {
+    /// A text key whose range does not fit two `u32`s (a line of
+    /// 4 GiB): located again at each comparison instead.
+    const UNCACHED: Prepared = Prepared(u64::MAX);
+
+    #[inline]
+    fn number(self) -> f64 {
+        f64::from_bits(self.0)
+    }
+
+    fn of_range(r: Range<usize>) -> Prepared {
+        match (u32::try_from(r.start), u32::try_from(r.end)) {
+            (Ok(s), Ok(e)) if e < u32::MAX => Prepared(u64::from(s) << 32 | u64::from(e)),
+            _ => Prepared::UNCACHED,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        (self.0 >> 32) as usize..(self.0 & u64::from(u32::MAX)) as usize
+    }
+}
+
+/// The value one key takes on one line.
+#[derive(PartialEq, PartialOrd)]
+enum KeyValue<'a> {
+    Number(f64),
+    Text(&'a [u8]),
+}
+
 impl SortSpec {
     /// Parses one `-k` argument such as `2`, `2,3`, `2n`, `2,2nr`.
     ///
@@ -46,166 +89,227 @@ impl SortSpec {
     /// ignored (field granularity), matching what the PaSh benchmarks
     /// need.
     pub fn parse_key(arg: &str) -> Option<KeySpec> {
+        /// One `F[.C][OPTS]` position: (field, numeric, reverse, any option).
         fn parse_pos(s: &str) -> Option<(usize, bool, bool, bool)> {
-            let mut field = String::new();
-            let mut it = s.chars().peekable();
-            while let Some(c) = it.peek() {
-                if c.is_ascii_digit() {
-                    field.push(*c);
-                    it.next();
-                } else {
-                    break;
-                }
-            }
+            let digits = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+            let field: usize = s[..digits].parse().ok().filter(|&f| f > 0)?;
+            let mut opts = &s[digits..];
             // Optional `.C` character offset (ignored).
-            if it.peek() == Some(&'.') {
-                it.next();
-                while it.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
-                    it.next();
-                }
+            if let Some(offset) = opts.strip_prefix('.') {
+                opts = offset.trim_start_matches(|c: char| c.is_ascii_digit());
             }
-            let mut numeric = false;
-            let mut reverse = false;
-            let mut modified = false;
-            for c in it {
-                match c {
-                    'n' => {
-                        numeric = true;
-                        modified = true;
-                    }
-                    'r' => {
-                        reverse = true;
-                        modified = true;
-                    }
-                    'b' => modified = true, // Ignore-leading-blanks: our default.
-                    _ => return None,
-                }
-            }
-            let f: usize = field.parse().ok()?;
-            if f == 0 {
-                return None;
-            }
-            Some((f, numeric, reverse, modified))
+            // `b` is accepted and changes nothing: leading blanks are
+            // never part of a field here.
+            opts.chars().all(|c| "nrb".contains(c)).then(|| {
+                (
+                    field,
+                    opts.contains('n'),
+                    opts.contains('r'),
+                    !opts.is_empty(),
+                )
+            })
         }
-        match arg.split_once(',') {
-            None => {
-                let (f, n, r, m) = parse_pos(arg)?;
-                Some(KeySpec {
-                    start_field: f,
-                    end_field: None,
-                    numeric: n,
-                    reverse: r,
-                    has_modifiers: m,
-                })
-            }
-            Some((a, b)) => {
-                let (f1, n1, r1, m1) = parse_pos(a)?;
-                let (f2, n2, r2, m2) = parse_pos(b)?;
-                Some(KeySpec {
-                    start_field: f1,
-                    end_field: Some(f2),
-                    numeric: n1 || n2,
-                    reverse: r1 || r2,
-                    has_modifiers: m1 || m2,
-                })
+        let (start, end) = match arg.split_once(',') {
+            Some((start, end)) => (parse_pos(start)?, Some(parse_pos(end)?)),
+            None => (parse_pos(arg)?, None),
+        };
+        let (_, end_numeric, end_reverse, end_modified) = end.unwrap_or((0, false, false, false));
+        Some(KeySpec {
+            start_field: start.0,
+            end_field: end.map(|pos| pos.0),
+            numeric: start.1 || end_numeric,
+            reverse: start.2 || end_reverse,
+            has_modifiers: start.3 || end_modified,
+        })
+    }
+
+    /// True when the whole line is the only key (plain or `-r` byte
+    /// order): prepared keys then carry nothing.
+    #[inline]
+    pub fn whole_line(&self) -> bool {
+        self.keys.is_empty() && !self.numeric
+    }
+
+    /// The effective (numeric, reverse) of one key: its own modifiers
+    /// when it has any, the global flags otherwise.
+    fn key_options(&self, key: &KeySpec) -> (bool, bool) {
+        if key.has_modifiers {
+            (key.numeric, key.reverse)
+        } else {
+            (self.numeric || key.numeric, self.reverse || key.reverse)
+        }
+    }
+
+    /// Computes the key of `line` once, for any number of comparisons.
+    pub fn prepare(&self, line: &[u8]) -> Prepared {
+        match self.keys.first() {
+            None if self.numeric => Prepared(numeric_prefix(line).to_bits()),
+            None => Prepared::default(),
+            Some(key) => {
+                let range = key_range(line, key, self.separator);
+                if self.key_options(key).0 {
+                    Prepared(numeric_prefix(&line[range]).to_bits())
+                } else {
+                    Prepared::of_range(range)
+                }
             }
         }
     }
 
-    /// Compares two lines under this specification.
-    pub fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        if self.keys.is_empty() {
-            let ord = if self.numeric {
-                compare_numeric(a, b)
-            } else {
-                a.cmp(b)
-            };
-            return if self.reverse { ord.reverse() } else { ord };
+    /// The value of key `i`: the first key's comes from the prepared
+    /// key; later keys are only reached when every earlier one ties
+    /// and are located on demand (without allocating).
+    fn key_value<'a>(&self, i: usize, numeric: bool, (cached, line): Keyed<'a>) -> KeyValue<'a> {
+        match (i, numeric) {
+            (0, true) => KeyValue::Number(cached.number()),
+            (0, false) if cached != Prepared::UNCACHED => KeyValue::Text(&line[cached.range()]),
+            _ => {
+                let field = &line[key_range(line, &self.keys[i], self.separator)];
+                if numeric {
+                    KeyValue::Number(numeric_prefix(field))
+                } else {
+                    KeyValue::Text(field)
+                }
+            }
         }
-        for key in &self.keys {
-            let ka = extract_key(a, key, self.separator);
-            let kb = extract_key(b, key, self.separator);
-            let (numeric, reverse) = if key.has_modifiers {
-                (key.numeric, key.reverse)
-            } else {
-                (self.numeric || key.numeric, self.reverse || key.reverse)
-            };
-            let ord = if numeric {
-                compare_numeric(&ka, &kb)
-            } else {
-                ka.cmp(&kb)
-            };
-            let ord = if reverse { ord.reverse() } else { ord };
+    }
+
+    /// Orders two lines by their `-k` keys, in priority order. Kept
+    /// out of line so the keyless comparators inline into the sort.
+    #[inline(never)]
+    fn compare_fields(&self, a: Keyed<'_>, b: Keyed<'_>) -> Ordering {
+        for (i, key) in self.keys.iter().enumerate() {
+            let (numeric, reverse) = self.key_options(key);
+            let (va, vb) = (self.key_value(i, numeric, a), self.key_value(i, numeric, b));
+            let ord = directed(reverse, va, vb, compare_values);
             if ord != Ordering::Equal {
                 return ord;
             }
         }
-        // Last-resort comparison on the whole line (GNU default).
-        let ord = a.cmp(b);
-        if self.reverse {
-            ord.reverse()
+        Ordering::Equal
+    }
+
+    /// Orders two lines by their keys alone.
+    #[inline]
+    fn compare_keys(&self, a: Keyed<'_>, b: Keyed<'_>) -> Ordering {
+        if !self.keys.is_empty() {
+            self.compare_fields(a, b)
+        } else if self.numeric {
+            directed(self.reverse, a.0.number(), b.0.number(), compare_values)
         } else {
-            ord
+            self.compare_lines(a.1, b.1)
         }
+    }
+
+    /// Whole-line byte order, reversed under global `-r`: all of a
+    /// keyless non-numeric sort ([`SortSpec::whole_line`]), and every
+    /// other spec's last resort.
+    #[inline]
+    pub fn compare_lines(&self, a: &[u8], b: &[u8]) -> Ordering {
+        if self.reverse {
+            line_order::<true>(a, b)
+        } else {
+            line_order::<false>(a, b)
+        }
+    }
+
+    /// Compares two lines under this specification.
+    ///
+    /// Lines whose keys tie fall to GNU's last resort — except under
+    /// `-u`, where tied lines are one group and a stable sort keeps
+    /// its first.
+    #[inline]
+    pub fn compare_prepared(&self, a: Keyed<'_>, b: Keyed<'_>) -> Ordering {
+        let ord = self.compare_keys(a, b);
+        if ord != Ordering::Equal || self.unique || self.whole_line() {
+            return ord;
+        }
+        self.compare_lines(a.1, b.1)
     }
 
     /// True when two lines compare equal *as keys* (for `-u`).
+    #[inline]
+    pub fn equal_prepared(&self, a: Keyed<'_>, b: Keyed<'_>) -> bool {
+        self.compare_keys(a, b) == Ordering::Equal
+    }
+
+    /// [`SortSpec::compare_prepared`] on raw lines.
+    pub fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+        self.compare_prepared((self.prepare(a), a), (self.prepare(b), b))
+    }
+
+    /// [`SortSpec::equal_prepared`] on raw lines.
     pub fn key_equal(&self, a: &[u8], b: &[u8]) -> bool {
-        if self.keys.is_empty() {
-            if self.numeric {
-                return compare_numeric(a, b) == Ordering::Equal;
-            }
-            return a == b;
-        }
-        for key in &self.keys {
-            let ka = extract_key(a, key, self.separator);
-            let kb = extract_key(b, key, self.separator);
-            let numeric = if key.has_modifiers {
-                key.numeric
-            } else {
-                self.numeric || key.numeric
-            };
-            let eq = if numeric {
-                compare_numeric(&ka, &kb) == Ordering::Equal
-            } else {
-                ka == kb
-            };
-            if !eq {
-                return false;
-            }
-        }
-        true
+        self.equal_prepared((self.prepare(a), a), (self.prepare(b), b))
     }
 }
 
-fn compare_numeric(a: &[u8], b: &[u8]) -> Ordering {
-    numeric_prefix(a)
-        .partial_cmp(&numeric_prefix(b))
-        .unwrap_or(Ordering::Equal)
+/// Byte order of two lines, ascending or descending. The direction is
+/// a type parameter so that a sort which fixes it up front
+/// ([`SortSpec::compare_lines`] decides it per call) gets a
+/// comparator of one `memcmp`: small enough to inline at every site
+/// of the sort and to fuse with its `is_less` test — a third off the
+/// whole-line sort.
+#[inline]
+pub fn line_order<const REVERSE: bool>(a: &[u8], b: &[u8]) -> Ordering {
+    if REVERSE {
+        b.cmp(a)
+    } else {
+        a.cmp(b)
+    }
 }
 
-/// Extracts the key bytes for one `-k` spec.
-fn extract_key(line: &[u8], key: &KeySpec, separator: Option<u8>) -> Vec<u8> {
-    let fields: Vec<&[u8]> = match separator {
-        Some(sep) => split_fields(line, sep),
-        None => split_whitespace(line),
-    };
-    let start = key.start_field.saturating_sub(1);
-    let end = key
+/// `compare(a, b)`, or `compare(b, a)` under `reverse` (operands swap,
+/// so each arm stays a plain comparison).
+#[inline]
+fn directed<T>(reverse: bool, a: T, b: T, compare: impl Fn(&T, &T) -> Ordering) -> Ordering {
+    if reverse {
+        compare(&b, &a)
+    } else {
+        compare(&a, &b)
+    }
+}
+
+/// Numbers and key values are never NaN, so they are totally ordered.
+#[inline]
+fn compare_values<T: PartialOrd>(a: &T, b: &T) -> Ordering {
+    a.partial_cmp(b).unwrap_or(Ordering::Equal)
+}
+
+/// The byte ranges of a line's fields: split at every `separator`
+/// byte, or — the default — maximal runs of non-blank bytes (runs of
+/// blanks collapse, leading blanks belong to no field).
+fn field_ranges(line: &[u8], separator: Option<u8>) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let rest = line.get(pos..)?;
+        let range = match separator {
+            Some(sep) => pos..pos + rest.iter().position(|&b| b == sep).unwrap_or(rest.len()),
+            None => {
+                let start = pos + rest.iter().position(|b| !b.is_ascii_whitespace())?;
+                let word = &line[start..];
+                let len = word.iter().position(|b| b.is_ascii_whitespace());
+                start..start + len.unwrap_or(word.len())
+            }
+        };
+        pos = range.end + 1;
+        Some(range)
+    })
+}
+
+/// The byte range of one `-k` key: from the start of its first field
+/// to the end of its last, found in one pass; empty when the line has
+/// too few fields.
+fn key_range(line: &[u8], key: &KeySpec, separator: Option<u8>) -> Range<usize> {
+    let first = key.start_field.saturating_sub(1);
+    let count = key
         .end_field
-        .map(|e| e.min(fields.len()))
-        .unwrap_or(fields.len());
-    if start >= fields.len() || start >= end {
-        return Vec::new();
+        .map_or(usize::MAX, |end| end.saturating_sub(first));
+    let mut fields = field_ranges(line, separator).skip(first).take(count);
+    match fields.next() {
+        None => 0..0,
+        Some(head) => head.start..fields.last().map_or(head.end, |tail| tail.end),
     }
-    let mut out = Vec::new();
-    for (i, f) in fields[start..end].iter().enumerate() {
-        if i > 0 {
-            out.push(separator.unwrap_or(b' '));
-        }
-        out.extend_from_slice(f);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -304,6 +408,58 @@ mod tests {
         assert!(k.numeric && k.reverse && k.has_modifiers);
         assert!(SortSpec::parse_key("0").is_none());
         assert!(SortSpec::parse_key("x").is_none());
+        assert!(SortSpec::parse_key("2n.3").is_none());
+        assert!(SortSpec::parse_key("2,x").is_none());
+        let k = SortSpec::parse_key("2.3b,4.").expect("key");
+        assert_eq!((k.start_field, k.end_field), (2, Some(4)));
+        assert!(!k.numeric && !k.reverse && k.has_modifiers);
+        let k = SortSpec::parse_key("3,3n").expect("key");
+        assert!(k.numeric && !k.reverse && k.has_modifiers);
+    }
+
+    #[test]
+    fn last_resort_follows_global_reverse_only() {
+        assert_eq!(spec("n").compare(b"1 b", b"1 a"), Ordering::Greater);
+        assert_eq!(spec("n r").compare(b"1 b", b"1 a"), Ordering::Less);
+        // `-k2r` reverses the key, not the last resort.
+        assert_eq!(spec("k2r").compare(b"b x", b"a x"), Ordering::Greater);
+        assert_eq!(spec("r k2").compare(b"b x", b"a x"), Ordering::Less);
+    }
+
+    #[test]
+    fn unique_disables_the_last_resort() {
+        assert_eq!(spec("u k1,1").compare(b"a z", b"a b"), Ordering::Equal);
+        assert_eq!(spec("u n").compare(b"1 b", b"01 a"), Ordering::Equal);
+        assert_eq!(spec("u").compare(b"a z", b"a b"), Ordering::Greater);
+    }
+
+    #[test]
+    fn later_keys_and_uncached_ranges_use_the_same_fields() {
+        let s = spec("k2,2 k1n");
+        assert_eq!(s.compare(b"10 x", b"9 x"), Ordering::Greater);
+        assert_eq!(s.compare(b"10 x", b"9 y"), Ordering::Less);
+        let text = spec("k2");
+        let (a, b) = (&b"_ b"[..], &b"_ a"[..]);
+        assert_eq!(
+            text.compare_prepared((Prepared::UNCACHED, a), (Prepared::UNCACHED, b)),
+            text.compare(a, b)
+        );
+    }
+
+    #[test]
+    fn key_ranges_cover_first_to_last_field() {
+        let k = |arg: &str| SortSpec::parse_key(arg).expect("key");
+        let range = super::key_range;
+        assert_eq!(range(b"  a  bb c ", &k("2"), None), 5..9);
+        assert_eq!(range(b"  a  bb c ", &k("2,2"), None), 5..7);
+        assert_eq!(range(b"  a  bb c ", &k("1,9"), None), 2..9);
+        assert_eq!(range(b"a b", &k("3"), None), 0..0);
+        assert_eq!(range(b"a b", &k("2,1"), None), 0..0);
+        assert_eq!(range(b"", &k("1"), None), 0..0);
+        assert_eq!(range(b"a::b:", &k("2"), Some(b':')), 2..5);
+        assert_eq!(range(b"a::b:", &k("2,3"), Some(b':')), 2..4);
+        assert_eq!(range(b"a::b:", &k("4"), Some(b':')), 5..5);
+        assert_eq!(range(b"a::b:", &k("5"), Some(b':')), 0..0);
     }
 
     #[test]

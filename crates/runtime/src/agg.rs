@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pash_coreutils::cmd::sort::parse_args as parse_sort_args;
+use pash_coreutils::cmd::sort::{merge, parse_args as parse_sort_args, replace_line, LineSource};
 use pash_coreutils::cmd::wc;
 use pash_coreutils::fs::Fs;
-use pash_coreutils::lines::write_line;
+use pash_coreutils::lines::{buffer_lines, write_line};
 use pash_coreutils::Registry;
 
 use crate::frame::FrameReader;
@@ -73,177 +73,20 @@ pub fn run_aggregator(
     }
 }
 
-/// The current head line of one merge input (buffer reused across
-/// lines; `live == false` means the stream is exhausted).
-struct Head {
-    buf: Vec<u8>,
-    live: bool,
-}
-
-/// Pulls the next line of `sc` into `head`.
-fn advance(sc: &mut LineScanner<AggInput>, head: &mut Head) -> io::Result<()> {
-    match sc.next_line()? {
-        Some(line) => {
-            head.buf.clear();
-            head.buf.extend_from_slice(line);
-            head.live = true;
-        }
-        None => head.live = false,
-    }
-    Ok(())
-}
-
-/// A loser tree (tournament tree) over `k` merge inputs.
-///
-/// The previous merge scanned all `k` heads per output line — O(k)
-/// comparisons per line, which dominates at high widths. A loser tree
-/// keeps the losers of past matches in internal nodes, so after
-/// advancing the winning stream only the path from its leaf to the
-/// root is replayed: O(log k) comparisons per line.
-///
-/// Indices are stream ids; `EMPTY` marks a match slot not yet played.
-/// Ties break toward the lower stream id, preserving the stable
-/// lowest-input-first order of the linear scan it replaces.
-struct LoserTree {
-    /// `tree[1..k]` hold losers; `tree[0]` is unused. Leaf `i`'s
-    /// parent is `(i + k) / 2`.
-    tree: Vec<usize>,
-    /// Current overall winner (a stream id, or `EMPTY` before build).
-    winner: usize,
-    k: usize,
-}
-
-const EMPTY: usize = usize::MAX;
-
-impl LoserTree {
-    /// Builds the tree by replaying every leaf once.
-    fn build(k: usize, mut beats: impl FnMut(usize, usize) -> bool) -> LoserTree {
-        let mut t = LoserTree {
-            tree: vec![EMPTY; k.max(1)],
-            winner: EMPTY,
-            k,
-        };
-        for i in 0..k {
-            t.replay(i, &mut beats);
-        }
-        t
-    }
-
-    /// Replays the path from leaf `i` to the root after stream `i`
-    /// changed (new head line, or exhausted).
-    ///
-    /// During the build, a climber reaching a not-yet-played match
-    /// slot deposits itself there and waits for the sibling subtree's
-    /// winner (sequential insertion guarantees the last leaf's whole
-    /// path is played, so the build always crowns a winner). After the
-    /// build every slot is filled and a replay runs the full path.
-    fn replay(&mut self, i: usize, beats: &mut impl FnMut(usize, usize) -> bool) {
-        let mut w = i;
-        let mut slot = (i + self.k) / 2;
-        while slot > 0 {
-            let held = self.tree[slot];
-            if held == EMPTY {
-                self.tree[slot] = w;
-                return;
-            }
-            // The slot keeps the loser; the winner moves up.
-            if beats(held, w) {
-                self.tree[slot] = w;
-                w = held;
-            }
-            slot /= 2;
-        }
-        self.winner = w;
+impl<R: Read> LineSource for LineScanner<R> {
+    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool> {
+        Ok(replace_line(buf, self.next_line()?))
     }
 }
 
-/// `sort -m`: streaming k-way merge with the sequential comparator,
-/// driven by a [`LoserTree`].
+/// `sort -m`: the sort family's streaming k-way merge — the
+/// sequential comparator on keys prepared once per line — over the
+/// batched input scanners.
 fn agg_sort(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
     let parsed =
         parse_sort_args(args).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let unique = parsed.spec.unique;
-    let spec = parsed.spec;
-    let mut scanners: Vec<LineScanner<AggInput>> =
-        inputs.into_iter().map(LineScanner::new).collect();
-    let mut heads: Vec<Head> = Vec::with_capacity(scanners.len());
-    for sc in scanners.iter_mut() {
-        let mut head = Head {
-            buf: Vec::new(),
-            live: false,
-        };
-        advance(sc, &mut head)?;
-        heads.push(head);
-    }
-    let k = heads.len();
-    // Does stream `a` come before stream `b`? Exhausted streams lose;
-    // compare-equal heads break toward the lower id (stability).
-    let beats = |heads: &[Head], a: usize, b: usize| -> bool {
-        match (heads[a].live, heads[b].live) {
-            (false, _) => false,
-            (true, false) => true,
-            (true, true) => match spec.compare(&heads[a].buf, &heads[b].buf) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-        }
-    };
-    let mut tree = LoserTree::build(k, |a, b| beats(&heads, a, b));
-    // For `sort -u`, duplicates may also straddle input boundaries.
-    let mut last_emitted: Vec<u8> = Vec::new();
-    let mut have_last = false;
-    // Merged lines collect into a local staging buffer flushed in
-    // large chunks, keeping the per-line cost off the dyn writer (at
-    // high fan-in the writer call dominated the replay itself).
-    const FLUSH: usize = 64 * 1024;
-    let mut staged: Vec<u8> = Vec::with_capacity(FLUSH + 4096);
-    // Run fast path: in a tournament, the second-best lost directly
-    // to the winner, so it sits among the losers on the winner's
-    // root path. When the same stream wins twice running, cache the
-    // best of those losers and keep emitting from the winner with
-    // one comparison per line — no tree replay — until its head
-    // stops beating the cached challenger. Computed lazily (only on
-    // a repeat win) so interleaved streams pay nothing extra.
-    let mut challenger = EMPTY;
-    while tree.winner != EMPTY && heads[tree.winner].live {
-        let b = tree.winner;
-        let suppress = unique && have_last && spec.key_equal(&last_emitted, &heads[b].buf);
-        if !suppress {
-            staged.extend_from_slice(&heads[b].buf);
-            staged.push(b'\n');
-            if staged.len() >= FLUSH {
-                output.write_all(&staged)?;
-                staged.clear();
-            }
-            if unique {
-                last_emitted.clear();
-                last_emitted.extend_from_slice(&heads[b].buf);
-                have_last = true;
-            }
-        }
-        advance(&mut scanners[b], &mut heads[b])?;
-        if challenger != EMPTY {
-            if heads[b].live && beats(&heads, b, challenger) {
-                continue;
-            }
-            challenger = EMPTY;
-        }
-        tree.replay(b, &mut |a, b| beats(&heads, a, b));
-        if tree.winner == b && k >= 2 {
-            let mut best = EMPTY;
-            let mut slot = (b + k) / 2;
-            while slot > 0 {
-                let held = tree.tree[slot];
-                if held != EMPTY && (best == EMPTY || beats(&heads, held, best)) {
-                    best = held;
-                }
-                slot /= 2;
-            }
-            challenger = best;
-        }
-    }
-    output.write_all(&staged)?;
+    let scanners = inputs.into_iter().map(LineScanner::new).collect();
+    merge(&parsed.spec, scanners, output)?;
     Ok(0)
 }
 
@@ -519,13 +362,6 @@ fn agg_reorder(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32>
     Ok(0)
 }
 
-/// The lines of one frame payload (final line with or without `\n`).
-fn payload_lines(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
-    payload
-        .split_inclusive(|&b| b == b'\n')
-        .map(|l| l.strip_suffix(b"\n").unwrap_or(l))
-}
-
 /// The incremental boundary folds `pash-agg-frame-merge` can wrap:
 /// each consumes per-block command output one tag-ordered line at a
 /// time and keeps only the open group, so memory stays bounded no
@@ -602,7 +438,7 @@ fn agg_frame_merge(
 ) -> io::Result<i32> {
     let mut fold = FrameFold::for_inner(args)?;
     for_each_frame_in_tag_order(inputs, &mut |payload| {
-        for line in payload_lines(payload) {
+        for line in buffer_lines(payload) {
             fold.feed(line, output)?;
         }
         Ok(())
@@ -990,30 +826,53 @@ mod tests {
 
     mod merge_props {
         use super::*;
+        use pash_coreutils::run_command;
         use proptest::prelude::*;
+
+        fn sort(flags: &[&str], input: &str) -> String {
+            let argv: Vec<&str> = std::iter::once("sort")
+                .chain(flags.iter().copied())
+                .collect();
+            let fs = Arc::new(MemFs::new());
+            let out = run_command(&Registry::standard(), fs, &argv, input.as_bytes());
+            String::from_utf8(out.expect("sort").stdout).expect("utf8")
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            // Merging k sorted chunks equals sorting the concatenation,
-            // for arbitrary line material and any fan-in.
+            // The map/aggregate law the parallel `sort` rests on:
+            // sorting k contiguous chunks of the input (some empty,
+            // key groups and duplicates straddling the cuts) and
+            // merging them is the sequential sort, under every flag
+            // set — including which line of a `-u` group survives.
             #[test]
-            fn prop_tree_merge_equals_global_sort(
-                lines in proptest::collection::vec("[a-z]{0,6}", 0..80),
-                k in 1usize..12,
+            fn prop_merge_of_sorted_chunks_equals_global_sort(
+                lines in proptest::collection::vec("[ab01 :.-]{0,5}", 0..60),
+                cuts in proptest::collection::vec(0usize..61, 0..8),
             ) {
-                let mut sorted = lines.clone();
-                sorted.sort_unstable();
-                // Contiguous sorted chunks, like parallel sort copies.
-                let per = sorted.len().div_ceil(k).max(1);
-                let chunks: Vec<String> = sorted
-                    .chunks(per)
-                    .map(|c| c.iter().map(|l| format!("{l}\n")).collect())
-                    .collect();
-                let refs: Vec<&str> = chunks.iter().map(|s| s.as_str()).collect();
-                let merged = run(&["pash-agg-sort"], &refs);
-                let expected: String = sorted.iter().map(|l| format!("{l}\n")).collect();
-                prop_assert_eq!(merged, expected);
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (lines.len() + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(lines.len());
+                let mut chunks: Vec<String> = Vec::new();
+                let mut start = 0;
+                for end in cuts {
+                    chunks.push(lines[start..end].iter().map(|l| format!("{l}\n")).collect());
+                    start = end;
+                }
+                for flags in [
+                    &[][..], &["-n"], &["-r"], &["-rn"], &["-u"], &["-nu"], &["-k2"],
+                    &["-k2,2n"], &["-t:", "-k2"], &["-k1,1", "-u"],
+                ] {
+                    let runs: Vec<String> = chunks.iter().map(|c| sort(flags, c)).collect();
+                    let refs: Vec<&str> = runs.iter().map(|s| s.as_str()).collect();
+                    let argv: Vec<&str> =
+                        std::iter::once("pash-agg-sort").chain(flags.iter().copied()).collect();
+                    prop_assert_eq!(
+                        run(&argv, &refs), sort(flags, &chunks.concat()),
+                        "flags {:?} chunks {:?}", flags, chunks
+                    );
+                }
             }
         }
     }

@@ -396,8 +396,9 @@ fn width_sweep_both_split_strategies() {
     // over pipelines covering the framed stateless path, the raw
     // commutative path (wc, plain and reversed sort — whole-line
     // comparisons are total orders, so their merges commute), the
-    // framed class-P path (uniq/uniq -c via frame-merge), and the
-    // segment fallback (keyed sort, whose ties break by partition).
+    // framed class-P path (uniq/uniq -c via frame-merge), the
+    // segment fallback (keyed sort, whose ties break by partition),
+    // and the `sort | uniq -c | sort -rn` ranking idiom.
     let Some(bins) = harness() else {
         eprintln!("skipping: no /bin/sh or binaries unavailable");
         return;
@@ -448,6 +449,12 @@ fn width_sweep_both_split_strategies() {
         (
             "segment-keyed-sort",
             "cat in.txt | grep -v qqq | sort -k 2 > out.txt",
+        ),
+        // Equal counts everywhere: the numeric merge must break
+        // ties by the (reversed) whole line like the kernel does.
+        (
+            "count-ranked-sort",
+            "cat in.txt | sort | uniq -c | sort -rn > out.txt",
         ),
     ] {
         for width in [2usize, 4, 8] {

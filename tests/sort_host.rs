@@ -1,0 +1,213 @@
+//! Our `sort` against the host's, byte for byte, under `LC_ALL=C`.
+//!
+//! The proptests in `crates/coreutils/tests/sort_arena.rs` share the
+//! comparator with the kernel they check; this oracle shares nothing.
+//! It pins the two orderings ISSUE 13 fixed — `-n`/`-rn` ties fall to
+//! the whole line (KNOWN_DIVERGENCES §1) and `-u` keeps the first
+//! input line of a key group — and the flag matrix around them.
+//!
+//! Inputs stay inside the semantics both sides share: fields are
+//! separated by exactly one blank and no line starts with one (GNU
+//! counts leading blanks into a `-k` field unless `-b` is given, ours
+//! never does), and no number carries a `+` (GNU `-n` has no such
+//! sign).
+
+use std::io::Write;
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::sync::Arc;
+
+use pash::coreutils::fs::MemFs;
+use pash::coreutils::{run_command, Registry};
+
+const HOST_SORT: &str = "/usr/bin/sort";
+
+/// Whether the host has a `sort` to compare with; without one each
+/// test prints a notice and passes vacuously.
+fn host_available() -> bool {
+    Path::new(HOST_SORT).exists()
+}
+
+/// `sort ARGS… OPERANDS…` on the host: operands are files in a fresh
+/// directory, `-` is `stdin`.
+fn host_sort(case: &str, args: &[&str], files: &[(&str, &[u8])], stdin: &[u8]) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("pash-sort-host-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, data) in files {
+        std::fs::write(dir.join(name), data).expect("write input");
+    }
+    let mut child = Command::new(HOST_SORT)
+        .args(args)
+        .current_dir(&dir)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn host sort");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin)
+        .expect("feed host sort");
+    let out = child.wait_with_output().expect("host sort exits");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "host sort {args:?} failed");
+    out.stdout
+}
+
+fn our_sort(args: &[&str], files: &[(&str, &[u8])], stdin: &[u8]) -> Vec<u8> {
+    let fs = Arc::new(MemFs::new());
+    for (name, data) in files {
+        fs.add(*name, data.to_vec());
+    }
+    let argv: Vec<&str> = std::iter::once("sort")
+        .chain(args.iter().copied())
+        .collect();
+    let out = run_command(&Registry::standard(), fs, &argv, stdin).expect("our sort runs");
+    assert_eq!(out.status, 0, "our sort {args:?} failed");
+    out.stdout
+}
+
+fn assert_matches_host(case: &str, args: &[&str], files: &[(&str, &[u8])], stdin: &[u8]) {
+    let ours = our_sort(args, files, stdin);
+    let host = host_sort(case, args, files, stdin);
+    assert_eq!(
+        String::from_utf8_lossy(&ours),
+        String::from_utf8_lossy(&host),
+        "{case}: sort {args:?} differs from {HOST_SORT}"
+    );
+    assert_eq!(ours, host, "{case}: sort {args:?} differs in raw bytes");
+}
+
+/// Seeded lines of one to three single-blank-separated fields drawn
+/// from a small vocabulary, so keys collide, numbers tie (`1`, `01`,
+/// `1.0`), fields go missing, and bytes above ASCII and NUL appear;
+/// `sep` joins the fields.
+fn corpus(seed: u64, lines: usize, sep: &str) -> Vec<u8> {
+    const WORDS: [&[u8]; 20] = [
+        b"a", b"b", b"ab", b"B", b"the", b"1", b"01", b"1.0", b"2", b"10", b"9", b"-3", b"-03",
+        b"0.5", b".5", b"1e3", b"x\xffy", b"x\x00y", b"zz", b"0",
+    ];
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut out = Vec::new();
+    for _ in 0..lines {
+        // One line in sixteen is empty.
+        if next(16) != 0 {
+            for field in 0..1 + next(3) {
+                if field > 0 {
+                    out.extend_from_slice(sep.as_bytes());
+                }
+                out.extend_from_slice(WORDS[next(WORDS.len() as u64) as usize]);
+            }
+        }
+        out.push(b'\n');
+    }
+    out
+}
+
+#[test]
+fn flag_matrix_matches_the_host() {
+    if !host_available() {
+        eprintln!("skipping: the host has no {HOST_SORT}");
+        return;
+    }
+    let blank = corpus(1, 400, " ");
+    let colon = corpus(2, 400, ":");
+    let mut unterminated = corpus(3, 60, " ");
+    unterminated.extend_from_slice(b"last line");
+    let cases: [&[&str]; 10] = [
+        &[],
+        &["-n"],
+        &["-r"],
+        &["-rn"],
+        &["-u"],
+        &["-nu"],
+        &["-k2"],
+        &["-k2,2n"],
+        &["-t:", "-k2"],
+        &["-k1,1", "-u"],
+    ];
+    for (i, flags) in cases.iter().enumerate() {
+        let data = if flags.contains(&"-t:") {
+            &colon
+        } else {
+            &blank
+        };
+        assert_matches_host(&format!("stdin-{i}"), flags, &[], data);
+        // Several operands: a file, stdin in the middle, an
+        // unterminated file, an empty one.
+        let mut args = flags.to_vec();
+        args.extend(["one.txt", "-", "cut.txt", "none.txt"]);
+        let files: [(&str, &[u8]); 3] = [
+            ("one.txt", data),
+            ("cut.txt", &unterminated),
+            ("none.txt", b""),
+        ];
+        assert_matches_host(&format!("files-{i}"), &args, &files, b"from stdin\n0 x");
+    }
+}
+
+#[test]
+fn numeric_ties_and_unique_groups_match_the_host() {
+    if !host_available() {
+        eprintln!("skipping: the host has no {HOST_SORT}");
+        return;
+    }
+    // The `uniq -c | sort -rn` idiom of the §1 suite scripts: equal
+    // counts must come out in the host's (reversed byte) order.
+    let counts = b"     36 that\n     36 are\n      7 zebra\n     36 the\n      7 apple\n";
+    let cases: [(&[&str], &[u8]); 9] = [
+        (&["-n"], b"1 b\n1 a\n"),
+        (&["-rn"], b"1 a\n1 b\n2 x\n"),
+        (&["-rn"], counts),
+        (&["-n"], counts),
+        // Non-numeric keys all tie at 0 (unix50/20).
+        (&["-n"], b"you\nhe\n0\nthey\n-1\n"),
+        (&["-u", "-k1,1"], b"a z\na b\n"),
+        (&["-k2,2n", "-u"], b"b 1\na 1\n"),
+        (&["-nu"], b"1 b\n01 a\n1.0 c\n0\n"),
+        (&["-ru"], b"b\na\nb\nc\na\n"),
+    ];
+    for (i, (flags, input)) in cases.iter().enumerate() {
+        assert_matches_host(&format!("case-{i}"), flags, &[], input);
+    }
+}
+
+#[test]
+fn merge_of_host_sorted_runs_matches_the_host() {
+    if !host_available() {
+        eprintln!("skipping: the host has no {HOST_SORT}");
+        return;
+    }
+    // Runs sorted by the host, merged by both: `sort -m` must agree
+    // on tie order across runs too.
+    let cases: [&[&str]; 5] = [&[], &["-n"], &["-rn"], &["-u"], &["-k2,2n", "-u"]];
+    for (i, flags) in cases.iter().enumerate() {
+        let runs: Vec<Vec<u8>> = (0..3)
+            .map(|r| {
+                host_sort(
+                    &format!("run-{i}-{r}"),
+                    flags,
+                    &[],
+                    &corpus(10 + r, 120, " "),
+                )
+            })
+            .collect();
+        let files: Vec<(&str, &[u8])> = ["r0", "r1", "r2"]
+            .into_iter()
+            .zip(runs.iter().map(Vec::as_slice))
+            .collect();
+        let mut args = vec!["-m"];
+        args.extend(flags.iter());
+        args.extend(["r0", "r1", "r2"]);
+        assert_matches_host(&format!("merge-{i}"), &args, &files, b"");
+    }
+}
