@@ -2,7 +2,9 @@
 
 use std::io;
 
-use crate::lines::{for_each_line, in_ranges, parse_ranges, write_line};
+use pash_regex::memmem::{memchr, memchr2};
+
+use crate::lines::{buffer_lines, for_each_block, parse_ranges};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `cut -f LIST [-d DELIM] [-s]` and `cut -c LIST`.
@@ -53,42 +55,113 @@ impl Command for Cut {
         if files.is_empty() {
             files.push("-".to_string());
         }
+        let mut out = Vec::new();
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_line(&mut r, |line| {
+            for_each_block(&mut r, |block| {
+                out.clear();
                 if by_fields {
-                    if !line.contains(&delim) {
-                        if !suppress {
-                            write_line(io.stdout, line)?;
-                        }
-                        return Ok(true);
-                    }
-                    let parts: Vec<&[u8]> = line.split(|&b| b == delim).collect();
-                    let mut out: Vec<u8> = Vec::new();
-                    let mut first = true;
-                    for (i, p) in parts.iter().enumerate() {
-                        if in_ranges(&ranges, i + 1) {
-                            if !first {
-                                out.push(delim);
-                            }
-                            out.extend_from_slice(p);
-                            first = false;
-                        }
-                    }
-                    write_line(io.stdout, &out)?;
+                    cut_fields(block, &ranges, delim, suppress, &mut out);
                 } else {
-                    let out: Vec<u8> = line
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| in_ranges(&ranges, i + 1))
-                        .map(|(_, &b)| b)
-                        .collect();
-                    write_line(io.stdout, &out)?;
+                    cut_bytes(block, &ranges, &mut out);
                 }
+                io.stdout.write_all(&out)?;
                 Ok(true)
             })?;
         }
         Ok(0)
+    }
+}
+
+/// The next field or line terminator at or after `from`: its offset
+/// (the block's end for an unterminated last line) and whether it is a
+/// delimiter, i.e. whether the line goes on.
+#[inline]
+fn next_sep(block: &[u8], from: usize, delim: u8) -> (usize, bool) {
+    match memchr2(delim, b'\n', &block[from..]) {
+        Some(i) => (from + i, block[from + i] != b'\n'),
+        None => (block.len(), false),
+    }
+}
+
+/// The end of the line `from` lies on: its `\n`, or the block's end.
+#[inline]
+fn line_end(block: &[u8], from: usize) -> usize {
+    memchr(b'\n', &block[from..]).map_or(block.len(), |i| from + i)
+}
+
+/// `cut -f` over one block of whole lines, appending to `out`.
+///
+/// `ranges` are sorted and disjoint, so one cursor walks the line's
+/// delimiters forward while another walks the ranges, and a range's
+/// fields — delimiters between them included — are one slice of the
+/// line.
+fn cut_fields(
+    block: &[u8],
+    ranges: &[(usize, usize)],
+    delim: u8,
+    suppress: bool,
+    out: &mut Vec<u8>,
+) {
+    let mut pos = 0;
+    while pos < block.len() {
+        let (first, delimited) = next_sep(block, pos, delim);
+        if !delimited {
+            // No delimiter on the line: it passes whole, or not at all.
+            if !suppress {
+                out.extend_from_slice(&block[pos..first]);
+                out.push(b'\n');
+            }
+            pos = first + 1;
+            continue;
+        }
+        // Field number `field` is `block[at..end]`; `more` says `end`
+        // is a delimiter rather than the end of the line.
+        let (mut field, mut at, mut end, mut more) = (1, pos, first, true);
+        let mut wrote = false;
+        for &(lo, hi) in ranges {
+            while field < lo && more {
+                at = end + 1;
+                (end, more) = next_sep(block, at, delim);
+                field += 1;
+            }
+            if field < lo {
+                break;
+            }
+            let span = at;
+            if hi == usize::MAX && more {
+                // An open range runs to the end of the line.
+                (end, more) = (line_end(block, end), false);
+            }
+            while field < hi && more {
+                (end, more) = next_sep(block, end + 1, delim);
+                field += 1;
+            }
+            if wrote {
+                out.push(delim);
+            }
+            out.extend_from_slice(&block[span..end]);
+            wrote = true;
+        }
+        if more {
+            end = line_end(block, end);
+        }
+        out.push(b'\n');
+        pos = end + 1;
+    }
+}
+
+/// `cut -c` over one block of whole lines: each (sorted, disjoint)
+/// range is one slice of the line.
+fn cut_bytes(block: &[u8], ranges: &[(usize, usize)], out: &mut Vec<u8>) {
+    for line in buffer_lines(block) {
+        for &(lo, hi) in ranges {
+            if lo > line.len() {
+                break;
+            }
+            out.extend_from_slice(&line[lo - 1..hi.min(line.len())]);
+        }
+        out.push(b'\n');
     }
 }
 

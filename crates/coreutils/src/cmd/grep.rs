@@ -1,11 +1,11 @@
 //! `grep` — print lines matching a pattern.
 
-use std::io::{self, BufRead};
+use std::io::{self, Write};
 
 use pash_regex::memmem::{count_bytes, memchr, memrchr};
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::lines::{for_each_line, write_line};
+use crate::lines::{for_each_block, for_each_line, write_line};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `grep [-EFivcnwm] PATTERN [file…]`.
@@ -15,10 +15,10 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 ///
 /// Matching is tiered (see `pash_regex::Matcher`): `-F` and plain
 /// literal patterns run as pure substring search, and any pattern with
-/// a required literal takes the buffer-scan path below — whole chunks
-/// are skimmed for candidate positions at `memmem` speed and only
-/// candidate lines pay for a real match, instead of restarting the
-/// regex engine once per line.
+/// a required literal takes the block-scan path below — whole blocks
+/// of lines are skimmed in the reader's buffer for candidate
+/// positions at `memmem` speed and only candidate lines pay for a real
+/// match, instead of restarting the regex engine once per line.
 pub struct Grep;
 
 struct Opts {
@@ -41,9 +41,6 @@ struct Tally {
     /// Current line number (reset per file).
     line_no: u64,
 }
-
-/// Target chunk size for the buffer-scan path.
-const SCAN_CHUNK: usize = 256 * 1024;
 
 impl Command for Grep {
     fn name(&self) -> &'static str {
@@ -107,13 +104,16 @@ impl Command for Grep {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             t.line_no = 0;
             if m.has_candidate_filter() {
-                scan_reader(&mut m, r.as_mut(), &o, io, &mut t)?;
+                for_each_block(&mut r, |block| {
+                    scan_region(&mut m, block, &o, io.stdout, &mut t)?;
+                    Ok(!t.stop)
+                })?;
             } else {
                 for_each_line(&mut r, |line| {
                     t.line_no += 1;
                     let matched = m.is_match(line) != o.invert;
                     if matched {
-                        emit_line(line, &o, io, &mut t)?;
+                        emit_line(line, &o, io.stdout, &mut t)?;
                     }
                     Ok(!t.stop)
                 })?;
@@ -173,14 +173,14 @@ fn apply_cluster(body: &str, o: &mut Opts) -> bool {
 
 /// Emits one matched line (or just counts it), honoring `-c`, `-n`,
 /// and the `-m` early exit.
-fn emit_line(line: &[u8], o: &Opts, io: &mut CmdIo<'_>, t: &mut Tally) -> io::Result<()> {
+fn emit_line(line: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Result<()> {
     t.any = true;
     t.count += 1;
     if !o.count {
         if o.line_numbers {
-            write!(io.stdout, "{}:", t.line_no)?;
+            write!(out, "{}:", t.line_no)?;
         }
-        write_line(io.stdout, line)?;
+        write_line(out, line)?;
     }
     t.emitted += 1;
     if let Some(mx) = o.max {
@@ -212,7 +212,7 @@ fn line_count(region: &[u8]) -> u64 {
 /// it is skipped wholesale (newlines counted word-at-a-time for `-n`);
 /// with `-v` every line matches — emitted as one bulk write when no
 /// per-line bookkeeping (`-n`, `-m`) is needed.
-fn on_gap(gap: &[u8], o: &Opts, io: &mut CmdIo<'_>, t: &mut Tally) -> io::Result<()> {
+fn on_gap(gap: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Result<()> {
     let n = line_count(gap);
     if n == 0 {
         return Ok(());
@@ -227,17 +227,17 @@ fn on_gap(gap: &[u8], o: &Opts, io: &mut CmdIo<'_>, t: &mut Tally) -> io::Result
         t.count += n;
         t.emitted += n;
         if !o.count {
-            io.stdout.write_all(gap)?;
+            out.write_all(gap)?;
             if gap.last() != Some(&b'\n') {
                 // The per-line path always terminates the final line.
-                io.stdout.write_all(b"\n")?;
+                out.write_all(b"\n")?;
             }
         }
         return Ok(());
     }
     for line in lines_of(gap) {
         t.line_no += 1;
-        emit_line(line, o, io, t)?;
+        emit_line(line, o, out, t)?;
         if t.stop {
             return Ok(());
         }
@@ -245,58 +245,14 @@ fn on_gap(gap: &[u8], o: &Opts, io: &mut CmdIo<'_>, t: &mut Tally) -> io::Result
     Ok(())
 }
 
-/// The buffer-scan loop: read big chunks, cut them at the last
-/// newline, and let the matcher's candidate filter skip non-matching
-/// stretches without a per-line regex restart.
-fn scan_reader(
-    m: &mut Matcher,
-    r: &mut dyn BufRead,
-    o: &Opts,
-    io: &mut CmdIo<'_>,
-    t: &mut Tally,
-) -> io::Result<()> {
-    let mut buf: Vec<u8> = Vec::with_capacity(SCAN_CHUNK + 4096);
-    loop {
-        let mut eof = false;
-        let mut have_nl = memrchr(b'\n', &buf).is_some();
-        while !eof && (buf.len() < SCAN_CHUNK || !have_nl) {
-            let chunk = r.fill_buf()?;
-            if chunk.is_empty() {
-                eof = true;
-                break;
-            }
-            if !have_nl && memchr(b'\n', chunk).is_some() {
-                have_nl = true;
-            }
-            let n = chunk.len();
-            buf.extend_from_slice(chunk);
-            r.consume(n);
-        }
-        let region_end = if eof {
-            buf.len()
-        } else {
-            memrchr(b'\n', &buf).map(|i| i + 1).expect("have_nl set")
-        };
-        if region_end > 0 {
-            scan_region(m, &buf[..region_end], o, io, t)?;
-            if t.stop {
-                return Ok(());
-            }
-            buf.drain(..region_end);
-        }
-        if eof {
-            return Ok(());
-        }
-    }
-}
-
-/// Scans one region of complete lines (the final line of the input may
-/// be unterminated).
+/// Scans one block of complete lines (the final line of the input may
+/// be unterminated), letting the matcher's candidate filter skip
+/// non-matching stretches without a per-line regex restart.
 fn scan_region(
     m: &mut Matcher,
     region: &[u8],
     o: &Opts,
-    io: &mut CmdIo<'_>,
+    out: &mut dyn Write,
     t: &mut Tally,
 ) -> io::Result<()> {
     let mut pos = 0usize;
@@ -305,7 +261,7 @@ fn scan_region(
             None => {
                 // No candidate anywhere ahead: the rest of the region
                 // is non-matching lines.
-                on_gap(&region[pos..], o, io, t)?;
+                on_gap(&region[pos..], o, out, t)?;
                 return Ok(());
             }
             Some(off) => pos + off,
@@ -314,7 +270,7 @@ fn scan_region(
         // at the last newline before the hit (or at `pos`).
         let line_start = pos + memrchr(b'\n', &region[pos..hit]).map_or(0, |i| i + 1);
         if line_start > pos {
-            on_gap(&region[pos..line_start], o, io, t)?;
+            on_gap(&region[pos..line_start], o, out, t)?;
             if t.stop {
                 return Ok(());
             }
@@ -323,7 +279,7 @@ fn scan_region(
         let line = &region[line_start..line_end];
         t.line_no += 1;
         if m.is_match(line) != o.invert {
-            emit_line(line, o, io, t)?;
+            emit_line(line, o, out, t)?;
             if t.stop {
                 return Ok(());
             }

@@ -4,8 +4,9 @@
 //! (complement), and combinations such as the classic word-splitting
 //! idiom `tr -cs A-Za-z '\n'`.
 
-use std::io::{self};
+use std::io;
 
+use crate::lines::BLOCK_SIZE;
 use crate::{CmdIo, Command, ExitStatus};
 
 /// The `tr` command. Stateless even *within* lines (§3.1 notes ~1/3 of
@@ -104,38 +105,83 @@ impl Command for Tr {
             }
         }
 
-        let mut buf = [0u8; 64 * 1024];
-        let mut out = Vec::with_capacity(64 * 1024);
-        let mut last_squeezed: Option<u8> = None;
+        // Deletion is keyed on the input byte, squeezing on the
+        // translated one; with neither, `tr` is a table map.
+        let classes: [u32; 256] = std::array::from_fn(|b| {
+            let t = table[b];
+            class_of(t, delete && member[b], squeeze_member[t as usize])
+        });
+        let mut out: Vec<u8> = Vec::new();
+        let mut prev = NO_SURVIVOR;
         loop {
-            let n = io.stdin.read(&mut buf)?;
-            if n == 0 {
+            let chunk = io.stdin.fill_buf()?;
+            if chunk.is_empty() {
                 break;
             }
-            out.clear();
-            for &b in &buf[..n] {
-                let mut b = b;
-                if delete && member[b as usize] {
-                    continue;
-                }
-                if translating {
-                    // The table is identity for non-members.
-                    b = table[b as usize];
-                }
-                if squeeze && squeeze_member[b as usize] {
-                    if last_squeezed == Some(b) {
-                        continue;
-                    }
-                    last_squeezed = Some(b);
-                } else {
-                    last_squeezed = None;
-                }
-                out.push(b);
+            // Read in place, one bounded tile at a time, so `out`
+            // stays cache-sized whatever the reader holds.
+            let tile = &chunk[..chunk.len().min(BLOCK_SIZE)];
+            let n = tile.len();
+            if out.len() < n {
+                out.resize(n, 0);
             }
-            io.stdout.write_all(&out)?;
+            let kept = if delete || squeeze {
+                let (kept, last) = compact(tile, &classes, prev, &mut out);
+                prev = last;
+                kept
+            } else {
+                for (o, &b) in out.iter_mut().zip(tile) {
+                    *o = table[b as usize];
+                }
+                n
+            };
+            io.stdout.write_all(&out[..kept])?;
+            io.stdin.consume(n);
         }
         Ok(0)
     }
+}
+
+/// What [`compact`] needs to know about one input byte, packed so
+/// the loop makes a single table load per byte:
+///
+/// * bits 0–7: the translated byte;
+/// * bits 8–16, *match*: the translated byte if it is squeezable,
+///   else `0x100` — what a repeat of this byte would find in `prev`;
+/// * bit 17: the byte is deleted;
+/// * bits 18–27, *leave*: what this byte leaves in `prev` when it
+///   survives deletion — the translated byte if squeezable, else
+///   [`NO_SURVIVOR`], which no *match* field equals.
+fn class_of(translated: u8, deleted: bool, squeezable: bool) -> u32 {
+    let (matches, leaves) = if squeezable {
+        (u32::from(translated), u32::from(translated))
+    } else {
+        (0x100, NO_SURVIVOR)
+    };
+    u32::from(translated) | matches << 8 | u32::from(deleted) << 17 | leaves << 18
+}
+
+/// `prev` before any byte has survived, and after one that cannot be
+/// squeezed.
+const NO_SURVIVOR: u32 = 0x200;
+
+/// Translates `tile` into the front of `out`, leaving out deleted
+/// bytes and squeezed repeats, without a data-dependent branch: every
+/// byte is stored, and the write cursor advances only past the ones
+/// that stay. `prev` is the *leave* field of the last byte that
+/// survived deletion, carried from tile to tile. Returns the output
+/// length and the new `prev`.
+fn compact(tile: &[u8], classes: &[u32; 256], mut prev: u32, out: &mut [u8]) -> (usize, u32) {
+    let mut w = 0;
+    for &b in tile {
+        let class = classes[b as usize];
+        let deleted = (class >> 17) & 1;
+        let repeat = u32::from((class >> 8) & 0x1ff == prev);
+        out[w] = class as u8;
+        w += ((deleted | repeat) ^ 1) as usize;
+        prev = if deleted == 0 { class >> 18 } else { prev };
+    }
+    (w, prev)
 }
 
 /// Expands a `tr` set: escapes, ranges (`a-z`), classes (`[:upper:]`).

@@ -2,7 +2,7 @@
 
 use std::io;
 
-use crate::lines::{for_each_line, write_line};
+use crate::lines::{buffer_lines, for_each_block, push_count};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `uniq [-c] [-d] [-u] [-i] [file]`.
@@ -11,26 +11,65 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 /// boundary between adjacent parts (§5.2's `uniq` combiner).
 pub struct Uniq;
 
+/// Which groups print, and how.
+struct Opts {
+    count: bool,
+    only_dup: bool,
+    only_uniq: bool,
+    ignore_case: bool,
+}
+
+impl Opts {
+    fn same(&self, a: &[u8], b: &[u8]) -> bool {
+        if self.ignore_case {
+            a.eq_ignore_ascii_case(b)
+        } else {
+            a == b
+        }
+    }
+
+    /// Appends a finished group of `n` lines, if it is selected.
+    fn emit(&self, line: &[u8], n: u64, out: &mut Vec<u8>) {
+        let selected = if self.only_dup {
+            n > 1
+        } else if self.only_uniq {
+            n == 1
+        } else {
+            true
+        };
+        if !selected {
+            return;
+        }
+        if self.count {
+            push_count(out, n);
+        }
+        out.extend_from_slice(line);
+        out.push(b'\n');
+    }
+}
+
 impl Command for Uniq {
     fn name(&self) -> &'static str {
         "uniq"
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut count = false;
-        let mut only_dup = false;
-        let mut only_uniq = false;
-        let mut ignore_case = false;
+        let mut o = Opts {
+            count: false,
+            only_dup: false,
+            only_uniq: false,
+            ignore_case: false,
+        };
         let mut files: Vec<&str> = Vec::new();
         for a in args {
             match a.as_str() {
-                "-c" => count = true,
-                "-d" => only_dup = true,
-                "-u" => only_uniq = true,
-                "-i" => ignore_case = true,
+                "-c" => o.count = true,
+                "-d" => o.only_dup = true,
+                "-u" => o.only_uniq = true,
+                "-i" => o.ignore_case = true,
                 "-ci" | "-ic" => {
-                    count = true;
-                    ignore_case = true;
+                    o.count = true;
+                    o.ignore_case = true;
                 }
                 other => files.push(other),
             }
@@ -38,46 +77,41 @@ impl Command for Uniq {
         if files.is_empty() {
             files.push("-");
         }
-        let eq = |a: &[u8], b: &[u8]| {
-            if ignore_case {
-                a.eq_ignore_ascii_case(b)
-            } else {
-                a == b
-            }
-        };
-        let mut current: Option<(Vec<u8>, u64)> = None;
-        let flush = |io: &mut CmdIo<'_>, group: &Option<(Vec<u8>, u64)>| -> io::Result<()> {
-            if let Some((line, n)) = group {
-                let selected = if only_dup {
-                    *n > 1
-                } else if only_uniq {
-                    *n == 1
-                } else {
-                    true
-                };
-                if selected {
-                    if count {
-                        write!(io.stdout, "{n:7} ")?;
-                    }
-                    write_line(io.stdout, line)?;
-                }
-            }
-            Ok(())
-        };
+        // The open group is `held` × `n` between blocks. Inside a block
+        // its first line is compared where it lies; only a group still
+        // open at the block's end is copied out.
+        let mut held: Vec<u8> = Vec::new();
+        let mut n = 0u64;
+        let mut out = Vec::new();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_line(&mut r, |line| {
-                match &mut current {
-                    Some((prev, n)) if eq(prev, line) => *n += 1,
-                    _ => {
-                        flush(io, &current)?;
-                        current = Some((line.to_vec(), 1));
+            for_each_block(&mut r, |block| {
+                out.clear();
+                let mut first: Option<&[u8]> = None;
+                for line in buffer_lines(block) {
+                    if n > 0 && o.same(first.unwrap_or(&held), line) {
+                        n += 1;
+                        continue;
                     }
+                    if n > 0 {
+                        o.emit(first.unwrap_or(&held), n, &mut out);
+                    }
+                    first = Some(line);
+                    n = 1;
                 }
+                if let Some(line) = first {
+                    held.clear();
+                    held.extend_from_slice(line);
+                }
+                io.stdout.write_all(&out)?;
                 Ok(true)
             })?;
         }
-        flush(io, &current)?;
+        if n > 0 {
+            out.clear();
+            o.emit(&held, n, &mut out);
+            io.stdout.write_all(&out)?;
+        }
         Ok(0)
     }
 }

@@ -2,6 +2,8 @@
 
 use std::io;
 
+use pash_regex::memmem::count_bytes;
+
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `wc [-lwcm] [file…]`.
@@ -22,30 +24,33 @@ pub struct Counts {
     pub bytes: u64,
 }
 
-/// Counts a byte stream (shared with the runtime `wc` aggregator).
-pub fn count_stream<R: io::BufRead + ?Sized>(r: &mut R) -> io::Result<Counts> {
+/// Counts a byte stream in place, one `fill_buf` chunk at a time.
+/// Newlines are counted a word at a time; the per-byte word scan runs
+/// only when `words` asks for it (`wc -l`, `wc -c` skip it, and then
+/// `Counts::words` stays 0).
+pub fn count_stream<R: io::BufRead + ?Sized>(r: &mut R, words: bool) -> io::Result<Counts> {
     let mut c = Counts::default();
     let mut in_word = false;
-    let mut buf = [0u8; 64 * 1024];
     loop {
-        let n = io::Read::read(r, &mut buf)?;
+        let chunk = r.fill_buf()?;
+        let n = chunk.len();
         if n == 0 {
-            break;
+            return Ok(c);
         }
         c.bytes += n as u64;
-        for &b in &buf[..n] {
-            if b == b'\n' {
-                c.lines += 1;
-            }
-            if b.is_ascii_whitespace() {
-                in_word = false;
-            } else if !in_word {
-                in_word = true;
-                c.words += 1;
+        c.lines += count_bytes(b'\n', chunk) as u64;
+        if words {
+            for &b in chunk {
+                if b.is_ascii_whitespace() {
+                    in_word = false;
+                } else if !in_word {
+                    in_word = true;
+                    c.words += 1;
+                }
             }
         }
+        r.consume(n);
     }
-    Ok(c)
 }
 
 /// Which columns to print, in canonical order (lines, words, bytes).
@@ -60,17 +65,30 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// Formats one counts row under this selection.
-    pub fn format(&self, c: &Counts, label: Option<&str>) -> String {
+    /// The column width for a report over `operands` inputs (stdin
+    /// counts as one): GNU prints a lone count of a lone input bare
+    /// and right-aligns everything else, to seven columns here.
+    pub fn width(&self, operands: usize) -> usize {
+        let columns = usize::from(self.lines) + usize::from(self.words) + usize::from(self.bytes);
+        if columns == 1 && operands <= 1 {
+            1
+        } else {
+            7
+        }
+    }
+
+    /// Formats one counts row under this selection, every count
+    /// right-aligned to `width`.
+    pub fn format(&self, c: &Counts, label: Option<&str>, width: usize) -> String {
         let mut cols: Vec<String> = Vec::new();
         if self.lines {
-            cols.push(format!("{:7}", c.lines));
+            cols.push(format!("{:width$}", c.lines));
         }
         if self.words {
-            cols.push(format!("{:7}", c.words));
+            cols.push(format!("{:width$}", c.words));
         }
         if self.bytes {
-            cols.push(format!("{:7}", c.bytes));
+            cols.push(format!("{:width$}", c.bytes));
         }
         let mut row = cols.join(" ");
         if let Some(l) = label {
@@ -128,17 +146,18 @@ impl Command for Wc {
         }
         let mut total = Counts::default();
         let many = files.len() > 1;
+        let width = sel.width(files.len());
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            let c = count_stream(&mut *r)?;
+            let c = count_stream(&mut r, sel.words)?;
             total.lines += c.lines;
             total.words += c.words;
             total.bytes += c.bytes;
             let label = if from_stdin { None } else { Some(f.as_str()) };
-            writeln!(io.stdout, "{}", sel.format(&c, label))?;
+            writeln!(io.stdout, "{}", sel.format(&c, label, width))?;
         }
         if many {
-            writeln!(io.stdout, "{}", sel.format(&total, Some("total")))?;
+            writeln!(io.stdout, "{}", sel.format(&total, Some("total"), width))?;
         }
         Ok(0)
     }
@@ -163,6 +182,19 @@ mod tests {
     #[test]
     fn lines_only() {
         assert_eq!(wc(&["-l"], "a\nb\nc\n").trim(), "3");
+    }
+
+    #[test]
+    fn a_lone_count_of_a_lone_input_is_bare() {
+        // GNU pads only when there is something to align with.
+        assert_eq!(wc(&["-l"], "a\nb\nc\n"), "3\n");
+        assert_eq!(wc(&["-c"], ""), "0\n");
+        assert_eq!(wc(&["-l", "w1"], ""), "2 w1\n");
+        assert_eq!(wc(&["-lw"], "a b\n"), "      1       2\n");
+        assert_eq!(
+            wc(&["-l", "w1", "w2"], ""),
+            "      2 w1\n      1 w2\n      3 total\n"
+        );
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub trait Fs: Send + Sync {
 
     /// Opens a file with buffering.
     fn open_buffered(&self, path: &str) -> io::Result<Box<dyn BufRead + Send>> {
-        Ok(Box::new(io::BufReader::new(self.open(path)?)))
+        Ok(Box::new(io::BufReader::with_capacity(
+            crate::lines::BLOCK_SIZE,
+            self.open(path)?,
+        )))
     }
 
     /// Reads the byte range `[start, end)` of a file (clamped to the

@@ -143,8 +143,13 @@ pub fn run_command(
         .get(name)
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{name}: not found")))?;
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    let mut stdin = io::BufReader::new(input);
-    let mut stdout = Vec::new();
+    // A slice is its own `BufRead`: the command sees the whole input
+    // as one block, uncopied.
+    let mut stdin = input;
+    // Most commands write about as much as they read; reserving that
+    // up front (untouched pages cost nothing) spares a large output
+    // its chain of grow-and-copy reallocations.
+    let mut stdout = Vec::with_capacity(input.len());
     let mut stderr = Vec::new();
     let status = {
         let mut cio = CmdIo {
@@ -197,20 +202,53 @@ pub fn run_standalone(
     Ok(status)
 }
 
-/// Opens an input source: `-` means "the rest of stdin".
-pub fn open_input(
+/// A command's input operand: its own stdin, borrowed, or an opened
+/// file. Borrowing stdin is what lets a command on a pipe work on the
+/// stream as it arrives — and stop reading it — instead of draining
+/// it into a private copy first.
+pub enum Input<'a> {
+    /// The `-` operand (or no operand at all): the command's stdin.
+    Stdin(&'a mut dyn BufRead),
+    /// A file operand.
+    File(Box<dyn BufRead + Send>),
+}
+
+impl io::Read for Input<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Input::Stdin(r) => r.read(buf),
+            Input::File(r) => r.read(buf),
+        }
+    }
+}
+
+impl BufRead for Input<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        match self {
+            Input::Stdin(r) => r.fill_buf(),
+            Input::File(r) => r.fill_buf(),
+        }
+    }
+
+    fn consume(&mut self, amt: usize) {
+        match self {
+            Input::Stdin(r) => r.consume(amt),
+            Input::File(r) => r.consume(amt),
+        }
+    }
+}
+
+/// Opens an input source: `-` means "the rest of stdin" (so of
+/// several `-` operands the first gets the stream).
+pub fn open_input<'a>(
     fs: &Arc<dyn Fs>,
     path: &str,
-    stdin: &mut dyn BufRead,
-) -> io::Result<Box<dyn BufRead + Send>> {
+    stdin: &'a mut dyn BufRead,
+) -> io::Result<Input<'a>> {
     if path == "-" {
-        // Drain stdin into a buffer: commands that interleave stdin
-        // with files need an owned reader.
-        let mut buf = Vec::new();
-        stdin.read_to_end(&mut buf)?;
-        Ok(Box::new(io::BufReader::new(io::Cursor::new(buf))))
+        Ok(Input::Stdin(stdin))
     } else {
-        fs.open_buffered(path)
+        fs.open_buffered(path).map(Input::File)
     }
 }
 

@@ -1,34 +1,121 @@
 //! Line-oriented I/O helpers shared by the commands.
 //!
 //! UNIX streams are newline-delimited byte sequences (§2.1 of the
-//! paper); these helpers implement that discipline once: iteration
-//! over lines *without* their terminator, and writing lines *with*
-//! one.
+//! paper); these helpers implement that discipline once: one block
+//! reader that hands out runs of complete lines *in place*, iteration
+//! over lines *without* their terminator on top of it, and writing
+//! lines *with* one.
 
 use std::io::{self, BufRead, Write};
 
+use pash_regex::memmem::{memchr, memrchr};
+
+/// Capacity of the buffers commands read through: one ring-full (the
+/// runtime's pipe capacity, the Linux pipe buffer), so an unframed
+/// block is everything the upstream edge can hold.
+pub const BLOCK_SIZE: usize = 64 * 1024;
+
+/// Longest run handed out at once. A reader that holds its whole
+/// input would otherwise make every per-block output buffer as large
+/// as the input; a framed worker's payload (2048 lines) fits whole.
+const MAX_BLOCK: usize = 4 * BLOCK_SIZE;
+
+/// The one reader loop behind [`for_each_block`] and
+/// [`for_each_line`]. `f` sees a non-empty run of complete lines and
+/// returns `None` to continue or `Some(n)` to stop with only the
+/// first `n` bytes of the run consumed from `r`.
+fn scan_blocks<R: BufRead + ?Sized>(
+    r: &mut R,
+    mut f: impl FnMut(&[u8]) -> io::Result<Option<usize>>,
+) -> io::Result<()> {
+    // The head of a line whose end the reader has not delivered yet:
+    // the only bytes this loop ever copies.
+    let mut carry: Vec<u8> = Vec::new();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(c) => c,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            // End of stream: what was carried is the final,
+            // unterminated line.
+            if !carry.is_empty() {
+                f(&carry)?;
+            }
+            return Ok(());
+        }
+        if !carry.is_empty() {
+            // Finish the carried line and hand it out on its own, so
+            // nothing past its newline leaves the reader.
+            let take = memchr(b'\n', chunk).map_or(chunk.len(), |i| i + 1);
+            carry.extend_from_slice(&chunk[..take]);
+            r.consume(take);
+            if carry.last() == Some(&b'\n') {
+                if f(&carry)?.is_some() {
+                    return Ok(());
+                }
+                carry.clear();
+            }
+            continue;
+        }
+        let window = &chunk[..chunk.len().min(MAX_BLOCK)];
+        match memrchr(b'\n', window) {
+            Some(last) => {
+                let stop = f(&window[..=last])?;
+                r.consume(stop.unwrap_or(last + 1));
+                if stop.is_some() {
+                    return Ok(());
+                }
+            }
+            None => {
+                carry.extend_from_slice(window);
+                let n = window.len();
+                r.consume(n);
+            }
+        }
+    }
+}
+
+/// Calls `f` with successive *blocks*: non-empty runs of complete
+/// lines borrowed from the reader's own buffer. Every line of a block
+/// ends in `\n`, except that the last line of the stream may be
+/// unterminated (it closes the final block). `f` returns `false` to
+/// stop after the block it was given.
+///
+/// Nothing is copied but a line that straddles two `fill_buf` chunks
+/// (or is longer than the largest block); a reader that holds its
+/// whole input (a slice, a `Cursor`) is handed out in place, a frame
+/// payload as one block.
+pub fn for_each_block<R: BufRead + ?Sized>(
+    r: &mut R,
+    mut f: impl FnMut(&[u8]) -> io::Result<bool>,
+) -> io::Result<()> {
+    scan_blocks(r, |block| {
+        Ok(if f(block)? { None } else { Some(block.len()) })
+    })
+}
+
 /// Calls `f` for each line (newline stripped). `f` returns `false` to
-/// stop early.
+/// stop early; the bytes after the stopping line stay unread in `r`.
 ///
 /// A final line without a trailing newline is still delivered.
 pub fn for_each_line<R: BufRead + ?Sized>(
     r: &mut R,
     mut f: impl FnMut(&[u8]) -> io::Result<bool>,
 ) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(256);
-    loop {
-        buf.clear();
-        let n = r.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(());
+    scan_blocks(r, |block| {
+        let mut pos = 0;
+        while pos < block.len() {
+            let end = memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i);
+            let next = (end + 1).min(block.len());
+            if !f(&block[pos..end])? {
+                return Ok(Some(next));
+            }
+            pos = next;
         }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-        }
-        if !f(&buf)? {
-            return Ok(());
-        }
-    }
+        Ok(None)
+    })
 }
 
 /// Reads all lines into owned vectors (newlines stripped).
@@ -77,8 +164,36 @@ pub fn split_whitespace(line: &[u8]) -> Vec<&[u8]> {
 /// The lines of an in-memory buffer, terminators stripped; a final
 /// unterminated line is still a line and an empty buffer has none.
 pub fn buffer_lines(buf: &[u8]) -> impl Iterator<Item = &[u8]> {
-    buf.split_inclusive(|&b| b == b'\n')
-        .map(|l| l.strip_suffix(b"\n").unwrap_or(l))
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (line, tail) = match memchr(b'\n', rest) {
+            Some(i) => (&rest[..i], &rest[i + 1..]),
+            None => (rest, &rest[rest.len()..]),
+        };
+        rest = tail;
+        Some(line)
+    })
+}
+
+/// Appends `n` right-aligned in seven columns and a space: the
+/// `uniq -c` prefix (`"%7d "`), without the formatting machinery.
+pub fn push_count(out: &mut Vec<u8>, n: u64) {
+    let mut digits = [b' '; 20];
+    let mut i = digits.len();
+    let mut v = n;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i.min(digits.len() - 7)..]);
+    out.push(b' ');
 }
 
 /// Parses a decimal prefix of a byte string as `f64`, the way
@@ -125,11 +240,12 @@ pub fn numeric_prefix(s: &[u8]) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Parses a list spec like `1,3-5,7-` into sorted half-open ranges
-/// (1-based, end `usize::MAX` for open ranges) — the `cut -f`/`-c`
-/// argument format.
+/// Parses a list spec like `1,3-5,7-` into sorted, disjoint,
+/// non-adjacent inclusive ranges (1-based, end `usize::MAX` for open
+/// ranges) — the `cut -f`/`-c` argument format. Overlapping and
+/// touching ranges are merged: a selection is a set.
 pub fn parse_ranges(spec: &str) -> Option<Vec<(usize, usize)>> {
-    let mut out = Vec::new();
+    let mut parsed = Vec::new();
     for part in spec.split(',') {
         if part.is_empty() {
             return None;
@@ -146,15 +262,17 @@ pub fn parse_ranges(spec: &str) -> Option<Vec<(usize, usize)>> {
         if lo == 0 || hi < lo {
             return None;
         }
-        out.push((lo, hi));
+        parsed.push((lo, hi));
     }
-    out.sort_unstable();
+    parsed.sort_unstable();
+    let mut out: Vec<(usize, usize)> = Vec::with_capacity(parsed.len());
+    for (lo, hi) in parsed {
+        match out.last_mut() {
+            Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+            _ => out.push((lo, hi)),
+        }
+    }
     Some(out)
-}
-
-/// Tests membership of a 1-based index in parsed ranges.
-pub fn in_ranges(ranges: &[(usize, usize)], idx: usize) -> bool {
-    ranges.iter().any(|&(lo, hi)| idx >= lo && idx <= hi)
 }
 
 #[cfg(test)]
@@ -196,6 +314,96 @@ mod tests {
     }
 
     #[test]
+    fn bytes_after_the_stopping_line_stay_in_the_reader() {
+        // A 4-byte buffer: the stopping line straddles two refills.
+        let mut r = BufReader::with_capacity(4, &b"one\ntwo\nthree\nfour"[..]);
+        let mut seen = Vec::new();
+        for_each_line(&mut r, |line| {
+            seen.push(line.to_vec());
+            Ok(line != b"two")
+        })
+        .expect("iterate");
+        assert_eq!(seen, vec![b"one".to_vec(), b"two".to_vec()]);
+        let mut rest = Vec::new();
+        io::Read::read_to_end(&mut r, &mut rest).expect("read on");
+        assert_eq!(rest, b"three\nfour");
+    }
+
+    /// The blocks `for_each_block` hands out over a buffer of `cap`
+    /// bytes.
+    fn blocks_of(data: &[u8], cap: usize) -> Vec<Vec<u8>> {
+        let mut r = BufReader::with_capacity(cap, data);
+        let mut blocks = Vec::new();
+        for_each_block(&mut r, |b| {
+            blocks.push(b.to_vec());
+            Ok(true)
+        })
+        .expect("iterate");
+        blocks
+    }
+
+    #[test]
+    fn blocks_are_runs_of_whole_lines() {
+        let data = b"ab\ncd\n\nefghijklmnop\nq\nlast";
+        for cap in 1..data.len() + 2 {
+            let blocks = blocks_of(data, cap);
+            assert_eq!(blocks.concat(), data, "cap {cap}");
+            let (last, full) = blocks.split_last().expect("blocks");
+            assert!(full.iter().all(|b| b.ends_with(b"\n")), "cap {cap}");
+            assert_eq!(last, b"last", "cap {cap}: the unterminated tail");
+        }
+        // A reader that holds everything passes it on in place: one
+        // block of whole lines, then the tail.
+        assert_eq!(
+            blocks_of(data, 64),
+            vec![data[..data.len() - 4].to_vec(), b"last".to_vec()]
+        );
+        assert!(blocks_of(b"", 8).is_empty());
+    }
+
+    #[test]
+    fn oversized_inputs_come_out_in_bounded_blocks() {
+        // A slice holding several windows' worth, then one line longer
+        // than a window: only that line may exceed the bound.
+        let mut data = b"some words on a line\n".repeat(2 * MAX_BLOCK / 21);
+        let long = [vec![b'x'; MAX_BLOCK + 10], b"\n".to_vec()].concat();
+        data.extend_from_slice(&long);
+        data.extend_from_slice(b"end\n");
+        let mut blocks: Vec<Vec<u8>> = Vec::new();
+        for_each_block(&mut &data[..], |b| {
+            blocks.push(b.to_vec());
+            Ok(true)
+        })
+        .expect("iterate");
+        assert_eq!(blocks.concat(), data);
+        assert!(blocks.len() >= 4);
+        for b in &blocks {
+            assert!(b.ends_with(b"\n"));
+            assert!(b.len() <= MAX_BLOCK || *b == long, "{}", b.len());
+        }
+    }
+
+    #[test]
+    fn count_prefix_is_seven_wide() {
+        let mut out = Vec::new();
+        for n in [0, 7, 1234567, 12345678, u64::MAX] {
+            push_count(&mut out, n);
+            out.push(b'|');
+        }
+        assert_eq!(
+            String::from_utf8(out).expect("ascii"),
+            format!(
+                "{:7} |{:7} |{:7} |{:7} |{:7} |",
+                0,
+                7,
+                1234567,
+                12345678,
+                u64::MAX
+            )
+        );
+    }
+
+    #[test]
     fn numeric_prefix_parsing() {
         assert_eq!(numeric_prefix(b"42abc"), 42.0);
         assert_eq!(numeric_prefix(b"  -3.5x"), -3.5);
@@ -219,12 +427,15 @@ mod tests {
     }
 
     #[test]
-    fn ranges_parse_and_match() {
-        let r = parse_ranges("1,3-5,8-").expect("parse");
-        assert!(in_ranges(&r, 1));
-        assert!(!in_ranges(&r, 2));
-        assert!(in_ranges(&r, 4));
-        assert!(in_ranges(&r, 100));
+    fn ranges_parse_sorted_and_merged() {
+        assert_eq!(
+            parse_ranges("8-,1,3-5"),
+            Some(vec![(1, 1), (3, 5), (8, usize::MAX)])
+        );
+        // Overlapping and touching ranges are one range.
+        assert_eq!(parse_ranges("4-6,1-2,3,5-9"), Some(vec![(1, 9)]));
+        assert_eq!(parse_ranges("2-,5"), Some(vec![(2, usize::MAX)]));
+        assert_eq!(parse_ranges("-3,7"), Some(vec![(1, 3), (7, 7)]));
         assert!(parse_ranges("0").is_none());
         assert!(parse_ranges("5-2").is_none());
         assert!(parse_ranges("").is_none());

@@ -17,19 +17,36 @@ fn splat(b: u8) -> usize {
     usize::from_ne_bytes([b; WORD])
 }
 
-/// True when any byte lane of `w` is zero (SWAR trick: borrows out of
-/// zero lanes survive the mask).
+/// Flags zero byte lanes of `w` with `0x80` (SWAR trick: borrows out
+/// of zero lanes survive the mask). A borrow can also flag the lane
+/// *after* a zero lane, so the word is zero-free iff the result is 0
+/// and the lowest flagged lane is exact, but the flags above it are
+/// not.
 #[inline(always)]
-fn has_zero_byte(w: usize) -> bool {
-    w.wrapping_sub(LO) & !w & HI != 0
+fn zero_lanes(w: usize) -> usize {
+    w.wrapping_sub(LO) & !w & HI
 }
 
-/// Reads a word from `hay` at `i` (caller guarantees `i + WORD` fits).
+/// True when any byte lane of `w` is zero.
+#[inline(always)]
+fn has_zero_byte(w: usize) -> bool {
+    zero_lanes(w) != 0
+}
+
+/// Index of the lowest flagged lane of a non-zero [`zero_lanes`]
+/// result: words load little-endian, so that is the first byte.
+#[inline(always)]
+fn first_lane(flags: usize) -> usize {
+    (flags.trailing_zeros() / 8) as usize
+}
+
+/// Reads a word from `hay` at `i`, first byte in the lowest lane
+/// (caller guarantees `i + WORD` fits).
 #[inline(always)]
 fn load_word(hay: &[u8], i: usize) -> usize {
     let mut buf = [0u8; WORD];
     buf.copy_from_slice(&hay[i..i + WORD]);
-    usize::from_ne_bytes(buf)
+    usize::from_le_bytes(buf)
 }
 
 /// Finds the first occurrence of byte `b` in `hay`.
@@ -38,14 +55,11 @@ pub fn memchr(b: u8, hay: &[u8]) -> Option<usize> {
     let pat = splat(b);
     let mut i = 0;
     while i + WORD <= hay.len() {
-        if has_zero_byte(load_word(hay, i) ^ pat) {
-            // A lane matched somewhere in this word; resolve per byte.
-            for (j, &h) in hay[i..i + WORD].iter().enumerate() {
-                if h == b {
-                    return Some(i + j);
-                }
-            }
-            unreachable!("word test claimed a match");
+        // A hit resolves without a per-byte loop, so short fields and
+        // lines do not pay a mispredicted exit per call.
+        let flags = zero_lanes(load_word(hay, i) ^ pat);
+        if flags != 0 {
+            return Some(i + first_lane(flags));
         }
         i += WORD;
     }
@@ -62,13 +76,9 @@ pub fn memchr2(a: u8, b: u8, hay: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i + WORD <= hay.len() {
         let w = load_word(hay, i);
-        if has_zero_byte(w ^ pa) || has_zero_byte(w ^ pb) {
-            for (j, &h) in hay[i..i + WORD].iter().enumerate() {
-                if h == a || h == b {
-                    return Some(i + j);
-                }
-            }
-            unreachable!("word test claimed a match");
+        let flags = zero_lanes(w ^ pa) | zero_lanes(w ^ pb);
+        if flags != 0 {
+            return Some(i + first_lane(flags));
         }
         i += WORD;
     }
@@ -112,14 +122,17 @@ pub fn memrchr(b: u8, hay: &[u8]) -> Option<usize> {
 /// re-scanning the region per line.
 #[inline]
 pub fn count_bytes(b: u8, hay: &[u8]) -> usize {
+    const LOW7: usize = !HI;
     let pat = splat(b);
     let mut count = 0usize;
     let mut i = 0;
     while i + WORD <= hay.len() {
         let x = load_word(hay, i) ^ pat;
-        // Per-lane "is zero" mask: 0x80 in matching lanes.
-        let m = x.wrapping_sub(LO) & !x & HI;
-        count += m.count_ones() as usize;
+        // Exact per-lane "is zero" flags: adding within the low seven
+        // bits cannot carry into the next lane, unlike the borrow of
+        // `zero_lanes`, which would count the byte `b ^ 1` after `b`.
+        let nonzero = ((x & LOW7) + LOW7) | x;
+        count += (!nonzero & HI).count_ones() as usize;
         i += WORD;
     }
     count + hay[i..].iter().filter(|&&h| h == b).count()
@@ -343,6 +356,36 @@ mod tests {
             count_bytes(b'\n', &big),
             big.iter().filter(|&&b| b == b'\n').count()
         );
+    }
+
+    #[test]
+    fn count_is_exact_next_to_the_neighbouring_byte_value() {
+        // `b ^ 1` right after `b` is where a borrowing zero test
+        // over-counts: 0x0B (vertical tab) after a newline.
+        let hay = b"\n\x0b\n\x0bxxxx\n\x0b\x0b\n";
+        assert_eq!(count_bytes(b'\n', hay), 4);
+        assert_eq!(count_bytes(0x0b, hay), 4);
+    }
+
+    #[test]
+    fn first_hit_is_exact_for_every_byte_pair_in_a_word() {
+        // The lane after a hit can be flagged by the borrow; the
+        // first hit must still be the one reported.
+        for a in [0u8, 1, b'\n', 0x0b, b' ', 0x7f, 0x80, 0xff] {
+            for fill in [a ^ 1, a.wrapping_add(1), 0, 0xff, b'x'] {
+                if fill == a {
+                    continue;
+                }
+                for at in 0..WORD + 3 {
+                    let mut hay = vec![fill; 2 * WORD + 3];
+                    hay[at] = a;
+                    assert_eq!(memchr(a, &hay), Some(at), "{a} in {fill} at {at}");
+                    assert_eq!(memchr2(a, b'Q', &hay), Some(at));
+                    assert_eq!(memchr2(b'Q', a, &hay), Some(at));
+                    assert_eq!(count_bytes(a, &hay), 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,10 @@ pub fn run_aggregator(
                     format!("unknown aggregator `{name}`"),
                 )
             })?;
-            let mut stdin = io::BufReader::new(crate::pipe::MultiReader::new(inputs));
+            let mut stdin = io::BufReader::with_capacity(
+                pash_coreutils::lines::BLOCK_SIZE,
+                crate::pipe::MultiReader::new(inputs),
+            );
             let mut stderr = io::sink();
             let mut cio = pash_coreutils::CmdIo {
                 stdin: &mut stdin,
@@ -179,7 +182,9 @@ fn agg_wc(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io:
         }
     }
     let counts = wc_counts_from(&sel, &total);
-    writeln!(output, "{}", sel.format(&counts, None))?;
+    // The parts stood for one input: a lone count prints bare, as the
+    // sequential `wc` prints it.
+    writeln!(output, "{}", sel.format(&counts, None, sel.width(1)))?;
     Ok(0)
 }
 
@@ -535,6 +540,17 @@ mod tests {
         );
         let cols: Vec<&str> = out.split_whitespace().collect();
         assert_eq!(cols, vec!["5", "12"]);
+    }
+
+    #[test]
+    fn wc_prints_a_lone_count_bare_like_the_sequential_command() {
+        // Parts report bare counts now; padded ones (older parts, the
+        // next level of an aggregation tree) still parse.
+        assert_eq!(run(&["pash-agg-wc", "-l"], &["2\n", "      3\n"]), "5\n");
+        assert_eq!(
+            run(&["pash-agg-wc", "-lc"], &["2 10\n", "3 11\n"]),
+            "      5      21\n"
+        );
     }
 
     #[test]

@@ -27,14 +27,14 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pash_core::plan::fold_statuses;
 use pash_coreutils::fs::{Fs, RealFs};
+use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{run_standalone, Registry};
 
 use crate::agg::run_aggregator;
 use crate::fault::{parse_env_spec, FaultyWriter, INFRA_STATUS};
 use crate::fileseg::read_segment;
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::run_framed;
 use crate::relay::{run_relay, RelayMode};
 use crate::split::{split_general, split_round_robin};
 
@@ -151,52 +151,16 @@ pub fn run_multicall(personality: Personality, args: &[String]) -> io::Result<i3
     if runtime_hit && (runtime_first || !registry_hit) {
         run_runtime(name, rest, &redir, &registry, fs)
     } else if redir.framed {
-        run_framed_command(name, rest, &redir, &registry, fs)
+        // The `--framed` worker mode: once per tagged input block.
+        let mut out = redir.open_stdout()?;
+        run_framed(redir.open_stdin()?, &mut out, |stdin, stdout| {
+            run_standalone(&registry, fs.clone(), name, rest, stdin, stdout)
+        })
     } else {
-        let mut stdin = io::BufReader::new(redir.open_stdin()?);
+        let mut stdin = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
         let mut stdout = redir.open_stdout()?;
         run_standalone(&registry, fs, name, rest, &mut stdin, &mut stdout)
     }
-}
-
-/// The `--framed` worker mode: run the command once per tagged input
-/// block, emitting its output as one same-tagged block, so order
-/// survives to the downstream `pash-agg-reorder`. The exit status
-/// folds the per-block statuses like a parallel region does.
-fn run_framed_command(
-    name: &str,
-    rest: &[String],
-    redir: &Redirections,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-) -> io::Result<i32> {
-    let mut frames = FrameReader::new(redir.open_stdin()?);
-    let mut out = redir.open_stdout()?;
-    let mut statuses = Vec::new();
-    while let Some((tag, payload)) = frames.next_frame()? {
-        let mut stdin = io::Cursor::new(payload);
-        let mut buf = Vec::new();
-        statuses.push(run_standalone(
-            registry,
-            fs.clone(),
-            name,
-            rest,
-            &mut stdin,
-            &mut buf,
-        )?);
-        write_frame(&mut out, tag, &buf)?;
-    }
-    if statuses.is_empty() {
-        // No blocks reached this worker: run once on empty input for
-        // the status, emit nothing.
-        let mut stdin = io::empty();
-        let mut sink = Vec::new();
-        statuses.push(run_standalone(
-            registry, fs, name, rest, &mut stdin, &mut sink,
-        )?);
-    }
-    out.flush()?;
-    Ok(fold_statuses(&statuses))
 }
 
 /// Runs a runtime primitive.
@@ -232,7 +196,7 @@ fn run_runtime(
             for o in &outputs {
                 writers.push(fs.create(o)?);
             }
-            let mut input = io::BufReader::new(redir.open_stdin()?);
+            let mut input = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
             split_general(&mut input, &mut writers)?;
             Ok(0)
         }
@@ -249,7 +213,7 @@ fn run_runtime(
             for o in &outputs {
                 writers.push(fs.create(o)?);
             }
-            let mut input = io::BufReader::new(redir.open_stdin()?);
+            let mut input = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
             split_round_robin(&mut input, &mut writers, !raw)?;
             Ok(0)
         }

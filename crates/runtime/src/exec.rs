@@ -23,12 +23,13 @@ use pash_core::plan::{
 };
 
 use pash_coreutils::fs::Fs;
+use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::run_aggregator;
 use crate::edge::MemEdges;
 use crate::fault::{ArmedFault, ExecError, FaultKind};
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::run_framed;
 use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
 use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
 use crate::relay::{run_relay, RelayMode};
@@ -386,45 +387,23 @@ fn run_node(
             let mut stderr = io::sink();
             let mut out = outs.pop().expect("command has one output");
             if *framed {
-                // Framed worker: run the command once per tagged
-                // block, re-emitting its output under the same tag so
-                // order survives to the reorderer. The node's status
-                // folds the per-block statuses exactly like the
-                // region-level fold (so e.g. `grep` reports a miss
-                // only if every block missed).
-                let mut frames = FrameReader::new(MultiReader::new(stdin_sources));
-                let mut statuses = Vec::new();
-                while let Some((tag, payload)) = frames.next_frame()? {
-                    let mut stdin = io::Cursor::new(payload);
-                    let mut buf = Vec::new();
-                    let mut cio = CmdIo {
-                        stdin: &mut stdin,
-                        stdout: &mut buf,
-                        stderr: &mut stderr,
-                        fs: stream_fs.clone(),
-                        registry,
-                    };
-                    statuses.push(cmd.run(&args, &mut cio)?);
-                    write_frame(&mut out, tag, &buf)?;
-                }
-                if statuses.is_empty() {
-                    // No blocks reached this worker: run once on
-                    // empty input for the status, emit nothing.
-                    let mut stdin = io::empty();
-                    let mut sink = Vec::new();
-                    let mut cio = CmdIo {
-                        stdin: &mut stdin,
-                        stdout: &mut sink,
-                        stderr: &mut stderr,
-                        fs: stream_fs,
-                        registry,
-                    };
-                    statuses.push(cmd.run(&args, &mut cio)?);
-                }
-                out.flush()?;
-                return Ok(fold_statuses(&statuses));
+                return run_framed(
+                    MultiReader::new(stdin_sources),
+                    &mut out,
+                    |stdin, stdout| {
+                        let mut cio = CmdIo {
+                            stdin,
+                            stdout,
+                            stderr: &mut stderr,
+                            fs: stream_fs.clone(),
+                            registry,
+                        };
+                        cmd.run(&args, &mut cio)
+                    },
+                );
             }
-            let mut stdin = io::BufReader::new(MultiReader::new(stdin_sources));
+            let mut stdin =
+                io::BufReader::with_capacity(BLOCK_SIZE, MultiReader::new(stdin_sources));
             let mut cio = CmdIo {
                 stdin: &mut stdin,
                 stdout: &mut out,
@@ -471,7 +450,7 @@ fn run_node(
             // correctness (the performance difference is the
             // simulator's concern). Round-robin deals tagged blocks.
             let input = ins.pop().expect("split has one input");
-            let mut r = io::BufReader::new(input);
+            let mut r = io::BufReader::with_capacity(BLOCK_SIZE, input);
             match mode {
                 SplitMode::RoundRobin { framed } => split_round_robin(&mut r, &mut outs, *framed)?,
                 SplitMode::General | SplitMode::Sized => split_general(&mut r, &mut outs)?,

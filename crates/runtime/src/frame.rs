@@ -17,7 +17,9 @@
 //! first byte is `\x01`, which never starts a text line produced by
 //! the supported commands.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
+
+use pash_core::plan::fold_statuses;
 
 /// Frame magic: `\x01RSB` ("round-robin split block").
 pub const MAGIC: [u8; 4] = [0x01, b'R', b'S', b'B'];
@@ -60,6 +62,17 @@ impl<R: Read> FrameReader<R> {
     /// `InvalidData` error — silent tail loss would corrupt the
     /// reordered output undetectably.
     pub fn next_frame(&mut self) -> io::Result<Option<(u64, Vec<u8>)>> {
+        let mut payload = Vec::new();
+        Ok(self
+            .next_frame_into(&mut payload)?
+            .map(|tag| (tag, payload)))
+    }
+
+    /// [`FrameReader::next_frame`] into a caller-owned buffer: the
+    /// payload replaces `payload`'s contents and the tag is returned.
+    /// A loop over frames reuses one allocation instead of a fresh
+    /// zero-filled `Vec` per block.
+    pub fn next_frame_into(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<u64>> {
         let mut header = [0u8; HEADER_LEN];
         let mut got = 0;
         while got < HEADER_LEN {
@@ -95,16 +108,51 @@ impl<R: Read> FrameReader<R> {
                 format!("frame length {len} out of range (corrupted header?)"),
             ));
         }
-        let mut payload = vec![0u8; len];
-        self.inner.read_exact(&mut payload).map_err(|e| {
+        // No `clear` first: a reused buffer is zero-filled only where
+        // it grows past the longest payload it has held.
+        payload.resize(len, 0);
+        self.inner.read_exact(payload).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 io::Error::new(io::ErrorKind::InvalidData, "truncated frame payload")
             } else {
                 e
             }
         })?;
-        Ok(Some((tag, payload)))
+        Ok(Some(tag))
     }
+}
+
+/// The framed-worker loop (`PlanOp::Exec { framed: true }`, the
+/// `--framed` mode of the multi-call binaries): `run` executes the
+/// command once per tagged block of `input`, and its output goes to
+/// `out` as one block under the same tag, so order survives to the
+/// downstream `pash-agg-reorder`. The status folds the per-block
+/// statuses exactly like the region-level fold (so e.g. `grep` reports
+/// a miss only if every block missed).
+///
+/// `run` reads a block in place — the payload buffer is its stdin —
+/// and both buffers are reused from frame to frame.
+pub fn run_framed(
+    input: impl Read,
+    out: &mut dyn Write,
+    mut run: impl FnMut(&mut dyn BufRead, &mut Vec<u8>) -> io::Result<i32>,
+) -> io::Result<i32> {
+    let mut frames = FrameReader::new(input);
+    let mut payload = Vec::new();
+    let mut produced = Vec::new();
+    let mut statuses = Vec::new();
+    while let Some(tag) = frames.next_frame_into(&mut payload)? {
+        produced.clear();
+        statuses.push(run(&mut payload.as_slice(), &mut produced)?);
+        write_frame(out, tag, &produced)?;
+    }
+    if statuses.is_empty() {
+        // No blocks reached this worker: run once on empty input for
+        // the status, emit nothing.
+        statuses.push(run(&mut io::empty(), &mut produced)?);
+    }
+    out.flush()?;
+    Ok(fold_statuses(&statuses))
 }
 
 #[cfg(test)]
@@ -128,6 +176,73 @@ mod tests {
             Some((2, b"beta\ngamma\n".to_vec()))
         );
         assert_eq!(r.next_frame().expect("eof"), None);
+    }
+
+    #[test]
+    fn one_buffer_serves_every_frame() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 3, b"a long first payload\n").expect("write");
+        write_frame(&mut buf, 4, b"short\n").expect("write");
+        write_frame(&mut buf, 5, b"").expect("write");
+        let mut r = FrameReader::new(io::Cursor::new(buf));
+        let mut payload = b"stale bytes from the caller".to_vec();
+        assert_eq!(r.next_frame_into(&mut payload).expect("frame"), Some(3));
+        assert_eq!(payload, b"a long first payload\n");
+        let held = payload.capacity();
+        assert_eq!(r.next_frame_into(&mut payload).expect("frame"), Some(4));
+        assert_eq!(payload, b"short\n");
+        assert_eq!(r.next_frame_into(&mut payload).expect("frame"), Some(5));
+        assert!(payload.is_empty());
+        assert_eq!(
+            payload.capacity(),
+            held,
+            "no reallocation for smaller frames"
+        );
+        assert_eq!(r.next_frame_into(&mut payload).expect("eof"), None);
+    }
+
+    /// A stand-in command for [`run_framed`]: upper-cases its block,
+    /// status 1 when the block has no `x`.
+    fn shout(stdin: &mut dyn BufRead, stdout: &mut Vec<u8>) -> io::Result<i32> {
+        let mut block = Vec::new();
+        stdin.read_to_end(&mut block)?;
+        stdout.extend(block.to_ascii_uppercase());
+        Ok(i32::from(!block.contains(&b'x')))
+    }
+
+    #[test]
+    fn framed_worker_keeps_tags_and_folds_statuses() {
+        let mut input = Vec::new();
+        write_frame(&mut input, 1, b"x one\n").expect("write");
+        write_frame(&mut input, 3, b"").expect("write");
+        write_frame(&mut input, 5, b"three\n").expect("write");
+        let mut out = Vec::new();
+        let status = run_framed(io::Cursor::new(input), &mut out, shout).expect("run");
+        // One block hit, so the fold reports success.
+        assert_eq!(status, 0);
+        let mut r = FrameReader::new(io::Cursor::new(out));
+        assert_eq!(
+            r.next_frame().expect("frame"),
+            Some((1, b"X ONE\n".to_vec()))
+        );
+        assert_eq!(r.next_frame().expect("frame"), Some((3, Vec::new())));
+        assert_eq!(
+            r.next_frame().expect("frame"),
+            Some((5, b"THREE\n".to_vec()))
+        );
+        assert_eq!(r.next_frame().expect("eof"), None);
+    }
+
+    #[test]
+    fn framed_worker_without_blocks_runs_once_for_the_status() {
+        let mut out = Vec::new();
+        let status = run_framed(io::empty(), &mut out, shout).expect("run");
+        assert_eq!(status, 1);
+        assert!(out.is_empty(), "no block in, no frame out");
+        // A damaged stream is an error, not a short run.
+        let err = run_framed(io::Cursor::new(b"\x01RS".to_vec()), &mut out, shout)
+            .expect_err("truncated header");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -40,6 +40,9 @@ use parking_lot::{Condvar, Mutex};
 /// Default capacity, matching the Linux pipe buffer.
 pub const DEFAULT_PIPE_CAPACITY: usize = 64 * 1024;
 
+// Commands read their stdin through buffers of one ring-full.
+const _: () = assert!(pash_coreutils::lines::BLOCK_SIZE == DEFAULT_PIPE_CAPACITY);
+
 /// How many times a full writer / empty reader re-checks after a
 /// `yield_now` before parking on the condvar for real.
 const SPIN_YIELDS: usize = 32;

@@ -1,0 +1,234 @@
+//! Our `cut`, `tr`, `uniq` and `wc` against the host's, byte for byte,
+//! under `LC_ALL=C`.
+//!
+//! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
+//! the block kernels with references written from the same reading of
+//! the manual; this oracle shares nothing with them. The flag matrix
+//! is theirs, over a seeded corpus large enough to cross several
+//! blocks of the reader, once on stdin and once as a file operand.
+//!
+//! Inputs stay inside the semantics both sides share: `wc -w` sees no
+//! bytes outside printable ASCII and blanks (GNU skips unprintable
+//! bytes when it looks for words), and `uniq -d -u` is not combined
+//! (GNU prints nothing, ours lets `-d` win).
+
+use std::io::Write;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::sync::Arc;
+
+use pash::coreutils::fs::MemFs;
+use pash::coreutils::{run_command, Registry};
+
+/// The host's `util`, if it has one.
+fn host_path(util: &str) -> Option<PathBuf> {
+    ["/usr/bin", "/bin"]
+        .iter()
+        .map(|dir| PathBuf::from(dir).join(util))
+        .find(|p| p.exists())
+}
+
+/// `util ARGS…` on the host, `input` both piped to its stdin (a pipe,
+/// as in a pipeline: `wc` sizes its columns from a regular file's
+/// length) and present as `in.txt` in a fresh working directory.
+fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("pash-kernels-host-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("in.txt"), input).expect("write input");
+    let mut child = Command::new(util)
+        .args(args)
+        .current_dir(&dir)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn host utility");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let out = std::thread::scope(|s| {
+        // Fed from a second thread: the utility may fill its stdout
+        // pipe long before it has read all of its stdin. One that
+        // reads `in.txt` instead closes the pipe early; that is fine.
+        s.spawn(move || {
+            let _ = stdin.write_all(input);
+        });
+        child.wait_with_output().expect("host utility exits")
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{case}: host {util:?} {args:?} failed"
+    );
+    out.stdout
+}
+
+fn our_run(util: &str, args: &[&str], input: &[u8]) -> Vec<u8> {
+    let fs = Arc::new(MemFs::new());
+    fs.add("in.txt", input.to_vec());
+    let argv: Vec<&str> = std::iter::once(util).chain(args.iter().copied()).collect();
+    let out = run_command(&Registry::standard(), fs, &argv, input).expect("our command runs");
+    assert_eq!(out.status, 0, "our {util} {args:?} failed");
+    out.stdout
+}
+
+/// Compares `util ARGS…` on stdin and `util ARGS… in.txt` with the
+/// host; returns false (after a notice) when the host lacks `util`.
+fn assert_matches_host(util: &str, cases: &[&[&str]], inputs: &[&[u8]], as_operand: bool) -> bool {
+    let Some(path) = host_path(util) else {
+        eprintln!("skipping: the host has no `{util}`");
+        return false;
+    };
+    for (c, args) in cases.iter().enumerate() {
+        for (i, input) in inputs.iter().enumerate() {
+            let mut forms = vec![args.to_vec()];
+            if as_operand {
+                forms.push(args.iter().copied().chain(["in.txt"]).collect());
+            }
+            for args in forms {
+                let case = format!("{util}-{c}-{i}-{}", args.len());
+                let ours = our_run(util, &args, input);
+                let host = host_run(&case, &path, &args, input);
+                assert_eq!(
+                    String::from_utf8_lossy(&ours),
+                    String::from_utf8_lossy(&host),
+                    "{util} {args:?} on input {i} differs from {path:?}"
+                );
+                assert_eq!(ours, host, "{util} {args:?} on input {i}: raw bytes");
+            }
+        }
+    }
+    true
+}
+
+/// Seeded lines of zero to nine blank-separated words from a small
+/// vocabulary: repeated lines (so `uniq` has groups, some differing
+/// only in case), doubled blanks, commas and tabs, lines without any
+/// delimiter, empty lines, and — with `binary` — NUL and 0xff.
+fn corpus(seed: u64, lines: usize, binary: bool) -> Vec<u8> {
+    const WORDS: [&[u8]; 16] = [
+        b"the",
+        b"The",
+        b"river",
+        b"a",
+        b"A",
+        b"data,",
+        b"flow.",
+        b"x",
+        b"",
+        b"signal",
+        b"and,the",
+        b"tab\there",
+        b"Zebra",
+        b"42",
+        b"x\xffy",
+        b"x\x00y",
+    ];
+    let vocabulary = if binary { WORDS.len() } else { WORDS.len() - 2 } as u64;
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut out = Vec::new();
+    let mut line: Vec<u8> = Vec::new();
+    for _ in 0..lines {
+        // One line in three repeats the one before it, half of those
+        // in another case.
+        match next(6) {
+            0 => {}
+            1 => line.make_ascii_uppercase(),
+            _ => {
+                line.clear();
+                for word in 0..next(10) {
+                    if word > 0 {
+                        line.push(b' ');
+                    }
+                    line.extend_from_slice(WORDS[next(vocabulary) as usize]);
+                }
+            }
+        }
+        out.extend_from_slice(&line);
+        out.push(b'\n');
+    }
+    out
+}
+
+/// The inputs every utility sees: several reader blocks of text, a
+/// short input whose last line is unterminated, and nothing at all.
+fn inputs(binary: bool) -> Vec<Vec<u8>> {
+    let mut unterminated = corpus(7, 40, binary);
+    unterminated.extend_from_slice(b"last line, no newline");
+    vec![corpus(1, 12_000, binary), unterminated, Vec::new()]
+}
+
+#[test]
+fn cut_matches_the_host() {
+    let cases: [&[&str]; 12] = [
+        &["-d", " ", "-f", "1"],
+        &["-d", " ", "-f", "1-4"],
+        &["-d", " ", "-f", "2-"],
+        &["-d", " ", "-f", "-2"],
+        &["-d", " ", "-f", "3,1"],
+        &["-d", " ", "-f", "2-4,3-6,1"],
+        &["-d", " ", "-f", "4-,2", "-s"],
+        &["-d", ",", "-f", "2", "-s"],
+        &["-f", "2"],
+        &["-c", "1-4"],
+        &["-c", "3,1,7-"],
+        &["-c", "2-4,3-6,12"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("cut", &cases, &inputs, true);
+}
+
+#[test]
+fn tr_matches_the_host() {
+    let cases: [&[&str]; 10] = [
+        &["A-Z", "a-z"],
+        &["a-z", "A-Z"],
+        &["abc,", "x"],
+        &["-d", ",."],
+        &["-s", " "],
+        &["-s", "a-z", "A-Z"],
+        &["-ds", ".", " ,"],
+        &["-cs", "A-Za-z", "\\n"],
+        &["-cd", "a-z\\n"],
+        &["[:upper:]", "[:lower:]"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("tr", &cases, &inputs, false);
+}
+
+#[test]
+fn uniq_matches_the_host() {
+    let cases: [&[&str]; 8] = [
+        &[],
+        &["-c"],
+        &["-d"],
+        &["-u"],
+        &["-i"],
+        &["-c", "-i"],
+        &["-c", "-d"],
+        &["-i", "-u"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("uniq", &cases, &inputs, true);
+}
+
+#[test]
+fn wc_matches_the_host_on_stdin() {
+    // The file-operand form is left out for several counts: GNU sizes
+    // those columns from the file's length, ours are seven wide.
+    let cases: [&[&str]; 6] = [&["-l"], &["-w"], &["-c"], &["-lw"], &["-lc"], &[]];
+    let inputs = inputs(false);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    if assert_matches_host("wc", &cases, &inputs, false) {
+        // A lone count of one operand is bare too (KNOWN_DIVERGENCES §2).
+        assert_matches_host("wc", &[&["-l"], &["-c"]], &inputs, true);
+    }
+}
