@@ -11,8 +11,11 @@
 #   5. dataplane bench smoke: run at a small size, check the emitted
 #      BENCH_dataplane.json parses, and assert the simulated r_split
 #      speedup over the skewed general split;
-#   6. regex bench smoke: tiered-vs-PikeVM suite at a small size,
-#      check the emitted BENCH_regex.json parses;
+#   6. regex bench smoke: tiered-vs-PikeVM suite at a small size
+#      (per-line and block line-scan rows, each asserted equal to the
+#      Pike VM and free of DFA give-ups before timing), check the
+#      emitted BENCH_regex.json parses, and that every key looked for
+#      is in the checked-in BENCH_regex.json too;
 #   7. plan-determinism smoke (segment split and r_split plans);
 #   8. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output;
@@ -79,7 +82,18 @@ if command -v python3 >/dev/null 2>&1; then
 else
     grep -q '"bench":"regex"' target/bench-smoke/BENCH_regex.json
 fi
-grep -q '"speedup_vs_pikevm"' target/bench-smoke/BENCH_regex.json
+# A key this step looks for must be in the checked-in record as well:
+# a BENCH file that lacks what its gate reads was recorded by an older
+# suite.
+for key in speedup_vs_pikevm matcher_stats give_ups regex_fixed_tiered \
+    alternation_context anchored_class suffix_anchor; do
+    for record in target/bench-smoke/BENCH_regex.json BENCH_regex.json; do
+        grep -q "\"$key" "$record" || {
+            echo "    $record lacks \"$key\"" >&2
+            exit 1
+        }
+    done
+done
 
 echo "==> plan determinism smoke (same script+config => byte-identical dump)"
 # The compile-result cache keys on (source, config); this step proves

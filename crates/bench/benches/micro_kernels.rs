@@ -1,7 +1,8 @@
-//! The cheap line kernels in isolation: `cut`, `tr`, `uniq`, `wc` over
-//! 16 MiB of `text_corpus`, each reading its stdin in place as one
-//! block reader would hand it out. These are the class-S stages the
-//! `light-stream` workload is made of; their rate bounds what a
+//! The line kernels in isolation: `cut`, `tr`, `uniq`, `wc` and the
+//! regex stages `grep -E`, `grep -v -E`, `sed -E` over 16 MiB of
+//! `text_corpus`, each reading its stdin in place as one block reader
+//! would hand it out. These are the class-S stages the `light-stream`
+//! and `regex-filter` workloads are made of; their rate bounds what a
 //! pipeline of them can do at any width.
 
 use std::hint::black_box;
@@ -22,13 +23,23 @@ fn bench(c: &mut Criterion) {
     let reg = Registry::standard();
     let fs = Arc::new(MemFs::new());
     let corpus = text_corpus(17, BYTES);
-    let kernels: [(&str, &[&str]); 6] = [
+    let kernels: [(&str, &[&str]); 9] = [
         ("cut_f1-4", &["cut", "-d", " ", "-f", "1-4"]),
         ("tr_translate", &["tr", "A-Z", "a-z"]),
         ("tr_delete", &["tr", "-d", ",."]),
         ("tr_squeeze", &["tr", "-s", " "]),
         ("uniq_c", &["uniq", "-c"]),
         ("wc_l", &["wc", "-l"]),
+        (
+            "grep_E_alternation",
+            &[
+                "grep",
+                "-E",
+                "(river|mountain|signal|compiler) [a-z]+ (of|the|and)",
+            ],
+        ),
+        ("grep_vE_anchored", &["grep", "-v", "-E", "^[a-m]"]),
+        ("sed_E_captures", &["sed", "-E", "s/([a-z]+)ing/\\1ed/g"]),
     ];
     for (name, argv) in kernels {
         g.bench_function(name, |b| {

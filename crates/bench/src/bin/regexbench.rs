@@ -2,17 +2,20 @@
 //!
 //! Measures the tiered matcher against the Pike-VM baseline on the
 //! four standard pattern shapes (fixed-string, literal-prefix ERE,
-//! class-heavy, adversarial NFA) and writes the results plus the
-//! per-case speedups to `BENCH_regex.json`, so successive PRs can
-//! track the regex-engine trajectory the same way `BENCH_dataplane.json`
-//! tracks the byte-shuffling primitives.
+//! class-heavy, adversarial NFA), one `is_match` per line, and on the
+//! three line-mode shapes of the `regex-filter` benchmark through
+//! `grep`'s block scan; writes the results, the per-case speedups and
+//! each tiered matcher's counters (states built, cache clears,
+//! give-ups, lines per engine) to `BENCH_regex.json`, so successive
+//! PRs can track the regex-engine trajectory the same way
+//! `BENCH_dataplane.json` tracks the byte-shuffling primitives.
 //!
 //! Usage: `regexbench [--size small|default|large] [--out PATH]`
 
 use std::io::Write;
 
 use pash_bench::dataplane::fmt_throughput;
-use pash_bench::regexbench::{run_suite, speedups};
+use pash_bench::regexbench::{run_suite, speedups, stats_json};
 
 fn main() {
     let mut size = "default".to_string();
@@ -35,14 +38,15 @@ fn main() {
     };
 
     println!("regex tier microbench: {bytes} bytes/corpus, {runs} runs\n");
-    let samples = run_suite(bytes, runs);
+    let suite = run_suite(bytes, runs);
+    let samples = &suite.samples;
     println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>14}",
+        "{:<34} {:>12} {:>12} {:>12} {:>14}",
         "bench", "min", "median", "mean", "throughput"
     );
-    for s in &samples {
+    for s in samples {
         println!(
-            "{:<26} {:>12.3?} {:>12.3?} {:>12.3?} {:>14}",
+            "{:<34} {:>12.3?} {:>12.3?} {:>12.3?} {:>14}",
             s.name,
             s.min,
             s.median,
@@ -50,14 +54,21 @@ fn main() {
             fmt_throughput(s.throughput())
         );
     }
-    let sp = speedups(&samples);
+    let sp = speedups(samples);
     println!();
     for (case, ratio) in &sp {
-        println!("{case:<14} tiered vs pikevm: {ratio:.1}x");
+        println!("{case:<20} tiered vs pikevm: {ratio:.1}x");
+    }
+    println!();
+    for (case, s) in &suite.stats {
+        println!(
+            "{case:<20} dfa states {:>4}, clears {}, give-ups {}, lines: dfa {} / pike {}",
+            s.dfa_states, s.cache_clears, s.give_ups, s.dfa_lines, s.pike_lines
+        );
     }
 
     let json = format!(
-        "{{\"bench\":\"regex\",\"bytes_per_corpus\":{},\"runs\":{},\"results\":[{}],\"speedup_vs_pikevm\":{{{}}}}}\n",
+        "{{\"bench\":\"regex\",\"bytes_per_corpus\":{},\"runs\":{},\"results\":[{}],\"speedup_vs_pikevm\":{{{}}},\"matcher_stats\":{{{}}}}}\n",
         bytes,
         runs,
         samples
@@ -67,6 +78,12 @@ fn main() {
             .join(","),
         sp.iter()
             .map(|(case, ratio)| format!("\"{case}\":{ratio:.2}"))
+            .collect::<Vec<_>>()
+            .join(","),
+        suite
+            .stats
+            .iter()
+            .map(|(case, s)| format!("\"{case}\":{}", stats_json(s)))
             .collect::<Vec<_>>()
             .join(","),
     );

@@ -2,10 +2,10 @@
 
 use std::io::{self, Write};
 
-use pash_regex::memmem::{count_bytes, memchr, memrchr};
+use pash_regex::memmem::count_bytes;
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::lines::{for_each_block, for_each_line, write_line};
+use crate::lines::{buffer_lines, for_each_block};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `grep [-EFivcnwm] PATTERN [file…]`.
@@ -13,12 +13,13 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 /// Stateless per line in its filter form; `-c` moves it to class P
 /// (counts from parallel parts must be summed by an aggregator).
 ///
-/// Matching is tiered (see `pash_regex::Matcher`): `-F` and plain
-/// literal patterns run as pure substring search, and any pattern with
-/// a required literal takes the block-scan path below — whole blocks
-/// of lines are skimmed in the reader's buffer for candidate
-/// positions at `memmem` speed and only candidate lines pay for a real
-/// match, instead of restarting the regex engine once per line.
+/// Matching is tiered (see `pash_regex::Matcher`) and block-at-a-time:
+/// every pattern takes the one loop below, in which the matcher walks
+/// a block of whole lines in the reader's buffer and reports the lines
+/// that match (`Matcher::find_line`) — the stretches between them are
+/// the lines that do not. `-v`, `-c`, `-n` and `-m` are bookkeeping on
+/// those two kinds of span; the regex engine is never restarted once
+/// per line.
 pub struct Grep;
 
 struct Opts {
@@ -40,6 +41,8 @@ struct Tally {
     stop: bool,
     /// Current line number (reset per file).
     line_no: u64,
+    /// Selected lines of the current block, written once per block.
+    buf: Vec<u8>,
 }
 
 impl Command for Grep {
@@ -99,25 +102,15 @@ impl Command for Grep {
             emitted: 0,
             stop: false,
             line_no: 0,
+            buf: Vec::new(),
         };
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             t.line_no = 0;
-            if m.has_candidate_filter() {
-                for_each_block(&mut r, |block| {
-                    scan_region(&mut m, block, &o, io.stdout, &mut t)?;
-                    Ok(!t.stop)
-                })?;
-            } else {
-                for_each_line(&mut r, |line| {
-                    t.line_no += 1;
-                    let matched = m.is_match(line) != o.invert;
-                    if matched {
-                        emit_line(line, &o, io.stdout, &mut t)?;
-                    }
-                    Ok(!t.stop)
-                })?;
-            }
+            for_each_block(&mut r, |block| {
+                scan_block(&mut m, block, &o, io.stdout, &mut t)?;
+                Ok(!t.stop)
+            })?;
             if t.stop {
                 break;
             }
@@ -171,35 +164,22 @@ fn apply_cluster(body: &str, o: &mut Opts) -> bool {
     }
 }
 
-/// Emits one matched line (or just counts it), honoring `-c`, `-n`,
-/// and the `-m` early exit.
-fn emit_line(line: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Result<()> {
+/// Selects one line (or just counts it), honoring `-c`, `-n`, and the
+/// `-m` early exit. `t.line_no` is already the line's number.
+fn select_line(line: &[u8], o: &Opts, t: &mut Tally) {
     t.any = true;
     t.count += 1;
     if !o.count {
         if o.line_numbers {
-            write!(out, "{}:", t.line_no)?;
+            write!(t.buf, "{}:", t.line_no).expect("writing to a Vec cannot fail");
         }
-        write_line(out, line)?;
+        t.buf.extend_from_slice(line);
+        t.buf.push(b'\n');
     }
     t.emitted += 1;
-    if let Some(mx) = o.max {
-        if t.emitted >= mx {
-            t.stop = true;
-        }
+    if o.max.is_some_and(|mx| t.emitted >= mx) {
+        t.stop = true;
     }
-    Ok(())
-}
-
-/// Lines in a region: `\n` stripped, final unterminated line included.
-fn lines_of(region: &[u8]) -> impl Iterator<Item = &[u8]> {
-    region.split_inclusive(|&b| b == b'\n').map(|l| {
-        if l.last() == Some(&b'\n') {
-            &l[..l.len() - 1]
-        } else {
-            l
-        }
-    })
 }
 
 /// Number of lines in a region (a final unterminated line counts).
@@ -208,84 +188,78 @@ fn line_count(region: &[u8]) -> u64 {
     nl + u64::from(region.last().is_some_and(|&b| b != b'\n'))
 }
 
-/// Handles a region proven to contain no candidate line: without `-v`
-/// it is skipped wholesale (newlines counted word-at-a-time for `-n`);
-/// with `-v` every line matches — emitted as one bulk write when no
-/// per-line bookkeeping (`-n`, `-m`) is needed.
+/// A run this long is written straight from the block instead of
+/// through the per-block buffer.
+const BULK: usize = 4096;
+
+/// Handles a run of whole lines the pattern does not match. Without
+/// `-v` it is skipped (its newlines counted word-at-a-time, only for
+/// `-n`); with `-v` every line of it is selected — as one copy or one
+/// bulk write when no per-line bookkeeping (`-n`, `-m`) is needed.
 fn on_gap(gap: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Result<()> {
-    let n = line_count(gap);
-    if n == 0 {
-        return Ok(());
-    }
     if !o.invert {
-        t.line_no += n;
+        if o.line_numbers {
+            t.line_no += line_count(gap);
+        }
         return Ok(());
     }
-    if o.max.is_none() && (o.count || !o.line_numbers) {
-        t.line_no += n;
-        t.any = true;
-        t.count += n;
-        t.emitted += n;
-        if !o.count {
-            out.write_all(gap)?;
-            if gap.last() != Some(&b'\n') {
-                // The per-line path always terminates the final line.
-                out.write_all(b"\n")?;
+    if o.max.is_some() || (o.line_numbers && !o.count) {
+        for line in buffer_lines(gap) {
+            t.line_no += 1;
+            select_line(line, o, t);
+            if t.stop {
+                break;
             }
         }
         return Ok(());
     }
-    for line in lines_of(gap) {
-        t.line_no += 1;
-        emit_line(line, o, out, t)?;
-        if t.stop {
-            return Ok(());
-        }
+    t.any = true;
+    if o.count {
+        t.count += line_count(gap);
+    } else if gap.len() < BULK {
+        t.buf.extend_from_slice(gap);
+    } else {
+        out.write_all(&t.buf)?;
+        t.buf.clear();
+        out.write_all(gap)?;
+    }
+    if !o.count && gap.last() != Some(&b'\n') {
+        // A selected final line is always terminated.
+        t.buf.push(b'\n');
     }
     Ok(())
 }
 
 /// Scans one block of complete lines (the final line of the input may
-/// be unterminated), letting the matcher's candidate filter skip
-/// non-matching stretches without a per-line regex restart.
-fn scan_region(
+/// be unterminated): the matcher finds each line the pattern matches,
+/// and what lies between two of them is a run of lines it does not.
+/// The block's selected lines leave in one write.
+fn scan_block(
     m: &mut Matcher,
-    region: &[u8],
+    block: &[u8],
     o: &Opts,
     out: &mut dyn Write,
     t: &mut Tally,
 ) -> io::Result<()> {
     let mut pos = 0usize;
-    while pos < region.len() {
-        let hit = match m.candidate(&region[pos..]) {
-            None => {
-                // No candidate anywhere ahead: the rest of the region
-                // is non-matching lines.
-                on_gap(&region[pos..], o, out, t)?;
-                return Ok(());
-            }
-            Some(off) => pos + off,
-        };
-        // `pos` is always line-aligned, so the candidate's line starts
-        // at the last newline before the hit (or at `pos`).
-        let line_start = pos + memrchr(b'\n', &region[pos..hit]).map_or(0, |i| i + 1);
-        if line_start > pos {
-            on_gap(&region[pos..line_start], o, out, t)?;
+    while pos < block.len() && !t.stop {
+        let hit = m.find_line(block, pos);
+        let gap_end = hit.map_or(block.len(), |(start, _)| start);
+        if gap_end > pos {
+            on_gap(&block[pos..gap_end], o, out, t)?;
             if t.stop {
-                return Ok(());
+                break;
             }
         }
-        let line_end = memchr(b'\n', &region[hit..]).map_or(region.len(), |i| hit + i);
-        let line = &region[line_start..line_end];
+        let Some((start, end)) = hit else { break };
         t.line_no += 1;
-        if m.is_match(line) != o.invert {
-            emit_line(line, o, out, t)?;
-            if t.stop {
-                return Ok(());
-            }
+        if !o.invert {
+            select_line(&block[start..end], o, t);
         }
-        pos = line_end + 1;
+        pos = end + 1;
     }
+    out.write_all(&t.buf)?;
+    t.buf.clear();
     Ok(())
 }
 

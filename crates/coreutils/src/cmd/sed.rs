@@ -129,6 +129,12 @@ impl Command for Sed {
 
         let mut line_no: u64 = 0;
         let mut quit = false;
+        // The pattern space is the line as the reader holds it until an
+        // instruction changes it; only then does it live in `space`.
+        // An untouched line is written from the borrowed block.
+        let mut space: Vec<u8> = Vec::new();
+        let mut scratch: Vec<u8> = Vec::new();
+        let mut caps: Vec<Option<(usize, usize)>> = Vec::new();
         for f in &files {
             if quit {
                 break;
@@ -136,10 +142,11 @@ impl Command for Sed {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {
                 line_no += 1;
-                let mut pattern_space = line.to_vec();
+                let mut changed = false;
                 let mut deleted = false;
                 let mut extra_prints = 0usize;
                 for (i, inst) in instructions.iter().enumerate() {
+                    let pattern_space: &[u8] = if changed { &space } else { line };
                     match inst {
                         Instruction::Subst {
                             addr,
@@ -148,12 +155,12 @@ impl Command for Sed {
                             print,
                             ..
                         } => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], &pattern_space) {
+                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
                                 let m = compiled[i].as_mut().expect("subst has regex");
-                                let (new, n) =
-                                    substitute(m, &pattern_space, repl, *global, wants_caps[i]);
-                                if n > 0 {
-                                    pattern_space = new;
+                                let caps = wants_caps[i].then_some(&mut caps);
+                                if substitute(m, pattern_space, repl, *global, caps, &mut scratch) {
+                                    std::mem::swap(&mut space, &mut scratch);
+                                    changed = true;
                                     if *print {
                                         extra_prints += 1;
                                     }
@@ -161,36 +168,42 @@ impl Command for Sed {
                             }
                         }
                         Instruction::Translit { from, to } => {
-                            for b in pattern_space.iter_mut() {
+                            if !changed {
+                                space.clear();
+                                space.extend_from_slice(line);
+                                changed = true;
+                            }
+                            for b in space.iter_mut() {
                                 if let Some(pos) = from.iter().position(|x| x == b) {
                                     *b = *to.get(pos).copied().as_ref().unwrap_or(b);
                                 }
                             }
                         }
                         Instruction::Delete(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], &pattern_space) {
+                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
                                 deleted = true;
                                 break;
                             }
                         }
                         Instruction::Print(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], &pattern_space) {
+                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
                                 extra_prints += 1;
                             }
                         }
                         Instruction::Quit(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], &pattern_space) {
+                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
                                 quit = true;
                             }
                         }
                     }
                 }
                 if !deleted {
+                    let pattern_space: &[u8] = if changed { &space } else { line };
                     for _ in 0..extra_prints {
-                        write_line(io.stdout, &pattern_space)?;
+                        write_line(io.stdout, pattern_space)?;
                     }
                     if !quiet {
-                        write_line(io.stdout, &pattern_space)?;
+                        write_line(io.stdout, pattern_space)?;
                     }
                 }
                 Ok(!quit)
@@ -401,38 +414,52 @@ fn parse_instruction(s: &str) -> Option<Instruction> {
     }
 }
 
-/// Applies a substitution; returns the new line and match count.
+/// Applies a substitution: when the pattern matches, builds the new
+/// line in `out` and returns true; a line it does not match is left
+/// alone (nothing is copied).
 ///
-/// `wants_caps` is whether the replacement references `\1`…`\9`; only
-/// then does the loop run the capture engine — otherwise each match is
-/// located by the (much faster) find tier and `&`/literal replacements
+/// `caps` is the capture buffer when the replacement references
+/// `\1`…`\9`; only then does the loop run the capture engine (which a
+/// line without a match never reaches) — otherwise each match is
+/// located by the much faster find tier and `&`/literal replacements
 /// are spliced from the whole-match span alone.
 fn substitute(
     re: &mut Matcher,
     line: &[u8],
     repl: &str,
     global: bool,
-    wants_caps: bool,
-) -> (Vec<u8>, usize) {
-    let mut out = Vec::with_capacity(line.len());
+    mut caps: Option<&mut Vec<Option<(usize, usize)>>>,
+    out: &mut Vec<u8>,
+) -> bool {
+    out.clear();
     let mut at = 0usize;
-    let mut n = 0usize;
+    let mut matched = false;
+    // Where the previous non-empty match ended: an empty match is not
+    // allowed right there (`s/b*/x/g` on `abc` is `xaxcx`, not `xaxxcx`).
+    let mut prev_end = None;
     while at <= line.len() {
-        let caps = if wants_caps {
-            match re.captures_at(line, at) {
-                Some(c) => c,
-                None => break,
+        let whole;
+        let groups: &[Option<(usize, usize)>] = match caps.as_deref_mut() {
+            Some(caps) => {
+                if !re.captures_into(line, at, caps) {
+                    break;
+                }
+                caps
             }
-        } else {
-            match re.find_at(line, at) {
-                Some(span) => vec![Some(span)],
+            None => match re.find_at(line, at) {
+                Some(span) => {
+                    whole = [Some(span)];
+                    &whole
+                }
                 None => break,
-            }
+            },
         };
-        let (s, e) = caps[0].expect("group 0 present");
+        let (s, e) = groups[0].expect("group 0 present");
         out.extend_from_slice(&line[at..s]);
-        apply_replacement(repl, line, &caps, &mut out);
-        n += 1;
+        if e > s || prev_end != Some(s) {
+            apply_replacement(repl, line, groups, out);
+            matched = true;
+        }
         if e == s {
             // Empty match: copy one byte to make progress.
             if s < line.len() {
@@ -441,19 +468,16 @@ fn substitute(
             at = s + 1;
         } else {
             at = e;
+            prev_end = Some(e);
         }
         if !global {
             break;
         }
     }
-    if at <= line.len() {
-        out.extend_from_slice(&line[at.min(line.len())..]);
+    if matched && at < line.len() {
+        out.extend_from_slice(&line[at..]);
     }
-    if n == 0 {
-        (line.to_vec(), 0)
-    } else {
-        (out, n)
-    }
+    matched
 }
 
 fn apply_replacement(repl: &str, line: &[u8], caps: &[Option<(usize, usize)>], out: &mut Vec<u8>) {
@@ -603,6 +627,12 @@ mod tests {
     #[test]
     fn addressed_substitution() {
         assert_eq!(sed(&["2s/a/X/"], "a\na\n"), "a\nX\n");
+    }
+
+    #[test]
+    fn empty_match_after_a_match_is_skipped() {
+        assert_eq!(sed(&["s/b*/x/g"], "abc\n"), "xaxcx\n");
+        assert_eq!(sed(&["-E", "s/(a|b)*/<&>/g"], "as a\n"), "<a>s<> <a>\n");
     }
 
     #[test]

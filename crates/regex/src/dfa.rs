@@ -11,6 +11,25 @@
 //! the DFA never does more than `O(len)` transition steps, and state
 //! construction work is bounded by the cache budget.
 //!
+//! # The table
+//!
+//! A [`Cache`] holds **one flat transition table**: a row per state,
+//! a column per byte class (plus one end-of-input column when the
+//! pattern contains `$`). A state's id is the offset of its row — ids
+//! are premultiplied by the stride — so a step is
+//! `table[id + class[byte]]`. Everything the scan loops must notice
+//! is a tag bit in the *id itself*: a transition not determinized yet
+//! ([`TAG_UNKNOWN`]), the dead state ([`TAG_DEAD`]), a state in which
+//! a match ends ([`TAG_MATCH`]). The steady state is therefore one
+//! class lookup, one table load and one compare (`id >= TAGGED`) per
+//! byte; determinization, cache clears and giving up all sit behind
+//! that compare.
+//!
+//! Three scans share the table: forward ([`Dfa::find_fwd`]: `is_match`
+//! and the end of a `find`), reverse ([`Dfa::find_rev`]: the start of
+//! a `find`) and the line scan ([`Dfa::find_line`]: `grep`'s walk over
+//! a block of whole lines, restarting at each `\n`).
+//!
 //! Two configurations are used by [`crate::Matcher`]:
 //!
 //! * **forward, leftmost** (`longest = false`): the program is the
@@ -21,7 +40,10 @@
 //!   seeding loop once a match exists — exactly mirroring the VM's
 //!   "once matched, only extend" rule. Scanning to the dead state and
 //!   reporting the *last* match position yields the same end offset
-//!   the Pike VM reports.
+//!   the Pike VM reports. (A pattern that begins with `^` is compiled
+//!   without the prefix: it can only match at offset 0, and without
+//!   the seeding loop its automaton dies at the first byte that rules
+//!   a match out.)
 //! * **reverse, longest** (`longest = true`): the program is the
 //!   reversed pattern, run backwards from the match end with no
 //!   cutoff; the furthest (smallest) match position is the leftmost
@@ -35,11 +57,24 @@ use std::collections::HashMap;
 
 use crate::compile::{Inst, Program};
 use crate::hir::Assertion;
+use crate::memmem::{memchr, memrchr, Finder};
 
-/// The dead state: no live threads, no future match.
-const DEAD: u32 = 0;
-/// Marker for a transition not yet determinized.
-const UNKNOWN: u32 = u32::MAX;
+/// Tag: a match ends in this state. The low bits still name its row.
+const TAG_MATCH: u32 = 1 << 31;
+/// Tag: the dead state — no live threads, no future match. It has no
+/// row; nothing is ever looked up from it.
+const TAG_DEAD: u32 = 1 << 30;
+/// Tag: a transition not yet determinized.
+const TAG_UNKNOWN: u32 = 1 << 29;
+/// Every id at or above this carries a tag; below it, an id is a plain
+/// row offset and the scan loops just follow it.
+const TAGGED: u32 = TAG_UNKNOWN;
+/// The row-offset bits of an id.
+const ID_MASK: u32 = TAGGED - 1;
+
+const DEAD: u32 = TAG_DEAD;
+const UNKNOWN: u32 = TAG_UNKNOWN;
+
 /// Cache clears tolerated across a [`Cache`]'s lifetime before the
 /// DFA declares itself unprofitable and permanently gives up.
 const MAX_CLEARS: u32 = 16;
@@ -53,10 +88,13 @@ pub struct GaveUp;
 pub struct Dfa {
     prog: Program,
     /// Byte → equivalence class; bytes the program never distinguishes
-    /// share transitions, shrinking per-state tables.
-    byte2class: [u16; 256],
+    /// share a table column.
+    byte2class: [u8; 256],
     class_count: usize,
-    /// Cache capacity, sized so `states × classes` stays bounded.
+    /// Row width: one column per class, plus the end-of-input column
+    /// when the program contains `$`.
+    stride: usize,
+    /// Cache capacity, sized so `states × stride` stays bounded.
     max_states: usize,
     /// Longest-match mode: no priority cutoff at `Match` (used by the
     /// reverse scan, which needs the furthest match, not the first).
@@ -66,26 +104,27 @@ pub struct Dfa {
     has_eoi: bool,
 }
 
-/// One determinized state.
-struct State {
-    /// Priority-ordered NFA pcs, each a `Class`, `Match`, or pending
-    /// `Assert(End)` instruction.
-    pcs: Box<[u32]>,
-    /// Whether a `Match` pc is present (a match ends here).
-    is_match: bool,
-    /// Lazily filled transitions, one per byte class.
-    next: Box<[u32]>,
-}
-
-/// The mutable side of a lazy DFA: interned states and transitions.
+/// The mutable side of a lazy DFA: the transition table and the
+/// interned states behind it.
 ///
 /// Owned by the caller (one per [`crate::Matcher`]) so a compiled
 /// [`Dfa`] stays shareable while each user pays for its own cache.
+/// Empty until first used, then grown one row per state built.
 pub struct Cache {
-    states: Vec<State>,
+    /// `table[id + class]` = successor id, tagged; see the module doc.
+    table: Vec<u32>,
+    /// Each row's priority-ordered NFA pcs (`Class`, `Match`, or
+    /// pending `Assert(End)` instructions), by row index. Only state
+    /// construction reads them.
+    states: Vec<Box<[u32]>>,
     ids: HashMap<Box<[u32]>, u32>,
     /// Start states: `[mid-text, text-start]` closure variants.
     starts: [u32; 2],
+    /// Whether the empty haystack matches through a `$` — the one
+    /// end-of-input closure that also sits at the text start, so it
+    /// cannot share the per-state column.
+    empty_eoi: Option<bool>,
+    built: u64,
     clears: u32,
     poisoned: bool,
     /// Scratch for closure computation (generation-stamped visited
@@ -98,9 +137,12 @@ impl Cache {
     /// Creates an empty cache; states materialize on first use.
     pub fn new() -> Cache {
         Cache {
+            table: Vec::new(),
             states: Vec::new(),
             ids: HashMap::new(),
             starts: [UNKNOWN; 2],
+            empty_eoi: None,
+            built: 0,
             clears: 0,
             poisoned: false,
             stamp: Vec::new(),
@@ -108,7 +150,18 @@ impl Cache {
         }
     }
 
+    /// States determinized over this cache's life (clears included).
+    pub fn states_built(&self) -> u64 {
+        self.built
+    }
+
+    /// Times the cache filled up and was cleared.
+    pub fn clears(&self) -> u32 {
+        self.clears
+    }
+
     fn reset(&mut self) {
+        self.table.clear();
         self.states.clear();
         self.ids.clear();
         self.starts = [UNKNOWN; 2];
@@ -128,6 +181,12 @@ struct Ctx {
     at_eoi: bool,
 }
 
+/// Mid-text: neither `^` nor `$` holds.
+const MID: Ctx = Ctx {
+    at_start: false,
+    at_eoi: false,
+};
+
 impl Dfa {
     /// Builds a determinizer for `prog`, or `None` when the program
     /// contains context-dependent assertions (word boundaries) that a
@@ -142,16 +201,18 @@ impl Dfa {
             return None;
         }
         let (byte2class, class_count) = byte_classes(&prog);
-        // Bound total transition-table memory to ~1M entries.
-        let max_states = ((1usize << 20) / class_count.max(1)).clamp(256, 8192);
         let has_eoi = prog
             .insts
             .iter()
             .any(|i| matches!(i, Inst::Assert(Assertion::End)));
+        let stride = class_count + usize::from(has_eoi);
+        // Bound total transition-table memory to ~1M entries.
+        let max_states = ((1usize << 20) / stride).clamp(256, 8192);
         Some(Dfa {
             prog,
             byte2class,
             class_count,
+            stride,
             max_states,
             longest,
             has_eoi,
@@ -175,25 +236,39 @@ impl Dfa {
         }
         let mut sid = self.start_state(cache, start == 0)?;
         let mut last = None;
-        if cache.states[sid as usize].is_match {
+        if sid >= TAGGED {
+            if sid & TAG_DEAD != 0 {
+                return Ok(None);
+            }
             if earliest {
                 return Ok(Some(start));
             }
             last = Some(start);
+            sid &= ID_MASK;
         }
-        for (j, &b) in hay[start..].iter().enumerate() {
-            sid = self.next_state(cache, sid, b)?;
-            if sid == DEAD {
-                return Ok(last);
-            }
-            if cache.states[sid as usize].is_match {
-                if earliest {
-                    return Ok(Some(start + j + 1));
+        let mut i = start;
+        while i < hay.len() {
+            let b = hay[i];
+            i += 1;
+            let mut next = cache.table[sid as usize + self.byte2class[b as usize] as usize];
+            if next >= TAGGED {
+                if next == UNKNOWN {
+                    next = self.build_edge(cache, sid, b)?;
                 }
-                last = Some(start + j + 1);
+                if next & TAG_DEAD != 0 {
+                    return Ok(last);
+                }
+                if next & TAG_MATCH != 0 {
+                    if earliest {
+                        return Ok(Some(i));
+                    }
+                    last = Some(i);
+                }
+                next &= ID_MASK;
             }
+            sid = next;
         }
-        if self.has_eoi && self.eoi_is_match(cache, sid, hay.is_empty()) {
+        if self.eoi_matches(cache, sid, hay.is_empty()) {
             last = Some(hay.len());
         }
         Ok(last)
@@ -215,36 +290,120 @@ impl Dfa {
             return Err(GaveUp);
         }
         let mut sid = self.start_state(cache, end == hay.len())?;
-        let mut last = if cache.states[sid as usize].is_match {
-            Some(end)
-        } else {
-            None
-        };
+        let mut last = None;
+        if sid >= TAGGED {
+            if sid & TAG_DEAD != 0 {
+                return Ok(None);
+            }
+            last = Some(end);
+            sid &= ID_MASK;
+        }
         let mut i = end;
         while i > lo {
             i -= 1;
-            sid = self.next_state(cache, sid, hay[i])?;
-            if sid == DEAD {
-                return Ok(last);
+            let b = hay[i];
+            let mut next = cache.table[sid as usize + self.byte2class[b as usize] as usize];
+            if next >= TAGGED {
+                if next == UNKNOWN {
+                    next = self.build_edge(cache, sid, b)?;
+                }
+                if next & TAG_DEAD != 0 {
+                    return Ok(last);
+                }
+                if next & TAG_MATCH != 0 {
+                    last = Some(i);
+                }
+                next &= ID_MASK;
             }
-            if cache.states[sid as usize].is_match {
-                last = Some(i);
-            }
+            sid = next;
         }
         // End of the reverse stream: pending `Assert(End)` pcs here are
         // the original pattern's `^`, which holds only at offset 0.
-        if self.has_eoi && lo == 0 && self.eoi_is_match(cache, sid, false) {
+        if lo == 0 && self.eoi_matches(cache, sid, false) {
             last = Some(0);
         }
         Ok(last)
     }
 
+    /// Line scan: finds the first line of `block` at or after `from`
+    /// (a line start) that the pattern matches, as `(start, end)` with
+    /// the terminator excluded. Each line is its own haystack: the
+    /// automaton restarts from the text-start state after every `\n`,
+    /// `$` is evaluated before it, and a `\n` is never fed to the
+    /// table. A line is left at its first match state, or at the dead
+    /// state, and the rest of it skipped with `memchr`.
+    ///
+    /// `filter`, when given, is a literal every match contains: it is
+    /// consulted at line starts only, to jump over lines that cannot
+    /// match. `lines` is advanced by the number of lines walked.
+    ///
+    /// On giving up, the error carries the start of the line the scan
+    /// was in: nothing from there on has been answered.
+    pub fn find_line(
+        &self,
+        cache: &mut Cache,
+        filter: Option<&Finder>,
+        block: &[u8],
+        from: usize,
+        lines: &mut u64,
+    ) -> Result<Option<(usize, usize)>, usize> {
+        if cache.poisoned {
+            return Err(from);
+        }
+        let n = block.len();
+        let mut line = from;
+        while line < n {
+            if let Some(f) = filter {
+                match f.find(&block[line..]) {
+                    None => return Ok(None),
+                    Some(off) => {
+                        let head = &block[line..line + off];
+                        line += memrchr(b'\n', head).map_or(0, |k| k + 1);
+                    }
+                }
+            }
+            // Re-read per line: a cache clear renames the start state.
+            let start = self.start_state(cache, true).map_err(|_| line)?;
+            let mut i = line;
+            let matched = if start >= TAGGED {
+                // The empty prefix of every line decides it.
+                start & TAG_MATCH != 0
+            } else {
+                let mut sid = start;
+                loop {
+                    if i == n || block[i] == b'\n' {
+                        break self.eoi_matches(cache, sid, i == line);
+                    }
+                    let b = block[i];
+                    i += 1;
+                    let mut next = cache.table[sid as usize + self.byte2class[b as usize] as usize];
+                    if next >= TAGGED {
+                        if next == UNKNOWN {
+                            next = self.build_edge(cache, sid, b).map_err(|_| line)?;
+                        }
+                        if next >= TAGGED {
+                            break next & TAG_MATCH != 0;
+                        }
+                    }
+                    sid = next;
+                }
+            };
+            let end = memchr(b'\n', &block[i..]).map_or(n, |k| i + k);
+            *lines += 1;
+            if matched {
+                return Ok(Some((line, end)));
+            }
+            line = end + 1;
+        }
+        Ok(None)
+    }
+
+    /// The start state's id (tagged like any other).
     fn start_state(&self, cache: &mut Cache, text_start: bool) -> Result<u32, GaveUp> {
         let slot = usize::from(text_start);
         if cache.starts[slot] != UNKNOWN {
             return Ok(cache.starts[slot]);
         }
-        self.ensure_dead(cache);
         let ctx = Ctx {
             at_start: text_start,
             at_eoi: false,
@@ -255,42 +414,61 @@ impl Dfa {
         Ok(id)
     }
 
-    /// Computes (and memoizes) `δ(sid, byte)`.
+    /// Determinizes `δ(sid, byte)` and memoizes it in the table.
     ///
     /// After a cache clear the previous `sid` is gone; the freshly
     /// interned successor id returned here is always valid, so the
     /// scan loop can continue — only the memoized edge is lost.
-    fn next_state(&self, cache: &mut Cache, sid: u32, byte: u8) -> Result<u32, GaveUp> {
-        let class = self.byte2class[byte as usize] as usize;
-        let known = cache.states[sid as usize].next[class];
-        if known != UNKNOWN {
-            return Ok(known);
-        }
-        let src = cache.states[sid as usize].pcs.clone();
-        let ctx = Ctx {
-            at_start: false,
-            at_eoi: false,
-        };
-        let (pcs, is_match) = self.closure_list(cache, &src, Some(byte), ctx);
+    #[cold]
+    fn build_edge(&self, cache: &mut Cache, sid: u32, byte: u8) -> Result<u32, GaveUp> {
+        let src = cache.states[sid as usize / self.stride].clone();
+        let (pcs, is_match) = self.closure_list(cache, &src, Some(byte), MID);
         let clears_before = cache.clears;
         let id = self.intern(cache, pcs, is_match)?;
         // Store the edge unless interning cleared the cache (in which
-        // case `sid` no longer names a live state).
+        // case `sid` no longer names a live row).
         if cache.clears == clears_before {
-            cache.states[sid as usize].next[class] = id;
+            cache.table[sid as usize + self.byte2class[byte as usize] as usize] = id;
         }
         Ok(id)
     }
 
-    /// Does `sid` yield a match at end-of-input (pending `$` pcs)?
-    fn eoi_is_match(&self, cache: &mut Cache, sid: u32, empty_text: bool) -> bool {
+    /// Does the state at row offset `sid` yield a match at
+    /// end-of-input (pending `$` pcs)? Memoized in the state's
+    /// end-of-input column.
+    #[inline]
+    fn eoi_matches(&self, cache: &mut Cache, sid: u32, empty_text: bool) -> bool {
+        if !self.has_eoi {
+            return false;
+        }
+        if empty_text {
+            // Only ever asked of the text-start start state, so the
+            // answer belongs to the pattern, not to a row.
+            return match cache.empty_eoi {
+                Some(m) => m,
+                None => {
+                    let m = self.eoi_closure(cache, sid, true);
+                    cache.empty_eoi = Some(m);
+                    m
+                }
+            };
+        }
+        let slot = sid as usize + self.class_count;
+        if cache.table[slot] == UNKNOWN {
+            let m = self.eoi_closure(cache, sid, false);
+            cache.table[slot] = if m { TAG_MATCH } else { DEAD };
+        }
+        cache.table[slot] == TAG_MATCH
+    }
+
+    #[cold]
+    fn eoi_closure(&self, cache: &mut Cache, sid: u32, at_start: bool) -> bool {
         let ctx = Ctx {
-            at_start: empty_text,
+            at_start,
             at_eoi: true,
         };
-        let src = cache.states[sid as usize].pcs.clone();
-        let (_, is_match) = self.closure_list(cache, &src, None, ctx);
-        is_match
+        let src = cache.states[sid as usize / self.stride].clone();
+        self.closure_list(cache, &src, None, ctx).1
     }
 
     /// Builds the priority-ordered successor pc list of `src`.
@@ -350,19 +528,13 @@ impl Dfa {
         (cl.list, cl.matched)
     }
 
-    fn ensure_dead(&self, cache: &mut Cache) {
-        if cache.states.is_empty() {
-            cache.states.push(State {
-                pcs: Box::from([]),
-                is_match: false,
-                next: vec![DEAD; self.class_count].into_boxed_slice(),
-            });
-            cache.ids.insert(Box::from([]), DEAD);
-        }
-    }
-
+    /// Returns the id of the state with these pcs, appending a row of
+    /// unknown transitions to the table when it is new. An empty pc
+    /// list is the dead state.
     fn intern(&self, cache: &mut Cache, pcs: Vec<u32>, is_match: bool) -> Result<u32, GaveUp> {
-        self.ensure_dead(cache);
+        if pcs.is_empty() {
+            return Ok(DEAD);
+        }
         if let Some(&id) = cache.ids.get(pcs.as_slice()) {
             return Ok(id);
         }
@@ -373,16 +545,14 @@ impl Dfa {
                 return Err(GaveUp);
             }
             cache.reset();
-            self.ensure_dead(cache);
         }
-        let id = cache.states.len() as u32;
+        let row = cache.table.len();
+        cache.table.resize(row + self.stride, UNKNOWN);
+        let id = row as u32 | if is_match { TAG_MATCH } else { 0 };
         let key: Box<[u32]> = pcs.into_boxed_slice();
-        cache.states.push(State {
-            pcs: key.clone(),
-            is_match,
-            next: vec![UNKNOWN; self.class_count].into_boxed_slice(),
-        });
+        cache.states.push(key.clone());
         cache.ids.insert(key, id);
+        cache.built += 1;
         Ok(id)
     }
 }
@@ -441,7 +611,7 @@ impl Closure<'_> {
 
 /// Computes byte equivalence classes: two bytes land in the same class
 /// iff no character class in the program separates them.
-fn byte_classes(prog: &Program) -> ([u16; 256], usize) {
+fn byte_classes(prog: &Program) -> ([u8; 256], usize) {
     let mut boundary = [false; 257];
     boundary[0] = true;
     for inst in &prog.insts {
@@ -452,8 +622,9 @@ fn byte_classes(prog: &Program) -> ([u16; 256], usize) {
             }
         }
     }
-    let mut map = [0u16; 256];
-    let mut id: u16 = 0;
+    // At most 255 boundaries past byte 0, so class ids fit a `u8`.
+    let mut map = [0u8; 256];
+    let mut id: u8 = 0;
     for b in 0..256 {
         if boundary[b] && b > 0 {
             id += 1;
@@ -603,6 +774,130 @@ mod tests {
         let hay = vec![b'a'; 4096];
         assert_eq!(f.find_fwd(&mut c, &hay, 0, false).expect("fwd"), None);
         assert!(c.states.len() < 16, "state blowup: {}", c.states.len());
+    }
+
+    /// Every table entry is a tag, or the premultiplied offset of a
+    /// live row with at most the match tag on it.
+    fn assert_table_is_well_formed(d: &Dfa, c: &Cache) {
+        assert_eq!(c.table.len(), c.states.len() * d.stride);
+        for (slot, &e) in c.table.iter().enumerate() {
+            if e == UNKNOWN || e == DEAD {
+                continue;
+            }
+            if d.has_eoi && slot % d.stride == d.class_count {
+                assert_eq!(e, TAG_MATCH, "end-of-input column holds flags only");
+                continue;
+            }
+            assert_eq!(e & (TAG_DEAD | TAG_UNKNOWN), 0, "entry {e:#x}");
+            let row = (e & ID_MASK) as usize;
+            assert_eq!(row % d.stride, 0, "id {e:#x} is not a row offset");
+            assert!(row < c.table.len(), "id {e:#x} names no row");
+            let is_match = c.states[row / d.stride]
+                .iter()
+                .any(|&pc| matches!(d.prog.insts[pc as usize], Inst::Match));
+            assert_eq!(e & TAG_MATCH != 0, is_match, "match tag of {e:#x}");
+        }
+    }
+
+    #[test]
+    fn ids_are_tagged_row_offsets() {
+        let f = fwd("ab|c$");
+        let mut c = Cache::new();
+        // Nothing is allocated before the first search.
+        assert!(c.table.is_empty() && c.states.is_empty());
+        for hay in ["xxabxx", "c", "xcx", "", "abab"] {
+            f.find_fwd(&mut c, hay.as_bytes(), 0, false).expect("fwd");
+        }
+        assert_table_is_well_formed(&f, &c);
+        // One row per state built, and no more.
+        assert_eq!(c.states.len() as u64, c.states_built());
+        // The start state is a plain offset, the state after `ab`
+        // carries the match tag, and both are recognisable as such
+        // without touching the table.
+        let start = f.start_state(&mut c, true).expect("start");
+        assert!(start < TAGGED);
+        let class = |b: u8| f.byte2class[b as usize] as usize;
+        let after_a = c.table[start as usize + class(b'a')];
+        assert!(after_a < TAGGED);
+        let after_ab = c.table[after_a as usize + class(b'b')];
+        assert!(after_ab >= TAGGED && after_ab & TAG_MATCH != 0);
+    }
+
+    #[test]
+    fn anchored_program_reaches_the_dead_state() {
+        // Compiled without the `.*?` prefix, as `Regex` does for a
+        // pattern that begins with `^`: the first byte decides.
+        let hir = parse("^[a-m]", Syntax::Ere).expect("parse");
+        let f = Dfa::new(compile(&hir).expect("compile"), false).expect("dfa");
+        let mut c = Cache::new();
+        assert_eq!(f.find_fwd(&mut c, b"zebra", 0, true).expect("fwd"), None);
+        assert_eq!(f.find_fwd(&mut c, b"apple", 0, true).expect("fwd"), Some(1));
+        let start = f.start_state(&mut c, true).expect("start");
+        assert_eq!(
+            c.table[start as usize + f.byte2class[b'z' as usize] as usize],
+            DEAD
+        );
+        // Mid-text, `^` cannot hold: the start state itself is dead.
+        assert_eq!(f.start_state(&mut c, false).expect("start"), DEAD);
+        assert_eq!(f.find_fwd(&mut c, b"apple", 1, true).expect("fwd"), None);
+        assert_table_is_well_formed(&f, &c);
+    }
+
+    #[test]
+    fn ids_survive_a_cache_clear() {
+        // A budget of four states under a pattern that needs more: the
+        // cache is cleared again and again in the middle of scans, and
+        // every id handed back across a clear must name a row of the
+        // *new* table.
+        let pat = "(ab|cd|ef|gh){1,8}x$";
+        let mut f = fwd(pat);
+        f.max_states = 4;
+        let mut c = Cache::new();
+        let hay = b"abcdefghabcdefghx".repeat(2);
+        let got = f.find_fwd(&mut c, &hay, 0, false).expect("fwd");
+        assert!(c.clears() >= 2, "clears {}", c.clears());
+        assert_table_is_well_formed(&f, &c);
+        assert!(c.states.len() <= 4);
+        let prog = compile(&parse(pat, Syntax::Ere).expect("parse")).expect("compile");
+        let vm = crate::pikevm::PikeVm::new(&prog);
+        let want = vm.find_at(&hay, 0).map(|s| s[1].expect("end"));
+        assert_eq!(got, want);
+        // The line scan restarts from the start state at every line:
+        // it must pick up the renamed start state after a clear.
+        let mut c = Cache::new();
+        let block = b"abx\ncdcd\nefghx\n\nghabcdx\nx\n";
+        let mut lines = 0;
+        let mut found = Vec::new();
+        let mut at = 0;
+        while let Some((s, e)) = f
+            .find_line(&mut c, None, block, at, &mut lines)
+            .expect("within MAX_CLEARS")
+        {
+            found.push(&block[s..e]);
+            at = e + 1;
+        }
+        assert_eq!(found, [&b"abx"[..], b"efghx", b"ghabcdx"]);
+        assert!(c.clears() >= 2, "clears {}", c.clears());
+        assert_eq!(lines, 6);
+        assert_table_is_well_formed(&f, &c);
+    }
+
+    #[test]
+    fn thrashing_cache_gives_up_for_good() {
+        let mut f = fwd("(ab|cd|ef|gh){1,8}x");
+        f.max_states = 2;
+        let mut c = Cache::new();
+        let block = b"abcdefgh\n".repeat(40);
+        let mut lines = 0;
+        // The error names the line the scan was in.
+        let resume = f
+            .find_line(&mut c, None, &block, 0, &mut lines)
+            .expect_err("gives up");
+        assert_eq!(resume % 9, 0);
+        assert_eq!(lines as usize, resume / 9);
+        assert_eq!(c.clears(), MAX_CLEARS);
+        assert_eq!(f.find_fwd(&mut c, b"abx", 0, true), Err(GaveUp));
+        assert_eq!(f.find_line(&mut c, None, &block, 18, &mut lines), Err(18));
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! 2. a general pattern with a required literal gets a prefilter that
 //!    rejects haystacks (and bounds match starts) at `memchr` speed;
 //! 3. surviving candidates run through a lazy DFA ([`dfa`]) — one
-//!    table lookup per byte, states determinized on demand under a
-//!    bounded cache;
+//!    flat transition table, one load and one compare per byte, states
+//!    determinized on demand under a bounded cache;
 //! 4. the Pike VM ([`pikevm`]) remains the capture engine and the
 //!    fallback when the DFA cache thrashes or the pattern uses
 //!    word-boundary assertions.
+//!
+//! Line-oriented callers (`grep`) do not restart the engine per line:
+//! [`Matcher::find_line`] walks a block of whole lines through the
+//! same tiers in one call.
 //!
 //! Every tier is `O(haystack)` — backtracking blow-ups cannot occur,
 //! which is what the paper's "complex NFA regex" grep benchmark
@@ -49,7 +53,8 @@ use std::sync::Arc;
 
 use compile::Program;
 use hir::Hir;
-use literal::{Literals, Prefilter};
+use literal::Literals;
+use memmem::{memchr, memrchr, Finder};
 use pikevm::PikeVm;
 
 /// Pattern syntax selector.
@@ -94,7 +99,7 @@ enum Plan {
     /// General pattern: optional literal prefilter, lazy DFA when the
     /// pattern admits one, Pike VM otherwise and as fallback.
     General {
-        prefilter: Option<Prefilter>,
+        prefilter: Option<Finder>,
         /// Maximum offset from the match start at which the prefilter
         /// literal's guaranteed occurrence can begin: a hit at `h`
         /// proves no match starts before `h - max_start`, so the scan
@@ -155,7 +160,7 @@ impl Regex {
         let (fwd, rev) = match plan {
             // The literal tier never needs an automaton for spans.
             Plan::Literal { .. } => (None, None),
-            Plan::General { .. } => build_dfas(&hir),
+            Plan::General { .. } => build_dfas(&hir, lits.anchored_start),
         };
         Ok(Regex {
             inner: Arc::new(Inner {
@@ -181,7 +186,7 @@ impl Regex {
                 anchored_end: lits.anchored_end,
             };
         }
-        match Prefilter::from_literals(lits) {
+        match literal::prefilter(lits) {
             Some((pf, max_start)) => Plan::General {
                 prefilter: Some(pf),
                 prefilter_max_start: max_start,
@@ -214,6 +219,7 @@ impl Regex {
             inner: Arc::clone(&self.inner),
             fwd_cache: dfa::Cache::new(),
             rev_cache: dfa::Cache::new(),
+            stats: Stats::default(),
         }
     }
 
@@ -259,16 +265,25 @@ impl Regex {
 /// Builds the forward (`.*?`-wrapped, leftmost) and reverse
 /// (reversed pattern, longest) lazy DFAs, when the pattern admits
 /// them (no word boundaries, program within size bounds).
-fn build_dfas(hir: &Hir) -> (Option<dfa::Dfa>, Option<dfa::Dfa>) {
-    let wrapped = Hir::Concat(vec![
-        Hir::Repeat {
-            inner: Box::new(Hir::Class(hir::ClassSet::any())),
-            min: 0,
-            max: None,
-            greedy: false,
-        },
-        hir.clone(),
-    ]);
+///
+/// A pattern that begins with `^` matches at offset 0 or nowhere, so
+/// its forward DFA is compiled without the seeding prefix: instead of
+/// idling in the `.*?` loop to the end of a haystack that has already
+/// failed, it reaches the dead state and the scan stops.
+fn build_dfas(hir: &Hir, anchored_start: bool) -> (Option<dfa::Dfa>, Option<dfa::Dfa>) {
+    let wrapped = if anchored_start {
+        hir.clone()
+    } else {
+        Hir::Concat(vec![
+            Hir::Repeat {
+                inner: Box::new(Hir::Class(hir::ClassSet::any())),
+                min: 0,
+                max: None,
+                greedy: false,
+            },
+            hir.clone(),
+        ])
+    };
     let fwd = compile::compile(&wrapped)
         .ok()
         .and_then(|p| dfa::Dfa::new(p, false));
@@ -283,6 +298,25 @@ fn build_dfas(hir: &Hir) -> (Option<dfa::Dfa>, Option<dfa::Dfa>) {
     }
 }
 
+/// What a [`Matcher`] has done since it was created: how large its
+/// automata grew and which engine answered. A pattern that silently
+/// falls off the DFA tier shows up here as give-ups and Pike VM runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stats {
+    /// DFA states determinized, forward and reverse, clears included.
+    pub dfa_states: u64,
+    /// Times a DFA cache filled up and was cleared.
+    pub cache_clears: u64,
+    /// Searches a DFA abandoned (cache thrashing) and the Pike VM
+    /// redid.
+    pub give_ups: u64,
+    /// Haystacks (lines, under [`Matcher::find_line`]) the DFA tier
+    /// answered.
+    pub dfa_lines: u64,
+    /// Pike VM runs: fallbacks, word-boundary patterns, captures.
+    pub pike_lines: u64,
+}
+
 /// The tiered match engine for one pattern; see [`Regex::matcher`].
 ///
 /// Methods take `&mut self` because the lazy-DFA caches fill in as
@@ -292,6 +326,24 @@ pub struct Matcher {
     inner: Arc<Inner>,
     fwd_cache: dfa::Cache,
     rev_cache: dfa::Cache,
+    /// The counters no cache keeps (`give_ups`, `*_lines`).
+    stats: Stats,
+}
+
+impl Inner {
+    /// A literal every matching line contains and that is worth
+    /// searching a block of lines for before any automaton runs. In
+    /// front of an automaton that takes two bytes: a single byte
+    /// common enough to sit in a pattern's own context (the space in
+    /// `(a|b) [a-z]+ (c|d)`) is in every line, and finding it there,
+    /// then the line around it, costs three scans per line for
+    /// nothing.
+    fn line_filter(&self) -> Option<&Finder> {
+        match &self.plan {
+            Plan::Literal { finder, .. } => Some(finder).filter(|f| !f.needle().is_empty()),
+            Plan::General { prefilter, .. } => prefilter.as_ref().filter(|f| f.needle().len() >= 2),
+        }
+    }
 }
 
 impl Matcher {
@@ -314,8 +366,11 @@ impl Matcher {
                 };
                 if let Some(fwd) = &self.inner.fwd {
                     match fwd.find_fwd(&mut self.fwd_cache, hay, start, true) {
-                        Ok(r) => return r.is_some(),
-                        Err(dfa::GaveUp) => {}
+                        Ok(r) => {
+                            self.stats.dfa_lines += 1;
+                            return r.is_some();
+                        }
+                        Err(dfa::GaveUp) => self.stats.give_ups += 1,
                     }
                 }
                 self.pike_slots(hay, start).is_some()
@@ -337,91 +392,119 @@ impl Matcher {
             Plan::Literal { .. } => self.literal_find(hay, start),
             Plan::General { .. } => {
                 let start = self.prefilter_start(hay, start)?;
-                if let (Some(fwd), Some(rev)) = (&self.inner.fwd, &self.inner.rev) {
-                    let fwd_end = fwd.find_fwd(&mut self.fwd_cache, hay, start, false);
-                    if let Ok(end) = fwd_end {
-                        let end = end?;
-                        if let Ok(Some(s)) = rev.find_rev(&mut self.rev_cache, hay, start, end) {
-                            return Some((s, end));
-                        }
-                    }
+                match self.dfa_find(hay, start) {
+                    Some(span) => span,
+                    None => self.pike_find(hay, start),
                 }
-                self.pike_slots(hay, start)
-                    .and_then(|s| match (s[0], s[1]) {
-                        (Some(a), Some(b)) => Some((a, b)),
-                        _ => None,
-                    })
             }
         }
     }
 
     /// Finds the leftmost match and returns all capture-group spans
     /// (index 0 is the whole match).
+    pub fn captures_at(&mut self, hay: &[u8], start: usize) -> Option<Vec<Option<(usize, usize)>>> {
+        let mut caps = Vec::new();
+        self.captures_into(hay, start, &mut caps).then_some(caps)
+    }
+
+    /// [`Matcher::captures_at`] into a caller-owned vector, so a loop
+    /// over lines reuses one allocation. Returns whether there was a
+    /// match; `caps` is meaningful only then.
     ///
     /// Captures always run on the Pike VM — the only tier that tracks
-    /// slots — but still benefit from the prefilter's rejection and
-    /// start-advance.
-    pub fn captures_at(&mut self, hay: &[u8], start: usize) -> Option<Vec<Option<(usize, usize)>>> {
+    /// slots — but only after a cheaper tier has found the match: a
+    /// haystack with none never reaches the VM, and the VM starts at
+    /// the match's first byte.
+    pub fn captures_into(
+        &mut self,
+        hay: &[u8],
+        start: usize,
+        caps: &mut Vec<Option<(usize, usize)>>,
+    ) -> bool {
         if start > hay.len() {
-            return None;
+            return false;
         }
         let start = match &self.inner.plan {
-            Plan::Literal { .. } => match self.literal_find(hay, start) {
-                // The literal tier knows where the match is; the VM
-                // re-derives group spans from there.
-                Some((s, _)) => s,
-                None => return None,
-            },
-            Plan::General { .. } => self.prefilter_start(hay, start)?,
+            Plan::Literal { .. } => self.literal_find(hay, start).map(|(s, _)| s),
+            Plan::General { .. } => self.prefilter_start(hay, start).and_then(|start| {
+                match self.dfa_find(hay, start) {
+                    Some(span) => span.map(|(s, _)| s),
+                    // No DFA answer: the VM searches from here itself.
+                    None => Some(start),
+                }
+            }),
         };
-        let slots = self.pike_slots(hay, start)?;
-        let groups = self.inner.prog.groups;
-        let mut out = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let s = slots.get(g * 2).copied().flatten();
-            let e = slots.get(g * 2 + 1).copied().flatten();
-            out.push(match (s, e) {
-                (Some(s), Some(e)) => Some((s, e)),
-                _ => None,
-            });
-        }
-        Some(out)
+        let Some(start) = start else {
+            return false;
+        };
+        let Some(slots) = self.pike_slots(hay, start) else {
+            return false;
+        };
+        caps.clear();
+        caps.extend(slots.chunks_exact(2).map(|se| match (se[0], se[1]) {
+            (Some(s), Some(e)) => Some((s, e)),
+            _ => None,
+        }));
+        true
     }
 
-    /// Reports the first position in `hay` at which a match could
-    /// possibly occur, or `None` when the pattern provably matches
-    /// nowhere in `hay`.
+    /// Finds the first line of `block` at or after `from` that the
+    /// pattern matches, as `(start, end)` with the line terminator
+    /// excluded; `None` when no line from `from` on matches.
     ///
-    /// Cheap (a literal scan) and sound but not exact: a `Some` still
-    /// needs verification. Buffer-oriented callers (`grep`) use this
-    /// to skip non-candidate regions wholesale; pair with
-    /// [`Matcher::has_candidate_filter`] to decide whether the hint
-    /// prunes at all.
-    pub fn candidate(&self, hay: &[u8]) -> Option<usize> {
-        match &self.inner.plan {
-            Plan::Literal { finder, .. } => {
-                if finder.needle().is_empty() {
-                    Some(0)
-                } else {
-                    finder.find(hay)
+    /// `block` is a run of lines, each ending in `\n` except possibly
+    /// the last; `from` is the start of one of them (or `block.len()`).
+    /// Every line is matched as its own haystack — `^` and `$` hold at
+    /// its boundaries — with the same answer [`Matcher::is_match`]
+    /// gives for it, but without restarting the engine per line: the
+    /// lazy DFA runs across the block and restarts from its cached
+    /// line-start state at each `\n`, leaves a line at its first match
+    /// state, and consults the required literal only at line starts.
+    /// The lines in `from..start` are thereby known not to match, so
+    /// a caller gets matched lines and the gaps between them by
+    /// calling again from `end + 1`.
+    ///
+    /// Patterns the DFA refuses (word boundaries) or gives up on are
+    /// finished inside the same call, line by line on the Pike VM.
+    pub fn find_line(&mut self, block: &[u8], from: usize) -> Option<(usize, usize)> {
+        let mut from = from;
+        let inner = &*self.inner;
+        if let (Plan::General { .. }, Some(fwd)) = (&inner.plan, &inner.fwd) {
+            let lines = &mut self.stats.dfa_lines;
+            match fwd.find_line(&mut self.fwd_cache, inner.line_filter(), block, from, lines) {
+                Ok(found) => return found,
+                Err(resume) => {
+                    self.stats.give_ups += 1;
+                    from = resume;
                 }
             }
-            Plan::General {
-                prefilter: Some(pf),
-                ..
-            } => pf.find(hay),
-            Plan::General {
-                prefilter: None, ..
-            } => Some(0),
         }
+        // Literal tier, or no DFA: candidate lines by the literal,
+        // each verified on its own.
+        let inner = Arc::clone(&self.inner);
+        let filter = inner.line_filter();
+        let mut line = from;
+        while line < block.len() {
+            let mut probe = line;
+            if let Some(f) = filter {
+                probe += f.find(&block[line..])?;
+                line += memrchr(b'\n', &block[line..probe]).map_or(0, |k| k + 1);
+            }
+            let end = memchr(b'\n', &block[probe..]).map_or(block.len(), |k| probe + k);
+            if self.is_match(&block[line..end]) {
+                return Some((line, end));
+            }
+            line = end + 1;
+        }
+        None
     }
 
-    /// True when [`Matcher::candidate`] actually prunes (the pattern
-    /// carries a non-empty required literal).
-    pub fn has_candidate_filter(&self) -> bool {
-        match &self.inner.plan {
-            Plan::Literal { finder, .. } => !finder.needle().is_empty(),
-            Plan::General { prefilter, .. } => prefilter.is_some(),
+    /// Counters for this matcher's life so far; see [`Stats`].
+    pub fn stats(&self) -> Stats {
+        Stats {
+            dfa_states: self.fwd_cache.states_built() + self.rev_cache.states_built(),
+            cache_clears: u64::from(self.fwd_cache.clears() + self.rev_cache.clears()),
+            ..self.stats
         }
     }
 
@@ -474,10 +557,52 @@ impl Matcher {
         }
     }
 
+    /// The DFA tier's leftmost match at or after `start`: forward scan
+    /// for the end, reverse scan for the start. The outer `None` means
+    /// the DFAs cannot say (absent, or gave up) and the Pike VM must.
+    fn dfa_find(&mut self, hay: &[u8], start: usize) -> Option<Option<(usize, usize)>> {
+        let (Some(fwd), Some(rev)) = (&self.inner.fwd, &self.inner.rev) else {
+            return None;
+        };
+        let end = match fwd.find_fwd(&mut self.fwd_cache, hay, start, false) {
+            Ok(None) => {
+                self.stats.dfa_lines += 1;
+                return Some(None);
+            }
+            Ok(Some(end)) => end,
+            Err(dfa::GaveUp) => {
+                self.stats.give_ups += 1;
+                return None;
+            }
+        };
+        match rev.find_rev(&mut self.rev_cache, hay, start, end) {
+            Ok(Some(s)) => {
+                self.stats.dfa_lines += 1;
+                Some(Some((s, end)))
+            }
+            // A match end always has a start; were the two automata
+            // ever to disagree, the VM arbitrates.
+            Ok(None) => None,
+            Err(dfa::GaveUp) => {
+                self.stats.give_ups += 1;
+                None
+            }
+        }
+    }
+
     /// Runs the Pike VM from `start`, returning raw capture slots.
-    fn pike_slots(&self, hay: &[u8], start: usize) -> Option<Vec<Option<usize>>> {
-        let vm = PikeVm::new(&self.inner.prog);
-        vm.find_at(hay, start)
+    fn pike_slots(&mut self, hay: &[u8], start: usize) -> Option<Vec<Option<usize>>> {
+        self.stats.pike_lines += 1;
+        PikeVm::new(&self.inner.prog).find_at(hay, start)
+    }
+
+    /// The Pike VM's leftmost match at or after `start`.
+    fn pike_find(&mut self, hay: &[u8], start: usize) -> Option<(usize, usize)> {
+        self.pike_slots(hay, start)
+            .and_then(|s| match (s[0], s[1]) {
+                (Some(a), Some(b)) => Some((a, b)),
+                _ => None,
+            })
     }
 }
 
@@ -550,10 +675,9 @@ mod tests {
         // The point of the caseless literal path: `grep -i` patterns
         // still prune non-candidate haystacks at memchr speed.
         let re = Regex::with_flags("foo[0-9]+bar", Syntax::Ere, true).expect("compile");
-        let m = re.matcher();
-        assert!(m.has_candidate_filter());
-        assert_eq!(m.candidate(b"nothing here"), None);
-        assert!(m.candidate(b"xx FOO1BAR yy").is_some());
+        let pf = re.inner.line_filter().expect("prefilter");
+        assert_eq!(pf.find(b"nothing here"), None);
+        assert!(pf.find(b"xx FOO1BAR yy").is_some());
         assert_eq!(re.find(b"xx FoO42bAr yy"), Some((3, 11)));
     }
 
@@ -724,13 +848,104 @@ mod tests {
     }
 
     #[test]
-    fn candidate_hint_prunes() {
+    fn line_filter_is_a_multi_byte_required_literal() {
         let re = Regex::new("foo[0-9]+bar", Syntax::Ere).expect("compile");
-        let m = re.matcher();
-        assert!(m.has_candidate_filter());
-        assert_eq!(m.candidate(b"nothing here"), None);
-        assert!(m.candidate(b"xx foo1bar").is_some());
-        let re = Regex::new("[ab]+", Syntax::Ere).expect("compile");
-        assert!(!re.matcher().has_candidate_filter());
+        let pf = re.inner.line_filter().expect("prefilter");
+        assert_eq!(pf.find(b"nothing here"), None);
+        assert!(pf.find(b"xx foo1bar").is_some());
+        for pat in ["[ab]+", "x[0-9]+", "(river|signal) [a-z]+ (of|the)", "^$"] {
+            let re = Regex::new(pat, Syntax::Ere).expect("compile");
+            assert!(re.inner.line_filter().is_none(), "`{pat}`");
+        }
+        // An exact one-byte pattern is still a substring search.
+        let re = Regex::new("x", Syntax::Ere).expect("compile");
+        assert!(matches!(re.inner.plan, Plan::Literal { .. }));
+        assert!(re.inner.line_filter().is_some());
+    }
+
+    /// Every `(start, end)` `find_line` yields over `block`.
+    fn matched_lines(m: &mut Matcher, block: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some((s, e)) = m.find_line(block, at) {
+            out.push((s, e));
+            at = e + 1;
+        }
+        out
+    }
+
+    #[test]
+    fn find_line_walks_a_block_on_every_tier() {
+        let block = b"a cat sat
+concatenate
+
+cat
+the cat";
+        for (pat, want) in [
+            // Literal tier.
+            ("cat", vec![(0, 9), (10, 21), (23, 26), (27, 34)]),
+            ("^cat$", vec![(23, 26)]),
+            ("^$", vec![(22, 22)]),
+            // DFA tier, with and without a required literal.
+            ("c[a-z]t", vec![(0, 9), (10, 21), (23, 26), (27, 34)]),
+            ("cat[a-z]+", vec![(10, 21)]),
+            ("^[a-c]", vec![(0, 9), (10, 21), (23, 26)]),
+            ("t$", vec![(0, 9), (23, 26), (27, 34)]),
+            ("^ *$", vec![(22, 22)]),
+            ("x*", vec![(0, 9), (10, 21), (22, 22), (23, 26), (27, 34)]),
+            // Pike VM tier.
+            (r"\bcat\b", vec![(0, 9), (23, 26), (27, 34)]),
+        ] {
+            let re = Regex::new(pat, Syntax::Ere).expect("compile");
+            let mut m = re.matcher();
+            assert_eq!(matched_lines(&mut m, block), want, "`{pat}`");
+            // From a later line start.
+            assert_eq!(
+                m.find_line(block, 23),
+                want.iter().copied().find(|&(s, _)| s >= 23),
+                "`{pat}` from 23"
+            );
+            assert_eq!(m.find_line(block, block.len()), None);
+        }
+    }
+
+    #[test]
+    fn find_line_does_not_feed_newlines_to_the_automaton() {
+        // `[^a]` would match the terminator; a line is its own haystack.
+        let re = Regex::new("b[^a]c", Syntax::Ere).expect("compile");
+        let mut m = re.matcher();
+        assert_eq!(matched_lines(&mut m, b"xb\ncx\nbxc\n"), vec![(6, 9)]);
+    }
+
+    #[test]
+    fn stats_tell_the_tiers_apart() {
+        let re = Regex::new("c[a-z]t", Syntax::Ere).expect("compile");
+        let mut m = re.matcher();
+        assert_eq!(m.stats(), Stats::default());
+        matched_lines(&mut m, b"cat\ndog\ncut\n");
+        let s = m.stats();
+        assert_eq!((s.dfa_lines, s.pike_lines, s.give_ups), (3, 0, 0));
+        assert!(s.dfa_states > 0 && s.cache_clears == 0);
+        let re = Regex::new(r"\bcat\b", Syntax::Ere).expect("compile");
+        let mut m = re.matcher();
+        matched_lines(&mut m, b"cat\ndog\ncut\n");
+        let s = m.stats();
+        assert_eq!((s.dfa_lines, s.dfa_states), (0, 0));
+        assert!(s.pike_lines > 0);
+    }
+
+    #[test]
+    fn captures_start_at_the_found_match() {
+        let re = Regex::new("([a-z]+)ing", Syntax::Ere).expect("compile");
+        let mut m = re.matcher();
+        let mut caps = Vec::new();
+        assert!(!m.captures_into(b"no such suffix here", 0, &mut caps));
+        // The DFA tier rejected the line: the VM never ran.
+        assert_eq!(m.stats().pike_lines, 0);
+        assert!(m.captures_into(b"the running dog", 0, &mut caps));
+        assert_eq!(caps, vec![Some((4, 11)), Some((4, 8))]);
+        assert_eq!(m.stats().pike_lines, 1);
+        assert!(m.captures_into(b"sing and ring", 4, &mut caps));
+        assert_eq!(caps, vec![Some((9, 13)), Some((9, 10))]);
     }
 }

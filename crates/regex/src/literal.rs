@@ -16,7 +16,7 @@
 //! shorter prefix, no required literal), never more.
 
 use crate::hir::{Assertion, Hir};
-use crate::memmem::{memchr, Finder};
+use crate::memmem::Finder;
 
 /// Longest literal worth carrying around; longer runs are truncated
 /// (a truncated prefix/required literal is still sound).
@@ -363,65 +363,31 @@ fn common_prefix(a: &[u8], b: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// A compiled candidate filter: finds positions where a match could
-/// occur, or proves there is none.
-#[derive(Debug, Clone)]
-pub enum Prefilter {
-    /// Single required byte: plain `memchr`.
-    Byte(u8),
-    /// Multi-byte required literal: rare-byte `memmem`.
-    Lit(Finder),
-}
-
-impl Prefilter {
-    /// Builds the best prefilter from the analysis, preferring the
-    /// longest required literal (ties broken toward the tightest
-    /// `max_start` bound — a required prefix has bound 0).
-    ///
-    /// Returns the filter and the chosen literal's `max_start` bound:
-    /// a hit at haystack position `h` proves no match starts before
-    /// `h - max_start` (`None` = the hit only proves containment).
-    pub fn from_literals(lit: &Literals) -> Option<(Prefilter, Option<usize>)> {
-        let best = lit
-            .required
-            .iter()
-            .max_by_key(|r| (r.bytes.len(), std::cmp::Reverse(bound_rank(r.max_start))))?;
-        let bytes = &best.bytes;
-        if bytes.is_empty() {
-            return None;
-        }
-        let pf = if bytes.len() == 1 && !(lit.caseless && bytes[0].is_ascii_alphabetic()) {
-            Prefilter::Byte(bytes[0])
-        } else if lit.caseless {
-            Prefilter::Lit(Finder::new_caseless(bytes))
-        } else {
-            Prefilter::Lit(Finder::new(bytes))
-        };
-        Some((pf, best.max_start))
-    }
-
-    /// Finds the first candidate position in `hay`, or proves there is
-    /// no match anywhere in `hay`.
-    #[inline]
-    pub fn find(&self, hay: &[u8]) -> Option<usize> {
-        match self {
-            Prefilter::Byte(b) => memchr(*b, hay),
-            Prefilter::Lit(f) => f.find(hay),
-        }
-    }
-
-    /// Length of the required literal.
-    pub fn len(&self) -> usize {
-        match self {
-            Prefilter::Byte(_) => 1,
-            Prefilter::Lit(f) => f.needle().len(),
-        }
-    }
-
-    /// Standard emptiness accessor (always false by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// Builds the candidate filter for a general pattern: a searcher for
+/// the longest required literal (ties broken toward the tightest
+/// `max_start` bound — a required prefix has bound 0), which finds
+/// positions where a match could occur or proves there is none.
+///
+/// Returns the searcher and the chosen literal's `max_start` bound:
+/// a hit at haystack position `h` proves no match starts before
+/// `h - max_start` (`None` = the hit only proves containment).
+///
+/// A one-byte literal is kept, as plain `memchr`: rejecting a whole
+/// haystack that lacks the byte is what `regexbench`'s `adversarial`
+/// row (`(a|a)*(a|aa)*b` over lines of `a`) runs on — 4.5× slower
+/// without it. It is no *line* filter, though: see
+/// [`crate::Matcher::find_line`].
+pub fn prefilter(lit: &Literals) -> Option<(Finder, Option<usize>)> {
+    let best = lit
+        .required
+        .iter()
+        .max_by_key(|r| (r.bytes.len(), std::cmp::Reverse(bound_rank(r.max_start))))?;
+    let finder = if lit.caseless {
+        Finder::new_caseless(&best.bytes)
+    } else {
+        Finder::new(&best.bytes)
+    };
+    Some((finder, best.max_start))
 }
 
 #[cfg(test)]
@@ -521,11 +487,10 @@ mod tests {
     #[test]
     fn prefilter_picks_longest_run() {
         let l = an("ab[0-9]+longneedle");
-        let (pf, max_start) = Prefilter::from_literals(&l).expect("prefilter");
-        assert_eq!(pf.len(), "longneedle".len());
+        let (pf, max_start) = prefilter(&l).expect("prefilter");
+        assert_eq!(pf.needle(), b"longneedle");
         // The needle follows an unbounded repeat: containment only.
         assert_eq!(max_start, None);
-        assert!(!pf.is_empty());
         let hay = b"xx ab42longneedle yy";
         assert!(pf.find(hay).is_some());
         assert_eq!(pf.find(b"ab42 but not the rest"), None);
@@ -536,7 +501,7 @@ mod tests {
         let l = an("foo[0-9]+bar");
         // "foo" and "bar" tie at 3 bytes; the prefix wins (tighter
         // bound) so hits pin the match start.
-        let (pf, max_start) = Prefilter::from_literals(&l).expect("prefilter");
+        let (pf, max_start) = prefilter(&l).expect("prefilter");
         assert_eq!(max_start, Some(0));
         assert_eq!(pf.find(b"xfoo1bar"), Some(1));
     }
@@ -544,16 +509,20 @@ mod tests {
     #[test]
     fn single_byte_prefilter_is_memchr() {
         let l = an("x[0-9]*");
-        let (pf, max_start) = Prefilter::from_literals(&l).expect("prefilter");
-        assert!(matches!(pf, Prefilter::Byte(b'x')));
+        let (pf, max_start) = prefilter(&l).expect("prefilter");
+        assert_eq!(pf.needle(), b"x");
         assert_eq!(max_start, Some(0));
         assert_eq!(pf.find(b"aaxbb"), Some(2));
+        // A one-letter caseless literal probes both cases.
+        let hir = parse("x[0-9]*", Syntax::Ere).expect("parse");
+        let (pf, _) = prefilter(&analyze_caseless(&hir)).expect("prefilter");
+        assert_eq!(pf.find(b"aaXbb"), Some(2));
     }
 
     #[test]
     fn no_prefilter_for_pure_classes() {
         let l = an("[ab][cd]");
-        assert!(Prefilter::from_literals(&l).is_none());
+        assert!(prefilter(&l).is_none());
     }
 
     #[test]
@@ -566,8 +535,8 @@ mod tests {
         assert!(l.caseless);
         assert_eq!(l.prefix, b"abc");
         assert!(l.required.iter().any(|r| r.bytes == b"tail"));
-        let (pf, _) = Prefilter::from_literals(&l).expect("prefilter");
-        assert_eq!(pf.len(), 4);
+        let (pf, _) = prefilter(&l).expect("prefilter");
+        assert_eq!(pf.needle(), b"tail");
         assert!(pf.find(b"xx TaIl yy").is_some());
         assert_eq!(pf.find(b"nothing of note"), None);
     }
@@ -577,21 +546,6 @@ mod tests {
         let hir = parse("FooBar", Syntax::Ere).expect("parse");
         let l = analyze_caseless(&hir);
         assert_eq!(l.exact.as_deref(), Some(&b"foobar"[..]));
-    }
-
-    #[test]
-    fn caseless_single_letter_avoids_plain_memchr() {
-        // A one-letter caseless literal must probe both cases.
-        let hir = parse("x[0-9]*", Syntax::Ere).expect("parse");
-        let l = analyze_caseless(&hir);
-        let (pf, _) = Prefilter::from_literals(&l).expect("prefilter");
-        assert!(matches!(pf, Prefilter::Lit(_)));
-        assert_eq!(pf.find(b"aaXbb"), Some(2));
-        // Non-alphabetic single bytes keep the plain memchr tier.
-        let hir = parse("%[0-9]*", Syntax::Ere).expect("parse");
-        let l = analyze_caseless(&hir);
-        let (pf, _) = Prefilter::from_literals(&l).expect("prefilter");
-        assert!(matches!(pf, Prefilter::Byte(b'%')));
     }
 
     #[test]
@@ -637,8 +591,8 @@ mod tests {
     #[test]
     fn prefilter_reports_inner_bound() {
         let l = an("[0-9][0-9]needle");
-        let (pf, max_start) = Prefilter::from_literals(&l).expect("prefilter");
-        assert_eq!(pf.len(), "needle".len());
+        let (pf, max_start) = prefilter(&l).expect("prefilter");
+        assert_eq!(pf.needle(), b"needle");
         assert_eq!(max_start, Some(2));
     }
 }

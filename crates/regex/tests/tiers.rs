@@ -8,10 +8,21 @@
 //! generated from seeds (the proptest shim samples deterministically),
 //! plus a fixed regression list covering the classic trouble spots:
 //! empty matches, anchors, and word boundaries.
+//!
+//! The second half holds the line scan (`Matcher::find_line`, what
+//! `grep` runs on) to the same reference: over blocks of lines handed
+//! out by `for_each_block` in arbitrary pieces, the set of lines it
+//! reports must be the set the Pike VM matches one line at a time —
+//! also while the DFA cache is being cleared under it, and after the
+//! DFA has given up.
+
+use std::io::{self, BufRead, Read};
 
 use proptest::prelude::*;
 
+use pash_coreutils::lines::for_each_block;
 use pash_regex::compile::compile;
+use pash_regex::hir::Hir;
 use pash_regex::parser::parse;
 use pash_regex::pikevm::PikeVm;
 use pash_regex::{Regex, Syntax};
@@ -310,4 +321,276 @@ fn regression_bre_patterns() {
         let re = Regex::new(pat, Syntax::Bre).expect("compile");
         assert_eq!(re.find(hay), want, "BRE `{pat}`");
     }
+}
+
+/// ASCII case folding of a parse, as `Regex::with_flags` applies it.
+fn fold(hir: &mut Hir) {
+    match hir {
+        Hir::Class(c) => c.case_fold(),
+        Hir::Concat(v) | Hir::Alt(v) => v.iter_mut().for_each(fold),
+        Hir::Repeat { inner, .. } | Hir::Group { inner, .. } => fold(inner),
+        Hir::Empty | Hir::Assert(_) => {}
+    }
+}
+
+/// The lines of `input` the Pike VM matches, each on its own.
+fn pike_lines(pat: &str, syntax: Syntax, caseless: bool, input: &[u8]) -> Vec<Vec<u8>> {
+    let mut hir = parse(pat, syntax).expect("parse");
+    if caseless {
+        fold(&mut hir);
+    }
+    let prog = compile(&hir).expect("compile");
+    let vm = PikeVm::new(&prog);
+    let mut lines: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop();
+    }
+    lines
+        .into_iter()
+        .filter(|l| vm.find_at(l, 0).is_some())
+        .map(<[u8]>::to_vec)
+        .collect()
+}
+
+/// A reader that hands out its data in chunks of the given sizes
+/// (cycled), like a pipe delivering whatever has arrived.
+struct Chunked<'a> {
+    data: &'a [u8],
+    pos: usize,
+    end: usize,
+    sizes: &'a [usize],
+    fetched: usize,
+}
+
+impl BufRead for Chunked<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.pos == self.end && self.pos < self.data.len() {
+            let size = self.sizes[self.fetched % self.sizes.len()].max(1);
+            self.fetched += 1;
+            self.end = (self.pos + size).min(self.data.len());
+        }
+        Ok(&self.data[self.pos..self.end])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
+    }
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let chunk = self.fill_buf()?;
+        let n = chunk.len().min(out.len());
+        out[..n].copy_from_slice(&chunk[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+/// The lines `find_line` reports over `input`, delivered block by
+/// block through `for_each_block` from a reader chunked by `sizes`.
+/// Also checks the contract on every span: line-aligned, in order,
+/// terminator excluded.
+fn scanned_lines(m: &mut pash_regex::Matcher, input: &[u8], sizes: &[usize]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    let mut reader = Chunked {
+        data: input,
+        pos: 0,
+        end: 0,
+        sizes,
+        fetched: 0,
+    };
+    for_each_block(&mut reader, |block| {
+        let mut at = 0;
+        while let Some((s, e)) = m.find_line(block, at) {
+            assert!(at <= s && s <= e && e <= block.len(), "span out of order");
+            assert!(s == 0 || block[s - 1] == b'\n', "span not at a line start");
+            assert!(
+                e == block.len() || block[e] == b'\n',
+                "span not at a line end"
+            );
+            assert!(!block[s..e].contains(&b'\n'), "span holds a terminator");
+            out.push(block[s..e].to_vec());
+            at = e + 1;
+        }
+        Ok(true)
+    })
+    .expect("in-memory reader");
+    out
+}
+
+fn assert_block_parity(pat: &str, syntax: Syntax, caseless: bool, input: &[u8], sizes: &[usize]) {
+    let re = match Regex::with_flags(pat, syntax, caseless) {
+        Ok(re) => re,
+        Err(_) => return,
+    };
+    let want = pike_lines(pat, syntax, caseless, input);
+    let mut m = re.matcher();
+    // Twice through one matcher: the second pass runs on a warm cache.
+    for pass in 0..2 {
+        let got = scanned_lines(&mut m, input, sizes);
+        assert!(
+            got == want,
+            "pass {pass}: `{pat}` ({syntax:?}, caseless {caseless}), chunks {sizes:?}, \
+             on {:?}\n got {:?}\nwant {:?}",
+            String::from_utf8_lossy(input),
+            got.iter()
+                .map(|l| String::from_utf8_lossy(l))
+                .collect::<Vec<_>>(),
+            want.iter()
+                .map(|l| String::from_utf8_lossy(l))
+                .collect::<Vec<_>>(),
+        );
+    }
+}
+
+/// Patterns for the line scan: generated EREs bare and under anchors,
+/// the shapes `grep` meets (`^$`, `a*`, alternations of words, a
+/// required literal of one and of several bytes), and BRE spellings.
+fn gen_line_pattern(g: &mut Gen) -> (String, Syntax) {
+    const ERE: [&str; 14] = [
+        "^$",
+        "a*",
+        "^",
+        "$",
+        "^a*$",
+        "(ab|bc|ca|yz) [a-c]+ (a|b)",
+        "^[a-b]",
+        "yz$",
+        "[^a]c",
+        "yz[a-c]*q",
+        "q.*yz",
+        "x+yz|^b",
+        "(a|b)*c$|^q",
+        "$^",
+    ];
+    const BRE: [&str; 6] = [
+        r"a\|yz",
+        r"\(ab\)*c",
+        r"a\+b",
+        "a*",
+        "^[^a]*$",
+        r"^\(a\|b\)c",
+    ];
+    match g.below(8) {
+        0..=2 => (
+            ERE[g.below(ERE.len() as u64) as usize].to_string(),
+            Syntax::Ere,
+        ),
+        3 => (
+            BRE[g.below(BRE.len() as u64) as usize].to_string(),
+            Syntax::Bre,
+        ),
+        4 => (format!("^{}", gen_pattern(g, 2)), Syntax::Ere),
+        5 => (format!("{}$", gen_pattern(g, 2)), Syntax::Ere),
+        _ => (gen_pattern(g, 3), Syntax::Ere),
+    }
+}
+
+/// A block of lines over the pattern alphabet: empty lines, upper
+/// case, NUL and 0xff, now and then a line longer than any chunk, and
+/// half the time no final newline.
+fn gen_block(g: &mut Gen) -> Vec<u8> {
+    let mut out = Vec::new();
+    for _ in 0..g.below(24) {
+        let len = match g.below(10) {
+            0 | 1 => 0,
+            2 => 80 + g.below(120),
+            _ => 1 + g.below(12),
+        };
+        for _ in 0..len {
+            let choices = b"aabbccxyzqABYZ .\x00\xff";
+            out.push(choices[g.below(choices.len() as u64) as usize]);
+        }
+        out.push(b'\n');
+    }
+    if g.below(2) == 0 {
+        out.pop();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn prop_line_scan_agrees_with_per_line_pikevm(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let (pat, syntax) = gen_line_pattern(&mut g);
+        let caseless = g.below(4) == 0;
+        let sizes: Vec<usize> = (0..1 + g.below(4)).map(|_| 1 + g.below(64) as usize).collect();
+        for _ in 0..3 {
+            assert_block_parity(&pat, syntax, caseless, &gen_block(&mut g), &sizes);
+        }
+    }
+}
+
+#[test]
+fn regression_line_scan_boundaries() {
+    let sizes = [3usize, 1, 7];
+    for input in [
+        &b""[..],
+        b"\n",
+        b"\n\n\n",
+        b"a",
+        b"a\n",
+        b"\na",
+        b"ab\n\nba\nyz",
+        b"b\nab\naab\n",
+    ] {
+        for pat in [
+            "^$", "a*", "^", "$", "$^", "a", "^a", "a$", "^a$", "[^a]", "b|^$", "(a|b)$", "yz",
+        ] {
+            assert_block_parity(pat, Syntax::Ere, false, input, &sizes);
+        }
+    }
+}
+
+/// Lines of `a`/`b` noise: with the pattern below, every 14-byte
+/// window is its own DFA state, far more than the cache holds.
+fn thrash_input(lines: usize) -> Vec<u8> {
+    let mut g = Gen(0x5eed);
+    let mut out = Vec::new();
+    for _ in 0..lines {
+        for _ in 0..64 {
+            out.push(b"ab"[g.below(2) as usize]);
+        }
+        out.push(b'\n');
+    }
+    out
+}
+
+const THRASH_PATTERN: &str = "a[ab]{13}$";
+
+#[test]
+fn line_scan_survives_cache_clears_mid_block() {
+    // Enough distinct states to clear the cache a few times, not
+    // enough for the DFA to declare itself unprofitable.
+    let input = thrash_input(600);
+    let re = Regex::new(THRASH_PATTERN, Syntax::Ere).expect("compile");
+    let mut m = re.matcher();
+    let got = scanned_lines(&mut m, &input, &[1 << 20]);
+    assert_eq!(got, pike_lines(THRASH_PATTERN, Syntax::Ere, false, &input));
+    let stats = m.stats();
+    assert!(stats.cache_clears >= 1, "no clear: {stats:?}");
+    assert_eq!((stats.give_ups, stats.pike_lines), (0, 0), "{stats:?}");
+    assert_eq!(stats.dfa_lines, 600);
+}
+
+#[test]
+fn line_scan_falls_back_to_pikevm_when_the_dfa_gives_up() {
+    let input = thrash_input(4000);
+    let re = Regex::new(THRASH_PATTERN, Syntax::Ere).expect("compile");
+    let mut m = re.matcher();
+    let got = scanned_lines(&mut m, &input, &[1 << 20]);
+    assert_eq!(got, pike_lines(THRASH_PATTERN, Syntax::Ere, false, &input));
+    let stats = m.stats();
+    assert!(stats.give_ups >= 1 && stats.pike_lines >= 1, "{stats:?}");
+    // Every line was answered exactly once, by one engine or the other
+    // (the line the DFA abandoned is the VM's).
+    assert_eq!(stats.dfa_lines + stats.pike_lines, 4000, "{stats:?}");
+    // And the matcher stays usable, on the VM.
+    let hay = format!("xxa{}", "b".repeat(13));
+    assert!(m.is_match(hay.as_bytes()));
+    assert_eq!(m.find(hay.as_bytes()), Some((2, 16)));
 }

@@ -398,7 +398,9 @@ fn width_sweep_both_split_strategies() {
     // comparisons are total orders, so their merges commute), the
     // framed class-P path (uniq/uniq -c via frame-merge), the
     // segment fallback (keyed sort, whose ties break by partition),
-    // and the `sort | uniq -c | sort -rn` ranking idiom.
+    // the `sort | uniq -c | sort -rn` ranking idiom, and the
+    // benchmark's `regex-filter` pipeline (block-scanning `grep`s
+    // around a capturing `sed`, fed frames and segments of any size).
     let Some(bins) = harness() else {
         eprintln!("skipping: no /bin/sh or binaries unavailable");
         return;
@@ -422,9 +424,17 @@ fn width_sweep_both_split_strategies() {
                 }
             }
             fs.add("in.txt", data);
+            // Text in which the `regex-filter` patterns have matches.
+            fs.add("text.txt", pash::workloads::text_corpus(23, 200_000));
         })
     };
     for (label, script) in [
+        (
+            "regex-filter",
+            "cat text.txt in.txt | tr A-Z a-z \
+             | grep -E '(river|mountain|signal|compiler) [a-z]+ (of|the|and)' \
+             | sed -E 's/([a-z]+)ing/\\1ed/g' | grep -v -E '^[a-m]' > out.txt",
+        ),
         (
             "stateless-chain",
             "cat in.txt | tr A-Z a-z | grep the > out.txt",

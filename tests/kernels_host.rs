@@ -1,5 +1,5 @@
-//! Our `cut`, `tr`, `uniq` and `wc` against the host's, byte for byte,
-//! under `LC_ALL=C`.
+//! Our `cut`, `tr`, `uniq`, `wc`, `grep` and `sed` against the host's,
+//! byte for byte and exit status for exit status, under `LC_ALL=C`.
 //!
 //! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
 //! the block kernels with references written from the same reading of
@@ -9,8 +9,10 @@
 //!
 //! Inputs stay inside the semantics both sides share: `wc -w` sees no
 //! bytes outside printable ASCII and blanks (GNU skips unprintable
-//! bytes when it looks for words), and `uniq -d -u` is not combined
-//! (GNU prints nothing, ours lets `-d` win).
+//! bytes when it looks for words), `uniq -d -u` is not combined
+//! (GNU prints nothing, ours lets `-d` win), `grep` sees no NUL (GNU
+//! would call the input binary and print a notice instead), and `sed`
+//! no unterminated last line (GNU leaves it so, ours terminates it).
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -31,7 +33,7 @@ fn host_path(util: &str) -> Option<PathBuf> {
 /// `util ARGS…` on the host, `input` both piped to its stdin (a pipe,
 /// as in a pipeline: `wc` sizes its columns from a regular file's
 /// length) and present as `in.txt` in a fresh working directory.
-fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> Vec<u8> {
+fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> (Vec<u8>, i32) {
     let dir = std::env::temp_dir().join(format!("pash-kernels-host-{}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -55,20 +57,16 @@ fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> Vec<u8> 
         child.wait_with_output().expect("host utility exits")
     });
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        out.status.success(),
-        "{case}: host {util:?} {args:?} failed"
-    );
-    out.stdout
+    let status = out.status.code().expect("host utility was not signalled");
+    (out.stdout, status)
 }
 
-fn our_run(util: &str, args: &[&str], input: &[u8]) -> Vec<u8> {
+fn our_run(util: &str, args: &[&str], input: &[u8]) -> (Vec<u8>, i32) {
     let fs = Arc::new(MemFs::new());
     fs.add("in.txt", input.to_vec());
     let argv: Vec<&str> = std::iter::once(util).chain(args.iter().copied()).collect();
     let out = run_command(&Registry::standard(), fs, &argv, input).expect("our command runs");
-    assert_eq!(out.status, 0, "our {util} {args:?} failed");
-    out.stdout
+    (out.stdout, out.status)
 }
 
 /// Compares `util ARGS…` on stdin and `util ARGS… in.txt` with the
@@ -86,14 +84,18 @@ fn assert_matches_host(util: &str, cases: &[&[&str]], inputs: &[&[u8]], as_opera
             }
             for args in forms {
                 let case = format!("{util}-{c}-{i}-{}", args.len());
-                let ours = our_run(util, &args, input);
-                let host = host_run(&case, &path, &args, input);
+                let (ours, our_status) = our_run(util, &args, input);
+                let (host, host_status) = host_run(&case, &path, &args, input);
                 assert_eq!(
                     String::from_utf8_lossy(&ours),
                     String::from_utf8_lossy(&host),
                     "{util} {args:?} on input {i} differs from {path:?}"
                 );
                 assert_eq!(ours, host, "{util} {args:?} on input {i}: raw bytes");
+                assert_eq!(
+                    our_status, host_status,
+                    "{util} {args:?} on input {i}: exit status"
+                );
             }
         }
     }
@@ -231,4 +233,84 @@ fn wc_matches_the_host_on_stdin() {
         // A lone count of one operand is bare too (KNOWN_DIVERGENCES §2).
         assert_matches_host("wc", &[&["-l"], &["-c"]], &inputs, true);
     }
+}
+
+#[test]
+fn grep_matches_the_host() {
+    const FLAGS: [&[&str]; 11] = [
+        &[],
+        &["-v"],
+        &["-c"],
+        &["-n"],
+        &["-m", "3"],
+        &["-i"],
+        &["-w"],
+        &["-F"],
+        &["-vc"],
+        &["-vn"],
+        &["-cm", "2"],
+    ];
+    // The benchmark's pattern first; then an anchored class, a suffix,
+    // the empty line, a pattern that matches every line, a literal and
+    // a four-way alternation.
+    const PATTERNS: [&str; 7] = [
+        "(river|mountain|signal|compiler) [a-z]+ (of|the|and)",
+        "^[a-m]",
+        "ing$",
+        "^$",
+        "a*",
+        "river",
+        "river|signal|zebra|flow",
+    ];
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for flags in FLAGS {
+        for pattern in PATTERNS {
+            let mut args = flags.to_vec();
+            // `-F` takes the pattern as it stands; everything else
+            // reads it as an ERE.
+            if !flags.contains(&"-F") {
+                args.push("-E");
+            }
+            // GNU `-w` retries shorter matches inside a line when an
+            // empty one is not word-bounded; ours asks `\b(a*)\b` of
+            // the line. They agree wherever the pattern cannot match
+            // the empty string.
+            if flags.contains(&"-w") && ["^$", "a*"].contains(&pattern) {
+                continue;
+            }
+            args.push(pattern);
+            cases.push(args);
+        }
+    }
+    let cases: Vec<&[&str]> = cases.iter().map(Vec::as_slice).collect();
+    let mut inputs = inputs(false);
+    // Lines in the benchmark's shape, so its pattern has matches.
+    inputs.push(pash::workloads::text_corpus(5, 300_000).to_ascii_lowercase());
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("grep", &cases, &inputs, true);
+}
+
+#[test]
+fn sed_substitution_matches_the_host() {
+    let cases: [&[&str]; 12] = [
+        &["-E", "s/([a-z]+)ing/\\1ed/g"],
+        &["-E", "s/([a-z]+)ing/\\1ed/"],
+        &["-E", "s/(r)(i)ver/\\2\\1&/g"],
+        &["-E", "s/ing/ED/g"],
+        &["-E", "s/a*/<&>/g"],
+        &["-E", "s/(a|b)*/[&]/g"],
+        &["-E", "s/^/> /"],
+        &["-E", "s/ *$//"],
+        &["s/\\([a-z]*\\) \\([a-z]*\\)/\\2 \\1/"],
+        &["s/the/THE/g"],
+        &["s/x*$/!/"],
+        &["-n", "s/signal/SIGNAL/p"],
+    ];
+    let inputs = [
+        corpus(1, 12_000, true),
+        pash::workloads::text_corpus(6, 200_000).to_ascii_lowercase(),
+        Vec::new(),
+    ];
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("sed", &cases, &inputs, true);
 }
