@@ -10,7 +10,7 @@
 use std::io::Write;
 
 use pash_bench::dataplane::{fmt_throughput, run_suite};
-use pash_bench::{faultsim, rsplitbench};
+use pash_bench::rsplitbench;
 
 fn main() {
     let mut size = "default".to_string();
@@ -35,10 +35,7 @@ fn main() {
     println!("dataplane microbench: {bytes} bytes/iter, {runs} runs\n");
     let mut samples = run_suite(bytes, runs);
     samples.extend(rsplitbench::run_series(bytes, runs));
-    samples.extend(faultsim::run_series());
     let speedup = rsplitbench::rr_speedup(&samples).expect("rsplit sim samples");
-    let fault_overhead = faultsim::fallback_overhead(&samples).expect("fault sim samples");
-    let remote_overhead = faultsim::remote_reroute_overhead(&samples).expect("remote sim samples");
     println!(
         "{:<20} {:>12} {:>12} {:>12} {:>14}",
         "bench", "min", "median", "mean", "throughput"
@@ -55,16 +52,12 @@ fn main() {
     }
 
     println!("\nr_split vs skewed general split (simulated, width 8): {speedup:.2}x");
-    println!("persistent-fault fallback vs sequential baseline (simulated): {fault_overhead:.2}x");
-    println!("remote reroute vs undisturbed remote run (simulated): {remote_overhead:.2}x");
 
     let json = format!(
-        "{{\"bench\":\"dataplane\",\"bytes_per_iter\":{},\"runs\":{},\"rr_vs_general_split_speedup\":{:.2},\"fault_fallback_overhead_x\":{:.2},\"remote_reroute_overhead_x\":{:.2},\"results\":[{}]}}\n",
+        "{{\"bench\":\"dataplane\",\"bytes_per_iter\":{},\"runs\":{},\"rr_vs_general_split_speedup\":{:.2},\"results\":[{}]}}\n",
         bytes,
         runs,
         speedup,
-        fault_overhead,
-        remote_overhead,
         samples
             .iter()
             .map(|s| s.to_json())

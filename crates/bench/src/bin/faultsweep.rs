@@ -9,7 +9,9 @@
 //! persistent fault must end in the sequential fallback, a stalled
 //! edge must be cut by the region deadline, a dropped worker
 //! connection must reroute its retry to the other worker, and a dead
-//! worker pool must degrade to the local backend.
+//! worker pool must degrade to the local backend. Each of those
+//! episodes also prints its wall time beside the undisturbed run's at
+//! the same width (not gated: what recovery costs on this machine).
 //!
 //! This is the quick CI face of `tests/fault_injection.rs`: seconds,
 //! hermetic (MemFs), exit status 0/1. Usage: `faultsweep`.
@@ -17,7 +19,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pash_core::compile::{compile_cached, PashConfig};
 use pash_coreutils::fs::MemFs;
@@ -56,41 +58,63 @@ struct Observed {
     stdout: Vec<u8>,
     status: i32,
     out_file: Option<Vec<u8>>,
+    /// Wall time of the run (compiled plans come from the memo).
+    wall: Duration,
 }
 
-/// One run under the supervisor settings, returning what a caller can
-/// observe plus the counter totals for the gate summary.
-fn run(width: usize, sup: SupervisorSettings) -> (Observed, [u64; 4]) {
+/// One run under the supervisor settings — on the `threads` backend,
+/// or with `workers` on the `remote` backend, regions shipped to that
+/// pool — returning what a caller can observe plus the counter totals
+/// `[injected, retries, deadline kills, sequential fallbacks,
+/// reroutes, local fallbacks]` for the gate summary.
+fn run(width: usize, sup: SupervisorSettings, workers: Option<&[PathBuf]>) -> (Observed, [u64; 6]) {
     let counters = sup.counters.clone();
     let cfg = PashConfig::round_robin(width);
     let compiled = compile_cached(SCRIPT, &cfg).expect("compile sweep script");
     let fallback = compile_cached(SCRIPT, &PashConfig::round_robin(1)).expect("compile fallback");
+    let fallback = (width != 1).then_some(&fallback.plan);
     let fs = Arc::new(MemFs::new());
     fs.add("in.txt", corpus());
     let exec = ExecConfig {
         supervisor: sup,
         ..Default::default()
     };
-    let out = run_program_with_fallback(
-        &compiled.plan,
-        (width != 1).then_some(&fallback.plan),
-        &Registry::standard(),
-        fs.clone(),
-        Vec::new(),
-        &exec,
-    )
-    .expect("threads run");
+    let registry = Registry::standard();
+    let start = Instant::now();
+    let out = match workers {
+        None => run_program_with_fallback(
+            &compiled.plan,
+            fallback,
+            &registry,
+            fs.clone(),
+            Vec::new(),
+            &exec,
+        ),
+        Some(sockets) => run_program_remote(
+            &compiled.plan,
+            fallback,
+            &registry,
+            fs.clone(),
+            Vec::new(),
+            &exec,
+            &WorkerPool::new(sockets.to_vec()),
+        ),
+    }
+    .expect("sweep run");
     (
         Observed {
             stdout: out.stdout,
             status: out.status,
             out_file: fs.read("out.txt").ok(),
+            wall: start.elapsed(),
         },
         [
             counters.injected(),
             counters.retries(),
             counters.deadline_kills(),
             counters.fallbacks(),
+            counters.reroutes(),
+            counters.local_fallbacks(),
         ],
     )
 }
@@ -130,49 +154,6 @@ impl Drop for Workers {
     }
 }
 
-/// One remote-backend run: regions ship to the pool under the full
-/// recovery ladder. Returns the observables plus
-/// `[injected, retries, deadline kills, sequential fallbacks,
-/// reroutes, local fallbacks]`.
-fn run_remote(width: usize, sup: SupervisorSettings, sockets: &[PathBuf]) -> (Observed, [u64; 6]) {
-    let counters = sup.counters.clone();
-    let cfg = PashConfig::round_robin(width);
-    let compiled = compile_cached(SCRIPT, &cfg).expect("compile sweep script");
-    let fallback = compile_cached(SCRIPT, &PashConfig::round_robin(1)).expect("compile fallback");
-    let fs = Arc::new(MemFs::new());
-    fs.add("in.txt", corpus());
-    let exec = ExecConfig {
-        supervisor: sup,
-        ..Default::default()
-    };
-    let pool = WorkerPool::new(sockets.to_vec());
-    let out = run_program_remote(
-        &compiled.plan,
-        (width != 1).then_some(&fallback.plan),
-        &Registry::standard(),
-        fs.clone(),
-        Vec::new(),
-        &exec,
-        &pool,
-    )
-    .expect("remote run");
-    (
-        Observed {
-            stdout: out.stdout,
-            status: out.status,
-            out_file: fs.read("out.txt").ok(),
-        },
-        [
-            counters.injected(),
-            counters.retries(),
-            counters.deadline_kills(),
-            counters.fallbacks(),
-            counters.reroutes(),
-            counters.local_fallbacks(),
-        ],
-    )
-}
-
 fn check(label: &str, got: &Observed, expect: &Observed, failures: &mut u32) {
     let ok = got.stdout == expect.stdout
         && got.status == expect.status
@@ -193,10 +174,20 @@ fn check(label: &str, got: &Observed, expect: &Observed, failures: &mut u32) {
     }
 }
 
+/// What a recovery episode cost beside the same run left alone.
+fn wall(got: &Observed, undisturbed: &Observed) {
+    println!(
+        "     wall {:.3}s, undisturbed {:.3}s",
+        got.wall.as_secs_f64(),
+        undisturbed.wall.as_secs_f64()
+    );
+}
+
 fn main() {
-    let (expect, _) = run(1, SupervisorSettings::default());
+    let (expect, _) = run(1, SupervisorSettings::default(), None);
+    let (undisturbed, _) = run(4, SupervisorSettings::default(), None);
     let mut failures = 0u32;
-    let mut totals = [0u64; 4];
+    let mut totals = [0u64; 6];
 
     // The sweep: one seeded single-shot fault per (kind, width) cell.
     for kind in FaultKind::ALL {
@@ -208,7 +199,7 @@ fn main() {
                 fault: Some(FaultPlan::new(kind, seed)),
                 ..Default::default()
             };
-            let (got, c) = run(width, sup);
+            let (got, c) = run(width, sup, None);
             check(
                 &format!("{} width {width}", kind.name()),
                 &got,
@@ -228,13 +219,14 @@ fn main() {
         max_retries: 1,
         ..Default::default()
     };
-    let (got, c) = run(4, sup);
+    let (got, c) = run(4, sup, None);
     check(
         "persistent kill-worker (fallback)",
         &got,
         &expect,
         &mut failures,
     );
+    wall(&got, &undisturbed);
     if c[3] == 0 {
         println!("FAIL persistent fault never reached the sequential fallback");
         failures += 1;
@@ -249,13 +241,14 @@ fn main() {
         region_deadline: Some(Duration::from_millis(400)),
         ..Default::default()
     };
-    let (got, c) = run(4, sup);
+    let (got, c) = run(4, sup, None);
     check(
         "30s stall under 400ms deadline",
         &got,
         &expect,
         &mut failures,
     );
+    wall(&got, &undisturbed);
     if c[2] == 0 {
         println!("FAIL the deadline watchdog never fired on a wedged edge");
         failures += 1;
@@ -264,7 +257,7 @@ fn main() {
         *t += v;
     }
 
-    let [injected, retries, kills, fallbacks] = totals;
+    let [injected, retries, kills, fallbacks, ..] = totals;
     println!(
         "\nfaultsweep(threads): {} cells, {injected} injected, {retries} retries, \
          {kills} deadline kills, {fallbacks} fallbacks, {failures} failures",
@@ -278,6 +271,7 @@ fn main() {
     // --- the remote backend: the same sweep, regions shipped to two
     // localhost workers under the remote recovery ladder ---------------
     let workers = Workers::spawn(2);
+    let (undisturbed, _) = run(4, SupervisorSettings::default(), Some(&workers.sockets));
     let mut rtotals = [0u64; 6];
     for kind in FaultKind::ALL {
         for width in WIDTHS {
@@ -288,7 +282,7 @@ fn main() {
                 fault: Some(FaultPlan::new(kind, seed)),
                 ..Default::default()
             };
-            let (got, c) = run_remote(width, sup, &workers.sockets);
+            let (got, c) = run(width, sup, Some(&workers.sockets));
             check(
                 &format!("remote {} width {width}", kind.name()),
                 &got,
@@ -306,8 +300,9 @@ fn main() {
         fault: Some(FaultPlan::new(FaultKind::ConnDrop, 7)),
         ..Default::default()
     };
-    let (got, c) = run_remote(4, sup, &workers.sockets);
+    let (got, c) = run(4, sup, Some(&workers.sockets));
     check("remote conn-drop (reroute)", &got, &expect, &mut failures);
+    wall(&got, &undisturbed);
     if c[4] == 0 {
         println!("FAIL the conn-drop retry never rerouted to the other worker");
         failures += 1;
@@ -322,13 +317,14 @@ fn main() {
         region_deadline: Some(Duration::from_millis(400)),
         ..Default::default()
     };
-    let (got, c) = run_remote(4, sup, &workers.sockets);
+    let (got, c) = run(4, sup, Some(&workers.sockets));
     check(
         "remote 30s stall under 400ms deadline",
         &got,
         &expect,
         &mut failures,
     );
+    wall(&got, &undisturbed);
     if c[2] == 0 {
         println!("FAIL the region deadline never tore down the slow worker");
         failures += 1;
@@ -339,13 +335,14 @@ fn main() {
 
     // A dead pool must degrade to the clean local rung.
     let dead = [std::env::temp_dir().join("pash-faultsweep-nobody")];
-    let (got, c) = run_remote(4, SupervisorSettings::default(), &dead);
+    let (got, c) = run(4, SupervisorSettings::default(), Some(&dead));
     check(
         "remote dead pool (local rung)",
         &got,
         &expect,
         &mut failures,
     );
+    wall(&got, &undisturbed);
     if c[5] == 0 {
         println!("FAIL a dead worker pool never reached the local rung");
         failures += 1;

@@ -19,7 +19,6 @@
 
 pub mod baseline;
 pub mod dataplane;
-pub mod faultsim;
 pub mod fixtures;
 pub mod regexbench;
 pub mod rsplitbench;

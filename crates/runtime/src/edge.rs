@@ -32,9 +32,11 @@ use std::sync::{Arc, Mutex};
 use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, RegionPlan};
 use pash_coreutils::fs::Fs;
 
+use crate::drive::Feed;
 use crate::fault::{ArmedFault, FaultKind, FaultMode, FaultyWriter};
 use crate::fileseg::read_segment;
 use crate::pipe::{pipe_monitored, PipeMonitor};
+use crate::wire::{bad_data, put_str, put_u32, put_u64, Cursor};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -83,16 +85,18 @@ impl MemEdges {
         stdin: Vec<u8>,
         pipe_capacity: usize,
     ) -> io::Result<MemEdges> {
-        MemEdges::wire_with(r, fs, stdin, pipe_capacity, None)
+        MemEdges::wire_with(r, fs, stdin.into(), pipe_capacity, None)
     }
 
     /// [`MemEdges::wire`] with an armed fault: the fault's target
     /// edge gets a [`FaultyWriter`] wrapper (stream faults) or fails
     /// to wire at all (the in-process analogue of a `mkfifo` error).
+    /// The primary boundary input reads `stdin` through a cursor: the
+    /// feed is shared with the attempt's retries, never copied.
     pub fn wire_with(
         r: &RegionPlan,
         fs: &Arc<dyn Fs>,
-        stdin: Vec<u8>,
+        stdin: Feed,
         pipe_capacity: usize,
         fault: Option<&ArmedFault>,
     ) -> io::Result<MemEdges> {
@@ -131,12 +135,13 @@ impl MemEdges {
                     readers.insert(e, Box::new(rd));
                 }
                 EndpointKind::StdinPipe { primary } => {
-                    let data = if *primary {
-                        stdin.take().unwrap_or_default()
-                    } else {
-                        Vec::new()
+                    // Non-primary boundary inputs read empty streams.
+                    let feed = if *primary { stdin.take() } else { None };
+                    let reader: Box<dyn Read + Send> = match feed {
+                        Some(feed) => Box::new(io::Cursor::new(feed)),
+                        None => Box::new(io::empty()),
                     };
-                    readers.insert(e, Box::new(io::Cursor::new(data)));
+                    readers.insert(e, reader);
                 }
                 EndpointKind::StdoutPipe => {
                     let w = SharedVecWriter(stdout.clone());
@@ -399,8 +404,7 @@ impl<W: Write> SockEdgeWriter<W> {
     /// Streams one output file (path + full contents).
     pub fn output_file(&mut self, path: &str, bytes: &[u8]) -> io::Result<()> {
         let mut payload = Vec::with_capacity(4 + path.len() + bytes.len());
-        payload.extend_from_slice(&(path.len() as u32).to_le_bytes());
-        payload.extend_from_slice(path.as_bytes());
+        put_str(&mut payload, path);
         payload.extend_from_slice(bytes);
         self.emit(SOCK_TAG_FILE, &payload)
     }
@@ -408,12 +412,12 @@ impl<W: Write> SockEdgeWriter<W> {
     /// Terminates the stream with the region's statuses and flushes.
     pub fn status(&mut self, status: i32, statuses: &[(usize, i32)]) -> io::Result<()> {
         let mut payload = Vec::with_capacity(16 + statuses.len() * 8);
-        payload.extend_from_slice(&self.frames.to_le_bytes());
-        payload.extend_from_slice(&status.to_le_bytes());
-        payload.extend_from_slice(&(statuses.len() as u32).to_le_bytes());
+        put_u64(&mut payload, self.frames);
+        put_u32(&mut payload, status as u32);
+        put_u32(&mut payload, statuses.len() as u32);
         for (node, st) in statuses {
-            payload.extend_from_slice(&(*node as u32).to_le_bytes());
-            payload.extend_from_slice(&st.to_le_bytes());
+            put_u32(&mut payload, *node as u32);
+            put_u32(&mut payload, *st as u32);
         }
         self.emit(SOCK_TAG_STATUS, &payload)?;
         self.inner.flush()
@@ -440,10 +444,6 @@ pub struct SockEdgeReader<R: Read> {
     seen: u64,
 }
 
-fn sock_bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 impl<R: Read> SockEdgeReader<R> {
     pub fn new(inner: R) -> SockEdgeReader<R> {
         SockEdgeReader {
@@ -462,43 +462,33 @@ impl<R: Read> SockEdgeReader<R> {
         };
         let before = self.seen;
         self.seen += 1;
+        let mut c = Cursor::new(&payload);
         match tag {
             SOCK_TAG_STDOUT => Ok(Some(SockMsg::Stdout(payload))),
             SOCK_TAG_FILE => {
-                if payload.len() < 4 {
-                    return Err(sock_bad("file frame too short"));
-                }
-                let plen = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-                if payload.len() < 4 + plen {
-                    return Err(sock_bad("file frame path overruns payload"));
-                }
-                let path = std::str::from_utf8(&payload[4..4 + plen])
-                    .map_err(|_| sock_bad("file frame path is not utf-8"))?
+                let path = std::str::from_utf8(c.slice()?)
+                    .map_err(|_| bad_data("file frame path is not utf-8".to_string()))?
                     .to_string();
-                Ok(Some(SockMsg::File(path, payload[4 + plen..].to_vec())))
+                Ok(Some(SockMsg::File(path, c.rest().to_vec())))
             }
             SOCK_TAG_STATUS => {
-                if payload.len() < 16 {
-                    return Err(sock_bad("status frame too short"));
-                }
-                let frames = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                let frames = c.u64()?;
                 if frames != before {
-                    return Err(sock_bad(format!(
+                    return Err(bad_data(format!(
                         "status frame count mismatch: writer sent {frames}, reader saw {before}"
                     )));
                 }
-                let status = i32::from_le_bytes(payload[8..12].try_into().unwrap());
-                let n = u32::from_le_bytes(payload[12..16].try_into().unwrap()) as usize;
-                if payload.len() != 16 + n * 8 {
-                    return Err(sock_bad("status frame length mismatch"));
+                let status = c.u32()? as i32;
+                let n = c.u32()? as usize;
+                if n > c.remaining() / 8 {
+                    return Err(bad_data(format!("status count {n} out of range")));
                 }
                 let mut statuses = Vec::with_capacity(n);
-                for i in 0..n {
-                    let at = 16 + i * 8;
-                    let node = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
-                    let st = i32::from_le_bytes(payload[at + 4..at + 8].try_into().unwrap());
-                    statuses.push((node as usize, st));
+                for _ in 0..n {
+                    statuses.push((c.u32()? as usize, c.u32()? as i32));
                 }
+                c.done()
+                    .map_err(|_| bad_data("status frame length mismatch".to_string()))?;
                 Ok(Some(SockMsg::Status {
                     status,
                     statuses,
@@ -506,16 +496,11 @@ impl<R: Read> SockEdgeReader<R> {
                 }))
             }
             SOCK_TAG_ERROR => {
-                if payload.is_empty() {
-                    return Err(sock_bad("error frame too short"));
-                }
-                let message = String::from_utf8_lossy(&payload[1..]).into_owned();
-                Ok(Some(SockMsg::Error {
-                    transient: payload[0] == 0,
-                    message,
-                }))
+                let transient = c.u8()? == 0;
+                let message = String::from_utf8_lossy(c.rest()).into_owned();
+                Ok(Some(SockMsg::Error { transient, message }))
             }
-            other => Err(sock_bad(format!("unknown result frame tag {other}"))),
+            other => Err(bad_data(format!("unknown result frame tag {other}"))),
         }
     }
 }

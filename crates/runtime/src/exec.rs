@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use pash_core::compile::PashConfig;
 use pash_core::plan::{
-    fold_statuses, Arg, Backend, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, PlanStep, RegionPlan,
-    SplitMode,
+    fold_statuses, Arg, Backend, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, RegionPlan, SplitMode,
 };
 
 use pash_coreutils::fs::Fs;
@@ -27,6 +26,7 @@ use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::run_aggregator;
+use crate::drive::{drive, Feed, RegionRunner};
 use crate::edge::MemEdges;
 use crate::fault::{ArmedFault, ExecError, FaultKind};
 use crate::frame::run_framed;
@@ -34,7 +34,7 @@ use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
 use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
 use crate::relay::{run_relay, RelayMode};
 use crate::split::{split_general, split_round_robin};
-use crate::supervise::{supervise_region, SupervisorSettings};
+use crate::supervise::SupervisorSettings;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -45,8 +45,8 @@ pub struct ExecConfig {
     pub blocking_relay_chunks: usize,
     /// Maximum number of independent regions in flight at once. The
     /// default of 1 executes steps strictly in plan order; larger
-    /// values let non-conflicting regions (per
-    /// [`ExecutionPlan::parallel_waves`]) overlap.
+    /// values let non-conflicting regions overlap (see
+    /// [`crate::drive::drive`]).
     pub max_inflight: usize,
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
@@ -146,38 +146,9 @@ impl Fs for StreamFs {
     }
 }
 
-/// Executes one region plan.
-///
-/// `stdin` feeds the region's primary boundary pipe input (if any).
-/// This is a single unsupervised attempt; retries, deadlines, and
-/// fallback live in [`run_program`]'s per-step supervision.
-pub fn run_region(
-    r: &RegionPlan,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
-    cfg: &ExecConfig,
-) -> io::Result<RegionOutput> {
-    run_region_attempt(r, registry, fs, stdin, cfg, None, None).map_err(io::Error::from)
-}
-
-/// One unsupervised attempt with an optional armed fault — the remote
-/// worker's entry point. The coordinator owns retries, deadlines, and
-/// the fallback ladder; a worker only ever runs a single faithful (or
-/// faithfully faulted) attempt and reports the classified outcome.
-pub fn run_region_faulted(
-    r: &RegionPlan,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
-    cfg: &ExecConfig,
-    fault: Option<&ArmedFault>,
-) -> Result<RegionOutput, ExecError> {
-    run_region_attempt(r, registry, fs, stdin, cfg, fault, None)
-}
-
-/// One attempt at a region, with optional fault injection and an
-/// optional deadline (taken from `settings`).
+/// One attempt at a region: `stdin` feeds its primary boundary pipe
+/// input (if any), with optional fault injection and an optional
+/// deadline (taken from `settings`).
 ///
 /// The deadline is enforced by a watchdog thread: on expiry it poisons
 /// every in-memory pipe (unblocking parked readers and writers with
@@ -188,7 +159,7 @@ fn run_region_attempt(
     r: &RegionPlan,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
+    stdin: Feed,
     cfg: &ExecConfig,
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
@@ -484,6 +455,38 @@ pub struct ProgramOutput {
     pub status: i32,
 }
 
+/// The `threads` backend as a [`RegionRunner`]: one attempt is one
+/// [`run_region_attempt`] over in-memory edges.
+pub struct ThreadsRunner<'a> {
+    /// Command implementations.
+    pub registry: &'a Registry,
+    /// Filesystem the regions read and write.
+    pub fs: &'a Arc<dyn Fs>,
+    /// Executor tuning (its `supervisor` is the driver's business).
+    pub cfg: &'a ExecConfig,
+}
+
+impl RegionRunner for ThreadsRunner<'_> {
+    fn attempt(
+        &self,
+        r: &RegionPlan,
+        feed: &Feed,
+        fault: Option<&ArmedFault>,
+        _attempt_no: u32,
+        supervised: Option<&SupervisorSettings>,
+    ) -> Result<RegionOutput, ExecError> {
+        run_region_attempt(
+            r,
+            self.registry,
+            self.fs.clone(),
+            feed.clone(),
+            self.cfg,
+            fault,
+            supervised,
+        )
+    }
+}
+
 /// Executes a plan step by step.
 ///
 /// `Shell` steps are supported only when they are no-ops for the data
@@ -501,231 +504,29 @@ pub fn run_program(
     run_program_with_fallback(plan, None, registry, fs, stdin, cfg)
 }
 
-/// Two plans compiled from the same source at different widths have
-/// the same step skeleton (lowering maps source steps 1:1 regardless
-/// of width); anything else means the fallback plan is not a
-/// re-execution of the same program and must not be used.
-fn plans_align(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
-    a.steps.len() == b.steps.len()
-        && a.steps.iter().zip(&b.steps).all(|(x, y)| match (x, y) {
-            (PlanStep::Region(_), PlanStep::Region(_)) => true,
-            (PlanStep::Guard(g), PlanStep::Guard(h)) => g == h,
-            (PlanStep::Shell { text: t, .. }, PlanStep::Shell { text: u, .. }) => t == u,
-            _ => false,
-        })
-}
-
-/// [`run_program`] with an optional sequential fallback plan: the same
-/// program compiled at width 1. When a region exhausts its retries
-/// under the supervisor, the aligned fallback region re-executes it
-/// through the sequential path — by construction that output is the
-/// reference output, so a fault can degrade performance but never
-/// correctness.
+/// [`run_program`] with an optional sequential fallback plan — the
+/// same program compiled at width 1 (see [`drive`] for the contract).
 pub fn run_program_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
+    stdin: impl Into<Feed>,
     cfg: &ExecConfig,
 ) -> io::Result<ProgramOutput> {
-    // Each program run gets a fresh total-retry budget: one flaky
-    // region cannot starve later regions of another run's retries.
-    let cfg = &ExecConfig {
-        supervisor: cfg.supervisor.fresh_run(),
-        ..cfg.clone()
+    let runner = ThreadsRunner {
+        registry,
+        fs: &fs,
+        cfg,
     };
-    let fallback = fallback.filter(|f| plans_align(plan, f));
-    let fb_step = |i: usize| -> Option<&RegionPlan> {
-        match fallback.map(|f| &f.steps[i]) {
-            Some(PlanStep::Region(r)) => Some(r),
-            _ => None,
-        }
-    };
-    let mut st = StepState {
-        stdout: Vec::new(),
-        status: 0,
-        stdin: Some(stdin),
-        skip_next: false,
-    };
-    if cfg.max_inflight > 1 {
-        for wave in plan.parallel_waves() {
-            if wave.len() > 1 && !st.skip_next {
-                run_wave(plan, fallback, &wave, registry, &fs, cfg, &mut st)?;
-            } else {
-                for &i in &wave {
-                    run_step(&plan.steps[i], fb_step(i), registry, &fs, cfg, &mut st)?;
-                }
-            }
-        }
-    } else {
-        for (i, step) in plan.steps.iter().enumerate() {
-            run_step(step, fb_step(i), registry, &fs, cfg, &mut st)?;
-        }
-    }
-    Ok(ProgramOutput {
-        stdout: st.stdout,
-        status: st.status,
-    })
-}
-
-/// Runs one region under the supervisor: bounded retries with backoff
-/// for replayable regions, a per-attempt fault arm, and (when retries
-/// are exhausted) re-execution through the width-1 `fallback` region.
-fn run_supervised(
-    r: &RegionPlan,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    feed: Vec<u8>,
-    cfg: &ExecConfig,
-) -> io::Result<RegionOutput> {
-    let sup = &cfg.supervisor;
-    let mut attempt = |armed: Option<ArmedFault>| {
-        run_region_attempt(
-            r,
-            registry,
-            fs.clone(),
-            feed.clone(),
-            cfg,
-            armed.as_ref(),
-            Some(sup),
-        )
-    };
-    let out = match fallback {
-        Some(fb) => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            Some(|| {
-                // The fallback attempt runs the sequential region with no
-                // injection and no deadline: it is the reference run.
-                run_region_attempt(fb, registry, fs.clone(), feed.clone(), cfg, None, None)
-            }),
-        ),
-        None => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            None::<fn() -> Result<RegionOutput, ExecError>>,
-        ),
-    };
-    out.map_err(io::Error::from)
-}
-
-/// Mutable interpreter state threaded through steps.
-struct StepState {
-    stdout: Vec<u8>,
-    status: i32,
-    stdin: Option<Vec<u8>>,
-    skip_next: bool,
-}
-
-/// Executes one plan step sequentially.
-fn run_step(
-    step: &PlanStep,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    cfg: &ExecConfig,
-    st: &mut StepState,
-) -> io::Result<()> {
-    match step {
-        PlanStep::Guard(cond) => {
-            st.skip_next = !cond.admits(st.status);
-        }
-        PlanStep::Region(r) => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            // Only a region that consumes stdin takes the bytes; the
-            // emitted script keeps real stdin on a saved fd, so a
-            // later reader still sees it.
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            let out = run_supervised(r, fallback, registry, fs, feed, cfg)?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
-        PlanStep::Shell { text, data_noop } => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            if !data_noop {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!("cannot execute shell step in-process: `{text}`"),
-                ));
-            }
-            st.status = 0;
-        }
-    }
-    Ok(())
-}
-
-/// Runs a wave of mutually independent regions concurrently, at most
-/// `max_inflight` at a time. Outputs and the final status are applied
-/// in step order, so the result is indistinguishable from sequential
-/// execution (the wave builder guarantees members share no files, no
-/// stdin, and no stdout).
-fn run_wave(
-    plan: &ExecutionPlan,
-    fallback: Option<&ExecutionPlan>,
-    wave: &[usize],
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    cfg: &ExecConfig,
-    st: &mut StepState,
-) -> io::Result<()> {
-    for chunk in wave.chunks(cfg.max_inflight.max(1)) {
-        let mut jobs: Vec<(usize, &RegionPlan, Option<&RegionPlan>, Vec<u8>)> =
-            Vec::with_capacity(chunk.len());
-        for &i in chunk {
-            let PlanStep::Region(r) = &plan.steps[i] else {
-                // The wave builder only groups regions; anything else
-                // is a bug there, not here.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "non-region step in a parallel wave",
-                ));
-            };
-            let fb = match fallback.map(|f| &f.steps[i]) {
-                Some(PlanStep::Region(fr)) => Some(fr),
-                _ => None,
-            };
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            jobs.push((i, r, fb, feed));
-        }
-        let mut results: Vec<(usize, io::Result<RegionOutput>)> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(i, r, fb, feed)| {
-                    let registry = registry.clone();
-                    let fs = fs.clone();
-                    let cfg = cfg.clone();
-                    scope.spawn(move || (i, run_supervised(r, fb, &registry, &fs, feed, &cfg)))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("region thread"));
-            }
-        });
-        results.sort_by_key(|(i, _)| *i);
-        for (_, res) in results {
-            let out = res?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
-    }
-    Ok(())
+    drive(
+        plan,
+        fallback,
+        &runner,
+        &cfg.supervisor,
+        cfg.max_inflight,
+        stdin.into(),
+    )
 }
 
 /// The in-process threaded execution backend.
@@ -748,11 +549,12 @@ impl Backend for ThreadedBackend<'_> {
     }
 
     fn run(&mut self, plan: &ExecutionPlan) -> io::Result<ProgramOutput> {
-        run_program(
+        run_program_with_fallback(
             plan,
+            None,
             self.registry,
             self.fs.clone(),
-            self.stdin.clone(),
+            self.stdin.as_slice(),
             &self.cfg,
         )
     }

@@ -7,8 +7,12 @@
 //! * [`agg`] — the aggregator library (`sort -m`, `uniq`, `uniq -c`,
 //!   `wc`, `tac`, counts, and the custom bigram aggregator), fed by
 //!   the batched [`scan::LineScanner`];
-//! * [`exec`] — thread-per-node execution of compiled
-//!   [`pash_core::plan::ExecutionPlan`]s (the `threads` backend).
+//! * [`drive`] — the one program driver: step semantics, waves, and
+//!   one [`supervise`] ladder per region, over a `RegionRunner`;
+//! * [`exec`] / [`proc`] / [`remote`] — the three region runners:
+//!   thread-per-node in process (the `threads` backend), child
+//!   processes over FIFOs, and regions shipped to `pash-worker`s;
+//! * [`wire`] — the length-prefixed codec under every socket protocol.
 //!
 //! The same primitives are exposed as a standalone multi-call binary
 //! (`pash-rt`) so that scripts emitted by the back-end run under a
@@ -38,6 +42,7 @@
 
 pub mod agg;
 pub mod cli;
+pub mod drive;
 pub mod edge;
 pub mod exec;
 pub mod fault;
@@ -52,10 +57,12 @@ pub mod scan;
 pub mod service;
 pub mod split;
 pub mod supervise;
+pub mod wire;
 
+pub use drive::{drive, Feed, RegionRunner};
 pub use exec::{
-    run_program, run_program_with_fallback, run_region, run_script, ExecConfig, ProgramOutput,
-    RegionOutput, ThreadedBackend,
+    run_program, run_program_with_fallback, run_script, ExecConfig, ProgramOutput, RegionOutput,
+    ThreadedBackend,
 };
 pub use fault::{ExecError, FaultClass, FaultKind, FaultPlan, INFRA_STATUS};
 pub use pipe::{
@@ -65,7 +72,7 @@ pub use profile::{ProfileStore, RegionProfile};
 pub use remote::{run_program_remote, serve_worker, shutdown_worker, WorkerPool};
 pub use scan::LineScanner;
 pub use service::{
-    CacheTier, Client, DiskPlanCache, Request, Response, RunRequest, RunResponse, Semaphore,
-    ServiceMetrics, ServiceSettings,
+    CacheTier, Client, Request, Response, RunRequest, RunResponse, Semaphore, ServiceMetrics,
+    ServiceSettings,
 };
-pub use supervise::{supervise_region, SupervisorCounters, SupervisorSettings};
+pub use supervise::{supervise_ladder, SupervisorCounters, SupervisorSettings};

@@ -8,9 +8,9 @@
 //! [`crate::supervise::SupervisorCounters`] pattern), keyed by
 //! `(region fingerprint, node id)`. A [`ProfileStore`] decay-merges
 //! repeated observations in memory and mirrors them to an on-disk
-//! tier beside the plan cache (atomic rename writes,
-//! corruption-tolerant reads), so a restarted daemon warm-starts with
-//! measured rates instead of cold priors.
+//! tier (atomic rename writes, corruption-tolerant reads), so a
+//! restarted daemon warm-starts with measured rates instead of cold
+//! priors.
 
 use std::collections::HashMap;
 use std::io;
@@ -330,10 +330,11 @@ impl RegionStats {
 /// The two-tier profile store.
 ///
 /// The in-memory tier is the source of truth while the process lives;
-/// every record is mirrored to the disk tier (when configured) with
-/// the plan cache's atomic-rename discipline. Reads of the disk tier
-/// are corruption-tolerant: files that fail to parse, or whose
-/// content disagrees with their fingerprint file name, are ignored.
+/// every record is mirrored to the disk tier (when configured) by
+/// writing a temporary file and renaming it into place. Reads of the
+/// disk tier are corruption-tolerant: files that fail to parse, or
+/// whose content disagrees with their fingerprint file name, are
+/// ignored.
 #[derive(Debug)]
 pub struct ProfileStore {
     mem: Mutex<HashMap<u64, RegionStats>>,
@@ -506,8 +507,8 @@ impl ProfileStore {
     /// The rate index restricted to `commands`, counting a store hit
     /// when at least one requested command has measured data and a
     /// miss otherwise. This is the daemon's per-request entry point —
-    /// the hit/miss counters are what `servicebench` asserts
-    /// convergence (and warm restarts) on.
+    /// the hit/miss counters are what `pashd` Metrics reports as
+    /// `profile_hits` / `profile_misses`.
     pub fn rates_for(&self, commands: &[String]) -> MeasuredRates {
         let mut all = self.rates();
         all.retain(|k, _| commands.iter().any(|c| c == k));
@@ -523,8 +524,8 @@ impl ProfileStore {
 /// Shrinks a cache directory to `max_bytes` by deleting
 /// oldest-mtime files first (recursing into subdirectories). Returns
 /// how many files were removed. Dangling references are fine by
-/// construction: both the plan cache and the profile store treat a
-/// missing or unreadable file as a cold miss.
+/// construction: the profile store treats a missing or unreadable file
+/// as a cold miss.
 pub fn evict_lru_by_mtime(root: &Path, max_bytes: u64) -> io::Result<usize> {
     let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
     let mut stack = vec![root.to_path_buf()];

@@ -11,21 +11,24 @@
 //! but plausible result.
 //!
 //! The robustness contract mirrors the local supervisor's, one rung
-//! deeper:
+//! deeper — the same ladder ([`crate::supervise`]), with the one rung
+//! only this runner offers:
 //!
 //! * a transient remote failure retries on a **different** worker
 //!   (per-attempt placement over the healthy set, jittered backoff);
 //! * a region deadline tears down the socket — the worker notices the
 //!   broken pipe and reaps its per-connection state;
 //! * exhausted retries degrade first to a clean **local** attempt at
-//!   full width, then to the width-1 **sequential** plan.
+//!   full width ([`RegionRunner::clean_local`]), then to the width-1
+//!   **sequential** plan.
 //!
 //! Injected remote faults may delay a run; they never change its
 //! bytes.
 //!
 //! The worker itself is deliberately dumb: one unsupervised region
-//! attempt per connection ([`crate::exec::run_region_faulted`]),
-//! against an in-memory filesystem populated from the shipped files.
+//! attempt per connection ([`ThreadsRunner`]'s, the one the
+//! coordinator's clean-local rung makes too), against an in-memory
+//! filesystem populated from the shipped files.
 //! All retry policy lives coordinator-side, so there is exactly one
 //! recovery ladder to reason about.
 
@@ -36,15 +39,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pash_core::plan::{ExecutionPlan, PlanOp, PlanStep, RegionPlan};
+use pash_core::plan::{ExecutionPlan, PlanOp, RegionPlan};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
 
+use crate::drive::{drive, Feed, RegionRunner};
 use crate::edge::{SockEdgeReader, SockEdgeWriter, SockMsg};
-use crate::exec::{run_region_faulted, ExecConfig, ProgramOutput, RegionOutput};
-use crate::fault::{ArmedFault, CancelToken, ExecError, FaultKind};
-use crate::service::{bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, Cursor};
-use crate::supervise::supervise_region_remote;
+use crate::exec::{ExecConfig, ProgramOutput, RegionOutput, ThreadsRunner};
+use crate::fault::{ArmedFault, CancelToken, ExecError, FaultKind, FaultPlan};
+use crate::supervise::SupervisorSettings;
+use crate::wire::{
+    bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, write_frame, Cursor,
+};
 
 /// Request op: execute one region attempt.
 pub const OP_EXECUTE: u8 = 1;
@@ -106,8 +112,9 @@ pub struct ExecuteRequest {
     pub region_dump: String,
     /// Input files the region reads: path and full contents.
     pub files: Vec<(String, Vec<u8>)>,
-    /// Bytes for the region's primary boundary stdin.
-    pub stdin: Vec<u8>,
+    /// Bytes for the region's primary boundary stdin (the run's
+    /// shared feed on the coordinator; written from it, not copied).
+    pub stdin: Feed,
     /// A local-kind fault the worker must inject into its attempt.
     pub fault: Option<WireFault>,
     /// Sleep this long before executing (slow-worker injection).
@@ -118,8 +125,10 @@ pub struct ExecuteRequest {
 }
 
 impl ExecuteRequest {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// The request as it goes on the wire: length prefix included, so
+    /// the payload is built once, in place.
+    fn encode_framed(&self) -> Vec<u8> {
+        let mut out = vec![0u8; 4];
         out.push(OP_EXECUTE);
         put_str(&mut out, &self.region_dump);
         put_bytes(&mut out, &self.stdin);
@@ -142,12 +151,14 @@ impl ExecuteRequest {
             put_str(&mut out, path);
             put_bytes(&mut out, bytes);
         }
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
         out
     }
 
     fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
         let region_dump = c.string()?;
-        let stdin = c.bytes()?;
+        let stdin = Feed::from(c.slice()?);
         let sleep_ms = c.u64()?;
         let response_cut = c.u64()?;
         let fault = match c.u8()? {
@@ -253,11 +264,11 @@ fn serve_worker_conn(mut stream: UnixStream, registry: &Registry) -> bool {
     let mut c = Cursor::new(&frame);
     match c.u8() {
         Ok(OP_PING) => {
-            let _ = crate::service::write_frame(&mut stream, b"pong");
+            let _ = write_frame(&mut stream, b"pong");
             false
         }
         Ok(OP_SHUTDOWN) => {
-            let _ = crate::service::write_frame(&mut stream, b"bye");
+            let _ = write_frame(&mut stream, b"bye");
             true
         }
         Ok(OP_EXECUTE) => {
@@ -307,15 +318,14 @@ fn run_execute(req: ExecuteRequest, registry: &Registry, w: &mut SockEdgeWriter<
     for (path, bytes) in req.files {
         fs.add(path, bytes);
     }
-    let cfg = ExecConfig::default();
-    match run_region_faulted(
-        &region,
+    // One unsupervised attempt: retries, deadlines and the fallback
+    // ladder are the coordinator's.
+    let worker = ThreadsRunner {
         registry,
-        fs.clone(),
-        req.stdin,
-        &cfg,
-        armed.as_ref(),
-    ) {
+        fs: &(fs.clone() as Arc<dyn Fs>),
+        cfg: &ExecConfig::default(),
+    };
+    match worker.attempt(&region, &req.stdin, armed.as_ref(), 0, None) {
         Ok(out) => {
             let _ = stream_region_output(&region, &out, &fs, w);
         }
@@ -419,7 +429,7 @@ fn ping(socket: &Path, timeout: Duration) -> bool {
     let mut stream = stream;
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
-    if crate::service::write_frame(&mut stream, &[OP_PING]).is_err() {
+    if write_frame(&mut stream, &[OP_PING]).is_err() {
         return false;
     }
     matches!(read_frame(&mut stream), Ok(Some(f)) if f == b"pong")
@@ -431,7 +441,7 @@ pub fn shutdown_worker(socket: &Path) -> bool {
         return false;
     };
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    if crate::service::write_frame(&mut stream, &[OP_SHUTDOWN]).is_err() {
+    if write_frame(&mut stream, &[OP_SHUTDOWN]).is_err() {
         return false;
     }
     matches!(read_frame(&mut stream), Ok(Some(f)) if f == b"bye")
@@ -447,7 +457,7 @@ fn execute_remote(
     socket: &Path,
     r: &RegionPlan,
     armed: Option<&ArmedFault>,
-    feed: &[u8],
+    feed: &Feed,
     fs: &Arc<dyn Fs>,
     deadline: Option<Duration>,
 ) -> Result<RegionOutput, ExecError> {
@@ -493,7 +503,7 @@ fn execute_remote(
     let mut req = ExecuteRequest {
         region_dump: r.dump(),
         files,
-        stdin: feed.to_vec(),
+        stdin: feed.clone(),
         fault: None,
         sleep_ms: 0,
         response_cut: u64::MAX,
@@ -511,10 +521,7 @@ fn execute_remote(
     stream
         .set_read_timeout(deadline.or(Some(Duration::from_secs(60))))
         .map_err(|e| transient("remote socket", e))?;
-    let payload = req.encode();
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&payload);
+    let framed = req.encode_framed();
     match request_cut {
         Some(cut) => {
             // Injected connection drop: ship a half-written request,
@@ -592,133 +599,92 @@ fn execute_remote(
     }
 }
 
-/// Runs one region under the full remote recovery ladder:
-/// remote attempts with per-attempt placement → clean local attempt →
-/// width-1 sequential fallback.
-fn run_region_remote(
-    r: &RegionPlan,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    feed: Vec<u8>,
-    cfg: &ExecConfig,
-    pool: &WorkerPool,
-) -> io::Result<RegionOutput> {
-    let sup = &cfg.supervisor;
-    let deadline = sup.region_deadline;
-    let fp = r.fingerprint();
-    let mut last_pick: Option<usize> = None;
-    let attempt = |i: u32, armed: Option<ArmedFault>| -> Result<RegionOutput, ExecError> {
-        let Some((idx, socket)) = pool.pick(fp, i) else {
+/// The `remote` backend as a [`RegionRunner`]: one attempt ships the
+/// region to the worker placed for that attempt index; the clean-local
+/// rung is the `threads` runner on the coordinator.
+pub struct RemoteRunner<'a> {
+    /// The worker fleet attempts are placed over.
+    pub pool: &'a WorkerPool,
+    /// The coordinator's own runner: the rung below the workers.
+    pub local: ThreadsRunner<'a>,
+}
+
+impl RegionRunner for RemoteRunner<'_> {
+    fn attempt(
+        &self,
+        r: &RegionPlan,
+        feed: &Feed,
+        fault: Option<&ArmedFault>,
+        attempt_no: u32,
+        supervised: Option<&SupervisorSettings>,
+    ) -> Result<RegionOutput, ExecError> {
+        let fp = r.fingerprint();
+        let Some((idx, socket)) = self.pool.pick(fp, attempt_no) else {
             return Err(ExecError::fatal(
                 "remote placement",
                 io::Error::new(io::ErrorKind::NotConnected, "no healthy workers"),
             ));
         };
-        if i > 0 && last_pick.is_some_and(|p| p != idx) {
-            sup.note_reroute();
-        }
-        last_pick = Some(idx);
-        let res = execute_remote(socket, r, armed.as_ref(), &feed, fs, deadline);
-        if let Err(e) = &res {
-            if e.is_deadline() {
+        // Placement is a function of the attempt index alone, so where
+        // the failed attempt ran is known without remembering it.
+        let rerouted = attempt_no > 0
+            && self
+                .pool
+                .pick(fp, attempt_no - 1)
+                .is_some_and(|(prev, _)| prev != idx);
+        let deadline = supervised.and_then(|s| s.region_deadline);
+        let res = execute_remote(socket, r, fault, feed, self.local.fs, deadline);
+        if let Some(sup) = supervised {
+            if rerouted {
+                sup.note_reroute();
+            }
+            if res.as_ref().is_err_and(|e| e.is_deadline()) {
                 sup.note_deadline_kill();
             }
         }
         res
-    };
-    let local = Some(|| {
-        // The local rung: the same region, clean, on the coordinator.
-        run_region_faulted(r, registry, fs.clone(), feed.clone(), cfg, None)
-    });
-    let out = match fallback {
-        Some(fb) => supervise_region_remote(
-            r,
-            sup,
-            attempt,
-            local,
-            Some(|| run_region_faulted(fb, registry, fs.clone(), feed.clone(), cfg, None)),
-        ),
-        None => supervise_region_remote(
-            r,
-            sup,
-            attempt,
-            local,
-            None::<fn() -> Result<RegionOutput, ExecError>>,
-        ),
-    };
-    out.map_err(io::Error::from)
+    }
+
+    fn arm(&self, plan: &FaultPlan, r: &RegionPlan) -> Option<ArmedFault> {
+        plan.arm_remote(r)
+    }
+
+    fn clean_local(&self) -> Option<&dyn RegionRunner> {
+        Some(&self.local)
+    }
 }
 
 /// Runs a whole program through the remote backend: region steps ship
-/// to workers under the recovery ladder; guard and data-noop shell
-/// steps interpret locally, exactly as the threaded walker does.
+/// to workers under the recovery ladder; everything else a program run
+/// means is the driver's ([`drive`]).
 ///
 /// `fallback` is the same program compiled at width 1 (the sequential
-/// reference); it must align step-for-step to be used.
+/// reference).
 pub fn run_program_remote(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
+    stdin: impl Into<Feed>,
     cfg: &ExecConfig,
     pool: &WorkerPool,
 ) -> io::Result<ProgramOutput> {
-    let cfg = ExecConfig {
-        supervisor: cfg.supervisor.fresh_run(),
-        ..cfg.clone()
+    let runner = RemoteRunner {
+        pool,
+        local: ThreadsRunner {
+            registry,
+            fs: &fs,
+            cfg,
+        },
     };
-    let aligned = fallback.filter(|f| {
-        f.steps.len() == plan.steps.len()
-            && f.steps.iter().zip(&plan.steps).all(|(a, b)| {
-                matches!(
-                    (a, b),
-                    (PlanStep::Region(_), PlanStep::Region(_))
-                        | (PlanStep::Guard(_), PlanStep::Guard(_))
-                        | (PlanStep::Shell { .. }, PlanStep::Shell { .. })
-                )
-            })
-    });
-    let mut stdout = Vec::new();
-    let mut status = 0;
-    let mut stdin = Some(stdin);
-    let mut skip_next = false;
-    for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlanStep::Guard(cond) => skip_next = !cond.admits(status),
-            PlanStep::Shell { text, data_noop } => {
-                if std::mem::take(&mut skip_next) {
-                    continue;
-                }
-                if !data_noop {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        format!("cannot execute shell step remotely: `{text}`"),
-                    ));
-                }
-                status = 0;
-            }
-            PlanStep::Region(r) => {
-                if std::mem::take(&mut skip_next) {
-                    continue;
-                }
-                let feed = if r.reads_stdin() {
-                    stdin.take().unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                let fb = match aligned.map(|f| &f.steps[i]) {
-                    Some(PlanStep::Region(fr)) => Some(fr),
-                    _ => None,
-                };
-                let out = run_region_remote(r, fb, registry, &fs, feed, &cfg, pool)?;
-                status = out.status();
-                stdout.extend_from_slice(&out.stdout);
-            }
-        }
-    }
-    Ok(ProgramOutput { stdout, status })
+    drive(
+        plan,
+        fallback,
+        &runner,
+        &cfg.supervisor,
+        cfg.max_inflight,
+        stdin.into(),
+    )
 }
 
 #[cfg(test)]
@@ -998,7 +964,7 @@ mod tests {
         let req = ExecuteRequest {
             region_dump: "region nodes=0 edges=0 replayable=true\n".to_string(),
             files: vec![("in.txt".to_string(), b"abc".to_vec())],
-            stdin: b"feed".to_vec(),
+            stdin: b"feed".to_vec().into(),
             fault: Some(WireFault {
                 kind: "exec-die".to_string(),
                 node: Some(3),
@@ -1010,8 +976,9 @@ mod tests {
             sleep_ms: 5,
             response_cut: u64::MAX,
         };
-        let enc = req.encode();
-        let mut c = Cursor::new(&enc);
+        let enc = req.encode_framed();
+        assert_eq!(enc[..4], ((enc.len() - 4) as u32).to_le_bytes());
+        let mut c = Cursor::new(&enc[4..]);
         assert_eq!(c.u8().unwrap(), OP_EXECUTE);
         let back = ExecuteRequest::decode(&mut c).unwrap();
         assert_eq!(back, req);

@@ -1,5 +1,5 @@
-//! The `pashd` service substrate: wire protocol, two-tier plan-cache
-//! plumbing, admission control, and the metrics surface.
+//! The `pashd` service substrate: wire protocol, admission control,
+//! and the metrics surface.
 //!
 //! PaSh's compilation pass is pure overhead on every invocation; a
 //! long-running service amortizes it across *requests*. This module
@@ -9,17 +9,12 @@
 //!   ([`Request`] / [`Response`], [`Client`]) carrying script source,
 //!   configuration, backend name, and stdin bytes one way and
 //!   stdout/status (plus written files) the other;
-//! * [`DiskPlanCache`] — the on-disk tier behind the in-memory
-//!   `compile_cached` LRU, storing `ExecutionPlan::dump()` text keyed
-//!   by plan fingerprint with atomic rename writes and
-//!   corruption-tolerant reads, so warm requests skip parse+lower even
-//!   across daemon restarts;
 //! * [`Semaphore`] — the `max_concurrent_runs` admission gate (the
 //!   service-level analogue of the process backend's `max_inflight`
 //!   region throttle);
-//! * [`ServiceMetrics`] — per-tier compile hit/miss counters, queue
-//!   depth, a request-latency histogram, and requests served,
-//!   queryable over the socket;
+//! * [`ServiceMetrics`] — compile hit/miss counters, queue depth, a
+//!   request-latency histogram, requests served, and the supervisor's
+//!   recovery counters, queryable over the socket;
 //! * [`serve`] — the accept loop, one thread per connection, wiring
 //!   admission and metrics around a caller-supplied request handler
 //!   (the `pash` facade supplies the handler, since only it can reach
@@ -32,18 +27,18 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use pash_core::dfg::transform::SplitPolicy;
-use pash_core::plan::ExecutionPlan;
 
-/// Largest frame either side accepts (64 MiB). Scripts, configs, and
-/// benchmark corpora are far smaller; a length beyond this is a
-/// protocol error or corruption, rejected before allocation.
-pub const MAX_FRAME: usize = 64 << 20;
+use crate::supervise::SupervisorCounters;
+pub use crate::wire::MAX_FRAME;
+use crate::wire::{
+    bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, write_frame, Cursor,
+};
 
 /// A compile-and-run request's parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,15 +76,13 @@ pub enum Request {
     Shutdown,
 }
 
-/// Which cache tier satisfied a run's compilation.
+/// Whether the plan cache satisfied a run's compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTier {
     /// Nothing cached: the full front-end ran.
     Cold,
-    /// Tier 1: the in-memory `compile_cached` LRU.
+    /// The in-memory `compile_cached` LRU.
     Memory,
-    /// Tier 2: the on-disk plan cache (parse of a stored dump).
-    Disk,
 }
 
 impl CacheTier {
@@ -97,7 +90,6 @@ impl CacheTier {
         match self {
             CacheTier::Cold => 0,
             CacheTier::Memory => 1,
-            CacheTier::Disk => 2,
         }
     }
 
@@ -105,7 +97,6 @@ impl CacheTier {
         match v {
             0 => Ok(CacheTier::Cold),
             1 => Ok(CacheTier::Memory),
-            2 => Ok(CacheTier::Disk),
             other => Err(bad_data(format!("bad cache tier {other}"))),
         }
     }
@@ -146,84 +137,6 @@ pub enum Response {
 
 // --- codec ----------------------------------------------------------
 
-pub(crate) fn bad_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// A cursor over a decoded frame.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    /// Bytes left in the frame (bounds untrusted element counts).
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(bad_data("truncated frame".to_string()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(bad_data(format!("field length {len} out of range")));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| bad_data("non-UTF-8 string".to_string()))
-    }
-
-    pub(crate) fn done(&self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(bad_data("trailing bytes in frame".to_string()));
-        }
-        Ok(())
-    }
-}
-
 fn split_to_u8(s: SplitPolicy) -> u8 {
     match s {
         SplitPolicy::Off => 0,
@@ -241,36 +154,6 @@ fn split_from_u8(v: u8) -> io::Result<SplitPolicy> {
         3 => Ok(SplitPolicy::RoundRobin),
         other => Err(bad_data(format!("bad split policy {other}"))),
     }
-}
-
-/// Writes one length-prefixed frame.
-pub(crate) fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Reads one length-prefixed frame; `None` at clean end-of-stream.
-pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        let n = r.read(&mut len[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(bad_data("truncated frame length".to_string()));
-        }
-        got += n;
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(bad_data(format!("frame length {len} out of range")));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Encodes and writes one request.
@@ -301,10 +184,7 @@ pub fn read_request(r: &mut dyn Read) -> io::Result<Option<Request>> {
     let Some(frame) = read_frame(r)? else {
         return Ok(None);
     };
-    let mut c = Cursor {
-        buf: &frame,
-        pos: 0,
-    };
+    let mut c = Cursor::new(&frame);
     let req = match c.u8()? {
         1 => Request::Run(RunRequest {
             script: c.string()?,
@@ -360,10 +240,7 @@ pub fn read_response(r: &mut dyn Read) -> io::Result<Response> {
     let frame = read_frame(r)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
     })?;
-    let mut c = Cursor {
-        buf: &frame,
-        pos: 0,
-    };
+    let mut c = Cursor::new(&frame);
     let resp = match c.u8()? {
         0 => Response::Error(c.string()?),
         1 => {
@@ -556,9 +433,10 @@ impl LatencyHistogram {
     }
 }
 
-/// The daemon's metrics surface: compile hit/miss per cache tier,
-/// admission-queue depth, request-latency histogram, requests served.
-/// Queryable over the socket as JSON ([`Request::Metrics`]).
+/// The daemon's metrics surface: compile hits and misses,
+/// admission-queue depth, request-latency histogram, requests served,
+/// and what the execution supervisor did. Queryable over the socket as
+/// JSON ([`Request::Metrics`]).
 pub struct ServiceMetrics {
     /// Requests of any kind served.
     pub requests: AtomicU64,
@@ -566,8 +444,6 @@ pub struct ServiceMetrics {
     pub runs: AtomicU64,
     /// Compilations served by the in-memory `compile_cached` LRU.
     pub tier1_hits: AtomicU64,
-    /// Compilations served by the on-disk plan cache.
-    pub tier2_hits: AtomicU64,
     /// Compilations that ran the full front-end.
     pub compile_misses: AtomicU64,
     /// Requests answered with an error.
@@ -588,16 +464,25 @@ pub struct ServiceMetrics {
     pub last_chosen_width: AtomicU64,
     /// Split policy of that run, encoded 0=off 1=sized 2=round-robin.
     pub last_chosen_split: AtomicU64,
+    /// The recovery counters the daemon's
+    /// [`crate::supervise::SupervisorSettings`] report into.
+    pub supervisor: Arc<SupervisorCounters>,
     latency: LatencyHistogram,
 }
 
 impl Default for ServiceMetrics {
     fn default() -> Self {
+        ServiceMetrics::new(Arc::default())
+    }
+}
+
+impl ServiceMetrics {
+    /// A zeroed surface printing the given supervisor counters.
+    pub fn new(supervisor: Arc<SupervisorCounters>) -> ServiceMetrics {
         ServiceMetrics {
             requests: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             tier1_hits: AtomicU64::new(0),
-            tier2_hits: AtomicU64::new(0),
             compile_misses: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
@@ -607,12 +492,11 @@ impl Default for ServiceMetrics {
             profile_misses: AtomicU64::new(0),
             last_chosen_width: AtomicU64::new(0),
             last_chosen_split: AtomicU64::new(0),
+            supervisor,
             latency: LatencyHistogram::new(),
         }
     }
-}
 
-impl ServiceMetrics {
     /// Records one run's end-to-end latency.
     pub fn record_latency(&self, us: u64) {
         self.latency.record(us);
@@ -641,18 +525,20 @@ impl ServiceMetrics {
             3 => "general",
             _ => "off",
         };
+        let sup = &self.supervisor;
         format!(
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
-             \"tier2_hits\":{},\"compile_misses\":{},\"errors\":{},\
+             \"compile_misses\":{},\"errors\":{},\
              \"queue_depth\":{},\"inflight\":{},\"adaptive_runs\":{},\
              \"profile_hits\":{},\"profile_misses\":{},\
              \"last_chosen_width\":{},\"last_chosen_split\":\"{}\",\
+             \"retries\":{},\"deadline_kills\":{},\"fallbacks\":{},\
+             \"reroutes\":{},\"local_fallbacks\":{},\"injected\":{},\
              \"latency\":{{\"count\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}}}",
             g(&self.requests),
             g(&self.runs),
             g(&self.tier1_hits),
-            g(&self.tier2_hits),
             g(&self.compile_misses),
             g(&self.errors),
             g(&self.queue_depth),
@@ -662,186 +548,18 @@ impl ServiceMetrics {
             g(&self.profile_misses),
             g(&self.last_chosen_width),
             split,
+            sup.retries(),
+            sup.deadline_kills(),
+            sup.fallbacks(),
+            sup.reroutes(),
+            sup.local_fallbacks(),
+            sup.injected(),
             self.latency.count(),
             self.latency.quantile(0.50),
             self.latency.quantile(0.90),
             self.latency.quantile(0.99),
             self.latency.max_us.load(Ordering::Relaxed),
         )
-    }
-}
-
-// --- disk plan cache ------------------------------------------------
-
-/// FNV-1a over a byte string (the key-file naming hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The on-disk plan-cache tier.
-///
-/// Layout under the cache root:
-///
-/// * `plans/<fingerprint-hex>.plan` — an `ExecutionPlan::dump()`,
-///   content-addressed by [`ExecutionPlan::fingerprint`];
-/// * `keys/<fnv1a(request-key)-hex>.key` — maps a request key (the
-///   same `"{cfg.cache_key()}\0{src}"` string `compile_cached` uses)
-///   to its main-plan fingerprint plus the width-1 fallback-plan
-///   fingerprint (or `-`), with the full key stored for collision
-///   verification.
-///
-/// Writes go to a `.tmp.<pid>` sibling and `rename(2)` into place, so
-/// readers never observe a half-written entry. Reads are
-/// corruption-tolerant: any parse failure, fingerprint mismatch, or
-/// key collision is a silent miss — the caller recompiles and
-/// rewrites, never trusts damaged bytes. A small in-memory memo of
-/// parsed plans keeps warm hits from re-reading the files.
-pub struct DiskPlanCache {
-    root: PathBuf,
-    /// Parsed-plan memo keyed by request key (bounded; cleared when
-    /// it outgrows [`Self::MEMO_CAP`]).
-    memo: Mutex<HashMap<String, (Arc<ExecutionPlan>, Option<Arc<ExecutionPlan>>)>>,
-    /// On-disk footprint bound; least-recently-written entries are
-    /// evicted after each store once the tree exceeds this.
-    max_bytes: u64,
-}
-
-impl DiskPlanCache {
-    const MEMO_CAP: usize = 512;
-
-    /// Default on-disk footprint bound (plan dumps are a few KiB each,
-    /// so this holds thousands of entries).
-    pub const DEFAULT_MAX_BYTES: u64 = 16 * 1024 * 1024;
-
-    /// Opens (creating if needed) a cache rooted at `root`.
-    pub fn open(root: &Path) -> io::Result<DiskPlanCache> {
-        std::fs::create_dir_all(root.join("plans"))?;
-        std::fs::create_dir_all(root.join("keys"))?;
-        Ok(DiskPlanCache {
-            root: root.to_path_buf(),
-            memo: Mutex::new(HashMap::new()),
-            max_bytes: Self::DEFAULT_MAX_BYTES,
-        })
-    }
-
-    /// Overrides the on-disk footprint bound.
-    pub fn with_disk_cap(mut self, max_bytes: u64) -> DiskPlanCache {
-        self.max_bytes = max_bytes;
-        self
-    }
-
-    fn key_path(&self, key: &str) -> PathBuf {
-        self.root
-            .join("keys")
-            .join(format!("{:016x}.key", fnv1a(key.as_bytes())))
-    }
-
-    fn plan_path(&self, fingerprint: u64) -> PathBuf {
-        self.root
-            .join("plans")
-            .join(format!("{fingerprint:016x}.plan"))
-    }
-
-    /// Atomically writes `bytes` at `path` via a temp-file rename.
-    fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Stores a compilation under `key`. Plan files are
-    /// content-addressed, so re-storing an existing plan is a no-op
-    /// write of identical bytes.
-    pub fn store(
-        &self,
-        key: &str,
-        plan: &ExecutionPlan,
-        fallback: Option<&ExecutionPlan>,
-    ) -> io::Result<()> {
-        let fp = plan.fingerprint();
-        Self::write_atomic(&self.plan_path(fp), plan.dump().as_bytes())?;
-        let fb = match fallback {
-            Some(f) => {
-                let fbp = f.fingerprint();
-                Self::write_atomic(&self.plan_path(fbp), f.dump().as_bytes())?;
-                format!("{fbp:016x}")
-            }
-            None => "-".to_string(),
-        };
-        let entry = format!("pash-key v1\nplan {fp:016x}\nfallback {fb}\nkey {key:?}\n");
-        Self::write_atomic(&self.key_path(key), entry.as_bytes())?;
-        // Bound the on-disk footprint, sweeping only this cache's own
-        // subtrees (the daemon nests its profile store under the same
-        // root). Eviction may orphan a key file whose plan was removed
-        // (or vice versa); `load` treats either as a plain miss, so a
-        // failed or partial sweep is harmless.
-        for sub in ["plans", "keys"] {
-            let _ = crate::profile::evict_lru_by_mtime(&self.root.join(sub), self.max_bytes / 2);
-        }
-        Ok(())
-    }
-
-    /// Reads and re-verifies one plan file by fingerprint.
-    fn load_plan(&self, fingerprint: u64) -> Option<Arc<ExecutionPlan>> {
-        let text = std::fs::read_to_string(self.plan_path(fingerprint)).ok()?;
-        let plan = ExecutionPlan::parse_dump(&text).ok()?;
-        // The stored dump must hash to its own file name: a flipped
-        // byte that still parses is rejected here.
-        if plan.fingerprint() != fingerprint {
-            return None;
-        }
-        Some(Arc::new(plan))
-    }
-
-    /// Looks `key` up; `None` is a miss (including every corruption
-    /// case). `require_fallback` demands the entry carry a fallback
-    /// plan (callers that will run under a fallback-enabled supervisor
-    /// must not warm-start without one).
-    pub fn load(
-        &self,
-        key: &str,
-        require_fallback: bool,
-    ) -> Option<(Arc<ExecutionPlan>, Option<Arc<ExecutionPlan>>)> {
-        if let Some((plan, fb)) = self.memo.lock().expect("plan memo lock").get(key) {
-            if !require_fallback || fb.is_some() {
-                return Some((plan.clone(), fb.clone()));
-            }
-        }
-        let text = std::fs::read_to_string(self.key_path(key)).ok()?;
-        let mut lines = text.lines();
-        if lines.next() != Some("pash-key v1") {
-            return None;
-        }
-        let fp = u64::from_str_radix(lines.next()?.strip_prefix("plan ")?, 16).ok()?;
-        let fb_field = lines.next()?.strip_prefix("fallback ")?;
-        let stored_key = lines.next()?.strip_prefix("key ")?;
-        // Hash collision (or truncated key line): verify the full key.
-        if stored_key != format!("{key:?}") {
-            return None;
-        }
-        let fallback_fp = match fb_field {
-            "-" => None,
-            hex => Some(u64::from_str_radix(hex, 16).ok()?),
-        };
-        if require_fallback && fallback_fp.is_none() {
-            return None;
-        }
-        let plan = self.load_plan(fp)?;
-        let fallback = match fallback_fp {
-            Some(fbfp) => Some(self.load_plan(fbfp)?),
-            None => None,
-        };
-        let mut memo = self.memo.lock().expect("plan memo lock");
-        if memo.len() >= Self::MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key.to_string(), (plan.clone(), fallback.clone()));
-        Some((plan, fallback))
     }
 }
 
@@ -885,8 +603,26 @@ pub fn bind(path: &Path) -> io::Result<UnixListener> {
 
 /// The live-connection registry shutdown drains: each entry is a
 /// handle to the connection's socket plus its busy flag (set while a
-/// request is being served and its response written).
+/// request is being served and its response written). A connection's
+/// thread removes its own entry when it ends, so the registry is also
+/// the only record of who is alive.
 type ConnRegistry = Arc<Mutex<HashMap<u64, (UnixStream, Arc<AtomicBool>)>>>;
+
+/// Removes a connection from the registry when its thread ends,
+/// however it ends: shutdown waits for the registry to empty, so an
+/// entry must not outlive its thread.
+struct Registered {
+    conns: ConnRegistry,
+    id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        if let Ok(mut conns) = self.conns.lock() {
+            conns.remove(&self.id);
+        }
+    }
+}
 
 /// The accept loop: one thread per connection, requests served in
 /// order per connection, `Run` requests gated by the admission
@@ -896,9 +632,10 @@ type ConnRegistry = Arc<Mutex<HashMap<u64, (UnixStream, Arc<AtomicBool>)>>>;
 /// connection has drained: in-flight requests get up to
 /// [`ServiceSettings::drain_deadline`] to finish writing their
 /// responses, then remaining connections are force-closed (waking
-/// readers blocked on idle clients) and the threads joined — so a
-/// client whose request was already being served never sees a torn
-/// response. The socket file is removed on the way out.
+/// readers blocked on idle clients) and the loop waits for every
+/// connection thread to leave the registry — so a client whose request
+/// was already being served never sees a torn response. The socket
+/// file is removed on the way out.
 pub fn serve(
     listener: UnixListener,
     socket_path: &Path,
@@ -906,10 +643,21 @@ pub fn serve(
     settings: ServiceSettings,
     handler: Arc<Handler>,
 ) -> io::Result<()> {
+    let conns = ConnRegistry::default();
+    serve_registered(listener, socket_path, metrics, settings, handler, &conns)
+}
+
+/// [`serve`] over a caller-held registry (tests watch it empty).
+fn serve_registered(
+    listener: UnixListener,
+    socket_path: &Path,
+    metrics: Arc<ServiceMetrics>,
+    settings: ServiceSettings,
+    handler: Arc<Handler>,
+    conns: &ConnRegistry,
+) -> io::Result<()> {
     let running = Arc::new(AtomicBool::new(true));
     let admission = Arc::new(Semaphore::new(settings.max_concurrent_runs));
-    let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-    let mut workers = Vec::new();
     let mut next_id: u64 = 0;
     while running.load(Ordering::SeqCst) {
         let (stream, _) = match listener.accept() {
@@ -924,32 +672,44 @@ pub fn serve(
         if !running.load(Ordering::SeqCst) {
             break;
         }
+        // A connection that cannot be registered cannot be drained at
+        // shutdown: refuse it (the client sees EOF) instead of serving
+        // it untracked.
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
         let id = next_id;
         next_id += 1;
         let busy = Arc::new(AtomicBool::new(false));
-        if let Ok(handle) = stream.try_clone() {
-            conns
-                .lock()
-                .expect("conn registry lock")
-                .insert(id, (handle, busy.clone()));
-        }
+        conns
+            .lock()
+            .expect("conn registry lock")
+            .insert(id, (handle, busy.clone()));
+        let registered = Registered {
+            conns: conns.clone(),
+            id,
+        };
         let metrics = metrics.clone();
         let handler = handler.clone();
         let admission = admission.clone();
         let running = running.clone();
-        let conns = conns.clone();
         let wake_path = socket_path.to_path_buf();
-        workers.push(std::thread::spawn(move || {
+        // Detached: the thread's registry entry, removed when it ends,
+        // is what shutdown waits on — no handle accumulates per
+        // connection served.
+        std::thread::spawn(move || {
+            let _registered = registered;
             serve_connection(
                 stream, &metrics, &handler, &admission, &running, &wake_path, &busy,
             );
-            conns.lock().expect("conn registry lock").remove(&id);
-        }));
+        });
     }
     // Drain: wait (bounded) for busy connections to finish their
     // response writes, then force-close whatever is left so readers
-    // blocked on idle clients wake up and the joins below terminate.
+    // blocked on idle clients wake up, and wait for the registry to
+    // empty as their threads end.
     let deadline = Instant::now() + settings.drain_deadline;
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(5));
     loop {
         let any_busy = conns
             .lock()
@@ -959,13 +719,13 @@ pub fn serve(
         if !any_busy || Instant::now() >= deadline {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        pause();
     }
-    for (_, (stream, _)) in conns.lock().expect("conn registry lock").drain() {
+    for (stream, _) in conns.lock().expect("conn registry lock").values() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
-    for w in workers {
-        let _ = w.join();
+    while !conns.lock().expect("conn registry lock").is_empty() {
+        pause();
     }
     let _ = std::fs::remove_file(socket_path);
     Ok(())
@@ -1017,7 +777,6 @@ fn serve_connection(
                         match r.tier {
                             CacheTier::Cold => &metrics.compile_misses,
                             CacheTier::Memory => &metrics.tier1_hits,
-                            CacheTier::Disk => &metrics.tier2_hits,
                         }
                         .fetch_add(1, Ordering::Relaxed);
                         Response::Run(r)
@@ -1082,7 +841,7 @@ mod tests {
             Response::Error("nope".to_string()),
             Response::Run(RunResponse {
                 status: -13,
-                tier: CacheTier::Disk,
+                tier: CacheTier::Memory,
                 compile_micros: 42,
                 total_micros: 99,
                 stdout: b"out".to_vec(),
@@ -1262,106 +1021,39 @@ mod tests {
         assert_eq!(h.max_us.load(Ordering::Relaxed), 10_000);
     }
 
-    fn tiny_plan(text: &str) -> ExecutionPlan {
-        ExecutionPlan {
-            steps: vec![pash_core::plan::PlanStep::Shell {
-                text: text.to_string(),
-                data_noop: false,
-            }],
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let socket = std::env::temp_dir().join(format!("pash-svc-conns-{}", std::process::id()));
+        let listener = bind(&socket).expect("bind");
+        let conns = ConnRegistry::default();
+        let server = {
+            let (socket, conns) = (socket.clone(), conns.clone());
+            std::thread::spawn(move || {
+                serve_registered(
+                    listener,
+                    &socket,
+                    Arc::new(ServiceMetrics::default()),
+                    ServiceSettings::default(),
+                    Arc::new(|_| Response::Ack),
+                    &conns,
+                )
+            })
+        };
+        for _ in 0..2000 {
+            let mut c = Client::connect(&socket).expect("connect");
+            c.metrics().expect("metrics");
         }
-    }
-
-    #[test]
-    fn disk_cache_round_trips_and_tolerates_corruption() {
-        let root = std::env::temp_dir().join(format!("pash-dpc-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = DiskPlanCache::open(&root).expect("open");
-        let plan = tiny_plan("echo hi");
-        let fb = tiny_plan("echo fallback");
-        cache.store("k1", &plan, Some(&fb)).expect("store");
-        let (got, got_fb) = cache.load("k1", true).expect("hit");
-        assert_eq!(got.dump(), plan.dump());
-        assert_eq!(got_fb.expect("fallback").dump(), fb.dump());
-        assert!(cache.load("absent", false).is_none());
-        // A second cache instance (fresh memo) reads from disk.
-        let cache2 = DiskPlanCache::open(&root).expect("open");
-        assert!(cache2.load("k1", false).is_some());
-        // Truncate the plan file: the fresh instance must miss, not
-        // return a damaged plan.
-        let fp = plan.fingerprint();
-        let pp = cache2.plan_path(fp);
-        let bytes = std::fs::read(&pp).expect("read plan");
-        std::fs::write(&pp, &bytes[..bytes.len() / 2]).expect("truncate");
-        let cache3 = DiskPlanCache::open(&root).expect("open");
-        assert!(
-            cache3.load("k1", false).is_none(),
-            "corrupt entry must miss"
-        );
-        // Re-storing heals the entry.
-        cache3.store("k1", &plan, None).expect("restore");
-        assert!(cache3.load("k1", false).is_some());
-        assert!(
-            cache3.load("k1", true).is_none(),
-            "entry without fallback must miss when fallback is required"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn disk_cache_rejects_key_collisions() {
-        let root = std::env::temp_dir().join(format!("pash-dpc-coll-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = DiskPlanCache::open(&root).expect("open");
-        let plan = tiny_plan("echo hi");
-        cache.store("honest", &plan, None).expect("store");
-        // Forge a different key whose file we overwrite in place: the
-        // stored full key no longer matches, so the lookup must miss.
-        let forged = cache.key_path("honest");
-        let text = std::fs::read_to_string(&forged).expect("read key");
-        let tampered = text.replace("\"honest\"", "\"tampered\"");
-        std::fs::write(&forged, tampered).expect("tamper");
-        assert!(cache.load("honest", false).is_none());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn disk_cache_evicts_oldest_entries_past_cap() {
-        let root = std::env::temp_dir().join(format!("pash-dpc-evict-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        // A cap small enough that a handful of entries overflow it.
-        let cache = DiskPlanCache::open(&root).expect("open").with_disk_cap(512);
-        let now = std::time::SystemTime::now();
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..8u64 {
-            let plan = tiny_plan(&format!("echo entry-{i} with some padding text"));
-            cache.store(&format!("k{i}"), &plan, None).expect("store");
-            // Backdate each entry's files once, in store order, so the
-            // mtime-LRU sweep sees an unambiguous write sequence.
-            for dir in ["plans", "keys"] {
-                for f in std::fs::read_dir(root.join(dir)).expect("ls") {
-                    let path = f.expect("entry").path();
-                    if seen.insert(path.clone()) {
-                        let _ = std::fs::File::options()
-                            .write(true)
-                            .open(&path)
-                            .and_then(|h| {
-                                h.set_modified(now - std::time::Duration::from_secs(100 - i))
-                            });
-                    }
-                }
-            }
+        // A connection's thread ends after it reads the client's EOF,
+        // so the last entries leave a moment after the last drop.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !conns.lock().expect("registry").is_empty() && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let tree_size: u64 = ["plans", "keys"]
-            .iter()
-            .flat_map(|d| std::fs::read_dir(root.join(d)).expect("ls"))
-            .map(|f| f.expect("entry").metadata().expect("meta").len())
-            .sum();
-        assert!(tree_size <= 512, "cap not enforced: {tree_size}");
-        // Early entries were evicted; the newest still loads (a fresh
-        // instance, so the hit comes from disk, not the memo).
-        let fresh = DiskPlanCache::open(&root).expect("open");
-        assert!(fresh.load("k0", false).is_none(), "oldest should be gone");
-        assert!(fresh.load("k7", false).is_some(), "newest should survive");
-        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(conns.lock().expect("registry").len(), 0);
+        let mut c = Client::connect(&socket).expect("connect");
+        let json = c.metrics().expect("daemon still answers");
+        assert!(json.contains("\"requests_served\":2001"), "{json}");
+        c.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("serve");
     }
 }

@@ -1,30 +1,26 @@
 //! The execution supervisor: retries, deadlines, and graceful
 //! fallback to the sequential baseline.
 //!
-//! Both backends execute a region as one *attempt* closure returning
-//! [`ExecError`] on failure. [`supervise_region`] wraps that closure
-//! in the recovery state machine:
+//! Every backend executes a region as one *attempt* of a
+//! [`RegionRunner`], returning [`ExecError`] on failure.
+//! [`supervise_ladder`] walks that attempt down the one recovery
+//! ladder, taking the rungs the runner offers:
 //!
 //! ```text
-//!            ┌────────────┐ transient error,
-//!            │  attempt   │ region replayable,
-//!       ┌───▶│ (injected  │ retries left
-//!       │    │   fault?)  │──────────────┐
-//!       │    └─────┬──────┘              │ backoff
-//!       │          │ ok                  │ (2^i × base)
-//!       │          ▼                     │
-//!       │      success                   │
-//!       └────────────────────────────────┘
-//!                  │ transient error, retries spent
-//!                  ▼
-//!            ┌────────────┐
-//!            │  fallback  │  width-1 sequential re-execution,
-//!            │ (width 1,  │  injection disabled — its output IS
-//!            │  no fault) │  the definition of correct
-//!            └─────┬──────┘
-//!                  │ fatal error at any point: give up — the
-//!                  ▼ sequential run would fail identically
-//!                error
+//!   attempt (fault armed per attempt; the runner enforces the
+//!     │      region deadline)
+//!     │ transient error, region replayable, retries and run budget left
+//!     ├──▶ retry after a jittered backoff (2^i × base × [0.5, 1))
+//!     │ retries spent
+//!     ▼
+//!   clean local attempt     only if the runner has a local one
+//!     │ transient error      (`remote`): same region, no injection,
+//!     ▼                      no deadline
+//!   width-1 fallback        the aligned sequential region, clean —
+//!                           its output IS the definition of correct
+//!
+//!   a fatal error at any rung ends the ladder: the sequential run
+//!   would fail identically
 //! ```
 //!
 //! Retrying is sound because attempts are *replayable*: a region's
@@ -44,7 +40,9 @@ use std::time::Duration;
 
 use pash_core::plan::RegionPlan;
 
-use crate::fault::{splitmix64, ArmedFault, ExecError, FaultPlan};
+use crate::drive::{Feed, RegionRunner};
+use crate::exec::RegionOutput;
+use crate::fault::{splitmix64, ExecError, FaultPlan};
 
 /// Recovery counters, shared across a program run (and its clones).
 #[derive(Debug, Default)]
@@ -84,7 +82,7 @@ impl SupervisorCounters {
         self.reroutes.load(Ordering::Relaxed)
     }
 
-    /// Regions that degraded from the remote backend to the local one
+    /// Regions that degraded to their runner's clean local attempt
     /// (the middle rung of the recovery ladder).
     pub fn local_fallbacks(&self) -> u64 {
         self.local_fallbacks.load(Ordering::Relaxed)
@@ -206,65 +204,22 @@ pub fn jittered_backoff(base: Duration, attempt: u32, seed: u64) -> Duration {
     Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
 }
 
-/// Runs one region under supervision.
-///
-/// `attempt` executes the region once, with the given armed fault (if
-/// any) injected; it is invoked up to `1 + max_retries` times for
-/// replayable regions. `fallback` — when provided and enabled — runs
-/// the region's width-1 sequential form with injection disabled, the
-/// last resort that restores the `sh` baseline byte-for-byte.
-pub fn supervise_region<T>(
+/// Runs one region under supervision: up to `1 + max_retries`
+/// attempts of `r` on `runner` (fewer once the run's retry budget is
+/// spent; one for a non-replayable region), each with `feed` on its
+/// stdin and the fault plan armed afresh; then, if fallback is enabled
+/// and the region replayable, a clean attempt on the runner's local
+/// runner when it has one; then `fallback` — the aligned width-1
+/// region, the last resort that restores the `sh` baseline byte for
+/// byte. A fatal error ends the ladder at any rung; with nothing left
+/// to try the last transient error is returned.
+pub fn supervise_ladder(
+    runner: &dyn RegionRunner,
     r: &RegionPlan,
+    fallback: Option<&RegionPlan>,
+    feed: &Feed,
     settings: &SupervisorSettings,
-    mut attempt: impl FnMut(Option<ArmedFault>) -> Result<T, ExecError>,
-    fallback: Option<impl FnOnce() -> Result<T, ExecError>>,
-) -> Result<T, ExecError> {
-    supervise_ladder(
-        r,
-        settings,
-        false,
-        |_, armed| attempt(armed),
-        None::<fn() -> Result<T, ExecError>>,
-        fallback,
-    )
-}
-
-/// Runs one region under the full *remote* recovery ladder:
-///
-/// ```text
-/// remote attempt (placed per attempt index, rerouted on retry)
-///   → retries with jittered backoff, bounded by the run budget
-///     → local re-execution (clean, no injection)
-///       → width-1 sequential fallback
-/// ```
-///
-/// `attempt` receives the attempt index (the remote driver uses it
-/// for per-attempt worker placement) and the armed fault, if any —
-/// remote-only kinds arm here via [`FaultPlan::arm_remote`]. `local`
-/// re-runs the same region on the local backend; `fallback` is the
-/// width-1 sequential last resort. Fatal errors abort the ladder at
-/// any rung.
-pub fn supervise_region_remote<T>(
-    r: &RegionPlan,
-    settings: &SupervisorSettings,
-    attempt: impl FnMut(u32, Option<ArmedFault>) -> Result<T, ExecError>,
-    local: Option<impl FnOnce() -> Result<T, ExecError>>,
-    fallback: Option<impl FnOnce() -> Result<T, ExecError>>,
-) -> Result<T, ExecError> {
-    supervise_ladder(r, settings, true, attempt, local, fallback)
-}
-
-/// The shared recovery state machine behind [`supervise_region`]
-/// (no local rung, local arming) and [`supervise_region_remote`]
-/// (full ladder, remote arming).
-fn supervise_ladder<T>(
-    r: &RegionPlan,
-    settings: &SupervisorSettings,
-    remote: bool,
-    mut attempt: impl FnMut(u32, Option<ArmedFault>) -> Result<T, ExecError>,
-    local: Option<impl FnOnce() -> Result<T, ExecError>>,
-    fallback: Option<impl FnOnce() -> Result<T, ExecError>>,
-) -> Result<T, ExecError> {
+) -> Result<RegionOutput, ExecError> {
     let attempts = if r.replayable {
         1 + settings.max_retries
     } else {
@@ -280,15 +235,11 @@ fn supervise_ladder<T>(
             settings.counters.retries.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(jittered_backoff(settings.backoff_base, i, jitter));
         }
-        let armed =
-            settings
-                .fault
-                .as_ref()
-                .and_then(|f| if remote { f.arm_remote(r) } else { f.arm(r) });
+        let armed = settings.fault.as_ref().and_then(|f| runner.arm(f, r));
         if armed.is_some() {
             settings.counters.injected.fetch_add(1, Ordering::Relaxed);
         }
-        match attempt(i, armed) {
+        match runner.attempt(r, feed, armed.as_ref(), i, Some(settings)) {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => last = Some(e),
             // Fatal: the sequential run would fail identically;
@@ -300,15 +251,15 @@ fn supervise_ladder<T>(
     if !(settings.fallback && r.replayable) {
         return Err(last);
     }
-    // Middle rung: the local backend, clean (no injection, no
-    // deadline) — remote infrastructure trouble does not condemn a
-    // run to width 1.
-    if let Some(run_local) = local {
+    // Middle rung: infrastructure trouble between here and the runner
+    // does not condemn a run to width 1.
+    let local = runner.clean_local();
+    if let Some(local) = local {
         settings
             .counters
             .local_fallbacks
             .fetch_add(1, Ordering::Relaxed);
-        match run_local() {
+        match local.attempt(r, feed, None, 0, None) {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => {}
             Err(e) => return Err(e),
@@ -316,9 +267,9 @@ fn supervise_ladder<T>(
     }
     // Last rung: width-1 sequential re-execution, injection disabled
     // — its output IS the definition of correct.
-    if let Some(run_fallback) = fallback {
+    if let Some(fb) = fallback {
         settings.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-        return run_fallback();
+        return local.unwrap_or(runner).attempt(fb, feed, None, 0, None);
     }
     Err(last)
 }
@@ -326,8 +277,8 @@ fn supervise_ladder<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::fake::{fatal, ok, transient, FakeRunner};
     use crate::fault::FaultClass;
-    use std::io;
 
     fn replayable_region() -> RegionPlan {
         RegionPlan {
@@ -336,91 +287,101 @@ mod tests {
         }
     }
 
-    fn transient() -> ExecError {
-        ExecError::transient("node", io::Error::new(io::ErrorKind::Interrupted, "boom"))
+    /// A second region, tellable apart from [`replayable_region`].
+    fn fallback_region() -> RegionPlan {
+        RegionPlan::default()
+    }
+
+    fn quick(max_retries: u32) -> SupervisorSettings {
+        SupervisorSettings {
+            max_retries,
+            backoff_base: Duration::from_millis(1),
+            ..Default::default()
+        }
+    }
+
+    fn feed() -> Feed {
+        Feed::from(*b"feed")
+    }
+
+    /// Fails every attempt at the main region; the fallback succeeds
+    /// with status 99.
+    fn failing() -> FakeRunner {
+        let fb = fallback_region().fingerprint();
+        FakeRunner::new(move |c| {
+            if c.region == fb {
+                ok(99, b"")
+            } else {
+                Err(transient())
+            }
+        })
     }
 
     #[test]
     fn first_success_needs_no_recovery() {
-        let s = SupervisorSettings::default();
-        let out = supervise_region(
-            &replayable_region(),
-            &s,
-            |_| Ok::<_, ExecError>(7),
-            None::<fn() -> Result<i32, ExecError>>,
-        )
-        .expect("ok");
-        assert_eq!(out, 7);
+        let s = quick(2);
+        let runner = FakeRunner::new(|_| ok(7, b""));
+        let out = supervise_ladder(&runner, &replayable_region(), None, &feed(), &s).expect("ok");
+        assert_eq!(out.status, 7);
         assert_eq!(s.counters.retries(), 0);
         assert_eq!(s.counters.fallbacks(), 0);
     }
 
     #[test]
     fn transient_failure_retries_then_succeeds() {
-        let s = SupervisorSettings {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let mut calls = 0;
-        let out = supervise_region(
-            &replayable_region(),
-            &s,
-            |_| {
-                calls += 1;
-                if calls < 3 {
-                    Err(transient())
-                } else {
-                    Ok(42)
-                }
-            },
-            None::<fn() -> Result<i32, ExecError>>,
-        )
-        .expect("ok");
-        assert_eq!(out, 42);
+        let s = quick(2);
+        let runner = FakeRunner::new(|c| {
+            if c.attempt_no < 2 {
+                Err(transient())
+            } else {
+                ok(42, b"")
+            }
+        });
+        let out = supervise_ladder(&runner, &replayable_region(), None, &feed(), &s).expect("ok");
+        assert_eq!(out.status, 42);
         assert_eq!(s.counters.retries(), 2);
         assert_eq!(s.counters.fallbacks(), 0);
+        // Attempt indices arrive in order (the remote runner places by
+        // them), every attempt supervised.
+        let seen: Vec<(u32, bool)> = runner
+            .calls()
+            .iter()
+            .map(|c| (c.attempt_no, c.supervised))
+            .collect();
+        assert_eq!(seen, [(0, true), (1, true), (2, true)]);
     }
 
     #[test]
     fn exhausted_retries_fall_back() {
-        let s = SupervisorSettings {
-            max_retries: 1,
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let out = supervise_region(
-            &replayable_region(),
-            &s,
-            |_| Err::<i32, _>(transient()),
-            Some(|| Ok(99)),
-        )
-        .expect("fallback");
-        assert_eq!(out, 99);
+        let s = quick(1);
+        let runner = failing();
+        let fb = fallback_region();
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+            .expect("fallback");
+        assert_eq!(out.status, 99);
         assert_eq!(s.counters.retries(), 1);
         assert_eq!(s.counters.fallbacks(), 1);
+        let last = runner.calls().pop().expect("calls");
+        assert_eq!(last.region, fb.fingerprint());
+        assert!(!last.supervised, "the reference run has no deadline");
+        // With fallback disabled the last transient error comes back.
+        let s = SupervisorSettings {
+            fallback: false,
+            ..quick(1)
+        };
+        supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s)
+            .expect_err("no fallback");
+        assert_eq!(s.counters.fallbacks(), 0);
     }
 
     #[test]
     fn fatal_errors_do_not_retry_or_fall_back() {
-        let s = SupervisorSettings {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let mut calls = 0;
-        let err = supervise_region(
-            &replayable_region(),
-            &s,
-            |_| {
-                calls += 1;
-                Err::<i32, _>(ExecError::fatal(
-                    "node",
-                    io::Error::new(io::ErrorKind::NotFound, "no such file"),
-                ))
-            },
-            Some(|| Ok(1)),
-        )
-        .expect_err("fatal");
-        assert_eq!(calls, 1);
+        let s = quick(2);
+        let runner = FakeRunner::new(|_| Err(fatal()));
+        let fb = fallback_region();
+        let err = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+            .expect_err("fatal");
+        assert_eq!(runner.calls().len(), 1);
         assert_eq!(err.class, FaultClass::Fatal);
         assert_eq!(s.counters.fallbacks(), 0);
     }
@@ -451,101 +412,64 @@ mod tests {
         // Budget 1, two failing replayable regions: exactly one retry
         // is spent across the run, then both regions fall back.
         let s = SupervisorSettings {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             retry_budget: 1,
-            ..Default::default()
+            ..quick(2)
         }
         .fresh_run();
+        let fb = fallback_region();
         for _ in 0..2 {
-            let out = supervise_region(
-                &replayable_region(),
-                &s,
-                |_| Err::<i32, _>(transient()),
-                Some(|| Ok(5)),
-            )
-            .expect("fallback");
-            assert_eq!(out, 5);
+            let out = supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s)
+                .expect("fallback");
+            assert_eq!(out.status, 99);
         }
         assert_eq!(s.counters.retries(), 1, "budget caps retries run-wide");
         assert_eq!(s.counters.fallbacks(), 2);
         // fresh_run reinstalls the budget for the next run.
         let s2 = s.fresh_run();
-        supervise_region(
-            &replayable_region(),
-            &s2,
-            |_| Err::<i32, _>(transient()),
-            Some(|| Ok(5)),
-        )
-        .expect("fallback");
+        supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s2)
+            .expect("fallback");
         assert_eq!(s2.counters.retries(), 2);
     }
 
     #[test]
-    fn remote_ladder_degrades_remote_to_local_to_sequential() {
-        let s = SupervisorSettings {
-            max_retries: 1,
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        };
+    fn a_local_rung_sits_between_retries_and_the_fallback() {
+        let s = quick(1);
+        let fb = fallback_region();
         // Local rung succeeds: sequential fallback untouched.
-        let out = supervise_region_remote(
-            &replayable_region(),
-            &s,
-            |_, _| Err::<i32, _>(transient()),
-            Some(|| Ok(11)),
-            Some(|| Ok(99)),
-        )
-        .expect("local rung");
-        assert_eq!(out, 11);
+        let runner = failing().with_local(FakeRunner::new(|_| ok(11, b"")));
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+            .expect("local rung");
+        assert_eq!(out.status, 11);
         assert_eq!(s.counters.local_fallbacks(), 1);
         assert_eq!(s.counters.fallbacks(), 0);
-        // Local rung also transient: the sequential rung finishes it.
-        let out = supervise_region_remote(
-            &replayable_region(),
-            &s,
-            |_, _| Err::<i32, _>(transient()),
-            Some(|| Err::<i32, _>(transient())),
-            Some(|| Ok(99)),
-        )
-        .expect("sequential rung");
-        assert_eq!(out, 99);
+        let local = runner.local().calls();
+        assert_eq!(local.len(), 1);
+        assert!(
+            !local[0].supervised && !local[0].armed,
+            "the local rung is clean"
+        );
+        assert_eq!(local[0].feed, b"feed");
+        // Local rung also transient: the sequential rung finishes it,
+        // on the local runner.
+        let runner = failing().with_local(failing());
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+            .expect("sequential rung");
+        assert_eq!(out.status, 99);
         assert_eq!(s.counters.local_fallbacks(), 2);
         assert_eq!(s.counters.fallbacks(), 1);
-        // Attempt indices arrive in order (placement input).
-        let mut seen = Vec::new();
-        let _ = supervise_region_remote(
-            &replayable_region(),
-            &s,
-            |i, _| {
-                seen.push(i);
-                Err::<i32, _>(transient())
-            },
-            None::<fn() -> Result<i32, ExecError>>,
-            Some(|| Ok(0)),
-        );
-        assert_eq!(seen, vec![0, 1]);
+        assert_eq!(runner.calls().len(), 2, "the two supervised attempts only");
+        let local: Vec<u64> = runner.local().calls().iter().map(|c| c.region).collect();
+        assert_eq!(local, [replayable_region().fingerprint(), fb.fingerprint()]);
     }
 
     #[test]
     fn non_replayable_regions_fail_on_first_transient() {
-        let s = SupervisorSettings {
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        };
+        let s = quick(2);
         let r = RegionPlan::default(); // replayable: false
-        let mut calls = 0;
-        supervise_region(
-            &r,
-            &s,
-            |_| {
-                calls += 1;
-                Err::<i32, _>(transient())
-            },
-            Some(|| Ok(1)),
-        )
-        .expect_err("no retry");
-        assert_eq!(calls, 1);
+        let runner = FakeRunner::new(|_| Err(transient()));
+        supervise_ladder(&runner, &r, Some(&replayable_region()), &feed(), &s)
+            .expect_err("no retry");
+        assert_eq!(runner.calls().len(), 1);
         assert_eq!(s.counters.retries(), 0);
         assert_eq!(s.counters.fallbacks(), 0);
     }

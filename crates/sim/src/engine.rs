@@ -710,192 +710,6 @@ pub fn simulate_program(
     }
 }
 
-/// Parameters of a simulated fault-recovery episode, mirroring the
-/// runtime supervisor's knobs (`SupervisorSettings`).
-#[derive(Debug, Clone)]
-pub struct FaultProfile {
-    /// Fraction of the parallel run's wall-clock that elapses before
-    /// the supervisor detects the failure (0 = fails at spawn,
-    /// 1 = at the very end of the stream).
-    pub detect_frac: f64,
-    /// Retries the supervisor attempts before giving up.
-    pub retries: u32,
-    /// Base backoff slept before retry `i` (doubles each retry),
-    /// seconds.
-    pub backoff_base: f64,
-    /// Whether exhausted retries degrade to the sequential plan
-    /// (the supervisor's graceful-fallback path). When `false`, the
-    /// fault is transient and the final retry succeeds.
-    pub fallback: bool,
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        FaultProfile {
-            detect_frac: 0.5,
-            retries: 2,
-            backoff_base: 0.025,
-            fallback: true,
-        }
-    }
-}
-
-/// Cost breakdown of one simulated fault episode.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Fault-free parallel seconds (the happy path being disrupted).
-    pub parallel_seconds: f64,
-    /// Width-1 sequential seconds (the fallback's cost).
-    pub sequential_seconds: f64,
-    /// Seconds burnt in doomed attempts and backoff sleeps.
-    pub wasted_seconds: f64,
-    /// End-to-end seconds for the whole episode.
-    pub total_seconds: f64,
-    /// `total / parallel`: the price of surviving the fault relative
-    /// to the undisturbed parallel run.
-    pub overhead_x: f64,
-}
-
-/// Closed-form cost of a fault-recovery episode over already-lowered
-/// plans: each failed attempt burns `detect_frac` of the parallel
-/// runtime plus an exponentially growing backoff sleep; the episode
-/// ends either in the sequential fallback (persistent fault) or a
-/// final successful parallel attempt (transient fault).
-///
-/// The per-attempt runtimes come from the same fluid engine the rest
-/// of the crate uses, so spawn/setup costs, back-pressure, and
-/// blocking stages all shape the recovery bill.
-pub fn simulate_recovery(
-    par: &ExecutionPlan,
-    seq: &ExecutionPlan,
-    sizes: &InputSizes,
-    stdin_bytes: f64,
-    cm: &CostModel,
-    cfg: &SimConfig,
-    fp: &FaultProfile,
-) -> RecoveryReport {
-    let t_par = simulate_program(par, sizes, stdin_bytes, cm, cfg).seconds;
-    let t_seq = simulate_program(seq, sizes, stdin_bytes, cm, cfg).seconds;
-    let detect = fp.detect_frac.clamp(0.0, 1.0) * t_par;
-    let mut wasted = 0.0;
-    for i in 1..=fp.retries {
-        wasted += detect + fp.backoff_base * (1u64 << (i - 1).min(62)) as f64;
-    }
-    let total = if fp.fallback {
-        // The initial attempt and every retry fail; the supervisor
-        // re-executes the aligned width-1 plan, which faults cannot
-        // reach.
-        wasted += detect;
-        wasted + t_seq
-    } else {
-        // Transient: the final retry runs to completion.
-        wasted + t_par
-    };
-    RecoveryReport {
-        parallel_seconds: t_par,
-        sequential_seconds: t_seq,
-        wasted_seconds: wasted,
-        total_seconds: total,
-        overhead_x: total / t_par.max(1e-12),
-    }
-}
-
-/// Cost parameters of the remote worker backend: what shipping a
-/// region to a `pash-worker` and recovering from a dropped worker
-/// costs on top of the work itself.
-#[derive(Debug, Clone)]
-pub struct RemoteProfile {
-    /// Socket throughput for shipping the serialized region plus its
-    /// input files and streaming results back, bytes/second.
-    pub ship_bytes_per_s: f64,
-    /// Per-attempt constant: connect, frame, and decode overhead,
-    /// seconds.
-    pub connect_seconds: f64,
-    /// Fraction of a remote attempt's wall-clock that elapses before
-    /// the coordinator detects a dropped connection or torn stream.
-    pub detect_frac: f64,
-    /// Remote attempts before the ladder degrades to the local rung
-    /// (1 initial + `retries` rerouted retries).
-    pub retries: u32,
-    /// Base backoff slept before retry `i` (doubles each retry),
-    /// seconds.
-    pub backoff_base: f64,
-}
-
-impl Default for RemoteProfile {
-    fn default() -> Self {
-        RemoteProfile {
-            // A loopback Unix socket moves GB/s; a LAN would be ~100×
-            // slower. The default prices the testbed CI measures.
-            ship_bytes_per_s: 2e9,
-            connect_seconds: 0.0005,
-            detect_frac: 0.5,
-            retries: 2,
-            backoff_base: 0.025,
-        }
-    }
-}
-
-/// Cost breakdown of the remote recovery ladder's episodes.
-#[derive(Debug, Clone)]
-pub struct RemoteRecoveryReport {
-    /// A clean remote run: ship + execute + stream back.
-    pub remote_seconds: f64,
-    /// One dropped connection, detected mid-attempt, retried on a
-    /// different worker after backoff.
-    pub reroute_seconds: f64,
-    /// `reroute / remote`: the price of surviving one dropped worker
-    /// relative to the undisturbed remote run.
-    pub reroute_overhead_x: f64,
-    /// Every remote attempt fails; the ladder degrades to the clean
-    /// local run at full width.
-    pub local_degraded_seconds: f64,
-    /// `local_degraded / remote`: the price of a dead worker pool.
-    pub local_degraded_overhead_x: f64,
-}
-
-/// Closed-form cost of the remote backend's recovery ladder over
-/// already-lowered plans, using the same fluid engine for the work
-/// itself: a remote attempt costs connect + shipping (inputs over the
-/// socket, results back) + the parallel runtime; a dropped worker
-/// burns `detect_frac` of that before the supervisor reroutes; a dead
-/// pool burns every attempt and lands on the local rung.
-pub fn simulate_remote_recovery(
-    par: &ExecutionPlan,
-    sizes: &InputSizes,
-    stdin_bytes: f64,
-    cm: &CostModel,
-    cfg: &SimConfig,
-    rp: &RemoteProfile,
-) -> RemoteRecoveryReport {
-    let t_par = simulate_program(par, sizes, stdin_bytes, cm, cfg).seconds;
-    // Bytes crossing the socket: every input the plan reads, the
-    // stdin feed, and (conservatively) the same volume streaming back.
-    let input_bytes: f64 = sizes.values().sum::<f64>() + stdin_bytes;
-    let ship = rp.connect_seconds + 2.0 * input_bytes / rp.ship_bytes_per_s.max(1.0);
-    let attempt = ship + t_par;
-    let remote = attempt;
-    // One drop: detect mid-attempt, back off, succeed on the other
-    // worker.
-    let reroute = rp.detect_frac.clamp(0.0, 1.0) * attempt + rp.backoff_base + attempt;
-    // Dead pool: 1 + retries doomed attempts (each detected at
-    // `detect_frac`, connect cost always paid) plus the backoff
-    // ladder, then the clean local run.
-    let mut wasted = rp.detect_frac.clamp(0.0, 1.0) * attempt;
-    for i in 1..=rp.retries {
-        wasted += rp.detect_frac.clamp(0.0, 1.0) * attempt
-            + rp.backoff_base * (1u64 << (i - 1).min(62)) as f64;
-    }
-    let local_degraded = wasted + t_par;
-    RemoteRecoveryReport {
-        remote_seconds: remote,
-        reroute_seconds: reroute,
-        reroute_overhead_x: reroute / remote.max(1e-12),
-        local_degraded_seconds: local_degraded,
-        local_degraded_overhead_x: local_degraded / remote.max(1e-12),
-    }
-}
-
 /// The performance-prediction backend over execution plans.
 pub struct SimBackend<'a> {
     /// Sizes of the input files the plan reads.
@@ -1218,98 +1032,6 @@ mod tests {
         );
         // 8 tr + 8 sort + 7 agg + 14 eager (§6.1).
         assert_eq!(r.processes, 37);
-    }
-
-    fn recovery(fp: &FaultProfile) -> RecoveryReport {
-        let par = compile(
-            GREP,
-            &PashConfig {
-                width: 4,
-                ..Default::default()
-            },
-        )
-        .expect("compile par");
-        let seq = compile(
-            GREP,
-            &PashConfig {
-                width: 1,
-                ..Default::default()
-            },
-        )
-        .expect("compile seq");
-        simulate_recovery(
-            &par.plan,
-            &seq.plan,
-            &sizes(100.0),
-            0.0,
-            &CostModel::default(),
-            &SimConfig::default(),
-            fp,
-        )
-    }
-
-    #[test]
-    fn no_fault_profile_costs_the_parallel_run() {
-        let r = recovery(&FaultProfile {
-            retries: 0,
-            fallback: false,
-            ..Default::default()
-        });
-        assert!(r.wasted_seconds == 0.0);
-        assert!((r.total_seconds - r.parallel_seconds).abs() < 1e-9);
-        assert!((r.overhead_x - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fallback_episode_costs_retries_plus_sequential() {
-        let fp = FaultProfile::default();
-        let r = recovery(&fp);
-        // Three doomed attempts (initial + 2 retries) at half the
-        // parallel runtime each, plus backoff, plus the sequential
-        // re-execution.
-        let expected =
-            3.0 * 0.5 * r.parallel_seconds + fp.backoff_base * 3.0 + r.sequential_seconds;
-        assert!(
-            (r.total_seconds - expected).abs() < 1e-6,
-            "total {:.3} != expected {:.3}",
-            r.total_seconds,
-            expected
-        );
-        assert!(r.overhead_x > 1.0);
-    }
-
-    #[test]
-    fn transient_fault_is_cheaper_than_fallback() {
-        let transient = recovery(&FaultProfile {
-            retries: 1,
-            fallback: false,
-            ..Default::default()
-        });
-        let persistent = recovery(&FaultProfile {
-            retries: 1,
-            fallback: true,
-            ..Default::default()
-        });
-        assert!(
-            transient.total_seconds < persistent.total_seconds,
-            "transient {:.2}s !< persistent {:.2}s",
-            transient.total_seconds,
-            persistent.total_seconds
-        );
-    }
-
-    #[test]
-    fn recovery_cost_grows_with_retry_budget() {
-        let r1 = recovery(&FaultProfile {
-            retries: 1,
-            ..Default::default()
-        });
-        let r4 = recovery(&FaultProfile {
-            retries: 4,
-            ..Default::default()
-        });
-        assert!(r4.total_seconds > r1.total_seconds);
-        assert!(r4.wasted_seconds > r1.wasted_seconds);
     }
 
     #[test]

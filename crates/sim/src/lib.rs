@@ -31,11 +31,7 @@ pub mod cost;
 pub mod engine;
 
 pub use cost::{CostModel, Discipline, Profile, Resource};
-pub use engine::{
-    simulate_program, simulate_recovery, simulate_region, simulate_remote_recovery, FaultProfile,
-    InputSizes, RecoveryReport, RemoteProfile, RemoteRecoveryReport, SimBackend, SimConfig,
-    SimReport,
-};
+pub use engine::{simulate_program, simulate_region, InputSizes, SimBackend, SimConfig, SimReport};
 
 use pash_core::compile::{compile_cached, PashConfig};
 use pash_core::optimize::CandidatePricer;
@@ -87,43 +83,6 @@ pub fn simulate_compiled(
 ) -> Result<SimReport, pash_core::Error> {
     let compiled = compile_cached(src, cfg)?;
     Ok(simulate_program(&compiled.plan, sizes, 0.0, cm, sim))
-}
-
-/// Compiles a script at its configured width and at width 1, then
-/// prices a fault-recovery episode between the two plans.
-pub fn simulate_recovery_compiled(
-    src: &str,
-    cfg: &PashConfig,
-    sizes: &InputSizes,
-    cm: &CostModel,
-    sim: &SimConfig,
-    fp: &FaultProfile,
-) -> Result<RecoveryReport, pash_core::Error> {
-    let par = compile_cached(src, cfg)?;
-    let seq = compile_cached(
-        src,
-        &PashConfig {
-            width: 1,
-            ..cfg.clone()
-        },
-    )?;
-    Ok(simulate_recovery(
-        &par.plan, &seq.plan, sizes, 0.0, cm, sim, fp,
-    ))
-}
-
-/// Compiles a script at its configured width and prices the remote
-/// backend's recovery ladder over the resulting plan.
-pub fn simulate_remote_recovery_compiled(
-    src: &str,
-    cfg: &PashConfig,
-    sizes: &InputSizes,
-    cm: &CostModel,
-    sim: &SimConfig,
-    rp: &RemoteProfile,
-) -> Result<RemoteRecoveryReport, pash_core::Error> {
-    let par = compile_cached(src, cfg)?;
-    Ok(simulate_remote_recovery(&par.plan, sizes, 0.0, cm, sim, rp))
 }
 
 /// Simulated speedup of a configuration over sequential execution.

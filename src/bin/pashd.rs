@@ -7,9 +7,10 @@
 //!
 //! Listens on a Unix-domain socket for length-prefixed requests
 //! (script + config + backend + stdin bytes), compiles through the
-//! two-tier plan cache, runs on the requested backend, and replies
-//! with stdout/status. `--cache-dir` enables the on-disk tier so a
-//! restarted daemon warm-starts. `--worker` (repeatable) names the
+//! in-memory plan cache, runs on the requested backend, and replies
+//! with stdout/status. `--cache-dir` is where measured profiles
+//! persist, so a restarted daemon keeps what it learned about command
+//! rates. `--worker` (repeatable) names the
 //! `pash-worker` sockets the `remote` backend ships regions to. Stop
 //! it with a `Shutdown` request
 //! (`pash::runtime::service::Client::shutdown`) or SIGTERM — both
@@ -105,11 +106,11 @@ fn main() -> ExitCode {
     let Some(socket) = socket else { usage() };
     cfg.socket = socket;
     eprintln!(
-        "pashd: listening on {} (cache: {}, max concurrent runs: {}, workers: {})",
+        "pashd: listening on {} (profiles: {}, max concurrent runs: {}, workers: {})",
         cfg.socket.display(),
         cfg.cache_dir
             .as_ref()
-            .map_or("tier 1 only".to_string(), |d| d.display().to_string()),
+            .map_or("in memory".to_string(), |d| d.display().to_string()),
         cfg.max_concurrent_runs,
         cfg.workers.len(),
     );

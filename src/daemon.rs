@@ -1,23 +1,20 @@
 //! `pashd` — the persistent compile-and-run daemon.
 //!
 //! The runtime's [`crate::runtime::service`] module supplies the
-//! mechanism (protocol, admission, metrics, disk cache); this module
-//! supplies the policy: how a [`RunRequest`] becomes a compiled
-//! [`RunHandle`] through the two cache tiers and how a run executes in
-//! isolation.
+//! mechanism (protocol, admission, metrics); this module supplies the
+//! policy: how a [`RunRequest`] becomes a compiled [`RunHandle`] and
+//! how a run executes in isolation.
 //!
-//! **Cache tiers.** A request's key is the same
-//! `"{cfg.cache_key()}\0{src}"` string the in-memory memo uses.
-//! Lookup order:
+//! **Plan cache.** One tier: the process-wide `compile_cached` LRU,
+//! keyed by `"{cfg.cache_key()}\0{src}"`. [`compile_cache_peek`] tells
+//! a hit ([`CacheTier::Memory`]) from a miss ([`CacheTier::Cold`], which
+//! compiles and populates it). A compile costs tens of microseconds —
+//! less than reading a stored plan back — so nothing about plans is
+//! kept on disk; a restarted daemon recompiles on first sight.
 //!
-//! 1. *tier 1* — [`compile_cache_peek`] against the process-wide
-//!    `compile_cached` LRU (full front-end artifacts);
-//! 2. *tier 2* — [`DiskPlanCache::load`], which re-parses a stored
-//!    `ExecutionPlan::dump()`; this survives daemon restarts, so a
-//!    fresh process warm-starts from disk without re-running
-//!    parse+lower;
-//! 3. *miss* — compile through `compile_cached` (populating tier 1)
-//!    and write the dump(s) to tier 2.
+//! **Cache directory.** What does survive a restart is what was
+//! *measured*: with `cache_dir` set, the [`ProfileStore`] of per-command
+//! rates lives under `<cache_dir>/profiles`.
 //!
 //! **Isolation.** The daemon owns a *template* [`MemFs`] seeded over
 //! the socket (`PutFile`). Every run executes against
@@ -37,8 +34,7 @@ use crate::coreutils::fs::MemFs;
 use crate::coreutils::Registry;
 use crate::runtime::profile::{node_label, ProfileStore};
 use crate::runtime::service::{
-    self, CacheTier, DiskPlanCache, Request, Response, RunRequest, RunResponse, ServiceMetrics,
-    ServiceSettings,
+    self, CacheTier, Request, Response, RunRequest, RunResponse, ServiceMetrics, ServiceSettings,
 };
 use crate::runtime::supervise::SupervisorSettings;
 use crate::sim::{CostModel, InputSizes, SimPricer};
@@ -48,7 +44,8 @@ use crate::{BackendOutput, RunEnv, RunError, RunHandle};
 pub struct DaemonConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// On-disk plan-cache root; `None` runs with tier 1 only.
+    /// Where measured profiles persist (`<cache_dir>/profiles`);
+    /// `None` keeps them in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Admission-control width (runs executing at once).
     pub max_concurrent_runs: usize,
@@ -75,28 +72,23 @@ impl Default for DaemonConfig {
     }
 }
 
-/// The daemon's shared state: the compile tiers and the template
-/// filesystem. One instance serves every connection.
+/// The daemon's shared state: the template filesystem and the
+/// profile store. One instance serves every connection.
 pub struct Daemon {
     template: MemFs,
     registry: Registry,
-    disk: Option<DiskPlanCache>,
     supervisor: SupervisorSettings,
     workers: Vec<PathBuf>,
     metrics: Arc<ServiceMetrics>,
     /// Measured per-command rates, recorded by every run and consulted
-    /// by adaptive (`width == 0`) requests. Disk-backed beside the plan
-    /// cache so profiles survive restarts.
+    /// by adaptive (`width == 0`) requests. Disk-backed under the cache
+    /// directory so profiles survive restarts.
     profile: Arc<ProfileStore>,
 }
 
 impl Daemon {
-    /// Builds daemon state (opening the disk cache if configured).
+    /// Builds daemon state (opening the profile store if configured).
     pub fn new(cfg: &DaemonConfig) -> io::Result<Daemon> {
-        let disk = match &cfg.cache_dir {
-            Some(dir) => Some(DiskPlanCache::open(dir)?),
-            None => None,
-        };
         let profile = match &cfg.cache_dir {
             Some(dir) => ProfileStore::open(&dir.join("profiles"))?,
             None => ProfileStore::in_memory(),
@@ -104,10 +96,9 @@ impl Daemon {
         Ok(Daemon {
             template: MemFs::new(),
             registry: Registry::standard(),
-            disk,
             supervisor: cfg.supervisor.clone(),
             workers: cfg.workers.clone(),
-            metrics: Arc::new(ServiceMetrics::default()),
+            metrics: Arc::new(ServiceMetrics::new(cfg.supervisor.counters.clone())),
             profile: Arc::new(profile),
         })
     }
@@ -132,44 +123,18 @@ impl Daemon {
         }
     }
 
-    /// Resolves a script through the cache tiers to a runnable handle.
+    /// Resolves a script through the plan cache to a runnable handle:
+    /// the width-1 fallback rides the same memo as the plan itself.
     fn lookup(
-        &self,
         script: &str,
         cfg: &PashConfig,
         want_fallback: bool,
     ) -> Result<(RunHandle, CacheTier), RunError> {
-        if let Some(compiled) = compile_cache_peek(script, cfg) {
-            // The width-1 fallback rides the same memo; after the cold
-            // request compiled it, this is a second tier-1 hit.
-            let fb = if want_fallback {
-                compile_cached(
-                    script,
-                    &PashConfig {
-                        width: 1,
-                        per_region: Vec::new(),
-                        ..cfg.clone()
-                    },
-                )
-                .ok()
-            } else {
-                None
-            };
-            return Ok((RunHandle::from_compiled(compiled, fb), CacheTier::Memory));
-        }
-        let key = format!("{}\u{0}{script}", cfg.cache_key());
-        if let Some(disk) = &self.disk {
-            if let Some((plan, fb)) = disk.load(&key, want_fallback) {
-                return Ok((RunHandle::from_plans(plan, fb), CacheTier::Disk));
-            }
-        }
-        let handle = RunHandle::compile(script, cfg, want_fallback)?;
-        if let Some(disk) = &self.disk {
-            // Best-effort: a full disk degrades to tier-1-only, it
-            // does not fail the request.
-            let _ = disk.store(&key, handle.plan(), handle.fallback_plan());
-        }
-        Ok((handle, CacheTier::Cold))
+        let tier = match compile_cache_peek(script, cfg) {
+            Some(_) => CacheTier::Memory,
+            None => CacheTier::Cold,
+        };
+        Ok((RunHandle::compile(script, cfg, want_fallback)?, tier))
     }
 
     /// Chooses a per-region configuration for an adaptive
@@ -238,7 +203,7 @@ impl Daemon {
         let want_fallback = cfg.width != 1
             && self.supervisor.fallback
             && matches!(req.backend.as_str(), "threads" | "processes" | "remote");
-        let (handle, tier) = match self.lookup(&req.script, &cfg, want_fallback) {
+        let (handle, tier) = match Self::lookup(&req.script, &cfg, want_fallback) {
             Ok(x) => x,
             Err(e) => return Response::Error(e.to_string()),
         };

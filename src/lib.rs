@@ -85,6 +85,7 @@ use crate::core::compile::{compile_cached, Compiled, PashConfig};
 use crate::core::plan::{Backend, ExecutionPlan};
 use crate::coreutils::fs::{Fs, MemFs};
 use crate::coreutils::Registry;
+use crate::runtime::drive::Feed;
 use crate::runtime::exec::{run_program_with_fallback, ExecConfig, ProgramOutput};
 use crate::runtime::proc::{locate_bin, run_plan_with_fallback, ProcConfig};
 use crate::runtime::remote::{run_program_remote, WorkerPool};
@@ -131,8 +132,7 @@ pub struct ProcSettings {
     /// current executable).
     pub pash_rt: Option<PathBuf>,
     /// Maximum independent regions in flight at once (0 or 1 =
-    /// strictly sequential steps; see
-    /// [`core::plan::ExecutionPlan::parallel_waves`]).
+    /// strictly sequential steps; see [`runtime::drive::drive`]).
     pub max_inflight: usize,
     /// How long teardown waits after `SIGPIPE` before escalating to
     /// `SIGKILL` (default 2 s).
@@ -243,37 +243,17 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Where a [`RunHandle`]'s plan came from.
-enum PlanSource {
-    /// A tier-1 (in-memory) compile result: plan plus front-end view.
-    Compiled(Arc<Compiled>),
-    /// A bare plan — deserialized from the on-disk cache tier or
-    /// handed over a wire; no [`Compiled`] exists for it.
-    Plan(Arc<ExecutionPlan>),
-}
-
-impl PlanSource {
-    fn plan(&self) -> &ExecutionPlan {
-        match self {
-            PlanSource::Compiled(c) => &c.plan,
-            PlanSource::Plan(p) => p,
-        }
-    }
-}
-
 /// One run's compiled state: the execution plan plus the optional
 /// width-1 plan backing the supervisor's sequential fallback.
 ///
 /// A handle owns everything [`run`] needs besides the per-run
-/// [`RunEnv`], independent of where the plans came from — a fresh
-/// compile, the process-wide memo ([`RunHandle::compile`]), or a
-/// deserialized `dump()` from the service's disk cache
-/// ([`RunHandle::from_plans`]). The `pashd` service keeps handles warm
-/// across requests and constructs one `RunEnv` per request, so
-/// concurrent runs share nothing but the immutable plans.
+/// [`RunEnv`] — from a fresh compile or the process-wide memo
+/// ([`RunHandle::compile`]). The `pashd` service constructs one
+/// `RunEnv` per request, so concurrent runs share nothing but the
+/// immutable plans.
 pub struct RunHandle {
-    plan: PlanSource,
-    seq_fallback: Option<PlanSource>,
+    plan: Arc<Compiled>,
+    seq_fallback: Option<Arc<Compiled>>,
 }
 
 impl RunHandle {
@@ -294,12 +274,11 @@ impl RunHandle {
                 },
             )
             .ok()
-            .map(PlanSource::Compiled)
         } else {
             None
         };
         Ok(RunHandle {
-            plan: PlanSource::Compiled(compiled),
+            plan: compiled,
             seq_fallback,
         })
     }
@@ -310,77 +289,47 @@ impl RunHandle {
         seq_fallback: Option<Arc<Compiled>>,
     ) -> RunHandle {
         RunHandle {
-            plan: PlanSource::Compiled(compiled),
-            seq_fallback: seq_fallback.map(PlanSource::Compiled),
-        }
-    }
-
-    /// Builds a handle from bare plans — the disk-cache / wire path,
-    /// where no front-end artifacts exist.
-    pub fn from_plans(
-        plan: Arc<ExecutionPlan>,
-        seq_fallback: Option<Arc<ExecutionPlan>>,
-    ) -> RunHandle {
-        RunHandle {
-            plan: PlanSource::Plan(plan),
-            seq_fallback: seq_fallback.map(PlanSource::Plan),
+            plan: compiled,
+            seq_fallback,
         }
     }
 
     /// The execution plan.
     pub fn plan(&self) -> &ExecutionPlan {
-        self.plan.plan()
+        &self.plan.plan
     }
 
     /// The width-1 fallback plan, when one was compiled or attached.
     pub fn fallback_plan(&self) -> Option<&ExecutionPlan> {
-        self.seq_fallback.as_ref().map(|p| p.plan())
+        self.seq_fallback.as_ref().map(|c| &c.plan)
     }
 
     /// Runs the plan on the backend named `backend` — `"shell"`,
     /// `"threads"`, `"processes"`, `"remote"`, or `"sim"` — against
-    /// `env`. The
-    /// fallback plan is handed to the executor only when the backend's
-    /// supervisor has fallback enabled, mirroring what [`run`] always
-    /// did.
+    /// `env`. The executing backends get the fallback plan whenever
+    /// there is one; whether it is used is the supervisor's decision
+    /// (`SupervisorSettings::fallback`).
     pub fn execute(&self, backend: &str, env: &RunEnv) -> Result<BackendOutput, RunError> {
-        let plan = self.plan.plan();
-        match backend {
+        let plan = self.plan();
+        let fallback = self.fallback_plan();
+        // The one copy of the caller's stdin; every attempt of every
+        // region shares it.
+        let stdin = || Feed::from(env.stdin.as_slice());
+        let fs = || env.fs.clone() as Arc<dyn Fs>;
+        let executed = match backend {
             "shell" => {
                 let mut be = ShellEmitter {
                     cfg: env.emit.clone(),
                 };
-                be.run(plan)
+                return be
+                    .run(plan)
                     .map(BackendOutput::Script)
-                    .map_err(RunError::Io)
+                    .map_err(RunError::Io);
             }
             "threads" => {
-                let fallback = if env.exec.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
-                run_program_with_fallback(
-                    plan,
-                    fallback,
-                    &env.registry,
-                    env.fs.clone() as Arc<dyn Fs>,
-                    env.stdin.clone(),
-                    &env.exec,
-                )
-                .map(BackendOutput::Execution)
-                .map_err(RunError::Io)
+                run_program_with_fallback(plan, fallback, &env.registry, fs(), stdin(), &env.exec)
             }
-            "processes" => {
-                let fallback = if env.proc.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
-                run_processes(plan, fallback, env)
-                    .map(BackendOutput::Execution)
-                    .map_err(RunError::Io)
-            }
+            "processes" => run_processes(plan, fallback, env, stdin()),
             "remote" => {
                 if env.workers.is_empty() {
                     return Err(RunError::Io(std::io::Error::new(
@@ -388,11 +337,6 @@ impl RunHandle {
                         "remote backend needs worker sockets (RunEnv::workers)",
                     )));
                 }
-                let fallback = if env.exec.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
                 // No up-front probe: a worker that fails to answer is
                 // discovered by the attempt itself, which the ladder
                 // treats as transient (reroute, then local fallback).
@@ -401,13 +345,11 @@ impl RunHandle {
                     plan,
                     fallback,
                     &env.registry,
-                    env.fs.clone() as Arc<dyn Fs>,
-                    env.stdin.clone(),
+                    fs(),
+                    stdin(),
                     &env.exec,
                     &pool,
                 )
-                .map(BackendOutput::Execution)
-                .map_err(RunError::Io)
             }
             "sim" => {
                 let mut be = SimBackend {
@@ -416,12 +358,14 @@ impl RunHandle {
                     cost: &env.cost,
                     cfg: &env.sim,
                 };
-                be.run(plan)
+                return be
+                    .run(plan)
                     .map(BackendOutput::Simulation)
-                    .map_err(RunError::Io)
+                    .map_err(RunError::Io);
             }
-            other => Err(RunError::UnknownBackend(other.to_string())),
-        }
+            other => return Err(RunError::UnknownBackend(other.to_string())),
+        };
+        executed.map(BackendOutput::Execution).map_err(RunError::Io)
     }
 }
 
@@ -459,6 +403,7 @@ fn run_processes(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     env: &RunEnv,
+    stdin: Feed,
 ) -> std::io::Result<ProgramOutput> {
     let cfg = ProcConfig {
         pashc: match &env.proc.pashc {
@@ -492,7 +437,7 @@ fn run_processes(
             (dir, Some(manifest))
         }
     };
-    let mut result = run_plan_with_fallback(plan, fallback, &cfg, &root, env.stdin.clone());
+    let mut result = run_plan_with_fallback(plan, fallback, &cfg, &root, stdin);
     if let Some(manifest) = ephemeral {
         if result.is_ok() {
             if let Err(e) = read_back_fs(&env.fs, &root, &manifest) {

@@ -677,6 +677,49 @@ fn parallel_regions_agree_across_backends() {
 }
 
 #[test]
+fn remote_parallel_regions_match_sequential() {
+    // Two independent file-to-file regions form one wave: shipped two
+    // at a time to two localhost workers they must leave what the
+    // strictly sequential run leaves.
+    let workers = RemoteWorkers::spawn(2);
+    let script = "grep the in.txt > a.txt\ngrep -c o in.txt > b.txt";
+    let mut runs = Vec::new();
+    for max_inflight in [1usize, 4] {
+        let mut env = RunEnv {
+            workers: workers.sockets.clone(),
+            ..Default::default()
+        };
+        env.exec.max_inflight = max_inflight;
+        env.fs_mem().add(
+            "in.txt",
+            b"the quick brown fox\njumps over the lazy dog\nthe end\n".to_vec(),
+        );
+        let out = match run(script, &cfg(2), "remote", &env) {
+            Ok(BackendOutput::Execution(o)) => o,
+            other => panic!("remote produced {other:?}"),
+        };
+        let counters = &env.exec.supervisor.counters;
+        assert_eq!(
+            counters.retries() + counters.local_fallbacks(),
+            0,
+            "both regions ran on the workers"
+        );
+        runs.push((
+            out.status,
+            out.stdout,
+            env.fs_mem().read("a.txt").expect("a.txt"),
+            env.fs_mem().read("b.txt").expect("b.txt"),
+        ));
+    }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(
+        runs[0].2,
+        b"the quick brown fox\njumps over the lazy dog\nthe end\n"
+    );
+    assert_eq!(runs[0].3, b"2\n");
+}
+
+#[test]
 fn stdin_feeds_all_backends_identically() {
     let Some(bins) = harness() else {
         eprintln!("skipping: no /bin/sh or binaries unavailable");

@@ -6,12 +6,11 @@
 //! * concurrent differential — N client threads firing mixed corpus
 //!   scripts get byte-identical stdout/status/output-files to direct
 //!   `pash::run`;
-//! * warm restart — a fresh daemon process over the same cache
-//!   directory serves tier-2 (disk) hits with identical results;
-//! * crash safety — truncated/corrupted cache entries fall back to
-//!   recompilation, never wrong output;
+//! * restart — a fresh daemon process over the same cache directory
+//!   recompiles to identical results and still holds the profiles the
+//!   first process measured;
 //! * the same differential holds under the fault-injection
-//!   supervisor, cold and disk-warm.
+//!   supervisor, whose counters the Metrics reply reports.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -235,9 +234,9 @@ fn concurrent_clients_match_direct_runs() {
 }
 
 #[test]
-fn restart_serves_disk_tier_with_identical_results() {
+fn restart_serves_identical_results_and_keeps_profiles() {
     let dir = scratch_dir("warm");
-    let cache = dir.join("plan-cache");
+    let cache = dir.join("cache");
     let cache_arg = cache.to_string_lossy().into_owned();
     let cases: Vec<_> = corpus()
         .into_iter()
@@ -247,127 +246,46 @@ fn restart_serves_disk_tier_with_identical_results() {
         })
         .collect();
 
-    // Cold process: populates both tiers.
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let mut client = daemon.client();
-    for (script, width, split, expect) in &cases {
-        let (got, tier) = observe_response(
-            client
-                .run(request(script, *width, *split))
-                .expect("cold run"),
-        );
-        assert_eq!(&got, expect, "cold {script:?}");
-        assert_eq!(tier, CacheTier::Cold, "first sight of {script:?}");
-        // Same process again: the in-memory tier serves it.
-        let (again, tier) = observe_response(
-            client
-                .run(request(script, *width, *split))
-                .expect("memory run"),
-        );
-        assert_eq!(&again, expect);
-        assert_eq!(tier, CacheTier::Memory, "repeat of {script:?}");
-    }
-    drop(client);
-    daemon.stop();
+    // Not in the corpus, so it meets the plan cache cold either way;
+    // its commands are.
+    let adaptive = "cat in.txt | tr A-Z a-z | sort -r";
+    let adaptive_expect = direct(adaptive, 1, SplitPolicy::Off);
 
-    // Fresh process, same cache dir: the in-memory memo is gone, the
-    // disk tier must serve every script — byte-identically.
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let mut client = daemon.client();
-    for (script, width, split, expect) in &cases {
-        let (got, tier) = observe_response(
-            client
-                .run(request(script, *width, *split))
-                .expect("warm run"),
-        );
-        assert_eq!(&got, expect, "disk-warm {script:?}");
-        assert_eq!(tier, CacheTier::Disk, "restart must warm-start {script:?}");
-    }
-    let json = client.metrics().expect("metrics");
-    assert_eq!(metric(&json, "tier2_hits"), cases.len() as u64, "{json}");
-    assert_eq!(metric(&json, "compile_misses"), 0, "{json}");
-    drop(client);
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_cache_entries_recompile_never_corrupt_output() {
-    let dir = scratch_dir("crash");
-    let cache = dir.join("plan-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
-    let (script, width, split) = ("cat in.txt | tr A-Z a-z | sort", 4, SplitPolicy::Sized);
-    let expect = direct(script, width, split);
-
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let (got, tier) = observe_response(
-        daemon
-            .client()
-            .run(request(script, width, split))
-            .expect("cold run"),
-    );
-    assert_eq!(got, expect);
-    assert_eq!(tier, CacheTier::Cold);
-    daemon.stop();
-
-    // Simulate a crash mid-write / disk corruption: truncate every
-    // plan file and scribble over every key file in turn.
-    let mangle = |f: &dyn Fn(&Path, Vec<u8>)| {
-        for sub in ["plans", "keys"] {
-            for entry in std::fs::read_dir(cache.join(sub)).expect("cache dir") {
-                let path = entry.expect("entry").path();
-                let bytes = std::fs::read(&path).expect("read entry");
-                f(&path, bytes);
+    // Each process compiles a script once, then serves it from memory;
+    // the second process starts over — nothing about plans is on disk —
+    // and must produce the same bytes.
+    for process in ["first", "restarted"] {
+        let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
+        seed_corpus(&daemon);
+        let mut client = daemon.client();
+        if process == "restarted" {
+            // What the first process measured did survive: the first
+            // request this process sees, an adaptive one, already finds
+            // rates for its commands.
+            let (got, _) = observe_response(
+                client
+                    .run(request(adaptive, 0, SplitPolicy::Off))
+                    .expect("adaptive run"),
+            );
+            assert_eq!(got, adaptive_expect, "adaptive {adaptive:?}");
+            let json = client.metrics().expect("metrics");
+            assert!(metric(&json, "profile_hits") >= 1, "{json}");
+            assert_eq!(metric(&json, "adaptive_runs"), 1, "{json}");
+        }
+        for (script, width, split, expect) in &cases {
+            for tier in [CacheTier::Cold, CacheTier::Memory] {
+                let (got, got_tier) = observe_response(
+                    client
+                        .run(request(script, *width, *split))
+                        .expect("daemon run"),
+                );
+                assert_eq!(&got, expect, "{process} process, {script:?}");
+                assert_eq!(got_tier, tier, "{process} process, {script:?}");
             }
         }
-    };
-    mangle(&|path, bytes| {
-        std::fs::write(path, &bytes[..bytes.len() / 3]).expect("truncate");
-    });
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let (got, tier) = observe_response(
-        daemon
-            .client()
-            .run(request(script, width, split))
-            .expect("run over truncated cache"),
-    );
-    assert_eq!(got, expect, "truncated cache must not change output");
-    assert_eq!(tier, CacheTier::Cold, "truncated entry must recompile");
-    daemon.stop();
-
-    mangle(&|path, mut bytes| {
-        for b in bytes.iter_mut() {
-            *b ^= 0x5a;
-        }
-        std::fs::write(path, bytes).expect("scramble");
-    });
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let (got, tier) = observe_response(
-        daemon
-            .client()
-            .run(request(script, width, split))
-            .expect("run over scrambled cache"),
-    );
-    assert_eq!(got, expect, "scrambled cache must not change output");
-    assert_eq!(tier, CacheTier::Cold);
-    // The recompile heals the cache: a further restart disk-hits.
-    daemon.stop();
-    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
-    seed_corpus(&daemon);
-    let (got, tier) = observe_response(
-        daemon
-            .client()
-            .run(request(script, width, split))
-            .expect("run over healed cache"),
-    );
-    assert_eq!(got, expect);
-    assert_eq!(tier, CacheTier::Disk, "rewrite must heal the entry");
-    daemon.stop();
+        drop(client);
+        daemon.stop();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -446,19 +364,10 @@ fn sigterm_drains_in_flight_requests_without_torn_responses() {
 #[test]
 fn fault_injected_daemon_stays_byte_identical() {
     let dir = scratch_dir("fault");
-    let cache = dir.join("plan-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
     // A persistent kill-worker fault: every attempt dies, so the
     // supervisor must exhaust retries and take the sequential
-    // fallback — on plans from either tier.
-    let fault_args = [
-        "--cache-dir",
-        cache_arg.as_str(),
-        "--retries",
-        "1",
-        "--fault",
-        "kill-worker:5:4294967295",
-    ];
+    // fallback — on a freshly compiled plan and on a cached one.
+    let fault_args = ["--retries", "1", "--fault", "kill-worker:5:4294967295"];
     let (script, width, split) = (
         "cat in.txt | tr A-Z a-z | grep the > out.txt",
         4,
@@ -480,21 +389,15 @@ fn fault_injected_daemon_stays_byte_identical() {
             "fault-injected daemon diverged (round {round})"
         );
     }
-    drop(client);
-    daemon.stop();
-
-    // Restart under the same fault: the disk-tier plan (and its
-    // sequential-fallback plan) must carry the supervisor too.
-    let daemon = spawn_daemon(&dir, &fault_args);
-    seed_corpus(&daemon);
-    let (got, tier) = observe_response(
-        daemon
-            .client()
-            .run(request(script, width, split))
-            .expect("disk-warm faulted run"),
+    // Not bytes alone: the daemon reports that the faults were
+    // delivered and which recovery ran.
+    let json = client.metrics().expect("metrics");
+    assert!(metric(&json, "injected") >= 1, "{json}");
+    assert!(
+        metric(&json, "retries") + metric(&json, "fallbacks") >= 1,
+        "{json}"
     );
-    assert_eq!(got, expect, "disk-warm fault-injected daemon diverged");
-    assert_eq!(tier, CacheTier::Disk);
+    drop(client);
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
