@@ -4,7 +4,11 @@
 #   ./ci.sh          # full gate
 #
 # Steps, in order:
-#   1. release build of every workspace target (deny warnings);
+#   1. release build of every workspace target (deny warnings), and
+#      of the benchmark harness under bench/ (its own workspace): it
+#      is frozen between benchmark PRs, so an API a PR moves out from
+#      under it must fail here, on every host, not only where step 12
+#      can run;
 #   2. the full test suite (unit + integration + doctests);
 #   3. example smoke build;
 #   4. compile (but don't run) all criterion benches;
@@ -58,6 +62,9 @@ require_keys() {
 
 echo "==> cargo build --release (workspace, all targets, deny warnings)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace --all-targets
+# Into the same target directory, as bench/run.sh does.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo build --release --offline --manifest-path bench/Cargo.toml
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace

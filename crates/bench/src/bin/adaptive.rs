@@ -117,10 +117,7 @@ fn main() {
         cost: CostModel::default(),
         sizes,
     };
-    let ocfg = OptimizerConfig {
-        max_width: 16,
-        ..Default::default()
-    };
+    let ocfg = OptimizerConfig { max_width: 16 };
 
     // Single-region pipelines only: the multi-step book comparison
     // writes intermediates the whole-corpus replay would have to size.

@@ -24,7 +24,7 @@ use pash_core::compile::{compile, PashConfig};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
 use pash_runtime::exec::{run_program, ExecConfig};
-use pash_runtime::proc::{run_plan, ProcConfig};
+use pash_runtime::proc::{run_plan, ProcSettings};
 
 fn main() {
     let mut backend = "processes".to_string();
@@ -90,10 +90,7 @@ fn main() {
     let status = match backend.as_str() {
         "shell" => run_shell(&compiled.script, &dir),
         "processes" => {
-            let pcfg = ProcConfig::locate().unwrap_or_else(|e| {
-                eprintln!("backendrun: {e}");
-                std::process::exit(2);
-            });
+            let pcfg = ProcSettings::default();
             let out = run_plan(&compiled.plan, &pcfg, &dir, read_stdin()).unwrap_or_else(|e| {
                 eprintln!("backendrun: processes: {e}");
                 std::process::exit(2);

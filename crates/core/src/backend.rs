@@ -10,13 +10,11 @@
 //! `$PASHC` (the multi-call binary) and runtime primitives through
 //! `$PASH_RT`, both overridable via the environment.
 //!
-//! [`ShellEmitter`] is one [`Backend`] over the plan; it shares the
-//! lowered IR with the threaded executor and the simulator instead of
-//! walking the DFG itself.
+//! [`emit_program`] shares the lowered IR with the threaded executor
+//! and the simulator instead of walking the DFG itself.
 
 use crate::plan::{
-    Backend, EndpointKind, ExecutionPlan, GuardCond, PlanEdgeId, PlanStep, RegionPlan, SpawnBin,
-    SpawnWord,
+    EndpointKind, ExecutionPlan, GuardCond, PlanEdgeId, PlanStep, RegionPlan, SpawnBin, SpawnWord,
 };
 
 /// Emission options.
@@ -34,25 +32,6 @@ impl Default for EmitConfig {
             coreutils_cmd: "\"$PASHC\"".to_string(),
             runtime_cmd: "\"$PASH_RT\"".to_string(),
         }
-    }
-}
-
-/// The shell-script backend: renders a plan as a POSIX script.
-#[derive(Debug, Clone, Default)]
-pub struct ShellEmitter {
-    /// Emission options.
-    pub cfg: EmitConfig,
-}
-
-impl Backend for ShellEmitter {
-    type Output = String;
-
-    fn name(&self) -> &'static str {
-        "shell"
-    }
-
-    fn run(&mut self, plan: &ExecutionPlan) -> std::io::Result<String> {
-        Ok(emit_program(plan, &self.cfg))
     }
 }
 
@@ -384,21 +363,5 @@ mod tests {
     fn file_output_redirected() {
         let s = emit("grep x in.txt > result.txt", 2);
         assert!(s.contains("> result.txt"));
-    }
-
-    #[test]
-    fn emitter_is_a_named_backend() {
-        let prog = pash_parser::parse("grep x in.txt > o").expect("parse");
-        let tp = translate(
-            &prog,
-            AnnotationLibrary::standard(),
-            &FrontendOptions::default(),
-        )
-        .expect("translate");
-        let plan = lower(&tp);
-        let mut be = ShellEmitter::default();
-        assert_eq!(be.name(), "shell");
-        let s = be.run(&plan).expect("emit");
-        assert!(s.contains("grep"));
     }
 }

@@ -13,14 +13,13 @@
 //!    consumes ([`plan`]);
 //! 5. compiles the plan back into a POSIX script that orchestrates
 //!    the parallel execution with FIFOs, background jobs, and runtime
-//!    primitives ([`backend`], §5.2) — one [`plan::Backend`] among
-//!    several.
+//!    primitives ([`backend`], §5.2) — one consumer of the plan
+//!    among several.
 //!
 //! Execution engines live elsewhere: `pash-runtime` runs compiled
 //! plans on real threads (correctness), `pash-sim` predicts their
-//! timing on a C-core machine (performance shape). Both are
-//! [`plan::Backend`] implementations; the `pash` facade selects one
-//! by name.
+//! timing on a C-core machine (performance shape). The `pash` facade
+//! selects one by name.
 //!
 //! # Examples
 //!

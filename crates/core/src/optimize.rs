@@ -53,27 +53,25 @@ pub trait CandidatePricer {
     fn price_region(&self, r: &RegionPlan) -> f64;
 }
 
+/// Split policies considered at widths > 1, in candidate order.
+const SPLITS: [SplitPolicy; 2] = [SplitPolicy::Sized, SplitPolicy::RoundRobin];
+
+/// The *smallest* shape whose price is within this relative margin of
+/// the best price is preferred. Keeps choices stable under pricing
+/// jitter and avoids burning cores for a 1% simulated win.
+const HYSTERESIS: f64 = 0.02;
+
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Widths are swept in powers of two up to this clamp (inclusive;
     /// the clamp itself is a candidate even when not a power of two).
     pub max_width: usize,
-    /// Split policies to consider at widths > 1.
-    pub splits: Vec<SplitPolicy>,
-    /// Prefer the *smallest* shape whose price is within this relative
-    /// margin of the best price. Keeps choices stable under pricing
-    /// jitter and avoids burning cores for a 1% simulated win.
-    pub hysteresis: f64,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig {
-            max_width: 16,
-            splits: vec![SplitPolicy::Sized, SplitPolicy::RoundRobin],
-            hysteresis: 0.02,
-        }
+        OptimizerConfig { max_width: 16 }
     }
 }
 
@@ -94,8 +92,8 @@ impl OptimizerConfig {
         widths
     }
 
-    /// All candidate shapes, cheapest-first (ascending width; split
-    /// order as configured). Width 1 has a single `Off` candidate —
+    /// All candidate shapes, cheapest-first (ascending width, then
+    /// [`SPLITS`] order). Width 1 has a single `Off` candidate —
     /// splits are meaningless without fan-out.
     pub fn candidates(&self) -> Vec<RegionShape> {
         let mut out = Vec::new();
@@ -106,7 +104,7 @@ impl OptimizerConfig {
                     split: SplitPolicy::Off,
                 });
             } else {
-                for &split in &self.splits {
+                for split in SPLITS {
                     out.push(RegionShape { width, split });
                 }
             }
@@ -216,7 +214,7 @@ pub fn optimize(
         // smallest acceptable shape.
         let (shape, seconds) = priced
             .iter()
-            .find(|(_, s)| *s <= best * (1.0 + ocfg.hysteresis))
+            .find(|(_, s)| *s <= best * (1.0 + HYSTERESIS))
             .copied()
             .unwrap_or((
                 RegionShape {
@@ -282,20 +280,11 @@ mod tests {
 
     #[test]
     fn width_ladder_covers_clamp() {
-        let cfg = OptimizerConfig {
-            max_width: 12,
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig { max_width: 12 };
         assert_eq!(cfg.widths(), vec![1, 2, 4, 8, 12]);
-        let cfg = OptimizerConfig {
-            max_width: 16,
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig { max_width: 16 };
         assert_eq!(cfg.widths(), vec![1, 2, 4, 8, 16]);
-        let cfg = OptimizerConfig {
-            max_width: 1,
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig { max_width: 1 };
         assert_eq!(cfg.widths(), vec![1]);
     }
 
@@ -314,10 +303,7 @@ mod tests {
 
     #[test]
     fn parallel_pricer_saturates_at_clamp() {
-        let ocfg = OptimizerConfig {
-            max_width: 8,
-            ..Default::default()
-        };
+        let ocfg = OptimizerConfig { max_width: 8 };
         let out = optimize(
             "cat in.txt | tr A-Z a-z | sort > out.txt",
             &PashConfig::default(),

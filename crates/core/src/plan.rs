@@ -20,11 +20,11 @@
 //!   records guard structure and whether shell steps touch the data
 //!   path.
 //!
-//! Execution engines implement the [`Backend`] trait over this plan
-//! (`ShellEmitter` in this crate, `ThreadedBackend` in `pash-runtime`,
-//! `SimBackend` in `pash-sim`); future process/remote backends,
-//! sharding, and compile-result caching all key off the same artifact
-//! — [`ExecutionPlan::dump`] is deterministic, so the plan can be
+//! Every execution engine consumes this plan — the shell emitter in
+//! this crate, the `threads` / `processes` / `remote` region runners in
+//! `pash-runtime`, the simulator in `pash-sim` — and sharding and
+//! compile-result caching key off the same artifact:
+//! [`ExecutionPlan::dump`] is deterministic, so the plan can be
 //! hashed, cached, or shipped.
 
 use crate::annot::parse_stream_marker;
@@ -221,11 +221,11 @@ pub enum SpawnWord {
     Out(usize),
 }
 
-/// Which multi-call personality serves a spawned node.
+/// Which role name of the multi-call binary serves a spawned node.
 ///
-/// Both map to the same dispatch table in practice (`pashc` also runs
-/// the runtime subcommands), but backends keep the distinction so the
-/// emitted artifacts stay overridable per role (`$PASHC` / `$PASH_RT`).
+/// `pashc` and `pash-rt` are one program, but backends keep the
+/// distinction so the emitted artifacts stay overridable per role
+/// (`$PASHC` / `$PASH_RT`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpawnBin {
     /// A coreutils command (`$PASHC`).
@@ -242,7 +242,7 @@ pub enum SpawnBin {
 /// backend renders it into a real `exec`, so the two cannot drift.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpawnSpec {
-    /// The multi-call personality to invoke.
+    /// The role name to invoke.
     pub bin: SpawnBin,
     /// Argv after the binary name (subcommand first).
     pub argv: Vec<SpawnWord>,
@@ -1185,24 +1185,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// A pluggable execution engine over [`ExecutionPlan`]s.
-///
-/// Implementations in the workspace: `ShellEmitter` (this crate,
-/// produces a POSIX script), `ThreadedBackend` (`pash-runtime`, runs
-/// in-process on real threads), `SimBackend` (`pash-sim`, predicts
-/// timing on a C-core machine). The `pash` facade selects one by name
-/// (`pash::run`).
-pub trait Backend {
-    /// What running the plan produces.
-    type Output;
-
-    /// The backend's selection name (e.g. `"shell"`, `"threads"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs (or renders, or simulates) the plan.
-    fn run(&mut self, plan: &ExecutionPlan) -> std::io::Result<Self::Output>;
 }
 
 /// Lowers a translated (and transformed) program to its execution

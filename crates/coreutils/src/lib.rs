@@ -172,36 +172,6 @@ pub fn run_command(
     })
 }
 
-/// Runs a registry command as a standalone OS process would: over the
-/// given stdin/stdout handles with the host's standard error. This is
-/// the real-fd `CmdIo` construction shared by the multi-call binaries
-/// (`pashc`, `pash-rt`) — unlike [`run_command`] nothing is captured,
-/// so bytes stream straight through the process's descriptors.
-pub fn run_standalone(
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-    name: &str,
-    args: &[String],
-    stdin: &mut dyn BufRead,
-    stdout: &mut dyn Write,
-) -> io::Result<ExitStatus> {
-    let cmd = registry
-        .get(name)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{name}: not found")))?;
-    let stderr = io::stderr();
-    let mut err = stderr.lock();
-    let mut cio = CmdIo {
-        stdin,
-        stdout,
-        stderr: &mut err,
-        fs,
-        registry,
-    };
-    let status = cmd.run(args, &mut cio)?;
-    cio.stdout.flush()?;
-    Ok(status)
-}
-
 /// A command's input operand: its own stdin, borrowed, or an opened
 /// file. Borrowing stdin is what lets a command on a pipe work on the
 /// stream as it arrives — and stop reading it — instead of draining

@@ -2,19 +2,20 @@
 //! scripts emitted by the PaSh back-end and by the process backend:
 //!
 //! ```text
-//! pash-rt eager [--blocking]            # stdin → stdout relay
-//! pash-rt split [--sized] OUT…          # scatter stdin to files
-//! pash-rt fileseg PATH PART OF          # one file segment to stdout
-//! pash-rt pash-agg-… [ARGS] IN…         # aggregator over inputs
-//! pash-rt [--stdin P] [--stdout P] CMD  # any coreutils command
+//! pash-rt eager [--blocking]               # stdin → stdout relay
+//! pash-rt split [--sized] OUT…             # scatter stdin to files
+//! pash-rt r_split [--raw] OUT…             # deal tagged blocks to files
+//! pash-rt fileseg PATH PART OF             # one file segment to stdout
+//! pash-rt --in P… agg pash-agg-… [ARGS]    # aggregator over inputs
+//! pash-rt [--stdin P] [--stdout P] CMD     # any coreutils command
 //! ```
 //!
-//! Runtime primitives take precedence over same-named coreutils
-//! commands; `pashc` is the same dispatch with the opposite
-//! precedence. See [`pash_runtime::cli`].
+//! The same program as `pashc` under the role name emitted scripts and
+//! the process backend use for primitives (`$PASH_RT`). See
+//! [`pash_runtime::cli`].
 
-use pash_runtime::cli::{multicall_main, Personality};
+use pash_runtime::cli::multicall_main;
 
 fn main() {
-    multicall_main("pash-rt", Personality::Runtime);
+    multicall_main("pash-rt");
 }

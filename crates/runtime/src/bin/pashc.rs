@@ -6,15 +6,13 @@
 //! pashc grep -c foo < input
 //! ```
 //!
-//! Since the process backend landed, `pashc` also serves the runtime
-//! subcommands (`eager`, `split`, `fileseg`, `pash-agg-*`) and the
-//! `--stdin`/`--stdout` FIFO redirections, so every plan node is
-//! runnable standalone from one binary. Coreutils names take
-//! precedence over runtime names; `pash-rt` is the same dispatch with
-//! the opposite precedence. See [`pash_runtime::cli`].
+//! The same program as `pash-rt` under the role name emitted scripts
+//! and the process backend use for commands (`$PASHC`): both serve
+//! every command, every runtime primitive and the `--stdin`/`--stdout`
+//! FIFO redirections. See [`pash_runtime::cli`].
 
-use pash_runtime::cli::{multicall_main, Personality};
+use pash_runtime::cli::multicall_main;
 
 fn main() {
-    multicall_main("pashc", Personality::Coreutils);
+    multicall_main("pashc");
 }

@@ -1,13 +1,15 @@
-//! The multi-call command-line dispatch shared by the `pashc` and
-//! `pash-rt` binaries.
+//! The multi-call command line shared by the `pashc` and `pash-rt`
+//! binaries.
 //!
-//! Both binaries expose the same union of commands — every coreutils
-//! command plus the runtime primitives (`eager`, `split`, `fileseg`,
-//! `pash-agg-*`) — so every [`pash_core::plan::PlanOp`] is runnable
-//! as a standalone OS process. They differ only in lookup precedence:
-//! `pashc` resolves coreutils names first, `pash-rt` resolves runtime
-//! primitives first (the roles `$PASHC` / `$PASH_RT` play in emitted
-//! scripts).
+//! One program under two role names (the roles `$PASHC` / `$PASH_RT`
+//! play in emitted scripts): every coreutils command plus the runtime
+//! primitives (`eager`, `split`, `r_split`, `agg`, `fileseg`), so every
+//! [`PlanOp`] is runnable as a standalone OS process. This module does
+//! not execute ops itself: it parses its argv — the rendering of a
+//! [`pash_core::plan::SpawnSpec`] — back into the [`PlanOp`] it denotes,
+//! opens the endpoints the argv names, and hands both to the threaded
+//! executor's [`run_node`]. What a node does is therefore written once,
+//! whichever backend runs it.
 //!
 //! # FIFO redirection (`--stdin` / `--stdout`)
 //!
@@ -27,25 +29,13 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
+use pash_core::plan::{Arg, PlanOp, SplitMode};
 use pash_coreutils::fs::{Fs, RealFs};
-use pash_coreutils::lines::BLOCK_SIZE;
-use pash_coreutils::{run_standalone, Registry};
+use pash_coreutils::Registry;
 
-use crate::agg::run_aggregator;
+use crate::exec::run_node;
 use crate::fault::{parse_env_spec, FaultyWriter, INFRA_STATUS};
 use crate::fileseg::read_segment;
-use crate::frame::run_framed;
-use crate::relay::{run_relay, RelayMode};
-use crate::split::{split_general, split_round_robin};
-
-/// Which name table wins when a name exists in both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Personality {
-    /// Coreutils commands first (`pashc`).
-    Coreutils,
-    /// Runtime primitives first (`pash-rt`).
-    Runtime,
-}
 
 /// Leading `--stdin PATH` / `--stdout PATH` / `--in PATH` redirections
 /// plus the valueless `--framed` worker-mode flag.
@@ -119,207 +109,119 @@ impl Redirections {
     }
 }
 
-/// Whether `name` is a runtime primitive.
-fn is_runtime_name(name: &str) -> bool {
-    matches!(name, "eager" | "split" | "r_split" | "fileseg" | "agg")
-        || name.starts_with("pash-agg-")
+/// The [`PlanOp`] an invocation denotes, with the output paths a split
+/// names as operands (every other op writes its stdout): the inverse
+/// of [`pash_core::plan::PlanNode::spawn_spec`]. A name that is no
+/// runtime primitive is a command to execute — `cat IN…` included, so
+/// [`PlanOp::Cat`] comes back as the `cat` command over named files.
+fn denoted_op(framed: bool, name: &str, rest: &[String]) -> io::Result<(PlanOp, Vec<String>)> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    Ok(match name {
+        "eager" => {
+            let blocking = rest.first().is_some_and(|a| a == "--blocking");
+            (PlanOp::Relay { blocking }, Vec::new())
+        }
+        "split" | "r_split" => {
+            let (flags, outs): (Vec<String>, Vec<String>) =
+                rest.iter().cloned().partition(|a| a.starts_with("--"));
+            if outs.is_empty() {
+                return Err(invalid(format!("{name} needs output paths")));
+            }
+            let has = |flag: &str| flags.iter().any(|a| a == flag);
+            let mode = if name == "r_split" {
+                SplitMode::RoundRobin {
+                    framed: !has("--raw"),
+                }
+            } else if has("--sized") {
+                SplitMode::Sized
+            } else {
+                SplitMode::General
+            };
+            (PlanOp::Split { mode }, outs)
+        }
+        // Inputs arrive as `--in` redirections, the words after `agg`
+        // are the aggregator argv verbatim: the only unambiguous form
+        // for re-applied command aggregators (`agg head -n 3` takes
+        // three lines of the ordered concatenation; `head -n 3 f1 f2`
+        // would take three *per file*).
+        "agg" => {
+            if rest.is_empty() {
+                return Err(invalid("agg needs an aggregator argv".to_string()));
+            }
+            let argv = rest.to_vec();
+            (PlanOp::Aggregate { argv }, Vec::new())
+        }
+        _ => {
+            let argv = std::iter::once(name)
+                .chain(rest.iter().map(String::as_str))
+                .map(|w| Arg::Lit(w.to_string()))
+                .collect();
+            (PlanOp::Exec { argv, framed }, Vec::new())
+        }
+    })
+}
+
+/// `fileseg PATH PART OF`: one line-aligned segment of a file on
+/// stdout. An edge kind rather than an op — the other backends read
+/// the segment while wiring the edge — so it does not go through
+/// [`run_node`].
+fn run_fileseg(rest: &[String], redir: &Redirections, fs: &Arc<dyn Fs>) -> io::Result<i32> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    let [path, part, of] = rest else {
+        return Err(invalid("usage: fileseg PATH PART OF"));
+    };
+    let part: usize = part.parse().map_err(|_| invalid("bad PART"))?;
+    let of: usize = of.parse().map_err(|_| invalid("bad OF"))?;
+    let data = read_segment(fs, path, part, of)?;
+    let mut out = redir.open_stdout()?;
+    out.write_all(&data)?;
+    out.flush()?;
+    Ok(0)
 }
 
 /// Runs one multi-call invocation; returns the exit status.
 ///
 /// The filesystem is the host's, rooted at the working directory —
 /// spawned plan nodes inherit the backend's root as their cwd.
-pub fn run_multicall(personality: Personality, args: &[String]) -> io::Result<i32> {
+pub fn run_multicall(args: &[String]) -> io::Result<i32> {
     let (redir, rest) = Redirections::parse(args)?;
-    let (name, rest) = match rest.split_first() {
-        Some(x) => x,
-        None => {
-            eprintln!("usage: pashc|pash-rt [--stdin PATH] [--stdout PATH] COMMAND [ARGS…]");
-            eprintln!(
-                "commands: {} + eager split r_split fileseg pash-agg-*",
-                Registry::standard().names().join(" ")
-            );
-            return Ok(2);
-        }
-    };
-    let cwd = std::env::current_dir()?;
-    let fs: Arc<dyn Fs> = Arc::new(RealFs::new(cwd));
     let registry = Registry::standard();
-    let runtime_first = personality == Personality::Runtime;
-    let runtime_hit = is_runtime_name(name);
-    let registry_hit = registry.get(name).is_some();
-    if runtime_hit && (runtime_first || !registry_hit) {
-        run_runtime(name, rest, &redir, &registry, fs)
-    } else if redir.framed {
-        // The `--framed` worker mode: once per tagged input block.
-        let mut out = redir.open_stdout()?;
-        run_framed(redir.open_stdin()?, &mut out, |stdin, stdout| {
-            run_standalone(&registry, fs.clone(), name, rest, stdin, stdout)
-        })
-    } else {
-        let mut stdin = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
-        let mut stdout = redir.open_stdout()?;
-        run_standalone(&registry, fs, name, rest, &mut stdin, &mut stdout)
+    let Some((name, rest)) = rest.split_first() else {
+        eprintln!("usage: pashc|pash-rt [--stdin PATH] [--stdout PATH] COMMAND [ARGS…]");
+        eprintln!(
+            "commands: {} + eager split r_split agg fileseg",
+            registry.names().join(" ")
+        );
+        return Ok(2);
+    };
+    let fs: Arc<dyn Fs> = Arc::new(RealFs::new(std::env::current_dir()?));
+    if name == "fileseg" {
+        return run_fileseg(rest, &redir, &fs);
     }
-}
-
-/// Runs a runtime primitive.
-fn run_runtime(
-    name: &str,
-    rest: &[String],
-    redir: &Redirections,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-) -> io::Result<i32> {
-    match name {
-        "eager" => {
-            let mode = if rest.first().map(|s| s.as_str()) == Some("--blocking") {
-                RelayMode::Blocking(8)
-            } else {
-                RelayMode::Full
-            };
-            let input = redir.open_stdin()?;
-            let mut out = redir.open_stdout()?;
-            run_relay(input, &mut out, mode)?;
-            out.flush()?;
-            Ok(0)
-        }
-        "split" => {
-            let outputs: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-            if outputs.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "split needs output paths",
-                ));
-            }
-            let mut writers: Vec<Box<dyn Write + Send>> = Vec::new();
-            for o in &outputs {
-                writers.push(fs.create(o)?);
-            }
-            let mut input = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
-            split_general(&mut input, &mut writers)?;
-            Ok(0)
-        }
-        "r_split" => {
-            let raw = rest.iter().any(|a| a == "--raw");
-            let outputs: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-            if outputs.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "r_split needs output paths",
-                ));
-            }
-            let mut writers: Vec<Box<dyn Write + Send>> = Vec::new();
-            for o in &outputs {
-                writers.push(fs.create(o)?);
-            }
-            let mut input = io::BufReader::with_capacity(BLOCK_SIZE, redir.open_stdin()?);
-            split_round_robin(&mut input, &mut writers, !raw)?;
-            Ok(0)
-        }
-        "fileseg" => {
-            if rest.len() != 3 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "usage: fileseg PATH PART OF",
-                ));
-            }
-            let part: usize = rest[1]
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "bad PART"))?;
-            let of: usize = rest[2]
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "bad OF"))?;
-            let data = read_segment(&fs, &rest[0], part, of)?;
-            let mut out = redir.open_stdout()?;
-            out.write_all(&data)?;
-            out.flush()?;
-            Ok(0)
-        }
-        // The spawn-spec form: inputs arrive as `--in` redirections,
-        // the words after `agg` are the aggregator argv verbatim.
-        // This is the only unambiguous form for re-applied command
-        // aggregators (`agg head -n 3` takes three lines of the
-        // ordered concatenation; `head -n 3 f1 f2` would take three
-        // *per file*).
-        "agg" => {
-            if rest.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "agg needs an aggregator argv",
-                ));
-            }
-            let mut inputs: Vec<Box<dyn Read + Send>> = Vec::new();
-            for f in &redir.ins {
-                inputs.push(fs.open(f)?);
-            }
-            let mut out = redir.open_stdout()?;
-            let status = run_aggregator(rest, inputs, &mut out, registry, fs)?;
-            out.flush()?;
-            Ok(status)
-        }
-        // Compatibility form used by hand-written invocations: input
-        // paths as operands, separated heuristically.
-        agg if agg.starts_with("pash-agg-") => {
-            let (agg_args, files) = split_agg_args(agg, rest);
-            let mut inputs: Vec<Box<dyn Read + Send>> = Vec::new();
-            for f in &files {
-                inputs.push(fs.open(f)?);
-            }
-            let mut argv: Vec<String> = vec![agg.to_string()];
-            argv.extend(agg_args);
-            let mut out = redir.open_stdout()?;
-            let status = run_aggregator(&argv, inputs, &mut out, registry, fs)?;
-            out.flush()?;
-            Ok(status)
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("{other}: not found"),
-        )),
-    }
-}
-
-/// Splits aggregator argv into (arguments, input paths).
-fn split_agg_args(agg: &str, rest: &[String]) -> (Vec<String>, Vec<String>) {
-    match agg {
-        "pash-agg-sort" => {
-            // Options -k/-t take values; everything non-option is an
-            // input path.
-            let mut args = Vec::new();
-            let mut files = Vec::new();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                if a == "-k" || a == "-t" {
-                    args.push(a.clone());
-                    if let Some(v) = it.next() {
-                        args.push(v.clone());
-                    }
-                } else if a.starts_with('-') && a.len() > 1 {
-                    args.push(a.clone());
-                } else {
-                    files.push(a.clone());
-                }
-            }
-            (args, files)
-        }
-        "pash-agg-frame-merge" => {
-            // The first operand names the wrapped boundary-fold
-            // aggregator (it has no flags of its own); everything
-            // after it is an input path.
-            match rest.split_first() {
-                Some((inner, files)) => (vec![inner.clone()], files.to_vec()),
-                None => (Vec::new(), Vec::new()),
-            }
-        }
-        _ => {
-            let (args, files): (Vec<String>, Vec<String>) = rest
+    let (op, split_outs) = denoted_op(redir.framed, name, rest)?;
+    // This process, not its parent, opens what the argv names: an open
+    // of a FIFO blocks until the peer's.
+    let (ins, outs) = match &op {
+        PlanOp::Split { .. } => {
+            let outs = split_outs
                 .iter()
-                .cloned()
-                .partition(|a| a.starts_with('-') && a.len() > 1);
-            (args, files)
+                .map(|o| fs.create(o))
+                .collect::<io::Result<Vec<_>>>()?;
+            (vec![redir.open_stdin()?], outs)
         }
-    }
+        PlanOp::Aggregate { .. } => {
+            let ins = redir
+                .ins
+                .iter()
+                .map(|f| fs.open(f))
+                .collect::<io::Result<Vec<_>>>()?;
+            (ins, vec![redir.open_stdout()?])
+        }
+        _ => (vec![redir.open_stdin()?], vec![redir.open_stdout()?]),
+    };
+    let mut stderr = io::stderr().lock();
+    // A command's standard input is its one input.
+    run_node(&op, &[0], ins, outs, &registry, fs, &mut stderr)
 }
 
 /// Restores the default `SIGPIPE` disposition. Rust's startup sets it
@@ -346,10 +248,10 @@ fn restore_default_sigpipe() {
 fn restore_default_sigpipe() {}
 
 /// The shared `main` body of both multi-call binaries.
-pub fn multicall_main(tool: &str, personality: Personality) -> ! {
+pub fn multicall_main(tool: &str) -> ! {
     restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match run_multicall(personality, &args) {
+    let code = match run_multicall(&args) {
         Ok(c) => c,
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => pash_coreutils::SIGPIPE_STATUS,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -392,24 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn runtime_names_recognized() {
-        for n in [
-            "eager",
-            "split",
-            "r_split",
-            "fileseg",
-            "pash-agg-sort",
-            "pash-agg-wc",
-            "pash-agg-reorder",
-        ] {
-            assert!(is_runtime_name(n), "{n}");
-        }
-        for n in ["cat", "sort", "head", "pashagg", "split2"] {
-            assert!(!is_runtime_name(n), "{n}");
-        }
-    }
-
-    #[test]
     fn framed_flag_parses_with_redirections() {
         let args = s(&["--framed", "--stdin", "a", "--stdout", "b", "grep", "x"]);
         let (redir, rest) = Redirections::parse(&args).expect("parse");
@@ -423,18 +307,121 @@ mod tests {
         assert_eq!(rest, &s(&["grep", "x"])[..]);
     }
 
+    /// The round trip the `processes` and `shell` backends rely on:
+    /// what `spawn_spec` renders, this module reads back as the node's
+    /// own op.
     #[test]
-    fn agg_arg_splitting_keeps_sort_key_values() {
-        let (args, files) = split_agg_args("pash-agg-sort", &s(&["-k", "2", "-n", "f1", "f2"]));
-        assert_eq!(args, s(&["-k", "2", "-n"]));
-        assert_eq!(files, s(&["f1", "f2"]));
-    }
+    fn spawn_specs_parse_back_to_their_ops() {
+        use pash_core::compile::{compile, PashConfig};
+        use pash_core::dfg::transform::{EagerPolicy, SplitPolicy};
+        use pash_core::plan::{PlanNode, SpawnWord};
 
-    #[test]
-    fn agg_arg_splitting_frame_merge_inner_is_not_a_file() {
-        let (args, files) =
-            split_agg_args("pash-agg-frame-merge", &s(&["pash-agg-uniq-c", "w0", "w1"]));
-        assert_eq!(args, s(&["pash-agg-uniq-c"]));
-        assert_eq!(files, s(&["w0", "w1"]));
+        // Stateless and pure stages over file and pipe sources, a
+        // parallel stage after a sequential one (a multi-input cat), a
+        // command naming a stream operand.
+        let script = "cat a.txt b.txt | tr A-Z a-z | sort | uniq -c > out.txt\n\
+                      cat a.txt | sort | comm -23 - b.txt | head -n 1 | tr a-z A-Z > o.txt\n\
+                      paste a.txt b.txt > p.txt\n\
+                      tr a-z A-Z | grep X | wc -l";
+        let edge = |kind: &str, k: usize| format!("{kind}{k}");
+        let argv_of = |node: &PlanNode| -> Vec<String> {
+            let spec = node.spawn_spec();
+            let mut argv = Vec::new();
+            if let Some(k) = spec.stdin_input {
+                argv.extend(["--stdin".to_string(), edge("in", k)]);
+            }
+            if let Some(j) = spec.stdout_output {
+                argv.extend(["--stdout".to_string(), edge("out", j)]);
+            }
+            argv.extend(spec.argv.iter().map(|w| match w {
+                SpawnWord::Lit(s) => s.clone(),
+                SpawnWord::In(k) => edge("in", *k),
+                SpawnWord::Out(j) => edge("out", *j),
+            }));
+            argv
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        let mut seen_framed = false;
+        for split in [SplitPolicy::Sized, SplitPolicy::RoundRobin] {
+            for eager in [EagerPolicy::Full, EagerPolicy::Blocking] {
+                let cfg = PashConfig {
+                    width: 4,
+                    split,
+                    eager,
+                    ..Default::default()
+                };
+                let compiled = compile(script, &cfg).expect("compile");
+                // Lowering reads a whole file by segment, so these
+                // plans hold no sized split; one is built by hand.
+                let sized = PlanNode {
+                    op: PlanOp::Split {
+                        mode: SplitMode::Sized,
+                    },
+                    inputs: vec![0],
+                    outputs: vec![1, 2],
+                    stdin_inputs: vec![0],
+                    output_producer: false,
+                };
+                let lowered = compiled.plan.regions().flat_map(|r| &r.nodes);
+                for node in lowered.chain([&sized]) {
+                    let argv = argv_of(node);
+                    let (redir, rest) = Redirections::parse(&argv).expect("redirections");
+                    let (name, rest) = rest.split_first().expect("command name");
+                    let (op, outs) = denoted_op(redir.framed, name, rest).expect("op");
+                    let inputs = |n: usize| (0..n).map(|k| edge("in", k)).collect::<Vec<_>>();
+                    let lits = |words: Vec<String>| words.into_iter().map(Arg::Lit).collect();
+                    let (want, want_outs) = match &node.op {
+                        // Stream operands arrive as the paths they name.
+                        PlanOp::Exec { argv, framed } => {
+                            let words = argv.iter().map(|a| match a {
+                                Arg::Lit(w) => w.clone(),
+                                Arg::Stream(k) => edge("in", *k),
+                            });
+                            let argv = lits(words.collect());
+                            let framed = *framed;
+                            seen_framed |= framed;
+                            (PlanOp::Exec { argv, framed }, Vec::new())
+                        }
+                        // Ordered concatenation is the `cat` command.
+                        PlanOp::Cat => {
+                            let mut words = vec!["cat".to_string()];
+                            words.extend(inputs(node.inputs.len()));
+                            let (argv, framed) = (lits(words), false);
+                            (PlanOp::Exec { argv, framed }, Vec::new())
+                        }
+                        PlanOp::Split { .. } => {
+                            let outs = (0..node.outputs.len()).map(|j| edge("out", j));
+                            (node.op.clone(), outs.collect())
+                        }
+                        PlanOp::Aggregate { .. } => {
+                            assert_eq!(redir.ins, inputs(node.inputs.len()), "{argv:?}");
+                            (node.op.clone(), Vec::new())
+                        }
+                        PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
+                    };
+                    assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
+                    let stdin = node.stdin_inputs.first().map(|&k| edge("in", k));
+                    if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
+                        assert_eq!(redir.stdin, stdin, "{argv:?}");
+                    }
+                    seen.insert(node.op.label());
+                }
+            }
+        }
+        // The table covered what it claims to.
+        for label in [
+            "cat",
+            "split",
+            "split -sized",
+            "r_split",
+            "r_split -raw",
+            "eager",
+            "eager -blocking",
+            "paste - -",
+        ] {
+            assert!(seen.contains(label), "{label} not in {seen:?}");
+        }
+        assert!(seen.iter().any(|l| l.starts_with("pash-agg-")), "{seen:?}");
+        assert!(seen_framed, "no framed worker in {seen:?}");
     }
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use pash_core::compile::PashConfig;
 use pash_core::plan::{
-    fold_statuses, Arg, Backend, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, RegionPlan, SplitMode,
+    fold_statuses, Arg, ExecutionPlan, PlanNodeId, PlanOp, RegionPlan, SplitMode,
 };
 
 use pash_coreutils::fs::Fs;
@@ -41,8 +41,6 @@ use crate::supervise::SupervisorSettings;
 pub struct ExecConfig {
     /// Pipe capacity in bytes (the kernel pipe buffer analogue).
     pub pipe_capacity: usize,
-    /// Bounded-relay buffer, in 8 KiB chunks (the "blocking eager").
-    pub blocking_relay_chunks: usize,
     /// Maximum number of independent regions in flight at once. The
     /// default of 1 executes steps strictly in plan order; larger
     /// values let non-conflicting regions overlap (see
@@ -62,13 +60,15 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             pipe_capacity: DEFAULT_PIPE_CAPACITY,
-            blocking_relay_chunks: 8,
             max_inflight: 1,
             supervisor: SupervisorSettings::default(),
             profile: None,
         }
     }
 }
+
+/// Bounded-relay buffer, in chunks (the "blocking eager").
+const BLOCKING_RELAY_CHUNKS: usize = 8;
 
 /// Locks a mutex, tolerating poison: a panicking node thread must not
 /// cascade into every other thread that shares the status table.
@@ -226,7 +226,6 @@ fn run_region_attempt(
             let statuses = statuses.clone();
             let hard_error = hard_error.clone();
             let remaining = remaining.clone();
-            let ecfg = cfg.clone();
             let spawn_fault = fault
                 .filter(|a| {
                     a.node == Some(id)
@@ -250,7 +249,15 @@ fn run_region_attempt(
                         }
                     }
                     let started = Instant::now();
-                    let res = run_node(node, ins, outs, &registry, fs, &ecfg);
+                    let res = run_node(
+                        &node.op,
+                        &node.stdin_inputs,
+                        ins,
+                        outs,
+                        &registry,
+                        fs,
+                        &mut io::sink(),
+                    );
                     if let Some(p) = &profile {
                         p.add_busy(id, started.elapsed());
                     }
@@ -312,16 +319,22 @@ fn run_region_attempt(
     })
 }
 
-/// Executes one node's work on the current thread.
-fn run_node(
-    node: &PlanNode,
+/// Executes one node's work on the current thread: `op` over its
+/// opened input and output endpoints, `stdin_inputs` naming the inputs
+/// that feed a command's standard input. The one interpreter of
+/// [`PlanOp`] — a node thread of this backend and a child process of
+/// the `processes` and `shell` backends ([`crate::cli`]) both end up
+/// here.
+pub(crate) fn run_node(
+    op: &PlanOp,
+    stdin_inputs: &[usize],
     mut ins: Vec<Box<dyn Read + Send>>,
     mut outs: Vec<Box<dyn Write + Send>>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    cfg: &ExecConfig,
+    stderr: &mut dyn Write,
 ) -> io::Result<i32> {
-    match &node.op {
+    match op {
         PlanOp::Exec { argv, framed } => {
             // Stream-role args become virtual stream paths; the
             // remaining inputs feed stdin in plan order.
@@ -339,8 +352,7 @@ fn run_node(
                     }
                 }
             }
-            let stdin_sources: Vec<Box<dyn Read + Send>> = node
-                .stdin_inputs
+            let stdin_sources: Vec<Box<dyn Read + Send>> = stdin_inputs
                 .iter()
                 .filter_map(|&k| slots.get_mut(k).and_then(|s| s.take()))
                 .collect();
@@ -355,7 +367,6 @@ fn run_node(
                 base: fs,
                 streams: Mutex::new(stream_table),
             });
-            let mut stderr = io::sink();
             let mut out = outs.pop().expect("command has one output");
             if *framed {
                 return run_framed(
@@ -365,7 +376,7 @@ fn run_node(
                         let mut cio = CmdIo {
                             stdin,
                             stdout,
-                            stderr: &mut stderr,
+                            stderr: &mut *stderr,
                             fs: stream_fs.clone(),
                             registry,
                         };
@@ -378,7 +389,7 @@ fn run_node(
             let mut cio = CmdIo {
                 stdin: &mut stdin,
                 stdout: &mut out,
-                stderr: &mut stderr,
+                stderr,
                 fs: stream_fs,
                 registry,
             };
@@ -407,7 +418,7 @@ fn run_node(
             let input = ins.pop().expect("relay has one input");
             let mut out = outs.pop().expect("relay has one output");
             let mode = if *blocking {
-                RelayMode::Blocking(cfg.blocking_relay_chunks)
+                RelayMode::Blocking(BLOCKING_RELAY_CHUNKS)
             } else {
                 RelayMode::Full
             };
@@ -527,37 +538,6 @@ pub fn run_program_with_fallback(
         cfg.max_inflight,
         stdin.into(),
     )
-}
-
-/// The in-process threaded execution backend.
-pub struct ThreadedBackend<'a> {
-    /// Command implementations.
-    pub registry: &'a Registry,
-    /// Filesystem the plan reads and writes.
-    pub fs: Arc<dyn Fs>,
-    /// Bytes fed to the first region's boundary stdin.
-    pub stdin: Vec<u8>,
-    /// Executor tuning.
-    pub cfg: ExecConfig,
-}
-
-impl Backend for ThreadedBackend<'_> {
-    type Output = ProgramOutput;
-
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn run(&mut self, plan: &ExecutionPlan) -> io::Result<ProgramOutput> {
-        run_program_with_fallback(
-            plan,
-            None,
-            self.registry,
-            self.fs.clone(),
-            self.stdin.as_slice(),
-            &self.cfg,
-        )
-    }
 }
 
 /// Compiles and runs a script against a filesystem; returns stdout.
@@ -995,27 +975,5 @@ mod tests {
         .expect("run");
         assert!(out.stdout.is_empty());
         assert_eq!(out.status, 1);
-    }
-
-    #[test]
-    fn threaded_backend_trait_runs_plans() {
-        let (reg, fs) = fixture();
-        let compiled = pash_core::compile::compile(
-            "cat in.txt | tr A-Z a-z | sort",
-            &PashConfig {
-                width: 3,
-                ..Default::default()
-            },
-        )
-        .expect("compile");
-        let mut be = ThreadedBackend {
-            registry: &reg,
-            fs,
-            stdin: Vec::new(),
-            cfg: ExecConfig::default(),
-        };
-        assert_eq!(be.name(), "threads");
-        let out = be.run(&compiled.plan).expect("run");
-        assert_eq!(out.stdout, b"apple\napple\napple\nbanana\nbanana\ncherry\n");
     }
 }

@@ -21,6 +21,8 @@ use std::io::{self, BufRead, Read, Write};
 
 use pash_core::plan::fold_statuses;
 
+use crate::wire::{read_header, truncated};
+
 /// Frame magic: `\x01RSB` ("round-robin split block").
 pub const MAGIC: [u8; 4] = [0x01, b'R', b'S', b'B'];
 /// Fixed header length: magic + u64 tag + u32 payload length.
@@ -74,19 +76,8 @@ impl<R: Read> FrameReader<R> {
     /// zero-filled `Vec` per block.
     pub fn next_frame_into(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<u64>> {
         let mut header = [0u8; HEADER_LEN];
-        let mut got = 0;
-        while got < HEADER_LEN {
-            let n = self.inner.read(&mut header[got..])?;
-            if n == 0 {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "truncated frame header",
-                ));
-            }
-            got += n;
+        if !read_header(&mut self.inner, &mut header).map_err(|e| truncated(e, "frame header"))? {
+            return Ok(None);
         }
         if header[..4] != MAGIC {
             return Err(io::Error::new(
@@ -111,13 +102,9 @@ impl<R: Read> FrameReader<R> {
         // No `clear` first: a reused buffer is zero-filled only where
         // it grows past the longest payload it has held.
         payload.resize(len, 0);
-        self.inner.read_exact(payload).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                io::Error::new(io::ErrorKind::InvalidData, "truncated frame payload")
-            } else {
-                e
-            }
-        })?;
+        self.inner
+            .read_exact(payload)
+            .map_err(|e| truncated(e, "frame payload"))?;
         Ok(Some(tag))
     }
 }
@@ -176,6 +163,40 @@ mod tests {
             Some((2, b"beta\ngamma\n".to_vec()))
         );
         assert_eq!(r.next_frame().expect("eof"), None);
+    }
+
+    /// Hands out its bytes one at a time, reporting an interrupted
+    /// call before each — what a socket with a read timeout does when
+    /// a signal arrives.
+    struct Interrupted(io::Cursor<Vec<u8>>, bool);
+
+    impl Read for Interrupted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_not_reported() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 9, b"payload\n").expect("write");
+        let mut r = FrameReader::new(Interrupted(io::Cursor::new(buf.clone()), false));
+        assert_eq!(
+            r.next_frame().expect("frame"),
+            Some((9, b"payload\n".to_vec()))
+        );
+        assert_eq!(r.next_frame().expect("eof"), None);
+        // A stream that ends inside a header is still an error.
+        buf.truncate(HEADER_LEN - 3);
+        let mut r = FrameReader::new(Interrupted(io::Cursor::new(buf), false));
+        let e = r.next_frame().expect_err("truncated");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("truncated frame header"), "{e}");
     }
 
     #[test]

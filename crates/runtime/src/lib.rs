@@ -62,7 +62,6 @@ pub mod wire;
 pub use drive::{drive, Feed, RegionRunner};
 pub use exec::{
     run_program, run_program_with_fallback, run_script, ExecConfig, ProgramOutput, RegionOutput,
-    ThreadedBackend,
 };
 pub use fault::{ExecError, FaultClass, FaultKind, FaultPlan, INFRA_STATUS};
 pub use pipe::{

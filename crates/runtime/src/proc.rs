@@ -32,8 +32,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pash_core::plan::{
-    fold_statuses, Backend, EndpointKind, ExecutionPlan, PlanEdgeId, PlanNodeId, RegionPlan,
-    SpawnBin, SpawnWord,
+    fold_statuses, EndpointKind, ExecutionPlan, PlanEdgeId, PlanNodeId, RegionPlan, SpawnBin,
+    SpawnWord,
 };
 
 use crate::drive::{drive, Feed, RegionRunner};
@@ -50,23 +50,30 @@ use crate::supervise::SupervisorSettings;
 /// rather than command verdicts.
 const ABORT_STATUS: i32 = 134;
 
-/// Process-backend configuration.
-#[derive(Debug, Clone)]
-pub struct ProcConfig {
-    /// The coreutils multi-call binary (`pashc`).
-    pub pashc: PathBuf,
-    /// The runtime multi-call binary (`pash-rt`).
-    pub pash_rt: PathBuf,
-    /// Where FIFO scratch directories are created (default: the
-    /// system temp directory).
-    pub scratch: Option<PathBuf>,
-    /// How long to wait after `SIGPIPE` before escalating teardown to
-    /// `SIGKILL`.
-    pub kill_grace: Duration,
-    /// Maximum number of independent regions in flight at once. The
-    /// default of 1 executes steps strictly in plan order; larger
-    /// values let non-conflicting regions overlap (see
-    /// [`crate::drive::drive`]).
+/// How long teardown waits after `SIGPIPE` before escalating to
+/// `SIGKILL`.
+const KILL_GRACE: Duration = Duration::from_secs(2);
+
+/// Settings for the `processes` backend.
+#[derive(Debug, Clone, Default)]
+pub struct ProcSettings {
+    /// Root directory the plan's file edges resolve against (every
+    /// child's cwd). The functions here take the root they run in as
+    /// an argument; this field is what `pash::run` resolves it from —
+    /// `None`, the default, makes it materialize its in-memory
+    /// filesystem into a fresh temp directory, run there, read every
+    /// file back and remove the directory, so `processes` then behaves
+    /// like `threads` from the caller's perspective, except the work
+    /// happened in real OS processes.
+    pub root: Option<PathBuf>,
+    /// `pashc` override (default: `$PASHC`, else a sibling of the
+    /// current executable).
+    pub pashc: Option<PathBuf>,
+    /// `pash-rt` override (default: `$PASH_RT`, else a sibling of the
+    /// current executable).
+    pub pash_rt: Option<PathBuf>,
+    /// Maximum independent regions in flight at once (0 or 1 =
+    /// strictly sequential steps; see [`crate::drive::drive`]).
     pub max_inflight: usize,
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
@@ -77,23 +84,6 @@ pub struct ProcConfig {
     /// interiors are invisible to the parent and stay zero; the rate
     /// index skips zero-byte nodes). See [`crate::profile`].
     pub profile: Option<Arc<ProfileStore>>,
-}
-
-impl ProcConfig {
-    /// Locates the multi-call binaries: `$PASHC`/`$PASH_RT` if set,
-    /// otherwise next to the current executable (walking up out of
-    /// `target/<profile>/deps` for test binaries).
-    pub fn locate() -> io::Result<ProcConfig> {
-        Ok(ProcConfig {
-            pashc: locate_bin("pashc", "PASHC")?,
-            pash_rt: locate_bin("pash-rt", "PASH_RT")?,
-            scratch: None,
-            kill_grace: Duration::from_secs(2),
-            max_inflight: 1,
-            supervisor: SupervisorSettings::default(),
-            profile: None,
-        })
-    }
 }
 
 /// Finds a sibling binary of the running executable (or honours the
@@ -117,31 +107,6 @@ pub fn locate_bin(name: &str, env_var: &str) -> io::Result<PathBuf> {
         io::ErrorKind::NotFound,
         format!("cannot locate the `{name}` binary: set ${env_var} or build the workspace bins"),
     ))
-}
-
-/// The `processes` execution backend.
-pub struct ProcessBackend {
-    /// Binary locations and teardown tuning.
-    pub cfg: ProcConfig,
-    /// Root directory: every child's cwd, against which the plan's
-    /// file edges resolve.
-    pub root: PathBuf,
-    /// Bytes fed to the first region's boundary stdin.
-    pub stdin: Vec<u8>,
-}
-
-impl Backend for ProcessBackend {
-    type Output = ProgramOutput;
-
-    fn name(&self) -> &'static str {
-        "processes"
-    }
-
-    fn run(&mut self, plan: &ExecutionPlan) -> io::Result<ProgramOutput> {
-        // Taken, not cloned: stdin can be large, and a backend runs
-        // its plan once.
-        run_plan(plan, &self.cfg, &self.root, std::mem::take(&mut self.stdin))
-    }
 }
 
 /// Maps a reaped child status onto the shell convention (`128 + sig`
@@ -180,11 +145,29 @@ fn kill_pipe(_pid: u32) {}
 /// backend's root, the same text the shell backend would inline into
 /// its script.
 pub struct ProcessRunner<'a> {
-    /// Binary locations and teardown tuning (its `supervisor` is the
-    /// driver's business).
-    pub cfg: &'a ProcConfig,
+    settings: &'a ProcSettings,
     /// Every child's cwd.
-    pub root: &'a Path,
+    root: &'a Path,
+    pashc: PathBuf,
+    pash_rt: PathBuf,
+}
+
+impl<'a> ProcessRunner<'a> {
+    /// A runner over `root`, its two binaries located once: the
+    /// overrides in `settings`, else `$PASHC`/`$PASH_RT`, else beside
+    /// the current executable ([`locate_bin`]).
+    pub fn new(settings: &'a ProcSettings, root: &'a Path) -> io::Result<ProcessRunner<'a>> {
+        let bin = |given: &Option<PathBuf>, name, env_var| match given {
+            Some(p) => Ok(p.clone()),
+            None => locate_bin(name, env_var),
+        };
+        Ok(ProcessRunner {
+            settings,
+            root,
+            pashc: bin(&settings.pashc, "pashc", "PASHC")?,
+            pash_rt: bin(&settings.pash_rt, "pash-rt", "PASH_RT")?,
+        })
+    }
 }
 
 impl RegionRunner for ProcessRunner<'_> {
@@ -196,7 +179,7 @@ impl RegionRunner for ProcessRunner<'_> {
         _attempt_no: u32,
         supervised: Option<&SupervisorSettings>,
     ) -> Result<RegionOutput, ExecError> {
-        run_region_attempt(r, self.cfg, self.root, feed.clone(), fault, supervised)
+        run_region_attempt(r, self, feed.clone(), fault, supervised)
     }
 
     fn shell_step(&self, text: &str) -> io::Result<ProgramOutput> {
@@ -217,11 +200,11 @@ impl RegionRunner for ProcessRunner<'_> {
 /// Executes a whole plan as process trees, step by step.
 pub fn run_plan(
     plan: &ExecutionPlan,
-    cfg: &ProcConfig,
+    settings: &ProcSettings,
     root: &Path,
     stdin: Vec<u8>,
 ) -> io::Result<ProgramOutput> {
-    run_plan_with_fallback(plan, None, cfg, root, stdin)
+    run_plan_with_fallback(plan, None, settings, root, stdin)
 }
 
 /// [`run_plan`] with an optional width-1 fallback plan for the
@@ -230,16 +213,16 @@ pub fn run_plan(
 pub fn run_plan_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
-    cfg: &ProcConfig,
+    settings: &ProcSettings,
     root: &Path,
     stdin: impl Into<Feed>,
 ) -> io::Result<ProgramOutput> {
     drive(
         plan,
         fallback,
-        &ProcessRunner { cfg, root },
-        &cfg.supervisor,
-        cfg.max_inflight,
+        &ProcessRunner::new(settings, root)?,
+        &settings.supervisor,
+        settings.max_inflight,
         stdin.into(),
     )
 }
@@ -269,8 +252,7 @@ fn edge_name(r: &RegionPlan, fifos: &FifoDir, e: PlanEdgeId) -> io::Result<std::
 /// variable, which the multicall wraps around its stdout.
 fn run_region_attempt(
     r: &RegionPlan,
-    cfg: &ProcConfig,
-    root: &Path,
+    runner: &ProcessRunner,
     stdin: Feed,
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
@@ -278,9 +260,8 @@ fn run_region_attempt(
     r.validate()
         .map_err(|e| ExecError::fatal("plan", io::Error::new(io::ErrorKind::InvalidInput, e)))?;
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let scratch = cfg.scratch.clone().unwrap_or_else(std::env::temp_dir);
     let tag = format!("r{}", SEQ.fetch_add(1, Ordering::Relaxed));
-    let fifos = FifoDir::create_with(r, &scratch, &tag, fault)
+    let fifos = FifoDir::create_with(r, &std::env::temp_dir(), &tag, fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let deadline = settings
         .and_then(|s| s.region_deadline)
@@ -290,8 +271,7 @@ fn run_region_attempt(
     let mut helpers: Vec<Child> = Vec::new();
     let result = spawn_and_reap(
         r,
-        cfg,
-        root,
+        runner,
         stdin,
         &fifos,
         fault,
@@ -306,7 +286,7 @@ fn run_region_attempt(
         // FIFOs' unlink forever. SIGKILL — not PIPE, which an open(2)
         // does not observe — and reap everything still running. A
         // deadline expiry lands here too: this is the escalation from
-        // `kill_grace` to an unconditional SIGKILL of the region.
+        // [`KILL_GRACE`] to an unconditional SIGKILL of the region.
         for child in children.iter_mut().chain(helpers.iter_mut()) {
             if !matches!(child.try_wait(), Ok(Some(_))) {
                 let _ = child.kill();
@@ -357,8 +337,7 @@ fn wait_deadline(
 #[allow(clippy::too_many_arguments)]
 fn spawn_and_reap(
     r: &RegionPlan,
-    cfg: &ProcConfig,
-    root: &Path,
+    runner: &ProcessRunner,
     stdin: Feed,
     fifos: &FifoDir,
     fault: Option<&ArmedFault>,
@@ -369,7 +348,9 @@ fn spawn_and_reap(
     let mut feeders = Vec::new();
     let mut drains: Vec<(PlanNodeId, std::thread::JoinHandle<Vec<u8>>)> = Vec::new();
     let mut stdin = Some(stdin);
-    let profile = cfg.profile.as_ref().map(|_| RegionProfile::for_region(r));
+    let root = runner.root;
+    let store = runner.settings.profile.as_ref();
+    let profile = store.map(|_| RegionProfile::for_region(r));
     // Spawn instants (busy = spawn-to-reap wall) and output files to
     // stat after completion — the byte signals a parent can see.
     let mut spawned_at: Vec<Instant> = Vec::with_capacity(r.nodes.len());
@@ -392,8 +373,8 @@ fn spawn_and_reap(
         }
         let spec = node.spawn_spec();
         let bin = match spec.bin {
-            SpawnBin::Coreutils => &cfg.pashc,
-            SpawnBin::Runtime => &cfg.pash_rt,
+            SpawnBin::Coreutils => &runner.pashc,
+            SpawnBin::Runtime => &runner.pash_rt,
         };
         let mut cmd = Command::new(bin);
         cmd.current_dir(root);
@@ -434,7 +415,7 @@ fn spawn_and_reap(
                 EndpointKind::InputSegment { path, part, of } => {
                     // A fileseg producer pipes straight into the node,
                     // like the emitted `$PASH_RT fileseg … |` prefix.
-                    let mut h = Command::new(&cfg.pash_rt);
+                    let mut h = Command::new(&runner.pash_rt);
                     h.current_dir(root)
                         .arg("fileseg")
                         .arg(path)
@@ -614,7 +595,7 @@ fn spawn_and_reap(
     for h in helpers.iter() {
         kill_pipe(h.id());
     }
-    let grace = Instant::now() + cfg.kill_grace;
+    let grace = Instant::now() + KILL_GRACE;
     let mut other_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
     let reap = |child: &mut Child| -> io::Result<i32> {
         loop {
@@ -689,7 +670,7 @@ fn spawn_and_reap(
         )
         .at_node(id));
     }
-    if let (Some(store), Some(prof)) = (&cfg.profile, &profile) {
+    if let (Some(store), Some(prof)) = (store, &profile) {
         for (id, path) in &out_files {
             if let Ok(md) = std::fs::metadata(path) {
                 prof.add_out(*id, md.len());
@@ -724,19 +705,24 @@ mod tests {
         dir
     }
 
+    /// Default settings, or `None` (skip) when the multicall binaries
+    /// are not built.
+    fn located() -> Option<ProcSettings> {
+        let cfg = ProcSettings::default();
+        if ProcessRunner::new(&cfg, Path::new(".")).is_err() {
+            eprintln!("skipping: multicall binaries not built");
+            return None;
+        }
+        Some(cfg)
+    }
+
     fn run_processes(
         src: &str,
         width: usize,
         files: &[(&str, &[u8])],
         stdin: &[u8],
     ) -> Option<(ProgramOutput, PathBuf)> {
-        let cfg = match ProcConfig::locate() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("skipping: multicall binaries not built");
-                return None;
-            }
-        };
+        let cfg = located()?;
         let root = scratch_with(files);
         let compiled = compile(
             src,
@@ -752,13 +738,7 @@ mod tests {
 
     #[test]
     fn profiling_records_boundary_bytes_and_busy() {
-        let mut cfg = match ProcConfig::locate() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("skipping: multicall binaries not built");
-                return;
-            }
-        };
+        let Some(mut cfg) = located() else { return };
         let store = Arc::new(ProfileStore::in_memory());
         cfg.profile = Some(store.clone());
         let input = b"Banana\napple\nCherry\napple\nbanana\nAPPLE\n";
@@ -869,13 +849,7 @@ mod tests {
         // End-to-end over real children: `r_split` deals tagged
         // blocks, `--framed` workers re-frame, `pash-agg-reorder`
         // restores order.
-        let cfg = match ProcConfig::locate() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("skipping: multicall binaries not built");
-                return;
-            }
-        };
+        let Some(cfg) = located() else { return };
         let corpus: Vec<u8> = (0..500)
             .flat_map(|i| format!("Line {i} of the Corpus\n").into_bytes())
             .collect();
@@ -902,13 +876,7 @@ mod tests {
         // A guarded miss must gate the next step identically at any
         // width: the folded worker statuses report 1, not the
         // reorderer's 0.
-        let cfg = match ProcConfig::locate() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("skipping: multicall binaries not built");
-                return;
-            }
-        };
+        let Some(cfg) = located() else { return };
         let root = scratch_with(&[("in.txt", b"some words here\nand more\n")]);
         let compiled = compile(
             "cat in.txt | grep zzz > miss.txt && cat in.txt",
@@ -923,18 +891,12 @@ mod tests {
 
     #[test]
     fn parallel_waves_match_sequential() {
-        let cfg = match ProcConfig::locate() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("skipping: multicall binaries not built");
-                return;
-            }
-        };
+        let Some(cfg) = located() else { return };
         let input = b"apple pie\nbanana split\nanother apple\n";
         let src = "grep apple in.txt > a.txt\ngrep -c an in.txt > b.txt";
         let mut runs = Vec::new();
         for max_inflight in [1usize, 4] {
-            let cfg = ProcConfig {
+            let cfg = ProcSettings {
                 max_inflight,
                 ..cfg.clone()
             };

@@ -7,10 +7,14 @@
 //! [`RegionProfile`] (atomic counters, the
 //! [`crate::supervise::SupervisorCounters`] pattern), keyed by
 //! `(region fingerprint, node id)`. A [`ProfileStore`] decay-merges
-//! repeated observations in memory and mirrors them to an on-disk
-//! tier (atomic rename writes, corruption-tolerant reads), so a
-//! restarted daemon warm-starts with measured rates instead of cold
-//! priors.
+//! repeated observations in one bounded in-memory map: a record costs
+//! one lock and no I/O, however long the process has lived. The owner
+//! of a store opened over a directory calls [`ProfileStore::save`] when
+//! it stops — one snapshot file, one atomic rename — and the next
+//! [`ProfileStore::open`] warm-starts from it (corruption-tolerant: what
+//! parses loads, the rest starts cold). A process that is killed
+//! instead of stopped restarts cold; profiles are advisory and
+//! re-learned within a handful of runs.
 
 use std::collections::HashMap;
 use std::io;
@@ -28,8 +32,17 @@ use pash_core::plan::{PlanOp, RegionPlan};
 /// moves the estimate < a third of the way.
 pub const DECAY_ALPHA: f64 = 0.3;
 
-/// Default size bound for the on-disk profile tier.
-pub const DEFAULT_PROFILE_DISK_BYTES: u64 = 4 * 1024 * 1024;
+/// How many region shapes a store holds. Past it the
+/// least-recently-recorded region is dropped, so neither a long-lived
+/// daemon fed never-seen scripts nor the snapshot it writes can grow
+/// without bound.
+pub const MAX_REGIONS: usize = 1024;
+
+/// The snapshot's file name under the store's directory.
+const SNAPSHOT_FILE: &str = "profiles.snapshot";
+
+/// The first line of every region's block in a snapshot.
+const BLOCK_HEADER: &str = "pash-profile v1";
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -242,10 +255,11 @@ impl NodeStats {
         }
     }
 
-    /// Folds one observation in with exponential decay `alpha`. The
-    /// first observation is taken verbatim (no prior to decay).
-    pub fn decay_merge(&mut self, bytes_in: f64, bytes_out: f64, busy_s: f64, alpha: f64) {
-        let a = alpha.clamp(0.0, 1.0);
+    /// Folds one observation in with exponential decay
+    /// [`DECAY_ALPHA`]. The first observation is taken verbatim (no
+    /// prior to decay).
+    pub fn decay_merge(&mut self, bytes_in: f64, bytes_out: f64, busy_s: f64) {
+        let a = DECAY_ALPHA;
         if self.weight <= 0.0 {
             self.bytes_in = bytes_in;
             self.bytes_out = bytes_out;
@@ -271,7 +285,7 @@ pub struct RegionStats {
 
 impl RegionStats {
     fn render(&self) -> String {
-        let mut out = format!("pash-profile v1\nregion {:016x}\n", self.fingerprint);
+        let mut out = format!("{BLOCK_HEADER}\nregion {:016x}\n", self.fingerprint);
         for (i, n) in self.nodes.iter().enumerate() {
             out.push_str(&format!(
                 "n{i} {:?} in={:.3} out={:.3} busy={:.9} w={:.6}\n",
@@ -283,7 +297,7 @@ impl RegionStats {
 
     fn parse(text: &str) -> Option<RegionStats> {
         let mut lines = text.lines();
-        if lines.next()? != "pash-profile v1" {
+        if lines.next()? != BLOCK_HEADER {
             return None;
         }
         let fingerprint = u64::from_str_radix(lines.next()?.strip_prefix("region ")?, 16).ok()?;
@@ -327,87 +341,131 @@ impl RegionStats {
     }
 }
 
-/// The two-tier profile store.
-///
-/// The in-memory tier is the source of truth while the process lives;
-/// every record is mirrored to the disk tier (when configured) by
-/// writing a temporary file and renaming it into place. Reads of the
-/// disk tier are corruption-tolerant: files that fail to parse, or
-/// whose content disagrees with their fingerprint file name, are
-/// ignored.
+/// The region map plus the logical clock that orders it by recency.
+#[derive(Debug, Default)]
+struct Regions {
+    /// Fingerprint → (clock value of the last record, stats).
+    map: HashMap<u64, (u64, RegionStats)>,
+    clock: u64,
+}
+
+impl Regions {
+    /// The entry for `fingerprint`, stamped most recent; made empty
+    /// when absent, after dropping the least-recently-recorded region
+    /// of a full map.
+    fn touch(&mut self, fingerprint: u64) -> &mut RegionStats {
+        self.clock += 1;
+        if !self.map.contains_key(&fingerprint) && self.map.len() >= MAX_REGIONS {
+            let oldest = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp);
+            if let Some(fp) = oldest.map(|(fp, _)| *fp) {
+                self.map.remove(&fp);
+            }
+        }
+        let nodes = Vec::new();
+        let entry = self
+            .map
+            .entry(fingerprint)
+            .or_insert((0, RegionStats { fingerprint, nodes }));
+        entry.0 = self.clock;
+        &mut entry.1
+    }
+}
+
+/// The profile store: one in-memory map, bounded by [`MAX_REGIONS`],
+/// optionally backed by a snapshot file that [`Self::open`] reads and
+/// [`Self::save`] writes — nothing in between touches the disk.
 #[derive(Debug)]
 pub struct ProfileStore {
-    mem: Mutex<HashMap<u64, RegionStats>>,
+    mem: Mutex<Regions>,
     dir: Option<PathBuf>,
-    /// Disk-tier size bound; oldest-mtime profiles are evicted past
-    /// it. 0 disables the bound.
-    max_disk_bytes: u64,
-    alpha: f64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ProfileStore {
-    /// A memory-only store.
+    /// A memory-only store ([`Self::save`] is a no-op).
     pub fn in_memory() -> ProfileStore {
         ProfileStore {
-            mem: Mutex::new(HashMap::new()),
+            mem: Mutex::default(),
             dir: None,
-            max_disk_bytes: 0,
-            alpha: DECAY_ALPHA,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Opens a store with a disk tier at `dir` (created if missing)
-    /// and warm-starts the memory tier from every readable profile
-    /// file found there.
+    /// Opens a store that persists under `dir` (created if missing —
+    /// the only failure) and warm-starts it from the snapshot a
+    /// previous [`Self::save`] left there. A missing, unreadable or
+    /// damaged snapshot is not an error: every block that parses
+    /// loads, and the store starts cold for the rest. Other files in
+    /// `dir` (the per-region `*.prof` files older versions wrote) are
+    /// ignored.
     pub fn open(dir: &Path) -> io::Result<ProfileStore> {
         std::fs::create_dir_all(dir)?;
-        let store = ProfileStore {
-            dir: Some(dir.to_path_buf()),
-            max_disk_bytes: DEFAULT_PROFILE_DISK_BYTES,
-            ..ProfileStore::in_memory()
+        let mut mem = Regions::default();
+        let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap_or_default();
+        let text = String::from_utf8_lossy(&bytes);
+        // One block per region, oldest first, each starting at its
+        // header line and checked by `RegionStats::parse` on its own.
+        let mut block = String::new();
+        let mut load = |block: &mut String| {
+            if let Some(rs) = RegionStats::parse(block) {
+                let fingerprint = rs.fingerprint;
+                *mem.touch(fingerprint) = rs;
+            }
+            block.clear();
         };
-        let mut mem = HashMap::new();
-        for entry in std::fs::read_dir(dir)? {
-            let Ok(entry) = entry else { continue };
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("prof") {
-                continue;
+        for line in text.lines() {
+            if line == BLOCK_HEADER {
+                load(&mut block);
             }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(expect_fp) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            match RegionStats::parse(&text) {
-                // Self-verification: the content's fingerprint must
-                // match the file name it was stored under.
-                Some(rs) if rs.fingerprint == expect_fp => {
-                    mem.insert(rs.fingerprint, rs);
-                }
-                _ => {}
-            }
+            block.push_str(line);
+            block.push('\n');
         }
-        *lock(&store.mem) = mem;
-        Ok(store)
+        load(&mut block);
+        Ok(ProfileStore {
+            mem: Mutex::new(mem),
+            dir: Some(dir.to_path_buf()),
+            ..ProfileStore::in_memory()
+        })
     }
 
-    /// Overrides the disk-tier size bound (0 disables it).
-    pub fn with_disk_cap(mut self, bytes: u64) -> ProfileStore {
-        self.max_disk_bytes = bytes;
-        self
+    /// Writes the whole store as one snapshot under the directory it
+    /// was opened over: a uniquely named temporary file, renamed into
+    /// place, so a reader (or a concurrent `save`) sees a complete
+    /// snapshot or the previous one, never a mixture.
+    pub fn save(&self) -> io::Result<()> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
+        let text = {
+            let mem = lock(&self.mem);
+            let mut regions: Vec<&(u64, RegionStats)> = mem.map.values().collect();
+            // Oldest first: a reload re-stamps in file order, so
+            // recency survives the restart.
+            regions.sort_by_key(|(stamp, _)| *stamp);
+            regions
+                .iter()
+                .map(|(_, rs)| rs.render())
+                .collect::<String>()
+        };
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = dir.join(format!(
+            "{SNAPSHOT_FILE}.tmp.{}.{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&tmp, text)
+            .and_then(|()| std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE)))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })
     }
 
-    /// Number of region shapes with stored observations.
+    /// Number of region shapes with stored observations (never more
+    /// than [`MAX_REGIONS`]).
     pub fn regions(&self) -> usize {
-        lock(&self.mem).len()
+        lock(&self.mem).map.len()
     }
 
     /// Lookups that found measured data ([`Self::rates_for`]).
@@ -420,48 +478,34 @@ impl ProfileStore {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Folds one finished region attempt into the store and mirrors
-    /// the merged stats to the disk tier.
+    /// Folds one finished region attempt into the store: one lock, no
+    /// I/O.
     pub fn record(&self, p: &RegionProfile) {
-        let merged = {
-            let mut mem = lock(&self.mem);
-            let rs = mem.entry(p.fingerprint()).or_insert_with(|| RegionStats {
-                fingerprint: p.fingerprint(),
-                nodes: (0..p.len())
-                    .map(|i| NodeStats::fresh(p.label(i).to_string()))
-                    .collect(),
-            });
-            // A fingerprint collision with a different node count is
-            // astronomically unlikely; resize defensively anyway.
-            while rs.nodes.len() < p.len() {
-                let i = rs.nodes.len();
-                rs.nodes.push(NodeStats::fresh(p.label(i).to_string()));
-            }
-            for i in 0..p.len() {
-                let c = p.node(i);
-                rs.nodes[i].decay_merge(
-                    c.bytes_in() as f64,
-                    c.bytes_out() as f64,
-                    c.busy().as_secs_f64(),
-                    self.alpha,
-                );
-            }
-            rs.clone()
-        };
-        if let Some(dir) = &self.dir {
-            let path = dir.join(format!("{:016x}.prof", merged.fingerprint));
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            let _ =
-                std::fs::write(&tmp, merged.render()).and_then(|()| std::fs::rename(&tmp, &path));
-            if self.max_disk_bytes > 0 {
-                let _ = evict_lru_by_mtime(dir, self.max_disk_bytes);
-            }
+        let mut mem = lock(&self.mem);
+        let rs = mem.touch(p.fingerprint());
+        // Every node of a new entry — and the tail of one that came up
+        // short: a fingerprint collision with a different node count is
+        // astronomically unlikely, a snapshot cut at a line boundary is
+        // not.
+        let have = rs.nodes.len();
+        rs.nodes
+            .extend((have..p.len()).map(|i| NodeStats::fresh(p.label(i).to_string())));
+        for i in 0..p.len() {
+            let c = p.node(i);
+            rs.nodes[i].decay_merge(
+                c.bytes_in() as f64,
+                c.bytes_out() as f64,
+                c.busy().as_secs_f64(),
+            );
         }
     }
 
     /// A snapshot of one region's stored stats.
     pub fn region_stats(&self, fingerprint: u64) -> Option<RegionStats> {
-        lock(&self.mem).get(&fingerprint).cloned()
+        lock(&self.mem)
+            .map
+            .get(&fingerprint)
+            .map(|(_, rs)| rs.clone())
     }
 
     /// The derived command-rate index: every exec node observation
@@ -474,7 +518,7 @@ impl ProfileStore {
         let mem = lock(&self.mem);
         // label → (Σw, Σw·rate, Σw·ratio)
         let mut acc: HashMap<String, (f64, f64, f64)> = HashMap::new();
-        for rs in mem.values() {
+        for (_, rs) in mem.map.values() {
             for n in &rs.nodes {
                 if n.label.is_empty() || n.label.starts_with('<') {
                     continue;
@@ -521,46 +565,6 @@ impl ProfileStore {
     }
 }
 
-/// Shrinks a cache directory to `max_bytes` by deleting
-/// oldest-mtime files first (recursing into subdirectories). Returns
-/// how many files were removed. Dangling references are fine by
-/// construction: the profile store treats a missing or unreadable file
-/// as a cold miss.
-pub fn evict_lru_by_mtime(root: &Path, max_bytes: u64) -> io::Result<usize> {
-    let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir)? {
-            let Ok(entry) = entry else { continue };
-            let path = entry.path();
-            let Ok(md) = entry.metadata() else { continue };
-            if md.is_dir() {
-                stack.push(path);
-            } else {
-                let mtime = md.modified().unwrap_or(std::time::UNIX_EPOCH);
-                files.push((mtime, md.len(), path));
-            }
-        }
-    }
-    let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-    if total <= max_bytes {
-        return Ok(0);
-    }
-    // Oldest first; ties broken by path for determinism.
-    files.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-    let mut removed = 0;
-    for (_, len, path) in files {
-        if total <= max_bytes {
-            break;
-        }
-        if std::fs::remove_file(&path).is_ok() {
-            total = total.saturating_sub(len);
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,18 +603,18 @@ mod tests {
     #[test]
     fn decay_merge_first_observation_verbatim_then_smooths() {
         let mut s = NodeStats::fresh("tr".into());
-        s.decay_merge(1000.0, 500.0, 0.5, 0.3);
+        s.decay_merge(1000.0, 500.0, 0.5);
         assert_eq!(s.bytes_in, 1000.0);
         assert_eq!(s.weight, 1.0);
-        s.decay_merge(2000.0, 500.0, 0.5, 0.3);
+        s.decay_merge(2000.0, 500.0, 0.5);
         // 0.3·2000 + 0.7·1000 = 1300.
         assert!((s.bytes_in - 1300.0).abs() < 1e-9);
         assert!((s.weight - 1.7).abs() < 1e-9);
         // Weight converges toward 1/alpha.
         for _ in 0..100 {
-            s.decay_merge(2000.0, 500.0, 0.5, 0.3);
+            s.decay_merge(2000.0, 500.0, 0.5);
         }
-        assert!((s.weight - 1.0 / 0.3).abs() < 1e-6);
+        assert!((s.weight - 1.0 / DECAY_ALPHA).abs() < 1e-6);
         assert!((s.bytes_in - 2000.0).abs() < 1.0);
     }
 
@@ -643,16 +647,37 @@ mod tests {
         assert_eq!((store.hits(), store.misses()), (1, 1));
     }
 
+    /// A one-node profile of a region nothing else shares.
+    fn synthetic(fingerprint: u64, label: &str) -> RegionProfile {
+        let p = RegionProfile {
+            fingerprint,
+            labels: vec![label.to_string()],
+            nodes: vec![NodeCounters::default()],
+        };
+        observe(&p, 1);
+        p
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pash-prof-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn disk_tier_round_trips_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("pash-prof-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("reopen");
         let r = sample_region();
         {
             let store = ProfileStore::open(&dir).expect("open");
             let p = RegionProfile::for_region(&r);
             observe(&p, 1);
             store.record(&p);
+            let listed = std::fs::read_dir(&dir).expect("list").count();
+            assert_eq!(listed, 0, "a record writes nothing");
+            store.save().expect("save");
+            let listed = std::fs::read_dir(&dir).expect("list").count();
+            assert_eq!(listed, 1, "one snapshot, no temporary left behind");
         }
         let warm = ProfileStore::open(&dir).expect("reopen");
         assert_eq!(warm.regions(), 1, "warm start must reload the profile");
@@ -665,29 +690,142 @@ mod tests {
 
     #[test]
     fn corrupt_profile_files_are_ignored() {
-        let dir = std::env::temp_dir().join(format!("pash-prof-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let r = sample_region();
+        let dir = scratch("corrupt");
         let store = ProfileStore::open(&dir).expect("open");
-        let p = RegionProfile::for_region(&r);
-        observe(&p, 1);
-        store.record(&p);
-        let path = dir.join(format!("{:016x}.prof", r.fingerprint()));
-        assert!(path.exists());
-        // Truncate mid-line: parse fails, warm start skips the file.
-        std::fs::write(&path, "pash-profile v1\nregion dead").expect("corrupt");
-        let warm = ProfileStore::open(&dir).expect("reopen");
-        assert_eq!(warm.regions(), 0);
-        // A well-formed file under the wrong name fails
-        // self-verification too.
-        let rogue = RegionStats {
-            fingerprint: 0x1234,
-            nodes: vec![],
+        for fp in 1..=3 {
+            store.record(&synthetic(fp, "tr"));
+        }
+        store.save().expect("save");
+        let path = dir.join(SNAPSHOT_FILE);
+        let good = std::fs::read(&path).expect("snapshot");
+        let regions = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("damage");
+            ProfileStore::open(&dir).expect("reopen").regions()
         };
-        std::fs::write(dir.join("0000000000000001.prof"), rogue.render()).expect("rogue");
-        let warm = ProfileStore::open(&dir).expect("reopen");
-        assert_eq!(warm.regions(), 0);
+        assert_eq!(regions(&good), 3);
+        // Cut mid-field: the last block fails to parse, the two
+        // before it load.
+        assert_eq!(regions(&good[..good.len() - 10]), 2);
+        // A flipped byte in the first block's header, in the second's
+        // fingerprint, in the third's numbers: each costs its own
+        // block and no other.
+        let flip = |at: usize| {
+            let mut bad = good.clone();
+            bad[at] ^= 0x10;
+            bad
+        };
+        let block = good.len() / 3;
+        assert_eq!(regions(&flip(3)), 2);
+        assert_eq!(regions(&flip(block + BLOCK_HEADER.len() + 10)), 2);
+        assert_eq!(regions(&flip(good.len() - 4)), 2);
+        // Not text at all, and nothing at all.
+        assert_eq!(regions(&[0xff, 0xfe, 0x00, 0x80]), 0);
+        assert_eq!(regions(b""), 0);
+        assert_eq!(regions(b"pash-profile v1\nregi"), 0);
+        // The layout older versions wrote — one `<fp>.prof` per region
+        // beside no snapshot — is neither read nor an error.
+        std::fs::remove_file(&path).expect("remove snapshot");
+        std::fs::write(
+            dir.join("0000000000000001.prof"),
+            RegionStats::parse(&String::from_utf8_lossy(&good[..block]))
+                .expect("first block")
+                .render(),
+        )
+        .expect("old layout");
+        assert_eq!(ProfileStore::open(&dir).expect("reopen").regions(), 0);
+        // So is a directory where the snapshot should be.
+        std::fs::create_dir(&path).expect("mkdir");
+        let store = ProfileStore::open(&dir).expect("reopen");
+        assert_eq!(store.regions(), 0);
+        assert!(
+            store.save().is_err(),
+            "a snapshot that cannot be published is reported"
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_is_bounded_and_keeps_the_most_recent() {
+        let store = ProfileStore::in_memory();
+        let total = 10 * MAX_REGIONS as u64;
+        for fp in 0..total {
+            // Two command names, so the rate index has to answer from
+            // whichever regions survived.
+            store.record(&synthetic(fp, if fp % 2 == 0 { "tr" } else { "cut" }));
+            assert!(store.regions() <= MAX_REGIONS);
+        }
+        assert_eq!(store.regions(), MAX_REGIONS);
+        for fp in total - MAX_REGIONS as u64..total {
+            assert!(store.region_stats(fp).is_some(), "recent region {fp} kept");
+        }
+        assert!(store.region_stats(0).is_none(), "oldest region dropped");
+        let rates = store.rates();
+        assert!(rates.contains_key("tr") && rates.contains_key("cut"));
+        // Recording again is what keeps a region, not having been first.
+        store.record(&synthetic(total - MAX_REGIONS as u64, "tr"));
+        store.record(&synthetic(total, "tr"));
+        assert!(store.region_stats(total - MAX_REGIONS as u64).is_some());
+        assert!(store.region_stats(total - MAX_REGIONS as u64 + 1).is_none());
+    }
+
+    #[test]
+    fn recency_survives_a_snapshot() {
+        let dir = scratch("recency");
+        let store = ProfileStore::open(&dir).expect("open");
+        for fp in 0..MAX_REGIONS as u64 {
+            store.record(&synthetic(fp, "tr"));
+        }
+        store.record(&synthetic(0, "tr"));
+        store.save().expect("save");
+        let warm = ProfileStore::open(&dir).expect("reopen");
+        assert_eq!(warm.regions(), MAX_REGIONS);
+        warm.record(&synthetic(u64::MAX, "tr"));
+        assert!(
+            warm.region_stats(0).is_some(),
+            "re-recorded before the save"
+        );
+        assert!(warm.region_stats(1).is_none(), "the oldest at the save");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_publish_whole_snapshots() {
+        let dir = scratch("race");
+        let store = ProfileStore::open(&dir).expect("open");
+        for fp in 0..64 {
+            store.record(&synthetic(fp, "tr"));
+        }
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        store.save().expect("save");
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                for fp in 64..512 {
+                    store.record(&synthetic(fp, "cut"));
+                }
+            });
+        });
+        // Whichever save published last, its file is one whole
+        // snapshot: every block it holds parses, none is cut short or
+        // spliced with another writer's.
+        let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("snapshot");
+        let blocks = text.lines().filter(|l| *l == BLOCK_HEADER).count();
+        let warm = ProfileStore::open(&dir).expect("reopen");
+        assert_eq!(warm.regions(), blocks);
+        assert!((64..=512).contains(&blocks), "{blocks}");
+        assert!(text.ends_with('\n'));
+        let listed = std::fs::read_dir(&dir).expect("list").count();
+        assert_eq!(listed, 1, "no temporary left behind");
+        // An unwritable directory (here: gone) is an error, not silence.
+        std::fs::remove_dir_all(&dir).expect("remove");
+        assert!(store.save().is_err());
     }
 
     #[test]
@@ -712,36 +850,5 @@ mod tests {
         assert!((parsed.nodes[0].bytes_in - rs.nodes[0].bytes_in).abs() < 1e-2);
         assert!(RegionStats::parse("junk").is_none());
         assert!(RegionStats::parse("pash-profile v1\nregion zz\n").is_none());
-    }
-
-    #[test]
-    fn lru_eviction_keeps_newest_within_cap() {
-        let dir = std::env::temp_dir().join(format!("pash-evict-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("sub")).expect("mkdir");
-        let old = dir.join("old.prof");
-        let mid = dir.join("sub").join("mid.prof");
-        let new = dir.join("new.prof");
-        std::fs::write(&old, vec![0u8; 400]).expect("write");
-        std::fs::write(&mid, vec![0u8; 400]).expect("write");
-        std::fs::write(&new, vec![0u8; 400]).expect("write");
-        // Order mtimes explicitly — same-millisecond writes are
-        // common on fast filesystems.
-        let t = std::time::SystemTime::now();
-        for (path, age_s) in [(&old, 30u64), (&mid, 20), (&new, 10)] {
-            let f = std::fs::File::options()
-                .write(true)
-                .open(path)
-                .expect("open");
-            f.set_modified(t - Duration::from_secs(age_s))
-                .expect("set mtime");
-        }
-        let removed = evict_lru_by_mtime(&dir, 900).expect("evict");
-        assert_eq!(removed, 1);
-        assert!(!old.exists(), "oldest file evicted first");
-        assert!(mid.exists() && new.exists());
-        let removed = evict_lru_by_mtime(&dir, 900).expect("evict again");
-        assert_eq!(removed, 0, "already within cap");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -460,6 +460,9 @@ pub struct ServiceMetrics {
     pub profile_hits: AtomicU64,
     /// Profile-store lookups that found nothing (cold priors used).
     pub profile_misses: AtomicU64,
+    /// Region shapes the profile store holds (gauge; bounded by
+    /// [`crate::profile::MAX_REGIONS`]).
+    pub profile_regions: AtomicU64,
     /// Width the optimizer chose for the most recent adaptive run.
     pub last_chosen_width: AtomicU64,
     /// Split policy of that run, encoded 0=off 1=sized 2=round-robin.
@@ -490,6 +493,7 @@ impl ServiceMetrics {
             adaptive_runs: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
             profile_misses: AtomicU64::new(0),
+            profile_regions: AtomicU64::new(0),
             last_chosen_width: AtomicU64::new(0),
             last_chosen_split: AtomicU64::new(0),
             supervisor,
@@ -530,7 +534,7 @@ impl ServiceMetrics {
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
              \"compile_misses\":{},\"errors\":{},\
              \"queue_depth\":{},\"inflight\":{},\"adaptive_runs\":{},\
-             \"profile_hits\":{},\"profile_misses\":{},\
+             \"profile_hits\":{},\"profile_misses\":{},\"profile_regions\":{},\
              \"last_chosen_width\":{},\"last_chosen_split\":\"{}\",\
              \"retries\":{},\"deadline_kills\":{},\"fallbacks\":{},\
              \"reroutes\":{},\"local_fallbacks\":{},\"injected\":{},\
@@ -546,6 +550,7 @@ impl ServiceMetrics {
             g(&self.adaptive_runs),
             g(&self.profile_hits),
             g(&self.profile_misses),
+            g(&self.profile_regions),
             g(&self.last_chosen_width),
             split,
             sup.retries(),

@@ -225,7 +225,6 @@ pub fn supervise_ladder(
     } else {
         1
     };
-    let jitter = settings.jitter_seed ^ r.fingerprint();
     let mut last: Option<ExecError> = None;
     for i in 0..attempts {
         if i > 0 {
@@ -233,6 +232,8 @@ pub fn supervise_ladder(
                 break;
             }
             settings.counters.retries.fetch_add(1, Ordering::Relaxed);
+            // Hashing the region is a retry's cost, not every run's.
+            let jitter = settings.jitter_seed ^ r.fingerprint();
             std::thread::sleep(jittered_backoff(settings.backoff_base, i, jitter));
         }
         let armed = settings.fault.as_ref().and_then(|f| runner.arm(f, r));

@@ -115,19 +115,37 @@ pub(crate) fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Fills `header` from `r`: `Ok(false)` at a clean end-of-stream (not
+/// a byte read), `UnexpectedEof` when the stream ends part-way. An
+/// interrupted read is retried, as `read_exact` does — a socket with a
+/// read timeout reports `EINTR` whatever the signal's disposition.
+pub(crate) fn read_header(r: &mut dyn Read, header: &mut [u8]) -> io::Result<bool> {
+    let mut got = 0;
+    while got < header.len() {
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Ok(false),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// [`read_header`]'s part-way end as the codec's own error.
+pub(crate) fn truncated(e: io::Error, what: &str) -> io::Error {
+    match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad_data(format!("truncated {what}")),
+        _ => e,
+    }
+}
+
 /// Reads one length-prefixed frame; `None` at clean end-of-stream.
 pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        let n = r.read(&mut len[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(bad_data("truncated frame length".to_string()));
-        }
-        got += n;
+    if !read_header(r, &mut len).map_err(|e| truncated(e, "frame length"))? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {

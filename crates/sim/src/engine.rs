@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use pash_core::plan::{
-    Backend, EndpointKind, ExecutionPlan, PlanNode, PlanOp, PlanStep, RegionPlan, SplitMode,
+    EndpointKind, ExecutionPlan, PlanNode, PlanOp, PlanStep, RegionPlan, SplitMode,
 };
 
 use crate::cost::{CostModel, Discipline, Profile, Resource};
@@ -710,36 +710,6 @@ pub fn simulate_program(
     }
 }
 
-/// The performance-prediction backend over execution plans.
-pub struct SimBackend<'a> {
-    /// Sizes of the input files the plan reads.
-    pub sizes: &'a InputSizes,
-    /// Bytes arriving on the program's stdin.
-    pub stdin_bytes: f64,
-    /// Command cost profiles.
-    pub cost: &'a CostModel,
-    /// Machine parameters.
-    pub cfg: &'a SimConfig,
-}
-
-impl Backend for SimBackend<'_> {
-    type Output = SimReport;
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(&mut self, plan: &ExecutionPlan) -> std::io::Result<SimReport> {
-        Ok(simulate_program(
-            plan,
-            self.sizes,
-            self.stdin_bytes,
-            self.cost,
-            self.cfg,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,30 +1002,5 @@ mod tests {
         );
         // 8 tr + 8 sort + 7 agg + 14 eager (§6.1).
         assert_eq!(r.processes, 37);
-    }
-
-    #[test]
-    fn sim_backend_trait_runs_plans() {
-        let compiled = compile(
-            SORT,
-            &PashConfig {
-                width: 4,
-                ..Default::default()
-            },
-        )
-        .expect("compile");
-        let sizes = sizes(10.0);
-        let cm = CostModel::default();
-        let cfg = SimConfig::default();
-        let mut be = SimBackend {
-            sizes: &sizes,
-            stdin_bytes: 0.0,
-            cost: &cm,
-            cfg: &cfg,
-        };
-        assert_eq!(be.name(), "sim");
-        let report = be.run(&compiled.plan).expect("simulate");
-        assert!(report.seconds > 0.0);
-        assert!(report.processes > 4);
     }
 }

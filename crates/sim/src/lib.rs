@@ -31,7 +31,7 @@ pub mod cost;
 pub mod engine;
 
 pub use cost::{CostModel, Discipline, Profile, Resource};
-pub use engine::{simulate_program, simulate_region, InputSizes, SimBackend, SimConfig, SimReport};
+pub use engine::{simulate_program, simulate_region, InputSizes, SimConfig, SimReport};
 
 use pash_core::compile::{compile_cached, PashConfig};
 use pash_core::optimize::CandidatePricer;

@@ -13,8 +13,12 @@
 //! kept on disk; a restarted daemon recompiles on first sight.
 //!
 //! **Cache directory.** What does survive a restart is what was
-//! *measured*: with `cache_dir` set, the [`ProfileStore`] of per-command
-//! rates lives under `<cache_dir>/profiles`.
+//! *measured*. The [`ProfileStore`] of per-command rates lives in
+//! memory while the daemon serves — a request records into it without
+//! touching the disk — and with `cache_dir` set [`serve`] writes it as
+//! one snapshot under `<cache_dir>/profiles` once the drain has
+//! completed, for the next process to load. A daemon that is killed
+//! instead of stopped restarts cold and re-learns.
 //!
 //! **Isolation.** The daemon owns a *template* [`MemFs`] seeded over
 //! the socket (`PutFile`). Every run executes against
@@ -25,6 +29,7 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -81,8 +86,8 @@ pub struct Daemon {
     workers: Vec<PathBuf>,
     metrics: Arc<ServiceMetrics>,
     /// Measured per-command rates, recorded by every run and consulted
-    /// by adaptive (`width == 0`) requests. Disk-backed under the cache
-    /// directory so profiles survive restarts.
+    /// by adaptive (`width == 0`) requests. In memory; [`serve`] saves
+    /// it under the cache directory on the way out.
     profile: Arc<ProfileStore>,
 }
 
@@ -173,19 +178,21 @@ impl Daemon {
         .map_err(RunError::Compile)?;
         self.metrics
             .record_choice(opt.chosen_width(), opt.chosen_split());
-        let m = |a: &std::sync::atomic::AtomicU64, v: u64| {
-            a.store(v, std::sync::atomic::Ordering::Relaxed)
-        };
-        m(&self.metrics.profile_hits, self.profile.hits());
-        m(&self.metrics.profile_misses, self.profile.misses());
+        let m = &self.metrics;
+        m.profile_hits.store(self.profile.hits(), Ordering::Relaxed);
+        m.profile_misses
+            .store(self.profile.misses(), Ordering::Relaxed);
         Ok(opt.config)
     }
 
     fn handle_run(&self, req: RunRequest) -> Response {
         let snapshot = Arc::new(self.template.snapshot());
+        // Only the optimizer and the simulator price by input size.
         let mut sizes = InputSizes::new();
-        for (path, bytes) in snapshot.entries() {
-            sizes.insert(path, bytes.len() as f64);
+        if req.width == 0 || req.backend == "sim" {
+            for (path, bytes) in snapshot.entries() {
+                sizes.insert(path, bytes.len() as f64);
+            }
         }
         let t0 = Instant::now();
         let cfg = if req.width == 0 {
@@ -229,7 +236,11 @@ impl Daemon {
             sim: crate::sim::SimConfig::default(),
             emit: crate::core::backend::EmitConfig::default(),
         };
-        let out = match handle.execute(&req.backend, &env) {
+        let out = handle.execute(&req.backend, &env);
+        self.metrics
+            .profile_regions
+            .store(self.profile.regions() as u64, Ordering::Relaxed);
+        let out = match out {
             Ok(o) => o,
             Err(e) => return Response::Error(e.to_string()),
         };
@@ -265,15 +276,16 @@ fn changed_files(template: &MemFs, run: &MemFs) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// Binds the socket and serves until a `Shutdown` request. This is the
-/// blocking entry point both the `pashd` binary and in-process tests
-/// use.
+/// Binds the socket and serves until a `Shutdown` request (SIGTERM
+/// sends `pashd` one), then — every connection drained — writes the
+/// profile snapshot. This is the blocking entry point both the `pashd`
+/// binary and in-process tests use.
 pub fn serve(cfg: DaemonConfig) -> io::Result<()> {
     let daemon = Arc::new(Daemon::new(&cfg)?);
     let metrics = daemon.metrics();
     let listener = service::bind(&cfg.socket)?;
     let handler_daemon = daemon.clone();
-    service::serve(
+    let served = service::serve(
         listener,
         &cfg.socket,
         metrics,
@@ -282,5 +294,11 @@ pub fn serve(cfg: DaemonConfig) -> io::Result<()> {
             ..Default::default()
         },
         Arc::new(move |req| handler_daemon.handle(req)),
-    )
+    );
+    // Profiles are advisory: losing them costs the next process a cold
+    // start, not this one its exit status.
+    if let Err(e) = daemon.profile.save() {
+        eprintln!("pashd: profile snapshot not saved: {e}");
+    }
+    served
 }

@@ -80,17 +80,17 @@ pub use pash_runtime as runtime;
 pub use pash_sim as sim;
 pub use pash_workloads as workloads;
 
-use crate::core::backend::ShellEmitter;
+use crate::core::backend::emit_program;
 use crate::core::compile::{compile_cached, Compiled, PashConfig};
-use crate::core::plan::{Backend, ExecutionPlan};
+use crate::core::plan::ExecutionPlan;
 use crate::coreutils::fs::{Fs, MemFs};
 use crate::coreutils::Registry;
 use crate::runtime::drive::Feed;
 use crate::runtime::exec::{run_program_with_fallback, ExecConfig, ProgramOutput};
-use crate::runtime::proc::{locate_bin, run_plan_with_fallback, ProcConfig};
+use crate::runtime::proc::run_plan_with_fallback;
+pub use crate::runtime::proc::ProcSettings;
 use crate::runtime::remote::{run_program_remote, WorkerPool};
-use crate::runtime::supervise::SupervisorSettings;
-use crate::sim::{CostModel, InputSizes, SimBackend, SimConfig, SimReport};
+use crate::sim::{simulate_program, CostModel, InputSizes, SimConfig, SimReport};
 
 /// Compiles a script with the standard annotation library (shorthand
 /// for [`core::compile::compile`]).
@@ -112,38 +112,6 @@ pub fn compile_cached_script(
 
 /// The registered execution backends, by selection name.
 pub const BACKENDS: &[&str] = &["shell", "threads", "processes", "remote", "sim"];
-
-/// Settings for the `processes` backend (real child processes over
-/// FIFOs; see [`runtime::proc`]).
-#[derive(Debug, Clone, Default)]
-pub struct ProcSettings {
-    /// Root directory the plan's file edges resolve against (every
-    /// child's cwd). `None` — the default — materializes the
-    /// [`RunEnv::fs`] contents into a fresh temp directory, runs
-    /// there, reads every file back into the `MemFs` afterwards, and
-    /// removes the directory: `run(.., "processes", ..)` then behaves
-    /// like `threads` from the caller's perspective, except the work
-    /// happened in real OS processes.
-    pub root: Option<PathBuf>,
-    /// `pashc` override (default: `$PASHC`, else a sibling of the
-    /// current executable).
-    pub pashc: Option<PathBuf>,
-    /// `pash-rt` override (default: `$PASH_RT`, else a sibling of the
-    /// current executable).
-    pub pash_rt: Option<PathBuf>,
-    /// Maximum independent regions in flight at once (0 or 1 =
-    /// strictly sequential steps; see [`runtime::drive::drive`]).
-    pub max_inflight: usize,
-    /// How long teardown waits after `SIGPIPE` before escalating to
-    /// `SIGKILL` (default 2 s).
-    pub kill_grace: Option<std::time::Duration>,
-    /// The execution supervisor: retries, region deadlines, fault
-    /// injection, sequential fallback (see [`runtime::supervise`]).
-    pub supervisor: SupervisorSettings,
-    /// Profile sink: when set, successful regions record per-node
-    /// byte/busy observations here (see [`runtime::profile`]).
-    pub profile: Option<Arc<runtime::ProfileStore>>,
-}
 
 /// Everything a backend might need to run a plan; construct with
 /// [`RunEnv::default`] and override what matters.
@@ -317,15 +285,7 @@ impl RunHandle {
         let stdin = || Feed::from(env.stdin.as_slice());
         let fs = || env.fs.clone() as Arc<dyn Fs>;
         let executed = match backend {
-            "shell" => {
-                let mut be = ShellEmitter {
-                    cfg: env.emit.clone(),
-                };
-                return be
-                    .run(plan)
-                    .map(BackendOutput::Script)
-                    .map_err(RunError::Io);
-            }
+            "shell" => return Ok(BackendOutput::Script(emit_program(plan, &env.emit))),
             "threads" => {
                 run_program_with_fallback(plan, fallback, &env.registry, fs(), stdin(), &env.exec)
             }
@@ -352,16 +312,13 @@ impl RunHandle {
                 )
             }
             "sim" => {
-                let mut be = SimBackend {
-                    sizes: &env.sizes,
-                    stdin_bytes: env.stdin_bytes,
-                    cost: &env.cost,
-                    cfg: &env.sim,
-                };
-                return be
-                    .run(plan)
-                    .map(BackendOutput::Simulation)
-                    .map_err(RunError::Io);
+                return Ok(BackendOutput::Simulation(simulate_program(
+                    plan,
+                    &env.sizes,
+                    env.stdin_bytes,
+                    &env.cost,
+                    &env.sim,
+                )))
             }
             other => return Err(RunError::UnknownBackend(other.to_string())),
         };
@@ -405,24 +362,6 @@ fn run_processes(
     env: &RunEnv,
     stdin: Feed,
 ) -> std::io::Result<ProgramOutput> {
-    let cfg = ProcConfig {
-        pashc: match &env.proc.pashc {
-            Some(p) => p.clone(),
-            None => locate_bin("pashc", "PASHC")?,
-        },
-        pash_rt: match &env.proc.pash_rt {
-            Some(p) => p.clone(),
-            None => locate_bin("pash-rt", "PASH_RT")?,
-        },
-        scratch: None,
-        kill_grace: env
-            .proc
-            .kill_grace
-            .unwrap_or(std::time::Duration::from_secs(2)),
-        max_inflight: env.proc.max_inflight.max(1),
-        supervisor: env.proc.supervisor.clone(),
-        profile: env.proc.profile.clone(),
-    };
     let (root, ephemeral) = match &env.proc.root {
         Some(r) => (r.clone(), None),
         None => {
@@ -437,7 +376,7 @@ fn run_processes(
             (dir, Some(manifest))
         }
     };
-    let mut result = run_plan_with_fallback(plan, fallback, &cfg, &root, stdin);
+    let mut result = run_plan_with_fallback(plan, fallback, &env.proc, &root, stdin);
     if let Some(manifest) = ephemeral {
         if result.is_ok() {
             if let Err(e) = read_back_fs(&env.fs, &root, &manifest) {
@@ -523,6 +462,11 @@ fn read_back_fs(fs: &MemFs, dir: &Path, manifest: &Materialized) -> std::io::Res
 mod tests {
     use super::*;
 
+    fn multicall_built() -> bool {
+        use crate::runtime::proc::ProcessRunner;
+        ProcessRunner::new(&ProcSettings::default(), Path::new(".")).is_ok()
+    }
+
     #[test]
     fn all_backends_run_the_same_plan() {
         use crate::runtime::remote::{bind_worker, serve_worker, shutdown_worker};
@@ -546,7 +490,7 @@ mod tests {
         };
         let src = "cat in.txt | sort";
         for &name in BACKENDS {
-            if name == "processes" && ProcConfig::locate().is_err() {
+            if name == "processes" && !multicall_built() {
                 eprintln!("skipping processes: multicall binaries not built");
                 continue;
             }
@@ -566,7 +510,7 @@ mod tests {
 
     #[test]
     fn processes_backend_reads_outputs_back() {
-        if ProcConfig::locate().is_err() {
+        if !multicall_built() {
             eprintln!("skipping: multicall binaries not built");
             return;
         }

@@ -567,10 +567,7 @@ fn optimizer_choice_is_byte_identical_to_sequential() {
                 script,
                 &PashConfig::default(),
                 &pricer,
-                &OptimizerConfig {
-                    max_width: 8,
-                    ..Default::default()
-                },
+                &OptimizerConfig { max_width: 8 },
             )
             .expect("optimize");
             let setup = Setup {

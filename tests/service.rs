@@ -9,6 +9,8 @@
 //! * restart — a fresh daemon process over the same cache directory
 //!   recompiles to identical results and still holds the profiles the
 //!   first process measured;
+//! * serving touches no disk — the profile store is written once, as
+//!   one file, after the daemon is told to stop;
 //! * the same differential holds under the fault-injection
 //!   supervisor, whose counters the Metrics reply reports.
 
@@ -286,6 +288,48 @@ fn restart_serves_identical_results_and_keeps_profiles() {
         drop(client);
         daemon.stop();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profiles_touch_the_disk_once_when_the_daemon_stops() {
+    let dir = scratch_dir("snapshot");
+    let cache = dir.join("cache");
+    let daemon = spawn_daemon(&dir, &["--cache-dir", &cache.to_string_lossy()]);
+    seed_corpus(&daemon);
+    let profiles = cache.join("profiles");
+    let listed = || -> Vec<PathBuf> {
+        std::fs::read_dir(&profiles)
+            .map(|d| d.map(|e| e.expect("entry").path()).collect())
+            .unwrap_or_default()
+    };
+    let mut client = daemon.client();
+    for i in 0..200 {
+        // Every other script has never been seen: a new region
+        // fingerprint for the store each time.
+        let script = if i % 2 == 0 {
+            "cat in.txt | tr A-Z a-z | grep the | wc -l".to_string()
+        } else {
+            format!("cat in.txt | grep the | grep -v zq{i}x | wc -l")
+        };
+        let resp = client
+            .run(request(&script, 2, SplitPolicy::Sized))
+            .expect("daemon run");
+        assert_eq!(resp.status, 0, "{script:?}");
+    }
+    let json = client.metrics().expect("metrics");
+    let regions = metric(&json, "profile_regions");
+    assert!(regions > 100, "every new script is a region: {json}");
+    assert!(
+        regions <= pash::runtime::profile::MAX_REGIONS as u64,
+        "{json}"
+    );
+    assert_eq!(listed(), Vec::<PathBuf>::new(), "serving wrote profiles");
+    drop(client);
+    daemon.stop();
+    let files = listed();
+    assert_eq!(files.len(), 1, "one snapshot after the drain: {files:?}");
+    assert!(std::fs::metadata(&files[0]).expect("snapshot").len() > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
