@@ -23,7 +23,10 @@
 #      is in the checked-in BENCH_regex.json too;
 #   7. plan-determinism smoke (segment split and r_split plans);
 #   8. process-backend smoke: one corpus script as real children over
-#      FIFOs, byte-compared against the shell backend's output;
+#      FIFOs, byte-compared against the shell backend's output; then
+#      the threads backend on an input below one pipe buffer (the
+#      region runs to completion on one thread) and one above it (a
+#      thread per node), each byte-compared against the shell backend;
 #   9. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend;
@@ -146,6 +149,24 @@ done
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-processes/out.txt
 test -s target/bench-smoke/backend-processes/out.txt
+
+echo "==> schedule smoke (threads below and above one pipe buffer, cmp against shell)"
+# The threads backend picks a region's schedule from its input size:
+# 32 kB fits one 64 KiB pipe buffer and runs node by node on one
+# thread, 1 MB gets a thread per node and rings. Same script, same
+# plan, both sides of the line, each against /bin/sh.
+for size in 32000 1000000; do
+    for b in shell threads; do
+        rm -rf "target/bench-smoke/schedule-$b-$size"
+        mkdir -p "target/bench-smoke/schedule-$b-$size"
+        ./target/release/backendrun --backend "$b" --width 4 \
+            --dir "target/bench-smoke/schedule-$b-$size" --gen "in.txt:$size" \
+            -e "$SMOKE_SCRIPT" </dev/null
+    done
+    cmp "target/bench-smoke/schedule-shell-$size/out.txt" \
+        "target/bench-smoke/schedule-threads-$size/out.txt"
+    test -s "target/bench-smoke/schedule-threads-$size/out.txt"
+done
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region

@@ -576,9 +576,28 @@ impl RegionPlan {
     /// * every node's edge ids are in bounds and the edge points back;
     /// * every `stdin_inputs` / `Arg::Stream` position is a valid
     ///   input index;
-    /// * every edge endpoint is a valid node id.
+    /// * every op has the arity its interpreter takes for granted:
+    ///   `Exec`, `Cat`, `Relay` and `Aggregate` exactly one output,
+    ///   `Relay` and `Split` exactly one input, `Split` at least one
+    ///   output;
+    /// * every edge endpoint is a valid node id, and an edge's
+    ///   producer comes before its consumer (nodes are in topological
+    ///   order — what lets a region run node by node).
     pub fn validate(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
+            let (ins, outs) = (node.inputs.len(), node.outputs.len());
+            let (name, ins_ok, outs_ok) = match &node.op {
+                PlanOp::Exec { .. } => ("exec", true, outs == 1),
+                PlanOp::Cat => ("cat", true, outs == 1),
+                PlanOp::Aggregate { .. } => ("agg", true, outs == 1),
+                PlanOp::Relay { .. } => ("relay", ins == 1, outs == 1),
+                PlanOp::Split { .. } => ("split", ins == 1, outs >= 1),
+            };
+            if !(ins_ok && outs_ok) {
+                return Err(format!(
+                    "node {i}: {name} cannot have {ins} inputs and {outs} outputs"
+                ));
+            }
             for &e in &node.inputs {
                 if self.edges.get(e).map(|edge| edge.to) != Some(Some(i)) {
                     return Err(format!("node {i}: input edge {e} does not point back"));
@@ -608,6 +627,13 @@ impl RegionPlan {
             for endpoint in [edge.from, edge.to].into_iter().flatten() {
                 if endpoint >= self.nodes.len() {
                     return Err(format!("edge {e}: endpoint node {endpoint} out of range"));
+                }
+            }
+            if let (Some(from), Some(to)) = (edge.from, edge.to) {
+                if from >= to {
+                    return Err(format!(
+                        "edge {e}: producer node {from} does not precede consumer node {to}"
+                    ));
                 }
             }
         }
@@ -1605,6 +1631,108 @@ mod tests {
         let mut broken = plan.regions().next().expect("region").clone();
         broken.nodes[0].stdin_inputs.push(99);
         assert!(broken.validate().is_err());
+    }
+
+    /// A one-node region whose node has `ins` file inputs and `outs`
+    /// file outputs, as it would arrive over the wire.
+    fn one_node_dump(op: PlanOp, ins: usize, outs: usize) -> String {
+        let edge = |kind, from, to| PlanEdge { kind, from, to };
+        let mut edges = Vec::new();
+        for k in 0..ins {
+            edges.push(edge(
+                EndpointKind::InputFile(format!("i{k}")),
+                None,
+                Some(0),
+            ));
+        }
+        for k in 0..outs {
+            edges.push(edge(
+                EndpointKind::OutputFile(format!("o{k}")),
+                Some(0),
+                None,
+            ));
+        }
+        RegionPlan {
+            nodes: vec![PlanNode {
+                op,
+                inputs: (0..ins).collect(),
+                outputs: (ins..ins + outs).collect(),
+                stdin_inputs: Vec::new(),
+                output_producer: outs > 0,
+            }],
+            edges,
+            replayable: true,
+        }
+        .dump()
+    }
+
+    #[test]
+    fn parsed_dumps_are_checked_for_op_arity() {
+        let exec = || PlanOp::Exec {
+            argv: vec![Arg::Lit("tr".to_string())],
+            framed: false,
+        };
+        let agg = || PlanOp::Aggregate {
+            argv: vec!["pash-agg-wc".to_string()],
+        };
+        let relay = || PlanOp::Relay { blocking: false };
+        let split = || PlanOp::Split {
+            mode: SplitMode::General,
+        };
+        // The arities the interpreter takes for granted parse...
+        for (op, ins, outs) in [
+            (exec(), 1, 1),
+            (exec(), 0, 1),
+            (PlanOp::Cat, 3, 1),
+            (agg(), 2, 1),
+            (relay(), 1, 1),
+            (split(), 1, 1),
+            (split(), 1, 4),
+        ] {
+            let dump = one_node_dump(op, ins, outs);
+            RegionPlan::parse_dump(&dump).unwrap_or_else(|e| panic!("{e}\n{dump}"));
+        }
+        // ...and every other one is an error naming the op, not a
+        // panic in whichever thread runs the node.
+        for (op, ins, outs, name) in [
+            (exec(), 1, 0, "exec"),
+            (exec(), 1, 2, "exec"),
+            (PlanOp::Cat, 2, 0, "cat"),
+            (agg(), 2, 0, "agg"),
+            (agg(), 2, 2, "agg"),
+            (relay(), 0, 1, "relay"),
+            (relay(), 2, 1, "relay"),
+            (relay(), 1, 0, "relay"),
+            (split(), 0, 2, "split"),
+            (split(), 2, 2, "split"),
+            (split(), 1, 0, "split"),
+        ] {
+            let err = RegionPlan::parse_dump(&one_node_dump(op, ins, outs))
+                .expect_err("bad arity rejected");
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_consumer_before_its_producer() {
+        let plan = lowered("cat in.txt | tr a-z A-Z | sort > o", 1);
+        let mut r = first_region(&plan).clone();
+        r.validate().expect("lowered order is topological");
+        // Swap the first pipe's two ends: same graph, wrong order.
+        let e = r.internal_pipes().next().expect("a pipe");
+        let (from, to) = (r.edges[e].from.expect("from"), r.edges[e].to.expect("to"));
+        r.nodes.swap(from, to);
+        for edge in &mut r.edges {
+            for end in [&mut edge.from, &mut edge.to] {
+                *end = end.map(|n| match n {
+                    n if n == from => to,
+                    n if n == to => from,
+                    n => n,
+                });
+            }
+        }
+        let err = r.validate().expect_err("order checked");
+        assert!(err.contains("does not precede"), "{err}");
     }
 
     #[test]

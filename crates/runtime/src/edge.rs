@@ -3,11 +3,15 @@
 //!
 //! Lowering (PR 3) decides *what* every edge is — internal pipe,
 //! boundary stdin/stdout, file, file segment. This module decides
-//! *how* those edges move bytes, in the two ways the runtime knows:
+//! *how* those edges move bytes, in the three ways the runtime knows:
 //!
 //! * [`MemEdges`] — in-process wiring for the `threads` backend:
-//!   bounded ring [`crate::pipe`]s for internal edges, cursors over
-//!   file/segment bytes, a shared buffer collecting region stdout;
+//!   cursors over file/segment bytes, a shared buffer collecting region
+//!   stdout, and internal pipe edges in one of two forms ([`Pipes`]):
+//!   bounded ring [`crate::pipe`]s when every node has a thread of its
+//!   own, or growable buffers a finished producer leaves behind for its
+//!   consumer to take whole when the region runs to completion on one
+//!   thread (see [`crate::exec`] for which schedule an attempt gets);
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
 //!   named FIFO per internal pipe edge in a private scratch
 //!   directory, created with `mkfifo(3)` and removed on drop — the
@@ -27,6 +31,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, RegionPlan};
@@ -62,15 +67,74 @@ impl Write for SharedVecWriter {
     }
 }
 
+/// How [`MemEdges`] realises a region's internal `Pipe` edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pipes {
+    /// A bounded ring of this many bytes per edge: producer and
+    /// consumer run concurrently and synchronize on it.
+    Ring(usize),
+    /// A growable buffer per edge: the producer runs first and fills
+    /// it, the consumer then takes it whole as a cursor — no ring, no
+    /// condvar, no monitor, no write buffer in front. A buffer refuses
+    /// to grow past `limit` bytes (see [`MemEdges::overflowed`]).
+    Buffer {
+        /// Most bytes one edge may hold.
+        limit: usize,
+    },
+}
+
+/// The buffer behind one [`Pipes::Buffer`] edge, empty until its
+/// producer is done.
+type Slot = Arc<Mutex<Vec<u8>>>;
+
+fn slot_lock(slot: &Slot) -> std::sync::MutexGuard<'_, Vec<u8>> {
+    slot.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Producer side of a [`Pipes::Buffer`] edge: collects privately and
+/// leaves the bytes in the edge's slot when dropped, i.e. when the
+/// producing node has run to completion.
+struct BufferWriter {
+    buf: Vec<u8>,
+    slot: Slot,
+    limit: usize,
+    overflowed: Arc<AtomicBool>,
+}
+
+impl Write for BufferWriter {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        if self.buf.len() + data.len() > self.limit {
+            self.overflowed.store(true, Ordering::Relaxed);
+            return Err(io::Error::other("stream outgrew its edge buffer"));
+        }
+        self.buf.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Drop for BufferWriter {
+    fn drop(&mut self) {
+        *slot_lock(&self.slot) = std::mem::take(&mut self.buf);
+    }
+}
+
 /// In-process transports for one region's edges: each edge id maps to
 /// a reader (consumer side), a writer (producer side), or both.
 ///
 /// Built once per region by [`MemEdges::wire`]; the executor then
-/// *takes* each node's endpoints as it spawns node threads, leaving
-/// the map empty when the region is fully wired.
+/// *takes* each node's endpoints as it reaches the node, leaving the
+/// maps empty when the region is fully wired.
 pub struct MemEdges {
     readers: HashMap<PlanEdgeId, Box<dyn Read + Send>>,
     writers: HashMap<PlanEdgeId, Box<dyn Write + Send>>,
+    /// [`Pipes::Buffer`] edges; their endpoints are made when taken.
+    slots: HashMap<PlanEdgeId, Slot>,
+    slot_limit: usize,
+    overflowed: Arc<AtomicBool>,
     stdout: Arc<Mutex<Vec<u8>>>,
     monitors: Vec<PipeMonitor>,
 }
@@ -85,24 +149,29 @@ impl MemEdges {
         stdin: Vec<u8>,
         pipe_capacity: usize,
     ) -> io::Result<MemEdges> {
-        MemEdges::wire_with(r, fs, stdin.into(), pipe_capacity, None)
+        MemEdges::wire_with(r, fs, stdin.into(), Pipes::Ring(pipe_capacity), None)
     }
 
-    /// [`MemEdges::wire`] with an armed fault: the fault's target
-    /// edge gets a [`FaultyWriter`] wrapper (stream faults) or fails
-    /// to wire at all (the in-process analogue of a `mkfifo` error).
+    /// [`MemEdges::wire`] with the pipe form chosen and an armed
+    /// fault: the fault's target edge gets a [`FaultyWriter`] wrapper
+    /// (stream faults) or fails to wire at all (the in-process
+    /// analogue of a `mkfifo` error). Buffer pipes carry no fault
+    /// site: an armed attempt is wired with rings.
     /// The primary boundary input reads `stdin` through a cursor: the
     /// feed is shared with the attempt's retries, never copied.
+    /// Boundary endpoints are made here, in edge order, whatever the
+    /// pipe form — output files exist (truncated) before any node runs.
     pub fn wire_with(
         r: &RegionPlan,
         fs: &Arc<dyn Fs>,
         stdin: Feed,
-        pipe_capacity: usize,
+        pipes: Pipes,
         fault: Option<&ArmedFault>,
     ) -> io::Result<MemEdges> {
         let stdout: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let mut readers: HashMap<PlanEdgeId, Box<dyn Read + Send>> = HashMap::new();
         let mut writers: HashMap<PlanEdgeId, Box<dyn Write + Send>> = HashMap::new();
+        let mut slots: HashMap<PlanEdgeId, Slot> = HashMap::new();
         let mut monitors: Vec<PipeMonitor> = Vec::new();
         let mut stdin = Some(stdin);
         let fault_mode = |e: PlanEdgeId| -> Option<FaultMode> {
@@ -124,16 +193,21 @@ impl MemEdges {
                 }
             }
             match &edge.kind {
-                EndpointKind::Pipe => {
-                    let (w, rd, m) = pipe_monitored(pipe_capacity);
-                    monitors.push(m);
-                    let w = match fault_mode(e) {
-                        Some(mode) => buffered(FaultyWriter::new(w, mode)),
-                        None => buffered(w),
-                    };
-                    writers.insert(e, w);
-                    readers.insert(e, Box::new(rd));
-                }
+                EndpointKind::Pipe => match pipes {
+                    Pipes::Ring(capacity) => {
+                        let (w, rd, m) = pipe_monitored(capacity);
+                        monitors.push(m);
+                        let w = match fault_mode(e) {
+                            Some(mode) => buffered(FaultyWriter::new(w, mode)),
+                            None => buffered(w),
+                        };
+                        writers.insert(e, w);
+                        readers.insert(e, Box::new(rd));
+                    }
+                    Pipes::Buffer { .. } => {
+                        slots.insert(e, Slot::default());
+                    }
+                },
                 EndpointKind::StdinPipe { primary } => {
                     // Non-primary boundary inputs read empty streams.
                     let feed = if *primary { stdin.take() } else { None };
@@ -173,6 +247,12 @@ impl MemEdges {
         Ok(MemEdges {
             readers,
             writers,
+            slots,
+            slot_limit: match pipes {
+                Pipes::Buffer { limit } => limit,
+                Pipes::Ring(_) => 0,
+            },
+            overflowed: Arc::default(),
             stdout,
             monitors,
         })
@@ -185,14 +265,19 @@ impl MemEdges {
     }
 
     /// Takes the consumer endpoints of `node`'s inputs, in input
-    /// order. Untracked edges read as empty streams.
+    /// order. A buffer pipe reads as a cursor over what its producer
+    /// left; untracked edges read as empty streams.
     pub fn take_inputs(&mut self, node: &PlanNode) -> Vec<Box<dyn Read + Send>> {
         node.inputs
             .iter()
             .map(|&e| {
-                self.readers
-                    .remove(&e)
-                    .unwrap_or_else(|| Box::new(io::Cursor::new(Vec::new())))
+                self.readers.remove(&e).unwrap_or_else(|| {
+                    let bytes = self
+                        .slots
+                        .get(&e)
+                        .map(|s| std::mem::take(&mut *slot_lock(s)));
+                    Box::new(io::Cursor::new(bytes.unwrap_or_default()))
+                })
             })
             .collect()
     }
@@ -202,12 +287,44 @@ impl MemEdges {
     pub fn take_outputs(&mut self, node: &PlanNode) -> Vec<Box<dyn Write + Send>> {
         node.outputs
             .iter()
-            .map(|&e| {
-                self.writers
-                    .remove(&e)
-                    .unwrap_or_else(|| Box::new(io::sink()))
+            .map(|&e| -> Box<dyn Write + Send> {
+                if let Some(w) = self.writers.remove(&e) {
+                    return w;
+                }
+                match self.slots.get(&e) {
+                    Some(slot) => Box::new(BufferWriter {
+                        buf: Vec::new(),
+                        slot: slot.clone(),
+                        limit: self.slot_limit,
+                        overflowed: self.overflowed.clone(),
+                    }),
+                    None => Box::new(io::sink()),
+                }
             })
             .collect()
+    }
+
+    /// If `node` has one input and one output and both are buffer
+    /// pipes, gives the input's buffer to the output edge — what an
+    /// identity node comes to once its producer is done — and returns
+    /// the number of bytes that changed hands. `None` (and nothing
+    /// moved) for a node wired any other way. Whether `node` *is* an
+    /// identity is the caller's knowledge.
+    pub fn hand_over(&mut self, node: &PlanNode) -> Option<u64> {
+        let (&[i], &[o]) = (&node.inputs[..], &node.outputs[..]) else {
+            return None;
+        };
+        let (from, to) = (self.slots.get(&i)?, self.slots.get(&o)?);
+        let bytes = std::mem::take(&mut *slot_lock(from));
+        let n = bytes.len() as u64;
+        *slot_lock(to) = bytes;
+        Some(n)
+    }
+
+    /// Whether a buffer pipe refused a write that would have taken it
+    /// past its limit: the region's streams are not small after all.
+    pub fn overflowed(&self) -> bool {
+        self.overflowed.load(Ordering::Relaxed)
     }
 
     /// The shared stdout collector (drain after every producer
@@ -548,6 +665,51 @@ mod tests {
         }
         assert!(edges.readers.is_empty(), "all readers taken");
         assert!(edges.writers.is_empty(), "all writers taken");
+    }
+
+    #[test]
+    fn buffer_pipes_pass_whole_streams_and_relays_hand_them_over() {
+        let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
+        let fs = MemFs::new();
+        fs.add("in.txt", b"b\na\n".to_vec());
+        let fs: Arc<dyn Fs> = Arc::new(fs);
+        let pipes = Pipes::Buffer { limit: 8 };
+        let mut edges = MemEdges::wire_with(&r, &fs, Feed::from([]), pipes, None).expect("wire");
+        assert!(edges.take_monitors().is_empty(), "no rings, no monitors");
+        let relay = r
+            .nodes
+            .iter()
+            .find(|n| matches!(n.op, pash_core::plan::PlanOp::Relay { .. }))
+            .expect("relay");
+        let upstream = &r.nodes[r.edges[relay.inputs[0]].from.expect("producer")];
+        let downstream = &r.nodes[r.edges[relay.outputs[0]].to.expect("consumer")];
+        // A node that does not sit between two buffers moves nothing.
+        let last = r.nodes.last().expect("output producer");
+        assert_eq!(edges.hand_over(last), None);
+        // The producer's bytes appear once it is done (dropped)...
+        let mut outs = edges.take_outputs(upstream);
+        outs[0].write_all(b"abc").expect("write");
+        outs[0].write_all(b"de").expect("write");
+        drop(outs);
+        // ...the relay passes the buffer on without reading it...
+        assert_eq!(edges.hand_over(relay), Some(5));
+        // ...and the consumer gets it whole.
+        let at = downstream
+            .inputs
+            .iter()
+            .position(|e| *e == relay.outputs[0])
+            .expect("input position");
+        let mut got = Vec::new();
+        edges.take_inputs(downstream)[at]
+            .read_to_end(&mut got)
+            .expect("read");
+        assert_eq!(got, b"abcde");
+        // A stream past the limit is refused and remembered.
+        assert!(!edges.overflowed());
+        let mut outs = edges.take_outputs(relay);
+        outs[0].write_all(b"12345678").expect("at the limit");
+        assert!(outs[0].write_all(b"9").is_err());
+        assert!(edges.overflowed());
     }
 
     #[test]

@@ -1,10 +1,44 @@
-//! The threaded plan executor.
+//! The in-process plan executor (the `threads` backend).
 //!
-//! Runs a compiled [`ExecutionPlan`] in-process: one OS thread per
-//! plan node, bounded [`crate::pipe`]s for edges. This engine is the
+//! Runs a compiled [`ExecutionPlan`] in-process. This engine is the
 //! correctness vehicle of the reproduction — the parallel output must
 //! be byte-identical to the sequential output, which the integration
 //! suite checks for every benchmark script.
+//!
+//! A plan node is a function from its input streams to its output
+//! streams, and a region is an acyclic graph of them stored in
+//! topological order. Any order of evaluation that respects the edges
+//! computes the same bytes, so *how* a region's nodes are scheduled is
+//! a cost decision, made once per attempt by [`fits_one_buffer`] from
+//! what the runner can see of the region's input:
+//!
+//! * **thread-per-node** — one scoped OS thread per plan node, bounded
+//!   [`crate::pipe`] rings for edges: nodes overlap, a consumer can
+//!   hang up on its producer (SIGPIPE-style), memory is bounded by the
+//!   rings. What a stream larger than a pipe buffer needs.
+//! * **run-to-completion** — every node in plan order on the calling
+//!   thread, each pipe edge a buffer the producer leaves for the
+//!   consumer, a relay the identity it is. No thread, no ring, no
+//!   condvar: for a region whose whole input fits one pipe buffer
+//!   there is no steady state for concurrent nodes to pipeline, and
+//!   spawning them costs many times the work (`short-scripts` in
+//!   `bench/`).
+//!
+//! The gate says "run to completion" when the input (files, file
+//! segments, stdin) is at most `ExecConfig::pipe_capacity` bytes *and*
+//! no fault is armed, every node has an input edge, and every size
+//! probe succeeded; [`fits_one_buffer`] has the reasons. Two of them
+//! are worth knowing here. An armed fault always picks thread-per-node
+//! because that is where the fault sites live (node spawn, edge
+//! wiring, the ring writer): injection keeps firing every path it
+//! fired before. A generator picks thread-per-node because nothing but
+//! a consumer closing the pipe bounds it — and since the gate only
+//! sees inputs, a run-to-completion attempt whose *streams* outgrow a
+//! few buffers abandons itself, unobserved, and the region runs
+//! thread-per-node after all. Both schedules share everything that is
+//! not scheduling: [`RegionPlan::validate`] first, the one interpreter
+//! [`run_node`], `MemEdges` wiring of the boundary endpoints, the
+//! status fold, the profile record.
 //!
 //! The executor never inspects the compiler's DFG: everything it
 //! needs (edge endpoint kinds, stream-argument roles, stdin routing,
@@ -14,11 +48,12 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pash_core::compile::PashConfig;
 use pash_core::plan::{
-    fold_statuses, Arg, ExecutionPlan, PlanNodeId, PlanOp, RegionPlan, SplitMode,
+    fold_statuses, Arg, EndpointKind, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, RegionPlan,
+    SplitMode,
 };
 
 use pash_coreutils::fs::Fs;
@@ -27,7 +62,7 @@ use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::run_aggregator;
 use crate::drive::{drive, Feed, RegionRunner};
-use crate::edge::MemEdges;
+use crate::edge::{MemEdges, Pipes};
 use crate::fault::{ArmedFault, ExecError, FaultKind};
 use crate::frame::run_framed;
 use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
@@ -39,7 +74,9 @@ use crate::supervise::SupervisorSettings;
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Pipe capacity in bytes (the kernel pipe buffer analogue).
+    /// Pipe capacity in bytes (the kernel pipe buffer analogue). Also
+    /// the line between the two schedules: a region whose whole input
+    /// is at most this many bytes runs to completion on one thread.
     pub pipe_capacity: usize,
     /// Maximum number of independent regions in flight at once. The
     /// default of 1 executes steps strictly in plan order; larger
@@ -146,15 +183,72 @@ impl Fs for StreamFs {
     }
 }
 
+/// How large a stream inside a run-to-completion attempt may grow, in
+/// pipe capacities, before the attempt gives the region to
+/// thread-per-node after all. The input was at most one; commands
+/// that pass more than this on are not transforming it, they are
+/// generating.
+const INLINE_STREAM_BUFFERS: usize = 4;
+
+/// The scheduling question, asked once per attempt: is this region's
+/// whole external input at most one pipe buffer (`capacity` bytes)?
+/// Then nothing in it reaches a steady state for concurrent nodes to
+/// pipeline, and the attempt runs to completion on the calling thread.
+///
+/// Counted: the size of every `InputFile` edge, this region's share of
+/// every `InputSegment`'s file, and `feed` if the region has the
+/// primary stdin edge. The answer is "yes" only if, as well,
+///
+/// 1. no fault is armed — the fault sites (spawn, edge wiring, ring
+///    writer) are thread-per-node's, so an armed attempt always takes
+///    that schedule and fires them;
+/// 2. every node has an input edge — a generator (`seq`, `yes`) is
+///    bounded by nothing it reads and needs a live consumer that can
+///    hang up on it (one that was lowered with the region's stdin as
+///    its input and ignores it passes this test; its output then meets
+///    [`INLINE_STREAM_BUFFERS`]);
+/// 3. every size probe succeeds — a missing file falls through and
+///    fails where and how it always has.
+///
+/// Sizes are read now, not at compile time, so a region that reads
+/// what an earlier region of the same script wrote is judged on the
+/// file that is really there.
+fn fits_one_buffer(
+    r: &RegionPlan,
+    fs: &Arc<dyn Fs>,
+    feed: &Feed,
+    capacity: usize,
+    fault: Option<&ArmedFault>,
+) -> bool {
+    if fault.is_some() || r.nodes.iter().any(|n| n.inputs.is_empty()) {
+        return false;
+    }
+    let mut total = 0u64;
+    for edge in &r.edges {
+        let probed = match &edge.kind {
+            EndpointKind::InputFile(path) => fs.size(path),
+            EndpointKind::InputSegment { path, of, .. } => {
+                fs.size(path).map(|n| n.div_ceil((*of).max(1) as u64))
+            }
+            EndpointKind::StdinPipe { primary: true } => Ok(feed.len() as u64),
+            _ => Ok(0),
+        };
+        match probed {
+            Ok(n) => total += n,
+            Err(_) => return false,
+        }
+        if total > capacity as u64 {
+            return false;
+        }
+    }
+    true
+}
+
 /// One attempt at a region: `stdin` feeds its primary boundary pipe
 /// input (if any), with optional fault injection and an optional
-/// deadline (taken from `settings`).
-///
-/// The deadline is enforced by a watchdog thread: on expiry it poisons
-/// every in-memory pipe (unblocking parked readers and writers with
-/// `TimedOut`) and cancels any injected stall, so wedged node threads
-/// unwind promptly instead of hanging the scope. The thread-backend
-/// analogue of SIGKILL-after-grace.
+/// deadline (taken from `settings`). Validates the plan, asks
+/// [`fits_one_buffer`] and runs the schedule it names; which one ran is
+/// counted on `cfg.supervisor.counters`.
 fn run_region_attempt(
     r: &RegionPlan,
     registry: &Registry,
@@ -166,7 +260,201 @@ fn run_region_attempt(
 ) -> Result<RegionOutput, ExecError> {
     r.validate()
         .map_err(|e| ExecError::fatal("plan", io::Error::new(io::ErrorKind::InvalidInput, e)))?;
-    let mut edges = MemEdges::wire_with(r, &fs, stdin, cfg.pipe_capacity, fault)
+    let counters = &cfg.supervisor.counters;
+    if fits_one_buffer(r, &fs, &stdin, cfg.pipe_capacity, fault) {
+        if let Some(done) = run_to_completion(r, registry, &fs, &stdin, cfg, settings) {
+            counters.note_schedule(true);
+            return done;
+        }
+    }
+    counters.note_schedule(false);
+    run_thread_per_node(r, registry, fs, stdin, cfg, fault, settings)
+}
+
+/// A node's opened inputs and outputs, as [`run_node`] takes them.
+type Endpoints = (Vec<Box<dyn Read + Send>>, Vec<Box<dyn Write + Send>>);
+
+/// Takes `node`'s endpoints off the wiring, counting their bytes into
+/// `profile` when the attempt is profiled.
+fn endpoints(
+    edges: &mut MemEdges,
+    node: &PlanNode,
+    id: PlanNodeId,
+    profile: Option<&Arc<RegionProfile>>,
+) -> Endpoints {
+    let (ins, outs) = (edges.take_inputs(node), edges.take_outputs(node));
+    let Some(p) = profile else {
+        return (ins, outs);
+    };
+    (
+        ins.into_iter()
+            .map(|r| Box::new(CountingReader::new(r, p.clone(), id)) as _)
+            .collect(),
+        outs.into_iter()
+            .map(|w| Box::new(CountingWriter::new(w, p.clone(), id)) as _)
+            .collect(),
+    )
+}
+
+/// What a node's result means for the attempt: an exit status — a
+/// `BrokenPipe` is SIGPIPE-style death, normal early-exit teardown —
+/// or the classified error that ends it.
+fn node_status(id: PlanNodeId, res: io::Result<i32>) -> Result<i32, ExecError> {
+    match res {
+        Ok(s) => Ok(s),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(SIGPIPE_STATUS),
+        Err(e) => Err(ExecError::classify("node", e).at_node(id)),
+    }
+}
+
+/// The error of an attempt that outlived its region deadline, counted
+/// as a deadline kill.
+fn deadline_exceeded(settings: Option<&SupervisorSettings>) -> ExecError {
+    if let Some(s) = settings {
+        s.note_deadline_kill();
+    }
+    ExecError::transient(
+        "region deadline",
+        io::Error::new(io::ErrorKind::TimedOut, "region deadline exceeded"),
+    )
+}
+
+/// The tail both schedules share once every node has a status and no
+/// infrastructure failed: the attempt's byte counts and timings
+/// describe a full run, so they are folded into the profile store
+/// (failed attempts would under-report bytes), and the region's
+/// status is the sequential pipeline's verdict — the fold over the
+/// real commands behind the output (the emitted script does the same
+/// with its `pash_spids` wait loop).
+fn finish_attempt(
+    r: &RegionPlan,
+    cfg: &ExecConfig,
+    profile: Option<&Arc<RegionProfile>>,
+    stdout: Vec<u8>,
+    statuses: Vec<(PlanNodeId, i32)>,
+) -> RegionOutput {
+    if let (Some(store), Some(p)) = (&cfg.profile, profile) {
+        store.record(p);
+    }
+    let status_of = |id: PlanNodeId| {
+        statuses
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == id)
+            .map(|(_, s)| *s)
+            .unwrap_or(0)
+    };
+    let source_statuses: Vec<i32> = r.status_sources().into_iter().map(status_of).collect();
+    let status = fold_statuses(&source_statuses);
+    RegionOutput {
+        stdout,
+        statuses,
+        status,
+    }
+}
+
+/// The run-to-completion schedule: every node through [`run_node`] in
+/// plan (topological) order on the calling thread, each to completion
+/// before the next starts. A pipe edge is a buffer its finished
+/// producer leaves for its consumer ([`Pipes::Buffer`]); a `Relay`
+/// between two of them is the identity and hands its input buffer on
+/// without running. Nothing here can block, so the region deadline is
+/// checked against the clock once the last node is done.
+///
+/// `None` — nothing the caller can observe has happened — when a stream
+/// outgrew [`INLINE_STREAM_BUFFERS`] pipe capacities: a small input
+/// turned out not to mean small streams (`xargs cat` over a short list
+/// of large files), and the region wants concurrent, bounded pipes.
+fn run_to_completion(
+    r: &RegionPlan,
+    registry: &Registry,
+    fs: &Arc<dyn Fs>,
+    stdin: &Feed,
+    cfg: &ExecConfig,
+    settings: Option<&SupervisorSettings>,
+) -> Option<Result<RegionOutput, ExecError>> {
+    let started = Instant::now();
+    let pipes = Pipes::Buffer {
+        limit: cfg.pipe_capacity.saturating_mul(INLINE_STREAM_BUFFERS),
+    };
+    let mut edges = match MemEdges::wire_with(r, fs, stdin.clone(), pipes, None) {
+        Ok(edges) => edges,
+        Err(e) => return Some(Err(ExecError::classify("edge wiring", e))),
+    };
+    let profile = cfg.profile.as_ref().map(|_| RegionProfile::for_region(r));
+    let mut statuses = Vec::with_capacity(r.nodes.len());
+    for (id, node) in r.nodes.iter().enumerate() {
+        let began = Instant::now();
+        let handed_over = match node.op {
+            PlanOp::Relay { .. } => edges.hand_over(node),
+            _ => None,
+        };
+        let res = match handed_over {
+            Some(n) => {
+                if let Some(p) = &profile {
+                    p.add_in(id, n);
+                    p.add_out(id, n);
+                }
+                Ok(0)
+            }
+            None => {
+                let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
+                run_node(
+                    &node.op,
+                    &node.stdin_inputs,
+                    ins,
+                    outs,
+                    registry,
+                    fs.clone(),
+                    &mut io::sink(),
+                )
+            }
+        };
+        if let Some(p) = &profile {
+            p.add_busy(id, began.elapsed());
+        }
+        if edges.overflowed() {
+            return None;
+        }
+        match node_status(id, res) {
+            Ok(s) => statuses.push((id, s)),
+            Err(e) => return Some(Err(e)),
+        }
+    }
+    let deadline = settings.and_then(|s| s.region_deadline);
+    if deadline.is_some_and(|limit| started.elapsed() >= limit) {
+        return Some(Err(deadline_exceeded(settings)));
+    }
+    let stdout = std::mem::take(&mut *lock(&edges.stdout_handle()));
+    Some(Ok(finish_attempt(
+        r,
+        cfg,
+        profile.as_ref(),
+        stdout,
+        statuses,
+    )))
+}
+
+/// The thread-per-node schedule: one scoped OS thread per plan node,
+/// bounded rings for pipe edges ([`Pipes::Ring`]).
+///
+/// The deadline is enforced by a watchdog thread: on expiry it poisons
+/// every in-memory pipe (unblocking parked readers and writers with
+/// `TimedOut`) and cancels any injected stall, so wedged node threads
+/// unwind promptly instead of hanging the scope. The thread-backend
+/// analogue of SIGKILL-after-grace. It sleeps parked; the node that
+/// finishes last wakes it, so a supervised attempt ends with its last
+/// node and not at the watchdog's next look.
+fn run_thread_per_node(
+    r: &RegionPlan,
+    registry: &Registry,
+    fs: Arc<dyn Fs>,
+    stdin: Feed,
+    cfg: &ExecConfig,
+    fault: Option<&ArmedFault>,
+    settings: Option<&SupervisorSettings>,
+) -> Result<RegionOutput, ExecError> {
+    let mut edges = MemEdges::wire_with(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let stdout_buf = edges.stdout_handle();
     let monitors = edges.take_monitors();
@@ -181,17 +469,14 @@ fn run_region_attempt(
     let statuses: Arc<Mutex<Vec<(PlanNodeId, i32)>>> = Arc::new(Mutex::new(Vec::new()));
     let hard_error: Arc<Mutex<Option<ExecError>>> = Arc::new(Mutex::new(None));
     std::thread::scope(|scope| {
-        if let Some(limit) = deadline {
+        let watchdog = deadline.map(|limit| {
             let remaining = remaining.clone();
             let deadline_hit = deadline_hit.clone();
             let monitors = &monitors;
             let cancel = fault.map(|a| a.cancel.clone());
-            scope.spawn(move || {
+            let handle = scope.spawn(move || {
                 let end = Instant::now() + limit;
-                loop {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
+                while remaining.load(Ordering::Acquire) != 0 {
                     let now = Instant::now();
                     if now >= end {
                         deadline_hit.store(true, Ordering::Release);
@@ -203,29 +488,20 @@ fn run_region_attempt(
                         }
                         return;
                     }
-                    std::thread::sleep((end - now).min(Duration::from_millis(5)));
+                    std::thread::park_timeout(end - now);
                 }
             });
-        }
+            handle.thread().clone()
+        });
         for (id, node) in r.nodes.iter().enumerate() {
-            let mut ins = edges.take_inputs(node);
-            let mut outs = edges.take_outputs(node);
-            if let Some(p) = &profile {
-                ins = ins
-                    .into_iter()
-                    .map(|r| Box::new(CountingReader::new(r, p.clone(), id)) as _)
-                    .collect();
-                outs = outs
-                    .into_iter()
-                    .map(|w| Box::new(CountingWriter::new(w, p.clone(), id)) as _)
-                    .collect();
-            }
+            let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
             let profile = profile.clone();
             let registry = registry.clone();
             let fs = fs.clone();
             let statuses = statuses.clone();
             let hard_error = hard_error.clone();
             let remaining = remaining.clone();
+            let watchdog = watchdog.clone();
             let spawn_fault = fault
                 .filter(|a| {
                     a.node == Some(id)
@@ -263,68 +539,38 @@ fn run_region_attempt(
                     }
                     res
                 })();
-                match res {
+                match node_status(id, res) {
                     Ok(s) => lock(&statuses).push((id, s)),
-                    Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
-                        // SIGPIPE-style death: normal early-exit
-                        // teardown, not an error.
-                        lock(&statuses).push((id, SIGPIPE_STATUS));
-                    }
                     Err(e) => {
-                        lock(&statuses).push((id, 127));
-                        lock(&hard_error).get_or_insert(ExecError::classify("node", e).at_node(id));
+                        lock(&hard_error).get_or_insert(e);
                     }
                 }
-                remaining.fetch_sub(1, Ordering::AcqRel);
+                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    if let Some(w) = &watchdog {
+                        w.unpark();
+                    }
+                }
             });
         }
     });
     if deadline_hit.load(Ordering::Acquire) {
-        if let Some(s) = settings {
-            s.note_deadline_kill();
-        }
-        return Err(ExecError::transient(
-            "region deadline",
-            io::Error::new(io::ErrorKind::TimedOut, "region deadline exceeded"),
-        ));
+        return Err(deadline_exceeded(settings));
     }
     if let Some(e) = lock(&hard_error).take() {
         return Err(e);
     }
-    // The attempt completed without infrastructure failure: its byte
-    // counts and timings describe a full run, so fold them into the
-    // store. (Failed attempts would under-report bytes.)
-    if let (Some(store), Some(p)) = (&cfg.profile, &profile) {
-        store.record(p);
-    }
     let stdout = std::mem::take(&mut *lock(&stdout_buf));
     let statuses = std::mem::take(&mut *lock(&statuses));
-    // The sequential pipeline's verdict: fold the statuses of the
-    // real commands behind the output (the emitted script does the
-    // same with its `pash_spids` wait loop).
-    let status_of = |id: PlanNodeId| {
-        statuses
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == id)
-            .map(|(_, s)| *s)
-            .unwrap_or(0)
-    };
-    let source_statuses: Vec<i32> = r.status_sources().into_iter().map(status_of).collect();
-    let status = fold_statuses(&source_statuses);
-    Ok(RegionOutput {
-        stdout,
-        statuses,
-        status,
-    })
+    Ok(finish_attempt(r, cfg, profile.as_ref(), stdout, statuses))
 }
 
 /// Executes one node's work on the current thread: `op` over its
 /// opened input and output endpoints, `stdin_inputs` naming the inputs
 /// that feed a command's standard input. The one interpreter of
-/// [`PlanOp`] — a node thread of this backend and a child process of
-/// the `processes` and `shell` backends ([`crate::cli`]) both end up
-/// here.
+/// [`PlanOp`] — a node of this backend under either schedule and a
+/// child process of the `processes` and `shell` backends
+/// ([`crate::cli`]) all end up here. The `expect`s below are arities
+/// [`RegionPlan::validate`] has checked.
 pub(crate) fn run_node(
     op: &PlanOp,
     stdin_inputs: &[usize],
@@ -467,7 +713,8 @@ pub struct ProgramOutput {
 }
 
 /// The `threads` backend as a [`RegionRunner`]: one attempt is one
-/// [`run_region_attempt`] over in-memory edges.
+/// [`run_region_attempt`] over in-memory edges, under the schedule
+/// the region's input size selects.
 pub struct ThreadsRunner<'a> {
     /// Command implementations.
     pub registry: &'a Registry,
@@ -685,12 +932,49 @@ mod tests {
         assert!(seq.contains("3 apple"));
     }
 
+    /// An executor configuration for each schedule on the fixture's
+    /// 39-byte input: at the default capacity it fits one buffer and
+    /// runs to completion, below 39 bytes it does not.
+    fn both_schedules() -> [ExecConfig; 2] {
+        [
+            ExecConfig::default(),
+            ExecConfig {
+                pipe_capacity: 16,
+                ..Default::default()
+            },
+        ]
+    }
+
+    /// (run-to-completion, thread-per-node) attempts counted so far.
+    fn schedules(cfg: &ExecConfig) -> (u64, u64) {
+        let c = &cfg.supervisor.counters;
+        (c.inline_regions(), c.threaded_regions())
+    }
+
     #[test]
     fn head_early_exit_terminates() {
         // The §5.2 dangling-FIFO scenario: head exits after one line;
-        // upstream must die of broken pipes, not deadlock.
-        let out = run("cat in.txt | sort -rn | head -n 1", 4);
-        assert_eq!(out.lines().count(), 1);
+        // upstream must die of broken pipes, not deadlock — and when
+        // the nodes run one after another there is nothing to hang up
+        // on: upstream has finished before head starts.
+        for (i, ecfg) in both_schedules().into_iter().enumerate() {
+            let (reg, fs) = fixture();
+            let cfg = PashConfig {
+                width: 4,
+                ..Default::default()
+            };
+            let out = run_script(
+                "cat in.txt | sort -rn | head -n 1",
+                &cfg,
+                &reg,
+                fs,
+                Vec::new(),
+                &ecfg,
+            )
+            .expect("run");
+            assert_eq!(out.stdout, b"banana\n");
+            assert_eq!(schedules(&ecfg), [(1, 0), (0, 1)][i]);
+        }
     }
 
     #[test]
@@ -908,18 +1192,21 @@ mod tests {
         // Satellite: a guarded miss must behave identically at any
         // width — the folded statuses keep the region status at 1.
         let (reg, fs) = fixture();
-        for width in [1, 4] {
-            let out = run_script(
-                "cat in.txt | grep zzz > miss.txt && cat in.txt",
-                &PashConfig::round_robin(width),
-                &reg,
-                fs.clone(),
-                Vec::new(),
-                &ExecConfig::default(),
-            )
-            .expect("run");
-            assert!(out.stdout.is_empty(), "width {width}");
-            assert_eq!(out.status, 1, "width {width}");
+        for (i, ecfg) in both_schedules().into_iter().enumerate() {
+            for width in [1, 4] {
+                let out = run_script(
+                    "cat in.txt | grep zzz > miss.txt && cat in.txt",
+                    &PashConfig::round_robin(width),
+                    &reg,
+                    fs.clone(),
+                    Vec::new(),
+                    &ecfg,
+                )
+                .expect("run");
+                assert!(out.stdout.is_empty(), "width {width}");
+                assert_eq!(out.status, 1, "width {width}");
+            }
+            assert_eq!(schedules(&ecfg), [(2, 0), (0, 2)][i]);
         }
     }
 
@@ -975,5 +1262,349 @@ mod tests {
         .expect("run");
         assert!(out.stdout.is_empty());
         assert_eq!(out.status, 1);
+    }
+    /// Runs `src` at `width` over `fs` and returns the output.
+    fn run_on(
+        src: &str,
+        width: usize,
+        fs: &Arc<MemFs>,
+        stdin: &[u8],
+        ecfg: &ExecConfig,
+    ) -> ProgramOutput {
+        let cfg = PashConfig {
+            width,
+            ..Default::default()
+        };
+        run_script(
+            src,
+            &cfg,
+            &Registry::standard(),
+            fs.clone(),
+            stdin.to_vec(),
+            ecfg,
+        )
+        .expect("run")
+    }
+
+    fn lines(bytes: usize) -> Vec<u8> {
+        b"abcdefg\n".iter().copied().cycle().take(bytes).collect()
+    }
+
+    #[test]
+    fn gate_is_one_pipe_buffer_of_input() {
+        // capacity − 1 and capacity bytes run to completion,
+        // capacity + 1 gets a thread per node; files, segments and
+        // stdin are all counted.
+        const CAP: usize = 4096;
+        for (size, inline) in [(CAP - 1, true), (CAP, true), (CAP + 1, false)] {
+            let expected = format!("{}\n", lines(size).iter().filter(|&&b| b == b'\n').count());
+            for (src, width, stdin) in [
+                ("cat in.txt | tr a-z A-Z | wc -l", 1, false),
+                ("cat in.txt | tr a-z A-Z | wc -l", 4, false),
+                ("tr a-z A-Z | wc -l", 1, true),
+                ("tr a-z A-Z | wc -l", 2, true),
+            ] {
+                let fs = Arc::new(MemFs::new());
+                fs.add("in.txt", lines(size));
+                let feed = if stdin { lines(size) } else { Vec::new() };
+                let ecfg = ExecConfig {
+                    pipe_capacity: CAP,
+                    ..Default::default()
+                };
+                let out = run_on(src, width, &fs, &feed, &ecfg);
+                assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+                let want = if inline { (1, 0) } else { (0, 1) };
+                assert_eq!(schedules(&ecfg), want, "`{src}` @{width}, {size} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn two_inputs_are_summed_by_the_gate() {
+        let fs = Arc::new(MemFs::new());
+        fs.add("a.txt", lines(3000));
+        fs.add("b.txt", lines(3000));
+        let ecfg = ExecConfig {
+            pipe_capacity: 4096,
+            ..Default::default()
+        };
+        run_on("cat a.txt | wc -l", 1, &fs, b"", &ecfg);
+        assert_eq!(schedules(&ecfg), (1, 0));
+        run_on("cat a.txt b.txt | wc -l", 1, &fs, b"", &ecfg);
+        assert_eq!(schedules(&ecfg), (1, 1));
+    }
+
+    #[test]
+    fn empty_input_runs_to_completion() {
+        let fs = Arc::new(MemFs::new());
+        fs.add("in.txt", Vec::new());
+        let ecfg = ExecConfig::default();
+        for width in [1, 4] {
+            let out = run_on(
+                "cat in.txt | tr a-z A-Z | sort | uniq -c",
+                width,
+                &fs,
+                b"",
+                &ecfg,
+            );
+            assert!(out.stdout.is_empty());
+            assert_eq!(out.status, 0);
+        }
+        assert_eq!(schedules(&ecfg), (2, 0));
+    }
+
+    #[test]
+    fn generator_region_gets_a_consumer_that_can_hang_up() {
+        // Nothing bounds `seq` but `head` closing the pipe. Lowered,
+        // it holds the region's (empty) stdin and passes the gate, but
+        // its 589 KB outgrow what an input of one buffer explains and
+        // the region moves to thread-per-node.
+        let (reg, fs) = fixture();
+        let ecfg = ExecConfig::default();
+        let out = run_on("seq 1 100000 | head -n 3", 1, &fs, b"", &ecfg);
+        assert_eq!(out.stdout, b"1\n2\n3\n");
+        assert_eq!(schedules(&ecfg), (0, 1));
+        // A node with no input edge at all never starts the other way.
+        let r = RegionPlan::parse_dump(
+            "region nodes=2 edges=2 replayable=true\n  e0: pipe 0->1\n  e1: stdout 1->\n  \
+             n0: exec \"seq\" \"1\" \"5\" [] stdin=[] -> [e0]\n  \
+             n1: exec \"head\" \"-n\" \"3\" [e0] stdin=[0] -> [e1] producer\n",
+        )
+        .expect("region");
+        let fs: Arc<dyn Fs> = fs;
+        assert!(!fits_one_buffer(&r, &fs, &Feed::from([]), 1 << 16, None));
+        let runner = ThreadsRunner {
+            registry: &reg,
+            fs: &fs,
+            cfg: &ecfg,
+        };
+        let out = runner
+            .attempt(&r, &Feed::from([]), None, 0, None)
+            .expect("attempt");
+        assert_eq!(out.stdout, b"1\n2\n3\n");
+        assert_eq!(schedules(&ecfg), (0, 2));
+    }
+
+    #[test]
+    fn later_region_is_judged_on_the_file_an_earlier_one_wrote() {
+        // Region 1 reads a 12-byte list and runs to completion; what
+        // it writes is 1 MiB, so region 2 — whose input did not exist
+        // at compile time — must not.
+        let fs = Arc::new(MemFs::new());
+        fs.add("list.txt", b"big.txt\nbig.txt\n".to_vec());
+        fs.add("big.txt", lines(512 * 1024));
+        let ecfg = ExecConfig::default();
+        let out = run_on(
+            "cat list.txt | xargs cat > all.txt\ncat all.txt | tr a-z A-Z | wc -c",
+            1,
+            &fs,
+            b"",
+            &ecfg,
+        );
+        assert_eq!(out.stdout, b"1048576\n");
+        assert_eq!(fs.size("all.txt").expect("all.txt"), 1 << 20);
+        assert_eq!(schedules(&ecfg), (1, 1));
+    }
+
+    #[test]
+    fn streams_that_outgrow_a_small_input_move_to_thread_per_node() {
+        // Same short list, but now the 1 MiB flows through pipe edges:
+        // the attempt gives up running to completion (nothing of it is
+        // observable) and the region runs with bounded rings.
+        let fs = Arc::new(MemFs::new());
+        fs.add("list.txt", b"big.txt\nbig.txt\n".to_vec());
+        fs.add("big.txt", lines(512 * 1024));
+        let ecfg = ExecConfig::default();
+        let out = run_on(
+            "cat list.txt | xargs cat | tr a-z A-Z | wc -c > n.txt",
+            1,
+            &fs,
+            b"",
+            &ecfg,
+        );
+        assert_eq!(out.status, 0);
+        assert_eq!(fs.read("n.txt").expect("n.txt"), b"1048576\n");
+        assert_eq!(schedules(&ecfg), (0, 1));
+    }
+
+    #[test]
+    fn wave_of_small_regions_runs_to_completion() {
+        let (_, fs) = fixture();
+        let ecfg = ExecConfig {
+            max_inflight: 4,
+            ..Default::default()
+        };
+        let src = "grep apple in.txt > a.txt\ngrep -c an in.txt > b.txt\n\
+                   tr a-z A-Z < in.txt > c.txt\nsort in.txt > d.txt";
+        let out = run_on(src, 2, &fs, b"", &ecfg);
+        assert_eq!(out.status, 0);
+        assert_eq!(fs.read("a.txt").expect("a.txt"), b"apple\napple\n");
+        assert_eq!(fs.read("b.txt").expect("b.txt"), b"2\n");
+        assert_eq!(schedules(&ecfg), (4, 0));
+    }
+
+    #[test]
+    fn schedules_record_the_same_profile() {
+        // Bytes in and out per node — relays included, handed over or
+        // run — are the same whichever schedule carried them.
+        let src = "cat in.txt | tr A-Z a-z | sort | uniq -c > out.txt";
+        let cfg = PashConfig {
+            width: 2,
+            ..Default::default()
+        };
+        let compiled = pash_core::compile::compile_cached(src, &cfg).expect("compile");
+        let region = compiled.plan.regions().next().expect("region");
+        assert!(region
+            .nodes
+            .iter()
+            .any(|n| matches!(n.op, PlanOp::Relay { .. })));
+        let observed = both_schedules().map(|base| {
+            let (reg, fs) = fixture();
+            let store = Arc::new(ProfileStore::in_memory());
+            let ecfg = ExecConfig {
+                profile: Some(store.clone()),
+                ..base
+            };
+            run_script(src, &cfg, &reg, fs, Vec::new(), &ecfg).expect("run");
+            let stats = store
+                .region_stats(region.fingerprint())
+                .expect("region recorded");
+            stats
+                .nodes
+                .iter()
+                .map(|n| (n.label.clone(), n.bytes_in, n.bytes_out))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(observed[0], observed[1]);
+        assert!(observed[0].iter().all(|(_, i, o)| *i > 0.0 && *o > 0.0));
+    }
+
+    fn first_region(src: &str, width: usize) -> RegionPlan {
+        let cfg = PashConfig {
+            width,
+            ..Default::default()
+        };
+        let compiled = pash_core::compile::compile_cached(src, &cfg).expect("compile");
+        let region = compiled.plan.regions().next().expect("region").clone();
+        region
+    }
+
+    #[test]
+    fn zero_deadline_on_a_small_region_walks_the_ladder() {
+        use std::time::Duration;
+        let (reg, fs) = fixture();
+        let fs: Arc<dyn Fs> = fs;
+        let ecfg = ExecConfig {
+            supervisor: SupervisorSettings {
+                max_retries: 1,
+                backoff_base: Duration::from_micros(10),
+                region_deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        // One supervised attempt, seen from the runner: the transient
+        // deadline error the watchdog would have produced.
+        let runner = ThreadsRunner {
+            registry: &reg,
+            fs: &fs,
+            cfg: &ecfg,
+        };
+        let r = first_region("cat in.txt | tr A-Z a-z | sort", 2);
+        let err = runner
+            .attempt(&r, &Feed::from([]), None, 0, Some(&ecfg.supervisor))
+            .expect_err("deadline");
+        assert!(err.is_transient());
+        assert!(err.to_string().contains("region deadline"), "{err}");
+        assert_eq!(ecfg.supervisor.counters.deadline_kills(), 1);
+        // The whole ladder: both attempts die of the deadline, the
+        // clean width-1 fallback (no deadline) answers.
+        let cfg = PashConfig {
+            width: 2,
+            ..Default::default()
+        };
+        let out = run_script(
+            "cat in.txt | tr A-Z a-z | sort",
+            &cfg,
+            &reg,
+            fs.clone(),
+            Vec::new(),
+            &ecfg,
+        )
+        .expect("fallback answers");
+        assert_eq!(out.stdout, b"apple\napple\napple\nbanana\nbanana\ncherry\n");
+        let c = &ecfg.supervisor.counters;
+        assert_eq!((c.deadline_kills(), c.retries(), c.fallbacks()), (3, 1, 1));
+        assert_eq!(schedules(&ecfg), (4, 0));
+    }
+
+    #[test]
+    fn armed_fault_always_takes_thread_per_node() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let (reg, fs) = fixture();
+        let ecfg = ExecConfig {
+            supervisor: SupervisorSettings {
+                max_retries: 0,
+                fault: Some(FaultPlan::new(FaultKind::SpawnFail, 0)),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cfg = PashConfig {
+            width: 2,
+            ..Default::default()
+        };
+        let out = run_script(
+            "cat in.txt | tr A-Z a-z | sort",
+            &cfg,
+            &reg,
+            fs,
+            Vec::new(),
+            &ecfg,
+        )
+        .expect("fallback answers");
+        assert_eq!(out.stdout, b"apple\napple\napple\nbanana\nbanana\ncherry\n");
+        let c = &ecfg.supervisor.counters;
+        assert_eq!((c.injected(), c.fallbacks()), (1, 1));
+        // The armed attempt ran (and failed) with threads; the clean
+        // fallback is small and ran to completion.
+        assert_eq!(schedules(&ecfg), (1, 1));
+    }
+
+    #[test]
+    fn supervised_attempt_ends_with_its_last_node() {
+        // The deadline watchdog sleeps parked and is woken by the last
+        // node: 200 supervised thread-per-node attempts under a far
+        // deadline must not each wait out a poll interval.
+        use std::time::Duration;
+        let (reg, fs) = fixture();
+        let fs: Arc<dyn Fs> = fs;
+        let ecfg = ExecConfig {
+            pipe_capacity: 16,
+            supervisor: SupervisorSettings {
+                region_deadline: Some(Duration::from_secs(60)),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let runner = ThreadsRunner {
+            registry: &reg,
+            fs: &fs,
+            cfg: &ecfg,
+        };
+        let r = first_region("cat in.txt | tr A-Z a-z", 1);
+        let started = Instant::now();
+        for _ in 0..200 {
+            let out = runner
+                .attempt(&r, &Feed::from([]), None, 0, Some(&ecfg.supervisor))
+                .expect("attempt");
+            assert_eq!(out.stdout.len(), 39);
+        }
+        let took = started.elapsed();
+        assert_eq!(schedules(&ecfg), (0, 200));
+        assert!(
+            took < Duration::from_millis(500),
+            "200 attempts took {took:?}"
+        );
     }
 }

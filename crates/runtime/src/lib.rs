@@ -9,9 +9,11 @@
 //!   the batched [`scan::LineScanner`];
 //! * [`drive`] — the one program driver: step semantics, waves, and
 //!   one [`supervise`] ladder per region, over a `RegionRunner`;
-//! * [`exec`] / [`proc`] / [`remote`] — the three region runners:
-//!   thread-per-node in process (the `threads` backend), child
-//!   processes over FIFOs, and regions shipped to `pash-worker`s;
+//! * [`exec`] / [`proc`] / [`remote`] — the three region runners: in
+//!   process (the `threads` backend: a thread per node, or node by
+//!   node on one thread when the region's input fits one pipe
+//!   buffer), child processes over FIFOs, and regions shipped to
+//!   `pash-worker`s;
 //! * [`wire`] — the length-prefixed codec under every socket protocol.
 //!
 //! The same primitives are exposed as a standalone multi-call binary

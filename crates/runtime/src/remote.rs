@@ -960,6 +960,51 @@ mod tests {
     }
 
     #[test]
+    fn worker_rejects_a_region_of_impossible_arity_and_keeps_serving() {
+        // An `exec` with no output used to reach `run_node`'s
+        // `expect("command has one output")` and panic the thread
+        // running it; it must come back as a fatal error frame.
+        let workers = spawn_workers("arity", 1);
+        let socket = &workers.sockets[0];
+        let send = |region_dump: &str| {
+            let req = ExecuteRequest {
+                region_dump: region_dump.to_string(),
+                files: vec![("in.txt".to_string(), b"b\na\n".to_vec())],
+                stdin: Feed::from([]),
+                fault: None,
+                sleep_ms: 0,
+                response_cut: u64::MAX,
+            };
+            let mut stream = UnixStream::connect(socket).expect("connect");
+            stream.write_all(&req.encode_framed()).expect("send");
+            let mut reader = SockEdgeReader::new(stream);
+            let mut msgs = Vec::new();
+            while let Some(m) = reader.next().expect("well-formed reply") {
+                msgs.push(m);
+            }
+            msgs
+        };
+        let bad = "region nodes=1 edges=1 replayable=true\n  e0: in:\"in.txt\" ->0\n  \
+                   n0: exec \"sort\" [e0] stdin=[0] -> []\n";
+        match &send(bad)[..] {
+            [SockMsg::Error { transient, message }] => {
+                assert!(!transient, "a malformed region is not worth a retry");
+                assert!(message.contains("bad region dump"), "{message}");
+                assert!(message.contains("exec"), "{message}");
+            }
+            other => panic!("expected one error frame, got {other:?}"),
+        }
+        let good = "region nodes=1 edges=2 replayable=true\n  e0: in:\"in.txt\" ->0\n  \
+                    e1: stdout 0->\n  n0: exec \"sort\" [e0] stdin=[0] -> [e1] producer\n";
+        match &send(good)[..] {
+            [SockMsg::Stdout(bytes), SockMsg::Status { status: 0, .. }] => {
+                assert_eq!(bytes, b"a\nb\n")
+            }
+            other => panic!("expected stdout + status, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn execute_request_round_trips() {
         let req = ExecuteRequest {
             region_dump: "region nodes=0 edges=0 replayable=true\n".to_string(),

@@ -538,6 +538,7 @@ impl ServiceMetrics {
              \"last_chosen_width\":{},\"last_chosen_split\":\"{}\",\
              \"retries\":{},\"deadline_kills\":{},\"fallbacks\":{},\
              \"reroutes\":{},\"local_fallbacks\":{},\"injected\":{},\
+             \"inline_regions\":{},\"threaded_regions\":{},\
              \"latency\":{{\"count\":{},\
              \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}}}",
             g(&self.requests),
@@ -559,6 +560,8 @@ impl ServiceMetrics {
             sup.reroutes(),
             sup.local_fallbacks(),
             sup.injected(),
+            sup.inline_regions(),
+            sup.threaded_regions(),
             self.latency.count(),
             self.latency.quantile(0.50),
             self.latency.quantile(0.90),

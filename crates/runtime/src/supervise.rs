@@ -53,6 +53,8 @@ pub struct SupervisorCounters {
     injected: AtomicU64,
     reroutes: AtomicU64,
     local_fallbacks: AtomicU64,
+    inline_regions: AtomicU64,
+    threaded_regions: AtomicU64,
 }
 
 impl SupervisorCounters {
@@ -86,6 +88,28 @@ impl SupervisorCounters {
     /// (the middle rung of the recovery ladder).
     pub fn local_fallbacks(&self) -> u64 {
         self.local_fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// `threads` region attempts that ran to completion on the calling
+    /// thread — the schedule [`crate::exec`] picks when a region's
+    /// whole input fits one pipe buffer.
+    pub fn inline_regions(&self) -> u64 {
+        self.inline_regions.load(Ordering::Relaxed)
+    }
+
+    /// `threads` region attempts that ran one thread per plan node.
+    pub fn threaded_regions(&self) -> u64 {
+        self.threaded_regions.load(Ordering::Relaxed)
+    }
+
+    /// Counts one `threads` region attempt under the schedule it ran.
+    pub(crate) fn note_schedule(&self, inline: bool) {
+        let counter = if inline {
+            &self.inline_regions
+        } else {
+            &self.threaded_regions
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

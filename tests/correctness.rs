@@ -3,6 +3,11 @@
 //! sequential execution — the property PaSh's transformations promise
 //! (§4.2) and the paper verifies over multi-GB inputs ("PaSh's
 //! results ... are identical to the sequential for all benchmarks").
+//!
+//! The suite-wide loops run under both schedules of the executor
+//! ([`schedules`]): these inputs are tens of kilobytes, close enough
+//! to one pipe buffer that which schedule a default configuration
+//! picks would be an accident of the corpus size.
 
 use std::sync::{Arc, OnceLock};
 
@@ -31,6 +36,20 @@ fn run(
     (out.stdout, file)
 }
 
+/// The executor's two schedules by name: a pipe capacity above the
+/// corpus (every region's input fits one buffer, so it runs to
+/// completion on one thread) and one below it (a thread per node).
+fn schedules() -> [(&'static str, ExecConfig); 2] {
+    let at = |pipe_capacity| ExecConfig {
+        pipe_capacity,
+        ..Default::default()
+    };
+    [
+        ("run-to-completion", at(1 << 20)),
+        ("thread-per-node", at(4096)),
+    ]
+}
+
 #[test]
 fn oneliners_parallel_equals_sequential() {
     for bench in oneliners::all() {
@@ -45,21 +64,18 @@ fn oneliners_parallel_equals_sequential() {
             make_fs(),
             &ExecConfig::default(),
         );
-        for config in Fig7Config::all() {
-            for width in [2usize, 3, 8] {
-                let par = run(
-                    &bench.script,
-                    &config.pash_config(width),
-                    make_fs(),
-                    &ExecConfig::default(),
-                );
-                assert_eq!(
-                    seq,
-                    par,
-                    "{} diverged at width {width} under {}",
-                    bench.name,
-                    config.label()
-                );
+        for (schedule, exec) in schedules() {
+            for config in Fig7Config::all() {
+                for width in [2usize, 3, 8] {
+                    let par = run(&bench.script, &config.pash_config(width), make_fs(), &exec);
+                    assert_eq!(
+                        seq,
+                        par,
+                        "{} diverged at width {width} under {}, {schedule}",
+                        bench.name,
+                        config.label()
+                    );
+                }
             }
         }
     }
@@ -79,13 +95,19 @@ fn unix50_parallel_equals_sequential() {
             make_fs(),
             &ExecConfig::default(),
         );
-        let par = run(
-            p.script,
-            &Fig7Config::ParBSplit.pash_config(16),
-            make_fs(),
-            &ExecConfig::default(),
-        );
-        assert_eq!(seq, par, "unix50 pipeline {} diverged at 16x", p.idx);
+        for (schedule, exec) in schedules() {
+            let par = run(
+                p.script,
+                &Fig7Config::ParBSplit.pash_config(16),
+                make_fs(),
+                &exec,
+            );
+            assert_eq!(
+                seq, par,
+                "unix50 pipeline {} diverged at 16x, {schedule}",
+                p.idx
+            );
+        }
     }
 }
 

@@ -17,6 +17,15 @@
 //! (`ParBSplit`) and the order-aware round-robin split (`r_split`,
 //! tagged blocks restored by `pash-agg-reorder`), each at several
 //! widths, plus concurrent independent regions (`max_inflight`).
+//!
+//! The `threads` backend has two schedules for a region — run to
+//! completion on one thread when the whole input fits one pipe buffer,
+//! a thread per node otherwise — and these inputs are small enough to
+//! fall on either side of that line by accident. So the pipe capacity
+//! is set on purpose: `threads` is observed once under each schedule
+//! ([`SCHEDULES`]) wherever it is compared, and
+//! `schedules_agree_on_every_suite_script` holds the two against each
+//! other region by region.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -80,21 +89,46 @@ fn harness() -> Option<(PathBuf, PathBuf)> {
     runtime_binaries()
 }
 
-fn observe_threads(script: &str, fs: Arc<MemFs>, setup: &Setup, cfg: &PashConfig) -> Observed {
+/// A pipe capacity above every input in this suite: each region's
+/// input fits one buffer and the region runs to completion.
+const RUN_TO_COMPLETION: usize = 1 << 20;
+/// A pipe capacity below every input in this suite, the file lists of
+/// a few hundred bytes included: a region that reads anything gets a
+/// thread per node, with real blocking on its rings.
+const THREAD_PER_NODE: usize = 64;
+/// The `threads` backend's two schedules, selected by pipe capacity.
+const SCHEDULES: [(&str, usize); 2] = [
+    ("run-to-completion", RUN_TO_COMPLETION),
+    ("thread-per-node", THREAD_PER_NODE),
+];
+
+fn observe_threads(
+    script: &str,
+    fs: Arc<MemFs>,
+    setup: &Setup,
+    cfg: &PashConfig,
+    pipe_capacity: usize,
+) -> Observed {
     let mut env = RunEnv {
         fs,
         stdin: setup.stdin.to_vec(),
         ..Default::default()
     };
     env.exec.max_inflight = setup.inflight;
-    match run(script, cfg, "threads", &env) {
+    env.exec.pipe_capacity = pipe_capacity;
+    let observed = match run(script, cfg, "threads", &env) {
         Ok(BackendOutput::Execution(o)) => Observed {
             stdout: o.stdout,
             status: o.status,
             out_file: env.fs.read("out.txt").ok(),
         },
         other => panic!("threads produced {other:?} for `{script}`"),
+    };
+    if pipe_capacity == RUN_TO_COMPLETION {
+        let threaded = env.exec.supervisor.counters.threaded_regions();
+        assert_eq!(threaded, 0, "`{script}` left run-to-completion");
     }
+    observed
 }
 
 fn observe_processes(
@@ -256,10 +290,11 @@ fn observe_shell(
     observed
 }
 
-/// Runs `script` under all three backends and asserts pairwise
+/// Runs `script` under all four backends and asserts pairwise
 /// equality — including exit statuses, which the status fold keeps
 /// identical to the sequential verdict at any width — plus agreement
-/// with the sequential `threads` reference.
+/// with the sequential (width-1) `threads` run, which pins the data,
+/// under both of the `threads` schedules.
 fn assert_backends_agree(
     label: &str,
     script: &str,
@@ -273,8 +308,20 @@ fn assert_backends_agree(
         per_region: Vec::new(),
         ..setup.cfg.clone()
     };
-    let seq = observe_threads(script, make_fs(), setup, &seq_cfg);
-    let t = observe_threads(script, make_fs(), setup, &setup.cfg);
+    // Width 1 run to completion is the reference that pins the data;
+    // the other three `threads` runs — the status fold makes the
+    // parallel status the sequential verdict too, independent of width
+    // or split strategy — and the other backends must equal it.
+    let t = observe_threads(script, make_fs(), setup, &seq_cfg, RUN_TO_COMPLETION);
+    for (schedule, capacity) in SCHEDULES {
+        for (what, cfg) in [("sequential", &seq_cfg), ("parallel", &setup.cfg)] {
+            let other = observe_threads(script, make_fs(), setup, cfg, capacity);
+            assert_eq!(
+                t, other,
+                "{label}: {what} {schedule} threads diverged at width {width}\nscript: {script}"
+            );
+        }
+    }
     let p = observe_processes(script, make_fs(), setup, bins);
     let s = observe_shell(script, make_fs(), setup, bins);
     let workers = RemoteWorkers::spawn(2);
@@ -291,18 +338,6 @@ fn assert_backends_agree(
     assert_eq!(
         t, r,
         "{label}: threads vs remote diverged at width {width}\nscript: {script}"
-    );
-    // The sequential reference pins the data.
-    assert_eq!(
-        (&t.stdout, &t.out_file),
-        (&seq.stdout, &seq.out_file),
-        "{label}: parallel vs sequential data diverged at width {width}\nscript: {script}"
-    );
-    // The status fold makes the parallel status the sequential
-    // verdict too, independent of width or split strategy.
-    assert_eq!(
-        t.status, seq.status,
-        "{label}: parallel vs sequential status diverged at width {width}\nscript: {script}"
     );
 }
 
@@ -482,6 +517,165 @@ fn width_sweep_both_split_strategies() {
                 &Setup::round_robin(width),
                 &bins,
             );
+        }
+    }
+}
+
+/// A region attempt's verdict: its status, and the `(node, status)`
+/// of each node that status is folded from.
+type RegionVerdict = (i32, Vec<(usize, i32)>);
+
+/// What one schedule left behind for one script: the program's
+/// output, every file it wrote, and every region's verdict.
+#[derive(Debug, PartialEq, Eq)]
+struct ScheduleRun {
+    stdout: Vec<u8>,
+    status: i32,
+    files: Vec<(String, Vec<u8>)>,
+    regions: Vec<RegionVerdict>,
+}
+
+/// Runs `script` on the `threads` runner at `pipe_capacity`, recording
+/// every region attempt's verdict on the way.
+fn observe_schedule(
+    script: &str,
+    fs: Arc<MemFs>,
+    cfg: &PashConfig,
+    pipe_capacity: usize,
+) -> ScheduleRun {
+    use pash::core::plan::RegionPlan;
+    use pash::coreutils::fs::Fs;
+    use pash::runtime::exec::{ExecConfig, ThreadsRunner};
+    use pash::runtime::fault::{ArmedFault, ExecError};
+    use pash::runtime::{drive, Feed, RegionOutput, RegionRunner, SupervisorSettings};
+    use std::sync::Mutex;
+
+    struct Recording<'a> {
+        inner: ThreadsRunner<'a>,
+        regions: Mutex<Vec<RegionVerdict>>,
+    }
+    impl RegionRunner for Recording<'_> {
+        fn attempt(
+            &self,
+            r: &RegionPlan,
+            feed: &Feed,
+            fault: Option<&ArmedFault>,
+            attempt_no: u32,
+            supervised: Option<&SupervisorSettings>,
+        ) -> Result<RegionOutput, ExecError> {
+            let out = self.inner.attempt(r, feed, fault, attempt_no, supervised)?;
+            let sources = r
+                .status_sources()
+                .into_iter()
+                .map(|id| {
+                    let (_, status) = out.statuses.iter().find(|(n, _)| *n == id).expect("ran");
+                    (id, *status)
+                })
+                .collect();
+            self.regions.lock().unwrap().push((out.status, sources));
+            Ok(out)
+        }
+    }
+
+    let compiled = pash::compile(script, cfg).expect("compile");
+    let registry = pash::coreutils::Registry::standard();
+    let exec = ExecConfig {
+        pipe_capacity,
+        ..Default::default()
+    };
+    let dyn_fs: Arc<dyn Fs> = fs.clone();
+    let recording = Recording {
+        inner: ThreadsRunner {
+            registry: &registry,
+            fs: &dyn_fs,
+            cfg: &exec,
+        },
+        regions: Mutex::new(Vec::new()),
+    };
+    let out = drive(
+        &compiled.plan,
+        None,
+        &recording,
+        &exec.supervisor,
+        1,
+        Feed::from([]),
+    )
+    .unwrap_or_else(|e| panic!("threads failed: {e}\nscript: {script}"));
+    let counters = &exec.supervisor.counters;
+    if pipe_capacity == RUN_TO_COMPLETION {
+        assert_eq!(counters.threaded_regions(), 0, "`{script}`");
+    } else {
+        assert!(counters.threaded_regions() > 0, "`{script}`");
+    }
+    ScheduleRun {
+        stdout: out.stdout,
+        status: out.status,
+        files: fs
+            .paths()
+            .into_iter()
+            .map(|p| (p.clone(), fs.read(&p).expect("listed file")))
+            .collect(),
+        regions: recording.regions.into_inner().unwrap(),
+    }
+}
+
+/// Two schedules of one plan: whatever the suite scripts compile to at
+/// widths 1, 2 and 4 under either split, running each region node by
+/// node on one thread and running it with a thread per node leave the
+/// same stdout, the same files, and per region the same status folded
+/// from the same status-source node statuses. No binaries, no
+/// `/bin/sh`: this one runs on every host.
+#[test]
+fn schedules_agree_on_every_suite_script() {
+    type MakeFs = Box<dyn Fn() -> Arc<MemFs>>;
+    let mut cases: Vec<(String, String, MakeFs)> = Vec::new();
+    for bench in oneliners::all() {
+        cases.push((
+            bench.name.to_string(),
+            bench.script.clone(),
+            Box::new(move || {
+                cached_fs(
+                    format!("differential/oneliners/{}/30000", bench.name),
+                    |fs| oneliners::setup_fs(&bench, 30_000, fs),
+                )
+            }),
+        ));
+    }
+    for p in unix50::all() {
+        cases.push((
+            format!("unix50 #{}", p.idx),
+            p.script.to_string(),
+            Box::new(|| {
+                cached_fs("differential/unix50/20000".to_string(), |fs| {
+                    unix50::setup_fs(20_000, fs)
+                })
+            }),
+        ));
+    }
+    for bench in pash::workloads::nlp::scripts() {
+        cases.push((
+            bench.name.to_string(),
+            bench.script.to_string(),
+            Box::new(|| {
+                cached_fs("differential/nlp/24000".to_string(), |fs| {
+                    pash::workloads::nlp::setup_fs(24_000, fs)
+                })
+            }),
+        ));
+    }
+    for (label, script, make_fs) in &cases {
+        for width in [1usize, 2, 4] {
+            for (split, cfg) in [
+                ("sized", cfg(width)),
+                ("round-robin", PashConfig::round_robin(width)),
+            ] {
+                let [inline, threaded] = SCHEDULES
+                    .map(|(_, capacity)| observe_schedule(script, make_fs(), &cfg, capacity));
+                assert_eq!(
+                    inline, threaded,
+                    "{label}: schedules diverged at width {width}, {split} split\nscript: {script}"
+                );
+            }
         }
     }
 }

@@ -12,7 +12,8 @@
 //! * serving touches no disk — the profile store is written once, as
 //!   one file, after the daemon is told to stop;
 //! * the same differential holds under the fault-injection
-//!   supervisor, whose counters the Metrics reply reports.
+//!   supervisor, whose counters the Metrics reply reports;
+//! * Metrics says which schedule each region ran under.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -402,6 +403,52 @@ fn sigterm_drains_in_flight_requests_without_torn_responses() {
         "socket is gone after shutdown"
     );
     drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_report_which_schedule_each_region_ran() {
+    let dir = scratch_dir("schedule");
+    let daemon = spawn_daemon(&dir, &[]);
+    let mut client = daemon.client();
+    client
+        .put_file("small.txt", wl::text_corpus(5, 8 * 1024))
+        .expect("small.txt");
+    client
+        .put_file("big.txt", wl::text_corpus(6, 1 << 20))
+        .expect("big.txt");
+    let schedules = |client: &mut Client| {
+        let json = client.metrics().expect("metrics");
+        (
+            metric(&json, "inline_regions"),
+            metric(&json, "threaded_regions"),
+        )
+    };
+    assert_eq!(schedules(&mut client), (0, 0));
+    // Six small requests, two of them of two regions: eight regions
+    // whose whole input fits one pipe buffer run to completion on the
+    // connection's thread, and nothing gets a thread per node.
+    let one = "cat small.txt | tr A-Z a-z | sort | uniq -c";
+    let two = "cat small.txt | grep the > out.txt\ncat small.txt | wc -l";
+    for (script, width) in [(one, 1), (one, 2), (one, 4), (two, 2), (two, 4), (one, 2)] {
+        let resp = client
+            .run(request(script, width, SplitPolicy::Sized))
+            .expect("small run");
+        assert_eq!(resp.status, 0);
+    }
+    assert_eq!(schedules(&mut client), (8, 0));
+    // One request over the 1 MiB file does the opposite.
+    let resp = client
+        .run(request(
+            "cat big.txt | tr A-Z a-z | sort | uniq -c",
+            2,
+            SplitPolicy::Sized,
+        ))
+        .expect("big run");
+    assert_eq!(resp.status, 0);
+    assert_eq!(schedules(&mut client), (8, 1));
+    drop(client);
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
