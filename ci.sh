@@ -8,7 +8,9 @@
 #      of the benchmark harness under bench/ (its own workspace): it
 #      is frozen between benchmark PRs, so an API a PR moves out from
 #      under it must fail here, on every host, not only where step 12
-#      can run;
+#      can run (today it holds `fileseg::read_segment`, `run_relay`,
+#      `RelayMode`, `pipe` and `emit_program(&plan, &EmitConfig)` to
+#      their signatures);
 #   2. the full test suite (unit + integration + doctests);
 #   3. example smoke build;
 #   4. compile (but don't run) all criterion benches;
@@ -23,7 +25,8 @@
 #      is in the checked-in BENCH_regex.json too;
 #   7. plan-determinism smoke (segment split and r_split plans);
 #   8. process-backend smoke: one corpus script as real children over
-#      FIFOs, byte-compared against the shell backend's output; then
+#      FIFOs, byte-compared against the shell backend's output, whose
+#      script must name no `fileseg` producer; then
 #      the threads backend on an input below one pipe buffer (the
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
@@ -149,6 +152,14 @@ done
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-processes/out.txt
 test -s target/bench-smoke/backend-processes/out.txt
+# A file segment is opened by the job that reads it (`--stdin-seg`):
+# the script launches no segment producer to pipe into it.
+grep -q -- '--stdin-seg in.txt' target/bench-smoke/backend-shell/parallel.sh
+# (`set -e` does not act on a `!` pipeline, hence the `if`.)
+if grep -q fileseg target/bench-smoke/backend-shell/parallel.sh; then
+    echo "    emitted script still names a fileseg producer" >&2
+    exit 1
+fi
 
 echo "==> schedule smoke (threads below and above one pipe buffer, cmp against shell)"
 # The threads backend picks a region's schedule from its input size:

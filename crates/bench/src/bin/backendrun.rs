@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 
+use pash_core::backend::{emit_program, EmitConfig};
 use pash_core::compile::{compile, PashConfig};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
@@ -88,7 +89,7 @@ fn main() {
     };
 
     let status = match backend.as_str() {
-        "shell" => run_shell(&compiled.script, &dir),
+        "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig::default()), &dir),
         "processes" => {
             let pcfg = ProcSettings::default();
             let out = run_plan(&compiled.plan, &pcfg, &dir, read_stdin()).unwrap_or_else(|e| {

@@ -132,28 +132,24 @@ pub fn emit_region(r: &RegionPlan, region: usize, cfg: &EmitConfig) -> String {
         // The readable name for an edge appearing in argument position.
         let name_of = |e: PlanEdgeId| -> String {
             match &r.edges[e].kind {
-                EndpointKind::InputSegment { path, part, of } => {
-                    // Defensive: lowering routes segments through
-                    // stdin, but name them readably if one ends up in
-                    // arg position.
-                    format!("'<fileseg {} {part} {of}>'", shell_quote(path))
-                }
                 EndpointKind::Pipe => pipe_name(region, e),
                 EndpointKind::InputFile(f) | EndpointKind::OutputFile(f) => shell_quote(f),
                 // Region boundary input: inherit the script's stdin.
                 _ => "/dev/stdin".to_string(),
             }
         };
-        // A FileSegment feeding stdin becomes a fileseg producer pipe.
+        line.push_str(match spec.bin {
+            SpawnBin::Coreutils => &cfg.coreutils_cmd,
+            SpawnBin::Runtime => &cfg.runtime_cmd,
+        });
         let mut stdin_redirect: Option<String> = None;
         if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
             match &r.edges[e].kind {
+                // `sh` has no redirection for a segment of a file: the
+                // command opens its own, told which by a leading
+                // multicall redirection.
                 EndpointKind::InputSegment { path, part, of } => {
-                    line.push_str(&format!(
-                        "{} fileseg {} {part} {of} | ",
-                        cfg.runtime_cmd,
-                        shell_quote(path)
-                    ));
+                    line.push_str(&format!(" --stdin-seg {} {part} {of}", shell_quote(path)));
                 }
                 EndpointKind::Pipe => {
                     stdin_redirect = Some(format!("< {}", pipe_name(region, e)));
@@ -175,10 +171,6 @@ pub fn emit_region(r: &RegionPlan, region: usize, cfg: &EmitConfig) -> String {
         }
         // The command itself: the spawn spec's argv, edge references
         // resolved to script names.
-        line.push_str(match spec.bin {
-            SpawnBin::Coreutils => &cfg.coreutils_cmd,
-            SpawnBin::Runtime => &cfg.runtime_cmd,
-        });
         for w in &spec.argv {
             line.push(' ');
             match w {
@@ -299,7 +291,7 @@ mod tests {
         assert!(s.contains(" &\n"));
         assert!(s.contains("wait $pash_out_pids"));
         assert!(s.contains("kill -s PIPE"));
-        assert!(s.contains("fileseg"));
+        assert!(s.contains("\"$PASHC\" --stdin-seg in.txt 1 2 grep foo > "));
         assert!(s.contains("pash-agg-sort"));
         assert!(s.contains("eager"));
     }
@@ -308,7 +300,7 @@ mod tests {
     fn sequential_width_emits_without_split_copies() {
         let s = emit("grep foo in.txt > out.txt", 1);
         assert!(s.contains("grep foo"));
-        assert!(!s.contains("fileseg"));
+        assert!(!s.contains("--stdin-seg"));
     }
 
     #[test]

@@ -9,10 +9,9 @@ use std::time::{Duration, Instant};
 use pash_parser::expand::StaticEnv;
 
 use crate::annot::stdlib::AnnotationLibrary;
-use crate::backend::{emit_program, EmitConfig};
 use crate::dfg::transform::{parallelize, AggTreeShape, EagerPolicy, SplitPolicy, TransformConfig};
 use crate::dfg::DfgStats;
-use crate::frontend::{translate, FrontendOptions, TranslatedProgram};
+use crate::frontend::{translate, FrontendOptions};
 use crate::plan::{lower, ExecutionPlan};
 use crate::Error;
 
@@ -134,15 +133,10 @@ pub struct CompileStats {
 /// A compiled program.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The translated program with transformed regions (the DFG view;
-    /// kept for inspection and graph statistics).
-    pub program: TranslatedProgram,
     /// The lowered, backend-neutral execution plan — what every
-    /// execution engine consumes.
+    /// execution engine consumes (the shell backend renders it with
+    /// [`crate::backend::emit_program`]).
     pub plan: ExecutionPlan,
-    /// The emitted POSIX script (the shell backend's rendering of the
-    /// plan).
-    pub script: String,
     /// Statistics.
     pub stats: CompileStats,
 }
@@ -189,12 +183,9 @@ pub fn compile_with_library(
         regions += 1;
     }
     let plan = lower(&tp);
-    let script = emit_program(&plan, &EmitConfig::default());
     let cache = cache_stats();
     Ok(Compiled {
-        program: tp,
         plan,
-        script,
         stats: CompileStats {
             regions,
             nodes,
@@ -310,8 +301,8 @@ pub fn cache_stats() -> CacheStats {
 /// [`set_cache_capacity`]).
 ///
 /// Compilation is deterministic (see the CI plan-determinism smoke
-/// step), so a cache hit returns the *same* `Arc<Compiled>` — plan,
-/// script, and stats included — without re-running the front-end or
+/// step), so a cache hit returns the *same* `Arc<Compiled>` — plan
+/// and stats included — without re-running the front-end or
 /// transformations. Errors are not cached. Hit/miss/eviction counters
 /// are surfaced via [`cache_stats`] and embedded in every
 /// [`CompileStats`].
@@ -356,6 +347,7 @@ pub fn compile_cached(src: &str, cfg: &PashConfig) -> Result<Arc<Compiled>, Erro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{emit_program, EmitConfig};
 
     #[test]
     fn end_to_end_compile() {
@@ -370,7 +362,7 @@ mod tests {
         assert_eq!(out.stats.regions, 1);
         // Tab. 2's Sort row shape at 16×: 77 nodes.
         assert_eq!(out.stats.nodes.total(), 16 + 16 + 15 + 30);
-        assert!(out.script.contains("mkfifo"));
+        assert!(emit_program(&out.plan, &EmitConfig::default()).contains("mkfifo"));
         assert!(out.stats.compile_time.as_secs() < 5);
         // The plan mirrors the transformed graph.
         assert_eq!(out.plan.region_count(), 1);
@@ -424,7 +416,7 @@ mod tests {
         )
         .expect("compile");
         assert_eq!(out.stats.regions, 1);
-        assert!(out.script.contains("data.txt"));
+        assert!(emit_program(&out.plan, &EmitConfig::default()).contains("data.txt"));
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! # Examples
 //!
 //! ```
+//! use pash_core::backend::{emit_program, EmitConfig};
 //! use pash_core::compile::{compile, PashConfig};
 //!
 //! let cfg = PashConfig { width: 4, ..Default::default() };
 //! let out = compile("cat in.txt | tr A-Z a-z | grep foo > out.txt", &cfg).unwrap();
-//! assert!(out.script.contains("mkfifo"));
+//! assert!(emit_program(&out.plan, &EmitConfig::default()).contains("mkfifo"));
 //! ```
 
 pub mod annot;

@@ -451,17 +451,55 @@ impl RegionPlan {
 
     /// Parses one region's [`RegionPlan::dump`] text back into a
     /// region — the wire format the remote backend ships a region
-    /// over. Delegates to [`ExecutionPlan::parse_dump`] (so the text
-    /// gets the same structural checks and [`RegionPlan::validate`]
-    /// pass as a full plan) and requires the text to be exactly one
-    /// region step.
+    /// over, and the inverse that makes the dump an actual
+    /// serialization format. The text must be exactly one region;
+    /// every structural error is reported rather than panicked on, and
+    /// the region is [`RegionPlan::validate`]d, so a truncated or
+    /// damaged dump surfaces as `Err`, never as an out-of-bounds region
+    /// handed to a backend.
     pub fn parse_dump(text: &str) -> Result<RegionPlan, String> {
-        let plan = ExecutionPlan::parse_dump(&format!("plan v1\n{text}"))?;
-        match <[PlanStep; 1]>::try_from(plan.steps) {
-            Ok([PlanStep::Region(r)]) => Ok(r),
-            Ok(_) => Err("expected a region step".to_string()),
-            Err(steps) => Err(format!("expected exactly one region, got {}", steps.len())),
+        let mut lines = text.lines().enumerate();
+        let header = lines.next().map_or("", |(_, l)| l);
+        let err = |msg: &str| format!("line 1: {msg}");
+        let rest = header
+            .strip_prefix("region nodes=")
+            .ok_or_else(|| err("expected a region header"))?;
+        let (nnodes, rest) = parse_usize(rest).map_err(|e| err(&e))?;
+        let rest = rest
+            .strip_prefix(" edges=")
+            .ok_or_else(|| err("expected ` edges=`"))?;
+        let (nedges, rest) = parse_usize(rest).map_err(|e| err(&e))?;
+        let rest = rest
+            .strip_prefix(" replayable=")
+            .ok_or_else(|| err("expected ` replayable=`"))?;
+        let (replayable, rest) = parse_bool(rest).map_err(|e| err(&e))?;
+        if !rest.is_empty() {
+            return Err(err("trailing junk after region header"));
         }
+        let mut edges = Vec::new();
+        for i in 0..nedges {
+            let (ln, line) = lines
+                .next()
+                .ok_or_else(|| format!("edge e{i}: unexpected end of dump"))?;
+            edges.push(parse_edge_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?);
+        }
+        let mut nodes = Vec::new();
+        for i in 0..nnodes {
+            let (ln, line) = lines
+                .next()
+                .ok_or_else(|| format!("node n{i}: unexpected end of dump"))?;
+            nodes.push(parse_node_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?);
+        }
+        if let Some((ln, _)) = lines.next() {
+            return Err(format!("line {}: trailing junk after the region", ln + 1));
+        }
+        let region = RegionPlan {
+            nodes,
+            edges,
+            replayable,
+        };
+        region.validate()?;
+        Ok(region)
     }
 
     /// Node ids that produce region outputs.
@@ -738,81 +776,6 @@ impl ExecutionPlan {
     /// hashable identity of the plan.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.dump().as_bytes())
-    }
-
-    /// Parses a [`ExecutionPlan::dump`] rendering back into a plan —
-    /// the inverse that makes the dump an actual serialization format
-    /// (the on-disk plan-cache tier stores dumps and re-parses them on
-    /// a warm start). Every structural error is reported rather than
-    /// panicked on, and each region is [`RegionPlan::validate`]d, so a
-    /// truncated or hand-damaged file surfaces as `Err`, never as an
-    /// out-of-bounds plan handed to a backend.
-    pub fn parse_dump(text: &str) -> Result<ExecutionPlan, String> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, "plan v1")) => {}
-            other => return Err(format!("bad header: {:?}", other.map(|(_, l)| l))),
-        }
-        let mut steps = Vec::new();
-        while let Some((ln, line)) = lines.next() {
-            let err = |msg: &str| format!("line {}: {msg}", ln + 1);
-            if line == "guard if-success" {
-                steps.push(PlanStep::Guard(GuardCond::IfSuccess));
-            } else if line == "guard if-failure" {
-                steps.push(PlanStep::Guard(GuardCond::IfFailure));
-            } else if let Some(rest) = line.strip_prefix("shell noop=") {
-                let (data_noop, rest) = parse_bool(rest).map_err(|e| err(&e))?;
-                let rest = rest
-                    .strip_prefix(' ')
-                    .ok_or_else(|| err("expected space"))?;
-                let (text, rest) = parse_quoted(rest).map_err(|e| err(&e))?;
-                if !rest.is_empty() {
-                    return Err(err("trailing junk after shell text"));
-                }
-                steps.push(PlanStep::Shell { text, data_noop });
-            } else if let Some(rest) = line.strip_prefix("region nodes=") {
-                let (nnodes, rest) = parse_usize(rest).map_err(|e| err(&e))?;
-                let rest = rest
-                    .strip_prefix(" edges=")
-                    .ok_or_else(|| err("expected ` edges=`"))?;
-                let (nedges, rest) = parse_usize(rest).map_err(|e| err(&e))?;
-                let rest = rest
-                    .strip_prefix(" replayable=")
-                    .ok_or_else(|| err("expected ` replayable=`"))?;
-                let (replayable, rest) = parse_bool(rest).map_err(|e| err(&e))?;
-                if !rest.is_empty() {
-                    return Err(err("trailing junk after region header"));
-                }
-                let mut edges = Vec::with_capacity(nedges);
-                for i in 0..nedges {
-                    let (ln, line) = lines
-                        .next()
-                        .ok_or_else(|| format!("edge e{i}: unexpected end of dump"))?;
-                    edges.push(
-                        parse_edge_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?,
-                    );
-                }
-                let mut nodes = Vec::with_capacity(nnodes);
-                for i in 0..nnodes {
-                    let (ln, line) = lines
-                        .next()
-                        .ok_or_else(|| format!("node n{i}: unexpected end of dump"))?;
-                    nodes.push(
-                        parse_node_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?,
-                    );
-                }
-                let region = RegionPlan {
-                    nodes,
-                    edges,
-                    replayable,
-                };
-                region.validate()?;
-                steps.push(PlanStep::Region(region));
-            } else {
-                return Err(err("unrecognized step"));
-            }
-        }
-        Ok(ExecutionPlan { steps })
     }
 
     /// Groups step indices into *waves*: steps within a wave are
@@ -1835,79 +1798,78 @@ mod tests {
         for (src, split) in scripts {
             for width in [1, 4, 8] {
                 let plan = lowered_with(src, width, split);
-                let dump = plan.dump();
-                let parsed = ExecutionPlan::parse_dump(&dump)
-                    .unwrap_or_else(|e| panic!("{src:?} w={width}: parse failed: {e}"));
-                assert_eq!(parsed, plan, "{src:?} w={width}: structural round-trip");
-                assert_eq!(parsed.dump(), dump, "{src:?} w={width}: dump round-trip");
-                assert_eq!(parsed.fingerprint(), plan.fingerprint());
+                assert!(plan.region_count() > 0, "{src:?}");
+                for r in plan.regions() {
+                    let dump = r.dump();
+                    let parsed = RegionPlan::parse_dump(&dump)
+                        .unwrap_or_else(|e| panic!("{src:?} w={width}: parse failed: {e}"));
+                    assert_eq!(&parsed, r, "{src:?} w={width}: structural round-trip");
+                    assert_eq!(parsed.dump(), dump, "{src:?} w={width}: dump round-trip");
+                    assert_eq!(parsed.fingerprint(), r.fingerprint());
+                }
             }
         }
     }
 
     #[test]
     fn parse_dump_unescapes_hostile_strings() {
-        let plan = ExecutionPlan {
-            steps: vec![
-                PlanStep::Shell {
-                    text: "echo \"a b\"\t\\ \u{1}\n'q'".to_string(),
-                    data_noop: false,
-                },
-                PlanStep::Region(RegionPlan {
-                    nodes: vec![PlanNode {
-                        op: PlanOp::Exec {
-                            argv: vec![
-                                Arg::Lit("grep".into()),
-                                Arg::Lit("sp ace \"q\" ] [ -> e9".into()),
-                                Arg::Stream(0),
-                            ],
-                            framed: false,
-                        },
-                        inputs: vec![0],
-                        outputs: vec![1],
-                        stdin_inputs: vec![],
-                        output_producer: true,
-                    }],
-                    edges: vec![
-                        PlanEdge {
-                            kind: EndpointKind::InputFile("weird name\n[0/2]".into()),
-                            from: None,
-                            to: Some(0),
-                        },
-                        PlanEdge {
-                            kind: EndpointKind::StdoutPipe,
-                            from: Some(0),
-                            to: None,
-                        },
+        let region = RegionPlan {
+            nodes: vec![PlanNode {
+                op: PlanOp::Exec {
+                    argv: vec![
+                        Arg::Lit("grep".into()),
+                        Arg::Lit("sp ace \"q\" ] [ -> e9\t\\ \u{1}\n'q'".into()),
+                        Arg::Stream(0),
                     ],
-                    replayable: false,
-                }),
+                    framed: false,
+                },
+                inputs: vec![0],
+                outputs: vec![1],
+                stdin_inputs: vec![],
+                output_producer: true,
+            }],
+            edges: vec![
+                PlanEdge {
+                    kind: EndpointKind::InputFile("weird name\n[0/2]".into()),
+                    from: None,
+                    to: Some(0),
+                },
+                PlanEdge {
+                    kind: EndpointKind::StdoutPipe,
+                    from: Some(0),
+                    to: None,
+                },
             ],
+            replayable: false,
         };
-        let dump = plan.dump();
-        let parsed = ExecutionPlan::parse_dump(&dump).expect("parse");
-        assert_eq!(parsed, plan);
+        let dump = region.dump();
+        let parsed = RegionPlan::parse_dump(&dump).expect("parse");
+        assert_eq!(parsed, region);
         assert_eq!(parsed.dump(), dump);
     }
 
     #[test]
     fn parse_dump_rejects_corruption() {
         let plan = lowered_with("cat in.txt | sort | uniq -c > o", 4, SplitPolicy::Sized);
-        let dump = plan.dump();
-        // Whole-file damage: bad header, truncation mid-region.
-        assert!(ExecutionPlan::parse_dump("plan v2\n").is_err());
-        assert!(ExecutionPlan::parse_dump(&dump[..dump.len() / 2]).is_err());
+        let dump = first_region(&plan).dump();
+        // Whole-text damage: a plan-level line where the region header
+        // belongs, a header whose counts outrun the text, truncation
+        // mid-region.
+        assert!(RegionPlan::parse_dump(&plan.dump()).is_err());
+        let huge = format!("region nodes={0} edges={0} replayable=true\n", usize::MAX);
+        assert!(RegionPlan::parse_dump(&huge).is_err());
+        assert!(RegionPlan::parse_dump(&dump[..dump.len() / 2]).is_err());
         // Structural damage: an edge id pushed out of range must be
         // caught by validation, not trusted.
         let broken = dump.replace("e0", "e99");
-        assert!(ExecutionPlan::parse_dump(&broken).is_err());
+        assert!(RegionPlan::parse_dump(&broken).is_err());
         // Line-level junk.
         let mut with_junk = dump.clone();
         with_junk.push_str("gibberish step\n");
-        assert!(ExecutionPlan::parse_dump(&with_junk).is_err());
+        assert!(RegionPlan::parse_dump(&with_junk).is_err());
         // The pristine dump still parses (the mutations above did not
         // accidentally target a universally-fatal property).
-        assert!(ExecutionPlan::parse_dump(&dump).is_ok());
+        assert!(RegionPlan::parse_dump(&dump).is_ok());
     }
 
     #[test]

@@ -33,22 +33,16 @@ pub trait Fs: Send + Sync {
         )))
     }
 
-    /// Reads the byte range `[start, end)` of a file (clamped to the
-    /// file length). The default implementation opens the file and
-    /// skips to `start`; backends with random access override it so a
-    /// k-wide stage reads O(len/k) bytes per copy instead of the
-    /// whole file.
-    fn read_range(&self, path: &str, start: u64, end: u64) -> io::Result<Vec<u8>> {
-        // Open before the empty-range check so a missing file is an
-        // error on every backend, empty range or not.
+    /// Opens the byte range `[start, end)` of a file (clamped to the
+    /// file length; empty when `end <= start`) as a reader. A missing
+    /// file is an error whatever the range. The default implementation
+    /// opens the file and skips to `start`; backends with random access
+    /// override it so a k-wide stage reads O(len/k) bytes per copy
+    /// instead of the whole file.
+    fn open_range(&self, path: &str, start: u64, end: u64) -> io::Result<Box<dyn Read + Send>> {
         let mut r = self.open(path)?;
-        if end <= start {
-            return Ok(Vec::new());
-        }
         io::copy(&mut Read::by_ref(&mut r).take(start), &mut io::sink())?;
-        let mut out = Vec::new();
-        r.take(end - start).read_to_end(&mut out)?;
-        Ok(out)
+        Ok(Box::new(r.take(end.saturating_sub(start))))
     }
 }
 
@@ -154,14 +148,7 @@ fn not_found(path: &str) -> io::Error {
 
 impl Fs for MemFs {
     fn open(&self, path: &str) -> io::Result<Box<dyn Read + Send>> {
-        let data = self
-            .files
-            .lock()
-            .expect("MemFs lock poisoned")
-            .get(&normalize(path))
-            .cloned()
-            .ok_or_else(|| not_found(path))?;
-        Ok(Box::new(ArcReader { data, pos: 0 }))
+        self.open_range(path, 0, u64::MAX)
     }
 
     fn create(&self, path: &str) -> io::Result<Box<dyn Write + Send>> {
@@ -181,7 +168,7 @@ impl Fs for MemFs {
             .ok_or_else(|| not_found(path))
     }
 
-    fn read_range(&self, path: &str, start: u64, end: u64) -> io::Result<Vec<u8>> {
+    fn open_range(&self, path: &str, start: u64, end: u64) -> io::Result<Box<dyn Read + Send>> {
         let data = self
             .files
             .lock()
@@ -190,9 +177,9 @@ impl Fs for MemFs {
             .cloned()
             .ok_or_else(|| not_found(path))?;
         let len = data.len() as u64;
-        let s = start.min(len) as usize;
-        let e = (end.min(len) as usize).max(s);
-        Ok(data[s..e].to_vec())
+        let pos = start.min(len) as usize;
+        let end = (end.min(len) as usize).max(pos);
+        Ok(Box::new(ArcReader { data, pos, end }))
     }
 
     fn list(&self, dir: &str) -> io::Result<Vec<String>> {
@@ -214,19 +201,31 @@ impl Fs for MemFs {
     }
 }
 
-/// A reader over shared immutable file contents.
+/// A reader over `data[pos..end]` of shared immutable file contents
+/// (`pos <= end <= data.len()`).
 struct ArcReader {
     data: Arc<Vec<u8>>,
     pos: usize,
+    end: usize,
 }
 
 impl Read for ArcReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = &self.data[self.pos.min(self.data.len())..];
+        let remaining = &self.data[self.pos..self.end];
         let n = remaining.len().min(buf.len());
         buf[..n].copy_from_slice(&remaining[..n]);
         self.pos += n;
         Ok(n)
+    }
+
+    /// The length is known: one exact reservation and one copy for a
+    /// consumer that takes its whole input (`sort`), where the default
+    /// grows the buffer by doubling.
+    fn read_to_end(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
+        let rest = &self.data[self.pos..self.end];
+        buf.extend_from_slice(rest);
+        self.pos = self.end;
+        Ok(rest.len())
     }
 }
 
@@ -294,16 +293,11 @@ impl Fs for RealFs {
         Ok(std::fs::metadata(self.resolve(path))?.len())
     }
 
-    fn read_range(&self, path: &str, start: u64, end: u64) -> io::Result<Vec<u8>> {
+    fn open_range(&self, path: &str, start: u64, end: u64) -> io::Result<Box<dyn Read + Send>> {
         use std::io::Seek;
         let mut f = std::fs::File::open(self.resolve(path))?;
-        if end <= start {
-            return Ok(Vec::new());
-        }
         f.seek(io::SeekFrom::Start(start))?;
-        let mut out = Vec::new();
-        f.take(end - start).read_to_end(&mut out)?;
-        Ok(out)
+        Ok(Box::new(f.take(end.saturating_sub(start))))
     }
 
     fn list(&self, dir: &str) -> io::Result<Vec<String>> {
@@ -412,24 +406,27 @@ mod tests {
         assert_eq!(Arc::strong_count(&data), 2);
     }
 
-    #[test]
-    fn memfs_read_range_native() {
-        let fs = MemFs::new();
-        fs.add("r.txt", b"0123456789".to_vec());
-        assert_eq!(fs.read_range("r.txt", 2, 5).expect("range"), b"234");
-        assert_eq!(
-            fs.read_range("r.txt", 0, 100).expect("range"),
-            b"0123456789"
-        );
-        assert_eq!(fs.read_range("r.txt", 7, 7).expect("range"), b"");
-        assert_eq!(fs.read_range("r.txt", 20, 30).expect("range"), b"");
-        assert!(fs.read_range("nope", 0, 1).is_err());
-        // A missing file is an error even for an empty range.
-        assert!(fs.read_range("nope", 3, 3).is_err());
+    fn range(fs: &dyn Fs, path: &str, start: u64, end: u64) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        fs.open_range(path, start, end)?.read_to_end(&mut out)?;
+        Ok(out)
     }
 
     #[test]
-    fn default_read_range_matches_native() {
+    fn memfs_open_range_native() {
+        let fs = MemFs::new();
+        fs.add("r.txt", b"0123456789".to_vec());
+        assert_eq!(range(&fs, "r.txt", 2, 5).expect("range"), b"234");
+        assert_eq!(range(&fs, "r.txt", 0, 100).expect("range"), b"0123456789");
+        assert_eq!(range(&fs, "r.txt", 7, 7).expect("range"), b"");
+        assert_eq!(range(&fs, "r.txt", 20, 30).expect("range"), b"");
+        assert!(range(&fs, "nope", 0, 1).is_err());
+        // A missing file is an error even for an empty range.
+        assert!(range(&fs, "nope", 3, 3).is_err());
+    }
+
+    #[test]
+    fn default_open_range_matches_native() {
         // A wrapper that hides MemFs's override, forcing the trait's
         // open+skip fallback.
         struct OpenOnly(MemFs);
@@ -452,19 +449,19 @@ mod tests {
         let fallback = OpenOnly(fs.clone());
         for (s, e) in [(0, 0), (0, 4), (3, 9), (5, 100), (9, 3)] {
             assert_eq!(
-                fallback.read_range("r.txt", s, e).expect("fallback"),
-                fs.read_range("r.txt", s, e).expect("native"),
+                range(&fallback, "r.txt", s, e).expect("fallback"),
+                range(&fs, "r.txt", s, e).expect("native"),
                 "range [{s}, {e})"
             );
         }
         // Missing files error through the fallback too, even when the
         // requested range is empty.
-        assert!(fallback.read_range("nope", 0, 0).is_err());
-        assert!(fallback.read_range("nope", 0, 5).is_err());
+        assert!(range(&fallback, "nope", 0, 0).is_err());
+        assert!(range(&fallback, "nope", 0, 5).is_err());
     }
 
     #[test]
-    fn realfs_read_range_seeks() {
+    fn realfs_open_range_seeks() {
         let dir = std::env::temp_dir().join(format!("pash-fs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let fs = RealFs::new(&dir);
@@ -472,8 +469,11 @@ mod tests {
             let mut w = fs.create("f.txt").expect("create");
             w.write_all(b"hello world").expect("write");
         }
-        assert_eq!(fs.read_range("f.txt", 6, 11).expect("range"), b"world");
-        assert_eq!(fs.read_range("f.txt", 6, 6).expect("range"), b"");
+        assert_eq!(range(&fs, "f.txt", 6, 11).expect("range"), b"world");
+        assert_eq!(range(&fs, "f.txt", 6, 6).expect("range"), b"");
+        assert_eq!(range(&fs, "f.txt", 9, 3).expect("range"), b"");
+        assert_eq!(range(&fs, "f.txt", 6, 100).expect("range"), b"world");
+        assert!(range(&fs, "nope", 2, 2).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,9 +5,9 @@
 //! pash-rt eager [--blocking]               # stdin → stdout relay
 //! pash-rt split [--sized] OUT…             # scatter stdin to files
 //! pash-rt r_split [--raw] OUT…             # deal tagged blocks to files
-//! pash-rt fileseg PATH PART OF             # one file segment to stdout
 //! pash-rt --in P… agg pash-agg-… [ARGS]    # aggregator over inputs
 //! pash-rt [--stdin P] [--stdout P] CMD     # any coreutils command
+//! pash-rt --stdin-seg PATH PART OF CMD     # … over one file segment
 //! ```
 //!
 //! The same program as `pashc` under the role name emitted scripts and

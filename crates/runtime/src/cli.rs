@@ -3,7 +3,7 @@
 //!
 //! One program under two role names (the roles `$PASHC` / `$PASH_RT`
 //! play in emitted scripts): every coreutils command plus the runtime
-//! primitives (`eager`, `split`, `r_split`, `agg`, `fileseg`), so every
+//! primitives (`eager`, `split`, `r_split`, `agg`), so every
 //! [`PlanOp`] is runnable as a standalone OS process. This module does
 //! not execute ops itself: it parses its argv — the rendering of a
 //! [`pash_core::plan::SpawnSpec`] — back into the [`PlanOp`] it denotes,
@@ -11,7 +11,7 @@
 //! executor's [`run_node`]. What a node does is therefore written once,
 //! whichever backend runs it.
 //!
-//! # FIFO redirection (`--stdin` / `--stdout`)
+//! # Redirections (`--stdin` / `--stdin-seg` / `--stdout`)
 //!
 //! The process backend wires internal plan edges as named FIFOs.
 //! Opening a FIFO blocks until the peer end opens, so the *parent*
@@ -25,6 +25,14 @@
 //! The open happens here, in the child, after every node of the
 //! region has been spawned — exactly when `sh` would perform `<`/`>`
 //! redirections in a background job.
+//!
+//! A file-segment edge is opened the same way, by the node that reads
+//! it — `sh` has no redirection for "lines 2/4 of this file", so both
+//! the process backend and emitted scripts spell it
+//!
+//! ```text
+//! pashc --stdin-seg in.txt 1 4 --stdout /tmp/fifo-out tr A-Z a-z
+//! ```
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -35,13 +43,28 @@ use pash_coreutils::Registry;
 
 use crate::exec::run_node;
 use crate::fault::{parse_env_spec, FaultyWriter, INFRA_STATUS};
-use crate::fileseg::read_segment;
+use crate::fileseg::open_segment;
 
-/// Leading `--stdin PATH` / `--stdout PATH` / `--in PATH` redirections
-/// plus the valueless `--framed` worker-mode flag.
+/// What a redirected standard input reads.
+#[derive(Debug, PartialEq, Eq)]
+enum StdinFrom {
+    /// `--stdin PATH`: a file or FIFO, whole.
+    Path(String),
+    /// `--stdin-seg PATH PART OF`: line-aligned segment `part` of `of`
+    /// of a file ([`crate::fileseg`]).
+    Segment {
+        path: String,
+        part: usize,
+        of: usize,
+    },
+}
+
+/// Leading `--stdin PATH` / `--stdin-seg PATH PART OF` / `--stdout
+/// PATH` / `--in PATH` redirections plus the valueless `--framed`
+/// worker-mode flag.
 #[derive(Debug, Default)]
 struct Redirections {
-    stdin: Option<String>,
+    stdin: Option<StdinFrom>,
     stdout: Option<String>,
     /// Ordered input operands for the `agg` subcommand.
     ins: Vec<String>,
@@ -53,36 +76,57 @@ struct Redirections {
 impl Redirections {
     /// Splits redirections off the front of `args`.
     fn parse(args: &[String]) -> io::Result<(Redirections, &[String])> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         let mut redir = Redirections::default();
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
-            if flag == "--framed" {
-                redir.framed = true;
-                i += 1;
-                continue;
-            }
-            if !matches!(flag, "--stdin" | "--stdout" | "--in") {
-                break;
-            }
-            let path = args.get(i + 1).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, format!("{flag} needs a path"))
-            })?;
-            match flag {
-                "--stdin" => redir.stdin = Some(path.clone()),
-                "--stdout" => redir.stdout = Some(path.clone()),
-                _ => redir.ins.push(path.clone()),
-            }
-            i += 2;
+            i += match (flag, &args[i + 1..]) {
+                ("--framed", _) => {
+                    redir.framed = true;
+                    1
+                }
+                ("--stdin", [path, ..]) => {
+                    redir.stdin = Some(StdinFrom::Path(path.clone()));
+                    2
+                }
+                ("--stdin-seg", [path, part, of, ..]) => {
+                    let number = |what: &str, s: &String| {
+                        s.parse::<usize>()
+                            .map_err(|_| invalid(format!("--stdin-seg: bad {what} `{s}`")))
+                    };
+                    redir.stdin = Some(StdinFrom::Segment {
+                        path: path.clone(),
+                        part: number("PART", part)?,
+                        of: number("OF", of)?,
+                    });
+                    4
+                }
+                ("--stdout", [path, ..]) => {
+                    redir.stdout = Some(path.clone());
+                    2
+                }
+                ("--in", [path, ..]) => {
+                    redir.ins.push(path.clone());
+                    2
+                }
+                ("--stdin-seg", _) => return Err(invalid(format!("{flag} needs PATH PART OF"))),
+                ("--stdin" | "--stdout" | "--in", _) => {
+                    return Err(invalid(format!("{flag} needs a path")))
+                }
+                _ => break,
+            };
         }
         Ok((redir, &args[i..]))
     }
 
     /// Opens the input side: the redirected file (blocking until a
-    /// FIFO peer arrives) or the process's stdin.
-    fn open_stdin(&self) -> io::Result<Box<dyn Read + Send>> {
+    /// FIFO peer arrives), the redirected segment of a file of `fs`, or
+    /// the process's stdin.
+    fn open_stdin(&self, fs: &dyn Fs) -> io::Result<Box<dyn Read + Send>> {
         Ok(match &self.stdin {
-            Some(p) => Box::new(std::fs::File::open(p)?),
+            Some(StdinFrom::Path(p)) => Box::new(std::fs::File::open(p)?),
+            Some(StdinFrom::Segment { path, part, of }) => open_segment(fs, path, *part, *of)?,
             None => Box::new(io::stdin()),
         })
     }
@@ -161,24 +205,6 @@ fn denoted_op(framed: bool, name: &str, rest: &[String]) -> io::Result<(PlanOp, 
     })
 }
 
-/// `fileseg PATH PART OF`: one line-aligned segment of a file on
-/// stdout. An edge kind rather than an op — the other backends read
-/// the segment while wiring the edge — so it does not go through
-/// [`run_node`].
-fn run_fileseg(rest: &[String], redir: &Redirections, fs: &Arc<dyn Fs>) -> io::Result<i32> {
-    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    let [path, part, of] = rest else {
-        return Err(invalid("usage: fileseg PATH PART OF"));
-    };
-    let part: usize = part.parse().map_err(|_| invalid("bad PART"))?;
-    let of: usize = of.parse().map_err(|_| invalid("bad OF"))?;
-    let data = read_segment(fs, path, part, of)?;
-    let mut out = redir.open_stdout()?;
-    out.write_all(&data)?;
-    out.flush()?;
-    Ok(0)
-}
-
 /// Runs one multi-call invocation; returns the exit status.
 ///
 /// The filesystem is the host's, rooted at the working directory —
@@ -187,17 +213,17 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
     let (redir, rest) = Redirections::parse(args)?;
     let registry = Registry::standard();
     let Some((name, rest)) = rest.split_first() else {
-        eprintln!("usage: pashc|pash-rt [--stdin PATH] [--stdout PATH] COMMAND [ARGS…]");
         eprintln!(
-            "commands: {} + eager split r_split agg fileseg",
+            "usage: pashc|pash-rt [--stdin PATH | --stdin-seg PATH PART OF] [--stdout PATH] \
+             COMMAND [ARGS…]"
+        );
+        eprintln!(
+            "commands: {} + eager split r_split agg",
             registry.names().join(" ")
         );
         return Ok(2);
     };
     let fs: Arc<dyn Fs> = Arc::new(RealFs::new(std::env::current_dir()?));
-    if name == "fileseg" {
-        return run_fileseg(rest, &redir, &fs);
-    }
     let (op, split_outs) = denoted_op(redir.framed, name, rest)?;
     // This process, not its parent, opens what the argv names: an open
     // of a FIFO blocks until the peer's.
@@ -207,7 +233,7 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
                 .iter()
                 .map(|o| fs.create(o))
                 .collect::<io::Result<Vec<_>>>()?;
-            (vec![redir.open_stdin()?], outs)
+            (vec![redir.open_stdin(fs.as_ref())?], outs)
         }
         PlanOp::Aggregate { .. } => {
             let ins = redir
@@ -217,7 +243,14 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
                 .collect::<io::Result<Vec<_>>>()?;
             (ins, vec![redir.open_stdout()?])
         }
-        _ => (vec![redir.open_stdin()?], vec![redir.open_stdout()?]),
+        _ => {
+            // An input that cannot be opened still gets its output
+            // opened, and closed: a peer blocked in the open of that
+            // FIFO's other end would otherwise wait for ever.
+            let stdin = redir.open_stdin(fs.as_ref());
+            let stdout = redir.open_stdout()?;
+            (vec![stdin?], vec![stdout])
+        }
     };
     let mut stderr = io::stderr().lock();
     // A command's standard input is its one input.
@@ -282,7 +315,7 @@ mod tests {
     fn redirections_split_off_the_front() {
         let args = s(&["--stdin", "a", "--stdout", "b", "grep", "--stdin"]);
         let (redir, rest) = Redirections::parse(&args).expect("parse");
-        assert_eq!(redir.stdin.as_deref(), Some("a"));
+        assert_eq!(redir.stdin, Some(StdinFrom::Path("a".to_string())));
         assert_eq!(redir.stdout.as_deref(), Some("b"));
         // Later words are command args even if they look like flags.
         assert_eq!(rest, &s(&["grep", "--stdin"])[..]);
@@ -298,7 +331,7 @@ mod tests {
         let args = s(&["--framed", "--stdin", "a", "--stdout", "b", "grep", "x"]);
         let (redir, rest) = Redirections::parse(&args).expect("parse");
         assert!(redir.framed);
-        assert_eq!(redir.stdin.as_deref(), Some("a"));
+        assert_eq!(redir.stdin, Some(StdinFrom::Path("a".to_string())));
         assert_eq!(rest, &s(&["grep", "x"])[..]);
         // Redirections first, flag after — order must not matter.
         let args = s(&["--stdin", "a", "--framed", "grep", "x"]);
@@ -309,12 +342,13 @@ mod tests {
 
     /// The round trip the `processes` and `shell` backends rely on:
     /// what `spawn_spec` renders, this module reads back as the node's
-    /// own op.
+    /// own op — and the input redirection in front of it as the edge
+    /// it names.
     #[test]
     fn spawn_specs_parse_back_to_their_ops() {
         use pash_core::compile::{compile, PashConfig};
         use pash_core::dfg::transform::{EagerPolicy, SplitPolicy};
-        use pash_core::plan::{PlanNode, SpawnWord};
+        use pash_core::plan::{EndpointKind, PlanNode, RegionPlan, SpawnWord};
 
         // Stateless and pure stages over file and pipe sources, a
         // parallel stage after a sequential one (a multi-input cat), a
@@ -324,11 +358,28 @@ mod tests {
                       paste a.txt b.txt > p.txt\n\
                       tr a-z A-Z | grep X | wc -l";
         let edge = |kind: &str, k: usize| format!("{kind}{k}");
-        let argv_of = |node: &PlanNode| -> Vec<String> {
+        // A segment edge is named by what it is, every other input by
+        // a transport path.
+        let stdin_from = |r: Option<&RegionPlan>, node: &PlanNode, k: usize| match r
+            .map(|r| &r.edges[node.inputs[k]].kind)
+        {
+            Some(EndpointKind::InputSegment { path, part, of }) => StdinFrom::Segment {
+                path: path.clone(),
+                part: *part,
+                of: *of,
+            },
+            _ => StdinFrom::Path(edge("in", k)),
+        };
+        let argv_of = |r: Option<&RegionPlan>, node: &PlanNode| -> Vec<String> {
             let spec = node.spawn_spec();
             let mut argv = Vec::new();
-            if let Some(k) = spec.stdin_input {
-                argv.extend(["--stdin".to_string(), edge("in", k)]);
+            match spec.stdin_input.map(|k| stdin_from(r, node, k)) {
+                Some(StdinFrom::Path(p)) => argv.extend(["--stdin".to_string(), p]),
+                Some(StdinFrom::Segment { path, part, of }) => {
+                    argv.extend(["--stdin-seg".to_string(), path]);
+                    argv.extend([part.to_string(), of.to_string()]);
+                }
+                None => {}
             }
             if let Some(j) = spec.stdout_output {
                 argv.extend(["--stdout".to_string(), edge("out", j)]);
@@ -342,6 +393,7 @@ mod tests {
         };
         let mut seen = std::collections::BTreeSet::new();
         let mut seen_framed = false;
+        let mut seen_segment = false;
         for split in [SplitPolicy::Sized, SplitPolicy::RoundRobin] {
             for eager in [EagerPolicy::Full, EagerPolicy::Blocking] {
                 let cfg = PashConfig {
@@ -362,9 +414,12 @@ mod tests {
                     stdin_inputs: vec![0],
                     output_producer: false,
                 };
-                let lowered = compiled.plan.regions().flat_map(|r| &r.nodes);
-                for node in lowered.chain([&sized]) {
-                    let argv = argv_of(node);
+                let lowered = compiled
+                    .plan
+                    .regions()
+                    .flat_map(|r| r.nodes.iter().map(move |n| (Some(r), n)));
+                for (r, node) in lowered.chain([(None, &sized)]) {
+                    let argv = argv_of(r, node);
                     let (redir, rest) = Redirections::parse(&argv).expect("redirections");
                     let (name, rest) = rest.split_first().expect("command name");
                     let (op, outs) = denoted_op(redir.framed, name, rest).expect("op");
@@ -400,8 +455,9 @@ mod tests {
                         PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
                     };
                     assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
-                    let stdin = node.stdin_inputs.first().map(|&k| edge("in", k));
+                    let stdin = node.stdin_inputs.first().map(|&k| stdin_from(r, node, k));
                     if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
+                        seen_segment |= matches!(stdin, Some(StdinFrom::Segment { .. }));
                         assert_eq!(redir.stdin, stdin, "{argv:?}");
                     }
                     seen.insert(node.op.label());
@@ -423,5 +479,16 @@ mod tests {
         }
         assert!(seen.iter().any(|l| l.starts_with("pash-agg-")), "{seen:?}");
         assert!(seen_framed, "no framed worker in {seen:?}");
+        assert!(seen_segment, "no segment-fed node in {seen:?}");
+        // A segment redirection short of an operand, or with a PART or
+        // OF that is no number, is refused before anything is opened.
+        for bad in [
+            &["--stdin-seg", "f", "0"][..],
+            &["--stdin-seg", "f", "x", "2", "cat"],
+            &["--stdin-seg", "f", "0", "-1", "cat"],
+        ] {
+            let err = Redirections::parse(&s(bad)).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! *how* those edges move bytes, in the three ways the runtime knows:
 //!
 //! * [`MemEdges`] — in-process wiring for the `threads` backend:
-//!   cursors over file/segment bytes, a shared buffer collecting region
-//!   stdout, and internal pipe edges in one of two forms ([`Pipes`]):
-//!   bounded ring [`crate::pipe`]s when every node has a thread of its
-//!   own, or growable buffers a finished producer leaves behind for its
+//!   readers the consuming node pulls its file or file segment
+//!   through, a shared buffer collecting region stdout, and internal
+//!   pipe edges in one of two forms ([`Pipes`]): bounded ring
+//!   [`crate::pipe`]s when every node has a thread of its own, or
+//!   growable buffers a finished producer leaves behind for its
 //!   consumer to take whole when the region runs to completion on one
 //!   thread (see [`crate::exec`] for which schedule an attempt gets);
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
@@ -39,7 +40,7 @@ use pash_coreutils::fs::Fs;
 
 use crate::drive::Feed;
 use crate::fault::{ArmedFault, FaultKind, FaultMode, FaultyWriter};
-use crate::fileseg::read_segment;
+use crate::fileseg::open_segment;
 use crate::pipe::{pipe_monitored, PipeMonitor};
 use crate::wire::{bad_data, put_str, put_u32, put_u64, Cursor};
 
@@ -237,8 +238,7 @@ impl MemEdges {
                     writers.insert(e, w);
                 }
                 EndpointKind::InputSegment { path, part, of } => {
-                    let data = read_segment(fs, path, *part, *of)?;
-                    readers.insert(e, Box::new(io::Cursor::new(data)));
+                    readers.insert(e, open_segment(fs.as_ref(), path, *part, *of)?);
                 }
                 // Detached edges need no transport.
                 EndpointKind::Detached => {}

@@ -5,7 +5,7 @@
 //! The concatenation of all segments is exactly the file — the
 //! invariant the stateless law depends on (property-tested below).
 
-use std::io;
+use std::io::{self, Read};
 use std::sync::Arc;
 
 use pash_coreutils::fs::Fs;
@@ -45,10 +45,10 @@ const PROBE_BYTES: u64 = 4096;
 
 /// The aligned cut point before segment `i`, computed against the
 /// filesystem without reading the whole file: probes
-/// [`Fs::read_range`] windows forward from the raw offset until the
+/// [`Fs::open_range`] windows forward from the raw offset until the
 /// newline rule of [`cut_point`] resolves. Byte-for-byte equivalent
 /// to `cut_point` over the full contents (property-tested below).
-fn aligned_cut(fs: &Arc<dyn Fs>, path: &str, len: u64, i: usize, of: usize) -> io::Result<u64> {
+fn aligned_cut(fs: &dyn Fs, path: &str, len: u64, i: usize, of: usize) -> io::Result<u64> {
     if i == 0 {
         return Ok(0);
     }
@@ -67,7 +67,9 @@ fn aligned_cut(fs: &Arc<dyn Fs>, path: &str, len: u64, i: usize, of: usize) -> i
         let idx = p.saturating_sub(1);
         if idx < win_start || idx >= win_start + win.len() as u64 {
             win_start = idx;
-            win = fs.read_range(path, win_start, (win_start + PROBE_BYTES).min(len))?;
+            win.clear();
+            fs.open_range(path, win_start, (win_start + PROBE_BYTES).min(len))?
+                .read_to_end(&mut win)?;
             if win.is_empty() {
                 return Ok(len.min(p));
             }
@@ -80,24 +82,38 @@ fn aligned_cut(fs: &Arc<dyn Fs>, path: &str, len: u64, i: usize, of: usize) -> i
     Ok(len)
 }
 
-/// Reads segment `part` of `of` of a file.
+/// Opens segment `part` of `of` of a file: a reader bounded to the
+/// segment, for the consuming node to read at its own pace — no node,
+/// no process, no copy stands between the file and its consumer.
 ///
-/// Only the bytes near the two cut points plus the segment's own
-/// O(len/of) slice are read — a k-wide stage costs one file's worth
-/// of I/O in total, not k files' worth.
-pub fn read_segment(fs: &Arc<dyn Fs>, path: &str, part: usize, of: usize) -> io::Result<Vec<u8>> {
+/// Only the bytes near the two cut points are read here, and the
+/// reader covers the segment's own O(len/of) slice — a k-wide stage
+/// costs one file's worth of I/O in total, not k files' worth.
+pub fn open_segment(
+    fs: &dyn Fs,
+    path: &str,
+    part: usize,
+    of: usize,
+) -> io::Result<Box<dyn Read + Send>> {
     let len = fs.size(path)?;
     let of = of.max(1);
     let part = part.min(of - 1);
     let start = aligned_cut(fs, path, len, part, of)?;
     let end = aligned_cut(fs, path, len, part + 1, of)?;
-    fs.read_range(path, start, end)
+    fs.open_range(path, start, end)
+}
+
+/// [`open_segment`], read to its end.
+pub fn read_segment(fs: &Arc<dyn Fs>, path: &str, part: usize, of: usize) -> io::Result<Vec<u8>> {
+    let mut data = Vec::new();
+    open_segment(fs.as_ref(), path, part, of)?.read_to_end(&mut data)?;
+    Ok(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pash_coreutils::fs::MemFs;
+    use pash_coreutils::fs::{MemFs, RealFs};
     use proptest::prelude::*;
 
     fn segs(data: &[u8], k: usize) -> Vec<Vec<u8>> {
@@ -143,16 +159,62 @@ mod tests {
         assert!(parts[1..].iter().all(|p| p.is_empty()));
     }
 
+    /// Runs `check` on `data` as the file `f` of an in-memory and of a
+    /// host filesystem.
+    fn on_both_fs(tag: &str, data: &[u8], check: impl Fn(&Arc<dyn Fs>)) {
+        let mem = MemFs::new();
+        mem.add("f", data.to_vec());
+        check(&(Arc::new(mem) as Arc<dyn Fs>));
+        let dir = std::env::temp_dir().join(format!("pash-fileseg-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join("f"), data).expect("write");
+        check(&(Arc::new(RealFs::new(&dir)) as Arc<dyn Fs>));
+        std::fs::remove_dir_all(&dir).expect("rmdir");
+    }
+
+    /// Every segment reader yields exactly the in-memory bounds' slice,
+    /// and the readers concatenate to the file.
+    fn assert_segments_match(fs: &Arc<dyn Fs>, data: &[u8], k: usize) {
+        let mut joined = Vec::new();
+        for (part, expected) in segs(data, k).into_iter().enumerate() {
+            let mut got = Vec::new();
+            open_segment(fs.as_ref(), "f", part, k)
+                .expect("open")
+                .read_to_end(&mut got)
+                .expect("read");
+            assert_eq!(got, expected, "part {part}/{k} of {} bytes", data.len());
+            assert_eq!(read_segment(fs, "f", part, k).expect("read_segment"), got);
+            joined.extend_from_slice(&got);
+        }
+        assert_eq!(joined, data, "k = {k}");
+    }
+
     #[test]
-    fn read_segment_via_fs() {
-        let fs = MemFs::new();
-        fs.add("f", b"a\nb\nc\nd\n".to_vec());
-        let fs: Arc<dyn Fs> = Arc::new(fs);
-        let all: Vec<u8> = (0..3)
-            .map(|i| read_segment(&fs, "f", i, 3).expect("segment"))
-            .collect::<Vec<_>>()
-            .concat();
-        assert_eq!(all, b"a\nb\nc\nd\n");
+    fn segment_readers_match_in_memory_bounds_on_both_filesystems() {
+        // The second cut of the last case lands inside a line whose
+        // newline lies more than one probe window further on.
+        let straddling = [b"short\n".to_vec(), vec![b'y'; 9000], b"\ntail\n".to_vec()].concat();
+        let cases: [(&str, Vec<u8>); 5] = [
+            ("empty", Vec::new()),
+            ("one-unterminated-line", vec![b'x'; 10_000]),
+            ("no-final-newline", b"a\nbb\nccc".to_vec()),
+            ("fewer-lines-than-k", b"a\nb\n".to_vec()),
+            ("line-across-probe-windows", straddling),
+        ];
+        for (tag, data) in &cases {
+            on_both_fs(tag, data, |fs| {
+                for k in 1..=8 {
+                    assert_segments_match(fs, data, k);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_missing_file_is_an_error_not_an_empty_segment() {
+        on_both_fs("missing", b"x\n", |fs| {
+            assert!(open_segment(fs.as_ref(), "nope", 0, 2).is_err());
+        });
     }
 
     proptest! {
@@ -173,14 +235,14 @@ mod tests {
             prop_assert_eq!(joined, data);
         }
 
-        // The seek-based reader agrees with the in-memory bounds for
-        // every part, and its segments concatenate to exactly the
+        // The segment readers agree with the in-memory bounds for
+        // every part, and their segments concatenate to exactly the
         // file — including inputs with long lines and no trailing
         // newline.
         #[test]
-        fn prop_read_segment_matches_in_memory(
+        fn prop_open_segment_matches_in_memory(
             lines in proptest::collection::vec("[a-z]{0,40}", 0..30),
-            k in 1usize..10,
+            k in 1usize..9,
             trailing_newline in 0usize..2,
         ) {
             let mut data: Vec<u8> = lines
@@ -194,16 +256,7 @@ mod tests {
             if trailing_newline == 0 {
                 data.pop();
             }
-            let mem = MemFs::new();
-            mem.add("f", data.clone());
-            let fs: Arc<dyn Fs> = Arc::new(mem);
-            let mut joined = Vec::new();
-            for (part, expected) in segs(&data, k).into_iter().enumerate() {
-                let got = read_segment(&fs, "f", part, k).expect("segment");
-                prop_assert_eq!(&got, &expected, "part {}/{}", part, k);
-                joined.extend_from_slice(&got);
-            }
-            prop_assert_eq!(joined, data);
+            on_both_fs("prop", &data, |fs| assert_segments_match(fs, &data, k));
         }
 
         #[test]

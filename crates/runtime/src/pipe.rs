@@ -33,9 +33,7 @@
 //!   traffic.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Default capacity, matching the Linux pipe buffer.
 pub const DEFAULT_PIPE_CAPACITY: usize = 64 * 1024;
@@ -113,6 +111,15 @@ struct Shared {
     space_available: Condvar,
 }
 
+impl Shared {
+    /// Locks the ring, ignoring poison: no update to [`Inner`] panics
+    /// partway, so a peer that died holding the lock left it valid,
+    /// and the survivor must still see EOF or a broken pipe.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
 /// Creates a bounded pipe with the given capacity in bytes.
 pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
     let (w, r, _) = pipe_monitored(capacity);
@@ -159,7 +166,7 @@ impl PipeMonitor {
     /// is how a region deadline unwedges node threads stuck on a
     /// stalled edge.
     pub fn poison(&self) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         inner.poisoned = true;
         inner.reader_parked = false;
         inner.writer_parked = false;
@@ -189,7 +196,7 @@ impl Write for PipeWriter {
             return Ok(0);
         }
         let mut spins = 0;
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         loop {
             if inner.poisoned {
                 return Err(poisoned_error());
@@ -214,10 +221,11 @@ impl Write for PipeWriter {
                 spins += 1;
                 drop(inner);
                 std::thread::yield_now();
-                inner = self.shared.inner.lock();
+                inner = self.shared.lock();
             } else {
                 inner.writer_parked = true;
-                self.shared.space_available.wait(&mut inner);
+                let woken = self.shared.space_available.wait(inner);
+                inner = woken.unwrap_or_else(|p| p.into_inner());
             }
         }
     }
@@ -229,7 +237,7 @@ impl Write for PipeWriter {
 
 impl Drop for PipeWriter {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         inner.writer_closed = true;
         inner.reader_parked = false;
         self.shared.data_available.notify_one();
@@ -242,7 +250,7 @@ impl Read for PipeReader {
             return Ok(0);
         }
         let mut spins = 0;
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         loop {
             if inner.poisoned {
                 return Err(poisoned_error());
@@ -262,10 +270,11 @@ impl Read for PipeReader {
                 spins += 1;
                 drop(inner);
                 std::thread::yield_now();
-                inner = self.shared.inner.lock();
+                inner = self.shared.lock();
             } else {
                 inner.reader_parked = true;
-                self.shared.data_available.wait(&mut inner);
+                let woken = self.shared.data_available.wait(inner);
+                inner = woken.unwrap_or_else(|p| p.into_inner());
             }
         }
     }
@@ -273,7 +282,7 @@ impl Read for PipeReader {
 
 impl Drop for PipeReader {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         inner.reader_closed = true;
         inner.drop_buffered();
         inner.writer_parked = false;

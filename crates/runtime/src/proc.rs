@@ -14,8 +14,9 @@
 //!   redirections), so the parent never blocks in a FIFO open;
 //! * file edges resolve against the backend's root directory, which
 //!   is every child's working directory;
-//! * segment edges spawn a `pash-rt fileseg` producer whose stdout
-//!   pipes straight into the consumer;
+//! * segment edges are opened by the child that reads them too
+//!   (`--stdin-seg PATH PART OF`) — a region forks exactly one child
+//!   per plan node;
 //! * boundary stdin/stdout edges are anonymous pipes fed/drained by
 //!   parent threads.
 //!
@@ -268,17 +269,7 @@ fn run_region_attempt(
         .map(|d| Instant::now() + d);
 
     let mut children: Vec<Child> = Vec::with_capacity(r.nodes.len());
-    let mut helpers: Vec<Child> = Vec::new();
-    let result = spawn_and_reap(
-        r,
-        runner,
-        stdin,
-        &fifos,
-        fault,
-        deadline,
-        &mut children,
-        &mut helpers,
-    );
+    let result = spawn_and_reap(r, runner, stdin, &fifos, fault, deadline, &mut children);
     if result.is_err() {
         // A failure partway through spawning (a missing binary, an
         // unreadable input) must not leak the children already
@@ -287,7 +278,7 @@ fn run_region_attempt(
         // does not observe — and reap everything still running. A
         // deadline expiry lands here too: this is the escalation from
         // [`KILL_GRACE`] to an unconditional SIGKILL of the region.
-        for child in children.iter_mut().chain(helpers.iter_mut()) {
+        for child in children.iter_mut() {
             if !matches!(child.try_wait(), Ok(Some(_))) {
                 let _ = child.kill();
                 let _ = child.wait();
@@ -332,9 +323,8 @@ fn wait_deadline(
 
 /// The fallible body of [`run_region_attempt`]: spawns every node, waits on
 /// the output producers, and tears the region down. Children are
-/// pushed into the caller's vectors as they spawn, so an early `?`
+/// pushed into the caller's vector as they spawn, so an early `?`
 /// return leaves the caller holding everything that needs killing.
-#[allow(clippy::too_many_arguments)]
 fn spawn_and_reap(
     r: &RegionPlan,
     runner: &ProcessRunner,
@@ -343,7 +333,6 @@ fn spawn_and_reap(
     fault: Option<&ArmedFault>,
     deadline: Option<Instant>,
     children: &mut Vec<Child>,
-    helpers: &mut Vec<Child>,
 ) -> Result<RegionOutput, ExecError> {
     let mut feeders = Vec::new();
     let mut drains: Vec<(PlanNodeId, std::thread::JoinHandle<Vec<u8>>)> = Vec::new();
@@ -390,7 +379,9 @@ fn spawn_and_reap(
 
         // Standard-input routing. FIFO endpoints are passed by path
         // (`--stdin`) and opened by the child itself — a parent-side
-        // open would block until the peer spawns.
+        // open would block until the peer spawns. A segment is named
+        // (`--stdin-seg`) and opened by the child as well: the parent
+        // has no fd that ends at a segment's last line.
         let mut feed: Option<Feed> = None;
         match spec.stdin_input.map(|k| node.inputs[k]) {
             None => {
@@ -413,28 +404,11 @@ fn spawn_and_reap(
                     cmd.stdin(Stdio::from(f));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
-                    // A fileseg producer pipes straight into the node,
-                    // like the emitted `$PASH_RT fileseg … |` prefix.
-                    let mut h = Command::new(&runner.pash_rt);
-                    h.current_dir(root)
-                        .arg("fileseg")
+                    cmd.arg("--stdin-seg")
                         .arg(path)
                         .arg(part.to_string())
-                        .arg(of.to_string())
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::piped());
-                    let mut helper = h
-                        .spawn()
-                        .map_err(|e| ExecError::classify("spawn fileseg helper", e).at_node(id))?;
-                    let out = helper.stdout.take().ok_or_else(|| {
-                        ExecError::fatal(
-                            "spawn fileseg helper",
-                            io::Error::other("piped helper stdout missing"),
-                        )
-                        .at_node(id)
-                    })?;
-                    cmd.stdin(Stdio::from(out));
-                    helpers.push(helper);
+                        .arg(of.to_string());
+                    cmd.stdin(Stdio::null());
                 }
                 EndpointKind::StdinPipe { primary: true } if stdin.is_some() => {
                     cmd.stdin(Stdio::piped());
@@ -592,9 +566,6 @@ fn spawn_and_reap(
             kill_pipe(child.id());
         }
     }
-    for h in helpers.iter() {
-        kill_pipe(h.id());
-    }
     let grace = Instant::now() + KILL_GRACE;
     let mut other_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
     let reap = |child: &mut Child| -> io::Result<i32> {
@@ -622,9 +593,6 @@ fn spawn_and_reap(
                 prof.add_busy(id, spawned_at[id].elapsed());
             }
         }
-    }
-    for h in helpers.iter_mut() {
-        reap(h).map_err(|e| ExecError::classify("reap helper", e))?;
     }
     for f in feeders {
         let _ = f.join();
@@ -815,6 +783,88 @@ mod tests {
         assert_eq!(out.status, 0, "head (the producer) exits cleanly");
         let got = std::fs::read(root.join("out.txt")).expect("out.txt");
         assert_eq!(got, b"1999\n");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Early exit over segment-fed copies: `head` is done after one
+    /// line while four `tr` copies still have most of their segment to
+    /// write. Every process of the region is one of its nodes — the
+    /// binaries are wrapped to log each exec — so teardown signals and
+    /// reaps nothing else, and the bytes and status are the in-process
+    /// backend's.
+    #[test]
+    fn a_region_forks_one_child_per_node_and_head_exits_promptly() {
+        use std::os::unix::fs::PermissionsExt;
+        let Some(cfg) = located() else { return };
+        let corpus: Vec<u8> = (0..200_000)
+            .flat_map(|i| format!("Line {i} of the Corpus\n").into_bytes())
+            .collect();
+        let root = scratch_with(&[("in.txt", &corpus)]);
+        let runner = ProcessRunner::new(&cfg, &root).expect("binaries");
+        let log = root.join("forks.log");
+        let wrap = |name: &str, real: &Path| {
+            let path = root.join(name);
+            let text = format!(
+                "#!/bin/sh\necho {name} >> '{}'\nexec '{}' \"$@\"\n",
+                log.display(),
+                real.display()
+            );
+            std::fs::write(&path, text).expect("write wrapper");
+            std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+            Some(path)
+        };
+        let cfg = ProcSettings {
+            pashc: wrap("pashc-logged", &runner.pashc),
+            pash_rt: wrap("pash-rt-logged", &runner.pash_rt),
+            ..cfg.clone()
+        };
+        let src = "cat in.txt | tr A-Z a-z | head -n 1";
+        let compiled = compile(src, &PashConfig::best(4)).expect("compile");
+        let nodes: usize = compiled.plan.regions().map(|r| r.nodes.len()).sum();
+        let segments = compiled
+            .plan
+            .regions()
+            .flat_map(|r| &r.edges)
+            .filter(|e| matches!(e.kind, EndpointKind::InputSegment { .. }))
+            .count();
+        assert_eq!(segments, 4, "the copies read file segments");
+
+        let started = Instant::now();
+        let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+        assert!(
+            started.elapsed() < KILL_GRACE,
+            "teardown waited out the kill grace: {:?}",
+            started.elapsed()
+        );
+        let forks = std::fs::read_to_string(&log).expect("fork log");
+        assert_eq!(forks.lines().count(), nodes, "{forks}");
+
+        let mem = pash_coreutils::fs::MemFs::new();
+        mem.add("in.txt", corpus);
+        let threads = crate::exec::run_program(
+            &compiled.plan,
+            &pash_coreutils::Registry::standard(),
+            Arc::new(mem),
+            Vec::new(),
+            &crate::exec::ExecConfig::default(),
+        )
+        .expect("threads run");
+        assert_eq!(out.stdout, b"line 0 of the corpus\n");
+        assert_eq!((out.stdout, out.status), (threads.stdout, threads.status));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A copy that cannot open its segment still opens, and closes, the
+    /// FIFO it writes: its consumer sees an empty stream — what `sh`
+    /// gives `cat nope.txt | …` — rather than waiting for a peer that
+    /// is gone.
+    #[test]
+    fn an_unopenable_segment_reads_as_empty_not_as_a_hang() {
+        let src = "cat nope.txt | tr A-Z a-z | sort";
+        let Some((out, root)) = run_processes(src, 2, &[], b"") else {
+            return;
+        };
+        assert_eq!((out.stdout.as_slice(), out.status), (&b""[..], 0));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -8,8 +8,7 @@
 //! buffer (more pipelining than a bare FIFO, but still back-pressures).
 
 use std::io::{self, Read, Write};
-
-use crossbeam::channel;
+use std::sync::mpsc;
 
 /// Relay buffering modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,14 +32,23 @@ pub fn run_relay(
     mode: RelayMode,
 ) -> io::Result<u64> {
     const CHUNK: usize = 8 * 1024;
-    let (tx, rx) = match mode {
-        RelayMode::Full => channel::unbounded::<Vec<u8>>(),
-        RelayMode::Blocking(chunks) => channel::bounded::<Vec<u8>>(chunks.max(1)),
+    // One shape over `Sender` and `SyncSender`; `false`: downstream
+    // hung up.
+    type SendChunk = Box<dyn Fn(Vec<u8>) -> bool + Send>;
+    let (send, rx): (SendChunk, mpsc::Receiver<Vec<u8>>) = match mode {
+        RelayMode::Full => {
+            let (tx, rx) = mpsc::channel();
+            (Box::new(move |chunk| tx.send(chunk).is_ok()), rx)
+        }
+        RelayMode::Blocking(chunks) => {
+            let (tx, rx) = mpsc::sync_channel(chunks.max(1));
+            (Box::new(move |chunk| tx.send(chunk).is_ok()), rx)
+        }
     };
     // Consumed chunks flow back to the reader through this pool, so a
     // steady-state relay recycles a handful of buffers instead of
     // allocating a fresh `Vec` per 8 KiB of traffic.
-    let (pool_tx, pool_rx) = channel::unbounded::<Vec<u8>>();
+    let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
     // The eager half: consume input as fast as possible.
     let reader = std::thread::spawn(move || -> io::Result<()> {
         let mut buf = vec![0u8; CHUNK];
@@ -50,7 +58,7 @@ pub fn run_relay(
                 return Ok(());
             }
             buf.truncate(n);
-            if tx.send(buf).is_err() {
+            if !send(buf) {
                 // Downstream hung up: stop pulling.
                 return Ok(());
             }
@@ -61,7 +69,7 @@ pub fn run_relay(
     // The push half: forward to the consumer at its own pace.
     let mut total = 0u64;
     let mut push_err: Option<io::Error> = None;
-    for chunk in rx.iter() {
+    for chunk in &rx {
         if push_err.is_none() {
             match output.write_all(&chunk) {
                 Ok(()) => total += chunk.len() as u64,

@@ -577,18 +577,18 @@ impl ServiceMetrics {
 pub struct ServiceSettings {
     /// Admission-control width: how many runs may execute at once.
     pub max_concurrent_runs: usize,
-    /// How long shutdown waits for in-flight requests to finish
-    /// writing their responses before force-closing connections. The
-    /// drain guarantees no client whose request was already being
-    /// served sees a torn (half-written) response.
-    pub drain_deadline: std::time::Duration,
 }
+
+/// How long shutdown waits for in-flight requests to finish writing
+/// their responses before force-closing connections. The drain
+/// guarantees no client whose request was already being served sees a
+/// torn (half-written) response.
+const DRAIN_DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
 
 impl Default for ServiceSettings {
     fn default() -> Self {
         ServiceSettings {
             max_concurrent_runs: 2,
-            drain_deadline: std::time::Duration::from_secs(5),
         }
     }
 }
@@ -638,7 +638,7 @@ impl Drop for Registered {
 ///
 /// Returns after a [`Request::Shutdown`] is acknowledged and every
 /// connection has drained: in-flight requests get up to
-/// [`ServiceSettings::drain_deadline`] to finish writing their
+/// [`DRAIN_DEADLINE`] to finish writing their
 /// responses, then remaining connections are force-closed (waking
 /// readers blocked on idle clients) and the loop waits for every
 /// connection thread to leave the registry — so a client whose request
@@ -716,7 +716,7 @@ fn serve_registered(
     // response writes, then force-close whatever is left so readers
     // blocked on idle clients wake up, and wait for the registry to
     // empty as their threads end.
-    let deadline = Instant::now() + settings.drain_deadline;
+    let deadline = Instant::now() + DRAIN_DEADLINE;
     let pause = || std::thread::sleep(std::time::Duration::from_millis(5));
     loop {
         let any_busy = conns

@@ -121,7 +121,9 @@ pub struct SupervisorSettings {
     /// Retries after the first failed attempt of a replayable region.
     pub max_retries: u32,
     /// Backoff before retry `i` is `backoff_base × 2^(i-1)`, scaled
-    /// by the seeded jitter factor (see [`jittered_backoff`]).
+    /// by a jitter factor drawn from the region's fingerprint and the
+    /// attempt index (see [`jittered_backoff`]), so k regions retrying
+    /// a shared-cause fault spread out instead of resynchronizing.
     pub backoff_base: Duration,
     /// Wall-clock budget per region attempt; `None` disables the
     /// watchdog (the default — deadlines are opt-in because a fair
@@ -134,10 +136,6 @@ pub struct SupervisorSettings {
     pub fault: Option<FaultPlan>,
     /// Shared recovery counters.
     pub counters: Arc<SupervisorCounters>,
-    /// Seeds the deterministic backoff jitter; mixed with the region
-    /// fingerprint and attempt index so k regions retrying a
-    /// shared-cause fault spread out instead of resynchronizing.
-    pub jitter_seed: u64,
     /// Total retries one program run may spend across all its regions
     /// (`u32::MAX` = unbounded, the default). Installed per run by
     /// [`SupervisorSettings::fresh_run`]; once spent, further
@@ -159,7 +157,6 @@ impl Default for SupervisorSettings {
             fallback: true,
             fault: None,
             counters: Arc::new(SupervisorCounters::default()),
-            jitter_seed: 0,
             retry_budget: u32::MAX,
             run_budget: Arc::new(AtomicU32::new(u32::MAX)),
         }
@@ -257,8 +254,8 @@ pub fn supervise_ladder(
             }
             settings.counters.retries.fetch_add(1, Ordering::Relaxed);
             // Hashing the region is a retry's cost, not every run's.
-            let jitter = settings.jitter_seed ^ r.fingerprint();
-            std::thread::sleep(jittered_backoff(settings.backoff_base, i, jitter));
+            let backoff = jittered_backoff(settings.backoff_base, i, r.fingerprint());
+            std::thread::sleep(backoff);
         }
         let armed = settings.fault.as_ref().and_then(|f| runner.arm(f, r));
         if armed.is_some() {

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use pash::core::backend::{emit_program, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::{fs::MemFs, Registry};
 use pash::runtime::exec::{run_script, ExecConfig};
@@ -29,7 +30,10 @@ fn main() {
         compiled.stats.nodes.total(),
         compiled.stats.compile_time
     );
-    println!("\nemitted parallel script:\n{}", compiled.script);
+    println!(
+        "\nemitted parallel script:\n{}",
+        emit_program(&compiled.plan, &EmitConfig::default())
+    );
 
     // 2. Execute hermetically: sequential vs parallel must agree.
     let fs = Arc::new(MemFs::new());

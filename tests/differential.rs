@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 
+use pash::core::backend::{emit_program, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::fs::MemFs;
 use pash::{run, BackendOutput, ProcSettings, RunEnv};
@@ -253,7 +254,8 @@ fn observe_shell(
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     materialize(&fs, &dir);
-    std::fs::write(dir.join("parallel.sh"), &compiled.script).expect("write script");
+    let emitted = emit_program(&compiled.plan, &EmitConfig::default());
+    std::fs::write(dir.join("parallel.sh"), emitted).expect("write script");
     let mut child = Command::new("/bin/sh")
         .arg("parallel.sh")
         .current_dir(&dir)

@@ -9,7 +9,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use pash::core::backend::{emit_program, emit_region, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::fs::MemFs;
 use pash::runtime::exec::{run_script, ExecConfig};
@@ -29,42 +31,58 @@ fn build_binaries() -> Option<(PathBuf, PathBuf)> {
     runtime_binaries()
 }
 
-/// Compiles `script`, materializes `files` in a temp dir, runs the
-/// emitted script under `/bin/sh`, and returns the named output file.
+/// Compiles `script` with `cfg`, materializes `files` in a temp dir
+/// and runs the emitted script there under `/bin/sh`; returns the
+/// script's captured output beside the bytes of the `output` file it
+/// left behind.
+fn run_under_sh(
+    script: &str,
+    cfg: &PashConfig,
+    files: &[(&str, Vec<u8>)],
+    output: Option<&str>,
+) -> Option<(std::process::Output, Vec<u8>)> {
+    let (pashc, pash_rt) = build_binaries()?;
+    let compiled = pash::compile(script, cfg).expect("compile");
+    let dir = std::env::temp_dir().join(format!(
+        "pash-e2e-{}-{}-{}",
+        std::process::id(),
+        cfg.width,
+        files.iter().map(|(_, d)| d.len()).sum::<usize>()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, data) in files {
+        std::fs::write(dir.join(name), data).expect("write input");
+    }
+    let emitted = emit_program(&compiled.plan, &EmitConfig::default());
+    std::fs::write(dir.join("parallel.sh"), &emitted).expect("write script");
+    let out = Command::new("/bin/sh")
+        .arg("parallel.sh")
+        .current_dir(&dir)
+        .env("PASHC", &pashc)
+        .env("PASH_RT", &pash_rt)
+        .output()
+        .expect("run sh");
+    let left = output.map(|o| std::fs::read(dir.join(o)).expect("output file"));
+    let _ = std::fs::remove_dir_all(&dir);
+    Some((out, left.unwrap_or_default()))
+}
+
+/// [`run_under_sh`] at `width`, for a script that must succeed and
+/// leave its result in the `output` file.
 fn run_emitted(
     script: &str,
     files: &[(&str, Vec<u8>)],
     width: usize,
     output: &str,
 ) -> Option<Vec<u8>> {
-    let (pashc, pash_rt) = build_binaries()?;
     let cfg = PashConfig {
         width,
         ..Default::default()
     };
-    let compiled = pash::compile(script, &cfg).expect("compile");
-    let dir = std::env::temp_dir().join(format!("pash-e2e-{}-{width}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    for (name, data) in files {
-        std::fs::write(dir.join(name), data).expect("write input");
-    }
-    std::fs::write(dir.join("parallel.sh"), &compiled.script).expect("write script");
-    let status = Command::new("/bin/sh")
-        .arg("parallel.sh")
-        .current_dir(&dir)
-        .env("PASHC", &pashc)
-        .env("PASH_RT", &pash_rt)
-        .status()
-        .expect("run sh");
-    assert!(
-        status.success(),
-        "emitted script failed:\n{}",
-        compiled.script
-    );
-    let out = std::fs::read(dir.join(output)).expect("output file");
-    let _ = std::fs::remove_dir_all(&dir);
-    Some(out)
+    let (out, left) = run_under_sh(script, &cfg, files, Some(output))?;
+    assert!(out.status.success(), "emitted script failed: {script}");
+    Some(left)
 }
 
 /// The executor's sequential output as the reference.
@@ -129,4 +147,51 @@ fn emitted_comm_with_static_input() {
         Some(out) => assert_eq!(out, expected),
         None => eprintln!("skipping: no /bin/sh or binaries unavailable"),
     }
+}
+
+#[test]
+fn emitted_head_over_segments_launches_one_job_per_node() {
+    // Early exit over segment-fed copies: `head` is done after one line
+    // while four `tr` copies still hold most of their segment. Every
+    // background job of the region is one of its nodes — a copy opens
+    // its own segment (`--stdin-seg`), nothing is piped into it — so
+    // the cleanup signals exactly the pids it launched and the script
+    // returns at once, with the in-process backend's bytes and status.
+    let script = "cat in.txt | tr A-Z a-z | head -n 1";
+    let cfg = PashConfig::best(4);
+    let compiled = pash::compile(script, &cfg).expect("compile");
+    for (idx, r) in compiled.plan.regions().enumerate() {
+        let block = emit_region(r, idx, &EmitConfig::default());
+        assert_eq!(block.matches(" &\n").count(), r.nodes.len(), "{block}");
+        assert_eq!(block.matches(" --stdin-seg in.txt ").count(), 4, "{block}");
+        assert!(!block.contains(" | "), "{block}");
+    }
+
+    // Built (once per process) before the clock starts.
+    if build_binaries().is_none() {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    }
+    let files = vec![("in.txt", corpus(54, 4_000_000))];
+    let started = Instant::now();
+    let (out, _) = run_under_sh(script, &cfg, &files, None).expect("binaries are built");
+    let took = started.elapsed();
+
+    let fs = Arc::new(MemFs::new());
+    fs.add("in.txt", files[0].1.clone());
+    let threads = run_script(
+        script,
+        &cfg,
+        registry(),
+        fs,
+        Vec::new(),
+        &ExecConfig::default(),
+    )
+    .expect("threads run");
+    assert!(!threads.stdout.is_empty());
+    assert_eq!(
+        (out.stdout, out.status.code()),
+        (threads.stdout, Some(threads.status))
+    );
+    assert!(took < Duration::from_secs(5), "teardown took {took:?}");
 }
