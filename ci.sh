@@ -23,10 +23,14 @@
 #      Pike VM and free of DFA give-ups before timing), check the
 #      emitted BENCH_regex.json parses, and that every key looked for
 #      is in the checked-in BENCH_regex.json too;
-#   7. plan-determinism smoke (segment split and r_split plans);
+#   7. plan-determinism smoke (segment split and r_split plans), and
+#      the shape of the benchmark's `sort | uniq -c | sort -n` plan:
+#      the fold below the counted merge, a raw r_split behind it, no
+#      general split, 16 nodes at width 2;
 #   8. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output, whose
-#      script must name no `fileseg` producer; then
+#      script must name no `fileseg` producer, and the benchmark
+#      script the same way under `timeout`; then
 #      the threads backend on an input below one pipe buffer (the
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
@@ -136,6 +140,26 @@ test -s target/bench-smoke/plan_a.txt
     > target/bench-smoke/plan_rr_b.txt 2>/dev/null
 cmp target/bench-smoke/plan_rr_a.txt target/bench-smoke/plan_rr_b.txt
 grep -q 'split rr' target/bench-smoke/plan_rr_a.txt
+# The benchmark's sort-merge script: `uniq -c` runs below the sort's
+# merge (the counted merge adds the counts), `sort -n` behind it takes
+# raw round-robin blocks, and no general split is left on a pipe.
+FOLD_SCRIPT='cat in.txt | tr A-Z a-z | sort | uniq -c | sort -n > out.txt'
+./target/release/plandump --width 2 --split sized -e "$FOLD_SCRIPT" \
+    > target/bench-smoke/plan_fold.txt 2> target/bench-smoke/plan_fold.stats
+grep -q '^region nodes=16 ' target/bench-smoke/plan_fold.txt
+grep -q 'agg "pash-agg-sort-c"' target/bench-smoke/plan_fold.txt
+grep -q 'split rr framed=false' target/bench-smoke/plan_fold.txt
+grep -q 'commuted=1 splits_raw_rr=1' target/bench-smoke/plan_fold.stats
+if grep -q 'split sized=false' target/bench-smoke/plan_fold.txt; then
+    echo "    the sort-merge plan still has a general split" >&2
+    exit 1
+fi
+./target/release/plandump --width 8 --split sized -e "$FOLD_SCRIPT" \
+    2> target/bench-smoke/plan_fold_8a.stats >/dev/null
+./target/release/plandump --width 8 --split sized -e "$FOLD_SCRIPT" \
+    2> target/bench-smoke/plan_fold_8b.stats >/dev/null
+grep -q '^fingerprint: ' target/bench-smoke/plan_fold_8a.stats
+cmp target/bench-smoke/plan_fold_8a.stats target/bench-smoke/plan_fold_8b.stats
 
 echo "==> process backend smoke (cmp against the shell backend)"
 # The same script, same generated corpus, executed twice: once as an
@@ -160,6 +184,17 @@ if grep -q fileseg target/bench-smoke/backend-shell/parallel.sh; then
     echo "    emitted script still names a fileseg producer" >&2
     exit 1
 fi
+# The benchmark script (fold below the merge, raw r_split) the same
+# way; a wedged FIFO graph is killed and fails the step.
+for b in shell processes; do
+    rm -rf "target/bench-smoke/fold-$b"
+    mkdir -p "target/bench-smoke/fold-$b"
+    timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
+        --dir "target/bench-smoke/fold-$b" --gen in.txt:2000000 \
+        -e "$FOLD_SCRIPT" </dev/null
+done
+cmp target/bench-smoke/fold-shell/out.txt target/bench-smoke/fold-processes/out.txt
+test -s target/bench-smoke/fold-processes/out.txt
 
 echo "==> schedule smoke (threads below and above one pipe buffer, cmp against shell)"
 # The threads backend picks a region's schedule from its input size:

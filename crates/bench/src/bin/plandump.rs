@@ -1,5 +1,6 @@
 //! Lowers a script to its backend-neutral `ExecutionPlan` and prints
-//! the deterministic dump (plus the FNV fingerprint on stderr).
+//! the deterministic dump (plus, on stderr, the FNV fingerprint and
+//! the node counts with the rewrites that shaped the plan).
 //!
 //! The CI plan-determinism smoke step runs this twice on the same
 //! input and asserts byte-identical output — the property the
@@ -59,6 +60,19 @@ fn main() {
     });
     print!("{}", compiled.plan.dump());
     eprintln!("fingerprint: {:016x}", compiled.plan.fingerprint());
+    let n = &compiled.stats.nodes;
+    eprintln!(
+        "stats: nodes={} commands={} cats={} splits={} relays={} aggregates={} \
+         commuted={} splits_raw_rr={}",
+        n.total(),
+        n.commands,
+        n.cats,
+        n.splits,
+        n.relays,
+        n.aggregates,
+        n.commuted,
+        n.splits_raw_rr
+    );
 }
 
 fn usage() -> ! {

@@ -324,9 +324,11 @@ pub fn aggregator_for(argv: &[String]) -> Option<Vec<String>> {
             }
             Some(agg)
         }
-        // uniq / uniq -c: boundary-condition combiners.
+        // uniq / uniq -c: boundary-condition combiners. They compare
+        // bytes, so `-i` has none (and neither fold may move below a
+        // sort's merge: case-equal lines are not adjacent there).
         "uniq" => {
-            if flags.iter().any(|f| f.contains('d') || f.contains('u')) {
+            if flags.iter().any(|f| f.contains(['d', 'u', 'i'])) {
                 None
             } else if flags.iter().any(|f| f.contains('c')) {
                 Some(vec!["pash-agg-uniq-c".to_string()])
@@ -506,6 +508,7 @@ mod tests {
         );
         assert_eq!(aggregator_for(&argv(&["tail", "+2"])), None);
         assert_eq!(aggregator_for(&argv(&["uniq", "-d"])), None);
+        assert_eq!(aggregator_for(&argv(&["uniq", "-ci"])), None);
         assert_eq!(aggregator_for(&argv(&["paste", "a", "b"])), None);
     }
 

@@ -72,11 +72,13 @@ impl ParClass {
 ///   aggregator folds only at block boundaries (`uniq`, `uniq -c`)
 ///   are recombined by a tag-ordered `pash-agg-frame-merge`.
 /// * **Raw** — pure commands whose aggregator is *commutative*
-///   (order-insensitive sums like `wc` and `grep -c`, total-order
-///   merges like plain `sort`). Blocks flow to copies untagged; the
-///   normal aggregation network combines.
-/// * **No** — everything else (projection-keyed sorts whose ties
-///   break by partition, custom stitchers like the bigram
+///   (order-insensitive sums like `wc` and `grep -c`, and the merge
+///   of every `sort` without `-u` — plain, numeric or keyed). Blocks
+///   flow to copies untagged; the normal aggregation network
+///   combines. On a pipe from another stage these consumers get raw
+///   blocks under the `Sized` policy too, not only under `RoundRobin`.
+/// * **No** — everything else (`sort -u`, whose surviving line
+///   depends on input order; custom stitchers like the bigram
 ///   aggregator): the compiler falls back to segment splitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RrMode {
@@ -92,21 +94,30 @@ pub enum RrMode {
 /// does not depend on which blocks each parallel copy saw.
 ///
 /// `wc` and `grep -c` sum count vectors, which commutes regardless of
-/// flags. `sort` is commutative exactly when its comparison is a total
-/// order on whole lines — plain `sort` and `sort -r` — because lines
-/// comparing equal are then byte-identical and the merge output cannot
-/// depend on which worker sorted which block. Keyed, numeric, and
-/// stable variants compare a *projection* of the line: equal-key lines
-/// tie-break by input partition, so they stay on the segment path.
+/// flags. `sort`'s merge commutes exactly when its comparison is a
+/// total order on lines, and without `-u` every comparison is: keys
+/// that tie — `-n`, `-k`, any mix — fall to the whole-line last resort
+/// (`SortSpec::compare_prepared`, as GNU does), so lines comparing
+/// equal are byte-identical and the merge output cannot depend on
+/// which worker sorted which block. `-u` switches the last resort off
+/// and keeps the *first* line of each key group, which does depend on
+/// it: `sort -u` stays on the segment path.
 pub fn aggregator_commutes(argv: &[String]) -> bool {
     match argv.split_first() {
         Some((name, args)) => match name.as_str() {
             "pash-agg-wc" | "pash-agg-sum" => true,
-            "pash-agg-sort" => args.iter().all(|a| a == "-r"),
+            "pash-agg-sort" => !sort_flags_unique(args),
             _ => false,
         },
         None => false,
     }
+}
+
+/// True when a `sort` / `pash-agg-sort` argument list asks for `-u`
+/// (alone or in a cluster such as `-nu`). A value that merely looks
+/// like one (`-t -u`) also answers yes, which only costs parallelism.
+pub fn sort_flags_unique(args: &[String]) -> bool {
+    args.iter().any(|a| a.starts_with('-') && a.contains('u'))
 }
 
 /// True when an aggregator folds adjacent per-block outputs purely at
@@ -127,7 +138,7 @@ pub fn aggregator_frame_folds(argv: &[String]) -> bool {
 /// blocks flow untagged ([`aggregator_commutes`]), and a boundary-fold
 /// aggregator lets copies consume tagged blocks one at a time with the
 /// fold re-applied in tag order ([`aggregator_frame_folds`]). Anything
-/// else — keyed sorts, the bigram stitcher — keeps the segment path.
+/// else — `sort -u`, the bigram stitcher — keeps the segment path.
 pub fn rr_mode(class: ParClass, agg: Option<&[String]>) -> RrMode {
     match class {
         ParClass::Stateless => RrMode::Framed,
@@ -210,15 +221,23 @@ mod tests {
             rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sort", "-r"]))),
             RrMode::Raw
         );
-        // Projection keys tie-break by partition: segment path only.
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sort", "-n"]))),
-            RrMode::No
-        );
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sort", "-k", "2"]))),
-            RrMode::No
-        );
+        // Key ties fall to the whole line, so keyed and numeric
+        // orders are total too.
+        for spec in [&["-n"][..], &["-rn"], &["-k", "2"], &["-t", ",", "-k2n"]] {
+            let mut argv = agg(&["pash-agg-sort"]);
+            argv.extend(agg(spec));
+            assert_eq!(
+                rr_mode(ParClass::Pure, Some(&argv)),
+                RrMode::Raw,
+                "{spec:?}"
+            );
+        }
+        // `-u` keeps the first line of a key group: order-sensitive.
+        for spec in [&["-u"][..], &["-nu"], &["-k1,1", "-u"]] {
+            let mut argv = agg(&["pash-agg-sort"]);
+            argv.extend(agg(spec));
+            assert_eq!(rr_mode(ParClass::Pure, Some(&argv)), RrMode::No, "{spec:?}");
+        }
         // Boundary folds consume tagged blocks via frame-merge.
         assert_eq!(
             rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-uniq"]))),

@@ -174,12 +174,7 @@ pub fn compile_with_library(
         };
         parallelize(g, &tcfg);
         g.validate()?;
-        let s = g.stats();
-        nodes.commands += s.commands;
-        nodes.cats += s.cats;
-        nodes.splits += s.splits;
-        nodes.relays += s.relays;
-        nodes.aggregates += s.aggregates;
+        nodes += g.stats();
         regions += 1;
     }
     let plan = lower(&tp);

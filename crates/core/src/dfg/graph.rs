@@ -155,9 +155,12 @@ impl Node {
 pub struct Dfg {
     nodes: Vec<Option<Node>>,
     edges: Vec<Edge>,
+    /// Fold stages the transformations moved below a merge.
+    commuted: usize,
 }
 
-/// Node-count statistics (for Tab. 2's `#Nodes` column).
+/// Node-count statistics (for Tab. 2's `#Nodes` column), and which
+/// rewrites shaped the graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DfgStats {
     /// Command (map) nodes.
@@ -170,6 +173,23 @@ pub struct DfgStats {
     pub relays: usize,
     /// Aggregate nodes.
     pub aggregates: usize,
+    /// Fold stages (`uniq`, `uniq -c`) moved below a `sort`'s merge
+    /// instead of restarting from a split; not nodes.
+    pub commuted: usize,
+    /// How many of `splits` deal raw round-robin blocks.
+    pub splits_raw_rr: usize,
+}
+
+impl std::ops::AddAssign for DfgStats {
+    fn add_assign(&mut self, s: DfgStats) {
+        self.commands += s.commands;
+        self.cats += s.cats;
+        self.splits += s.splits;
+        self.relays += s.relays;
+        self.aggregates += s.aggregates;
+        self.commuted += s.commuted;
+        self.splits_raw_rr += s.splits_raw_rr;
+    }
 }
 
 impl DfgStats {
@@ -198,6 +218,12 @@ impl Dfg {
         let id = self.edges.len();
         self.edges.push(edge);
         id
+    }
+
+    /// Records that a fold stage was commuted below a merge (reported
+    /// by [`Dfg::stats`]).
+    pub(crate) fn note_commuted(&mut self) {
+        self.commuted += 1;
     }
 
     /// Removes a node (its edges must have been rewired first).
@@ -259,12 +285,20 @@ impl Dfg {
 
     /// Per-kind node counts.
     pub fn stats(&self) -> DfgStats {
-        let mut s = DfgStats::default();
+        let mut s = DfgStats {
+            commuted: self.commuted,
+            ..DfgStats::default()
+        };
         for id in self.node_ids() {
             match &self.node(id).expect("live id").kind {
                 NodeKind::Command { .. } => s.commands += 1,
                 NodeKind::Cat => s.cats += 1,
-                NodeKind::Split(_) => s.splits += 1,
+                NodeKind::Split(kind) => {
+                    s.splits += 1;
+                    if *kind == (SplitKind::RoundRobin { framed: false }) {
+                        s.splits_raw_rr += 1;
+                    }
+                }
                 NodeKind::Relay(_) => s.relays += 1,
                 NodeKind::Aggregate { .. } => s.aggregates += 1,
             }

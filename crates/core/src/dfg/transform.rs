@@ -7,8 +7,35 @@
 //! is justified by the stateless law `f(x·x') = f(x)·f(x')` and the
 //! map/aggregate law `f(x·x') = agg(m(x)·m(x'))` (both property-tested
 //! against the real command implementations in the runtime crate).
+//!
+//! `T` alone restarts every stage from a split: `sort | uniq -c` would
+//! merge, split again, count per worker and stitch. One more law keeps
+//! the parallelism across the merge ([`commute_fold_below_merge`]).
+//! The merge of a *total* order is a commutative, associative
+//! combiner, and a fold over adjacent equal lines commutes below it:
+//!
+//! ```text
+//! uniq -c ∘ merge≤  =  merge⊕≤ ∘ (uniq -c)ᵂ
+//! uniq    ∘ merge≤  =  merge-u≤ ∘ (uniq)ᵂ
+//! ```
+//!
+//! where `merge⊕` (`pash-agg-sort-c`) merges `count text` records by
+//! their text under the sort's own comparison and adds the counts of
+//! equal texts, and `merge-u` is `pash-agg-sort -u`. Both sides group
+//! exactly the byte-identical lines, because without `-u` every
+//! comparison ends in GNU's last-resort whole-line compare: lines that
+//! compare equal *are* equal, so they are adjacent in the merged
+//! stream and meet in the merge. Side conditions:
+//!
+//! * no `-u` in the sort: its groups are key-equal lines of which only
+//!   the first survives, so there is nothing to count per worker that
+//!   adds up to what the sequential `uniq -c` sees;
+//! * plain `uniq` only below a whole-line sort (`sort`, `sort -r`):
+//!   its combining merge is `pash-agg-sort … -u`, and under `-n` / `-k`
+//!   that `-u` would drop lines that are key-equal but not identical.
+//!   `uniq -c` has no such limit — the counted merge never takes `-u`.
 
-use crate::classes::{rr_mode, RrMode};
+use crate::classes::{rr_mode, sort_flags_unique, RrMode};
 use crate::dfg::graph::{
     Dfg, EagerKind, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec,
 };
@@ -101,14 +128,20 @@ pub fn parallelize(g: &mut Dfg, cfg: &TransformConfig) {
 
 /// The parallelization transformation `T` on one node.
 fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
+    // A fold fed by a sort's merge moves below it: no split needed.
+    if commute_fold_below_merge(g, id) {
+        return;
+    }
     // t1: multiple inputs are first concatenated.
     if g.node(id).expect("live node").inputs.len() > 1 {
         insert_cat_before(g, id);
     }
     let input_edge = g.node(id).expect("live node").inputs[0];
-    // Round-robin capability of this node under the RoundRobin policy.
+    // How this node may consume round-robin blocks, and whether the
+    // RoundRobin policy lets it.
+    let capability = node_rr_mode(g.node(id).expect("live node"));
     let rr = if cfg.split == SplitPolicy::RoundRobin {
-        node_rr_mode(g.node(id).expect("live node"))
+        capability
     } else {
         RrMode::No
     };
@@ -158,10 +191,20 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
             },
         },
         // A pipe from a non-cat producer: needs a split node (t2).
-        Some(_) => match split_sources(g, id, input_edge, cfg, rr) {
-            Some(s) => s,
-            None => return,
-        },
+        // Under `Sized` a consumer whose aggregator commutes takes raw
+        // round-robin blocks — balanced and streaming, where a general
+        // split of a long pipe leaves all but one copy a single block.
+        Some(_) => {
+            let rr = if cfg.split == SplitPolicy::Sized && capability == RrMode::Raw {
+                RrMode::Raw
+            } else {
+                rr
+            };
+            match split_sources(g, id, input_edge, cfg, rr) {
+                Some(s) => s,
+                None => return,
+            }
+        }
     };
     if sources.len() < 2 {
         return;
@@ -254,6 +297,100 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
     g.edge_mut(output_edge).from = Some(combined);
     g.node_mut(combined).expect("combiner").outputs = vec![output_edge];
     g.remove_node(id);
+}
+
+/// The sort family's merge aggregator, and its counted mode.
+const SORT_AGG: &str = "pash-agg-sort";
+const COUNTED_SORT_AGG: &str = "pash-agg-sort-c";
+
+/// Commutes a `uniq` / `uniq -c` below the merge network of the
+/// `sort` that feeds it (the law and its side conditions are in the
+/// module doc): one copy of the command goes on every leaf edge of the
+/// network, every aggregator of the network becomes the combining
+/// merge — `pash-agg-sort … -u` for `uniq`, `pash-agg-sort-c …` for
+/// `uniq -c`, each emitting its own input format, so binary trees stay
+/// valid — and the network's root takes over the command's output
+/// edge. Returns whether it fired.
+///
+/// Fires only when `id` is a single-input command annotated with the
+/// `uniq` / `uniq -c` aggregator whose producer is a `pash-agg-sort`
+/// aggregator without `-u`, and for plain `uniq` with no flag but
+/// `-r`. A sequential `sort`, a `sort -u`, a command in between, or a
+/// file operand all leave some other producer there.
+fn commute_fold_below_merge(g: &mut Dfg, id: NodeId) -> bool {
+    let node = g.node(id).expect("live node").clone();
+    let counted = match &node.kind {
+        NodeKind::Command { agg: Some(agg), .. } if node.inputs.len() == 1 => {
+            match agg.as_slice() {
+                [a] if a == "pash-agg-uniq" => false,
+                [a] if a == "pash-agg-uniq-c" => true,
+                _ => return false,
+            }
+        }
+        _ => return false,
+    };
+    let input_edge = node.inputs[0];
+    let merge_of = |g: &Dfg, e: EdgeId| -> Option<(NodeId, Vec<String>)> {
+        let p = g.edge(e).from?;
+        match &g.node(p)?.kind {
+            NodeKind::Aggregate { argv } if argv.first().is_some_and(|a| a == SORT_AGG) => {
+                Some((p, argv.clone()))
+            }
+            _ => None,
+        }
+    };
+    let Some((root, sort_argv)) = merge_of(g, input_edge) else {
+        return false;
+    };
+    let flags = &sort_argv[1..];
+    if sort_flags_unique(flags) || (!counted && flags.iter().any(|f| f != "-r")) {
+        return false;
+    }
+    let mut combined = sort_argv.clone();
+    if counted {
+        combined[0] = COUNTED_SORT_AGG.to_string();
+    } else {
+        combined.push("-u".to_string());
+    }
+    // Walk the network from its root: an input produced by the same
+    // merge is an inner edge, any other a leaf (a sorted run).
+    let copy_kind = sanitize_copy_kind(&node.kind);
+    let mut stack = vec![root];
+    while let Some(agg_id) = stack.pop() {
+        let inputs = g.node(agg_id).expect("aggregator").inputs.clone();
+        for (slot, &e) in inputs.iter().enumerate() {
+            match merge_of(g, e) {
+                Some((inner, argv)) if argv == sort_argv => stack.push(inner),
+                _ => {
+                    let folded = g.add_edge(Edge {
+                        spec: StreamSpec::Pipe,
+                        from: None,
+                        to: Some(agg_id),
+                    });
+                    let copy = g.add_node(Node {
+                        kind: copy_kind.clone(),
+                        inputs: vec![e],
+                        outputs: vec![folded],
+                    });
+                    g.edge_mut(folded).from = Some(copy);
+                    g.edge_mut(e).to = Some(copy);
+                    g.node_mut(agg_id).expect("aggregator").inputs[slot] = folded;
+                }
+            }
+        }
+        g.node_mut(agg_id).expect("aggregator").kind = NodeKind::Aggregate {
+            argv: combined.clone(),
+        };
+    }
+    // The root writes where the command wrote; the command retires.
+    let output_edge = node.outputs[0];
+    g.edge_mut(input_edge).from = None;
+    g.edge_mut(input_edge).to = None;
+    g.edge_mut(output_edge).from = Some(root);
+    g.node_mut(root).expect("root").outputs = vec![output_edge];
+    g.remove_node(id);
+    g.note_commuted();
+    true
 }
 
 /// The reordering aggregator's argv head.
@@ -577,6 +714,52 @@ mod tests {
             StreamSpec::File("in.txt".into()),
             StreamSpec::File("out.txt".into()),
         )
+    }
+
+    /// A `sort FLAGS…` node with the aggregator the stdlib gives it.
+    fn sort_node(flags: &[&str]) -> Node {
+        let argv: Vec<&str> = std::iter::once("sort")
+            .chain(flags.iter().copied())
+            .collect();
+        let agg = std::iter::once("pash-agg-sort")
+            .chain(flags.iter().copied())
+            .map(String::from);
+        command_node(&argv, ParClass::Pure, Some(agg.collect()))
+    }
+
+    /// The one region of `script`, translated with the standard
+    /// annotations and parallelized under `cfg`.
+    fn region_of(script: &str, cfg: &TransformConfig) -> Dfg {
+        let prog = pash_parser::parse(script).expect("parse");
+        let mut tp = crate::frontend::translate(
+            &prog,
+            crate::annot::stdlib::AnnotationLibrary::standard(),
+            &crate::frontend::FrontendOptions::default(),
+        )
+        .expect("translate");
+        let g = tp.regions_mut().next().expect("one region");
+        parallelize(g, cfg);
+        g.validate().expect("valid after transform");
+        g.clone()
+    }
+
+    /// The argv of every aggregator of `g`, in node order.
+    fn aggregators(g: &Dfg) -> Vec<Vec<String>> {
+        g.node_ids()
+            .filter_map(|id| match &g.node(id).expect("live").kind {
+                NodeKind::Aggregate { argv } => Some(argv.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn split_kinds(g: &Dfg) -> Vec<SplitKind> {
+        g.node_ids()
+            .filter_map(|id| match g.node(id).expect("live").kind {
+                NodeKind::Split(kind) => Some(kind),
+                _ => None,
+            })
+            .collect()
     }
 
     fn stats_after(mut g: Dfg, cfg: &TransformConfig) -> DfgStats {
@@ -916,23 +1099,16 @@ mod tests {
 
     #[test]
     fn round_robin_order_sensitive_falls_back_to_segments() {
-        // A keyed sort compares a projection of the line, so equal
-        // keys tie-break by input partition; under RoundRobin it must
-        // keep the segment path: tr commutes into an r_split+reorder
-        // chain only when capable — the sort gets no round-robin split.
+        // `sort -u` keeps the first line of each key group, which
+        // depends on which worker saw it first; under RoundRobin it
+        // must keep the segment path: tr commutes into an
+        // r_split+reorder chain — the sort gets no round-robin split.
+        // (A keyed sort without `-u` is a total order and takes raw
+        // blocks: `sized_gives_commutative_pipe_consumers_raw_blocks`.)
         let mut g = linear_pipeline(
             vec![
                 command_node(&["tr", "A-Z", "a-z"], ParClass::Stateless, None),
-                command_node(
-                    &["sort", "-k", "2"],
-                    ParClass::Pure,
-                    Some(
-                        ["pash-agg-sort", "-k", "2"]
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect(),
-                    ),
-                ),
+                sort_node(&["-k", "2", "-u"]),
             ],
             StreamSpec::File("in.txt".into()),
             StreamSpec::File("out.txt".into()),
@@ -1082,5 +1258,200 @@ mod tests {
             )
         });
         assert!(has_general);
+    }
+
+    const BENCH_SCRIPT: &str = "cat in.txt | tr A-Z a-z | sort | uniq -c | sort -n > out.txt";
+
+    #[test]
+    fn fold_commutes_below_the_sort_merge() {
+        // (script, the combining merge every aggregator of the first
+        // network becomes).
+        let cases: [(&str, &[&str]); 3] = [
+            ("cat in.txt | sort | uniq -c", &["pash-agg-sort-c"]),
+            (
+                "cat in.txt | sort -r | uniq",
+                &["pash-agg-sort", "-r", "-u"],
+            ),
+            ("cat in.txt | sort -n | uniq -c", &["pash-agg-sort-c", "-n"]),
+        ];
+        for (script, merge) in cases {
+            for width in [2, 4, 8] {
+                for agg_tree in [AggTreeShape::Binary, AggTreeShape::Flat] {
+                    // No split needed: it fires under `Off` too.
+                    for split in [SplitPolicy::Off, SplitPolicy::Sized] {
+                        let g = region_of(
+                            script,
+                            &TransformConfig {
+                                width,
+                                split,
+                                agg_tree,
+                                ..Default::default()
+                            },
+                        );
+                        let s = g.stats();
+                        let what = format!("{script} w={width} {agg_tree:?} {split:?}");
+                        assert_eq!(s.commuted, 1, "{what}");
+                        assert_eq!(s.commands, 2 * width, "{what}");
+                        assert_eq!(s.splits, 0, "{what}");
+                        let aggs = match agg_tree {
+                            AggTreeShape::Binary => width - 1,
+                            AggTreeShape::Flat => 1,
+                        };
+                        let merges = aggregators(&g);
+                        assert_eq!(merges.len(), aggs, "{what}");
+                        assert!(
+                            merges.iter().all(|argv| argv == merge),
+                            "{what}: {merges:?}"
+                        );
+                        // A `uniq` copy sits on every leaf: each `sort`
+                        // copy feeds one, and t3's relays come after.
+                        for id in g.node_ids() {
+                            let node = g.node(id).expect("live");
+                            if node.label().starts_with("sort") {
+                                let next = g.edge(node.outputs[0]).to.expect("consumed");
+                                let next = g.node(next).expect("live");
+                                assert!(next.label().starts_with("uniq"), "{what}");
+                                let after = g.edge(next.outputs[0]).to.expect("consumed");
+                                assert_eq!(g.node(after).expect("live").label(), "eager");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn benchmark_script_node_counts_after_the_rewrite() {
+        // W × (tr, sort, uniq -c) + counted-merge network with its
+        // relays + one raw r_split with W−1 relays + W × sort -n + its
+        // network with relays: 16 nodes at W = 2 (21 before the fold
+        // moved below the merge).
+        for (width, agg_tree, total) in [
+            (2, AggTreeShape::Binary, 16),
+            (4, AggTreeShape::Binary, 38),
+            (8, AggTreeShape::Binary, 82),
+            (4, AggTreeShape::Flat, 30),
+        ] {
+            let g = region_of(
+                BENCH_SCRIPT,
+                &TransformConfig {
+                    width,
+                    split: SplitPolicy::Sized,
+                    agg_tree,
+                    ..Default::default()
+                },
+            );
+            let s = g.stats();
+            assert_eq!(s.total(), total, "w={width} {agg_tree:?}");
+            assert_eq!((s.commuted, s.splits, s.splits_raw_rr), (1, 1, 1));
+            assert_eq!(
+                split_kinds(&g),
+                vec![SplitKind::RoundRobin { framed: false }]
+            );
+        }
+    }
+
+    #[test]
+    fn fold_stays_above_the_merge_without_the_side_conditions() {
+        let cfg = TransformConfig {
+            width: 4,
+            split: SplitPolicy::Sized,
+            ..Default::default()
+        };
+        for script in [
+            // `-u` groups are key-equal lines; nothing to count below.
+            "cat in.txt | sort -u | uniq -c",
+            "cat in.txt | sort -nu | uniq -c",
+            // The combining merge would be `pash-agg-sort -n -u`, which
+            // drops lines that are numerically equal but not identical.
+            "cat in.txt | sort -n | uniq",
+            "cat in.txt | sort -k2 | uniq",
+            // Not a boundary fold.
+            "cat in.txt | sort | uniq -d",
+            // Something between the merge and the fold.
+            "cat in.txt | sort | grep x | uniq -c",
+            // The fold reads a file, not a merge.
+            "uniq -c sorted.txt",
+        ] {
+            let g = region_of(script, &cfg);
+            assert_eq!(g.stats().commuted, 0, "{script}");
+            let merges = aggregators(&g);
+            assert!(
+                merges.iter().all(|argv| argv[0] != COUNTED_SORT_AGG),
+                "{script}: {merges:?}"
+            );
+        }
+        // A sequential sort (width 1, or no way to divide its input)
+        // has no merge either.
+        let seq = region_of("sort | uniq -c", &TransformConfig::default());
+        assert_eq!(seq.stats().commuted, 0);
+        assert_eq!(seq.stats().total(), 2);
+    }
+
+    #[test]
+    fn sized_gives_commutative_pipe_consumers_raw_blocks() {
+        let cfg = TransformConfig {
+            width: 4,
+            split: SplitPolicy::Sized,
+            ..Default::default()
+        };
+        // Behind an aggregator: a pipe, so `sort -n` / `sort -k2` /
+        // `wc -l` take raw round-robin blocks …
+        for script in [
+            "cat in.txt | sort | uniq -c | sort -n",
+            "cat in.txt | sort | uniq -c | sort -k2",
+            "cat in.txt | sort | uniq -c | wc -l",
+        ] {
+            let g = region_of(script, &cfg);
+            assert_eq!(
+                split_kinds(&g),
+                vec![SplitKind::RoundRobin { framed: false }],
+                "{script}"
+            );
+        }
+        // … an order-sensitive consumer keeps the general split …
+        let g = region_of("cat in.txt | sort | uniq -c | sort -nu", &cfg);
+        assert_eq!(split_kinds(&g), vec![SplitKind::General]);
+        let g = region_of("cat in.txt | sort | uniq -c | grep x", &cfg);
+        assert_eq!(split_kinds(&g), vec![SplitKind::General]);
+        // … and a file-fed `sort -n` keeps its byte-range segments.
+        let g = region_of("sort -n in.txt", &cfg);
+        assert!(split_kinds(&g).is_empty());
+        for e in g.input_edges() {
+            assert!(matches!(
+                g.edge(e).spec,
+                StreamSpec::FileSegment { of: 4, .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn general_and_off_plans_of_a_lone_sort_are_unchanged() {
+        // Tab. 2's Sort row under the paper's own split axis: the new
+        // rules touch neither policy.
+        for split in [SplitPolicy::Off, SplitPolicy::General] {
+            let s = stats_after(
+                sort_pipeline(),
+                &TransformConfig {
+                    width: 16,
+                    split,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(s.total(), 77, "{split:?}");
+            assert_eq!((s.commuted, s.splits_raw_rr), (0, 0));
+        }
+        // `General` stays count-then-scatter behind an aggregator.
+        let g = region_of(
+            "cat in.txt | sort | uniq -c | sort -n",
+            &TransformConfig {
+                width: 4,
+                split: SplitPolicy::General,
+                ..Default::default()
+            },
+        );
+        assert_eq!(split_kinds(&g), vec![SplitKind::General]);
+        assert_eq!(g.stats().commuted, 1);
     }
 }

@@ -1700,8 +1700,10 @@ mod tests {
 
     #[test]
     fn spawn_specs_cover_every_op() {
+        // (`sort | uniq -c` would do without a split: the fold moves
+        // below the merge.)
         let plan = lowered_with(
-            "cat in.txt | sort | uniq -c > out.txt",
+            "cat in.txt | sort | grep x > out.txt",
             4,
             SplitPolicy::General,
         );

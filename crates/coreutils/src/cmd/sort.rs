@@ -9,12 +9,14 @@
 //! line slices decorated with keys computed once per line
 //! ([`SortSpec::prepare`]), and output is gathered into large writes.
 //! `sort -m`, `--parallel` and the runtime's `pash-agg-sort` share one
-//! streaming k-way [`merge`].
+//! streaming k-way [`merge`]; its counted mode ([`Records::Counted`],
+//! `pash-agg-sort-c`) merges per-worker `sort | uniq -c` outputs by
+//! their text and adds the counts of equal texts.
 
 use std::cmp::Ordering;
 use std::io::{self, BufWriter, Write};
 
-use crate::lines::buffer_lines;
+use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{line_order, Keyed, Prepared, SortSpec};
 use crate::{CmdIo, Command, ExitStatus};
 
@@ -102,7 +104,7 @@ impl Command for Sort {
                 start = end;
                 run
             });
-            merge(spec, runs.collect(), io.stdout)?;
+            merge(spec, Records::Lines, runs.collect(), io.stdout)?;
         } else if spec.whole_line() {
             // Bare slices under the bare comparator, its direction
             // fixed here: the sort moves entries, and a third fewer
@@ -178,7 +180,7 @@ fn sort_lines<'a, E: Copy + Send>(
             }
         });
         let runs = index.chunks(chunk).map(|c| c.iter().map(|&e| keyed(e).1));
-        return merge(spec, runs.collect(), out);
+        return merge(spec, Records::Lines, runs.collect(), out);
     }
     index.sort_by(compare);
     let mut out = BufWriter::with_capacity(arena.len().min(CHUNK), out);
@@ -225,27 +227,95 @@ impl<'a, I: Iterator<Item = &'a [u8]>> LineSource for I {
     }
 }
 
-/// The current head line of one merge input with its key, prepared
+/// What the lines of a [`merge`]'s inputs are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Records {
+    /// Lines, compared whole (`sort -m`, `pash-agg-sort`).
+    Lines,
+    /// `uniq -c` records (`count text`), ordered by their text: the
+    /// per-worker output of `sort | uniq -c`. Records whose texts
+    /// compare equal become one record with the sum of their counts,
+    /// so the output is again in the input format.
+    Counted,
+}
+
+/// The current head record of one merge input: its line, where the
+/// compared text starts in it, its count, and the text's key, prepared
 /// when the line is pulled (buffer reused across lines; `live ==
 /// false` means the input is exhausted).
 #[derive(Default)]
 struct Head {
     buf: Vec<u8>,
+    text: usize,
+    count: u64,
     key: Prepared,
     live: bool,
 }
 
 impl Head {
-    fn advance(&mut self, spec: &SortSpec, src: &mut impl LineSource) -> io::Result<()> {
+    fn advance(
+        &mut self,
+        spec: &SortSpec,
+        records: Records,
+        src: &mut impl LineSource,
+    ) -> io::Result<()> {
         self.live = src.next_into(&mut self.buf)?;
         if self.live {
-            self.key = spec.prepare(&self.buf);
+            if records == Records::Counted {
+                let (count, text) = parse_count_line(&self.buf)?;
+                self.count = count;
+                self.text = self.buf.len() - text.len();
+            }
+            self.key = spec.prepare(&self.buf[self.text..]);
         }
         Ok(())
     }
 
     fn keyed(&self) -> Keyed<'_> {
-        (self.key, &self.buf)
+        (self.key, &self.buf[self.text..])
+    }
+}
+
+/// The open group of a folding [`merge`]: the record the next
+/// compare-equal winners fold into, written when a different one
+/// arrives. It leaves as it came unless a fold changed its count.
+#[derive(Default)]
+struct Group {
+    head: Head,
+    recounted: bool,
+}
+
+impl Group {
+    /// Folds `next` in when it compares equal: under `-u` the group
+    /// keeps its first line, counted records add up.
+    fn absorbs(&mut self, spec: &SortSpec, records: Records, next: &Head) -> io::Result<bool> {
+        if !(self.head.live
+            && spec
+                .compare_prepared(self.head.keyed(), next.keyed())
+                .is_eq())
+        {
+            return Ok(false);
+        }
+        if records == Records::Counted {
+            self.head.count = add_counts(self.head.count, next.count)?;
+            self.recounted = true;
+        }
+        Ok(true)
+    }
+
+    fn write(&self, out: &mut impl Write, prefix: &mut Vec<u8>) -> io::Result<()> {
+        if !self.head.live {
+            return Ok(());
+        }
+        if self.recounted {
+            prefix.clear();
+            push_count(prefix, self.head.count);
+            out.write_all(prefix)?;
+            out.write_all(self.head.keyed().1)?;
+        } else {
+            out.write_all(&self.head.buf)?;
+        }
+        out.write_all(b"\n")
     }
 }
 
@@ -329,15 +399,22 @@ impl LoserTree {
 /// Streaming, stable k-way merge of pre-sorted inputs under the
 /// sequential comparator, driven by a [`LoserTree`]: `sort -m`, the
 /// merge phase of `--parallel`, and the runtime's `pash-agg-sort`.
+///
+/// Consecutive winners that compare equal fold into one record when
+/// there is a fold to apply: `-u` keeps the first line of each group,
+/// [`Records::Counted`] adds the counts of equal texts (without `-u`
+/// equal means byte-identical, so this is `uniq -c` of the merged
+/// lines). Otherwise every line is written as it wins.
 pub fn merge<S: LineSource>(
     spec: &SortSpec,
+    records: Records,
     mut sources: Vec<S>,
     out: &mut dyn Write,
 ) -> io::Result<()> {
     let mut heads = Vec::with_capacity(sources.len());
     for src in sources.iter_mut() {
         let mut head = Head::default();
-        head.advance(spec, src)?;
+        head.advance(spec, records, src)?;
         heads.push(head);
     }
     // Does stream `a` come before stream `b`? Exhausted streams lose;
@@ -353,8 +430,10 @@ pub fn merge<S: LineSource>(
         }
     };
     let mut tree = LoserTree::build(heads.len(), |a, b| beats(&heads, a, b));
-    // For `sort -u`, duplicates may also straddle input boundaries.
-    let mut last = Head::default();
+    // Equal records may also straddle input boundaries.
+    let folds = spec.unique || records == Records::Counted;
+    let mut open = Group::default();
+    let mut prefix = Vec::new();
     let mut out = BufWriter::with_capacity(CHUNK, out);
     // Run fast path: when the same stream wins twice running, cache
     // the best loser on its root path and keep emitting from the
@@ -364,16 +443,17 @@ pub fn merge<S: LineSource>(
     let mut challenger = EMPTY;
     while tree.winner != EMPTY && heads[tree.winner].live {
         let b = tree.winner;
-        if !(last.live && spec.equal_prepared(last.keyed(), heads[b].keyed())) {
+        if !folds {
             out.write_all(&heads[b].buf)?;
             out.write_all(b"\n")?;
-            if spec.unique {
-                last.buf.clone_from(&heads[b].buf);
-                last.key = heads[b].key;
-                last.live = true;
-            }
+        } else if !open.absorbs(spec, records, &heads[b])? {
+            open.write(&mut out, &mut prefix)?;
+            // The winner's buffers become the group's; the stream
+            // refills the ones it gets back.
+            std::mem::swap(&mut open.head, &mut heads[b]);
+            open.recounted = false;
         }
-        heads[b].advance(spec, &mut sources[b])?;
+        heads[b].advance(spec, records, &mut sources[b])?;
         if challenger != EMPTY {
             if heads[b].live && beats(&heads, b, challenger) {
                 continue;
@@ -385,6 +465,7 @@ pub fn merge<S: LineSource>(
             challenger = tree.challenger(b, |a, b| beats(&heads, a, b));
         }
     }
+    open.write(&mut out, &mut prefix)?;
     out.flush()
 }
 

@@ -196,6 +196,40 @@ pub fn push_count(out: &mut Vec<u8>, n: u64) {
     out.push(b' ');
 }
 
+/// Splits a `uniq -c` record into its count and its text: blanks,
+/// digits, then one separating space (what [`push_count`] writes). A
+/// record without a count that fits a `u64` is `InvalidData`.
+pub fn parse_count_line(line: &[u8]) -> io::Result<(u64, &[u8])> {
+    let start = line.iter().position(|&b| b != b' ').unwrap_or(line.len());
+    let digits = line[start..]
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .map_or(line.len(), |n| start + n);
+    let mut count = 0u64;
+    for &d in &line[start..digits] {
+        count = count
+            .checked_mul(10)
+            .and_then(|c| c.checked_add(u64::from(d - b'0')))
+            .ok_or_else(malformed_count)?;
+    }
+    if digits == start {
+        return Err(malformed_count());
+    }
+    let text = &line[digits..];
+    Ok((count, text.strip_prefix(b" ").unwrap_or(text)))
+}
+
+fn malformed_count() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "malformed uniq -c line")
+}
+
+/// The count of two `uniq -c` records of one text folded into one; a
+/// sum past `u64` is `InvalidData`, like a count that does not parse.
+pub fn add_counts(a: u64, b: u64) -> io::Result<u64> {
+    a.checked_add(b)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "uniq -c count overflows"))
+}
+
 /// Parses a decimal prefix of a byte string as `f64`, the way
 /// `sort -n` does: optional blanks, optional sign, digits, optional
 /// fraction (no exponent). Unparsable values compare as 0.

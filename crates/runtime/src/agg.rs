@@ -14,10 +14,14 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pash_coreutils::cmd::sort::{merge, parse_args as parse_sort_args, replace_line, LineSource};
+use pash_coreutils::cmd::sort::{
+    merge, parse_args as parse_sort_args, replace_line, LineSource, Records,
+};
 use pash_coreutils::cmd::wc;
 use pash_coreutils::fs::Fs;
-use pash_coreutils::lines::{buffer_lines, write_line};
+use pash_coreutils::lines::{
+    add_counts, for_each_block, parse_count_line, push_count, write_line, BLOCK_SIZE,
+};
 use pash_coreutils::Registry;
 
 use crate::frame::FrameReader;
@@ -41,9 +45,10 @@ pub fn run_aggregator(
         .split_first()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty aggregator argv"))?;
     match name.as_str() {
-        "pash-agg-sort" => agg_sort(args, inputs, output),
-        "pash-agg-uniq" => agg_uniq(inputs, output),
-        "pash-agg-uniq-c" => agg_uniq_count(inputs, output),
+        "pash-agg-sort" => agg_sort(args, Records::Lines, inputs, output),
+        "pash-agg-sort-c" => agg_sort(args, Records::Counted, inputs, output),
+        "pash-agg-uniq" => agg_uniq(false, inputs, output),
+        "pash-agg-uniq-c" => agg_uniq(true, inputs, output),
         "pash-agg-wc" => agg_wc(args, inputs, output),
         "pash-agg-sum" => agg_sum(inputs, output),
         "pash-agg-tac" => agg_tac(inputs, output),
@@ -84,84 +89,137 @@ impl<R: Read> LineSource for LineScanner<R> {
 
 /// `sort -m`: the sort family's streaming k-way merge — the
 /// sequential comparator on keys prepared once per line — over the
-/// batched input scanners.
-fn agg_sort(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+/// batched input scanners. [`Records::Counted`] is the merge the
+/// compiler leaves where a `sort`'s merge fed a `uniq -c`: its inputs
+/// are per-worker `sort | uniq -c` outputs, ordered by their texts
+/// under the sort's flags.
+fn agg_sort(
+    args: &[String],
+    records: Records,
+    inputs: Vec<AggInput>,
+    output: &mut dyn Write,
+) -> io::Result<i32> {
     let parsed =
         parse_sort_args(args).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    if records == Records::Counted && parsed.spec.unique {
+        // Under `-u` equal keys are not equal lines: their counts
+        // would add up to lines `sort -u | uniq -c` never saw.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "pash-agg-sort-c: -u has no counted merge",
+        ));
+    }
     let scanners = inputs.into_iter().map(LineScanner::new).collect();
-    merge(&parsed.spec, scanners, output)?;
+    merge(&parsed.spec, records, scanners, output)?;
     Ok(0)
 }
 
-/// `uniq`: concatenate, dropping a duplicate at each boundary.
-fn agg_uniq(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
-    let mut last: Vec<u8> = Vec::new();
-    let mut have_last = false;
-    for input in inputs {
-        let mut sc = LineScanner::new(input);
-        while let Some(line) = sc.next_line()? {
-            if !(have_last && last.as_slice() == line) {
-                write_line(output, line)?;
-            }
-            last.clear();
-            last.extend_from_slice(line);
-            have_last = true;
+/// The boundary fold of `uniq` and `uniq -c` over per-part outputs
+/// arriving as blocks of whole lines, in order. Inside one part
+/// adjacent lines already differ, so only a block's first line can
+/// meet what came before it: the last line seen is held back and
+/// stitched with the next block's first, and every line between is
+/// written as it arrived — not parsed, not copied.
+struct SeamFold {
+    /// `uniq -c` records (equal texts add their counts) rather than
+    /// plain lines (an equal line is dropped).
+    counted: bool,
+    /// The held-back line, without its newline, when `live`.
+    held: Vec<u8>,
+    live: bool,
+    /// Where the held record's text starts, its count, and whether a
+    /// stitch changed that count (`counted` only).
+    text: usize,
+    count: u64,
+    recounted: bool,
+}
+
+impl SeamFold {
+    fn new(counted: bool) -> SeamFold {
+        SeamFold {
+            counted,
+            held: Vec::new(),
+            live: false,
+            text: 0,
+            count: 0,
+            recounted: false,
         }
     }
-    Ok(0)
-}
 
-/// `uniq -c`: merge boundary counts of equal adjacent groups.
-fn agg_uniq_count(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
-    // Pending group: (count, text).
-    let mut pending: Option<(u64, Vec<u8>)> = None;
-    for input in inputs {
-        let mut sc = LineScanner::new(input);
-        while let Some(line) = sc.next_line()? {
-            let (count, text) = parse_count_line(line)?;
-            match &mut pending {
-                Some((c, t)) if t.as_slice() == text => *c += count,
-                _ => {
-                    if let Some((c, t)) = pending.take() {
-                        write_count_line(output, c, &t)?;
-                    }
-                    pending = Some((count, text.to_vec()));
+    /// Folds one block (complete lines; the stream's last may lack its
+    /// newline) into the output.
+    fn feed(&mut self, mut block: &[u8], output: &mut dyn Write) -> io::Result<()> {
+        if block.is_empty() {
+            return Ok(());
+        }
+        if self.live {
+            let end = block
+                .iter()
+                .position(|&b| b == b'\n')
+                .unwrap_or(block.len());
+            let first = &block[..end];
+            let (count, text) = if self.counted {
+                parse_count_line(first)?
+            } else {
+                (0, first)
+            };
+            if text == &self.held[self.text..] {
+                self.count = add_counts(self.count, count)?;
+                self.recounted = self.counted;
+                block = &block[(end + 1).min(block.len())..];
+                if block.is_empty() {
+                    // The group may go on into the next block.
+                    return Ok(());
                 }
             }
+            self.flush(output)?;
+        }
+        // Everything up to the last line is final; the last is held.
+        let body = block.strip_suffix(b"\n").unwrap_or(block);
+        let last = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        output.write_all(&block[..last])?;
+        self.held.clear();
+        self.held.extend_from_slice(&body[last..]);
+        self.live = true;
+        self.recounted = false;
+        if self.counted {
+            let (count, text) = parse_count_line(&self.held)?;
+            self.count = count;
+            self.text = self.held.len() - text.len();
+        }
+        Ok(())
+    }
+
+    /// Writes the held line, if any: as it arrived unless a stitch
+    /// changed its count.
+    fn flush(&mut self, output: &mut dyn Write) -> io::Result<()> {
+        if !std::mem::take(&mut self.live) {
+            return Ok(());
+        }
+        if self.recounted {
+            let mut prefix = Vec::with_capacity(24);
+            push_count(&mut prefix, self.count);
+            output.write_all(&prefix)?;
+            write_line(output, &self.held[self.text..])
+        } else {
+            write_line(output, &self.held)
         }
     }
-    if let Some((c, t)) = pending {
-        write_count_line(output, c, &t)?;
+}
+
+/// `uniq` / `uniq -c`: concatenate, folding the group that straddles
+/// each boundary ([`SeamFold`]).
+fn agg_uniq(counted: bool, inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+    let mut fold = SeamFold::new(counted);
+    for input in inputs {
+        let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
+        for_each_block(&mut reader, |block| {
+            fold.feed(block, output)?;
+            Ok(true)
+        })?;
     }
+    fold.flush(output)?;
     Ok(0)
-}
-
-fn parse_count_line(line: &[u8]) -> io::Result<(u64, &[u8])> {
-    // `uniq -c` format: right-aligned count, one space, text.
-    let s = line;
-    let mut i = 0;
-    while i < s.len() && s[i] == b' ' {
-        i += 1;
-    }
-    let start = i;
-    while i < s.len() && s[i].is_ascii_digit() {
-        i += 1;
-    }
-    let count: u64 = std::str::from_utf8(&s[start..i])
-        .ok()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed uniq -c line"))?;
-    let text = if i < s.len() && s[i] == b' ' {
-        &s[i + 1..]
-    } else {
-        &s[i..]
-    };
-    Ok((count, text))
-}
-
-fn write_count_line(output: &mut dyn Write, count: u64, text: &[u8]) -> io::Result<()> {
-    write!(output, "{count:7} ")?;
-    write_line(output, text)
 }
 
 /// `wc`: sum per-part count vectors.
@@ -367,67 +425,6 @@ fn agg_reorder(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32>
     Ok(0)
 }
 
-/// The incremental boundary folds `pash-agg-frame-merge` can wrap:
-/// each consumes per-block command output one tag-ordered line at a
-/// time and keeps only the open group, so memory stays bounded no
-/// matter how many blocks the splitter dealt.
-enum FrameFold {
-    /// `uniq`: drop a line equal to the previously emitted one.
-    Uniq { last: Option<Vec<u8>> },
-    /// `uniq -c`: merge counts of equal adjacent groups.
-    UniqCount { open: Option<(u64, Vec<u8>)> },
-}
-
-impl FrameFold {
-    fn for_inner(argv: &[String]) -> io::Result<FrameFold> {
-        match argv.first().map(String::as_str) {
-            Some("pash-agg-uniq") => Ok(FrameFold::Uniq { last: None }),
-            Some("pash-agg-uniq-c") => Ok(FrameFold::UniqCount { open: None }),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("pash-agg-frame-merge cannot wrap {other:?}"),
-            )),
-        }
-    }
-
-    fn feed(&mut self, line: &[u8], output: &mut dyn Write) -> io::Result<()> {
-        match self {
-            FrameFold::Uniq { last } => {
-                if last.as_deref() != Some(line) {
-                    write_line(output, line)?;
-                }
-                match last {
-                    Some(buf) => {
-                        buf.clear();
-                        buf.extend_from_slice(line);
-                    }
-                    None => *last = Some(line.to_vec()),
-                }
-            }
-            FrameFold::UniqCount { open } => {
-                let (count, text) = parse_count_line(line)?;
-                match open {
-                    Some((c, t)) if t.as_slice() == text => *c += count,
-                    _ => {
-                        if let Some((c, t)) = open.take() {
-                            write_count_line(output, c, &t)?;
-                        }
-                        *open = Some((count, text.to_vec()));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, output: &mut dyn Write) -> io::Result<()> {
-        if let FrameFold::UniqCount { open: Some((c, t)) } = self {
-            write_count_line(output, c, &t)?;
-        }
-        Ok(())
-    }
-}
-
 /// `pash-agg-frame-merge INNER…`: the framed-pure combiner.
 ///
 /// Parallel class-P copies ran the command once per tagged round-robin
@@ -441,14 +438,18 @@ fn agg_frame_merge(
     inputs: Vec<AggInput>,
     output: &mut dyn Write,
 ) -> io::Result<i32> {
-    let mut fold = FrameFold::for_inner(args)?;
-    for_each_frame_in_tag_order(inputs, &mut |payload| {
-        for line in buffer_lines(payload) {
-            fold.feed(line, output)?;
+    let mut fold = match args.first().map(String::as_str) {
+        Some("pash-agg-uniq") => SeamFold::new(false),
+        Some("pash-agg-uniq-c") => SeamFold::new(true),
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("pash-agg-frame-merge cannot wrap {other:?}"),
+            ))
         }
-        Ok(())
-    })?;
-    fold.finish(output)?;
+    };
+    for_each_frame_in_tag_order(inputs, &mut |payload| fold.feed(payload, output))?;
+    fold.flush(output)?;
     Ok(0)
 }
 
@@ -530,6 +531,113 @@ mod tests {
             &["      2 a\n      1 b\n", "      3 b\n      1 c\n"],
         );
         assert_eq!(out, "      2 a\n      4 b\n      1 c\n");
+    }
+
+    #[test]
+    fn uniq_seams_fold_and_interiors_pass_untouched() {
+        // A group spanning three inputs, the middle one a single line,
+        // with empty inputs in between.
+        let out = run(
+            &["pash-agg-uniq-c"],
+            &[
+                "      1 a\n      2 b\n",
+                "",
+                "      3 b\n",
+                "",
+                "      4 b\n      1 c\n",
+            ],
+        );
+        assert_eq!(out, "      1 a\n      9 b\n      1 c\n");
+        assert_eq!(
+            run(&["pash-agg-uniq"], &["a\nb\n", "", "b\n", "b\nc\n"]),
+            "a\nb\nc\n"
+        );
+        // Every input a single line of one group.
+        assert_eq!(
+            run(
+                &["pash-agg-uniq-c"],
+                &["      1 x\n", "      1 x\n", "      1 x\n"]
+            ),
+            "      3 x\n"
+        );
+        // Eight-digit counts outgrow the column, as `uniq -c` prints
+        // them; an untouched record keeps whatever padding it had.
+        assert_eq!(
+            run(
+                &["pash-agg-uniq-c"],
+                &["9999999 a\n 5 z\n", " 5 z\n12345678 q\n"]
+            ),
+            "9999999 a\n     10 z\n12345678 q\n"
+        );
+        assert_eq!(
+            run(&["pash-agg-uniq-c"], &["9999999 a\n", "      1 a\n"]),
+            "10000000 a\n"
+        );
+        // No final newline, at a seam and at the end of the stream;
+        // texts that begin with blanks or are empty.
+        assert_eq!(
+            run(
+                &["pash-agg-uniq-c"],
+                &["      2   a", "      1   a\n      1 "]
+            ),
+            "      3   a\n      1 \n"
+        );
+        assert_eq!(run(&["pash-agg-uniq"], &["a\nb", "b\nc"]), "a\nb\nc\n");
+        assert_eq!(run(&["pash-agg-uniq-c"], &["", ""]), "");
+    }
+
+    #[test]
+    fn counted_merge_sums_equal_texts_under_the_sort_order() {
+        assert_eq!(
+            run(
+                &["pash-agg-sort-c"],
+                &["      2 a\n      1 c\n", "      3 a\n      1 b\n", ""]
+            ),
+            "      5 a\n      1 b\n      1 c\n"
+        );
+        // Ordered by the text under the sort's flags, not by the
+        // count in front of it; untouched records keep their bytes.
+        assert_eq!(
+            run(
+                &["pash-agg-sort-c", "-rn"],
+                &["      1 10 x\n 7 9\n", "9999999 10 x\n      1 2\n"]
+            ),
+            "10000000 10 x\n 7 9\n      1 2\n"
+        );
+    }
+
+    fn try_run(argv: &[&str], inputs: &[&str]) -> io::Result<Vec<u8>> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let inputs: Vec<AggInput> = inputs
+            .iter()
+            .map(|s| Box::new(io::Cursor::new(s.as_bytes().to_vec())) as AggInput)
+            .collect();
+        let mut out = Vec::new();
+        let reg = Registry::standard();
+        run_aggregator(&argv, inputs, &mut out, &reg, Arc::new(MemFs::new()))?;
+        Ok(out)
+    }
+
+    #[test]
+    fn malformed_counted_records_are_errors_not_counts() {
+        for agg in ["pash-agg-sort-c", "pash-agg-uniq-c"] {
+            for bad in [
+                "no count\n",
+                "      x 1\n",
+                "\n",
+                "99999999999999999999 a\n",
+            ] {
+                // (Behind a good record, so the seam fold parses it.)
+                let err = try_run(&[agg], &["      1 a\n", bad]).expect_err(bad);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{agg} {bad:?}");
+            }
+            let max = format!("{} a\n", u64::MAX);
+            let err = try_run(&[agg], &[&max, "      1 a\n"]).expect_err("overflow");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{agg}");
+        }
+        // `-u` has no counted merge.
+        let err = try_run(&["pash-agg-sort-c", "-u"], &[]).expect_err("-u");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -854,8 +962,80 @@ mod tests {
             String::from_utf8(out.expect("sort").stdout).expect("utf8")
         }
 
+        fn uniq(flags: &[&str], input: &str) -> String {
+            let argv: Vec<&str> = std::iter::once("uniq")
+                .chain(flags.iter().copied())
+                .collect();
+            let fs = Arc::new(MemFs::new());
+            let out = run_command(&Registry::standard(), fs, &argv, input.as_bytes());
+            String::from_utf8(out.expect("uniq").stdout).expect("utf8")
+        }
+
+        /// `agg` over `parts` as one flat application and as a binary
+        /// tree of two-input applications; both must agree.
+        fn flat_and_tree(agg: &[&str], parts: &[String]) -> String {
+            let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
+            let flat = run(agg, &refs);
+            let mut layer = parts.to_vec();
+            while layer.len() > 1 {
+                layer = layer
+                    .chunks(2)
+                    .map(|pair| match pair {
+                        [a, b] => run(agg, &[a, b]),
+                        one => one[0].clone(),
+                    })
+                    .collect();
+            }
+            assert_eq!(layer.concat(), flat, "tree vs flat: {agg:?} {parts:?}");
+            flat
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            // The law that moves a fold below a sort's merge: `uniq
+            // -c` of each sorted chunk, merged by text with equal
+            // texts' counts added, is `uniq -c` of the global sort —
+            // for every order without `-u`, flat or as a binary tree;
+            // and `uniq` with the `-u` merge under whole-line orders.
+            #[test]
+            fn prop_fold_commutes_below_the_merge(
+                lines in proptest::collection::vec("[ab01 ,.-]{0,4}", 0..60),
+                k in 1usize..9,
+            ) {
+                let chunks: Vec<String> = (0..k)
+                    .map(|i| {
+                        let (lo, hi) = (i * lines.len() / k, (i + 1) * lines.len() / k);
+                        lines[lo..hi].iter().map(|l| format!("{l}\n")).collect()
+                    })
+                    .collect();
+                let all = chunks.concat();
+                for flags in [
+                    &[][..], &["-r"], &["-n"], &["-rn"], &["-k2"], &["-t,", "-k2n"],
+                ] {
+                    let parts: Vec<String> =
+                        chunks.iter().map(|c| uniq(&["-c"], &sort(flags, c))).collect();
+                    let agg: Vec<&str> = std::iter::once("pash-agg-sort-c")
+                        .chain(flags.iter().copied())
+                        .collect();
+                    prop_assert_eq!(
+                        flat_and_tree(&agg, &parts), uniq(&["-c"], &sort(flags, &all)),
+                        "flags {:?} chunks {:?}", flags, chunks
+                    );
+                }
+                for flags in [&[][..], &["-r"]] {
+                    let parts: Vec<String> =
+                        chunks.iter().map(|c| uniq(&[], &sort(flags, c))).collect();
+                    let agg: Vec<&str> = std::iter::once("pash-agg-sort")
+                        .chain(flags.iter().copied())
+                        .chain(std::iter::once("-u"))
+                        .collect();
+                    prop_assert_eq!(
+                        flat_and_tree(&agg, &parts), uniq(&[], &sort(flags, &all)),
+                        "flags {:?} chunks {:?}", flags, chunks
+                    );
+                }
+            }
 
             // The map/aggregate law the parallel `sort` rests on:
             // sorting k contiguous chunks of the input (some empty,

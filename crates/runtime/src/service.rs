@@ -446,6 +446,12 @@ pub struct ServiceMetrics {
     pub tier1_hits: AtomicU64,
     /// Compilations that ran the full front-end.
     pub compile_misses: AtomicU64,
+    /// Fold stages (`uniq`, `uniq -c`) those compilations moved below
+    /// a `sort`'s merge (`DfgStats::commuted`, summed).
+    pub plan_commuted: AtomicU64,
+    /// Raw round-robin splits in the plans they produced
+    /// (`DfgStats::splits_raw_rr`, summed).
+    pub plan_splits_raw_rr: AtomicU64,
     /// Requests answered with an error.
     pub errors: AtomicU64,
     /// Runs currently waiting for an admission permit (gauge).
@@ -487,6 +493,8 @@ impl ServiceMetrics {
             runs: AtomicU64::new(0),
             tier1_hits: AtomicU64::new(0),
             compile_misses: AtomicU64::new(0),
+            plan_commuted: AtomicU64::new(0),
+            plan_splits_raw_rr: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
@@ -532,7 +540,8 @@ impl ServiceMetrics {
         let sup = &self.supervisor;
         format!(
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
-             \"compile_misses\":{},\"errors\":{},\
+             \"compile_misses\":{},\"plan_commuted\":{},\"plan_splits_raw_rr\":{},\
+             \"errors\":{},\
              \"queue_depth\":{},\"inflight\":{},\"adaptive_runs\":{},\
              \"profile_hits\":{},\"profile_misses\":{},\"profile_regions\":{},\
              \"last_chosen_width\":{},\"last_chosen_split\":\"{}\",\
@@ -545,6 +554,8 @@ impl ServiceMetrics {
             g(&self.runs),
             g(&self.tier1_hits),
             g(&self.compile_misses),
+            g(&self.plan_commuted),
+            g(&self.plan_splits_raw_rr),
             g(&self.errors),
             g(&self.queue_depth),
             g(&self.inflight),

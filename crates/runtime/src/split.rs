@@ -7,7 +7,9 @@
 //!   counts, as the paper describes); beyond it, each output receives
 //!   a line-aligned block sized adaptively from the observed line
 //!   density and the final output streams the remainder, so memory
-//!   stays constant at any input size;
+//!   stays constant at any input size. Either way an output is closed
+//!   as soon as its range is written, so an ordered consumer (`cat`
+//!   over FIFOs) can move on to the next while the split still runs;
 //! * [`split_round_robin`] — the order-aware `r_split`: fixed-size
 //!   line-aligned blocks dealt to the outputs in rotation, optionally
 //!   stamped with sequence tags ([`crate::frame`]) so a downstream
@@ -121,7 +123,7 @@ pub fn split_general_bounded(
                 }
             },
         };
-        write_chunk(outputs[i].as_mut(), &buf[..cut])?;
+        write_last_chunk(&mut outputs[i], &buf[..cut])?;
         buf.drain(..cut);
     }
     // Last output: stream the remainder through without buffering.
@@ -304,6 +306,22 @@ fn write_chunk(out: &mut (dyn Write + Send), data: &[u8]) -> io::Result<()> {
     }
 }
 
+/// Writes an output's whole range and closes it: the writer is
+/// flushed and dropped (a sink takes its slot), so its consumer sees
+/// end of input now and not when the split returns. A `cat` over FIFOs
+/// reads branch `i` to its end before it opens branch `i + 1`; held
+/// open, an early branch would keep it from ever opening the branch
+/// the split is still writing.
+fn write_last_chunk(out: &mut Box<dyn Write + Send>, data: &[u8]) -> io::Result<()> {
+    write_chunk(out.as_mut(), data)?;
+    let flushed = out.flush();
+    *out = Box::new(io::sink());
+    match flushed {
+        Err(err) if err.kind() != io::ErrorKind::BrokenPipe => Err(err),
+        _ => Ok(()),
+    }
+}
+
 /// Scatters fully-buffered data as contiguous chunks of near-equal
 /// line counts (the exact split of the paper).
 fn scatter_exact(mut data: Vec<u8>, outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
@@ -333,9 +351,7 @@ fn scatter_exact(mut data: Vec<u8>, outputs: &mut [Box<dyn Write + Send>]) -> io
     for (i, out) in outputs.iter_mut().enumerate() {
         let take = base + usize::from(i < extra);
         let (s, e) = (starts[idx], starts[idx + take]);
-        if e > s {
-            write_chunk(out.as_mut(), &data[s..e])?;
-        }
+        write_last_chunk(out, &data[s..e])?;
         idx += take;
     }
     Ok(())
@@ -385,6 +401,48 @@ mod tests {
         assert_eq!(parts[0], b"1\n2\n");
         assert_eq!(parts[1], b"3\n4\n");
         assert_eq!(parts[2], b"5\n6\n");
+    }
+
+    #[test]
+    fn an_output_closes_before_the_next_is_written() {
+        // What a `cat` over FIFOs needs: branch `i` at its end while
+        // the split still writes branch `i + 1`. Both the exact path
+        // (input within the look-ahead) and the streaming one.
+        type Log = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
+        struct Logged(usize, Log);
+        impl Write for Logged {
+            fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+                self.1
+                    .lock()
+                    .expect("log")
+                    .push(format!("write {}", self.0));
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Drop for Logged {
+            fn drop(&mut self) {
+                self.1
+                    .lock()
+                    .expect("log")
+                    .push(format!("close {}", self.0));
+            }
+        }
+        let input = "line\n".repeat(4_000);
+        for lookahead in [1 << 20, 4_096] {
+            let log = Log::default();
+            let mut outs: Vec<Box<dyn Write + Send>> = (0..3)
+                .map(|i| Box::new(Logged(i, log.clone())) as Box<dyn Write + Send>)
+                .collect();
+            let mut r = io::BufReader::new(io::Cursor::new(input.as_bytes().to_vec()));
+            split_general_bounded(&mut r, &mut outs, lookahead).expect("split");
+            let log = log.lock().expect("log");
+            let at = |what: &str| log.iter().position(|e| e == what).expect(what);
+            assert!(at("close 0") < at("write 1"), "{log:?}");
+            assert!(at("close 1") < at("write 2"), "{log:?}");
+        }
     }
 
     #[test]

@@ -248,7 +248,8 @@ impl CostModel {
     fn aggregator_profile(&self, argv: &[String]) -> Profile {
         let name = argv.first().map(|s| s.as_str()).unwrap_or("");
         match name {
-            "pash-agg-sort" => Profile::streaming(120.0, 1.0),
+            // The counted mode is the same merge loop.
+            "pash-agg-sort" | "pash-agg-sort-c" => Profile::streaming(120.0, 1.0),
             "pash-agg-uniq" | "pash-agg-uniq-c" => Profile::streaming(150.0, 1.0),
             "pash-agg-wc" | "pash-agg-sum" => Profile::streaming(200.0, 1.0),
             "pash-agg-tac" => Profile::streaming(250.0, 1.0),

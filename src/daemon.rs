@@ -215,6 +215,15 @@ impl Daemon {
             Err(e) => return Response::Error(e.to_string()),
         };
         let compile_micros = t0.elapsed().as_micros() as u64;
+        if tier == CacheTier::Cold {
+            // Which rewrites shaped the plan this request compiled.
+            let shaped = &handle.plan.stats.nodes;
+            let m = &self.metrics;
+            m.plan_commuted
+                .fetch_add(shaped.commuted as u64, Ordering::Relaxed);
+            m.plan_splits_raw_rr
+                .fetch_add(shaped.splits_raw_rr as u64, Ordering::Relaxed);
+        }
         let env = RunEnv {
             registry: self.registry.clone(),
             fs: snapshot,

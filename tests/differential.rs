@@ -243,6 +243,19 @@ fn observe_shell(
     setup: &Setup,
     bins: &(PathBuf, PathBuf),
 ) -> Observed {
+    observe_shell_within(script, fs, setup, bins, None).expect("no watchdog, no timeout")
+}
+
+/// [`observe_shell`] under a killing `watchdog`: host `timeout` runs
+/// the script in its own process group and SIGKILLs the whole group
+/// when the time is up, which is reported as `None`.
+fn observe_shell_within(
+    script: &str,
+    fs: Arc<MemFs>,
+    setup: &Setup,
+    bins: &(PathBuf, PathBuf),
+    watchdog: Option<std::time::Duration>,
+) -> Option<Observed> {
     use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -256,7 +269,15 @@ fn observe_shell(
     materialize(&fs, &dir);
     let emitted = emit_program(&compiled.plan, &EmitConfig::default());
     std::fs::write(dir.join("parallel.sh"), emitted).expect("write script");
-    let mut child = Command::new("/bin/sh")
+    let mut command = match watchdog {
+        Some(limit) => {
+            let mut c = Command::new("timeout");
+            c.args(["-s", "KILL", &limit.as_secs().to_string(), "/bin/sh"]);
+            c
+        }
+        None => Command::new("/bin/sh"),
+    };
+    let mut child = command
         .arg("parallel.sh")
         .current_dir(&dir)
         .env("PASHC", &bins.0)
@@ -266,13 +287,13 @@ fn observe_shell(
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn sh");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(setup.stdin)
-        .ok();
-    let out = child.wait_with_output().expect("wait sh");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // Fed beside the read of its output: a script that streams more
+    // than a pipe holds would otherwise block on the write back.
+    let out = std::thread::scope(|scope| {
+        scope.spawn(move || stdin.write_all(setup.stdin).ok());
+        child.wait_with_output().expect("wait sh")
+    });
     let status = out.status.code().unwrap_or_else(|| {
         #[cfg(unix)]
         {
@@ -289,7 +310,8 @@ fn observe_shell(
         out_file: std::fs::read(dir.join("out.txt")).ok(),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    observed
+    // `timeout -s KILL` dies by its own signal when the limit passes.
+    (watchdog.is_none() || status != 128 + 9).then_some(observed)
 }
 
 /// Runs `script` under all four backends and asserts pairwise
@@ -518,6 +540,154 @@ fn width_sweep_both_split_strategies() {
                 &make_fs,
                 &Setup::round_robin(width),
                 &bins,
+            );
+        }
+    }
+}
+
+/// `uniq` / `uniq -c` fed by a `sort`'s merge run below it, one copy
+/// per sorted run, under a combining merge (`pash-agg-sort-c`,
+/// `pash-agg-sort … -u`); the stage after it takes raw round-robin
+/// blocks. Inputs aimed at the seams: every distinct line in every
+/// segment (numerically equal but different lines among them), one
+/// distinct line, nothing, and fewer lines than workers with no final
+/// newline — each script over all four, at widths 1 to 8, both split
+/// strategies, four backends, against the width-1 run.
+#[test]
+fn folds_commute_below_sort_merges_across_backends() {
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let make_fs = || {
+        cached_fs("differential/fold-below-merge".to_string(), |fs| {
+            const LINES: [&str; 12] = [
+                "10",
+                "010",
+                "9",
+                "apple",
+                "Apple",
+                "apple pie",
+                "",
+                "-3",
+                "b 2",
+                "a 2",
+                "10 x",
+                "9 lives of a rather long line that moves the segment cuts about",
+            ];
+            let mut dups = String::new();
+            for i in 0..6_000usize {
+                // Two strides, so neighbours and cut points vary.
+                dups.push_str(LINES[(i * 7 + i / 13) % LINES.len()]);
+                dups.push('\n');
+            }
+            fs.add("dups.txt", dups.into_bytes());
+            fs.add("one.txt", b"same\n".repeat(3_000));
+            fs.add("empty.txt", Vec::new());
+            fs.add("short.txt", b"b\na\nb\na".to_vec());
+        })
+    };
+    for stages in [
+        "sort | uniq -c | sort -n",
+        "sort -r | uniq",
+        "sort | uniq -c | sort -rn | head -n 5",
+        "sort -n | uniq -c",
+    ] {
+        // One region per input, all on stdout.
+        let script: String = ["dups", "one", "empty", "short"]
+            .iter()
+            .map(|f| format!("cat {f}.txt | {stages}\n"))
+            .collect();
+        for width in [1usize, 2, 4, 8] {
+            for setup in [Setup::split(width), Setup::round_robin(width)] {
+                let label = format!("{stages} @{width} {:?}", setup.cfg.split);
+                assert_backends_agree(&label, &script, &make_fs, &setup, &bins);
+            }
+        }
+    }
+}
+
+/// Hangs must fail, not hang: stdin-fed pipelines under the paper's
+/// headline configuration, 8 MiB, on the three backends that run
+/// them locally, each under a deadline that kills the run and fails
+/// the test. (`PashConfig::best` puts a general split on the stdin
+/// pipe; the `cat` of the stateless pipeline and the raw round-robin
+/// split of the sort pipeline are what drain it.)
+#[test]
+fn stdin_fed_pipelines_finish_under_a_watchdog() {
+    use pash::runtime::SupervisorSettings;
+    use std::time::Duration;
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let have_timeout = Command::new("timeout")
+        .args(["1", "true"])
+        .status()
+        .is_ok_and(|s| s.success());
+    let stdin = pash_bench::fixtures::cached_corpus(29, 8 << 20);
+    let make_fs = || cached_fs("differential/stdin/empty".to_string(), |_| {});
+    // An attempt that outlives the deadline is killed and, with no
+    // retry and no fallback, fails the run.
+    let watched = || SupervisorSettings {
+        region_deadline: Some(WATCHDOG),
+        max_retries: 0,
+        fallback: false,
+        ..Default::default()
+    };
+    for script in ["tr A-Z a-z | cut -c 1-20", "sort | uniq -c | sort -rn"] {
+        let setup = |width| Setup {
+            cfg: PashConfig::best(width),
+            stdin: &stdin[..],
+            inflight: 1,
+        };
+        let seq = setup(1);
+        let expected = observe_threads(script, make_fs(), &seq, &seq.cfg, 64 * 1024);
+        assert_eq!(expected.status, 0, "`{script}`");
+        for width in [2usize, 4] {
+            let setup = setup(width);
+            for backend in ["threads", "processes"] {
+                let mut env = RunEnv {
+                    fs: make_fs(),
+                    stdin: stdin.to_vec(),
+                    proc: ProcSettings {
+                        pashc: Some(bins.0.clone()),
+                        pash_rt: Some(bins.1.clone()),
+                        supervisor: watched(),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                env.exec.supervisor = watched();
+                match run(script, &setup.cfg, backend, &env) {
+                    Ok(BackendOutput::Execution(o)) => {
+                        assert_eq!(o.status, 0, "`{script}` on {backend} at width {width}");
+                        assert!(
+                            o.stdout == expected.stdout,
+                            "`{script}` on {backend} at width {width}: output differs"
+                        );
+                    }
+                    other => panic!(
+                        "`{script}` on {backend} at width {width} did not finish \
+                         within {WATCHDOG:?}: {:?}",
+                        other.map(|_| "no execution")
+                    ),
+                }
+            }
+            if !have_timeout {
+                eprintln!("skipping the shell leg: the host has no `timeout`");
+                continue;
+            }
+            let got = observe_shell_within(script, make_fs(), &setup, &bins, Some(WATCHDOG))
+                .unwrap_or_else(|| {
+                    panic!("`{script}` under /bin/sh at width {width} hung: killed at {WATCHDOG:?}")
+                });
+            assert_eq!(got.status, 0, "`{script}` under /bin/sh at width {width}");
+            assert!(
+                got.stdout == expected.stdout,
+                "`{script}` under /bin/sh at width {width}: output differs"
             );
         }
     }

@@ -453,6 +453,43 @@ fn metrics_report_which_schedule_each_region_ran() {
 }
 
 #[test]
+fn metrics_report_which_rewrites_shaped_the_plan() {
+    let dir = scratch_dir("rewrites");
+    let daemon = spawn_daemon(&dir, &[]);
+    let mut client = daemon.client();
+    client
+        .put_file("in.txt", wl::text_corpus(7, 8 * 1024))
+        .expect("in.txt");
+    let shaped = |client: &mut Client| {
+        let json = client.metrics().expect("metrics");
+        (
+            metric(&json, "plan_commuted"),
+            metric(&json, "plan_splits_raw_rr"),
+        )
+    };
+    assert_eq!(shaped(&mut client), (0, 0));
+    let mut run = |script: &str, width| {
+        let resp = client
+            .run(request(script, width, SplitPolicy::Sized))
+            .expect("run");
+        assert_eq!(resp.status, 0);
+        shaped(&mut client)
+    };
+    // The fold moves below the sort's merge: one rewrite, no split.
+    let folded = "cat in.txt | sort | uniq -c";
+    assert_eq!(run(folded, 2), (1, 0));
+    // Served from the plan cache: nothing was compiled.
+    assert_eq!(run(folded, 2), (1, 0));
+    // A stage behind the merge takes raw round-robin blocks.
+    assert_eq!(run("cat in.txt | sort | uniq -c | sort -n", 2), (2, 1));
+    // Width 1 has no merge to move anything below.
+    assert_eq!(run(folded, 1), (2, 1));
+    drop(client);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fault_injected_daemon_stays_byte_identical() {
     let dir = scratch_dir("fault");
     // A persistent kill-worker fault: every attempt dies, so the

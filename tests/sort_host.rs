@@ -6,6 +6,10 @@
 //! the whole line (KNOWN_DIVERGENCES §1) and `-u` keeps the first
 //! input line of a key group — and the flag matrix around them.
 //!
+//! The last test holds the parallel plan of `sort | uniq -c` — the
+//! fold commuted below the merge, counts added in the merge — to the
+//! host's shell the same way.
+//!
 //! Inputs stay inside the semantics both sides share: fields are
 //! separated by exactly one blank and no line starts with one (GNU
 //! counts leading blanks into a `-k` field unless `-b` is given, ours
@@ -209,5 +213,50 @@ fn merge_of_host_sorted_runs_matches_the_host() {
         args.extend(flags.iter());
         args.extend(["r0", "r1", "r2"]);
         assert_matches_host(&format!("merge-{i}"), &args, &files, b"");
+    }
+}
+
+#[test]
+fn folded_sort_uniq_pipelines_match_the_host_shell() {
+    use pash::core::compile::PashConfig;
+    use pash::{run, BackendOutput, RunEnv};
+
+    if !host_available() || !Path::new("/bin/sh").exists() {
+        eprintln!("skipping: the host has no {HOST_SORT} or no /bin/sh");
+        return;
+    }
+    // Colliding keys, numeric ties between different lines (`1`,
+    // `01`, `1.0`), empty lines; more than one pipe buffer, so the
+    // width-4 region runs a thread per node.
+    let input = corpus(7, 30_000, " ");
+    for script in ["sort -n | uniq -c", "sort | uniq -c | sort -n"] {
+        let compiled = pash::compile(script, &PashConfig::best(4)).expect("compile");
+        assert_eq!(compiled.stats.nodes.commuted, 1, "`{script}`");
+        let env = RunEnv {
+            stdin: input.clone(),
+            ..Default::default()
+        };
+        let ours = match run(script, &PashConfig::best(4), "threads", &env) {
+            Ok(BackendOutput::Execution(o)) => o,
+            other => panic!("threads produced {other:?} for `{script}`"),
+        };
+        assert_eq!(ours.status, 0, "`{script}`");
+        let mut child = Command::new("/bin/sh")
+            .args(["-c", script])
+            .env("LC_ALL", "C")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn host sh");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let host = std::thread::scope(|scope| {
+            scope.spawn(|| stdin.write_all(&input).map(|()| drop(stdin)));
+            child.wait_with_output().expect("host sh exits")
+        });
+        assert!(host.status.success(), "host `{script}` failed");
+        assert!(
+            ours.stdout == host.stdout,
+            "`{script}` at width 4 differs from the host shell"
+        );
     }
 }
