@@ -16,8 +16,9 @@
 #   4. compile (but don't run) all criterion benches;
 #   5. dataplane bench smoke: run at a small size, check the emitted
 #      BENCH_dataplane.json parses, assert the simulated r_split
-#      speedup over the skewed general split, and that the key looked
-#      for is in the checked-in BENCH_dataplane.json too;
+#      speedup over the skewed general split, and that the keys looked
+#      for (that speedup, the two `sort` kernel rows) are in the
+#      checked-in BENCH_dataplane.json too;
 #   6. regex bench smoke: tiered-vs-PikeVM suite at a small size
 #      (per-line and block line-scan rows, each asserted equal to the
 #      Pike VM and free of DFA give-ups before timing), check the
@@ -102,7 +103,8 @@ rr_speedup=$(sed -n 's/.*"rr_vs_general_split_speedup":\([0-9.]*\).*/\1/p' \
     target/bench-smoke/BENCH_dataplane.json)
 test -n "$rr_speedup"
 awk "BEGIN { exit !($rr_speedup > 1.05) }"
-require_keys BENCH_dataplane.json rr_vs_general_split_speedup
+require_keys BENCH_dataplane.json rr_vs_general_split_speedup sort_kernel_text \
+    sort_kernel_counted_n
 echo "    r_split vs general split on skewed input: ${rr_speedup}x"
 
 echo "==> regex bench smoke (BENCH_regex.json well-formed)"

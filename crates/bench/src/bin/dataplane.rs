@@ -1,7 +1,8 @@
 //! Data-plane microbenchmark driver.
 //!
 //! Measures the runtime's byte-shuffling primitives (pipe transfer,
-//! split, segment read, eager relay) and writes the results to
+//! split, segment read, eager relay, merge) and the `sort` kernel, and
+//! writes the results to
 //! `BENCH_dataplane.json` so successive PRs can track the perf
 //! trajectory.
 //!

@@ -1,6 +1,7 @@
 //! Data-plane microbenchmarks: the byte-shuffling primitives of §5.2
 //! (pipes, splitters, segment reads, eager relays) measured in
-//! isolation.
+//! isolation, and the `sort` kernel whose output the merge
+//! aggregators carry.
 //!
 //! The paper's speedups assume edges move data at memory bandwidth;
 //! these benchmarks put a number on how close the runtime gets. They
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pash_coreutils::fs::{Fs, MemFs};
-use pash_coreutils::Registry;
+use pash_coreutils::{run_command, Registry};
 use pash_runtime::agg::{run_aggregator, AggInput};
 use pash_runtime::fileseg::read_segment;
 use pash_runtime::pipe::pipe;
@@ -134,6 +135,30 @@ pub fn time_agg_merge(registry: &Registry, fs: &Arc<dyn Fs>, chunks: &[Vec<u8>])
     elapsed
 }
 
+/// Runs `sort ARGS…` over `input` (newline-terminated) through the
+/// command itself — arena, index, kernel, gathered output — into
+/// memory; returns the wall time.
+pub fn time_sort(registry: &Registry, args: &[&str], input: &[u8]) -> Duration {
+    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+    let argv: Vec<&str> = std::iter::once("sort")
+        .chain(args.iter().copied())
+        .collect();
+    let start = Instant::now();
+    let out = run_command(registry, fs, &argv, input).expect("sort runs");
+    let elapsed = start.elapsed();
+    assert_eq!(out.stdout.len(), input.len(), "sort lost bytes");
+    elapsed
+}
+
+/// `sort | uniq -c` of `corpus`: the records the benchmark's final
+/// `sort -n` orders.
+pub fn counted_records(registry: &Registry, corpus: &[u8]) -> Vec<u8> {
+    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+    let sorted = run_command(registry, fs.clone(), &["sort"], corpus).expect("sort runs");
+    let counted = run_command(registry, fs, &["uniq", "-c"], &sorted.stdout).expect("uniq runs");
+    counted.stdout
+}
+
 /// Runs a full eager relay over `data`; returns the wall time.
 pub fn time_relay(data: &[u8]) -> Duration {
     let owned = data.to_vec();
@@ -203,7 +228,8 @@ pub fn measure(name: &str, bytes: usize, runs: usize, mut f: impl FnMut() -> Dur
 
 /// The standard suite at a given transfer size; `runs` iterations per
 /// benchmark. Covers the four primitives the executor's edges use,
-/// plus the aggregator merge path.
+/// the aggregator merge path, and the `sort` kernel on text and on
+/// `uniq -c` records under `-n`.
 pub fn run_suite(bytes: usize, runs: usize) -> Vec<Sample> {
     let corpus = pash_workloads::text_corpus(41, bytes);
     let mem = MemFs::new();
@@ -214,6 +240,7 @@ pub fn run_suite(bytes: usize, runs: usize) -> Vec<Sample> {
     let merge_bytes: usize = chunks.iter().map(|c| c.len()).sum();
     let chunks32 = sorted_chunks(&corpus, 32);
     let merge32_bytes: usize = chunks32.iter().map(|c| c.len()).sum();
+    let counted = counted_records(&registry, &corpus);
     vec![
         measure("pipe_64k_cap", bytes, runs, || {
             time_pipe_transfer(64 * 1024, bytes)
@@ -233,6 +260,12 @@ pub fn run_suite(bytes: usize, runs: usize) -> Vec<Sample> {
         // the old O(k) head scan.
         measure("agg_sort_merge_32way", merge32_bytes, runs, || {
             time_agg_merge(&registry, &fs, &chunks32)
+        }),
+        measure("sort_kernel_text", bytes, runs, || {
+            time_sort(&registry, &[], &corpus)
+        }),
+        measure("sort_kernel_counted_n", counted.len(), runs, || {
+            time_sort(&registry, &["-n"], &counted)
         }),
     ]
 }
@@ -256,13 +289,15 @@ mod tests {
     #[test]
     fn suite_runs_at_tiny_size() {
         let samples = run_suite(4 * 1024, 1);
-        assert_eq!(samples.len(), 7);
+        assert_eq!(samples.len(), 9);
         for s in &samples {
             assert!(s.throughput() > 0.0, "{} has zero throughput", s.name);
             assert!(s.to_json().contains(&s.name));
         }
         assert!(samples.iter().any(|s| s.name == "agg_sort_merge_8way"));
         assert!(samples.iter().any(|s| s.name == "agg_sort_merge_32way"));
+        assert!(samples.iter().any(|s| s.name == "sort_kernel_text"));
+        assert!(samples.iter().any(|s| s.name == "sort_kernel_counted_n"));
     }
 
     #[test]

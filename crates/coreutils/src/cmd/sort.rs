@@ -5,19 +5,24 @@
 //! `sort -m` on GNU systems, §5.2), and `--parallel=N` (an internal
 //! threaded sort used as the §6.5 baseline).
 //!
-//! Every input is appended to one buffer; the sort moves an index of
-//! line slices decorated with keys computed once per line
-//! ([`SortSpec::prepare`]), and output is gathered into large writes.
-//! `sort -m`, `--parallel` and the runtime's `pash-agg-sort` share one
-//! streaming k-way [`merge`]; its counted mode ([`Records::Counted`],
+//! Every input is appended to one buffer and the sort moves an index
+//! into it; output is gathered into large writes. There is one order
+//! ([`SortSpec::compare_prepared`]) and two ways to reach it. A keyless
+//! spec (plain, `-r`, `-n`, `-rn`, with or without `-u`) sorts by the
+//! bytes: 16-byte `Entry`s keyed by the number's order-preserving
+//! code, then by 8-byte big-endian chunks of the line, each tied group
+//! re-keyed at the next chunk (`sort_by_chunks`). Specs with `-k`
+//! keys, and arenas of 4 GiB or more, sort `(key, line)` pairs under
+//! the comparator. `sort -m`, `--parallel` and the runtime's
+//! `pash-agg-sort` share one streaming k-way [`merge`] under the
+//! comparator; its counted mode ([`Records::Counted`],
 //! `pash-agg-sort-c`) merges per-worker `sort | uniq -c` outputs by
 //! their text and adds the counts of equal texts.
 
-use std::cmp::Ordering;
 use std::io::{self, BufWriter, Write};
 
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
-use crate::sortkeys::{line_order, Keyed, Prepared, SortSpec};
+use crate::sortkeys::{Keyed, Prepared, SortSpec};
 use crate::{CmdIo, Command, ExitStatus};
 
 /// The `sort` command (class P: map = sort, aggregate = merge).
@@ -36,6 +41,9 @@ pub struct SortArgs {
 }
 
 /// Parses sort arguments (shared with the runtime merge aggregator).
+/// Options cluster (`-rn`, `-nk2`); `-k` / `-t` take the rest of their
+/// word or the next one. An option outside the supported set is an
+/// error, `-` is stdin, and every word after `--` is an operand.
 pub fn parse_args(args: &[String]) -> Result<SortArgs, String> {
     let mut out = SortArgs {
         spec: SortSpec::default(),
@@ -46,40 +54,40 @@ pub fn parse_args(args: &[String]) -> Result<SortArgs, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--" => out.files.extend(it.by_ref().cloned()),
             s if s.starts_with("--parallel=") => {
                 out.parallel = s["--parallel=".len()..]
                     .parse()
                     .map_err(|_| format!("bad --parallel in `{s}`"))?;
             }
-            // `-k KEY` / `-kKEY`, `-t SEP` / `-tSEP`.
-            s if s.starts_with("-k") || s.starts_with("-t") => {
-                let (flag, attached) = s.split_at(2);
-                let value = match attached {
-                    "" => it.next().ok_or(format!("missing {flag} argument"))?,
-                    attached => attached,
-                };
-                if flag == "-k" {
-                    let key = SortSpec::parse_key(value);
-                    out.spec.keys.push(key.ok_or(format!("bad key `{value}`"))?);
-                } else {
-                    out.spec.separator = value.as_bytes().first().copied();
-                }
-            }
-            s if s.starts_with('-')
-                && s.len() > 1
-                && s[1..].chars().all(|c| "nrum".contains(c)) =>
-            {
-                for c in s[1..].chars() {
+            s if s.starts_with("--") => return Err(format!("unrecognized option '{s}'")),
+            s if s.len() > 1 && s.starts_with('-') => {
+                for (i, c) in s.char_indices().skip(1) {
                     match c {
                         'n' => out.spec.numeric = true,
                         'r' => out.spec.reverse = true,
                         'u' => out.spec.unique = true,
                         'm' => out.merge = true,
-                        _ => unreachable!("guard checked flag set"),
+                        'k' | 't' => {
+                            let value = match &s[i + 1..] {
+                                "" => it
+                                    .next()
+                                    .ok_or(format!("option requires an argument -- '{c}'"))?,
+                                attached => attached,
+                            };
+                            if c == 'k' {
+                                let key = SortSpec::parse_key(value);
+                                out.spec.keys.push(key.ok_or(format!("bad key `{value}`"))?);
+                            } else {
+                                out.spec.separator = value.as_bytes().first().copied();
+                            }
+                            break;
+                        }
+                        _ => return Err(format!("invalid option -- '{c}'")),
                     }
                 }
             }
-            other => out.files.push(other.to_string()),
+            operand => out.files.push(operand.to_string()),
         }
     }
     Ok(out)
@@ -105,23 +113,36 @@ impl Command for Sort {
                 run
             });
             merge(spec, Records::Lines, runs.collect(), io.stdout)?;
-        } else if spec.whole_line() {
-            // Bare slices under the bare comparator, its direction
-            // fixed here: the sort moves entries, and a third fewer
-            // bytes per entry plus a comparison that inlines to a
-            // `memcmp` is a third off.
-            let keyed = |line| (Prepared::default(), line);
-            if spec.reverse {
-                let compare = |a: &&[u8], b: &&[u8]| line_order::<true>(a, b);
-                sort_lines(&parsed, &arena, io.stdout, |line| line, keyed, compare)?;
-            } else {
-                let compare = |a: &&[u8], b: &&[u8]| line_order::<false>(a, b);
-                sort_lines(&parsed, &arena, io.stdout, |line| line, keyed, compare)?;
-            }
+        } else if let Some(index) = Entry::index(spec, &arena) {
+            // `-u` drops a line equal to the one kept before it: as a
+            // number under `-n`, byte for byte otherwise.
+            let repeats = |a: Entry, b: Entry| {
+                if spec.numeric {
+                    a.key == b.key
+                } else {
+                    a.line(&arena) == b.line(&arena)
+                }
+            };
+            sort_lines(
+                &parsed,
+                &arena,
+                io.stdout,
+                index,
+                |part| sort_index(spec, &arena, part),
+                |e| e.line(&arena),
+                repeats,
+            )?;
         } else {
-            let entry = |line| (spec.prepare(line), line);
-            let compare = |a: &Keyed<'_>, b: &Keyed<'_>| spec.compare_prepared(*a, *b);
-            sort_lines(&parsed, &arena, io.stdout, entry, |e| e, compare)?;
+            let index = buffer_lines(&arena).map(|line| (spec.prepare(line), line));
+            sort_lines(
+                &parsed,
+                &arena,
+                io.stdout,
+                index.collect::<Vec<Keyed<'_>>>(),
+                |part| part.sort_by(|a, b| spec.compare_prepared(*a, *b)),
+                |e| e.1,
+                |a, b| spec.equal_prepared(a, b),
+            )?;
         }
         Ok(0)
     }
@@ -153,49 +174,168 @@ fn read_inputs(io: &mut CmdIo<'_>, files: &[String]) -> io::Result<(Vec<u8>, Vec
 /// abort the sort).
 const MAX_THREADS: usize = 64;
 
-/// Sorts the lines of `arena` and writes them out: one index `entry`
-/// per line (its key prepared once), a stable sort (ties keep input
-/// order, which `-u` relies on), a gather. With `--parallel=N` the
-/// index is sorted in that many chunks on scoped threads and the
-/// chunks are merged — GNU `sort --parallel` for the §6.5
-/// microbenchmark.
+/// Sorts an `index` of the lines of `arena` with `sort` and writes the
+/// lines out in that order, `-u` dropping each that `repeats` the line
+/// kept before it. With `--parallel=N` the index is sorted in that
+/// many chunks on scoped threads and the chunks are merged — GNU
+/// `sort --parallel` for the §6.5 microbenchmark.
 fn sort_lines<'a, E: Copy + Send>(
     SortArgs { spec, parallel, .. }: &SortArgs,
-    arena: &'a [u8],
+    arena: &[u8],
     out: &mut dyn Write,
-    entry: impl Fn(&'a [u8]) -> E,
-    keyed: impl Fn(E) -> Keyed<'a>,
-    compare: impl Fn(&E, &E) -> Ordering + Copy + Send,
+    mut index: Vec<E>,
+    sort: impl Fn(&mut [E]) + Sync,
+    line: impl Fn(E) -> &'a [u8],
+    repeats: impl Fn(E, E) -> bool,
 ) -> io::Result<()> {
-    let mut index: Vec<E> = Vec::with_capacity(pash_regex::memmem::count_bytes(b'\n', arena));
-    index.extend(buffer_lines(arena).map(entry));
     let chunk = index
         .len()
         .div_ceil((*parallel).clamp(1, MAX_THREADS))
         .max(1);
     if chunk < index.len() {
+        let sort = &sort;
         std::thread::scope(|scope| {
             for part in index.chunks_mut(chunk) {
-                scope.spawn(move || part.sort_by(compare));
+                scope.spawn(move || sort(part));
             }
         });
-        let runs = index.chunks(chunk).map(|c| c.iter().map(|&e| keyed(e).1));
+        let line = &line;
+        let runs = index.chunks(chunk).map(|c| c.iter().map(move |&e| line(e)));
         return merge(spec, Records::Lines, runs.collect(), out);
     }
-    index.sort_by(compare);
+    sort(&mut index);
     let mut out = BufWriter::with_capacity(arena.len().min(CHUNK), out);
-    let mut last: Option<Keyed<'_>> = None;
-    for cur in index.into_iter().map(keyed) {
+    let mut last = None;
+    for cur in index {
         if spec.unique {
-            if last.is_some_and(|prev| spec.equal_prepared(prev, cur)) {
+            if last.is_some_and(|prev| repeats(prev, cur)) {
                 continue;
             }
             last = Some(cur);
         }
-        out.write_all(cur.1)?;
+        out.write_all(line(cur))?;
         out.write_all(b"\n")?;
     }
     out.flush()
+}
+
+/// One line of the arena in the keyless sort's index: where it is, and
+/// the key the current pass sorts it by — sixteen bytes, the size of a
+/// slice.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u64,
+    start: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+impl Entry {
+    /// The index of every line of `arena` for a keyless `spec`; `None`
+    /// for what stays on the comparator — a spec with `-k` keys, or an
+    /// arena the `u32` offsets cannot address (4 GiB or more).
+    fn index(spec: &SortSpec, arena: &[u8]) -> Option<Vec<Entry>> {
+        if !spec.keys.is_empty() || u32::try_from(arena.len()).is_err() {
+            return None;
+        }
+        let mut index = Vec::with_capacity(pash_regex::memmem::count_bytes(b'\n', arena));
+        let mut start = 0;
+        index.extend(buffer_lines(arena).map(|line| {
+            // Both fit: neither passes the arena's length, checked above.
+            let entry = Entry {
+                key: 0,
+                start: start as u32,
+                len: line.len() as u32,
+            };
+            start += line.len() + 1;
+            entry
+        }));
+        Some(index)
+    }
+
+    #[inline]
+    fn line(self, arena: &[u8]) -> &[u8] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// Puts `index` in a keyless spec's output order: the order
+/// [`SortSpec::compare_prepared`] gives, written front to back.
+///
+/// `-n` sorts by the number's code first, then orders each run of
+/// equal numbers by its bytes (GNU's last resort) — unless `-u` makes
+/// the run one group, whose first input line a stable sort keeps in
+/// front (`-rn -u` sorts by the complemented code for that reason).
+/// Without `-u`, `-r` is the sorted index back to front: entries that
+/// tie there are identical lines.
+fn sort_index(spec: &SortSpec, arena: &[u8], index: &mut [Entry]) {
+    if spec.numeric {
+        let flip = if spec.reverse && spec.unique { !0 } else { 0 };
+        for e in index.iter_mut() {
+            e.key = spec.prepare(e.line(arena)).numeric_code() ^ flip;
+        }
+        if spec.unique {
+            index.sort_by_key(|e| e.key);
+            return;
+        }
+        index.sort_unstable_by_key(|e| e.key);
+        for run in index.chunk_by_mut(|a, b| a.key == b.key) {
+            if run.len() > 1 {
+                sort_by_chunks(arena, run, 0);
+            }
+        }
+    } else {
+        sort_by_chunks(arena, index, 0);
+    }
+    if spec.reverse {
+        index.reverse();
+    }
+}
+
+/// How many bytes of shared prefix the chunk passes look through
+/// before a still-tied run is finished by comparison: it bounds the
+/// recursion, so the stack does not grow with line length.
+const MAX_DEPTH: usize = 64;
+
+/// Runs shorter than this are finished by comparison at once.
+const SMALL_RUN: usize = 16;
+
+/// Sorts `run`, whose lines share their first `depth` bytes, into
+/// byte order: one unstable sort by the big-endian 8 bytes at `depth`
+/// (zero-padded) and by how many bytes are left, capped at 9, then the
+/// same one chunk deeper for each group still tied — those lines
+/// agree on the whole chunk and all go on past it. The cap orders a
+/// line that ends inside the chunk, or whose chunk ends in padding
+/// NULs, before the lines it is a prefix of, exactly as `memcmp` does.
+fn sort_by_chunks(arena: &[u8], run: &mut [Entry], depth: usize) {
+    if run.len() < SMALL_RUN || depth >= MAX_DEPTH {
+        run.sort_unstable_by(|a, b| a.line(arena)[depth..].cmp(&b.line(arena)[depth..]));
+        return;
+    }
+    for e in run.iter_mut() {
+        e.key = chunk_at(&e.line(arena)[depth..]);
+    }
+    let left = |e: &Entry| (e.len as usize - depth).min(9);
+    run.sort_unstable_by_key(|e| (e.key, left(e)));
+    for tied in run.chunk_by_mut(|a, b| a.key == b.key && left(a) == 9 && left(b) == 9) {
+        if tied.len() > 1 {
+            sort_by_chunks(arena, tied, depth + 8);
+        }
+    }
+}
+
+/// The first 8 bytes of `rest` as a big-endian `u64`, zero-padded.
+#[inline]
+fn chunk_at(rest: &[u8]) -> u64 {
+    match rest.first_chunk::<8>() {
+        Some(chunk) => u64::from_be_bytes(*chunk),
+        None => {
+            let mut chunk = [0; 8];
+            chunk[..rest.len()].copy_from_slice(rest);
+            u64::from_be_bytes(chunk)
+        }
+    }
 }
 
 /// Output leaves through a `BufWriter` of this many bytes — two plain
@@ -471,7 +611,9 @@ pub fn merge<S: LineSource>(
 
 #[cfg(test)]
 mod tests {
+    use super::{sort_index, Entry};
     use crate::fs::MemFs;
+    use crate::sortkeys::SortSpec;
     use crate::{run_command, Registry};
     use std::sync::Arc;
 
@@ -595,6 +737,36 @@ mod tests {
     }
 
     #[test]
+    fn stack_use_does_not_grow_with_line_length() {
+        // 64 lines behind one 1 MiB prefix: a chunk pass per 8 bytes
+        // would nest 2^17 deep.
+        const PREFIX: usize = 1 << 20;
+        let tails: Vec<String> = (0..64).map(|i| format!("{:02}", i * 37 % 64)).collect();
+        let mut arena = Vec::with_capacity(64 * (PREFIX + 3));
+        for tail in &tails {
+            arena.resize(arena.len() + PREFIX, b'p');
+            arena.extend_from_slice(tail.as_bytes());
+            arena.push(b'\n');
+        }
+        let sorted = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let spec = SortSpec::default();
+                let mut index = Entry::index(&spec, &arena).expect("keyless, under 4 GiB");
+                sort_index(&spec, &arena, &mut index);
+                let tail =
+                    |e: &Entry| String::from_utf8_lossy(&e.line(&arena)[PREFIX..]).into_owned();
+                index.iter().map(tail).collect::<Vec<_>>()
+            })
+            .expect("spawn")
+            .join()
+            .expect("the sort fits a 256 KiB stack");
+        let mut expected = tails;
+        expected.sort();
+        assert_eq!(sorted, expected);
+    }
+
+    #[test]
     fn parallel_matches_sequential() {
         let input: String = (0..500).map(|i| format!("{}\n", (i * 37) % 101)).collect();
         let seq = sort(&["-n"], &input);
@@ -610,6 +782,55 @@ mod tests {
     #[test]
     fn sort_stability_equal_lines() {
         assert_eq!(sort(&[], "same\nsame\n"), "same\nsame\n");
+    }
+
+    fn run(argv: &[&str], input: &[u8]) -> crate::Captured {
+        let fs = Arc::new(MemFs::new());
+        fs.add("-n", b"b\na\n".to_vec());
+        run_command(&Registry::standard(), fs, argv, input).expect("run")
+    }
+
+    #[test]
+    fn unknown_options_are_usage_errors_naming_the_option() {
+        for (flag, named) in [
+            ("-f", "'f'"),
+            ("-s", "'s'"),
+            ("-b", "'b'"),
+            ("-c", "'c'"),
+            ("-nf", "'f'"),
+            ("-o", "'o'"),
+            ("--reverse", "'--reverse'"),
+        ] {
+            let out = run(&["sort", flag], b"b\nA\n");
+            assert_eq!(out.status, 2, "{flag}");
+            assert!(out.stdout.is_empty(), "{flag}");
+            let err = String::from_utf8(out.stderr).expect("utf8");
+            assert!(
+                err.starts_with("sort: ") && err.contains(named),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_dash_is_stdin() {
+        let out = run(&["sort", "-r", "-"], b"a\nc\nb\n");
+        assert_eq!((out.status, &out.stdout[..]), (0, &b"c\nb\na\n"[..]));
+    }
+
+    #[test]
+    fn words_after_double_dash_are_operands() {
+        // `-n` here is the file of that name, not the flag.
+        let out = run(&["sort", "-r", "--", "-n"], b"");
+        assert_eq!((out.status, &out.stdout[..]), (0, &b"b\na\n"[..]));
+    }
+
+    #[test]
+    fn key_and_separator_options_cluster() {
+        assert_eq!(sort(&["-rk2"], "a 1\nb 2\n"), "b 2\na 1\n");
+        assert_eq!(sort(&["-nt:", "-k2"], "x:10\ny:9\n"), "y:9\nx:10\n");
+        let out = run(&["sort", "-nk"], b"");
+        assert_eq!(out.status, 2);
     }
 
     #[test]

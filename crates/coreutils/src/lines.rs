@@ -231,8 +231,9 @@ pub fn add_counts(a: u64, b: u64) -> io::Result<u64> {
 }
 
 /// Parses a decimal prefix of a byte string as `f64`, the way
-/// `sort -n` does: optional blanks, optional sign, digits, optional
-/// fraction (no exponent). Unparsable values compare as 0.
+/// `sort -n` does: optional blanks, optional minus sign, digits,
+/// optional fraction (no exponent, and no `+`: GNU reads `+5` as 0).
+/// Unparsable values compare as 0.
 pub fn numeric_prefix(s: &[u8]) -> f64 {
     let mut i = 0;
     while i < s.len() && (s[i] == b' ' || s[i] == b'\t') {
@@ -240,7 +241,7 @@ pub fn numeric_prefix(s: &[u8]) -> f64 {
     }
     let start = i;
     let negative = s.get(i) == Some(&b'-');
-    if negative || s.get(i) == Some(&b'+') {
+    if negative {
         i += 1;
     }
     // Digits accumulate straight into the number: every partial sum
@@ -443,10 +444,11 @@ mod tests {
         assert_eq!(numeric_prefix(b"  -3.5x"), -3.5);
         assert_eq!(numeric_prefix(b"abc"), 0.0);
         assert_eq!(numeric_prefix(b""), 0.0);
-        assert_eq!(numeric_prefix(b"+7"), 7.0);
+        assert_eq!(numeric_prefix(b"+7"), 0.0);
         assert_eq!(numeric_prefix(b"-0"), 0.0);
         assert!(numeric_prefix(b"-0").is_sign_negative());
-        assert_eq!(numeric_prefix(b"+.5"), 0.5);
+        assert_eq!(numeric_prefix(b"+.5"), 0.0);
+        assert_eq!(numeric_prefix(b"-.5"), -0.5);
         assert_eq!(numeric_prefix(b"-."), 0.0);
         // GNU `-n` has no exponent: the prefix ends at the `e`.
         assert_eq!(numeric_prefix(b"1e3"), 1.0);

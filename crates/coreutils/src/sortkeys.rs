@@ -1,11 +1,13 @@
-//! Sort keys and the one comparator, shared by `sort`, `sort -m` and
-//! the runtime's `pash-agg-sort` merge aggregator.
+//! Sort keys and the one order, shared by `sort`, `sort -m` and the
+//! runtime's `pash-agg-sort` merge aggregator.
 //!
 //! A line's key is computed once ([`SortSpec::prepare`]) and every
 //! comparison runs on prepared keys ([`SortSpec::compare_prepared`]).
-//! Keeping one implementation guarantees that the parallel merge uses
-//! exactly the sequential comparator — the invariant the map/aggregate
-//! law for `sort` rests on.
+//! The merge compares with it; the keyless `sort` kernel orders the
+//! same lines by bytes and by `Prepared::numeric_code` instead, and
+//! must put them exactly where `compare_prepared` would — the
+//! invariant the map/aggregate law for `sort` rests on, which the
+//! proptest in `tests/sort_arena.rs` guards.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -72,6 +74,21 @@ impl Prepared {
 
     fn range(self) -> Range<usize> {
         (self.0 >> 32) as usize..(self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    /// A numeric key as a `u64` whose unsigned order is the order
+    /// [`SortSpec::compare_prepared`] gives the numbers: `-0.0` and
+    /// `0.0` compare equal there, so they share a code (the numbers are
+    /// never NaN). Negative numbers flip every bit, the rest only the
+    /// sign bit.
+    pub(crate) fn numeric_code(self) -> u64 {
+        let n = self.number();
+        let bits = if n == 0.0 { 0 } else { n.to_bits() };
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
     }
 }
 
@@ -202,14 +219,14 @@ impl SortSpec {
     }
 
     /// Whole-line byte order, reversed under global `-r`: all of a
-    /// keyless non-numeric sort ([`SortSpec::whole_line`]), and every
-    /// other spec's last resort.
+    /// whole-line spec ([`SortSpec::whole_line`]), and every other
+    /// spec's last resort.
     #[inline]
-    pub fn compare_lines(&self, a: &[u8], b: &[u8]) -> Ordering {
+    fn compare_lines(&self, a: &[u8], b: &[u8]) -> Ordering {
         if self.reverse {
-            line_order::<true>(a, b)
+            b.cmp(a)
         } else {
-            line_order::<false>(a, b)
+            a.cmp(b)
         }
     }
 
@@ -241,21 +258,6 @@ impl SortSpec {
     /// [`SortSpec::equal_prepared`] on raw lines.
     pub fn key_equal(&self, a: &[u8], b: &[u8]) -> bool {
         self.equal_prepared((self.prepare(a), a), (self.prepare(b), b))
-    }
-}
-
-/// Byte order of two lines, ascending or descending. The direction is
-/// a type parameter so that a sort which fixes it up front
-/// ([`SortSpec::compare_lines`] decides it per call) gets a
-/// comparator of one `memcmp`: small enough to inline at every site
-/// of the sort and to fuse with its `is_less` test — a third off the
-/// whole-line sort.
-#[inline]
-pub fn line_order<const REVERSE: bool>(a: &[u8], b: &[u8]) -> Ordering {
-    if REVERSE {
-        b.cmp(a)
-    } else {
-        a.cmp(b)
     }
 }
 
@@ -460,6 +462,32 @@ mod tests {
         assert_eq!(range(b"a::b:", &k("2,3"), Some(b':')), 2..4);
         assert_eq!(range(b"a::b:", &k("4"), Some(b':')), 5..5);
         assert_eq!(range(b"a::b:", &k("5"), Some(b':')), 0..0);
+    }
+
+    #[test]
+    fn numeric_codes_order_like_the_numbers() {
+        let s = spec("n");
+        let code = |line: &[u8]| s.prepare(line).numeric_code();
+        let ascending: [&[u8]; 10] = [
+            b"-99999999999999999999999",
+            b"-10",
+            b"-1.5",
+            b"-0.0001",
+            b"0",
+            b"0.0001",
+            b"1",
+            b"1.5",
+            b"10",
+            b"99999999999999999999999",
+        ];
+        for pair in ascending.windows(2) {
+            assert!(code(pair[0]) < code(pair[1]), "{pair:?}");
+            assert_eq!(s.compare(pair[0], pair[1]), Ordering::Less);
+        }
+        // Every spelling of zero is one code, as they compare equal.
+        for zero in [&b"-0"[..], b"00", b"+0", b"-.0", b"x", b""] {
+            assert_eq!(code(zero), code(b"0"), "{zero:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 
 use std::io::{self, Read};
 
+use pash_regex::memmem::memchr;
+
 /// Refill granularity (and initial buffer size).
 const SCAN_CHUNK: usize = 64 * 1024;
 
@@ -44,10 +46,7 @@ impl<R: Read> LineScanner<R> {
     /// until the next call.
     pub fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
         loop {
-            if let Some(pos) = self.buf[self.start..self.end]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
+            if let Some(pos) = memchr(b'\n', &self.buf[self.start..self.end]) {
                 let s = self.start;
                 self.start += pos + 1;
                 return Ok(Some(&self.buf[s..s + pos]));

@@ -10,11 +10,16 @@
 //! fold commuted below the merge, counts added in the merge — to the
 //! host's shell the same way.
 //!
-//! Inputs stay inside the semantics both sides share: fields are
-//! separated by exactly one blank and no line starts with one (GNU
-//! counts leading blanks into a `-k` field unless `-b` is given, ours
-//! never does), and no number carries a `+` (GNU `-n` has no such
-//! sign).
+//! The keyless flag set (`{}`, `-r`, `-u`, `-ru`, `-n`, `-rn`, `-nu`,
+//! `-rnu`) — everything the byte-chunk kernel serves — also runs over
+//! a 20 000-line corpus whose lines cross its 8-byte chunks, sorted
+//! whole and merged from host-sorted runs.
+//!
+//! Inputs stay inside the semantics both sides share: in the `-k`
+//! corpus fields are separated by exactly one blank and no line starts
+//! with one (GNU counts leading blanks into a `-k` field unless `-b` is
+//! given, ours never does), and no two numbers differ only past an
+//! `f64`'s precision (GNU compares the digits, ours the parsed value).
 
 use std::io::Write;
 use std::path::Path;
@@ -90,17 +95,11 @@ fn assert_matches_host(case: &str, args: &[&str], files: &[(&str, &[u8])], stdin
 /// `1.0`), fields go missing, and bytes above ASCII and NUL appear;
 /// `sep` joins the fields.
 fn corpus(seed: u64, lines: usize, sep: &str) -> Vec<u8> {
-    const WORDS: [&[u8]; 20] = [
+    const WORDS: [&[u8]; 22] = [
         b"a", b"b", b"ab", b"B", b"the", b"1", b"01", b"1.0", b"2", b"10", b"9", b"-3", b"-03",
-        b"0.5", b".5", b"1e3", b"x\xffy", b"x\x00y", b"zz", b"0",
+        b"0.5", b".5", b"1e3", b"x\xffy", b"x\x00y", b"zz", b"0", b"+5", b"+0",
     ];
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = |n: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % n
-    };
+    let mut next = lcg(seed);
     let mut out = Vec::new();
     for _ in 0..lines {
         // One line in sixteen is empty.
@@ -115,6 +114,106 @@ fn corpus(seed: u64, lines: usize, sep: &str) -> Vec<u8> {
         out.push(b'\n');
     }
     out
+}
+
+/// A seeded generator of numbers below `n`.
+fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move |n| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    }
+}
+
+/// Seeded lines that reach past the sort kernel's first 8-byte chunk:
+/// bodies of up to 40 bytes over blanks, digits, `-`, `.`, NUL and
+/// `0xff`, or a number (zero spelled four ways, bare fractions, one
+/// 20-digit integer of each sign, leading blanks) and a short tail; a
+/// quarter behind one shared prefix of 7, 8, 9, 16 or 17 bytes, some of
+/// those behind it two or four times; and lines that are proper
+/// prefixes of others or differ from them only by trailing NULs.
+fn chunked_corpus(seed: u64, lines: usize) -> Vec<u8> {
+    const ALPHABET: &[u8] = b" \t:0019-.ab\x00\xff";
+    const NUMBERS: [&[u8]; 11] = [
+        b"-0",
+        b"0",
+        b"+0",
+        b"00",
+        b".5",
+        b"1.",
+        b"12345678901234567890",
+        b"-98765432109876543210",
+        b" 7",
+        b"\t-3",
+        b"  0042",
+    ];
+    let mut next = lcg(seed);
+    let mut draw = |len: u64| -> Vec<u8> {
+        (0..len)
+            .map(|_| ALPHABET[next(ALPHABET.len() as u64) as usize])
+            .collect()
+    };
+    let prefix = draw([7, 8, 9, 16, 17][seed as usize % 5]);
+    let mut next = lcg(seed + 1);
+    let mut out: Vec<Vec<u8>> = Vec::new();
+    while out.len() < lines {
+        // A number's tail starts with a blank, so its digits end
+        // where the number's do.
+        let (mut body, len) = match next(4) {
+            0 => {
+                let number = NUMBERS[next(NUMBERS.len() as u64) as usize];
+                ([number, b" "].concat(), number.len() + 1 + next(4) as usize)
+            }
+            _ => (Vec::new(), next(41) as usize),
+        };
+        while body.len() < len {
+            body.push(ALPHABET[next(ALPHABET.len() as u64) as usize]);
+        }
+        let shared = |times: usize| [prefix.repeat(times), body.clone()].concat();
+        match next(10) {
+            0 | 1 => out.push(shared(1)),
+            2 => out.push(shared(2)),
+            3 => out.push(shared(4)),
+            4 => {
+                let line = shared(1);
+                out.push(line[..line.len() * 2 / 3].to_vec());
+                out.push(line);
+            }
+            5 => {
+                let nuls = 1 + next(9) as usize;
+                out.push([&body[..], &vec![0; nuls]].concat());
+                out.push(body);
+            }
+            _ => out.push(body),
+        }
+    }
+    out.iter().flat_map(|l| [&l[..], b"\n"].concat()).collect()
+}
+
+/// Every keyless spec: the byte-chunk kernel's whole domain.
+const KEYLESS: [&[&str]; 8] = [
+    &[],
+    &["-r"],
+    &["-u"],
+    &["-ru"],
+    &["-n"],
+    &["-rn"],
+    &["-nu"],
+    &["-rnu"],
+];
+
+#[test]
+fn keyless_specs_match_the_host_across_chunks() {
+    if !host_available() {
+        eprintln!("skipping: the host has no {HOST_SORT}");
+        return;
+    }
+    let corpus = chunked_corpus(3, 20_000);
+    for (i, flags) in KEYLESS.iter().enumerate() {
+        assert_matches_host(&format!("chunked-{i}"), flags, &[], &corpus);
+    }
 }
 
 #[test]
@@ -213,6 +312,32 @@ fn merge_of_host_sorted_runs_matches_the_host() {
         args.extend(flags.iter());
         args.extend(["r0", "r1", "r2"]);
         assert_matches_host(&format!("merge-{i}"), &args, &files, b"");
+    }
+    // The chunked corpus cut into three runs, each sorted by the host:
+    // our merge of them must be the host's, and so the sort of the
+    // whole above.
+    let corpus = chunked_corpus(3, 20_000);
+    let cuts = [0, corpus.len() / 3, 2 * corpus.len() / 3, corpus.len()].map(|at| {
+        at + corpus[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(0, |n| n + 1)
+    });
+    for (i, flags) in KEYLESS.iter().enumerate() {
+        let runs: Vec<Vec<u8>> = (0..3)
+            .map(|r| {
+                let part = &corpus[cuts[r].min(corpus.len())..cuts[r + 1].min(corpus.len())];
+                host_sort(&format!("chunked-run-{i}-{r}"), flags, &[], part)
+            })
+            .collect();
+        let files: Vec<(&str, &[u8])> = ["r0", "r1", "r2"]
+            .into_iter()
+            .zip(runs.iter().map(Vec::as_slice))
+            .collect();
+        let mut args = vec!["-m"];
+        args.extend(flags.iter());
+        args.extend(["r0", "r1", "r2"]);
+        assert_matches_host(&format!("chunked-merge-{i}"), &args, &files, b"");
     }
 }
 
