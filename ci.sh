@@ -10,9 +10,15 @@
 #      under it must fail here, on every host, not only where step 12
 #      can run (today it holds `fileseg::read_segment`, `run_relay`,
 #      `RelayMode`, `pipe` and `emit_program(&plan, &EmitConfig)` to
-#      their signatures);
+#      their signatures; its `sim.*` rows hold the simulator symbols
+#      that are why the engine stays: `sim::engine::simulate_program`,
+#      `sim::{CostModel::calibrated, InputSizes, SimConfig}` and
+#      `optimize::{MeasuredRate, MeasuredRates}`; its daemon rows hold
+#      `WorkerPool::{new, probe}` and `shutdown_worker`);
 #   2. the full test suite (unit + integration + doctests);
-#   3. example smoke build;
+#   3. the four examples, run under a timeout (each asserts its own
+#      output; `quickstart` runs every backend, `remote` on an
+#      in-process worker);
 #   4. compile (but don't run) all criterion benches;
 #   5. dataplane bench smoke: run at a small size, check the emitted
 #      BENCH_dataplane.json parses, assert the simulated r_split
@@ -80,14 +86,23 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "==> cargo build --examples (smoke)"
-cargo build --examples
+echo "==> examples (run, under a timeout)"
+# Step 1 built them in release beside pashc and pash-rt, which the
+# processes backend looks for next to the running executable.
+mkdir -p target/bench-smoke
+for example in quickstart weather annotate webindex; do
+    log=target/bench-smoke/example-$example.log
+    timeout -s KILL 120 "./target/release/examples/$example" >"$log" 2>&1 || {
+        echo "    example $example failed:" >&2
+        tail -n 20 "$log" >&2
+        exit 1
+    }
+done
 
 echo "==> cargo bench --no-run (workspace)"
 cargo bench --no-run --workspace
 
 echo "==> dataplane bench smoke (BENCH_dataplane.json well-formed)"
-mkdir -p target/bench-smoke
 ./target/release/dataplane --size small --out target/bench-smoke/BENCH_dataplane.json
 if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool target/bench-smoke/BENCH_dataplane.json >/dev/null

@@ -5,15 +5,17 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pash_bench::suites::oneliners;
-use pash_bench::Fig7Config;
-use pash_core::compile::compile;
+use pash_core::compile::{compile, PashConfig};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("tab2_compile");
     g.sample_size(20);
     for width in [16usize, 64] {
         g.bench_function(format!("suite_width_{width}"), |b| {
-            let cfg = Fig7Config::Parallel.pash_config(width);
+            let cfg = PashConfig {
+                width,
+                ..Default::default()
+            };
             let suite = oneliners::all();
             b.iter(|| {
                 for bench in &suite {

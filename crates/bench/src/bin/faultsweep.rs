@@ -26,8 +26,9 @@ use pash_coreutils::fs::MemFs;
 use pash_coreutils::Registry;
 use pash_runtime::exec::{run_program_with_fallback, ExecConfig};
 use pash_runtime::fault::{FaultKind, FaultPlan};
-use pash_runtime::remote::{bind_worker, serve_worker, shutdown_worker, WorkerPool};
+use pash_runtime::remote::{serve_worker, shutdown_worker, WorkerPool};
 use pash_runtime::run_program_remote;
+use pash_runtime::service::bind;
 use pash_runtime::supervise::SupervisorSettings;
 
 /// Two regions — one redirected to a file, one on stdout — so both
@@ -132,7 +133,7 @@ impl Workers {
         for i in 0..n {
             let socket = std::env::temp_dir()
                 .join(format!("pash-faultsweep-worker-{}-{i}", std::process::id()));
-            let listener = bind_worker(&socket).expect("bind worker");
+            let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
                 serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");

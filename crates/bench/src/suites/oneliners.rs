@@ -2,35 +2,20 @@
 //! this repository's command set.
 
 use pash_coreutils::fs::MemFs;
-use pash_sim::InputSizes;
 use pash_workloads as wl;
 
 /// The expensive NFA pattern of the Grep benchmark.
 pub const COMPLEX_PATTERN: &str = "(th|he|an)+(er|in)*(re|on)+ing";
 
-/// One benchmark script with its metadata.
+/// One benchmark script.
 #[derive(Debug, Clone)]
 pub struct Oneliner {
     /// Benchmark name as in Tab. 2.
     pub name: &'static str,
-    /// Command-class structure as reported in Tab. 2.
-    pub structure: &'static str,
     /// The script (reads `in.txt` / `in2.txt`, writes `out.txt`).
     pub script: String,
-    /// Tab. 2's input-size column.
-    pub paper_input: &'static str,
-    /// Tab. 2's sequential-time column.
-    pub paper_seq_time: &'static str,
-    /// Whether Fig. 7 shows split configurations for this script.
-    pub split_relevant: bool,
     /// Whether the script reads the secondary input `in2.txt`.
     pub two_inputs: bool,
-    /// Intermediate files the script materializes (for sim sizing).
-    pub intermediates: &'static [&'static str],
-    /// Simulator input-scale factor: slow-throughput scripts (e.g.
-    /// the spawn-bound Shortest-scripts) are simulated on
-    /// proportionally smaller inputs; speedups are scale-stable.
-    pub sim_scale: f64,
 }
 
 /// The full Tab. 2 suite.
@@ -38,147 +23,73 @@ pub fn all() -> Vec<Oneliner> {
     vec![
         Oneliner {
             name: "Grep",
-            structure: "3xS",
             script: format!(
                 "cat in.txt | tr A-Z a-z | grep '{COMPLEX_PATTERN}' | tr -d , > out.txt"
             ),
-            paper_input: "1 GB",
-            paper_seq_time: "79m35s",
-            split_relevant: false,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Sort",
-            structure: "S,P",
             script: "cat in.txt | tr A-Z a-z | sort > out.txt".to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "21m46s",
-            split_relevant: false,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Top-n",
-            structure: "2xS,4xP",
             script: "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 100 > out.txt"
                 .to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "78m45s",
-            split_relevant: false,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Wf",
-            structure: "3xS,3xP",
             script: "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | tr -d , | sort | uniq -c | sort -rn > out.txt"
                 .to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "22m30s",
-            split_relevant: true,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Grep-light",
-            structure: "3xS",
             script: "cat in.txt | tr A-Z a-z | grep the | tr -s ' ' > out.txt".to_string(),
-            paper_input: "100 GB",
-            paper_seq_time: "1m38s",
-            split_relevant: false,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Spell",
-            structure: "4xS,3xP",
             script: "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sed 's/s$//' | sort | uniq | comm -13 dict.txt - > out.txt"
                 .to_string(),
-            paper_input: "3 GB",
-            paper_seq_time: "25m07s",
-            split_relevant: true,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Shortest-scripts",
-            structure: "5xS,2xP",
             script: "cat filelist.txt | grep sh | xargs -n 1 wc -l | sort -n | head -n 15 > out.txt"
                 .to_string(),
-            paper_input: "85 MB",
-            paper_seq_time: "28m45s",
-            split_relevant: false,
             two_inputs: false,
-            intermediates: &[],
-            // The xargs stage runs at fork speed (~0.08 MB/s); keep
-            // its simulated runtime manageable.
-            sim_scale: 0.02,
         },
         Oneliner {
             name: "Diff",
-            structure: "2xS,3xP",
             script: "tr A-Z a-z < in.txt | sort > t1.txt & tr A-Z a-z < in2.txt | sort > t2.txt\ndiff t1.txt t2.txt | wc -l > out.txt"
                 .to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "25m49s",
-            split_relevant: false,
             two_inputs: true,
-            intermediates: &["t1.txt", "t2.txt"],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Bi-grams",
-            structure: "3xS,3xP",
             script: "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z > w1.txt\ntail +2 w1.txt > w2.txt\npaste -d ' ' w1.txt w2.txt | sort | uniq -c > out.txt"
                 .to_string(),
-            paper_input: "3 GB",
-            paper_seq_time: "38m09s",
-            split_relevant: true,
             two_inputs: false,
-            intermediates: &["w1.txt", "w2.txt"],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Bi-grams-opt",
-            structure: "3xS,P",
             script: "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | bigrams-aux | sort | uniq -c > out.txt"
                 .to_string(),
-            paper_input: "3 GB",
-            paper_seq_time: "38m21s",
-            split_relevant: true,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Set-diff",
-            structure: "5xS,2xP",
             script: "cut -d ' ' -f 1 in.txt | tr A-Z a-z | sort -u > s1.txt & cut -d ' ' -f 1 in2.txt | tr A-Z a-z | sort -u > s2.txt\ncomm -23 s1.txt s2.txt > out.txt"
                 .to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "51m32s",
-            split_relevant: false,
             two_inputs: true,
-            intermediates: &["s1.txt", "s2.txt"],
-            sim_scale: 1.0,
         },
         Oneliner {
             name: "Sort-sort",
-            structure: "S,2xP",
             script: "cat in.txt | tr A-Z a-z | sort | sort -r > out.txt".to_string(),
-            paper_input: "10 GB",
-            paper_seq_time: "31m26s",
-            split_relevant: true,
             two_inputs: false,
-            intermediates: &[],
-            sim_scale: 1.0,
         },
     ]
 }
@@ -209,23 +120,6 @@ pub fn setup_fs(bench: &Oneliner, bytes: usize, fs: &MemFs) {
         }
         fs.add("filelist.txt", list.into_bytes());
     }
-}
-
-/// File sizes handed to the simulator (paper-scale or scaled-down).
-pub fn sim_sizes(bench: &Oneliner, bytes: f64) -> InputSizes {
-    let bytes = bytes * bench.sim_scale;
-    let mut m: InputSizes = InputSizes::new();
-    m.insert("in.txt".to_string(), bytes);
-    if bench.two_inputs {
-        m.insert("in2.txt".to_string(), bytes);
-    }
-    m.insert("dict.txt".to_string(), 4e2);
-    m.insert("filelist.txt".to_string(), bytes.min(85e6));
-    for f in bench.intermediates {
-        // Intermediates carry roughly the input volume.
-        m.insert(f.to_string(), bytes);
-    }
-    m
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! * pipelines dominated by `head` on tiny effective input — slowdown.
 
 use pash_coreutils::fs::MemFs;
-use pash_sim::InputSizes;
 use pash_workloads as wl;
 
 /// One Unix50-style pipeline.
@@ -83,14 +82,6 @@ pub fn setup_fs(bytes: usize, fs: &MemFs) {
         sorted.push(b'\n');
     }
     fs.add("sorted.txt", sorted);
-}
-
-/// Simulator input sizes.
-pub fn sim_sizes(bytes: f64) -> InputSizes {
-    let mut m = InputSizes::new();
-    m.insert("unix50.txt".to_string(), bytes);
-    m.insert("sorted.txt".to_string(), 1e3);
-    m
 }
 
 #[cfg(test)]

@@ -2,8 +2,6 @@
 //! Wikipedia web indexing (§6.4).
 
 use pash_coreutils::fs::MemFs;
-use pash_parser::expand::StaticEnv;
-use pash_sim::InputSizes;
 use pash_workloads::{generate_noaa, generate_wiki, NoaaSpec, WikiSpec};
 
 /// The Fig. 1 pipeline over the local mirror (substitutions: `fetch`
@@ -27,38 +25,6 @@ pub fn setup_noaa(fs: &MemFs, spec: &NoaaSpec) -> Vec<(u32, u32)> {
     generate_noaa(fs, "noaa", spec)
 }
 
-/// Simulator sizes for the NOAA run, at the paper's scale: 82 GB of
-/// raw records over six years. Index files are small; the bulk is the
-/// fetched record data, modelled through `fetch`'s expansion factor
-/// (see [`noaa_cost_model`]).
-pub fn noaa_sim_sizes(spec: &NoaaSpec) -> InputSizes {
-    let mut m = InputSizes::new();
-    for y in spec.years.clone() {
-        m.insert(format!("noaa/{y}/index.txt"), NOAA_INDEX_BYTES);
-    }
-    m
-}
-
-/// Paper-scale index size per year (≈1000 station files, ls-style).
-pub const NOAA_INDEX_BYTES: f64 = 80e3;
-
-/// The cost model calibrated for the paper-scale NOAA run: the URL
-/// stream per year is ≈9 KB after grep/cut/sed; each year fetches
-/// ≈4.5 GB of compressed records, which `unrle` expands 3× to the
-/// paper's ≈13.7 GB/year of raw data.
-pub fn noaa_cost_model() -> pash_sim::CostModel {
-    pash_sim::CostModel {
-        fetch_expansion: 5.1e5,
-        unrle_expansion: 3.0,
-        ..Default::default()
-    }
-}
-
-/// An empty static environment (the NOAA script sets `base` itself).
-pub fn noaa_env() -> StaticEnv {
-    StaticEnv::new()
-}
-
 /// The §6.4 web-indexing pipeline: fetch pages, extract text, apply
 /// NLP-ish stages, index by stemmed term frequency. `html-to-text` and
 /// `word-stem` stand in for the original's JavaScript and Python
@@ -71,13 +37,6 @@ pub fn wiki_script() -> String {
 /// Sets up the wiki mirror.
 pub fn setup_wiki(fs: &MemFs, spec: &WikiSpec) {
     generate_wiki(fs, "wiki", spec)
-}
-
-/// Simulator sizes for the wiki run.
-pub fn wiki_sim_sizes(spec: &WikiSpec) -> InputSizes {
-    let mut m = InputSizes::new();
-    m.insert("wiki/urls.txt".to_string(), spec.pages as f64 * 45.0);
-    m
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pash_runtime::remote::{bind_worker, serve_worker};
+use pash_runtime::remote::serve_worker;
+use pash_runtime::service::bind;
 
 static STOP: AtomicBool = AtomicBool::new(false);
 
@@ -44,7 +45,7 @@ fn main() -> ExitCode {
         eprintln!("pash-worker: --socket PATH is required");
         return ExitCode::FAILURE;
     };
-    let listener = match bind_worker(&socket) {
+    let listener = match bind(&socket) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("pash-worker: cannot bind {}: {e}", socket.display());

@@ -204,20 +204,6 @@ impl ExecuteRequest {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// Binds a worker on `socket` (an existing stale socket file is
-/// removed first, like the daemon does).
-pub fn bind_worker(socket: &Path) -> io::Result<UnixListener> {
-    if socket.exists() {
-        std::fs::remove_file(socket)?;
-    }
-    if let Some(dir) = socket.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    UnixListener::bind(socket)
-}
-
 /// The worker serve loop: one request per connection, one thread per
 /// connection (an execute wedged on a torn-down coordinator socket
 /// must not block health probes). Returns when a `Shutdown` request
@@ -369,25 +355,22 @@ fn stream_region_output(
 pub struct WorkerPool {
     sockets: Vec<PathBuf>,
     healthy: Vec<bool>,
-    /// Socket I/O timeout for health probes.
-    pub probe_timeout: Duration,
 }
+
+/// Socket I/O timeout for health probes.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl WorkerPool {
     pub fn new(sockets: Vec<PathBuf>) -> WorkerPool {
         let healthy = vec![true; sockets.len()];
-        WorkerPool {
-            sockets,
-            healthy,
-            probe_timeout: Duration::from_secs(2),
-        }
+        WorkerPool { sockets, healthy }
     }
 
     /// Pings every worker, refreshes the health map, and returns how
     /// many answered.
     pub fn probe(&mut self) -> usize {
         for (i, s) in self.sockets.iter().enumerate() {
-            self.healthy[i] = ping(s, self.probe_timeout);
+            self.healthy[i] = ping(s, PROBE_TIMEOUT);
         }
         self.healthy.iter().filter(|h| **h).count()
     }
@@ -728,7 +711,7 @@ mod tests {
         for i in 0..n {
             let socket = dir.join(format!("pash-worker-test-{tag}-{}-{i}", std::process::id()));
             let _ = std::fs::remove_file(&socket);
-            let listener = bind_worker(&socket).expect("bind worker");
+            let listener = crate::service::bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
                 serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -45,7 +45,8 @@ use crate::wire::{
 pub struct RunRequest {
     /// The shell script source.
     pub script: String,
-    /// Backend selection name (`shell`, `threads`, `processes`, `sim`).
+    /// Backend selection name (`shell`, `threads`, `processes`,
+    /// `remote`).
     pub backend: String,
     /// Parallelism width; `0` asks the daemon to choose per region
     /// from its measured profiles (adaptive).
@@ -113,8 +114,8 @@ pub struct RunResponse {
     pub compile_micros: u64,
     /// End-to-end request latency as observed by the server, µs.
     pub total_micros: u64,
-    /// The program's stdout bytes (for the `shell` and `sim` backends,
-    /// the rendered artifact).
+    /// The program's stdout bytes (for the `shell` backend, the
+    /// emitted script).
     pub stdout: Vec<u8>,
     /// Files the run created or modified relative to the template
     /// filesystem, so `> out.txt`-style results reach the client.
@@ -471,8 +472,8 @@ pub struct ServiceMetrics {
     pub profile_regions: AtomicU64,
     /// Width the optimizer chose for the most recent adaptive run.
     pub last_chosen_width: AtomicU64,
-    /// Split policy of that run, encoded 0=off 1=sized 2=round-robin.
-    pub last_chosen_split: AtomicU64,
+    /// Split policy of that run, in the request codec's encoding.
+    pub last_chosen_split: AtomicU8,
     /// The recovery counters the daemon's
     /// [`crate::supervise::SupervisorSettings`] report into.
     pub supervisor: Arc<SupervisorCounters>,
@@ -503,7 +504,7 @@ impl ServiceMetrics {
             profile_misses: AtomicU64::new(0),
             profile_regions: AtomicU64::new(0),
             last_chosen_width: AtomicU64::new(0),
-            last_chosen_split: AtomicU64::new(0),
+            last_chosen_split: AtomicU8::new(0),
             supervisor,
             latency: LatencyHistogram::new(),
         }
@@ -519,23 +520,18 @@ impl ServiceMetrics {
         self.adaptive_runs.fetch_add(1, Ordering::Relaxed);
         self.last_chosen_width
             .store(width as u64, Ordering::Relaxed);
-        let code = match split {
-            SplitPolicy::Off => 0,
-            SplitPolicy::Sized => 1,
-            SplitPolicy::RoundRobin => 2,
-            SplitPolicy::General => 3,
-        };
-        self.last_chosen_split.store(code, Ordering::Relaxed);
+        self.last_chosen_split
+            .store(split_to_u8(split), Ordering::Relaxed);
     }
 
     /// Renders the surface as a single-line JSON object.
     pub fn to_json(&self) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let split = match g(&self.last_chosen_split) {
-            1 => "sized",
-            2 => "round-robin",
-            3 => "general",
-            _ => "off",
+        let split = match split_from_u8(self.last_chosen_split.load(Ordering::Relaxed)) {
+            Ok(SplitPolicy::Sized) => "sized",
+            Ok(SplitPolicy::RoundRobin) => "round-robin",
+            Ok(SplitPolicy::General) => "general",
+            Ok(SplitPolicy::Off) | Err(_) => "off",
         };
         let sup = &self.supervisor;
         format!(
@@ -612,10 +608,16 @@ impl Default for ServiceSettings {
 pub type Handler = dyn Fn(Request) -> Response + Send + Sync;
 
 /// Binds a Unix-domain socket at `path`, replacing a stale socket file
-/// if one is present.
+/// if one is present and creating its parent directory if there is
+/// none.
 pub fn bind(path: &Path) -> io::Result<UnixListener> {
     if path.exists() {
         std::fs::remove_file(path)?;
+    }
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
     }
     UnixListener::bind(path)
 }
@@ -1038,6 +1040,39 @@ mod tests {
         assert!(p50 <= p99);
         assert!(p99 >= 10_000);
         assert_eq!(h.max_us.load(Ordering::Relaxed), 10_000);
+    }
+
+    #[test]
+    fn chosen_split_reads_back_by_name() {
+        let m = ServiceMetrics::default();
+        assert!(m.to_json().contains("\"last_chosen_split\":\"off\""));
+        for (split, name) in [
+            (SplitPolicy::Sized, "sized"),
+            (SplitPolicy::RoundRobin, "round-robin"),
+            (SplitPolicy::General, "general"),
+            (SplitPolicy::Off, "off"),
+        ] {
+            m.record_choice(4, split);
+            let json = m.to_json();
+            assert!(
+                json.contains(&format!("\"last_chosen_split\":\"{name}\"")),
+                "{split:?}: {json}"
+            );
+        }
+        assert!(m.to_json().contains("\"adaptive_runs\":4"));
+    }
+
+    #[test]
+    fn bind_creates_the_socket_directory() {
+        let dir = std::env::temp_dir().join(format!("pash-svc-bind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let socket = dir.join("nested").join("s.sock");
+        let listener = bind(&socket).expect("bind under a missing directory");
+        assert!(socket.exists());
+        // A stale socket file is replaced.
+        drop(listener);
+        bind(&socket).expect("rebind over a stale socket");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

@@ -67,13 +67,14 @@ impl Profile {
     }
 }
 
+/// Expansion factor of `fetch` (document bytes per URL byte).
+const FETCH_EXPANSION: f64 = 200.0;
+/// Expansion factor of `unrle` decompression.
+const UNRLE_EXPANSION: f64 = 3.0;
+
 /// The cost model: rates for every command in the benchmarks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    /// Expansion factor of `fetch` (document bytes per URL byte).
-    pub fetch_expansion: f64,
-    /// Expansion factor of `unrle` decompression.
-    pub unrle_expansion: f64,
     /// Profile-measured rates by command name, from the runtime's
     /// profile store. These *calibrate* the static priors: the
     /// measured rate and out-ratio are blended in proportionally to
@@ -84,23 +85,10 @@ pub struct CostModel {
     pub measured: MeasuredRates,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            fetch_expansion: 200.0,
-            unrle_expansion: 3.0,
-            measured: MeasuredRates::new(),
-        }
-    }
-}
-
 impl CostModel {
     /// A cost model calibrated with measured command rates.
     pub fn calibrated(measured: MeasuredRates) -> CostModel {
-        CostModel {
-            measured,
-            ..Default::default()
-        }
+        CostModel { measured }
     }
 
     /// Blends a measured observation into a prior profile. Trust grows
@@ -217,7 +205,7 @@ impl CostModel {
                 if args.contains(&"fetch") {
                     Profile {
                         resource: Resource::Net,
-                        ..Profile::streaming(40.0, self.fetch_expansion)
+                        ..Profile::streaming(40.0, FETCH_EXPANSION)
                     }
                 } else {
                     // Non-fetch xargs forks one process per token
@@ -229,9 +217,9 @@ impl CostModel {
             }
             "fetch" => Profile {
                 resource: Resource::Net,
-                ..Profile::streaming(40.0, self.fetch_expansion)
+                ..Profile::streaming(40.0, FETCH_EXPANSION)
             },
-            "unrle" => Profile::streaming(100.0, self.unrle_expansion),
+            "unrle" => Profile::streaming(100.0, UNRLE_EXPANSION),
             "html-to-text" => Profile::streaming(6.0, 0.4),
             "word-stem" => Profile::streaming(25.0, 0.9),
             "bigrams-aux" => Profile::streaming(55.0, 2.0),

@@ -6,12 +6,17 @@
 //! cargo run --example quickstart
 //! ```
 
+use std::path::Path;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use pash::core::backend::{emit_program, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::{fs::MemFs, Registry};
 use pash::runtime::exec::{run_script, ExecConfig};
+use pash::runtime::proc::ProcessRunner;
+use pash::runtime::remote::{serve_worker, shutdown_worker};
+use pash::runtime::service::bind;
 use pash::workloads::text_corpus;
 
 fn main() {
@@ -67,22 +72,37 @@ fn main() {
     );
 
     // 3. The same compiled plan drives every backend: select one by
-    //    name through the facade.
-    let env = pash::RunEnv::default();
+    //    name through the facade. The `remote` backend ships regions
+    //    to `pash-worker` daemons; one runs in-process here.
+    let socket =
+        std::env::temp_dir().join(format!("pash-quickstart-worker-{}", std::process::id()));
+    let listener = bind(&socket).expect("bind worker");
+    let worker = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            serve_worker(listener, &socket, Arc::new(AtomicBool::new(false)))
+        })
+    };
+    let env = pash::RunEnv {
+        workers: vec![socket.clone()],
+        ..Default::default()
+    };
     env.fs_mem().add("in.txt", text_corpus(1, 200_000));
-    for backend in pash::BACKENDS {
+    for &backend in pash::BACKENDS {
+        if backend == "processes" && ProcessRunner::new(&env.proc, Path::new(".")).is_err() {
+            println!("[{backend}] skipped: build `pashc` and `pash-rt` first");
+            continue;
+        }
         match pash::run(script, &cfg, backend, &env).expect("backend runs") {
             pash::BackendOutput::Script(s) => {
                 println!("[{backend}] emitted {} script lines", s.lines().count())
             }
             pash::BackendOutput::Execution(out) => {
-                assert_eq!(out.stdout, par.stdout);
-                println!("[{backend}] in-process run matches");
+                assert_eq!(out.stdout, par.stdout, "{backend} output");
+                println!("[{backend}] run matches");
             }
-            pash::BackendOutput::Simulation(r) => println!(
-                "[{backend}] predicted {:.2}s across {} simulated processes",
-                r.seconds, r.processes
-            ),
         }
     }
+    shutdown_worker(&socket);
+    worker.join().expect("worker thread").expect("serve worker");
 }

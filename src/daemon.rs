@@ -187,9 +187,9 @@ impl Daemon {
 
     fn handle_run(&self, req: RunRequest) -> Response {
         let snapshot = Arc::new(self.template.snapshot());
-        // Only the optimizer and the simulator price by input size.
+        // Only the optimizer prices by input size.
         let mut sizes = InputSizes::new();
-        if req.width == 0 || req.backend == "sim" {
+        if req.width == 0 {
             for (path, bytes) in snapshot.entries() {
                 sizes.insert(path, bytes.len() as f64);
             }
@@ -239,10 +239,6 @@ impl Daemon {
                 profile: Some(self.profile.clone()),
                 ..Default::default()
             },
-            sizes,
-            stdin_bytes: 0.0,
-            cost: crate::sim::CostModel::default(),
-            sim: crate::sim::SimConfig::default(),
             emit: crate::core::backend::EmitConfig::default(),
         };
         let out = handle.execute(&req.backend, &env);
@@ -256,7 +252,6 @@ impl Daemon {
         let (stdout, status) = match out {
             BackendOutput::Execution(o) => (o.stdout, o.status),
             BackendOutput::Script(s) => (s.into_bytes(), 0),
-            BackendOutput::Simulation(r) => (format!("{:.6}\n", r.seconds).into_bytes(), 0),
         };
         Response::Run(RunResponse {
             status,

@@ -6,7 +6,8 @@
 //! transformations that expose data parallelism, lowers the result to
 //! a backend-neutral execution plan, and hands that plan to a
 //! pluggable execution backend — the POSIX-script emitter, the
-//! in-process threaded executor, or the performance-shape simulator.
+//! in-process threaded executor, real child processes over FIFOs, or
+//! `pash-worker` daemons over sockets.
 //!
 //! This crate re-exports the workspace:
 //!
@@ -17,7 +18,8 @@
 //! * [`runtime`] — runtime primitives, the runtime I/O layer, the
 //!   `threads` backend, and the `processes` backend (real children
 //!   over FIFOs);
-//! * [`sim`] — the `sim` (performance-shape) backend;
+//! * [`sim`] — the performance-shape simulator the adaptive optimizer
+//!   prices candidate plans with;
 //! * [`workloads`] — synthetic input generators;
 //! * [`regex`] — the linear-time regex engine.
 //!
@@ -90,7 +92,6 @@ use crate::runtime::exec::{run_program_with_fallback, ExecConfig, ProgramOutput}
 use crate::runtime::proc::run_plan_with_fallback;
 pub use crate::runtime::proc::ProcSettings;
 use crate::runtime::remote::{run_program_remote, WorkerPool};
-use crate::sim::{simulate_program, CostModel, InputSizes, SimConfig, SimReport};
 
 /// Compiles a script with the standard annotation library (shorthand
 /// for [`core::compile::compile`]).
@@ -111,7 +112,7 @@ pub fn compile_cached_script(
 }
 
 /// The registered execution backends, by selection name.
-pub const BACKENDS: &[&str] = &["shell", "threads", "processes", "remote", "sim"];
+pub const BACKENDS: &[&str] = &["shell", "threads", "processes", "remote"];
 
 /// Everything a backend might need to run a plan; construct with
 /// [`RunEnv::default`] and override what matters.
@@ -133,14 +134,6 @@ pub struct RunEnv {
     pub exec: ExecConfig,
     /// Real-filesystem and binary settings (`processes`).
     pub proc: ProcSettings,
-    /// Input-file sizes (`sim`).
-    pub sizes: InputSizes,
-    /// Bytes arriving on stdin (`sim`).
-    pub stdin_bytes: f64,
-    /// Command cost profiles (`sim`).
-    pub cost: CostModel,
-    /// Machine parameters (`sim`).
-    pub sim: SimConfig,
     /// Emission options (`shell`).
     pub emit: core::backend::EmitConfig,
 }
@@ -154,10 +147,6 @@ impl Default for RunEnv {
             workers: Vec::new(),
             exec: ExecConfig::default(),
             proc: ProcSettings::default(),
-            sizes: InputSizes::new(),
-            stdin_bytes: 0.0,
-            cost: CostModel::default(),
-            sim: SimConfig::default(),
             emit: core::backend::EmitConfig::default(),
         }
     }
@@ -176,10 +165,9 @@ impl RunEnv {
 pub enum BackendOutput {
     /// The `shell` backend's POSIX script.
     Script(String),
-    /// The `threads` backend's execution result.
+    /// An executing backend's result (`threads`, `processes`,
+    /// `remote`).
     Execution(ProgramOutput),
-    /// The `sim` backend's predicted timing.
-    Simulation(SimReport),
 }
 
 /// Errors from [`run`].
@@ -273,7 +261,7 @@ impl RunHandle {
     }
 
     /// Runs the plan on the backend named `backend` — `"shell"`,
-    /// `"threads"`, `"processes"`, `"remote"`, or `"sim"` — against
+    /// `"threads"`, `"processes"` or `"remote"` — against
     /// `env`. The executing backends get the fallback plan whenever
     /// there is one; whether it is used is the supervisor's decision
     /// (`SupervisorSettings::fallback`).
@@ -311,15 +299,6 @@ impl RunHandle {
                     &pool,
                 )
             }
-            "sim" => {
-                return Ok(BackendOutput::Simulation(simulate_program(
-                    plan,
-                    &env.sizes,
-                    env.stdin_bytes,
-                    &env.cost,
-                    &env.sim,
-                )))
-            }
             other => return Err(RunError::UnknownBackend(other.to_string())),
         };
         executed.map(BackendOutput::Execution).map_err(RunError::Io)
@@ -328,7 +307,7 @@ impl RunHandle {
 
 /// Compiles `src` (through the memoized cache) and runs the lowered
 /// [`core::plan::ExecutionPlan`] on the backend named `backend` —
-/// `"shell"`, `"threads"`, `"processes"`, `"remote"`, or `"sim"`.
+/// `"shell"`, `"threads"`, `"processes"` or `"remote"`.
 ///
 /// This is the multi-backend entry point the plan layer exists for:
 /// every backend consumes the same lowered artifact — the `processes`
@@ -469,12 +448,13 @@ mod tests {
 
     #[test]
     fn all_backends_run_the_same_plan() {
-        use crate::runtime::remote::{bind_worker, serve_worker, shutdown_worker};
+        use crate::runtime::remote::{serve_worker, shutdown_worker};
+        use crate::runtime::service::bind;
         use std::sync::atomic::AtomicBool;
 
         let socket =
             std::env::temp_dir().join(format!("pash-facade-worker-{}", std::process::id()));
-        let listener = bind_worker(&socket).expect("bind worker");
+        let listener = bind(&socket).expect("bind worker");
         let worker_socket = socket.clone();
         let worker = std::thread::spawn(move || {
             serve_worker(listener, &worker_socket, Arc::new(AtomicBool::new(false)))
@@ -500,7 +480,6 @@ mod tests {
                 ("threads" | "processes" | "remote", BackendOutput::Execution(o)) => {
                     assert_eq!(o.stdout, b"a\nb\nc\n", "{name} stdout")
                 }
-                ("sim", BackendOutput::Simulation(r)) => assert!(r.seconds > 0.0),
                 (name, other) => panic!("{name} produced {other:?}"),
             }
         }
@@ -543,5 +522,8 @@ mod tests {
         let err = run("cat f", &PashConfig::default(), "gpu", &env).unwrap_err();
         assert!(matches!(err, RunError::UnknownBackend(_)));
         assert!(err.to_string().contains("threads"));
+        // The simulator prices plans; it is not a backend.
+        let err = run("cat f", &PashConfig::default(), "sim", &env).unwrap_err();
+        assert!(matches!(err, RunError::UnknownBackend(_)));
     }
 }

@@ -17,7 +17,6 @@ use pash::coreutils::fs::MemFs;
 use pash::runtime::exec::{run_script, ExecConfig};
 use pash_bench::fixtures::{cached_fs, registry};
 use pash_bench::suites::{oneliners, unix50, usecases};
-use pash_bench::Fig7Config;
 
 /// Runs a script and returns `(stdout, out.txt contents if any)`.
 ///
@@ -34,6 +33,25 @@ fn run(
         .unwrap_or_else(|e| panic!("execution failed: {e}\nscript: {script}"));
     let file = fs.read("out.txt").ok();
     (out.stdout, file)
+}
+
+/// The five `(eager, split)` configurations the one-liners sweep: no
+/// eager relays, blocking relays, full relays without splits, and
+/// full relays with the general and the input-aware split.
+const CONFIGS: [(EagerPolicy, SplitPolicy); 5] = [
+    (EagerPolicy::Full, SplitPolicy::General),
+    (EagerPolicy::Full, SplitPolicy::Sized),
+    (EagerPolicy::Full, SplitPolicy::Off),
+    (EagerPolicy::Blocking, SplitPolicy::Off),
+    (EagerPolicy::Off, SplitPolicy::Off),
+];
+
+/// The sequential configuration every parallel run is compared with.
+fn sequential() -> PashConfig {
+    PashConfig {
+        width: 1,
+        ..Default::default()
+    }
 }
 
 /// The executor's two schedules by name: a pipe capacity above the
@@ -60,20 +78,24 @@ fn oneliners_parallel_equals_sequential() {
         };
         let seq = run(
             &bench.script,
-            &Fig7Config::Parallel.pash_config(1),
+            &sequential(),
             make_fs(),
             &ExecConfig::default(),
         );
         for (schedule, exec) in schedules() {
-            for config in Fig7Config::all() {
+            for (eager, split) in CONFIGS {
                 for width in [2usize, 3, 8] {
-                    let par = run(&bench.script, &config.pash_config(width), make_fs(), &exec);
+                    let cfg = PashConfig {
+                        width,
+                        eager,
+                        split,
+                        ..Default::default()
+                    };
+                    let par = run(&bench.script, &cfg, make_fs(), &exec);
                     assert_eq!(
-                        seq,
-                        par,
-                        "{} diverged at width {width} under {}, {schedule}",
+                        seq, par,
+                        "{} diverged at width {width} under {eager:?}/{split:?}, {schedule}",
                         bench.name,
-                        config.label()
                     );
                 }
             }
@@ -89,19 +111,9 @@ fn unix50_parallel_equals_sequential() {
         })
     };
     for p in unix50::all() {
-        let seq = run(
-            p.script,
-            &Fig7Config::Parallel.pash_config(1),
-            make_fs(),
-            &ExecConfig::default(),
-        );
+        let seq = run(p.script, &sequential(), make_fs(), &ExecConfig::default());
         for (schedule, exec) in schedules() {
-            let par = run(
-                p.script,
-                &Fig7Config::ParBSplit.pash_config(16),
-                make_fs(),
-                &exec,
-            );
+            let par = run(p.script, &PashConfig::best(16), make_fs(), &exec);
             assert_eq!(
                 seq, par,
                 "unix50 pipeline {} diverged at 16x, {schedule}",
@@ -132,7 +144,7 @@ fn noaa_matches_ground_truth_at_all_widths() {
         let fs = Arc::new(template.snapshot());
         let (stdout, _) = run(
             &script,
-            &Fig7Config::ParBSplit.pash_config(width),
+            &PashConfig::best(width),
             fs,
             &ExecConfig::default(),
         );
@@ -157,19 +169,14 @@ fn wiki_index_identical_across_widths() {
     let make_fs = || cached_fs("wiki/15".to_string(), |fs| usecases::setup_wiki(fs, &spec));
     let reference = {
         let fs = make_fs();
-        run(
-            &script,
-            &Fig7Config::Parallel.pash_config(1),
-            fs.clone(),
-            &ExecConfig::default(),
-        );
+        run(&script, &sequential(), fs.clone(), &ExecConfig::default());
         fs.read("index.txt").expect("index")
     };
     for width in [4usize, 16] {
         let fs = make_fs();
         run(
             &script,
-            &Fig7Config::ParBSplit.pash_config(width),
+            &PashConfig::best(width),
             fs.clone(),
             &ExecConfig::default(),
         );
@@ -189,7 +196,7 @@ fn flat_aggregation_tree_also_correct() {
     });
     let seq = run(
         &bench.script,
-        &Fig7Config::Parallel.pash_config(1),
+        &sequential(),
         fs.clone(),
         &ExecConfig::default(),
     );
@@ -213,15 +220,14 @@ fn correctness_resilient_to_tiny_pipes() {
         pipe_capacity: 48,
         ..Default::default()
     };
-    let seq = run(
-        &bench.script,
-        &Fig7Config::Parallel.pash_config(1),
-        fs.clone(),
-        &exec,
-    );
+    let seq = run(&bench.script, &sequential(), fs.clone(), &exec);
     let par = run(
         &bench.script,
-        &Fig7Config::ParSplit.pash_config(4),
+        &PashConfig {
+            width: 4,
+            split: SplitPolicy::General,
+            ..Default::default()
+        },
         fs,
         &exec,
     );
@@ -238,7 +244,7 @@ fn conservative_configs_match_too() {
     });
     let seq = run(
         &bench.script,
-        &Fig7Config::Parallel.pash_config(1),
+        &sequential(),
         fs.clone(),
         &ExecConfig::default(),
     );

@@ -37,7 +37,6 @@ use pash::coreutils::fs::MemFs;
 use pash::{run, BackendOutput, ProcSettings, RunEnv};
 use pash_bench::fixtures::{cached_fs, runtime_binaries};
 use pash_bench::suites::{oneliners, unix50};
-use pash_bench::Fig7Config;
 
 /// What one backend produced for one script.
 #[derive(Debug, PartialEq, Eq)]
@@ -62,7 +61,7 @@ struct Setup<'a> {
 impl<'a> Setup<'a> {
     fn split(width: usize) -> Setup<'a> {
         Setup {
-            cfg: cfg(width),
+            cfg: PashConfig::best(width),
             stdin: b"",
             inflight: 1,
         }
@@ -75,10 +74,6 @@ impl<'a> Setup<'a> {
             inflight: 1,
         }
     }
-}
-
-fn cfg(width: usize) -> PashConfig {
-    Fig7Config::ParBSplit.pash_config(width)
 }
 
 /// The binaries plus `/bin/sh`; `None` skips the suite (mirrors the
@@ -169,7 +164,8 @@ struct RemoteWorkers {
 
 impl RemoteWorkers {
     fn spawn(n: usize) -> RemoteWorkers {
-        use pash::runtime::remote::{bind_worker, serve_worker};
+        use pash::runtime::remote::serve_worker;
+        use pash::runtime::service::bind;
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let mut sockets = Vec::new();
@@ -180,7 +176,7 @@ impl RemoteWorkers {
                 std::process::id(),
                 SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            let listener = bind_worker(&socket).expect("bind worker");
+            let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
                 serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
@@ -838,7 +834,7 @@ fn schedules_agree_on_every_suite_script() {
     for (label, script, make_fs) in &cases {
         for width in [1usize, 2, 4] {
             for (split, cfg) in [
-                ("sized", cfg(width)),
+                ("sized", PashConfig::best(width)),
                 ("round-robin", PashConfig::round_robin(width)),
             ] {
                 let [inline, threaded] = SCHEDULES
@@ -1057,7 +1053,7 @@ fn remote_parallel_regions_match_sequential() {
             "in.txt",
             b"the quick brown fox\njumps over the lazy dog\nthe end\n".to_vec(),
         );
-        let out = match run(script, &cfg(2), "remote", &env) {
+        let out = match run(script, &PashConfig::best(2), "remote", &env) {
             Ok(BackendOutput::Execution(o)) => o,
             other => panic!("remote produced {other:?}"),
         };

@@ -122,7 +122,8 @@ struct RemoteWorkers {
 
 impl RemoteWorkers {
     fn spawn(n: usize) -> RemoteWorkers {
-        use pash::runtime::remote::{bind_worker, serve_worker};
+        use pash::runtime::remote::serve_worker;
+        use pash::runtime::service::bind;
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let mut sockets = Vec::new();
@@ -133,7 +134,7 @@ impl RemoteWorkers {
                 std::process::id(),
                 SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            let listener = bind_worker(&socket).expect("bind worker");
+            let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
                 serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
