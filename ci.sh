@@ -43,7 +43,8 @@
 #      thread per node), each byte-compared against the shell backend;
 #   9. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
-#      backend;
+#      backend; then SIGTERM, and each worker must exit 0 within 10 s
+#      and take its socket with it;
 #  10. fault-injection sweep: every fault kind at widths 2/4/8, local
 #      and remote, must leave output byte-identical to the sequential
 #      run, and every recovery path must fire;
@@ -254,8 +255,28 @@ done
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-remote/out.txt
 test -s target/bench-smoke/backend-remote/out.txt
-kill $WPID1 $WPID2 2>/dev/null || true
-wait $WPID1 $WPID2 2>/dev/null || true
+# SIGTERM drains a worker the way a `Shutdown` request does. The shell
+# reaps each worker while `timeout` polls, so `wait` then reports how
+# it exited.
+kill -TERM "$WPID1" "$WPID2"
+for pid in "$WPID1" "$WPID2"; do
+    timeout 10 sh -c "while kill -0 $pid 2>/dev/null; do sleep 0.1; done" || {
+        echo "    pash-worker $pid still running 10 s after SIGTERM" >&2
+        exit 1
+    }
+    status=0
+    wait "$pid" || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "    pash-worker $pid exited $status after SIGTERM" >&2
+        exit 1
+    fi
+done
+for sock in "$W1" "$W2"; do
+    if [ -e "$sock" ]; then
+        echo "    $sock outlived its worker" >&2
+        exit 1
+    fi
+done
 trap - EXIT
 
 echo "==> fault-injection sweep (every kind, widths 2/4/8, vs sequential)"

@@ -17,7 +17,6 @@
 //! hermetic (MemFs), exit status 0/1. Usage: `faultsweep`.
 
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,7 +135,7 @@ impl Workers {
             let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
-                serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
+                serve_worker(listener, &s).expect("serve");
             }));
             sockets.push(socket);
         }

@@ -101,8 +101,7 @@ impl PashConfig {
             // `;env ` separator and collide two distinct configs.
             key.push_str(&format!(";env {name:?}={value:?}"));
         }
-        // Appended only when present so every pre-existing key stays
-        // byte-stable (the on-disk plan cache outlives releases).
+        // Appended only when present: a uniform config names no region.
         for (i, shape) in self.per_region.iter().enumerate() {
             key.push_str(&format!(";r{i}=w{}:{:?}", shape.width, shape.split));
         }
@@ -290,23 +289,10 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Compiles with the standard library, memoizing results by
-/// `(source, configuration)` in a bounded LRU (default
-/// [`DEFAULT_CACHE_CAPACITY`] entries; tune with
-/// [`set_cache_capacity`]).
-///
-/// Compilation is deterministic (see the CI plan-determinism smoke
-/// step), so a cache hit returns the *same* `Arc<Compiled>` — plan
-/// and stats included — without re-running the front-end or
-/// transformations. Errors are not cached. Hit/miss/eviction counters
-/// are surfaced via [`cache_stats`] and embedded in every
-/// [`CompileStats`].
 /// Looks a compilation up in the [`compile_cached`] LRU without
 /// compiling on a miss. A hit counts toward the hit counter (and
-/// freshens the entry); a miss counts nothing — the caller is expected
-/// to consult a colder tier (e.g. the service's on-disk plan cache)
-/// before paying for a compile, at which point [`compile_cached`]
-/// records the miss.
+/// freshens the entry); a miss counts nothing — the caller's
+/// [`compile_cached`] that follows records it.
 pub fn compile_cache_peek(src: &str, cfg: &PashConfig) -> Option<Arc<Compiled>> {
     let key = format!("{}\u{0}{src}", cfg.cache_key());
     let hit = cache()
@@ -320,6 +306,17 @@ pub fn compile_cache_peek(src: &str, cfg: &PashConfig) -> Option<Arc<Compiled>> 
     hit
 }
 
+/// Compiles with the standard library, memoizing results by
+/// `(source, configuration)` in a bounded LRU (default
+/// [`DEFAULT_CACHE_CAPACITY`] entries; tune with
+/// [`set_cache_capacity`]).
+///
+/// Compilation is deterministic (see the CI plan-determinism smoke
+/// step), so a cache hit returns the *same* `Arc<Compiled>` — plan
+/// and stats included — without re-running the front-end or
+/// transformations. Errors are not cached. Hit/miss/eviction counters
+/// are surfaced via [`cache_stats`] and embedded in every
+/// [`CompileStats`].
 pub fn compile_cached(src: &str, cfg: &PashConfig) -> Result<Arc<Compiled>, Error> {
     let key = format!("{}\u{0}{src}", cfg.cache_key());
     // Fast path: serve a hit without compiling.

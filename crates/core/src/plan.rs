@@ -25,7 +25,7 @@
 //! `pash-runtime`, the simulator in `pash-sim` — and sharding and
 //! compile-result caching key off the same artifact:
 //! [`ExecutionPlan::dump`] is deterministic, so the plan can be
-//! hashed, cached, or shipped.
+//! hashed and cached.
 
 use crate::annot::parse_stream_marker;
 use crate::dfg::{Dfg, EagerKind, NodeKind, SplitKind, StreamSpec};
@@ -345,7 +345,7 @@ impl PlanNode {
 }
 
 /// One region, lowered: nodes in topological order, edges dense.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionPlan {
     /// Nodes in topological (spawn) order.
     pub nodes: Vec<PlanNode>,
@@ -447,59 +447,6 @@ impl RegionPlan {
     /// observations are keyed by `(region fingerprint, node id)`.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.dump().as_bytes())
-    }
-
-    /// Parses one region's [`RegionPlan::dump`] text back into a
-    /// region — the wire format the remote backend ships a region
-    /// over, and the inverse that makes the dump an actual
-    /// serialization format. The text must be exactly one region;
-    /// every structural error is reported rather than panicked on, and
-    /// the region is [`RegionPlan::validate`]d, so a truncated or
-    /// damaged dump surfaces as `Err`, never as an out-of-bounds region
-    /// handed to a backend.
-    pub fn parse_dump(text: &str) -> Result<RegionPlan, String> {
-        let mut lines = text.lines().enumerate();
-        let header = lines.next().map_or("", |(_, l)| l);
-        let err = |msg: &str| format!("line 1: {msg}");
-        let rest = header
-            .strip_prefix("region nodes=")
-            .ok_or_else(|| err("expected a region header"))?;
-        let (nnodes, rest) = parse_usize(rest).map_err(|e| err(&e))?;
-        let rest = rest
-            .strip_prefix(" edges=")
-            .ok_or_else(|| err("expected ` edges=`"))?;
-        let (nedges, rest) = parse_usize(rest).map_err(|e| err(&e))?;
-        let rest = rest
-            .strip_prefix(" replayable=")
-            .ok_or_else(|| err("expected ` replayable=`"))?;
-        let (replayable, rest) = parse_bool(rest).map_err(|e| err(&e))?;
-        if !rest.is_empty() {
-            return Err(err("trailing junk after region header"));
-        }
-        let mut edges = Vec::new();
-        for i in 0..nedges {
-            let (ln, line) = lines
-                .next()
-                .ok_or_else(|| format!("edge e{i}: unexpected end of dump"))?;
-            edges.push(parse_edge_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?);
-        }
-        let mut nodes = Vec::new();
-        for i in 0..nnodes {
-            let (ln, line) = lines
-                .next()
-                .ok_or_else(|| format!("node n{i}: unexpected end of dump"))?;
-            nodes.push(parse_node_line(line, i).map_err(|e| format!("line {}: {e}", ln + 1))?);
-        }
-        if let Some((ln, _)) = lines.next() {
-            return Err(format!("line {}: trailing junk after the region", ln + 1));
-        }
-        let region = RegionPlan {
-            nodes,
-            edges,
-            replayable,
-        };
-        region.validate()?;
-        Ok(region)
     }
 
     /// Node ids that produce region outputs.
@@ -607,9 +554,8 @@ impl RegionPlan {
     }
 
     /// Checks structural invariants, so executors can reject a
-    /// hand-built or corrupted plan with an error instead of an
-    /// out-of-bounds panic (plans will eventually arrive over the
-    /// wire — see the ROADMAP's remote-backend direction):
+    /// hand-built, corrupted or shipped plan with an error instead of
+    /// an out-of-bounds panic:
     ///
     /// * every node's edge ids are in bounds and the edge points back;
     /// * every `stdin_inputs` / `Arg::Stream` position is a valid
@@ -825,323 +771,6 @@ impl ExecutionPlan {
             waves.push(current);
         }
         waves
-    }
-}
-
-/// Parses a leading `true`/`false`.
-fn parse_bool(s: &str) -> Result<(bool, &str), String> {
-    if let Some(rest) = s.strip_prefix("true") {
-        Ok((true, rest))
-    } else if let Some(rest) = s.strip_prefix("false") {
-        Ok((false, rest))
-    } else {
-        Err(format!("expected bool at `{}`", head(s)))
-    }
-}
-
-/// Parses a leading unsigned decimal.
-fn parse_usize(s: &str) -> Result<(usize, &str), String> {
-    let end = s.bytes().take_while(|b| b.is_ascii_digit()).count();
-    if end == 0 {
-        return Err(format!("expected number at `{}`", head(s)));
-    }
-    let n = s[..end]
-        .parse()
-        .map_err(|_| format!("number out of range at `{}`", head(s)))?;
-    Ok((n, &s[end..]))
-}
-
-/// Parses a leading Rust-`{:?}`-style quoted string, undoing the
-/// escapes `escape_debug` emits (`\"`, `\\`, `\n`, `\r`, `\t`, `\0`,
-/// `\'`, and `\u{…}`).
-fn parse_quoted(s: &str) -> Result<(String, &str), String> {
-    let mut chars = s.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return Err(format!("expected `\"` at `{}`", head(s))),
-    }
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &s[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '\'')) => out.push('\''),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, '0')) => out.push('\0'),
-                Some((_, 'u')) => {
-                    match chars.next() {
-                        Some((_, '{')) => {}
-                        _ => return Err("bad \\u escape (expected `{`)".to_string()),
-                    }
-                    let mut v: u32 = 0;
-                    let mut digits = 0;
-                    loop {
-                        match chars.next() {
-                            Some((_, '}')) => break,
-                            Some((_, d)) => {
-                                let d = d
-                                    .to_digit(16)
-                                    .ok_or_else(|| "bad \\u escape digit".to_string())?;
-                                v = v
-                                    .checked_mul(16)
-                                    .and_then(|v| v.checked_add(d))
-                                    .ok_or_else(|| "\\u escape overflows".to_string())?;
-                                digits += 1;
-                            }
-                            None => return Err("unterminated \\u escape".to_string()),
-                        }
-                    }
-                    if digits == 0 {
-                        return Err("empty \\u escape".to_string());
-                    }
-                    out.push(char::from_u32(v).ok_or_else(|| "\\u escape not a char".to_string())?);
-                }
-                other => {
-                    return Err(format!(
-                        "unknown escape `\\{}`",
-                        other.map(|(_, c)| c).unwrap_or(' ')
-                    ))
-                }
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated quoted string".to_string())
-}
-
-/// The first few characters of `s`, for error messages.
-fn head(s: &str) -> &str {
-    let end = s.char_indices().nth(12).map(|(i, _)| i).unwrap_or(s.len());
-    &s[..end]
-}
-
-/// Parses one `  e{i}: {kind} {from}->{to}` edge line.
-fn parse_edge_line(line: &str, i: usize) -> Result<PlanEdge, String> {
-    let rest = line
-        .strip_prefix("  e")
-        .ok_or_else(|| format!("edge e{i}: bad prefix"))?;
-    let (idx, rest) = parse_usize(rest)?;
-    if idx != i {
-        return Err(format!("edge index {idx}, expected {i}"));
-    }
-    let rest = rest
-        .strip_prefix(": ")
-        .ok_or_else(|| format!("edge e{i}: expected `: `"))?;
-    let (kind, rest) = if let Some(r) = rest.strip_prefix("stdin* ") {
-        (EndpointKind::StdinPipe { primary: true }, r)
-    } else if let Some(r) = rest.strip_prefix("stdin ") {
-        (EndpointKind::StdinPipe { primary: false }, r)
-    } else if let Some(r) = rest.strip_prefix("stdout ") {
-        (EndpointKind::StdoutPipe, r)
-    } else if let Some(r) = rest.strip_prefix("pipe ") {
-        (EndpointKind::Pipe, r)
-    } else if let Some(r) = rest.strip_prefix("detached ") {
-        (EndpointKind::Detached, r)
-    } else if let Some(r) = rest.strip_prefix("in:") {
-        let (p, r) = parse_quoted(r)?;
-        let r = r
-            .strip_prefix(' ')
-            .ok_or_else(|| format!("edge e{i}: expected space after path"))?;
-        (EndpointKind::InputFile(p), r)
-    } else if let Some(r) = rest.strip_prefix("out:") {
-        let (p, r) = parse_quoted(r)?;
-        let r = r
-            .strip_prefix(' ')
-            .ok_or_else(|| format!("edge e{i}: expected space after path"))?;
-        (EndpointKind::OutputFile(p), r)
-    } else if let Some(r) = rest.strip_prefix("seg:") {
-        let (path, r) = parse_quoted(r)?;
-        let r = r
-            .strip_prefix('[')
-            .ok_or_else(|| format!("edge e{i}: expected `[` after segment path"))?;
-        let (part, r) = parse_usize(r)?;
-        let r = r
-            .strip_prefix('/')
-            .ok_or_else(|| format!("edge e{i}: expected `/`"))?;
-        let (of, r) = parse_usize(r)?;
-        let r = r
-            .strip_prefix("] ")
-            .ok_or_else(|| format!("edge e{i}: expected `] `"))?;
-        (EndpointKind::InputSegment { path, part, of }, r)
-    } else {
-        return Err(format!("edge e{i}: unknown kind at `{}`", head(rest)));
-    };
-    let (from_s, to_s) = kind_endpoints(rest).ok_or_else(|| format!("edge e{i}: expected `->`"))?;
-    let parse_opt = |s: &str| -> Result<Option<PlanNodeId>, String> {
-        if s.is_empty() {
-            Ok(None)
-        } else {
-            s.parse()
-                .map(Some)
-                .map_err(|_| format!("edge e{i}: bad endpoint `{s}`"))
-        }
-    };
-    Ok(PlanEdge {
-        kind,
-        from: parse_opt(from_s)?,
-        to: parse_opt(to_s)?,
-    })
-}
-
-/// Splits `{from}->{to}` (either side possibly empty).
-fn kind_endpoints(s: &str) -> Option<(&str, &str)> {
-    s.split_once("->")
-}
-
-/// Parses one `  n{i}: {op} [ins] stdin=[..] -> [outs]{ producer}`
-/// node line.
-fn parse_node_line(line: &str, i: usize) -> Result<PlanNode, String> {
-    let rest = line
-        .strip_prefix("  n")
-        .ok_or_else(|| format!("node n{i}: bad prefix"))?;
-    let (idx, rest) = parse_usize(rest)?;
-    if idx != i {
-        return Err(format!("node index {idx}, expected {i}"));
-    }
-    let mut rest = rest
-        .strip_prefix(": ")
-        .ok_or_else(|| format!("node n{i}: expected `: `"))?;
-    let op = if let Some(r) = rest.strip_prefix("exec ") {
-        let mut argv = Vec::new();
-        let mut framed = false;
-        let mut r = r;
-        loop {
-            if r.starts_with('"') {
-                let (w, after) = parse_quoted(r)?;
-                argv.push(Arg::Lit(w));
-                r = after.strip_prefix(' ').unwrap_or(after);
-            } else if let Some(after) = r.strip_prefix("<in") {
-                let (k, after) = parse_usize(after)?;
-                let after = after
-                    .strip_prefix('>')
-                    .ok_or_else(|| format!("node n{i}: expected `>` closing stream arg"))?;
-                argv.push(Arg::Stream(k));
-                r = after.strip_prefix(' ').unwrap_or(after);
-            } else if let Some(after) = r.strip_prefix("framed ") {
-                framed = true;
-                r = after;
-                break;
-            } else if r.starts_with('[') {
-                break;
-            } else {
-                return Err(format!("node n{i}: bad exec word at `{}`", head(r)));
-            }
-        }
-        rest = r;
-        PlanOp::Exec { argv, framed }
-    } else if let Some(r) = rest.strip_prefix("agg ") {
-        let mut argv = Vec::new();
-        let mut r = r;
-        while r.starts_with('"') {
-            let (w, after) = parse_quoted(r)?;
-            argv.push(w);
-            r = after.strip_prefix(' ').unwrap_or(after);
-        }
-        rest = r;
-        PlanOp::Aggregate { argv }
-    } else if let Some(r) = rest.strip_prefix("cat ") {
-        rest = r;
-        PlanOp::Cat
-    } else if let Some(r) = rest.strip_prefix("split sized=") {
-        let (sized, r) = parse_bool(r)?;
-        rest = r
-            .strip_prefix(' ')
-            .ok_or_else(|| format!("node n{i}: expected space after split"))?;
-        PlanOp::Split {
-            mode: if sized {
-                SplitMode::Sized
-            } else {
-                SplitMode::General
-            },
-        }
-    } else if let Some(r) = rest.strip_prefix("split rr framed=") {
-        let (framed, r) = parse_bool(r)?;
-        rest = r
-            .strip_prefix(' ')
-            .ok_or_else(|| format!("node n{i}: expected space after split"))?;
-        PlanOp::Split {
-            mode: SplitMode::RoundRobin { framed },
-        }
-    } else if let Some(r) = rest.strip_prefix("relay blocking=") {
-        let (blocking, r) = parse_bool(r)?;
-        rest = r
-            .strip_prefix(' ')
-            .ok_or_else(|| format!("node n{i}: expected space after relay"))?;
-        PlanOp::Relay { blocking }
-    } else {
-        return Err(format!("node n{i}: unknown op at `{}`", head(rest)));
-    };
-    let (inputs, rest) = parse_edge_list(rest).map_err(|e| format!("node n{i}: inputs: {e}"))?;
-    let rest = rest
-        .strip_prefix(" stdin=[")
-        .ok_or_else(|| format!("node n{i}: expected ` stdin=[`"))?;
-    let (stdin_inputs, rest) =
-        parse_usize_list(rest).map_err(|e| format!("node n{i}: stdin: {e}"))?;
-    let rest = rest
-        .strip_prefix(" -> ")
-        .ok_or_else(|| format!("node n{i}: expected ` -> `"))?;
-    let (outputs, rest) = parse_edge_list(rest).map_err(|e| format!("node n{i}: outputs: {e}"))?;
-    let output_producer = match rest {
-        "" => false,
-        " producer" => true,
-        other => return Err(format!("node n{i}: trailing junk `{}`", head(other))),
-    };
-    Ok(PlanNode {
-        op,
-        inputs,
-        outputs,
-        stdin_inputs,
-        output_producer,
-    })
-}
-
-/// Parses `[e1,e2,…]` (possibly empty), returning the ids.
-fn parse_edge_list(s: &str) -> Result<(Vec<PlanEdgeId>, &str), String> {
-    let mut r = s
-        .strip_prefix('[')
-        .ok_or_else(|| format!("expected `[` at `{}`", head(s)))?;
-    let mut ids = Vec::new();
-    if let Some(after) = r.strip_prefix(']') {
-        return Ok((ids, after));
-    }
-    loop {
-        let r2 = r
-            .strip_prefix('e')
-            .ok_or_else(|| format!("expected `e` at `{}`", head(r)))?;
-        let (id, r2) = parse_usize(r2)?;
-        ids.push(id);
-        if let Some(after) = r2.strip_prefix(',') {
-            r = after;
-        } else if let Some(after) = r2.strip_prefix(']') {
-            return Ok((ids, after));
-        } else {
-            return Err(format!("expected `,` or `]` at `{}`", head(r2)));
-        }
-    }
-}
-
-/// Parses `0,1,…]` — the tail of a bracketed number list (possibly
-/// empty).
-fn parse_usize_list(s: &str) -> Result<(Vec<usize>, &str), String> {
-    let mut r = s;
-    let mut out = Vec::new();
-    if let Some(after) = r.strip_prefix(']') {
-        return Ok((out, after));
-    }
-    loop {
-        let (n, r2) = parse_usize(r)?;
-        out.push(n);
-        if let Some(after) = r2.strip_prefix(',') {
-            r = after;
-        } else if let Some(after) = r2.strip_prefix(']') {
-            return Ok((out, after));
-        } else {
-            return Err(format!("expected `,` or `]` at `{}`", head(r2)));
-        }
     }
 }
 
@@ -1413,27 +1042,6 @@ mod tests {
     }
 
     #[test]
-    fn region_dump_round_trips_alone() {
-        let plan = lowered_with(
-            "cat in.txt | tr A-Z a-z | sort > out.txt",
-            4,
-            SplitPolicy::RoundRobin,
-        );
-        let r = first_region(&plan);
-        let parsed = RegionPlan::parse_dump(&r.dump()).expect("parse");
-        assert_eq!(&parsed, r);
-        assert_eq!(parsed.fingerprint(), r.fingerprint());
-        // Structural damage surfaces as Err, never a bad region.
-        assert!(RegionPlan::parse_dump("").is_err());
-        assert!(RegionPlan::parse_dump("shell noop=true \"x\"\n").is_err());
-        let mut two = r.dump();
-        two.push_str(&r.dump());
-        assert!(RegionPlan::parse_dump(&two).is_err());
-        let truncated = &r.dump()[..r.dump().len() / 2];
-        assert!(RegionPlan::parse_dump(truncated).is_err());
-    }
-
-    #[test]
     fn linear_pipeline_lowers_to_dense_region() {
         let plan = lowered("cat in.txt | tr A-Z a-z | grep x > out.txt", 1);
         let r = first_region(&plan);
@@ -1597,8 +1205,8 @@ mod tests {
     }
 
     /// A one-node region whose node has `ins` file inputs and `outs`
-    /// file outputs, as it would arrive over the wire.
-    fn one_node_dump(op: PlanOp, ins: usize, outs: usize) -> String {
+    /// file outputs, as it might arrive over the wire.
+    fn one_node_region(op: PlanOp, ins: usize, outs: usize) -> RegionPlan {
         let edge = |kind, from, to| PlanEdge { kind, from, to };
         let mut edges = Vec::new();
         for k in 0..ins {
@@ -1626,11 +1234,10 @@ mod tests {
             edges,
             replayable: true,
         }
-        .dump()
     }
 
     #[test]
-    fn parsed_dumps_are_checked_for_op_arity() {
+    fn shipped_regions_are_checked_for_op_arity() {
         let exec = || PlanOp::Exec {
             argv: vec![Arg::Lit("tr".to_string())],
             framed: false,
@@ -1642,7 +1249,7 @@ mod tests {
         let split = || PlanOp::Split {
             mode: SplitMode::General,
         };
-        // The arities the interpreter takes for granted parse...
+        // The arities the interpreter takes for granted validate...
         for (op, ins, outs) in [
             (exec(), 1, 1),
             (exec(), 0, 1),
@@ -1652,8 +1259,8 @@ mod tests {
             (split(), 1, 1),
             (split(), 1, 4),
         ] {
-            let dump = one_node_dump(op, ins, outs);
-            RegionPlan::parse_dump(&dump).unwrap_or_else(|e| panic!("{e}\n{dump}"));
+            let r = one_node_region(op, ins, outs);
+            r.validate().unwrap_or_else(|e| panic!("{e}\n{}", r.dump()));
         }
         // ...and every other one is an error naming the op, not a
         // panic in whichever thread runs the node.
@@ -1670,7 +1277,8 @@ mod tests {
             (split(), 2, 2, "split"),
             (split(), 1, 0, "split"),
         ] {
-            let err = RegionPlan::parse_dump(&one_node_dump(op, ins, outs))
+            let err = one_node_region(op, ins, outs)
+                .validate()
                 .expect_err("bad arity rejected");
             assert!(err.contains(name), "{err}");
         }
@@ -1774,104 +1382,6 @@ mod tests {
         // In() words.
         assert_eq!(spec.stdin_input, Some(0));
         assert!(spec.argv.iter().all(|w| matches!(w, SpawnWord::Lit(_))));
-    }
-
-    #[test]
-    fn dump_parse_round_trips() {
-        let scripts = [
-            (
-                "cat in.txt | tr A-Z a-z | sort | uniq -c > o",
-                SplitPolicy::Sized,
-            ),
-            (
-                "cat in.txt | tr A-Z a-z | grep x | wc -l > o",
-                SplitPolicy::RoundRobin,
-            ),
-            (
-                "x=1\ngrep a f > t && sort t > u || echo no",
-                SplitPolicy::General,
-            ),
-            ("sort words.txt | comm -13 dict.txt -", SplitPolicy::Off),
-            (
-                "tr A-Z a-z < in.txt | sort > t1 & tr A-Z a-z < in2.txt | sort > t2",
-                SplitPolicy::Sized,
-            ),
-        ];
-        for (src, split) in scripts {
-            for width in [1, 4, 8] {
-                let plan = lowered_with(src, width, split);
-                assert!(plan.region_count() > 0, "{src:?}");
-                for r in plan.regions() {
-                    let dump = r.dump();
-                    let parsed = RegionPlan::parse_dump(&dump)
-                        .unwrap_or_else(|e| panic!("{src:?} w={width}: parse failed: {e}"));
-                    assert_eq!(&parsed, r, "{src:?} w={width}: structural round-trip");
-                    assert_eq!(parsed.dump(), dump, "{src:?} w={width}: dump round-trip");
-                    assert_eq!(parsed.fingerprint(), r.fingerprint());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parse_dump_unescapes_hostile_strings() {
-        let region = RegionPlan {
-            nodes: vec![PlanNode {
-                op: PlanOp::Exec {
-                    argv: vec![
-                        Arg::Lit("grep".into()),
-                        Arg::Lit("sp ace \"q\" ] [ -> e9\t\\ \u{1}\n'q'".into()),
-                        Arg::Stream(0),
-                    ],
-                    framed: false,
-                },
-                inputs: vec![0],
-                outputs: vec![1],
-                stdin_inputs: vec![],
-                output_producer: true,
-            }],
-            edges: vec![
-                PlanEdge {
-                    kind: EndpointKind::InputFile("weird name\n[0/2]".into()),
-                    from: None,
-                    to: Some(0),
-                },
-                PlanEdge {
-                    kind: EndpointKind::StdoutPipe,
-                    from: Some(0),
-                    to: None,
-                },
-            ],
-            replayable: false,
-        };
-        let dump = region.dump();
-        let parsed = RegionPlan::parse_dump(&dump).expect("parse");
-        assert_eq!(parsed, region);
-        assert_eq!(parsed.dump(), dump);
-    }
-
-    #[test]
-    fn parse_dump_rejects_corruption() {
-        let plan = lowered_with("cat in.txt | sort | uniq -c > o", 4, SplitPolicy::Sized);
-        let dump = first_region(&plan).dump();
-        // Whole-text damage: a plan-level line where the region header
-        // belongs, a header whose counts outrun the text, truncation
-        // mid-region.
-        assert!(RegionPlan::parse_dump(&plan.dump()).is_err());
-        let huge = format!("region nodes={0} edges={0} replayable=true\n", usize::MAX);
-        assert!(RegionPlan::parse_dump(&huge).is_err());
-        assert!(RegionPlan::parse_dump(&dump[..dump.len() / 2]).is_err());
-        // Structural damage: an edge id pushed out of range must be
-        // caught by validation, not trusted.
-        let broken = dump.replace("e0", "e99");
-        assert!(RegionPlan::parse_dump(&broken).is_err());
-        // Line-level junk.
-        let mut with_junk = dump.clone();
-        with_junk.push_str("gibberish step\n");
-        assert!(RegionPlan::parse_dump(&with_junk).is_err());
-        // The pristine dump still parses (the mutations above did not
-        // accidentally target a universally-fatal property).
-        assert!(RegionPlan::parse_dump(&dump).is_ok());
     }
 
     #[test]

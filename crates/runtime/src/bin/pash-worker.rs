@@ -4,26 +4,21 @@
 //! pash-worker --socket PATH
 //! ```
 //!
-//! Listens on a Unix socket for one request per connection: `Ping`
-//! (health probe), `Execute` (one unsupervised region attempt,
-//! results streamed back in the tagged frame format), or `Shutdown`.
+//! Serves the same length-prefixed protocol as `pashd`, through the
+//! same accept loop (`pash_runtime::service::serve`), with one verb of
+//! its own: `Execute` runs one unsupervised region attempt and answers
+//! with one `Region` reply. `Metrics` is the health probe, `Shutdown`
+//! stops it, and `Run` / `PutFile` are refused with an error reply.
 //! All retry and recovery policy lives with the coordinator (see
-//! `pash_runtime::remote`); SIGTERM exits the serve loop after the
-//! in-flight connections finish.
+//! `pash_runtime::remote`). SIGTERM sends the worker a `Shutdown`, as
+//! it does `pashd`: the attempts in flight send their replies, then
+//! the socket is removed and the process exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use pash_runtime::remote::serve_worker;
-use pash_runtime::service::bind;
-
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_term(_sig: i32) {
-    STOP.store(true, Ordering::SeqCst);
-}
+use pash_runtime::service::{bind, shutdown_on_signal};
 
 fn main() -> ExitCode {
     let mut socket: Option<PathBuf> = None;
@@ -52,40 +47,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // SIGTERM/SIGINT raise the stop flag; the self-connect in the
-    // handler below cannot run in signal context, so the serve loop
-    // also notices the flag on its next accepted connection — a
-    // worker with no traffic is reaped by the socket unlink + the
-    // supervisor's health probes, not by a wedged accept.
-    unsafe {
-        libc_signal(15, on_term); // SIGTERM
-        libc_signal(2, on_term); // SIGINT
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_poll = stop.clone();
-    let poll_socket = socket.clone();
-    std::thread::spawn(move || {
-        // Forward the async-signal flag into the serve loop: connect
-        // once so a blocked accept wakes and sees the flag.
-        loop {
-            if STOP.load(Ordering::SeqCst) {
-                stop_poll.store(true, Ordering::SeqCst);
-                let _ = std::os::unix::net::UnixStream::connect(&poll_socket);
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    });
-    match serve_worker(listener, &socket, stop) {
+    shutdown_on_signal(&socket);
+    match serve_worker(listener, &socket) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("pash-worker: {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-extern "C" {
-    #[link_name = "signal"]
-    fn libc_signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }

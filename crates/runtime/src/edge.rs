@@ -1,9 +1,9 @@
 //! The runtime I/O layer: turning a region's resolved plan edges into
 //! transports.
 //!
-//! Lowering (PR 3) decides *what* every edge is — internal pipe,
+//! Lowering decides *what* every edge is — internal pipe,
 //! boundary stdin/stdout, file, file segment. This module decides
-//! *how* those edges move bytes, in the three ways the runtime knows:
+//! *how* those edges move bytes, in the two ways the runtime knows:
 //!
 //! * [`MemEdges`] — in-process wiring for the `threads` backend:
 //!   readers the consuming node pulls its file or file segment
@@ -16,14 +16,11 @@
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
 //!   named FIFO per internal pipe edge in a private scratch
 //!   directory, created with `mkfifo(3)` and removed on drop — the
-//!   same artifact the emitted shell script builds with `mkfifo`;
-//! * [`SockEdgeWriter`] / [`SockEdgeReader`] — socket wiring for the
-//!   `remote` backend: a worker streams a region's results (stdout
-//!   chunks, output files, the terminal status) back to the
-//!   coordinator in the [`crate::frame`] tagged format, so a dropped
-//!   connection or half-written frame is detected by the same
-//!   magic/length checks that guard `r_split` streams — never passed
-//!   off as a short but plausible result.
+//!   same artifact the emitted shell script builds with `mkfifo`.
+//!
+//! (A `remote` region is wired by the worker that runs it, with
+//! [`MemEdges`]; what crosses the socket is one request and one reply,
+//! see [`crate::remote`].)
 //!
 //! Keeping the wirings behind one module means stdin routing,
 //! buffering discipline, and edge naming stay in one place instead of
@@ -42,7 +39,6 @@ use crate::drive::Feed;
 use crate::fault::{ArmedFault, FaultKind, FaultMode, FaultyWriter};
 use crate::fileseg::open_segment;
 use crate::pipe::{pipe_monitored, PipeMonitor};
-use crate::wire::{bad_data, put_str, put_u32, put_u64, Cursor};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -430,198 +426,6 @@ impl Drop for FifoDir {
     }
 }
 
-/// Frame tag for a chunk of the region's stdout.
-pub const SOCK_TAG_STDOUT: u64 = 1;
-/// Frame tag for an output file (path + full contents).
-pub const SOCK_TAG_FILE: u64 = 2;
-/// Frame tag for the terminal status frame. A result stream without
-/// one is torn, no matter how plausible the bytes so far looked.
-pub const SOCK_TAG_STATUS: u64 = 3;
-/// Frame tag for a structured execution error (class + message).
-pub const SOCK_TAG_ERROR: u64 = 4;
-
-/// One decoded message from a socket result stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SockMsg {
-    /// A chunk of the region's stdout, in order.
-    Stdout(Vec<u8>),
-    /// An output file the region produced: path and full contents.
-    File(String, Vec<u8>),
-    /// Terminal frame: overall status, per-node exit statuses, and
-    /// the number of frames the writer sent before this one (checked
-    /// against the reader's own count).
-    Status {
-        status: i32,
-        statuses: Vec<(usize, i32)>,
-        frames: u64,
-    },
-    /// Terminal frame: the worker hit a structured execution error.
-    Error { transient: bool, message: String },
-}
-
-/// Worker side of a socket edge: streams a region's results to the
-/// coordinator in the [`crate::frame`] tagged format. An optional cut
-/// offset models a [`FaultKind::TornFrame`] injection — the stream is
-/// truncated mid-frame at that byte and the writer reports a broken
-/// pipe, exactly what a worker dying mid-send looks like on the wire.
-pub struct SockEdgeWriter<W: Write> {
-    inner: W,
-    /// Bytes remaining before the injected tear, if armed.
-    cut: Option<u64>,
-    frames: u64,
-}
-
-impl<W: Write> SockEdgeWriter<W> {
-    pub fn new(inner: W) -> SockEdgeWriter<W> {
-        SockEdgeWriter {
-            inner,
-            cut: None,
-            frames: 0,
-        }
-    }
-
-    /// A writer that tears the stream after `offset` raw bytes.
-    pub fn with_cut(inner: W, offset: u64) -> SockEdgeWriter<W> {
-        SockEdgeWriter {
-            inner,
-            cut: Some(offset),
-            frames: 0,
-        }
-    }
-
-    fn write_cut(&mut self, buf: &[u8]) -> io::Result<()> {
-        if let Some(left) = &mut self.cut {
-            if (*left as usize) < buf.len() {
-                let keep = *left as usize;
-                self.inner.write_all(&buf[..keep])?;
-                let _ = self.inner.flush();
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "injected torn frame",
-                ));
-            }
-            *left -= buf.len() as u64;
-        }
-        self.inner.write_all(buf)
-    }
-
-    fn emit(&mut self, tag: u64, payload: &[u8]) -> io::Result<()> {
-        let mut framed = Vec::with_capacity(crate::frame::HEADER_LEN + payload.len());
-        crate::frame::write_frame(&mut framed, tag, payload)?;
-        self.write_cut(&framed)?;
-        self.frames += 1;
-        Ok(())
-    }
-
-    /// Streams one chunk of the region's stdout.
-    pub fn stdout_chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.emit(SOCK_TAG_STDOUT, bytes)
-    }
-
-    /// Streams one output file (path + full contents).
-    pub fn output_file(&mut self, path: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(4 + path.len() + bytes.len());
-        put_str(&mut payload, path);
-        payload.extend_from_slice(bytes);
-        self.emit(SOCK_TAG_FILE, &payload)
-    }
-
-    /// Terminates the stream with the region's statuses and flushes.
-    pub fn status(&mut self, status: i32, statuses: &[(usize, i32)]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(16 + statuses.len() * 8);
-        put_u64(&mut payload, self.frames);
-        put_u32(&mut payload, status as u32);
-        put_u32(&mut payload, statuses.len() as u32);
-        for (node, st) in statuses {
-            put_u32(&mut payload, *node as u32);
-            put_u32(&mut payload, *st as u32);
-        }
-        self.emit(SOCK_TAG_STATUS, &payload)?;
-        self.inner.flush()
-    }
-
-    /// Terminates the stream with a structured error and flushes.
-    pub fn error(&mut self, transient: bool, message: &str) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(1 + message.len());
-        payload.push(if transient { 0 } else { 1 });
-        payload.extend_from_slice(message.as_bytes());
-        self.emit(SOCK_TAG_ERROR, &payload)?;
-        self.inner.flush()
-    }
-}
-
-/// Coordinator side of a socket edge: decodes the tagged result
-/// stream a worker sends. Truncation, bad magic, and oversized frames
-/// surface as `InvalidData` from the underlying [`crate::frame`]
-/// reader; a clean EOF before the terminal frame, an unknown tag, or
-/// a frame-count mismatch in the status frame are reported the same
-/// way — the caller treats all of them as a torn (transient) result.
-pub struct SockEdgeReader<R: Read> {
-    inner: crate::frame::FrameReader<R>,
-    seen: u64,
-}
-
-impl<R: Read> SockEdgeReader<R> {
-    pub fn new(inner: R) -> SockEdgeReader<R> {
-        SockEdgeReader {
-            inner: crate::frame::FrameReader::new(inner),
-            seen: 0,
-        }
-    }
-
-    /// The next message, or `Ok(None)` on clean EOF. EOF is only
-    /// clean *after* a terminal frame — callers that see `Ok(None)`
-    /// before [`SockMsg::Status`]/[`SockMsg::Error`] must treat the
-    /// result as torn.
-    pub fn next(&mut self) -> io::Result<Option<SockMsg>> {
-        let Some((tag, payload)) = self.inner.next_frame()? else {
-            return Ok(None);
-        };
-        let before = self.seen;
-        self.seen += 1;
-        let mut c = Cursor::new(&payload);
-        match tag {
-            SOCK_TAG_STDOUT => Ok(Some(SockMsg::Stdout(payload))),
-            SOCK_TAG_FILE => {
-                let path = std::str::from_utf8(c.slice()?)
-                    .map_err(|_| bad_data("file frame path is not utf-8".to_string()))?
-                    .to_string();
-                Ok(Some(SockMsg::File(path, c.rest().to_vec())))
-            }
-            SOCK_TAG_STATUS => {
-                let frames = c.u64()?;
-                if frames != before {
-                    return Err(bad_data(format!(
-                        "status frame count mismatch: writer sent {frames}, reader saw {before}"
-                    )));
-                }
-                let status = c.u32()? as i32;
-                let n = c.u32()? as usize;
-                if n > c.remaining() / 8 {
-                    return Err(bad_data(format!("status count {n} out of range")));
-                }
-                let mut statuses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    statuses.push((c.u32()? as usize, c.u32()? as i32));
-                }
-                c.done()
-                    .map_err(|_| bad_data("status frame length mismatch".to_string()))?;
-                Ok(Some(SockMsg::Status {
-                    status,
-                    statuses,
-                    frames,
-                }))
-            }
-            SOCK_TAG_ERROR => {
-                let transient = c.u8()? == 0;
-                let message = String::from_utf8_lossy(c.rest()).into_owned();
-                Ok(Some(SockMsg::Error { transient, message }))
-            }
-            other => Err(bad_data(format!("unknown result frame tag {other}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,93 +568,5 @@ mod tests {
                 .expect("read");
             assert_eq!(buf, b"through the fifo");
         });
-    }
-
-    #[test]
-    fn sock_edge_round_trips_results() {
-        let mut wire = Vec::new();
-        {
-            let mut w = SockEdgeWriter::new(&mut wire);
-            w.stdout_chunk(b"hello ").expect("stdout");
-            w.stdout_chunk(b"world\n").expect("stdout");
-            w.output_file("out.txt", b"file bytes").expect("file");
-            w.status(0, &[(2, 0), (3, 1)]).expect("status");
-        }
-        let mut r = SockEdgeReader::new(wire.as_slice());
-        assert_eq!(r.next().unwrap(), Some(SockMsg::Stdout(b"hello ".to_vec())));
-        assert_eq!(
-            r.next().unwrap(),
-            Some(SockMsg::Stdout(b"world\n".to_vec()))
-        );
-        assert_eq!(
-            r.next().unwrap(),
-            Some(SockMsg::File("out.txt".to_string(), b"file bytes".to_vec()))
-        );
-        assert_eq!(
-            r.next().unwrap(),
-            Some(SockMsg::Status {
-                status: 0,
-                statuses: vec![(2, 0), (3, 1)],
-                frames: 3,
-            })
-        );
-        assert_eq!(r.next().unwrap(), None, "clean EOF after terminal frame");
-    }
-
-    #[test]
-    fn sock_edge_detects_torn_and_miscounted_streams() {
-        // A cut mid-frame surfaces on the writer as a broken pipe and
-        // on the reader as InvalidData — never as a short-but-valid
-        // result.
-        let mut wire = Vec::new();
-        {
-            // First frame is 16 header + 16 payload = 32 bytes; a
-            // cut at 40 lands mid-way through the status frame.
-            let mut w = SockEdgeWriter::with_cut(&mut wire, 40);
-            w.stdout_chunk(b"0123456789abcdef").expect("first fits");
-            let err = w.status(0, &[]).expect_err("cut fires");
-            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        }
-        let mut r = SockEdgeReader::new(wire.as_slice());
-        assert!(matches!(r.next(), Ok(Some(SockMsg::Stdout(_)))));
-        let err = r.next().expect_err("torn frame detected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // EOF before any terminal frame is visible to the caller as
-        // Ok(None) with no Status/Error seen.
-        let mut wire = Vec::new();
-        SockEdgeWriter::new(&mut wire)
-            .stdout_chunk(b"partial")
-            .expect("chunk");
-        let mut r = SockEdgeReader::new(wire.as_slice());
-        assert!(matches!(r.next(), Ok(Some(SockMsg::Stdout(_)))));
-        assert!(matches!(r.next(), Ok(None)), "no terminal frame");
-
-        // A status frame whose count disagrees with what the reader
-        // saw is rejected: a replayed or spliced stream cannot pass.
-        let mut wire = Vec::new();
-        {
-            let mut w = SockEdgeWriter::new(&mut wire);
-            w.frames = 7; // lie about how many frames preceded
-            w.status(0, &[]).expect("status");
-        }
-        let mut r = SockEdgeReader::new(wire.as_slice());
-        let err = r.next().expect_err("count mismatch detected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Worker-side structured errors arrive intact.
-        let mut wire = Vec::new();
-        {
-            let mut w = SockEdgeWriter::new(&mut wire);
-            w.error(true, "exec node 3 died").expect("error frame");
-        }
-        let mut r = SockEdgeReader::new(wire.as_slice());
-        assert_eq!(
-            r.next().unwrap(),
-            Some(SockMsg::Error {
-                transient: true,
-                message: "exec node 3 died".to_string(),
-            })
-        );
     }
 }

@@ -114,7 +114,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Result of executing one region plan.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionOutput {
     /// Bytes the region wrote to its stdout edge(s).
     pub stdout: Vec<u8>,
@@ -831,6 +831,7 @@ pub fn run_script(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pash_core::plan::PlanEdge;
     use pash_coreutils::fs::MemFs;
 
     fn fixture() -> (Registry, Arc<MemFs>) {
@@ -1365,12 +1366,35 @@ mod tests {
         assert_eq!(out.stdout, b"1\n2\n3\n");
         assert_eq!(schedules(&ecfg), (0, 1));
         // A node with no input edge at all never starts the other way.
-        let r = RegionPlan::parse_dump(
-            "region nodes=2 edges=2 replayable=true\n  e0: pipe 0->1\n  e1: stdout 1->\n  \
-             n0: exec \"seq\" \"1\" \"5\" [] stdin=[] -> [e0]\n  \
-             n1: exec \"head\" \"-n\" \"3\" [e0] stdin=[0] -> [e1] producer\n",
-        )
-        .expect("region");
+        let exec = |words: &[&str], inputs: Vec<usize>, output| PlanNode {
+            op: PlanOp::Exec {
+                argv: words.iter().map(|w| Arg::Lit(w.to_string())).collect(),
+                framed: false,
+            },
+            stdin_inputs: (0..inputs.len()).collect(),
+            inputs,
+            outputs: vec![output],
+            output_producer: output == 1,
+        };
+        let r = RegionPlan {
+            nodes: vec![
+                exec(&["seq", "1", "5"], vec![], 0),
+                exec(&["head", "-n", "3"], vec![0], 1),
+            ],
+            edges: vec![
+                PlanEdge {
+                    kind: EndpointKind::Pipe,
+                    from: Some(0),
+                    to: Some(1),
+                },
+                PlanEdge {
+                    kind: EndpointKind::StdoutPipe,
+                    from: Some(1),
+                    to: None,
+                },
+            ],
+            replayable: true,
+        };
         let fs: Arc<dyn Fs> = fs;
         assert!(!fits_one_buffer(&r, &fs, &Feed::from([]), 1 << 16, None));
         let runner = ThreadsRunner {

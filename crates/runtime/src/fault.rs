@@ -202,13 +202,15 @@ pub enum FaultKind {
     /// socket closed (remote backend only).
     ConnDrop,
     /// The worker is slow: it sleeps for the stall duration before
-    /// streaming results (remote backend only). On its own this
+    /// running the region (remote backend only). On its own this
     /// exercises the supervisor's patience; with a region deadline it
     /// becomes the wedged-worker socket-teardown scenario.
     SlowWorker,
-    /// The worker's framed response stream is cut mid-frame and the
-    /// socket closed — the half-written-frame shape the frame header
-    /// checks must catch end-to-end (remote backend only).
+    /// The worker's reply is cut part-way and the socket closed: the
+    /// coordinator reads no further than the offset, so the reply's
+    /// length prefix promises bytes that never arrive — the
+    /// half-written-frame shape the reader must catch (remote backend
+    /// only).
     TornFrame,
 }
 
@@ -413,8 +415,8 @@ impl FaultPlan {
             // Cut inside the request's 4-byte length prefix or just
             // past it: the worker always sees a malformed request.
             FaultKind::ConnDrop => (sm % 64).max(1),
-            // Mid-frame-header: a torn response frame is always
-            // detected by the reader's magic/length checks.
+            // Inside the reply's length prefix or just past it: a
+            // reply is always longer, so the tear always lands.
             FaultKind::TornFrame => (sm % 12).max(2),
             _ => 1 + sm % 64,
         });
@@ -864,7 +866,7 @@ mod tests {
             assert_eq!(a.kind, kind);
             assert!(a.node.is_some(), "connection fault attributes a node");
         }
-        // The torn-frame default offset lands mid-frame-header.
+        // The torn-frame default offset lands at the reply's head.
         let a = FaultPlan::new(FaultKind::TornFrame, 5)
             .arm_remote(&r)
             .expect("armed");

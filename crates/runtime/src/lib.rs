@@ -14,7 +14,11 @@
 //!   node on one thread when the region's input fits one pipe
 //!   buffer), child processes over FIFOs, and regions shipped to
 //!   `pash-worker`s;
-//! * [`wire`] — the length-prefixed codec under every socket protocol.
+//! * [`service`] — the one socket protocol and its accept loop:
+//!   `pashd` and `pash-worker` are both [`service::serve`], with
+//!   different handlers;
+//! * [`wire`] — the length-prefixed codec under it, region plans
+//!   included.
 //!
 //! The same primitives are exposed as a standalone multi-call binary
 //! (`pash-rt`) so that scripts emitted by the back-end run under a

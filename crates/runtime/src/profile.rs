@@ -397,9 +397,7 @@ impl ProfileStore {
     /// the only failure) and warm-starts it from the snapshot a
     /// previous [`Self::save`] left there. A missing, unreadable or
     /// damaged snapshot is not an error: every block that parses
-    /// loads, and the store starts cold for the rest. Other files in
-    /// `dir` (the per-region `*.prof` files older versions wrote) are
-    /// ignored.
+    /// loads, and the store starts cold for the rest.
     pub fn open(dir: &Path) -> io::Result<ProfileStore> {
         std::fs::create_dir_all(dir)?;
         let mut mem = Regions::default();

@@ -1,14 +1,19 @@
 //! Remote worker backend: supervised, fault-tolerant plan shipping
 //! over Unix sockets.
 //!
-//! The coordinator serializes a region plan ([`RegionPlan::dump`]),
-//! the input files it reads, and its stdin bytes into one
-//! length-prefixed request (the [`crate::service`] wire discipline),
-//! ships it to a `pash-worker`, and reads the result back as a tagged
-//! frame stream ([`crate::edge::SockEdgeReader`], the PR 6 framed
-//! format) — so a dropped connection, a half-written frame, or a
-//! spliced stream is *detected*, never silently accepted as a short
-//! but plausible result.
+//! A `pash-worker` is [`service::serve`] — the accept loop, drain and
+//! metrics `pashd` runs — with a handler that answers one verb,
+//! [`Request::Execute`]. The coordinator puts everything a region
+//! attempt needs into that one request: the [`RegionPlan`] itself,
+//! encoded field by field in the [`crate::wire`] codec (every string
+//! length-prefixed, every count checked before allocation), the input
+//! files it reads, and its stdin bytes. The worker answers with one
+//! [`Response::Region`]: the attempt's output and the files it wrote,
+//! or its failure with a transient/fatal class. A reply is one
+//! length-prefixed frame, so a dropped connection or a half-written
+//! reply fails the reader's length check — it is never passed off as
+//! a short but plausible result. Health probes are `Metrics` round
+//! trips, and [`shutdown_worker`] sends `Shutdown`.
 //!
 //! The robustness contract mirrors the local supervisor's, one rung
 //! deeper — the same ladder ([`crate::supervise`]), with the one rung
@@ -16,17 +21,19 @@
 //!
 //! * a transient remote failure retries on a **different** worker
 //!   (per-attempt placement over the healthy set, jittered backoff);
-//! * a region deadline tears down the socket — the worker notices the
-//!   broken pipe and reaps its per-connection state;
+//! * a region deadline tears down the socket — the worker's write of
+//!   its reply fails and the connection's thread ends;
 //! * exhausted retries degrade first to a clean **local** attempt at
 //!   full width ([`RegionRunner::clean_local`]), then to the width-1
 //!   **sequential** plan.
 //!
 //! Injected remote faults may delay a run; they never change its
-//! bytes.
+//! bytes. A region whose request or reply exceeds
+//! [`crate::wire::MAX_FRAME`] fails the reader's length check like a
+//! torn reply and finishes on the local rung.
 //!
 //! The worker itself is deliberately dumb: one unsupervised region
-//! attempt per connection ([`ThreadsRunner`]'s, the one the
+//! attempt per request ([`ThreadsRunner`]'s, the one the
 //! coordinator's clean-local rung makes too), against an in-memory
 //! filesystem populated from the shipped files.
 //! All retry policy lives coordinator-side, so there is exactly one
@@ -35,37 +42,29 @@
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pash_core::plan::{ExecutionPlan, PlanOp, RegionPlan};
+use pash_core::plan::{
+    Arg, EndpointKind, ExecutionPlan, PlanEdge, PlanNode, PlanOp, RegionPlan, SplitMode,
+};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
 
 use crate::drive::{drive, Feed, RegionRunner};
-use crate::edge::{SockEdgeReader, SockEdgeWriter, SockMsg};
 use crate::exec::{ExecConfig, ProgramOutput, RegionOutput, ThreadsRunner};
 use crate::fault::{ArmedFault, CancelToken, ExecError, FaultKind, FaultPlan};
+use crate::service::{self, read_response, write_request, Request, Response, ServiceSettings};
 use crate::supervise::SupervisorSettings;
-use crate::wire::{
-    bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, write_frame, Cursor,
-};
-
-/// Request op: execute one region attempt.
-pub const OP_EXECUTE: u8 = 1;
-/// Request op: health probe.
-pub const OP_PING: u8 = 2;
-/// Request op: stop accepting connections and exit the serve loop.
-pub const OP_SHUTDOWN: u8 = 3;
+use crate::wire::{bad_data, put_bytes, put_str, put_u32, put_u64, Cursor};
 
 /// A fault the coordinator armed but the *worker* must deliver (the
 /// local kinds — node deaths, stream truncation, stalls — injected
 /// inside the worker's attempt so remote runs exercise the same
 /// failure surface local runs do). Remote kinds never ride here:
 /// conn-drop is delivered by the coordinator's own truncated write,
-/// torn-frame by the worker's response cut, slow-worker by a shipped
-/// sleep.
+/// torn-frame by the coordinator's truncated read, slow-worker by a
+/// shipped sleep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFault {
     pub kind: String,
@@ -103,13 +102,13 @@ impl WireFault {
     }
 }
 
-/// One shipped region attempt: everything a worker needs, nothing it
-/// has to go looking for.
+/// One shipped region attempt ([`Request::Execute`]): everything a
+/// worker needs, nothing it has to go looking for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecuteRequest {
-    /// The region, serialized with [`RegionPlan::dump`] (carries the
-    /// file-segment assignments in its `InputSegment` endpoints).
-    pub region_dump: String,
+    /// The region (its `InputSegment` endpoints carry the file-segment
+    /// assignments).
+    pub region: RegionPlan,
     /// Input files the region reads: path and full contents.
     pub files: Vec<(String, Vec<u8>)>,
     /// Bytes for the region's primary boundary stdin (the run's
@@ -119,185 +118,364 @@ pub struct ExecuteRequest {
     pub fault: Option<WireFault>,
     /// Sleep this long before executing (slow-worker injection).
     pub sleep_ms: u64,
-    /// Tear the response stream after this many raw bytes
-    /// (torn-frame injection); `u64::MAX` means no cut.
-    pub response_cut: u64,
 }
 
 impl ExecuteRequest {
-    /// The request as it goes on the wire: length prefix included, so
-    /// the payload is built once, in place.
-    fn encode_framed(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 4];
-        out.push(OP_EXECUTE);
-        put_str(&mut out, &self.region_dump);
-        put_bytes(&mut out, &self.stdin);
-        put_u64(&mut out, self.sleep_ms);
-        put_u64(&mut out, self.response_cut);
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_region(out, &self.region);
+        put_bytes(out, &self.stdin);
+        put_u64(out, self.sleep_ms);
         match &self.fault {
             None => out.push(0),
             Some(f) => {
                 out.push(1);
-                put_str(&mut out, &f.kind);
-                put_u64(&mut out, f.node.map(|n| n as u64 + 1).unwrap_or(0));
-                put_u64(&mut out, f.edge.map(|e| e as u64 + 1).unwrap_or(0));
-                put_u64(&mut out, f.offset);
-                put_u64(&mut out, f.delay_ms);
-                put_u64(&mut out, f.stall_ms);
+                put_str(out, &f.kind);
+                put_u64(out, f.node.map_or(0, |n| n as u64 + 1));
+                put_u64(out, f.edge.map_or(0, |e| e as u64 + 1));
+                put_u64(out, f.offset);
+                put_u64(out, f.delay_ms);
+                put_u64(out, f.stall_ms);
             }
         }
-        put_u32(&mut out, self.files.len() as u32);
-        for (path, bytes) in &self.files {
-            put_str(&mut out, path);
-            put_bytes(&mut out, bytes);
-        }
-        let len = (out.len() - 4) as u32;
-        out[..4].copy_from_slice(&len.to_le_bytes());
-        out
+        put_files(out, &self.files);
     }
 
-    fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
-        let region_dump = c.string()?;
+    pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
+        let region = region(c)?;
         let stdin = Feed::from(c.slice()?);
         let sleep_ms = c.u64()?;
-        let response_cut = c.u64()?;
-        let fault = match c.u8()? {
-            0 => None,
-            1 => {
-                let kind = c.string()?;
-                let node = c.u64()?;
-                let edge = c.u64()?;
-                Some(WireFault {
-                    kind,
-                    node: node.checked_sub(1).map(|n| n as usize),
-                    edge: edge.checked_sub(1).map(|e| e as usize),
-                    offset: c.u64()?,
-                    delay_ms: c.u64()?,
-                    stall_ms: c.u64()?,
-                })
-            }
-            other => return Err(bad_data(format!("bad fault presence byte {other}"))),
+        let fault = match c.bool()? {
+            false => None,
+            true => Some(WireFault {
+                kind: c.string()?,
+                node: c.u64()?.checked_sub(1).map(|n| n as usize),
+                edge: c.u64()?.checked_sub(1).map(|e| e as usize),
+                offset: c.u64()?,
+                delay_ms: c.u64()?,
+                stall_ms: c.u64()?,
+            }),
         };
-        let nfiles = c.u32()? as usize;
-        if nfiles > c.remaining() / 8 {
-            return Err(bad_data(format!("inflated file count {nfiles}")));
-        }
-        let mut files = Vec::with_capacity(nfiles);
-        for _ in 0..nfiles {
-            let path = c.string()?;
-            let bytes = c.bytes()?;
-            files.push((path, bytes));
-        }
-        c.done()?;
         Ok(ExecuteRequest {
-            region_dump,
-            files,
+            region,
+            files: files(c)?,
             stdin,
             fault,
             sleep_ms,
-            response_cut,
         })
     }
+}
+
+/// What a worker answers a [`Request::Execute`] with
+/// ([`Response::Region`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegionReply {
+    /// The attempt ran to the end (its status may still be nonzero —
+    /// that is a result, not a failure).
+    Done {
+        /// What a local attempt would have returned.
+        output: RegionOutput,
+        /// The output files the region declares, as the attempt left
+        /// them.
+        files: Vec<(String, Vec<u8>)>,
+    },
+    /// The attempt failed; `transient` says whether another attempt
+    /// may succeed.
+    Failed { transient: bool, message: String },
+}
+
+impl RegionReply {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RegionReply::Done { output, files } => {
+                out.push(0);
+                put_u32(out, output.status as u32);
+                put_u32(out, output.statuses.len() as u32);
+                for &(node, status) in &output.statuses {
+                    put_u32(out, node as u32);
+                    put_u32(out, status as u32);
+                }
+                put_bytes(out, &output.stdout);
+                put_files(out, files);
+            }
+            RegionReply::Failed { transient, message } => {
+                out.push(1);
+                out.push(*transient as u8);
+                put_str(out, message);
+            }
+        }
+    }
+
+    pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<RegionReply> {
+        Ok(match c.bool()? {
+            false => {
+                let status = c.u32()? as i32;
+                let n = c.count(8)?;
+                let statuses = (0..n)
+                    .map(|_| Ok((c.u32()? as usize, c.u32()? as i32)))
+                    .collect::<io::Result<_>>()?;
+                let output = RegionOutput {
+                    stdout: c.bytes()?,
+                    statuses,
+                    status,
+                };
+                RegionReply::Done {
+                    output,
+                    files: files(c)?,
+                }
+            }
+            true => RegionReply::Failed {
+                transient: c.bool()?,
+                message: c.string()?,
+            },
+        })
+    }
+}
+
+fn put_files(out: &mut Vec<u8>, files: &[(String, Vec<u8>)]) {
+    put_u32(out, files.len() as u32);
+    for (path, bytes) in files {
+        put_str(out, path);
+        put_bytes(out, bytes);
+    }
+}
+
+fn files(c: &mut Cursor<'_>) -> io::Result<Vec<(String, Vec<u8>)>> {
+    // Each file is at least its two length prefixes.
+    let n = c.count(8)?;
+    (0..n).map(|_| Ok((c.string()?, c.bytes()?))).collect()
+}
+
+// ---------------------------------------------------------------------------
+// The region codec
+// ---------------------------------------------------------------------------
+
+// Node and edge ids ride as `u32`; an optional node id as `id + 1`,
+// with 0 for none.
+
+fn put_ids(out: &mut Vec<u8>, ids: &[usize]) {
+    put_u32(out, ids.len() as u32);
+    for &id in ids {
+        put_u32(out, id as u32);
+    }
+}
+
+fn ids(c: &mut Cursor<'_>) -> io::Result<Vec<usize>> {
+    let n = c.count(4)?;
+    (0..n).map(|_| Ok(c.u32()? as usize)).collect()
+}
+
+fn put_node_ref(out: &mut Vec<u8>, node: Option<usize>) {
+    put_u32(out, node.map_or(0, |n| n as u32 + 1));
+}
+
+fn node_ref(c: &mut Cursor<'_>) -> io::Result<Option<usize>> {
+    Ok(c.u32()?.checked_sub(1).map(|n| n as usize))
+}
+
+/// Encodes a region field by field. The decoder ([`region`]) checks
+/// only that the bytes are well formed; whether the region they
+/// describe can run is [`RegionPlan::validate`]'s question, which the
+/// worker's attempt asks first.
+fn put_region(out: &mut Vec<u8>, r: &RegionPlan) {
+    out.push(r.replayable as u8);
+    put_u32(out, r.edges.len() as u32);
+    for e in &r.edges {
+        match &e.kind {
+            EndpointKind::Pipe => out.push(0),
+            EndpointKind::StdinPipe { primary } => {
+                out.push(1);
+                out.push(*primary as u8);
+            }
+            EndpointKind::StdoutPipe => out.push(2),
+            EndpointKind::InputFile(path) => {
+                out.push(3);
+                put_str(out, path);
+            }
+            EndpointKind::OutputFile(path) => {
+                out.push(4);
+                put_str(out, path);
+            }
+            EndpointKind::InputSegment { path, part, of } => {
+                out.push(5);
+                put_str(out, path);
+                put_u32(out, *part as u32);
+                put_u32(out, *of as u32);
+            }
+            EndpointKind::Detached => out.push(6),
+        }
+        put_node_ref(out, e.from);
+        put_node_ref(out, e.to);
+    }
+    put_u32(out, r.nodes.len() as u32);
+    for n in &r.nodes {
+        match &n.op {
+            PlanOp::Exec { argv, framed } => {
+                out.push(0);
+                out.push(*framed as u8);
+                put_u32(out, argv.len() as u32);
+                for a in argv {
+                    match a {
+                        Arg::Lit(word) => {
+                            out.push(0);
+                            put_str(out, word);
+                        }
+                        Arg::Stream(k) => {
+                            out.push(1);
+                            put_u32(out, *k as u32);
+                        }
+                    }
+                }
+            }
+            PlanOp::Cat => out.push(1),
+            PlanOp::Split { mode } => {
+                out.push(2);
+                out.push(match mode {
+                    SplitMode::General => 0,
+                    SplitMode::Sized => 1,
+                    SplitMode::RoundRobin { framed: false } => 2,
+                    SplitMode::RoundRobin { framed: true } => 3,
+                });
+            }
+            PlanOp::Relay { blocking } => {
+                out.push(3);
+                out.push(*blocking as u8);
+            }
+            PlanOp::Aggregate { argv } => {
+                out.push(4);
+                put_u32(out, argv.len() as u32);
+                for word in argv {
+                    put_str(out, word);
+                }
+            }
+        }
+        put_ids(out, &n.inputs);
+        put_ids(out, &n.outputs);
+        put_ids(out, &n.stdin_inputs);
+        out.push(n.output_producer as u8);
+    }
+}
+
+/// Decodes what [`put_region`] wrote.
+fn region(c: &mut Cursor<'_>) -> io::Result<RegionPlan> {
+    let replayable = c.bool()?;
+    // An edge is at least a tag and two node refs; a node at least a
+    // tag, three id counts and a flag.
+    let n = c.count(9)?;
+    let mut edges = Vec::with_capacity(n);
+    for _ in 0..n {
+        let kind = match c.u8()? {
+            0 => EndpointKind::Pipe,
+            1 => EndpointKind::StdinPipe { primary: c.bool()? },
+            2 => EndpointKind::StdoutPipe,
+            3 => EndpointKind::InputFile(c.string()?),
+            4 => EndpointKind::OutputFile(c.string()?),
+            5 => EndpointKind::InputSegment {
+                path: c.string()?,
+                part: c.u32()? as usize,
+                of: c.u32()? as usize,
+            },
+            6 => EndpointKind::Detached,
+            other => return Err(bad_data(format!("bad edge kind {other}"))),
+        };
+        edges.push(PlanEdge {
+            kind,
+            from: node_ref(c)?,
+            to: node_ref(c)?,
+        });
+    }
+    let n = c.count(14)?;
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        let op = match c.u8()? {
+            0 => {
+                let framed = c.bool()?;
+                // A word is at least a tag and a `u32`.
+                let n = c.count(5)?;
+                let argv = (0..n)
+                    .map(|_| match c.u8()? {
+                        0 => Ok(Arg::Lit(c.string()?)),
+                        1 => Ok(Arg::Stream(c.u32()? as usize)),
+                        other => Err(bad_data(format!("bad argv word tag {other}"))),
+                    })
+                    .collect::<io::Result<_>>()?;
+                PlanOp::Exec { argv, framed }
+            }
+            1 => PlanOp::Cat,
+            2 => PlanOp::Split {
+                mode: match c.u8()? {
+                    0 => SplitMode::General,
+                    1 => SplitMode::Sized,
+                    2 => SplitMode::RoundRobin { framed: false },
+                    3 => SplitMode::RoundRobin { framed: true },
+                    other => return Err(bad_data(format!("bad split mode {other}"))),
+                },
+            },
+            3 => PlanOp::Relay {
+                blocking: c.bool()?,
+            },
+            4 => {
+                let n = c.count(4)?;
+                PlanOp::Aggregate {
+                    argv: (0..n).map(|_| c.string()).collect::<io::Result<_>>()?,
+                }
+            }
+            other => return Err(bad_data(format!("bad node op {other}"))),
+        };
+        nodes.push(PlanNode {
+            op,
+            inputs: ids(c)?,
+            outputs: ids(c)?,
+            stdin_inputs: ids(c)?,
+            output_producer: c.bool()?,
+        });
+    }
+    Ok(RegionPlan {
+        nodes,
+        edges,
+        replayable,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// The worker serve loop: one request per connection, one thread per
-/// connection (an execute wedged on a torn-down coordinator socket
-/// must not block health probes). Returns when a `Shutdown` request
-/// arrives or `stop` is raised externally (e.g. by a signal handler).
-pub fn serve_worker(
-    listener: UnixListener,
-    socket: &Path,
-    stop: Arc<AtomicBool>,
-) -> io::Result<()> {
+/// The worker serve loop: [`service::serve`] — a thread per
+/// connection, so an attempt wedged on a torn-down coordinator socket
+/// never blocks a health probe — answering [`Request::Execute`] and
+/// refusing `pashd`'s verbs with [`Response::Error`]. Returns once a
+/// `Shutdown` request has been acknowledged and the attempts in flight
+/// have sent their replies (under [`service::serve`]'s drain
+/// deadline); the socket file is removed on the way out.
+pub fn serve_worker(listener: UnixListener, socket: &Path) -> io::Result<()> {
     let registry = Registry::standard();
-    std::thread::scope(|scope| {
-        for conn in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let stop = stop.clone();
-            let registry = registry.clone();
-            let socket = socket.to_path_buf();
-            scope.spawn(move || {
-                if serve_worker_conn(stream, &registry) {
-                    stop.store(true, Ordering::SeqCst);
-                    // Unblock our own accept loop.
-                    let _ = UnixStream::connect(&socket);
-                }
-            });
-        }
-    });
-    let _ = std::fs::remove_file(socket);
-    Ok(())
+    service::serve(
+        listener,
+        socket,
+        Arc::default(),
+        ServiceSettings::default(),
+        Arc::new(move |req| match req {
+            Request::Execute(req) => Response::Region(execute(req, &registry)),
+            _ => Response::Error(
+                "pash-worker only executes shipped regions; Run and PutFile are pashd's"
+                    .to_string(),
+            ),
+        }),
+    )
 }
 
-/// Handles one connection; returns true if it was a shutdown request.
-fn serve_worker_conn(mut stream: UnixStream, registry: &Registry) -> bool {
-    // A coordinator that armed conn-drop sends a truncated request and
-    // vanishes; never hang on it.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let frame = match read_frame(&mut stream) {
-        Ok(Some(f)) => f,
-        // Clean EOF (probe-and-close) or a torn/oversized request:
-        // drop the connection, keep serving.
-        _ => return false,
-    };
-    let mut c = Cursor::new(&frame);
-    match c.u8() {
-        Ok(OP_PING) => {
-            let _ = write_frame(&mut stream, b"pong");
-            false
-        }
-        Ok(OP_SHUTDOWN) => {
-            let _ = write_frame(&mut stream, b"bye");
-            true
-        }
-        Ok(OP_EXECUTE) => {
-            match ExecuteRequest::decode(&mut c) {
-                Ok(req) => {
-                    // The torn-frame cut applies to the *result*
-                    // stream; a request that decoded cleanly commits
-                    // to answering in the cut (or clean) writer.
-                    let mut w = if req.response_cut != u64::MAX {
-                        SockEdgeWriter::with_cut(stream, req.response_cut)
-                    } else {
-                        SockEdgeWriter::new(stream)
-                    };
-                    run_execute(req, registry, &mut w);
-                }
-                Err(e) => {
-                    let mut w = SockEdgeWriter::new(stream);
-                    let _ = w.error(false, &format!("bad execute request: {e}"));
-                }
-            }
-            false
-        }
-        _ => false,
-    }
-}
-
-/// Runs one shipped region attempt and streams the result back.
-fn run_execute(req: ExecuteRequest, registry: &Registry, w: &mut SockEdgeWriter<UnixStream>) {
+/// Runs one shipped region attempt.
+fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
     if req.sleep_ms > 0 {
         std::thread::sleep(Duration::from_millis(req.sleep_ms));
     }
-    let region = match RegionPlan::parse_dump(&req.region_dump) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = w.error(false, &format!("bad region dump: {e}"));
-            return;
-        }
-    };
     let armed = match req.fault.as_ref().map(WireFault::to_armed).transpose() {
         Ok(a) => a,
         Err(e) => {
-            let _ = w.error(false, &format!("bad fault spec: {e}"));
-            return;
+            return RegionReply::Failed {
+                transient: false,
+                message: format!("bad fault spec: {e}"),
+            }
         }
     };
     let fs = Arc::new(MemFs::new());
@@ -305,42 +483,29 @@ fn run_execute(req: ExecuteRequest, registry: &Registry, w: &mut SockEdgeWriter<
         fs.add(path, bytes);
     }
     // One unsupervised attempt: retries, deadlines and the fallback
-    // ladder are the coordinator's.
+    // ladder are the coordinator's. The attempt validates the region
+    // first, so a malformed one is a fatal failure, not a panic.
     let worker = ThreadsRunner {
         registry,
         fs: &(fs.clone() as Arc<dyn Fs>),
         cfg: &ExecConfig::default(),
     };
-    match worker.attempt(&region, &req.stdin, armed.as_ref(), 0, None) {
-        Ok(out) => {
-            let _ = stream_region_output(&region, &out, &fs, w);
+    match worker.attempt(&req.region, &req.stdin, armed.as_ref(), 0, None) {
+        Ok(output) => {
+            let mut written = req.region.writes_files();
+            written.sort();
+            written.dedup();
+            let files = written
+                .into_iter()
+                .filter_map(|path| fs.read(&path).ok().map(|bytes| (path, bytes)))
+                .collect();
+            RegionReply::Done { output, files }
         }
-        Err(e) => {
-            let _ = w.error(e.is_transient(), &format!("{e}"));
-        }
+        Err(e) => RegionReply::Failed {
+            transient: e.is_transient(),
+            message: e.to_string(),
+        },
     }
-}
-
-/// Streams a finished attempt: stdout chunks, the output files the
-/// region declared, then the terminal status frame.
-fn stream_region_output(
-    region: &RegionPlan,
-    out: &RegionOutput,
-    fs: &MemFs,
-    w: &mut SockEdgeWriter<UnixStream>,
-) -> io::Result<()> {
-    for chunk in out.stdout.chunks(64 * 1024).filter(|c| !c.is_empty()) {
-        w.stdout_chunk(chunk)?;
-    }
-    let mut written = region.writes_files();
-    written.sort();
-    written.dedup();
-    for path in written {
-        if let Ok(bytes) = fs.read(&path) {
-            w.output_file(&path, &bytes)?;
-        }
-    }
-    w.status(out.status, &out.statuses)
 }
 
 // ---------------------------------------------------------------------------
@@ -404,35 +569,36 @@ impl WorkerPool {
     }
 }
 
-/// One health probe: connect, ping, expect a pong.
+/// One request and its reply on a fresh connection, every socket
+/// operation bounded by `timeout`.
+fn round_trip(socket: &Path, req: &Request, timeout: Duration) -> io::Result<Response> {
+    let mut stream = UnixStream::connect(socket)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    write_request(&mut stream, req)?;
+    read_response(&mut stream)
+}
+
+/// One health probe: a `Metrics` round trip.
 fn ping(socket: &Path, timeout: Duration) -> bool {
-    let Ok(stream) = UnixStream::connect(socket) else {
-        return false;
-    };
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    if write_frame(&mut stream, &[OP_PING]).is_err() {
-        return false;
-    }
-    matches!(read_frame(&mut stream), Ok(Some(f)) if f == b"pong")
+    matches!(
+        round_trip(socket, &Request::Metrics, timeout),
+        Ok(Response::Text(_))
+    )
 }
 
-/// Sends a shutdown request to a worker (best effort).
+/// Asks a worker to stop (best effort): `true` once it acknowledged.
+/// It then drains the attempts in flight and removes its socket.
 pub fn shutdown_worker(socket: &Path) -> bool {
-    let Ok(mut stream) = UnixStream::connect(socket) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    if write_frame(&mut stream, &[OP_SHUTDOWN]).is_err() {
-        return false;
-    }
-    matches!(read_frame(&mut stream), Ok(Some(f)) if f == b"bye")
+    matches!(
+        round_trip(socket, &Request::Shutdown, Duration::from_secs(2)),
+        Ok(Response::Ack)
+    )
 }
 
-/// Ships one region attempt to `socket` and decodes the result
-/// stream. All failure shapes — connect refused, torn stream, corrupt
-/// frame, missing terminal frame, read timeout — map to classified
+/// Ships one region attempt to `socket` and decodes the reply. All
+/// failure shapes — connect refused, torn or oversized reply, a peer
+/// that does not execute regions, read timeout — map to classified
 /// [`ExecError`]s; a read timeout under a region deadline is reported
 /// with the supervisor's deadline context so the ladder counts it as
 /// a deadline kill.
@@ -484,101 +650,86 @@ fn execute_remote(
         }
     }
     let mut req = ExecuteRequest {
-        region_dump: r.dump(),
+        region: r.clone(),
         files,
         stdin: feed.clone(),
         fault: None,
         sleep_ms: 0,
-        response_cut: u64::MAX,
     };
-    let mut request_cut = None;
+    let (mut request_cut, mut reply_cut) = (None, None);
     match armed {
         Some(a) if a.kind == FaultKind::ConnDrop => request_cut = Some(a.offset),
         Some(a) if a.kind == FaultKind::SlowWorker => req.sleep_ms = a.stall.as_millis() as u64,
-        Some(a) if a.kind == FaultKind::TornFrame => req.response_cut = a.offset,
+        Some(a) if a.kind == FaultKind::TornFrame => reply_cut = Some(a.offset),
         Some(a) => req.fault = Some(WireFault::from_armed(a)),
         None => {}
     }
+    let req = Request::Execute(req);
 
     let mut stream = UnixStream::connect(socket).map_err(|e| transient("remote connect", e))?;
     stream
         .set_read_timeout(deadline.or(Some(Duration::from_secs(60))))
         .map_err(|e| transient("remote socket", e))?;
-    let framed = req.encode_framed();
-    match request_cut {
+    let sent = match request_cut {
+        // Injected connection drop: ship a half-written request, then
+        // hang up mid-frame. The worker sees a torn frame and closes;
+        // we see EOF where the reply should be.
         Some(cut) => {
-            // Injected connection drop: ship a half-written request,
-            // then hang up mid-frame. The worker sees a torn length-
-            // prefixed frame; we see EOF before any terminal frame.
-            let keep = (cut as usize).min(framed.len().saturating_sub(1));
-            stream
-                .write_all(&framed[..keep])
-                .map_err(|e| transient("remote send", e))?;
-            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let mut framed = Vec::new();
+            write_request(&mut framed, &req).and_then(|()| {
+                let keep = (cut as usize).min(framed.len() - 1);
+                stream.write_all(&framed[..keep])?;
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                Ok(())
+            })
         }
-        None => {
-            stream
-                .write_all(&framed)
-                .map_err(|e| transient("remote send", e))?;
+        None => write_request(&mut stream, &req),
+    };
+    sent.map_err(|e| transient("remote send", e))?;
+    let reply = match reply_cut {
+        // Injected torn reply: read no further than the cut, then hang
+        // up. The reply's length prefix promises more than arrives.
+        Some(cut) => read_response(&mut (&stream).take(cut)),
+        None => read_response(&mut stream),
+    };
+    match reply {
+        Ok(Response::Region(RegionReply::Done { output, files })) => {
+            // Only a whole reply may touch the coordinator's
+            // filesystem.
+            for (path, bytes) in files {
+                fs.create(&path)
+                    .and_then(|mut w| w.write_all(&bytes))
+                    .map_err(|e| ExecError::classify("remote output file", e))?;
+            }
+            Ok(output)
         }
-    }
-
-    let mut reader = SockEdgeReader::new(stream);
-    let mut stdout = Vec::new();
-    let mut out_files: Vec<(String, Vec<u8>)> = Vec::new();
-    loop {
-        match reader.next() {
-            Ok(Some(SockMsg::Stdout(chunk))) => stdout.extend_from_slice(&chunk),
-            Ok(Some(SockMsg::File(path, bytes))) => out_files.push((path, bytes)),
-            Ok(Some(SockMsg::Status {
-                status, statuses, ..
-            })) => {
-                // Only a stream that reached its terminal frame may
-                // touch the coordinator's filesystem.
-                for (path, bytes) in out_files {
-                    let mut w = fs
-                        .create(&path)
-                        .map_err(|e| ExecError::classify("remote output file", e))?;
-                    w.write_all(&bytes)
-                        .map_err(|e| ExecError::classify("remote output file", e))?;
-                }
-                return Ok(RegionOutput {
-                    stdout,
-                    statuses,
-                    status,
-                });
-            }
-            Ok(Some(SockMsg::Error { transient, message })) => {
-                let e = io::Error::other(message);
-                return Err(if transient {
-                    ExecError::transient("remote worker", e)
-                } else {
-                    ExecError::fatal("remote worker", e)
-                });
-            }
-            Ok(None) => {
-                return Err(transient(
-                    "remote stream",
-                    io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "result stream ended before its terminal frame",
-                    ),
-                ));
-            }
-            Err(e)
-                if deadline.is_some()
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                // The region deadline: drop the socket (tearing down
-                // the worker's attempt) and report it as a deadline so
-                // the supervisor counts the kill.
-                return Err(transient("region deadline", e));
-            }
-            Err(e) => return Err(transient("remote stream", e)),
+        Ok(Response::Region(RegionReply::Failed { transient, message })) => {
+            let e = io::Error::other(message);
+            Err(if transient {
+                ExecError::transient("remote worker", e)
+            } else {
+                ExecError::fatal("remote worker", e)
+            })
         }
+        // A peer that does not execute regions (`pashd` behind a
+        // worker's socket): another worker, or the local rung, may.
+        Ok(other) => Err(transient(
+            "remote reply",
+            bad_data(format!("not a region reply: {other:?}")),
+        )),
+        Err(e)
+            if deadline.is_some()
+                && matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+        {
+            // The region deadline: drop the socket (the worker's reply
+            // then has nowhere to go) and report it as a deadline so
+            // the supervisor counts the kill.
+            Err(transient("region deadline", e))
+        }
+        Err(e) => Err(transient("remote stream", e)),
     }
 }
 
@@ -676,6 +827,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::supervise::SupervisorSettings;
     use pash_core::compile::{compile, PashConfig};
+    use pash_core::dfg::transform::SplitPolicy;
 
     fn plan_pair(src: &str, width: usize) -> (ExecutionPlan, ExecutionPlan) {
         // Round-robin split so framed edges exist: the stream fault
@@ -714,7 +866,7 @@ mod tests {
             let listener = crate::service::bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
-                serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
+                serve_worker(listener, &s).expect("serve");
             }));
             sockets.push(socket);
         }
@@ -942,59 +1094,114 @@ mod tests {
         );
     }
 
+    /// Sends one request to a worker and reads its reply.
+    fn call(socket: &Path, req: &Request) -> Response {
+        let mut stream = UnixStream::connect(socket).expect("connect");
+        write_request(&mut stream, req).expect("send");
+        read_response(&mut stream).expect("well-formed reply")
+    }
+
+    /// A region shipped with one small input file.
+    fn shipped(region: RegionPlan) -> ExecuteRequest {
+        ExecuteRequest {
+            region,
+            files: vec![("in.txt".to_string(), b"b\na\n".to_vec())],
+            stdin: Feed::from([]),
+            fault: None,
+            sleep_ms: 0,
+        }
+    }
+
+    fn edge(kind: EndpointKind, from: Option<usize>, to: Option<usize>) -> PlanEdge {
+        PlanEdge { kind, from, to }
+    }
+
     #[test]
     fn worker_rejects_a_region_of_impossible_arity_and_keeps_serving() {
         // An `exec` with no output used to reach `run_node`'s
         // `expect("command has one output")` and panic the thread
-        // running it; it must come back as a fatal error frame.
+        // running it; it must come back as a fatal failure.
         let workers = spawn_workers("arity", 1);
         let socket = &workers.sockets[0];
-        let send = |region_dump: &str| {
-            let req = ExecuteRequest {
-                region_dump: region_dump.to_string(),
-                files: vec![("in.txt".to_string(), b"b\na\n".to_vec())],
-                stdin: Feed::from([]),
-                fault: None,
-                sleep_ms: 0,
-                response_cut: u64::MAX,
-            };
-            let mut stream = UnixStream::connect(socket).expect("connect");
-            stream.write_all(&req.encode_framed()).expect("send");
-            let mut reader = SockEdgeReader::new(stream);
-            let mut msgs = Vec::new();
-            while let Some(m) = reader.next().expect("well-formed reply") {
-                msgs.push(m);
-            }
-            msgs
+        let sort = |outputs: Vec<usize>| PlanNode {
+            op: PlanOp::Exec {
+                argv: vec![Arg::Lit("sort".to_string())],
+                framed: false,
+            },
+            inputs: vec![0],
+            output_producer: !outputs.is_empty(),
+            outputs,
+            stdin_inputs: vec![0],
         };
-        let bad = "region nodes=1 edges=1 replayable=true\n  e0: in:\"in.txt\" ->0\n  \
-                   n0: exec \"sort\" [e0] stdin=[0] -> []\n";
-        match &send(bad)[..] {
-            [SockMsg::Error { transient, message }] => {
+        let input = edge(EndpointKind::InputFile("in.txt".to_string()), None, Some(0));
+        let bad = RegionPlan {
+            nodes: vec![sort(vec![])],
+            edges: vec![input.clone()],
+            replayable: true,
+        };
+        match call(socket, &Request::Execute(shipped(bad))) {
+            Response::Region(RegionReply::Failed { transient, message }) => {
                 assert!(!transient, "a malformed region is not worth a retry");
-                assert!(message.contains("bad region dump"), "{message}");
+                assert!(message.contains("fatal plan"), "{message}");
                 assert!(message.contains("exec"), "{message}");
             }
-            other => panic!("expected one error frame, got {other:?}"),
+            other => panic!("expected a failed region, got {other:?}"),
         }
-        let good = "region nodes=1 edges=2 replayable=true\n  e0: in:\"in.txt\" ->0\n  \
-                    e1: stdout 0->\n  n0: exec \"sort\" [e0] stdin=[0] -> [e1] producer\n";
-        match &send(good)[..] {
-            [SockMsg::Stdout(bytes), SockMsg::Status { status: 0, .. }] => {
-                assert_eq!(bytes, b"a\nb\n")
+        let good = RegionPlan {
+            nodes: vec![sort(vec![1])],
+            edges: vec![input, edge(EndpointKind::StdoutPipe, Some(0), None)],
+            replayable: true,
+        };
+        match call(socket, &Request::Execute(shipped(good))) {
+            Response::Region(RegionReply::Done { output, files }) => {
+                assert_eq!(output.stdout, b"a\nb\n");
+                assert_eq!(output.status, 0);
+                assert!(files.is_empty(), "the region writes no file");
             }
-            other => panic!("expected stdout + status, got {other:?}"),
+            other => panic!("expected a finished region, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn worker_refuses_pashd_verbs_and_keeps_serving() {
+        let workers = spawn_workers("verbs", 1);
+        let socket = &workers.sockets[0];
+        let run = Request::Run(crate::service::RunRequest {
+            script: "cat in.txt".to_string(),
+            backend: "threads".to_string(),
+            width: 1,
+            split: SplitPolicy::Off,
+            stdin: Vec::new(),
+        });
+        let put = Request::PutFile {
+            path: "in.txt".to_string(),
+            bytes: b"x\n".to_vec(),
+        };
+        for req in [run, put] {
+            let mut stream = UnixStream::connect(socket).expect("connect");
+            write_request(&mut stream, &req).expect("send");
+            match read_response(&mut stream).expect("reply") {
+                Response::Error(msg) => assert!(msg.contains("pash-worker"), "{msg}"),
+                other => panic!("{req:?} answered with {other:?}"),
+            }
+            // The same connection still serves the health probe.
+            write_request(&mut stream, &Request::Metrics).expect("send");
+            match read_response(&mut stream).expect("reply") {
+                Response::Text(json) => assert!(json.contains("\"errors\":"), "{json}"),
+                other => panic!("Metrics answered with {other:?}"),
+            }
         }
     }
 
     #[test]
     fn execute_request_round_trips() {
-        let req = ExecuteRequest {
-            region_dump: "region nodes=0 edges=0 replayable=true\n".to_string(),
+        let (wide, _) = plan_pair(SCRIPT, 4);
+        let req = Request::Execute(ExecuteRequest {
+            region: wide.regions().next().expect("region").clone(),
             files: vec![("in.txt".to_string(), b"abc".to_vec())],
             stdin: b"feed".to_vec().into(),
             fault: Some(WireFault {
-                kind: "exec-die".to_string(),
+                kind: "kill-worker".to_string(),
                 node: Some(3),
                 edge: None,
                 offset: 7,
@@ -1002,14 +1209,154 @@ mod tests {
                 stall_ms: 50,
             }),
             sleep_ms: 5,
-            response_cut: u64::MAX,
-        };
-        let enc = req.encode_framed();
-        assert_eq!(enc[..4], ((enc.len() - 4) as u32).to_le_bytes());
-        let mut c = Cursor::new(&enc[4..]);
-        assert_eq!(c.u8().unwrap(), OP_EXECUTE);
-        let back = ExecuteRequest::decode(&mut c).unwrap();
+        });
+        let mut wire = Vec::new();
+        write_request(&mut wire, &req).expect("encode");
+        assert_eq!(wire[..4], ((wire.len() - 4) as u32).to_le_bytes());
+        let back = crate::service::read_request(&mut io::Cursor::new(wire))
+            .expect("decode")
+            .expect("one request");
         assert_eq!(back, req);
+    }
+
+    /// A region through the `Execute` codec and back.
+    fn round_trip(r: &RegionPlan) -> RegionPlan {
+        let mut wire = Vec::new();
+        shipped(r.clone()).encode(&mut wire);
+        let mut c = Cursor::new(&wire);
+        let back = ExecuteRequest::decode(&mut c).expect("decode");
+        c.done().expect("the whole payload is read");
+        back.region
+    }
+
+    #[test]
+    fn region_codec_round_trips_every_lowered_region() {
+        let scripts = [
+            (
+                "cat in.txt | tr A-Z a-z | sort | uniq -c > o",
+                SplitPolicy::Sized,
+            ),
+            (
+                "cat in.txt | tr A-Z a-z | grep x | wc -l > o",
+                SplitPolicy::RoundRobin,
+            ),
+            (
+                "x=1\ngrep a f > t && sort t > u || echo no",
+                SplitPolicy::General,
+            ),
+            ("sort words.txt | comm -13 dict.txt -", SplitPolicy::Off),
+            (
+                "tr A-Z a-z < in.txt | sort > t1 & tr A-Z a-z < in2.txt | sort > t2",
+                SplitPolicy::Sized,
+            ),
+        ];
+        for (src, split) in scripts {
+            for width in [1, 4, 8] {
+                let cfg = PashConfig {
+                    width,
+                    split,
+                    ..Default::default()
+                };
+                let plan = compile(src, &cfg).expect("compile").plan;
+                assert!(plan.region_count() > 0, "{src:?}");
+                for r in plan.regions() {
+                    let back = round_trip(r);
+                    assert_eq!(&back, r, "{src:?} w={width}");
+                    assert_eq!(back.fingerprint(), r.fingerprint());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn region_codec_carries_hostile_strings_verbatim() {
+        let region = RegionPlan {
+            nodes: vec![PlanNode {
+                op: PlanOp::Exec {
+                    argv: vec![
+                        Arg::Lit("grep".into()),
+                        Arg::Lit("sp ace \"q\" ] [ -> e9\t\\ \u{1}\n'q'".into()),
+                        Arg::Stream(0),
+                    ],
+                    framed: false,
+                },
+                inputs: vec![0],
+                outputs: vec![1],
+                stdin_inputs: vec![],
+                output_producer: true,
+            }],
+            edges: vec![
+                edge(
+                    EndpointKind::InputFile("weird name\n[0/2]".into()),
+                    None,
+                    Some(0),
+                ),
+                edge(EndpointKind::StdoutPipe, Some(0), None),
+            ],
+            replayable: false,
+        };
+        assert_eq!(round_trip(&region), region);
+    }
+
+    #[test]
+    fn region_codec_rejects_truncated_and_inflated_input() {
+        let cfg = PashConfig {
+            width: 4,
+            split: SplitPolicy::Sized,
+            ..Default::default()
+        };
+        let plan = compile("cat in.txt | sort | uniq -c > o", &cfg)
+            .expect("compile")
+            .plan;
+        let r = plan.regions().next().expect("region");
+        let mut payload = Vec::new();
+        shipped(r.clone()).encode(&mut payload);
+        // Every strict prefix is missing a field.
+        for cut in 0..payload.len() {
+            let err = ExecuteRequest::decode(&mut Cursor::new(&payload[..cut]))
+                .expect_err("truncated request decoded");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+        // Counts the frame cannot hold are refused before allocation.
+        let region_with = |edges: u32, nodes: &[u8]| {
+            let mut p = vec![5, 1];
+            put_u32(&mut p, edges);
+            p.extend_from_slice(nodes);
+            p
+        };
+        let mut exec_node = Vec::new();
+        put_u32(&mut exec_node, 1);
+        exec_node.extend_from_slice(&[0, 0]); // exec, not framed
+        put_u32(&mut exec_node, u32::MAX); // argv words
+        exec_node.extend_from_slice(&[0; 16]); // room for the node
+        let mut no_nodes = Vec::new();
+        put_u32(&mut no_nodes, 0);
+        let mut no_files = region_with(0, &no_nodes);
+        put_bytes(&mut no_files, b""); // stdin
+        put_u64(&mut no_files, 0); // sleep
+        no_files.push(0); // no fault
+        put_u32(&mut no_files, u32::MAX); // files
+        let inflated = [
+            region_with(u32::MAX, &[]),
+            region_with(0, &u32::MAX.to_le_bytes()),
+            region_with(0, &exec_node),
+            no_files,
+            // And an edge kind no encoder writes, with room for it.
+            region_with(1, &[9, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for p in inflated {
+            let mut frame = Vec::new();
+            crate::wire::write_frame(&mut frame, &p).expect("frame");
+            let err = crate::service::read_request(&mut io::Cursor::new(frame))
+                .expect_err("inflated request decoded");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // A well-formed region that names an edge it does not have
+        // decodes; the worker's attempt validates it before running.
+        let mut broken = r.clone();
+        broken.nodes[0].inputs.push(broken.edges.len() + 7);
+        let back = round_trip(&broken);
+        assert!(back.validate().is_err());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The `pashd` service substrate: wire protocol, admission control,
-//! and the metrics surface.
+//! The service substrate both daemons run on: wire protocol,
+//! admission control, and the metrics surface.
 //!
 //! PaSh's compilation pass is pure overhead on every invocation; a
 //! long-running service amortizes it across *requests*. This module
-//! holds everything the daemon needs that is not policy:
+//! holds everything a daemon needs that is not policy:
 //!
 //! * a small length-prefixed protocol over a Unix-domain socket
-//!   ([`Request`] / [`Response`], [`Client`]) carrying script source,
-//!   configuration, backend name, and stdin bytes one way and
-//!   stdout/status (plus written files) the other;
+//!   ([`Request`] / [`Response`], [`Client`]): `Run` carries script
+//!   source, configuration, backend name, and stdin bytes one way and
+//!   stdout/status (plus written files) the other; `Execute` carries
+//!   one region attempt to a `pash-worker` and [`Response::Region`]
+//!   its outcome back ([`crate::remote`]);
 //! * [`Semaphore`] — the `max_concurrent_runs` admission gate (the
 //!   service-level analogue of the process backend's `max_inflight`
 //!   region throttle);
@@ -16,13 +18,11 @@
 //!   request-latency histogram, requests served, and the supervisor's
 //!   recovery counters, queryable over the socket;
 //! * [`serve`] — the accept loop, one thread per connection, wiring
-//!   admission and metrics around a caller-supplied request handler
-//!   (the `pash` facade supplies the handler, since only it can reach
-//!   every backend).
-//!
-//! The actual compile-and-run policy lives in `pash::daemon`; keeping
-//! it out of this crate avoids a dependency cycle (the facade depends
-//! on the runtime, not vice versa).
+//!   admission, metrics and the drain around a caller-supplied request
+//!   handler. `pashd`'s handler is `pash::daemon` (only the facade can
+//!   reach every backend, and keeping it there avoids a dependency
+//!   cycle); `pash-worker`'s is [`crate::remote::serve_worker`]'s.
+//!   Each refuses the other's verbs with [`Response::Error`].
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use pash_core::dfg::transform::SplitPolicy;
 
+use crate::remote::{ExecuteRequest, RegionReply};
 use crate::supervise::SupervisorCounters;
 pub use crate::wire::MAX_FRAME;
 use crate::wire::{
@@ -75,6 +76,8 @@ pub enum Request {
     Metrics,
     /// Stop the daemon (acknowledged before the listener closes).
     Shutdown,
+    /// Run one shipped region attempt (`pash-worker`'s verb).
+    Execute(ExecuteRequest),
 }
 
 /// Whether the plan cache satisfied a run's compilation.
@@ -134,6 +137,8 @@ pub enum Response {
     Text(String),
     /// Acknowledgement with no payload.
     Ack,
+    /// A [`Request::Execute`]'s outcome.
+    Region(RegionReply),
 }
 
 // --- codec ----------------------------------------------------------
@@ -176,6 +181,10 @@ pub fn write_request(w: &mut dyn Write, req: &Request) -> io::Result<()> {
         }
         Request::Metrics => p.push(3),
         Request::Shutdown => p.push(4),
+        Request::Execute(x) => {
+            p.push(5);
+            x.encode(&mut p);
+        }
     }
     write_frame(w, &p)
 }
@@ -200,6 +209,7 @@ pub fn read_request(r: &mut dyn Read) -> io::Result<Option<Request>> {
         },
         3 => Request::Metrics,
         4 => Request::Shutdown,
+        5 => Request::Execute(ExecuteRequest::decode(&mut c)?),
         other => return Err(bad_data(format!("bad request op {other}"))),
     };
     c.done()?;
@@ -232,6 +242,10 @@ pub fn write_response(w: &mut dyn Write, resp: &Response) -> io::Result<()> {
             put_str(&mut p, s);
         }
         Response::Ack => p.push(3),
+        Response::Region(r) => {
+            p.push(4);
+            r.encode(&mut p);
+        }
     }
     write_frame(w, &p)
 }
@@ -272,6 +286,7 @@ pub fn read_response(r: &mut dyn Read) -> io::Result<Response> {
         }
         2 => Response::Text(c.string()?),
         3 => Response::Ack,
+        4 => Response::Region(RegionReply::decode(&mut c)?),
         other => return Err(bad_data(format!("bad response tag {other}"))),
     };
     c.done()?;
@@ -600,11 +615,12 @@ impl Default for ServiceSettings {
     }
 }
 
-/// The request handler the embedding crate supplies: it sees `Run` and
-/// `PutFile` requests (`Metrics` and `Shutdown` are handled by the
-/// server). For `Run`, `tier`/`compile_micros` in the returned
-/// [`RunResponse`] report cache behaviour; the server fills
-/// `total_micros` and the latency histogram.
+/// The request handler the embedding crate supplies: it sees `Run`,
+/// `PutFile` and `Execute` requests (`Metrics` and `Shutdown` are
+/// handled by the server; only `Run` passes the admission gate). For
+/// `Run`, `tier`/`compile_micros` in the returned [`RunResponse`]
+/// report cache behaviour; the server fills `total_micros` and the
+/// latency histogram.
 pub type Handler = dyn Fn(Request) -> Response + Send + Sync;
 
 /// Binds a Unix-domain socket at `path`, replacing a stale socket file
@@ -620,6 +636,38 @@ pub fn bind(path: &Path) -> io::Result<UnixListener> {
         }
     }
     UnixListener::bind(path)
+}
+
+/// Routes SIGTERM and SIGINT through the path a [`Request::Shutdown`]
+/// takes: a poller sends one to `socket`, so [`serve`] stops
+/// accepting, drains in-flight connections, removes the socket and
+/// returns. `pashd` and `pash-worker` call this before serving.
+pub fn shutdown_on_signal(socket: &Path) {
+    static STOP: AtomicBool = AtomicBool::new(false);
+    extern "C" fn on_term(_sig: i32) {
+        STOP.store(true, Ordering::SeqCst);
+    }
+    extern "C" {
+        fn signal(sig: i32, handler: usize) -> usize;
+    }
+    // SAFETY: `signal(2)` with a handler that only stores to an atomic,
+    // which is async-signal-safe. The connect below cannot run in
+    // signal context, hence the poller.
+    let handler = on_term as extern "C" fn(i32) as usize;
+    unsafe {
+        signal(15, handler); // SIGTERM
+        signal(2, handler); // SIGINT
+    }
+    let socket = socket.to_path_buf();
+    std::thread::spawn(move || loop {
+        if STOP.load(Ordering::SeqCst) {
+            if let Ok(mut c) = Client::connect(&socket) {
+                let _ = c.shutdown();
+            }
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    });
 }
 
 /// The live-connection registry shutdown drains: each entry is a

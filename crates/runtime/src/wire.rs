@@ -1,14 +1,15 @@
-//! The length-prefixed wire discipline shared by every socket codec in
-//! the runtime: `pashd` requests and responses ([`crate::service`]),
-//! `pash-worker` requests ([`crate::remote`]), and the payloads inside
-//! a worker's tagged result frames ([`crate::edge`]).
+//! The length-prefixed wire discipline under the runtime's one socket
+//! protocol ([`crate::service`]): what `pashd` and `pash-worker` read
+//! and write, the region plans a worker executes included
+//! ([`crate::remote`]).
 //!
 //! Integers are little-endian; byte strings and UTF-8 strings carry a
-//! `u32` length prefix; a frame is a `u32` length plus that many
-//! payload bytes, capped at [`MAX_FRAME`]. Decoding goes through
-//! [`Cursor`], which bounds-checks every read, so a truncated or
-//! inflated field is an `InvalidData` error and never a panic or an
-//! attacker-sized allocation.
+//! `u32` length prefix, so nothing is escaped; a frame is a `u32`
+//! length plus that many payload bytes, capped at [`MAX_FRAME`] for
+//! requests and replies alike. Decoding goes through [`Cursor`],
+//! which bounds-checks every read and every element count, so a
+//! truncated or inflated field is an `InvalidData` error and never a
+//! panic or an attacker-sized allocation.
 
 use std::io::{self, Read, Write};
 
@@ -63,16 +64,16 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    /// Everything left in the frame (for a trailing field that carries
-    /// no length prefix of its own).
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
     pub(crate) fn u8(&mut self) -> io::Result<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn bool(&mut self) -> io::Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(bad_data(format!("bad flag byte {other}"))),
+        }
     }
 
     pub(crate) fn u32(&mut self) -> io::Result<u32> {
@@ -81,6 +82,17 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// An element count, each element at least `min_len` bytes on the
+    /// wire: a count the rest of the frame cannot hold is rejected
+    /// before anything is allocated for it.
+    pub(crate) fn count(&mut self, min_len: usize) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_len {
+            return Err(bad_data(format!("count {n} out of range")));
+        }
+        Ok(n)
     }
 
     /// A length-prefixed byte string, borrowed from the frame.

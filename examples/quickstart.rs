@@ -7,7 +7,6 @@
 //! ```
 
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use pash::core::backend::{emit_program, EmitConfig};
@@ -79,9 +78,7 @@ fn main() {
     let listener = bind(&socket).expect("bind worker");
     let worker = {
         let socket = socket.clone();
-        std::thread::spawn(move || {
-            serve_worker(listener, &socket, Arc::new(AtomicBool::new(false)))
-        })
+        std::thread::spawn(move || serve_worker(listener, &socket))
     };
     let env = pash::RunEnv {
         workers: vec![socket.clone()],

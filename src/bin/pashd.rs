@@ -19,22 +19,10 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use pash::daemon::{serve, DaemonConfig};
 use pash::runtime::fault::{FaultKind, FaultPlan};
-use pash::runtime::service::Client;
-
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_term(_sig: i32) {
-    STOP.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    #[link_name = "signal"]
-    fn libc_signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
+use pash::runtime::service::shutdown_on_signal;
 
 fn usage() -> ! {
     eprintln!(
@@ -114,24 +102,9 @@ fn main() -> ExitCode {
         cfg.max_concurrent_runs,
         cfg.workers.len(),
     );
-    // SIGTERM/SIGINT route through the same graceful path a `Shutdown`
-    // request takes: the poller sends one to our own socket, the serve
-    // loop stops accepting, drains in-flight connections under the
-    // drain deadline, and returns — no client sees a torn response.
-    unsafe {
-        libc_signal(15, on_term); // SIGTERM
-        libc_signal(2, on_term); // SIGINT
-    }
-    let self_socket = cfg.socket.clone();
-    std::thread::spawn(move || loop {
-        if STOP.load(Ordering::SeqCst) {
-            if let Ok(mut c) = Client::connect(&self_socket) {
-                let _ = c.shutdown();
-            }
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    });
+    // SIGTERM/SIGINT take the graceful path a `Shutdown` request
+    // takes: no client sees a torn response.
+    shutdown_on_signal(&cfg.socket);
     match serve(cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -114,7 +114,7 @@ impl Daemon {
     }
 
     /// Dispatches one decoded request (the server handles `Metrics`
-    /// and `Shutdown` itself).
+    /// and `Shutdown` itself; `Execute` is `pash-worker`'s verb).
     pub fn handle(&self, req: Request) -> Response {
         match req {
             Request::Run(r) => self.handle_run(r),
@@ -122,6 +122,9 @@ impl Daemon {
                 self.template.add(path, bytes);
                 Response::Ack
             }
+            Request::Execute(_) => Response::Error(
+                "pashd does not execute shipped regions; a pash-worker does".to_string(),
+            ),
             Request::Metrics | Request::Shutdown => {
                 Response::Error("request op is server-handled".to_string())
             }

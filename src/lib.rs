@@ -450,15 +450,13 @@ mod tests {
     fn all_backends_run_the_same_plan() {
         use crate::runtime::remote::{serve_worker, shutdown_worker};
         use crate::runtime::service::bind;
-        use std::sync::atomic::AtomicBool;
 
         let socket =
             std::env::temp_dir().join(format!("pash-facade-worker-{}", std::process::id()));
         let listener = bind(&socket).expect("bind worker");
         let worker_socket = socket.clone();
         let worker = std::thread::spawn(move || {
-            serve_worker(listener, &worker_socket, Arc::new(AtomicBool::new(false)))
-                .expect("serve worker");
+            serve_worker(listener, &worker_socket).expect("serve worker");
         });
 
         let mut env = RunEnv::default();

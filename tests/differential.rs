@@ -166,7 +166,7 @@ impl RemoteWorkers {
     fn spawn(n: usize) -> RemoteWorkers {
         use pash::runtime::remote::serve_worker;
         use pash::runtime::service::bind;
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let mut sockets = Vec::new();
         let mut handles = Vec::new();
@@ -179,7 +179,7 @@ impl RemoteWorkers {
             let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
-                serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
+                serve_worker(listener, &s).expect("serve");
             }));
             sockets.push(socket);
         }
@@ -846,6 +846,53 @@ fn schedules_agree_on_every_suite_script() {
             }
         }
     }
+}
+
+/// The `remote` rows pass whether a region ran on a worker or fell
+/// back to the coordinator, so the codec regions ship in is held here
+/// on its own: every region the suite scripts compile to, at widths 1,
+/// 2 and 4 under either split, comes back out of the `Execute` codec as
+/// it went in. No workers, no binaries.
+#[test]
+fn every_suite_region_round_trips_through_the_execute_codec() {
+    use pash::runtime::remote::ExecuteRequest;
+    use pash::runtime::service::{read_request, write_request, Request};
+    let scripts = oneliners::all()
+        .into_iter()
+        .map(|b| b.script)
+        .chain(unix50::all().into_iter().map(|p| p.script.to_string()))
+        .chain(
+            pash::workloads::nlp::scripts()
+                .into_iter()
+                .map(|b| b.script.to_string()),
+        );
+    let mut regions = 0;
+    for script in scripts {
+        for width in [1usize, 2, 4] {
+            for cfg in [PashConfig::best(width), PashConfig::round_robin(width)] {
+                let plan = pash::core::compile::compile(&script, &cfg)
+                    .expect("compile")
+                    .plan;
+                for region in plan.regions() {
+                    let req = Request::Execute(ExecuteRequest {
+                        region: region.clone(),
+                        files: Vec::new(),
+                        stdin: Vec::new().into(),
+                        fault: None,
+                        sleep_ms: 0,
+                    });
+                    let mut wire = Vec::new();
+                    write_request(&mut wire, &req).expect("encode");
+                    let back = read_request(&mut wire.as_slice())
+                        .expect("decode")
+                        .expect("one request");
+                    assert_eq!(back, req, "width {width}\nscript: {script}");
+                    regions += 1;
+                }
+            }
+        }
+    }
+    assert!(regions >= 300, "only {regions} regions compiled");
 }
 
 #[test]

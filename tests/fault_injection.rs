@@ -124,7 +124,7 @@ impl RemoteWorkers {
     fn spawn(n: usize) -> RemoteWorkers {
         use pash::runtime::remote::serve_worker;
         use pash::runtime::service::bind;
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let mut sockets = Vec::new();
         let mut handles = Vec::new();
@@ -137,7 +137,7 @@ impl RemoteWorkers {
             let listener = bind(&socket).expect("bind worker");
             let s = socket.clone();
             handles.push(std::thread::spawn(move || {
-                serve_worker(listener, &s, Arc::new(AtomicBool::new(false))).expect("serve");
+                serve_worker(listener, &s).expect("serve");
             }));
             sockets.push(socket);
         }

@@ -13,7 +13,10 @@
 //!   one file, after the daemon is told to stop;
 //! * the same differential holds under the fault-injection
 //!   supervisor, whose counters the Metrics reply reports;
-//! * Metrics says which schedule each region ran under.
+//! * Metrics says which schedule each region ran under;
+//! * `pashd` and `pash-worker` speak one protocol: each refuses the
+//!   other's verbs and keeps serving, and SIGTERM drains a worker's
+//!   in-flight region attempts the way it drains `pashd`'s runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -24,7 +27,10 @@ use std::time::{Duration, Instant};
 use pash::core::compile::PashConfig;
 use pash::core::dfg::SplitPolicy;
 use pash::coreutils::fs::MemFs;
-use pash::runtime::service::{CacheTier, Client, RunRequest};
+use pash::runtime::remote::{ExecuteRequest, RegionReply};
+use pash::runtime::service::{
+    read_response, write_request, CacheTier, Client, Request, Response, RunRequest,
+};
 use pash::workloads as wl;
 use pash::{run, BackendOutput, RunEnv};
 
@@ -80,7 +86,8 @@ fn direct(script: &str, width: u32, split: SplitPolicy) -> Observed {
     }
 }
 
-/// A daemon child process; killed on drop so failed tests don't leak.
+/// A `pashd` or `pash-worker` child process; killed on drop so failed
+/// tests don't leak.
 struct DaemonProc {
     child: Child,
     socket: PathBuf,
@@ -118,20 +125,29 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Spawns `pashd` and waits until its socket accepts connections.
 fn spawn_daemon(dir: &Path, extra_args: &[&str]) -> DaemonProc {
-    let socket = dir.join("pashd.sock");
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pashd"));
+    spawn_server(
+        Path::new(env!("CARGO_BIN_EXE_pashd")),
+        dir.join("pashd.sock"),
+        extra_args,
+    )
+}
+
+/// Spawns `bin --socket SOCKET EXTRA…` (`pashd` or `pash-worker`) and
+/// waits until the socket accepts connections.
+fn spawn_server(bin: &Path, socket: PathBuf, extra_args: &[&str]) -> DaemonProc {
+    let mut cmd = Command::new(bin);
     cmd.arg("--socket")
         .arg(&socket)
         .args(extra_args)
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    let child = cmd.spawn().expect("spawn pashd");
+    let child = cmd.spawn().expect("spawn the server");
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         if Client::connect(&socket).is_ok() {
             return DaemonProc { child, socket };
         }
-        assert!(Instant::now() < deadline, "pashd never came up");
+        assert!(Instant::now() < deadline, "{} never came up", bin.display());
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -527,5 +543,117 @@ fn fault_injected_daemon_stays_byte_identical() {
     );
     drop(client);
     daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One region of `script` compiled at `width`, shipped with `in.txt`.
+fn shipped(script: &str, width: usize, input: &[u8], sleep_ms: u64) -> Request {
+    let plan = pash::core::compile::compile(script, &PashConfig::round_robin(width))
+        .expect("compile")
+        .plan;
+    let region = plan.regions().next().expect("one region").clone();
+    Request::Execute(ExecuteRequest {
+        region,
+        files: vec![("in.txt".to_string(), input.to_vec())],
+        stdin: Vec::new().into(),
+        fault: None,
+        sleep_ms,
+    })
+}
+
+fn call(stream: &mut std::os::unix::net::UnixStream, req: &Request) -> Response {
+    write_request(stream, req).expect("send");
+    read_response(stream).expect("a whole reply")
+}
+
+#[test]
+fn pashd_refuses_execute_and_keeps_serving() {
+    let dir = scratch_dir("verbs");
+    let daemon = spawn_daemon(&dir, &[]);
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
+    match call(&mut stream, &shipped("cat in.txt | sort", 2, b"b\na\n", 0)) {
+        Response::Error(msg) => assert!(msg.contains("pash-worker"), "{msg}"),
+        other => panic!("pashd answered Execute with {other:?}"),
+    }
+    // The same connection still answers, and counted the refusal.
+    match call(&mut stream, &Request::Metrics) {
+        Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
+        other => panic!("Metrics answered with {other:?}"),
+    }
+    drop(stream);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn worker_sigterm_drains_in_flight_executes_without_torn_replies() {
+    let Some((pashc, _)) = pash_bench::fixtures::runtime_binaries() else {
+        eprintln!("skipping: the runtime binaries could not be built");
+        return;
+    };
+    let dir = scratch_dir("worker-drain");
+    let worker = spawn_server(
+        &pashc.with_file_name("pash-worker"),
+        dir.join("worker.sock"),
+        &[],
+    );
+    let input = wl::text_corpus(12, 256 * 1024);
+    let script = "cat in.txt | tr A-Z a-z | sort | uniq -c";
+    let expect = {
+        let fs = Arc::new(MemFs::new());
+        fs.add("in.txt", input.clone());
+        let env = RunEnv {
+            fs,
+            ..Default::default()
+        };
+        match run(script, &PashConfig::round_robin(2), "threads", &env).expect("direct run") {
+            BackendOutput::Execution(o) => o.stdout,
+            other => panic!("direct run produced {other:?}"),
+        }
+    };
+
+    // Four attempts, each asleep for half a second before it runs:
+    // all four are in flight when the signal lands.
+    let mut clients = Vec::new();
+    for _ in 0..4 {
+        let mut stream = std::os::unix::net::UnixStream::connect(&worker.socket).expect("connect");
+        let req = shipped(script, 2, &input, 500);
+        clients.push(std::thread::spawn(move || {
+            write_request(&mut stream, &req).expect("send");
+            read_response(&mut stream)
+        }));
+    }
+    // Every request has been read once Metrics counts it (the probe
+    // counts itself too).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for probes in 1.. {
+        let json = worker.client().metrics().expect("metrics");
+        if metric(&json, "requests_served") >= 4 + probes {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the attempts never arrived: {json}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pid = worker.child.id() as i32;
+    assert_eq!(unsafe { kill(pid, 15) }, 0, "SIGTERM delivered");
+
+    // Each attempt that was in flight sends its whole reply.
+    for c in clients {
+        match c.join().expect("client thread").expect("a whole reply") {
+            Response::Region(RegionReply::Done { output, .. }) => {
+                assert_eq!(output.stdout, expect, "drained reply diverged");
+                assert_eq!(output.status, 0);
+            }
+            other => panic!("expected a finished region, got {other:?}"),
+        }
+    }
+    let mut worker = worker;
+    let status = worker.child.wait().expect("worker exit");
+    assert!(status.success(), "graceful SIGTERM exit, got {status:?}");
+    assert!(!worker.socket.exists(), "socket is gone after the drain");
+    drop(worker);
     let _ = std::fs::remove_dir_all(&dir);
 }
