@@ -7,7 +7,6 @@
 //! | `dataplane` | pipe, relay, split and segment rates, and the r_split gate (`BENCH_dataplane.json`) |
 //! | `regexbench` | the tiered matcher against the Pike VM (`BENCH_regex.json`) |
 //! | `adaptive` | the per-region optimizer against fixed configurations (`BENCH_adaptive.json`) |
-//! | `faultsweep` | every injected fault at several widths, output against the sequential run |
 //! | `plandump` | prints a script's lowered plan and its fingerprint |
 //! | `backendrun` | runs a script on one backend over a generated corpus |
 //!

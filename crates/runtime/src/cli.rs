@@ -42,7 +42,7 @@ use pash_coreutils::fs::{Fs, RealFs};
 use pash_coreutils::Registry;
 
 use crate::exec::run_node;
-use crate::fault::{parse_env_spec, FaultyWriter, INFRA_STATUS};
+use crate::fault::{ArmedFault, INFRA_STATUS};
 use crate::fileseg::open_segment;
 
 /// What a redirected standard input reads.
@@ -132,24 +132,21 @@ impl Redirections {
     }
 
     /// Opens the output side, buffered. When the parent armed this
-    /// child with a stream fault (`PASH_FAULT`, set by the process
-    /// backend on exactly one node per attempt), the writer is
-    /// wrapped so the fault fires at its byte offset — an injected
-    /// death aborts the whole process (SIGABRT, status 134).
+    /// child with a fault (`PASH_FAULT`, set by the process backend on
+    /// exactly one node per attempt), the writer is wrapped so a
+    /// stream fault fires at its byte offset — an injected death
+    /// aborts the whole process (SIGABRT, status 134). A malformed
+    /// spec is ignored: the injection plane never breaks a clean run.
     fn open_stdout(&self) -> io::Result<Box<dyn Write + Send>> {
         let raw: Box<dyn Write + Send> = match &self.stdout {
             Some(p) => Box::new(io::BufWriter::new(std::fs::File::create(p)?)),
             None => Box::new(io::BufWriter::new(io::stdout())),
         };
-        Ok(
-            match std::env::var("PASH_FAULT")
-                .ok()
-                .and_then(|s| parse_env_spec(&s))
-            {
-                Some(mode) => Box::new(FaultyWriter::new_abort(raw, mode)),
-                None => raw,
-            },
-        )
+        let fault = std::env::var("PASH_FAULT").ok();
+        Ok(match fault.and_then(|s| s.parse::<ArmedFault>().ok()) {
+            Some(a) => Box::new(a.wrap(raw, true)),
+            None => raw,
+        })
     }
 }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use pash_core::plan::{ExecutionPlan, PlanStep, RegionPlan};
 
 use crate::exec::{ProgramOutput, RegionOutput};
-use crate::fault::{ArmedFault, ExecError, FaultPlan};
+use crate::fault::{ArmedFault, ExecError};
 use crate::supervise::{supervise_ladder, SupervisorSettings};
 
 /// The bytes of a program's stdin, held once per run and shared by
@@ -47,10 +47,10 @@ pub trait RegionRunner: Sync {
         supervised: Option<&SupervisorSettings>,
     ) -> Result<RegionOutput, ExecError>;
 
-    /// Arms `plan` against one attempt at `r` with the arming function
-    /// this backend's fault sites call for.
-    fn arm(&self, plan: &FaultPlan, r: &RegionPlan) -> Option<ArmedFault> {
-        plan.arm(r)
+    /// Whether an attempt crosses a coordinator↔worker connection —
+    /// the site of the remote fault kinds ([`crate::fault::FaultPlan::arm`]).
+    fn has_connection(&self) -> bool {
+        false
     }
 
     /// The runner a region degrades to, clean, once its retries here
@@ -89,7 +89,7 @@ struct Run<'a> {
     plan: &'a ExecutionPlan,
     fallback: Option<&'a ExecutionPlan>,
     runner: &'a dyn RegionRunner,
-    supervisor: SupervisorSettings,
+    supervisor: &'a SupervisorSettings,
     /// The program's stdin until a region takes it.
     stdin: Option<Feed>,
     /// What every other region reads.
@@ -145,7 +145,7 @@ impl<'a> Run<'a> {
             PlanStep::Region(r) => {
                 let feed = self.take_feed(r);
                 let fb = self.fallback_region(i);
-                let out = supervise_ladder(self.runner, r, fb, &feed, &self.supervisor)?;
+                let out = supervise_ladder(self.runner, r, fb, &feed, self.supervisor)?;
                 self.apply(out);
             }
             // Folded into the compile-time environment already.
@@ -173,7 +173,7 @@ impl<'a> Run<'a> {
                 let r = self.region(i)?;
                 jobs.push((r, self.fallback_region(i), self.take_feed(r)));
             }
-            let (runner, sup) = (self.runner, &self.supervisor);
+            let (runner, sup) = (self.runner, self.supervisor);
             let results: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .iter()
@@ -218,9 +218,7 @@ pub fn drive(
         plan,
         fallback: fallback.filter(|f| plans_align(plan, f)),
         runner,
-        // A fresh total-retry budget per program run: one flaky region
-        // cannot starve later regions of another run's retries.
-        supervisor: supervisor.fresh_run(),
+        supervisor,
         stdin: Some(stdin),
         empty: Feed::from([]),
         stdout: Vec::new(),

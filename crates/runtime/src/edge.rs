@@ -36,7 +36,7 @@ use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, RegionPlan};
 use pash_coreutils::fs::Fs;
 
 use crate::drive::Feed;
-use crate::fault::{ArmedFault, FaultKind, FaultMode, FaultyWriter};
+use crate::fault::ArmedFault;
 use crate::fileseg::open_segment;
 use crate::pipe::{pipe_monitored, PipeMonitor};
 
@@ -48,6 +48,19 @@ pub const EDGE_WRITE_BUFFER: usize = 32 * 1024;
 /// Wraps an edge writer in the standard edge buffer.
 pub fn buffered(w: impl Write + Send + 'static) -> Box<dyn Write + Send> {
     Box::new(io::BufWriter::with_capacity(EDGE_WRITE_BUFFER, w))
+}
+
+/// The buffered writer of edge `e`, wrapped first by `fault` when `e`
+/// is its target.
+fn edge_writer(
+    w: impl Write + Send + 'static,
+    e: PlanEdgeId,
+    fault: Option<&ArmedFault>,
+) -> Box<dyn Write + Send> {
+    match fault.filter(|a| a.edge == Some(e)) {
+        Some(a) => buffered(a.wrap(w, false)),
+        None => buffered(w),
+    }
 }
 
 /// A writer into a shared buffer (the region's stdout collector).
@@ -137,28 +150,18 @@ pub struct MemEdges {
 }
 
 impl MemEdges {
-    /// Wires every edge of `r`: ring pipes for internal edges, the
-    /// given `stdin` bytes for the primary boundary input, a shared
+    /// Wires every edge of `r`: internal edges in the `pipes` form,
+    /// the `stdin` feed for the primary boundary input, a shared
     /// collector for stdout edges, and `fs`-backed files/segments.
-    pub fn wire(
-        r: &RegionPlan,
-        fs: &Arc<dyn Fs>,
-        stdin: Vec<u8>,
-        pipe_capacity: usize,
-    ) -> io::Result<MemEdges> {
-        MemEdges::wire_with(r, fs, stdin.into(), Pipes::Ring(pipe_capacity), None)
-    }
-
-    /// [`MemEdges::wire`] with the pipe form chosen and an armed
-    /// fault: the fault's target edge gets a [`FaultyWriter`] wrapper
-    /// (stream faults) or fails to wire at all (the in-process
-    /// analogue of a `mkfifo` error). Buffer pipes carry no fault
-    /// site: an armed attempt is wired with rings.
+    /// An armed `fault` is delivered here: its target edge fails to
+    /// wire at all (the in-process analogue of a `mkfifo` error) or
+    /// gets its writer wrapped ([`ArmedFault::wrap`]). Buffer pipes
+    /// carry no fault site: an armed attempt is wired with rings.
     /// The primary boundary input reads `stdin` through a cursor: the
     /// feed is shared with the attempt's retries, never copied.
     /// Boundary endpoints are made here, in edge order, whatever the
     /// pipe form — output files exist (truncated) before any node runs.
-    pub fn wire_with(
+    pub fn wire(
         r: &RegionPlan,
         fs: &Arc<dyn Fs>,
         stdin: Feed,
@@ -171,34 +174,16 @@ impl MemEdges {
         let mut slots: HashMap<PlanEdgeId, Slot> = HashMap::new();
         let mut monitors: Vec<PipeMonitor> = Vec::new();
         let mut stdin = Some(stdin);
-        let fault_mode = |e: PlanEdgeId| -> Option<FaultMode> {
-            fault.and_then(|a| {
-                if a.edge == Some(e) && a.is_stream_fault() {
-                    a.writer_mode()
-                } else {
-                    None
-                }
-            })
-        };
         for (e, edge) in r.edges.iter().enumerate() {
             if let Some(a) = fault {
-                if a.kind == FaultKind::MkfifoFail && a.edge == Some(e) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "injected edge wiring failure",
-                    ));
-                }
+                a.before_wiring(e)?;
             }
             match &edge.kind {
                 EndpointKind::Pipe => match pipes {
                     Pipes::Ring(capacity) => {
                         let (w, rd, m) = pipe_monitored(capacity);
                         monitors.push(m);
-                        let w = match fault_mode(e) {
-                            Some(mode) => buffered(FaultyWriter::new(w, mode)),
-                            None => buffered(w),
-                        };
-                        writers.insert(e, w);
+                        writers.insert(e, edge_writer(w, e, fault));
                         readers.insert(e, Box::new(rd));
                     }
                     Pipes::Buffer { .. } => {
@@ -216,22 +201,13 @@ impl MemEdges {
                 }
                 EndpointKind::StdoutPipe => {
                     let w = SharedVecWriter(stdout.clone());
-                    let w = match fault_mode(e) {
-                        Some(mode) => buffered(FaultyWriter::new(w, mode)),
-                        None => buffered(w),
-                    };
-                    writers.insert(e, w);
+                    writers.insert(e, edge_writer(w, e, fault));
                 }
                 EndpointKind::InputFile(path) => {
                     readers.insert(e, fs.open(path)?);
                 }
                 EndpointKind::OutputFile(path) => {
-                    let w = fs.create(path)?;
-                    let w = match fault_mode(e) {
-                        Some(mode) => buffered(FaultyWriter::new(w, mode)),
-                        None => buffered(w),
-                    };
-                    writers.insert(e, w);
+                    writers.insert(e, edge_writer(fs.create(path)?, e, fault));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
                     readers.insert(e, open_segment(fs.as_ref(), path, *part, *of)?);
@@ -369,16 +345,11 @@ pub struct FifoDir {
 impl FifoDir {
     /// Creates the scratch directory under `scratch_root` (tagged so
     /// concurrent regions/processes cannot collide) and a FIFO for
-    /// every internal pipe edge of `r`.
-    pub fn create(r: &RegionPlan, scratch_root: &Path, tag: &str) -> io::Result<FifoDir> {
-        FifoDir::create_with(r, scratch_root, tag, None)
-    }
-
-    /// [`FifoDir::create`] with an armed fault: a
-    /// [`FaultKind::MkfifoFail`] targeting one of the region's pipe
-    /// edges makes that edge's `mkfifo` fail. The scratch directory
-    /// is removed on any error, so a failed attempt leaks nothing.
-    pub fn create_with(
+    /// every internal pipe edge of `r`. An armed `fault` targeting one
+    /// of those edges makes its `mkfifo` fail
+    /// ([`ArmedFault::before_wiring`]). The scratch directory is
+    /// removed on any error, so a failed attempt leaks nothing.
+    pub fn create(
         r: &RegionPlan,
         scratch_root: &Path,
         tag: &str,
@@ -388,19 +359,9 @@ impl FifoDir {
         std::fs::create_dir_all(&dir)?;
         let mut paths = HashMap::new();
         for e in r.internal_pipes() {
-            let injected = fault
-                .map(|a| a.kind == FaultKind::MkfifoFail && a.edge == Some(e))
-                .unwrap_or(false);
             let p = dir.join(format!("p{e}"));
-            let res = if injected {
-                Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "injected mkfifo failure",
-                ))
-            } else {
-                mkfifo(&p)
-            };
-            if let Err(err) = res {
+            let res = fault.map_or(Ok(()), |a| a.before_wiring(e));
+            if let Err(err) = res.and_then(|()| mkfifo(&p)) {
                 let _ = std::fs::remove_dir_all(&dir);
                 return Err(err);
             }
@@ -459,7 +420,8 @@ mod tests {
         let fs = MemFs::new();
         fs.add("in.txt", b"b\na\n".to_vec());
         let fs: Arc<dyn Fs> = Arc::new(fs);
-        let mut edges = MemEdges::wire(&r, &fs, Vec::new(), 1024).expect("wire");
+        let mut edges =
+            MemEdges::wire(&r, &fs, Feed::from([]), Pipes::Ring(1024), None).expect("wire");
         // Taking every node's endpoints drains the maps completely.
         for node in &r.nodes {
             let ins = edges.take_inputs(node);
@@ -478,7 +440,7 @@ mod tests {
         fs.add("in.txt", b"b\na\n".to_vec());
         let fs: Arc<dyn Fs> = Arc::new(fs);
         let pipes = Pipes::Buffer { limit: 8 };
-        let mut edges = MemEdges::wire_with(&r, &fs, Feed::from([]), pipes, None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &fs, Feed::from([]), pipes, None).expect("wire");
         assert!(edges.take_monitors().is_empty(), "no rings, no monitors");
         let relay = r
             .nodes
@@ -520,7 +482,7 @@ mod tests {
     fn mem_wiring_missing_input_file_errors() {
         let r = region("cat nope.txt | sort > out.txt", 1);
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-        assert!(MemEdges::wire(&r, &fs, Vec::new(), 1024).is_err());
+        assert!(MemEdges::wire(&r, &fs, Feed::from([]), Pipes::Ring(1024), None).is_err());
     }
 
     #[cfg(unix)]
@@ -531,7 +493,8 @@ mod tests {
         assert!(!pipes.is_empty());
         let dir;
         {
-            let fifos = FifoDir::create(&r, &std::env::temp_dir(), "edge-test").expect("fifos");
+            let fifos =
+                FifoDir::create(&r, &std::env::temp_dir(), "edge-test", None).expect("fifos");
             dir = fifos.dir().to_path_buf();
             for e in &pipes {
                 let p = fifos.path(*e).expect("pipe edge has a fifo");
@@ -550,7 +513,7 @@ mod tests {
         // openers, like the process backend's children will.
         let r = region("cat in.txt | tr A-Z a-z > out.txt", 1);
         let e = r.internal_pipes().next().expect("pipe edge");
-        let fifos = FifoDir::create(&r, &std::env::temp_dir(), "edge-rt").expect("fifos");
+        let fifos = FifoDir::create(&r, &std::env::temp_dir(), "edge-rt", None).expect("fifos");
         let path = fifos.path(e).expect("path").to_path_buf();
         let writer_path = path.clone();
         std::thread::scope(|s| {

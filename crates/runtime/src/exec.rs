@@ -63,7 +63,7 @@ use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 use crate::agg::run_aggregator;
 use crate::drive::{drive, Feed, RegionRunner};
 use crate::edge::{MemEdges, Pipes};
-use crate::fault::{ArmedFault, ExecError, FaultKind};
+use crate::fault::{ArmedFault, ExecError};
 use crate::frame::run_framed;
 use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
 use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
@@ -377,7 +377,7 @@ fn run_to_completion(
     let pipes = Pipes::Buffer {
         limit: cfg.pipe_capacity.saturating_mul(INLINE_STREAM_BUFFERS),
     };
-    let mut edges = match MemEdges::wire_with(r, fs, stdin.clone(), pipes, None) {
+    let mut edges = match MemEdges::wire(r, fs, stdin.clone(), pipes, None) {
         Ok(edges) => edges,
         Err(e) => return Some(Err(ExecError::classify("edge wiring", e))),
     };
@@ -454,7 +454,7 @@ fn run_thread_per_node(
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
 ) -> Result<RegionOutput, ExecError> {
-    let mut edges = MemEdges::wire_with(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
+    let mut edges = MemEdges::wire(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let stdout_buf = edges.stdout_handle();
     let monitors = edges.take_monitors();
@@ -502,27 +502,12 @@ fn run_thread_per_node(
             let hard_error = hard_error.clone();
             let remaining = remaining.clone();
             let watchdog = watchdog.clone();
-            let spawn_fault = fault
-                .filter(|a| {
-                    a.node == Some(id)
-                        && matches!(a.kind, FaultKind::SpawnFail | FaultKind::SpawnDelay)
-                })
-                .cloned();
             scope.spawn(move || {
                 let res = (|| {
-                    if let Some(a) = &spawn_fault {
-                        match a.kind {
-                            FaultKind::SpawnFail => {
-                                // Dropping ins/outs closes the node's
-                                // edges, so neighbours tear down.
-                                return Err(io::Error::new(
-                                    io::ErrorKind::Interrupted,
-                                    "injected spawn failure",
-                                ));
-                            }
-                            FaultKind::SpawnDelay => std::thread::sleep(a.delay),
-                            _ => {}
-                        }
+                    // An injected spawn failure drops ins/outs, closing
+                    // the node's edges, so neighbours tear down.
+                    if let Some(a) = fault {
+                        a.before_spawn(id)?;
                     }
                     let started = Instant::now();
                     let res = run_node(
@@ -1566,10 +1551,11 @@ mod tests {
     fn armed_fault_always_takes_thread_per_node() {
         use crate::fault::{FaultKind, FaultPlan};
         let (reg, fs) = fixture();
+        let spawn_fail = FaultKind::from_name("spawn-fail").expect("kind");
         let ecfg = ExecConfig {
             supervisor: SupervisorSettings {
                 max_retries: 0,
-                fault: Some(FaultPlan::new(FaultKind::SpawnFail, 0)),
+                fault: Some(FaultPlan::new(spawn_fail, 0)),
                 ..Default::default()
             },
             ..Default::default()

@@ -16,12 +16,14 @@
 //!   attempts get the fault (budget 1 = fail once then run clean,
 //!   the retry scenario; an effectively-unbounded budget forces the
 //!   sequential fallback).
-//! * [`FaultyWriter`] — the stream-level delivery vehicle: wraps an
-//!   edge writer to truncate, corrupt, stall, or kill at a byte
-//!   offset. The threaded backend wraps in-process edge writers; the
-//!   process backend ships the same spec to the armed child via the
-//!   `PASH_FAULT` environment variable (see [`ArmedFault::env_spec`])
-//!   and the multicall wraps its own stdout.
+//! * [`ArmedFault`]'s delivery calls — one per site, so a runner
+//!   never asks which kind it holds: [`ArmedFault::before_spawn`],
+//!   [`ArmedFault::before_wiring`] and [`ArmedFault::wrap`], the last
+//!   a [`FaultyWriter`] that truncates, corrupts, stalls, or kills at
+//!   a byte offset. An armed fault travels as its one text form: the
+//!   process backend sets it on the armed child as `PASH_FAULT` (the
+//!   multicall wraps its own stdout), and the remote backend ships it
+//!   to the worker inside the `Execute` request.
 //! * [`ExecError`] — the structured error both backends raise:
 //!   a transient/fatal classification plus the failing node/edge, so
 //!   the supervisor can decide between retry, fallback, and giving
@@ -36,7 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pash_core::plan::{PlanEdgeId, PlanNodeId, PlanOp, RegionPlan};
+use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNodeId, PlanOp, RegionPlan};
+
+use crate::wire::bad_data;
 
 /// Exit status a multicall child reports for an infrastructure
 /// failure (corrupt frame, injected death) — distinguishable from
@@ -249,17 +253,6 @@ impl FaultKind {
     pub fn from_name(name: &str) -> Option<FaultKind> {
         FaultKind::ALL.into_iter().find(|k| k.name() == name)
     }
-
-    /// Whether this kind targets the coordinator↔worker connection
-    /// (remote backend only). Remote kinds have no eligible site on
-    /// the local backends, so arming them there is a no-op and local
-    /// sweeps over [`FaultKind::ALL`] stay byte-clean.
-    pub fn is_remote(self) -> bool {
-        matches!(
-            self,
-            FaultKind::ConnDrop | FaultKind::SlowWorker | FaultKind::TornFrame
-        )
-    }
 }
 
 /// A cancellable flag shared between a stalling writer and the
@@ -359,71 +352,33 @@ impl FaultPlan {
         self.cancel.clone()
     }
 
-    /// Arms the fault against one region attempt: decrements the
-    /// budget and picks the target site by seeded hash. `None` when
-    /// the budget is spent or the region has no eligible site (e.g. a
-    /// corruption fault on a plan with no framed edges, or a remote
-    /// kind on a local backend).
-    pub fn arm(&self, r: &RegionPlan) -> Option<ArmedFault> {
-        let (node, edge) = pick_site(self.kind, self.seed, r)?;
+    /// Arms the fault against one region attempt: picks the target
+    /// site by seeded hash and decrements the budget. `connection`
+    /// says whether the attempt crosses a coordinator↔worker
+    /// connection (the `remote` runner), the only place the remote
+    /// kinds have a site. `None` when the budget is spent or the
+    /// region has no eligible site (e.g. a corruption fault on a plan
+    /// with no framed edges, or a remote kind on a local backend).
+    pub fn arm(&self, r: &RegionPlan, connection: bool) -> Option<ArmedFault> {
+        let (node, edge) = pick_site(self.kind, self.seed, r, connection)?;
         self.claim_budget()?;
         let sm = splitmix64(self.seed);
         let offset = self.offset.unwrap_or(match self.kind {
-            // Mid-header: a truncated frame header is always detected.
-            FaultKind::Truncate => (sm % 12).max(2),
+            // Mid-header: a truncated frame header is always detected;
+            // inside the reply's length prefix or just past it, a tear
+            // always lands.
+            FaultKind::Truncate | FaultKind::TornFrame => (sm % 12).max(2),
             // Within the 4-byte magic: corruption is always detected.
             FaultKind::Corrupt => sm % 4,
+            // Inside the request's length prefix or just past it: the
+            // worker always sees a malformed request.
+            FaultKind::ConnDrop => (sm % 64).max(1),
             _ => 1 + sm % 64,
         });
         Some(ArmedFault {
             kind: self.kind,
             node,
             edge,
-            offset,
-            delay: self.delay.unwrap_or(Duration::from_millis(20)),
-            stall: self.stall.unwrap_or(Duration::from_millis(50)),
-            cancel: self.cancel.clone(),
-        })
-    }
-
-    /// Arms the fault against one *remote* region attempt. Remote-only
-    /// kinds (connection drop, slow worker, torn frame) target the
-    /// coordinator↔worker connection and are eligible on any region
-    /// with an `Exec` node; local kinds arm exactly as
-    /// [`FaultPlan::arm`] does, and the coordinator ships the armed
-    /// form to the worker for in-attempt delivery.
-    pub fn arm_remote(&self, r: &RegionPlan) -> Option<ArmedFault> {
-        if !self.kind.is_remote() {
-            return self.arm(r);
-        }
-        // Attribute the connection fault to a seeded Exec node, the
-        // same family worker-death faults target.
-        let nodes: Vec<PlanNodeId> = r
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.op, PlanOp::Exec { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if nodes.is_empty() {
-            return None;
-        }
-        self.claim_budget()?;
-        let sm = splitmix64(self.seed);
-        let node = nodes[(sm % nodes.len() as u64) as usize];
-        let offset = self.offset.unwrap_or(match self.kind {
-            // Cut inside the request's 4-byte length prefix or just
-            // past it: the worker always sees a malformed request.
-            FaultKind::ConnDrop => (sm % 64).max(1),
-            // Inside the reply's length prefix or just past it: a
-            // reply is always longer, so the tear always lands.
-            FaultKind::TornFrame => (sm % 12).max(2),
-            _ => 1 + sm % 64,
-        });
-        Some(ArmedFault {
-            kind: self.kind,
-            node: Some(node),
-            edge: None,
             offset,
             delay: self.delay.unwrap_or(Duration::from_millis(20)),
             stall: self.stall.unwrap_or(Duration::from_millis(50)),
@@ -461,90 +416,77 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Picks the (node, edge) target for `kind` in `r`, seeded.
+/// A fault site: the target node and edge.
+type Site = (Option<PlanNodeId>, Option<PlanEdgeId>);
+
+/// Picks the target site for `kind` in `r`, seeded: one eligibility
+/// test per kind over the candidates in plan order, then one seeded
+/// pick.
 ///
 /// Eligibility keeps the differential guarantee checkable:
 ///
 /// * worker/spawn faults target `Exec` nodes (real commands — the
-///   things that die in deployments);
+///   things that die in deployments), with the edge their stdout
+///   feeds;
 /// * truncation/corruption target *framed* edges only, where the
 ///   frame magic/length checks make the damage detectable; silent
 ///   raw-byte damage is indistinguishable from legitimate output and
 ///   no supervisor could catch it;
 /// * stalls target internal pipe edges fed by a node's stdout (so
 ///   the process backend can deliver them by wrapping that stdout);
-/// * mkfifo faults target internal pipe edges.
-fn pick_site(
-    kind: FaultKind,
-    seed: u64,
-    r: &RegionPlan,
-) -> Option<(Option<PlanNodeId>, Option<PlanEdgeId>)> {
-    // The edge a node's stdout feeds, if any.
-    let stdout_edge = |n: PlanNodeId| -> Option<PlanEdgeId> {
-        let spec = r.nodes[n].spawn_spec();
-        spec.stdout_output.map(|j| r.nodes[n].outputs[j])
+/// * mkfifo faults target internal pipe edges;
+/// * remote kinds target the coordinator↔worker connection, which
+///   only `connection` attempts have, and are attributed to a seeded
+///   `Exec` node. The local backends have no such site, so sweeping
+///   them over [`FaultKind::ALL`] is a clean no-op.
+fn pick_site(kind: FaultKind, seed: u64, r: &RegionPlan, connection: bool) -> Option<Site> {
+    let sites: Vec<Site> = if kind == FaultKind::MkfifoFail {
+        r.internal_pipes().map(|e| (None, Some(e))).collect()
+    } else {
+        (0..r.nodes.len())
+            .filter_map(|n| {
+                let node = &r.nodes[n];
+                let exec = matches!(node.op, PlanOp::Exec { .. });
+                // The edge the node's stdout feeds, if any.
+                let out = node.spawn_spec().stdout_output.map(|j| node.outputs[j]);
+                let site = match kind {
+                    FaultKind::KillWorker | FaultKind::SpawnFail | FaultKind::SpawnDelay => {
+                        exec.then_some(out)
+                    }
+                    FaultKind::Truncate | FaultKind::Corrupt => out
+                        .filter(|_| matches!(node.op, PlanOp::Exec { framed: true, .. }))
+                        .map(Some),
+                    FaultKind::Stall => out
+                        .filter(|&e| r.edges[e].kind == EndpointKind::Pipe)
+                        .map(Some),
+                    FaultKind::ConnDrop | FaultKind::SlowWorker | FaultKind::TornFrame => {
+                        (connection && exec).then_some(None)
+                    }
+                    // Edge sites, collected above.
+                    FaultKind::MkfifoFail => None,
+                };
+                site.map(|edge| (Some(n), edge))
+            })
+            .collect()
     };
-    match kind {
-        FaultKind::KillWorker | FaultKind::SpawnFail | FaultKind::SpawnDelay => {
-            let nodes: Vec<PlanNodeId> = r
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.op, PlanOp::Exec { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            if nodes.is_empty() {
-                return None;
-            }
-            let n = nodes[(splitmix64(seed) % nodes.len() as u64) as usize];
-            Some((Some(n), stdout_edge(n)))
-        }
-        FaultKind::Truncate | FaultKind::Corrupt => {
-            let edges: Vec<(PlanNodeId, PlanEdgeId)> = r
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.op, PlanOp::Exec { framed: true, .. }))
-                .filter_map(|(i, _)| stdout_edge(i).map(|e| (i, e)))
-                .collect();
-            if edges.is_empty() {
-                return None;
-            }
-            let (n, e) = edges[(splitmix64(seed) % edges.len() as u64) as usize];
-            Some((Some(n), Some(e)))
-        }
-        FaultKind::Stall => {
-            let edges: Vec<(PlanNodeId, PlanEdgeId)> = r
-                .nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, _)| stdout_edge(i).map(|e| (i, e)))
-                .filter(|&(_, e)| r.edges[e].kind == pash_core::plan::EndpointKind::Pipe)
-                .collect();
-            if edges.is_empty() {
-                return None;
-            }
-            let (n, e) = edges[(splitmix64(seed) % edges.len() as u64) as usize];
-            Some((Some(n), Some(e)))
-        }
-        FaultKind::MkfifoFail => {
-            let edges: Vec<PlanEdgeId> = r.internal_pipes().collect();
-            if edges.is_empty() {
-                return None;
-            }
-            let e = edges[(splitmix64(seed) % edges.len() as u64) as usize];
-            Some((None, Some(e)))
-        }
-        // Remote kinds target the coordinator↔worker connection; the
-        // local backends have no such site, so sweeping them over
-        // `FaultKind::ALL` is a clean no-op (see
-        // [`FaultPlan::arm_remote`]).
-        FaultKind::ConnDrop | FaultKind::SlowWorker | FaultKind::TornFrame => None,
-    }
+    let at = splitmix64(seed).checked_rem(sites.len() as u64)?;
+    Some(sites[at as usize])
 }
 
 /// A fault armed against one region attempt: a concrete target plus
 /// resolved offsets.
+///
+/// It has one text form, which is how it travels: the `PASH_FAULT`
+/// value a `processes` child reads and the spec an `Execute` request
+/// ships to a worker. The form is
+///
+/// ```text
+/// KIND:NODE:EDGE:OFFSET:DELAY_MS:STALL_MS      e.g. stall:3:5:12:20:1500
+/// ```
+///
+/// with `KIND` a [`FaultKind::name`], `-` for an absent node or edge,
+/// and the two durations in whole milliseconds. The cancel token does
+/// not travel: a parsed fault gets a fresh one.
 #[derive(Debug, Clone)]
 pub struct ArmedFault {
     /// What goes wrong.
@@ -564,209 +506,169 @@ pub struct ArmedFault {
 }
 
 impl ArmedFault {
-    /// Whether this fault wraps the target node's output stream (the
-    /// kinds [`FaultyWriter`] delivers).
-    pub fn is_stream_fault(&self) -> bool {
-        matches!(
-            self.kind,
-            FaultKind::KillWorker | FaultKind::Truncate | FaultKind::Corrupt | FaultKind::Stall
+    /// Delivery before node `node` is spawned: an injected spawn
+    /// failure, or a spawn delay slept out here. A no-op for every
+    /// other node and kind.
+    pub fn before_spawn(&self, node: PlanNodeId) -> io::Result<()> {
+        if self.node != Some(node) {
+            return Ok(());
+        }
+        match self.kind {
+            FaultKind::SpawnFail => Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "injected spawn failure",
+            )),
+            FaultKind::SpawnDelay => {
+                std::thread::sleep(self.delay);
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Delivery before edge `edge` is wired (a FIFO made, an
+    /// in-process pipe built): an injected failure to create it. A
+    /// no-op for every other edge and kind.
+    pub fn before_wiring(&self, edge: PlanEdgeId) -> io::Result<()> {
+        if self.kind == FaultKind::MkfifoFail && self.edge == Some(edge) {
+            return Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "injected edge wiring failure",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Delivery on the target edge's writer: wraps `inner` so the
+    /// stream kinds fire at their byte offset; any other kind passes
+    /// every byte through. With `abort_on_death` an injected death
+    /// aborts the process (SIGABRT) instead of returning an error —
+    /// a child process's crash, which its parent sees only as a wait
+    /// status. Which writer is the target's is the caller's to know.
+    pub fn wrap<W: Write>(&self, inner: W, abort_on_death: bool) -> FaultyWriter<W> {
+        FaultyWriter {
+            inner,
+            fault: self.clone(),
+            written: 0,
+            fired: false,
+            abort_on_death,
+        }
+    }
+}
+
+impl fmt::Display for ArmedFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let site = |id: Option<usize>| id.map_or("-".to_string(), |i| i.to_string());
+        write!(
+            f,
+            "{}:{}:{}:{}:{}:{}",
+            self.kind.name(),
+            site(self.node),
+            site(self.edge),
+            self.offset,
+            self.delay.as_millis(),
+            self.stall.as_millis()
         )
     }
-
-    /// The `PASH_FAULT` spec the process backend sets on the armed
-    /// child: `kind:offset[:millis]`, parsed by the multicall (see
-    /// [`parse_env_spec`]).
-    pub fn env_spec(&self) -> Option<String> {
-        match self.kind {
-            FaultKind::KillWorker => Some(format!("die:{}", self.offset)),
-            FaultKind::Truncate => Some(format!("trunc:{}", self.offset)),
-            FaultKind::Corrupt => Some(format!("corrupt:{}", self.offset)),
-            FaultKind::Stall => Some(format!("stall:{}:{}", self.offset, self.stall.as_millis())),
-            _ => None,
-        }
-    }
-
-    /// The writer-level mode for this fault, if it is a stream fault.
-    pub fn writer_mode(&self) -> Option<FaultMode> {
-        match self.kind {
-            FaultKind::KillWorker => Some(FaultMode::Die { at: self.offset }),
-            FaultKind::Truncate => Some(FaultMode::Truncate { at: self.offset }),
-            FaultKind::Corrupt => Some(FaultMode::Corrupt { at: self.offset }),
-            FaultKind::Stall => Some(FaultMode::Stall {
-                at: self.offset,
-                dur: self.stall,
-                cancel: self.cancel.clone(),
-            }),
-            _ => None,
-        }
-    }
 }
 
-/// Parses a `PASH_FAULT` spec (`die:N`, `trunc:N`, `corrupt:N`,
-/// `stall:N:MS`) into a writer mode. Unknown or malformed specs are
-/// ignored (`None`) — the injection plane must never break a clean
-/// run.
-pub fn parse_env_spec(spec: &str) -> Option<FaultMode> {
-    let mut parts = spec.split(':');
-    let kind = parts.next()?;
-    let at: u64 = parts.next()?.parse().ok()?;
-    match kind {
-        "die" => Some(FaultMode::Die { at }),
-        "trunc" => Some(FaultMode::Truncate { at }),
-        "corrupt" => Some(FaultMode::Corrupt { at }),
-        "stall" => {
-            let ms: u64 = parts.next()?.parse().ok()?;
-            Some(FaultMode::Stall {
-                at,
-                dur: Duration::from_millis(ms),
-                cancel: CancelToken::new(),
-            })
-        }
-        _ => None,
-    }
-}
+impl std::str::FromStr for ArmedFault {
+    type Err = io::Error;
 
-/// What a [`FaultyWriter`] does at its trigger offset.
-#[derive(Debug, Clone)]
-pub enum FaultMode {
-    /// Report an injected death (threads) / abort the process
-    /// (multicall) once `at` bytes have passed.
-    Die {
-        /// Trigger offset in bytes.
-        at: u64,
-    },
-    /// Swallow all bytes past `at`, claiming success.
-    Truncate {
-        /// Trigger offset in bytes.
-        at: u64,
-    },
-    /// XOR every byte from `at` on with a fixed mask.
-    Corrupt {
-        /// Trigger offset in bytes.
-        at: u64,
-    },
-    /// Sleep `dur` (cancellably) once `at` bytes have passed, then
-    /// continue normally.
-    Stall {
-        /// Trigger offset in bytes.
-        at: u64,
-        /// How long the stall lasts.
-        dur: Duration,
-        /// Cancelled by the deadline watchdog.
-        cancel: CancelToken,
-    },
+    /// Parses the text form [`ArmedFault`]'s `Display` writes.
+    fn from_str(spec: &str) -> io::Result<ArmedFault> {
+        let bad = || bad_data(format!("bad fault spec {spec:?}"));
+        let fields: Vec<&str> = spec.split(':').collect();
+        let &[kind, node, edge, offset, delay, stall] = &fields[..] else {
+            return Err(bad());
+        };
+        let number = |s: &str| s.parse::<u64>().map_err(|_| bad());
+        let site = |s: &str| match s {
+            "-" => Ok(None),
+            s => s.parse::<usize>().map(Some).map_err(|_| bad()),
+        };
+        Ok(ArmedFault {
+            kind: FaultKind::from_name(kind).ok_or_else(bad)?,
+            node: site(node)?,
+            edge: site(edge)?,
+            offset: number(offset)?,
+            delay: Duration::from_millis(number(delay)?),
+            stall: Duration::from_millis(number(stall)?),
+            cancel: CancelToken::new(),
+        })
+    }
 }
 
 /// The XOR mask corruption applies.
 const CORRUPT_MASK: u8 = 0xA5;
 
-/// A writer that injects its fault mode at a byte offset, passing
-/// everything else through.
+/// A writer that injects its fault at a byte offset, passing
+/// everything else through ([`ArmedFault::wrap`] makes one).
 pub struct FaultyWriter<W> {
     inner: W,
-    mode: FaultMode,
+    fault: ArmedFault,
     written: u64,
-    stalled: bool,
-    died: bool,
-    /// `abort` on trigger instead of returning an error — the
-    /// multicall (child-process) delivery of [`FaultMode::Die`].
-    abort_on_die: bool,
-}
-
-impl<W: Write> FaultyWriter<W> {
-    /// Wraps `inner`, delivering errors in-process (the threaded
-    /// backend).
-    pub fn new(inner: W, mode: FaultMode) -> FaultyWriter<W> {
-        FaultyWriter {
-            inner,
-            mode,
-            written: 0,
-            stalled: false,
-            died: false,
-            abort_on_die: false,
-        }
-    }
-
-    /// Wraps `inner` for a child process: `Die` aborts the process
-    /// (SIGABRT) instead of returning an error, modelling a worker
-    /// crash the parent only sees as a wait status.
-    pub fn new_abort(inner: W, mode: FaultMode) -> FaultyWriter<W> {
-        FaultyWriter {
-            inner,
-            mode,
-            written: 0,
-            stalled: false,
-            died: false,
-            abort_on_die: true,
-        }
-    }
+    /// A death or a stall has happened (both fire once).
+    fired: bool,
+    abort_on_death: bool,
 }
 
 impl<W: Write> Write for FaultyWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match &self.mode {
-            FaultMode::Die { at } => {
+        let at = self.fault.offset;
+        let crosses = self.written + buf.len() as u64 > at;
+        match self.fault.kind {
+            FaultKind::KillWorker => {
                 // The death is sticky and must NOT be `Interrupted`:
                 // `write_all`/`io::copy` transparently retry that
                 // kind, which would both spin forever and re-write
                 // the pre-death prefix once per retry (unbounded
                 // growth on Vec-backed edges).
-                if self.died {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "injected worker death",
-                    ));
+                let death =
+                    || io::Error::new(io::ErrorKind::ConnectionAborted, "injected worker death");
+                if self.fired {
+                    return Err(death());
                 }
-                if self.written + buf.len() as u64 > *at {
-                    let room = (*at - self.written) as usize;
+                if crosses {
+                    let room = (at - self.written) as usize;
                     self.inner.write_all(&buf[..room])?;
                     self.written += room as u64;
                     let _ = self.inner.flush();
-                    self.died = true;
-                    if self.abort_on_die {
+                    self.fired = true;
+                    if self.abort_on_death {
                         std::process::abort();
                     }
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "injected worker death",
-                    ));
+                    return Err(death());
                 }
-                let n = self.inner.write(buf)?;
-                self.written += n as u64;
-                Ok(n)
             }
-            FaultMode::Truncate { at } => {
-                if self.written >= *at {
-                    // Swallow, claiming success: the silent-loss shape.
-                    self.written += buf.len() as u64;
-                    return Ok(buf.len());
-                }
-                let room = ((*at - self.written) as usize).min(buf.len());
+            FaultKind::Truncate => {
+                // Past the offset: swallow, claiming success — the
+                // silent-loss shape.
+                let room = at.saturating_sub(self.written).min(buf.len() as u64) as usize;
                 self.inner.write_all(&buf[..room])?;
                 self.written += buf.len() as u64;
-                Ok(buf.len())
+                return Ok(buf.len());
             }
-            FaultMode::Corrupt { at } => {
+            FaultKind::Corrupt => {
                 let mut data = buf.to_vec();
                 for (i, b) in data.iter_mut().enumerate() {
-                    if self.written + i as u64 >= *at {
+                    if self.written + i as u64 >= at {
                         *b ^= CORRUPT_MASK;
                     }
                 }
                 self.inner.write_all(&data)?;
                 self.written += data.len() as u64;
-                Ok(buf.len())
+                return Ok(buf.len());
             }
-            FaultMode::Stall { at, dur, cancel } => {
-                if !self.stalled && self.written + buf.len() as u64 > *at {
-                    self.stalled = true;
-                    cancel.sleep(*dur);
-                }
-                let n = self.inner.write(buf)?;
-                self.written += n as u64;
-                Ok(n)
+            FaultKind::Stall if crosses && !self.fired => {
+                self.fired = true;
+                self.fault.cancel.sleep(self.fault.stall);
             }
+            _ => {}
         }
+        let n = self.inner.write(buf)?;
+        self.written += n as u64;
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -800,15 +702,29 @@ mod tests {
             .expect("region")
     }
 
+    /// A fault of `kind` at `offset` on node 0, as a writer test
+    /// needs it.
+    fn armed(kind: FaultKind, offset: u64) -> ArmedFault {
+        ArmedFault {
+            kind,
+            node: Some(0),
+            edge: None,
+            offset,
+            delay: Duration::ZERO,
+            stall: Duration::ZERO,
+            cancel: CancelToken::new(),
+        }
+    }
+
     #[test]
     fn arm_is_deterministic_and_budgeted() {
         let r = region("cat in.txt | tr A-Z a-z | grep x > out.txt", 4);
         let plan = FaultPlan::new(FaultKind::KillWorker, 42);
-        let a = plan.arm(&r).expect("armed");
+        let a = plan.arm(&r, false).expect("armed");
         // Budget 1: the second arm is a no-op.
-        assert!(plan.arm(&r).is_none());
+        assert!(plan.arm(&r, false).is_none());
         let again = FaultPlan::new(FaultKind::KillWorker, 42)
-            .arm(&r)
+            .arm(&r, false)
             .expect("armed");
         assert_eq!(a.node, again.node);
         assert_eq!(a.edge, again.edge);
@@ -816,7 +732,7 @@ mod tests {
         // Exec node.
         for seed in 0..16 {
             let a = FaultPlan::new(FaultKind::KillWorker, seed)
-                .arm(&r)
+                .arm(&r, false)
                 .expect("armed");
             let n = a.node.expect("node target");
             assert!(matches!(r.nodes[n].op, PlanOp::Exec { .. }));
@@ -827,7 +743,9 @@ mod tests {
     fn corrupt_targets_framed_edges_only() {
         // Segment-split plans have no framed edges: nothing to arm.
         let r = region("cat in.txt | tr A-Z a-z | grep x > out.txt", 4);
-        assert!(FaultPlan::new(FaultKind::Corrupt, 1).arm(&r).is_none());
+        assert!(FaultPlan::new(FaultKind::Corrupt, 1)
+            .arm(&r, false)
+            .is_none());
         // Round-robin plans do.
         let compiled = compile(
             "cat in.txt | tr A-Z a-z | grep x > out.txt",
@@ -844,7 +762,7 @@ mod tests {
             })
             .expect("region");
         let a = FaultPlan::new(FaultKind::Corrupt, 1)
-            .arm(&rr)
+            .arm(&rr, false)
             .expect("armed");
         let n = a.node.expect("producer node");
         assert!(matches!(rr.nodes[n].op, PlanOp::Exec { framed: true, .. }));
@@ -861,20 +779,23 @@ mod tests {
             FaultKind::TornFrame,
         ] {
             // No eligible site on the local backends.
-            assert!(FaultPlan::new(kind, 3).arm(&r).is_none());
-            let a = FaultPlan::new(kind, 3).arm_remote(&r).expect("armed");
+            assert!(FaultPlan::new(kind, 3).arm(&r, false).is_none());
+            let a = FaultPlan::new(kind, 3).arm(&r, true).expect("armed");
             assert_eq!(a.kind, kind);
             assert!(a.node.is_some(), "connection fault attributes a node");
         }
         // The torn-frame default offset lands at the reply's head.
         let a = FaultPlan::new(FaultKind::TornFrame, 5)
-            .arm_remote(&r)
+            .arm(&r, true)
             .expect("armed");
         assert!((2..16).contains(&a.offset), "offset {}", a.offset);
-        // Local kinds pass through arm(), sharing the budget.
+        // Local kinds arm the same over a connection, sharing the
+        // budget.
         let p = FaultPlan::new(FaultKind::KillWorker, 7);
-        assert!(p.arm_remote(&r).is_some());
-        assert!(p.arm_remote(&r).is_none());
+        let remote = p.arm(&r, true).expect("armed").to_string();
+        let local = FaultPlan::new(FaultKind::KillWorker, 7).arm(&r, false);
+        assert_eq!(remote, local.expect("armed").to_string());
+        assert!(p.arm(&r, true).is_none());
         // Name round-trip covers the new kinds.
         for kind in FaultKind::ALL {
             assert_eq!(FaultKind::from_name(kind.name()), Some(kind));
@@ -882,10 +803,34 @@ mod tests {
     }
 
     #[test]
+    fn delivery_fires_only_at_the_armed_site() {
+        let fail = armed(FaultKind::SpawnFail, 0);
+        let err = fail.before_spawn(0).expect_err("armed node");
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        fail.before_spawn(1).expect("another node");
+        fail.before_wiring(0).expect("not an edge fault");
+        let mkfifo = ArmedFault {
+            node: None,
+            edge: Some(2),
+            ..armed(FaultKind::MkfifoFail, 0)
+        };
+        mkfifo.before_wiring(2).expect_err("armed edge");
+        mkfifo.before_wiring(3).expect("another edge");
+        mkfifo.before_spawn(0).expect("not a spawn fault");
+        // A kind with no stream delivery passes every byte through.
+        let mut buf = Vec::new();
+        armed(FaultKind::SpawnDelay, 0)
+            .wrap(&mut buf, true)
+            .write_all(b"abc")
+            .expect("write");
+        assert_eq!(buf, b"abc");
+    }
+
+    #[test]
     fn faulty_writer_truncates_and_corrupts() {
         let mut buf = Vec::new();
         {
-            let mut w = FaultyWriter::new(&mut buf, FaultMode::Truncate { at: 4 });
+            let mut w = armed(FaultKind::Truncate, 4).wrap(&mut buf, false);
             assert_eq!(w.write(b"abcdefgh").expect("write"), 8);
             assert_eq!(w.write(b"ij").expect("write"), 2);
         }
@@ -893,7 +838,7 @@ mod tests {
 
         let mut buf = Vec::new();
         {
-            let mut w = FaultyWriter::new(&mut buf, FaultMode::Corrupt { at: 2 });
+            let mut w = armed(FaultKind::Corrupt, 2).wrap(&mut buf, false);
             w.write_all(b"abcd").expect("write");
         }
         assert_eq!(&buf[..2], b"ab");
@@ -904,7 +849,7 @@ mod tests {
     #[test]
     fn faulty_writer_dies_at_offset() {
         let mut buf = Vec::new();
-        let mut w = FaultyWriter::new(&mut buf, FaultMode::Die { at: 3 });
+        let mut w = armed(FaultKind::KillWorker, 3).wrap(&mut buf, false);
         let err = w.write(b"abcdef").expect_err("must die");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
         // A retrying caller (`write_all` semantics) sees the sticky
@@ -923,22 +868,41 @@ mod tests {
             &PashConfig::round_robin(2),
         )
         .expect("compile");
-        let r = compiled
-            .plan
-            .steps
-            .iter()
-            .find_map(|s| match s {
-                PlanStep::Region(r) => Some(r.clone()),
-                _ => None,
-            })
-            .expect("region");
-        for kind in [FaultKind::KillWorker, FaultKind::Truncate, FaultKind::Stall] {
-            let a = FaultPlan::new(kind, 9).arm(&r).expect("armed");
-            let spec = a.env_spec().expect("spec");
-            assert!(parse_env_spec(&spec).is_some(), "{spec}");
+        let r = compiled.plan.regions().next().expect("region").clone();
+        let fields = |a: &ArmedFault| (a.kind, a.node, a.edge, a.offset, a.delay, a.stall);
+        for kind in FaultKind::ALL {
+            let a = FaultPlan::new(kind, 9)
+                .delay(Duration::from_millis(7))
+                .stall(Duration::from_millis(1500))
+                .arm(&r, true)
+                .expect("armed");
+            let spec = a.to_string();
+            assert!(spec.starts_with(&format!("{}:", kind.name())), "{spec}");
+            let back: ArmedFault = spec.parse().expect(&spec);
+            assert_eq!(fields(&back), fields(&a), "{spec}");
         }
-        assert!(parse_env_spec("nonsense").is_none());
-        assert!(parse_env_spec("die:notanumber").is_none());
+        let back: ArmedFault = "stall:-:4:12:20:1500".parse().expect("spec");
+        assert_eq!(
+            fields(&back),
+            (
+                FaultKind::Stall,
+                None,
+                Some(4),
+                12,
+                Duration::from_millis(20),
+                Duration::from_millis(1500)
+            )
+        );
+        for bad in [
+            "nonsense",
+            "stall:-:4:x:20:1500",
+            "stall:-:4:12:20",
+            "stall:-:4:12:20:1500:9",
+            "die:4",
+            "",
+        ] {
+            assert!(bad.parse::<ArmedFault>().is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

@@ -40,12 +40,12 @@ use pash_core::plan::{
 use crate::drive::{drive, Feed, RegionRunner};
 use crate::edge::FifoDir;
 use crate::exec::{ProgramOutput, RegionOutput};
-use crate::fault::{ArmedFault, ExecError, FaultKind, INFRA_STATUS};
+use crate::fault::{ArmedFault, ExecError, INFRA_STATUS};
 use crate::profile::{ProfileStore, RegionProfile};
 use crate::supervise::SupervisorSettings;
 
 /// Exit status of a child killed by `SIGABRT` (128 + 6): how an
-/// injected in-child worker death ([`crate::fault::FaultMode::Die`])
+/// injected in-child worker death ([`ArmedFault::wrap`] with abort on death)
 /// reports itself. Together with [`INFRA_STATUS`] these are the two
 /// reaped statuses the backend classifies as infrastructure failures
 /// rather than command verdicts.
@@ -262,7 +262,7 @@ fn run_region_attempt(
         .map_err(|e| ExecError::fatal("plan", io::Error::new(io::ErrorKind::InvalidInput, e)))?;
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let tag = format!("r{}", SEQ.fetch_add(1, Ordering::Relaxed));
-    let fifos = FifoDir::create_with(r, &std::env::temp_dir(), &tag, fault)
+    let fifos = FifoDir::create(r, &std::env::temp_dir(), &tag, fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let deadline = settings
         .and_then(|s| s.region_deadline)
@@ -347,18 +347,9 @@ fn spawn_and_reap(
 
     for (id, node) in r.nodes.iter().enumerate() {
         // Parent-side spawn faults for the armed node.
-        if let Some(a) = fault.filter(|a| a.node == Some(id)) {
-            match a.kind {
-                FaultKind::SpawnFail => {
-                    return Err(ExecError::transient(
-                        "spawn",
-                        io::Error::new(io::ErrorKind::Interrupted, "injected spawn failure"),
-                    )
-                    .at_node(id));
-                }
-                FaultKind::SpawnDelay => std::thread::sleep(a.delay),
-                _ => {}
-            }
+        if let Some(a) = fault {
+            a.before_spawn(id)
+                .map_err(|e| ExecError::transient("spawn", e).at_node(id))?;
         }
         let spec = node.spawn_spec();
         let bin = match spec.bin {
@@ -367,14 +358,11 @@ fn spawn_and_reap(
         };
         let mut cmd = Command::new(bin);
         cmd.current_dir(root);
-        // Stream faults ride to the armed child in the environment;
-        // the multicall wraps its stdout in the corresponding
-        // FaultyWriter (see `cli.rs`). Everything else must run clean.
-        if let Some(spec) = fault
-            .filter(|a| a.node == Some(id))
-            .and_then(|a| a.env_spec())
-        {
-            cmd.env("PASH_FAULT", spec);
+        // The fault rides to the armed child in the environment; the
+        // multicall wraps its stdout with it (see `cli.rs`). Every
+        // other child must run clean.
+        if let Some(a) = fault.filter(|a| a.node == Some(id)) {
+            cmd.env("PASH_FAULT", a.to_string());
         }
 
         // Standard-input routing. FIFO endpoints are passed by path

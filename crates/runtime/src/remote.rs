@@ -53,54 +53,10 @@ use pash_coreutils::Registry;
 
 use crate::drive::{drive, Feed, RegionRunner};
 use crate::exec::{ExecConfig, ProgramOutput, RegionOutput, ThreadsRunner};
-use crate::fault::{ArmedFault, CancelToken, ExecError, FaultKind, FaultPlan};
+use crate::fault::{ArmedFault, ExecError, FaultKind};
 use crate::service::{self, read_response, write_request, Request, Response, ServiceSettings};
 use crate::supervise::SupervisorSettings;
-use crate::wire::{bad_data, put_bytes, put_str, put_u32, put_u64, Cursor};
-
-/// A fault the coordinator armed but the *worker* must deliver (the
-/// local kinds — node deaths, stream truncation, stalls — injected
-/// inside the worker's attempt so remote runs exercise the same
-/// failure surface local runs do). Remote kinds never ride here:
-/// conn-drop is delivered by the coordinator's own truncated write,
-/// torn-frame by the coordinator's truncated read, slow-worker by a
-/// shipped sleep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFault {
-    pub kind: String,
-    pub node: Option<usize>,
-    pub edge: Option<usize>,
-    pub offset: u64,
-    pub delay_ms: u64,
-    pub stall_ms: u64,
-}
-
-impl WireFault {
-    fn from_armed(a: &ArmedFault) -> WireFault {
-        WireFault {
-            kind: a.kind.name().to_string(),
-            node: a.node,
-            edge: a.edge,
-            offset: a.offset,
-            delay_ms: a.delay.as_millis() as u64,
-            stall_ms: a.stall.as_millis() as u64,
-        }
-    }
-
-    fn to_armed(&self) -> io::Result<ArmedFault> {
-        let kind = FaultKind::from_name(&self.kind)
-            .ok_or_else(|| bad_data(format!("unknown fault kind {:?}", self.kind)))?;
-        Ok(ArmedFault {
-            kind,
-            node: self.node,
-            edge: self.edge,
-            offset: self.offset,
-            delay: Duration::from_millis(self.delay_ms),
-            stall: Duration::from_millis(self.stall_ms),
-            cancel: CancelToken::new(),
-        })
-    }
-}
+use crate::wire::{bad_data, put_bytes, put_str, put_u32, Cursor};
 
 /// One shipped region attempt ([`Request::Execute`]): everything a
 /// worker needs, nothing it has to go looking for.
@@ -114,27 +70,23 @@ pub struct ExecuteRequest {
     /// Bytes for the region's primary boundary stdin (the run's
     /// shared feed on the coordinator; written from it, not copied).
     pub stdin: Feed,
-    /// A local-kind fault the worker must inject into its attempt.
-    pub fault: Option<WireFault>,
-    /// Sleep this long before executing (slow-worker injection).
-    pub sleep_ms: u64,
+    /// The fault armed against this attempt, in its one text form
+    /// ([`ArmedFault`]). The worker delivers the local kinds inside
+    /// its attempt, as a local run would, and a slow worker's sleep
+    /// before it; a dropped connection or a torn reply is the
+    /// coordinator's to deliver.
+    pub fault: Option<String>,
 }
 
 impl ExecuteRequest {
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_region(out, &self.region);
         put_bytes(out, &self.stdin);
-        put_u64(out, self.sleep_ms);
         match &self.fault {
             None => out.push(0),
-            Some(f) => {
+            Some(spec) => {
                 out.push(1);
-                put_str(out, &f.kind);
-                put_u64(out, f.node.map_or(0, |n| n as u64 + 1));
-                put_u64(out, f.edge.map_or(0, |e| e as u64 + 1));
-                put_u64(out, f.offset);
-                put_u64(out, f.delay_ms);
-                put_u64(out, f.stall_ms);
+                put_str(out, spec);
             }
         }
         put_files(out, &self.files);
@@ -143,24 +95,15 @@ impl ExecuteRequest {
     pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
         let region = region(c)?;
         let stdin = Feed::from(c.slice()?);
-        let sleep_ms = c.u64()?;
         let fault = match c.bool()? {
             false => None,
-            true => Some(WireFault {
-                kind: c.string()?,
-                node: c.u64()?.checked_sub(1).map(|n| n as usize),
-                edge: c.u64()?.checked_sub(1).map(|e| e as usize),
-                offset: c.u64()?,
-                delay_ms: c.u64()?,
-                stall_ms: c.u64()?,
-            }),
+            true => Some(c.string()?),
         };
         Ok(ExecuteRequest {
             region,
             files: files(c)?,
             stdin,
             fault,
-            sleep_ms,
         })
     }
 }
@@ -466,10 +409,8 @@ pub fn serve_worker(listener: UnixListener, socket: &Path) -> io::Result<()> {
 
 /// Runs one shipped region attempt.
 fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
-    if req.sleep_ms > 0 {
-        std::thread::sleep(Duration::from_millis(req.sleep_ms));
-    }
-    let armed = match req.fault.as_ref().map(WireFault::to_armed).transpose() {
+    let parsed = req.fault.as_deref().map(str::parse::<ArmedFault>);
+    let armed = match parsed.transpose() {
         Ok(a) => a,
         Err(e) => {
             return RegionReply::Failed {
@@ -478,6 +419,9 @@ fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
             }
         }
     };
+    if let Some(a) = armed.as_ref().filter(|a| a.kind == FaultKind::SlowWorker) {
+        std::thread::sleep(a.stall);
+    }
     let fs = Arc::new(MemFs::new());
     for (path, bytes) in req.files {
         fs.add(path, bytes);
@@ -649,22 +593,14 @@ fn execute_remote(
             }
         }
     }
-    let mut req = ExecuteRequest {
+    let req = Request::Execute(ExecuteRequest {
         region: r.clone(),
         files,
         stdin: feed.clone(),
-        fault: None,
-        sleep_ms: 0,
-    };
-    let (mut request_cut, mut reply_cut) = (None, None);
-    match armed {
-        Some(a) if a.kind == FaultKind::ConnDrop => request_cut = Some(a.offset),
-        Some(a) if a.kind == FaultKind::SlowWorker => req.sleep_ms = a.stall.as_millis() as u64,
-        Some(a) if a.kind == FaultKind::TornFrame => reply_cut = Some(a.offset),
-        Some(a) => req.fault = Some(WireFault::from_armed(a)),
-        None => {}
-    }
-    let req = Request::Execute(req);
+        fault: armed.map(ArmedFault::to_string),
+    });
+    let cut = |kind| armed.filter(|a| a.kind == kind).map(|a| a.offset);
+    let (request_cut, reply_cut) = (cut(FaultKind::ConnDrop), cut(FaultKind::TornFrame));
 
     let mut stream = UnixStream::connect(socket).map_err(|e| transient("remote connect", e))?;
     stream
@@ -779,8 +715,8 @@ impl RegionRunner for RemoteRunner<'_> {
         res
     }
 
-    fn arm(&self, plan: &FaultPlan, r: &RegionPlan) -> Option<ArmedFault> {
-        plan.arm_remote(r)
+    fn has_connection(&self) -> bool {
+        true
     }
 
     fn clean_local(&self) -> Option<&dyn RegionRunner> {
@@ -1108,7 +1044,6 @@ mod tests {
             files: vec![("in.txt".to_string(), b"b\na\n".to_vec())],
             stdin: Feed::from([]),
             fault: None,
-            sleep_ms: 0,
         }
     }
 
@@ -1163,6 +1098,38 @@ mod tests {
     }
 
     #[test]
+    fn worker_rejects_a_malformed_fault_spec_and_keeps_serving() {
+        let workers = spawn_workers("spec", 1);
+        let socket = &workers.sockets[0];
+        let (plan, _) = plan_pair("cat in.txt | sort", 1);
+        let region = plan.regions().next().expect("region").clone();
+        let with_fault = |spec: Option<&str>| {
+            Request::Execute(ExecuteRequest {
+                fault: spec.map(String::from),
+                ..shipped(region.clone())
+            })
+        };
+        for spec in ["die:4", "kill-worker:0:-:x:20:50", "nonsense"] {
+            match call(socket, &with_fault(Some(spec))) {
+                Response::Region(RegionReply::Failed { transient, message }) => {
+                    assert!(!transient, "{spec}: a bad spec is not worth a retry");
+                    assert!(message.contains("bad fault spec"), "{message}");
+                }
+                other => panic!("{spec}: expected a failed region, got {other:?}"),
+            }
+        }
+        // A well-formed spec and no spec both run the region.
+        for spec in [Some("spawn-delay:0:-:1:1:50"), None] {
+            match call(socket, &with_fault(spec)) {
+                Response::Region(RegionReply::Done { output, .. }) => {
+                    assert_eq!(output.stdout, b"a\nb\n", "{spec:?}");
+                }
+                other => panic!("{spec:?}: expected a finished region, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn worker_refuses_pashd_verbs_and_keeps_serving() {
         let workers = spawn_workers("verbs", 1);
         let socket = &workers.sockets[0];
@@ -1200,15 +1167,7 @@ mod tests {
             region: wide.regions().next().expect("region").clone(),
             files: vec![("in.txt".to_string(), b"abc".to_vec())],
             stdin: b"feed".to_vec().into(),
-            fault: Some(WireFault {
-                kind: "kill-worker".to_string(),
-                node: Some(3),
-                edge: None,
-                offset: 7,
-                delay_ms: 20,
-                stall_ms: 50,
-            }),
-            sleep_ms: 5,
+            fault: Some("kill-worker:3:-:7:20:50".to_string()),
         });
         let mut wire = Vec::new();
         write_request(&mut wire, &req).expect("encode");
@@ -1333,7 +1292,6 @@ mod tests {
         put_u32(&mut no_nodes, 0);
         let mut no_files = region_with(0, &no_nodes);
         put_bytes(&mut no_files, b""); // stdin
-        put_u64(&mut no_files, 0); // sleep
         no_files.push(0); // no fault
         put_u32(&mut no_files, u32::MAX); // files
         let inflated = [

@@ -9,7 +9,7 @@
 //! ```text
 //!   attempt (fault armed per attempt; the runner enforces the
 //!     │      region deadline)
-//!     │ transient error, region replayable, retries and run budget left
+//!     │ transient error, region replayable, retries left
 //!     ├──▶ retry after a jittered backoff (2^i × base × [0.5, 1))
 //!     │ retries spent
 //!     ▼
@@ -34,7 +34,7 @@
 //! sweep case exercised a retry / a deadline kill / the fallback"
 //! instead of trusting the output alone.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,9 +113,8 @@ impl SupervisorCounters {
     }
 }
 
-/// Supervisor knobs. Cloning shares the counters, the fault plan's
-/// budget, and the per-run retry budget, so per-region clones report
-/// into — and draw from — one place.
+/// Supervisor knobs. Cloning shares the counters and the fault plan's
+/// budget, so clones report into — and draw from — one place.
 #[derive(Debug, Clone)]
 pub struct SupervisorSettings {
     /// Retries after the first failed attempt of a replayable region.
@@ -136,16 +135,6 @@ pub struct SupervisorSettings {
     pub fault: Option<FaultPlan>,
     /// Shared recovery counters.
     pub counters: Arc<SupervisorCounters>,
-    /// Total retries one program run may spend across all its regions
-    /// (`u32::MAX` = unbounded, the default). Installed per run by
-    /// [`SupervisorSettings::fresh_run`]; once spent, further
-    /// transient failures go straight down the fallback ladder.
-    pub retry_budget: u32,
-    /// The live per-run budget cell
-    /// [`SupervisorSettings::fresh_run`] installs; clones share it.
-    /// (Public only so struct-literal update syntax keeps working;
-    /// treat as supervisor-internal.)
-    pub run_budget: Arc<AtomicU32>,
 }
 
 impl Default for SupervisorSettings {
@@ -157,8 +146,6 @@ impl Default for SupervisorSettings {
             fallback: true,
             fault: None,
             counters: Arc::new(SupervisorCounters::default()),
-            retry_budget: u32::MAX,
-            run_budget: Arc::new(AtomicU32::new(u32::MAX)),
         }
     }
 }
@@ -175,39 +162,6 @@ impl SupervisorSettings {
     /// worker than the failed attempt; see `runtime::remote`).
     pub fn note_reroute(&self) {
         self.counters.reroutes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A per-run copy with a fresh retry-budget cell holding
-    /// `retry_budget` units. Program drivers call this once at run
-    /// start; the per-region clones they hand out then share the
-    /// cell, so the budget bounds the whole run's retries, not each
-    /// region's.
-    pub fn fresh_run(&self) -> SupervisorSettings {
-        SupervisorSettings {
-            run_budget: Arc::new(AtomicU32::new(self.retry_budget)),
-            ..self.clone()
-        }
-    }
-
-    /// Claims one retry from the per-run budget (`u32::MAX` is
-    /// sticky-unbounded). `false` when the budget is spent.
-    fn claim_retry(&self) -> bool {
-        let mut cur = self.run_budget.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return false;
-            }
-            let next = if cur == u32::MAX { cur } else { cur - 1 };
-            match self.run_budget.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(v) => cur = v,
-            }
-        }
     }
 }
 
@@ -226,13 +180,12 @@ pub fn jittered_backoff(base: Duration, attempt: u32, seed: u64) -> Duration {
 }
 
 /// Runs one region under supervision: up to `1 + max_retries`
-/// attempts of `r` on `runner` (fewer once the run's retry budget is
-/// spent; one for a non-replayable region), each with `feed` on its
-/// stdin and the fault plan armed afresh; then, if fallback is enabled
-/// and the region replayable, a clean attempt on the runner's local
-/// runner when it has one; then `fallback` — the aligned width-1
-/// region, the last resort that restores the `sh` baseline byte for
-/// byte. A fatal error ends the ladder at any rung; with nothing left
+/// attempts of `r` on `runner` (one for a non-replayable region), each
+/// with `feed` on its stdin and the fault plan armed afresh; then, if
+/// fallback is enabled and the region replayable, a clean attempt on
+/// the runner's local runner when it has one; then `fallback` — the
+/// aligned width-1 region, the last resort that restores the `sh`
+/// baseline byte for byte. A fatal error ends the ladder at any rung; with nothing left
 /// to try the last transient error is returned.
 pub fn supervise_ladder(
     runner: &dyn RegionRunner,
@@ -249,15 +202,15 @@ pub fn supervise_ladder(
     let mut last: Option<ExecError> = None;
     for i in 0..attempts {
         if i > 0 {
-            if !settings.claim_retry() {
-                break;
-            }
             settings.counters.retries.fetch_add(1, Ordering::Relaxed);
             // Hashing the region is a retry's cost, not every run's.
             let backoff = jittered_backoff(settings.backoff_base, i, r.fingerprint());
             std::thread::sleep(backoff);
         }
-        let armed = settings.fault.as_ref().and_then(|f| runner.arm(f, r));
+        let armed = settings
+            .fault
+            .as_ref()
+            .and_then(|f| f.arm(r, runner.has_connection()));
         if armed.is_some() {
             settings.counters.injected.fetch_add(1, Ordering::Relaxed);
         }
@@ -427,30 +380,6 @@ mod tests {
         let spread: std::collections::HashSet<Duration> =
             (0..32u64).map(|s| jittered_backoff(base, 1, s)).collect();
         assert!(spread.len() > 8, "only {} distinct backoffs", spread.len());
-    }
-
-    #[test]
-    fn run_retry_budget_bounds_total_retries() {
-        // Budget 1, two failing replayable regions: exactly one retry
-        // is spent across the run, then both regions fall back.
-        let s = SupervisorSettings {
-            retry_budget: 1,
-            ..quick(2)
-        }
-        .fresh_run();
-        let fb = fallback_region();
-        for _ in 0..2 {
-            let out = supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s)
-                .expect("fallback");
-            assert_eq!(out.status, 99);
-        }
-        assert_eq!(s.counters.retries(), 1, "budget caps retries run-wide");
-        assert_eq!(s.counters.fallbacks(), 2);
-        // fresh_run reinstalls the budget for the next run.
-        let s2 = s.fresh_run();
-        supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s2)
-            .expect("fallback");
-        assert_eq!(s2.counters.retries(), 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn usage() -> ! {
 fn parse_fault(spec: &str) -> Option<FaultPlan> {
     let mut parts = spec.split(':');
     let kind_name = parts.next()?;
-    let kind = FaultKind::ALL.into_iter().find(|k| k.name() == kind_name)?;
+    let kind = FaultKind::from_name(kind_name)?;
     let seed: u64 = parts.next()?.parse().ok()?;
     let plan = FaultPlan::new(kind, seed);
     match parts.next() {

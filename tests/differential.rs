@@ -879,7 +879,6 @@ fn every_suite_region_round_trips_through_the_execute_codec() {
                         files: Vec::new(),
                         stdin: Vec::new().into(),
                         fault: None,
-                        sleep_ms: 0,
                     });
                     let mut wire = Vec::new();
                     write_request(&mut wire, &req).expect("encode");

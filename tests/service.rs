@@ -546,8 +546,9 @@ fn fault_injected_daemon_stays_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One region of `script` compiled at `width`, shipped with `in.txt`.
-fn shipped(script: &str, width: usize, input: &[u8], sleep_ms: u64) -> Request {
+/// One region of `script` compiled at `width`, shipped with `in.txt`
+/// and the armed-fault spec `fault`.
+fn shipped(script: &str, width: usize, input: &[u8], fault: Option<&str>) -> Request {
     let plan = pash::core::compile::compile(script, &PashConfig::round_robin(width))
         .expect("compile")
         .plan;
@@ -556,8 +557,7 @@ fn shipped(script: &str, width: usize, input: &[u8], sleep_ms: u64) -> Request {
         region,
         files: vec![("in.txt".to_string(), input.to_vec())],
         stdin: Vec::new().into(),
-        fault: None,
-        sleep_ms,
+        fault: fault.map(String::from),
     })
 }
 
@@ -571,7 +571,10 @@ fn pashd_refuses_execute_and_keeps_serving() {
     let dir = scratch_dir("verbs");
     let daemon = spawn_daemon(&dir, &[]);
     let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
-    match call(&mut stream, &shipped("cat in.txt | sort", 2, b"b\na\n", 0)) {
+    match call(
+        &mut stream,
+        &shipped("cat in.txt | sort", 2, b"b\na\n", None),
+    ) {
         Response::Error(msg) => assert!(msg.contains("pash-worker"), "{msg}"),
         other => panic!("pashd answered Execute with {other:?}"),
     }
@@ -612,12 +615,12 @@ fn worker_sigterm_drains_in_flight_executes_without_torn_replies() {
         }
     };
 
-    // Four attempts, each asleep for half a second before it runs:
-    // all four are in flight when the signal lands.
+    // Four attempts, each asleep for half a second before it runs (an
+    // armed slow worker): all four are in flight when the signal lands.
     let mut clients = Vec::new();
     for _ in 0..4 {
         let mut stream = std::os::unix::net::UnixStream::connect(&worker.socket).expect("connect");
-        let req = shipped(script, 2, &input, 500);
+        let req = shipped(script, 2, &input, Some("slow-worker:0:-:1:20:500"));
         clients.push(std::thread::spawn(move || {
             write_request(&mut stream, &req).expect("send");
             read_response(&mut stream)
