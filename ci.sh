@@ -44,6 +44,9 @@
 #      the threads backend on an input below one pipe buffer (the
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
+#      then that 1 MB input piped into a stdin-fed pipeline on shell,
+#      threads and processes under `timeout`, each byte-compared
+#      against shell;
 #   9. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -243,6 +246,24 @@ for size in 32000 1000000; do
         "target/bench-smoke/schedule-threads-$size/out.txt"
     test -s "target/bench-smoke/schedule-threads-$size/out.txt"
 done
+
+echo "==> stdin smoke (the 1 MB input piped in, cmp against shell)"
+# The program's stdin is the caller's bytes: a ring filled by a feeder
+# thread on threads, the child's pipe on processes, the real fd on
+# shell. A wedged feeder is killed and fails the step.
+STDIN_SCRIPT='tr A-Z a-z | cut -c 1-20'
+for b in shell threads processes; do
+    rm -rf "target/bench-smoke/stdin-$b"
+    mkdir -p "target/bench-smoke/stdin-$b"
+    timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
+        --dir "target/bench-smoke/stdin-$b" -e "$STDIN_SCRIPT" \
+        <target/bench-smoke/schedule-shell-1000000/in.txt \
+        >"target/bench-smoke/stdin-$b.out"
+done
+for b in threads processes; do
+    cmp target/bench-smoke/stdin-shell.out "target/bench-smoke/stdin-$b.out"
+done
+test -s target/bench-smoke/stdin-threads.out
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region

@@ -92,20 +92,20 @@ fn main() {
         "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig::default()), &dir),
         "processes" => {
             let pcfg = ProcSettings::default();
-            let out = run_plan(&compiled.plan, &pcfg, &dir, read_stdin()).unwrap_or_else(|e| {
+            let out = run_plan(&compiled.plan, &pcfg, &dir, &read_stdin()).unwrap_or_else(|e| {
                 eprintln!("backendrun: processes: {e}");
                 std::process::exit(2);
             });
             print_bytes(&out.stdout);
             out.status
         }
-        "threads" => run_threads(&compiled.plan, &dir, read_stdin()),
+        "threads" => run_threads(&compiled.plan, &dir, &read_stdin()),
         "remote" => {
             if workers.is_empty() {
                 eprintln!("backendrun: the remote backend needs at least one --worker PATH");
                 std::process::exit(2);
             }
-            run_remote(&compiled.plan, &dir, read_stdin(), &workers)
+            run_remote(&compiled.plan, &dir, &read_stdin(), &workers)
         }
         other => {
             eprintln!("backendrun: unknown backend `{other}` (shell|processes|threads|remote)");
@@ -130,7 +130,7 @@ fn run_shell(script_text: &str, dir: &Path) -> i32 {
     status.code().unwrap_or(1)
 }
 
-fn run_threads(plan: &pash_core::plan::ExecutionPlan, dir: &Path, stdin: Vec<u8>) -> i32 {
+fn run_threads(plan: &pash_core::plan::ExecutionPlan, dir: &Path, stdin: &[u8]) -> i32 {
     // Load the directory into a MemFs, run hermetically, write back.
     let fs = MemFs::new();
     for entry in std::fs::read_dir(dir).expect("read work dir") {
@@ -162,7 +162,7 @@ fn run_threads(plan: &pash_core::plan::ExecutionPlan, dir: &Path, stdin: Vec<u8>
 fn run_remote(
     plan: &pash_core::plan::ExecutionPlan,
     dir: &Path,
-    stdin: Vec<u8>,
+    stdin: &[u8],
     workers: &[PathBuf],
 ) -> i32 {
     // Same MemFs bridge as `threads`; the regions themselves execute

@@ -217,21 +217,33 @@ pub fn expand_set(spec: &str) -> Vec<u8> {
     out
 }
 
-/// Decodes one byte at `i`, handling `\n`-style escapes.
+/// Decodes one byte at `i`, handling `\n`-style escapes and `\NNN`:
+/// one to three octal digits, as many as keep the value within 0377
+/// (GNU reads `\400` as `\40` followed by `0`).
 fn unescape_at(bytes: &[u8], i: usize) -> (u8, usize) {
-    if bytes[i] == b'\\' && i + 1 < bytes.len() {
-        let c = match bytes[i + 1] {
-            b'n' => b'\n',
-            b't' => b'\t',
-            b'r' => b'\r',
-            b'0' => 0,
-            b'\\' => b'\\',
-            other => other,
-        };
-        (c, 2)
-    } else {
-        (bytes[i], 1)
+    if bytes[i] != b'\\' || i + 1 >= bytes.len() {
+        return (bytes[i], 1);
     }
+    let mut value = 0u32;
+    let mut digits = 0;
+    while let Some(&d @ b'0'..=b'7') = bytes.get(i + 1 + digits) {
+        let next = value * 8 + u32::from(d - b'0');
+        if digits == 3 || next > 0o377 {
+            break;
+        }
+        value = next;
+        digits += 1;
+    }
+    if digits > 0 {
+        return (value as u8, 1 + digits);
+    }
+    let c = match bytes[i + 1] {
+        b'n' => b'\n',
+        b't' => b'\t',
+        b'r' => b'\r',
+        other => other,
+    };
+    (c, 2)
 }
 
 fn class_bytes(name: &str) -> Vec<u8> {
@@ -330,6 +342,21 @@ mod tests {
     fn escapes_in_sets() {
         assert_eq!(tr(&["\\n", " "], "a\nb\n"), "a b ");
         assert_eq!(tr(&["\\t", " "], "a\tb"), "a b");
+    }
+
+    #[test]
+    fn octal_escapes_take_up_to_three_digits() {
+        assert_eq!(expand_set("\\001"), [1]);
+        assert_eq!(expand_set("\\01"), [1]);
+        assert_eq!(expand_set("\\0"), [0]);
+        assert_eq!(expand_set("\\40"), b" ");
+        assert_eq!(expand_set("\\101-\\103"), b"ABC");
+        // A fourth digit is a literal, and so is a digit that would
+        // take the value past 0377.
+        assert_eq!(expand_set("\\0012"), [1, b'2']);
+        assert_eq!(expand_set("\\400"), b" 0");
+        assert_eq!(expand_set("\\8"), b"8");
+        assert_eq!(tr(&["-d", "\\001"], "a\u{1}b01\n"), "ab01\n");
     }
 
     #[test]

@@ -12,9 +12,16 @@
 //!
 //! `threads` ([`crate::exec`]), `processes` ([`crate::proc`]) and
 //! `remote` ([`crate::remote`]) are the three runners.
+//!
+//! Bytes cross the run's boundary once. The program's stdin is the
+//! caller's slice, borrowed for the length of the call: every attempt
+//! of the region that reads it — each retry, the clean-local rung, the
+//! width-1 fallback — reads the same slice from byte 0, and no run
+//! makes a copy of it first. A region's stdout is handed to the
+//! program's, not appended to it, unless an earlier step already
+//! wrote.
 
 use std::io;
-use std::sync::Arc;
 
 use pash_core::plan::{ExecutionPlan, PlanStep, RegionPlan};
 
@@ -22,18 +29,14 @@ use crate::exec::{ProgramOutput, RegionOutput};
 use crate::fault::{ArmedFault, ExecError};
 use crate::supervise::{supervise_ladder, SupervisorSettings};
 
-/// The bytes of a program's stdin, held once per run and shared by
-/// every attempt that reads them: a retry or a fallback sees the full,
-/// unconsumed feed without a copy having been made for it.
-pub type Feed = Arc<[u8]>;
-
 /// How one backend executes a region. The driver and the supervisor
 /// decide *whether* and *how often*; a runner only ever makes one
 /// faithful (or faithfully faulted) attempt.
 pub trait RegionRunner: Sync {
-    /// One attempt at `r`, fed `feed` on its primary boundary stdin,
-    /// with `fault` injected if armed. `attempt_no` counts from zero
-    /// within the region's ladder (the remote runner places by it).
+    /// One attempt at `r`, fed `feed` from byte 0 on its primary
+    /// boundary stdin, with `fault` injected if armed. `attempt_no`
+    /// counts from zero within the region's ladder (the remote runner
+    /// places by it).
     /// `supervised` carries the run's settings for a supervised
     /// attempt — the runner enforces `region_deadline` and notes its
     /// own deadline kills — and is `None` for a clean reference run
@@ -41,7 +44,7 @@ pub trait RegionRunner: Sync {
     fn attempt(
         &self,
         r: &RegionPlan,
-        feed: &Feed,
+        feed: &[u8],
         fault: Option<&ArmedFault>,
         attempt_no: u32,
         supervised: Option<&SupervisorSettings>,
@@ -90,10 +93,9 @@ struct Run<'a> {
     fallback: Option<&'a ExecutionPlan>,
     runner: &'a dyn RegionRunner,
     supervisor: &'a SupervisorSettings,
-    /// The program's stdin until a region takes it.
-    stdin: Option<Feed>,
-    /// What every other region reads.
-    empty: Feed,
+    /// The program's stdin until a region takes it; every other
+    /// region reads nothing.
+    stdin: Option<&'a [u8]>,
     stdout: Vec<u8>,
     status: i32,
     skip_next: bool,
@@ -122,18 +124,18 @@ impl<'a> Run<'a> {
     /// Only a region that consumes stdin takes the bytes; the emitted
     /// script keeps real stdin on a saved fd, so a later reader still
     /// sees it.
-    fn take_feed(&mut self, r: &RegionPlan) -> Feed {
+    fn take_feed(&mut self, r: &RegionPlan) -> &'a [u8] {
         let taken = if r.reads_stdin() {
             self.stdin.take()
         } else {
             None
         };
-        taken.unwrap_or_else(|| self.empty.clone())
+        taken.unwrap_or_default()
     }
 
     fn apply(&mut self, out: RegionOutput) {
         self.status = out.status();
-        self.stdout.extend_from_slice(&out.stdout);
+        append(&mut self.stdout, out.stdout);
     }
 
     /// Executes step `i` on the calling thread.
@@ -145,7 +147,7 @@ impl<'a> Run<'a> {
             PlanStep::Region(r) => {
                 let feed = self.take_feed(r);
                 let fb = self.fallback_region(i);
-                let out = supervise_ladder(self.runner, r, fb, &feed, self.supervisor)?;
+                let out = supervise_ladder(self.runner, r, fb, feed, self.supervisor)?;
                 self.apply(out);
             }
             // Folded into the compile-time environment already.
@@ -154,7 +156,7 @@ impl<'a> Run<'a> {
             } => self.status = 0,
             PlanStep::Shell { text, .. } => {
                 let out = self.runner.shell_step(text)?;
-                self.stdout.extend_from_slice(&out.stdout);
+                append(&mut self.stdout, out.stdout);
                 self.status = out.status;
             }
         }
@@ -177,8 +179,8 @@ impl<'a> Run<'a> {
             let results: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .iter()
-                    .map(|(r, fb, feed)| {
-                        scope.spawn(move || supervise_ladder(runner, r, *fb, feed, sup))
+                    .map(|&(r, fb, feed)| {
+                        scope.spawn(move || supervise_ladder(runner, r, fb, feed, sup))
                     })
                     .collect();
                 handles
@@ -194,7 +196,18 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Runs `plan` on `runner`, step by step.
+/// Appends `bytes` to `out` — by moving them when `out` is still
+/// empty, so the first output to arrive is never copied.
+pub(crate) fn append(out: &mut Vec<u8>, bytes: Vec<u8>) {
+    if out.is_empty() {
+        *out = bytes;
+    } else {
+        out.extend_from_slice(&bytes);
+    }
+}
+
+/// Runs `plan` on `runner`, step by step, `stdin` feeding the first
+/// region that reads it.
 ///
 /// `fallback` is the same program compiled at width 1. It is used — a
 /// region whose retries are spent re-executes through its aligned
@@ -212,7 +225,7 @@ pub fn drive(
     runner: &dyn RegionRunner,
     supervisor: &SupervisorSettings,
     max_inflight: usize,
-    stdin: Feed,
+    stdin: &[u8],
 ) -> io::Result<ProgramOutput> {
     let mut run = Run {
         plan,
@@ -220,7 +233,6 @@ pub fn drive(
         runner,
         supervisor,
         stdin: Some(stdin),
-        empty: Feed::from([]),
         stdout: Vec::new(),
         status: 0,
         skip_next: false,
@@ -303,7 +315,7 @@ pub(crate) mod fake {
         fn attempt(
             &self,
             r: &RegionPlan,
-            feed: &Feed,
+            feed: &[u8],
             fault: Option<&ArmedFault>,
             attempt_no: u32,
             supervised: Option<&SupervisorSettings>,
@@ -410,14 +422,7 @@ mod tests {
                 r if r == reference => ok(0, b"reference\n"),
                 _ => ok(0, b""),
             });
-            let res = drive(
-                &main,
-                Some(&fb),
-                &runner,
-                &quick(),
-                1,
-                Feed::from(*b"stdin bytes\n"),
-            );
+            let res = drive(&main, Some(&fb), &runner, &quick(), 1, b"stdin bytes\n");
             let attempts: Vec<_> = runner
                 .calls()
                 .into_iter()
@@ -456,14 +461,14 @@ mod tests {
         assert_ne!(fps[1], fps[2]);
         let miss = fps[0];
         let runner = FakeRunner::new(move |c| ok((c.region == miss) as i32, b"ran\n"));
-        let out = drive(&p, None, &runner, &quick(), 1, Feed::from([])).expect("run");
+        let out = drive(&p, None, &runner, &quick(), 1, &[]).expect("run");
         let ran: Vec<u64> = runner.calls().iter().map(|c| c.region).collect();
         assert_eq!(ran, [fps[0], fps[2]], "the guarded region alone is skipped");
         assert_eq!(out.stdout, b"ran\nran\n");
         assert_eq!(out.status, 0, "status of the last step that ran");
         // The same guard holds when steps may overlap.
         let runner = FakeRunner::new(move |c| ok((c.region == miss) as i32, b"ran\n"));
-        drive(&p, None, &runner, &quick(), 4, Feed::from([])).expect("run");
+        drive(&p, None, &runner, &quick(), 4, &[]).expect("run");
         let ran: Vec<u64> = runner.calls().iter().map(|c| c.region).collect();
         assert_eq!(ran, [fps[0], fps[2]]);
     }
@@ -472,7 +477,7 @@ mod tests {
     fn stdin_goes_to_the_first_reader_and_no_later_one() {
         let p = plan("cat in.txt > a.txt\ntr a-z A-Z\ntr A-Z a-z", 1);
         let runner = FakeRunner::new(|_| ok(0, b""));
-        drive(&p, None, &runner, &quick(), 1, Feed::from(*b"the feed\n")).expect("run");
+        drive(&p, None, &runner, &quick(), 1, b"the feed\n").expect("run");
         let feeds: Vec<Vec<u8>> = runner.calls().into_iter().map(|c| c.feed).collect();
         assert_eq!(feeds, [&b""[..], b"the feed\n", b""]);
     }
@@ -500,7 +505,7 @@ mod tests {
                 ok(1, b"second\n")
             }
         });
-        let out = drive(&p, None, &runner, &quick(), 4, Feed::from([])).expect("run");
+        let out = drive(&p, None, &runner, &quick(), 4, &[]).expect("run");
         assert_eq!(out.stdout, b"first\nsecond\n");
         assert_eq!(
             out.status, 1,
@@ -513,7 +518,7 @@ mod tests {
         let p = plan("cat in.txt | sort > a.txt\ncat a.txt", 2);
         let fb = plan("cat in.txt | sort > a.txt\ncat a.txt", 1);
         let runner = FakeRunner::new(|_| Err(fatal()));
-        let err = drive(&p, Some(&fb), &runner, &quick(), 1, Feed::from([])).expect_err("fatal");
+        let err = drive(&p, Some(&fb), &runner, &quick(), 1, &[]).expect_err("fatal");
         assert!(err.to_string().contains("no such file"), "{err}");
         assert_eq!(
             runner.calls().len(),

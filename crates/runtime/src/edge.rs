@@ -12,7 +12,10 @@
 //!   [`crate::pipe`]s when every node has a thread of its own, or
 //!   growable buffers a finished producer leaves behind for its
 //!   consumer to take whole when the region runs to completion on one
-//!   thread (see [`crate::exec`] for which schedule an attempt gets);
+//!   thread (see [`crate::exec`] for which schedule an attempt gets).
+//!   The primary boundary stdin takes the same form: a ring that a
+//!   feeder thread fills from the caller's bytes, or a copy of bytes
+//!   that fit one pipe buffer;
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
 //!   named FIFO per internal pipe edge in a private scratch
 //!   directory, created with `mkfifo(3)` and removed on drop — the
@@ -35,10 +38,9 @@ use std::sync::{Arc, Mutex};
 use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, RegionPlan};
 use pash_coreutils::fs::Fs;
 
-use crate::drive::Feed;
 use crate::fault::ArmedFault;
 use crate::fileseg::open_segment;
-use crate::pipe::{pipe_monitored, PipeMonitor};
+use crate::pipe::{pipe_monitored, PipeMonitor, PipeWriter};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -147,6 +149,8 @@ pub struct MemEdges {
     overflowed: Arc<AtomicBool>,
     stdout: Arc<Mutex<Vec<u8>>>,
     monitors: Vec<PipeMonitor>,
+    /// The writing end of the primary stdin ring, for the feeder.
+    feeder: Option<PipeWriter>,
 }
 
 impl MemEdges {
@@ -157,14 +161,22 @@ impl MemEdges {
     /// wire at all (the in-process analogue of a `mkfifo` error) or
     /// gets its writer wrapped ([`ArmedFault::wrap`]). Buffer pipes
     /// carry no fault site: an armed attempt is wired with rings.
-    /// The primary boundary input reads `stdin` through a cursor: the
-    /// feed is shared with the attempt's retries, never copied.
+    ///
+    /// The primary boundary input, if it has a consumer, takes the
+    /// pipe form too. Under rings it is one more ring, whose writing
+    /// end [`MemEdges::take_feeder`] hands to the thread that copies
+    /// `stdin` in — the caller's bytes stay borrowed, and a retry reads
+    /// them again from byte 0. Under buffers, where the region's whole
+    /// input fits one pipe buffer, the consumer reads a copy of
+    /// `stdin` through a cursor. The ring is no fault site either: the
+    /// fault plane never targets a boundary edge.
+    ///
     /// Boundary endpoints are made here, in edge order, whatever the
     /// pipe form — output files exist (truncated) before any node runs.
     pub fn wire(
         r: &RegionPlan,
         fs: &Arc<dyn Fs>,
-        stdin: Feed,
+        stdin: &[u8],
         pipes: Pipes,
         fault: Option<&ArmedFault>,
     ) -> io::Result<MemEdges> {
@@ -173,6 +185,7 @@ impl MemEdges {
         let mut writers: HashMap<PlanEdgeId, Box<dyn Write + Send>> = HashMap::new();
         let mut slots: HashMap<PlanEdgeId, Slot> = HashMap::new();
         let mut monitors: Vec<PipeMonitor> = Vec::new();
+        let mut feeder = None;
         let mut stdin = Some(stdin);
         for (e, edge) in r.edges.iter().enumerate() {
             if let Some(a) = fault {
@@ -191,11 +204,24 @@ impl MemEdges {
                     }
                 },
                 EndpointKind::StdinPipe { primary } => {
-                    // Non-primary boundary inputs read empty streams.
-                    let feed = if *primary { stdin.take() } else { None };
-                    let reader: Box<dyn Read + Send> = match feed {
-                        Some(feed) => Box::new(io::Cursor::new(feed)),
-                        None => Box::new(io::empty()),
+                    // Non-primary boundary inputs read empty streams,
+                    // and so does a second primary one.
+                    let feed = if *primary && edge.to.is_some() {
+                        stdin.take()
+                    } else {
+                        None
+                    };
+                    let reader: Box<dyn Read + Send> = match (feed, pipes) {
+                        (None, _) => Box::new(io::empty()),
+                        (Some(_), Pipes::Ring(capacity)) => {
+                            let (w, rd, m) = pipe_monitored(capacity);
+                            monitors.push(m);
+                            feeder = Some(w);
+                            Box::new(rd)
+                        }
+                        (Some(feed), Pipes::Buffer { .. }) => {
+                            Box::new(io::Cursor::new(feed.to_owned()))
+                        }
                     };
                     readers.insert(e, reader);
                 }
@@ -227,11 +253,20 @@ impl MemEdges {
             overflowed: Arc::default(),
             stdout,
             monitors,
+            feeder,
         })
     }
 
-    /// Takes the monitor handles of every internal pipe (for the
-    /// region-deadline watchdog).
+    /// Takes the writing end of the primary stdin ring, if this wiring
+    /// made one: whoever holds it must write the feed into it and drop
+    /// it, or the consumer never sees EOF. A consumer that stops early
+    /// makes the writes fail with `BrokenPipe`, which is not an error.
+    pub fn take_feeder(&mut self) -> Option<PipeWriter> {
+        self.feeder.take()
+    }
+
+    /// Takes the monitor handles of every ring, the stdin ring's
+    /// included (for the region-deadline watchdog).
     pub fn take_monitors(&mut self) -> Vec<PipeMonitor> {
         std::mem::take(&mut self.monitors)
     }
@@ -420,8 +455,7 @@ mod tests {
         let fs = MemFs::new();
         fs.add("in.txt", b"b\na\n".to_vec());
         let fs: Arc<dyn Fs> = Arc::new(fs);
-        let mut edges =
-            MemEdges::wire(&r, &fs, Feed::from([]), Pipes::Ring(1024), None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &fs, &[], Pipes::Ring(1024), None).expect("wire");
         // Taking every node's endpoints drains the maps completely.
         for node in &r.nodes {
             let ins = edges.take_inputs(node);
@@ -440,7 +474,7 @@ mod tests {
         fs.add("in.txt", b"b\na\n".to_vec());
         let fs: Arc<dyn Fs> = Arc::new(fs);
         let pipes = Pipes::Buffer { limit: 8 };
-        let mut edges = MemEdges::wire(&r, &fs, Feed::from([]), pipes, None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &fs, &[], pipes, None).expect("wire");
         assert!(edges.take_monitors().is_empty(), "no rings, no monitors");
         let relay = r
             .nodes
@@ -479,10 +513,54 @@ mod tests {
     }
 
     #[test]
+    fn primary_stdin_is_a_fed_ring_or_a_copy() {
+        let r = region("tr A-Z a-z | sort", 1);
+        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+        let feed = b"B\nA\n".repeat(100);
+        // `tr`, whose one input is the stdin edge.
+        let consumer = &r.nodes[0];
+        assert_eq!(
+            r.edges[consumer.inputs[0]].kind,
+            EndpointKind::StdinPipe { primary: true }
+        );
+        // Rings: a feeder writes the borrowed bytes through a ring the
+        // watchdog can poison; the consumer reads them all.
+        let mut edges = MemEdges::wire(&r, &fs, &feed, Pipes::Ring(16), None).expect("wire");
+        let mut w = edges.take_feeder().expect("a feeder for the stdin ring");
+        let pipes = r.internal_pipes().count();
+        assert_eq!(edges.take_monitors().len(), pipes + 1, "the stdin ring too");
+        let mut got = Vec::new();
+        std::thread::scope(|s| {
+            // Dropping the writer when done is the consumer's EOF.
+            let feed = &feed;
+            s.spawn(move || w.write_all(feed).expect("feed"));
+            edges.take_inputs(consumer)[0]
+                .read_to_end(&mut got)
+                .expect("read");
+        });
+        assert_eq!(got, feed);
+        // A consumer that hangs up ends the feeder with a broken pipe.
+        let mut edges = MemEdges::wire(&r, &fs, &feed, Pipes::Ring(16), None).expect("wire");
+        let mut w = edges.take_feeder().expect("feeder");
+        drop(edges.take_inputs(consumer));
+        let err = w.write_all(&feed).expect_err("hung up");
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        // Buffers: no feeder, the consumer reads a copy.
+        let pipes = Pipes::Buffer { limit: 1 << 16 };
+        let mut edges = MemEdges::wire(&r, &fs, &feed, pipes, None).expect("wire");
+        assert!(edges.take_feeder().is_none());
+        let mut got = Vec::new();
+        edges.take_inputs(consumer)[0]
+            .read_to_end(&mut got)
+            .expect("read");
+        assert_eq!(got, feed);
+    }
+
+    #[test]
     fn mem_wiring_missing_input_file_errors() {
         let r = region("cat nope.txt | sort > out.txt", 1);
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-        assert!(MemEdges::wire(&r, &fs, Feed::from([]), Pipes::Ring(1024), None).is_err());
+        assert!(MemEdges::wire(&r, &fs, &[], Pipes::Ring(1024), None).is_err());
     }
 
     #[cfg(unix)]

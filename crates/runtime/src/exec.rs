@@ -15,7 +15,9 @@
 //! * **thread-per-node** — one scoped OS thread per plan node, bounded
 //!   [`crate::pipe`] rings for edges: nodes overlap, a consumer can
 //!   hang up on its producer (SIGPIPE-style), memory is bounded by the
-//!   rings. What a stream larger than a pipe buffer needs.
+//!   rings. What a stream larger than a pipe buffer needs. The run's
+//!   stdin reaches its consumer through a ring too, filled from the
+//!   caller's bytes by one more scoped thread, the feeder.
 //! * **run-to-completion** — every node in plan order on the calling
 //!   thread, each pipe edge a buffer the producer leaves for the
 //!   consumer, a relay the identity it is. No thread, no ring, no
@@ -61,7 +63,7 @@ use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::run_aggregator;
-use crate::drive::{drive, Feed, RegionRunner};
+use crate::drive::{drive, RegionRunner};
 use crate::edge::{MemEdges, Pipes};
 use crate::fault::{ArmedFault, ExecError};
 use crate::frame::run_framed;
@@ -216,7 +218,7 @@ const INLINE_STREAM_BUFFERS: usize = 4;
 fn fits_one_buffer(
     r: &RegionPlan,
     fs: &Arc<dyn Fs>,
-    feed: &Feed,
+    feed: &[u8],
     capacity: usize,
     fault: Option<&ArmedFault>,
 ) -> bool {
@@ -245,15 +247,15 @@ fn fits_one_buffer(
 }
 
 /// One attempt at a region: `stdin` feeds its primary boundary pipe
-/// input (if any), with optional fault injection and an optional
-/// deadline (taken from `settings`). Validates the plan, asks
+/// input (if any) from byte 0, with optional fault injection and an
+/// optional deadline (taken from `settings`). Validates the plan, asks
 /// [`fits_one_buffer`] and runs the schedule it names; which one ran is
 /// counted on `cfg.supervisor.counters`.
 fn run_region_attempt(
     r: &RegionPlan,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Feed,
+    stdin: &[u8],
     cfg: &ExecConfig,
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
@@ -261,8 +263,8 @@ fn run_region_attempt(
     r.validate()
         .map_err(|e| ExecError::fatal("plan", io::Error::new(io::ErrorKind::InvalidInput, e)))?;
     let counters = &cfg.supervisor.counters;
-    if fits_one_buffer(r, &fs, &stdin, cfg.pipe_capacity, fault) {
-        if let Some(done) = run_to_completion(r, registry, &fs, &stdin, cfg, settings) {
+    if fits_one_buffer(r, &fs, stdin, cfg.pipe_capacity, fault) {
+        if let Some(done) = run_to_completion(r, registry, &fs, stdin, cfg, settings) {
             counters.note_schedule(true);
             return done;
         }
@@ -369,7 +371,7 @@ fn run_to_completion(
     r: &RegionPlan,
     registry: &Registry,
     fs: &Arc<dyn Fs>,
-    stdin: &Feed,
+    stdin: &[u8],
     cfg: &ExecConfig,
     settings: Option<&SupervisorSettings>,
 ) -> Option<Result<RegionOutput, ExecError>> {
@@ -377,7 +379,7 @@ fn run_to_completion(
     let pipes = Pipes::Buffer {
         limit: cfg.pipe_capacity.saturating_mul(INLINE_STREAM_BUFFERS),
     };
-    let mut edges = match MemEdges::wire(r, fs, stdin.clone(), pipes, None) {
+    let mut edges = match MemEdges::wire(r, fs, stdin, pipes, None) {
         Ok(edges) => edges,
         Err(e) => return Some(Err(ExecError::classify("edge wiring", e))),
     };
@@ -436,20 +438,25 @@ fn run_to_completion(
 }
 
 /// The thread-per-node schedule: one scoped OS thread per plan node,
-/// bounded rings for pipe edges ([`Pipes::Ring`]).
+/// bounded rings for pipe edges ([`Pipes::Ring`]), and the feeder — one
+/// more scoped thread that copies `stdin` into the ring of the primary
+/// stdin edge, the job a parent's feeder does for a child's stdin in
+/// [`crate::proc`]. A consumer that stops early ends the feeder with
+/// `BrokenPipe`, which is not an error.
 ///
 /// The deadline is enforced by a watchdog thread: on expiry it poisons
 /// every in-memory pipe (unblocking parked readers and writers with
 /// `TimedOut`) and cancels any injected stall, so wedged node threads
 /// unwind promptly instead of hanging the scope. The thread-backend
-/// analogue of SIGKILL-after-grace. It sleeps parked; the node that
-/// finishes last wakes it, so a supervised attempt ends with its last
-/// node and not at the watchdog's next look.
+/// analogue of SIGKILL-after-grace. The stdin ring is among the
+/// poisoned, so a feeder blocked on it unwinds too. It sleeps parked;
+/// the node that finishes last wakes it, so a supervised attempt ends
+/// with its last node and not at the watchdog's next look.
 fn run_thread_per_node(
     r: &RegionPlan,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Feed,
+    stdin: &[u8],
     cfg: &ExecConfig,
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
@@ -458,6 +465,7 @@ fn run_thread_per_node(
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let stdout_buf = edges.stdout_handle();
     let monitors = edges.take_monitors();
+    let feeder = edges.take_feeder();
     let deadline = settings.and_then(|s| s.region_deadline);
     let deadline_hit = Arc::new(AtomicBool::new(false));
     let remaining = Arc::new(AtomicUsize::new(r.nodes.len()));
@@ -469,6 +477,13 @@ fn run_thread_per_node(
     let statuses: Arc<Mutex<Vec<(PlanNodeId, i32)>>> = Arc::new(Mutex::new(Vec::new()));
     let hard_error: Arc<Mutex<Option<ExecError>>> = Arc::new(Mutex::new(None));
     std::thread::scope(|scope| {
+        if let Some(mut w) = feeder {
+            // Hung up on or poisoned by the watchdog: either way the
+            // attempt's verdict comes from its nodes.
+            scope.spawn(move || {
+                let _ = w.write_all(stdin);
+            });
+        }
         let watchdog = deadline.map(|limit| {
             let remaining = remaining.clone();
             let deadline_hit = deadline_hit.clone();
@@ -713,7 +728,7 @@ impl RegionRunner for ThreadsRunner<'_> {
     fn attempt(
         &self,
         r: &RegionPlan,
-        feed: &Feed,
+        feed: &[u8],
         fault: Option<&ArmedFault>,
         _attempt_no: u32,
         supervised: Option<&SupervisorSettings>,
@@ -722,7 +737,7 @@ impl RegionRunner for ThreadsRunner<'_> {
             r,
             self.registry,
             self.fs.clone(),
-            feed.clone(),
+            feed,
             self.cfg,
             fault,
             supervised,
@@ -741,7 +756,7 @@ pub fn run_program(
     plan: &ExecutionPlan,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
+    stdin: &[u8],
     cfg: &ExecConfig,
 ) -> io::Result<ProgramOutput> {
     run_program_with_fallback(plan, None, registry, fs, stdin, cfg)
@@ -754,7 +769,7 @@ pub fn run_program_with_fallback(
     fallback: Option<&ExecutionPlan>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: impl Into<Feed>,
+    stdin: &[u8],
     cfg: &ExecConfig,
 ) -> io::Result<ProgramOutput> {
     let runner = ThreadsRunner {
@@ -768,7 +783,7 @@ pub fn run_program_with_fallback(
         &runner,
         &cfg.supervisor,
         cfg.max_inflight,
-        stdin.into(),
+        stdin,
     )
 }
 
@@ -808,7 +823,7 @@ pub fn run_script(
         fallback.as_deref().map(|c| &c.plan),
         registry,
         fs,
-        stdin,
+        &stdin,
         exec_cfg,
     )
 }
@@ -1381,15 +1396,13 @@ mod tests {
             replayable: true,
         };
         let fs: Arc<dyn Fs> = fs;
-        assert!(!fits_one_buffer(&r, &fs, &Feed::from([]), 1 << 16, None));
+        assert!(!fits_one_buffer(&r, &fs, &[], 1 << 16, None));
         let runner = ThreadsRunner {
             registry: &reg,
             fs: &fs,
             cfg: &ecfg,
         };
-        let out = runner
-            .attempt(&r, &Feed::from([]), None, 0, None)
-            .expect("attempt");
+        let out = runner.attempt(&r, &[], None, 0, None).expect("attempt");
         assert_eq!(out.stdout, b"1\n2\n3\n");
         assert_eq!(schedules(&ecfg), (0, 2));
     }
@@ -1521,7 +1534,7 @@ mod tests {
         };
         let r = first_region("cat in.txt | tr A-Z a-z | sort", 2);
         let err = runner
-            .attempt(&r, &Feed::from([]), None, 0, Some(&ecfg.supervisor))
+            .attempt(&r, &[], None, 0, Some(&ecfg.supervisor))
             .expect_err("deadline");
         assert!(err.is_transient());
         assert!(err.to_string().contains("region deadline"), "{err}");
@@ -1606,7 +1619,7 @@ mod tests {
         let started = Instant::now();
         for _ in 0..200 {
             let out = runner
-                .attempt(&r, &Feed::from([]), None, 0, Some(&ecfg.supervisor))
+                .attempt(&r, &[], None, 0, Some(&ecfg.supervisor))
                 .expect("attempt");
             assert_eq!(out.stdout.len(), 39);
         }

@@ -65,7 +65,7 @@ pub mod split;
 pub mod supervise;
 pub mod wire;
 
-pub use drive::{drive, Feed, RegionRunner};
+pub use drive::{drive, RegionRunner};
 pub use exec::{
     run_program, run_program_with_fallback, run_script, ExecConfig, ProgramOutput, RegionOutput,
 };

@@ -18,12 +18,16 @@
 //!   (`--stdin-seg PATH PART OF`) — a region forks exactly one child
 //!   per plan node;
 //! * boundary stdin/stdout edges are anonymous pipes fed/drained by
-//!   parent threads.
+//!   parent threads; the feeder writes the caller's bytes straight from
+//!   the borrowed slice, from a thread scoped to the attempt.
 //!
 //! Teardown matches the emitted script: wait on the region's output
 //! producers, deliver `SIGPIPE` to everything still running (the
 //! dangling-FIFO fix), then reap — escalating to `SIGKILL` after a
-//! grace period so a wedged child cannot hang the backend.
+//! grace period so a wedged child cannot hang the backend. An attempt
+//! that fails or outlives its deadline SIGKILLs and reaps every child
+//! before its scope joins the feeder, which the dead reader then
+//! releases with `EPIPE`.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -37,7 +41,7 @@ use pash_core::plan::{
     SpawnWord,
 };
 
-use crate::drive::{drive, Feed, RegionRunner};
+use crate::drive::{append, drive, RegionRunner};
 use crate::edge::FifoDir;
 use crate::exec::{ProgramOutput, RegionOutput};
 use crate::fault::{ArmedFault, ExecError, INFRA_STATUS};
@@ -175,12 +179,12 @@ impl RegionRunner for ProcessRunner<'_> {
     fn attempt(
         &self,
         r: &RegionPlan,
-        feed: &Feed,
+        feed: &[u8],
         fault: Option<&ArmedFault>,
         _attempt_no: u32,
         supervised: Option<&SupervisorSettings>,
     ) -> Result<RegionOutput, ExecError> {
-        run_region_attempt(r, self, feed.clone(), fault, supervised)
+        run_region_attempt(r, self, feed, fault, supervised)
     }
 
     fn shell_step(&self, text: &str) -> io::Result<ProgramOutput> {
@@ -203,7 +207,7 @@ pub fn run_plan(
     plan: &ExecutionPlan,
     settings: &ProcSettings,
     root: &Path,
-    stdin: Vec<u8>,
+    stdin: &[u8],
 ) -> io::Result<ProgramOutput> {
     run_plan_with_fallback(plan, None, settings, root, stdin)
 }
@@ -216,7 +220,7 @@ pub fn run_plan_with_fallback(
     fallback: Option<&ExecutionPlan>,
     settings: &ProcSettings,
     root: &Path,
-    stdin: impl Into<Feed>,
+    stdin: &[u8],
 ) -> io::Result<ProgramOutput> {
     drive(
         plan,
@@ -224,7 +228,7 @@ pub fn run_plan_with_fallback(
         &ProcessRunner::new(settings, root)?,
         &settings.supervisor,
         settings.max_inflight,
-        stdin.into(),
+        stdin,
     )
 }
 
@@ -246,15 +250,15 @@ fn edge_name(r: &RegionPlan, fifos: &FifoDir, e: PlanEdgeId) -> io::Result<std::
 }
 
 /// One attempt at a region as a process tree: `stdin` feeds the
-/// primary boundary input, with optional fault injection and an
-/// optional deadline (taken from `settings`). Parent-side faults
+/// primary boundary input from byte 0, with optional fault injection
+/// and an optional deadline (taken from `settings`). Parent-side faults
 /// (spawn failure/delay, mkfifo failure) are injected here; stream
 /// faults travel to the armed child via the `PASH_FAULT` environment
 /// variable, which the multicall wraps around its stdout.
 fn run_region_attempt(
     r: &RegionPlan,
     runner: &ProcessRunner,
-    stdin: Feed,
+    stdin: &[u8],
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
 ) -> Result<RegionOutput, ExecError> {
@@ -269,25 +273,41 @@ fn run_region_attempt(
         .map(|d| Instant::now() + d);
 
     let mut children: Vec<Child> = Vec::with_capacity(r.nodes.len());
-    let result = spawn_and_reap(r, runner, stdin, &fifos, fault, deadline, &mut children);
-    if result.is_err() {
-        // A failure partway through spawning (a missing binary, an
-        // unreadable input) must not leak the children already
-        // spawned: blocked in a FIFO open, they would outlive the
-        // FIFOs' unlink forever. SIGKILL — not PIPE, which an open(2)
-        // does not observe — and reap everything still running. A
-        // deadline expiry lands here too: this is the escalation from
-        // [`KILL_GRACE`] to an unconditional SIGKILL of the region.
-        for child in children.iter_mut() {
-            if !matches!(child.try_wait(), Ok(Some(_))) {
-                let _ = child.kill();
-                let _ = child.wait();
+    // The feeder borrows `stdin`, so it is scoped to the attempt: the
+    // scope joins it after every child is reaped, on every path.
+    let result = std::thread::scope(|scope| {
+        let result = spawn_and_reap(
+            r,
+            runner,
+            stdin,
+            &fifos,
+            fault,
+            deadline,
+            &mut children,
+            scope,
+        );
+        if result.is_err() {
+            // A failure partway through spawning (a missing binary, an
+            // unreadable input) must not leak the children already
+            // spawned: blocked in a FIFO open, they would outlive the
+            // FIFOs' unlink forever. SIGKILL — not PIPE, which an
+            // open(2) does not observe — and reap everything still
+            // running; a feeder blocked on a dead child's stdin then
+            // fails with EPIPE and the scope can end. A deadline
+            // expiry lands here too: this is the escalation from
+            // [`KILL_GRACE`] to an unconditional SIGKILL of the region.
+            for child in children.iter_mut() {
+                if !matches!(child.try_wait(), Ok(Some(_))) {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
             }
         }
-        if let (Some(s), Err(e)) = (settings, &result) {
-            if e.is_deadline() {
-                s.note_deadline_kill();
-            }
+        result
+    });
+    if let (Some(s), Err(e)) = (settings, &result) {
+        if e.is_deadline() {
+            s.note_deadline_kill();
         }
     }
     result
@@ -325,16 +345,18 @@ fn wait_deadline(
 /// the output producers, and tears the region down. Children are
 /// pushed into the caller's vector as they spawn, so an early `?`
 /// return leaves the caller holding everything that needs killing.
-fn spawn_and_reap(
+/// The feeder of the child that reads `stdin` runs on `scope`.
+#[allow(clippy::too_many_arguments)]
+fn spawn_and_reap<'scope, 'env>(
     r: &RegionPlan,
     runner: &ProcessRunner,
-    stdin: Feed,
+    stdin: &'env [u8],
     fifos: &FifoDir,
     fault: Option<&ArmedFault>,
     deadline: Option<Instant>,
     children: &mut Vec<Child>,
+    scope: &'scope std::thread::Scope<'scope, 'env>,
 ) -> Result<RegionOutput, ExecError> {
-    let mut feeders = Vec::new();
     let mut drains: Vec<(PlanNodeId, std::thread::JoinHandle<Vec<u8>>)> = Vec::new();
     let mut stdin = Some(stdin);
     let root = runner.root;
@@ -370,7 +392,7 @@ fn spawn_and_reap(
         // open would block until the peer spawns. A segment is named
         // (`--stdin-seg`) and opened by the child as well: the parent
         // has no fd that ends at a segment's last line.
-        let mut feed: Option<Feed> = None;
+        let mut feed: Option<&[u8]> = None;
         match spec.stdin_input.map(|k| node.inputs[k]) {
             None => {
                 cmd.stdin(Stdio::null());
@@ -482,11 +504,11 @@ fn spawn_and_reap(
             if let Some(prof) = &profile {
                 prof.add_in(id, bytes.len() as u64);
             }
-            feeders.push(std::thread::spawn(move || {
+            scope.spawn(move || {
                 // A consumer that exits early breaks this pipe; that
                 // is normal teardown, not an error.
-                let _ = si.write_all(&bytes);
-            }));
+                let _ = si.write_all(bytes);
+            });
         }
         if drain {
             let mut so = child.stdout.take().ok_or_else(|| {
@@ -582,16 +604,13 @@ fn spawn_and_reap(
             }
         }
     }
-    for f in feeders {
-        let _ = f.join();
-    }
     let mut stdout = Vec::new();
     for (id, d) in drains {
         let buf = d.join().unwrap_or_default();
         if let Some(prof) = &profile {
             prof.add_out(id, buf.len() as u64);
         }
-        stdout.extend_from_slice(&buf);
+        append(&mut stdout, buf);
     }
 
     // A region's status folds its source statuses — exactly what the
@@ -688,7 +707,7 @@ mod tests {
             },
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, stdin.to_vec()).expect("run");
+        let out = run_plan(&compiled.plan, &cfg, &root, stdin).expect("run");
         Some((out, root))
     }
 
@@ -707,7 +726,7 @@ mod tests {
             },
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
         assert_eq!(out.status, 0);
         assert_eq!(store.regions(), 1);
         let r = compiled.plan.regions().next().expect("region");
@@ -818,7 +837,7 @@ mod tests {
         assert_eq!(segments, 4, "the copies read file segments");
 
         let started = Instant::now();
-        let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
         assert!(
             started.elapsed() < KILL_GRACE,
             "teardown waited out the kill grace: {:?}",
@@ -833,7 +852,7 @@ mod tests {
             &compiled.plan,
             &pash_coreutils::Registry::standard(),
             Arc::new(mem),
-            Vec::new(),
+            &[],
             &crate::exec::ExecConfig::default(),
         )
         .expect("threads run");
@@ -898,7 +917,7 @@ mod tests {
                 &PashConfig::round_robin(width),
             )
             .expect("compile");
-            let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+            let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
             assert_eq!(out.status, 0, "width {width}");
             let got = std::fs::read(root.join("out.txt")).expect("out.txt");
             let want: Vec<u8> = (0..500)
@@ -921,7 +940,7 @@ mod tests {
             &PashConfig::round_robin(4),
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
         assert!(out.stdout.is_empty(), "guard must skip the cat region");
         assert_eq!(out.status, 1);
         let _ = std::fs::remove_dir_all(&root);
@@ -947,7 +966,7 @@ mod tests {
                 },
             )
             .expect("compile");
-            let out = run_plan(&compiled.plan, &cfg, &root, Vec::new()).expect("run");
+            let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
             runs.push((
                 out.status,
                 std::fs::read(root.join("a.txt")).expect("a.txt"),

@@ -7,7 +7,8 @@
 //! attempt needs into that one request: the [`RegionPlan`] itself,
 //! encoded field by field in the [`crate::wire`] codec (every string
 //! length-prefixed, every count checked before allocation), the input
-//! files it reads, and its stdin bytes. The worker answers with one
+//! files it reads, and its stdin bytes — encoded straight from the
+//! caller's borrowed slice. The worker answers with one
 //! [`Response::Region`]: the attempt's output and the files it wrote,
 //! or its failure with a transient/fatal class. A reply is one
 //! length-prefixed frame, so a dropped connection or a half-written
@@ -51,10 +52,12 @@ use pash_core::plan::{
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
 
-use crate::drive::{drive, Feed, RegionRunner};
+use crate::drive::{drive, RegionRunner};
 use crate::exec::{ExecConfig, ProgramOutput, RegionOutput, ThreadsRunner};
 use crate::fault::{ArmedFault, ExecError, FaultKind};
-use crate::service::{self, read_response, write_request, Request, Response, ServiceSettings};
+use crate::service::{
+    self, read_response, write_execute, write_request, Request, Response, ServiceSettings,
+};
 use crate::supervise::SupervisorSettings;
 use crate::wire::{bad_data, put_bytes, put_str, put_u32, Cursor};
 
@@ -67,9 +70,8 @@ pub struct ExecuteRequest {
     pub region: RegionPlan,
     /// Input files the region reads: path and full contents.
     pub files: Vec<(String, Vec<u8>)>,
-    /// Bytes for the region's primary boundary stdin (the run's
-    /// shared feed on the coordinator; written from it, not copied).
-    pub stdin: Feed,
+    /// Bytes for the region's primary boundary stdin.
+    pub stdin: Vec<u8>,
     /// The fault armed against this attempt, in its one text form
     /// ([`ArmedFault`]). The worker delivers the local kinds inside
     /// its attempt, as a local run would, and a slow worker's sleep
@@ -79,22 +81,19 @@ pub struct ExecuteRequest {
 }
 
 impl ExecuteRequest {
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_region(out, &self.region);
-        put_bytes(out, &self.stdin);
-        match &self.fault {
-            None => out.push(0),
-            Some(spec) => {
-                out.push(1);
-                put_str(out, spec);
-            }
+    /// The request's fields, borrowed — what goes on the wire.
+    pub(crate) fn parts(&self) -> ExecuteParts<'_> {
+        ExecuteParts {
+            region: &self.region,
+            files: &self.files,
+            stdin: &self.stdin,
+            fault: self.fault.as_deref(),
         }
-        put_files(out, &self.files);
     }
 
     pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
         let region = region(c)?;
-        let stdin = Feed::from(c.slice()?);
+        let stdin = c.bytes()?;
         let fault = match c.bool()? {
             false => None,
             true => Some(c.string()?),
@@ -105,6 +104,32 @@ impl ExecuteRequest {
             stdin,
             fault,
         })
+    }
+}
+
+/// An [`ExecuteRequest`] whose fields are borrowed: the coordinator
+/// encodes the request frame from its region, its gathered files and
+/// the run's stdin where they lie ([`write_execute`]), with no owned
+/// request built first.
+pub(crate) struct ExecuteParts<'a> {
+    region: &'a RegionPlan,
+    files: &'a [(String, Vec<u8>)],
+    stdin: &'a [u8],
+    fault: Option<&'a str>,
+}
+
+impl ExecuteParts<'_> {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_region(out, self.region);
+        put_bytes(out, self.stdin);
+        match self.fault {
+            None => out.push(0),
+            Some(spec) => {
+                out.push(1);
+                put_str(out, spec);
+            }
+        }
+        put_files(out, self.files);
     }
 }
 
@@ -550,7 +575,7 @@ fn execute_remote(
     socket: &Path,
     r: &RegionPlan,
     armed: Option<&ArmedFault>,
-    feed: &Feed,
+    feed: &[u8],
     fs: &Arc<dyn Fs>,
     deadline: Option<Duration>,
 ) -> Result<RegionOutput, ExecError> {
@@ -593,12 +618,13 @@ fn execute_remote(
             }
         }
     }
-    let req = Request::Execute(ExecuteRequest {
-        region: r.clone(),
-        files,
-        stdin: feed.clone(),
-        fault: armed.map(ArmedFault::to_string),
-    });
+    let spec = armed.map(ArmedFault::to_string);
+    let req = ExecuteParts {
+        region: r,
+        files: &files,
+        stdin: feed,
+        fault: spec.as_deref(),
+    };
     let cut = |kind| armed.filter(|a| a.kind == kind).map(|a| a.offset);
     let (request_cut, reply_cut) = (cut(FaultKind::ConnDrop), cut(FaultKind::TornFrame));
 
@@ -612,14 +638,14 @@ fn execute_remote(
         // we see EOF where the reply should be.
         Some(cut) => {
             let mut framed = Vec::new();
-            write_request(&mut framed, &req).and_then(|()| {
+            write_execute(&mut framed, req).and_then(|()| {
                 let keep = (cut as usize).min(framed.len() - 1);
                 stream.write_all(&framed[..keep])?;
                 let _ = stream.shutdown(std::net::Shutdown::Write);
                 Ok(())
             })
         }
-        None => write_request(&mut stream, &req),
+        None => write_execute(&mut stream, req),
     };
     sent.map_err(|e| transient("remote send", e))?;
     let reply = match reply_cut {
@@ -683,7 +709,7 @@ impl RegionRunner for RemoteRunner<'_> {
     fn attempt(
         &self,
         r: &RegionPlan,
-        feed: &Feed,
+        feed: &[u8],
         fault: Option<&ArmedFault>,
         attempt_no: u32,
         supervised: Option<&SupervisorSettings>,
@@ -735,7 +761,7 @@ pub fn run_program_remote(
     fallback: Option<&ExecutionPlan>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
-    stdin: impl Into<Feed>,
+    stdin: &[u8],
     cfg: &ExecConfig,
     pool: &WorkerPool,
 ) -> io::Result<ProgramOutput> {
@@ -753,7 +779,7 @@ pub fn run_program_remote(
         &runner,
         &cfg.supervisor,
         cfg.max_inflight,
-        stdin.into(),
+        stdin,
     )
 }
 
@@ -830,7 +856,7 @@ mod tests {
             &seq,
             &Registry::standard(),
             snap.clone(),
-            Vec::new(),
+            &[],
             &ExecConfig::default(),
         )
         .expect("local run");
@@ -859,7 +885,7 @@ mod tests {
             Some(&seq),
             &Registry::standard(),
             run_fs,
-            Vec::new(),
+            &[],
             &ExecConfig::default(),
             &pool,
         )
@@ -894,7 +920,7 @@ mod tests {
                 Some(&seq),
                 &Registry::standard(),
                 run_fs,
-                Vec::new(),
+                &[],
                 &cfg,
                 &pool,
             )
@@ -938,7 +964,7 @@ mod tests {
             Some(&seq),
             &Registry::standard(),
             run_fs,
-            Vec::new(),
+            &[],
             &cfg,
             &pool,
         )
@@ -981,7 +1007,7 @@ mod tests {
             Some(&seq),
             &Registry::standard(),
             run_fs,
-            Vec::new(),
+            &[],
             &cfg,
             &pool,
         )
@@ -1016,7 +1042,7 @@ mod tests {
             Some(&seq),
             &Registry::standard(),
             run_fs,
-            Vec::new(),
+            &[],
             &cfg,
             &pool,
         )
@@ -1042,7 +1068,7 @@ mod tests {
         ExecuteRequest {
             region,
             files: vec![("in.txt".to_string(), b"b\na\n".to_vec())],
-            stdin: Feed::from([]),
+            stdin: Vec::new(),
             fault: None,
         }
     }
@@ -1166,7 +1192,7 @@ mod tests {
         let req = Request::Execute(ExecuteRequest {
             region: wide.regions().next().expect("region").clone(),
             files: vec![("in.txt".to_string(), b"abc".to_vec())],
-            stdin: b"feed".to_vec().into(),
+            stdin: b"feed".to_vec(),
             fault: Some("kill-worker:3:-:7:20:50".to_string()),
         });
         let mut wire = Vec::new();
@@ -1181,7 +1207,7 @@ mod tests {
     /// A region through the `Execute` codec and back.
     fn round_trip(r: &RegionPlan) -> RegionPlan {
         let mut wire = Vec::new();
-        shipped(r.clone()).encode(&mut wire);
+        shipped(r.clone()).parts().encode(&mut wire);
         let mut c = Cursor::new(&wire);
         let back = ExecuteRequest::decode(&mut c).expect("decode");
         c.done().expect("the whole payload is read");
@@ -1269,7 +1295,7 @@ mod tests {
             .plan;
         let r = plan.regions().next().expect("region");
         let mut payload = Vec::new();
-        shipped(r.clone()).encode(&mut payload);
+        shipped(r.clone()).parts().encode(&mut payload);
         // Every strict prefix is missing a field.
         for cut in 0..payload.len() {
             let err = ExecuteRequest::decode(&mut Cursor::new(&payload[..cut]))

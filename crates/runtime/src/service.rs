@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use pash_core::dfg::transform::SplitPolicy;
 
-use crate::remote::{ExecuteRequest, RegionReply};
+use crate::remote::{ExecuteParts, ExecuteRequest, RegionReply};
 use crate::supervise::SupervisorCounters;
 pub use crate::wire::MAX_FRAME;
 use crate::wire::{
@@ -181,11 +181,17 @@ pub fn write_request(w: &mut dyn Write, req: &Request) -> io::Result<()> {
         }
         Request::Metrics => p.push(3),
         Request::Shutdown => p.push(4),
-        Request::Execute(x) => {
-            p.push(5);
-            x.encode(&mut p);
-        }
+        Request::Execute(x) => return write_execute(w, x.parts()),
     }
+    write_frame(w, &p)
+}
+
+/// Encodes and writes one `Execute` request from borrowed fields: the
+/// same frame [`write_request`] writes for a [`Request::Execute`],
+/// without the owned request.
+pub(crate) fn write_execute(w: &mut dyn Write, x: ExecuteParts<'_>) -> io::Result<()> {
+    let mut p = vec![5];
+    x.encode(&mut p);
     write_frame(w, &p)
 }
 

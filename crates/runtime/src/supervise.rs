@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use pash_core::plan::RegionPlan;
 
-use crate::drive::{Feed, RegionRunner};
+use crate::drive::RegionRunner;
 use crate::exec::RegionOutput;
 use crate::fault::{splitmix64, ExecError, FaultPlan};
 
@@ -181,17 +181,18 @@ pub fn jittered_backoff(base: Duration, attempt: u32, seed: u64) -> Duration {
 
 /// Runs one region under supervision: up to `1 + max_retries`
 /// attempts of `r` on `runner` (one for a non-replayable region), each
-/// with `feed` on its stdin and the fault plan armed afresh; then, if
-/// fallback is enabled and the region replayable, a clean attempt on
-/// the runner's local runner when it has one; then `fallback` — the
-/// aligned width-1 region, the last resort that restores the `sh`
-/// baseline byte for byte. A fatal error ends the ladder at any rung; with nothing left
-/// to try the last transient error is returned.
+/// with the fault plan armed afresh; then, if fallback is enabled and
+/// the region replayable, a clean attempt on the runner's local runner
+/// when it has one; then `fallback` — the aligned width-1 region, the
+/// last resort that restores the `sh` baseline byte for byte. Every
+/// rung reads `feed` from byte 0. A fatal error ends the ladder at any
+/// rung; with nothing left to try the last transient error is
+/// returned.
 pub fn supervise_ladder(
     runner: &dyn RegionRunner,
     r: &RegionPlan,
     fallback: Option<&RegionPlan>,
-    feed: &Feed,
+    feed: &[u8],
     settings: &SupervisorSettings,
 ) -> Result<RegionOutput, ExecError> {
     let attempts = if r.replayable {
@@ -275,8 +276,8 @@ mod tests {
         }
     }
 
-    fn feed() -> Feed {
-        Feed::from(*b"feed")
+    fn feed() -> &'static [u8] {
+        b"feed"
     }
 
     /// Fails every attempt at the main region; the fallback succeeds
@@ -296,7 +297,7 @@ mod tests {
     fn first_success_needs_no_recovery() {
         let s = quick(2);
         let runner = FakeRunner::new(|_| ok(7, b""));
-        let out = supervise_ladder(&runner, &replayable_region(), None, &feed(), &s).expect("ok");
+        let out = supervise_ladder(&runner, &replayable_region(), None, feed(), &s).expect("ok");
         assert_eq!(out.status, 7);
         assert_eq!(s.counters.retries(), 0);
         assert_eq!(s.counters.fallbacks(), 0);
@@ -312,7 +313,7 @@ mod tests {
                 ok(42, b"")
             }
         });
-        let out = supervise_ladder(&runner, &replayable_region(), None, &feed(), &s).expect("ok");
+        let out = supervise_ladder(&runner, &replayable_region(), None, feed(), &s).expect("ok");
         assert_eq!(out.status, 42);
         assert_eq!(s.counters.retries(), 2);
         assert_eq!(s.counters.fallbacks(), 0);
@@ -331,7 +332,7 @@ mod tests {
         let s = quick(1);
         let runner = failing();
         let fb = fallback_region();
-        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), feed(), &s)
             .expect("fallback");
         assert_eq!(out.status, 99);
         assert_eq!(s.counters.retries(), 1);
@@ -344,7 +345,7 @@ mod tests {
             fallback: false,
             ..quick(1)
         };
-        supervise_ladder(&failing(), &replayable_region(), Some(&fb), &feed(), &s)
+        supervise_ladder(&failing(), &replayable_region(), Some(&fb), feed(), &s)
             .expect_err("no fallback");
         assert_eq!(s.counters.fallbacks(), 0);
     }
@@ -354,7 +355,7 @@ mod tests {
         let s = quick(2);
         let runner = FakeRunner::new(|_| Err(fatal()));
         let fb = fallback_region();
-        let err = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+        let err = supervise_ladder(&runner, &replayable_region(), Some(&fb), feed(), &s)
             .expect_err("fatal");
         assert_eq!(runner.calls().len(), 1);
         assert_eq!(err.class, FaultClass::Fatal);
@@ -388,7 +389,7 @@ mod tests {
         let fb = fallback_region();
         // Local rung succeeds: sequential fallback untouched.
         let runner = failing().with_local(FakeRunner::new(|_| ok(11, b"")));
-        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), feed(), &s)
             .expect("local rung");
         assert_eq!(out.status, 11);
         assert_eq!(s.counters.local_fallbacks(), 1);
@@ -403,7 +404,7 @@ mod tests {
         // Local rung also transient: the sequential rung finishes it,
         // on the local runner.
         let runner = failing().with_local(failing());
-        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), &feed(), &s)
+        let out = supervise_ladder(&runner, &replayable_region(), Some(&fb), feed(), &s)
             .expect("sequential rung");
         assert_eq!(out.status, 99);
         assert_eq!(s.counters.local_fallbacks(), 2);
@@ -418,7 +419,7 @@ mod tests {
         let s = quick(2);
         let r = RegionPlan::default(); // replayable: false
         let runner = FakeRunner::new(|_| Err(transient()));
-        supervise_ladder(&runner, &r, Some(&replayable_region()), &feed(), &s)
+        supervise_ladder(&runner, &r, Some(&replayable_region()), feed(), &s)
             .expect_err("no retry");
         assert_eq!(runner.calls().len(), 1);
         assert_eq!(s.counters.retries(), 0);

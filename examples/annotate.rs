@@ -53,7 +53,7 @@ fn main() {
             &compiled.plan,
             &registry,
             fs.clone(),
-            Vec::new(),
+            &[],
             &ExecConfig::default(),
         )
         .expect("run");

@@ -58,7 +58,7 @@ fn main() {
             &compiled.plan,
             &registry,
             fs.clone(),
-            Vec::new(),
+            &[],
             &ExecConfig::default(),
         )
         .expect("run");

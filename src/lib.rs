@@ -87,7 +87,6 @@ use crate::core::compile::{compile_cached, Compiled, PashConfig};
 use crate::core::plan::ExecutionPlan;
 use crate::coreutils::fs::{Fs, MemFs};
 use crate::coreutils::Registry;
-use crate::runtime::drive::Feed;
 use crate::runtime::exec::{run_program_with_fallback, ExecConfig, ProgramOutput};
 use crate::runtime::proc::run_plan_with_fallback;
 pub use crate::runtime::proc::ProcSettings;
@@ -268,16 +267,17 @@ impl RunHandle {
     pub fn execute(&self, backend: &str, env: &RunEnv) -> Result<BackendOutput, RunError> {
         let plan = self.plan();
         let fallback = self.fallback_plan();
-        // The one copy of the caller's stdin; every attempt of every
-        // region shares it.
-        let stdin = || Feed::from(env.stdin.as_slice());
+        // The caller's stdin, borrowed for the length of the run: no
+        // copy is made, and every attempt of the region that reads it
+        // — each retry, each fallback — reads it from byte 0.
+        let stdin = env.stdin.as_slice();
         let fs = || env.fs.clone() as Arc<dyn Fs>;
         let executed = match backend {
             "shell" => return Ok(BackendOutput::Script(emit_program(plan, &env.emit))),
             "threads" => {
-                run_program_with_fallback(plan, fallback, &env.registry, fs(), stdin(), &env.exec)
+                run_program_with_fallback(plan, fallback, &env.registry, fs(), stdin, &env.exec)
             }
-            "processes" => run_processes(plan, fallback, env, stdin()),
+            "processes" => run_processes(plan, fallback, env, stdin),
             "remote" => {
                 if env.workers.is_empty() {
                     return Err(RunError::Io(std::io::Error::new(
@@ -289,15 +289,7 @@ impl RunHandle {
                 // discovered by the attempt itself, which the ladder
                 // treats as transient (reroute, then local fallback).
                 let pool = WorkerPool::new(env.workers.clone());
-                run_program_remote(
-                    plan,
-                    fallback,
-                    &env.registry,
-                    fs(),
-                    stdin(),
-                    &env.exec,
-                    &pool,
-                )
+                run_program_remote(plan, fallback, &env.registry, fs(), stdin, &env.exec, &pool)
             }
             other => return Err(RunError::UnknownBackend(other.to_string())),
         };
@@ -339,7 +331,7 @@ fn run_processes(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     env: &RunEnv,
-    stdin: Feed,
+    stdin: &[u8],
 ) -> std::io::Result<ProgramOutput> {
     let (root, ephemeral) = match &env.proc.root {
         Some(r) => (r.clone(), None),

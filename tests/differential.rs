@@ -689,6 +689,71 @@ fn stdin_fed_pipelines_finish_under_a_watchdog() {
     }
 }
 
+/// A consumer that stops early on 8 MiB of stdin: `head` is satisfied
+/// after three lines, and whatever feeds the stdin edge — the `threads`
+/// runner's feeder thread, the `processes` parent's feeder, the bytes
+/// a `remote` worker decoded — is hung up on mid-stream. That must end
+/// the attempt, not wedge it: every backend at widths 1 and 2 finishes
+/// under the same killing deadline with width 1's bytes.
+#[test]
+fn an_early_hang_up_on_stdin_finishes_under_a_watchdog() {
+    use pash::runtime::SupervisorSettings;
+    use std::time::Duration;
+    const WATCHDOG: Duration = Duration::from_secs(30);
+    const SCRIPT: &str = "tr A-Z a-z | head -n 3";
+
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let stdin = pash_bench::fixtures::cached_corpus(29, 8 << 20);
+    let make_fs = || cached_fs("differential/stdin/empty".to_string(), |_| {});
+    let watched = || SupervisorSettings {
+        region_deadline: Some(WATCHDOG),
+        max_retries: 0,
+        fallback: false,
+        ..Default::default()
+    };
+    let setup = |width| Setup {
+        cfg: PashConfig::best(width),
+        stdin: &stdin[..],
+        inflight: 1,
+    };
+    let seq = setup(1);
+    let expected = observe_threads(SCRIPT, make_fs(), &seq, &seq.cfg, 64 * 1024);
+    assert_eq!(expected.status, 0);
+    assert_eq!(expected.stdout.iter().filter(|&&b| b == b'\n').count(), 3);
+    let workers = RemoteWorkers::spawn(2);
+    for width in [1usize, 2] {
+        let setup = setup(width);
+        for backend in ["threads", "processes", "remote"] {
+            let mut env = RunEnv {
+                fs: make_fs(),
+                stdin: stdin.to_vec(),
+                workers: workers.sockets.clone(),
+                proc: ProcSettings {
+                    pashc: Some(bins.0.clone()),
+                    pash_rt: Some(bins.1.clone()),
+                    supervisor: watched(),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            env.exec.supervisor = watched();
+            match run(SCRIPT, &setup.cfg, backend, &env) {
+                Ok(BackendOutput::Execution(o)) => {
+                    assert_eq!(o.status, 0, "{backend} at width {width}");
+                    assert_eq!(o.stdout, expected.stdout, "{backend} at width {width}");
+                }
+                other => panic!(
+                    "{backend} at width {width} did not finish within {WATCHDOG:?}: {:?}",
+                    other.map(|_| "no execution")
+                ),
+            }
+        }
+    }
+}
+
 /// A region attempt's verdict: its status, and the `(node, status)`
 /// of each node that status is folded from.
 type RegionVerdict = (i32, Vec<(usize, i32)>);
@@ -715,7 +780,7 @@ fn observe_schedule(
     use pash::coreutils::fs::Fs;
     use pash::runtime::exec::{ExecConfig, ThreadsRunner};
     use pash::runtime::fault::{ArmedFault, ExecError};
-    use pash::runtime::{drive, Feed, RegionOutput, RegionRunner, SupervisorSettings};
+    use pash::runtime::{drive, RegionOutput, RegionRunner, SupervisorSettings};
     use std::sync::Mutex;
 
     struct Recording<'a> {
@@ -726,7 +791,7 @@ fn observe_schedule(
         fn attempt(
             &self,
             r: &RegionPlan,
-            feed: &Feed,
+            feed: &[u8],
             fault: Option<&ArmedFault>,
             attempt_no: u32,
             supervised: Option<&SupervisorSettings>,
@@ -760,15 +825,8 @@ fn observe_schedule(
         },
         regions: Mutex::new(Vec::new()),
     };
-    let out = drive(
-        &compiled.plan,
-        None,
-        &recording,
-        &exec.supervisor,
-        1,
-        Feed::from([]),
-    )
-    .unwrap_or_else(|e| panic!("threads failed: {e}\nscript: {script}"));
+    let out = drive(&compiled.plan, None, &recording, &exec.supervisor, 1, &[])
+        .unwrap_or_else(|e| panic!("threads failed: {e}\nscript: {script}"));
     let counters = &exec.supervisor.counters;
     if pipe_capacity == RUN_TO_COMPLETION {
         assert_eq!(counters.threaded_regions(), 0, "`{script}`");
@@ -877,7 +935,7 @@ fn every_suite_region_round_trips_through_the_execute_codec() {
                     let req = Request::Execute(ExecuteRequest {
                         region: region.clone(),
                         files: Vec::new(),
-                        stdin: Vec::new().into(),
+                        stdin: Vec::new(),
                         fault: None,
                     });
                     let mut wire = Vec::new();

@@ -357,6 +357,69 @@ fn persistent_fault_degrades_to_the_sequential_fallback() {
     assert!(counters.retries() >= 1);
 }
 
+/// A region fed on stdin, many pipe buffers of it: the `threads`
+/// runner feeds its consumer through a ring, the `processes` runner
+/// through the child's stdin pipe, both from the caller's borrowed
+/// bytes.
+const STDIN_SCRIPT: &str = "tr A-Z a-z | grep the";
+
+/// `STDIN_SCRIPT` over [`corpus`] on `backend` at `width`; `None` when
+/// the backend is `processes` and the multicall binaries cannot be
+/// built on this host.
+fn run_on_stdin(
+    backend: &str,
+    width: usize,
+    sup: SupervisorSettings,
+) -> Option<(Observed, Arc<SupervisorCounters>)> {
+    let counters = sup.counters.clone();
+    let mut env = RunEnv {
+        stdin: corpus(),
+        ..Default::default()
+    };
+    if backend == "processes" {
+        let bins = runtime_binaries()?;
+        env.proc = ProcSettings {
+            pashc: Some(bins.0),
+            pash_rt: Some(bins.1),
+            supervisor: sup,
+            ..Default::default()
+        };
+    } else {
+        env.exec.supervisor = sup;
+    }
+    let out = run(STDIN_SCRIPT, &cfg(width), backend, &env).expect("stdin-fed run");
+    Some((observe(&env, out, backend), counters))
+}
+
+/// Every attempt at a stdin-fed region reads the caller's feed from
+/// byte 0: a retry after a killed worker, and the width-1 fallback
+/// after every retry is spent, both leave the fault-free bytes.
+#[test]
+fn retries_and_the_fallback_reread_the_stdin_feed() {
+    let (expect, _) = run_on_stdin("threads", 1, SupervisorSettings::default()).expect("threads");
+    assert!(!expect.stdout.is_empty());
+    for backend in ["threads", "processes"] {
+        let retried = single_shot(FaultKind::KillWorker, 4);
+        let Some((got, counters)) = run_on_stdin(backend, 4, retried) else {
+            eprintln!("skipping processes: multicall binaries not built");
+            continue;
+        };
+        assert_eq!(got, expect, "{backend}: a retry re-reads stdin");
+        assert!(counters.retries() >= 1, "{backend}: no retry ran");
+        assert_eq!(counters.fallbacks(), 0, "{backend}");
+
+        let persistent = SupervisorSettings {
+            fault: Some(FaultPlan::new(FaultKind::KillWorker, 5).budget(u32::MAX)),
+            max_retries: 1,
+            ..Default::default()
+        };
+        let (got, counters) = run_on_stdin(backend, 4, persistent).expect("ran above");
+        assert_eq!(got, expect, "{backend}: the fallback re-reads stdin");
+        assert!(counters.retries() >= 1, "{backend}: no retry ran");
+        assert!(counters.fallbacks() >= 1, "{backend}: no fallback ran");
+    }
+}
+
 #[test]
 fn wedged_child_is_killed_by_the_proc_deadline() {
     if runtime_binaries().is_none() {

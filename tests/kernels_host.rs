@@ -17,6 +17,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pash::coreutils::fs::MemFs;
@@ -34,7 +35,14 @@ fn host_path(util: &str) -> Option<PathBuf> {
 /// as in a pipeline: `wc` sizes its columns from a regular file's
 /// length) and present as `in.txt` in a fresh working directory.
 fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> (Vec<u8>, i32) {
-    let dir = std::env::temp_dir().join(format!("pash-kernels-host-{}-{case}", std::process::id()));
+    // Two tests of one utility run concurrently: a sequence number
+    // keeps their directories apart.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pash-kernels-host-{}-{case}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     std::fs::write(dir.join("in.txt"), input).expect("write input");
@@ -201,6 +209,17 @@ fn tr_matches_the_host() {
         &["[:upper:]", "[:lower:]"],
     ];
     let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("tr", &cases, &inputs, false);
+}
+
+/// `\NNN` is one to three octal digits: `\001` is byte 1 (not NUL and
+/// the digits `0` and `1`), `\40` a space, `\0` NUL.
+#[test]
+fn tr_octal_escapes_match_the_host() {
+    let cases: [&[&str]; 3] = [&["-d", "\\001"], &["\\40", "_"], &["-d", "\\0"]];
+    let mut inputs = inputs(true);
+    inputs.push(b"a\x01b01\n\x00 \x01\x00 10 \x0101\x01\n".repeat(500));
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("tr", &cases, &inputs, false);
 }

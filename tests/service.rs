@@ -556,7 +556,7 @@ fn shipped(script: &str, width: usize, input: &[u8], fault: Option<&str>) -> Req
     Request::Execute(ExecuteRequest {
         region,
         files: vec![("in.txt".to_string(), input.to_vec())],
-        stdin: Vec::new().into(),
+        stdin: Vec::new(),
         fault: fault.map(String::from),
     })
 }
