@@ -92,10 +92,11 @@ fn main() {
         "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig::default()), &dir),
         "processes" => {
             let pcfg = ProcSettings::default();
-            let out = run_plan(&compiled.plan, &pcfg, &dir, &read_stdin()).unwrap_or_else(|e| {
-                eprintln!("backendrun: processes: {e}");
-                std::process::exit(2);
-            });
+            let out =
+                run_plan(&compiled.plan, None, &pcfg, &dir, &read_stdin()).unwrap_or_else(|e| {
+                    eprintln!("backendrun: processes: {e}");
+                    std::process::exit(2);
+                });
             print_bytes(&out.stdout);
             out.status
         }
@@ -143,6 +144,7 @@ fn run_threads(plan: &pash_core::plan::ExecutionPlan, dir: &Path, stdin: &[u8]) 
     let fs = Arc::new(fs);
     let out = run_program(
         plan,
+        None,
         &Registry::standard(),
         fs.clone() as Arc<dyn Fs>,
         stdin,

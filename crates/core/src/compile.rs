@@ -88,6 +88,17 @@ impl PashConfig {
         }
     }
 
+    /// This configuration at width 1 with no per-region shapes: the
+    /// same program, every region sequential. It compiles the
+    /// supervisor's width-1 fallback plan.
+    pub fn sequential(&self) -> Self {
+        PashConfig {
+            width: 1,
+            per_region: Vec::new(),
+            ..self.clone()
+        }
+    }
+
     /// A deterministic textual key for this configuration — combined
     /// with the source text it identifies a compilation (the plan
     /// lowering is deterministic, so equal keys mean equal plans).
@@ -392,6 +403,38 @@ mod tests {
         )
         .expect("compile");
         assert_eq!(out.stats.nodes.commands, 1);
+    }
+
+    #[test]
+    fn the_fallback_of_a_per_region_config_is_sequential() {
+        let src = "cat in.txt | tr A-Z a-z | sort > a.txt\ncat a.txt | grep x | wc -l";
+        let wide = RegionShape {
+            width: 4,
+            split: SplitPolicy::Sized,
+        };
+        let cfg = PashConfig {
+            width: 4,
+            per_region: vec![wide, wide],
+            ..Default::default()
+        };
+        let width_one = compile(
+            src,
+            &PashConfig {
+                width: 1,
+                ..Default::default()
+            },
+        )
+        .expect("compile")
+        .plan;
+        let fallback = compile(src, &cfg.sequential()).expect("compile").plan;
+        assert_eq!(fallback, width_one, "every region at width 1");
+        // Lowering the global width alone leaves the per-region shapes
+        // binding.
+        let narrowed = PashConfig {
+            width: 1,
+            ..cfg.clone()
+        };
+        assert_ne!(compile(src, &narrowed).expect("compile").plan, width_one);
     }
 
     #[test]

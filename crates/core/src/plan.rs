@@ -723,76 +723,6 @@ impl ExecutionPlan {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(self.dump().as_bytes())
     }
-
-    /// Groups step indices into *waves*: steps within a wave are
-    /// mutually independent and may execute concurrently; waves run in
-    /// order, each starting after the previous completes.
-    ///
-    /// Conservative rules: `Guard`/`Shell` steps are singleton waves
-    /// (barriers), the step guarded by a `Guard` is a singleton (its
-    /// execution is conditional), and two regions share a wave only
-    /// when they touch disjoint files, at most one reads the
-    /// program's stdin, and at most one writes the program's stdout
-    /// (so executors need not re-order captured output).
-    pub fn parallel_waves(&self) -> Vec<Vec<usize>> {
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
-        let mut after_guard = false;
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
-                PlanStep::Guard(_) | PlanStep::Shell { .. } => {
-                    if !current.is_empty() {
-                        waves.push(std::mem::take(&mut current));
-                    }
-                    waves.push(vec![i]);
-                    after_guard = matches!(step, PlanStep::Guard(_));
-                }
-                PlanStep::Region(r) => {
-                    if after_guard {
-                        if !current.is_empty() {
-                            waves.push(std::mem::take(&mut current));
-                        }
-                        waves.push(vec![i]);
-                        after_guard = false;
-                        continue;
-                    }
-                    let conflicts = current.iter().any(|&j| match &self.steps[j] {
-                        PlanStep::Region(prev) => regions_conflict(prev, r),
-                        _ => true,
-                    });
-                    if conflicts && !current.is_empty() {
-                        waves.push(std::mem::take(&mut current));
-                    }
-                    current.push(i);
-                }
-            }
-        }
-        if !current.is_empty() {
-            waves.push(current);
-        }
-        waves
-    }
-}
-
-/// Whether two regions must not run concurrently: overlapping file
-/// footprints (any write against any touch), both consuming stdin, or
-/// both emitting to stdout.
-fn regions_conflict(a: &RegionPlan, b: &RegionPlan) -> bool {
-    if a.reads_stdin() && b.reads_stdin() {
-        return true;
-    }
-    let emits = |r: &RegionPlan| {
-        r.edges
-            .iter()
-            .any(|e| matches!(e.kind, EndpointKind::StdoutPipe))
-    };
-    if emits(a) && emits(b) {
-        return true;
-    }
-    let (ar, aw) = (a.reads_files(), a.writes_files());
-    let (br, bw) = (b.reads_files(), b.writes_files());
-    let hits = |xs: &[String], ys: &[String]| xs.iter().any(|x| ys.contains(x));
-    hits(&aw, &br) || hits(&aw, &bw) || hits(&ar, &bw)
 }
 
 /// FNV-1a over a byte string (the workspace has no hashing crates).

@@ -3,12 +3,17 @@
 //!
 //! The lowered plan is the one semantic object; backends differ only in
 //! how they realise a region's edges. So the step semantics live here,
-//! once — guards and the skip they impose on the *next* step, the
-//! hand-off of the program's stdin to the first region that reads it,
-//! the alignment a width-1 fallback plan must satisfy, independent
-//! regions overlapping in waves with outputs and status applied in
-//! step order, and one [`supervise_ladder`] call per region — and a
-//! backend is a [`RegionRunner`]: one attempt at one region.
+//! once — steps run one at a time in plan order, guards and the skip
+//! they impose on the *next* step, the hand-off of the program's stdin
+//! to the first region that reads it, the alignment a width-1 fallback
+//! plan must satisfy, and one [`supervise_ladder`] call per region —
+//! and a backend is a [`RegionRunner`]: one attempt at one region.
+//!
+//! No two steps overlap. The compiled script of the paper waits for
+//! each region before its next step, and a plan cannot prove two
+//! regions independent: its edges name only the files a region opens
+//! itself, not one a command learns at run time (`echo a.txt | xargs
+//! cat` reads the `a.txt` an earlier step writes).
 //!
 //! `threads` ([`crate::exec`]), `processes` ([`crate::proc`]) and
 //! `remote` ([`crate::remote`]) are the three runners.
@@ -102,18 +107,6 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn region(&self, i: usize) -> io::Result<&'a RegionPlan> {
-        match &self.plan.steps[i] {
-            PlanStep::Region(r) => Ok(r),
-            // The wave builder only groups regions; anything else is a
-            // bug there, not here.
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "non-region step in a parallel wave",
-            )),
-        }
-    }
-
     fn fallback_region(&self, i: usize) -> Option<&'a RegionPlan> {
         match self.fallback.map(|f| &f.steps[i]) {
             Some(PlanStep::Region(r)) => Some(r),
@@ -133,12 +126,7 @@ impl<'a> Run<'a> {
         taken.unwrap_or_default()
     }
 
-    fn apply(&mut self, out: RegionOutput) {
-        self.status = out.status();
-        append(&mut self.stdout, out.stdout);
-    }
-
-    /// Executes step `i` on the calling thread.
+    /// Executes step `i`.
     fn step(&mut self, i: usize) -> io::Result<()> {
         match &self.plan.steps[i] {
             PlanStep::Guard(cond) => self.skip_next = !cond.admits(self.status),
@@ -148,7 +136,8 @@ impl<'a> Run<'a> {
                 let feed = self.take_feed(r);
                 let fb = self.fallback_region(i);
                 let out = supervise_ladder(self.runner, r, fb, feed, self.supervisor)?;
-                self.apply(out);
+                self.status = out.status();
+                append(&mut self.stdout, out.stdout);
             }
             // Folded into the compile-time environment already.
             PlanStep::Shell {
@@ -158,38 +147,6 @@ impl<'a> Run<'a> {
                 let out = self.runner.shell_step(text)?;
                 append(&mut self.stdout, out.stdout);
                 self.status = out.status;
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs a wave of mutually independent regions concurrently, at
-    /// most `max_inflight` at a time. Outputs and the final status are
-    /// applied in step order, so the result is indistinguishable from
-    /// sequential execution (the wave builder guarantees members share
-    /// no files, no stdin, and no stdout).
-    fn wave(&mut self, wave: &[usize], max_inflight: usize) -> io::Result<()> {
-        for chunk in wave.chunks(max_inflight) {
-            let mut jobs = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                let r = self.region(i)?;
-                jobs.push((r, self.fallback_region(i), self.take_feed(r)));
-            }
-            let (runner, sup) = (self.runner, self.supervisor);
-            let results: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|&(r, fb, feed)| {
-                        scope.spawn(move || supervise_ladder(runner, r, fb, feed, sup))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region thread"))
-                    .collect()
-            });
-            for out in results {
-                self.apply(out?);
             }
         }
         Ok(())
@@ -206,8 +163,9 @@ pub(crate) fn append(out: &mut Vec<u8>, bytes: Vec<u8>) {
     }
 }
 
-/// Runs `plan` on `runner`, step by step, `stdin` feeding the first
-/// region that reads it.
+/// Runs `plan` on `runner`, one step at a time in plan order — each
+/// step starts after the one before it has finished, as in the
+/// sequential script — `stdin` feeding the first region that reads it.
 ///
 /// `fallback` is the same program compiled at width 1. It is used — a
 /// region whose retries are spent re-executes through its aligned
@@ -215,16 +173,11 @@ pub(crate) fn append(out: &mut Vec<u8>, bytes: Vec<u8>) {
 /// output — only if it aligns with `plan` step for step; a plan that
 /// does not is not a re-execution of this program and is ignored, so a
 /// fault can degrade performance but never correctness.
-///
-/// `max_inflight` > 1 lets independent regions (per
-/// [`ExecutionPlan::parallel_waves`]) overlap; 1 executes steps
-/// strictly in plan order.
 pub fn drive(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     runner: &dyn RegionRunner,
     supervisor: &SupervisorSettings,
-    max_inflight: usize,
     stdin: &[u8],
 ) -> io::Result<ProgramOutput> {
     let mut run = Run {
@@ -237,20 +190,8 @@ pub fn drive(
         status: 0,
         skip_next: false,
     };
-    if max_inflight > 1 {
-        for wave in plan.parallel_waves() {
-            if wave.len() > 1 && !run.skip_next {
-                run.wave(&wave, max_inflight)?;
-            } else {
-                for &i in &wave {
-                    run.step(i)?;
-                }
-            }
-        }
-    } else {
-        for i in 0..plan.steps.len() {
-            run.step(i)?;
-        }
+    for i in 0..plan.steps.len() {
+        run.step(i)?;
     }
     Ok(ProgramOutput {
         stdout: run.stdout,
@@ -361,8 +302,6 @@ mod tests {
     use super::fake::{fatal, ok, transient, FakeRunner};
     use super::*;
     use pash_core::compile::{compile, PashConfig};
-    use std::sync::mpsc;
-    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Round-robin split, so a stdin pipeline differs between widths.
@@ -422,7 +361,7 @@ mod tests {
                 r if r == reference => ok(0, b"reference\n"),
                 _ => ok(0, b""),
             });
-            let res = drive(&main, Some(&fb), &runner, &quick(), 1, b"stdin bytes\n");
+            let res = drive(&main, Some(&fb), &runner, &quick(), b"stdin bytes\n");
             let attempts: Vec<_> = runner
                 .calls()
                 .into_iter()
@@ -461,56 +400,20 @@ mod tests {
         assert_ne!(fps[1], fps[2]);
         let miss = fps[0];
         let runner = FakeRunner::new(move |c| ok((c.region == miss) as i32, b"ran\n"));
-        let out = drive(&p, None, &runner, &quick(), 1, &[]).expect("run");
+        let out = drive(&p, None, &runner, &quick(), &[]).expect("run");
         let ran: Vec<u64> = runner.calls().iter().map(|c| c.region).collect();
         assert_eq!(ran, [fps[0], fps[2]], "the guarded region alone is skipped");
         assert_eq!(out.stdout, b"ran\nran\n");
         assert_eq!(out.status, 0, "status of the last step that ran");
-        // The same guard holds when steps may overlap.
-        let runner = FakeRunner::new(move |c| ok((c.region == miss) as i32, b"ran\n"));
-        drive(&p, None, &runner, &quick(), 4, &[]).expect("run");
-        let ran: Vec<u64> = runner.calls().iter().map(|c| c.region).collect();
-        assert_eq!(ran, [fps[0], fps[2]]);
     }
 
     #[test]
     fn stdin_goes_to_the_first_reader_and_no_later_one() {
         let p = plan("cat in.txt > a.txt\ntr a-z A-Z\ntr A-Z a-z", 1);
         let runner = FakeRunner::new(|_| ok(0, b""));
-        drive(&p, None, &runner, &quick(), 1, b"the feed\n").expect("run");
+        drive(&p, None, &runner, &quick(), b"the feed\n").expect("run");
         let feeds: Vec<Vec<u8>> = runner.calls().into_iter().map(|c| c.feed).collect();
         assert_eq!(feeds, [&b""[..], b"the feed\n", b""]);
-    }
-
-    #[test]
-    fn a_wave_applies_outputs_and_status_in_step_order() {
-        let p = plan("grep a in.txt > a.txt\ngrep -c b in.txt > b.txt", 1);
-        let fps = regions(&p);
-        assert_eq!(p.parallel_waves(), [[0, 1]], "one wave of two regions");
-        // The first region returns only after the second has: the two
-        // must overlap, and finishing order must not become output
-        // order.
-        let (done, wait) = mpsc::channel();
-        let (done, wait) = (Mutex::new(done), Mutex::new(wait));
-        let first = fps[0];
-        let runner = FakeRunner::new(move |c| {
-            if c.region == first {
-                wait.lock()
-                    .expect("receiver")
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("the second region ran while the first was in flight");
-                ok(0, b"first\n")
-            } else {
-                done.lock().expect("sender").send(()).expect("send");
-                ok(1, b"second\n")
-            }
-        });
-        let out = drive(&p, None, &runner, &quick(), 4, &[]).expect("run");
-        assert_eq!(out.stdout, b"first\nsecond\n");
-        assert_eq!(
-            out.status, 1,
-            "the status of the last step, not the last finisher"
-        );
     }
 
     #[test]
@@ -518,7 +421,7 @@ mod tests {
         let p = plan("cat in.txt | sort > a.txt\ncat a.txt", 2);
         let fb = plan("cat in.txt | sort > a.txt\ncat a.txt", 1);
         let runner = FakeRunner::new(|_| Err(fatal()));
-        let err = drive(&p, Some(&fb), &runner, &quick(), 1, &[]).expect_err("fatal");
+        let err = drive(&p, Some(&fb), &runner, &quick(), &[]).expect_err("fatal");
         assert!(err.to_string().contains("no such file"), "{err}");
         assert_eq!(
             runner.calls().len(),

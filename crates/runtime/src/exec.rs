@@ -80,11 +80,6 @@ pub struct ExecConfig {
     /// the line between the two schedules: a region whose whole input
     /// is at most this many bytes runs to completion on one thread.
     pub pipe_capacity: usize,
-    /// Maximum number of independent regions in flight at once. The
-    /// default of 1 executes steps strictly in plan order; larger
-    /// values let non-conflicting regions overlap (see
-    /// [`crate::drive::drive`]).
-    pub max_inflight: usize,
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
@@ -99,7 +94,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             pipe_capacity: DEFAULT_PIPE_CAPACITY,
-            max_inflight: 1,
             supervisor: SupervisorSettings::default(),
             profile: None,
         }
@@ -752,19 +746,10 @@ impl RegionRunner for ThreadsRunner<'_> {
 /// effect into the compile-time environment and lowering marked them
 /// `data_noop`. Anything else is an error — the hermetic executor
 /// does not run arbitrary shell.
+///
+/// `fallback` is the same program compiled at width 1, the
+/// supervisor's sequential fallback (see [`drive`] for the contract).
 pub fn run_program(
-    plan: &ExecutionPlan,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-    stdin: &[u8],
-    cfg: &ExecConfig,
-) -> io::Result<ProgramOutput> {
-    run_program_with_fallback(plan, None, registry, fs, stdin, cfg)
-}
-
-/// [`run_program`] with an optional sequential fallback plan — the
-/// same program compiled at width 1 (see [`drive`] for the contract).
-pub fn run_program_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     registry: &Registry,
@@ -777,14 +762,7 @@ pub fn run_program_with_fallback(
         fs: &fs,
         cfg,
     };
-    drive(
-        plan,
-        fallback,
-        &runner,
-        &cfg.supervisor,
-        cfg.max_inflight,
-        stdin,
-    )
+    drive(plan, fallback, &runner, &cfg.supervisor, stdin)
 }
 
 /// Compiles and runs a script against a filesystem; returns stdout.
@@ -807,18 +785,11 @@ pub fn run_script(
     // compiled when the supervisor could use it; compile_cached makes
     // repeat runs free.
     let fallback = if exec_cfg.supervisor.fallback && pash_cfg.width != 1 {
-        pash_core::compile::compile_cached(
-            src,
-            &PashConfig {
-                width: 1,
-                ..pash_cfg.clone()
-            },
-        )
-        .ok()
+        pash_core::compile::compile_cached(src, &pash_cfg.sequential()).ok()
     } else {
         None
     };
-    run_program_with_fallback(
+    run_program(
         &compiled.plan,
         fallback.as_deref().map(|c| &c.plan),
         registry,
@@ -1211,59 +1182,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_regions_match_sequential() {
-        // Two independent file-to-file pipelines form one wave; with
-        // max_inflight > 1 they run concurrently, same results.
-        let src = "grep apple in.txt > a.txt\ngrep -c an in.txt > b.txt";
-        let cfg = PashConfig {
-            width: 2,
-            ..Default::default()
-        };
-        let mut runs = Vec::new();
-        for max_inflight in [1usize, 4] {
-            let (reg, fs) = fixture();
-            let out = run_script(
-                src,
-                &cfg,
-                &reg,
-                fs.clone(),
-                Vec::new(),
-                &ExecConfig {
-                    max_inflight,
-                    ..Default::default()
-                },
-            )
-            .expect("run");
-            runs.push((
-                out.status,
-                fs.read("a.txt").expect("a.txt"),
-                fs.read("b.txt").expect("b.txt"),
-            ));
-        }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0].1, b"apple\napple\n");
-    }
-
-    #[test]
-    fn guard_still_sequences_under_inflight() {
-        // `&&` after a miss must skip even when waves overlap.
-        let (reg, fs) = fixture();
-        let out = run_script(
-            "grep zzz in.txt > miss.txt && cat in.txt",
-            &PashConfig::default(),
-            &reg,
-            fs,
-            Vec::new(),
-            &ExecConfig {
-                max_inflight: 8,
-                ..Default::default()
-            },
-        )
-        .expect("run");
-        assert!(out.stdout.is_empty());
-        assert_eq!(out.status, 1);
-    }
     /// Runs `src` at `width` over `fs` and returns the output.
     fn run_on(
         src: &str,
@@ -1450,12 +1368,9 @@ mod tests {
     }
 
     #[test]
-    fn wave_of_small_regions_runs_to_completion() {
+    fn four_small_regions_run_to_completion() {
         let (_, fs) = fixture();
-        let ecfg = ExecConfig {
-            max_inflight: 4,
-            ..Default::default()
-        };
+        let ecfg = ExecConfig::default();
         let src = "grep apple in.txt > a.txt\ngrep -c an in.txt > b.txt\n\
                    tr a-z A-Z < in.txt > c.txt\nsort in.txt > d.txt";
         let out = run_on(src, 2, &fs, b"", &ecfg);

@@ -7,8 +7,9 @@
 //! * [`agg`] — the aggregator library (`sort -m`, `uniq`, `uniq -c`,
 //!   `wc`, `tac`, counts, and the custom bigram aggregator), fed by
 //!   the batched [`scan::LineScanner`];
-//! * [`drive`] — the one program driver: step semantics, waves, and
-//!   one [`supervise`] ladder per region, over a `RegionRunner`;
+//! * [`drive`] — the one program driver: steps in plan order, one at a
+//!   time, and one [`supervise`] ladder per region, over a
+//!   `RegionRunner`;
 //! * [`exec`] / [`proc`] / [`remote`] — the three region runners: in
 //!   process (the `threads` backend: a thread per node, or node by
 //!   node on one thread when the region's input fits one pipe
@@ -66,9 +67,7 @@ pub mod supervise;
 pub mod wire;
 
 pub use drive::{drive, RegionRunner};
-pub use exec::{
-    run_program, run_program_with_fallback, run_script, ExecConfig, ProgramOutput, RegionOutput,
-};
+pub use exec::{run_program, run_script, ExecConfig, ProgramOutput, RegionOutput};
 pub use fault::{ExecError, FaultClass, FaultKind, FaultPlan, INFRA_STATUS};
 pub use pipe::{
     pipe, pipe_monitored, MultiReader, PipeMonitor, PipeReader, PipeWriter, DEFAULT_PIPE_CAPACITY,

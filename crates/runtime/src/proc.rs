@@ -77,9 +77,6 @@ pub struct ProcSettings {
     /// `pash-rt` override (default: `$PASH_RT`, else a sibling of the
     /// current executable).
     pub pash_rt: Option<PathBuf>,
-    /// Maximum independent regions in flight at once (0 or 1 =
-    /// strictly sequential steps; see [`crate::drive::drive`]).
-    pub max_inflight: usize,
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
@@ -202,34 +199,18 @@ impl RegionRunner for ProcessRunner<'_> {
     }
 }
 
-/// Executes a whole plan as process trees, step by step.
+/// Executes a whole plan as process trees, step by step. `fallback`
+/// is the same program at width 1, for the supervisor's
+/// graceful-degradation path (see [`drive`] for the contract).
 pub fn run_plan(
-    plan: &ExecutionPlan,
-    settings: &ProcSettings,
-    root: &Path,
-    stdin: &[u8],
-) -> io::Result<ProgramOutput> {
-    run_plan_with_fallback(plan, None, settings, root, stdin)
-}
-
-/// [`run_plan`] with an optional width-1 fallback plan for the
-/// supervisor's graceful-degradation path (see [`drive`] for the
-/// contract).
-pub fn run_plan_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
     settings: &ProcSettings,
     root: &Path,
     stdin: &[u8],
 ) -> io::Result<ProgramOutput> {
-    drive(
-        plan,
-        fallback,
-        &ProcessRunner::new(settings, root)?,
-        &settings.supervisor,
-        settings.max_inflight,
-        stdin,
-    )
+    let runner = ProcessRunner::new(settings, root)?;
+    drive(plan, fallback, &runner, &settings.supervisor, stdin)
 }
 
 /// The name a plan edge gets when it appears in a child's argv.
@@ -313,29 +294,29 @@ fn run_region_attempt(
     result
 }
 
-/// Waits for one child, polling so an optional region deadline can
-/// interrupt the wait. Expiry reports a transient `TimedOut` error —
-/// the caller's error path SIGKILLs the whole region.
+/// Waits for one child. With no deadline it blocks until the child
+/// exits; with one it polls, so the deadline can interrupt the wait.
+/// Expiry reports a transient `TimedOut` error — the caller's error
+/// path SIGKILLs the whole region.
 fn wait_deadline(
     child: &mut Child,
     id: PlanNodeId,
     deadline: Option<Instant>,
 ) -> Result<i32, ExecError> {
+    let wait_err = |e| ExecError::classify("wait", e).at_node(id);
+    let Some(dl) = deadline else {
+        return child.wait().map(exit_code).map_err(wait_err);
+    };
     loop {
-        if let Some(st) = child
-            .try_wait()
-            .map_err(|e| ExecError::classify("wait", e).at_node(id))?
-        {
+        if let Some(st) = child.try_wait().map_err(wait_err)? {
             return Ok(exit_code(st));
         }
-        if let Some(dl) = deadline {
-            if Instant::now() >= dl {
-                return Err(ExecError::transient(
-                    "region deadline",
-                    io::Error::new(io::ErrorKind::TimedOut, "region deadline exceeded"),
-                )
-                .at_node(id));
-            }
+        if Instant::now() >= dl {
+            return Err(ExecError::transient(
+                "region deadline",
+                io::Error::new(io::ErrorKind::TimedOut, "region deadline exceeded"),
+            )
+            .at_node(id));
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -529,8 +510,8 @@ fn spawn_and_reap<'scope, 'env>(
     }
 
     // Wait on the region's output producers, in node order — the
-    // emitted script's `wait $pash_out_pids`. Polling waits so a
-    // region deadline can interrupt (the error path SIGKILLs).
+    // emitted script's `wait $pash_out_pids`. A region deadline can
+    // interrupt these waits (the error path SIGKILLs).
     let mut waited = vec![false; children.len()];
     let mut producer_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
     for (id, node) in r.nodes.iter().enumerate() {
@@ -707,7 +688,7 @@ mod tests {
             },
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, stdin).expect("run");
+        let out = run_plan(&compiled.plan, None, &cfg, &root, stdin).expect("run");
         Some((out, root))
     }
 
@@ -726,7 +707,7 @@ mod tests {
             },
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
+        let out = run_plan(&compiled.plan, None, &cfg, &root, &[]).expect("run");
         assert_eq!(out.status, 0);
         assert_eq!(store.regions(), 1);
         let r = compiled.plan.regions().next().expect("region");
@@ -837,7 +818,7 @@ mod tests {
         assert_eq!(segments, 4, "the copies read file segments");
 
         let started = Instant::now();
-        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
+        let out = run_plan(&compiled.plan, None, &cfg, &root, &[]).expect("run");
         assert!(
             started.elapsed() < KILL_GRACE,
             "teardown waited out the kill grace: {:?}",
@@ -850,6 +831,7 @@ mod tests {
         mem.add("in.txt", corpus);
         let threads = crate::exec::run_program(
             &compiled.plan,
+            None,
             &pash_coreutils::Registry::standard(),
             Arc::new(mem),
             &[],
@@ -917,7 +899,7 @@ mod tests {
                 &PashConfig::round_robin(width),
             )
             .expect("compile");
-            let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
+            let out = run_plan(&compiled.plan, None, &cfg, &root, &[]).expect("run");
             assert_eq!(out.status, 0, "width {width}");
             let got = std::fs::read(root.join("out.txt")).expect("out.txt");
             let want: Vec<u8> = (0..500)
@@ -940,42 +922,10 @@ mod tests {
             &PashConfig::round_robin(4),
         )
         .expect("compile");
-        let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
+        let out = run_plan(&compiled.plan, None, &cfg, &root, &[]).expect("run");
         assert!(out.stdout.is_empty(), "guard must skip the cat region");
         assert_eq!(out.status, 1);
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn parallel_waves_match_sequential() {
-        let Some(cfg) = located() else { return };
-        let input = b"apple pie\nbanana split\nanother apple\n";
-        let src = "grep apple in.txt > a.txt\ngrep -c an in.txt > b.txt";
-        let mut runs = Vec::new();
-        for max_inflight in [1usize, 4] {
-            let cfg = ProcSettings {
-                max_inflight,
-                ..cfg.clone()
-            };
-            let root = scratch_with(&[("in.txt", input)]);
-            let compiled = compile(
-                src,
-                &PashConfig {
-                    width: 2,
-                    ..Default::default()
-                },
-            )
-            .expect("compile");
-            let out = run_plan(&compiled.plan, &cfg, &root, &[]).expect("run");
-            runs.push((
-                out.status,
-                std::fs::read(root.join("a.txt")).expect("a.txt"),
-                std::fs::read(root.join("b.txt")).expect("b.txt"),
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-        }
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0].1, b"apple pie\nanother apple\n");
     }
 
     #[test]

@@ -773,14 +773,7 @@ pub fn run_program_remote(
             cfg,
         },
     };
-    drive(
-        plan,
-        fallback,
-        &runner,
-        &cfg.supervisor,
-        cfg.max_inflight,
-        stdin,
-    )
+    drive(plan, fallback, &runner, &cfg.supervisor, stdin)
 }
 
 #[cfg(test)]
@@ -854,6 +847,7 @@ mod tests {
         let snap: Arc<dyn Fs> = Arc::new(fs.snapshot());
         let out = crate::exec::run_program(
             &seq,
+            None,
             &Registry::standard(),
             snap.clone(),
             &[],

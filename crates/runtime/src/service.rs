@@ -11,9 +11,8 @@
 //!   stdout/status (plus written files) the other; `Execute` carries
 //!   one region attempt to a `pash-worker` and [`Response::Region`]
 //!   its outcome back ([`crate::remote`]);
-//! * [`Semaphore`] — the `max_concurrent_runs` admission gate (the
-//!   service-level analogue of the process backend's `max_inflight`
-//!   region throttle);
+//! * [`Semaphore`] — the `max_concurrent_runs` admission gate: how
+//!   many runs, each one region at a time, execute at once;
 //! * [`ServiceMetrics`] — compile hit/miss counters, queue depth, a
 //!   request-latency histogram, requests served, and the supervisor's
 //!   recovery counters, queryable over the socket;
@@ -363,10 +362,10 @@ impl Client {
 
 /// A counting semaphore: the `max_concurrent_runs` admission gate.
 ///
-/// The execution backends already bound *intra-run* parallelism with
-/// `max_inflight` (regions per wave); this is the same idea one level
-/// up — runs admitted concurrently — so a burst of requests queues at
-/// the door instead of oversubscribing the machine.
+/// Within a run, one region executes at a time (steps run in plan
+/// order); this bounds how many runs are admitted at once, so a burst
+/// of requests queues at the door instead of oversubscribing the
+/// machine.
 pub struct Semaphore {
     permits: Mutex<usize>,
     cv: Condvar,

@@ -24,9 +24,7 @@
 
 use std::collections::HashMap;
 
-use pash_core::plan::{
-    EndpointKind, ExecutionPlan, PlanNode, PlanOp, PlanStep, RegionPlan, SplitMode,
-};
+use pash_core::plan::{EndpointKind, ExecutionPlan, PlanNode, PlanOp, RegionPlan, SplitMode};
 
 use crate::cost::{CostModel, Discipline, Profile, Resource};
 
@@ -57,10 +55,6 @@ pub struct SimConfig {
     /// means uniform. The round-robin split always deals uniformly —
     /// that balance is its point.
     pub split_shares: Option<Vec<f64>>,
-    /// How many independent plan regions may run concurrently
-    /// (parallel pipelines). 1 reproduces strictly sequential
-    /// region-at-a-time execution.
-    pub max_inflight: usize,
 }
 
 impl Default for SimConfig {
@@ -76,7 +70,6 @@ impl Default for SimConfig {
             tick: 0.004,
             max_time: 40_000.0,
             split_shares: None,
-            max_inflight: 1,
         }
     }
 }
@@ -669,10 +662,10 @@ fn propagate_closures(r: &RegionPlan, nodes: &mut [NodeState], edges: &mut [Edge
     }
 }
 
-/// Simulates a whole lowered program. Independent regions in the
-/// same wave overlap up to `cfg.max_inflight` at a time (parallel
-/// pipelines): a batch costs its *slowest* member, not the sum.
-/// `max_inflight == 1` reproduces strictly sequential execution.
+/// Simulates a whole lowered program. Regions run one after another
+/// in plan order, as every executing backend runs them, so the
+/// program costs the sum of its regions; `Shell` and `Guard` steps
+/// cost nothing.
 pub fn simulate_program(
     plan: &ExecutionPlan,
     sizes: &InputSizes,
@@ -680,34 +673,18 @@ pub fn simulate_program(
     cm: &CostModel,
     cfg: &SimConfig,
 ) -> SimReport {
-    let mut total = 0.0;
-    let mut processes = 0;
-    let mut output_bytes = 0.0;
-    let inflight = cfg.max_inflight.max(1);
-    for wave in plan.parallel_waves() {
-        for batch in wave.chunks(inflight) {
-            let mut batch_seconds = 0.0f64;
-            for &idx in batch {
-                match &plan.steps[idx] {
-                    PlanStep::Region(r) => {
-                        let report = simulate_region(r, sizes, stdin_bytes, cm, cfg);
-                        batch_seconds = batch_seconds.max(report.seconds);
-                        processes += report.processes;
-                        output_bytes += report.output_bytes;
-                    }
-                    PlanStep::Shell { .. } | PlanStep::Guard(_) => {
-                        // Assignments/barriers: negligible.
-                    }
-                }
-            }
-            total += batch_seconds;
-        }
+    let mut total = SimReport {
+        seconds: 0.0,
+        processes: 0,
+        output_bytes: 0.0,
+    };
+    for r in plan.regions() {
+        let report = simulate_region(r, sizes, stdin_bytes, cm, cfg);
+        total.seconds += report.seconds;
+        total.processes += report.processes;
+        total.output_bytes += report.output_bytes;
     }
-    SimReport {
-        seconds: total,
-        processes,
-        output_bytes,
-    }
+    total
 }
 
 #[cfg(test)]
@@ -947,39 +924,6 @@ mod tests {
         assert!(
             skewed > uniform * 1.3,
             "skewed shares {skewed:.1}s should lag uniform {uniform:.1}s"
-        );
-    }
-
-    #[test]
-    fn inflight_overlaps_independent_regions() {
-        let src = "grep '(a|b|c|d|e)+(f|g|h)*(ij|kl)+xyz' a.txt > o1.txt\n\
-                   grep '(a|b|c|d|e)+(f|g|h)*(ij|kl)+xyz' b.txt > o2.txt";
-        let cfg = PashConfig {
-            width: 2,
-            ..Default::default()
-        };
-        let compiled = compile(src, &cfg).expect("compile");
-        let file_sizes: InputSizes = [("a.txt".to_string(), 50e6), ("b.txt".to_string(), 50e6)]
-            .into_iter()
-            .collect();
-        let run = |inflight: usize| {
-            simulate_program(
-                &compiled.plan,
-                &file_sizes,
-                0.0,
-                &CostModel::default(),
-                &SimConfig {
-                    max_inflight: inflight,
-                    ..Default::default()
-                },
-            )
-            .seconds
-        };
-        let sequential = run(1);
-        let overlapped = run(2);
-        assert!(
-            overlapped < sequential * 0.7,
-            "inflight=2 {overlapped:.1}s should overlap inflight=1 {sequential:.1}s"
         );
     }
 

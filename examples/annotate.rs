@@ -51,6 +51,7 @@ fn main() {
     for compiled in [&conservative, &parallel] {
         run_program(
             &compiled.plan,
+            None,
             &registry,
             fs.clone(),
             &[],

@@ -56,6 +56,7 @@ fn main() {
         );
         run_program(
             &compiled.plan,
+            None,
             &registry,
             fs.clone(),
             &[],

@@ -87,8 +87,8 @@ use crate::core::compile::{compile_cached, Compiled, PashConfig};
 use crate::core::plan::ExecutionPlan;
 use crate::coreutils::fs::{Fs, MemFs};
 use crate::coreutils::Registry;
-use crate::runtime::exec::{run_program_with_fallback, ExecConfig, ProgramOutput};
-use crate::runtime::proc::run_plan_with_fallback;
+use crate::runtime::exec::{run_program, ExecConfig, ProgramOutput};
+use crate::runtime::proc::run_plan;
 pub use crate::runtime::proc::ProcSettings;
 use crate::runtime::remote::{run_program_remote, WorkerPool};
 
@@ -218,17 +218,7 @@ impl RunHandle {
     pub fn compile(src: &str, cfg: &PashConfig, fallback: bool) -> Result<RunHandle, RunError> {
         let compiled = compile_cached(src, cfg).map_err(RunError::Compile)?;
         let seq_fallback = if fallback && cfg.width != 1 {
-            // The fallback must be truly sequential: clear any
-            // per-region shapes along with the global width.
-            compile_cached(
-                src,
-                &PashConfig {
-                    width: 1,
-                    per_region: Vec::new(),
-                    ..cfg.clone()
-                },
-            )
-            .ok()
+            compile_cached(src, &cfg.sequential()).ok()
         } else {
             None
         };
@@ -274,9 +264,7 @@ impl RunHandle {
         let fs = || env.fs.clone() as Arc<dyn Fs>;
         let executed = match backend {
             "shell" => return Ok(BackendOutput::Script(emit_program(plan, &env.emit))),
-            "threads" => {
-                run_program_with_fallback(plan, fallback, &env.registry, fs(), stdin, &env.exec)
-            }
+            "threads" => run_program(plan, fallback, &env.registry, fs(), stdin, &env.exec),
             "processes" => run_processes(plan, fallback, env, stdin),
             "remote" => {
                 if env.workers.is_empty() {
@@ -347,7 +335,7 @@ fn run_processes(
             (dir, Some(manifest))
         }
     };
-    let mut result = run_plan_with_fallback(plan, fallback, &env.proc, &root, stdin);
+    let mut result = run_plan(plan, fallback, &env.proc, &root, stdin);
     if let Some(manifest) = ephemeral {
         if result.is_ok() {
             if let Err(e) = read_back_fs(&env.fs, &root, &manifest) {

@@ -16,7 +16,7 @@
 //! Both split strategies are exercised: the input-aware segment split
 //! (`ParBSplit`) and the order-aware round-robin split (`r_split`,
 //! tagged blocks restored by `pash-agg-reorder`), each at several
-//! widths, plus concurrent independent regions (`max_inflight`).
+//! widths.
 //!
 //! The `threads` backend has two schedules for a region — run to
 //! completion on one thread when the whole input fits one pipe buffer,
@@ -52,10 +52,6 @@ struct Setup<'a> {
     cfg: PashConfig,
     /// Bytes fed to the program's stdin.
     stdin: &'a [u8],
-    /// `max_inflight` for the `threads` and `processes` executors
-    /// (the shell backend's emitted script stays sequential — that
-    /// asymmetry is exactly what the comparison checks).
-    inflight: usize,
 }
 
 impl<'a> Setup<'a> {
@@ -63,7 +59,6 @@ impl<'a> Setup<'a> {
         Setup {
             cfg: PashConfig::best(width),
             stdin: b"",
-            inflight: 1,
         }
     }
 
@@ -71,7 +66,6 @@ impl<'a> Setup<'a> {
         Setup {
             cfg: PashConfig::round_robin(width),
             stdin: b"",
-            inflight: 1,
         }
     }
 }
@@ -110,7 +104,6 @@ fn observe_threads(
         stdin: setup.stdin.to_vec(),
         ..Default::default()
     };
-    env.exec.max_inflight = setup.inflight;
     env.exec.pipe_capacity = pipe_capacity;
     let observed = match run(script, cfg, "threads", &env) {
         Ok(BackendOutput::Execution(o)) => Observed {
@@ -140,7 +133,6 @@ fn observe_processes(
             root: None,
             pashc: Some(bins.0.clone()),
             pash_rt: Some(bins.1.clone()),
-            max_inflight: setup.inflight,
             ..Default::default()
         },
         ..Default::default()
@@ -204,13 +196,12 @@ fn observe_remote(
     setup: &Setup,
     workers: &RemoteWorkers,
 ) -> Observed {
-    let mut env = RunEnv {
+    let env = RunEnv {
         fs,
         stdin: setup.stdin.to_vec(),
         workers: workers.sockets.clone(),
         ..Default::default()
     };
-    env.exec.max_inflight = setup.inflight;
     match run(script, &setup.cfg, "remote", &env) {
         Ok(BackendOutput::Execution(o)) => Observed {
             stdout: o.stdout,
@@ -323,11 +314,7 @@ fn assert_backends_agree(
     bins: &(PathBuf, PathBuf),
 ) {
     let width = setup.cfg.width;
-    let seq_cfg = PashConfig {
-        width: 1,
-        per_region: Vec::new(),
-        ..setup.cfg.clone()
-    };
+    let seq_cfg = setup.cfg.sequential();
     // Width 1 run to completion is the reference that pins the data;
     // the other three `threads` runs — the status fold makes the
     // parallel status the sequential verdict too, independent of width
@@ -637,7 +624,6 @@ fn stdin_fed_pipelines_finish_under_a_watchdog() {
         let setup = |width| Setup {
             cfg: PashConfig::best(width),
             stdin: &stdin[..],
-            inflight: 1,
         };
         let seq = setup(1);
         let expected = observe_threads(script, make_fs(), &seq, &seq.cfg, 64 * 1024);
@@ -717,7 +703,6 @@ fn an_early_hang_up_on_stdin_finishes_under_a_watchdog() {
     let setup = |width| Setup {
         cfg: PashConfig::best(width),
         stdin: &stdin[..],
-        inflight: 1,
     };
     let seq = setup(1);
     let expected = observe_threads(SCRIPT, make_fs(), &seq, &seq.cfg, 64 * 1024);
@@ -825,7 +810,7 @@ fn observe_schedule(
         },
         regions: Mutex::new(Vec::new()),
     };
-    let out = drive(&compiled.plan, None, &recording, &exec.supervisor, 1, &[])
+    let out = drive(&compiled.plan, None, &recording, &exec.supervisor, &[])
         .unwrap_or_else(|e| panic!("threads failed: {e}\nscript: {script}"));
     let counters = &exec.supervisor.counters;
     if pipe_capacity == RUN_TO_COMPLETION {
@@ -1039,7 +1024,6 @@ fn optimizer_choice_is_byte_identical_to_sequential() {
             let setup = Setup {
                 cfg: opt.config.clone(),
                 stdin: b"",
-                inflight: 1,
             };
             assert_backends_agree(
                 &format!("optimizer[{i}]-wide={favor_wide}-w{}", opt.chosen_width()),
@@ -1094,6 +1078,13 @@ fn statuses_and_guards_agree_across_backends() {
             "guard-and-skipped",
             "grep zzz in.txt > miss.txt && cat in.txt > out.txt",
         ),
+        // The second step reads `a.txt` by a name it learns at run
+        // time, which no plan edge shows: only program order keeps it
+        // behind the step that writes the file.
+        (
+            "read-back-by-name",
+            "grep the in.txt > a.txt\necho a.txt | xargs cat | wc -l > out.txt",
+        ),
     ] {
         for setup in [Setup::split(1), Setup::split(4), Setup::round_robin(4)] {
             assert_backends_agree(
@@ -1105,81 +1096,6 @@ fn statuses_and_guards_agree_across_backends() {
             );
         }
     }
-}
-
-#[test]
-fn parallel_regions_agree_across_backends() {
-    // Independent regions overlap under `max_inflight > 1`; results
-    // must match the strictly sequential plan and the (sequential)
-    // emitted script.
-    let Some(bins) = harness() else {
-        eprintln!("skipping: no /bin/sh or binaries unavailable");
-        return;
-    };
-    let make_fs = || {
-        cached_fs("differential/inflight/basic".to_string(), |fs| {
-            fs.add(
-                "in.txt",
-                b"the quick brown fox\njumps over the lazy dog\nthe end\n".to_vec(),
-            );
-        })
-    };
-    let script = "grep the in.txt > a.txt\ngrep -c o in.txt > b.txt\ngrep lazy in.txt > out.txt";
-    for inflight in [1usize, 4] {
-        for mut setup in [Setup::split(2), Setup::round_robin(2)] {
-            setup.inflight = inflight;
-            assert_backends_agree(
-                &format!("inflight-{inflight}"),
-                script,
-                &make_fs,
-                &setup,
-                &bins,
-            );
-        }
-    }
-}
-
-#[test]
-fn remote_parallel_regions_match_sequential() {
-    // Two independent file-to-file regions form one wave: shipped two
-    // at a time to two localhost workers they must leave what the
-    // strictly sequential run leaves.
-    let workers = RemoteWorkers::spawn(2);
-    let script = "grep the in.txt > a.txt\ngrep -c o in.txt > b.txt";
-    let mut runs = Vec::new();
-    for max_inflight in [1usize, 4] {
-        let mut env = RunEnv {
-            workers: workers.sockets.clone(),
-            ..Default::default()
-        };
-        env.exec.max_inflight = max_inflight;
-        env.fs_mem().add(
-            "in.txt",
-            b"the quick brown fox\njumps over the lazy dog\nthe end\n".to_vec(),
-        );
-        let out = match run(script, &PashConfig::best(2), "remote", &env) {
-            Ok(BackendOutput::Execution(o)) => o,
-            other => panic!("remote produced {other:?}"),
-        };
-        let counters = &env.exec.supervisor.counters;
-        assert_eq!(
-            counters.retries() + counters.local_fallbacks(),
-            0,
-            "both regions ran on the workers"
-        );
-        runs.push((
-            out.status,
-            out.stdout,
-            env.fs_mem().read("a.txt").expect("a.txt"),
-            env.fs_mem().read("b.txt").expect("b.txt"),
-        ));
-    }
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(
-        runs[0].2,
-        b"the quick brown fox\njumps over the lazy dog\nthe end\n"
-    );
-    assert_eq!(runs[0].3, b"2\n");
 }
 
 #[test]

@@ -141,11 +141,16 @@ fn spawn_server(bin: &Path, socket: PathBuf, extra_args: &[&str]) -> DaemonProc 
         .args(extra_args)
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    let child = cmd.spawn().expect("spawn the server");
+    // Owned by its `DaemonProc` from the start: a server that never
+    // comes up is killed and reaped when the panic below unwinds.
+    let daemon = DaemonProc {
+        child: cmd.spawn().expect("spawn the server"),
+        socket,
+    };
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        if Client::connect(&socket).is_ok() {
-            return DaemonProc { child, socket };
+        if Client::connect(&daemon.socket).is_ok() {
+            return daemon;
         }
         assert!(Instant::now() < deadline, "{} never came up", bin.display());
         std::thread::sleep(Duration::from_millis(20));
