@@ -7,7 +7,7 @@
 #   1. release build of every workspace target (deny warnings), and
 #      of the benchmark harness under bench/ (its own workspace): it
 #      is frozen between benchmark PRs, so an API a PR moves out from
-#      under it must fail here, on every host, not only where step 11
+#      under it must fail here, on every host, not only where step 10
 #      can run (today it holds `fileseg::read_segment`, `run_relay`,
 #      `RelayMode`, `pipe` and `emit_program(&plan, &EmitConfig)` to
 #      their signatures; its `sim.*` rows hold the simulator symbols
@@ -51,15 +51,11 @@
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
 #      and take its socket with it;
-#  10. adaptive-parallelism gate: the optimizer replays the NLP corpus
-#      through the simulator under skew and must beat the worst fixed
-#      width while staying within noise of the best fixed width (every
-#      key looked for is in the checked-in BENCH_adaptive.json too);
-#  11. end-to-end benchmark check: `bench/run.sh --quick` runs all four
+#  10. end-to-end benchmark check: `bench/run.sh --quick` runs all four
 #      benchmark workloads once on every backend and through pashd, on
 #      small inputs, and compares every output byte for byte with the
 #      unmodified script under host /bin/sh + coreutils;
-#  12. rustfmt check.
+#  11. rustfmt check.
 set -eu
 
 cd "$(dirname "$0")"
@@ -82,7 +78,7 @@ require_keys() {
 }
 
 # The benchmark harness under bench/ is frozen, but building it (step 1
-# here, bench/run.sh in step 11) may rewrite its lock file: the
+# here, bench/run.sh in step 10) may rewrite its lock file: the
 # committed one is kept aside and put back after each build, pass or
 # fail.
 bench_lock=$(mktemp)
@@ -311,27 +307,6 @@ for sock in "$W1" "$W2"; do
     fi
 done
 trap - EXIT
-
-echo "==> adaptive parallelism gate (simulated NLP corpus under skew)"
-# Deterministic simulator replay: per-region profile-guided choices
-# must beat the worst global fixed (width, split) by >= 1.1x and stay
-# within 1.05x of the best global fixed configuration.
-./target/release/adaptive --out target/bench-smoke/BENCH_adaptive.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool target/bench-smoke/BENCH_adaptive.json >/dev/null
-else
-    grep -q '"bench":"adaptive"' target/bench-smoke/BENCH_adaptive.json
-fi
-vs_worst=$(sed -n 's/.*"adaptive_vs_worst_fixed_speedup":\([0-9.]*\).*/\1/p' \
-    target/bench-smoke/BENCH_adaptive.json)
-test -n "$vs_worst"
-awk "BEGIN { exit !($vs_worst >= 1.1) }"
-vs_best=$(sed -n 's/.*"adaptive_vs_best_fixed_ratio":\([0-9.]*\).*/\1/p' \
-    target/bench-smoke/BENCH_adaptive.json)
-test -n "$vs_best"
-awk "BEGIN { exit !($vs_best <= 1.05) }"
-require_keys BENCH_adaptive.json adaptive_vs_worst_fixed_speedup adaptive_vs_best_fixed_ratio
-echo "    adaptive vs worst fixed: ${vs_worst}x, vs best fixed: ${vs_best}"
 
 echo "==> benchmark quick check (4 workloads, every path once, vs host /bin/sh)"
 # The oracle is the host's shell and coreutils: without them there is

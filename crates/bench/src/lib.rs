@@ -6,7 +6,6 @@
 //! | `tab1` | Tab. 1: the parallelizability study of the command set |
 //! | `dataplane` | pipe, relay, split and segment rates, and the r_split gate (`BENCH_dataplane.json`) |
 //! | `regexbench` | the tiered matcher against the Pike VM (`BENCH_regex.json`) |
-//! | `adaptive` | the per-region optimizer against fixed configurations (`BENCH_adaptive.json`) |
 //! | `plandump` | prints a script's lowered plan and its fingerprint |
 //! | `backendrun` | runs a script on one backend over a generated corpus |
 //!

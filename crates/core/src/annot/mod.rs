@@ -180,12 +180,14 @@ fn split_options(
                     options.push(format!("-{c}"));
                 }
             }
-            if takes_value.iter().any(|t| t == a) {
+            // The option a following value belongs to: this one, or the
+            // last flag of a cluster (`-cm 3`).
+            let taker = options.last().expect("an option was just pushed");
+            if takes_value.contains(taker) && i + 1 < args.len() {
                 // The following token is this option's value.
-                if i + 1 < args.len() {
-                    options.push(format!("{a}={}", args[i + 1]));
-                    i += 1;
-                }
+                let value = format!("{taker}={}", args[i + 1]);
+                options.push(value);
+                i += 1;
             }
         } else {
             positional.push(a.clone());

@@ -26,8 +26,10 @@ cut takes -d -f -c {
     | _ => (S, [args[0:]], [stdout])
 }
 grep takes -e -m {
+    | -e /\ (-n \/ -m) => (N, [args[0:]], [stdout])
     | -e /\ -c => (P, [args[0:]], [stdout])
     | -e => (S, [args[0:]], [stdout])
+    | -n \/ -m => (N, [args[1:]], [stdout])
     | -c => (P, [args[1:]], [stdout])
     | _ => (S, [args[1:]], [stdout])
 }
@@ -388,6 +390,7 @@ pub fn map_for(argv: &[String]) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annot::InputSlot;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -419,6 +422,26 @@ mod tests {
         assert_eq!(class_of(&["grep", "x"]), Some(ParClass::Stateless));
         assert_eq!(class_of(&["grep", "-c", "x"]), Some(ParClass::Pure));
         assert_eq!(class_of(&["grep", "-iv", "999"]), Some(ParClass::Stateless));
+    }
+
+    #[test]
+    fn grep_line_numbers_and_caps_stay_sequential() {
+        // Line numbers restart in every segment, and `-m N` caps each
+        // segment (and each partial count) on its own.
+        let n = Some(ParClass::NonParallelizable);
+        assert_eq!(class_of(&["grep", "-n", "x"]), n);
+        assert_eq!(class_of(&["grep", "-m", "3", "x"]), n);
+        assert_eq!(class_of(&["grep", "-m3", "x"]), n);
+        assert_eq!(class_of(&["grep", "-vn", "x"]), n);
+        assert_eq!(class_of(&["grep", "-cm", "3", "x"]), n);
+        assert_eq!(class_of(&["grep", "-c", "-m", "3", "x"]), n);
+        assert_eq!(class_of(&["grep", "-n", "-e", "x"]), n);
+        // `3` is `-m`'s count, not the pattern: `x` is, and `f` is the
+        // one file read.
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["grep", "-cm", "3", "x", "f"]))
+            .expect("classified");
+        assert_eq!(c.inputs, vec![InputSlot::File("f".to_string())]);
     }
 
     #[test]

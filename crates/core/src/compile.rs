@@ -15,18 +15,6 @@ use crate::frontend::{translate, FrontendOptions};
 use crate::plan::{lower, ExecutionPlan};
 use crate::Error;
 
-/// A per-region parallelization shape: the two axes the adaptive
-/// optimizer chooses per data-flow region (eager policy and
-/// aggregation-tree shape stay global — they do not change the
-/// region's data semantics, only its buffering and merge fan-in).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionShape {
-    /// Parallelism width for this region.
-    pub width: usize,
-    /// Split policy for this region.
-    pub split: SplitPolicy,
-}
-
 /// Compiler configuration (one per PaSh invocation).
 #[derive(Debug, Clone)]
 pub struct PashConfig {
@@ -42,13 +30,6 @@ pub struct PashConfig {
     pub unroll_for: bool,
     /// Compile-time-known variables.
     pub env: StaticEnv,
-    /// Per-region overrides of `width`/`split`, indexed by region
-    /// position (the order `TranslatedProgram::regions_mut` yields,
-    /// which is also plan-step order). Regions beyond the vector's
-    /// length — and all regions when it is empty, the default — use
-    /// the global `width`/`split`. Filled in by the adaptive
-    /// optimizer; hand-set configs normally leave it empty.
-    pub per_region: Vec<RegionShape>,
 }
 
 impl Default for PashConfig {
@@ -60,7 +41,6 @@ impl Default for PashConfig {
             agg_tree: AggTreeShape::Binary,
             unroll_for: true,
             env: StaticEnv::new(),
-            per_region: Vec::new(),
         }
     }
 }
@@ -88,13 +68,11 @@ impl PashConfig {
         }
     }
 
-    /// This configuration at width 1 with no per-region shapes: the
-    /// same program, every region sequential. It compiles the
-    /// supervisor's width-1 fallback plan.
+    /// This configuration at width 1: the same program, every region
+    /// sequential. It compiles the supervisor's width-1 fallback plan.
     pub fn sequential(&self) -> Self {
         PashConfig {
             width: 1,
-            per_region: Vec::new(),
             ..self.clone()
         }
     }
@@ -111,10 +89,6 @@ impl PashConfig {
             // Both sides escaped: an unescaped name could smuggle the
             // `;env ` separator and collide two distinct configs.
             key.push_str(&format!(";env {name:?}={value:?}"));
-        }
-        // Appended only when present: a uniform config names no region.
-        for (i, shape) in self.per_region.iter().enumerate() {
-            key.push_str(&format!(";r{i}=w{}:{:?}", shape.width, shape.split));
         }
         key
     }
@@ -172,16 +146,15 @@ pub fn compile_with_library(
             unroll_for: cfg.unroll_for,
         },
     )?;
+    let tcfg = TransformConfig {
+        width: cfg.width,
+        split: cfg.split,
+        eager: cfg.eager,
+        agg_tree: cfg.agg_tree,
+    };
     let mut nodes = DfgStats::default();
     let mut regions = 0;
-    for (i, g) in tp.regions_mut().enumerate() {
-        let shape = cfg.per_region.get(i);
-        let tcfg = TransformConfig {
-            width: shape.map_or(cfg.width, |s| s.width),
-            split: shape.map_or(cfg.split, |s| s.split),
-            eager: cfg.eager,
-            agg_tree: cfg.agg_tree,
-        };
+    for g in tp.regions_mut() {
         parallelize(g, &tcfg);
         g.validate()?;
         nodes += g.stats();
@@ -284,13 +257,6 @@ fn cache() -> &'static Mutex<Lru<Arc<Compiled>>> {
     CACHE.get_or_init(|| Mutex::new(Lru::new(DEFAULT_CACHE_CAPACITY)))
 }
 
-/// Sets the [`compile_cached`] capacity (entries; clamped to ≥ 1).
-/// Shrinking below the current population evicts stalest-first on the
-/// next insert.
-pub fn set_cache_capacity(entries: usize) {
-    cache().lock().expect("compile cache lock").capacity = entries.max(1);
-}
-
 /// Current process-wide [`compile_cached`] hit/miss/eviction counters.
 pub fn cache_stats() -> CacheStats {
     CacheStats {
@@ -318,9 +284,8 @@ pub fn compile_cache_peek(src: &str, cfg: &PashConfig) -> Option<Arc<Compiled>> 
 }
 
 /// Compiles with the standard library, memoizing results by
-/// `(source, configuration)` in a bounded LRU (default
-/// [`DEFAULT_CACHE_CAPACITY`] entries; tune with
-/// [`set_cache_capacity`]).
+/// `(source, configuration)` in a bounded LRU of
+/// [`DEFAULT_CACHE_CAPACITY`] entries.
 ///
 /// Compilation is deterministic (see the CI plan-determinism smoke
 /// step), so a cache hit returns the *same* `Arc<Compiled>` — plan
@@ -403,38 +368,6 @@ mod tests {
         )
         .expect("compile");
         assert_eq!(out.stats.nodes.commands, 1);
-    }
-
-    #[test]
-    fn the_fallback_of_a_per_region_config_is_sequential() {
-        let src = "cat in.txt | tr A-Z a-z | sort > a.txt\ncat a.txt | grep x | wc -l";
-        let wide = RegionShape {
-            width: 4,
-            split: SplitPolicy::Sized,
-        };
-        let cfg = PashConfig {
-            width: 4,
-            per_region: vec![wide, wide],
-            ..Default::default()
-        };
-        let width_one = compile(
-            src,
-            &PashConfig {
-                width: 1,
-                ..Default::default()
-            },
-        )
-        .expect("compile")
-        .plan;
-        let fallback = compile(src, &cfg.sequential()).expect("compile").plan;
-        assert_eq!(fallback, width_one, "every region at width 1");
-        // Lowering the global width alone leaves the per-region shapes
-        // binding.
-        let narrowed = PashConfig {
-            width: 1,
-            ..cfg.clone()
-        };
-        assert_ne!(compile(src, &narrowed).expect("compile").plan, width_one);
     }
 
     #[test]

@@ -1104,6 +1104,16 @@ mod tests {
     }
 
     #[test]
+    fn region_fingerprint_is_local() {
+        let one = lowered("tr A-Z a-z < a.txt > b.txt", 2);
+        let two = lowered("tr A-Z a-z < a.txt > b.txt\necho done > s.txt", 2);
+        let f1 = first_region(&one).fingerprint();
+        let f2 = first_region(&two).fingerprint();
+        assert_eq!(f1, f2, "region fingerprint must ignore sibling steps");
+        assert_ne!(one.fingerprint(), two.fingerprint());
+    }
+
+    #[test]
     fn split_nodes_route_stdin_and_produce_pipes() {
         let plan = lowered_with(
             "cat in.txt | sort | grep x > out.txt",

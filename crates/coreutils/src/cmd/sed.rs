@@ -7,10 +7,12 @@
 //! * `y/SET1/SET2/` transliteration;
 //! * `[addr]d` deletion and `[addr]p` printing (with `-n`);
 //! * `q` quit;
-//! * addresses: line numbers, `$`, and `/RE/`.
+//! * addresses: line numbers and `/RE/`.
 //!
 //! Flags: `-n` (suppress auto-print), `-e SCRIPT` (multiple), `-E`
-//! (ERE).
+//! (ERE). A script outside this subset — the last-line address `$`
+//! among it, which needs a line of lookahead — is a usage error
+//! (status 2), never a run with other bytes than GNU's.
 
 use std::io;
 
@@ -31,7 +33,6 @@ enum Address {
     Line(u64),
     /// `N,M` inclusive line range.
     Range(u64, u64),
-    Last,
     Pattern(String),
 }
 
@@ -89,10 +90,12 @@ impl Command for Sed {
         let mut instructions = Vec::new();
         for s in &scripts {
             for part in split_script(s) {
-                instructions.push(
-                    parse_instruction(&part)
-                        .ok_or_else(|| invalid(format!("invalid sed script `{part}`")))?,
-                );
+                match parse_instruction(&part) {
+                    Some(inst) => instructions.push(inst),
+                    None => {
+                        return crate::usage_error(io, "sed", &format!("invalid script `{part}`"))
+                    }
+                }
             }
         }
         // Pre-compile matchers (tiered engines with per-instruction
@@ -234,7 +237,6 @@ fn addr_hits(
         None => true,
         Some(Address::Line(n)) => line_no == *n,
         Some(Address::Range(a, b)) => line_no >= *a && line_no <= *b,
-        Some(Address::Last) => false, // `$` unsupported w/o lookahead; see note.
         Some(Address::Pattern(_)) => m
             .as_mut()
             .map(|re| re.is_match(pattern_space))
@@ -320,9 +322,6 @@ fn parse_address(s: &str) -> (Option<Address>, &str) {
     let bytes = s.as_bytes();
     if bytes.is_empty() {
         return (None, s);
-    }
-    if bytes[0] == b'$' {
-        return (Some(Address::Last), &s[1..]);
     }
     if bytes[0].is_ascii_digit() {
         let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());

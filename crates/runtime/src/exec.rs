@@ -84,9 +84,10 @@ pub struct ExecConfig {
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
     /// When set, successful region attempts record per-node
-    /// bytes-in/bytes-out and busy-time here (the adaptive
-    /// optimizer's measurement plane; see [`crate::profile`]). `None`
-    /// (the default) skips all instrumentation.
+    /// bytes-in/bytes-out and busy-time here (the measured command
+    /// rates; nothing chooses a plan from them yet, see
+    /// [`crate::profile`]). `None` (the default) skips all
+    /// instrumentation.
     pub profile: Option<Arc<ProfileStore>>,
 }
 

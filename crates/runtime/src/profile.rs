@@ -1,9 +1,9 @@
 //! Per-region execution profiles and the persistent profile store.
 //!
-//! The adaptive optimizer (`pash_core::optimize`) prices candidate
-//! plan shapes through the simulator's rate model; this module is
-//! where those rates stop being priors. Both backends cheaply record
-//! per-node bytes-in / bytes-out and busy-time into a
+//! This is the measurement plane: what runs observed, per command,
+//! where the simulator's cost model otherwise has only priors. Nothing
+//! chooses a plan from it yet. Both backends cheaply record per-node
+//! bytes-in / bytes-out and busy-time into a
 //! [`RegionProfile`] (atomic counters, the
 //! [`crate::supervise::SupervisorCounters`] pattern), keyed by
 //! `(region fingerprint, node id)`. A [`ProfileStore`] decay-merges
@@ -378,8 +378,6 @@ impl Regions {
 pub struct ProfileStore {
     mem: Mutex<Regions>,
     dir: Option<PathBuf>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ProfileStore {
@@ -388,8 +386,6 @@ impl ProfileStore {
         ProfileStore {
             mem: Mutex::default(),
             dir: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -424,7 +420,6 @@ impl ProfileStore {
         Ok(ProfileStore {
             mem: Mutex::new(mem),
             dir: Some(dir.to_path_buf()),
-            ..ProfileStore::in_memory()
         })
     }
 
@@ -464,16 +459,6 @@ impl ProfileStore {
     /// than [`MAX_REGIONS`]).
     pub fn regions(&self) -> usize {
         lock(&self.mem).map.len()
-    }
-
-    /// Lookups that found measured data ([`Self::rates_for`]).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found none.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Folds one finished region attempt into the store: one lock, no
@@ -544,22 +529,6 @@ impl ProfileStore {
                 )
             })
             .collect()
-    }
-
-    /// The rate index restricted to `commands`, counting a store hit
-    /// when at least one requested command has measured data and a
-    /// miss otherwise. This is the daemon's per-request entry point —
-    /// the hit/miss counters are what `pashd` Metrics reports as
-    /// `profile_hits` / `profile_misses`.
-    pub fn rates_for(&self, commands: &[String]) -> MeasuredRates {
-        let mut all = self.rates();
-        all.retain(|k, _| commands.iter().any(|c| c == k));
-        if all.is_empty() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        all
     }
 }
 
@@ -632,19 +601,6 @@ mod tests {
         assert!((tr.out_ratio - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn rates_for_counts_hits_and_misses() {
-        let store = ProfileStore::in_memory();
-        assert!(store.rates_for(&["tr".to_string()]).is_empty());
-        assert_eq!((store.hits(), store.misses()), (0, 1));
-        let r = sample_region();
-        let p = RegionProfile::for_region(&r);
-        observe(&p, 1);
-        store.record(&p);
-        assert!(!store.rates_for(&["tr".to_string()]).is_empty());
-        assert_eq!((store.hits(), store.misses()), (1, 1));
-    }
-
     /// A one-node profile of a region nothing else shares.
     fn synthetic(fingerprint: u64, label: &str) -> RegionProfile {
         let p = RegionProfile {
@@ -681,8 +637,7 @@ mod tests {
         assert_eq!(warm.regions(), 1, "warm start must reload the profile");
         let rs = warm.region_stats(r.fingerprint()).expect("stats");
         assert!(rs.nodes.iter().any(|n| n.label == "tr" && n.weight > 0.0));
-        assert!(!warm.rates_for(&["tr".to_string()]).is_empty());
-        assert_eq!(warm.hits(), 1);
+        assert!(warm.rates().contains_key("tr"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -48,10 +48,10 @@ pub struct RunRequest {
     /// Backend selection name (`shell`, `threads`, `processes`,
     /// `remote`).
     pub backend: String,
-    /// Parallelism width; `0` asks the daemon to choose per region
-    /// from its measured profiles (adaptive).
+    /// Parallelism width, set by the caller for the whole run; `0` is
+    /// refused with [`Response::Error`].
     pub width: u32,
-    /// Split-node policy (ignored for adaptive requests).
+    /// Split-node policy for every region of the run.
     pub split: SplitPolicy,
     /// Bytes fed to the program's stdin.
     pub stdin: Vec<u8>,
@@ -479,21 +479,9 @@ pub struct ServiceMetrics {
     pub queue_depth: AtomicU64,
     /// Runs currently holding an admission permit (gauge).
     pub inflight: AtomicU64,
-    /// Runs that went through the profile-guided optimizer
-    /// (`width == 0` requests).
-    pub adaptive_runs: AtomicU64,
-    /// Profile-store lookups that found measured rates for at least
-    /// one of the script's commands (mirrors [`ProfileStore::hits`]).
-    pub profile_hits: AtomicU64,
-    /// Profile-store lookups that found nothing (cold priors used).
-    pub profile_misses: AtomicU64,
     /// Region shapes the profile store holds (gauge; bounded by
     /// [`crate::profile::MAX_REGIONS`]).
     pub profile_regions: AtomicU64,
-    /// Width the optimizer chose for the most recent adaptive run.
-    pub last_chosen_width: AtomicU64,
-    /// Split policy of that run, in the request codec's encoding.
-    pub last_chosen_split: AtomicU8,
     /// The recovery counters the daemon's
     /// [`crate::supervise::SupervisorSettings`] report into.
     pub supervisor: Arc<SupervisorCounters>,
@@ -519,12 +507,7 @@ impl ServiceMetrics {
             errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            adaptive_runs: AtomicU64::new(0),
-            profile_hits: AtomicU64::new(0),
-            profile_misses: AtomicU64::new(0),
             profile_regions: AtomicU64::new(0),
-            last_chosen_width: AtomicU64::new(0),
-            last_chosen_split: AtomicU8::new(0),
             supervisor,
             latency: LatencyHistogram::new(),
         }
@@ -535,32 +518,15 @@ impl ServiceMetrics {
         self.latency.record(us);
     }
 
-    /// Records the optimizer's decision for an adaptive run.
-    pub fn record_choice(&self, width: usize, split: SplitPolicy) {
-        self.adaptive_runs.fetch_add(1, Ordering::Relaxed);
-        self.last_chosen_width
-            .store(width as u64, Ordering::Relaxed);
-        self.last_chosen_split
-            .store(split_to_u8(split), Ordering::Relaxed);
-    }
-
     /// Renders the surface as a single-line JSON object.
     pub fn to_json(&self) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let split = match split_from_u8(self.last_chosen_split.load(Ordering::Relaxed)) {
-            Ok(SplitPolicy::Sized) => "sized",
-            Ok(SplitPolicy::RoundRobin) => "round-robin",
-            Ok(SplitPolicy::General) => "general",
-            Ok(SplitPolicy::Off) | Err(_) => "off",
-        };
         let sup = &self.supervisor;
         format!(
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
              \"compile_misses\":{},\"plan_commuted\":{},\"plan_splits_raw_rr\":{},\
              \"errors\":{},\
-             \"queue_depth\":{},\"inflight\":{},\"adaptive_runs\":{},\
-             \"profile_hits\":{},\"profile_misses\":{},\"profile_regions\":{},\
-             \"last_chosen_width\":{},\"last_chosen_split\":\"{}\",\
+             \"queue_depth\":{},\"inflight\":{},\"profile_regions\":{},\
              \"retries\":{},\"deadline_kills\":{},\"fallbacks\":{},\
              \"reroutes\":{},\"local_fallbacks\":{},\"injected\":{},\
              \"inline_regions\":{},\"threaded_regions\":{},\
@@ -575,12 +541,7 @@ impl ServiceMetrics {
             g(&self.errors),
             g(&self.queue_depth),
             g(&self.inflight),
-            g(&self.adaptive_runs),
-            g(&self.profile_hits),
-            g(&self.profile_misses),
             g(&self.profile_regions),
-            g(&self.last_chosen_width),
-            split,
             sup.retries(),
             sup.deadline_kills(),
             sup.fallbacks(),
@@ -1093,26 +1054,6 @@ mod tests {
         assert!(p50 <= p99);
         assert!(p99 >= 10_000);
         assert_eq!(h.max_us.load(Ordering::Relaxed), 10_000);
-    }
-
-    #[test]
-    fn chosen_split_reads_back_by_name() {
-        let m = ServiceMetrics::default();
-        assert!(m.to_json().contains("\"last_chosen_split\":\"off\""));
-        for (split, name) in [
-            (SplitPolicy::Sized, "sized"),
-            (SplitPolicy::RoundRobin, "round-robin"),
-            (SplitPolicy::General, "general"),
-            (SplitPolicy::Off, "off"),
-        ] {
-            m.record_choice(4, split);
-            let json = m.to_json();
-            assert!(
-                json.contains(&format!("\"last_chosen_split\":\"{name}\"")),
-                "{split:?}: {json}"
-            );
-        }
-        assert!(m.to_json().contains("\"adaptive_runs\":4"));
     }
 
     #[test]

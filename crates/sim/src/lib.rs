@@ -5,13 +5,11 @@
 //! back-pressure, blocking commands, eager buffering, early-exit
 //! cancellation and process startup costs.
 //!
-//! Its one job is to *price* plans, not to stand in for the clock:
-//! the adaptive optimizer (`pash_core::optimize`, through
-//! [`SimPricer`]) ranks candidate `(width, split)` shapes with it for
-//! `pashd`'s width-0 requests and the `adaptive` gate, and the
-//! `dataplane` gate compares the two splitters with it. Wall-clock
-//! time is measured by `bench/run.sh`, which also reports how far the
-//! simulator's prediction is from it (`sim.rel_err`).
+//! It *prices* plans; it does not stand in for the clock and chooses
+//! nothing at run time. The `dataplane` gate compares the two
+//! splitters with it, and `bench/run.sh`, which measures wall-clock
+//! time, reports how far the simulator's prediction is from it
+//! (`sim.rel_err`).
 //!
 //! Correctness is *not* simulated: the `pash-runtime` crate executes
 //! the same plans for real.
@@ -36,41 +34,3 @@ pub mod engine;
 
 pub use cost::{CostModel, Discipline, Profile, Resource};
 pub use engine::{simulate_program, simulate_region, InputSizes, SimConfig, SimReport};
-
-use pash_core::optimize::CandidatePricer;
-use pash_core::plan::RegionPlan;
-
-/// The simulator as a candidate pricer for the adaptive optimizer
-/// (`pash_core::optimize`): a region candidate's price is its
-/// simulated wall-clock seconds under this pricer's cost model and
-/// machine. Calibrate the [`CostModel`] with measured rates from the
-/// runtime's profile store to make the pricing profile-guided.
-#[derive(Debug, Clone)]
-pub struct SimPricer {
-    /// Command cost model (priors, optionally calibrated).
-    pub cost: CostModel,
-    /// Simulated machine.
-    pub sim: SimConfig,
-    /// Input file sizes in bytes, by path.
-    pub sizes: InputSizes,
-    /// Bytes arriving on the program's stdin.
-    pub stdin_bytes: f64,
-}
-
-impl SimPricer {
-    /// A pricer over the default 64-core machine.
-    pub fn new(cost: CostModel, sizes: InputSizes) -> SimPricer {
-        SimPricer {
-            cost,
-            sim: SimConfig::default(),
-            sizes,
-            stdin_bytes: 0.0,
-        }
-    }
-}
-
-impl CandidatePricer for SimPricer {
-    fn price_region(&self, r: &RegionPlan) -> f64 {
-        simulate_region(r, &self.sizes, self.stdin_bytes, &self.cost, &self.sim).seconds
-    }
-}

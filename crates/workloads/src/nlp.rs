@@ -5,10 +5,9 @@
 //! These pipelines are short `tr`/`sort`/`uniq`/`grep` compositions
 //! whose stages have wildly different costs: tokenization is
 //! stateless and scales with width, the `sort | uniq -c` tails are
-//! merge-bound, and the `grep` filters shrink the stream early. That
-//! mix is exactly where a per-region width/split choice diverges from
-//! any single global setting, which is why the adaptive-parallelism
-//! benchmarks use this family as their corpus.
+//! merge-bound, and the `grep` filters shrink the stream early. The
+//! differential and correctness suites run the family at several
+//! widths and both split policies.
 
 use pash_coreutils::fs::MemFs;
 

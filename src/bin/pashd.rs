@@ -6,11 +6,13 @@
 //! ```
 //!
 //! Listens on a Unix-domain socket for length-prefixed requests
-//! (script + config + backend + stdin bytes), compiles through the
-//! in-memory plan cache, runs on the requested backend, and replies
-//! with stdout/status. `--cache-dir` is where measured profiles
-//! persist, so a restarted daemon keeps what it learned about command
-//! rates. `--worker` (repeatable) names the
+//! (script + width + split + backend + stdin bytes), compiles through
+//! the in-memory plan cache, runs on the requested backend, and
+//! replies with stdout/status. The request sets the width; a width of
+//! 0 is refused. `--cache-dir` is where measured profiles persist, so
+//! a restarted daemon keeps what it measured about command rates
+//! (nothing chooses a plan from them yet). `--worker` (repeatable)
+//! names the
 //! `pash-worker` sockets the `remote` backend ships regions to. Stop
 //! it with a `Shutdown` request
 //! (`pash::runtime::service::Client::shutdown`) or SIGTERM — both

@@ -18,7 +18,9 @@
 //! touching the disk — and with `cache_dir` set [`serve`] writes it as
 //! one snapshot under `<cache_dir>/profiles` once the drain has
 //! completed, for the next process to load. A daemon that is killed
-//! instead of stopped restarts cold and re-learns.
+//! instead of stopped restarts cold and re-learns. Nothing picks a
+//! plan from the profiles yet: every request names its width (at
+//! least 1) and split, and a width of 0 is refused.
 //!
 //! **Isolation.** The daemon owns a *template* [`MemFs`] seeded over
 //! the socket (`PutFile`). Every run executes against
@@ -33,16 +35,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::core::compile::{compile_cache_peek, compile_cached, PashConfig};
-use crate::core::optimize::{optimize, OptimizerConfig};
+use crate::core::compile::{compile_cache_peek, PashConfig};
 use crate::coreutils::fs::MemFs;
 use crate::coreutils::Registry;
-use crate::runtime::profile::{node_label, ProfileStore};
+use crate::runtime::profile::ProfileStore;
 use crate::runtime::service::{
     self, CacheTier, Request, Response, RunRequest, RunResponse, ServiceMetrics, ServiceSettings,
 };
 use crate::runtime::supervise::SupervisorSettings;
-use crate::sim::{CostModel, InputSizes, SimPricer};
 use crate::{BackendOutput, RunEnv, RunError, RunHandle};
 
 /// Daemon construction parameters.
@@ -85,9 +85,8 @@ pub struct Daemon {
     supervisor: SupervisorSettings,
     workers: Vec<PathBuf>,
     metrics: Arc<ServiceMetrics>,
-    /// Measured per-command rates, recorded by every run and consulted
-    /// by adaptive (`width == 0`) requests. In memory; [`serve`] saves
-    /// it under the cache directory on the way out.
+    /// Measured per-command rates, recorded by every run. In memory;
+    /// [`serve`] saves it under the cache directory on the way out.
     profile: Arc<ProfileStore>,
 }
 
@@ -145,70 +144,17 @@ impl Daemon {
         Ok((RunHandle::compile(script, cfg, want_fallback)?, tier))
     }
 
-    /// Chooses a per-region configuration for an adaptive
-    /// (`width == 0`) request: measured command rates from the profile
-    /// store calibrate the simulator's cost model, and the optimizer
-    /// prices each candidate shape through it.
-    fn adaptive_config(&self, script: &str, sizes: &InputSizes) -> Result<PashConfig, RunError> {
-        // The sequential compile (memoized) names the script's
-        // commands; the profile lookup is scoped to them so the
-        // hit/miss counters reflect *this* script's coverage.
-        let narrow = compile_cached(
-            script,
-            &PashConfig {
-                width: 1,
-                ..Default::default()
-            },
-        )
-        .map_err(RunError::Compile)?;
-        let mut commands: Vec<String> = Vec::new();
-        for region in narrow.plan.regions() {
-            for node in &region.nodes {
-                let label = node_label(&node.op);
-                if !label.starts_with('<') && !commands.contains(&label) {
-                    commands.push(label);
-                }
-            }
-        }
-        let rates = self.profile.rates_for(&commands);
-        let pricer = SimPricer::new(CostModel::calibrated(rates), sizes.clone());
-        let opt = optimize(
-            script,
-            &PashConfig::default(),
-            &pricer,
-            &OptimizerConfig::default(),
-        )
-        .map_err(RunError::Compile)?;
-        self.metrics
-            .record_choice(opt.chosen_width(), opt.chosen_split());
-        let m = &self.metrics;
-        m.profile_hits.store(self.profile.hits(), Ordering::Relaxed);
-        m.profile_misses
-            .store(self.profile.misses(), Ordering::Relaxed);
-        Ok(opt.config)
-    }
-
     fn handle_run(&self, req: RunRequest) -> Response {
-        let snapshot = Arc::new(self.template.snapshot());
-        // Only the optimizer prices by input size.
-        let mut sizes = InputSizes::new();
+        // The caller sets the width; nothing here guesses one.
         if req.width == 0 {
-            for (path, bytes) in snapshot.entries() {
-                sizes.insert(path, bytes.len() as f64);
-            }
+            return Response::Error("width must be at least 1".to_string());
         }
+        let snapshot = Arc::new(self.template.snapshot());
         let t0 = Instant::now();
-        let cfg = if req.width == 0 {
-            match self.adaptive_config(&req.script, &sizes) {
-                Ok(cfg) => cfg,
-                Err(e) => return Response::Error(e.to_string()),
-            }
-        } else {
-            PashConfig {
-                width: req.width as usize,
-                split: req.split,
-                ..Default::default()
-            }
+        let cfg = PashConfig {
+            width: req.width as usize,
+            split: req.split,
+            ..Default::default()
         };
         let want_fallback = cfg.width != 1
             && self.supervisor.fallback

@@ -101,15 +101,6 @@ pub fn compile(
     core::compile::compile(src, cfg)
 }
 
-/// Compiles through the process-wide memoized cache (shorthand for
-/// [`core::compile::compile_cached`]).
-pub fn compile_cached_script(
-    src: &str,
-    cfg: &core::compile::PashConfig,
-) -> Result<Arc<Compiled>, core::Error> {
-    compile_cached(src, cfg)
-}
-
 /// The registered execution backends, by selection name.
 pub const BACKENDS: &[&str] = &["shell", "threads", "processes", "remote"];
 

@@ -960,82 +960,6 @@ fn nlp_differential_across_backends() {
     }
 }
 
-/// The optimizer only re-shapes plans; it must never change bytes. For
-/// a sweep of scripts × synthetic pricers (each a different stand-in
-/// for a measured profile, from "serial always wins" to "wider always
-/// wins" to byte-rate mixes), the adaptively chosen plan must match
-/// the width-1 sequential run on both real executors and the emitted
-/// script.
-#[test]
-fn optimizer_choice_is_byte_identical_to_sequential() {
-    use pash::core::optimize::{optimize, CandidatePricer, OptimizerConfig};
-    use pash::core::plan::RegionPlan;
-
-    let Some(bins) = harness() else {
-        eprintln!("skipping: no /bin/sh or binaries unavailable");
-        return;
-    };
-
-    /// Prices a region from its own dump bytes — deterministic,
-    /// seed-varied, and intentionally arbitrary: whatever shape it
-    /// prefers, the output contract must hold.
-    struct HashPricer {
-        seed: u64,
-        favor_wide: bool,
-    }
-    impl CandidatePricer for HashPricer {
-        fn price_region(&self, r: &RegionPlan) -> f64 {
-            let h = r.fingerprint() ^ self.seed;
-            let jitter = 1.0 + (h % 1000) as f64 / 1000.0;
-            if self.favor_wide {
-                jitter / (1.0 + r.nodes.len() as f64)
-            } else {
-                jitter * (1.0 + r.nodes.len() as f64)
-            }
-        }
-    }
-
-    let make_fs = || {
-        cached_fs("differential/optimizer/12000".to_string(), |fs| {
-            pash::workloads::nlp::setup_fs(12_000, fs)
-        })
-    };
-    let scripts: Vec<String> = pash::workloads::nlp::scripts()
-        .into_iter()
-        .take(6)
-        .map(|s| s.script.to_string())
-        .chain(std::iter::once(
-            "cat in.txt | tr A-Z a-z | sort | uniq -c | sort -rn > out.txt".to_string(),
-        ))
-        .collect();
-    for (i, script) in scripts.iter().enumerate() {
-        for favor_wide in [false, true] {
-            let pricer = HashPricer {
-                seed: 0x9e37_79b9 * (i as u64 + 1),
-                favor_wide,
-            };
-            let opt = optimize(
-                script,
-                &PashConfig::default(),
-                &pricer,
-                &OptimizerConfig { max_width: 8 },
-            )
-            .expect("optimize");
-            let setup = Setup {
-                cfg: opt.config.clone(),
-                stdin: b"",
-            };
-            assert_backends_agree(
-                &format!("optimizer[{i}]-wide={favor_wide}-w{}", opt.chosen_width()),
-                script,
-                &make_fs,
-                &setup,
-                &bins,
-            );
-        }
-    }
-}
-
 #[test]
 fn statuses_and_guards_agree_across_backends() {
     let Some(bins) = harness() else {
@@ -1094,6 +1018,73 @@ fn statuses_and_guards_agree_across_backends() {
                 &setup,
                 &bins,
             );
+        }
+    }
+}
+
+/// `script` under the host's `/bin/sh` and utilities, in a directory
+/// holding `fs`'s files.
+fn observe_host(script: &str, fs: &MemFs) -> Observed {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pash-diff-host-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    materialize(fs, &dir);
+    let out = Command::new("/bin/sh")
+        .args(["-c", script])
+        .current_dir(&dir)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run the host shell");
+    let observed = Observed {
+        stdout: out.stdout,
+        status: out.status.code().unwrap_or(1),
+        out_file: std::fs::read(dir.join("out.txt")).ok(),
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    observed
+}
+
+/// `grep -n` numbers the lines of its whole input and `grep -m N`
+/// stops after N matches of it, so neither may run per segment. On an
+/// input whose later segments hold matches, widths 2 and 4 must give
+/// the width-1 bytes, and width 1 the host's. The input outgrows any
+/// pipe buffer, so `threads` runs a thread per node.
+#[test]
+fn grep_line_numbers_and_caps_match_width_one() {
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let capacity = pash::runtime::exec::ExecConfig::default().pipe_capacity;
+    let make_fs = || {
+        cached_fs("differential/grep-n-m/200000".to_string(), |fs| {
+            fs.add("in.txt", pash::workloads::columnar_corpus(23, 200_000, 3));
+        })
+    };
+    for script in [
+        "cat in.txt | grep -n the | cut -d : -f 1 | tail -n 5",
+        "cat in.txt | grep -m 3 the",
+        "cat in.txt | grep -c -m 3 the",
+    ] {
+        let sequential = Setup::split(1);
+        let want = observe_threads(script, make_fs(), &sequential, &sequential.cfg, capacity);
+        assert_eq!(want, observe_host(script, &make_fs()), "host: {script}");
+        for width in [2, 4] {
+            for setup in [Setup::split(width), Setup::round_robin(width)] {
+                let label = format!("{:?} width {width}: {script}", setup.cfg.split);
+                let got = observe_threads(script, make_fs(), &setup, &setup.cfg, capacity);
+                assert_eq!(got, want, "threads, {label}");
+                let got = observe_processes(script, make_fs(), &setup, &bins);
+                assert_eq!(got, want, "processes, {label}");
+                let got = observe_shell(script, make_fs(), &setup, &bins);
+                assert_eq!(got, want, "shell, {label}");
+            }
         }
     }
 }

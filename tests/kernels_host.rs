@@ -13,6 +13,7 @@
 //! (GNU prints nothing, ours lets `-d` win), `grep` sees no NUL (GNU
 //! would call the input binary and print a notice instead), and `sed`
 //! no unterminated last line (GNU leaves it so, ours terminates it).
+//! Where our `sed` lacks an address form, it refuses the script.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -332,4 +333,26 @@ fn sed_substitution_matches_the_host() {
     ];
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("sed", &cases, &inputs, true);
+}
+
+/// What our `sed` cannot do as GNU does, it refuses: a usage error,
+/// status 2, and not one byte on stdout. The last-line address `$`
+/// needs a line of lookahead the stream loop does not keep.
+#[test]
+fn sed_refuses_the_addresses_it_lacks() {
+    let cases: [&[&str]; 6] = [
+        &["$d"],
+        &["-n", "$p"],
+        &["$s/a/b/"],
+        &["$="],
+        &["1~2d"],
+        &["/the/,$d"],
+    ];
+    for input in inputs(false) {
+        for args in cases {
+            let (stdout, status) = our_run("sed", args, &input);
+            assert_eq!(status, 2, "sed {args:?}");
+            assert!(stdout.is_empty(), "sed {args:?} wrote {stdout:?}");
+        }
+    }
 }

@@ -14,6 +14,8 @@
 //! * the same differential holds under the fault-injection
 //!   supervisor, whose counters the Metrics reply reports;
 //! * Metrics says which schedule each region ran under;
+//! * the caller sets the width: a width-0 `Run` is refused, counted as
+//!   an error, and the connection keeps serving;
 //! * `pashd` and `pash-worker` speak one protocol: each refuses the
 //!   other's verbs and keeps serving, and SIGTERM drains a worker's
 //!   in-flight region attempts the way it drains `pashd`'s runs.
@@ -270,33 +272,15 @@ fn restart_serves_identical_results_and_keeps_profiles() {
         })
         .collect();
 
-    // Not in the corpus, so it meets the plan cache cold either way;
-    // its commands are.
-    let adaptive = "cat in.txt | tr A-Z a-z | sort -r";
-    let adaptive_expect = direct(adaptive, 1, SplitPolicy::Off);
-
     // Each process compiles a script once, then serves it from memory;
     // the second process starts over — nothing about plans is on disk —
     // and must produce the same bytes.
+    let mut measured = 0;
     for process in ["first", "restarted"] {
         let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
         seed_corpus(&daemon);
         let mut client = daemon.client();
-        if process == "restarted" {
-            // What the first process measured did survive: the first
-            // request this process sees, an adaptive one, already finds
-            // rates for its commands.
-            let (got, _) = observe_response(
-                client
-                    .run(request(adaptive, 0, SplitPolicy::Off))
-                    .expect("adaptive run"),
-            );
-            assert_eq!(got, adaptive_expect, "adaptive {adaptive:?}");
-            let json = client.metrics().expect("metrics");
-            assert!(metric(&json, "profile_hits") >= 1, "{json}");
-            assert_eq!(metric(&json, "adaptive_runs"), 1, "{json}");
-        }
-        for (script, width, split, expect) in &cases {
+        for (i, (script, width, split, expect)) in cases.iter().enumerate() {
             for tier in [CacheTier::Cold, CacheTier::Memory] {
                 let (got, got_tier) = observe_response(
                     client
@@ -305,8 +289,18 @@ fn restart_serves_identical_results_and_keeps_profiles() {
                 );
                 assert_eq!(&got, expect, "{process} process, {script:?}");
                 assert_eq!(got_tier, tier, "{process} process, {script:?}");
+                if process == "restarted" && i == 0 && tier == CacheTier::Cold {
+                    // What the first process measured did survive: after
+                    // one run, the store holds at least every region the
+                    // first process held when it stopped.
+                    let json = client.metrics().expect("metrics");
+                    assert!(metric(&json, "profile_regions") >= measured, "{json}");
+                }
             }
         }
+        let json = client.metrics().expect("metrics");
+        measured = metric(&json, "profile_regions");
+        assert!(measured >= 1, "{process} process measured nothing: {json}");
         drop(client);
         daemon.stop();
     }
@@ -584,6 +578,45 @@ fn pashd_refuses_execute_and_keeps_serving() {
         other => panic!("pashd answered Execute with {other:?}"),
     }
     // The same connection still answers, and counted the refusal.
+    match call(&mut stream, &Request::Metrics) {
+        Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
+        other => panic!("Metrics answered with {other:?}"),
+    }
+    drop(stream);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pashd_refuses_width_zero_and_keeps_serving() {
+    let dir = scratch_dir("width0");
+    let daemon = spawn_daemon(&dir, &[]);
+    seed_corpus(&daemon);
+    let script = "cat in.txt | tr A-Z a-z | grep the > out.txt";
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
+    match call(
+        &mut stream,
+        &Request::Run(request(script, 0, SplitPolicy::Sized)),
+    ) {
+        Response::Error(msg) => assert_eq!(msg, "width must be at least 1"),
+        other => panic!("pashd answered a width-0 Run with {other:?}"),
+    }
+    match call(&mut stream, &Request::Metrics) {
+        Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
+        other => panic!("Metrics answered with {other:?}"),
+    }
+    // The next request on the same connection runs as if nothing
+    // happened.
+    match call(
+        &mut stream,
+        &Request::Run(request(script, 2, SplitPolicy::Sized)),
+    ) {
+        Response::Run(resp) => {
+            let (got, _) = observe_response(resp);
+            assert_eq!(got, direct(script, 2, SplitPolicy::Sized));
+        }
+        other => panic!("pashd answered a width-2 Run with {other:?}"),
+    }
     match call(&mut stream, &Request::Metrics) {
         Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
         other => panic!("Metrics answered with {other:?}"),
