@@ -55,7 +55,9 @@
 #      benchmark workloads once on every backend and through pashd, on
 #      small inputs, and compares every output byte for byte with the
 #      unmodified script under host /bin/sh + coreutils;
-#  11. rustfmt check.
+#  11. rustfmt check;
+#  12. clippy over every workspace target (`--all-targets`: lib, bins,
+#      tests, examples, benches), every warning an error.
 set -eu
 
 cd "$(dirname "$0")"
@@ -328,6 +330,9 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (workspace, all targets, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 rm -f "$bench_lock"
 echo "ci.sh: all green"

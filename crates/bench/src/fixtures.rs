@@ -38,7 +38,8 @@ pub fn cached_fs(key: String, build: impl FnOnce(&MemFs)) -> Arc<MemFs> {
 /// A `text_corpus(seed, bytes)` result, generated once per process
 /// and shared by `Arc`.
 pub fn cached_corpus(seed: u64, bytes: usize) -> Arc<Vec<u8>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, usize), Arc<Vec<u8>>>>> = OnceLock::new();
+    type Corpora = HashMap<(u64, usize), Arc<Vec<u8>>>;
+    static CACHE: OnceLock<Mutex<Corpora>> = OnceLock::new();
     CACHE
         .get_or_init(Default::default)
         .lock()

@@ -59,7 +59,7 @@ pub fn skewed_corpus(seed: u64, bytes: usize) -> Vec<u8> {
         let long = i % 16 == 15 && out.len() > bytes / 2;
         if long {
             let word = [b'w', b'x', b'y', b'z'][(x >> 60) as usize % 4];
-            out.extend(std::iter::repeat(word).take(480));
+            out.extend(std::iter::repeat_n(word, 480));
         } else {
             out.extend_from_slice(format!("rec {} {:04x}", i, (x >> 48) as u16).as_bytes());
         }

@@ -146,8 +146,8 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, Error> {
                 let start = i;
                 while i < bytes.len()
                     && !" \t\n\r{}()[],:|\"=".contains(bytes[i] as char)
-                    && !(bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'\\'))
-                    && !(bytes[i] == b'\\' && bytes.get(i + 1) == Some(&b'/'))
+                    && (bytes[i] != b'/' || bytes.get(i + 1) != Some(&b'\\'))
+                    && (bytes[i] != b'\\' || bytes.get(i + 1) != Some(&b'/'))
                 {
                     i += 1;
                 }

@@ -121,7 +121,7 @@ pub fn emit_region(r: &RegionPlan, region: usize, cfg: &EmitConfig) -> String {
     // separately so they can be waited on individually.
     let sources = r.status_sources();
     let fold_needed = !sources.is_empty()
-        && !(sources.len() == 1 && r.output_producers().last() == Some(sources[0]));
+        && (sources.len() != 1 || r.output_producers().last() != Some(sources[0]));
     out.push_str("pash_pids=\"\"\npash_out_pids=\"\"\n");
     if fold_needed {
         out.push_str("pash_spids=\"\"\n");

@@ -399,8 +399,8 @@ mod tests {
         let b = compile_cached(src, &cfg).expect("compile");
         assert!(Arc::ptr_eq(&a, &b), "hit must return the cached Arc");
         let after = cache_stats();
-        assert!(after.hits >= before.hits + 1);
-        assert!(after.misses >= before.misses + 1);
+        assert!(after.hits > before.hits);
+        assert!(after.misses > before.misses);
     }
 
     #[test]

@@ -772,7 +772,7 @@ fn lower_region(g: &Dfg) -> RegionPlan {
     let mut edge_index: Vec<Option<PlanEdgeId>> = vec![None; g.edge_count()];
     let mut edges: Vec<PlanEdge> = Vec::new();
     let mut primary_assigned = false;
-    for e in 0..g.edge_count() {
+    for (e, slot) in edge_index.iter_mut().enumerate() {
         let edge = g.edge(e);
         if edge.from.is_none() && edge.to.is_none() {
             continue; // Retired edge slot.
@@ -796,7 +796,7 @@ fn lower_region(g: &Dfg) -> RegionPlan {
             }
             _ => EndpointKind::Detached,
         };
-        edge_index[e] = Some(edges.len());
+        *slot = Some(edges.len());
         edges.push(PlanEdge {
             kind,
             from: edge.from.and_then(|n| node_index.get(n).copied().flatten()),

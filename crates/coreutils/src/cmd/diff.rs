@@ -247,9 +247,7 @@ mod tests {
                 ai += 1;
             }
             ai = h.a.1;
-            for bi in h.b.0..h.b.1 {
-                rebuilt.push(b[bi].clone());
-            }
+            rebuilt.extend_from_slice(&b[h.b.0..h.b.1]);
         }
         while ai < a.len() {
             rebuilt.push(a[ai].clone());

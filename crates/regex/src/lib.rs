@@ -252,7 +252,7 @@ impl Regex {
     }
 
     /// Iterates over non-overlapping matches.
-    pub fn find_iter<'r, 'h>(&'r self, hay: &'h [u8]) -> Matches<'h> {
+    pub fn find_iter<'h>(&self, hay: &'h [u8]) -> Matches<'h> {
         Matches {
             matcher: self.matcher(),
             hay,

@@ -94,7 +94,7 @@ pub fn memrchr(b: u8, hay: &[u8]) -> Option<usize> {
     let pat = splat(b);
     let mut end = hay.len();
     // Unaligned tail first, then whole words backwards.
-    while end % WORD != 0 && end > 0 {
+    while !end.is_multiple_of(WORD) && end > 0 {
         end -= 1;
         if hay[end] == b {
             return Some(end);

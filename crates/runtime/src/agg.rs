@@ -76,7 +76,7 @@ pub fn run_aggregator(
                 fs,
                 registry,
             };
-            cmd.run(&args.to_vec(), &mut cio)
+            cmd.run(args, &mut cio)
         }
     }
 }

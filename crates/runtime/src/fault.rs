@@ -915,7 +915,7 @@ mod tests {
             !ExecError::classify("edge", io::Error::new(io::ErrorKind::NotFound, "x"))
                 .is_transient()
         );
-        let e = ExecError::transient("spawn", io::Error::new(io::ErrorKind::Other, "boom"))
+        let e = ExecError::transient("spawn", io::Error::other("boom"))
             .at_node(3)
             .at_edge(7);
         let s = e.to_string();

@@ -88,7 +88,7 @@ pub fn run_relay(
     drop(rx);
     let read_res = reader
         .join()
-        .map_err(|_| io::Error::new(io::ErrorKind::Other, "relay reader thread panicked"))?;
+        .map_err(|_| io::Error::other("relay reader thread panicked"))?;
     if let Some(e) = push_err {
         return Err(e);
     }

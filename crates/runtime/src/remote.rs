@@ -12,8 +12,8 @@
 //! [`Response::Region`]: the attempt's output and the files it wrote,
 //! or its failure with a transient/fatal class. A reply is one
 //! length-prefixed frame, so a dropped connection or a half-written
-//! reply fails the reader's length check — it is never passed off as
-//! a short but plausible result. Health probes are `Metrics` round
+//! reply is a read error — it is never passed off as a short but
+//! plausible result. Health probes are `Metrics` round
 //! trips, and [`shutdown_worker`] sends `Shutdown`.
 //!
 //! The robustness contract mirrors the local supervisor's, one rung
@@ -29,9 +29,10 @@
 //!   **sequential** plan.
 //!
 //! Injected remote faults may delay a run; they never change its
-//! bytes. A region whose request or reply exceeds
-//! [`crate::wire::MAX_FRAME`] fails the reader's length check like a
-//! torn reply and finishes on the local rung.
+//! bytes. A request or reply over [`crate::wire::MAX_FRAME`] is
+//! refused by its writer before a byte is sent: the coordinator's
+//! send fails, or the worker answers with [`Response::Error`], and
+//! the region finishes on the local rung.
 //!
 //! The worker itself is deliberately dumb: one unsupervised region
 //! attempt per request ([`ThreadsRunner`]'s, the one the
@@ -59,7 +60,7 @@ use crate::service::{
     self, read_response, write_execute, write_request, Request, Response, ServiceSettings,
 };
 use crate::supervise::SupervisorSettings;
-use crate::wire::{bad_data, put_bytes, put_str, put_u32, Cursor};
+use crate::wire::{bad_data, Decoder, Encoder};
 
 /// One shipped region attempt ([`Request::Execute`]): everything a
 /// worker needs, nothing it has to go looking for.
@@ -91,16 +92,16 @@ impl ExecuteRequest {
         }
     }
 
-    pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<ExecuteRequest> {
-        let region = region(c)?;
-        let stdin = c.bytes()?;
-        let fault = match c.bool()? {
+    pub(crate) fn decode(d: &mut Decoder<'_>) -> io::Result<ExecuteRequest> {
+        let region = region(d)?;
+        let stdin = d.bytes()?;
+        let fault = match d.bool()? {
             false => None,
-            true => Some(c.string()?),
+            true => Some(d.string()?),
         };
         Ok(ExecuteRequest {
             region,
-            files: files(c)?,
+            files: d.files()?,
             stdin,
             fault,
         })
@@ -119,17 +120,17 @@ pub(crate) struct ExecuteParts<'a> {
 }
 
 impl ExecuteParts<'_> {
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_region(out, self.region);
-        put_bytes(out, self.stdin);
+    pub(crate) fn encode(&self, e: &mut Encoder<'_>) {
+        put_region(e, self.region);
+        e.bytes(self.stdin);
         match self.fault {
-            None => out.push(0),
+            None => e.u8(0),
             Some(spec) => {
-                out.push(1);
-                put_str(out, spec);
+                e.u8(1);
+                e.str(spec);
             }
         }
-        put_files(out, self.files);
+        e.files(self.files);
     }
 }
 
@@ -152,65 +153,51 @@ pub enum RegionReply {
 }
 
 impl RegionReply {
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, e: &mut Encoder<'_>) {
         match self {
             RegionReply::Done { output, files } => {
-                out.push(0);
-                put_u32(out, output.status as u32);
-                put_u32(out, output.statuses.len() as u32);
+                e.u8(0);
+                e.u32(output.status as u32);
+                e.u32(output.statuses.len() as u32);
                 for &(node, status) in &output.statuses {
-                    put_u32(out, node as u32);
-                    put_u32(out, status as u32);
+                    e.u32(node as u32);
+                    e.u32(status as u32);
                 }
-                put_bytes(out, &output.stdout);
-                put_files(out, files);
+                e.bytes(&output.stdout);
+                e.files(files);
             }
             RegionReply::Failed { transient, message } => {
-                out.push(1);
-                out.push(*transient as u8);
-                put_str(out, message);
+                e.u8(1);
+                e.bool(*transient);
+                e.str(message);
             }
         }
     }
 
-    pub(crate) fn decode(c: &mut Cursor<'_>) -> io::Result<RegionReply> {
-        Ok(match c.bool()? {
+    pub(crate) fn decode(d: &mut Decoder<'_>) -> io::Result<RegionReply> {
+        Ok(match d.bool()? {
             false => {
-                let status = c.u32()? as i32;
-                let n = c.count(8)?;
+                let status = d.u32()? as i32;
+                let n = d.count(8)?;
                 let statuses = (0..n)
-                    .map(|_| Ok((c.u32()? as usize, c.u32()? as i32)))
+                    .map(|_| Ok((d.u32()? as usize, d.u32()? as i32)))
                     .collect::<io::Result<_>>()?;
                 let output = RegionOutput {
-                    stdout: c.bytes()?,
+                    stdout: d.bytes()?,
                     statuses,
                     status,
                 };
                 RegionReply::Done {
                     output,
-                    files: files(c)?,
+                    files: d.files()?,
                 }
             }
             true => RegionReply::Failed {
-                transient: c.bool()?,
-                message: c.string()?,
+                transient: d.bool()?,
+                message: d.string()?,
             },
         })
     }
-}
-
-fn put_files(out: &mut Vec<u8>, files: &[(String, Vec<u8>)]) {
-    put_u32(out, files.len() as u32);
-    for (path, bytes) in files {
-        put_str(out, path);
-        put_bytes(out, bytes);
-    }
-}
-
-fn files(c: &mut Cursor<'_>) -> io::Result<Vec<(String, Vec<u8>)>> {
-    // Each file is at least its two length prefixes.
-    let n = c.count(8)?;
-    (0..n).map(|_| Ok((c.string()?, c.bytes()?))).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -220,84 +207,84 @@ fn files(c: &mut Cursor<'_>) -> io::Result<Vec<(String, Vec<u8>)>> {
 // Node and edge ids ride as `u32`; an optional node id as `id + 1`,
 // with 0 for none.
 
-fn put_ids(out: &mut Vec<u8>, ids: &[usize]) {
-    put_u32(out, ids.len() as u32);
+fn put_ids(e: &mut Encoder<'_>, ids: &[usize]) {
+    e.u32(ids.len() as u32);
     for &id in ids {
-        put_u32(out, id as u32);
+        e.u32(id as u32);
     }
 }
 
-fn ids(c: &mut Cursor<'_>) -> io::Result<Vec<usize>> {
-    let n = c.count(4)?;
-    (0..n).map(|_| Ok(c.u32()? as usize)).collect()
+fn ids(d: &mut Decoder<'_>) -> io::Result<Vec<usize>> {
+    let n = d.count(4)?;
+    (0..n).map(|_| Ok(d.u32()? as usize)).collect()
 }
 
-fn put_node_ref(out: &mut Vec<u8>, node: Option<usize>) {
-    put_u32(out, node.map_or(0, |n| n as u32 + 1));
+fn put_node_ref(e: &mut Encoder<'_>, node: Option<usize>) {
+    e.u32(node.map_or(0, |n| n as u32 + 1));
 }
 
-fn node_ref(c: &mut Cursor<'_>) -> io::Result<Option<usize>> {
-    Ok(c.u32()?.checked_sub(1).map(|n| n as usize))
+fn node_ref(d: &mut Decoder<'_>) -> io::Result<Option<usize>> {
+    Ok(d.u32()?.checked_sub(1).map(|n| n as usize))
 }
 
 /// Encodes a region field by field. The decoder ([`region`]) checks
 /// only that the bytes are well formed; whether the region they
 /// describe can run is [`RegionPlan::validate`]'s question, which the
 /// worker's attempt asks first.
-fn put_region(out: &mut Vec<u8>, r: &RegionPlan) {
-    out.push(r.replayable as u8);
-    put_u32(out, r.edges.len() as u32);
-    for e in &r.edges {
-        match &e.kind {
-            EndpointKind::Pipe => out.push(0),
+fn put_region(e: &mut Encoder<'_>, r: &RegionPlan) {
+    e.bool(r.replayable);
+    e.u32(r.edges.len() as u32);
+    for edge in &r.edges {
+        match &edge.kind {
+            EndpointKind::Pipe => e.u8(0),
             EndpointKind::StdinPipe { primary } => {
-                out.push(1);
-                out.push(*primary as u8);
+                e.u8(1);
+                e.bool(*primary);
             }
-            EndpointKind::StdoutPipe => out.push(2),
+            EndpointKind::StdoutPipe => e.u8(2),
             EndpointKind::InputFile(path) => {
-                out.push(3);
-                put_str(out, path);
+                e.u8(3);
+                e.str(path);
             }
             EndpointKind::OutputFile(path) => {
-                out.push(4);
-                put_str(out, path);
+                e.u8(4);
+                e.str(path);
             }
             EndpointKind::InputSegment { path, part, of } => {
-                out.push(5);
-                put_str(out, path);
-                put_u32(out, *part as u32);
-                put_u32(out, *of as u32);
+                e.u8(5);
+                e.str(path);
+                e.u32(*part as u32);
+                e.u32(*of as u32);
             }
-            EndpointKind::Detached => out.push(6),
+            EndpointKind::Detached => e.u8(6),
         }
-        put_node_ref(out, e.from);
-        put_node_ref(out, e.to);
+        put_node_ref(e, edge.from);
+        put_node_ref(e, edge.to);
     }
-    put_u32(out, r.nodes.len() as u32);
+    e.u32(r.nodes.len() as u32);
     for n in &r.nodes {
         match &n.op {
             PlanOp::Exec { argv, framed } => {
-                out.push(0);
-                out.push(*framed as u8);
-                put_u32(out, argv.len() as u32);
+                e.u8(0);
+                e.bool(*framed);
+                e.u32(argv.len() as u32);
                 for a in argv {
                     match a {
                         Arg::Lit(word) => {
-                            out.push(0);
-                            put_str(out, word);
+                            e.u8(0);
+                            e.str(word);
                         }
                         Arg::Stream(k) => {
-                            out.push(1);
-                            put_u32(out, *k as u32);
+                            e.u8(1);
+                            e.u32(*k as u32);
                         }
                     }
                 }
             }
-            PlanOp::Cat => out.push(1),
+            PlanOp::Cat => e.u8(1),
             PlanOp::Split { mode } => {
-                out.push(2);
-                out.push(match mode {
+                e.u8(2);
+                e.u8(match mode {
                     SplitMode::General => 0,
                     SplitMode::Sized => 1,
                     SplitMode::RoundRobin { framed: false } => 2,
@@ -305,64 +292,64 @@ fn put_region(out: &mut Vec<u8>, r: &RegionPlan) {
                 });
             }
             PlanOp::Relay { blocking } => {
-                out.push(3);
-                out.push(*blocking as u8);
+                e.u8(3);
+                e.bool(*blocking);
             }
             PlanOp::Aggregate { argv } => {
-                out.push(4);
-                put_u32(out, argv.len() as u32);
+                e.u8(4);
+                e.u32(argv.len() as u32);
                 for word in argv {
-                    put_str(out, word);
+                    e.str(word);
                 }
             }
         }
-        put_ids(out, &n.inputs);
-        put_ids(out, &n.outputs);
-        put_ids(out, &n.stdin_inputs);
-        out.push(n.output_producer as u8);
+        put_ids(e, &n.inputs);
+        put_ids(e, &n.outputs);
+        put_ids(e, &n.stdin_inputs);
+        e.bool(n.output_producer);
     }
 }
 
 /// Decodes what [`put_region`] wrote.
-fn region(c: &mut Cursor<'_>) -> io::Result<RegionPlan> {
-    let replayable = c.bool()?;
+fn region(d: &mut Decoder<'_>) -> io::Result<RegionPlan> {
+    let replayable = d.bool()?;
     // An edge is at least a tag and two node refs; a node at least a
     // tag, three id counts and a flag.
-    let n = c.count(9)?;
+    let n = d.count(9)?;
     let mut edges = Vec::with_capacity(n);
     for _ in 0..n {
-        let kind = match c.u8()? {
+        let kind = match d.u8()? {
             0 => EndpointKind::Pipe,
-            1 => EndpointKind::StdinPipe { primary: c.bool()? },
+            1 => EndpointKind::StdinPipe { primary: d.bool()? },
             2 => EndpointKind::StdoutPipe,
-            3 => EndpointKind::InputFile(c.string()?),
-            4 => EndpointKind::OutputFile(c.string()?),
+            3 => EndpointKind::InputFile(d.string()?),
+            4 => EndpointKind::OutputFile(d.string()?),
             5 => EndpointKind::InputSegment {
-                path: c.string()?,
-                part: c.u32()? as usize,
-                of: c.u32()? as usize,
+                path: d.string()?,
+                part: d.u32()? as usize,
+                of: d.u32()? as usize,
             },
             6 => EndpointKind::Detached,
             other => return Err(bad_data(format!("bad edge kind {other}"))),
         };
         edges.push(PlanEdge {
             kind,
-            from: node_ref(c)?,
-            to: node_ref(c)?,
+            from: node_ref(d)?,
+            to: node_ref(d)?,
         });
     }
-    let n = c.count(14)?;
+    let n = d.count(14)?;
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
-        let op = match c.u8()? {
+        let op = match d.u8()? {
             0 => {
-                let framed = c.bool()?;
+                let framed = d.bool()?;
                 // A word is at least a tag and a `u32`.
-                let n = c.count(5)?;
+                let n = d.count(5)?;
                 let argv = (0..n)
-                    .map(|_| match c.u8()? {
-                        0 => Ok(Arg::Lit(c.string()?)),
-                        1 => Ok(Arg::Stream(c.u32()? as usize)),
+                    .map(|_| match d.u8()? {
+                        0 => Ok(Arg::Lit(d.string()?)),
+                        1 => Ok(Arg::Stream(d.u32()? as usize)),
                         other => Err(bad_data(format!("bad argv word tag {other}"))),
                     })
                     .collect::<io::Result<_>>()?;
@@ -370,7 +357,7 @@ fn region(c: &mut Cursor<'_>) -> io::Result<RegionPlan> {
             }
             1 => PlanOp::Cat,
             2 => PlanOp::Split {
-                mode: match c.u8()? {
+                mode: match d.u8()? {
                     0 => SplitMode::General,
                     1 => SplitMode::Sized,
                     2 => SplitMode::RoundRobin { framed: false },
@@ -379,22 +366,22 @@ fn region(c: &mut Cursor<'_>) -> io::Result<RegionPlan> {
                 },
             },
             3 => PlanOp::Relay {
-                blocking: c.bool()?,
+                blocking: d.bool()?,
             },
             4 => {
-                let n = c.count(4)?;
+                let n = d.count(4)?;
                 PlanOp::Aggregate {
-                    argv: (0..n).map(|_| c.string()).collect::<io::Result<_>>()?,
+                    argv: (0..n).map(|_| d.string()).collect::<io::Result<_>>()?,
                 }
             }
             other => return Err(bad_data(format!("bad node op {other}"))),
         };
         nodes.push(PlanNode {
             op,
-            inputs: ids(c)?,
-            outputs: ids(c)?,
-            stdin_inputs: ids(c)?,
-            output_producer: c.bool()?,
+            inputs: ids(d)?,
+            outputs: ids(d)?,
+            stdin_inputs: ids(d)?,
+            output_producer: d.bool()?,
         });
     }
     Ok(RegionPlan {
@@ -781,6 +768,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::supervise::SupervisorSettings;
+    use crate::wire::raw::{put_bytes, put_u32, write_frame};
     use pash_core::compile::{compile, PashConfig};
     use pash_core::dfg::transform::SplitPolicy;
 
@@ -1201,11 +1189,11 @@ mod tests {
     /// A region through the `Execute` codec and back.
     fn round_trip(r: &RegionPlan) -> RegionPlan {
         let mut wire = Vec::new();
-        shipped(r.clone()).parts().encode(&mut wire);
-        let mut c = Cursor::new(&wire);
-        let back = ExecuteRequest::decode(&mut c).expect("decode");
-        c.done().expect("the whole payload is read");
-        back.region
+        write_request(&mut wire, &Request::Execute(shipped(r.clone()))).expect("encode");
+        match crate::service::read_request(&mut io::Cursor::new(wire)) {
+            Ok(Some(Request::Execute(back))) => back.region,
+            other => panic!("decoded {other:?}"),
+        }
     }
 
     #[test]
@@ -1288,11 +1276,15 @@ mod tests {
             .expect("compile")
             .plan;
         let r = plan.regions().next().expect("region");
-        let mut payload = Vec::new();
-        shipped(r.clone()).parts().encode(&mut payload);
-        // Every strict prefix is missing a field.
+        let mut wire = Vec::new();
+        write_request(&mut wire, &Request::Execute(shipped(r.clone()))).expect("encode");
+        let payload = &wire[4..];
+        // A frame holding any strict prefix of the payload is missing
+        // a field.
         for cut in 0..payload.len() {
-            let err = ExecuteRequest::decode(&mut Cursor::new(&payload[..cut]))
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &payload[..cut]).expect("frame");
+            let err = crate::service::read_request(&mut io::Cursor::new(frame))
                 .expect_err("truncated request decoded");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
         }
@@ -1324,7 +1316,7 @@ mod tests {
         ];
         for p in inflated {
             let mut frame = Vec::new();
-            crate::wire::write_frame(&mut frame, &p).expect("frame");
+            write_frame(&mut frame, &p).expect("frame");
             let err = crate::service::read_request(&mut io::Cursor::new(frame))
                 .expect_err("inflated request decoded");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
@@ -1335,6 +1327,29 @@ mod tests {
         broken.nodes[0].inputs.push(broken.edges.len() + 7);
         let back = round_trip(&broken);
         assert!(back.validate().is_err());
+    }
+
+    #[test]
+    fn an_over_cap_execute_is_a_transient_send_failure_that_sends_nothing() {
+        let workers = spawn_workers("overcap", 1);
+        let socket = &workers.sockets[0];
+        let fs = Arc::new(MemFs::new());
+        fs.add("in.txt", vec![0u8; crate::wire::MAX_FRAME]);
+        let (plan, _) = plan_pair("cat in.txt | sort", 1);
+        let region = plan.regions().next().expect("region");
+        let fs: Arc<dyn Fs> = fs;
+        let err = execute_remote(socket, region, None, &[], &fs, None).expect_err("over the cap");
+        assert!(err.is_transient(), "{err}");
+        assert!(err.to_string().contains("remote send"), "{err}");
+        // Not a byte reached the worker: the connection closed at a
+        // frame boundary, and this probe is the one request it served.
+        match super::round_trip(socket, &Request::Metrics, Duration::from_secs(2)) {
+            Ok(Response::Text(json)) => {
+                assert!(json.contains("\"requests_served\":1,"), "{json}");
+                assert!(json.contains("\"errors\":0,"), "{json}");
+            }
+            other => panic!("Metrics answered with {other:?}"),
+        }
     }
 
     #[test]

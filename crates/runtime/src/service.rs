@@ -10,7 +10,12 @@
 //!   source, configuration, backend name, and stdin bytes one way and
 //!   stdout/status (plus written files) the other; `Execute` carries
 //!   one region attempt to a `pash-worker` and [`Response::Region`]
-//!   its outcome back ([`crate::remote`]);
+//!   its outcome back ([`crate::remote`]). Every message goes through
+//!   the streaming codec of [`crate::wire`]: payloads are written from
+//!   the caller's buffers and read into their final ones, and a frame
+//!   over [`MAX_FRAME`] is refused before a byte is sent — [`serve`]
+//!   answers an over-cap reply with [`Response::Error`] and counts it
+//!   in `errors`;
 //! * [`Semaphore`] — the `max_concurrent_runs` admission gate: how
 //!   many runs, each one region at a time, execute at once;
 //! * [`ServiceMetrics`] — compile hit/miss counters, queue depth, a
@@ -36,9 +41,7 @@ use pash_core::dfg::transform::SplitPolicy;
 use crate::remote::{ExecuteParts, ExecuteRequest, RegionReply};
 use crate::supervise::SupervisorCounters;
 pub use crate::wire::MAX_FRAME;
-use crate::wire::{
-    bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, write_frame, Cursor,
-};
+use crate::wire::{bad_data, decode_frame, encode_frame, is_oversized, Encoder};
 
 /// A compile-and-run request's parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,141 +164,119 @@ fn split_from_u8(v: u8) -> io::Result<SplitPolicy> {
     }
 }
 
-/// Encodes and writes one request.
+/// Encodes and writes one request, each byte-string field straight
+/// from the request.
 pub fn write_request(w: &mut dyn Write, req: &Request) -> io::Result<()> {
-    let mut p = Vec::new();
-    match req {
+    encode_frame(w, |e| match req {
         Request::Run(r) => {
-            p.push(1);
-            put_str(&mut p, &r.script);
-            put_str(&mut p, &r.backend);
-            put_u32(&mut p, r.width);
-            p.push(split_to_u8(r.split));
-            put_bytes(&mut p, &r.stdin);
+            e.u8(1);
+            e.str(&r.script);
+            e.str(&r.backend);
+            e.u32(r.width);
+            e.u8(split_to_u8(r.split));
+            e.bytes(&r.stdin);
         }
         Request::PutFile { path, bytes } => {
-            p.push(2);
-            put_str(&mut p, path);
-            put_bytes(&mut p, bytes);
+            e.u8(2);
+            e.str(path);
+            e.bytes(bytes);
         }
-        Request::Metrics => p.push(3),
-        Request::Shutdown => p.push(4),
-        Request::Execute(x) => return write_execute(w, x.parts()),
-    }
-    write_frame(w, &p)
+        Request::Metrics => e.u8(3),
+        Request::Shutdown => e.u8(4),
+        Request::Execute(x) => put_execute(e, &x.parts()),
+    })
 }
 
 /// Encodes and writes one `Execute` request from borrowed fields: the
 /// same frame [`write_request`] writes for a [`Request::Execute`],
 /// without the owned request.
 pub(crate) fn write_execute(w: &mut dyn Write, x: ExecuteParts<'_>) -> io::Result<()> {
-    let mut p = vec![5];
-    x.encode(&mut p);
-    write_frame(w, &p)
+    encode_frame(w, |e| put_execute(e, &x))
+}
+
+fn put_execute(e: &mut Encoder<'_>, x: &ExecuteParts<'_>) {
+    e.u8(5);
+    x.encode(e);
 }
 
 /// Reads and decodes one request; `None` at clean end-of-stream.
 pub fn read_request(r: &mut dyn Read) -> io::Result<Option<Request>> {
-    let Some(frame) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let mut c = Cursor::new(&frame);
-    let req = match c.u8()? {
-        1 => Request::Run(RunRequest {
-            script: c.string()?,
-            backend: c.string()?,
-            width: c.u32()?,
-            split: split_from_u8(c.u8()?)?,
-            stdin: c.bytes()?,
-        }),
-        2 => Request::PutFile {
-            path: c.string()?,
-            bytes: c.bytes()?,
-        },
-        3 => Request::Metrics,
-        4 => Request::Shutdown,
-        5 => Request::Execute(ExecuteRequest::decode(&mut c)?),
-        other => return Err(bad_data(format!("bad request op {other}"))),
-    };
-    c.done()?;
-    Ok(Some(req))
+    decode_frame(r, |d| {
+        Ok(match d.u8()? {
+            1 => Request::Run(RunRequest {
+                script: d.string()?,
+                backend: d.string()?,
+                width: d.u32()?,
+                split: split_from_u8(d.u8()?)?,
+                stdin: d.bytes()?,
+            }),
+            2 => Request::PutFile {
+                path: d.string()?,
+                bytes: d.bytes()?,
+            },
+            3 => Request::Metrics,
+            4 => Request::Shutdown,
+            5 => Request::Execute(ExecuteRequest::decode(d)?),
+            other => return Err(bad_data(format!("bad request op {other}"))),
+        })
+    })
 }
 
-/// Encodes and writes one response.
+/// Encodes and writes one response. A frame over [`MAX_FRAME`] is
+/// refused before a byte is written.
 pub fn write_response(w: &mut dyn Write, resp: &Response) -> io::Result<()> {
-    let mut p = Vec::new();
-    match resp {
+    encode_frame(w, |e| match resp {
         Response::Error(msg) => {
-            p.push(0);
-            put_str(&mut p, msg);
+            e.u8(0);
+            e.str(msg);
         }
         Response::Run(r) => {
-            p.push(1);
-            put_u32(&mut p, r.status as u32);
-            p.push(r.tier.to_u8());
-            put_u64(&mut p, r.compile_micros);
-            put_u64(&mut p, r.total_micros);
-            put_bytes(&mut p, &r.stdout);
-            put_u32(&mut p, r.files.len() as u32);
-            for (path, bytes) in &r.files {
-                put_str(&mut p, path);
-                put_bytes(&mut p, bytes);
-            }
+            e.u8(1);
+            e.u32(r.status as u32);
+            e.u8(r.tier.to_u8());
+            e.u64(r.compile_micros);
+            e.u64(r.total_micros);
+            e.bytes(&r.stdout);
+            e.files(&r.files);
         }
         Response::Text(s) => {
-            p.push(2);
-            put_str(&mut p, s);
+            e.u8(2);
+            e.str(s);
         }
-        Response::Ack => p.push(3),
+        Response::Ack => e.u8(3),
         Response::Region(r) => {
-            p.push(4);
-            r.encode(&mut p);
+            e.u8(4);
+            r.encode(e);
         }
-    }
-    write_frame(w, &p)
+    })
 }
 
 /// Reads and decodes one response.
 pub fn read_response(r: &mut dyn Read) -> io::Result<Response> {
-    let frame = read_frame(r)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-    })?;
-    let mut c = Cursor::new(&frame);
-    let resp = match c.u8()? {
-        0 => Response::Error(c.string()?),
-        1 => {
-            let status = c.u32()? as i32;
-            let tier = CacheTier::from_u8(c.u8()?)?;
-            let compile_micros = c.u64()?;
-            let total_micros = c.u64()?;
-            let stdout = c.bytes()?;
-            let nfiles = c.u32()? as usize;
-            // Each file needs at least two length prefixes (8 bytes),
-            // so a count the remaining frame cannot hold is corruption
-            // — reject before allocating for it.
-            if nfiles > c.remaining() / 8 {
-                return Err(bad_data(format!("file count {nfiles} out of range")));
+    decode_frame(r, |d| {
+        Ok(match d.u8()? {
+            0 => Response::Error(d.string()?),
+            1 => {
+                let status = d.u32()? as i32;
+                let tier = CacheTier::from_u8(d.u8()?)?;
+                let compile_micros = d.u64()?;
+                let total_micros = d.u64()?;
+                Response::Run(RunResponse {
+                    status,
+                    tier,
+                    compile_micros,
+                    total_micros,
+                    stdout: d.bytes()?,
+                    files: d.files()?,
+                })
             }
-            let mut files = Vec::with_capacity(nfiles);
-            for _ in 0..nfiles {
-                files.push((c.string()?, c.bytes()?));
-            }
-            Response::Run(RunResponse {
-                status,
-                tier,
-                compile_micros,
-                total_micros,
-                stdout,
-                files,
-            })
-        }
-        2 => Response::Text(c.string()?),
-        3 => Response::Ack,
-        4 => Response::Region(RegionReply::decode(&mut c)?),
-        other => return Err(bad_data(format!("bad response tag {other}"))),
-    };
-    c.done()?;
-    Ok(resp)
+            2 => Response::Text(d.string()?),
+            3 => Response::Ack,
+            4 => Response::Region(RegionReply::decode(d)?),
+            other => return Err(bad_data(format!("bad response tag {other}"))),
+        })
+    })?
+    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection"))
 }
 
 // --- client ---------------------------------------------------------
@@ -824,7 +805,18 @@ fn serve_connection(
         if matches!(resp, Response::Error(_)) {
             metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let wrote = write_response(&mut stream, &resp);
+        let wrote = match write_response(&mut stream, &resp) {
+            // Refused before a byte went out: the connection is still
+            // at a frame boundary, so the client gets the reason.
+            Err(e) if is_oversized(&e) => {
+                metrics.errors.fetch_add(1, Ordering::Relaxed);
+                write_response(
+                    &mut stream,
+                    &Response::Error(format!("reply not sent: {e}")),
+                )
+            }
+            wrote => wrote,
+        };
         busy.store(false, Ordering::SeqCst);
         // A drain in progress: this response is complete, and the
         // connection closes cleanly instead of reading another
@@ -838,6 +830,9 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::RegionOutput;
+    use crate::wire::raw::{put_bytes, put_u32, put_u64, write_frame, Recorder};
+    use pash_core::plan::{Arg, EndpointKind, PlanEdge, PlanNode, PlanOp, RegionPlan, SplitMode};
 
     #[test]
     fn request_codec_round_trips() {
@@ -890,6 +885,321 @@ mod tests {
             write_response(&mut buf, &resp).expect("encode");
             let got = read_response(&mut io::Cursor::new(buf)).expect("decode");
             assert_eq!(got, resp);
+        }
+    }
+
+    /// A region with every edge kind, node op and split mode the
+    /// codec knows (the codec does not validate, so it need not run).
+    fn every_shape_region() -> RegionPlan {
+        let node = |op, inputs: Vec<usize>, outputs: Vec<usize>| PlanNode {
+            op,
+            stdin_inputs: inputs.first().copied().into_iter().collect(),
+            inputs,
+            outputs,
+            output_producer: false,
+        };
+        let split = |mode| PlanOp::Split { mode };
+        let edge = |kind, from, to| PlanEdge { kind, from, to };
+        RegionPlan {
+            nodes: vec![
+                node(split(SplitMode::General), vec![0], vec![1, 2]),
+                node(split(SplitMode::Sized), vec![1], vec![3]),
+                node(
+                    split(SplitMode::RoundRobin { framed: false }),
+                    vec![2],
+                    vec![4],
+                ),
+                node(
+                    split(SplitMode::RoundRobin { framed: true }),
+                    vec![3],
+                    vec![5],
+                ),
+                node(
+                    PlanOp::Exec {
+                        argv: vec![
+                            Arg::Lit("grep".into()),
+                            Arg::Lit("x".into()),
+                            Arg::Stream(4),
+                        ],
+                        framed: true,
+                    },
+                    vec![4],
+                    vec![6],
+                ),
+                node(PlanOp::Cat, vec![5, 6], vec![7]),
+                node(PlanOp::Relay { blocking: true }, vec![7], vec![8]),
+                PlanNode {
+                    output_producer: true,
+                    ..node(
+                        PlanOp::Aggregate {
+                            argv: vec!["pash-agg-reorder".into()],
+                        },
+                        vec![8],
+                        vec![9],
+                    )
+                },
+            ],
+            edges: vec![
+                edge(EndpointKind::InputFile("in.txt".into()), None, Some(0)),
+                edge(EndpointKind::Pipe, Some(0), Some(1)),
+                edge(EndpointKind::StdinPipe { primary: true }, None, Some(2)),
+                edge(EndpointKind::StdinPipe { primary: false }, None, Some(3)),
+                edge(
+                    EndpointKind::InputSegment {
+                        path: "seg.txt".into(),
+                        part: 1,
+                        of: 2,
+                    },
+                    None,
+                    Some(4),
+                ),
+                edge(EndpointKind::Pipe, Some(3), Some(5)),
+                edge(EndpointKind::Pipe, Some(4), Some(5)),
+                edge(EndpointKind::OutputFile("o.txt".into()), Some(5), None),
+                edge(EndpointKind::Detached, None, None),
+                edge(EndpointKind::StdoutPipe, Some(7), None),
+            ],
+            replayable: true,
+        }
+    }
+
+    /// One request of every kind, with every field set.
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Run(RunRequest {
+                script: "tr A-Z a-z | sort".to_string(),
+                backend: "threads".to_string(),
+                width: 2,
+                split: SplitPolicy::RoundRobin,
+                stdin: b"b\nA\n".to_vec(),
+            }),
+            Request::PutFile {
+                path: "in.txt".to_string(),
+                bytes: vec![0, 1, 2, 255],
+            },
+            Request::Metrics,
+            Request::Shutdown,
+            Request::Execute(ExecuteRequest {
+                region: every_shape_region(),
+                files: vec![
+                    ("in.txt".to_string(), b"x\ny\n".to_vec()),
+                    ("seg.txt".to_string(), Vec::new()),
+                ],
+                stdin: b"feed".to_vec(),
+                fault: Some("kill-worker:1:-:7:20:50".to_string()),
+            }),
+            Request::Execute(ExecuteRequest {
+                region: every_shape_region(),
+                files: Vec::new(),
+                stdin: Vec::new(),
+                fault: None,
+            }),
+        ]
+    }
+
+    /// One response of every kind, with every field set.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Error("nope".to_string()),
+            Response::Run(RunResponse {
+                status: -13,
+                tier: CacheTier::Memory,
+                compile_micros: 42,
+                total_micros: 99,
+                stdout: b"out\n".to_vec(),
+                files: vec![
+                    ("out.txt".to_string(), b"data".to_vec()),
+                    ("empty".to_string(), Vec::new()),
+                ],
+            }),
+            Response::Text("{}".to_string()),
+            Response::Ack,
+            Response::Region(RegionReply::Done {
+                output: RegionOutput {
+                    stdout: b"a\nb\n".to_vec(),
+                    statuses: vec![(0, 0), (3, 1)],
+                    status: 1,
+                },
+                files: vec![("o.txt".to_string(), b"z".to_vec())],
+            }),
+            Response::Region(RegionReply::Failed {
+                transient: true,
+                message: "torn".to_string(),
+            }),
+        ]
+    }
+
+    /// [`every_request`] and [`every_response`] as the encoder wrote
+    /// them when frames were built whole in memory (hex, header
+    /// included): streaming changed how the bytes are written, not
+    /// which bytes they are.
+    const GOLDEN_REQUESTS: [&str; 6] = [
+        "2e0000000111000000747220412d5a20612d7a207c20736f727407000000746872656164\
+         73020000000304000000620a410a",
+        "130000000206000000696e2e74787404000000000102ff",
+        "0100000003",
+        "0100000004",
+        "e301000005010a0000000306000000696e2e747874000000000100000000010000000200\
+         0000010100000000030000000100000000000400000005070000007365672e7478740100\
+         000002000000000000000500000000040000000600000000050000000600000004050000\
+         006f2e747874060000000000000006000000000000000002080000000000000008000000\
+         020001000000000000000200000001000000020000000100000000000000000201010000\
+         000100000001000000030000000100000001000000000202010000000200000001000000\
+         040000000100000002000000000203010000000300000001000000050000000100000003\
+         000000000001030000000004000000677265700001000000780104000000010000000400\
+         000001000000060000000100000004000000000102000000050000000600000001000000\
+         070000000100000005000000000301010000000700000001000000080000000100000007\
+         00000000040100000010000000706173682d6167672d72656f7264657201000000080000\
+         000100000009000000010000000800000001040000006665656401170000006b696c6c2d\
+         776f726b65723a313a2d3a373a32303a35300200000006000000696e2e74787404000000\
+         780a790a070000007365672e74787400000000",
+        "a301000005010a0000000306000000696e2e747874000000000100000000010000000200\
+         0000010100000000030000000100000000000400000005070000007365672e7478740100\
+         000002000000000000000500000000040000000600000000050000000600000004050000\
+         006f2e747874060000000000000006000000000000000002080000000000000008000000\
+         020001000000000000000200000001000000020000000100000000000000000201010000\
+         000100000001000000030000000100000001000000000202010000000200000001000000\
+         040000000100000002000000000203010000000300000001000000050000000100000003\
+         000000000001030000000004000000677265700001000000780104000000010000000400\
+         000001000000060000000100000004000000000102000000050000000600000001000000\
+         070000000100000005000000000301010000000700000001000000080000000100000007\
+         00000000040100000010000000706173682d6167672d72656f7264657201000000080000\
+         000100000009000000010000000800000001000000000000000000",
+    ];
+    const GOLDEN_RESPONSES: [&str; 6] = [
+        "0900000000040000006e6f7065",
+        "4200000001f3ffffff012a000000000000006300000000000000040000006f75740a0200\
+         0000070000006f75742e747874040000006461746105000000656d70747900000000",
+        "0700000002020000007b7d",
+        "0100000003",
+        "34000000040001000000020000000000000000000000030000000100000004000000610a\
+         620a01000000050000006f2e747874010000007a",
+        "0b00000004010104000000746f726e",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn every_frame_kind_matches_its_golden_bytes() {
+        for (req, want) in every_request().iter().zip(GOLDEN_REQUESTS) {
+            let mut wire = Vec::new();
+            write_request(&mut wire, req).expect("encode");
+            assert_eq!(hex(&wire), want, "{req:?}");
+            let back = read_request(&mut io::Cursor::new(wire)).expect("decode");
+            assert_eq!(back.as_ref(), Some(req));
+        }
+        for (resp, want) in every_response().iter().zip(GOLDEN_RESPONSES) {
+            let mut wire = Vec::new();
+            write_response(&mut wire, resp).expect("encode");
+            assert_eq!(hex(&wire), want, "{resp:?}");
+            assert_eq!(
+                &read_response(&mut io::Cursor::new(wire)).expect("decode"),
+                resp
+            );
+        }
+    }
+
+    /// Hands out one byte per `read`.
+    struct Trickle(io::Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn a_reader_that_trickles_decodes_the_same_values() {
+        // Every kind back to back on one stream: each frame ends where
+        // the next begins.
+        let mut wire = Vec::new();
+        for req in every_request() {
+            write_request(&mut wire, &req).expect("encode");
+        }
+        let mut r = Trickle(io::Cursor::new(wire));
+        for req in every_request() {
+            assert_eq!(read_request(&mut r).expect("decode"), Some(req));
+        }
+        assert_eq!(read_request(&mut r).expect("eof"), None);
+        let mut wire = Vec::new();
+        for resp in every_response() {
+            write_response(&mut wire, &resp).expect("encode");
+        }
+        let mut r = Trickle(io::Cursor::new(wire));
+        for resp in every_response() {
+            assert_eq!(read_response(&mut r).expect("decode"), resp);
+        }
+    }
+
+    #[test]
+    fn payloads_are_written_from_the_callers_buffers() {
+        let big = || vec![b'x'; 1 << 20];
+        let requests = [
+            Request::Run(RunRequest {
+                script: "tr A-Z a-z".to_string(),
+                backend: "threads".to_string(),
+                width: 2,
+                split: SplitPolicy::RoundRobin,
+                stdin: big(),
+            }),
+            Request::PutFile {
+                path: "in.txt".to_string(),
+                bytes: big(),
+            },
+            Request::Execute(ExecuteRequest {
+                region: every_shape_region(),
+                files: vec![("in.txt".to_string(), big())],
+                stdin: big(),
+                fault: None,
+            }),
+        ];
+        for req in &requests {
+            let fields: Vec<&[u8]> = match req {
+                Request::Run(r) => vec![&r.stdin],
+                Request::PutFile { bytes, .. } => vec![bytes],
+                Request::Execute(x) => vec![&x.stdin, &x.files[0].1],
+                _ => unreachable!("only requests with payloads"),
+            };
+            let mut sink = Recorder::default();
+            write_request(&mut sink, req).expect("encode");
+            for field in fields {
+                assert!(sink.wrote_in_place(field), "{:?}", sink.writes);
+            }
+        }
+        let responses = [
+            Response::Run(RunResponse {
+                status: 0,
+                tier: CacheTier::Cold,
+                compile_micros: 0,
+                total_micros: 0,
+                stdout: big(),
+                files: vec![("out.txt".to_string(), big())],
+            }),
+            Response::Region(RegionReply::Done {
+                output: RegionOutput {
+                    stdout: big(),
+                    statuses: Vec::new(),
+                    status: 0,
+                },
+                files: vec![("o.txt".to_string(), big())],
+            }),
+        ];
+        for resp in &responses {
+            let fields: Vec<&[u8]> = match resp {
+                Response::Run(r) => vec![&r.stdout, &r.files[0].1],
+                Response::Region(RegionReply::Done { output, files }) => {
+                    vec![&output.stdout, &files[0].1]
+                }
+                _ => unreachable!("only replies with payloads"),
+            };
+            let mut sink = Recorder::default();
+            write_response(&mut sink, resp).expect("encode");
+            for field in fields {
+                assert!(sink.wrote_in_place(field), "{:?}", sink.writes);
+            }
         }
     }
 

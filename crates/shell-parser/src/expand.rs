@@ -183,24 +183,22 @@ pub fn brace_expand(s: &str) -> Vec<String> {
                 }
                 depth += 1;
             }
-            b'}' => {
-                if depth > 0 {
-                    depth -= 1;
-                    if depth == 0 {
-                        let start = open.expect("matched open");
-                        let inner = &s[start + 1..i];
-                        if let Some(alternatives) = brace_alternatives(inner) {
-                            let prefix = &s[..start];
-                            let suffix = &s[i + 1..];
-                            let mut out = Vec::new();
-                            for alt in alternatives {
-                                let combined = format!("{prefix}{alt}{suffix}");
-                                out.extend(brace_expand(&combined));
-                            }
-                            return out;
+            b'}' if depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    let start = open.expect("matched open");
+                    let inner = &s[start + 1..i];
+                    if let Some(alternatives) = brace_alternatives(inner) {
+                        let prefix = &s[..start];
+                        let suffix = &s[i + 1..];
+                        let mut out = Vec::new();
+                        for alt in alternatives {
+                            let combined = format!("{prefix}{alt}{suffix}");
+                            out.extend(brace_expand(&combined));
                         }
-                        open = None;
+                        return out;
                     }
+                    open = None;
                 }
             }
             _ => {}

@@ -238,11 +238,7 @@ impl<'a> Lexer<'a> {
                 }
             };
         }
-        loop {
-            let b = match self.peek() {
-                Some(b) => b,
-                None => break,
-            };
+        while let Some(b) = self.peek() {
             match b {
                 b' ' | b'\t' | b'\n' | b'|' | b'&' | b';' | b'<' | b'>' | b'(' | b')' => break,
                 b'\'' => {
@@ -506,6 +502,39 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Parses the interior of `${…}` into name + optional op.
+fn parse_braced_param(raw: &str, at: usize) -> Result<WordPart, Error> {
+    if raw.is_empty() {
+        return Err(Error::new("empty parameter expansion", at));
+    }
+    let bytes = raw.as_bytes();
+    // `${#name}` — length-of.
+    if bytes[0] == b'#' && raw.len() > 1 {
+        return Ok(WordPart::Param(ParamExp {
+            name: raw[1..].to_string(),
+            op: Some("#".to_string()),
+        }));
+    }
+    let mut i = 0;
+    if bytes[0].is_ascii_digit() || "@*#?-$!".contains(bytes[0] as char) {
+        i = 1;
+    } else {
+        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            i += 1;
+        }
+    }
+    if i == 0 {
+        return Err(Error::new("invalid parameter name", at));
+    }
+    let name = raw[..i].to_string();
+    let op = if i < raw.len() {
+        Some(raw[i..].to_string())
+    } else {
+        None
+    };
+    Ok(WordPart::Param(ParamExp { name, op }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,37 +755,4 @@ mod tests {
         assert_eq!(t[0], Token::Op(Op::LParen));
         assert_eq!(t[2], Token::Op(Op::RParen));
     }
-}
-
-/// Parses the interior of `${…}` into name + optional op.
-fn parse_braced_param(raw: &str, at: usize) -> Result<WordPart, Error> {
-    if raw.is_empty() {
-        return Err(Error::new("empty parameter expansion", at));
-    }
-    let bytes = raw.as_bytes();
-    // `${#name}` — length-of.
-    if bytes[0] == b'#' && raw.len() > 1 {
-        return Ok(WordPart::Param(ParamExp {
-            name: raw[1..].to_string(),
-            op: Some("#".to_string()),
-        }));
-    }
-    let mut i = 0;
-    if bytes[0].is_ascii_digit() || "@*#?-$!".contains(bytes[0] as char) {
-        i = 1;
-    } else {
-        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-            i += 1;
-        }
-    }
-    if i == 0 {
-        return Err(Error::new("invalid parameter name", at));
-    }
-    let name = raw[..i].to_string();
-    let op = if i < raw.len() {
-        Some(raw[i..].to_string())
-    } else {
-        None
-    };
-    Ok(WordPart::Param(ParamExp { name, op }))
 }

@@ -299,14 +299,9 @@ impl<'a> Parser<'a> {
         self.linebreak()?;
         let words = if self.eat_reserved("in")? {
             let mut ws = Vec::new();
-            loop {
-                match self.peek()? {
-                    Token::Word(_) => {
-                        if let Token::Word(w) = self.next()? {
-                            ws.push(w);
-                        }
-                    }
-                    _ => break,
+            while let Token::Word(_) = self.peek()? {
+                if let Token::Word(w) = self.next()? {
+                    ws.push(w);
                 }
             }
             // Consume the separator (`;` or newline).
@@ -400,15 +395,12 @@ impl<'a> Parser<'a> {
                 cmd.redirects.push(r);
                 continue;
             }
-            match self.peek()? {
-                Token::Word(w) => {
-                    if let Some((name, value)) = split_assignment(w) {
-                        self.next()?;
-                        cmd.assignments.push(Assignment { name, value });
-                        continue;
-                    }
+            if let Token::Word(w) = self.peek()? {
+                if let Some((name, value)) = split_assignment(w) {
+                    self.next()?;
+                    cmd.assignments.push(Assignment { name, value });
+                    continue;
                 }
-                _ => {}
             }
             break;
         }

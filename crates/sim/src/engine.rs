@@ -129,7 +129,7 @@ fn split_shares_for(cfg: &SimConfig, op: &PlanOp, k: usize) -> Option<Vec<f64>> 
             mode: SplitMode::General,
         } => {
             let raw = cfg.split_shares.as_ref()?;
-            if raw.len() != k || raw.iter().any(|&s| !(s > 0.0)) {
+            if raw.len() != k || raw.iter().any(|&s| s.is_nan() || s <= 0.0) {
                 return None;
             }
             let total: f64 = raw.iter().sum();

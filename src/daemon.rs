@@ -208,24 +208,34 @@ impl Daemon {
             compile_micros,
             total_micros: 0, // filled by the server loop
             stdout,
-            files: changed_files(&self.template, &env.fs),
+            files: changed_files(&self.template, env.fs),
         })
     }
 }
 
 /// Files in `run` that `template` lacks or holds different contents
 /// for — by `Arc` pointer identity, so unchanged corpus files cost
-/// nothing per request.
-fn changed_files(template: &MemFs, run: &MemFs) -> Vec<(String, Vec<u8>)> {
+/// nothing per request. The run's snapshot is dropped first, so a
+/// written file's bytes are moved into the reply; they are copied
+/// only if something else still shares them.
+fn changed_files(template: &MemFs, run: Arc<MemFs>) -> Vec<(String, Vec<u8>)> {
     let base: std::collections::HashMap<String, Arc<Vec<u8>>> =
         template.entries().into_iter().collect();
-    run.entries()
+    let changed: Vec<_> = run
+        .entries()
         .into_iter()
         .filter(|(path, contents)| {
             base.get(path)
                 .is_none_or(|orig| !Arc::ptr_eq(orig, contents))
         })
-        .map(|(path, contents)| (path, contents.as_ref().clone()))
+        .collect();
+    drop(run);
+    changed
+        .into_iter()
+        .map(|(path, contents)| {
+            let bytes = Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone());
+            (path, bytes)
+        })
         .collect()
 }
 
@@ -244,7 +254,6 @@ pub fn serve(cfg: DaemonConfig) -> io::Result<()> {
         metrics,
         ServiceSettings {
             max_concurrent_runs: cfg.max_concurrent_runs,
-            ..Default::default()
         },
         Arc::new(move |req| handler_daemon.handle(req)),
     );

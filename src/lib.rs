@@ -430,8 +430,10 @@ mod tests {
             serve_worker(listener, &worker_socket).expect("serve worker");
         });
 
-        let mut env = RunEnv::default();
-        env.workers = vec![socket.clone()];
+        let env = RunEnv {
+            workers: vec![socket.clone()],
+            ..Default::default()
+        };
         env.fs_mem().add("in.txt", b"b\na\nc\n".to_vec());
         let cfg = PashConfig {
             width: 2,

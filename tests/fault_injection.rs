@@ -35,7 +35,7 @@ fn corpus() -> Vec<u8> {
     let mut out = Vec::with_capacity(1 << 20);
     let mut i = 0u32;
     while out.len() < 1 << 20 {
-        if i % 3 == 0 {
+        if i.is_multiple_of(3) {
             out.extend_from_slice(format!("line {i} over the lazy dog\n").as_bytes());
         } else {
             out.extend_from_slice(format!("Record {i} without a match {i:04x}\n").as_bytes());

@@ -16,6 +16,11 @@
 //! * Metrics says which schedule each region ran under;
 //! * the caller sets the width: a width-0 `Run` is refused, counted as
 //!   an error, and the connection keeps serving;
+//! * a stdin-fed request (the `light-stream` script on 4 MiB) sent twice
+//!   on one connection matches a direct run both times;
+//! * a reply over the frame cap is refused before a byte is sent: the
+//!   client gets `Error`, the daemon counts it, the connection keeps
+//!   serving;
 //! * `pashd` and `pash-worker` speak one protocol: each refuses the
 //!   other's verbs and keeps serving, and SIGTERM drains a worker's
 //!   in-flight region attempts the way it drains `pashd`'s runs.
@@ -620,6 +625,78 @@ fn pashd_refuses_width_zero_and_keeps_serving() {
     match call(&mut stream, &Request::Metrics) {
         Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
         other => panic!("Metrics answered with {other:?}"),
+    }
+    drop(stream);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stdin_fed_requests_back_to_back_on_one_connection_match_direct_runs() {
+    let script = "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '";
+    let stdin = wl::text_corpus(13, 4 << 20);
+    let expect = {
+        let env = RunEnv {
+            stdin: stdin.clone(),
+            ..Default::default()
+        };
+        match run(script, &PashConfig::round_robin(2), "threads", &env).expect("direct run") {
+            BackendOutput::Execution(o) => (o.stdout, o.status),
+            other => panic!("direct run produced {other:?}"),
+        }
+    };
+    assert!(!expect.0.is_empty());
+    let dir = scratch_dir("stdin");
+    let daemon = spawn_daemon(&dir, &[]);
+    let mut client = daemon.client();
+    for round in 0..2 {
+        let resp = client
+            .run(RunRequest {
+                stdin: stdin.clone(),
+                ..request(script, 2, SplitPolicy::RoundRobin)
+            })
+            .expect("daemon run");
+        assert_eq!((resp.stdout, resp.status), expect, "round {round}");
+    }
+    drop(client);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pashd_refuses_an_over_cap_reply_and_keeps_serving() {
+    let dir = scratch_dir("over-cap");
+    let daemon = spawn_daemon(&dir, &[]);
+    seed_corpus(&daemon);
+    // Four copies of a 17 MiB file: a stdout over the 64 MiB cap.
+    daemon
+        .client()
+        .put_file("big.txt", wl::text_corpus(14, 17 << 20))
+        .expect("seed big.txt");
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).expect("connect");
+    let big = "cat big.txt big.txt big.txt big.txt";
+    match call(
+        &mut stream,
+        &Request::Run(request(big, 1, SplitPolicy::Off)),
+    ) {
+        Response::Error(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("an over-cap reply arrived as {other:?}"),
+    }
+    match call(&mut stream, &Request::Metrics) {
+        Response::Text(json) => assert_eq!(metric(&json, "errors"), 1, "{json}"),
+        other => panic!("Metrics answered with {other:?}"),
+    }
+    // The next request on the same connection is served.
+    let script = "cat in.txt | tr A-Z a-z | grep the > out.txt";
+    match call(
+        &mut stream,
+        &Request::Run(request(script, 2, SplitPolicy::Sized)),
+    ) {
+        Response::Run(resp) => {
+            let (got, _) = observe_response(resp);
+            assert_eq!(got, direct(script, 2, SplitPolicy::Sized));
+        }
+        other => panic!("pashd answered a width-2 Run with {other:?}"),
     }
     drop(stream);
     daemon.stop();
