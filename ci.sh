@@ -7,14 +7,10 @@
 #   1. release build of every workspace target (deny warnings), and
 #      of the benchmark harness under bench/ (its own workspace): it
 #      is frozen between benchmark PRs, so an API a PR moves out from
-#      under it must fail here, on every host, not only where step 10
-#      can run (today it holds `fileseg::read_segment`, `run_relay`,
-#      `RelayMode`, `pipe` and `emit_program(&plan, &EmitConfig)` to
-#      their signatures; its `sim.*` rows hold the simulator symbols
-#      that are why the engine stays: `sim::engine::simulate_program`,
-#      `sim::{CostModel::calibrated, InputSizes, SimConfig}` and
-#      `optimize::{MeasuredRate, MeasuredRates}`; its daemon rows hold
-#      `WorkerPool::{new, probe}` and `shutdown_worker`);
+#      under it must fail here, on every host, not only where step 9
+#      can run (`grep -n 'use pash' bench/src/*.rs` lists what it
+#      imports; `grep -n 'pash::' bench/src/*.rs` adds what it calls
+#      by full path);
 #   2. the full test suite (unit + integration + doctests), the fault
 #      gate among it: `tests/fault_injection.rs` sweeps every fault kind
 #      at widths 2/4/8 on threads, processes and remote against the
@@ -22,22 +18,21 @@
 #   3. the four examples, run under a timeout (each asserts its own
 #      output; `quickstart` runs every backend, `remote` on an
 #      in-process worker);
-#   4. compile (but don't run) all criterion benches;
-#   5. dataplane bench smoke: run at a small size, check the emitted
+#   4. dataplane bench smoke: run at a small size, check the emitted
 #      BENCH_dataplane.json parses, assert the simulated r_split
 #      speedup over the skewed general split, and that the keys looked
 #      for (that speedup, the two `sort` kernel rows) are in the
 #      checked-in BENCH_dataplane.json too;
-#   6. regex bench smoke: tiered-vs-PikeVM suite at a small size
+#   5. regex bench smoke: tiered-vs-PikeVM suite at a small size
 #      (per-line and block line-scan rows, each asserted equal to the
 #      Pike VM and free of DFA give-ups before timing), check the
 #      emitted BENCH_regex.json parses, and that every key looked for
 #      is in the checked-in BENCH_regex.json too;
-#   7. plan-determinism smoke (segment split and r_split plans), and
+#   6. plan-determinism smoke (segment split and r_split plans), and
 #      the shape of the benchmark's `sort | uniq -c | sort -n` plan:
 #      the fold below the counted merge, a raw r_split behind it, no
 #      general split, 16 nodes at width 2;
-#   8. process-backend smoke: one corpus script as real children over
+#   7. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output, whose
 #      script must name no `fileseg` producer, and the benchmark
 #      script the same way under `timeout`; then
@@ -47,17 +42,17 @@
 #      then that 1 MB input piped into a stdin-fed pipeline on shell,
 #      threads and processes under `timeout`, each byte-compared
 #      against shell;
-#   9. remote-backend smoke: two pash-worker daemons on localhost
+#   8. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
 #      and take its socket with it;
-#  10. end-to-end benchmark check: `bench/run.sh --quick` runs all four
+#   9. end-to-end benchmark check: `bench/run.sh --quick` runs all four
 #      benchmark workloads once on every backend and through pashd, on
 #      small inputs, and compares every output byte for byte with the
 #      unmodified script under host /bin/sh + coreutils;
-#  11. rustfmt check;
-#  12. clippy over every workspace target (`--all-targets`: lib, bins,
-#      tests, examples, benches), every warning an error.
+#  10. rustfmt check;
+#  11. clippy over every workspace target (`--all-targets`: lib, bins,
+#      tests, examples), every warning an error.
 set -eu
 
 cd "$(dirname "$0")"
@@ -80,7 +75,7 @@ require_keys() {
 }
 
 # The benchmark harness under bench/ is frozen, but building it (step 1
-# here, bench/run.sh in step 10) may rewrite its lock file: the
+# here, bench/run.sh in step 9) may rewrite its lock file: the
 # committed one is kept aside and put back after each build, pass or
 # fail.
 bench_lock=$(mktemp)
@@ -112,9 +107,6 @@ for example in quickstart weather annotate webindex; do
         exit 1
     }
 done
-
-echo "==> cargo bench --no-run (workspace)"
-cargo bench --no-run --workspace
 
 echo "==> dataplane bench smoke (BENCH_dataplane.json well-formed)"
 ./target/release/dataplane --size small --out target/bench-smoke/BENCH_dataplane.json

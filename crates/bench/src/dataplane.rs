@@ -7,7 +7,8 @@
 //! these benchmarks put a number on how close the runtime gets. They
 //! are shared between the `dataplane` binary (which emits
 //! `BENCH_dataplane.json` so successive PRs have a perf trajectory)
-//! and the criterion bench of the same name.
+//! and the `runtime.{pipe,relay,fileseg}.mb_s` and
+//! `runtime.split.general_mb_s` rows of `bench/run.sh`.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -10,9 +10,8 @@
 //! | `backendrun` | runs a script on one backend over a generated corpus |
 //!
 //! Wall-clock time, script in to bytes out, is `bench/run.sh`'s job;
-//! its harness reads the suites in [`suites`]. The criterion benches
-//! under `benches/` time compilation, the kernels, the data plane and
-//! the regex engine.
+//! its harness reads the suites in [`suites`] and times compilation,
+//! the kernels and the data plane (with [`dataplane`]'s timers).
 
 pub mod dataplane;
 pub mod fixtures;

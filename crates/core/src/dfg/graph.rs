@@ -62,8 +62,6 @@ pub enum EagerKind {
 pub enum SplitKind {
     /// Consumes its complete input, counts lines, splits evenly.
     General,
-    /// Input size known beforehand: streams without a pre-pass.
-    Sized,
     /// Round-robin block distribution (`r_split`): streams fixed-size
     /// line-aligned blocks to outputs in rotation, with no pre-pass and
     /// balanced load regardless of line-length skew. `framed` output
@@ -138,7 +136,6 @@ impl Node {
             NodeKind::Command { argv, .. } => argv.join(" "),
             NodeKind::Cat => "cat".to_string(),
             NodeKind::Split(SplitKind::General) => "split".to_string(),
-            NodeKind::Split(SplitKind::Sized) => "split -sized".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: true }) => "split -rr".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: false }) => "split -rr-raw".to_string(),
             NodeKind::Relay(EagerKind::Full) => "eager".to_string(),

@@ -49,8 +49,10 @@ pub enum SplitPolicy {
     Off,
     /// Insert general (count-then-scatter) splits on pipe inputs.
     General,
-    /// Like `General`, but inputs of known size use the streaming
-    /// input-aware splitter (`B.Split`).
+    /// Like `General`, except that file inputs are divided into
+    /// byte-range segments and a consumer on a pipe whose aggregator
+    /// commutes takes raw `r_split` blocks. No sized split is ever
+    /// lowered.
     Sized,
     /// Order-aware round-robin distribution (`r_split`): capable nodes
     /// (see [`crate::classes::rr_mode`]) read tagged or raw blocks from
@@ -518,14 +520,8 @@ fn split_sources(
     let kind = match rr {
         RrMode::Framed => SplitKind::RoundRobin { framed: true },
         RrMode::Raw => SplitKind::RoundRobin { framed: false },
-        RrMode::No => match (cfg.split, &g.edge(input_edge).spec) {
-            (SplitPolicy::Off, _) => return None,
-            (
-                SplitPolicy::Sized | SplitPolicy::RoundRobin,
-                StreamSpec::File(_) | StreamSpec::FileSegment { .. },
-            ) => SplitKind::Sized,
-            _ => SplitKind::General,
-        },
+        RrMode::No if cfg.split == SplitPolicy::Off => return None,
+        RrMode::No => SplitKind::General,
     };
     let split_id = g.add_node(Node {
         kind: NodeKind::Split(kind),

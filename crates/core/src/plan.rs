@@ -106,7 +106,8 @@ impl Arg {
 pub enum SplitMode {
     /// Count-then-scatter: consumes the whole input, splits evenly.
     General,
-    /// Input size known beforehand: streams without a pre-pass.
+    /// Input size known beforehand. No lowering produces it (a whole
+    /// file is read by segment); every runner runs it as `General`.
     Sized,
     /// Round-robin block distribution (`r_split`): streams fixed-size
     /// line-aligned blocks to outputs in rotation. `framed` stamps
@@ -286,11 +287,9 @@ impl PlanNode {
             },
             PlanOp::Split { mode } => {
                 let mut argv = match mode {
-                    SplitMode::General => vec![SpawnWord::Lit("split".to_string())],
-                    SplitMode::Sized => vec![
-                        SpawnWord::Lit("split".to_string()),
-                        SpawnWord::Lit("--sized".to_string()),
-                    ],
+                    SplitMode::General | SplitMode::Sized => {
+                        vec![SpawnWord::Lit("split".to_string())]
+                    }
                     SplitMode::RoundRobin { framed: true } => {
                         vec![SpawnWord::Lit("r_split".to_string())]
                     }
@@ -846,7 +845,6 @@ fn lower_region(g: &Dfg) -> RegionPlan {
             NodeKind::Split(kind) => {
                 let mode = match kind {
                     SplitKind::General => SplitMode::General,
-                    SplitKind::Sized => SplitMode::Sized,
                     SplitKind::RoundRobin { framed } => SplitMode::RoundRobin { framed: *framed },
                 };
                 if matches!(mode, SplitMode::RoundRobin { framed: true }) {

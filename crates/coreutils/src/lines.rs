@@ -148,11 +148,6 @@ pub fn write_line<W: Write + ?Sized>(w: &mut W, line: &[u8]) -> io::Result<()> {
     }
 }
 
-/// Splits a line into fields on a single-byte delimiter.
-pub fn split_fields(line: &[u8], delim: u8) -> Vec<&[u8]> {
-    line.split(|&b| b == delim).collect()
-}
-
 /// Splits a line into whitespace-separated fields (runs of blanks
 /// collapse, leading blanks ignored) — the `awk`/`sort -k` default.
 pub fn split_whitespace(line: &[u8]) -> Vec<&[u8]> {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! pash-rt eager [--blocking]               # stdin → stdout relay
-//! pash-rt split [--sized] OUT…             # scatter stdin to files
+//! pash-rt split OUT…                       # scatter stdin to files
 //! pash-rt r_split [--raw] OUT…             # deal tagged blocks to files
 //! pash-rt --in P… agg pash-agg-… [ARGS]    # aggregator over inputs
 //! pash-rt [--stdin P] [--stdout P] CMD     # any coreutils command

@@ -173,8 +173,6 @@ fn denoted_op(framed: bool, name: &str, rest: &[String]) -> io::Result<(PlanOp, 
                 SplitMode::RoundRobin {
                     framed: !has("--raw"),
                 }
-            } else if has("--sized") {
-                SplitMode::Sized
             } else {
                 SplitMode::General
             };
@@ -441,9 +439,14 @@ mod tests {
                             let (argv, framed) = (lits(words), false);
                             (PlanOp::Exec { argv, framed }, Vec::new())
                         }
-                        PlanOp::Split { .. } => {
+                        // A sized split is spawned as the general one.
+                        PlanOp::Split { mode } => {
+                            let mode = match mode {
+                                SplitMode::Sized => SplitMode::General,
+                                m => *m,
+                            };
                             let outs = (0..node.outputs.len()).map(|j| edge("out", j));
-                            (node.op.clone(), outs.collect())
+                            (PlanOp::Split { mode }, outs.collect())
                         }
                         PlanOp::Aggregate { .. } => {
                             assert_eq!(redir.ins, inputs(node.inputs.len()), "{argv:?}");

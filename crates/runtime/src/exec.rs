@@ -668,10 +668,8 @@ pub(crate) fn run_node(
             Ok(0)
         }
         PlanOp::Split { mode } => {
-            // The sized variant needs a file-backed input; on a pipe
-            // the general and sized splitters behave identically for
-            // correctness (the performance difference is the
-            // simulator's concern). Round-robin deals tagged blocks.
+            // No lowering produces the sized variant; it runs as the
+            // general splitter. Round-robin deals tagged blocks.
             let input = ins.pop().expect("split has one input");
             let mut r = io::BufReader::with_capacity(BLOCK_SIZE, input);
             match mode {

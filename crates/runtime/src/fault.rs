@@ -346,12 +346,6 @@ impl FaultPlan {
         self
     }
 
-    /// The cancel token stalls honour (the deadline watchdog cancels
-    /// it so a kill does not wait out the stall).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Arms the fault against one region attempt: picks the target
     /// site by seeded hash and decrements the budget. `connection`
     /// says whether the attempt crosses a coordinator↔worker

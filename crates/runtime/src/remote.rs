@@ -21,7 +21,7 @@
 //! only this runner offers:
 //!
 //! * a transient remote failure retries on a **different** worker
-//!   (per-attempt placement over the healthy set, jittered backoff);
+//!   (per-attempt placement over the pool, jittered backoff);
 //! * a region deadline tears down the socket — the worker's write of
 //!   its reply fails and the connection's thread ends;
 //! * exhausted retries degrade first to a clean **local** attempt at
@@ -468,14 +468,13 @@ fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-/// The coordinator's view of the worker fleet: socket paths plus the
-/// latest health verdicts. Placement is per-attempt — attempt `i` of a
-/// region with fingerprint `fp` lands on healthy worker
-/// `(fp + i) mod n` — so a retry after a transient remote failure
-/// moves to a *different* worker whenever more than one is healthy.
+/// The coordinator's view of the worker fleet: its socket paths.
+/// Placement is per-attempt — attempt `i` of a region with fingerprint
+/// `fp` lands on worker `(fp + i) mod n` — so a retry after a transient
+/// remote failure moves to a *different* worker whenever there is more
+/// than one.
 pub struct WorkerPool {
     sockets: Vec<PathBuf>,
-    healthy: Vec<bool>,
 }
 
 /// Socket I/O timeout for health probes.
@@ -483,45 +482,28 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl WorkerPool {
     pub fn new(sockets: Vec<PathBuf>) -> WorkerPool {
-        let healthy = vec![true; sockets.len()];
-        WorkerPool { sockets, healthy }
+        WorkerPool { sockets }
     }
 
-    /// Pings every worker, refreshes the health map, and returns how
-    /// many answered.
+    /// Pings every worker and returns how many answered. `&mut self`
+    /// keeps callers that hold the pool in a `mut` binding (the
+    /// benchmark harness does) free of an unused-`mut` warning.
     pub fn probe(&mut self) -> usize {
-        for (i, s) in self.sockets.iter().enumerate() {
-            self.healthy[i] = ping(s, PROBE_TIMEOUT);
-        }
-        self.healthy.iter().filter(|h| **h).count()
+        self.sockets
+            .iter()
+            .filter(|s| ping(s, PROBE_TIMEOUT))
+            .count()
     }
 
-    /// Number of workers currently believed healthy.
-    pub fn healthy_count(&self) -> usize {
-        self.healthy.iter().filter(|h| **h).count()
-    }
-
-    /// The healthy worker for attempt `attempt` of a region with
-    /// fingerprint `fp`, with its pool index (for reroute
-    /// accounting). `None` when no worker is healthy.
+    /// The worker for attempt `attempt` of a region with fingerprint
+    /// `fp`, with its pool index (for reroute accounting). `None` only
+    /// for an empty pool.
     pub fn pick(&self, fp: u64, attempt: u32) -> Option<(usize, &Path)> {
-        let healthy: Vec<usize> = (0..self.sockets.len())
-            .filter(|&i| self.healthy[i])
-            .collect();
-        if healthy.is_empty() {
+        if self.sockets.is_empty() {
             return None;
         }
-        let at = ((fp.wrapping_add(attempt as u64)) % healthy.len() as u64) as usize;
-        let idx = healthy[at];
+        let idx = (fp.wrapping_add(attempt as u64) % self.sockets.len() as u64) as usize;
         Some((idx, &self.sockets[idx]))
-    }
-
-    /// Marks a worker unhealthy after a failed attempt, so the next
-    /// placement skips it until the next probe.
-    pub fn mark_down(&mut self, idx: usize) {
-        if let Some(h) = self.healthy.get_mut(idx) {
-            *h = false;
-        }
     }
 }
 
@@ -705,7 +687,7 @@ impl RegionRunner for RemoteRunner<'_> {
         let Some((idx, socket)) = self.pool.pick(fp, attempt_no) else {
             return Err(ExecError::fatal(
                 "remote placement",
-                io::Error::new(io::ErrorKind::NotConnected, "no healthy workers"),
+                io::Error::new(io::ErrorKind::NotConnected, "no workers"),
             ));
         };
         // Placement is a function of the attempt index alone, so where
@@ -1353,8 +1335,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_places_per_attempt_and_skips_unhealthy() {
-        let mut pool = WorkerPool::new(vec![
+    fn worker_pool_places_per_attempt() {
+        let pool = WorkerPool::new(vec![
             PathBuf::from("/tmp/w0"),
             PathBuf::from("/tmp/w1"),
             PathBuf::from("/tmp/w2"),
@@ -1362,13 +1344,11 @@ mod tests {
         let (a0, _) = pool.pick(100, 0).unwrap();
         let (a1, _) = pool.pick(100, 1).unwrap();
         assert_ne!(a0, a1, "consecutive attempts land on different workers");
-        pool.mark_down(a1);
-        assert_eq!(pool.healthy_count(), 2);
-        let (b1, _) = pool.pick(100, 1).unwrap();
-        assert_ne!(b1, a1, "downed worker is skipped");
-        pool.mark_down(0);
-        pool.mark_down(1);
-        pool.mark_down(2);
-        assert!(pool.pick(100, 0).is_none(), "empty pool yields no pick");
+        let (a3, _) = pool.pick(100, 3).unwrap();
+        assert_eq!(a3, a0, "placement rotates through the pool");
+        assert!(
+            WorkerPool::new(Vec::new()).pick(100, 0).is_none(),
+            "empty pool yields no pick"
+        );
     }
 }
