@@ -7,7 +7,7 @@
 #   1. release build of every workspace target (deny warnings), and
 #      of the benchmark harness under bench/ (its own workspace): it
 #      is frozen between benchmark PRs, so an API a PR moves out from
-#      under it must fail here, on every host, not only where step 9
+#      under it must fail here, on every host, not only where step 8
 #      can run (`grep -n 'use pash' bench/src/*.rs` lists what it
 #      imports; `grep -n 'pash::' bench/src/*.rs` adds what it calls
 #      by full path);
@@ -18,21 +18,16 @@
 #   3. the four examples, run under a timeout (each asserts its own
 #      output; `quickstart` runs every backend, `remote` on an
 #      in-process worker);
-#   4. dataplane bench smoke: run at a small size, check the emitted
-#      BENCH_dataplane.json parses, assert the simulated r_split
-#      speedup over the skewed general split, and that the keys looked
-#      for (that speedup, the two `sort` kernel rows) are in the
-#      checked-in BENCH_dataplane.json too;
-#   5. regex bench smoke: tiered-vs-PikeVM suite at a small size
+#   4. regex bench smoke: tiered-vs-PikeVM suite at a small size
 #      (per-line and block line-scan rows, each asserted equal to the
 #      Pike VM and free of DFA give-ups before timing), check the
 #      emitted BENCH_regex.json parses, and that every key looked for
 #      is in the checked-in BENCH_regex.json too;
-#   6. plan-determinism smoke (segment split and r_split plans), and
+#   5. plan-determinism smoke (segment split and r_split plans), and
 #      the shape of the benchmark's `sort | uniq -c | sort -n` plan:
 #      the fold below the counted merge, a raw r_split behind it, no
 #      general split, 16 nodes at width 2;
-#   7. process-backend smoke: one corpus script as real children over
+#   6. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output, whose
 #      script must name no `fileseg` producer, and the benchmark
 #      script the same way under `timeout`; then
@@ -42,16 +37,16 @@
 #      then that 1 MB input piped into a stdin-fed pipeline on shell,
 #      threads and processes under `timeout`, each byte-compared
 #      against shell;
-#   8. remote-backend smoke: two pash-worker daemons on localhost
+#   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
 #      and take its socket with it;
-#   9. end-to-end benchmark check: `bench/run.sh --quick` runs all four
+#   8. end-to-end benchmark check: `bench/run.sh --quick` runs all four
 #      benchmark workloads once on every backend and through pashd, on
 #      small inputs, and compares every output byte for byte with the
 #      unmodified script under host /bin/sh + coreutils;
-#  10. rustfmt check;
-#  11. clippy over every workspace target (`--all-targets`: lib, bins,
+#   9. rustfmt check;
+#  10. clippy over every workspace target (`--all-targets`: lib, bins,
 #      tests, examples), every warning an error.
 set -eu
 
@@ -75,7 +70,7 @@ require_keys() {
 }
 
 # The benchmark harness under bench/ is frozen, but building it (step 1
-# here, bench/run.sh in step 9) may rewrite its lock file: the
+# here, bench/run.sh in step 8) may rewrite its lock file: the
 # committed one is kept aside and put back after each build, pass or
 # fail.
 bench_lock=$(mktemp)
@@ -107,26 +102,6 @@ for example in quickstart weather annotate webindex; do
         exit 1
     }
 done
-
-echo "==> dataplane bench smoke (BENCH_dataplane.json well-formed)"
-./target/release/dataplane --size small --out target/bench-smoke/BENCH_dataplane.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool target/bench-smoke/BENCH_dataplane.json >/dev/null
-else
-    grep -q '"bench":"dataplane"' target/bench-smoke/BENCH_dataplane.json
-fi
-
-echo "==> r_split speedup smoke (skewed corpus, simulated width 8)"
-# The simulator is deterministic, so this is a stable gate: the
-# streaming round-robin split must beat the blocking, skew-prone
-# general split on the line-length-skewed corpus.
-rr_speedup=$(sed -n 's/.*"rr_vs_general_split_speedup":\([0-9.]*\).*/\1/p' \
-    target/bench-smoke/BENCH_dataplane.json)
-test -n "$rr_speedup"
-awk "BEGIN { exit !($rr_speedup > 1.05) }"
-require_keys BENCH_dataplane.json rr_vs_general_split_speedup sort_kernel_text \
-    sort_kernel_counted_n
-echo "    r_split vs general split on skewed input: ${rr_speedup}x"
 
 echo "==> regex bench smoke (BENCH_regex.json well-formed)"
 # Also re-asserts (inside run_suite) that the tiered engine and the

@@ -6,7 +6,7 @@
 //! input and asserts byte-identical output — the property the
 //! compile-result cache key relies on.
 //!
-//! Usage: `plandump [--width N] [--split off|general|sized|rr]
+//! Usage: `plandump [--width N] [--split off|sized|rr]
 //!                  [--eager off|blocking|full] [--flat-agg]
 //!                  (-e SCRIPT | FILE)`
 
@@ -28,7 +28,6 @@ fn main() {
             "--split" => {
                 cfg.split = match args.next().as_deref() {
                     Some("off") => SplitPolicy::Off,
-                    Some("general") => SplitPolicy::General,
                     Some("sized") => SplitPolicy::Sized,
                     Some("rr") => SplitPolicy::RoundRobin,
                     _ => usage(),
@@ -77,7 +76,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: plandump [--width N] [--split off|general|sized|rr] \
+        "usage: plandump [--width N] [--split off|sized|rr] \
          [--eager off|blocking|full] [--flat-agg] (-e SCRIPT | FILE)"
     );
     std::process::exit(2);

@@ -7,8 +7,7 @@
 //! `grep`'s block scan; writes the results, the per-case speedups and
 //! each tiered matcher's counters (states built, cache clears,
 //! give-ups, lines per engine) to `BENCH_regex.json`, so successive
-//! PRs can track the regex-engine trajectory the same way
-//! `BENCH_dataplane.json` tracks the byte-shuffling primitives.
+//! changes can track the regex-engine trajectory.
 //!
 //! Usage: `regexbench [--size small|default|large] [--out PATH]`
 

@@ -1,23 +1,19 @@
-//! Data-plane microbenchmarks: the byte-shuffling primitives of §5.2
-//! (pipes, splitters, segment reads, eager relays) measured in
-//! isolation, and the `sort` kernel whose output the merge
-//! aggregators carry.
+//! Data-plane timers: the byte-shuffling primitives of §5.2 (pipes,
+//! the general splitter, segment reads, eager relays) measured in
+//! isolation, for the `runtime.{pipe,relay,fileseg}.mb_s` and
+//! `runtime.split.general_mb_s` rows of `bench/run.sh`.
 //!
 //! The paper's speedups assume edges move data at memory bandwidth;
-//! these benchmarks put a number on how close the runtime gets. They
-//! are shared between the `dataplane` binary (which emits
-//! `BENCH_dataplane.json` so successive PRs have a perf trajectory)
-//! and the `runtime.{pipe,relay,fileseg}.mb_s` and
-//! `runtime.split.general_mb_s` rows of `bench/run.sh`.
+//! these timers put a number on how close the runtime gets. [`measure`]
+//! and [`Sample`] aggregate repeated timings; `regexbench` records its
+//! rows with them.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pash_coreutils::fs::{Fs, MemFs};
-use pash_coreutils::{run_command, Registry};
-use pash_runtime::agg::{run_aggregator, AggInput};
+use pash_coreutils::fs::Fs;
 use pash_runtime::fileseg::read_segment;
 use pash_runtime::pipe::pipe;
 use pash_runtime::relay::{run_relay, RelayMode};
@@ -25,7 +21,7 @@ use pash_runtime::split::split_general;
 
 /// A writer that counts bytes and discards them — the cheapest
 /// possible sink, so the primitive under test dominates the time.
-struct CountSink(Arc<AtomicUsize>);
+pub(crate) struct CountSink(pub(crate) Arc<AtomicUsize>);
 
 impl Write for CountSink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -102,64 +98,6 @@ pub fn time_segment_read(fs: &Arc<dyn Fs>, path: &str, k: usize) -> Duration {
     elapsed
 }
 
-/// Splits a corpus into `k` contiguous sorted runs — the shape of the
-/// partial outputs that parallel `sort` copies hand the aggregator.
-pub fn sorted_chunks(corpus: &[u8], k: usize) -> Vec<Vec<u8>> {
-    let mut lines: Vec<&[u8]> = corpus.split_inclusive(|&b| b == b'\n').collect();
-    lines.sort_unstable();
-    let k = k.max(1);
-    let per = lines.len().div_ceil(k);
-    lines
-        .chunks(per.max(1))
-        .map(|chunk| chunk.concat())
-        .chain(std::iter::repeat_with(Vec::new))
-        .take(k)
-        .collect()
-}
-
-/// Merges `chunks` through the `sort` aggregator (the batched
-/// [`pash_runtime::scan::LineScanner`] input path) into a counting
-/// sink; returns the wall time.
-pub fn time_agg_merge(registry: &Registry, fs: &Arc<dyn Fs>, chunks: &[Vec<u8>]) -> Duration {
-    let total: usize = chunks.iter().map(|c| c.len()).sum();
-    let inputs: Vec<AggInput> = chunks
-        .iter()
-        .map(|c| Box::new(io::Cursor::new(c.clone())) as AggInput)
-        .collect();
-    let counter = Arc::new(AtomicUsize::new(0));
-    let mut out = CountSink(counter.clone());
-    let argv = vec!["pash-agg-sort".to_string()];
-    let start = Instant::now();
-    run_aggregator(&argv, inputs, &mut out, registry, fs.clone()).expect("agg merge");
-    let elapsed = start.elapsed();
-    assert_eq!(counter.load(Ordering::Relaxed), total, "merge lost bytes");
-    elapsed
-}
-
-/// Runs `sort ARGS…` over `input` (newline-terminated) through the
-/// command itself — arena, index, kernel, gathered output — into
-/// memory; returns the wall time.
-pub fn time_sort(registry: &Registry, args: &[&str], input: &[u8]) -> Duration {
-    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-    let argv: Vec<&str> = std::iter::once("sort")
-        .chain(args.iter().copied())
-        .collect();
-    let start = Instant::now();
-    let out = run_command(registry, fs, &argv, input).expect("sort runs");
-    let elapsed = start.elapsed();
-    assert_eq!(out.stdout.len(), input.len(), "sort lost bytes");
-    elapsed
-}
-
-/// `sort | uniq -c` of `corpus`: the records the benchmark's final
-/// `sort -n` orders.
-pub fn counted_records(registry: &Registry, corpus: &[u8]) -> Vec<u8> {
-    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-    let sorted = run_command(registry, fs.clone(), &["sort"], corpus).expect("sort runs");
-    let counted = run_command(registry, fs, &["uniq", "-c"], &sorted.stdout).expect("uniq runs");
-    counted.stdout
-}
-
 /// Runs a full eager relay over `data`; returns the wall time.
 pub fn time_relay(data: &[u8]) -> Duration {
     let owned = data.to_vec();
@@ -227,50 +165,6 @@ pub fn measure(name: &str, bytes: usize, runs: usize, mut f: impl FnMut() -> Dur
     }
 }
 
-/// The standard suite at a given transfer size; `runs` iterations per
-/// benchmark. Covers the four primitives the executor's edges use,
-/// the aggregator merge path, and the `sort` kernel on text and on
-/// `uniq -c` records under `-n`.
-pub fn run_suite(bytes: usize, runs: usize) -> Vec<Sample> {
-    let corpus = pash_workloads::text_corpus(41, bytes);
-    let mem = MemFs::new();
-    mem.add("seg.txt", corpus.clone());
-    let fs: Arc<dyn Fs> = Arc::new(mem);
-    let registry = Registry::standard();
-    let chunks = sorted_chunks(&corpus, 8);
-    let merge_bytes: usize = chunks.iter().map(|c| c.len()).sum();
-    let chunks32 = sorted_chunks(&corpus, 32);
-    let merge32_bytes: usize = chunks32.iter().map(|c| c.len()).sum();
-    let counted = counted_records(&registry, &corpus);
-    vec![
-        measure("pipe_64k_cap", bytes, runs, || {
-            time_pipe_transfer(64 * 1024, bytes)
-        }),
-        measure("pipe_4k_cap", bytes, runs, || {
-            time_pipe_transfer(4 * 1024, bytes)
-        }),
-        measure("split_8way", bytes, runs, || time_split(&corpus, 8)),
-        measure("segment_read_8way", bytes, runs, || {
-            time_segment_read(&fs, "seg.txt", 8)
-        }),
-        measure("relay_full", bytes, runs, || time_relay(&corpus)),
-        measure("agg_sort_merge_8way", merge_bytes, runs, || {
-            time_agg_merge(&registry, &fs, &chunks)
-        }),
-        // High fan-in is where the loser tree's O(log k) replay beats
-        // the old O(k) head scan.
-        measure("agg_sort_merge_32way", merge32_bytes, runs, || {
-            time_agg_merge(&registry, &fs, &chunks32)
-        }),
-        measure("sort_kernel_text", bytes, runs, || {
-            time_sort(&registry, &[], &corpus)
-        }),
-        measure("sort_kernel_counted_n", counted.len(), runs, || {
-            time_sort(&registry, &["-n"], &counted)
-        }),
-    ]
-}
-
 /// Human-readable throughput, e.g. `312.4 MiB/s`.
 pub fn fmt_throughput(bytes_per_sec: f64) -> String {
     const MIB: f64 = 1024.0 * 1024.0;
@@ -286,33 +180,6 @@ pub fn fmt_throughput(bytes_per_sec: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suite_runs_at_tiny_size() {
-        let samples = run_suite(4 * 1024, 1);
-        assert_eq!(samples.len(), 9);
-        for s in &samples {
-            assert!(s.throughput() > 0.0, "{} has zero throughput", s.name);
-            assert!(s.to_json().contains(&s.name));
-        }
-        assert!(samples.iter().any(|s| s.name == "agg_sort_merge_8way"));
-        assert!(samples.iter().any(|s| s.name == "agg_sort_merge_32way"));
-        assert!(samples.iter().any(|s| s.name == "sort_kernel_text"));
-        assert!(samples.iter().any(|s| s.name == "sort_kernel_counted_n"));
-    }
-
-    #[test]
-    fn sorted_chunks_cover_and_order() {
-        let corpus = pash_workloads::text_corpus(7, 4 * 1024);
-        let chunks = sorted_chunks(&corpus, 8);
-        assert_eq!(chunks.len(), 8);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, corpus.len());
-        for c in &chunks {
-            let lines: Vec<&[u8]> = c.split_inclusive(|&b| b == b'\n').collect();
-            assert!(lines.windows(2).all(|w| w[0] <= w[1]), "chunk not sorted");
-        }
-    }
 
     #[test]
     fn throughput_formatting() {

@@ -4,14 +4,14 @@
 //! | binary | what it does |
 //! |--------|--------------|
 //! | `tab1` | Tab. 1: the parallelizability study of the command set |
-//! | `dataplane` | pipe, relay, split and segment rates, and the r_split gate (`BENCH_dataplane.json`) |
 //! | `regexbench` | the tiered matcher against the Pike VM (`BENCH_regex.json`) |
 //! | `plandump` | prints a script's lowered plan and its fingerprint |
 //! | `backendrun` | runs a script on one backend over a generated corpus |
 //!
 //! Wall-clock time, script in to bytes out, is `bench/run.sh`'s job;
 //! its harness reads the suites in [`suites`] and times compilation,
-//! the kernels and the data plane (with [`dataplane`]'s timers).
+//! the kernels and the data plane (with the timers of [`dataplane`]
+//! and [`rsplitbench`]), the only producer of the data-plane rates.
 
 pub mod dataplane;
 pub mod fixtures;

@@ -20,7 +20,8 @@ use crate::Error;
 pub struct PashConfig {
     /// Parallelism width (the paper sweeps 2–64).
     pub width: usize,
-    /// Split-node policy (Fig. 7's `Split` / `B.Split` axis).
+    /// Split-node policy (Fig. 7's `Split` axis): `Off`, `Sized`
+    /// (what [`PashConfig::best`] uses) or `RoundRobin`.
     pub split: SplitPolicy,
     /// Eager-relay policy (Fig. 7's `Eager` axis).
     pub eager: EagerPolicy,
@@ -103,15 +104,6 @@ pub struct CompileStats {
     pub nodes: DfgStats,
     /// Wall-clock compilation time.
     pub compile_time: Duration,
-    /// Process-wide [`compile_cached`] hits at the time this compile
-    /// finished.
-    pub cache_hits: u64,
-    /// Process-wide [`compile_cached`] misses at the time this compile
-    /// finished.
-    pub cache_misses: u64,
-    /// Process-wide [`compile_cached`] LRU evictions at the time this
-    /// compile finished.
-    pub cache_evictions: u64,
 }
 
 /// A compiled program.
@@ -161,16 +153,12 @@ pub fn compile_with_library(
         regions += 1;
     }
     let plan = lower(&tp);
-    let cache = cache_stats();
     Ok(Compiled {
         plan,
         stats: CompileStats {
             regions,
             nodes,
             compile_time: start.elapsed(),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
         },
     })
 }
@@ -266,23 +254,6 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Looks a compilation up in the [`compile_cached`] LRU without
-/// compiling on a miss. A hit counts toward the hit counter (and
-/// freshens the entry); a miss counts nothing — the caller's
-/// [`compile_cached`] that follows records it.
-pub fn compile_cache_peek(src: &str, cfg: &PashConfig) -> Option<Arc<Compiled>> {
-    let key = format!("{}\u{0}{src}", cfg.cache_key());
-    let hit = cache()
-        .lock()
-        .expect("compile cache lock")
-        .get(&key)
-        .cloned();
-    if hit.is_some() {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    hit
-}
-
 /// Compiles with the standard library, memoizing results by
 /// `(source, configuration)` in a bounded LRU of
 /// [`DEFAULT_CACHE_CAPACITY`] entries.
@@ -291,14 +262,19 @@ pub fn compile_cache_peek(src: &str, cfg: &PashConfig) -> Option<Arc<Compiled>> 
 /// step), so a cache hit returns the *same* `Arc<Compiled>` — plan
 /// and stats included — without re-running the front-end or
 /// transformations. Errors are not cached. Hit/miss/eviction counters
-/// are surfaced via [`cache_stats`] and embedded in every
-/// [`CompileStats`].
+/// are surfaced via [`cache_stats`].
 pub fn compile_cached(src: &str, cfg: &PashConfig) -> Result<Arc<Compiled>, Error> {
+    compile_cached_hit(src, cfg).map(|(compiled, _)| compiled)
+}
+
+/// [`compile_cached`], also telling whether the cache already held the
+/// compilation: one lookup, counted once.
+pub fn compile_cached_hit(src: &str, cfg: &PashConfig) -> Result<(Arc<Compiled>, bool), Error> {
     let key = format!("{}\u{0}{src}", cfg.cache_key());
     // Fast path: serve a hit without compiling.
     if let Some(hit) = cache().lock().expect("compile cache lock").get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(hit.clone());
+        return Ok((hit.clone(), true));
     }
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     let compiled = Arc::new(compile(src, cfg)?);
@@ -309,7 +285,7 @@ pub fn compile_cached(src: &str, cfg: &PashConfig) -> Result<Arc<Compiled>, Erro
     if evicted > 0 {
         CACHE_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
     }
-    Ok(compiled)
+    Ok((compiled, false))
 }
 
 #[cfg(test)]

@@ -47,12 +47,10 @@ pub enum SplitPolicy {
     /// divided (via byte-range segments, which need no process).
     #[default]
     Off,
-    /// Insert general (count-then-scatter) splits on pipe inputs.
-    General,
-    /// Like `General`, except that file inputs are divided into
-    /// byte-range segments and a consumer on a pipe whose aggregator
-    /// commutes takes raw `r_split` blocks. No sized split is ever
-    /// lowered.
+    /// Split pipe inputs too: a consumer whose aggregator commutes
+    /// takes raw `r_split` blocks, any other a general
+    /// (count-then-scatter) split. Whole files are still divided into
+    /// byte-range segments. No sized split is ever lowered.
     Sized,
     /// Order-aware round-robin distribution (`r_split`): capable nodes
     /// (see [`crate::classes::rr_mode`]) read tagged or raw blocks from
@@ -943,7 +941,7 @@ mod tests {
             pipeline(),
             &TransformConfig {
                 width: 4,
-                split: SplitPolicy::General,
+                split: SplitPolicy::Sized,
                 ..Default::default()
             },
         );
@@ -970,7 +968,7 @@ mod tests {
             g,
             &TransformConfig {
                 width: 4,
-                split: SplitPolicy::General,
+                split: SplitPolicy::Sized,
                 ..Default::default()
             },
         );
@@ -1423,10 +1421,10 @@ mod tests {
     }
 
     #[test]
-    fn general_and_off_plans_of_a_lone_sort_are_unchanged() {
-        // Tab. 2's Sort row under the paper's own split axis: the new
-        // rules touch neither policy.
-        for split in [SplitPolicy::Off, SplitPolicy::General] {
+    fn sized_and_off_plans_of_a_lone_sort_are_unchanged() {
+        // Tab. 2's Sort row under both split policies: a file-fed sort
+        // takes segments, and no rule behind a merge fires.
+        for split in [SplitPolicy::Off, SplitPolicy::Sized] {
             let s = stats_after(
                 sort_pipeline(),
                 &TransformConfig {
@@ -1438,16 +1436,5 @@ mod tests {
             assert_eq!(s.total(), 77, "{split:?}");
             assert_eq!((s.commuted, s.splits_raw_rr), (0, 0));
         }
-        // `General` stays count-then-scatter behind an aggregator.
-        let g = region_of(
-            "cat in.txt | sort | uniq -c | sort -n",
-            &TransformConfig {
-                width: 4,
-                split: SplitPolicy::General,
-                ..Default::default()
-            },
-        );
-        assert_eq!(split_kinds(&g), vec![SplitKind::General]);
-        assert_eq!(g.stats().commuted, 1);
     }
 }

@@ -1116,7 +1116,7 @@ mod tests {
         let plan = lowered_with(
             "cat in.txt | sort | grep x > out.txt",
             4,
-            SplitPolicy::General,
+            SplitPolicy::Sized,
         );
         let r = first_region(&plan);
         let split = r
@@ -1251,7 +1251,7 @@ mod tests {
         let plan = lowered_with(
             "cat in.txt | sort | grep x > out.txt",
             4,
-            SplitPolicy::General,
+            SplitPolicy::Sized,
         );
         let r = first_region(&plan);
         let mut seen_split = false;

@@ -103,6 +103,18 @@ impl MemFs {
             .ok_or_else(|| not_found(path))
     }
 
+    /// Removes a file and returns its contents, moved out of the
+    /// filesystem unless a snapshot still shares them (then copied).
+    pub fn take(&self, path: &str) -> io::Result<Vec<u8>> {
+        let contents = self
+            .files
+            .lock()
+            .expect("MemFs lock poisoned")
+            .remove(&normalize(path))
+            .ok_or_else(|| not_found(path))?;
+        Ok(Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone()))
+    }
+
     /// Lists every file with its shared contents, sorted by path.
     ///
     /// The `Arc`s are the storage cells themselves, so a caller can
@@ -347,6 +359,23 @@ mod tests {
             w.write_all(b"data").expect("write");
         }
         assert_eq!(fs.read("out.txt").expect("read"), b"data");
+    }
+
+    #[test]
+    fn memfs_take_moves_unshared_contents_out() {
+        let fs = MemFs::new();
+        fs.add("./a", b"1".to_vec());
+        fs.add("b", b"2".to_vec());
+        let snap = fs.snapshot();
+        let a = fs.entries()[0].1.as_ptr();
+        drop(snap);
+        let taken = fs.take("a").expect("a");
+        assert_eq!(taken.as_ptr(), a, "moved, not copied");
+        assert!(fs.read("a").is_err());
+        let snap = fs.snapshot();
+        assert_eq!(fs.take("b").expect("b"), b"2");
+        assert_eq!(snap.read("b").expect("still shared"), b"2");
+        assert!(fs.take("b").is_err());
     }
 
     #[test]

@@ -451,9 +451,11 @@ fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
             let mut written = req.region.writes_files();
             written.sort();
             written.dedup();
+            // The attempt is over and the worker's filesystem goes with
+            // this reply: move the bytes out rather than copy them.
             let files = written
                 .into_iter()
-                .filter_map(|path| fs.read(&path).ok().map(|bytes| (path, bytes)))
+                .filter_map(|path| fs.take(&path).ok().map(|bytes| (path, bytes)))
                 .collect();
             RegionReply::Done { output, files }
         }
@@ -1191,7 +1193,7 @@ mod tests {
             ),
             (
                 "x=1\ngrep a f > t && sort t > u || echo no",
-                SplitPolicy::General,
+                SplitPolicy::Sized,
             ),
             ("sort words.txt | comm -13 dict.txt -", SplitPolicy::Off),
             (

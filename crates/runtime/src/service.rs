@@ -145,10 +145,11 @@ pub enum Response {
 
 // --- codec ----------------------------------------------------------
 
+// Split value 1 is retired: it decodes as an error, and the other
+// values keep their bytes.
 fn split_to_u8(s: SplitPolicy) -> u8 {
     match s {
         SplitPolicy::Off => 0,
-        SplitPolicy::General => 1,
         SplitPolicy::Sized => 2,
         SplitPolicy::RoundRobin => 3,
     }
@@ -157,7 +158,6 @@ fn split_to_u8(s: SplitPolicy) -> u8 {
 fn split_from_u8(v: u8) -> io::Result<SplitPolicy> {
     match v {
         0 => Ok(SplitPolicy::Off),
-        1 => Ok(SplitPolicy::General),
         2 => Ok(SplitPolicy::Sized),
         3 => Ok(SplitPolicy::RoundRobin),
         other => Err(bad_data(format!("bad split policy {other}"))),
@@ -1099,6 +1099,19 @@ mod tests {
                 resp
             );
         }
+    }
+
+    #[test]
+    fn split_value_one_is_refused() {
+        // The Run frame of `every_request`, its split byte (between the
+        // width and the 4-byte stdin with its length) set to 1.
+        let mut wire = Vec::new();
+        write_request(&mut wire, &every_request()[0]).expect("encode");
+        let at = wire.len() - 9;
+        assert_eq!(wire[at], 3, "the round-robin byte");
+        wire[at] = 1;
+        let err = read_request(&mut io::Cursor::new(wire)).expect_err("value 1");
+        assert!(err.to_string().contains("bad split policy 1"), "{err}");
     }
 
     /// Hands out one byte per `read`.

@@ -49,12 +49,6 @@ pub struct SimConfig {
     pub tick: f64,
     /// Give up after this much simulated time.
     pub max_time: f64,
-    /// Byte-share each *general* split output receives (models the
-    /// worker imbalance a line-count-based segmenter suffers on a
-    /// corpus with skewed line lengths). `None` or a length mismatch
-    /// means uniform. The round-robin split always deals uniformly —
-    /// that balance is its point.
-    pub split_shares: Option<Vec<f64>>,
 }
 
 impl Default for SimConfig {
@@ -69,7 +63,6 @@ impl Default for SimConfig {
             setup_cost: 0.08,
             tick: 0.004,
             max_time: 40_000.0,
-            split_shares: None,
         }
     }
 }
@@ -109,32 +102,18 @@ struct NodeState {
     current_input: usize,
     /// Blocking-split emission cursor.
     emit_cursor: usize,
-    /// Per-output byte shares for split nodes. The round-robin split
-    /// scatters *while streaming*; the general split uses these to
-    /// size its sequential chunks. `None` keeps the historical
-    /// uniform/funnel behaviour.
+    /// Per-output byte shares of a round-robin split, which scatters
+    /// *while streaming*; `None` for every other node.
     shares: Option<Vec<f64>>,
 }
 
-/// Byte shares a split node deals to its outputs.
-fn split_shares_for(cfg: &SimConfig, op: &PlanOp, k: usize) -> Option<Vec<f64>> {
-    if k == 0 {
-        return None;
-    }
+/// Byte shares a round-robin split deals its outputs: uniform
+/// (`tests/properties.rs` checks that the real splitter stays close).
+fn rr_shares(op: &PlanOp, k: usize) -> Option<Vec<f64>> {
     match op {
         PlanOp::Split {
             mode: SplitMode::RoundRobin { .. },
-        } => Some(vec![1.0 / k as f64; k]),
-        PlanOp::Split {
-            mode: SplitMode::General,
-        } => {
-            let raw = cfg.split_shares.as_ref()?;
-            if raw.len() != k || raw.iter().any(|&s| s.is_nan() || s <= 0.0) {
-                return None;
-            }
-            let total: f64 = raw.iter().sum();
-            Some(raw.iter().map(|&s| s / total).collect())
-        }
+        } if k > 0 => Some(vec![1.0 / k as f64; k]),
         _ => None,
     }
 }
@@ -236,7 +215,7 @@ pub fn simulate_region(
             stash: 0.0,
             current_input: 0,
             emit_cursor: 0,
-            shares: split_shares_for(cfg, &node.op, node.outputs.len()),
+            shares: rr_shares(&node.op, node.outputs.len()),
         });
     }
 
@@ -522,21 +501,12 @@ fn step_node(
     // --- Emit (blocking stash or relay buffer) ---------------------
     if st.phase == Phase::Emitting || st.relay_cap > 0.0 {
         if is_split {
-            // Blocking split scatters chunks to outputs in order;
-            // chunk sizes follow the configured shares (uniform by
-            // default, skewed to model line-count segmentation over
-            // uneven line lengths).
+            // Blocking split scatters equal chunks to outputs in order.
             let k = node.outputs.len() as f64;
             let total = st.consumed * st.profile.out_ratio;
             while *emit_budget > 0.0 && st.stash > 0.0 && st.emit_cursor < node.outputs.len() {
                 let oe = node.outputs[st.emit_cursor];
-                let (chunk, cum_before) = match &st.shares {
-                    Some(s) => (
-                        total * s[st.emit_cursor],
-                        total * s[..st.emit_cursor].iter().sum::<f64>(),
-                    ),
-                    None => (total / k, st.emit_cursor as f64 * total / k),
-                };
+                let (chunk, cum_before) = (total / k, st.emit_cursor as f64 * total / k);
                 let chunk_written = st.produced - cum_before;
                 let left_in_chunk = (chunk - chunk_written).max(0.0);
                 if left_in_chunk <= 0.5 {
@@ -805,7 +775,7 @@ mod tests {
             src,
             &PashConfig {
                 width: 8,
-                split: SplitPolicy::General,
+                split: SplitPolicy::Sized,
                 ..Default::default()
             },
             100.0,
@@ -834,7 +804,7 @@ mod tests {
             src,
             &PashConfig {
                 width: 8,
-                split: SplitPolicy::General,
+                split: SplitPolicy::Sized,
                 ..Default::default()
             },
             100.0,
@@ -864,13 +834,14 @@ mod tests {
         // Post-aggregation re-parallelization: the general split must
         // ingest the whole stream before dealing chunks, while
         // r_split scatters tagged blocks as they arrive, so the heavy
-        // downstream stage overlaps with the split's intake.
+        // downstream stage overlaps with the split's intake. (`Sized`
+        // gives the stateless `grep` behind the merge a general split.)
         let src = "cat in.txt | sort | grep '(a|b|c|d|e)+(f|g|h)*(ij|kl)+xyz' > out.txt";
         let general = sim(
             src,
             &PashConfig {
                 width: 8,
-                split: SplitPolicy::General,
+                split: SplitPolicy::Sized,
                 ..Default::default()
             },
             100.0,
@@ -887,43 +858,6 @@ mod tests {
         assert!(
             rr < general,
             "r_split {rr:.1}s should beat general split {general:.1}s"
-        );
-    }
-
-    #[test]
-    fn skewed_shares_slow_the_general_split() {
-        // A line-count segmenter over skewed line lengths hands one
-        // worker far more bytes; the straggler sets the finish line.
-        let src = "cat in.txt | sort | grep '(a|b|c|d|e)+(f|g|h)*(ij|kl)+xyz' > out.txt";
-        let cfg = PashConfig {
-            width: 8,
-            split: SplitPolicy::General,
-            ..Default::default()
-        };
-        let compiled = compile(src, &cfg).expect("compile");
-        let uniform = simulate_program(
-            &compiled.plan,
-            &sizes(100.0),
-            0.0,
-            &CostModel::default(),
-            &SimConfig::default(),
-        )
-        .seconds;
-        let skewed_cfg = SimConfig {
-            split_shares: Some(vec![0.44, 0.08, 0.08, 0.08, 0.08, 0.08, 0.08, 0.08]),
-            ..Default::default()
-        };
-        let skewed = simulate_program(
-            &compiled.plan,
-            &sizes(100.0),
-            0.0,
-            &CostModel::default(),
-            &skewed_cfg,
-        )
-        .seconds;
-        assert!(
-            skewed > uniform * 1.3,
-            "skewed shares {skewed:.1}s should lag uniform {uniform:.1}s"
         );
     }
 

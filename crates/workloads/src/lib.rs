@@ -290,6 +290,37 @@ pub fn columnar_corpus(seed: u64, rows: usize, fields: usize) -> Vec<u8> {
     out
 }
 
+/// A corpus whose line lengths are heavily skewed: mostly short
+/// records with a periodic run of very long ones — the shape that
+/// makes line-count segmentation hand one worker most of the bytes.
+pub fn skewed_corpus(seed: u64, bytes: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(bytes + 512);
+    let mut x = seed | 1;
+    let mut i = 0u64;
+    while out.len() < bytes {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        // 1 line in 16 is ~60× longer than the rest, and the long
+        // lines cluster in the second half of the file (so equal
+        // line-count segments are very unequal byte-count segments).
+        let long = i % 16 == 15 && out.len() > bytes / 2;
+        if long {
+            let word = [b'w', b'x', b'y', b'z'][(x >> 60) as usize % 4];
+            out.extend(std::iter::repeat_n(word, 480));
+        } else {
+            out.extend_from_slice(format!("rec {} {:04x}", i, (x >> 48) as u16).as_bytes());
+        }
+        out.push(b'\n');
+        i += 1;
+    }
+    out.truncate(bytes);
+    if out.last() != Some(&b'\n') {
+        out.push(b'\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +337,19 @@ mod tests {
         assert!(c.len() >= 10_000);
         assert!(c.len() < 11_000);
         assert_eq!(*c.last().expect("non-empty"), b'\n');
+    }
+
+    #[test]
+    fn skewed_corpus_is_line_skewed() {
+        let c = skewed_corpus(3, 64 * 1024);
+        assert!((64 * 1024..=64 * 1024 + 1).contains(&c.len()));
+        assert!(c.ends_with(b"\n"));
+        // Equal line counts, very unequal bytes: the second half of
+        // the lines carries the long ones.
+        let lines: Vec<&[u8]> = c.split_inclusive(|&b| b == b'\n').collect();
+        let (first, second) = lines.split_at(lines.len() / 2);
+        let bytes = |ls: &[&[u8]]| ls.iter().map(|l| l.len()).sum::<usize>();
+        assert!(bytes(second) > 2 * bytes(first));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! how a run executes in isolation.
 //!
 //! **Plan cache.** One tier: the process-wide `compile_cached` LRU,
-//! keyed by `"{cfg.cache_key()}\0{src}"`. [`compile_cache_peek`] tells
-//! a hit ([`CacheTier::Memory`]) from a miss ([`CacheTier::Cold`], which
-//! compiles and populates it). A compile costs tens of microseconds —
-//! less than reading a stored plan back — so nothing about plans is
-//! kept on disk; a restarted daemon recompiles on first sight.
+//! keyed by `"{cfg.cache_key()}\0{src}"`. The one lookup of a request's
+//! plan ([`compile_cached_hit`]) tells a hit ([`CacheTier::Memory`])
+//! from a miss ([`CacheTier::Cold`], which compiles and populates it).
+//! A compile costs tens of microseconds — less than reading a stored
+//! plan back — so nothing about plans is kept on disk; a restarted
+//! daemon recompiles on first sight.
 //!
 //! **Cache directory.** What does survive a restart is what was
 //! *measured*. The [`ProfileStore`] of per-command rates lives in
@@ -35,7 +36,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::core::compile::{compile_cache_peek, PashConfig};
+use crate::core::compile::{compile_cached, compile_cached_hit, PashConfig};
 use crate::coreutils::fs::MemFs;
 use crate::coreutils::Registry;
 use crate::runtime::profile::ProfileStore;
@@ -130,18 +131,26 @@ impl Daemon {
         }
     }
 
-    /// Resolves a script through the plan cache to a runnable handle:
-    /// the width-1 fallback rides the same memo as the plan itself.
+    /// Resolves a script through the plan cache to a runnable handle,
+    /// one lookup per plan: the plan's lookup also names the tier that
+    /// served it, and the width-1 fallback rides the same memo.
     fn lookup(
         script: &str,
         cfg: &PashConfig,
         want_fallback: bool,
     ) -> Result<(RunHandle, CacheTier), RunError> {
-        let tier = match compile_cache_peek(script, cfg) {
-            Some(_) => CacheTier::Memory,
-            None => CacheTier::Cold,
+        let (plan, hit) = compile_cached_hit(script, cfg).map_err(RunError::Compile)?;
+        let fallback = if want_fallback {
+            compile_cached(script, &cfg.sequential()).ok()
+        } else {
+            None
         };
-        Ok((RunHandle::compile(script, cfg, want_fallback)?, tier))
+        let tier = if hit {
+            CacheTier::Memory
+        } else {
+            CacheTier::Cold
+        };
+        Ok((RunHandle::from_compiled(plan, fallback), tier))
     }
 
     fn handle_run(&self, req: RunRequest) -> Response {
@@ -188,7 +197,6 @@ impl Daemon {
                 profile: Some(self.profile.clone()),
                 ..Default::default()
             },
-            emit: crate::core::backend::EmitConfig::default(),
         };
         let out = handle.execute(&req.backend, &env);
         self.metrics

@@ -82,7 +82,7 @@ pub use pash_runtime as runtime;
 pub use pash_sim as sim;
 pub use pash_workloads as workloads;
 
-use crate::core::backend::emit_program;
+use crate::core::backend::{emit_program, EmitConfig};
 use crate::core::compile::{compile_cached, Compiled, PashConfig};
 use crate::core::plan::ExecutionPlan;
 use crate::coreutils::fs::{Fs, MemFs};
@@ -124,8 +124,6 @@ pub struct RunEnv {
     pub exec: ExecConfig,
     /// Real-filesystem and binary settings (`processes`).
     pub proc: ProcSettings,
-    /// Emission options (`shell`).
-    pub emit: core::backend::EmitConfig,
 }
 
 impl Default for RunEnv {
@@ -137,7 +135,6 @@ impl Default for RunEnv {
             workers: Vec::new(),
             exec: ExecConfig::default(),
             proc: ProcSettings::default(),
-            emit: core::backend::EmitConfig::default(),
         }
     }
 }
@@ -254,7 +251,12 @@ impl RunHandle {
         let stdin = env.stdin.as_slice();
         let fs = || env.fs.clone() as Arc<dyn Fs>;
         let executed = match backend {
-            "shell" => return Ok(BackendOutput::Script(emit_program(plan, &env.emit))),
+            "shell" => {
+                return Ok(BackendOutput::Script(emit_program(
+                    plan,
+                    &EmitConfig::default(),
+                )))
+            }
             "threads" => run_program(plan, fallback, &env.registry, fs(), stdin, &env.exec),
             "processes" => run_processes(plan, fallback, env, stdin),
             "remote" => {

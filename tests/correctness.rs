@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use pash::core::compile::PashConfig;
 use pash::core::dfg::{AggTreeShape, EagerPolicy, SplitPolicy};
+use pash::core::plan::{PlanOp, SplitMode};
 use pash::coreutils::fs::MemFs;
 use pash::runtime::exec::{run_script, ExecConfig};
 use pash_bench::fixtures::{cached_fs, registry};
@@ -35,11 +36,10 @@ fn run(
     (out.stdout, file)
 }
 
-/// The five `(eager, split)` configurations the one-liners sweep: no
+/// The four `(eager, split)` configurations the one-liners sweep: no
 /// eager relays, blocking relays, full relays without splits, and
-/// full relays with the general and the input-aware split.
-const CONFIGS: [(EagerPolicy, SplitPolicy); 5] = [
-    (EagerPolicy::Full, SplitPolicy::General),
+/// full relays with the input-aware split.
+const CONFIGS: [(EagerPolicy, SplitPolicy); 4] = [
     (EagerPolicy::Full, SplitPolicy::Sized),
     (EagerPolicy::Full, SplitPolicy::Off),
     (EagerPolicy::Blocking, SplitPolicy::Off),
@@ -211,26 +211,34 @@ fn flat_aggregation_tree_also_correct() {
 
 #[test]
 fn correctness_resilient_to_tiny_pipes() {
-    // 48-byte pipes force maximal blocking and teardown interleavings.
+    // 48-byte pipes force maximal blocking and teardown interleavings,
+    // through the general splitter as well: Top-n's plan gives `head`
+    // one behind the `sort -rn` merge.
     let bench = oneliners::by_name("Top-n").expect("Top-n exists");
     let fs = cached_fs("oneliners/Top-n/30000".to_string(), |fs| {
         oneliners::setup_fs(&bench, 30_000, fs)
     });
+    let cfg = PashConfig {
+        width: 4,
+        split: SplitPolicy::Sized,
+        ..Default::default()
+    };
+    let plan = pash::compile(&bench.script, &cfg).expect("compile").plan;
+    assert!(
+        plan.regions().any(|r| r.nodes.iter().any(|n| matches!(
+            n.op,
+            PlanOp::Split {
+                mode: SplitMode::General
+            }
+        ))),
+        "Top-n's plan lost its general split"
+    );
     let exec = ExecConfig {
         pipe_capacity: 48,
         ..Default::default()
     };
     let seq = run(&bench.script, &sequential(), fs.clone(), &exec);
-    let par = run(
-        &bench.script,
-        &PashConfig {
-            width: 4,
-            split: SplitPolicy::General,
-            ..Default::default()
-        },
-        fs,
-        &exec,
-    );
+    let par = run(&bench.script, &cfg, fs, &exec);
     assert_eq!(seq, par);
 }
 

@@ -6,16 +6,24 @@
 //! * the map/aggregate law `f(x·x') = agg(m(x)·m(x'))` for every
 //!   P-annotated command with an aggregator;
 //! * whole-pipeline equivalence: random pipelines of annotated
-//!   commands produce identical sequential and parallel output.
+//!   commands produce identical sequential and parallel output;
+//! * balance: on a line-length-skewed corpus, byte-range segments and
+//!   `r_split` hand every output close to the same number of bytes,
+//!   and the general split does not.
 
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pash::core::compile::PashConfig;
-use pash::coreutils::fs::MemFs;
+use pash::coreutils::fs::{Fs, MemFs};
 use pash::coreutils::run_command;
 use pash::runtime::exec::{run_script, ExecConfig};
+use pash::runtime::fileseg::read_segment;
+use pash::runtime::split::{split_general, split_round_robin, MIN_ADAPTIVE_BLOCK};
+use pash::workloads::skewed_corpus;
 use pash_bench::fixtures::registry;
 
 /// Random line-oriented inputs: words, numbers, punctuation, repeats.
@@ -243,4 +251,75 @@ fn non_parallelizable_law_counterexample() {
     let mut parts = run(&["sha1sum"], &x);
     parts.extend(run(&["sha1sum"], &y));
     assert_ne!(whole, parts);
+}
+
+/// Counts the bytes written to it.
+struct Count(Arc<AtomicUsize>);
+
+impl Write for Count {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.fetch_add(buf.len(), Ordering::Relaxed);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bytes per output of a splitter run over `input` into `k` outputs.
+fn bytes_per_output(
+    k: usize,
+    input: &[u8],
+    split: impl FnOnce(&mut dyn io::BufRead, &mut [Box<dyn Write + Send>]) -> io::Result<()>,
+) -> Vec<usize> {
+    let counts: Vec<Arc<AtomicUsize>> = (0..k).map(|_| Arc::default()).collect();
+    let mut outs: Vec<Box<dyn Write + Send>> = counts
+        .iter()
+        .map(|c| Box::new(Count(c.clone())) as Box<dyn Write + Send>)
+        .collect();
+    split(&mut io::Cursor::new(input), &mut outs).expect("split");
+    counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+/// The largest output over the mean: 1.0 is a perfect balance.
+fn max_over_mean(bytes: &[usize]) -> f64 {
+    let mean = bytes.iter().sum::<usize>() as f64 / bytes.len() as f64;
+    *bytes.iter().max().expect("outputs") as f64 / mean
+}
+
+#[test]
+fn segments_and_r_split_balance_a_skewed_corpus() {
+    // Balance by bytes, no clock. The size floor: `r_split` deals
+    // blocks of at least `MIN_ADAPTIVE_BLOCK` bytes, so below
+    // k × MIN_ADAPTIVE_BLOCK it cannot feed every output at all (at
+    // 64 KiB it feeds 3 of 8); both sizes here are well above it.
+    let k = 8;
+    for size in [1 << 20, 8 << 20] {
+        assert!(size >= 4 * k * MIN_ADAPTIVE_BLOCK);
+        let corpus = skewed_corpus(97, size);
+        let fs = MemFs::new();
+        fs.add("in.txt", corpus.clone());
+        let fs: Arc<dyn Fs> = Arc::new(fs);
+        let segments: Vec<usize> = (0..k)
+            .map(|part| read_segment(&fs, "in.txt", part, k).expect("segment").len())
+            .collect();
+        let general = bytes_per_output(k, &corpus, |r, o| split_general(r, o));
+        let framed = bytes_per_output(k, &corpus, |r, o| split_round_robin(r, o, true));
+        let raw = bytes_per_output(k, &corpus, |r, o| split_round_robin(r, o, false));
+        let [segments, general, framed, raw] =
+            [&segments, &general, &framed, &raw].map(|b| max_over_mean(b));
+        eprintln!(
+            "{size} bytes, k = {k}, max/mean: segments {segments:.3}, general {general:.3}, \
+             r_split framed {framed:.3}, raw {raw:.3}"
+        );
+        assert!(segments <= 1.05, "segments {segments:.3}");
+        for (name, rr) in [("framed", framed), ("raw", raw)] {
+            assert!(rr <= 1.2, "{size}: {name} r_split {rr:.3}");
+            assert!(
+                rr < general,
+                "{size}: {name} r_split {rr:.3} vs general {general:.3}"
+            );
+        }
+    }
 }
