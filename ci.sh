@@ -26,7 +26,9 @@
 #   5. plan-determinism smoke (segment split and r_split plans), and
 #      the shape of the benchmark's `sort | uniq -c | sort -n` plan:
 #      the fold below the counted merge, a raw r_split behind it, no
-#      general split, 16 nodes at width 2;
+#      general split, 16 nodes at width 2; a `tr -cs … '\n'` stays
+#      sequential (one copy at width 4) while the `light-stream`
+#      workload's `tr -s ' '` still runs four copies;
 #   6. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output, whose
 #      script must name no `fileseg` producer, and the benchmark
@@ -158,6 +160,23 @@ fi
     2> target/bench-smoke/plan_fold_8b.stats >/dev/null
 grep -q '^fingerprint: ' target/bench-smoke/plan_fold_8a.stats
 cmp target/bench-smoke/plan_fold_8a.stats target/bench-smoke/plan_fold_8b.stats
+# A squeeze that can span a line end runs once (a segment starting
+# inside the squeezed run would keep a byte); one that cannot is still
+# copied per worker.
+SQUEEZE_SCRIPT="cat in.txt | tr -cs A-Za-z '\\n' | sort"
+TR_COPIES=$(./target/release/plandump --width 4 --split sized -e "$SQUEEZE_SCRIPT" \
+    2>/dev/null | grep -c 'exec "tr"')
+if [ "$TR_COPIES" != 1 ]; then
+    echo "    the squeezing tr has $TR_COPIES copies at width 4, want 1" >&2
+    exit 1
+fi
+LIGHT_SCRIPT="tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '"
+TR_COPIES=$(./target/release/plandump --width 4 --split rr -e "$LIGHT_SCRIPT" \
+    2>/dev/null | grep -c 'exec "tr" "-s"')
+if [ "$TR_COPIES" != 4 ]; then
+    echo "    light-stream's tr -s ' ' has $TR_COPIES copies at width 4, want 4" >&2
+    exit 1
+fi
 
 echo "==> process backend smoke (cmp against the shell backend)"
 # The same script, same generated corpus, executed twice: once as an

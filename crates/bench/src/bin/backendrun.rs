@@ -89,7 +89,7 @@ fn main() {
     };
 
     let status = match backend.as_str() {
-        "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig::default()), &dir),
+        "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig), &dir),
         "processes" => {
             let pcfg = ProcSettings::default();
             let out =

@@ -6,12 +6,10 @@
 //! input and asserts byte-identical output — the property the
 //! compile-result cache key relies on.
 //!
-//! Usage: `plandump [--width N] [--split off|sized|rr]
-//!                  [--eager off|blocking|full] [--flat-agg]
-//!                  (-e SCRIPT | FILE)`
+//! Usage: `plandump [--width N] [--split off|sized|rr] (-e SCRIPT | FILE)`
 
 use pash_core::compile::{compile, PashConfig};
-use pash_core::dfg::transform::{AggTreeShape, EagerPolicy, SplitPolicy};
+use pash_core::dfg::transform::SplitPolicy;
 
 fn main() {
     let mut cfg = PashConfig::default();
@@ -33,15 +31,6 @@ fn main() {
                     _ => usage(),
                 };
             }
-            "--eager" => {
-                cfg.eager = match args.next().as_deref() {
-                    Some("off") => EagerPolicy::Off,
-                    Some("blocking") => EagerPolicy::Blocking,
-                    Some("full") => EagerPolicy::Full,
-                    _ => usage(),
-                };
-            }
-            "--flat-agg" => cfg.agg_tree = AggTreeShape::Flat,
             "-e" => source = Some(args.next().unwrap_or_else(|| usage())),
             path if !path.starts_with('-') => {
                 source = Some(std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -75,9 +64,6 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: plandump [--width N] [--split off|sized|rr] \
-         [--eager off|blocking|full] [--flat-agg] (-e SCRIPT | FILE)"
-    );
+    eprintln!("usage: plandump [--width N] [--split off|sized|rr] (-e SCRIPT | FILE)");
     std::process::exit(2);
 }

@@ -5,7 +5,8 @@ use pash_coreutils::fs::MemFs;
 use pash_workloads::{generate_noaa, generate_wiki, NoaaSpec, WikiSpec};
 
 /// The Fig. 1 pipeline over the local mirror (substitutions: `fetch`
-/// for `curl`, `unrle` for `gunzip`; see DESIGN.md §2).
+/// reads a mirror path where `curl` would download a URL, and `unrle`
+/// decodes run-length records where `gunzip` would inflate).
 pub fn noaa_script(years: std::ops::RangeInclusive<u32>) -> String {
     format!(
         "base=noaa\nfor y in {{{}..{}}}; do\n  cat $base/$y/index.txt | grep rec | tr -s ' ' | cut -d ' ' -f 9 | sed \"s;^;$base/$y/;\" | xargs -n 1 fetch | unrle | cut -c 89-92 | grep -iv 999 | sort -rn | head -n 1 | sed \"s/^/Maximum temperature for $y is: /\"\ndone",

@@ -6,7 +6,7 @@
 //! [`Classification`]: the class, the ordered streamed inputs, the
 //! static ("configuration") inputs, and the output.
 //!
-//! Extensions over the paper's grammar (both documented in DESIGN.md):
+//! Two extensions over the paper's grammar:
 //! * `takes -x -y` declares options that consume a following value, so
 //!   that `head -n 1` does not mistake `1` for a file;
 //! * aggregator selection is code, not annotation syntax, mirroring

@@ -165,6 +165,9 @@ impl AnnotationLibrary {
         if name == "sed" {
             c.class = c.class.join(sed_script_class(args));
         }
+        if name == "tr" {
+            c.class = c.class.join(tr_class(args));
+        }
         if name == "tail" && args.iter().any(|a| a.starts_with("-n+") || a == "+") {
             // `tail +N` drops a global prefix: not decomposable as a
             // uniform map (only the first chunk is affected).
@@ -260,6 +263,93 @@ fn sed_script_class(args: &[String]) -> ParClass {
         }
     }
     ParClass::Stateless
+}
+
+/// Class contribution of `tr`'s flags and sets.
+///
+/// `tr` maps bytes one at a time (class S), but a squeeze (`-s`) folds
+/// a run of repeated bytes *across* a line end when the squeezed bytes
+/// can include `\n`: a segment that starts inside such a run keeps a
+/// byte the whole input drops. So `-s` forces class N when it comes
+/// with a complement (`-c`, `-C`), whose set almost always holds `\n`,
+/// or when any set operand can hold `\n` (see [`tr_set_holds_newline`]).
+fn tr_class(args: &[String]) -> ParClass {
+    let mut squeeze = false;
+    let mut complement = false;
+    let mut sets = Vec::new();
+    for a in args {
+        match a.strip_prefix('-') {
+            Some(flags) if !flags.is_empty() && flags.chars().all(|c| "cCdst".contains(c)) => {
+                squeeze |= flags.contains('s');
+                complement |= flags.contains(['c', 'C']);
+            }
+            _ if a == "--squeeze-repeats" => squeeze = true,
+            _ if a == "--complement" => complement = true,
+            _ => sets.push(a),
+        }
+    }
+    if squeeze && (complement || sets.iter().any(|s| tr_set_holds_newline(s))) {
+        ParClass::NonParallelizable
+    } else {
+        ParClass::Stateless
+    }
+}
+
+/// Whether a `tr` set operand can hold byte 0x0A: literally, as an
+/// escape (`\n`, `\012`), inside a range (`\001-\177`) or through a
+/// class (`[:space:]`, `[:cntrl:]`).
+fn tr_set_holds_newline(set: &str) -> bool {
+    if set.contains("[:space:]") || set.contains("[:cntrl:]") {
+        return true;
+    }
+    // Decode escapes first, remembering which bytes were escaped: only
+    // a bare `-` between two bytes makes a range.
+    let bytes = set.as_bytes();
+    let mut decoded: Vec<(u8, bool)> = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let (b, used) = tr_unescape(bytes, i);
+        decoded.push((b, used > 1));
+        i += used;
+    }
+    decoded.iter().enumerate().any(|(j, &(b, _))| {
+        b == b'\n'
+            || matches!(decoded.get(j + 1..j + 3), Some(&[(b'-', false), (hi, _)])
+                if (b..=hi).contains(&b'\n'))
+    })
+}
+
+/// Decodes the `tr` set byte at `i`: a backslash escape (`\NNN` is
+/// one to three octal digits, as many as stay within 0377) or the byte
+/// itself. Returns the byte and how many input bytes it used.
+fn tr_unescape(bytes: &[u8], i: usize) -> (u8, usize) {
+    if bytes[i] != b'\\' || i + 1 >= bytes.len() {
+        return (bytes[i], 1);
+    }
+    let mut value = 0u32;
+    let mut digits = 0;
+    while let Some(&d @ b'0'..=b'7') = bytes.get(i + 1 + digits) {
+        let next = value * 8 + u32::from(d - b'0');
+        if digits == 3 || next > 0o377 {
+            break;
+        }
+        value = next;
+        digits += 1;
+    }
+    if digits > 0 {
+        return (value as u8, 1 + digits);
+    }
+    let b = match bytes[i + 1] {
+        b'a' => 0x07,
+        b'b' => 0x08,
+        b'f' => 0x0C,
+        b'n' => b'\n',
+        b'r' => b'\r',
+        b't' => b'\t',
+        b'v' => 0x0B,
+        other => other,
+    };
+    (b, 2)
 }
 
 /// Splits a sed script on `;` outside of s-expression bodies (an
@@ -442,6 +532,36 @@ mod tests {
             .classify(&argv(&["grep", "-cm", "3", "x", "f"]))
             .expect("classified");
         assert_eq!(c.inputs, vec![InputSlot::File("f".to_string())]);
+    }
+
+    #[test]
+    fn tr_squeeze_across_a_line_end_stays_sequential() {
+        // A squeezed run that can hold `\n` spans segment boundaries.
+        let n = Some(ParClass::NonParallelizable);
+        assert_eq!(class_of(&["tr", "-cs", "A-Za-z", "\\n"]), n);
+        assert_eq!(class_of(&["tr", "-s", "-c", "a-z", "x"]), n);
+        assert_eq!(class_of(&["tr", "-Cs", "a-z", "x"]), n);
+        assert_eq!(class_of(&["tr", "-sc", "[A-Z][a-z]", "[\\012*]"]), n);
+        assert_eq!(class_of(&["tr", "-s", "\\n"]), n);
+        assert_eq!(class_of(&["tr", "-s", "\\012"]), n);
+        assert_eq!(class_of(&["tr", "-s", "x\n"]), n);
+        assert_eq!(class_of(&["tr", "-s", "[:space:]"]), n);
+        assert_eq!(class_of(&["tr", "-s", "[:cntrl:]"]), n);
+        assert_eq!(class_of(&["tr", "-s", "\\001-\\177"]), n);
+        assert_eq!(class_of(&["tr", "-s", "\\t-\\r"]), n);
+        assert_eq!(class_of(&["tr", "-s", "x", "\\n"]), n);
+        assert_eq!(class_of(&["tr", "-ds", ",", "\\n"]), n);
+        // No squeeze, or a squeeze that cannot reach a line end.
+        let s = Some(ParClass::Stateless);
+        assert_eq!(class_of(&["tr", "-s", " "]), s);
+        assert_eq!(class_of(&["tr", "-s", "a-z", "A-Z"]), s);
+        assert_eq!(class_of(&["tr", "-s", "\\-", "x"]), s);
+        assert_eq!(class_of(&["tr", "-s", "\\013-\\177"]), s);
+        assert_eq!(class_of(&["tr", "-s", "[:blank:]"]), s);
+        assert_eq!(class_of(&["tr", "-cd", "a-z\\n"]), s);
+        assert_eq!(class_of(&["tr", "-c", "A-Za-z", "\\n"]), s);
+        assert_eq!(class_of(&["tr", "-d", ",."]), s);
+        assert_eq!(class_of(&["tr", "A-Z", "a-z"]), s);
     }
 
     #[test]

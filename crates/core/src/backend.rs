@@ -17,26 +17,15 @@ use crate::plan::{
     EndpointKind, ExecutionPlan, GuardCond, PlanEdgeId, PlanStep, RegionPlan, SpawnBin, SpawnWord,
 };
 
-/// Emission options.
-#[derive(Debug, Clone)]
-pub struct EmitConfig {
-    /// How to invoke a coreutils command (default `"$PASHC"`).
-    pub coreutils_cmd: String,
-    /// How to invoke a runtime primitive (default `"$PASH_RT"`).
-    pub runtime_cmd: String,
-}
-
-impl Default for EmitConfig {
-    fn default() -> Self {
-        EmitConfig {
-            coreutils_cmd: "\"$PASHC\"".to_string(),
-            runtime_cmd: "\"$PASH_RT\"".to_string(),
-        }
-    }
-}
+/// Emission options. There are none: every command runs through
+/// `"$PASHC"` and every runtime primitive through `"$PASH_RT"`. The
+/// type stays only because the benchmark harness names it; ROADMAP
+/// item 1 deletes it.
+#[derive(Debug, Clone, Default)]
+pub struct EmitConfig;
 
 /// Emits the complete parallel script for a lowered program.
-pub fn emit_program(plan: &ExecutionPlan, cfg: &EmitConfig) -> String {
+pub fn emit_program(plan: &ExecutionPlan, _cfg: &EmitConfig) -> String {
     let mut out = String::new();
     out.push_str("#!/bin/sh\n");
     out.push_str("# Generated by pash-rs.\n");
@@ -68,13 +57,13 @@ pub fn emit_program(plan: &ExecutionPlan, cfg: &EmitConfig) -> String {
                 };
                 out.push_str(&format!("if {test}; then\n"));
                 if let Some(next) = plan.steps.get(i + 1) {
-                    emit_step(&mut out, next, &mut region_idx, cfg);
+                    emit_step(&mut out, next, &mut region_idx);
                 }
                 out.push_str("fi\n");
                 i += 2;
             }
             step => {
-                emit_step(&mut out, step, &mut region_idx, cfg);
+                emit_step(&mut out, step, &mut region_idx);
                 i += 1;
             }
         }
@@ -85,14 +74,14 @@ pub fn emit_program(plan: &ExecutionPlan, cfg: &EmitConfig) -> String {
     out
 }
 
-fn emit_step(out: &mut String, step: &PlanStep, region_idx: &mut usize, cfg: &EmitConfig) {
+fn emit_step(out: &mut String, step: &PlanStep, region_idx: &mut usize) {
     match step {
         PlanStep::Shell { text, .. } => {
             out.push_str(text);
             out.push_str("\npash_status=$?\n");
         }
         PlanStep::Region(r) => {
-            out.push_str(&emit_region(r, *region_idx, cfg));
+            out.push_str(&emit_region(r, *region_idx, &EmitConfig));
             *region_idx += 1;
         }
         PlanStep::Guard(_) => {
@@ -102,7 +91,7 @@ fn emit_step(out: &mut String, step: &PlanStep, region_idx: &mut usize, cfg: &Em
 }
 
 /// Emits one region block (Fig. 3 shape).
-pub fn emit_region(r: &RegionPlan, region: usize, cfg: &EmitConfig) -> String {
+pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!("# --- pash region {region} ---\n"));
     // FIFOs for every internal pipe edge.
@@ -139,8 +128,8 @@ pub fn emit_region(r: &RegionPlan, region: usize, cfg: &EmitConfig) -> String {
             }
         };
         line.push_str(match spec.bin {
-            SpawnBin::Coreutils => &cfg.coreutils_cmd,
-            SpawnBin::Runtime => &cfg.runtime_cmd,
+            SpawnBin::Coreutils => "\"$PASHC\"",
+            SpawnBin::Runtime => "\"$PASH_RT\"",
         });
         let mut stdin_redirect: Option<String> = None;
         if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
@@ -280,7 +269,7 @@ mod tests {
                 },
             );
         }
-        emit_program(&lower(&tp), &EmitConfig::default())
+        emit_program(&lower(&tp), &EmitConfig)
     }
 
     #[test]

@@ -47,16 +47,6 @@ pub struct Edge {
     pub to: Option<NodeId>,
 }
 
-/// Buffering discipline of a relay node (§5.2, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EagerKind {
-    /// Bounded intermediate buffer: adds pipelining but still blocks.
-    Blocking,
-    /// Unbounded buffer: consumes input eagerly, never back-pressures
-    /// the producer (the paper's `eager`).
-    Full,
-}
-
 /// Which splitter implementation a split node uses (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitKind {
@@ -97,8 +87,10 @@ pub enum NodeKind {
     Cat,
     /// One input, N outputs (§5.2's `split`).
     Split(SplitKind),
-    /// Identity relay with a buffering discipline (`eager`, t3).
-    Relay(EagerKind),
+    /// Identity relay with an unbounded buffer (`eager`, t3): it
+    /// consumes its input eagerly and never back-pressures the
+    /// producer (§5.2, Fig. 6).
+    Relay,
     /// A multi-input aggregation function (§5.2).
     Aggregate {
         /// Aggregator argv (a runtime command).
@@ -138,8 +130,7 @@ impl Node {
             NodeKind::Split(SplitKind::General) => "split".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: true }) => "split -rr".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: false }) => "split -rr-raw".to_string(),
-            NodeKind::Relay(EagerKind::Full) => "eager".to_string(),
-            NodeKind::Relay(EagerKind::Blocking) => "eager -blocking".to_string(),
+            NodeKind::Relay => "eager".to_string(),
             NodeKind::Aggregate { argv } => argv.join(" "),
         }
     }
@@ -296,7 +287,7 @@ impl Dfg {
                         s.splits_raw_rr += 1;
                     }
                 }
-                NodeKind::Relay(_) => s.relays += 1,
+                NodeKind::Relay => s.relays += 1,
                 NodeKind::Aggregate { .. } => s.aggregates += 1,
             }
         }
@@ -309,6 +300,12 @@ impl Dfg {
     ///
     /// Panics if the graph contains a cycle (validation rejects those).
     pub fn topo_order(&self) -> Vec<NodeId> {
+        self.kahn().expect("cycle in DFG")
+    }
+
+    /// Kahn's algorithm over the live nodes, smallest ready id first:
+    /// the topological order, or an error when the graph has a cycle.
+    fn kahn(&self) -> Result<Vec<NodeId>, crate::Error> {
         let ids: Vec<NodeId> = self.node_ids().collect();
         let mut indegree: Vec<usize> = vec![0; self.nodes.len()];
         for &id in &ids {
@@ -320,12 +317,10 @@ impl Dfg {
         }
         let mut queue: Vec<NodeId> = ids.iter().copied().filter(|&i| indegree[i] == 0).collect();
         queue.sort_unstable();
-        let mut out = Vec::with_capacity(ids.len());
         let mut qi = 0;
         while qi < queue.len() {
             let id = queue[qi];
             qi += 1;
-            out.push(id);
             for &e in &self.node(id).expect("live id").outputs {
                 if let Some(next) = self.edges[e].to {
                     indegree[next] -= 1;
@@ -335,8 +330,10 @@ impl Dfg {
                 }
             }
         }
-        assert_eq!(out.len(), ids.len(), "cycle in DFG");
-        out
+        if queue.len() != ids.len() {
+            return Err(crate::Error::dfg("cycle in DFG"));
+        }
+        Ok(queue)
     }
 
     /// Checks structural invariants.
@@ -400,37 +397,7 @@ impl Dfg {
                 }
             }
         }
-        // Acyclicity: topo_order panics on cycles; do the check
-        // manually to return an error instead.
-        let ids: Vec<NodeId> = self.node_ids().collect();
-        let mut indegree: Vec<usize> = vec![0; self.nodes.len()];
-        for &id in &ids {
-            for &e in &self.node(id).expect("live id").inputs {
-                if self.edges[e].from.is_some() {
-                    indegree[id] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<NodeId> = ids.iter().copied().filter(|&i| indegree[i] == 0).collect();
-        let mut seen = 0;
-        let mut qi = 0;
-        while qi < queue.len() {
-            let id = queue[qi];
-            qi += 1;
-            seen += 1;
-            for &e in &self.node(id).expect("live id").outputs {
-                if let Some(next) = self.edges[e].to {
-                    indegree[next] -= 1;
-                    if indegree[next] == 0 {
-                        queue.push(next);
-                    }
-                }
-            }
-        }
-        if seen != ids.len() {
-            return Err(crate::Error::dfg("cycle in DFG"));
-        }
-        Ok(())
+        self.kahn().map(drop)
     }
 
     /// Renders the graph as text (one node per line) for debugging and

@@ -36,9 +36,7 @@
 //!   `uniq -c` has no such limit — the counted merge never takes `-u`.
 
 use crate::classes::{rr_mode, sort_flags_unique, RrMode};
-use crate::dfg::graph::{
-    Dfg, EagerKind, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec,
-};
+use crate::dfg::graph::{Dfg, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec};
 
 /// Split insertion policy (the Fig. 7 `Split` axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,27 +59,26 @@ pub enum SplitPolicy {
     RoundRobin,
 }
 
-/// Eager-relay insertion policy (the Fig. 7 `Eager` axis, §5.2).
+/// Eager-relay insertion policy (§5.2). It has one value: `t3`
+/// always inserts unbounded relays. The type stays only because the
+/// benchmark harness names it; ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EagerPolicy {
-    /// No relays: raw FIFOs with their laziness problems.
-    Off,
-    /// Bounded-buffer relays.
-    Blocking,
     /// Unbounded eager relays (the paper's default).
     #[default]
     Full,
 }
 
-/// Shape of the aggregation network for class-P nodes.
+/// Shape of the aggregation network for class-P nodes. It has one
+/// value: associative aggregators form a binary tree. The type stays
+/// only because the benchmark harness names it; ROADMAP item 1
+/// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggTreeShape {
     /// A balanced binary tree of 2-input aggregators (the paper's
     /// `sort` at 8× spawns 7 aggregators; Tab. 2's node counts).
     #[default]
     Binary,
-    /// One flat n-input aggregator.
-    Flat,
 }
 
 /// Transformation configuration.
@@ -91,9 +88,9 @@ pub struct TransformConfig {
     pub width: usize,
     /// Split policy.
     pub split: SplitPolicy,
-    /// Eager policy.
+    /// Eager policy (one value; see [`EagerPolicy`]).
     pub eager: EagerPolicy,
-    /// Aggregation-tree shape.
+    /// Aggregation-tree shape (one value; see [`AggTreeShape`]).
     pub agg_tree: AggTreeShape,
 }
 
@@ -122,7 +119,7 @@ pub fn parallelize(g: &mut Dfg, cfg: &TransformConfig) {
             }
         }
     }
-    insert_eager_relays(g, cfg.eager);
+    insert_eager_relays(g);
     debug_assert!(g.validate().is_ok(), "transformations broke the DFG");
 }
 
@@ -244,12 +241,7 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
         // aggregator restores global input order (binary trees would
         // strip the frames an outer reorder still needs, so the shape
         // is always flat — see `aggregator_associative`).
-        None if framed => build_agg_network(
-            g,
-            &copy_outputs,
-            &[REORDER_AGG.to_string()],
-            AggTreeShape::Flat,
-        ),
+        None if framed => build_agg_network(g, &copy_outputs, &[REORDER_AGG.to_string()]),
         None => {
             let cat_id = g.add_node(Node {
                 kind: NodeKind::Cat,
@@ -269,22 +261,9 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
         Some(agg_argv) if framed => {
             let mut argv = vec![FRAME_MERGE_AGG.to_string()];
             argv.extend(agg_argv.iter().cloned());
-            build_agg_network(g, &copy_outputs, &argv, AggTreeShape::Flat)
+            build_agg_network(g, &copy_outputs, &argv)
         }
-        Some(agg_argv) => {
-            // The paper's aggregators are k-ary ("they work with more
-            // than two inputs", §5.2); a binary tree is an equivalent
-            // network only when the aggregator is associative — its
-            // output must be in the same format as its inputs. The
-            // bigram aggregator projects marked chunks to clean pairs,
-            // so it must see all chunks at once.
-            let shape = if aggregator_associative(&agg_argv) {
-                cfg.agg_tree
-            } else {
-                AggTreeShape::Flat
-            };
-            build_agg_network(g, &copy_outputs, &agg_argv, shape)
-        }
+        Some(agg_argv) => build_agg_network(g, &copy_outputs, &agg_argv),
     };
     // Rewire the original output edge to the combiner and retire the
     // original node. The binary aggregation network created its own
@@ -546,102 +525,94 @@ fn split_sources(
 }
 
 /// Builds the aggregation network over ordered partial outputs.
-fn build_agg_network(
-    g: &mut Dfg,
-    parts: &[EdgeId],
-    agg_argv: &[String],
-    shape: AggTreeShape,
-) -> NodeId {
-    match shape {
-        AggTreeShape::Flat => {
+///
+/// The paper's aggregators are k-ary ("they work with more than two
+/// inputs", §5.2); a binary tree is an equivalent network only when
+/// the aggregator is associative — its output must be in the same
+/// format as its inputs. Any other aggregator (bigram, reorder,
+/// frame-merge) is one flat node that sees every part at once.
+fn build_agg_network(g: &mut Dfg, parts: &[EdgeId], agg_argv: &[String]) -> NodeId {
+    if !aggregator_associative(agg_argv) {
+        let id = g.add_node(Node {
+            kind: NodeKind::Aggregate {
+                argv: agg_argv.to_vec(),
+            },
+            inputs: parts.to_vec(),
+            outputs: vec![],
+        });
+        for &e in parts {
+            g.edge_mut(e).to = Some(id);
+        }
+        return id;
+    }
+    // Reduce pairwise, preserving stream order, until one producer
+    // remains. For n parts this creates n-1 nodes (the paper's 7
+    // aggregators for sort at 8×).
+    let mut layer: Vec<EdgeId> = parts.to_vec();
+    loop {
+        if layer.len() == 1 {
+            let only = layer[0];
+            return g.edge(only).from.expect("aggregated edge has producer");
+        }
+        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
+        let mut i = 0;
+        while i < layer.len() {
+            if i + 1 == layer.len() {
+                // Odd stream passes through to the next level.
+                next.push(layer[i]);
+                i += 1;
+                continue;
+            }
+            let (a, b) = (layer[i], layer[i + 1]);
             let id = g.add_node(Node {
                 kind: NodeKind::Aggregate {
                     argv: agg_argv.to_vec(),
                 },
-                inputs: parts.to_vec(),
+                inputs: vec![a, b],
                 outputs: vec![],
             });
-            for &e in parts {
-                g.edge_mut(e).to = Some(id);
-            }
-            id
+            g.edge_mut(a).to = Some(id);
+            g.edge_mut(b).to = Some(id);
+            let out = g.add_edge(Edge {
+                spec: StreamSpec::Pipe,
+                from: Some(id),
+                to: None,
+            });
+            g.node_mut(id).expect("agg").outputs.push(out);
+            next.push(out);
+            i += 2;
         }
-        AggTreeShape::Binary => {
-            // Reduce pairwise, preserving stream order, until one
-            // producer remains. For n parts this creates n-1 nodes
-            // (the paper's 7 aggregators for sort at 8×).
-            let mut layer: Vec<EdgeId> = parts.to_vec();
-            loop {
-                if layer.len() == 1 {
-                    let only = layer[0];
-                    return g.edge(only).from.expect("aggregated edge has producer");
-                }
-                let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                let mut i = 0;
-                while i < layer.len() {
-                    if i + 1 == layer.len() {
-                        // Odd stream passes through to the next level.
-                        next.push(layer[i]);
-                        i += 1;
-                        continue;
-                    }
-                    let (a, b) = (layer[i], layer[i + 1]);
-                    let id = g.add_node(Node {
-                        kind: NodeKind::Aggregate {
-                            argv: agg_argv.to_vec(),
-                        },
-                        inputs: vec![a, b],
-                        outputs: vec![],
-                    });
-                    g.edge_mut(a).to = Some(id);
-                    g.edge_mut(b).to = Some(id);
-                    let out = g.add_edge(Edge {
-                        spec: StreamSpec::Pipe,
-                        from: Some(id),
-                        to: None,
-                    });
-                    g.node_mut(id).expect("agg").outputs.push(out);
-                    next.push(out);
-                    i += 2;
-                }
-                layer = next;
-            }
-        }
+        layer = next;
     }
 }
 
-/// t3: inserts relay nodes per the eager policy.
+/// t3: inserts unbounded eager relays.
 ///
 /// Relays go on every aggregator input, on every split output except
 /// the last, and on every cat-merge input except the first (§5.2) —
 /// the points where the shell's lazy evaluation stalls producers. The
 /// cat case is Fig. 6 verbatim: `cat t1 t2` leaves `t2`'s producer
 /// blocked on a full FIFO until `t1` is drained.
-fn insert_eager_relays(g: &mut Dfg, policy: EagerPolicy) {
-    let kind = match policy {
-        EagerPolicy::Off => return,
-        EagerPolicy::Blocking => EagerKind::Blocking,
-        EagerPolicy::Full => EagerKind::Full,
-    };
+fn insert_eager_relays(g: &mut Dfg) {
     let ids: Vec<NodeId> = g.node_ids().collect();
     for id in ids {
         let node = g.node(id).expect("live id").clone();
         match node.kind {
             NodeKind::Aggregate { .. } => {
                 for &e in &node.inputs {
-                    insert_relay_on_edge(g, e, kind);
+                    insert_relay_on_edge(g, e);
                 }
             }
             NodeKind::Split(_) => {
                 for &e in &node.outputs[..node.outputs.len().saturating_sub(1)] {
-                    insert_relay_on_edge(g, e, kind);
+                    insert_relay_on_edge(g, e);
                 }
             }
             NodeKind::Cat if node.inputs.len() > 1 => {
                 for &e in &node.inputs[1..] {
                     // Only pipes stall; files are seekable.
                     if matches!(g.edge(e).spec, StreamSpec::Pipe) {
-                        insert_relay_on_edge(g, e, kind);
+                        insert_relay_on_edge(g, e);
                     }
                 }
             }
@@ -652,7 +623,7 @@ fn insert_eager_relays(g: &mut Dfg, policy: EagerPolicy) {
 
 /// Splices `producer -> e -> consumer` into
 /// `producer -> e -> relay -> e' -> consumer`.
-fn insert_relay_on_edge(g: &mut Dfg, e: EdgeId, kind: EagerKind) {
+fn insert_relay_on_edge(g: &mut Dfg, e: EdgeId) {
     let consumer = match g.edge(e).to {
         Some(c) => c,
         None => return,
@@ -663,7 +634,7 @@ fn insert_relay_on_edge(g: &mut Dfg, e: EdgeId, kind: EagerKind) {
         to: Some(consumer),
     });
     let relay = g.add_node(Node {
-        kind: NodeKind::Relay(kind),
+        kind: NodeKind::Relay,
         inputs: vec![e],
         outputs: vec![out],
     });
@@ -779,32 +750,21 @@ mod tests {
     #[test]
     fn stateless_pipeline_matches_tab2_grep_counts() {
         // Tab. 2: Grep (3×S) has 49 nodes at 16× and 193 at 64× — the
-        // paper's count excludes relays on the final merge; we match
-        // it exactly with eager disabled.
+        // paper's count excludes the relays on the final merge's
+        // inputs (width-1 of them, the Fig. 6 fix).
         for (width, expected) in [(16, 49), (64, 193)] {
             let s = stats_after(
                 grep_pipeline(),
                 &TransformConfig {
                     width,
-                    eager: EagerPolicy::Off,
                     ..Default::default()
                 },
             );
             assert_eq!(s.commands, 3 * width);
             assert_eq!(s.cats, 1);
-            assert_eq!(s.total(), expected, "width {width}");
+            assert_eq!(s.relays, width - 1);
+            assert_eq!(s.total() - s.relays, expected, "width {width}");
         }
-        // With eager on, the cat-merge inputs gain width-1 relays
-        // (the Fig. 6 fix).
-        let s = stats_after(
-            grep_pipeline(),
-            &TransformConfig {
-                width: 16,
-                ..Default::default()
-            },
-        );
-        assert_eq!(s.relays, 15);
-        assert_eq!(s.total(), 64);
     }
 
     #[test]
@@ -840,33 +800,6 @@ mod tests {
         assert_eq!(s.commands, 16);
         assert_eq!(s.aggregates, 7);
         assert_eq!(s.relays, 14);
-    }
-
-    #[test]
-    fn flat_agg_tree_single_aggregator() {
-        let s = stats_after(
-            sort_pipeline(),
-            &TransformConfig {
-                width: 8,
-                agg_tree: AggTreeShape::Flat,
-                ..Default::default()
-            },
-        );
-        assert_eq!(s.aggregates, 1);
-        assert_eq!(s.relays, 8);
-    }
-
-    #[test]
-    fn no_eager_policy_inserts_no_relays() {
-        let s = stats_after(
-            sort_pipeline(),
-            &TransformConfig {
-                width: 8,
-                eager: EagerPolicy::Off,
-                ..Default::default()
-            },
-        );
-        assert_eq!(s.relays, 0);
     }
 
     #[test]
@@ -1270,44 +1203,37 @@ mod tests {
         ];
         for (script, merge) in cases {
             for width in [2, 4, 8] {
-                for agg_tree in [AggTreeShape::Binary, AggTreeShape::Flat] {
-                    // No split needed: it fires under `Off` too.
-                    for split in [SplitPolicy::Off, SplitPolicy::Sized] {
-                        let g = region_of(
-                            script,
-                            &TransformConfig {
-                                width,
-                                split,
-                                agg_tree,
-                                ..Default::default()
-                            },
-                        );
-                        let s = g.stats();
-                        let what = format!("{script} w={width} {agg_tree:?} {split:?}");
-                        assert_eq!(s.commuted, 1, "{what}");
-                        assert_eq!(s.commands, 2 * width, "{what}");
-                        assert_eq!(s.splits, 0, "{what}");
-                        let aggs = match agg_tree {
-                            AggTreeShape::Binary => width - 1,
-                            AggTreeShape::Flat => 1,
-                        };
-                        let merges = aggregators(&g);
-                        assert_eq!(merges.len(), aggs, "{what}");
-                        assert!(
-                            merges.iter().all(|argv| argv == merge),
-                            "{what}: {merges:?}"
-                        );
-                        // A `uniq` copy sits on every leaf: each `sort`
-                        // copy feeds one, and t3's relays come after.
-                        for id in g.node_ids() {
-                            let node = g.node(id).expect("live");
-                            if node.label().starts_with("sort") {
-                                let next = g.edge(node.outputs[0]).to.expect("consumed");
-                                let next = g.node(next).expect("live");
-                                assert!(next.label().starts_with("uniq"), "{what}");
-                                let after = g.edge(next.outputs[0]).to.expect("consumed");
-                                assert_eq!(g.node(after).expect("live").label(), "eager");
-                            }
+                // No split needed: it fires under `Off` too.
+                for split in [SplitPolicy::Off, SplitPolicy::Sized] {
+                    let g = region_of(
+                        script,
+                        &TransformConfig {
+                            width,
+                            split,
+                            ..Default::default()
+                        },
+                    );
+                    let s = g.stats();
+                    let what = format!("{script} w={width} {split:?}");
+                    assert_eq!(s.commuted, 1, "{what}");
+                    assert_eq!(s.commands, 2 * width, "{what}");
+                    assert_eq!(s.splits, 0, "{what}");
+                    let merges = aggregators(&g);
+                    assert_eq!(merges.len(), width - 1, "{what}");
+                    assert!(
+                        merges.iter().all(|argv| argv == merge),
+                        "{what}: {merges:?}"
+                    );
+                    // A `uniq` copy sits on every leaf: each `sort`
+                    // copy feeds one, and t3's relays come after.
+                    for id in g.node_ids() {
+                        let node = g.node(id).expect("live");
+                        if node.label().starts_with("sort") {
+                            let next = g.edge(node.outputs[0]).to.expect("consumed");
+                            let next = g.node(next).expect("live");
+                            assert!(next.label().starts_with("uniq"), "{what}");
+                            let after = g.edge(next.outputs[0]).to.expect("consumed");
+                            assert_eq!(g.node(after).expect("live").label(), "eager");
                         }
                     }
                 }
@@ -1321,23 +1247,17 @@ mod tests {
         // relays + one raw r_split with W−1 relays + W × sort -n + its
         // network with relays: 16 nodes at W = 2 (21 before the fold
         // moved below the merge).
-        for (width, agg_tree, total) in [
-            (2, AggTreeShape::Binary, 16),
-            (4, AggTreeShape::Binary, 38),
-            (8, AggTreeShape::Binary, 82),
-            (4, AggTreeShape::Flat, 30),
-        ] {
+        for (width, total) in [(2, 16), (4, 38), (8, 82)] {
             let g = region_of(
                 BENCH_SCRIPT,
                 &TransformConfig {
                     width,
                     split: SplitPolicy::Sized,
-                    agg_tree,
                     ..Default::default()
                 },
             );
             let s = g.stats();
-            assert_eq!(s.total(), total, "w={width} {agg_tree:?}");
+            assert_eq!(s.total(), total, "w={width}");
             assert_eq!((s.commuted, s.splits, s.splits_raw_rr), (1, 1, 1));
             assert_eq!(
                 split_kinds(&g),

@@ -29,7 +29,7 @@
 //!
 //! let cfg = PashConfig { width: 4, ..Default::default() };
 //! let out = compile("cat in.txt | tr A-Z a-z | grep foo > out.txt", &cfg).unwrap();
-//! assert!(emit_program(&out.plan, &EmitConfig::default()).contains("mkfifo"));
+//! assert!(emit_program(&out.plan, &EmitConfig).contains("mkfifo"));
 //! ```
 
 pub mod annot;

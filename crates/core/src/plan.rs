@@ -28,7 +28,7 @@
 //! hashed and cached.
 
 use crate::annot::parse_stream_marker;
-use crate::dfg::{Dfg, EagerKind, NodeKind, SplitKind, StreamSpec};
+use crate::dfg::{Dfg, NodeKind, SplitKind, StreamSpec};
 use crate::frontend::{Step, TranslatedProgram};
 use pash_parser::ast::AndOrOp;
 
@@ -142,7 +142,10 @@ pub enum PlanOp {
     },
     /// Identity relay (the paper's `eager`).
     Relay {
-        /// Bounded intermediate buffer instead of unbounded.
+        /// Bounded intermediate buffer instead of unbounded. Lowering
+        /// always emits `false`; the runtime still runs `true`, which
+        /// can arrive over the wire and which the benchmark harness
+        /// names.
         blocking: bool,
     },
     /// A multi-input aggregation function (runtime command).
@@ -861,16 +864,14 @@ fn lower_region(g: &Dfg) -> RegionPlan {
                     },
                 )
             }
-            NodeKind::Relay(kind) => {
+            NodeKind::Relay => {
                 if inputs.iter().any(|&e| edge_framed[e]) {
                     for &e in &outputs {
                         edge_framed[e] = true;
                     }
                 }
                 (
-                    PlanOp::Relay {
-                        blocking: *kind == EagerKind::Blocking,
-                    },
+                    PlanOp::Relay { blocking: false },
                     if inputs.is_empty() {
                         Vec::new()
                     } else {

@@ -9,7 +9,7 @@
 //!
 //! The commands implement exactly the flags that the PaSh annotation
 //! standard library mentions, so annotation fidelity is guaranteed by
-//! construction (see `DESIGN.md` §2).
+//! construction.
 //!
 //! # Examples
 //!

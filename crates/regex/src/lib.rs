@@ -203,11 +203,6 @@ impl Regex {
         &self.pattern
     }
 
-    /// Number of capture groups, including the implicit group 0.
-    pub fn group_count(&self) -> usize {
-        self.inner.prog.groups
-    }
-
     /// Creates a [`Matcher`] for this pattern.
     ///
     /// The matcher owns the mutable lazy-DFA caches, so a hot loop

@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn spawn_specs_parse_back_to_their_ops() {
         use pash_core::compile::{compile, PashConfig};
-        use pash_core::dfg::transform::{EagerPolicy, SplitPolicy};
+        use pash_core::dfg::transform::SplitPolicy;
         use pash_core::plan::{EndpointKind, PlanNode, RegionPlan, SpawnWord};
 
         // Stateless and pure stages over file and pipe sources, a
@@ -390,78 +390,83 @@ mod tests {
         let mut seen_framed = false;
         let mut seen_segment = false;
         for split in [SplitPolicy::Sized, SplitPolicy::RoundRobin] {
-            for eager in [EagerPolicy::Full, EagerPolicy::Blocking] {
-                let cfg = PashConfig {
-                    width: 4,
-                    split,
-                    eager,
-                    ..Default::default()
-                };
-                let compiled = compile(script, &cfg).expect("compile");
-                // Lowering reads a whole file by segment, so these
-                // plans hold no sized split; one is built by hand.
-                let sized = PlanNode {
-                    op: PlanOp::Split {
-                        mode: SplitMode::Sized,
-                    },
-                    inputs: vec![0],
-                    outputs: vec![1, 2],
-                    stdin_inputs: vec![0],
-                    output_producer: false,
-                };
-                let lowered = compiled
-                    .plan
-                    .regions()
-                    .flat_map(|r| r.nodes.iter().map(move |n| (Some(r), n)));
-                for (r, node) in lowered.chain([(None, &sized)]) {
-                    let argv = argv_of(r, node);
-                    let (redir, rest) = Redirections::parse(&argv).expect("redirections");
-                    let (name, rest) = rest.split_first().expect("command name");
-                    let (op, outs) = denoted_op(redir.framed, name, rest).expect("op");
-                    let inputs = |n: usize| (0..n).map(|k| edge("in", k)).collect::<Vec<_>>();
-                    let lits = |words: Vec<String>| words.into_iter().map(Arg::Lit).collect();
-                    let (want, want_outs) = match &node.op {
-                        // Stream operands arrive as the paths they name.
-                        PlanOp::Exec { argv, framed } => {
-                            let words = argv.iter().map(|a| match a {
-                                Arg::Lit(w) => w.clone(),
-                                Arg::Stream(k) => edge("in", *k),
-                            });
-                            let argv = lits(words.collect());
-                            let framed = *framed;
-                            seen_framed |= framed;
-                            (PlanOp::Exec { argv, framed }, Vec::new())
-                        }
-                        // Ordered concatenation is the `cat` command.
-                        PlanOp::Cat => {
-                            let mut words = vec!["cat".to_string()];
-                            words.extend(inputs(node.inputs.len()));
-                            let (argv, framed) = (lits(words), false);
-                            (PlanOp::Exec { argv, framed }, Vec::new())
-                        }
-                        // A sized split is spawned as the general one.
-                        PlanOp::Split { mode } => {
-                            let mode = match mode {
-                                SplitMode::Sized => SplitMode::General,
-                                m => *m,
-                            };
-                            let outs = (0..node.outputs.len()).map(|j| edge("out", j));
-                            (PlanOp::Split { mode }, outs.collect())
-                        }
-                        PlanOp::Aggregate { .. } => {
-                            assert_eq!(redir.ins, inputs(node.inputs.len()), "{argv:?}");
-                            (node.op.clone(), Vec::new())
-                        }
-                        PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
-                    };
-                    assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
-                    let stdin = node.stdin_inputs.first().map(|&k| stdin_from(r, node, k));
-                    if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
-                        seen_segment |= matches!(stdin, Some(StdinFrom::Segment { .. }));
-                        assert_eq!(redir.stdin, stdin, "{argv:?}");
+            let cfg = PashConfig {
+                width: 4,
+                split,
+                ..Default::default()
+            };
+            let compiled = compile(script, &cfg).expect("compile");
+            // Lowering reads a whole file by segment and emits only
+            // unbounded relays, so these plans hold no sized split and
+            // no blocking relay; one of each is built by hand.
+            let sized = PlanNode {
+                op: PlanOp::Split {
+                    mode: SplitMode::Sized,
+                },
+                inputs: vec![0],
+                outputs: vec![1, 2],
+                stdin_inputs: vec![0],
+                output_producer: false,
+            };
+            let blocking = PlanNode {
+                op: PlanOp::Relay { blocking: true },
+                inputs: vec![0],
+                outputs: vec![1],
+                stdin_inputs: vec![0],
+                output_producer: false,
+            };
+            let lowered = compiled
+                .plan
+                .regions()
+                .flat_map(|r| r.nodes.iter().map(move |n| (Some(r), n)));
+            for (r, node) in lowered.chain([(None, &sized), (None, &blocking)]) {
+                let argv = argv_of(r, node);
+                let (redir, rest) = Redirections::parse(&argv).expect("redirections");
+                let (name, rest) = rest.split_first().expect("command name");
+                let (op, outs) = denoted_op(redir.framed, name, rest).expect("op");
+                let inputs = |n: usize| (0..n).map(|k| edge("in", k)).collect::<Vec<_>>();
+                let lits = |words: Vec<String>| words.into_iter().map(Arg::Lit).collect();
+                let (want, want_outs) = match &node.op {
+                    // Stream operands arrive as the paths they name.
+                    PlanOp::Exec { argv, framed } => {
+                        let words = argv.iter().map(|a| match a {
+                            Arg::Lit(w) => w.clone(),
+                            Arg::Stream(k) => edge("in", *k),
+                        });
+                        let argv = lits(words.collect());
+                        let framed = *framed;
+                        seen_framed |= framed;
+                        (PlanOp::Exec { argv, framed }, Vec::new())
                     }
-                    seen.insert(node.op.label());
+                    // Ordered concatenation is the `cat` command.
+                    PlanOp::Cat => {
+                        let mut words = vec!["cat".to_string()];
+                        words.extend(inputs(node.inputs.len()));
+                        let (argv, framed) = (lits(words), false);
+                        (PlanOp::Exec { argv, framed }, Vec::new())
+                    }
+                    // A sized split is spawned as the general one.
+                    PlanOp::Split { mode } => {
+                        let mode = match mode {
+                            SplitMode::Sized => SplitMode::General,
+                            m => *m,
+                        };
+                        let outs = (0..node.outputs.len()).map(|j| edge("out", j));
+                        (PlanOp::Split { mode }, outs.collect())
+                    }
+                    PlanOp::Aggregate { .. } => {
+                        assert_eq!(redir.ins, inputs(node.inputs.len()), "{argv:?}");
+                        (node.op.clone(), Vec::new())
+                    }
+                    PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
+                };
+                assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
+                let stdin = node.stdin_inputs.first().map(|&k| stdin_from(r, node, k));
+                if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
+                    seen_segment |= matches!(stdin, Some(StdinFrom::Segment { .. }));
+                    assert_eq!(redir.stdin, stdin, "{argv:?}");
                 }
+                seen.insert(node.op.label());
             }
         }
         // The table covered what it claims to.

@@ -1,7 +1,8 @@
 //! Command cost profiles for the performance-shape simulator.
 //!
-//! The simulator substitutes for the paper's 64-core × 512 GB testbed
-//! (this container has one core — see DESIGN.md §2). Profiles give
+//! The simulator substitutes for the paper's 64-core × 512 GB testbed,
+//! which a machine of a few cores (README's measurements ran on 2
+//! vCPUs) cannot reproduce. Profiles give
 //! each plan node a full-core processing rate, an output/input byte
 //! ratio, a blocking discipline, and a bottleneck resource. Absolute
 //! rates are calibration constants; the *relative* rates and the

@@ -5,11 +5,10 @@
 //! back-pressure, blocking commands, eager buffering, early-exit
 //! cancellation and process startup costs.
 //!
-//! It *prices* plans; it does not stand in for the clock and chooses
-//! nothing at run time. The `dataplane` gate compares the two
-//! splitters with it, and `bench/run.sh`, which measures wall-clock
-//! time, reports how far the simulator's prediction is from it
-//! (`sim.rel_err`).
+//! It *prices* plans; it does not stand in for the clock, chooses
+//! nothing at run time and gates nothing in CI. `bench/run.sh`, which
+//! measures wall-clock time, reports how far the simulator's
+//! prediction is from it (`sim.rel_err`).
 //!
 //! Correctness is *not* simulated: the `pash-runtime` crate executes
 //! the same plans for real.

@@ -3,8 +3,10 @@
 //!
 //! The paper evaluates on downloaded corpora (Project-Gutenberg-style
 //! text, NOAA weather archives, Wikipedia dumps); this crate generates
-//! statistically similar inputs locally (see DESIGN.md §2 for the
-//! substitution table). All generators are seeded and reproducible.
+//! statistically similar inputs locally: [`text_corpus`] stands in
+//! for the books, [`generate_noaa`] for the NOAA archives (fetched by
+//! `fetch`, run-length encoded for `unrle`) and [`generate_wiki`] for
+//! the Wikipedia pages. All generators are seeded and reproducible.
 
 pub mod nlp;
 pub mod rng;

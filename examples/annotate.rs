@@ -25,10 +25,10 @@ fn main() {
 
     let mut without = AnnotationLibrary::standard().clone();
     without.remove("word-stem");
-    let cfg = PashConfig {
-        width: 8,
-        ..Default::default()
-    };
+    // The `tr -cs … '\n'` in front stays sequential (its squeeze spans
+    // line ends), so `word-stem` reads a pipe: only a split can feed
+    // its copies.
+    let cfg = PashConfig::best(8);
     let conservative = compile_with_library(script, &cfg, &without).expect("compile");
     println!(
         "without annotation: {} command copies (word-stem is opaque, pipeline blocked at it)",

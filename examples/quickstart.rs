@@ -36,7 +36,7 @@ fn main() {
     );
     println!(
         "\nemitted parallel script:\n{}",
-        emit_program(&compiled.plan, &EmitConfig::default())
+        emit_program(&compiled.plan, &EmitConfig)
     );
 
     // 2. Execute hermetically: sequential vs parallel must agree.

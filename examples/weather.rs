@@ -14,8 +14,9 @@ use pash::runtime::exec::{run_script, ExecConfig};
 use pash::workloads::{generate_noaa, NoaaSpec};
 use pash_bench_shim::noaa_script;
 
-/// The Fig. 1 pipeline over the local mirror (see DESIGN.md §2 for
-/// the curl→fetch and gunzip→unrle substitutions).
+/// The Fig. 1 pipeline over the local mirror: `fetch` reads a mirror
+/// path where `curl` would download a URL, and `unrle` decodes
+/// run-length records where `gunzip` would inflate.
 mod pash_bench_shim {
     /// Builds the weather script for a year range.
     pub fn noaa_script(from: u32, to: u32) -> String {

@@ -18,8 +18,8 @@
 //! * [`runtime`] — runtime primitives, the runtime I/O layer, the
 //!   `threads` backend, and the `processes` backend (real children
 //!   over FIFOs);
-//! * [`sim`] — the performance-shape simulator the adaptive optimizer
-//!   prices candidate plans with;
+//! * [`sim`] — the performance-shape simulator, whose prediction the
+//!   benchmark reports beside the measured time (`sim.rel_err`);
 //! * [`workloads`] — synthetic input generators;
 //! * [`regex`] — the linear-time regex engine.
 //!
@@ -251,12 +251,7 @@ impl RunHandle {
         let stdin = env.stdin.as_slice();
         let fs = || env.fs.clone() as Arc<dyn Fs>;
         let executed = match backend {
-            "shell" => {
-                return Ok(BackendOutput::Script(emit_program(
-                    plan,
-                    &EmitConfig::default(),
-                )))
-            }
+            "shell" => return Ok(BackendOutput::Script(emit_program(plan, &EmitConfig))),
             "threads" => run_program(plan, fallback, &env.registry, fs(), stdin, &env.exec),
             "processes" => run_processes(plan, fallback, env, stdin),
             "remote" => {

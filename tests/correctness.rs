@@ -12,7 +12,7 @@
 use std::sync::{Arc, OnceLock};
 
 use pash::core::compile::PashConfig;
-use pash::core::dfg::{AggTreeShape, EagerPolicy, SplitPolicy};
+use pash::core::dfg::SplitPolicy;
 use pash::core::plan::{PlanOp, SplitMode};
 use pash::coreutils::fs::MemFs;
 use pash::runtime::exec::{run_script, ExecConfig};
@@ -36,15 +36,9 @@ fn run(
     (out.stdout, file)
 }
 
-/// The four `(eager, split)` configurations the one-liners sweep: no
-/// eager relays, blocking relays, full relays without splits, and
-/// full relays with the input-aware split.
-const CONFIGS: [(EagerPolicy, SplitPolicy); 4] = [
-    (EagerPolicy::Full, SplitPolicy::Sized),
-    (EagerPolicy::Full, SplitPolicy::Off),
-    (EagerPolicy::Blocking, SplitPolicy::Off),
-    (EagerPolicy::Off, SplitPolicy::Off),
-];
+/// The two split policies the one-liners sweep: the input-aware split
+/// and none.
+const CONFIGS: [SplitPolicy; 2] = [SplitPolicy::Sized, SplitPolicy::Off];
 
 /// The sequential configuration every parallel run is compared with.
 fn sequential() -> PashConfig {
@@ -83,18 +77,17 @@ fn oneliners_parallel_equals_sequential() {
             &ExecConfig::default(),
         );
         for (schedule, exec) in schedules() {
-            for (eager, split) in CONFIGS {
+            for split in CONFIGS {
                 for width in [2usize, 3, 8] {
                     let cfg = PashConfig {
                         width,
-                        eager,
                         split,
                         ..Default::default()
                     };
                     let par = run(&bench.script, &cfg, make_fs(), &exec);
                     assert_eq!(
                         seq, par,
-                        "{} diverged at width {width} under {eager:?}/{split:?}, {schedule}",
+                        "{} diverged at width {width} under {split:?}, {schedule}",
                         bench.name,
                     );
                 }
@@ -189,27 +182,6 @@ fn wiki_index_identical_across_widths() {
 }
 
 #[test]
-fn flat_aggregation_tree_also_correct() {
-    let bench = oneliners::by_name("Sort").expect("Sort exists");
-    let fs = cached_fs("oneliners/Sort/50000".to_string(), |fs| {
-        oneliners::setup_fs(&bench, 50_000, fs)
-    });
-    let seq = run(
-        &bench.script,
-        &sequential(),
-        fs.clone(),
-        &ExecConfig::default(),
-    );
-    let cfg = PashConfig {
-        width: 8,
-        agg_tree: AggTreeShape::Flat,
-        ..Default::default()
-    };
-    let par = run(&bench.script, &cfg, fs, &ExecConfig::default());
-    assert_eq!(seq, par);
-}
-
-#[test]
 fn correctness_resilient_to_tiny_pipes() {
     // 48-byte pipes force maximal blocking and teardown interleavings,
     // through the general splitter as well: Top-n's plan gives `head`
@@ -239,29 +211,5 @@ fn correctness_resilient_to_tiny_pipes() {
     };
     let seq = run(&bench.script, &sequential(), fs.clone(), &exec);
     let par = run(&bench.script, &cfg, fs, &exec);
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn conservative_configs_match_too() {
-    // Eager off + splits off: the "No Eager" ablation still preserves
-    // semantics (it is only slower).
-    let bench = oneliners::by_name("Spell").expect("Spell exists");
-    let fs = cached_fs("oneliners/Spell/40000".to_string(), |fs| {
-        oneliners::setup_fs(&bench, 40_000, fs)
-    });
-    let seq = run(
-        &bench.script,
-        &sequential(),
-        fs.clone(),
-        &ExecConfig::default(),
-    );
-    let cfg = PashConfig {
-        width: 6,
-        eager: EagerPolicy::Off,
-        split: SplitPolicy::Off,
-        ..Default::default()
-    };
-    let par = run(&bench.script, &cfg, fs, &ExecConfig::default());
     assert_eq!(seq, par);
 }

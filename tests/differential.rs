@@ -254,7 +254,7 @@ fn observe_shell_within(
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     materialize(&fs, &dir);
-    let emitted = emit_program(&compiled.plan, &EmitConfig::default());
+    let emitted = emit_program(&compiled.plan, &EmitConfig);
     std::fs::write(dir.join("parallel.sh"), emitted).expect("write script");
     let mut command = match watchdog {
         Some(limit) => {
@@ -1051,10 +1051,13 @@ fn observe_host(script: &str, fs: &MemFs) -> Observed {
 }
 
 /// `grep -n` numbers the lines of its whole input and `grep -m N`
-/// stops after N matches of it, so neither may run per segment. On an
-/// input whose later segments hold matches, widths 2 and 4 must give
-/// the width-1 bytes, and width 1 the host's. The input outgrows any
-/// pipe buffer, so `threads` runs a thread per node.
+/// stops after N matches of it, so neither may run per segment; nor
+/// may a `tr -s` whose squeezed run can span a line end: after the
+/// `cut`, every line of this corpus starts with a digit, which the
+/// `tr -cs` folds into the previous line's newline. On an input whose
+/// later segments hold matches, widths 2 and 4 must give the width-1
+/// bytes, and width 1 the host's. The input outgrows any pipe buffer,
+/// so `threads` runs a thread per node.
 #[test]
 fn grep_line_numbers_and_caps_match_width_one() {
     let Some(bins) = harness() else {
@@ -1071,6 +1074,7 @@ fn grep_line_numbers_and_caps_match_width_one() {
         "cat in.txt | grep -n the | cut -d : -f 1 | tail -n 5",
         "cat in.txt | grep -m 3 the",
         "cat in.txt | grep -c -m 3 the",
+        "cat in.txt | cut -d ' ' -f 2- | tr -cs A-Za-z '\\n' | wc -l",
     ] {
         let sequential = Setup::split(1);
         let want = observe_threads(script, make_fs(), &sequential, &sequential.cfg, capacity);

@@ -54,7 +54,7 @@ fn run_under_sh(
     for (name, data) in files {
         std::fs::write(dir.join(name), data).expect("write input");
     }
-    let emitted = emit_program(&compiled.plan, &EmitConfig::default());
+    let emitted = emit_program(&compiled.plan, &EmitConfig);
     std::fs::write(dir.join("parallel.sh"), &emitted).expect("write script");
     let out = Command::new("/bin/sh")
         .arg("parallel.sh")
@@ -161,7 +161,7 @@ fn emitted_head_over_segments_launches_one_job_per_node() {
     let cfg = PashConfig::best(4);
     let compiled = pash::compile(script, &cfg).expect("compile");
     for (idx, r) in compiled.plan.regions().enumerate() {
-        let block = emit_region(r, idx, &EmitConfig::default());
+        let block = emit_region(r, idx, &EmitConfig);
         assert_eq!(block.matches(" &\n").count(), r.nodes.len(), "{block}");
         assert_eq!(block.matches(" --stdin-seg in.txt ").count(), 4, "{block}");
         assert!(!block.contains(" | "), "{block}");

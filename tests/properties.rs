@@ -17,6 +17,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use pash::core::annot::stdlib::AnnotationLibrary;
+use pash::core::classes::ParClass;
 use pash::core::compile::PashConfig;
 use pash::coreutils::fs::{Fs, MemFs};
 use pash::coreutils::run_command;
@@ -205,10 +207,11 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         // `tr -cs A-Za-z '\n'` squeezes runs *across* line boundaries,
-        // so its S classification (paper §3.1) is sound only when no
+        // so the paper's S classification (§3.1) is sound only when no
         // chunk starts inside a squeezed run — i.e. when every line
-        // starts with an alphabetic character. Real prose does; the
-        // workload generators guarantee it; this property pins it.
+        // starts with an alphabetic character. Nothing guarantees that
+        // of an input, so the classifier keeps this `tr` sequential;
+        // this property pins where the law does hold.
         let input: Vec<u8> = lines
             .iter()
             .flat_map(|l| {
@@ -230,8 +233,9 @@ proptest! {
 fn squeeze_boundary_counterexample() {
     // The flip side, found by property testing this reproduction: a
     // blank line at a chunk boundary breaks the stateless law for
-    // `tr -s`. The annotation (taken from the paper) is unsound for
-    // such inputs; DESIGN.md records this caveat.
+    // `tr -s`. The paper's annotation (class S) is unsound for such
+    // inputs, so the classifier keeps a squeeze that can span a line
+    // end sequential.
     let input = b"a\n\nb\n".to_vec();
     let argv = &["tr", "-cs", "A-Za-z", "\\n"];
     let whole = run(argv, &input);
@@ -239,6 +243,12 @@ fn squeeze_boundary_counterexample() {
     let mut parts = run(argv, &x);
     parts.extend(run(argv, &y));
     assert_ne!(whole, parts, "expected the documented boundary effect");
+    let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+    let class = AnnotationLibrary::standard()
+        .classify(&argv)
+        .expect("tr is annotated")
+        .class;
+    assert_eq!(class, ParClass::NonParallelizable);
 }
 
 #[test]
