@@ -21,8 +21,10 @@
 #   4. regex bench smoke: tiered-vs-PikeVM suite at a small size
 #      (per-line and block line-scan rows, each asserted equal to the
 #      Pike VM and free of DFA give-ups before timing), check the
-#      emitted BENCH_regex.json parses, and that every key looked for
-#      is in the checked-in BENCH_regex.json too;
+#      emitted BENCH_regex.json parses, that every key looked for is
+#      in the checked-in BENCH_regex.json too, and that the
+#      `alternation_context` row ran on the literal set: its searches
+#      counted, and the DFA on at most a quarter of the lines;
 #   5. plan-determinism smoke (segment split and r_split plans), and
 #      the shape of the benchmark's `sort | uniq -c | sort -n` plan:
 #      the fold below the counted merge, a raw r_split behind it, no
@@ -115,7 +117,17 @@ else
     grep -q '"bench":"regex"' target/bench-smoke/BENCH_regex.json
 fi
 require_keys BENCH_regex.json speedup_vs_pikevm matcher_stats give_ups \
-    regex_fixed_tiered alternation_context anchored_class suffix_anchor
+    set_searches regex_fixed_tiered alternation_context anchored_class suffix_anchor
+# The alternation row runs on the literal set, which leaves the DFA at
+# most a quarter of the row's lines to walk.
+ALT_STATS=$(grep -o '"alternation_context":{[^}]*}' target/bench-smoke/BENCH_regex.json)
+ALT_LINES=$(echo "$ALT_STATS" | sed 's/.*"lines":\([0-9]*\).*/\1/')
+ALT_DFA=$(echo "$ALT_STATS" | sed 's/.*"dfa_lines":\([0-9]*\).*/\1/')
+ALT_SEARCHES=$(echo "$ALT_STATS" | sed 's/.*"set_searches":\([0-9]*\).*/\1/')
+if [ "$ALT_SEARCHES" -eq 0 ] || [ $((ALT_DFA * 4)) -gt "$ALT_LINES" ]; then
+    echo "    alternation_context: the DFA walked $ALT_DFA of $ALT_LINES lines, in $ALT_SEARCHES set searches" >&2
+    exit 1
+fi
 
 echo "==> plan determinism smoke (same script+config => byte-identical dump)"
 # The compile-result cache keys on (source, config); this step proves

@@ -6,8 +6,9 @@
 //! three line-mode shapes of the `regex-filter` benchmark through
 //! `grep`'s block scan; writes the results, the per-case speedups and
 //! each tiered matcher's counters (states built, cache clears,
-//! give-ups, lines per engine) to `BENCH_regex.json`, so successive
-//! changes can track the regex-engine trajectory.
+//! give-ups, lines per engine, literal-set searches) and each case's
+//! line count to `BENCH_regex.json`, so successive changes can track
+//! the regex-engine trajectory.
 //!
 //! Usage: `regexbench [--size small|default|large] [--out PATH]`
 
@@ -59,10 +60,10 @@ fn main() {
         println!("{case:<20} tiered vs pikevm: {ratio:.1}x");
     }
     println!();
-    for (case, s) in &suite.stats {
+    for (case, lines, s) in &suite.stats {
         println!(
-            "{case:<20} dfa states {:>4}, clears {}, give-ups {}, lines: dfa {} / pike {}",
-            s.dfa_states, s.cache_clears, s.give_ups, s.dfa_lines, s.pike_lines
+            "{case:<20} dfa states {:>4}, clears {}, give-ups {}, lines {lines}: dfa {} / pike {}, set searches {}",
+            s.dfa_states, s.cache_clears, s.give_ups, s.dfa_lines, s.pike_lines, s.set_searches
         );
     }
 
@@ -82,7 +83,7 @@ fn main() {
         suite
             .stats
             .iter()
-            .map(|(case, s)| format!("\"{case}\":{}", stats_json(s)))
+            .map(|(case, lines, s)| format!("\"{case}\":{}", stats_json(*lines, s)))
             .collect::<Vec<_>>()
             .join(","),
     );

@@ -22,7 +22,7 @@
 //!
 //! | series                | pattern                                  |
 //! |-----------------------|------------------------------------------|
-//! | `alternation_context` | `(w|x|y|z) [a-z]+ (of|the|and)`: no literal of two bytes, the DFA walks every line |
+//! | `alternation_context` | `(w|x|y|z) [a-z]+ (of|the|and)`: no literal of two bytes, but every match starts with one of four (`w `, …): the literal set skips the lines holding none, the DFA walks the rest |
 //! | `anchored_class`      | `^[a-m]` (`grep -v`): decided at a line's first byte |
 //! | `suffix_anchor`       | `ing$`: a literal to skip by, `$` at the line end |
 //!
@@ -53,6 +53,13 @@ pub struct Case {
     /// Sweep with the block line scan (`grep`'s path) instead of one
     /// `is_match` per line.
     pub line_mode: bool,
+}
+
+impl Case {
+    /// The corpus's lines, counted by their `\n` bytes.
+    pub fn lines(&self) -> u64 {
+        self.corpus.iter().filter(|&&b| b == b'\n').count() as u64
+    }
 }
 
 /// Builds the standard cases at roughly `bytes` of corpus each: the
@@ -158,8 +165,9 @@ fn sweep_pikevm(pattern: &str, corpus: &[u8], count: &mut usize) -> Duration {
 pub struct Suite {
     /// `regex_{case}_tiered` / `regex_{case}_pikevm`, interleaved.
     pub samples: Vec<Sample>,
-    /// Per case, the tiered matcher's counters after one sweep.
-    pub stats: Vec<(&'static str, Stats)>,
+    /// Per case, its lines and the tiered matcher's counters after one
+    /// sweep.
+    pub stats: Vec<(&'static str, u64, Stats)>,
 }
 
 /// Runs every case through both engines, after asserting that they
@@ -189,7 +197,7 @@ pub fn run_suite(bytes: usize, runs: usize) -> Suite {
             "`{}` fell back to the Pike VM: {stats:?}",
             case.pattern
         );
-        suite.stats.push((case.name, stats));
+        suite.stats.push((case.name, case.lines(), stats));
         let len = case.corpus.len();
         suite.samples.push(measure(
             &format!("regex_{}_tiered", case.name),
@@ -207,11 +215,11 @@ pub fn run_suite(bytes: usize, runs: usize) -> Suite {
     suite
 }
 
-/// One case's counters as a JSON object.
-pub fn stats_json(s: &Stats) -> String {
+/// One case's line count and counters as a JSON object.
+pub fn stats_json(lines: u64, s: &Stats) -> String {
     format!(
-        "{{\"dfa_states\":{},\"cache_clears\":{},\"give_ups\":{},\"dfa_lines\":{},\"pike_lines\":{}}}",
-        s.dfa_states, s.cache_clears, s.give_ups, s.dfa_lines, s.pike_lines
+        "{{\"lines\":{lines},\"dfa_states\":{},\"cache_clears\":{},\"give_ups\":{},\"dfa_lines\":{},\"pike_lines\":{},\"set_searches\":{}}}",
+        s.dfa_states, s.cache_clears, s.give_ups, s.dfa_lines, s.pike_lines, s.set_searches
     )
 }
 
@@ -253,10 +261,10 @@ mod tests {
         // `fixed` and `suffix_anchor` are literal-tier patterns and
         // `adversarial`'s lines all lack its required `b`: no
         // automaton is ever built for them. The rest ran on the DFA.
-        for (name, stats) in &suite.stats {
+        for (name, lines, stats) in &suite.stats {
             let literal = ["fixed", "adversarial", "suffix_anchor"].contains(name);
             assert_eq!(stats.dfa_states == 0, literal, "{name}: {stats:?}");
-            assert!(stats_json(stats).contains("\"give_ups\":0"));
+            assert!(stats_json(*lines, stats).contains("\"give_ups\":0"));
         }
     }
 
@@ -269,6 +277,19 @@ mod tests {
             let lines = case.corpus.split(|&b| b == b'\n').count() - 1;
             assert!(n > 0 && n < lines, "{}: {n} of {lines} lines", case.name);
         }
+    }
+
+    #[test]
+    fn alternation_context_runs_on_the_literal_set() {
+        let case = &standard_cases(256 * 1024)[4];
+        assert_eq!(case.name, "alternation_context");
+        let re = Regex::new(case.pattern, Syntax::Ere).expect("compile");
+        let (mut n, mut stats) = (0usize, Stats::default());
+        sweep_tiered(case, &re, &mut n, &mut stats);
+        // The set ran, and the DFA walked only the lines it flagged.
+        let lines = case.lines();
+        assert!(stats.set_searches > 0, "{stats:?}");
+        assert!(stats.dfa_lines * 4 <= lines, "{stats:?} of {lines} lines");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Small utility commands: `rev`, `seq`, `echo`, `paste`, `fold`,
 //! `tee`, `nl`, `true`, `false`.
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
-use crate::lines::{for_each_line, read_all_lines, write_line};
+use crate::lines::{buffer_lines, for_each_line, write_line};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `rev` — reverse the bytes of each line (class S).
@@ -117,38 +117,47 @@ impl Command for Paste {
         if files.is_empty() {
             files.push("-".to_string());
         }
-        let mut columns: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(files.len());
         for f in &files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
-            columns.push(read_all_lines(&mut r)?);
+            let mut buf = Vec::new();
+            open_input(&io.fs, f, io.stdin)?.read_to_end(&mut buf)?;
+            inputs.push(buf);
         }
+        // Every row goes into one buffer, written once.
+        let mut out: Vec<u8> = Vec::with_capacity(inputs.iter().map(Vec::len).sum::<usize>() + 1);
         if serial {
-            for (ci, col) in columns.iter().enumerate() {
-                let mut out: Vec<u8> = Vec::new();
-                for (i, line) in col.iter().enumerate() {
+            for input in &inputs {
+                for (i, line) in buffer_lines(input).enumerate() {
                     if i > 0 {
                         out.push(delims[(i - 1) % delims.len()]);
                     }
                     out.extend_from_slice(line);
                 }
-                let _ = ci;
-                write_line(io.stdout, &out)?;
+                out.push(b'\n');
             }
-            return Ok(0);
-        }
-        let rows = columns.iter().map(|c| c.len()).max().unwrap_or(0);
-        for row in 0..rows {
-            let mut out: Vec<u8> = Vec::new();
-            for (ci, col) in columns.iter().enumerate() {
-                if ci > 0 {
-                    out.push(delims[(ci - 1) % delims.len()]);
+        } else {
+            let mut columns: Vec<_> = inputs.iter().map(|input| buffer_lines(input)).collect();
+            loop {
+                let row = out.len();
+                let mut any = false;
+                for (ci, col) in columns.iter_mut().enumerate() {
+                    if ci > 0 {
+                        out.push(delims[(ci - 1) % delims.len()]);
+                    }
+                    // A column that ran out leaves its field empty.
+                    if let Some(line) = col.next() {
+                        out.extend_from_slice(line);
+                        any = true;
+                    }
                 }
-                if let Some(line) = col.get(row) {
-                    out.extend_from_slice(line);
+                if !any {
+                    out.truncate(row);
+                    break;
                 }
+                out.push(b'\n');
             }
-            write_line(io.stdout, &out)?;
         }
+        io.stdout.write_all(&out)?;
         Ok(0)
     }
 }

@@ -269,7 +269,14 @@ impl Entry {
 /// front (`-rn -u` sorts by the complemented code for that reason).
 /// Without `-u`, `-r` is the sorted index back to front: entries that
 /// tie there are identical lines.
+///
+/// Input that is already in order is left as it is: the byte sort
+/// runs only on a run (or, keyless, an index) that is out of order.
+/// Sorting `-n` by the code and then the line's offset keeps each
+/// run of equal numbers in input order, which is byte order when the
+/// input came from a sort (`sort | uniq -c | sort -n`).
 fn sort_index(spec: &SortSpec, arena: &[u8], index: &mut [Entry]) {
+    let in_order = |run: &[Entry]| run.is_sorted_by(|a, b| a.line(arena) <= b.line(arena));
     if spec.numeric {
         let flip = if spec.reverse && spec.unique { !0 } else { 0 };
         for e in index.iter_mut() {
@@ -279,13 +286,13 @@ fn sort_index(spec: &SortSpec, arena: &[u8], index: &mut [Entry]) {
             index.sort_by_key(|e| e.key);
             return;
         }
-        index.sort_unstable_by_key(|e| e.key);
+        index.sort_unstable_by_key(|e| (e.key, e.start));
         for run in index.chunk_by_mut(|a, b| a.key == b.key) {
-            if run.len() > 1 {
+            if !in_order(run) {
                 sort_by_chunks(arena, run, 0);
             }
         }
-    } else {
+    } else if !in_order(index) {
         sort_by_chunks(arena, index, 0);
     }
     if spec.reverse {
@@ -690,6 +697,28 @@ mod tests {
         assert_eq!(sort(&["-n"], "1 b\n1 a\n"), "1 a\n1 b\n");
         assert_eq!(sort(&["-rn"], "1 a\n1 b\n2 x\n"), "2 x\n1 b\n1 a\n");
         assert_eq!(sort(&["-n"], "he\nyou\n0 a\n"), "0 a\nhe\nyou\n");
+    }
+
+    #[test]
+    fn runs_already_in_order_come_out_the_same() {
+        // A `uniq -c` stream: equal counts arrive in byte order, and
+        // are left in it; a run out of order is still byte-sorted.
+        let counted = "      2 b\n      1 a\n      2 c\n      1 b\n      1 c\n";
+        assert_eq!(
+            sort(&["-n"], counted),
+            "      1 a\n      1 b\n      1 c\n      2 b\n      2 c\n"
+        );
+        assert_eq!(
+            sort(&["-rn"], counted),
+            "      2 c\n      2 b\n      1 c\n      1 b\n      1 a\n"
+        );
+        assert_eq!(sort(&["-n"], "3 z\n3 y\n3 x\n"), "3 x\n3 y\n3 z\n");
+        // Keyless: sorted input as it is, unsorted input sorted.
+        let lines: String = (0..40).map(|i| format!("line {i:03}\n")).collect();
+        assert_eq!(sort(&[], &lines), lines);
+        let mut reversed: Vec<&str> = lines.lines().rev().collect();
+        reversed.push("");
+        assert_eq!(sort(&[], &reversed.join("\n")), lines);
     }
 
     #[test]

@@ -57,7 +57,9 @@ use std::collections::HashMap;
 
 use crate::compile::{Inst, Program};
 use crate::hir::Assertion;
-use crate::memmem::{memchr, memrchr, Finder};
+use crate::literal::Prefilter;
+use crate::memmem::memchr;
+use crate::Stats;
 
 /// Tag: a match ends in this state. The low bits still name its row.
 const TAG_MATCH: u32 = 1 << 31;
@@ -333,19 +335,23 @@ impl Dfa {
     /// table. A line is left at its first match state, or at the dead
     /// state, and the rest of it skipped with `memchr`.
     ///
-    /// `filter`, when given, is a literal every match contains: it is
+    /// `filter`, when given, is a literal every match contains or a
+    /// set of literals one of which starts every match: it is
     /// consulted at line starts only, to jump over lines that cannot
-    /// match. `lines` is advanced by the number of lines walked.
+    /// match. Under a set, the line's scan starts at the hit, in the
+    /// mid-text start state, since no match starts before it.
+    /// `stats` counts the lines walked (`dfa_lines`) and the set's
+    /// searches (`set_searches`).
     ///
     /// On giving up, the error carries the start of the line the scan
     /// was in: nothing from there on has been answered.
     pub fn find_line(
         &self,
         cache: &mut Cache,
-        filter: Option<&Finder>,
+        filter: Option<&Prefilter>,
         block: &[u8],
         from: usize,
-        lines: &mut u64,
+        stats: &mut Stats,
     ) -> Result<Option<(usize, usize)>, usize> {
         if cache.poisoned {
             return Err(from);
@@ -353,18 +359,20 @@ impl Dfa {
         let n = block.len();
         let mut line = from;
         while line < n {
+            let mut i = line;
             if let Some(f) = filter {
-                match f.find(&block[line..]) {
-                    None => return Ok(None),
-                    Some(off) => {
-                        let head = &block[line..line + off];
-                        line += memrchr(b'\n', head).map_or(0, |k| k + 1);
-                    }
-                }
+                let Some((start, hit)) = crate::next_candidate(f, block, line, stats) else {
+                    return Ok(None);
+                };
+                line = start;
+                i = if matches!(f, Prefilter::Set(_)) {
+                    hit
+                } else {
+                    start
+                };
             }
             // Re-read per line: a cache clear renames the start state.
-            let start = self.start_state(cache, true).map_err(|_| line)?;
-            let mut i = line;
+            let start = self.start_state(cache, i == line).map_err(|_| line)?;
             let matched = if start >= TAGGED {
                 // The empty prefix of every line decides it.
                 start & TAG_MATCH != 0
@@ -389,7 +397,7 @@ impl Dfa {
                 }
             };
             let end = memchr(b'\n', &block[i..]).map_or(n, |k| i + k);
-            *lines += 1;
+            stats.dfa_lines += 1;
             if matched {
                 return Ok(Some((line, end)));
             }
@@ -866,11 +874,11 @@ mod tests {
         // it must pick up the renamed start state after a clear.
         let mut c = Cache::new();
         let block = b"abx\ncdcd\nefghx\n\nghabcdx\nx\n";
-        let mut lines = 0;
+        let mut stats = Stats::default();
         let mut found = Vec::new();
         let mut at = 0;
         while let Some((s, e)) = f
-            .find_line(&mut c, None, block, at, &mut lines)
+            .find_line(&mut c, None, block, at, &mut stats)
             .expect("within MAX_CLEARS")
         {
             found.push(&block[s..e]);
@@ -878,7 +886,7 @@ mod tests {
         }
         assert_eq!(found, [&b"abx"[..], b"efghx", b"ghabcdx"]);
         assert!(c.clears() >= 2, "clears {}", c.clears());
-        assert_eq!(lines, 6);
+        assert_eq!(stats.dfa_lines, 6);
         assert_table_is_well_formed(&f, &c);
     }
 
@@ -888,16 +896,16 @@ mod tests {
         f.max_states = 2;
         let mut c = Cache::new();
         let block = b"abcdefgh\n".repeat(40);
-        let mut lines = 0;
+        let mut stats = Stats::default();
         // The error names the line the scan was in.
         let resume = f
-            .find_line(&mut c, None, &block, 0, &mut lines)
+            .find_line(&mut c, None, &block, 0, &mut stats)
             .expect_err("gives up");
         assert_eq!(resume % 9, 0);
-        assert_eq!(lines as usize, resume / 9);
+        assert_eq!(stats.dfa_lines as usize, resume / 9);
         assert_eq!(c.clears(), MAX_CLEARS);
         assert_eq!(f.find_fwd(&mut c, b"abx", 0, true), Err(GaveUp));
-        assert_eq!(f.find_line(&mut c, None, &block, 18, &mut lines), Err(18));
+        assert_eq!(f.find_line(&mut c, None, &block, 18, &mut stats), Err(18));
     }
 
     #[test]

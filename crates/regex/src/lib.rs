@@ -12,16 +12,21 @@
 //!    ([`memmem`], word-at-a-time);
 //! 2. a general pattern with a required literal gets a prefilter that
 //!    rejects haystacks (and bounds match starts) at `memchr` speed;
-//! 3. surviving candidates run through a lazy DFA ([`dfa`]) — one
+//! 3. a general pattern whose matches all start with one of at most
+//!    eight literals of two bytes or more, and that has no required
+//!    literal of two bytes, gets a *literal set* instead: a packed
+//!    SIMD scan ([`teddy`]) for the first place any of them starts;
+//! 4. surviving candidates run through a lazy DFA ([`dfa`]) — one
 //!    flat transition table, one load and one compare per byte, states
 //!    determinized on demand under a bounded cache;
-//! 4. the Pike VM ([`pikevm`]) remains the capture engine and the
+//! 5. the Pike VM ([`pikevm`]) remains the capture engine and the
 //!    fallback when the DFA cache thrashes or the pattern uses
 //!    word-boundary assertions.
 //!
 //! Line-oriented callers (`grep`) do not restart the engine per line:
 //! [`Matcher::find_line`] walks a block of whole lines through the
-//! same tiers in one call.
+//! same tiers in one call, and a two-byte literal or a literal set
+//! lets it pass over every line without a candidate untouched.
 //!
 //! Every tier is `O(haystack)` — backtracking blow-ups cannot occur,
 //! which is what the paper's "complex NFA regex" grep benchmark
@@ -48,13 +53,14 @@ pub mod literal;
 pub mod memmem;
 pub mod parser;
 pub mod pikevm;
+pub mod teddy;
 
 use std::sync::Arc;
 
 use compile::Program;
 use hir::Hir;
-use literal::Literals;
-use memmem::{memchr, memrchr, Finder};
+use literal::{Literals, Prefilter};
+use memmem::{memchr, memrchr};
 use pikevm::PikeVm;
 
 /// Pattern syntax selector.
@@ -99,12 +105,13 @@ enum Plan {
     /// General pattern: optional literal prefilter, lazy DFA when the
     /// pattern admits one, Pike VM otherwise and as fallback.
     General {
-        prefilter: Option<Finder>,
+        prefilter: Option<Prefilter>,
         /// Maximum offset from the match start at which the prefilter
         /// literal's guaranteed occurrence can begin: a hit at `h`
         /// proves no match starts before `h - max_start`, so the scan
         /// starts there instead of rescanning from the beginning. A
-        /// required prefix is `Some(0)`; `None` = containment only.
+        /// required prefix and a literal set are `Some(0)`; `None` =
+        /// containment only.
         prefilter_max_start: Option<usize>,
     },
 }
@@ -120,6 +127,10 @@ struct Inner {
     fwd: Option<dfa::Dfa>,
     /// Reverse DFA over the reversed pattern (match starts).
     rev: Option<dfa::Dfa>,
+    /// What a block scan searches for before it looks at a line: the
+    /// literal tier's needle, or a general prefilter that passes
+    /// [`Prefilter::is_line_filter`].
+    line_filter: Option<Prefilter>,
 }
 
 /// A compiled regular expression.
@@ -162,12 +173,19 @@ impl Regex {
             Plan::Literal { .. } => (None, None),
             Plan::General { .. } => build_dfas(&hir, lits.anchored_start),
         };
+        let line_filter = match &plan {
+            Plan::Literal { finder, .. } => {
+                (!finder.needle().is_empty()).then(|| Prefilter::Literal(finder.clone()))
+            }
+            Plan::General { prefilter, .. } => prefilter.clone().filter(Prefilter::is_line_filter),
+        };
         Ok(Regex {
             inner: Arc::new(Inner {
                 prog,
                 plan,
                 fwd,
                 rev,
+                line_filter,
             }),
             pattern: pattern.to_string(),
         })
@@ -310,6 +328,10 @@ pub struct Stats {
     pub dfa_lines: u64,
     /// Pike VM runs: fallbacks, word-boundary patterns, captures.
     pub pike_lines: u64,
+    /// Searches a literal set ran. Each passes over every line up to
+    /// the next one a literal of the set starts in, or to the end,
+    /// with no engine run on the lines passed.
+    pub set_searches: u64,
 }
 
 /// The tiered match engine for one pattern; see [`Regex::matcher`].
@@ -323,22 +345,6 @@ pub struct Matcher {
     rev_cache: dfa::Cache,
     /// The counters no cache keeps (`give_ups`, `*_lines`).
     stats: Stats,
-}
-
-impl Inner {
-    /// A literal every matching line contains and that is worth
-    /// searching a block of lines for before any automaton runs. In
-    /// front of an automaton that takes two bytes: a single byte
-    /// common enough to sit in a pattern's own context (the space in
-    /// `(a|b) [a-z]+ (c|d)`) is in every line, and finding it there,
-    /// then the line around it, costs three scans per line for
-    /// nothing.
-    fn line_filter(&self) -> Option<&Finder> {
-        match &self.plan {
-            Plan::Literal { finder, .. } => Some(finder).filter(|f| !f.needle().is_empty()),
-            Plan::General { prefilter, .. } => prefilter.as_ref().filter(|f| f.needle().len() >= 2),
-        }
-    }
 }
 
 impl Matcher {
@@ -454,10 +460,13 @@ impl Matcher {
     /// gives for it, but without restarting the engine per line: the
     /// lazy DFA runs across the block and restarts from its cached
     /// line-start state at each `\n`, leaves a line at its first match
-    /// state, and consults the required literal only at line starts.
-    /// The lines in `from..start` are thereby known not to match, so
-    /// a caller gets matched lines and the gaps between them by
-    /// calling again from `end + 1`.
+    /// state, and consults the line filter (a required literal of two
+    /// bytes or more, or a literal set) only at line starts: the lines
+    /// before its next hit are passed over without a DFA step, and
+    /// under a set the DFA starts at the hit itself. The lines in
+    /// `from..start` are thereby known not to match, so a caller gets
+    /// matched lines and the gaps between them by calling again from
+    /// `end + 1`.
     ///
     /// Patterns the DFA refuses (word boundaries) or gives up on are
     /// finished inside the same call, line by line on the Pike VM.
@@ -465,8 +474,8 @@ impl Matcher {
         let mut from = from;
         let inner = &*self.inner;
         if let (Plan::General { .. }, Some(fwd)) = (&inner.plan, &inner.fwd) {
-            let lines = &mut self.stats.dfa_lines;
-            match fwd.find_line(&mut self.fwd_cache, inner.line_filter(), block, from, lines) {
+            let filter = inner.line_filter.as_ref();
+            match fwd.find_line(&mut self.fwd_cache, filter, block, from, &mut self.stats) {
                 Ok(found) => return found,
                 Err(resume) => {
                     self.stats.give_ups += 1;
@@ -474,16 +483,14 @@ impl Matcher {
                 }
             }
         }
-        // Literal tier, or no DFA: candidate lines by the literal,
+        // Literal tier, or no DFA: candidate lines by the filter,
         // each verified on its own.
         let inner = Arc::clone(&self.inner);
-        let filter = inner.line_filter();
         let mut line = from;
         while line < block.len() {
             let mut probe = line;
-            if let Some(f) = filter {
-                probe += f.find(&block[line..])?;
-                line += memrchr(b'\n', &block[line..probe]).map_or(0, |k| k + 1);
+            if let Some(f) = &inner.line_filter {
+                (line, probe) = next_candidate(f, block, line, &mut self.stats)?;
             }
             let end = memchr(b'\n', &block[probe..]).map_or(block.len(), |k| probe + k);
             if self.is_match(&block[line..end]) {
@@ -506,12 +513,15 @@ impl Matcher {
     /// Applies the prefilter at `start`: `None` means no match exists
     /// anywhere at-or-after `start`; otherwise the (possibly advanced)
     /// scan start.
-    fn prefilter_start(&self, hay: &[u8], start: usize) -> Option<usize> {
+    fn prefilter_start(&mut self, hay: &[u8], start: usize) -> Option<usize> {
         match &self.inner.plan {
             Plan::General {
                 prefilter: Some(pf),
                 prefilter_max_start,
             } => {
+                if matches!(pf, Prefilter::Set(_)) {
+                    self.stats.set_searches += 1;
+                }
                 let hit = start + pf.find(&hay[start..])?;
                 // The literal's guaranteed occurrence starts at most
                 // `max_start` bytes into its match, and the leftmost
@@ -601,6 +611,28 @@ impl Matcher {
     }
 }
 
+/// The next line of `block`, from the line start `line` on, in which
+/// `filter` finds a candidate, as `(line start, hit)`; `None` when no
+/// line from `line` on holds one. A literal set's search is counted
+/// in `stats`.
+pub(crate) fn next_candidate(
+    filter: &Prefilter,
+    block: &[u8],
+    line: usize,
+    stats: &mut Stats,
+) -> Option<(usize, usize)> {
+    let rest = &block[line..];
+    let hit = match filter {
+        Prefilter::Literal(f) => f.find(rest)?,
+        Prefilter::Set(t) => {
+            stats.set_searches += 1;
+            t.find(rest)?
+        }
+    };
+    let start = memrchr(b'\n', &rest[..hit]).map_or(0, |k| k + 1);
+    Some((line + start, line + hit))
+}
+
 fn fold_hir(hir: &mut hir::Hir) {
     match hir {
         hir::Hir::Class(c) => c.case_fold(),
@@ -670,7 +702,7 @@ mod tests {
         // The point of the caseless literal path: `grep -i` patterns
         // still prune non-candidate haystacks at memchr speed.
         let re = Regex::with_flags("foo[0-9]+bar", Syntax::Ere, true).expect("compile");
-        let pf = re.inner.line_filter().expect("prefilter");
+        let pf = re.inner.line_filter.as_ref().expect("prefilter");
         assert_eq!(pf.find(b"nothing here"), None);
         assert!(pf.find(b"xx FOO1BAR yy").is_some());
         assert_eq!(re.find(b"xx FoO42bAr yy"), Some((3, 11)));
@@ -843,19 +875,39 @@ mod tests {
     }
 
     #[test]
-    fn line_filter_is_a_multi_byte_required_literal() {
+    fn line_filter_is_a_multi_byte_literal_or_a_set() {
         let re = Regex::new("foo[0-9]+bar", Syntax::Ere).expect("compile");
-        let pf = re.inner.line_filter().expect("prefilter");
+        let pf = re.inner.line_filter.as_ref().expect("prefilter");
         assert_eq!(pf.find(b"nothing here"), None);
         assert!(pf.find(b"xx foo1bar").is_some());
-        for pat in ["[ab]+", "x[0-9]+", "(river|signal) [a-z]+ (of|the)", "^$"] {
+        for pat in ["[ab]+", "x[0-9]+", "(a|b)[a-z]+ (of|the)", "^$"] {
             let re = Regex::new(pat, Syntax::Ere).expect("compile");
-            assert!(re.inner.line_filter().is_none(), "`{pat}`");
+            assert!(re.inner.line_filter.is_none(), "`{pat}`");
         }
+        let re = Regex::new("(river|signal) [a-z]+ (of|the)", Syntax::Ere).expect("compile");
+        let pf = re.inner.line_filter.as_ref().expect("set");
+        assert!(matches!(pf, Prefilter::Set(_)));
+        assert_eq!(pf.find(b"a river of\nthe signal"), Some(2));
         // An exact one-byte pattern is still a substring search.
         let re = Regex::new("x", Syntax::Ere).expect("compile");
         assert!(matches!(re.inner.plan, Plan::Literal { .. }));
-        assert!(re.inner.line_filter().is_some());
+        assert!(re.inner.line_filter.is_some());
+    }
+
+    #[test]
+    fn a_set_skips_lines_without_a_dfa_step() {
+        let re = Regex::new("(river|signal) [a-z]+ (of|the)", Syntax::Ere).expect("compile");
+        let mut m = re.matcher();
+        let block = b"no\nthe river runs of\nnone here\na signal lost\nsignal fires the\nlast";
+        assert_eq!(matched_lines(&mut m, block), vec![(3, 20), (45, 61)]);
+        let s = m.stats();
+        // `a signal lost` is a candidate the DFA rejects; the three
+        // lines that hold none cost no DFA step. One search per
+        // candidate, and a last one that finds nothing.
+        assert_eq!((s.dfa_lines, s.set_searches), (3, 4));
+        assert!(!m.is_match(b"nothing"));
+        assert!(m.is_match(b"signal the of"));
+        assert_eq!(m.stats().set_searches, 6);
     }
 
     /// Every `(start, end)` `find_line` yields over `block`.

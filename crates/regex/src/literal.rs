@@ -10,17 +10,25 @@
 //!   absence from a haystack rejects the haystack outright, and a
 //!   [`crate::memmem::Finder`] scan for it runs at word-at-a-time
 //!   speed. When the literal is a required *prefix*, a hit also
-//!   pinpoints the earliest possible match start.
+//!   pinpoints the earliest possible match start;
+//! * **prefix set** — every match starts with one of a few byte
+//!   strings (`(river|mountain) [a-z]+`, which has no required literal
+//!   of two bytes): a [`crate::teddy::Teddy`] scan finds the first
+//!   place any of them starts, and no match starts before it.
 //!
 //! The analysis is conservative: when in doubt it reports less (a
-//! shorter prefix, no required literal), never more.
+//! shorter prefix, no required literal, no set), never more.
 
 use crate::hir::{Assertion, Hir};
 use crate::memmem::Finder;
+use crate::teddy::{self, Teddy};
 
 /// Longest literal worth carrying around; longer runs are truncated
 /// (a truncated prefix/required literal is still sound).
 const MAX_LIT: usize = 64;
+
+/// Most literals a prefix set holds: one per bucket of the searcher.
+const MAX_SET: usize = teddy::MAX_LITERALS;
 
 /// A byte run contained in every match, with a bound on where inside
 /// the match it can begin.
@@ -50,6 +58,10 @@ pub struct Literals {
     pub prefix: Vec<u8>,
     /// Maximal byte runs contained in every match.
     pub required: Vec<RequiredLit>,
+    /// When proven: at most [`teddy::MAX_LITERALS`] byte strings, one
+    /// of which starts every match. Sorted, and none is a prefix of
+    /// another.
+    pub prefix_set: Option<Vec<Vec<u8>>>,
     /// Literals are ASCII case-insensitive (stored lowercased): every
     /// match contains some case-variant of each required run.
     pub caseless: bool,
@@ -124,7 +136,28 @@ pub fn analyze_caseless(hir: &Hir) -> Literals {
 
 fn analyze_with(hir: &Hir, caseless: bool) -> Literals {
     let (anchored_start, anchored_end, body) = strip_anchors(hir);
-    let mut l = lits(body.as_ref().unwrap_or(&Hir::Empty));
+    let body = body.as_ref().unwrap_or(&Hir::Empty);
+    let mut l = lits(body);
+    let prefix_set = starts(body)
+        .map(|seq| {
+            let mut set: Vec<Vec<u8>> = seq.into_iter().map(|(bytes, _)| bytes).collect();
+            if caseless {
+                set.iter_mut().for_each(|b| b.make_ascii_lowercase());
+            }
+            set.sort();
+            set.dedup();
+            // Sorted, a literal follows the shorter ones it starts with:
+            // those already cover every haystack position it would find.
+            let mut kept: Vec<Vec<u8>> = Vec::new();
+            for b in set {
+                if !kept.iter().any(|k| b.starts_with(k)) {
+                    kept.push(b);
+                }
+            }
+            kept
+        })
+        // The empty string starts everything: no set.
+        .filter(|set| !set.iter().any(Vec::is_empty));
     if caseless {
         if let Some(e) = l.exact.as_mut() {
             e.make_ascii_lowercase();
@@ -156,6 +189,7 @@ fn analyze_with(hir: &Hir, caseless: bool) -> Literals {
         anchored_end,
         prefix: l.prefix,
         required,
+        prefix_set,
         caseless,
     }
 }
@@ -350,6 +384,108 @@ fn concat_lits(parts: &[Hir]) -> Lits {
     }
 }
 
+/// A finite set of literals that start every match of a
+/// subexpression. A `true` literal is *complete*: it may be the whole
+/// match, so what follows the subexpression extends it. A `false` one
+/// is only a prefix of the matches that start with it.
+type Seq = Vec<(Vec<u8>, bool)>;
+
+/// The literals every match of `hir` starts with, at most [`MAX_SET`]
+/// of them; `None` when no such set is proven (a wide class, a
+/// subexpression with too many alternatives).
+fn starts(hir: &Hir) -> Option<Seq> {
+    match hir {
+        // Zero-width: an assertion only removes matches, and what is
+        // left of them starts as the rest of the pattern does.
+        Hir::Empty | Hir::Assert(_) => Some(vec![(Vec::new(), true)]),
+        Hir::Class(c) => {
+            let width: usize = c
+                .ranges()
+                .iter()
+                .map(|&(lo, hi)| usize::from(hi - lo) + 1)
+                .sum();
+            (width <= MAX_SET).then(|| {
+                c.ranges()
+                    .iter()
+                    .flat_map(|&(lo, hi)| lo..=hi)
+                    .map(|b| (vec![b], true))
+                    .collect()
+            })
+        }
+        Hir::Group { inner, .. } => starts(inner),
+        Hir::Alt(parts) => {
+            let mut seq = Seq::new();
+            for p in parts {
+                seq.extend(starts(p)?);
+                seq.sort();
+                seq.dedup();
+                if seq.len() > MAX_SET {
+                    return None;
+                }
+            }
+            Some(seq)
+        }
+        Hir::Concat(parts) => {
+            let mut seq: Seq = vec![(Vec::new(), true)];
+            for p in parts {
+                if !seq.iter().any(|&(_, complete)| complete) {
+                    break;
+                }
+                let Some(next) = starts(p) else {
+                    close(&mut seq);
+                    break;
+                };
+                let mut grown = Seq::new();
+                for (lit, complete) in &seq {
+                    if !complete {
+                        grown.push((lit.clone(), false));
+                        continue;
+                    }
+                    for (tail, tail_complete) in &next {
+                        let mut joined = lit.clone();
+                        joined.extend_from_slice(tail);
+                        let complete = *tail_complete && joined.len() <= MAX_LIT;
+                        joined.truncate(MAX_LIT);
+                        grown.push((joined, complete));
+                    }
+                }
+                grown.sort();
+                grown.dedup();
+                if grown.len() > MAX_SET {
+                    // Too many to keep extending: what is known so far
+                    // still starts every match.
+                    close(&mut seq);
+                    break;
+                }
+                seq = grown;
+            }
+            Some(seq)
+        }
+        Hir::Repeat {
+            inner, min, max, ..
+        } => {
+            let mut seq = starts(inner)?;
+            // One copy at most: the inner set, as complete as it is.
+            // More: a first copy starts the match, but what follows
+            // is another copy, not the rest of the pattern.
+            if *max != Some(1) {
+                close(&mut seq);
+            }
+            if *min == 0 {
+                seq.push((Vec::new(), true));
+                seq.sort();
+                seq.dedup();
+            }
+            (seq.len() <= MAX_SET).then_some(seq)
+        }
+    }
+}
+
+/// Marks every literal of `seq` a prefix only.
+fn close(seq: &mut Seq) {
+    seq.iter_mut().for_each(|(_, complete)| *complete = false);
+}
+
 /// Orders bounds for "prefer the tighter": `None` (unbounded) last.
 fn bound_rank(b: Option<usize>) -> usize {
     b.unwrap_or(usize::MAX)
@@ -363,31 +499,81 @@ fn common_prefix(a: &[u8], b: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Builds the candidate filter for a general pattern: a searcher for
-/// the longest required literal (ties broken toward the tightest
-/// `max_start` bound — a required prefix has bound 0), which finds
-/// positions where a match could occur or proves there is none.
+/// A search that finds where a match could be, or proves there is none.
+#[derive(Debug, Clone)]
+pub enum Prefilter {
+    /// One literal every match contains.
+    Literal(Finder),
+    /// A set of literals, one of which starts every match.
+    Set(Teddy),
+}
+
+impl Prefilter {
+    /// The first position in `hay` where the literal (or one of the
+    /// set) occurs.
+    #[inline]
+    pub fn find(&self, hay: &[u8]) -> Option<usize> {
+        match self {
+            Prefilter::Literal(f) => f.find(hay),
+            Prefilter::Set(t) => t.find(hay),
+        }
+    }
+
+    /// Whether a block of lines is worth searching with it before any
+    /// automaton runs: a single byte common enough to sit in a
+    /// pattern's own context (the space in `(a|b) [a-z]+ (c|d)`) is
+    /// in every line, and finding it there, then the line around it,
+    /// costs three scans per line for nothing. A set holds no literal
+    /// shorter than two bytes.
+    pub fn is_line_filter(&self) -> bool {
+        match self {
+            Prefilter::Literal(f) => f.needle().len() >= 2,
+            Prefilter::Set(_) => true,
+        }
+    }
+}
+
+/// Builds the candidate filter for a general pattern, with its
+/// `max_start` bound: a hit at haystack position `h` proves no match
+/// starts before `h - max_start` (`None` = the hit only proves
+/// containment).
 ///
-/// Returns the searcher and the chosen literal's `max_start` bound:
-/// a hit at haystack position `h` proves no match starts before
-/// `h - max_start` (`None` = the hit only proves containment).
+/// In order of preference:
 ///
-/// A one-byte literal is kept, as plain `memchr`: rejecting a whole
-/// haystack that lacks the byte is what `regexbench`'s `adversarial`
-/// row (`(a|a)*(a|aa)*b` over lines of `a`) runs on — 4.5× slower
-/// without it. It is no *line* filter, though: see
-/// [`crate::Matcher::find_line`].
-pub fn prefilter(lit: &Literals) -> Option<(Finder, Option<usize>)> {
+/// 1. the longest required literal of two bytes or more (ties broken
+///    toward the tightest bound — a required prefix has bound 0), as
+///    a [`Finder`];
+/// 2. the prefix set, as a [`Teddy`] (bound 0), when it holds no
+///    literal shorter than [`teddy::MIN_LEN`];
+/// 3. a one-byte required literal, as plain `memchr`: rejecting a
+///    whole haystack that lacks the byte is what `regexbench`'s
+///    `adversarial` row (`(a|a)*(a|aa)*b` over lines of `a`) runs on —
+///    4.5× slower without it. It is no *line* filter, though (see
+///    [`Prefilter::is_line_filter`]).
+pub fn prefilter(lit: &Literals) -> Option<(Prefilter, Option<usize>)> {
     let best = lit
         .required
         .iter()
-        .max_by_key(|r| (r.bytes.len(), std::cmp::Reverse(bound_rank(r.max_start))))?;
-    let finder = if lit.caseless {
-        Finder::new_caseless(&best.bytes)
-    } else {
-        Finder::new(&best.bytes)
+        .max_by_key(|r| (r.bytes.len(), std::cmp::Reverse(bound_rank(r.max_start))));
+    let literal = |r: &RequiredLit| {
+        let finder = if lit.caseless {
+            Finder::new_caseless(&r.bytes)
+        } else {
+            Finder::new(&r.bytes)
+        };
+        Some((Prefilter::Literal(finder), r.max_start))
     };
-    Some((finder, best.max_start))
+    if let Some(r) = best.filter(|r| r.bytes.len() >= 2) {
+        return literal(r);
+    }
+    if let Some(set) = lit
+        .prefix_set
+        .as_deref()
+        .and_then(|set| Teddy::new(set, lit.caseless))
+    {
+        return Some((Prefilter::Set(set), Some(0)));
+    }
+    literal(best?)
 }
 
 #[cfg(test)]
@@ -398,6 +584,63 @@ mod tests {
 
     fn an(pat: &str) -> Literals {
         analyze(&parse(pat, Syntax::Ere).expect("parse"))
+    }
+
+    /// The one literal a prefilter searches for.
+    fn needle(pf: &Prefilter) -> &[u8] {
+        match pf {
+            Prefilter::Literal(f) => f.needle(),
+            Prefilter::Set(t) => panic!("a set: {:?}", t.literals()),
+        }
+    }
+
+    fn set(pat: &str) -> Option<Vec<String>> {
+        an(pat).prefix_set.map(|set| {
+            set.iter()
+                .map(|l| String::from_utf8_lossy(l).into_owned())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn prefix_sets_of_alternations() {
+        assert_eq!(
+            set("(river|mountain|signal|compiler) [a-z]+ (of|the|and)").unwrap(),
+            ["compiler ", "mountain ", "river ", "signal "]
+        );
+        assert_eq!(set("cat|dog").unwrap(), ["cat", "dog"]);
+        // Shared prefixes: the shorter literal covers the longer.
+        assert_eq!(set("ab|abc|abd").unwrap(), ["ab"]);
+        assert_eq!(set("(ab|abc)x").unwrap(), ["abcx", "abx"]);
+        // Anchors and optional pieces.
+        assert_eq!(set("^(ab|cd)e").unwrap(), ["abe", "cde"]);
+        assert_eq!(set("(ab)?cd").unwrap(), ["abcd", "cd"]);
+        assert_eq!(set("[xy]z+").unwrap(), ["xz", "yz"]);
+        // A repeat's first copy starts the match, but is not all of it.
+        assert_eq!(set("(ab|cd)+e").unwrap(), ["ab", "cd"]);
+        assert_eq!(set("x*yz").unwrap(), ["x", "yz"]);
+        // Too many or unknown alternatives: no set.
+        assert_eq!(set("a|b|c|d|e|f|g|h|i"), None);
+        assert_eq!(set("[a-z]+ing"), None);
+        assert_eq!(set("(a|b|c)(d|e|f)").unwrap(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn sets_become_prefilters_only_without_a_long_required_literal() {
+        let (pf, bound) = prefilter(&an("(river|signal) [a-z]+ (of|the)")).expect("set");
+        assert!(matches!(pf, Prefilter::Set(_)));
+        assert_eq!(bound, Some(0));
+        assert_eq!(pf.find(b"the signal of"), Some(4));
+        // A required run of two bytes or more still wins.
+        let (pf, _) = prefilter(&an("(ab|cd)xyz")).expect("literal");
+        assert_eq!(needle(&pf), b"xyz");
+        // A one-byte literal in the set: the one-byte required literal.
+        let (pf, _) = prefilter(&an("(a|bc)*d")).expect("literal");
+        assert_eq!(needle(&pf), b"d");
+        // Caseless sets are lowercased and find every case.
+        let hir = parse("(River|SIGNAL)[0-9]", Syntax::Ere).expect("parse");
+        let (pf, _) = prefilter(&analyze_caseless(&hir)).expect("set");
+        assert_eq!(pf.find(b"a SiGnal 1"), Some(2));
     }
 
     #[test]
@@ -488,7 +731,7 @@ mod tests {
     fn prefilter_picks_longest_run() {
         let l = an("ab[0-9]+longneedle");
         let (pf, max_start) = prefilter(&l).expect("prefilter");
-        assert_eq!(pf.needle(), b"longneedle");
+        assert_eq!(needle(&pf), b"longneedle");
         // The needle follows an unbounded repeat: containment only.
         assert_eq!(max_start, None);
         let hay = b"xx ab42longneedle yy";
@@ -510,7 +753,7 @@ mod tests {
     fn single_byte_prefilter_is_memchr() {
         let l = an("x[0-9]*");
         let (pf, max_start) = prefilter(&l).expect("prefilter");
-        assert_eq!(pf.needle(), b"x");
+        assert_eq!(needle(&pf), b"x");
         assert_eq!(max_start, Some(0));
         assert_eq!(pf.find(b"aaxbb"), Some(2));
         // A one-letter caseless literal probes both cases.
@@ -520,9 +763,11 @@ mod tests {
     }
 
     #[test]
-    fn no_prefilter_for_pure_classes() {
-        let l = an("[ab][cd]");
-        assert!(prefilter(&l).is_none());
+    fn no_prefilter_for_wide_classes() {
+        assert!(prefilter(&an("[a-z][0-9]")).is_none());
+        // Narrow ones spell out a set.
+        let (pf, _) = prefilter(&an("[ab][cd]")).expect("set");
+        assert_eq!(pf.find(b"xxbd"), Some(2));
     }
 
     #[test]
@@ -536,7 +781,7 @@ mod tests {
         assert_eq!(l.prefix, b"abc");
         assert!(l.required.iter().any(|r| r.bytes == b"tail"));
         let (pf, _) = prefilter(&l).expect("prefilter");
-        assert_eq!(pf.needle(), b"tail");
+        assert_eq!(needle(&pf), b"tail");
         assert!(pf.find(b"xx TaIl yy").is_some());
         assert_eq!(pf.find(b"nothing of note"), None);
     }
@@ -592,7 +837,7 @@ mod tests {
     fn prefilter_reports_inner_bound() {
         let l = an("[0-9][0-9]needle");
         let (pf, max_start) = prefilter(&l).expect("prefilter");
-        assert_eq!(pf.needle(), b"needle");
+        assert_eq!(needle(&pf), b"needle");
         assert_eq!(max_start, Some(2));
     }
 }

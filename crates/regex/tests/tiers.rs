@@ -15,6 +15,10 @@
 //! reports must be the set the Pike VM matches one line at a time —
 //! also while the DFA cache is being cleared under it, and after the
 //! DFA has given up.
+//!
+//! The third holds the literal-set tier (alternations of words,
+//! searched with a packed SIMD scan) to it as well, and its SIMD
+//! searches to its scalar one.
 
 use std::io::{self, BufRead, Read};
 
@@ -23,8 +27,10 @@ use proptest::prelude::*;
 use pash_coreutils::lines::for_each_block;
 use pash_regex::compile::compile;
 use pash_regex::hir::Hir;
+use pash_regex::literal::{self, Prefilter};
 use pash_regex::parser::parse;
 use pash_regex::pikevm::PikeVm;
+use pash_regex::teddy::Isa;
 use pash_regex::{Regex, Syntax};
 
 /// The Pike VM's answer, straight from the reference engine with no
@@ -593,4 +599,195 @@ fn line_scan_falls_back_to_pikevm_when_the_dfa_gives_up() {
     let hay = format!("xxa{}", "b".repeat(13));
     assert!(m.is_match(hay.as_bytes()));
     assert_eq!(m.find(hay.as_bytes()), Some((2, 16)));
+}
+
+// The literal-set tier: patterns whose matches all start with one of
+// a few literals (an alternation of words), over blocks laid out so
+// the literals sit across every 16- and 32-byte lane boundary and at
+// line ends.
+
+/// Words the set patterns alternate: shared prefixes (`ri`, `riv`,
+/// `river`), literals of two bytes, and enough of them for sets past
+/// the searcher's eight.
+const SET_WORDS: [&str; 14] = [
+    "river", "riv", "ri", "mountain", "sig", "signal", "of", "the", "and", "compiler", "zq", "qz",
+    "ab", "ba",
+];
+
+/// A pattern over 2 to 11 of [`SET_WORDS`], in one of the shapes the
+/// set tier meets, and whether to match it caselessly. Caseless
+/// patterns spell some words in upper case.
+fn gen_set_pattern(g: &mut Gen) -> (String, Syntax, bool) {
+    let caseless = g.below(4) == 0;
+    let count = 2 + g.below(10) as usize;
+    let words: Vec<String> = (0..count)
+        .map(|_| {
+            let w = SET_WORDS[g.below(SET_WORDS.len() as u64) as usize];
+            if caseless && g.below(2) == 0 {
+                w.to_ascii_uppercase()
+            } else {
+                w.to_string()
+            }
+        })
+        .collect();
+    let alt = words.join("|");
+    let (pat, syntax) = match g.below(6) {
+        0 => (format!("({alt})"), Syntax::Ere),
+        1 => (format!("({alt}) [a-z]+ (of|the|and)"), Syntax::Ere),
+        2 => (format!("^({alt})[a-z]*"), Syntax::Ere),
+        3 => (words.join(r"\|"), Syntax::Bre),
+        4 => (format!("({alt})(s|ing)?$"), Syntax::Ere),
+        _ => (format!("x?({alt})[ .]"), Syntax::Ere),
+    };
+    (pat, syntax, caseless)
+}
+
+/// A block of lines for the set patterns: each line is filler of a
+/// length that walks through every lane offset, words (mostly from
+/// [`SET_WORDS`]), sometimes in upper case; some lines are empty, some
+/// exactly one word, and half the blocks lack a final newline.
+fn gen_set_block(g: &mut Gen) -> Vec<u8> {
+    let mut out = Vec::new();
+    let lines = 1 + g.below(40);
+    for _ in 0..lines {
+        match g.below(8) {
+            0 => {}
+            1 => out
+                .extend_from_slice(SET_WORDS[g.below(SET_WORDS.len() as u64) as usize].as_bytes()),
+            _ => {
+                for _ in 0..g.below(40) {
+                    out.push(b"xyz ."[g.below(5) as usize]);
+                }
+                for _ in 0..1 + g.below(3) {
+                    let w = SET_WORDS[g.below(SET_WORDS.len() as u64) as usize];
+                    if g.below(6) == 0 {
+                        out.extend_from_slice(w.to_ascii_uppercase().as_bytes());
+                    } else {
+                        out.extend_from_slice(w.as_bytes());
+                    }
+                    out.push(b" ."[g.below(2) as usize]);
+                }
+                out.pop();
+            }
+        }
+        out.push(b'\n');
+    }
+    if g.below(2) == 0 {
+        out.pop();
+    }
+    out
+}
+
+/// The set tier against the Pike VM on one pattern and block: the
+/// lines `find_line` reports over the whole block and in chunks, and
+/// `is_match` line by line. A set over eight literals must leave the
+/// plan as it was (no set search counted), and when the set
+/// is the prefilter, the SIMD and scalar searches must agree at every
+/// line start. Failures print the pattern and the block.
+fn assert_set_parity(pat: &str, syntax: Syntax, caseless: bool, input: &[u8]) {
+    let ctx = || {
+        format!(
+            "`{pat}` ({syntax:?}, caseless {caseless}) on {:?}",
+            String::from_utf8_lossy(input)
+        )
+    };
+    let re = Regex::with_flags(pat, syntax, caseless).expect("set pattern compiles");
+    let want = pike_lines(pat, syntax, caseless, input);
+    let mut m = re.matcher();
+    let got = scanned_lines(&mut m, input, &[1 << 20]);
+    assert!(got == want, "whole block: {}", ctx());
+    let lines: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
+    let mut per_line = re.matcher();
+    let matched: Vec<Vec<u8>> = lines
+        .iter()
+        .filter(|l| per_line.is_match(l))
+        .map(|l| l.to_vec())
+        .collect();
+    // `split` yields an empty piece after a final newline; it matches
+    // only if an empty line would, and then the VM's list lacks it.
+    let want_per_line: Vec<Vec<u8>> = {
+        let mut w = want.clone();
+        if input.last() == Some(&b'\n') && per_line.is_match(b"") {
+            w.push(Vec::new());
+        }
+        w
+    };
+    assert!(matched == want_per_line, "is_match per line: {}", ctx());
+    assert_block_parity(pat, syntax, caseless, input, &[7, 16, 33]);
+
+    let hir = parse(pat, syntax).expect("parse");
+    let lits = if caseless {
+        literal::analyze_caseless(&hir)
+    } else {
+        literal::analyze(&hir)
+    };
+    match literal::prefilter(&lits) {
+        Some((Prefilter::Set(set), _)) => {
+            for (at, _) in std::iter::once((0, &0u8))
+                .chain(input.iter().enumerate().filter(|(_, &b)| b == b'\n'))
+            {
+                let rest = &input[at..];
+                let scalar = set.find_with(Isa::Scalar, rest);
+                for isa in Isa::available() {
+                    assert_eq!(
+                        set.find_with(isa, rest),
+                        scalar,
+                        "{isa:?} vs scalar from {at}: {}",
+                        ctx()
+                    );
+                }
+            }
+        }
+        _ => assert_eq!(m.stats().set_searches, 0, "no set, yet: {}", ctx()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn prop_set_tier_agrees_with_the_pikevm(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let (pat, syntax, caseless) = gen_set_pattern(&mut g);
+        for _ in 0..3 {
+            assert_set_parity(&pat, syntax, caseless, &gen_set_block(&mut g));
+        }
+    }
+}
+
+#[test]
+fn set_tier_regressions() {
+    let block =
+        b"river\nthe river of\n\nxxxxxxxxxxxxxriver \nxxxxxxxxxxxxxxxxxxxxxxxxxxxxxsignal of\nsig\
+nal\nab\nRiVeR x\nmountain";
+    for (pat, syntax, caseless, set) in [
+        ("(river|signal) [a-z]+", Syntax::Ere, false, true),
+        (
+            "river|signal|mountain|compiler|of|the|and|ab",
+            Syntax::Ere,
+            false,
+            true,
+        ),
+        // Nine alternatives: no set, the plan of before.
+        (
+            "river|signal|mountain|compiler|of|the|and|ab|ba",
+            Syntax::Ere,
+            false,
+            false,
+        ),
+        // One alternative under two bytes: no set.
+        ("(river|a)[a-z]", Syntax::Ere, false, false),
+        // Shared prefixes: `ri` covers `riv` and `river`.
+        ("(ri|riv|river|ab)", Syntax::Ere, false, true),
+        ("^(river|the)", Syntax::Ere, false, true),
+        (r"river\|signal", Syntax::Bre, false, true),
+        ("(river|signal)[ .]x", Syntax::Ere, true, true),
+        ("(river|mountain)$", Syntax::Ere, false, true),
+    ] {
+        assert_set_parity(pat, syntax, caseless, block);
+        let re = Regex::with_flags(pat, syntax, caseless).expect("compile");
+        let mut m = re.matcher();
+        scanned_lines(&mut m, block, &[1 << 20]);
+        assert_eq!(m.stats().set_searches > 0, set, "`{pat}`: {:?}", m.stats());
+    }
 }

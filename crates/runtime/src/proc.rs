@@ -141,6 +141,29 @@ fn kill_pipe(pid: u32) {
 #[cfg(not(unix))]
 fn kill_pipe(_pid: u32) {}
 
+/// Linux's `ETXTBSY`: the executable is open for writing somewhere.
+const ETXTBSY: i32 = 26;
+
+/// Spawns `cmd`, retrying a few times, with a short sleep between
+/// tries, while the executable is busy (`ETXTBSY`). A script written
+/// moments ago can be: a `fork` on another thread of this process
+/// copies its still-open write descriptor into a child, which holds
+/// it until that child's own `exec` closes it. The hold lasts no
+/// longer than a fork-to-exec, so the retry goes through.
+fn spawn_retrying_busy(cmd: &mut Command) -> io::Result<Child> {
+    const TRIES: u32 = 5;
+    let mut tries = 1;
+    loop {
+        match cmd.spawn() {
+            Err(e) if e.raw_os_error() == Some(ETXTBSY) && tries < TRIES => {
+                std::thread::sleep(Duration::from_millis(5 << tries));
+                tries += 1;
+            }
+            spawned => return spawned,
+        }
+    }
+}
+
 /// The `processes` backend as a [`RegionRunner`]: one attempt is one
 /// process tree over FIFOs, and — unlike the hermetic runners —
 /// non-no-op `Shell` steps run for real under `/bin/sh -c` in the
@@ -471,7 +494,7 @@ fn spawn_and_reap<'scope, 'env>(
             }
         }
 
-        let mut child = cmd.spawn().map_err(|e| {
+        let mut child = spawn_retrying_busy(&mut cmd).map_err(|e| {
             ExecError::classify(
                 "spawn",
                 io::Error::new(e.kind(), format!("spawning {bin:?} for a plan node: {e}")),
@@ -659,6 +682,24 @@ mod tests {
             std::fs::write(dir.join(name), data).expect("write input");
         }
         dir
+    }
+
+    #[test]
+    fn a_busy_executable_is_retried_a_bounded_number_of_times() {
+        use std::os::unix::fs::PermissionsExt;
+        let root = scratch_with(&[]);
+        let path = root.join("busy.sh");
+        let mut script = std::fs::File::create(&path).expect("create");
+        script.write_all(b"#!/bin/sh\nexit 0\n").expect("write");
+        std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+        // Open for writing here: every try is busy, and the last
+        // error is the caller's.
+        let err = spawn_retrying_busy(&mut Command::new(&path)).expect_err("busy");
+        assert_eq!(err.raw_os_error(), Some(ETXTBSY));
+        drop(script);
+        let mut child = spawn_retrying_busy(&mut Command::new(&path)).expect("spawn");
+        assert!(child.wait().expect("wait").success());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Default settings, or `None` (skip) when the multicall binaries

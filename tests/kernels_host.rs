@@ -270,10 +270,12 @@ fn grep_matches_the_host() {
         &["-vn"],
         &["-cm", "2"],
     ];
-    // The benchmark's pattern first; then an anchored class, a suffix,
-    // the empty line, a pattern that matches every line, a literal and
-    // a four-way alternation.
-    const PATTERNS: [&str; 7] = [
+    // The benchmark's pattern first (`regex-filter`'s `grep -E`, on
+    // the literal-set tier); then an anchored class, a suffix, the
+    // empty line, a pattern that matches every line, a literal, a
+    // four-way alternation, and two more set patterns: anchored, and
+    // with two-byte alternatives.
+    const PATTERNS: [&str; 9] = [
         "(river|mountain|signal|compiler) [a-z]+ (of|the|and)",
         "^[a-m]",
         "ing$",
@@ -281,6 +283,8 @@ fn grep_matches_the_host() {
         "a*",
         "river",
         "river|signal|zebra|flow",
+        "^(the|and) [a-z]+",
+        "(of|to|in)[a-z]* (the|a)$",
     ];
     let mut cases: Vec<Vec<&str>> = Vec::new();
     for flags in FLAGS {
