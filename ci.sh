@@ -213,17 +213,26 @@ if grep -q fileseg target/bench-smoke/backend-shell/parallel.sh; then
     echo "    emitted script still names a fileseg producer" >&2
     exit 1
 fi
-# The benchmark script (fold below the merge, raw r_split) the same
-# way; a wedged FIFO graph is killed and fails the step.
-for b in shell processes; do
+# The benchmark script (fold below the merge, raw r_split) on every
+# local backend, each against the unmodified script under the host's
+# /bin/sh on the same 2 MB input; a wedged FIFO graph is killed and
+# fails the step.
+rm -rf target/bench-smoke/fold-host
+mkdir -p target/bench-smoke/fold-host
+for b in shell processes threads; do
     rm -rf "target/bench-smoke/fold-$b"
     mkdir -p "target/bench-smoke/fold-$b"
     timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
         --dir "target/bench-smoke/fold-$b" --gen in.txt:2000000 \
         -e "$FOLD_SCRIPT" </dev/null
+    test -s "target/bench-smoke/fold-$b/out.txt"
 done
-cmp target/bench-smoke/fold-shell/out.txt target/bench-smoke/fold-processes/out.txt
-test -s target/bench-smoke/fold-processes/out.txt
+cp target/bench-smoke/fold-shell/in.txt target/bench-smoke/fold-host/
+(cd target/bench-smoke/fold-host && LC_ALL=C /bin/sh -c "$FOLD_SCRIPT")
+for b in shell processes threads; do
+    cmp "target/bench-smoke/fold-$b/in.txt" target/bench-smoke/fold-host/in.txt
+    cmp "target/bench-smoke/fold-$b/out.txt" target/bench-smoke/fold-host/out.txt
+done
 
 echo "==> schedule smoke (threads below and above one pipe buffer, cmp against shell)"
 # The threads backend picks a region's schedule from its input size:

@@ -15,11 +15,15 @@
 //! keys, and arenas of 4 GiB or more, sort `(key, line)` pairs under
 //! the comparator. `sort -m`, `--parallel` and the runtime's
 //! `pash-agg-sort` share one streaming k-way [`merge`] under the
-//! comparator; its counted mode ([`Records::Counted`],
-//! `pash-agg-sort-c`) merges per-worker `sort | uniq -c` outputs by
-//! their text and adds the counts of equal texts.
+//! comparator, which borrows each input's window of whole lines and
+//! gallops through the runs one input wins; its counted mode
+//! ([`Records::Counted`], `pash-agg-sort-c`) merges per-worker
+//! `sort | uniq -c` outputs by their text and adds the counts of equal
+//! texts.
 
 use std::io::{self, BufWriter, Write};
+
+use pash_regex::memmem::{memchr, memrchr};
 
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{Keyed, Prepared, SortSpec};
@@ -108,7 +112,7 @@ impl Command for Sort {
         if parsed.merge {
             let mut start = 0;
             let runs = ends.iter().map(|&end| {
-                let run = buffer_lines(&arena[start..end]);
+                let run = &arena[start..end];
                 start = end;
                 run
             });
@@ -177,8 +181,8 @@ const MAX_THREADS: usize = 64;
 /// Sorts an `index` of the lines of `arena` with `sort` and writes the
 /// lines out in that order, `-u` dropping each that `repeats` the line
 /// kept before it. With `--parallel=N` the index is sorted in that
-/// many chunks on scoped threads and the chunks are merged — GNU
-/// `sort --parallel` for the §6.5 microbenchmark.
+/// many chunks on scoped threads, and the chunks are gathered into runs
+/// and merged — GNU `sort --parallel` for the §6.5 microbenchmark.
 fn sort_lines<'a, E: Copy + Send>(
     SortArgs { spec, parallel, .. }: &SortArgs,
     arena: &[u8],
@@ -199,9 +203,17 @@ fn sort_lines<'a, E: Copy + Send>(
                 scope.spawn(move || sort(part));
             }
         });
-        let line = &line;
-        let runs = index.chunks(chunk).map(|c| c.iter().map(move |&e| line(e)));
-        return merge(spec, Records::Lines, runs.collect(), out);
+        let runs: Vec<Vec<u8>> = index
+            .chunks(chunk)
+            .map(|c| {
+                c.iter()
+                    .flat_map(|&e| [line(e), b"\n"])
+                    .collect::<Vec<_>>()
+                    .concat()
+            })
+            .collect();
+        let runs = runs.iter().map(Vec::as_slice).collect();
+        return merge(spec, Records::Lines, runs, out);
     }
     sort(&mut index);
     let mut out = BufWriter::with_capacity(arena.len().min(CHUNK), out);
@@ -351,26 +363,32 @@ fn chunk_at(rest: &[u8]) -> u64 {
 /// the `dyn Write`.
 const CHUNK: usize = 256 * 1024;
 
-/// One pre-sorted input of a [`merge`].
-pub trait LineSource {
-    /// Replaces `buf` with the next line (terminator stripped);
-    /// `false` at the end of the input.
-    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool>;
+/// One pre-sorted input of a [`merge`]: a window onto the whole lines
+/// it has buffered, which the merge borrows and consumes from the
+/// front. Every line in a window ends in a newline.
+pub trait MergeInput {
+    /// Makes sure the window holds a whole line unless the input is
+    /// done, refilling only when it holds none.
+    fn fill(&mut self) -> io::Result<()>;
+    /// The buffered whole lines not yet consumed; empty after
+    /// [`fill`](MergeInput::fill) only at the end of the input.
+    fn window(&self) -> &[u8];
+    /// Drops the window's first `n` bytes, a whole number of lines.
+    fn consume(&mut self, n: usize);
 }
 
-/// Replaces `buf` with `line`, if there is one — what a
-/// [`LineSource`] does with the line it found.
-pub fn replace_line(buf: &mut Vec<u8>, line: Option<&[u8]>) -> bool {
-    buf.clear();
-    line.is_some_and(|line| {
-        buf.extend_from_slice(line);
-        true
-    })
-}
+/// An input already in memory, ending in a newline, is its own window.
+impl MergeInput for &[u8] {
+    fn fill(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 
-impl<'a, I: Iterator<Item = &'a [u8]>> LineSource for I {
-    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool> {
-        Ok(replace_line(buf, self.next()))
+    fn window(&self) -> &[u8] {
+        self
+    }
+
+    fn consume(&mut self, n: usize) {
+        *self = &self[n..];
     }
 }
 
@@ -386,83 +404,99 @@ pub enum Records {
     Counted,
 }
 
-/// The current head record of one merge input: its line, where the
-/// compared text starts in it, its count, and the text's key, prepared
-/// when the line is pulled (buffer reused across lines; `live ==
-/// false` means the input is exhausted).
-#[derive(Default)]
+/// The record a line starts with: its `len` bytes with the newline (0:
+/// none), where its compared text starts, its count and the text's key.
+/// It borrows nothing; [`Head::keyed`] takes the line back.
+#[derive(Clone, Copy, Default)]
 struct Head {
-    buf: Vec<u8>,
+    len: usize,
     text: usize,
     count: u64,
     key: Prepared,
-    live: bool,
 }
 
 impl Head {
-    fn advance(
-        &mut self,
-        spec: &SortSpec,
-        records: Records,
-        src: &mut impl LineSource,
-    ) -> io::Result<()> {
-        self.live = src.next_into(&mut self.buf)?;
-        if self.live {
-            if records == Records::Counted {
-                let (count, text) = parse_count_line(&self.buf)?;
-                self.count = count;
-                self.text = self.buf.len() - text.len();
-            }
-            self.key = spec.prepare(&self.buf[self.text..]);
-        }
-        Ok(())
+    /// Parses and keys the first line of `line`.
+    fn of(spec: &SortSpec, records: Records, line: &[u8]) -> io::Result<Head> {
+        let Some(end) = memchr(b'\n', line) else {
+            return Ok(Head::default());
+        };
+        let (count, text) = match records {
+            Records::Lines => (0, &line[..end]),
+            Records::Counted => parse_count_line(&line[..end])?,
+        };
+        Ok(Head {
+            len: end + 1,
+            text: end - text.len(),
+            count,
+            key: spec.prepare(text),
+        })
     }
 
-    fn keyed(&self) -> Keyed<'_> {
-        (self.key, &self.buf[self.text..])
+    fn live(&self) -> bool {
+        self.len > 0
+    }
+
+    /// The compared text of `line`, the one this was parsed from.
+    fn keyed<'a>(&self, line: &'a [u8]) -> Keyed<'a> {
+        (self.key, &line[self.text..self.len - 1])
     }
 }
 
-/// The open group of a folding [`merge`]: the record the next
-/// compare-equal winners fold into, written when a different one
+/// The open group of a folding [`merge`]: a copy of the record the
+/// next compare-equal winners fold into, written when a different one
 /// arrives. It leaves as it came unless a fold changed its count.
 #[derive(Default)]
 struct Group {
+    line: Vec<u8>,
     head: Head,
     recounted: bool,
 }
 
 impl Group {
-    /// Folds `next` in when it compares equal: under `-u` the group
-    /// keeps its first line, counted records add up.
-    fn absorbs(&mut self, spec: &SortSpec, records: Records, next: &Head) -> io::Result<bool> {
-        if !(self.head.live
-            && spec
-                .compare_prepared(self.head.keyed(), next.keyed())
-                .is_eq())
-        {
-            return Ok(false);
-        }
-        if records == Records::Counted {
+    /// Folds `next`, parsed from `line`, in when it compares equal
+    /// (under `-u` the group keeps its first line, counted records add
+    /// up); otherwise writes the group and opens `next`'s.
+    fn take(
+        &mut self,
+        spec: &SortSpec,
+        records: Records,
+        next: Head,
+        line: &[u8],
+        out: &mut impl Write,
+        prefix: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        let equal = self.head.live() && {
+            let (open, next_key) = (self.head.keyed(&self.line), next.keyed(line));
+            // Without `-u`, or with only the whole line for a key,
+            // texts compare equal when they are byte-identical: the
+            // lengths settle most pairs without a byte compare.
+            if spec.unique && !spec.whole_line() {
+                spec.compare_prepared(open, next_key).is_eq()
+            } else {
+                open.1 == next_key.1
+            }
+        };
+        if !equal {
+            self.write(out, prefix)?;
+            self.line.clear();
+            self.line.extend_from_slice(&line[..next.len]);
+            (self.head, self.recounted) = (next, false);
+        } else if records == Records::Counted {
             self.head.count = add_counts(self.head.count, next.count)?;
             self.recounted = true;
         }
-        Ok(true)
+        Ok(())
     }
 
     fn write(&self, out: &mut impl Write, prefix: &mut Vec<u8>) -> io::Result<()> {
-        if !self.head.live {
-            return Ok(());
+        if !self.recounted {
+            return out.write_all(&self.line);
         }
-        if self.recounted {
-            prefix.clear();
-            push_count(prefix, self.head.count);
-            out.write_all(prefix)?;
-            out.write_all(self.head.keyed().1)?;
-        } else {
-            out.write_all(&self.head.buf)?;
-        }
-        out.write_all(b"\n")
+        prefix.clear();
+        push_count(prefix, self.head.count);
+        out.write_all(prefix)?;
+        out.write_all(&self.line[self.head.text..])
     }
 }
 
@@ -543,74 +577,97 @@ impl LoserTree {
     }
 }
 
+/// How many times running one input must win before the merge
+/// gallops through its window (TimSort's `MIN_GALLOP`): below it,
+/// inputs that interleave pay one counter per line and no probes.
+const MIN_GALLOP: usize = 7;
+
 /// Streaming, stable k-way merge of pre-sorted inputs under the
 /// sequential comparator, driven by a [`LoserTree`]: `sort -m`, the
 /// merge phase of `--parallel`, and the runtime's `pash-agg-sort`.
+///
+/// Lines are written from the inputs' windows. Once one input has won
+/// [`MIN_GALLOP`] times running, the merge gallops: it probes that
+/// window at doubling byte offsets, each probe at the start of the
+/// line it lands in, then binary-searches for the last line that still
+/// beats the best of the other heads, and writes all of them at once.
 ///
 /// Consecutive winners that compare equal fold into one record when
 /// there is a fold to apply: `-u` keeps the first line of each group,
 /// [`Records::Counted`] adds the counts of equal texts (without `-u`
 /// equal means byte-identical, so this is `uniq -c` of the merged
-/// lines). Otherwise every line is written as it wins.
-pub fn merge<S: LineSource>(
+/// lines). Such a merge takes its winners one at a time and does not
+/// gallop.
+pub fn merge<S: MergeInput>(
     spec: &SortSpec,
     records: Records,
-    mut sources: Vec<S>,
+    mut inputs: Vec<S>,
     out: &mut dyn Write,
 ) -> io::Result<()> {
-    let mut heads = Vec::with_capacity(sources.len());
-    for src in sources.iter_mut() {
-        let mut head = Head::default();
-        head.advance(spec, records, src)?;
-        heads.push(head);
+    let mut heads = Vec::with_capacity(inputs.len());
+    for input in inputs.iter_mut() {
+        input.fill()?;
+        heads.push(Head::of(spec, records, input.window())?);
     }
-    // Does stream `a` come before stream `b`? Exhausted streams lose;
-    // compare-equal heads break toward the lower id (stability).
-    let beats = |heads: &[Head], a: usize, b: usize| -> bool {
-        match (heads[a].live, heads[b].live) {
-            (false, _) => false,
-            (true, false) => true,
-            (true, true) => spec
-                .compare_prepared(heads[a].keyed(), heads[b].keyed())
+    // Does the record `x` of stream `a` come before stream `b`'s head?
+    // Exhausted streams lose; compare-equal records break toward the
+    // lower id (stability).
+    let precedes = |heads: &[Head], inputs: &[S], x: Keyed<'_>, a: usize, b: usize| {
+        !heads[b].live()
+            || spec
+                .compare_prepared(x, heads[b].keyed(inputs[b].window()))
                 .then(a.cmp(&b))
-                .is_lt(),
-        }
+                .is_lt()
     };
-    let mut tree = LoserTree::build(heads.len(), |a, b| beats(&heads, a, b));
+    let beats = |heads: &[Head], inputs: &[S], a: usize, b: usize| {
+        heads[a].live() && precedes(heads, inputs, heads[a].keyed(inputs[a].window()), a, b)
+    };
+    let mut tree = LoserTree::build(heads.len(), |a, b| beats(&heads, &inputs, a, b));
     // Equal records may also straddle input boundaries.
     let folds = spec.unique || records == Records::Counted;
     let mut open = Group::default();
     let mut prefix = Vec::new();
     let mut out = BufWriter::with_capacity(CHUNK, out);
-    // Run fast path: when the same stream wins twice running, cache
-    // the best loser on its root path and keep emitting from the
-    // winner with one comparison per line — no tree replay — until
-    // its head stops beating the cached challenger. Computed lazily
-    // (only on a repeat win) so interleaved streams pay nothing extra.
-    let mut challenger = EMPTY;
-    while tree.winner != EMPTY && heads[tree.winner].live {
+    let (mut last, mut streak) = (EMPTY, 0);
+    while tree.winner != EMPTY && heads[tree.winner].live() {
         let b = tree.winner;
-        if !folds {
-            out.write_all(&heads[b].buf)?;
-            out.write_all(b"\n")?;
-        } else if !open.absorbs(spec, records, &heads[b])? {
-            open.write(&mut out, &mut prefix)?;
-            // The winner's buffers become the group's; the stream
-            // refills the ones it gets back.
-            std::mem::swap(&mut open.head, &mut heads[b]);
-            open.recounted = false;
-        }
-        heads[b].advance(spec, records, &mut sources[b])?;
-        if challenger != EMPTY {
-            if heads[b].live && beats(&heads, b, challenger) {
-                continue;
+        streak = if b == last { streak + 1 } else { 1 };
+        last = b;
+        let window = inputs[b].window();
+        // The window's first `end` bytes beat every other head.
+        let mut end = heads[b].len;
+        if folds {
+            open.take(spec, records, heads[b], window, &mut out, &mut prefix)?;
+        } else {
+            if streak >= MIN_GALLOP {
+                let c = tree.challenger(b, |a, b| beats(&heads, &inputs, a, b));
+                // `hi` starts a line that does not beat `c`, or ends
+                // the window; `step` doubles until a probe loses.
+                let (mut hi, mut step, mut galloping) = (window.len(), end, true);
+                while end < hi {
+                    let probe = if galloping {
+                        (end + step).min(hi) - 1
+                    } else {
+                        end + (hi - end) / 2
+                    };
+                    let start = memrchr(b'\n', &window[end..probe]).map_or(end, |i| end + i + 1);
+                    let line = &window[start..];
+                    let head = Head::of(spec, records, line)?;
+                    if c == EMPTY || precedes(&heads, &inputs, head.keyed(line), b, c) {
+                        end = start + head.len;
+                        step *= 2;
+                    } else {
+                        hi = start;
+                        galloping = false;
+                    }
+                }
             }
-            challenger = EMPTY;
+            out.write_all(&window[..end])?;
         }
-        tree.replay(b, &mut |a, b| beats(&heads, a, b));
-        if tree.winner == b {
-            challenger = tree.challenger(b, |a, b| beats(&heads, a, b));
-        }
+        inputs[b].consume(end);
+        inputs[b].fill()?;
+        heads[b] = Head::of(spec, records, inputs[b].window())?;
+        tree.replay(b, &mut |a, b| beats(&heads, &inputs, a, b));
     }
     open.write(&mut out, &mut prefix)?;
     out.flush()

@@ -8,15 +8,13 @@
 //!
 //! Inputs are pulled through [`LineScanner`]s — flat buffers refilled
 //! in bulk with borrowed line slices — instead of per-line `BufRead`
-//! calls (the `agg` series in the dataplane bench tracks this path).
+//! calls; the sort merge borrows each scanner's whole window of lines.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pash_coreutils::cmd::sort::{
-    merge, parse_args as parse_sort_args, replace_line, LineSource, Records,
-};
+use pash_coreutils::cmd::sort::{merge, parse_args as parse_sort_args, Records};
 use pash_coreutils::cmd::wc;
 use pash_coreutils::fs::Fs;
 use pash_coreutils::lines::{
@@ -81,15 +79,9 @@ pub fn run_aggregator(
     }
 }
 
-impl<R: Read> LineSource for LineScanner<R> {
-    fn next_into(&mut self, buf: &mut Vec<u8>) -> io::Result<bool> {
-        Ok(replace_line(buf, self.next_line()?))
-    }
-}
-
 /// `sort -m`: the sort family's streaming k-way merge — the
 /// sequential comparator on keys prepared once per line — over the
-/// batched input scanners. [`Records::Counted`] is the merge the
+/// windows of the batched input scanners. [`Records::Counted`] is the merge the
 /// compiler leaves where a `sort`'s merge fed a `uniq -c`: its inputs
 /// are per-worker `sort | uniq -c` outputs, ordered by their texts
 /// under the sort's flags.
@@ -745,6 +737,125 @@ mod tests {
         );
     }
 
+    /// A reader that hands out 1–7 bytes per call, the sizes drawn
+    /// from a seed: every merge input refills mid-line and mid-run.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        seed: u64,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.seed = self
+                .seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let want = 1 + (self.seed >> 33) as usize % 7;
+            let n = want.min(buf.len()).min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// `argv` over `inputs`, each read through a [`Trickle`].
+    fn run_trickled(argv: &[&str], inputs: &[String], seed: u64) -> io::Result<String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let inputs: Vec<AggInput> = (0..)
+            .zip(inputs)
+            .map(|(i, s)| {
+                Box::new(Trickle {
+                    data: s.as_bytes().to_vec(),
+                    at: 0,
+                    seed: seed ^ i,
+                }) as AggInput
+            })
+            .collect();
+        let mut out = Vec::new();
+        let reg = Registry::standard();
+        run_aggregator(&argv, inputs, &mut out, &reg, Arc::new(MemFs::new()))?;
+        Ok(String::from_utf8(out).expect("utf8"))
+    }
+
+    #[test]
+    fn runs_that_end_on_a_refill_and_lines_past_a_window() {
+        // Stream 0's `a` lines fill the first 64 KiB read exactly, and
+        // the whole window beats stream 1; its next line, read after
+        // the refill, loses. A line longer than a window sits in each.
+        let line = |c: char, i: usize| format!("{c}{i:014}\n");
+        let a_run: String = (0..64 * 1024 / 16).map(|i| line('a', i)).collect();
+        assert_eq!(a_run.len(), 64 * 1024);
+        let long = |c: char| format!("{}\n", c.to_string().repeat(70_000));
+        let s0 = format!("{a_run}{}{}", line('c', 0), long('d'));
+        let s1 = format!("{}{}{}", line('b', 0), long('c'), line('e', 0));
+        let mut all: Vec<&str> = s0.lines().chain(s1.lines()).collect();
+        all.sort_unstable();
+        let expected: String = all.iter().map(|l| format!("{l}\n")).collect();
+        let inputs = [s0.clone(), s1.clone()];
+        assert_eq!(run(&["pash-agg-sort"], &[&s0, &s1]), expected);
+        assert_eq!(
+            run_trickled(&["pash-agg-sort"], &inputs, 1).expect("agg"),
+            expected
+        );
+        let mut reversed = all.clone();
+        reversed.reverse();
+        let reversed: String = reversed.iter().map(|l| format!("{l}\n")).collect();
+        let back = |s: &str| {
+            s.lines()
+                .rev()
+                .map(|l| format!("{l}\n"))
+                .collect::<String>()
+        };
+        assert_eq!(
+            run(&["pash-agg-sort", "-r"], &[&back(&s0), &back(&s1)]),
+            reversed
+        );
+    }
+
+    #[test]
+    fn unique_merge_keeps_the_lower_streams_line() {
+        assert_eq!(
+            run(&["pash-agg-sort", "-nu"], &["1 b\n", "01 a\n"]),
+            "1 b\n"
+        );
+        assert_eq!(
+            run(&["pash-agg-sort", "-nu"], &["01 a\n", "1 b\n"]),
+            "01 a\n"
+        );
+        let three = ["x 2\n", "y 2\nz 3\n", "w 2\nw 3\n"].map(String::from);
+        assert_eq!(
+            run_trickled(&["pash-agg-sort", "-u", "-k2,2n"], &three, 7).expect("agg"),
+            "x 2\nz 3\n"
+        );
+    }
+
+    #[test]
+    fn counted_merge_folds_one_text_across_three_streams_and_within_one() {
+        let inputs = [
+            "      2 a\n      1 b\n",
+            "      3 a\n",
+            "      1 a\n      1 a\n      1 c\n",
+        ]
+        .map(String::from);
+        let expected = "      7 a\n      1 b\n      1 c\n";
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        assert_eq!(run(&["pash-agg-sort-c"], &refs), expected);
+        for seed in 0..8 {
+            assert_eq!(
+                run_trickled(&["pash-agg-sort-c"], &inputs, seed).expect("agg"),
+                expected
+            );
+        }
+        // A malformed record still fails, however the input arrives.
+        let bad = [
+            "      1 a\n".to_string(),
+            "      1 a\nno count\n".to_string(),
+        ];
+        let err = run_trickled(&["pash-agg-sort-c"], &bad, 3).expect_err("malformed");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
     /// Builds one framed input from (tag, payload) pairs in the given
     /// arrival order.
     fn framed_input(frames: &[(u64, &str)]) -> AggInput {
@@ -1033,6 +1144,71 @@ mod tests {
                     prop_assert_eq!(
                         flat_and_tree(&agg, &parts), uniq(&[], &sort(flags, &all)),
                         "flags {:?} chunks {:?}", flags, chunks
+                    );
+                }
+            }
+
+            // The same laws with every input trickled in 1–7 bytes per
+            // read, at k ∈ {1, 2, 3, 5, 8}, with lines past a 64 KiB
+            // scanner window: refills land mid-line, mid-run and on run
+            // ends. Counted streams hold a text twice when a chunk's
+            // two halves were counted apart.
+            #[test]
+            fn prop_merge_survives_any_read_sizes(
+                lines in proptest::collection::vec("[ab01 :.-]{0,5}", 0..60),
+                k in 0usize..5,
+                long in 0usize..4,
+                seed in 0u64..(1u64 << 48),
+            ) {
+                let k = [1, 2, 3, 5, 8][k];
+                let mut lines = lines;
+                if long == 0 {
+                    let at = seed as usize % (lines.len() + 1);
+                    lines.insert(at, format!("{}:{seed}", "b".repeat(70_000)));
+                }
+                let chunks: Vec<String> = (0..k)
+                    .map(|i| {
+                        let (lo, hi) = (i * lines.len() / k, (i + 1) * lines.len() / k);
+                        lines[lo..hi].iter().map(|l| format!("{l}\n")).collect()
+                    })
+                    .collect();
+                let all = chunks.concat();
+                let show = |argv: &[&str]| {
+                    let input: Vec<String> = chunks
+                        .iter()
+                        .map(|c| c.chars().take(200).collect())
+                        .collect();
+                    format!("argv {argv:?} k {k} seed {seed} inputs (first 200 chars) {input:?}")
+                };
+                for flags in [
+                    &[][..], &["-n"], &["-r"], &["-rn"], &["-u"], &["-nu"], &["-k2"],
+                    &["-t:", "-k2"],
+                ] {
+                    let argv: Vec<&str> =
+                        std::iter::once("pash-agg-sort").chain(flags.iter().copied()).collect();
+                    let runs: Vec<String> = chunks.iter().map(|c| sort(flags, c)).collect();
+                    prop_assert_eq!(
+                        run_trickled(&argv, &runs, seed).expect("merge"),
+                        sort(flags, &all),
+                        "{}", show(&argv)
+                    );
+                    if flags.contains(&"-u") || flags.contains(&"-nu") {
+                        continue;
+                    }
+                    let argv: Vec<&str> =
+                        std::iter::once("pash-agg-sort-c").chain(flags.iter().copied()).collect();
+                    let counted: Vec<String> = runs
+                        .iter()
+                        .map(|run| {
+                            let lines: Vec<&str> = run.split_inclusive('\n').collect();
+                            let (a, b) = lines.split_at(lines.len() / 2);
+                            uniq(&["-c"], &a.concat()) + &uniq(&["-c"], &b.concat())
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        run_trickled(&argv, &counted, seed).expect("counted merge"),
+                        uniq(&["-c"], &sort(flags, &all)),
+                        "{}", show(&argv)
                     );
                 }
             }

@@ -4,25 +4,29 @@
 //! Aggregators used to pull their inputs one `read_until` call per
 //! line, paying a `BufRead` dispatch, a bounds-checked copy, and a
 //! `Vec` manipulation per line. [`LineScanner`] instead refills a
-//! flat buffer in large reads and hands out borrowed line slices,
-//! so the per-line cost is one `memchr`-style scan.
+//! flat buffer in large reads and exposes the whole lines it holds as
+//! one borrowed window: [`LineScanner::next_line`] hands them out one
+//! at a time, and the sort merge consumes whole runs of them at once.
 
 use std::io::{self, Read};
 
-use pash_regex::memmem::memchr;
+use pash_coreutils::cmd::sort::MergeInput;
+use pash_regex::memmem::{memchr, memrchr};
 
 /// Refill granularity (and initial buffer size).
 const SCAN_CHUNK: usize = 64 * 1024;
 
 /// A batched line reader over any byte stream.
 ///
-/// Lines are yielded without their terminating newline; a final
-/// unterminated line is still a line.
+/// Every line in the window ends in a newline: a final unterminated
+/// line gets one at the end of the stream.
 pub struct LineScanner<R> {
     src: R,
     buf: Vec<u8>,
     /// First unconsumed byte.
     start: usize,
+    /// One past the last whole line's newline: the window's end.
+    lines: usize,
     /// One past the last valid byte.
     end: usize,
     eof: bool,
@@ -35,6 +39,7 @@ impl<R: Read> LineScanner<R> {
             src,
             buf: vec![0; SCAN_CHUNK],
             start: 0,
+            lines: 0,
             end: 0,
             eof: false,
         }
@@ -45,25 +50,37 @@ impl<R: Read> LineScanner<R> {
     /// The returned slice borrows the scanner's buffer and is valid
     /// until the next call.
     pub fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
-        loop {
-            if let Some(pos) = memchr(b'\n', &self.buf[self.start..self.end]) {
-                let s = self.start;
-                self.start += pos + 1;
-                return Ok(Some(&self.buf[s..s + pos]));
+        self.fill()?;
+        let s = self.start;
+        let Some(len) = memchr(b'\n', self.window()) else {
+            return Ok(None);
+        };
+        self.start += len + 1;
+        Ok(Some(&self.buf[s..s + len]))
+    }
+}
+
+/// The sort merge borrows the scanner's window of whole lines.
+impl<R: Read> MergeInput for LineScanner<R> {
+    fn window(&self) -> &[u8] {
+        &self.buf[self.start..self.lines]
+    }
+
+    fn consume(&mut self, n: usize) {
+        assert!(n <= self.lines - self.start, "consumed past the window");
+        self.start += n;
+    }
+
+    fn fill(&mut self) -> io::Result<()> {
+        while self.start == self.lines && !self.eof {
+            // Compact the partial line to the front (once, not per
+            // read of a line that grows), then refill the tail in one
+            // bulk read (growing for oversized lines).
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                (self.start, self.lines) = (0, 0);
             }
-            if self.eof {
-                if self.start < self.end {
-                    let (s, e) = (self.start, self.end);
-                    self.start = self.end;
-                    return Ok(Some(&self.buf[s..e]));
-                }
-                return Ok(None);
-            }
-            // Compact the partial line to the front, then refill the
-            // tail in one bulk read (growing for oversized lines).
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
             if self.end == self.buf.len() {
                 self.buf.resize(self.buf.len() * 2, 0);
             }
@@ -78,10 +95,21 @@ impl<R: Read> LineScanner<R> {
             };
             if n == 0 {
                 self.eof = true;
+                if self.end > 0 {
+                    // The stream's last line had no newline; the read
+                    // had room, so one fits.
+                    self.buf[self.end] = b'\n';
+                    self.end += 1;
+                    self.lines = self.end;
+                }
             } else {
+                if let Some(i) = memrchr(b'\n', &self.buf[self.end..self.end + n]) {
+                    self.lines = self.end + i + 1;
+                }
                 self.end += n;
             }
         }
+        Ok(())
     }
 }
 

@@ -8,7 +8,9 @@
 //!
 //! The last test holds the parallel plan of `sort | uniq -c` — the
 //! fold commuted below the merge, counts added in the merge — to the
-//! host's shell the same way.
+//! host's shell the same way, and `sort -n`, `sort -rn` and `sort -u`
+//! tails at widths 2 and 4 over more than 1 MiB, so every merge input
+//! refills its 64 KiB window in the middle of a run.
 //!
 //! The keyless flag set (`{}`, `-r`, `-u`, `-ru`, `-n`, `-rn`, `-nu`,
 //! `-rnu`) — everything the byte-chunk kernel serves — also runs over
@@ -353,15 +355,39 @@ fn folded_sort_uniq_pipelines_match_the_host_shell() {
     // Colliding keys, numeric ties between different lines (`1`,
     // `01`, `1.0`), empty lines; more than one pipe buffer, so the
     // width-4 region runs a thread per node.
-    let input = corpus(7, 30_000, " ");
-    for script in ["sort -n | uniq -c", "sort | uniq -c | sort -n"] {
-        let compiled = pash::compile(script, &PashConfig::best(4)).expect("compile");
-        assert_eq!(compiled.stats.nodes.commuted, 1, "`{script}`");
+    let small = corpus(7, 30_000, " ");
+    // Over 1 MiB of lines drawn from 20 000 texts, so counts repeat:
+    // each merge input crosses several 64 KiB scanner windows in the
+    // middle of a run.
+    const TAILS: [&str; 4] = ["river", "a", "signal of the", "compiler"];
+    let mut next = lcg(11);
+    let large: Vec<u8> = (0..80_000)
+        .flat_map(|_| format!("t{:05} {}\n", next(20_000), TAILS[next(4) as usize]).into_bytes())
+        .collect();
+    assert!(large.len() >= 1 << 20, "{} bytes", large.len());
+    let mut cases = vec![
+        (&small, 4, "sort -n | uniq -c"),
+        (&small, 4, "sort | uniq -c | sort -n"),
+    ];
+    for width in [2, 4] {
+        for script in [
+            "sort | uniq -c | sort -n",
+            "sort | uniq -c | sort -rn",
+            "sort -u",
+        ] {
+            cases.push((&large, width, script));
+        }
+    }
+    for (input, width, script) in cases {
+        let compiled = pash::compile(script, &PashConfig::best(width)).expect("compile");
+        if script.contains("uniq -c") {
+            assert_eq!(compiled.stats.nodes.commuted, 1, "`{script}`");
+        }
         let env = RunEnv {
             stdin: input.clone(),
             ..Default::default()
         };
-        let ours = match run(script, &PashConfig::best(4), "threads", &env) {
+        let ours = match run(script, &PashConfig::best(width), "threads", &env) {
             Ok(BackendOutput::Execution(o)) => o,
             other => panic!("threads produced {other:?} for `{script}`"),
         };
@@ -375,13 +401,13 @@ fn folded_sort_uniq_pipelines_match_the_host_shell() {
             .expect("spawn host sh");
         let mut stdin = child.stdin.take().expect("piped stdin");
         let host = std::thread::scope(|scope| {
-            scope.spawn(|| stdin.write_all(&input).map(|()| drop(stdin)));
+            scope.spawn(|| stdin.write_all(input).map(|()| drop(stdin)));
             child.wait_with_output().expect("host sh exits")
         });
         assert!(host.status.success(), "host `{script}` failed");
         assert!(
             ours.stdout == host.stdout,
-            "`{script}` at width 4 differs from the host shell"
+            "`{script}` at width {width} differs from the host shell"
         );
     }
 }
