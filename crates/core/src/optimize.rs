@@ -1,13 +1,12 @@
-//! Measured command rates: the shape in which the runtime's profile
-//! store reports what runs observed and the simulator's cost model
-//! consumes it. They live here because core is the only crate both
-//! sides can name.
+//! Measured command rates: the shape in which a caller that timed
+//! commands hands the simulator's cost model what it observed (the
+//! benchmark harness derives them from its per-node accounting and
+//! names them by this path).
 
 use std::collections::HashMap;
 
-/// A decay-merged throughput observation for one command, as the
-/// runtime's profile store reports it and the simulator's cost model
-/// consumes it.
+/// A throughput observation for one command, as the simulator's cost
+/// model consumes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredRate {
     /// Observed processing rate in MB/s of input consumed.

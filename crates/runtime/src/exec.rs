@@ -84,10 +84,9 @@ pub struct ExecConfig {
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
     /// When set, successful region attempts record per-node
-    /// bytes-in/bytes-out and busy-time here (the measured command
-    /// rates; nothing chooses a plan from them yet, see
-    /// [`crate::profile`]). `None` (the default) skips all
-    /// instrumentation.
+    /// bytes-in/bytes-out and busy-time here (nothing chooses a plan
+    /// from them yet, see [`crate::profile`]). `None` (the default)
+    /// skips all instrumentation.
     pub profile: Option<Arc<ProfileStore>>,
 }
 
@@ -838,7 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn profiling_hooks_record_bytes_and_derive_rates() {
+    fn profiling_hooks_record_bytes_per_plan_node() {
         let (reg, fs) = fixture();
         let store = Arc::new(ProfileStore::in_memory());
         let ecfg = ExecConfig {
@@ -860,11 +859,27 @@ mod tests {
         .expect("run");
         assert_eq!(out.status, 0);
         assert!(store.regions() >= 1, "region profile recorded");
-        let rates = store.rates();
-        let tr = rates.get("tr").expect("tr observed");
-        assert!(tr.mb_per_s > 0.0 && tr.weight > 0.0);
+        // Stats are indexed by node id; the plan names the nodes.
+        let compiled =
+            pash_core::compile::compile_cached("cat in.txt | tr A-Z a-z | sort > s.txt", &cfg)
+                .expect("compile");
+        let (mut tr_in, mut tr_out, mut tr_busy) = (0.0, 0.0, 0.0);
+        for region in compiled.plan.regions() {
+            let stats = store
+                .region_stats(region.fingerprint())
+                .expect("region recorded");
+            for (node, n) in region.nodes.iter().zip(&stats.nodes) {
+                if node.op.label().starts_with("tr ") {
+                    assert!(n.weight > 0.0);
+                    tr_in += n.bytes_in;
+                    tr_out += n.bytes_out;
+                    tr_busy += n.busy_s;
+                }
+            }
+        }
+        assert!(tr_in > 0.0 && tr_busy > 0.0, "tr observed");
         // tr is byte-preserving: measured ratio must be ~1.
-        assert!((tr.out_ratio - 1.0).abs() < 0.01, "{tr:?}");
+        assert!((tr_out / tr_in - 1.0).abs() < 0.01, "{tr_in} -> {tr_out}");
         // Profiling must not change the output.
         let plain = run("cat in.txt | tr A-Z a-z | sort", 1);
         let (reg2, fs2) = fixture();
@@ -1405,10 +1420,11 @@ mod tests {
             let stats = store
                 .region_stats(region.fingerprint())
                 .expect("region recorded");
-            stats
+            region
                 .nodes
                 .iter()
-                .map(|n| (n.label.clone(), n.bytes_in, n.bytes_out))
+                .zip(&stats.nodes)
+                .map(|(node, n)| (node.op.label(), n.bytes_in, n.bytes_out))
                 .collect::<Vec<_>>()
         });
         assert_eq!(observed[0], observed[1]);

@@ -83,8 +83,8 @@ pub struct ProcSettings {
     /// When set, successful region attempts record what the parent
     /// can observe from the process boundary — per-node spawn-to-reap
     /// wall time, plus bytes at file/stdin/stdout endpoints (FIFO
-    /// interiors are invisible to the parent and stay zero; the rate
-    /// index skips zero-byte nodes). See [`crate::profile`].
+    /// interiors are invisible to the parent and stay zero). See
+    /// [`crate::profile`].
     pub profile: Option<Arc<ProfileStore>>,
 }
 
@@ -753,7 +753,13 @@ mod tests {
         assert_eq!(store.regions(), 1);
         let r = compiled.plan.regions().next().expect("region");
         let rs = store.region_stats(r.fingerprint()).expect("stats");
-        let tr = rs.nodes.iter().find(|n| n.label == "tr").expect("tr node");
+        // Stats are indexed by node id; the plan names the nodes.
+        let at = r
+            .nodes
+            .iter()
+            .position(|n| n.op.label() == "tr A-Z a-z")
+            .expect("tr node");
+        let tr = &rs.nodes[at];
         // Input file and output file are both parent-visible.
         assert_eq!(tr.bytes_in, input.len() as f64);
         assert_eq!(tr.bytes_out, input.len() as f64);

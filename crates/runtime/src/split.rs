@@ -65,9 +65,8 @@ pub fn split_general(
 /// [`split_general`] with an explicit look-ahead window.
 ///
 /// Invariants regardless of input size vs. window:
-/// * the concatenation of all outputs is exactly the input (with a
-///   final missing newline restored, as the line-oriented contract
-///   requires);
+/// * the concatenation of all outputs is exactly the input, byte for
+///   byte: an unterminated last line stays unterminated;
 /// * every output is one contiguous line-aligned range;
 /// * buffered bytes never exceed the window plus one line.
 pub fn split_general_bounded(
@@ -128,25 +127,17 @@ pub fn split_general_bounded(
     }
     // Last output: stream the remainder through without buffering.
     let last = outputs.last_mut().expect("outputs non-empty").as_mut();
-    let mut ends_with_nl = buf.last() == Some(&b'\n');
-    let mut wrote_any = !buf.is_empty();
     write_chunk(last, &buf)?;
     drop(buf);
     loop {
         let chunk = input.fill_buf()?;
         if chunk.is_empty() {
-            break;
+            return Ok(());
         }
         let n = chunk.len();
-        ends_with_nl = chunk[n - 1] == b'\n';
-        wrote_any = true;
         write_chunk(last, chunk)?;
         input.consume(n);
     }
-    if wrote_any && !ends_with_nl {
-        write_chunk(last, b"\n")?;
-    }
-    Ok(())
 }
 
 /// Splits the input into line-aligned blocks dealt round-robin across
@@ -167,8 +158,8 @@ pub fn split_round_robin(
 ///
 /// Invariants:
 /// * the tag-ordered (for raw: emission-ordered) concatenation of all
-///   blocks is exactly the input, with a final missing newline
-///   restored;
+///   blocks is exactly the input, byte for byte: an unterminated last
+///   line ends the last block unterminated;
 /// * every block is line-aligned, and a single line longer than the
 ///   block bound is kept whole;
 /// * block sizes adapt to the observed line density
@@ -203,11 +194,7 @@ pub fn split_round_robin_bounded(
             return Ok(());
         }
         let cut = if eof {
-            // Everything that remains is the final block; the
-            // line-oriented contract restores a missing newline.
-            if buf.last() != Some(&b'\n') {
-                buf.push(b'\n');
-            }
+            // Everything that remains is the final block.
             buf.len()
         } else {
             match buf[..block.min(buf.len())]
@@ -218,12 +205,7 @@ pub fn split_round_robin_bounded(
                 // A line longer than the block: keep it whole.
                 None => match read_through_newline(input, &mut buf)? {
                     Some(p) => p + 1,
-                    None => {
-                        if buf.last() != Some(&b'\n') {
-                            buf.push(b'\n');
-                        }
-                        buf.len()
-                    }
+                    None => buf.len(),
                 },
             }
         };
@@ -323,13 +305,9 @@ fn write_last_chunk(out: &mut Box<dyn Write + Send>, data: &[u8]) -> io::Result<
 }
 
 /// Scatters fully-buffered data as contiguous chunks of near-equal
-/// line counts (the exact split of the paper).
-fn scatter_exact(mut data: Vec<u8>, outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
-    // The line-oriented contract: a final unterminated line is still a
-    // line, delivered with a newline (as the per-line path always did).
-    if data.last().is_some_and(|&b| b != b'\n') {
-        data.push(b'\n');
-    }
+/// line counts (the exact split of the paper). A final unterminated
+/// line counts as a line and is delivered as it is.
+fn scatter_exact(data: Vec<u8>, outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
     // Line-start index; a trailing sentinel marks end-of-data so line
     // `i` spans `starts[i]..starts[i + 1]`.
     let mut starts: Vec<usize> = Vec::with_capacity(data.len() / 32 + 2);
@@ -505,12 +483,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_appends_missing_final_newline() {
+    fn streaming_passes_an_unterminated_tail_through() {
         let input: String = (0..50).map(|i| format!("{i}\n")).collect::<String>() + "tail";
         let parts = split_with(&input, 2, Some(32));
-        let mut want = input.into_bytes();
-        want.push(b'\n');
-        assert_eq!(parts.concat(), want);
+        assert_eq!(parts.concat(), input.as_bytes());
+        assert!(parts[1].ends_with(b"\ntail"));
     }
 
     #[test]
@@ -636,12 +613,14 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_appends_missing_final_newline() {
-        let parts = rr_split_with("a\nb", 2, true, 1024);
-        let mut frames = frames_of(&parts);
-        frames.sort_by_key(|(t, _)| *t);
-        let joined: Vec<u8> = frames.into_iter().flat_map(|(_, p)| p).collect();
-        assert_eq!(joined, b"a\nb\n");
+    fn round_robin_passes_an_unterminated_tail_through() {
+        for block in [1, 1024] {
+            let parts = rr_split_with("a\nb", 2, true, block);
+            let mut frames = frames_of(&parts);
+            frames.sort_by_key(|(t, _)| *t);
+            let joined: Vec<u8> = frames.into_iter().flat_map(|(_, p)| p).collect();
+            assert_eq!(joined, b"a\nb", "block {block}");
+        }
     }
 
     #[test]
@@ -684,14 +663,21 @@ mod tests {
         }
     }
 
+    /// `lines`, each newline-terminated, then `tail` unterminated (an
+    /// empty tail leaves the input ending in a newline).
+    fn lines_then(lines: &[String], tail: &str) -> String {
+        lines.iter().map(|l| format!("{l}\n")).collect::<String>() + tail
+    }
+
     proptest! {
         #[test]
         fn prop_round_robin_tag_order_identity(
             lines in proptest::collection::vec("[a-z]{0,12}", 0..80),
+            tail in "[a-z]{0,12}",
             k in 1usize..6,
             block in 1usize..96,
         ) {
-            let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let input = lines_then(&lines, &tail);
             let parts = rr_split_with(&input, k, true, block);
             let mut frames = frames_of(&parts);
             frames.sort_by_key(|(t, _)| *t);
@@ -702,9 +688,10 @@ mod tests {
         #[test]
         fn prop_concatenation_identity(
             lines in proptest::collection::vec("[a-z ]{0,10}", 0..60),
+            tail in "[a-z ]{0,10}",
             k in 1usize..8,
         ) {
-            let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let input = lines_then(&lines, &tail);
             let parts = split_into(&input, k);
             let joined: Vec<u8> = parts.concat();
             prop_assert_eq!(joined, input.into_bytes());
@@ -729,10 +716,11 @@ mod tests {
         #[test]
         fn prop_bounded_lookahead_concatenation_identity(
             lines in proptest::collection::vec("[a-z]{0,12}", 0..80),
+            tail in "[a-z]{0,12}",
             k in 1usize..6,
             lookahead in 1usize..96,
         ) {
-            let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let input = lines_then(&lines, &tail);
             let parts = split_with(&input, k, Some(lookahead));
             let joined: Vec<u8> = parts.concat();
             prop_assert_eq!(joined, input.into_bytes());

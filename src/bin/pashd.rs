@@ -9,10 +9,9 @@
 //! (script + width + split + backend + stdin bytes), compiles through
 //! the in-memory plan cache, runs on the requested backend, and
 //! replies with stdout/status. The request sets the width; a width of
-//! 0 is refused. `--cache-dir` is where measured profiles persist, so
-//! a restarted daemon keeps what it measured about command rates
-//! (nothing chooses a plan from them yet). `--worker` (repeatable)
-//! names the
+//! 0 is refused. `--cache-dir DIR` is accepted and ignored: the daemon
+//! keeps plans and profiles in memory only and writes nothing there.
+//! `--worker` (repeatable) names the
 //! `pash-worker` sockets the `remote` backend ships regions to. Stop
 //! it with a `Shutdown` request
 //! (`pash::runtime::service::Client::shutdown`) or SIGTERM — both
@@ -28,8 +27,9 @@ use pash::runtime::service::shutdown_on_signal;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pashd --socket PATH [--cache-dir DIR] [--max-concurrent N] \
-         [--retries N] [--no-fallback] [--fault KIND:SEED[:BUDGET]] [--worker PATH]..."
+        "usage: pashd --socket PATH [--cache-dir DIR (accepted; writes nothing)] \
+         [--max-concurrent N] [--retries N] [--no-fallback] [--fault KIND:SEED[:BUDGET]] \
+         [--worker PATH]..."
     );
     std::process::exit(2);
 }
@@ -64,7 +64,11 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--socket" => socket = Some(PathBuf::from(value("--socket"))),
-            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value("--cache-dir"))),
+            // Accepted for callers that still pass it; nothing is
+            // written there.
+            "--cache-dir" => {
+                value("--cache-dir");
+            }
             "--max-concurrent" => {
                 cfg.max_concurrent_runs = value("--max-concurrent").parse().unwrap_or_else(|_| {
                     eprintln!("pashd: --max-concurrent needs a number");
@@ -96,11 +100,8 @@ fn main() -> ExitCode {
     let Some(socket) = socket else { usage() };
     cfg.socket = socket;
     eprintln!(
-        "pashd: listening on {} (profiles: {}, max concurrent runs: {}, workers: {})",
+        "pashd: listening on {} (max concurrent runs: {}, workers: {})",
         cfg.socket.display(),
-        cfg.cache_dir
-            .as_ref()
-            .map_or("in memory".to_string(), |d| d.display().to_string()),
         cfg.max_concurrent_runs,
         cfg.workers.len(),
     );

@@ -13,15 +13,12 @@
 //! plan back — so nothing about plans is kept on disk; a restarted
 //! daemon recompiles on first sight.
 //!
-//! **Cache directory.** What does survive a restart is what was
-//! *measured*. The [`ProfileStore`] of per-command rates lives in
-//! memory while the daemon serves — a request records into it without
-//! touching the disk — and with `cache_dir` set [`serve`] writes it as
-//! one snapshot under `<cache_dir>/profiles` once the drain has
-//! completed, for the next process to load. A daemon that is killed
-//! instead of stopped restarts cold and re-learns. Nothing picks a
-//! plan from the profiles yet: every request names its width (at
-//! least 1) and split, and a width of 0 is refused.
+//! **Profiles.** Every run records per-node bytes and busy time into
+//! one in-memory [`ProfileStore`], bounded by its region cap; Metrics
+//! reports how many region shapes it holds (`profile_regions`).
+//! Nothing is written to disk and nothing survives a restart. Nothing
+//! picks a plan from the profiles yet: every request names its width
+//! (at least 1) and split, and a width of 0 is refused.
 //!
 //! **Isolation.** The daemon owns a *template* [`MemFs`] seeded over
 //! the socket (`PutFile`). Every run executes against
@@ -50,9 +47,6 @@ use crate::{BackendOutput, RunEnv, RunError, RunHandle};
 pub struct DaemonConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// Where measured profiles persist (`<cache_dir>/profiles`);
-    /// `None` keeps them in memory only.
-    pub cache_dir: Option<PathBuf>,
     /// Admission-control width (runs executing at once).
     pub max_concurrent_runs: usize,
     /// Supervisor settings applied to every run (retries, deadlines,
@@ -70,7 +64,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             socket: PathBuf::from("pashd.sock"),
-            cache_dir: None,
             max_concurrent_runs: 2,
             supervisor: SupervisorSettings::default(),
             workers: Vec::new(),
@@ -86,26 +79,21 @@ pub struct Daemon {
     supervisor: SupervisorSettings,
     workers: Vec<PathBuf>,
     metrics: Arc<ServiceMetrics>,
-    /// Measured per-command rates, recorded by every run. In memory;
-    /// [`serve`] saves it under the cache directory on the way out.
+    /// Per-node measurements, recorded by every run.
     profile: Arc<ProfileStore>,
 }
 
 impl Daemon {
-    /// Builds daemon state (opening the profile store if configured).
-    pub fn new(cfg: &DaemonConfig) -> io::Result<Daemon> {
-        let profile = match &cfg.cache_dir {
-            Some(dir) => ProfileStore::open(&dir.join("profiles"))?,
-            None => ProfileStore::in_memory(),
-        };
-        Ok(Daemon {
+    /// Builds daemon state.
+    pub fn new(cfg: &DaemonConfig) -> Daemon {
+        Daemon {
             template: MemFs::new(),
             registry: Registry::standard(),
             supervisor: cfg.supervisor.clone(),
             workers: cfg.workers.clone(),
             metrics: Arc::new(ServiceMetrics::new(cfg.supervisor.counters.clone())),
-            profile: Arc::new(profile),
-        })
+            profile: Arc::new(ProfileStore::in_memory()),
+        }
     }
 
     /// The metrics surface (shared with the server loop).
@@ -248,27 +236,20 @@ fn changed_files(template: &MemFs, run: Arc<MemFs>) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Binds the socket and serves until a `Shutdown` request (SIGTERM
-/// sends `pashd` one), then — every connection drained — writes the
-/// profile snapshot. This is the blocking entry point both the `pashd`
-/// binary and in-process tests use.
+/// sends `pashd` one) and every connection has drained. This is the
+/// blocking entry point both the `pashd` binary and in-process tests
+/// use.
 pub fn serve(cfg: DaemonConfig) -> io::Result<()> {
-    let daemon = Arc::new(Daemon::new(&cfg)?);
+    let daemon = Daemon::new(&cfg);
     let metrics = daemon.metrics();
     let listener = service::bind(&cfg.socket)?;
-    let handler_daemon = daemon.clone();
-    let served = service::serve(
+    service::serve(
         listener,
         &cfg.socket,
         metrics,
         ServiceSettings {
             max_concurrent_runs: cfg.max_concurrent_runs,
         },
-        Arc::new(move |req| handler_daemon.handle(req)),
-    );
-    // Profiles are advisory: losing them costs the next process a cold
-    // start, not this one its exit status.
-    if let Err(e) = daemon.profile.save() {
-        eprintln!("pashd: profile snapshot not saved: {e}");
-    }
-    served
+        Arc::new(move |req| daemon.handle(req)),
+    )
 }

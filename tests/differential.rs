@@ -34,6 +34,7 @@ use std::sync::Arc;
 use pash::core::backend::{emit_program, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::fs::MemFs;
+use pash::runtime::split::DEFAULT_LOOKAHEAD;
 use pash::{run, BackendOutput, ProcSettings, RunEnv};
 use pash_bench::fixtures::{cached_fs, runtime_binaries};
 use pash_bench::suites::{oneliners, unix50};
@@ -524,6 +525,38 @@ fn width_sweep_both_split_strategies() {
                 &Setup::round_robin(width),
                 &bins,
             );
+        }
+    }
+    // Stdin whose last line has no newline, through the exact split
+    // (`abc`) and the streaming one (past the look-ahead window, so
+    // `threads` runs a thread per node): the parts must concatenate to
+    // exactly the input, or `wc -l` counts a line the width-1 run does
+    // not.
+    let capacity = pash::runtime::exec::ExecConfig::default().pipe_capacity;
+    let mut long = b"alpha beta\n".repeat(DEFAULT_LOOKAHEAD / 10);
+    long.extend_from_slice(b"no newline at the end");
+    let make_fs = || cached_fs("differential/stdin/empty".to_string(), |_| {});
+    for stdin in [&b"abc"[..], &long] {
+        for script in ["tr a-z A-Z", "tr -d a", "wc -l", "wc -c"] {
+            let mut sequential = Setup::split(1);
+            sequential.stdin = stdin;
+            let want = observe_threads(script, make_fs(), &sequential, &sequential.cfg, capacity);
+            for width in [2, 4] {
+                for mut setup in [Setup::split(width), Setup::round_robin(width)] {
+                    setup.stdin = stdin;
+                    let label = format!(
+                        "{:?} width {width}, {} bytes of stdin: {script}",
+                        setup.cfg.split,
+                        stdin.len()
+                    );
+                    let got = observe_threads(script, make_fs(), &setup, &setup.cfg, capacity);
+                    assert_eq!(got, want, "threads, {label}");
+                    let got = observe_processes(script, make_fs(), &setup, &bins);
+                    assert_eq!(got, want, "processes, {label}");
+                    let got = observe_shell(script, make_fs(), &setup, &bins);
+                    assert_eq!(got, want, "shell, {label}");
+                }
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use pash::runtime::service::{CacheTier, Request, Response, RunRequest, RunRespon
 
 #[test]
 fn a_warm_request_looks_each_plan_up_once() {
-    let daemon = Daemon::new(&DaemonConfig::default()).expect("daemon");
+    let daemon = Daemon::new(&DaemonConfig::default());
     daemon.handle(Request::PutFile {
         path: "in.txt".to_string(),
         bytes: b"b\na\nb\n".to_vec(),

@@ -6,11 +6,10 @@
 //! * concurrent differential — N client threads firing mixed corpus
 //!   scripts get byte-identical stdout/status/output-files to direct
 //!   `pash::run`;
-//! * restart — a fresh daemon process over the same cache directory
-//!   recompiles to identical results and still holds the profiles the
-//!   first process measured;
-//! * serving touches no disk — the profile store is written once, as
-//!   one file, after the daemon is told to stop;
+//! * restart — a fresh daemon process recompiles to identical results;
+//! * profiles stay in memory — 200 scripts keep the store within its
+//!   region cap, and nothing is written under `--cache-dir`, not even
+//!   after the drain;
 //! * the same differential holds under the fault-injection
 //!   supervisor, whose counters the Metrics reply reports;
 //! * Metrics says which schedule each region ran under;
@@ -265,10 +264,8 @@ fn concurrent_clients_match_direct_runs() {
 }
 
 #[test]
-fn restart_serves_identical_results_and_keeps_profiles() {
+fn restart_serves_identical_results() {
     let dir = scratch_dir("warm");
-    let cache = dir.join("cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
     let cases: Vec<_> = corpus()
         .into_iter()
         .map(|(script, width, split)| {
@@ -280,12 +277,11 @@ fn restart_serves_identical_results_and_keeps_profiles() {
     // Each process compiles a script once, then serves it from memory;
     // the second process starts over — nothing about plans is on disk —
     // and must produce the same bytes.
-    let mut measured = 0;
     for process in ["first", "restarted"] {
-        let daemon = spawn_daemon(&dir, &["--cache-dir", &cache_arg]);
+        let daemon = spawn_daemon(&dir, &[]);
         seed_corpus(&daemon);
         let mut client = daemon.client();
-        for (i, (script, width, split, expect)) in cases.iter().enumerate() {
+        for (script, width, split, expect) in &cases {
             for tier in [CacheTier::Cold, CacheTier::Memory] {
                 let (got, got_tier) = observe_response(
                     client
@@ -294,18 +290,8 @@ fn restart_serves_identical_results_and_keeps_profiles() {
                 );
                 assert_eq!(&got, expect, "{process} process, {script:?}");
                 assert_eq!(got_tier, tier, "{process} process, {script:?}");
-                if process == "restarted" && i == 0 && tier == CacheTier::Cold {
-                    // What the first process measured did survive: after
-                    // one run, the store holds at least every region the
-                    // first process held when it stopped.
-                    let json = client.metrics().expect("metrics");
-                    assert!(metric(&json, "profile_regions") >= measured, "{json}");
-                }
             }
         }
-        let json = client.metrics().expect("metrics");
-        measured = metric(&json, "profile_regions");
-        assert!(measured >= 1, "{process} process measured nothing: {json}");
         drop(client);
         daemon.stop();
     }
@@ -313,17 +299,11 @@ fn restart_serves_identical_results_and_keeps_profiles() {
 }
 
 #[test]
-fn profiles_touch_the_disk_once_when_the_daemon_stops() {
-    let dir = scratch_dir("snapshot");
+fn profiles_stay_in_memory_under_their_cap() {
+    let dir = scratch_dir("profiles");
     let cache = dir.join("cache");
     let daemon = spawn_daemon(&dir, &["--cache-dir", &cache.to_string_lossy()]);
     seed_corpus(&daemon);
-    let profiles = cache.join("profiles");
-    let listed = || -> Vec<PathBuf> {
-        std::fs::read_dir(&profiles)
-            .map(|d| d.map(|e| e.expect("entry").path()).collect())
-            .unwrap_or_default()
-    };
     let mut client = daemon.client();
     for i in 0..200 {
         // Every other script has never been seen: a new region
@@ -345,12 +325,11 @@ fn profiles_touch_the_disk_once_when_the_daemon_stops() {
         regions <= pash::runtime::profile::MAX_REGIONS as u64,
         "{json}"
     );
-    assert_eq!(listed(), Vec::<PathBuf>::new(), "serving wrote profiles");
     drop(client);
     daemon.stop();
-    let files = listed();
-    assert_eq!(files.len(), 1, "one snapshot after the drain: {files:?}");
-    assert!(std::fs::metadata(&files[0]).expect("snapshot").len() > 0);
+    // `--cache-dir` is accepted and ignored: nothing was written, not
+    // while serving and not after the drain.
+    assert!(!cache.exists(), "pashd wrote under --cache-dir");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
