@@ -52,7 +52,10 @@
 #      unmodified script under host /bin/sh + coreutils;
 #   9. rustfmt check;
 #  10. clippy over every workspace target (`--all-targets`: lib, bins,
-#      tests, examples), every warning an error.
+#      tests, examples), every warning an error;
+#  11. size, printed and not gated: the non-test lines (those above
+#      each file's first `#[cfg(test)]`) of every `.rs` file outside
+#      `tests/`, `bench/` and `target/` (ROADMAP's Size number).
 set -eu
 
 cd "$(dirname "$0")"
@@ -348,6 +351,14 @@ cargo fmt --check
 
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> size (non-test lines; information, not a gate)"
+# One awk over every file, so the count is one total. (No path in the
+# tree holds a blank, so the list splits safely.)
+# shellcheck disable=SC2046
+awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
+    END { printf "    %d non-test lines in %d files\n", n, ARGC - 1 }' \
+    $(find . \( -path ./target -o -path ./bench -o -path ./tests \) -prune -o -name '*.rs' -print)
 
 rm -f "$bench_lock"
 echo "ci.sh: all green"

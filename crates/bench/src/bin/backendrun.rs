@@ -24,8 +24,9 @@ use pash_core::backend::{emit_program, EmitConfig};
 use pash_core::compile::{compile, PashConfig};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
-use pash_runtime::exec::{run_program, ExecConfig};
+use pash_runtime::exec::{run_program, ExecConfig, ProgramOutput};
 use pash_runtime::proc::{run_plan, ProcSettings};
+use pash_runtime::run_program_remote;
 
 fn main() {
     let mut backend = "processes".to_string();
@@ -88,6 +89,7 @@ fn main() {
         bytes
     };
 
+    let registry = Registry::standard();
     let status = match backend.as_str() {
         "shell" => run_shell(&emit_program(&compiled.plan, &EmitConfig), &dir),
         "processes" => {
@@ -100,13 +102,29 @@ fn main() {
             print_bytes(&out.stdout);
             out.status
         }
-        "threads" => run_threads(&compiled.plan, &dir, &read_stdin()),
+        "threads" => through_memfs("threads", &dir, |fs| {
+            let cfg = ExecConfig::default();
+            run_program(&compiled.plan, None, &registry, fs, &read_stdin(), &cfg)
+        }),
         "remote" => {
             if workers.is_empty() {
                 eprintln!("backendrun: the remote backend needs at least one --worker PATH");
                 std::process::exit(2);
             }
-            run_remote(&compiled.plan, &dir, &read_stdin(), &workers)
+            // The regions themselves execute on the worker daemons.
+            let pool = pash_runtime::WorkerPool::new(workers);
+            through_memfs("remote", &dir, |fs| {
+                let cfg = ExecConfig::default();
+                run_program_remote(
+                    &compiled.plan,
+                    None,
+                    &registry,
+                    fs,
+                    &read_stdin(),
+                    &cfg,
+                    &pool,
+                )
+            })
         }
         other => {
             eprintln!("backendrun: unknown backend `{other}` (shell|processes|threads|remote)");
@@ -131,44 +149,14 @@ fn run_shell(script_text: &str, dir: &Path) -> i32 {
     status.code().unwrap_or(1)
 }
 
-fn run_threads(plan: &pash_core::plan::ExecutionPlan, dir: &Path, stdin: &[u8]) -> i32 {
-    // Load the directory into a MemFs, run hermetically, write back.
-    let fs = MemFs::new();
-    for entry in std::fs::read_dir(dir).expect("read work dir") {
-        let entry = entry.expect("dir entry");
-        if entry.file_type().expect("file type").is_file() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            fs.add(name, std::fs::read(entry.path()).expect("read input"));
-        }
-    }
-    let fs = Arc::new(fs);
-    let out = run_program(
-        plan,
-        None,
-        &Registry::standard(),
-        fs.clone() as Arc<dyn Fs>,
-        stdin,
-        &ExecConfig::default(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("backendrun: threads: {e}");
-        std::process::exit(2);
-    });
-    for path in fs.paths() {
-        std::fs::write(dir.join(&path), fs.read(&path).expect("fs file")).expect("write output");
-    }
-    print_bytes(&out.stdout);
-    out.status
-}
-
-fn run_remote(
-    plan: &pash_core::plan::ExecutionPlan,
+/// Loads the files of `dir` into a `MemFs`, runs `run` over it
+/// hermetically, writes every file back into `dir` and prints the
+/// program's stdout. Returns its status.
+fn through_memfs(
+    backend: &str,
     dir: &Path,
-    stdin: &[u8],
-    workers: &[PathBuf],
+    run: impl FnOnce(Arc<dyn Fs>) -> std::io::Result<ProgramOutput>,
 ) -> i32 {
-    // Same MemFs bridge as `threads`; the regions themselves execute
-    // on the worker daemons.
     let fs = MemFs::new();
     for entry in std::fs::read_dir(dir).expect("read work dir") {
         let entry = entry.expect("dir entry");
@@ -178,18 +166,8 @@ fn run_remote(
         }
     }
     let fs = Arc::new(fs);
-    let pool = pash_runtime::WorkerPool::new(workers.to_vec());
-    let out = pash_runtime::run_program_remote(
-        plan,
-        None,
-        &Registry::standard(),
-        fs.clone() as Arc<dyn Fs>,
-        stdin,
-        &ExecConfig::default(),
-        &pool,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("backendrun: remote: {e}");
+    let out = run(fs.clone()).unwrap_or_else(|e| {
+        eprintln!("backendrun: {backend}: {e}");
         std::process::exit(2);
     });
     for path in fs.paths() {

@@ -3,8 +3,22 @@
 use std::collections::VecDeque;
 use std::io;
 
-use crate::lines::{for_each_line, write_line};
+use pash_regex::memmem::memchr;
+
+use crate::lines::for_each_block;
 use crate::{open_input, CmdIo, Command, ExitStatus};
+
+/// Passes over up to `n` lines of `block`, taking each off `n`, and
+/// returns the offset just after them. A line ends after its `\n`, or
+/// at the end of the block (an unterminated last line stays so).
+fn skip_lines(block: &[u8], n: &mut u64) -> usize {
+    let mut pos = 0;
+    while *n > 0 && pos < block.len() {
+        pos = memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i + 1);
+        *n -= 1;
+    }
+    pos
+}
 
 /// `head [-n N] [-c N] [file…]`.
 ///
@@ -55,15 +69,12 @@ impl Command for Head {
                     io.stdout.write_all(&buf[..n])?;
                     remaining -= n as u64;
                 }
-            } else {
-                let mut seen = 0u64;
-                for_each_line(&mut r, |line| {
-                    if seen >= n_lines {
-                        return Ok(false);
-                    }
-                    write_line(io.stdout, line)?;
-                    seen += 1;
-                    Ok(seen < n_lines)
+            } else if n_lines > 0 {
+                let mut left = n_lines;
+                for_each_block(&mut r, |block| {
+                    let end = skip_lines(block, &mut left);
+                    io.stdout.write_all(&block[..end])?;
+                    Ok(left > 0)
                 })?;
             }
         }
@@ -111,30 +122,38 @@ impl Command for Tail {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             match from_start {
                 Some(start) => {
-                    let mut line_no = 0u64;
-                    for_each_line(&mut r, |line| {
-                        line_no += 1;
-                        if line_no >= start {
-                            write_line(io.stdout, line)?;
-                        }
+                    let mut skip = start.saturating_sub(1);
+                    for_each_block(&mut r, |block| {
+                        let start = skip_lines(block, &mut skip);
+                        io.stdout.write_all(&block[start..])?;
                         Ok(true)
                     })?;
                 }
-                None => {
-                    let mut ring: VecDeque<Vec<u8>> = VecDeque::with_capacity(last as usize + 1);
-                    for_each_line(&mut r, |line| {
-                        if ring.len() as u64 >= last {
-                            ring.pop_front();
-                        }
-                        if last > 0 {
-                            ring.push_back(line.to_vec());
+                None if last > 0 => {
+                    // Grown as lines arrive: `last` is only a bound.
+                    let mut ring: VecDeque<Vec<u8>> = VecDeque::new();
+                    for_each_block(&mut r, |block| {
+                        let mut pos = 0;
+                        while pos < block.len() {
+                            let end =
+                                memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i + 1);
+                            let mut line = if ring.len() as u64 >= last {
+                                ring.pop_front().unwrap_or_default()
+                            } else {
+                                Vec::new()
+                            };
+                            line.clear();
+                            line.extend_from_slice(&block[pos..end]);
+                            ring.push_back(line);
+                            pos = end;
                         }
                         Ok(true)
                     })?;
                     for line in ring {
-                        write_line(io.stdout, &line)?;
+                        io.stdout.write_all(&line)?;
                     }
                 }
+                None => {}
             }
         }
         Ok(0)
@@ -189,11 +208,14 @@ mod tests {
     #[test]
     fn head_short_input() {
         assert_eq!(run(&["head", "-n", "5"], "a\nb\n"), "a\nb\n");
+        // An unterminated last line stays so, as GNU leaves it.
+        assert_eq!(run(&["head", "-n", "5"], "a\nb"), "a\nb");
     }
 
     #[test]
     fn tail_last_n() {
         assert_eq!(run(&["tail", "-n", "2"], "a\nb\nc\nd\n"), "c\nd\n");
+        assert_eq!(run(&["tail", "-n", "1"], "a\nb"), "b");
     }
 
     #[test]
@@ -201,6 +223,8 @@ mod tests {
         // The Bi-grams stream shift: tail +2.
         assert_eq!(run(&["tail", "-n", "+2"], "a\nb\nc\n"), "b\nc\n");
         assert_eq!(run(&["tail", "+2"], "a\nb\nc\n"), "b\nc\n");
+        assert_eq!(run(&["tail", "-n", "+2"], "a\nb"), "b");
+        assert_eq!(run(&["tail", "-n", "+0"], "a\nb"), "a\nb");
     }
 
     #[test]
@@ -211,5 +235,17 @@ mod tests {
     #[test]
     fn tail_from_line_past_end() {
         assert_eq!(run(&["tail", "-n", "+10"], "a\nb\n"), "");
+    }
+
+    #[test]
+    fn tail_count_larger_than_memory_returns_the_input() {
+        let out = run_command(
+            &Registry::standard(),
+            Arc::new(MemFs::new()),
+            &["tail", "-n", "99999999999"],
+            b"a\nb\nc\n",
+        )
+        .expect("run");
+        assert_eq!((out.stdout.as_slice(), out.status), (&b"a\nb\nc\n"[..], 0));
     }
 }

@@ -1,32 +1,28 @@
-//! A fluid (rate-based, small-time-step) simulator of plan execution
-//! on a C-core machine.
+//! A byte-flow bound on plan execution on a C-core machine.
 //!
-//! Each node processes bytes at its profile rate scaled by its share
-//! of the bottleneck resource; edges are bounded buffers with the
-//! kernel-pipe capacity. The simulator reproduces the *mechanisms*
-//! behind the paper's performance results:
+//! One pass per region, in plan order. Bytes flow from the input
+//! sizes through each node's output/input ratio (`head` stops at its
+//! cap, a split deals its bytes evenly), and each node is busy for
+//! its input bytes over its rate. A streaming node emits from the
+//! moment it starts and a blocking one (`sort`, the general split)
+//! only once it finishes; no node finishes before its producers. A
+//! region costs its critical path or its total work spread over the
+//! cores, whichever is longer, plus a fixed cost per node:
 //!
-//! * task-parallel overlap of pipeline stages, capped by core count;
-//! * pipe back-pressure and the sequential-`cat` laziness stalls that
-//!   `eager` relays remove (§5.2, Fig. 6);
-//! * blocking commands (`sort`, general `split`) that delay
-//!   downstream start;
-//! * early-exit consumers (`head -n 1`) cancelling their producers;
-//! * per-process spawn cost and per-region setup cost (why sub-second
-//!   scripts slow down, §6.2);
-//! * disk and network bandwidth ceilings (why IO-bound scripts cap at
-//!   low speedups, §6.1 Grep-light).
+//! ```text
+//! max(max done, Σ busy ÷ cores) + nodes × NODE_COST
+//! ```
 //!
-//! The engine consumes the lowered [`ExecutionPlan`] — nodes arrive
-//! dense, topologically ordered, with resolved edge endpoint kinds —
-//! so all traversal bookkeeping lives in the compiler's lowering, and
-//! this module keeps only the fluid rate model.
+//! Regions run one after another, as every executing backend runs
+//! them, and a file one region writes is sized for the regions after
+//! it. The engine consumes the lowered [`ExecutionPlan`]: nodes
+//! arrive topologically ordered with resolved edge endpoint kinds.
 
 use std::collections::HashMap;
 
-use pash_core::plan::{EndpointKind, ExecutionPlan, PlanNode, PlanOp, RegionPlan, SplitMode};
+use pash_core::plan::{EndpointKind, ExecutionPlan};
 
-use crate::cost::{CostModel, Discipline, Profile, Resource};
+use crate::cost::{CostModel, Discipline};
 
 /// Machine parameters: only the core count varies. The struct (and
 /// its `Default`) stays because the benchmark harness builds one with
@@ -43,564 +39,33 @@ impl Default for SimConfig {
     }
 }
 
-/// Aggregate disk bandwidth, bytes/s.
-const DISK_BW: f64 = 800e6;
-/// Aggregate network bandwidth, bytes/s (1 Gbps testbed link).
-const NET_BW: f64 = 125e6;
-/// Pipe buffer capacity, bytes.
-const PIPE_CAPACITY: f64 = 64.0 * 1024.0;
-/// Bounded ("blocking") relay buffer, bytes. Lowering never emits a
-/// blocking relay, but a plan that arrives over the wire may hold one.
-const BLOCKING_RELAY_CAPACITY: f64 = 512.0 * 1024.0;
-/// Per-process spawn cost, seconds.
-const SPAWN_COST: f64 = 0.002;
-/// Per-region fixed setup (compilation, mkfifo), seconds.
-const SETUP_COST: f64 = 0.08;
-/// Simulation time step, seconds.
-const TICK: f64 = 0.004;
-/// Give up after this much simulated time.
-const MAX_TIME: f64 = 40_000.0;
+/// Fixed cost of one plan node on the `threads` backend, seconds:
+/// `(par_s − runtime.exec.critical_busy_s) ÷ core.plan_nodes` on
+/// `short-scripts`, where the kernels are idle and the per-node setup
+/// is the run: 8.4–9.3 µs in seven traced runs at `--seed` 1 and 2
+/// (for one, 5.1 ms − 1.1 ms over 432 nodes), 2 vCPUs.
+const NODE_COST: f64 = 9e-6;
+
+/// Size of an input file the caller did not size and no earlier
+/// region wrote, bytes.
+const UNKNOWN_FILE_BYTES: f64 = 1e6;
 
 /// Sizes of the input files a program reads (bytes).
 pub type InputSizes = HashMap<String, f64>;
 
-/// Result of simulating one region.
+/// The price of a program.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Simulated wall-clock seconds, including setup and spawn.
+    /// Predicted wall-clock seconds, fixed node costs included.
     pub seconds: f64,
-    /// Number of simulated processes.
+    /// Number of plan nodes (one thread or process each).
     pub processes: usize,
-    /// Total bytes written to the region's outputs.
+    /// Total bytes written to the regions' outputs.
     pub output_bytes: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    Consuming,
-    Emitting,
-}
-
-struct NodeState {
-    profile: Profile,
-    /// Sequential input consumption (cat semantics) vs. merged.
-    sequential_inputs: bool,
-    relay_cap: f64,
-    start: f64,
-    done: bool,
-    phase: Phase,
-    consumed: f64,
-    produced: f64,
-    /// Bytes awaiting emission (blocking stash or relay buffer).
-    stash: f64,
-    current_input: usize,
-    /// Blocking-split emission cursor.
-    emit_cursor: usize,
-    /// Per-output byte shares of a round-robin split, which scatters
-    /// *while streaming*; `None` for every other node.
-    shares: Option<Vec<f64>>,
-}
-
-/// Byte shares a round-robin split deals its outputs: uniform
-/// (`tests/properties.rs` checks that the real splitter stays close).
-fn rr_shares(op: &PlanOp, k: usize) -> Option<Vec<f64>> {
-    match op {
-        PlanOp::Split {
-            mode: SplitMode::RoundRobin { .. },
-        } if k > 0 => Some(vec![1.0 / k as f64; k]),
-        _ => None,
-    }
-}
-
-enum EdgeKind {
-    /// A file (or segment) on disk with this many bytes left.
-    Source { remaining: f64 },
-    /// A pipe buffer.
-    Buffer { buffered: f64, cap: f64 },
-    /// Output file / stdout: infinite sink.
-    Sink { written: f64 },
-    /// Unused slot.
-    Dead,
-}
-
-struct EdgeState {
-    kind: EdgeKind,
-    producer_eof: bool,
-    consumer_closed: bool,
-}
-
-/// Simulates one region plan; `stdin_bytes` feeds the primary
-/// boundary pipe input.
-pub fn simulate_region(
-    r: &RegionPlan,
-    sizes: &InputSizes,
-    stdin_bytes: f64,
-    cm: &CostModel,
-    cfg: &SimConfig,
-) -> SimReport {
-    let n_nodes = r.nodes.len();
-
-    // Edge states, straight from the resolved endpoint kinds.
-    let mut edges: Vec<EdgeState> = Vec::with_capacity(r.edges.len());
-    for edge in &r.edges {
-        let kind = match &edge.kind {
-            EndpointKind::Pipe => EdgeKind::Buffer {
-                buffered: 0.0,
-                cap: PIPE_CAPACITY,
-            },
-            // Stdin arrives from the launching process: treat as a
-            // source at disk speed.
-            EndpointKind::StdinPipe { primary } => EdgeKind::Source {
-                remaining: if *primary { stdin_bytes } else { 0.0 },
-            },
-            EndpointKind::StdoutPipe | EndpointKind::OutputFile(_) => {
-                EdgeKind::Sink { written: 0.0 }
-            }
-            EndpointKind::InputFile(path) => EdgeKind::Source {
-                remaining: sizes.get(path).copied().unwrap_or(1e6),
-            },
-            EndpointKind::InputSegment { path, of, .. } => EdgeKind::Source {
-                remaining: sizes.get(path).copied().unwrap_or(1e6) / (*of as f64),
-            },
-            EndpointKind::Detached => EdgeKind::Dead,
-        };
-        edges.push(EdgeState {
-            kind,
-            producer_eof: false,
-            consumer_closed: false,
-        });
-    }
-
-    // Node states; spawn serially.
-    let mut nodes: Vec<NodeState> = Vec::with_capacity(n_nodes);
-    for (i, node) in r.nodes.iter().enumerate() {
-        let profile = cm.profile_for(&node.op);
-        let relay_cap = match &node.op {
-            PlanOp::Relay { blocking: false } => f64::INFINITY,
-            PlanOp::Relay { blocking: true } => BLOCKING_RELAY_CAPACITY,
-            _ => 0.0,
-        };
-        let sequential_inputs = !matches!(node.op, PlanOp::Aggregate { .. });
-        nodes.push(NodeState {
-            profile,
-            sequential_inputs,
-            relay_cap,
-            start: SETUP_COST + (i as f64 + 1.0) * SPAWN_COST,
-            done: false,
-            phase: Phase::Consuming,
-            consumed: 0.0,
-            produced: 0.0,
-            stash: 0.0,
-            current_input: 0,
-            emit_cursor: 0,
-            shares: rr_shares(&node.op, node.outputs.len()),
-        });
-    }
-
-    let mut t = SETUP_COST + n_nodes as f64 * SPAWN_COST;
-    let dt = TICK;
-    loop {
-        if nodes.iter().all(|n| n.done) {
-            break;
-        }
-        if t > MAX_TIME {
-            break;
-        }
-        // --- Resource shares -------------------------------------
-        let mut cpu_active = 0usize;
-        let mut disk_active = 0usize;
-        let mut net_active = 0usize;
-        for (i, node) in r.nodes.iter().enumerate() {
-            if !node_wants_to_run(node, &nodes[i], &edges, t) {
-                continue;
-            }
-            match nodes[i].profile.resource {
-                Resource::Cpu => cpu_active += 1,
-                Resource::Disk => disk_active += 1,
-                Resource::Net => net_active += 1,
-            }
-            // Reading from a source edge consumes disk bandwidth too.
-            if reads_source(node, &nodes[i], &edges) {
-                disk_active += 1;
-            }
-        }
-        let cpu_share = (cfg.cores / cpu_active.max(1) as f64).min(1.0);
-        let disk_share = DISK_BW / disk_active.max(1) as f64;
-        let net_share = NET_BW / net_active.max(1) as f64;
-
-        // --- Per-node transfers -----------------------------------
-        // Budgets for this tick; transfers run in sub-rounds so that
-        // small pipe buffers can cycle many times within one tick
-        // (otherwise every pipe would cap flow at capacity/tick).
-        let mut budgets: Vec<f64> = Vec::with_capacity(n_nodes);
-        let mut emit_budgets: Vec<f64> = Vec::with_capacity(n_nodes);
-        for st in nodes.iter() {
-            let b = match st.profile.resource {
-                Resource::Cpu => st.profile.rate * cpu_share * dt,
-                Resource::Disk => st.profile.rate.min(disk_share) * dt,
-                Resource::Net => st.profile.rate.min(net_share) * dt,
-            };
-            budgets.push(b);
-            emit_budgets.push(st.profile.rate * cpu_share * dt);
-        }
-        for _round in 0..28 {
-            let mut moved = 0.0;
-            for (i, node) in r.nodes.iter().enumerate() {
-                if nodes[i].done
-                    || t < nodes[i].start
-                    || (budgets[i] < 1.0 && emit_budgets[i] < 1.0)
-                {
-                    continue;
-                }
-                moved += step_node(
-                    node,
-                    i,
-                    &mut nodes,
-                    &mut edges,
-                    &mut budgets[i],
-                    &mut emit_budgets[i],
-                    disk_share * dt,
-                );
-            }
-            propagate_closures(r, &mut nodes, &mut edges);
-            if moved < 1.0 {
-                break;
-            }
-        }
-        t += dt;
-    }
-    let output_bytes: f64 = edges
-        .iter()
-        .map(|e| match e.kind {
-            EdgeKind::Sink { written } => written,
-            _ => 0.0,
-        })
-        .sum();
-    SimReport {
-        seconds: t,
-        processes: n_nodes,
-        output_bytes,
-    }
-}
-
-/// Whether a node would transfer bytes this tick (for share counting).
-fn node_wants_to_run(node: &PlanNode, st: &NodeState, edges: &[EdgeState], t: f64) -> bool {
-    if st.done || t < st.start {
-        return false;
-    }
-    match st.phase {
-        Phase::Consuming => {
-            node.inputs
-                .iter()
-                .any(|&e| input_available(&edges[e]) > 0.0)
-                || node.inputs.is_empty()
-        }
-        Phase::Emitting => st.stash > 0.0,
-    }
-}
-
-fn reads_source(node: &PlanNode, st: &NodeState, edges: &[EdgeState]) -> bool {
-    if st.phase != Phase::Consuming {
-        return false;
-    }
-    node.inputs
-        .iter()
-        .any(|&e| matches!(edges[e].kind, EdgeKind::Source { remaining } if remaining > 0.0))
-}
-
-fn input_available(e: &EdgeState) -> f64 {
-    match e.kind {
-        EdgeKind::Source { remaining } => remaining,
-        EdgeKind::Buffer { buffered, .. } => buffered,
-        _ => 0.0,
-    }
-}
-
-/// Free space a producer may write into an edge.
-fn output_space(e: &EdgeState) -> f64 {
-    if e.consumer_closed {
-        // Writes to a closed pipe "succeed" instantly (the producer
-        // dies of SIGPIPE; modelled as free progress then closure).
-        return f64::INFINITY;
-    }
-    match e.kind {
-        EdgeKind::Buffer { buffered, cap } => (cap - buffered).max(0.0),
-        EdgeKind::Sink { .. } => f64::INFINITY,
-        _ => 0.0,
-    }
-}
-
-fn drain_input(e: &mut EdgeState, amount: f64) {
-    match &mut e.kind {
-        EdgeKind::Source { remaining } => *remaining = (*remaining - amount).max(0.0),
-        EdgeKind::Buffer { buffered, .. } => *buffered = (*buffered - amount).max(0.0),
-        _ => {}
-    }
-}
-
-fn fill_output(e: &mut EdgeState, amount: f64) {
-    if e.consumer_closed {
-        return;
-    }
-    match &mut e.kind {
-        EdgeKind::Buffer { buffered, .. } => *buffered += amount,
-        EdgeKind::Sink { written } => *written += amount,
-        _ => {}
-    }
-}
-
-/// True when an input edge can never deliver more bytes.
-fn input_exhausted(e: usize, edges: &[EdgeState]) -> bool {
-    let edge = &edges[e];
-    match edge.kind {
-        EdgeKind::Source { remaining } => remaining <= 0.0,
-        EdgeKind::Buffer { buffered, .. } => buffered <= 0.0 && edge.producer_eof,
-        _ => true,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn step_node(
-    node: &PlanNode,
-    i: usize,
-    nodes: &mut [NodeState],
-    edges: &mut [EdgeState],
-    budget: &mut f64,
-    emit_budget: &mut f64,
-    disk_budget: f64,
-) -> f64 {
-    let st = &mut nodes[i];
-    let is_split = matches!(node.op, PlanOp::Split { .. });
-    let mut moved = 0.0;
-
-    // --- Consume --------------------------------------------------
-    if st.phase == Phase::Consuming {
-        let inputs: &[usize] = &node.inputs;
-        let mut consumed_now = 0.0;
-        if st.sequential_inputs {
-            // Cat semantics: drain the current input only.
-            while *budget > 0.0 && st.current_input < inputs.len() {
-                let e = inputs[st.current_input];
-                let avail = input_available(&edges[e]);
-                if avail <= 0.0 {
-                    if input_exhausted(e, edges) {
-                        st.current_input += 1;
-                        continue;
-                    }
-                    break; // Blocked on this input (laziness!).
-                }
-                // Reading from disk is capped by the disk share.
-                let cap = if matches!(edges[e].kind, EdgeKind::Source { .. }) {
-                    budget.min(disk_budget)
-                } else {
-                    *budget
-                };
-                let room = space_for_consumption(st, node, edges);
-                let take = avail.min(cap).min(room);
-                // A sub-byte room is floating-point noise in a full
-                // pipe: taking it would spin this loop without ever
-                // spending the budget.
-                if take <= 0.0 || (take == room && room < 1.0) {
-                    break;
-                }
-                drain_input(&mut edges[e], take);
-                *budget -= take;
-                consumed_now += take;
-            }
-        } else {
-            // Merge semantics: drain all inputs equally.
-            let live: Vec<usize> = inputs
-                .iter()
-                .copied()
-                .filter(|&e| input_available(&edges[e]) > 0.0)
-                .collect();
-            if !live.is_empty() {
-                let per = (*budget / live.len() as f64)
-                    .min(space_for_consumption(st, node, edges) / live.len() as f64);
-                for &e in &live {
-                    let take = input_available(&edges[e]).min(per);
-                    drain_input(&mut edges[e], take);
-                    consumed_now += take;
-                }
-                *budget -= consumed_now;
-            }
-        }
-        st.consumed += consumed_now;
-        moved += consumed_now;
-        // Production.
-        match st.profile.discipline {
-            Discipline::Streaming => {
-                if st.relay_cap > 0.0 {
-                    st.stash += consumed_now; // Into the relay buffer.
-                } else {
-                    let out = consumed_now * st.profile.out_ratio;
-                    if let Some(shares) = &st.shares {
-                        // Streaming split (round-robin): scatter
-                        // across every output as bytes arrive, so all
-                        // workers run while the input is still being
-                        // read.
-                        for (j, &oe) in node.outputs.iter().enumerate() {
-                            fill_output(&mut edges[oe], out * shares[j]);
-                        }
-                    } else if let Some(&oe) = node.outputs.first() {
-                        fill_output(&mut edges[oe], out);
-                    }
-                    st.produced += out;
-                }
-            }
-            Discipline::Blocking => {
-                st.stash += consumed_now * st.profile.out_ratio;
-            }
-        }
-        // EOF transition.
-        let all_done = node.inputs.iter().all(|&e| input_exhausted(e, edges));
-        if all_done {
-            match st.profile.discipline {
-                Discipline::Streaming if st.relay_cap == 0.0 => {
-                    finish_node(st, node, edges);
-                }
-                _ => st.phase = Phase::Emitting,
-            }
-        }
-    }
-
-    // --- Emit (blocking stash or relay buffer) ---------------------
-    if st.phase == Phase::Emitting || st.relay_cap > 0.0 {
-        if is_split {
-            // Blocking split scatters equal chunks to outputs in order.
-            let k = node.outputs.len() as f64;
-            let total = st.consumed * st.profile.out_ratio;
-            while *emit_budget > 0.0 && st.stash > 0.0 && st.emit_cursor < node.outputs.len() {
-                let oe = node.outputs[st.emit_cursor];
-                let (chunk, cum_before) = (total / k, st.emit_cursor as f64 * total / k);
-                let chunk_written = st.produced - cum_before;
-                let left_in_chunk = (chunk - chunk_written).max(0.0);
-                if left_in_chunk <= 0.5 {
-                    st.emit_cursor += 1;
-                    continue;
-                }
-                let space = output_space(&edges[oe]);
-                let w = emit_budget.min(st.stash).min(left_in_chunk).min(space);
-                if w <= 0.0 {
-                    break;
-                }
-                fill_output(&mut edges[oe], w);
-                st.stash -= w;
-                st.produced += w;
-                *emit_budget -= w;
-                moved += w;
-            }
-        } else if let Some(&oe) = node.outputs.first() {
-            let space = output_space(&edges[oe]);
-            let ratio = if st.relay_cap > 0.0 {
-                st.profile.out_ratio
-            } else {
-                1.0 // Already scaled when stashed.
-            };
-            let w = emit_budget.min(st.stash).min(space / ratio.max(1e-12));
-            if w > 0.0 {
-                fill_output(&mut edges[oe], w * ratio);
-                st.stash -= w;
-                st.produced += w * ratio;
-                *emit_budget -= w;
-                moved += w;
-            }
-        }
-        // Sub-byte residue is floating-point noise, not real data.
-        if st.phase == Phase::Emitting && st.stash <= 1.0 {
-            finish_node(st, node, edges);
-        }
-    }
-
-    // --- Early close (head) ----------------------------------------
-    if let Some(limit) = st.profile.close_after_out {
-        if st.produced >= limit && !st.done {
-            finish_node(st, node, edges);
-        }
-    }
-    moved
-}
-
-/// Space available for a streaming node to keep consuming.
-fn space_for_consumption(st: &NodeState, node: &PlanNode, edges: &[EdgeState]) -> f64 {
-    match st.profile.discipline {
-        Discipline::Blocking => f64::INFINITY,
-        Discipline::Streaming => {
-            if st.relay_cap > 0.0 {
-                (st.relay_cap - st.stash).max(0.0)
-            } else if let Some(shares) = &st.shares {
-                // Streaming split: the fullest output gates intake
-                // (r_split blocks on whichever worker pipe is full).
-                let mut space = f64::INFINITY;
-                for (j, &oe) in node.outputs.iter().enumerate() {
-                    if shares[j] > 1e-12 {
-                        space = space.min(output_space(&edges[oe]) / shares[j]);
-                    }
-                }
-                if st.profile.out_ratio <= 1e-12 {
-                    f64::INFINITY
-                } else {
-                    space / st.profile.out_ratio
-                }
-            } else if let Some(&oe) = node.outputs.first() {
-                let space = output_space(&edges[oe]);
-                if st.profile.out_ratio <= 1e-12 {
-                    f64::INFINITY
-                } else {
-                    space / st.profile.out_ratio
-                }
-            } else {
-                f64::INFINITY
-            }
-        }
-    }
-}
-
-fn finish_node(st: &mut NodeState, node: &PlanNode, edges: &mut [EdgeState]) {
-    st.done = true;
-    for &e in &node.outputs {
-        edges[e].producer_eof = true;
-    }
-}
-
-/// Closes inputs of done nodes and kills producers whose every
-/// consumer vanished (the SIGPIPE cascade).
-fn propagate_closures(r: &RegionPlan, nodes: &mut [NodeState], edges: &mut [EdgeState]) {
-    loop {
-        let mut changed = false;
-        for (i, node) in r.nodes.iter().enumerate() {
-            if !nodes[i].done {
-                continue;
-            }
-            for &e in &node.inputs {
-                if !edges[e].consumer_closed {
-                    edges[e].consumer_closed = true;
-                    changed = true;
-                }
-            }
-        }
-        for (i, node) in r.nodes.iter().enumerate() {
-            if nodes[i].done {
-                continue;
-            }
-            if !node.outputs.is_empty() && node.outputs.iter().all(|&e| edges[e].consumer_closed) {
-                let st = &mut nodes[i];
-                st.done = true;
-                for &e in &node.outputs {
-                    edges[e].producer_eof = true;
-                }
-                changed = true;
-            }
-        }
-        if !changed {
-            return;
-        }
-    }
-}
-
-/// Simulates a whole lowered program. Regions run one after another
-/// in plan order, as every executing backend runs them, so the
-/// program costs the sum of its regions; `Shell` and `Guard` steps
+/// Prices a whole lowered program: the sum of its regions, each fed
+/// `stdin_bytes` on its primary stdin edge. `Shell` and `Guard` steps
 /// cost nothing.
 pub fn simulate_program(
     plan: &ExecutionPlan,
@@ -609,16 +74,64 @@ pub fn simulate_program(
     cm: &CostModel,
     cfg: &SimConfig,
 ) -> SimReport {
+    let mut files = sizes.clone();
     let mut total = SimReport {
         seconds: 0.0,
         processes: 0,
         output_bytes: 0.0,
     };
     for r in plan.regions() {
-        let report = simulate_region(r, sizes, stdin_bytes, cm, cfg);
-        total.seconds += report.seconds;
-        total.processes += report.processes;
-        total.output_bytes += report.output_bytes;
+        let size = |path: &str| files.get(path).copied().unwrap_or(UNKNOWN_FILE_BYTES);
+        // Per edge: bytes carried, when its first byte can arrive and
+        // when its last has.
+        let mut bytes: Vec<f64> = r
+            .edges
+            .iter()
+            .map(|e| match &e.kind {
+                EndpointKind::StdinPipe { primary: true } => stdin_bytes,
+                EndpointKind::InputFile(path) => size(path),
+                EndpointKind::InputSegment { path, of, .. } => size(path) / *of as f64,
+                _ => 0.0,
+            })
+            .collect();
+        let mut first = vec![0.0f64; r.edges.len()];
+        let mut last = vec![0.0f64; r.edges.len()];
+        let (mut critical, mut work) = (0.0f64, 0.0f64);
+        for node in &r.nodes {
+            let p = cm.profile_for(&node.op);
+            let bytes_in: f64 = node.inputs.iter().map(|&e| bytes[e]).sum();
+            let start = node.inputs.iter().map(|&e| first[e]).fold(0.0, f64::max);
+            let upstream = node.inputs.iter().map(|&e| last[e]).fold(0.0, f64::max);
+            let busy = bytes_in / p.rate;
+            let done = (start + busy).max(upstream);
+            let out = bytes_in * p.out_ratio;
+            let out = p.close_after_out.map_or(out, |cap| out.min(cap));
+            let emits = match p.discipline {
+                Discipline::Streaming => start,
+                Discipline::Blocking => done,
+            };
+            for &e in &node.outputs {
+                bytes[e] = out / node.outputs.len() as f64;
+                first[e] = emits;
+                last[e] = done;
+            }
+            critical = critical.max(done);
+            work += busy;
+        }
+        total.seconds += critical.max(work / cfg.cores) + r.nodes.len() as f64 * NODE_COST;
+        total.processes += r.nodes.len();
+        let mut written: HashMap<&str, f64> = HashMap::new();
+        for (e, edge) in r.edges.iter().enumerate() {
+            match &edge.kind {
+                EndpointKind::OutputFile(path) => *written.entry(path).or_default() += bytes[e],
+                EndpointKind::StdoutPipe => {}
+                _ => continue,
+            }
+            total.output_bytes += bytes[e];
+        }
+        for (path, n) in written {
+            files.insert(path.to_string(), n);
+        }
     }
     total
 }
@@ -628,6 +141,7 @@ mod tests {
     use super::*;
     use pash_core::compile::{compile, PashConfig};
     use pash_core::dfg::transform::SplitPolicy;
+    use pash_core::plan::{Arg, PlanOp};
 
     fn sizes(mb: f64) -> InputSizes {
         [("in.txt".to_string(), mb * 1e6)].into_iter().collect()
@@ -762,23 +276,35 @@ mod tests {
 
     #[test]
     fn simulation_terminates_on_head_cancellation() {
-        let src = "cat in.txt | sort -rn | head -n 1 > out.txt";
-        let t = sim(
-            src,
-            &PashConfig {
-                width: 4,
-                ..Default::default()
-            },
-            20.0,
-        );
-        assert!(t < MAX_TIME / 2.0);
+        // `head -n 1` writes one ~40-byte line, however much it reads.
+        let cfg = PashConfig {
+            width: 4,
+            ..Default::default()
+        };
+        let price = |src: &str| {
+            let plan = compile(src, &cfg).expect("compile").plan;
+            simulate_program(
+                &plan,
+                &sizes(20.0),
+                0.0,
+                &CostModel::default(),
+                &SimConfig::default(),
+            )
+        };
+        let head = price("cat in.txt | sort -rn | head -n 1 > out.txt");
+        assert_eq!(head.output_bytes, 40.0);
+        let whole = price("cat in.txt | sort -rn > out.txt");
+        assert_eq!(whole.output_bytes, 20e6);
+        // Behind the merge, each head copy reads a quarter of the
+        // sorted bytes: the copies add to the price of the sort, they
+        // do not multiply it.
+        assert!(head.seconds < whole.seconds * 1.5, "{head:?} vs {whole:?}");
     }
 
     #[test]
     fn simulation_terminates_on_a_full_pipe_into_a_sequential_stage() {
-        // The merged `tr` copies fill the pipe into the sequential
-        // `tr -cs` to within floating-point noise of its capacity: a
-        // sub-byte room must block intake, not spin on it.
+        // The merged `tr` copies feed the sequential `tr -cs`, which
+        // then carries the whole input alone.
         let src = "cat in.txt | tr A-Z a-z | tr -cs aeiou '\\n' | grep -v '^$' | sort | uniq -c > out.txt";
         let cfg = PashConfig {
             width: 4,
@@ -786,17 +312,35 @@ mod tests {
             ..Default::default()
         };
         let plan = compile(src, &cfg).expect("compile").plan;
-        // A spinning loop never reaches `MAX_TIME`: watch the clock.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let cm = CostModel::default();
-            let r = simulate_program(&plan, &sizes(4.0), 0.0, &cm, &SimConfig { cores: 2.0 });
-            tx.send(r.seconds).expect("receiver waits");
+        let cm = CostModel::default();
+        let t = simulate_program(&plan, &sizes(4.0), 0.0, &cm, &SimConfig { cores: 2.0 }).seconds;
+        let squeeze = cm.profile_for(&PlanOp::Exec {
+            argv: ["tr", "-cs", "aeiou", "\\n"]
+                .map(|w| Arg::Lit(w.to_string()))
+                .to_vec(),
+            framed: false,
         });
-        let t = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("the simulation spun");
-        assert!(t < MAX_TIME / 2.0);
+        assert!(t.is_finite() && t > 4e6 / squeeze.rate, "{t}");
+    }
+
+    #[test]
+    fn a_file_one_region_writes_is_sized_for_the_next() {
+        let cfg = PashConfig {
+            width: 2,
+            ..Default::default()
+        };
+        let price = |src: &str, sizes: &InputSizes| {
+            let plan = compile(src, &cfg).expect("compile").plan;
+            let machine = SimConfig { cores: 2.0 };
+            simulate_program(&plan, sizes, 0.0, &CostModel::default(), &machine).seconds
+        };
+        let input: InputSizes = [("in.txt".to_string(), 8192.0)].into_iter().collect();
+        let written: InputSizes = [("mid.txt".to_string(), 8192.0)].into_iter().collect();
+        let first = "cat in.txt | tr A-Z a-z > mid.txt";
+        let second = "cat mid.txt | sort > out.txt";
+        let both = price(&format!("{first}\n{second}"), &input);
+        let apart = price(first, &input) + price(second, &written);
+        assert!((both - apart).abs() < 1e-12, "{both} vs {apart}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Performance-shape simulator for the PaSh reproduction.
+//! Performance model for the PaSh reproduction.
 //!
-//! It runs a lowered execution plan on a fluid model of a C-core
-//! machine with disk and network bandwidth ceilings, pipe
-//! back-pressure, blocking commands, eager buffering, early-exit
-//! cancellation and process startup costs.
+//! It prices a lowered execution plan in one pass per region: bytes
+//! flow from the input sizes through each node at its rate, and a
+//! region costs `max(critical path, total busy ÷ cores)` plus a fixed
+//! cost per node (ROADMAP item 4's model). Command rates are priors
+//! that measured rates calibrate; the runtime's own plumbing is priced
+//! at the rates the benchmark measures for it.
 //!
 //! It *prices* plans; it does not stand in for the clock, chooses
 //! nothing at run time and gates nothing in CI. `bench/run.sh`, which
@@ -31,5 +33,5 @@
 pub mod cost;
 pub mod engine;
 
-pub use cost::{CostModel, Discipline, Profile, Resource};
-pub use engine::{simulate_program, simulate_region, InputSizes, SimConfig, SimReport};
+pub use cost::{CostModel, Discipline, Profile};
+pub use engine::{simulate_program, InputSizes, SimConfig, SimReport};

@@ -18,7 +18,8 @@
 //! * [`runtime`] — runtime primitives, the runtime I/O layer, the
 //!   `threads` backend, and the `processes` backend (real children
 //!   over FIFOs);
-//! * [`sim`] — the performance-shape simulator, whose prediction the
+//! * [`sim`] — the byte-flow performance model (max of critical path
+//!   and work ÷ cores, plus a cost per node), whose prediction the
 //!   benchmark reports beside the measured time (`sim.rel_err`);
 //! * [`workloads`] — synthetic input generators;
 //! * [`regex`] — the linear-time regex engine.

@@ -1,5 +1,6 @@
-//! Our `cut`, `tr`, `uniq`, `wc`, `grep` and `sed` against the host's,
-//! byte for byte and exit status for exit status, under `LC_ALL=C`.
+//! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `grep` and `sed` against
+//! the host's, byte for byte and exit status for exit status, under
+//! `LC_ALL=C`.
 //!
 //! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
 //! the block kernels with references written from the same reading of
@@ -253,6 +254,37 @@ fn wc_matches_the_host_on_stdin() {
         // A lone count of one operand is bare too (KNOWN_DIVERGENCES §2).
         assert_matches_host("wc", &[&["-l"], &["-c"]], &inputs, true);
     }
+}
+
+#[test]
+fn head_matches_the_host() {
+    let cases: [&[&str]; 6] = [
+        &[],
+        &["-n", "1"],
+        &["-n", "45"],
+        &["-n", "99999999999"],
+        &["-n", "0"],
+        &["-c", "100"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("head", &cases, &inputs, true);
+}
+
+#[test]
+fn tail_matches_the_host() {
+    let cases: [&[&str]; 7] = [
+        &[],
+        &["-n", "1"],
+        &["-n", "45"],
+        &["-n", "99999999999"],
+        &["-n", "0"],
+        &["-n", "+2"],
+        &["-n", "+11990"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("tail", &cases, &inputs, true);
 }
 
 #[test]
