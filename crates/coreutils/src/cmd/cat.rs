@@ -2,7 +2,9 @@
 
 use std::io::{self, Read};
 
-use crate::lines::{read_all_lines, write_line};
+use pash_regex::memmem::memrchr;
+
+use crate::lines::write_line;
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `cat [-n] [file…]` — concatenate inputs in argument order.
@@ -55,7 +57,7 @@ impl Command for Cat {
     }
 }
 
-/// `tac [file…]` — concatenate with lines in reverse order.
+/// `tac [file…]` — concatenate, then write the lines in reverse order.
 ///
 /// A *parallelizable pure* command: its aggregator consumes partial
 /// outputs in reverse stream order (§5.2).
@@ -71,13 +73,18 @@ impl Command for Tac {
         if files.is_empty() {
             files.push("-");
         }
-        let mut lines = Vec::new();
+        let mut data = Vec::new();
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
-            lines.extend(read_all_lines(&mut r)?);
+            open_input(&io.fs, f, io.stdin)?.read_to_end(&mut data)?;
         }
-        for line in lines.iter().rev() {
-            write_line(io.stdout, line)?;
+        // Each record goes out as it came in, terminator and all: an
+        // unterminated last record leads the output, newline-less, as
+        // GNU's does.
+        let mut end = data.len();
+        while end > 0 {
+            let start = memrchr(b'\n', &data[..end - 1]).map_or(0, |i| i + 1);
+            io.stdout.write_all(&data[start..end])?;
+            end = start;
         }
         Ok(0)
     }
@@ -132,6 +139,10 @@ mod tests {
     #[test]
     fn tac_reverses() {
         assert_eq!(run(&["tac"], b"a\nb\nc\n"), b"c\nb\na\n");
+        // Each record keeps the terminator it had, as GNU's do.
+        assert_eq!(run(&["tac"], b"ab\n\ncd"), b"cd\nab\n");
+        assert_eq!(run(&["tac"], b"x\ncd"), b"cdx\n");
+        assert_eq!(run(&["tac"], b"\n\n"), b"\n\n");
     }
 
     #[test]

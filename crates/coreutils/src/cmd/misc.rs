@@ -256,7 +256,9 @@ impl Command for Nl {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {
                 if line.is_empty() {
-                    write_line(io.stdout, b"")?;
+                    // Padded as GNU pads an unnumbered line: number
+                    // width plus separator.
+                    write_line(io.stdout, b"       ")?;
                 } else {
                     n += 1;
                     write!(io.stdout, "{n:6}\t")?;
@@ -365,8 +367,7 @@ mod tests {
     #[test]
     fn nl_numbers_nonempty() {
         let out = run(&["nl"], "a\n\nb\n");
-        assert!(out.contains("1\ta"));
-        assert!(out.contains("2\tb"));
+        assert_eq!(out, "     1\ta\n       \n     2\tb\n");
     }
 
     #[test]

@@ -83,10 +83,14 @@ pub struct ExecConfig {
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
-    /// When set, successful region attempts record per-node
-    /// bytes-in/bytes-out and busy-time here (nothing chooses a plan
-    /// from them yet, see [`crate::profile`]). `None` (the default)
-    /// skips all instrumentation.
+    /// When set, each successful region attempt records its per-node
+    /// bytes-in/bytes-out and busy-time here, replacing the region's
+    /// previous record; the caller reads them back with
+    /// [`ProfileStore::region_stats`] (nothing chooses a plan from
+    /// them, see [`crate::profile`]). `None` (the default) skips all
+    /// instrumentation. Only regions run by this executor record
+    /// (`threads`, and what `remote` runs locally); `processes`
+    /// ignores its store.
     pub profile: Option<Arc<ProfileStore>>,
 }
 
@@ -858,7 +862,6 @@ mod tests {
         )
         .expect("run");
         assert_eq!(out.status, 0);
-        assert!(store.regions() >= 1, "region profile recorded");
         // Stats are indexed by node id; the plan names the nodes.
         let compiled =
             pash_core::compile::compile_cached("cat in.txt | tr A-Z a-z | sort > s.txt", &cfg)
@@ -870,7 +873,6 @@ mod tests {
                 .expect("region recorded");
             for (node, n) in region.nodes.iter().zip(&stats.nodes) {
                 if node.op.label().starts_with("tr ") {
-                    assert!(n.weight > 0.0);
                     tr_in += n.bytes_in;
                     tr_out += n.bytes_out;
                     tr_busy += n.busy_s;

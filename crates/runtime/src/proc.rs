@@ -45,7 +45,7 @@ use crate::drive::{append, drive, RegionRunner};
 use crate::edge::FifoDir;
 use crate::exec::{ProgramOutput, RegionOutput};
 use crate::fault::{ArmedFault, ExecError, INFRA_STATUS};
-use crate::profile::{ProfileStore, RegionProfile};
+use crate::profile::ProfileStore;
 use crate::supervise::SupervisorSettings;
 
 /// Exit status of a child killed by `SIGABRT` (128 + 6): how an
@@ -80,11 +80,10 @@ pub struct ProcSettings {
     /// The execution supervisor: retries, region deadlines, fault
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
-    /// When set, successful region attempts record what the parent
-    /// can observe from the process boundary — per-node spawn-to-reap
-    /// wall time, plus bytes at file/stdin/stdout endpoints (FIFO
-    /// interiors are invisible to the parent and stay zero). See
-    /// [`crate::profile`].
+    /// Ignored: this backend records no profile. Kept only because
+    /// the benchmark harness sets it; ROADMAP item 2 deletes it, as
+    /// it does `pashd --cache-dir`. A profile comes from the
+    /// `threads` backend (`ExecConfig.profile`).
     pub profile: Option<Arc<ProfileStore>>,
 }
 
@@ -170,7 +169,6 @@ fn spawn_retrying_busy(cmd: &mut Command) -> io::Result<Child> {
 /// backend's root, the same text the shell backend would inline into
 /// its script.
 pub struct ProcessRunner<'a> {
-    settings: &'a ProcSettings,
     /// Every child's cwd.
     root: &'a Path,
     pashc: PathBuf,
@@ -187,7 +185,6 @@ impl<'a> ProcessRunner<'a> {
             None => locate_bin(name, env_var),
         };
         Ok(ProcessRunner {
-            settings,
             root,
             pashc: bin(&settings.pashc, "pashc", "PASHC")?,
             pash_rt: bin(&settings.pash_rt, "pash-rt", "PASH_RT")?,
@@ -361,15 +358,9 @@ fn spawn_and_reap<'scope, 'env>(
     children: &mut Vec<Child>,
     scope: &'scope std::thread::Scope<'scope, 'env>,
 ) -> Result<RegionOutput, ExecError> {
-    let mut drains: Vec<(PlanNodeId, std::thread::JoinHandle<Vec<u8>>)> = Vec::new();
+    let mut drains: Vec<std::thread::JoinHandle<Vec<u8>>> = Vec::new();
     let mut stdin = Some(stdin);
     let root = runner.root;
-    let store = runner.settings.profile.as_ref();
-    let profile = store.map(|_| RegionProfile::for_region(r));
-    // Spawn instants (busy = spawn-to-reap wall) and output files to
-    // stat after completion — the byte signals a parent can see.
-    let mut spawned_at: Vec<Instant> = Vec::with_capacity(r.nodes.len());
-    let mut out_files: Vec<(PlanNodeId, PathBuf)> = Vec::new();
 
     for (id, node) in r.nodes.iter().enumerate() {
         // Parent-side spawn faults for the armed node.
@@ -410,11 +401,6 @@ fn spawn_and_reap<'scope, 'env>(
                 EndpointKind::InputFile(p) => {
                     let f = std::fs::File::open(root.join(p))
                         .map_err(|e| ExecError::classify("open input file", e).at_node(id))?;
-                    if let Some(prof) = &profile {
-                        if let Ok(md) = f.metadata() {
-                            prof.add_in(id, md.len());
-                        }
-                    }
                     cmd.stdin(Stdio::from(f));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
@@ -451,9 +437,6 @@ fn spawn_and_reap<'scope, 'env>(
                 }
                 EndpointKind::OutputFile(p) => {
                     let path = root.join(p);
-                    if profile.is_some() {
-                        out_files.push((id, path.clone()));
-                    }
                     if let Some(parent) = path.parent() {
                         std::fs::create_dir_all(parent).map_err(|e| {
                             ExecError::classify("create output directory", e).at_node(id)
@@ -505,9 +488,6 @@ fn spawn_and_reap<'scope, 'env>(
             let mut si = child.stdin.take().ok_or_else(|| {
                 ExecError::fatal("spawn", io::Error::other("piped child stdin missing")).at_node(id)
             })?;
-            if let Some(prof) = &profile {
-                prof.add_in(id, bytes.len() as u64);
-            }
             scope.spawn(move || {
                 // A consumer that exits early breaks this pipe; that
                 // is normal teardown, not an error.
@@ -519,16 +499,12 @@ fn spawn_and_reap<'scope, 'env>(
                 ExecError::fatal("spawn", io::Error::other("piped child stdout missing"))
                     .at_node(id)
             })?;
-            drains.push((
-                id,
-                std::thread::spawn(move || {
-                    let mut buf = Vec::new();
-                    let _ = so.read_to_end(&mut buf);
-                    buf
-                }),
-            ));
+            drains.push(std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let _ = so.read_to_end(&mut buf);
+                buf
+            }));
         }
-        spawned_at.push(Instant::now());
         children.push(child);
     }
 
@@ -541,9 +517,6 @@ fn spawn_and_reap<'scope, 'env>(
         if node.output_producer {
             let s = wait_deadline(&mut children[id], id, deadline)?;
             waited[id] = true;
-            if let Some(prof) = &profile {
-                prof.add_busy(id, spawned_at[id].elapsed());
-            }
             producer_statuses.push((id, s));
         }
     }
@@ -566,9 +539,6 @@ fn spawn_and_reap<'scope, 'env>(
         } else {
             let s = wait_deadline(&mut children[id], id, deadline)?;
             waited[id] = true;
-            if let Some(prof) = &profile {
-                prof.add_busy(id, spawned_at[id].elapsed());
-            }
             source_statuses.push((id, s));
         }
     }
@@ -603,18 +573,11 @@ fn spawn_and_reap<'scope, 'env>(
                 id,
                 reap(child).map_err(|e| ExecError::classify("reap", e).at_node(id))?,
             ));
-            if let Some(prof) = &profile {
-                prof.add_busy(id, spawned_at[id].elapsed());
-            }
         }
     }
     let mut stdout = Vec::new();
-    for (id, d) in drains {
-        let buf = d.join().unwrap_or_default();
-        if let Some(prof) = &profile {
-            prof.add_out(id, buf.len() as u64);
-        }
-        append(&mut stdout, buf);
+    for d in drains {
+        append(&mut stdout, d.join().unwrap_or_default());
     }
 
     // A region's status folds its source statuses — exactly what the
@@ -649,14 +612,6 @@ fn spawn_and_reap<'scope, 'env>(
         )
         .at_node(id));
     }
-    if let (Some(store), Some(prof)) = (store, &profile) {
-        for (id, path) in &out_files {
-            if let Ok(md) = std::fs::metadata(path) {
-                prof.add_out(*id, md.len());
-            }
-        }
-        store.record(prof);
-    }
     Ok(RegionOutput {
         stdout,
         statuses,
@@ -664,7 +619,7 @@ fn spawn_and_reap<'scope, 'env>(
     })
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use pash_core::compile::{compile, PashConfig};
@@ -731,40 +686,6 @@ mod tests {
         .expect("compile");
         let out = run_plan(&compiled.plan, None, &cfg, &root, stdin).expect("run");
         Some((out, root))
-    }
-
-    #[test]
-    fn profiling_records_boundary_bytes_and_busy() {
-        let Some(mut cfg) = located() else { return };
-        let store = Arc::new(ProfileStore::in_memory());
-        cfg.profile = Some(store.clone());
-        let input = b"Banana\napple\nCherry\napple\nbanana\nAPPLE\n";
-        let root = scratch_with(&[("in.txt", input)]);
-        let compiled = compile(
-            "tr A-Z a-z < in.txt > low.txt",
-            &PashConfig {
-                width: 1,
-                ..Default::default()
-            },
-        )
-        .expect("compile");
-        let out = run_plan(&compiled.plan, None, &cfg, &root, &[]).expect("run");
-        assert_eq!(out.status, 0);
-        assert_eq!(store.regions(), 1);
-        let r = compiled.plan.regions().next().expect("region");
-        let rs = store.region_stats(r.fingerprint()).expect("stats");
-        // Stats are indexed by node id; the plan names the nodes.
-        let at = r
-            .nodes
-            .iter()
-            .position(|n| n.op.label() == "tr A-Z a-z")
-            .expect("tr node");
-        let tr = &rs.nodes[at];
-        // Input file and output file are both parent-visible.
-        assert_eq!(tr.bytes_in, input.len() as f64);
-        assert_eq!(tr.bytes_out, input.len() as f64);
-        assert!(tr.busy_s > 0.0);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Per-region execution profiles and the in-memory profile store.
+//! Per-region execution profiles: a tap an in-process caller attaches.
 //!
-//! This is the measurement plane: what runs observed, per plan node.
-//! Nothing chooses a plan from it yet. Both backends cheaply record
-//! per-node bytes-in / bytes-out and busy-time into a
-//! [`RegionProfile`] (atomic counters, the
-//! [`crate::supervise::SupervisorCounters`] pattern), keyed by
-//! `(region fingerprint, node id)`. A [`ProfileStore`] decay-merges
-//! repeated observations in one bounded in-memory map: a record costs
-//! one lock and no I/O, however long the process has lived, and
-//! nothing outlives the process. Stats carry no names: a consumer that
-//! holds the plan labels node `i` from the region's node `i`.
+//! What a run observed, per plan node; nothing chooses a plan from it.
+//! A caller that sets `ExecConfig.profile` gets per-node bytes-in,
+//! bytes-out and busy time from the `threads` backend: each successful
+//! region attempt counts into a [`RegionProfile`] (relaxed atomics,
+//! the [`crate::supervise::SupervisorCounters`] pattern) and records
+//! it into the [`ProfileStore`], which keeps the latest attempt per
+//! region fingerprint and hands it back as [`RegionStats`]. The store
+//! has no bound: its callers (the benchmark harness, the tests) are
+//! short-lived, and the long-lived `pashd` attaches none. Stats carry
+//! no names: a consumer that holds the plan labels node `i` from the
+//! region's node `i`.
 
 use std::collections::HashMap;
 use std::io;
@@ -18,17 +19,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pash_core::plan::RegionPlan;
-
-/// Exponential-decay factor for merging a new observation into stored
-/// stats: `new = ALPHA·obs + (1−ALPHA)·old`. At 0.3 the store follows
-/// a drifting workload within a handful of runs while one outlier
-/// moves the estimate < a third of the way.
-pub const DECAY_ALPHA: f64 = 0.3;
-
-/// How many region shapes a store holds. Past it the
-/// least-recently-recorded region is dropped, so a long-lived daemon
-/// fed never-seen scripts cannot grow it without bound.
-pub const MAX_REGIONS: usize = 1024;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -78,26 +68,6 @@ impl RegionProfile {
             fingerprint: r.fingerprint(),
             nodes: r.nodes.iter().map(|_| NodeCounters::default()).collect(),
         })
-    }
-
-    /// The profiled region's fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Node count.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the region has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Node `id`'s counters.
-    pub fn node(&self, id: usize) -> &NodeCounters {
-        &self.nodes[id]
     }
 
     /// Credits consumed bytes to node `id`.
@@ -182,42 +152,18 @@ impl io::Write for CountingWriter {
     }
 }
 
-/// Decay-merged statistics for one node of one region shape.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// What one node of a recorded region observed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeStats {
-    /// Smoothed bytes consumed per run.
+    /// Bytes consumed.
     pub bytes_in: f64,
-    /// Smoothed bytes produced per run.
+    /// Bytes produced.
     pub bytes_out: f64,
-    /// Smoothed busy seconds per run.
+    /// Busy seconds.
     pub busy_s: f64,
-    /// Observation mass behind the estimate. Grows toward
-    /// `1/DECAY_ALPHA` with repeated observations; consumers use it
-    /// as a trust signal.
-    pub weight: f64,
 }
 
-impl NodeStats {
-    /// Folds one observation in with exponential decay
-    /// [`DECAY_ALPHA`]. The first observation is taken verbatim (no
-    /// prior to decay).
-    pub fn decay_merge(&mut self, bytes_in: f64, bytes_out: f64, busy_s: f64) {
-        let a = DECAY_ALPHA;
-        if self.weight <= 0.0 {
-            self.bytes_in = bytes_in;
-            self.bytes_out = bytes_out;
-            self.busy_s = busy_s;
-            self.weight = 1.0;
-            return;
-        }
-        self.bytes_in = a * bytes_in + (1.0 - a) * self.bytes_in;
-        self.bytes_out = a * bytes_out + (1.0 - a) * self.bytes_out;
-        self.busy_s = a * busy_s + (1.0 - a) * self.busy_s;
-        self.weight = 1.0 + (1.0 - a) * self.weight;
-    }
-}
-
-/// Stored statistics for one region fingerprint.
+/// The recorded statistics of one region fingerprint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionStats {
     /// The region's fingerprint ([`RegionPlan::fingerprint`]).
@@ -226,83 +172,37 @@ pub struct RegionStats {
     pub nodes: Vec<NodeStats>,
 }
 
-/// The region map plus the logical clock that orders it by recency.
+/// The profile store: region fingerprint → the latest successful
+/// attempt's counters. A second record of a region replaces the first.
 #[derive(Debug, Default)]
-struct Regions {
-    /// Fingerprint → (clock value of the last record, stats).
-    map: HashMap<u64, (u64, RegionStats)>,
-    clock: u64,
-}
-
-impl Regions {
-    /// The entry for `fingerprint`, stamped most recent; made empty
-    /// when absent, after dropping the least-recently-recorded region
-    /// of a full map.
-    fn touch(&mut self, fingerprint: u64) -> &mut RegionStats {
-        self.clock += 1;
-        if !self.map.contains_key(&fingerprint) && self.map.len() >= MAX_REGIONS {
-            let oldest = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp);
-            if let Some(fp) = oldest.map(|(fp, _)| *fp) {
-                self.map.remove(&fp);
-            }
-        }
-        let nodes = Vec::new();
-        let entry = self
-            .map
-            .entry(fingerprint)
-            .or_insert((0, RegionStats { fingerprint, nodes }));
-        entry.0 = self.clock;
-        &mut entry.1
-    }
-}
-
-/// The profile store: one in-memory map, bounded by [`MAX_REGIONS`].
-#[derive(Debug)]
 pub struct ProfileStore {
-    mem: Mutex<Regions>,
+    regions: Mutex<HashMap<u64, Arc<RegionProfile>>>,
 }
 
 impl ProfileStore {
     /// An empty store.
     pub fn in_memory() -> ProfileStore {
-        ProfileStore {
-            mem: Mutex::default(),
-        }
+        ProfileStore::default()
     }
 
-    /// Number of region shapes with stored observations (never more
-    /// than [`MAX_REGIONS`]).
-    pub fn regions(&self) -> usize {
-        lock(&self.mem).map.len()
+    /// Keeps one finished region attempt's counters: one lock, no copy.
+    pub fn record(&self, p: &Arc<RegionProfile>) {
+        lock(&self.regions).insert(p.fingerprint, p.clone());
     }
 
-    /// Folds one finished region attempt into the store: one lock, no
-    /// I/O.
-    pub fn record(&self, p: &RegionProfile) {
-        let mut mem = lock(&self.mem);
-        let rs = mem.touch(p.fingerprint());
-        // Every node of a new entry — and the tail of one that came up
-        // short, should a fingerprint collide with a region of fewer
-        // nodes.
-        if rs.nodes.len() < p.len() {
-            rs.nodes.resize(p.len(), NodeStats::default());
-        }
-        for i in 0..p.len() {
-            let c = p.node(i);
-            rs.nodes[i].decay_merge(
-                c.bytes_in() as f64,
-                c.bytes_out() as f64,
-                c.busy().as_secs_f64(),
-            );
-        }
-    }
-
-    /// A copy of one region's stored stats.
+    /// What the last record of region `fingerprint` observed.
     pub fn region_stats(&self, fingerprint: u64) -> Option<RegionStats> {
-        lock(&self.mem)
-            .map
-            .get(&fingerprint)
-            .map(|(_, rs)| rs.clone())
+        let p = lock(&self.regions).get(&fingerprint)?.clone();
+        let nodes = p
+            .nodes
+            .iter()
+            .map(|c| NodeStats {
+                bytes_in: c.bytes_in() as f64,
+                bytes_out: c.bytes_out() as f64,
+                busy_s: c.busy().as_secs_f64(),
+            })
+            .collect();
+        Some(RegionStats { fingerprint, nodes })
     }
 }
 
@@ -310,53 +210,30 @@ impl ProfileStore {
 mod tests {
     use super::*;
 
-    #[test]
-    fn decay_merge_first_observation_verbatim_then_smooths() {
-        let mut s = NodeStats::default();
-        s.decay_merge(1000.0, 500.0, 0.5);
-        assert_eq!(s.bytes_in, 1000.0);
-        assert_eq!(s.weight, 1.0);
-        s.decay_merge(2000.0, 500.0, 0.5);
-        // 0.3·2000 + 0.7·1000 = 1300.
-        assert!((s.bytes_in - 1300.0).abs() < 1e-9);
-        assert!((s.weight - 1.7).abs() < 1e-9);
-        // Weight converges toward 1/alpha.
-        for _ in 0..100 {
-            s.decay_merge(2000.0, 500.0, 0.5);
-        }
-        assert!((s.weight - 1.0 / DECAY_ALPHA).abs() < 1e-6);
-        assert!((s.bytes_in - 2000.0).abs() < 1.0);
-    }
-
-    /// A one-node profile of a region nothing else shares.
-    fn synthetic(fingerprint: u64) -> RegionProfile {
-        let p = RegionProfile {
+    /// A one-node profile that consumed `bytes_in` bytes.
+    fn observed(fingerprint: u64, bytes_in: u64) -> Arc<RegionProfile> {
+        let p = Arc::new(RegionProfile {
             fingerprint,
             nodes: vec![NodeCounters::default()],
-        };
-        p.add_in(0, 1000);
+        });
+        p.add_in(0, bytes_in);
         p.add_out(0, 500);
         p.add_busy(0, Duration::from_micros(10));
         p
     }
 
     #[test]
-    fn memory_is_bounded_and_keeps_the_most_recent() {
+    fn a_second_record_of_a_region_replaces_the_first() {
         let store = ProfileStore::in_memory();
-        let total = 10 * MAX_REGIONS as u64;
-        for fp in 0..total {
-            store.record(&synthetic(fp));
-            assert!(store.regions() <= MAX_REGIONS);
-        }
-        assert_eq!(store.regions(), MAX_REGIONS);
-        for fp in total - MAX_REGIONS as u64..total {
-            assert!(store.region_stats(fp).is_some(), "recent region {fp} kept");
-        }
-        assert!(store.region_stats(0).is_none(), "oldest region dropped");
-        // Recording again is what keeps a region, not having been first.
-        store.record(&synthetic(total - MAX_REGIONS as u64));
-        store.record(&synthetic(total));
-        assert!(store.region_stats(total - MAX_REGIONS as u64).is_some());
-        assert!(store.region_stats(total - MAX_REGIONS as u64 + 1).is_none());
+        store.record(&observed(7, 1000));
+        store.record(&observed(7, 2000));
+        let stats = store.region_stats(7).expect("region recorded");
+        assert_eq!(stats.fingerprint, 7);
+        assert_eq!(stats.nodes.len(), 1);
+        let node = &stats.nodes[0];
+        assert_eq!(node.bytes_in, 2000.0);
+        assert_eq!(node.bytes_out, 500.0);
+        assert_eq!(node.busy_s, 10e-6);
+        assert!(store.region_stats(8).is_none());
     }
 }

@@ -460,9 +460,6 @@ pub struct ServiceMetrics {
     pub queue_depth: AtomicU64,
     /// Runs currently holding an admission permit (gauge).
     pub inflight: AtomicU64,
-    /// Region shapes the profile store holds (gauge; bounded by
-    /// [`crate::profile::MAX_REGIONS`]).
-    pub profile_regions: AtomicU64,
     /// The recovery counters the daemon's
     /// [`crate::supervise::SupervisorSettings`] report into.
     pub supervisor: Arc<SupervisorCounters>,
@@ -488,7 +485,6 @@ impl ServiceMetrics {
             errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            profile_regions: AtomicU64::new(0),
             supervisor,
             latency: LatencyHistogram::new(),
         }
@@ -506,8 +502,7 @@ impl ServiceMetrics {
         format!(
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
              \"compile_misses\":{},\"plan_commuted\":{},\"plan_splits_raw_rr\":{},\
-             \"errors\":{},\
-             \"queue_depth\":{},\"inflight\":{},\"profile_regions\":{},\
+             \"errors\":{},\"queue_depth\":{},\"inflight\":{},\
              \"retries\":{},\"deadline_kills\":{},\"fallbacks\":{},\
              \"reroutes\":{},\"local_fallbacks\":{},\"injected\":{},\
              \"inline_regions\":{},\"threaded_regions\":{},\
@@ -522,7 +517,6 @@ impl ServiceMetrics {
             g(&self.errors),
             g(&self.queue_depth),
             g(&self.inflight),
-            g(&self.profile_regions),
             sup.retries(),
             sup.deadline_kills(),
             sup.fallbacks(),

@@ -10,8 +10,8 @@
 //! the in-memory plan cache, runs on the requested backend, and
 //! replies with stdout/status. The request sets the width; a width of
 //! 0 is refused. `--cache-dir DIR` is accepted and ignored: the daemon
-//! keeps plans and profiles in memory only and writes nothing there.
-//! `--worker` (repeatable) names the
+//! keeps its plans in memory only, records no profile, and writes
+//! nothing there. `--worker` (repeatable) names the
 //! `pash-worker` sockets the `remote` backend ships regions to. Stop
 //! it with a `Shutdown` request
 //! (`pash::runtime::service::Client::shutdown`) or SIGTERM — both

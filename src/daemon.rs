@@ -6,19 +6,17 @@
 //! how a run executes in isolation.
 //!
 //! **Plan cache.** One tier: the process-wide `compile_cached` LRU,
-//! keyed by `"{cfg.cache_key()}\0{src}"`. The one lookup of a request's
-//! plan ([`compile_cached_hit`]) tells a hit ([`CacheTier::Memory`])
-//! from a miss ([`CacheTier::Cold`], which compiles and populates it).
-//! A compile costs tens of microseconds — less than reading a stored
-//! plan back — so nothing about plans is kept on disk; a restarted
-//! daemon recompiles on first sight.
+//! keyed by `"{cfg.cache_key()}\0{src}"`. [`RunHandle::compile`] looks
+//! each of a request's plans up once and says whether the plan was a
+//! hit ([`CacheTier::Memory`]) or a miss ([`CacheTier::Cold`], which
+//! compiles and populates it). A compile costs tens of microseconds —
+//! less than reading a stored plan back — so nothing about plans is
+//! kept on disk; a restarted daemon recompiles on first sight.
 //!
-//! **Profiles.** Every run records per-node bytes and busy time into
-//! one in-memory [`ProfileStore`], bounded by its region cap; Metrics
-//! reports how many region shapes it holds (`profile_regions`).
-//! Nothing is written to disk and nothing survives a restart. Nothing
-//! picks a plan from the profiles yet: every request names its width
-//! (at least 1) and split, and a width of 0 is refused.
+//! **No profiles.** The daemon records nothing about the runs it
+//! serves: no [`crate::runtime::profile::ProfileStore`] is attached to
+//! a run, and nothing survives a restart. Every request names its
+//! width (at least 1) and split, and a width of 0 is refused.
 //!
 //! **Isolation.** The daemon owns a *template* [`MemFs`] seeded over
 //! the socket (`PutFile`). Every run executes against
@@ -33,15 +31,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::core::compile::{compile_cached, compile_cached_hit, PashConfig};
+use crate::core::compile::PashConfig;
 use crate::coreutils::fs::MemFs;
 use crate::coreutils::Registry;
-use crate::runtime::profile::ProfileStore;
 use crate::runtime::service::{
     self, CacheTier, Request, Response, RunRequest, RunResponse, ServiceMetrics, ServiceSettings,
 };
 use crate::runtime::supervise::SupervisorSettings;
-use crate::{BackendOutput, RunEnv, RunError, RunHandle};
+use crate::{BackendOutput, RunEnv, RunHandle};
 
 /// Daemon construction parameters.
 pub struct DaemonConfig {
@@ -72,15 +69,13 @@ impl Default for DaemonConfig {
 }
 
 /// The daemon's shared state: the template filesystem and the
-/// profile store. One instance serves every connection.
+/// metrics. One instance serves every connection.
 pub struct Daemon {
     template: MemFs,
     registry: Registry,
     supervisor: SupervisorSettings,
     workers: Vec<PathBuf>,
     metrics: Arc<ServiceMetrics>,
-    /// Per-node measurements, recorded by every run.
-    profile: Arc<ProfileStore>,
 }
 
 impl Daemon {
@@ -92,7 +87,6 @@ impl Daemon {
             supervisor: cfg.supervisor.clone(),
             workers: cfg.workers.clone(),
             metrics: Arc::new(ServiceMetrics::new(cfg.supervisor.counters.clone())),
-            profile: Arc::new(ProfileStore::in_memory()),
         }
     }
 
@@ -119,28 +113,6 @@ impl Daemon {
         }
     }
 
-    /// Resolves a script through the plan cache to a runnable handle,
-    /// one lookup per plan: the plan's lookup also names the tier that
-    /// served it, and the width-1 fallback rides the same memo.
-    fn lookup(
-        script: &str,
-        cfg: &PashConfig,
-        want_fallback: bool,
-    ) -> Result<(RunHandle, CacheTier), RunError> {
-        let (plan, hit) = compile_cached_hit(script, cfg).map_err(RunError::Compile)?;
-        let fallback = if want_fallback {
-            compile_cached(script, &cfg.sequential()).ok()
-        } else {
-            None
-        };
-        let tier = if hit {
-            CacheTier::Memory
-        } else {
-            CacheTier::Cold
-        };
-        Ok((RunHandle::from_compiled(plan, fallback), tier))
-    }
-
     fn handle_run(&self, req: RunRequest) -> Response {
         // The caller sets the width; nothing here guesses one.
         if req.width == 0 {
@@ -153,12 +125,16 @@ impl Daemon {
             split: req.split,
             ..Default::default()
         };
-        let want_fallback = cfg.width != 1
-            && self.supervisor.fallback
+        let want_fallback = self.supervisor.fallback
             && matches!(req.backend.as_str(), "threads" | "processes" | "remote");
-        let (handle, tier) = match Self::lookup(&req.script, &cfg, want_fallback) {
+        let (handle, hit) = match RunHandle::compile(&req.script, &cfg, want_fallback) {
             Ok(x) => x,
             Err(e) => return Response::Error(e.to_string()),
+        };
+        let tier = if hit {
+            CacheTier::Memory
+        } else {
+            CacheTier::Cold
         };
         let compile_micros = t0.elapsed().as_micros() as u64;
         if tier == CacheTier::Cold {
@@ -177,20 +153,14 @@ impl Daemon {
             workers: self.workers.clone(),
             exec: crate::runtime::exec::ExecConfig {
                 supervisor: self.supervisor.clone(),
-                profile: Some(self.profile.clone()),
                 ..Default::default()
             },
             proc: crate::ProcSettings {
                 supervisor: self.supervisor.clone(),
-                profile: Some(self.profile.clone()),
                 ..Default::default()
             },
         };
-        let out = handle.execute(&req.backend, &env);
-        self.metrics
-            .profile_regions
-            .store(self.profile.regions() as u64, Ordering::Relaxed);
-        let out = match out {
+        let out = match handle.execute(&req.backend, &env) {
             Ok(o) => o,
             Err(e) => return Response::Error(e.to_string()),
         };

@@ -84,7 +84,7 @@ pub use pash_sim as sim;
 pub use pash_workloads as workloads;
 
 use crate::core::backend::{emit_program, EmitConfig};
-use crate::core::compile::{compile_cached, Compiled, PashConfig};
+use crate::core::compile::{compile_cached, compile_cached_hit, Compiled, PashConfig};
 use crate::core::plan::ExecutionPlan;
 use crate::coreutils::fs::{Fs, MemFs};
 use crate::coreutils::Registry;
@@ -201,20 +201,26 @@ pub struct RunHandle {
 }
 
 impl RunHandle {
-    /// Compiles `src` through the memoized cache. With `fallback` set
-    /// (and `cfg.width != 1`), the width-1 plan for the supervisor's
+    /// Compiles `src` through the memoized cache, one lookup per plan,
+    /// and says whether the plan was a hit. With `fallback` set (and
+    /// `cfg.width != 1`), the width-1 plan for the supervisor's
     /// sequential-fallback path is compiled (and memoized) alongside.
-    pub fn compile(src: &str, cfg: &PashConfig, fallback: bool) -> Result<RunHandle, RunError> {
-        let compiled = compile_cached(src, cfg).map_err(RunError::Compile)?;
+    pub fn compile(
+        src: &str,
+        cfg: &PashConfig,
+        fallback: bool,
+    ) -> Result<(RunHandle, bool), RunError> {
+        let (compiled, hit) = compile_cached_hit(src, cfg).map_err(RunError::Compile)?;
         let seq_fallback = if fallback && cfg.width != 1 {
             compile_cached(src, &cfg.sequential()).ok()
         } else {
             None
         };
-        Ok(RunHandle {
+        let handle = RunHandle {
             plan: compiled,
             seq_fallback,
-        })
+        };
+        Ok((handle, hit))
     }
 
     /// Wraps already-compiled results (no extra work).
@@ -299,7 +305,8 @@ pub fn run(
         "processes" => env.proc.supervisor.fallback,
         _ => false,
     };
-    RunHandle::compile(src, cfg, want_fallback)?.execute(backend, env)
+    let (handle, _) = RunHandle::compile(src, cfg, want_fallback)?;
+    handle.execute(backend, env)
 }
 
 /// Runs a lowered plan on the process backend, providing the

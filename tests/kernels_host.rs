@@ -1,6 +1,6 @@
-//! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `grep` and `sed` against
-//! the host's, byte for byte and exit status for exit status, under
-//! `LC_ALL=C`.
+//! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `tac`, `nl`, `grep` and
+//! `sed` against the host's, byte for byte and exit status for exit
+//! status, under `LC_ALL=C`.
 //!
 //! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
 //! the block kernels with references written from the same reading of
@@ -285,6 +285,24 @@ fn tail_matches_the_host() {
     let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("tail", &cases, &inputs, true);
+}
+
+/// Records go out in reverse as they came in: an unterminated last
+/// line leads, with no newline added.
+#[test]
+fn tac_matches_the_host() {
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("tac", &[&[]], &inputs, true);
+}
+
+/// A blank line is padded as the host pads it: number width plus
+/// separator.
+#[test]
+fn nl_matches_the_host() {
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("nl", &[&[]], &inputs, true);
 }
 
 #[test]
