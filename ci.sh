@@ -39,11 +39,12 @@
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
 #      then that 1 MB input, ending in an unterminated line, piped
-#      into three stdin-fed pipelines on shell, threads and processes
+#      into five stdin-fed pipelines on shell, threads and processes
 #      under `timeout`, each byte-compared against the unmodified
 #      pipeline under host /bin/sh (the `tac` one reverses every part
 #      and the aggregator reverses the parts, so the unterminated line
-#      must lead the output as it stands);
+#      must lead the output as it stands; `rev` and `sed` must leave
+#      it unterminated);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -266,12 +267,14 @@ echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
 # host does; the backends share the splitter, so the oracle is the
 # unmodified script under the host's /bin/sh, not one of them. `tac`
 # takes that line first and adds no newline to it, on every part and
-# through `pash-agg-tac`'s reversal of the parts.
+# through `pash-agg-tac`'s reversal of the parts; `rev` and `sed` write
+# it last, with no newline added.
 STDIN_IN=target/bench-smoke/stdin-in.txt
 cp target/bench-smoke/schedule-shell-1000000/in.txt "$STDIN_IN"
 printf 'The Last, Line, Has No Newline' >>"$STDIN_IN"
 n=0
-for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | tac'; do
+for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | tac' \
+    'tr A-Z a-z | rev' 'tr A-Z a-z | sed s/e/E/'; do
     n=$((n + 1))
     LC_ALL=C /bin/sh -c "$script" <"$STDIN_IN" >"target/bench-smoke/stdin-host-$n.out"
     for b in shell threads processes; do

@@ -11,7 +11,7 @@
 //! `$PASH_RT`, both overridable via the environment.
 //!
 //! [`emit_program`] shares the lowered IR with the threaded executor
-//! and the simulator instead of walking the DFG itself.
+//! and the cost model instead of walking the DFG itself.
 
 use crate::plan::{
     EndpointKind, ExecutionPlan, GuardCond, PlanEdgeId, PlanStep, RegionPlan, SpawnBin, SpawnWord,
@@ -20,7 +20,7 @@ use crate::plan::{
 /// Emission options. There are none: every command runs through
 /// `"$PASHC"` and every runtime primitive through `"$PASH_RT"`. The
 /// type stays only because the benchmark harness names it; ROADMAP
-/// item 1 deletes it.
+/// item 5 deletes it.
 #[derive(Debug, Clone, Default)]
 pub struct EmitConfig;
 

@@ -25,11 +25,11 @@ pub struct PashConfig {
     pub split: SplitPolicy,
     /// Eager-relay policy. It has one value, unbounded relays; the
     /// field stays only because the benchmark harness reads it
-    /// (ROADMAP item 1 deletes it).
+    /// (ROADMAP item 5 deletes it).
     pub eager: EagerPolicy,
     /// Aggregation-tree shape. It has one value, a binary tree (the
     /// paper's counts); the field stays only because the benchmark
-    /// harness reads it (ROADMAP item 1 deletes it).
+    /// harness reads it (ROADMAP item 5 deletes it).
     pub agg_tree: AggTreeShape,
     /// Unroll static `for` loops (per-iteration compilation).
     pub unroll_for: bool,

@@ -61,7 +61,7 @@ pub enum SplitPolicy {
 
 /// Eager-relay insertion policy (§5.2). It has one value: `t3`
 /// always inserts unbounded relays. The type stays only because the
-/// benchmark harness names it; ROADMAP item 1 deletes it.
+/// benchmark harness names it; ROADMAP item 5 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EagerPolicy {
     /// Unbounded eager relays (the paper's default).
@@ -71,7 +71,7 @@ pub enum EagerPolicy {
 
 /// Shape of the aggregation network for class-P nodes. It has one
 /// value: associative aggregators form a binary tree. The type stays
-/// only because the benchmark harness names it; ROADMAP item 1
+/// only because the benchmark harness names it; ROADMAP item 5
 /// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggTreeShape {

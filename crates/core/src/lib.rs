@@ -16,10 +16,9 @@
 //!    primitives ([`backend`], §5.2) — one consumer of the plan
 //!    among several.
 //!
-//! Execution engines live elsewhere: `pash-runtime` runs compiled
-//! plans on real threads (correctness), `pash-sim` predicts their
-//! timing on a C-core machine (performance shape). The `pash` facade
-//! selects one by name.
+//! [`optimize`] prices a plan on a C-core machine. Execution engines
+//! live elsewhere: `pash-runtime` runs compiled plans on threads,
+//! processes and remote workers; the `pash` facade selects one by name.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Command cost profiles for the simulator.
+//! Command cost profiles for the cost model.
 //!
 //! Each plan node gets a full-core processing rate, an output/input
 //! byte ratio, a blocking discipline and, for `head`, an output cap.
@@ -9,15 +9,15 @@
 //! quoted are those of seven traced runs of each workload at `--seed`
 //! 1 and 2, on 2 vCPUs; the data-plane rows are the batch workloads'.
 //!
-//! Profiles are computed from [`PlanOp`]s — the simulator consumes the
+//! Profiles are computed from [`PlanOp`]s — the model consumes the
 //! lowered execution plan, never the compiler's DFG.
 
-use pash_core::optimize::{MeasuredRate, MeasuredRates};
-use pash_core::plan::{PlanOp, SplitMode};
+use super::{MeasuredRate, MeasuredRates};
+use crate::plan::{PlanOp, SplitMode};
 
 /// How a node consumes and produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Discipline {
+pub(super) enum Discipline {
     /// Consume and produce concurrently (tr, grep, relays, merges…).
     Streaming,
     /// Consume everything, then emit (sort, general split, tac, diff).
@@ -26,15 +26,15 @@ pub enum Discipline {
 
 /// A command's cost profile.
 #[derive(Debug, Clone, Copy)]
-pub struct Profile {
+pub(super) struct Profile {
     /// Full-core input consumption rate, bytes/second.
-    pub rate: f64,
+    pub(super) rate: f64,
     /// Output bytes per input byte.
-    pub out_ratio: f64,
+    pub(super) out_ratio: f64,
     /// Consumption/production discipline.
-    pub discipline: Discipline,
+    pub(super) discipline: Discipline,
     /// Stop after producing this many output bytes (`head -n 1`).
-    pub close_after_out: Option<f64>,
+    pub(super) close_after_out: Option<f64>,
 }
 
 impl Profile {
@@ -69,14 +69,11 @@ const MERGE_MB_S: f64 = 530.0;
 /// The cost model: rates for every command in the benchmarks.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    /// Profile-measured rates by command name, from the runtime's
-    /// profile store. These *calibrate* the static priors: the
-    /// measured rate and out-ratio are blended in proportionally to
-    /// their observation weight, while discipline and early-close
-    /// behaviour stay model-defined (the runtime cannot observe those
-    /// from byte counters). Empty by default (cold start: pure
-    /// priors).
-    pub measured: MeasuredRates,
+    /// Measured rates by command name. A finite, positive one
+    /// replaces its command's prior rate and out-ratio, while
+    /// discipline and early-close behaviour stay model-defined (byte
+    /// counters cannot observe those). Empty by default: pure priors.
+    measured: MeasuredRates,
 }
 
 impl CostModel {
@@ -85,29 +82,27 @@ impl CostModel {
         CostModel { measured }
     }
 
-    /// Blends a measured observation into a prior profile. Trust grows
-    /// with observation weight: weight 1 moves halfway to the
-    /// measurement, heavy evidence converges on it. Non-finite or
-    /// non-positive measurements are ignored.
+    /// A prior profile with a measurement applied: a finite, positive
+    /// measured rate replaces the prior's, and so does a finite,
+    /// non-negative out-ratio beside it. Anything else is ignored.
     fn apply_measurement(prior: Profile, m: &MeasuredRate) -> Profile {
-        if !(m.mb_per_s.is_finite() && m.mb_per_s > 0.0 && m.weight > 0.0) {
+        if !(m.mb_per_s.is_finite() && m.mb_per_s > 0.0) {
             return prior;
         }
-        let trust = m.weight / (m.weight + 1.0);
-        let rate = prior.rate * (1.0 - trust) + m.mb_per_s * 1e6 * trust;
         let out_ratio = if m.out_ratio.is_finite() && m.out_ratio >= 0.0 {
-            prior.out_ratio * (1.0 - trust) + m.out_ratio * trust
+            m.out_ratio
         } else {
             prior.out_ratio
         };
         Profile {
-            rate,
+            rate: m.mb_per_s * 1e6,
             out_ratio,
             ..prior
         }
     }
+
     /// The profile of a plan node's operation.
-    pub fn profile_for(&self, op: &PlanOp) -> Profile {
+    pub(super) fn profile_for(&self, op: &PlanOp) -> Profile {
         match op {
             PlanOp::Exec { .. } => {
                 let argv = op.exec_argv_lossy().expect("exec argv");
@@ -120,16 +115,13 @@ impl CostModel {
             PlanOp::Relay { .. } => Profile::streaming(3500.0, 1.0),
             // The general splitter must see the whole input before it
             // can place cut points (`runtime.split.general_mb_s`,
-            // 5.3–8.9 GB/s); a sized one knows them beforehand and
-            // streams. The round-robin splitter streams too: r_split
-            // needs no up-front probing, that is its point
+            // 5.3–8.9 GB/s); every runner runs a sized one as general.
+            // The round-robin splitter streams: r_split needs no
+            // up-front probing, that is its point
             // (`runtime.split.rr_mb_s`, 1.4–1.9 GB/s).
             PlanOp::Split {
-                mode: SplitMode::General,
+                mode: SplitMode::General | SplitMode::Sized,
             } => Profile::blocking(5000.0, 1.0),
-            PlanOp::Split {
-                mode: SplitMode::Sized,
-            } => Profile::streaming(5000.0, 1.0),
             PlanOp::Split {
                 mode: SplitMode::RoundRobin { .. },
             } => Profile::streaming(1400.0, 1.0),
@@ -163,21 +155,7 @@ impl CostModel {
             }
             "cut" => Profile::streaming(70.0, 0.25),
             "sed" => Profile::streaming(45.0, 1.1),
-            "sort" => {
-                // `--parallel=N`: GNU sort's internal threading, the
-                // §6.5 baseline. Sub-linear scaling that saturates
-                // around 8 threads ("sort's scalability is inherently
-                // limited", §6.5).
-                let threads: f64 = args
-                    .iter()
-                    .find_map(|a| a.strip_prefix("--parallel="))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1.0);
-                // Saturates around 3.5× ("sort's scalability is
-                // inherently limited", §6.5's SGNU curve).
-                let factor = threads.min(64.0).powf(0.5).min(3.5);
-                Profile::blocking(28.0 * factor, 1.0)
-            }
+            "sort" => Profile::blocking(28.0, 1.0),
             "uniq" => {
                 let ratio = if args.contains(&"-c") { 0.4 } else { 0.35 };
                 Profile::streaming(60.0, ratio)
@@ -255,7 +233,7 @@ fn head_tail_bytes(args: &[&str]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pash_core::plan::Arg;
+    use crate::plan::Arg;
 
     fn cmd(argv: &[&str]) -> PlanOp {
         PlanOp::Exec {
@@ -295,22 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn sized_split_streams_general_blocks() {
+    fn general_and_sized_splits_block() {
         let cm = CostModel::default();
-        assert_eq!(
-            cm.profile_for(&PlanOp::Split {
-                mode: SplitMode::General
-            })
-            .discipline,
-            Discipline::Blocking
-        );
-        assert_eq!(
-            cm.profile_for(&PlanOp::Split {
-                mode: SplitMode::Sized
-            })
-            .discipline,
-            Discipline::Streaming
-        );
+        for mode in [SplitMode::General, SplitMode::Sized] {
+            assert_eq!(
+                cm.profile_for(&PlanOp::Split { mode }).discipline,
+                Discipline::Blocking
+            );
+        }
     }
 
     #[test]
@@ -344,17 +314,17 @@ mod tests {
             "tr".to_string(),
             MeasuredRate {
                 mb_per_s: 50.0,
-                out_ratio: 1.0,
-                weight: 9.0,
+                out_ratio: 0.5,
+                weight: 0.0,
             },
         );
         let cold = CostModel::default();
         let warm = CostModel::calibrated(rates);
         let p_cold = cold.profile_for(&cmd(&["tr", "A-Z", "a-z"]));
         let p_warm = warm.profile_for(&cmd(&["tr", "A-Z", "a-z"]));
-        // Weight 9 → trust 0.9: 250 * 0.1 + 50 * 0.9 = 70 MB/s.
-        assert!(p_warm.rate < p_cold.rate);
-        assert!((p_warm.rate - 70e6).abs() < 1e3);
+        // The measurement replaces the prior, whatever its weight.
+        assert_eq!(p_warm.rate, 50e6);
+        assert_eq!(p_warm.out_ratio, 0.5);
         // Discipline stays model-defined.
         assert_eq!(p_warm.discipline, p_cold.discipline);
     }
@@ -373,9 +343,9 @@ mod tests {
                 weight: 5.0,
             },
             MeasuredRate {
-                mb_per_s: 80.0,
+                mb_per_s: -80.0,
                 out_ratio: 1.0,
-                weight: 0.0,
+                weight: 5.0,
             },
         ] {
             let mut rates = MeasuredRates::new();

@@ -1,4 +1,6 @@
-//! A byte-flow bound on plan execution on a C-core machine.
+//! The cost model: prices a lowered [`ExecutionPlan`] on a C-core
+//! machine, and takes the command rates a caller measured to
+//! calibrate it.
 //!
 //! One pass per region, in plan order. Bytes flow from the input
 //! sizes through each node's output/input ratio (`head` stops at its
@@ -15,18 +17,58 @@
 //!
 //! Regions run one after another, as every executing backend runs
 //! them, and a file one region writes is sized for the regions after
-//! it. The engine consumes the lowered [`ExecutionPlan`]: nodes
-//! arrive topologically ordered with resolved edge endpoint kinds.
+//! it. Nodes arrive topologically ordered with resolved edge endpoint
+//! kinds.
+//!
+//! It *prices* plans; it does not stand in for the clock, chooses
+//! nothing at run time and gates nothing in CI. `bench/run.sh`, which
+//! measures wall-clock time, reports how far the prediction is from it
+//! (`sim.rel_err`).
+//!
+//! # Examples
+//!
+//! ```
+//! use pash_core::compile::{compile, PashConfig};
+//! use pash_core::optimize::{simulate_program, CostModel, SimConfig};
+//!
+//! let sizes = [("in.txt".to_string(), 50e6)].into_iter().collect();
+//! let src = "cat in.txt | tr A-Z a-z | grep '(a|b)+(c|d)*(ef|gh)+xy' > o";
+//! let seconds = |width| {
+//!     let plan = compile(src, &PashConfig { width, ..Default::default() }).unwrap().plan;
+//!     simulate_program(&plan, &sizes, 0.0, &CostModel::default(), &SimConfig::default()).seconds
+//! };
+//! assert!(seconds(1) / seconds(16) > 4.0);
+//! ```
 
 use std::collections::HashMap;
 
-use pash_core::plan::{EndpointKind, ExecutionPlan};
+use crate::plan::{EndpointKind, ExecutionPlan};
 
-use crate::cost::{CostModel, Discipline};
+mod cost;
+
+pub use cost::CostModel;
+use cost::Discipline;
+
+/// A throughput observation for one command, as the cost model
+/// consumes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasuredRate {
+    /// Observed processing rate in MB/s of input consumed.
+    pub mb_per_s: f64,
+    /// Observed bytes-out / bytes-in ratio.
+    pub out_ratio: f64,
+    /// Ignored: a finite, positive measured rate replaces the prior
+    /// whatever its weight. The field stays because the benchmark
+    /// harness builds the struct literal.
+    pub weight: f64,
+}
+
+/// Measured rates keyed by command name (`argv[0]`).
+pub type MeasuredRates = HashMap<String, MeasuredRate>;
 
 /// Machine parameters: only the core count varies. The struct (and
 /// its `Default`) stays because the benchmark harness builds one with
-/// `..Default::default()`; ROADMAP item 1 frees it.
+/// `..Default::default()`; ROADMAP item 5 frees it.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of cores (the paper's testbed: 64).
@@ -58,8 +100,6 @@ pub type InputSizes = HashMap<String, f64>;
 pub struct SimReport {
     /// Predicted wall-clock seconds, fixed node costs included.
     pub seconds: f64,
-    /// Number of plan nodes (one thread or process each).
-    pub processes: usize,
     /// Total bytes written to the regions' outputs.
     pub output_bytes: f64,
 }
@@ -77,7 +117,6 @@ pub fn simulate_program(
     let mut files = sizes.clone();
     let mut total = SimReport {
         seconds: 0.0,
-        processes: 0,
         output_bytes: 0.0,
     };
     for r in plan.regions() {
@@ -119,7 +158,6 @@ pub fn simulate_program(
             work += busy;
         }
         total.seconds += critical.max(work / cfg.cores) + r.nodes.len() as f64 * NODE_COST;
-        total.processes += r.nodes.len();
         let mut written: HashMap<&str, f64> = HashMap::new();
         for (e, edge) in r.edges.iter().enumerate() {
             match &edge.kind {
@@ -139,9 +177,9 @@ pub fn simulate_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pash_core::compile::{compile, PashConfig};
-    use pash_core::dfg::transform::SplitPolicy;
-    use pash_core::plan::{Arg, PlanOp};
+    use crate::compile::{compile, PashConfig};
+    use crate::dfg::transform::SplitPolicy;
+    use crate::plan::{Arg, PlanOp};
 
     fn sizes(mb: f64) -> InputSizes {
         [("in.txt".to_string(), mb * 1e6)].into_iter().collect()
@@ -373,26 +411,5 @@ mod tests {
             rr < general,
             "r_split {rr:.1}s should beat general split {general:.1}s"
         );
-    }
-
-    #[test]
-    fn report_counts_processes() {
-        let compiled = compile(
-            SORT,
-            &PashConfig {
-                width: 8,
-                ..Default::default()
-            },
-        )
-        .expect("compile");
-        let r = simulate_program(
-            &compiled.plan,
-            &sizes(10.0),
-            0.0,
-            &CostModel::default(),
-            &SimConfig::default(),
-        );
-        // 8 tr + 8 sort + 7 agg + 14 eager (§6.1).
-        assert_eq!(r.processes, 37);
     }
 }

@@ -3,7 +3,7 @@
 //! The compiler's [`crate::frontend::TranslatedProgram`] is a sequence
 //! of order-aware DFGs — the right representation for transformation,
 //! but an awkward one for execution: every consumer (shell emission,
-//! the threaded executor, the simulator) used to re-derive the same
+//! the threaded executor, the cost model) used to re-derive the same
 //! facts from it ad hoc — which edges are internal pipes vs. boundary
 //! files, which argv words are stream markers, which input routes via
 //! stdin, which nodes a region must wait on.
@@ -22,7 +22,7 @@
 //!
 //! Every execution engine consumes this plan — the shell emitter in
 //! this crate, the `threads` / `processes` / `remote` region runners in
-//! `pash-runtime`, the simulator in `pash-sim` — and sharding and
+//! `pash-runtime`, the cost model in [`crate::optimize`] — and sharding and
 //! compile-result caching key off the same artifact:
 //! [`ExecutionPlan::dump`] is deterministic, so the plan can be
 //! hashed and cached.

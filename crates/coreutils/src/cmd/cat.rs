@@ -4,7 +4,7 @@ use std::io::{self, Read};
 
 use pash_regex::memmem::memrchr;
 
-use crate::lines::write_line;
+use crate::lines::{for_each_record, write_record};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `cat [-n] [file…]` — concatenate inputs in argument order.
@@ -12,6 +12,8 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 /// The quintessential *streaming* command (§4.1): it consumes its
 /// inputs strictly in order. With `-n` it numbers output lines and
 /// moves from class S to class P (the annotation stdlib encodes this).
+/// Numbering runs across operands, as GNU's does: one that ends
+/// mid-line is continued by the next.
 pub struct Cat;
 
 impl Command for Cat {
@@ -33,13 +35,17 @@ impl Command for Cat {
             files.push("-");
         }
         let mut line_no: u64 = 0;
+        let mut at_line_start = true;
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             if number {
-                crate::lines::for_each_line(&mut r, |line| {
-                    line_no += 1;
-                    write!(io.stdout, "{line_no:6}\t")?;
-                    write_line(io.stdout, line)?;
+                for_each_record(&mut r, |line, terminated| {
+                    if at_line_start {
+                        line_no += 1;
+                        write!(io.stdout, "{line_no:6}\t")?;
+                    }
+                    write_record(io.stdout, line, terminated)?;
+                    at_line_start = terminated;
                     Ok(true)
                 })?;
             } else {
@@ -134,6 +140,13 @@ mod tests {
         let out = run(&["cat", "-n", "f1", "f2"], b"");
         let s = String::from_utf8(out).expect("utf8");
         assert!(s.contains("3\tthree"));
+    }
+
+    #[test]
+    fn cat_n_keeps_an_unterminated_line_so() {
+        assert_eq!(run(&["cat", "-n"], b"ab\ncad"), b"     1\tab\n     2\tcad");
+        // The next operand continues the line, unnumbered.
+        assert_eq!(run(&["cat", "-n", "-", "f2"], b"ab"), b"     1\tabthree\n");
     }
 
     #[test]

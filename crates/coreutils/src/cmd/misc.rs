@@ -3,10 +3,10 @@
 
 use std::io::{self, Read, Write};
 
-use crate::lines::{buffer_lines, for_each_line, write_line};
+use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
-/// `rev` — reverse the bytes of each line (class S).
+/// `rev` — reverse the bytes of each line (class S); an unterminated one stays so.
 pub struct Rev;
 
 impl Command for Rev {
@@ -21,9 +21,9 @@ impl Command for Rev {
         }
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_line(&mut r, |line| {
+            for_each_record(&mut r, |line, terminated| {
                 let rev: Vec<u8> = line.iter().rev().copied().collect();
-                write_line(io.stdout, &rev)?;
+                write_record(io.stdout, &rev, terminated)?;
                 Ok(true)
             })?;
         }
@@ -83,7 +83,8 @@ impl Command for Echo {
     }
 }
 
-/// `paste [-d LIST] file…` — merge corresponding lines.
+/// `paste [-d LIST] file…` — merge corresponding lines. Side by side,
+/// the `-` operands take stdin's lines in turn, as GNU's do.
 pub struct Paste;
 
 impl Command for Paste {
@@ -117,11 +118,23 @@ impl Command for Paste {
         if files.is_empty() {
             files.push("-".to_string());
         }
+        // The first `-` reads stdin to its end, and the rest find it
+        // empty.
         let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(files.len());
         for f in &files {
             let mut buf = Vec::new();
             open_input(&io.fs, f, io.stdin)?.read_to_end(&mut buf)?;
             inputs.push(buf);
+        }
+        // Side by side, the `-` columns take stdin's lines in turn.
+        let dashes: Vec<usize> = (0..files.len()).filter(|&i| files[i] == "-").collect();
+        if !serial && dashes.len() > 1 {
+            let stdin = std::mem::take(&mut inputs[dashes[0]]);
+            for (n, line) in buffer_lines(&stdin).enumerate() {
+                let column = &mut inputs[dashes[n % dashes.len()]];
+                column.extend_from_slice(line);
+                column.push(b'\n');
+            }
         }
         // Every row goes into one buffer, written once.
         let mut out: Vec<u8> = Vec::with_capacity(inputs.iter().map(Vec::len).sum::<usize>() + 1);
@@ -162,7 +175,8 @@ impl Command for Paste {
     }
 }
 
-/// `fold [-w WIDTH]` — wrap lines to a width (class S within lines).
+/// `fold [-w WIDTH]` — wrap lines to a width (class S within lines);
+/// an unterminated one stays so.
 pub struct Fold;
 
 impl Command for Fold {
@@ -184,7 +198,7 @@ impl Command for Fold {
                         .unwrap_or(80)
                 }
                 s if s.starts_with("-w") && s.len() > 2 => {
-                    width = s[2..].parse().unwrap_or(80);
+                    width = s[2..].parse().ok().filter(|&w| w > 0).unwrap_or(80);
                 }
                 other => files.push(other.to_string()),
             }
@@ -194,14 +208,12 @@ impl Command for Fold {
         }
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_line(&mut r, |line| {
-                if line.is_empty() {
-                    write_line(io.stdout, b"")?;
-                    return Ok(true);
+            for_each_record(&mut r, |mut line, terminated| {
+                while line.len() > width {
+                    write_line(io.stdout, &line[..width])?;
+                    line = &line[width..];
                 }
-                for chunk in line.chunks(width) {
-                    write_line(io.stdout, chunk)?;
-                }
+                write_record(io.stdout, line, terminated)?;
                 Ok(true)
             })?;
         }
@@ -314,6 +326,7 @@ mod tests {
     #[test]
     fn rev_lines() {
         assert_eq!(run(&["rev"], "abc\nxy\n"), "cba\nyx\n");
+        assert_eq!(run(&["rev"], "ab\ncad"), "ba\ndac");
     }
 
     #[test]
@@ -341,6 +354,17 @@ mod tests {
     }
 
     #[test]
+    fn paste_dashes_take_stdin_lines_in_turn() {
+        assert_eq!(run(&["paste", "-", "-"], "ab\ncad\nx\n"), "ab\tcad\nx\t\n");
+        assert_eq!(
+            run(&["paste", "-", "c2", "-"], "ab\ncad\nx\n"),
+            "ab\t1\tcad\nx\t2\t\n"
+        );
+        // Serially, the first `-` takes all of stdin.
+        assert_eq!(run(&["paste", "-s", "-", "-"], "a\nb\n"), "a\tb\n\n");
+    }
+
+    #[test]
     fn paste_serial() {
         assert_eq!(run(&["paste", "-s", "c2"], ""), "1\t2\n");
     }
@@ -348,6 +372,8 @@ mod tests {
     #[test]
     fn fold_width() {
         assert_eq!(run(&["fold", "-w", "2"], "abcde\n"), "ab\ncd\ne\n");
+        assert_eq!(run(&["fold", "-w", "3"], "ab\ncadabr"), "ab\ncad\nabr");
+        assert_eq!(run(&["fold", "-w0"], "ab\n"), "ab\n");
     }
 
     #[test]

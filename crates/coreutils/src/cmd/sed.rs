@@ -13,12 +13,15 @@
 //! (ERE). A script outside this subset — the last-line address `$`
 //! among it, which needs a line of lookahead — is a usage error
 //! (status 2), never a run with other bytes than GNU's.
+//! An unterminated last line is written unterminated, as GNU writes
+//! it: what follows it starts with the missing newline, and `q` adds
+//! it.
 
 use std::io;
 
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::lines::{for_each_line, write_line};
+use crate::lines::{for_each_record, write_record};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// The `sed` command.
@@ -138,12 +141,13 @@ impl Command for Sed {
         let mut space: Vec<u8> = Vec::new();
         let mut scratch: Vec<u8> = Vec::new();
         let mut caps: Vec<Option<(usize, usize)>> = Vec::new();
+        let mut missing_newline = false;
         for f in &files {
             if quit {
                 break;
             }
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_line(&mut r, |line| {
+            for_each_record(&mut r, |line, terminated| {
                 line_no += 1;
                 let mut changed = false;
                 let mut deleted = false;
@@ -196,18 +200,24 @@ impl Command for Sed {
                         Instruction::Quit(addr) => {
                             if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
                                 quit = true;
+                                break;
                             }
                         }
                     }
                 }
+                let terminated = terminated || quit;
                 if !deleted {
                     let pattern_space: &[u8] = if changed { &space } else { line };
-                    for _ in 0..extra_prints {
-                        write_line(io.stdout, pattern_space)?;
+                    for _ in 0..extra_prints + usize::from(!quiet) {
+                        if missing_newline {
+                            io.stdout.write_all(b"\n")?;
+                        }
+                        write_record(io.stdout, pattern_space, terminated)?;
+                        missing_newline = !terminated;
                     }
-                    if !quiet {
-                        write_line(io.stdout, pattern_space)?;
-                    }
+                }
+                if quit && missing_newline {
+                    io.stdout.write_all(b"\n")?;
                 }
                 Ok(!quit)
             })?;
@@ -529,6 +539,29 @@ mod tests {
         )
         .expect("run");
         String::from_utf8(out.stdout).expect("utf8")
+    }
+
+    #[test]
+    fn an_unterminated_last_line_stays_so() {
+        assert_eq!(sed(&["s/a/b/"], "ab\ncad"), "bb\ncbd");
+        assert_eq!(sed(&["-n", "2p"], "ab\ncad"), "cad");
+        assert_eq!(sed(&["1d"], "ab\ncad"), "cad");
+        // Printed twice, it gets the newline between the copies only.
+        assert_eq!(sed(&["p"], "a"), "a\na");
+        // `q` ends the output with one, and runs nothing after it.
+        assert_eq!(sed(&["q"], "a"), "a\n");
+        assert_eq!(sed(&["-n", "p;q"], "a"), "a\n");
+        assert_eq!(sed(&["-e", "q", "-e", "d"], "a\nb\n"), "a\n");
+    }
+
+    #[test]
+    fn a_missing_newline_is_written_before_the_next_operand() {
+        let fs = Arc::new(MemFs::new());
+        fs.add("f1", b"a".to_vec());
+        fs.add("f2", b"b\nc".to_vec());
+        let out =
+            run_command(&Registry::standard(), fs, &["sed", "p", "f1", "f2"], b"").expect("run");
+        assert_eq!(out.stdout, b"a\na\nb\nb\nc\nc");
     }
 
     #[test]

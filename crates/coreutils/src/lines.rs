@@ -104,12 +104,22 @@ pub fn for_each_line<R: BufRead + ?Sized>(
     r: &mut R,
     mut f: impl FnMut(&[u8]) -> io::Result<bool>,
 ) -> io::Result<()> {
+    for_each_record(r, |line, _| f(line))
+}
+
+/// [`for_each_line`], with whether each line ended in a newline (only
+/// a stream's last may not), for [`write_record`] to keep: a line read
+/// unterminated goes out unterminated, as GNU's does.
+pub fn for_each_record<R: BufRead + ?Sized>(
+    r: &mut R,
+    mut f: impl FnMut(&[u8], bool) -> io::Result<bool>,
+) -> io::Result<()> {
     scan_blocks(r, |block| {
         let mut pos = 0;
         while pos < block.len() {
             let end = memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i);
             let next = (end + 1).min(block.len());
-            if !f(&block[pos..end])? {
+            if !f(&block[pos..end], end < block.len())? {
                 return Ok(Some(next));
             }
             pos = next;
@@ -145,6 +155,16 @@ pub fn write_line<W: Write + ?Sized>(w: &mut W, line: &[u8]) -> io::Result<()> {
     } else {
         w.write_all(line)?;
         w.write_all(b"\n")
+    }
+}
+
+/// Writes a line as [`write_line`] does if `terminated`, and bare if
+/// not.
+pub fn write_record<W: Write + ?Sized>(w: &mut W, line: &[u8], terminated: bool) -> io::Result<()> {
+    if terminated {
+        write_line(w, line)
+    } else {
+        w.write_all(line)
     }
 }
 
@@ -315,6 +335,22 @@ mod tests {
         let mut r = BufReader::new(&b"a\nb\nc"[..]);
         let lines = read_all_lines(&mut r).expect("read");
         assert_eq!(lines, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+    }
+
+    #[test]
+    fn only_an_unterminated_last_line_is_flagged() {
+        // A 3-byte buffer: the last line is carried across refills.
+        for cap in [3, 64] {
+            let mut r = BufReader::with_capacity(cap, &b"ab\n\ncad"[..]);
+            let mut records = Vec::new();
+            for_each_record(&mut r, |line, terminated| {
+                records.push((line.to_vec(), terminated));
+                Ok(true)
+            })
+            .expect("iterate");
+            let want = [(&b"ab"[..], true), (b"", true), (b"cad", false)];
+            assert_eq!(records, want.map(|(l, t)| (l.to_vec(), t)), "cap {cap}");
+        }
     }
 
     #[test]

@@ -481,8 +481,10 @@ fn satisfied_commands_stop_reading_their_stdin() {
     }
 }
 
+/// Side by side, the `-` operands take the stream's lines in turn, as
+/// GNU's do.
 #[test]
-fn paste_gives_the_stream_to_its_first_dash() {
-    let out = run(&["paste", "-", "-"], &mut &b"a\nb\n"[..]);
-    assert_eq!(out, b"a\t\nb\t\n");
+fn paste_dashes_take_the_stream_line_by_line() {
+    let out = run(&["paste", "-", "-"], &mut &b"a\nb\nc\n"[..]);
+    assert_eq!(out, b"a\tb\nc\t\n");
 }

@@ -6,9 +6,10 @@
 //! functions at the boundaries of input streams (with the exception of
 //! sort that has to interleave inputs)".
 //!
-//! Inputs are pulled through [`LineScanner`]s — flat buffers refilled
-//! in bulk with borrowed line slices — instead of per-line `BufRead`
-//! calls; the sort merge borrows each scanner's whole window of lines.
+//! The sort merge pulls its inputs through [`LineScanner`]s, flat
+//! buffers refilled in bulk, and borrows each one's whole window of
+//! lines; the other line-wise aggregators read lines or blocks
+//! borrowed from a [`BLOCK_SIZE`] reader, as the commands do.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -18,7 +19,7 @@ use pash_coreutils::cmd::sort::{merge, parse_args as parse_sort_args, Records};
 use pash_coreutils::cmd::wc;
 use pash_coreutils::fs::Fs;
 use pash_coreutils::lines::{
-    add_counts, for_each_block, parse_count_line, push_count, write_line, BLOCK_SIZE,
+    add_counts, for_each_block, for_each_line, parse_count_line, push_count, write_line, BLOCK_SIZE,
 };
 use pash_coreutils::Registry;
 
@@ -219,8 +220,8 @@ fn agg_wc(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io:
     let (sel, _) = wc::parse_selection(args);
     let mut total = [0u64; 3];
     for input in inputs {
-        let mut sc = LineScanner::new(input);
-        while let Some(line) = sc.next_line()? {
+        let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
+        for_each_line(&mut reader, |line| {
             let nums: Vec<u64> = std::str::from_utf8(line)
                 .unwrap_or("")
                 .split_whitespace()
@@ -229,7 +230,8 @@ fn agg_wc(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io:
             for (slot, v) in total.iter_mut().zip(&nums) {
                 *slot += v;
             }
-        }
+            Ok(true)
+        })?;
     }
     let counts = wc_counts_from(&sel, &total);
     // The parts stood for one input: a lone count prints bare, as the
@@ -258,14 +260,15 @@ fn wc_counts_from(sel: &wc::Selection, total: &[u64; 3]) -> wc::Counts {
 fn agg_sum(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
     let mut total: i64 = 0;
     for input in inputs {
-        let mut sc = LineScanner::new(input);
-        while let Some(line) = sc.next_line()? {
+        let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
+        for_each_line(&mut reader, |line| {
             total += std::str::from_utf8(line)
                 .unwrap_or("0")
                 .trim()
                 .parse::<i64>()
                 .unwrap_or(0);
-        }
+            Ok(true)
+        })?;
     }
     writeln!(output, "{total}")?;
     Ok(0)
@@ -295,12 +298,10 @@ fn agg_tac(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
 fn agg_bigram(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
     let mut prev_last: Option<Vec<u8>> = None;
     for input in inputs {
-        let mut sc = LineScanner::new(input);
-        let mut first_marker: Option<Vec<u8>> = None;
+        let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
         let mut last_marker: Option<Vec<u8>> = None;
-        while let Some(line) = sc.next_line()? {
+        for_each_line(&mut reader, |line| {
             if let Some(rest) = line.strip_prefix(b"\x01F\t") {
-                first_marker = Some(rest.to_vec());
                 // Boundary pair with the previous chunk.
                 if let Some(last) = &prev_last {
                     let mut pair = last.clone();
@@ -308,18 +309,16 @@ fn agg_bigram(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> 
                     pair.extend_from_slice(rest);
                     write_line(output, &pair)?;
                 }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix(b"\x01L\t") {
+            } else if let Some(rest) = line.strip_prefix(b"\x01L\t") {
                 last_marker = Some(rest.to_vec());
-                continue;
+            } else {
+                write_line(output, line)?;
             }
-            write_line(output, line)?;
-        }
-        if let Some(last) = last_marker {
-            prev_last = Some(last);
-        } else if first_marker.is_none() {
-            // Empty chunk: boundary carries over unchanged.
+            Ok(true)
+        })?;
+        // An empty chunk carries the boundary over unchanged.
+        if last_marker.is_some() {
+            prev_last = last_marker;
         }
     }
     Ok(0)

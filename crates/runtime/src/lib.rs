@@ -74,7 +74,6 @@ pub use pipe::{
 };
 pub use profile::{ProfileStore, RegionProfile};
 pub use remote::{run_program_remote, serve_worker, shutdown_worker, WorkerPool};
-pub use scan::LineScanner;
 pub use service::{
     CacheTier, Client, Request, Response, RunRequest, RunResponse, Semaphore, ServiceMetrics,
     ServiceSettings,

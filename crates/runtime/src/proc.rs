@@ -81,7 +81,7 @@ pub struct ProcSettings {
     /// injection, sequential fallback (see [`crate::supervise`]).
     pub supervisor: SupervisorSettings,
     /// Ignored: this backend records no profile. Kept only because
-    /// the benchmark harness sets it; ROADMAP item 2 deletes it, as
+    /// the benchmark harness sets it; ROADMAP item 5 deletes it, as
     /// it does `pashd --cache-dir`. A profile comes from the
     /// `threads` backend (`ExecConfig.profile`).
     pub profile: Option<Arc<ProfileStore>>,

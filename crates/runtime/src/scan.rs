@@ -1,17 +1,15 @@
-//! Batched line scanning: the flat-buffer + line-index technique from
-//! the splitter, adapted to streaming readers.
+//! Batched line scanning for the sort merge: the flat-buffer +
+//! line-index technique from the splitter, adapted to streaming
+//! readers.
 //!
-//! Aggregators used to pull their inputs one `read_until` call per
-//! line, paying a `BufRead` dispatch, a bounds-checked copy, and a
-//! `Vec` manipulation per line. [`LineScanner`] instead refills a
-//! flat buffer in large reads and exposes the whole lines it holds as
-//! one borrowed window: [`LineScanner::next_line`] hands them out one
-//! at a time, and the sort merge consumes whole runs of them at once.
+//! [`LineScanner`] refills a flat buffer in large reads and exposes
+//! the whole lines it holds as one borrowed window ([`MergeInput`]),
+//! so the merge consumes whole runs of lines at once.
 
 use std::io::{self, Read};
 
 use pash_coreutils::cmd::sort::MergeInput;
-use pash_regex::memmem::{memchr, memrchr};
+use pash_regex::memmem::memrchr;
 
 /// Refill granularity (and initial buffer size).
 const SCAN_CHUNK: usize = 64 * 1024;
@@ -43,20 +41,6 @@ impl<R: Read> LineScanner<R> {
             end: 0,
             eof: false,
         }
-    }
-
-    /// The next line (newline stripped), or `None` at end of stream.
-    ///
-    /// The returned slice borrows the scanner's buffer and is valid
-    /// until the next call.
-    pub fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
-        self.fill()?;
-        let s = self.start;
-        let Some(len) = memchr(b'\n', self.window()) else {
-            return Ok(None);
-        };
-        self.start += len + 1;
-        Ok(Some(&self.buf[s..s + len]))
     }
 }
 
@@ -118,13 +102,23 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn lines_of(data: &[u8]) -> Vec<Vec<u8>> {
-        let mut sc = LineScanner::new(Cursor::new(data.to_vec()));
+    /// Every line the scanner's windows hold, newlines stripped.
+    fn drain<R: Read>(mut sc: LineScanner<R>) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
-        while let Some(l) = sc.next_line().expect("scan") {
-            out.push(l.to_vec());
+        loop {
+            sc.fill().expect("scan");
+            let n = sc.window().len();
+            let Some((b'\n', lines)) = sc.window().split_last() else {
+                assert_eq!(n, 0, "a window of whole lines");
+                return out;
+            };
+            out.extend(lines.split(|&b| b == b'\n').map(<[u8]>::to_vec));
+            sc.consume(n);
         }
-        out
+    }
+
+    fn lines_of(data: &[u8]) -> Vec<Vec<u8>> {
+        drain(LineScanner::new(Cursor::new(data.to_vec())))
     }
 
     #[test]
@@ -181,11 +175,7 @@ mod tests {
 
     #[test]
     fn trickled_input_assembles_lines() {
-        let mut sc = LineScanner::new(Trickle(b"ab\ncd\n".to_vec(), 0));
-        let mut out = Vec::new();
-        while let Some(l) = sc.next_line().expect("scan") {
-            out.push(l.to_vec());
-        }
+        let out = drain(LineScanner::new(Trickle(b"ab\ncd\n".to_vec(), 0)));
         assert_eq!(out, vec![b"ab".to_vec(), b"cd".to_vec()]);
     }
 }

@@ -18,8 +18,8 @@
 //! * [`runtime`] — runtime primitives, the runtime I/O layer, the
 //!   `threads` backend, and the `processes` backend (real children
 //!   over FIFOs);
-//! * [`sim`] — the byte-flow performance model (max of critical path
-//!   and work ÷ cores, plus a cost per node), whose prediction the
+//! * [`sim`] — [`core::optimize`]'s byte-flow cost model (max of critical
+//!   path and work ÷ cores, plus a cost per node), whose prediction the
 //!   benchmark reports beside the measured time (`sim.rel_err`);
 //! * [`workloads`] — synthetic input generators;
 //! * [`regex`] — the linear-time regex engine.
@@ -80,8 +80,16 @@ pub use pash_coreutils as coreutils;
 pub use pash_parser as parser;
 pub use pash_regex as regex;
 pub use pash_runtime as runtime;
-pub use pash_sim as sim;
 pub use pash_workloads as workloads;
+
+/// The cost model of [`core::optimize`], under the paths the benchmark
+/// harness imports.
+pub mod sim {
+    pub use crate::core::optimize::{CostModel, InputSizes, SimConfig};
+    pub mod engine {
+        pub use crate::core::optimize::simulate_program;
+    }
+}
 
 use crate::core::backend::{emit_program, EmitConfig};
 use crate::core::compile::{compile_cached, compile_cached_hit, Compiled, PashConfig};
@@ -498,7 +506,7 @@ mod tests {
         let err = run("cat f", &PashConfig::default(), "gpu", &env).unwrap_err();
         assert!(matches!(err, RunError::UnknownBackend(_)));
         assert!(err.to_string().contains("threads"));
-        // The simulator prices plans; it is not a backend.
+        // The cost model prices plans; it is not a backend.
         let err = run("cat f", &PashConfig::default(), "sim", &env).unwrap_err();
         assert!(matches!(err, RunError::UnknownBackend(_)));
     }

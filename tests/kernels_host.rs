@@ -1,6 +1,6 @@
-//! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `tac`, `nl`, `grep` and
-//! `sed` against the host's, byte for byte and exit status for exit
-//! status, under `LC_ALL=C`.
+//! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `tac`, `nl`, `rev`,
+//! `fold`, `cat -n`, `paste`, `grep` and `sed` against the host's, byte
+//! for byte and exit status for exit status, under `LC_ALL=C`.
 //!
 //! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
 //! the block kernels with references written from the same reading of
@@ -12,9 +12,10 @@
 //! bytes outside printable ASCII and blanks (GNU skips unprintable
 //! bytes when it looks for words), `uniq -d -u` is not combined
 //! (GNU prints nothing, ours lets `-d` win), `grep` sees no NUL (GNU
-//! would call the input binary and print a notice instead), and `sed`
-//! no unterminated last line (GNU leaves it so, ours terminates it).
-//! Where our `sed` lacks an address form, it refuses the script.
+//! would call the input binary and print a notice instead), `rev` no
+//! NUL (the host's stops the line there), and `fold` no tab (GNU
+//! advances a tab to the next tab stop, ours counts bytes). Where our
+//! `sed` lacks an address form, it refuses the script.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -305,6 +306,54 @@ fn nl_matches_the_host() {
     assert_matches_host("nl", &[&[]], &inputs, true);
 }
 
+/// An unterminated last line stays so.
+#[test]
+fn rev_matches_the_host() {
+    let inputs = inputs(false);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("rev", &[&[]], &inputs, true);
+}
+
+/// An unterminated last line stays so, however it is cut.
+#[test]
+fn fold_matches_the_host() {
+    let cases: [&[&str]; 3] = [&[], &["-w", "3"], &["-w", "21"]];
+    let inputs: Vec<Vec<u8>> = inputs(true)
+        .into_iter()
+        .map(|input| {
+            input
+                .iter()
+                .map(|&b| if b == b'\t' { b' ' } else { b })
+                .collect()
+        })
+        .collect();
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("fold", &cases, &inputs, true);
+}
+
+/// `cat -n` numbers an unterminated last line and adds no newline.
+#[test]
+fn cat_matches_the_host() {
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("cat", &[&[], &["-n"]], &inputs, true);
+}
+
+/// Side by side, each `-` takes the next line of the one stdin; the
+/// operand form puts `in.txt` beside them.
+#[test]
+fn paste_matches_the_host() {
+    let cases: [&[&str]; 4] = [
+        &["-", "-"],
+        &["-d", ":", "-", "-", "-"],
+        &["-"],
+        &["-s", "-"],
+    ];
+    let inputs = inputs(true);
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("paste", &cases, &inputs, true);
+}
+
 #[test]
 fn grep_matches_the_host() {
     const FLAGS: [&[&str]; 11] = [
@@ -380,11 +429,28 @@ fn sed_substitution_matches_the_host() {
         &["s/x*$/!/"],
         &["-n", "s/signal/SIGNAL/p"],
     ];
-    let inputs = [
-        corpus(1, 12_000, true),
-        pash::workloads::text_corpus(6, 200_000).to_ascii_lowercase(),
-        Vec::new(),
+    let mut inputs = inputs(true);
+    inputs.push(pash::workloads::text_corpus(6, 200_000).to_ascii_lowercase());
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_matches_host("sed", &cases, &inputs, true);
+}
+
+/// Line addresses, deletion, printing twice and quitting: an
+/// unterminated last line is written without a newline, and a
+/// newline goes before anything written after it.
+#[test]
+fn sed_lines_match_the_host() {
+    let cases: [&[&str]; 8] = [
+        &["p"],
+        &["-n", "41p"],
+        &["-n", "2p"],
+        &["1d"],
+        &["-n", "/the/p"],
+        &["/the/d"],
+        &["-e", "s/a/b/", "-e", "p"],
+        &["41q"],
     ];
+    let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("sed", &cases, &inputs, true);
 }
