@@ -1,9 +1,14 @@
 //! `cut` — select fields or character columns from each line.
+//!
+//! `cut -f` finds its field and line terminators by position mask:
+//! one 64-byte window of the block at a time, a mask of the delimiter
+//! and one of `\n` (`bytemask`), walked bit by bit with
+//! `trailing_zeros`. Every list form and `-s` take this path; `cut -c`
+//! slices each line by position.
 
 use std::io;
 
-use pash_regex::memmem::{memchr, memchr2};
-
+use crate::bytemask::{copy_run, ByteSet, WINDOW};
 use crate::lines::{buffer_lines, for_each_block, parse_ranges};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
@@ -59,13 +64,14 @@ impl Command for Cut {
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_block(&mut r, |block| {
-                out.clear();
-                if by_fields {
-                    cut_fields(block, &ranges, delim, suppress, &mut out);
+                let n = if by_fields {
+                    cut_fields(block, &ranges, delim, suppress, &mut out)
                 } else {
+                    out.clear();
                     cut_bytes(block, &ranges, &mut out);
-                }
-                io.stdout.write_all(&out)?;
+                    out.len()
+                };
+                io.stdout.write_all(&out[..n])?;
                 Ok(true)
             })?;
         }
@@ -73,44 +79,126 @@ impl Command for Cut {
     }
 }
 
-/// The next field or line terminator at or after `from`: its offset
-/// (the block's end for an unterminated last line) and whether it is a
-/// delimiter, i.e. whether the line goes on.
-#[inline]
-fn next_sep(block: &[u8], from: usize, delim: u8) -> (usize, bool) {
-    match memchr2(delim, b'\n', &block[from..]) {
-        Some(i) => (from + i, block[from + i] != b'\n'),
-        None => (block.len(), false),
+/// The field and line terminators of a block, in order, found one
+/// 64-byte window of position masks at a time.
+///
+/// Each call answers the lowest terminator not yet answered: the
+/// lowest bit left in the window's masks, whose bits are cleared as
+/// they are answered; an empty window gives way to the next.
+struct Seps<'a> {
+    block: &'a [u8],
+    delim: ByteSet,
+    newline: ByteSet,
+    /// Offset of the window's first byte.
+    base: usize,
+    /// Terminators of the window not yet answered, by position.
+    seps: u64,
+    /// The newlines among them.
+    newlines: u64,
+}
+
+impl<'a> Seps<'a> {
+    fn new(block: &'a [u8], delim: u8) -> Seps<'a> {
+        let mut seps = Seps {
+            block,
+            delim: ByteSet::new(&[delim]).expect("one byte"),
+            newline: ByteSet::new(b"\n").expect("one byte"),
+            base: 0,
+            seps: 0,
+            newlines: 0,
+        };
+        seps.load(0);
+        seps
+    }
+
+    /// Makes the window start at `base`.
+    #[inline]
+    fn load(&mut self, base: usize) {
+        self.base = base;
+        let window = &self.block[base..self.block.len().min(base + WINDOW)];
+        self.newlines = self.newline.mask(window);
+        self.seps = self.delim.mask(window) | self.newlines;
+    }
+
+    /// Moves to the next window; false at the block's end.
+    #[inline]
+    fn advance(&mut self) -> bool {
+        let more = self.base + WINDOW < self.block.len();
+        if more {
+            self.load(self.base + WINDOW);
+        }
+        more
+    }
+
+    /// The next terminator: its offset (the block's end for an
+    /// unterminated last line) and whether it is a delimiter, i.e.
+    /// whether the line goes on.
+    #[inline]
+    fn next_sep(&mut self) -> (usize, bool) {
+        loop {
+            if self.seps != 0 {
+                let at = self.seps.trailing_zeros();
+                self.seps &= self.seps - 1;
+                let delimiter = self.newlines >> at & 1 == 0;
+                self.newlines &= self.seps;
+                return (self.base + at as usize, delimiter);
+            }
+            if !self.advance() {
+                return (self.block.len(), false);
+            }
+        }
+    }
+
+    /// The end of the current line, its `\n` or the block's end,
+    /// passing the delimiters before it.
+    #[inline]
+    fn line_end(&mut self) -> usize {
+        loop {
+            if self.newlines != 0 {
+                let at = self.newlines.trailing_zeros();
+                let passed = u64::MAX.checked_shl(at + 1).unwrap_or(0);
+                self.seps &= passed;
+                self.newlines &= passed;
+                return self.base + at as usize;
+            }
+            if !self.advance() {
+                return self.block.len();
+            }
+        }
     }
 }
 
-/// The end of the line `from` lies on: its `\n`, or the block's end.
-#[inline]
-fn line_end(block: &[u8], from: usize) -> usize {
-    memchr(b'\n', &block[from..]).map_or(block.len(), |i| from + i)
-}
-
-/// `cut -f` over one block of whole lines, appending to `out`.
+/// `cut -f` over one block of whole lines, into the front of `out`;
+/// returns the output length.
 ///
 /// `ranges` are sorted and disjoint, so one cursor walks the line's
-/// delimiters forward while another walks the ranges, and a range's
+/// terminators forward while another walks the ranges, and a range's
 /// fields — delimiters between them included — are one slice of the
-/// line.
+/// line. No line's output is longer than the line and its newline,
+/// so `out` is sized once, with room for [`copy_run`]'s whole-window
+/// moves past the end.
 fn cut_fields(
     block: &[u8],
     ranges: &[(usize, usize)],
     delim: u8,
     suppress: bool,
     out: &mut Vec<u8>,
-) {
+) -> usize {
+    if out.len() < block.len() + 1 + WINDOW {
+        out.resize(block.len() + 1 + WINDOW, 0);
+    }
+    let mut w = 0;
+    let mut seps = Seps::new(block, delim);
     let mut pos = 0;
     while pos < block.len() {
-        let (first, delimited) = next_sep(block, pos, delim);
+        let (first, delimited) = seps.next_sep();
         if !delimited {
             // No delimiter on the line: it passes whole, or not at all.
             if !suppress {
-                out.extend_from_slice(&block[pos..first]);
-                out.push(b'\n');
+                copy_run(block, pos, first - pos, out, w);
+                w += first - pos;
+                out[w] = b'\n';
+                w += 1;
             }
             pos = first + 1;
             continue;
@@ -122,7 +210,7 @@ fn cut_fields(
         for &(lo, hi) in ranges {
             while field < lo && more {
                 at = end + 1;
-                (end, more) = next_sep(block, at, delim);
+                (end, more) = seps.next_sep();
                 field += 1;
             }
             if field < lo {
@@ -131,24 +219,28 @@ fn cut_fields(
             let span = at;
             if hi == usize::MAX && more {
                 // An open range runs to the end of the line.
-                (end, more) = (line_end(block, end), false);
+                (end, more) = (seps.line_end(), false);
             }
             while field < hi && more {
-                (end, more) = next_sep(block, end + 1, delim);
+                (end, more) = seps.next_sep();
                 field += 1;
             }
             if wrote {
-                out.push(delim);
+                out[w] = delim;
+                w += 1;
             }
-            out.extend_from_slice(&block[span..end]);
+            copy_run(block, span, end - span, out, w);
+            w += end - span;
             wrote = true;
         }
         if more {
-            end = line_end(block, end);
+            end = seps.line_end();
         }
-        out.push(b'\n');
+        out[w] = b'\n';
+        w += 1;
         pos = end + 1;
     }
+    w
 }
 
 /// `cut -c` over one block of whole lines: each (sorted, disjoint)

@@ -177,7 +177,23 @@ impl Command for Paste {
 
 /// `fold [-w WIDTH]` — wrap lines to a width (class S within lines);
 /// an unterminated one stays so.
+///
+/// The width counts columns, as GNU's does: a tab moves to the next
+/// multiple of 8, a backspace goes back one column, a carriage return
+/// to column 0, and any other byte takes one. A byte that would pass
+/// the width starts the next output line, unless it is the first of
+/// its line.
 pub struct Fold;
+
+/// The column after `b`, starting from `column`.
+fn fold_column(column: usize, b: u8) -> usize {
+    match b {
+        b'\t' => column + 8 - column % 8,
+        b'\x08' => column.saturating_sub(1),
+        b'\r' => 0,
+        _ => column + 1,
+    }
+}
 
 impl Command for Fold {
     fn name(&self) -> &'static str {
@@ -189,18 +205,20 @@ impl Command for Fold {
         let mut files: Vec<String> = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "-w" => {
-                    width = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&w| w > 0)
-                        .unwrap_or(80)
+            let value = match a.as_str() {
+                "-w" => it.next().map_or("", String::as_str),
+                s if s.starts_with("-w") => &s[2..],
+                other => {
+                    files.push(other.to_string());
+                    continue;
                 }
-                s if s.starts_with("-w") && s.len() > 2 => {
-                    width = s[2..].parse().ok().filter(|&w| w > 0).unwrap_or(80);
+            };
+            match value.parse() {
+                Ok(w) if w > 0 => width = w,
+                _ => {
+                    writeln!(io.stderr, "fold: invalid number of columns: '{value}'")?;
+                    return Ok(1);
                 }
-                other => files.push(other.to_string()),
             }
         }
         if files.is_empty() {
@@ -208,12 +226,17 @@ impl Command for Fold {
         }
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            for_each_record(&mut r, |mut line, terminated| {
-                while line.len() > width {
-                    write_line(io.stdout, &line[..width])?;
-                    line = &line[width..];
+            for_each_record(&mut r, |line, terminated| {
+                let (mut start, mut column) = (0, 0);
+                for (i, &b) in line.iter().enumerate() {
+                    column = fold_column(column, b);
+                    if column > width && i > start {
+                        write_line(io.stdout, &line[start..i])?;
+                        start = i;
+                        column = fold_column(0, b);
+                    }
                 }
-                write_record(io.stdout, line, terminated)?;
+                write_record(io.stdout, &line[start..], terminated)?;
                 Ok(true)
             })?;
         }
@@ -373,7 +396,28 @@ mod tests {
     fn fold_width() {
         assert_eq!(run(&["fold", "-w", "2"], "abcde\n"), "ab\ncd\ne\n");
         assert_eq!(run(&["fold", "-w", "3"], "ab\ncadabr"), "ab\ncad\nabr");
-        assert_eq!(run(&["fold", "-w0"], "ab\n"), "ab\n");
+        // Columns, not bytes: a tab runs to the next multiple of 8,
+        // and is let through alone where nothing precedes it.
+        assert_eq!(run(&["fold", "-w", "4"], "a\tb\n"), "a\n\t\nb\n");
+        assert_eq!(
+            run(&["fold", "-w", "3"], "ab\x08\x08cd\rxyz\n"),
+            "ab\x08\x08cd\rxyz\n"
+        );
+        assert_eq!(run(&["fold", "-w", "3"], "abcd\x08e\n"), "abc\nd\x08e\n");
+    }
+
+    #[test]
+    fn fold_refuses_width_zero() {
+        for w in ["-w0", "-wx"] {
+            let out = run_command(
+                &Registry::standard(),
+                Arc::new(MemFs::new()),
+                &["fold", w],
+                b"ab\n",
+            )
+            .expect("run");
+            assert_eq!((out.status, out.stdout.as_slice()), (1, &b""[..]), "{w}");
+        }
     }
 
     #[test]

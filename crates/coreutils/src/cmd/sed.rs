@@ -72,22 +72,21 @@ impl Command for Sed {
             match a.as_str() {
                 "-n" => quiet = true,
                 "-E" | "-r" => ere = true,
-                "-e" => {
-                    if let Some(s) = it.next() {
-                        scripts.push(s.clone());
+                "-e" => match it.next() {
+                    Some(s) => scripts.push(s.clone()),
+                    None => {
+                        return crate::usage_error(io, "sed", "option requires an argument -- 'e'")
                     }
-                }
-                other => {
-                    if scripts.is_empty() {
-                        scripts.push(other.to_string());
-                    } else {
-                        files.push(other.to_string());
-                    }
-                }
+                },
+                other => files.push(other.to_string()),
             }
         }
+        // Once any `-e` is given, every operand is a file, as in GNU.
         if scripts.is_empty() {
-            return crate::usage_error(io, "sed", "missing script");
+            if files.is_empty() {
+                return crate::usage_error(io, "sed", "missing script");
+            }
+            scripts.push(files.remove(0));
         }
         let syntax = if ere { Syntax::Ere } else { Syntax::Bre };
         let mut instructions = Vec::new();
@@ -142,11 +141,21 @@ impl Command for Sed {
         let mut scratch: Vec<u8> = Vec::new();
         let mut caps: Vec<Option<(usize, usize)>> = Vec::new();
         let mut missing_newline = false;
+        let mut status = 0;
         for f in &files {
             if quit {
                 break;
             }
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            // An operand that cannot be read is reported and skipped;
+            // the rest still run, and the status says one failed.
+            let mut r = match open_input(&io.fs, f, io.stdin) {
+                Ok(r) => r,
+                Err(e) => {
+                    writeln!(io.stderr, "sed: can't read {f}: {e}")?;
+                    status = 2;
+                    continue;
+                }
+            };
             for_each_record(&mut r, |line, terminated| {
                 line_no += 1;
                 let mut changed = false;
@@ -222,7 +231,7 @@ impl Command for Sed {
                 Ok(!quit)
             })?;
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

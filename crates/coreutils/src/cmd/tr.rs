@@ -3,9 +3,27 @@
 //! Supports `tr SET1 SET2`, `-d SET1`, `-s SET1 [SET2]`, `-c`
 //! (complement), and combinations such as the classic word-splitting
 //! idiom `tr -cs A-Za-z '\n'`.
+//!
+//! Input is read in place, one 64 KiB tile at a time, and each tile
+//! takes one of three paths:
+//!
+//! * *Translation* is a byte map. When it shifts one range by a
+//!   constant (`A-Z a-z`, `[:upper:] [:lower:]`), it is a branch-free
+//!   loop that LLVM vectorizes; any other map is a table.
+//! * *Deletion by a set of at most four bytes* (`-d ',.'`) and
+//!   *squeezing by a one-byte set* (`-s ' '`, and `-cs A-Za-z '\n'`,
+//!   whose squeeze set is `\n`) go by position mask (`bytemask`). Each
+//!   64-byte window gets a mask of the bytes to drop: the members of
+//!   the deleted set, or, for the squeezed byte's mask `m` on the
+//!   translated tile, `m & (m << 1 | carry)`. The runs between the
+//!   dropped bytes are copied whole.
+//! * *The byte loop* (`compact`) for every other deletion or squeeze
+//!   (`-d aeiou`, `-cd a-z`, `-s a-z`, and every `-ds`): one
+//!   class-table load per byte.
 
 use std::io;
 
+use crate::bytemask::{copy_run, low_bits, ByteSet, WINDOW};
 use crate::lines::BLOCK_SIZE;
 use crate::{CmdIo, Command, ExitStatus};
 
@@ -106,13 +124,35 @@ impl Command for Tr {
         }
 
         // Deletion is keyed on the input byte, squeezing on the
-        // translated one; with neither, `tr` is a table map.
+        // translated one; with neither, `tr` is a byte map.
         let classes: [u32; 256] = std::array::from_fn(|b| {
             let t = table[b];
             class_of(t, delete && member[b], squeeze_member[t as usize])
         });
+        let map = ByteMap::new(&table);
+        let members =
+            |m: &[bool; 256]| -> Vec<u8> { (0..=255u8).filter(|&b| m[b as usize]).collect() };
+        // Position masks for deletion by at most four bytes and for
+        // squeezing by one; the byte loop for every other set.
+        let kernel = match (delete, squeeze) {
+            (false, false) => Kernel::Map,
+            (true, false) => {
+                ByteSet::new(&members(&member)).map_or(Kernel::Compact, Kernel::Delete)
+            }
+            (false, true) => match members(&squeeze_member)[..] {
+                [b] => Kernel::Squeeze(ByteSet::new(&[b]).expect("one byte")),
+                _ => Kernel::Compact,
+            },
+            // Under `-ds` a repeat is judged against the last byte that
+            // survived deletion: `compact`'s rule.
+            (true, true) => Kernel::Compact,
+        };
         let mut out: Vec<u8> = Vec::new();
+        let mut mapped: Vec<u8> = Vec::new();
         let mut prev = NO_SURVIVOR;
+        // Bit 0 is set when the byte before the next window is the
+        // squeezed one.
+        let mut carry = 0u64;
         loop {
             let chunk = io.stdin.fill_buf()?;
             if chunk.is_empty() {
@@ -122,24 +162,129 @@ impl Command for Tr {
             // stays cache-sized whatever the reader holds.
             let tile = &chunk[..chunk.len().min(BLOCK_SIZE)];
             let n = tile.len();
-            if out.len() < n {
-                out.resize(n, 0);
+            // Room for `copy_run`'s whole-window moves past the end.
+            if out.len() < n + WINDOW {
+                out.resize(n + WINDOW, 0);
             }
-            let kept = if delete || squeeze {
-                let (kept, last) = compact(tile, &classes, prev, &mut out);
-                prev = last;
-                kept
-            } else {
-                for (o, &b) in out.iter_mut().zip(tile) {
-                    *o = table[b as usize];
+            let kept = match &kernel {
+                Kernel::Map => {
+                    map.apply(tile, &mut out[..n]);
+                    n
                 }
-                n
+                Kernel::Compact => {
+                    let (kept, last) = compact(tile, &classes, prev, &mut out);
+                    prev = last;
+                    kept
+                }
+                Kernel::Delete(set) => compact_masked(tile, &mut out, |w| set.mask(w)),
+                Kernel::Squeeze(byte) => {
+                    // A squeeze looks at translated bytes.
+                    let src = if translating {
+                        mapped.resize(n, 0);
+                        map.apply(tile, &mut mapped);
+                        &mapped[..]
+                    } else {
+                        tile
+                    };
+                    compact_masked(src, &mut out, |w| {
+                        let m = byte.mask(w);
+                        let drop = m & (m << 1 | carry);
+                        carry = m >> (w.len() - 1) & 1;
+                        drop
+                    })
+                }
             };
             io.stdout.write_all(&out[..kept])?;
             io.stdin.consume(n);
         }
         Ok(0)
     }
+}
+
+/// How a `tr` invocation turns a tile into output.
+enum Kernel {
+    /// Translation only: [`ByteMap::apply`].
+    Map,
+    /// Deletion or squeezing by the byte loop [`compact`].
+    Compact,
+    /// Deletion of the input bytes in a set, by [`compact_masked`].
+    Delete(ByteSet),
+    /// Squeezing runs of one translated byte, by [`compact_masked`].
+    Squeeze(ByteSet),
+}
+
+/// Copies the bytes of `src` into the front of `out`, leaving out
+/// those whose bit is set in `drop(window)`, one 64-byte window at a
+/// time; the runs between them are copied whole. Returns the output
+/// length.
+fn compact_masked(src: &[u8], out: &mut [u8], mut drop: impl FnMut(&[u8]) -> u64) -> usize {
+    let mut w = 0;
+    for base in (0..src.len()).step_by(WINDOW) {
+        let window = &src[base..src.len().min(base + WINDOW)];
+        let mut keep = !drop(window) & low_bits(window.len());
+        while keep != 0 {
+            let start = keep.trailing_zeros() as usize;
+            let end = start + (!(keep >> start)).trailing_zeros() as usize;
+            copy_run(src, base + start, end - start, out, w);
+            w += end - start;
+            keep &= u64::MAX.checked_shl(end as u32).unwrap_or(0);
+        }
+    }
+    w
+}
+
+/// `tr`'s translation, however it is computed.
+enum ByteMap {
+    /// One range shifted by a constant: the bytes `lo..=lo + span`
+    /// move by `shift`, the others stay. The branch-free loop
+    /// vectorizes.
+    Range { lo: u8, span: u8, shift: u8 },
+    /// Any other translation: a table lookup per byte.
+    Table(Box<[u8; 256]>),
+}
+
+impl ByteMap {
+    fn new(table: &[u8; 256]) -> ByteMap {
+        let Some(lo) = (0..=255u8).find(|&b| table[b as usize] != b) else {
+            return ByteMap::Range {
+                lo: 0,
+                span: 0,
+                shift: 0,
+            };
+        };
+        let shift = table[lo as usize].wrapping_sub(lo);
+        let hi = (lo..=255u8)
+            .take_while(|&b| table[b as usize] == b.wrapping_add(shift))
+            .last()
+            .expect("lo moves by shift");
+        let span = hi - lo;
+        match (0..=255u8).all(|b| shifted(b, lo, span, shift) == table[b as usize]) {
+            true => ByteMap::Range { lo, span, shift },
+            false => ByteMap::Table(Box::new(*table)),
+        }
+    }
+
+    /// Translates `tile` into `out` (of the same length).
+    fn apply(&self, tile: &[u8], out: &mut [u8]) {
+        match *self {
+            ByteMap::Range { lo, span, shift } => {
+                for (o, &b) in out.iter_mut().zip(tile) {
+                    *o = shifted(b, lo, span, shift);
+                }
+            }
+            ByteMap::Table(ref table) => {
+                for (o, &b) in out.iter_mut().zip(tile) {
+                    *o = table[b as usize];
+                }
+            }
+        }
+    }
+}
+
+/// `b` moved by `shift` when it is in `lo..=lo + span`.
+#[inline]
+fn shifted(b: u8, lo: u8, span: u8, shift: u8) -> u8 {
+    b.wrapping_add(u8::from(b.wrapping_sub(lo) <= span) * shift)
 }
 
 /// What [`compact`] needs to know about one input byte, packed so

@@ -23,6 +23,7 @@
 //! assert_eq!(out.stdout, b"HELLO\n");
 //! ```
 
+mod bytemask;
 pub mod cmd;
 pub mod fs;
 pub mod lines;

@@ -7,17 +7,21 @@
 //! `uniq` groups straddle the edges), the kernel over one chunk, and a
 //! reference that works on an owned `Vec<Vec<u8>>` of lines (or, for
 //! `tr`, byte by byte) and shares no code with the kernels. The
-//! streaming and early-exit tests pin what borrowing stdin bought: a
-//! command produces output before its input ends, and stops reading
-//! once it is satisfied.
+//! position-mask kernels of `tr -d`/`-s` and `cut -f` are held to the
+//! references with a deleted byte, a squeeze run or a delimiter at
+//! every offset of a 64-byte window and across the 64 KiB tile edge.
+//! The streaming and early-exit tests pin what borrowing stdin
+//! bought: a command produces output before its input ends, and stops
+//! reading once it is satisfied.
 
 use std::cell::Cell;
 use std::io::{self, BufRead, Read, Write};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pash_coreutils::cmd::tr::expand_set;
 use pash_coreutils::fs::MemFs;
+use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry};
 use proptest::prelude::*;
 
@@ -80,7 +84,10 @@ impl Read for Chunked {
 
 /// Runs `argv` over `stdin`, writing to `stdout`; returns the status.
 fn run_io(argv: &[&str], stdin: &mut dyn BufRead, stdout: &mut dyn Write) -> i32 {
-    let registry = Registry::standard();
+    // Built once: the offset sweeps run commands tens of thousands of
+    // times.
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    let registry = REGISTRY.get_or_init(Registry::standard);
     let cmd = registry.get(argv[0]).expect("command exists");
     let args: Vec<String> = argv[1..].iter().map(|s| s.to_string()).collect();
     let mut stderr = Vec::new();
@@ -89,7 +96,7 @@ fn run_io(argv: &[&str], stdin: &mut dyn BufRead, stdout: &mut dyn Write) -> i32
         stdout,
         stderr: &mut stderr,
         fs: Arc::new(MemFs::new()),
-        registry: &registry,
+        registry,
     };
     cmd.run(&args, &mut io).expect("command runs")
 }
@@ -388,6 +395,95 @@ proptest! {
             .collect();
         let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
         assert_three_ways(&argv, &input, &sizes, ref_wc(&input, flags));
+    }
+}
+
+/// `feature` after every filler length 0..=64 and, with `tile_edge`,
+/// ending at, straddling and starting at the 64 KiB tile edge; each
+/// input ends with a line that is not terminated.
+fn placed(feature: &[u8], tile_edge: bool) -> Vec<Vec<u8>> {
+    let n = feature.len();
+    let edge = [
+        BLOCK_SIZE - n,
+        BLOCK_SIZE - n / 2 - 1,
+        BLOCK_SIZE - 1,
+        BLOCK_SIZE,
+    ];
+    (0..=64)
+        .chain(edge.into_iter().filter(|_| tile_edge))
+        .map(|len| {
+            // Filler lines of 'x' words, so a long prefix has lines too.
+            let mut input: Vec<u8> = (0..len)
+                .map(|i| match i % 40 {
+                    39 => b'\n',
+                    13 | 26 => b'q',
+                    _ => b'x',
+                })
+                .collect();
+            input.extend_from_slice(feature);
+            input.extend_from_slice(b"x y, z\nlast, line");
+            input
+        })
+        .collect()
+}
+
+/// `tr`'s mask paths against the byte-by-byte reference, with the
+/// byte they look for, in runs of 1 to 70, at every window offset and
+/// across the tile edge.
+#[test]
+fn tr_matches_the_reference_at_every_offset() {
+    // (flags, sets, what to place): `-d` by a two- and a four-byte
+    // set, `-s` on the input, `-cs` after a table map and `-s` after a
+    // range map.
+    let tr_cases: [(&str, &[&str], u8); 5] = [
+        ("-d", &[",."], b','),
+        ("-d", &[",.\\n\\377"], b'.'),
+        ("-s", &[" "], b' '),
+        ("-cs", &["A-Za-z", "\\n"], b','),
+        ("-s", &[" ", "_"], b' '),
+    ];
+    let sizes = [64, 7, 1000];
+    for (flags, sets, byte) in tr_cases {
+        let mut argv = vec!["tr"];
+        if !flags.is_empty() {
+            argv.push(flags);
+        }
+        argv.extend(sets);
+        for run in 1..=70 {
+            // The tile edge for the shortest and the longest runs.
+            let tile_edge = [1, 64, 70].contains(&run);
+            for input in placed(&vec![byte; run], tile_edge) {
+                let reference = ref_tr(
+                    &input,
+                    flags.contains('c'),
+                    flags.contains('d'),
+                    flags.contains('s'),
+                    sets,
+                );
+                assert_three_ways(&argv, &input, &sizes, reference);
+            }
+        }
+    }
+}
+
+/// `cut -f`'s separator walk against the reference, with delimiters
+/// and line ends at every window offset and across the tile edge.
+#[test]
+fn cut_fields_matches_the_reference_at_every_offset() {
+    let sizes = [64, 7, 1000];
+    for list in ["1", "2,4-", "-3", "1-4", "3-"] {
+        for suppress in [false, true] {
+            let mut argv = vec!["cut", "-d", " ", "-f", list];
+            if suppress {
+                argv.push("-s");
+            }
+            for feature in [&b" "[..], b"  ", b" a b ", b"\n", b"\n \n"] {
+                for input in placed(feature, true) {
+                    let reference = ref_cut_fields(&input, list, b' ', suppress);
+                    assert_three_ways(&argv, &input, &sizes, reference);
+                }
+            }
+        }
     }
 }
 

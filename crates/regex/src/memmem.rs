@@ -1,11 +1,12 @@
 //! Word-at-a-time byte scanning: `memchr`/`memmem`-style primitives.
 //!
-//! These are the prefilter workhorses of the tiered matcher: SIMD-free
-//! (the workspace targets a plain container), but processing one
-//! machine word per step via the classic SWAR zero-byte trick, which
-//! moves bytes at several GiB/s — far faster than any per-byte NFA or
-//! DFA loop, and fast enough that skipping non-candidate input
-//! dominates total `grep`/`sed` time on literal-bearing patterns.
+//! These are prefilter workhorses of the tiered matcher. They use no
+//! vector instructions: each step processes one machine word with the
+//! classic SWAR zero-byte trick, which moves bytes at several GiB/s —
+//! far faster than any per-byte NFA or DFA loop, and fast enough that
+//! skipping non-candidate input dominates total `grep`/`sed` time on
+//! literal-bearing patterns. A set of several literals goes to the
+//! SSSE3 Teddy searcher in [`crate::teddy`] instead.
 
 const WORD: usize = std::mem::size_of::<usize>();
 const LO: usize = usize::from_ne_bytes([0x01; WORD]);

@@ -13,9 +13,8 @@
 //! bytes when it looks for words), `uniq -d -u` is not combined
 //! (GNU prints nothing, ours lets `-d` win), `grep` sees no NUL (GNU
 //! would call the input binary and print a notice instead), `rev` no
-//! NUL (the host's stops the line there), and `fold` no tab (GNU
-//! advances a tab to the next tab stop, ours counts bytes). Where our
-//! `sed` lacks an address form, it refuses the script.
+//! NUL (the host's stops the line there). Where our `sed` lacks an
+//! address form, it refuses the script.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -178,11 +177,15 @@ fn inputs(binary: bool) -> Vec<Vec<u8>> {
 
 #[test]
 fn cut_matches_the_host() {
-    let cases: [&[&str]; 12] = [
+    let cases: [&[&str]; 16] = [
         &["-d", " ", "-f", "1"],
         &["-d", " ", "-f", "1-4"],
         &["-d", " ", "-f", "2-"],
         &["-d", " ", "-f", "-2"],
+        &["-d", " ", "-f", "2,4-"],
+        &["-d", " ", "-f", "-3"],
+        &["-d", " ", "-f", "2,4-", "-s"],
+        &["-d", " ", "-f", "-3", "-s"],
         &["-d", " ", "-f", "3,1"],
         &["-d", " ", "-f", "2-4,3-6,1"],
         &["-d", " ", "-f", "4-,2", "-s"],
@@ -199,17 +202,28 @@ fn cut_matches_the_host() {
 
 #[test]
 fn tr_matches_the_host() {
-    let cases: [&[&str]; 10] = [
+    // Translation by range map (`A-Z a-z`) and by table; the
+    // compaction loop (`-s a-z A-Z`, every `-ds`, `-cd`); and from
+    // `-d ,.` on the position masks, for deletion by at most four
+    // bytes and squeezing by one (`-cs A-Za-z '\n'` after a table
+    // map, `-s ' ' _` after a range map).
+    let cases: [&[&str]; 16] = [
         &["A-Z", "a-z"],
         &["a-z", "A-Z"],
         &["abc,", "x"],
-        &["-d", ",."],
-        &["-s", " "],
         &["-s", "a-z", "A-Z"],
         &["-ds", ".", " ,"],
-        &["-cs", "A-Za-z", "\\n"],
         &["-cd", "a-z\\n"],
         &["[:upper:]", "[:lower:]"],
+        &["-ds", "a-z", " "],
+        &["A-Za-z", "a-zA-Z"],
+        &["-s", "ea ,"],
+        &["-d", ",."],
+        &["-s", " "],
+        &["-cs", "A-Za-z", "\\n"],
+        &["-s", " ", "_"],
+        &["-d", "\\000\\377"],
+        &["-d", "\\n,.e"],
     ];
     let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
@@ -314,19 +328,15 @@ fn rev_matches_the_host() {
     assert_matches_host("rev", &[&[]], &inputs, true);
 }
 
-/// An unterminated last line stays so, however it is cut.
+/// An unterminated last line stays so, however it is cut. Columns
+/// are counted as GNU counts them: a tab runs to the next multiple of
+/// 8, a backspace goes back one, a carriage return to column 0; and
+/// width 0 is refused.
 #[test]
 fn fold_matches_the_host() {
-    let cases: [&[&str]; 3] = [&[], &["-w", "3"], &["-w", "21"]];
-    let inputs: Vec<Vec<u8>> = inputs(true)
-        .into_iter()
-        .map(|input| {
-            input
-                .iter()
-                .map(|&b| if b == b'\t' { b' ' } else { b })
-                .collect()
-        })
-        .collect();
+    let cases: [&[&str]; 5] = [&[], &["-w", "3"], &["-w", "21"], &["-w", "9"], &["-w", "0"]];
+    let mut inputs = inputs(true);
+    inputs.push(b"a\tb\n\tx\n1234567\t\tz\nab\x08\x08cd\rxyz\x08\x08\x08\x08w\n\t\t\t".repeat(30));
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("fold", &cases, &inputs, true);
 }
@@ -440,7 +450,7 @@ fn sed_substitution_matches_the_host() {
 /// newline goes before anything written after it.
 #[test]
 fn sed_lines_match_the_host() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 9] = [
         &["p"],
         &["-n", "41p"],
         &["-n", "2p"],
@@ -449,6 +459,9 @@ fn sed_lines_match_the_host() {
         &["/the/d"],
         &["-e", "s/a/b/", "-e", "p"],
         &["41q"],
+        // Once `-e` is given, every operand is a file: this one does
+        // not exist, which is status 2 after the others ran.
+        &["s/a/b/", "-e", "p"],
     ];
     let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
