@@ -45,7 +45,9 @@
 #      and the aggregator reverses the parts, so the unterminated line
 #      must lead the output as it stands; `rev` and `sed` must leave
 #      it unterminated; the `light-stream` workload's script, `tr -cs`
-#      and `cut -f 2,4-` run the position-mask kernels);
+#      and `cut -f 2,4-` run the position-mask kernels; `cut -sd ' '
+#      -f 1,2 | sed -ne /e/p` clusters its options, which every
+#      command must read as GNU's getopt does);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -269,8 +271,10 @@ echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
 # unmodified script under the host's /bin/sh, not one of them. `tac`
 # takes that line first and adds no newline to it, on every part and
 # through `pash-agg-tac`'s reversal of the parts; `rev` and `sed` write
-# it last, with no newline added. The last three run the kernels that
-# find their bytes by 64-byte position masks (`tr -d`/`-s`, `cut -f`).
+# it last, with no newline added. The next three run the kernels that
+# find their bytes by 64-byte position masks (`tr -d`/`-s`, `cut -f`);
+# the last clusters its options (`-sd`, `-ne`), which every command
+# must read as GNU's getopt does.
 STDIN_IN=target/bench-smoke/stdin-in.txt
 cp target/bench-smoke/schedule-shell-1000000/in.txt "$STDIN_IN"
 printf 'The Last, Line, Has No Newline' >>"$STDIN_IN"
@@ -278,7 +282,7 @@ n=0
 for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | tac' \
     'tr A-Z a-z | rev' 'tr A-Z a-z | sed s/e/E/' \
     "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '" \
-    "tr -cs A-Za-z '\n'" "cut -d ' ' -f 2,4-"; do
+    "tr -cs A-Za-z '\n'" "cut -d ' ' -f 2,4-" "cut -sd ' ' -f 1,2 | sed -ne /e/p"; do
     n=$((n + 1))
     LC_ALL=C /bin/sh -c "$script" <"$STDIN_IN" >"target/bench-smoke/stdin-host-$n.out"
     for b in shell threads processes; do

@@ -156,6 +156,7 @@ impl AnnotationRecord {
 }
 
 /// Splits args into options and positional (non-option) arguments.
+/// Every word after `--` is positional, as the commands read it.
 ///
 /// Returns `(option tokens incl. expanded singles, positional values,
 /// positional indices into args)`.
@@ -169,6 +170,11 @@ fn split_options(
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
+        if a == "--" {
+            positional.extend_from_slice(&args[i + 1..]);
+            pos_indices.extend(i + 1..args.len());
+            break;
+        }
         if a != "-" && a.starts_with('-') && a.len() > 1 {
             options.push(a.clone());
             // Expand combined single-letter flags: `-rn` ⇒ `-r`, `-n`.
@@ -384,6 +390,25 @@ mod tests {
         // `1` is -n's value, not a file.
         assert_eq!(c.inputs, vec![InputSlot::Stdin]);
         assert_eq!(c.stream_argv, vec!["-n", "1"]);
+    }
+
+    #[test]
+    fn double_dash_ends_the_options() {
+        let rec = lang::parse_record(
+            "cat { | -n => (P, [args[0:]], [stdout]) | _ => (S, [args[0:]], [stdout]) }",
+        )
+        .expect("parse");
+        // `-n` after `--` is a file, not the flag.
+        let c = classify(&rec, &["--", "-n"]);
+        assert_eq!(c.class, ParClass::Stateless);
+        assert_eq!(c.inputs, vec![InputSlot::File("-n".into())]);
+        assert_eq!(c.stream_argv, vec!["--", "-"]);
+        let c = classify(&rec, &["-n", "--", "-", "f"]);
+        assert_eq!(c.class, ParClass::Pure);
+        assert_eq!(
+            c.inputs,
+            vec![InputSlot::Stdin, InputSlot::File("f".into())]
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@ use std::io::{self, Read};
 
 use pash_regex::memmem::memrchr;
 
+use crate::args::scan;
 use crate::lines::{for_each_record, write_record};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `cat [-n] [file…]` — concatenate inputs in argument order.
 ///
@@ -23,17 +24,14 @@ impl Command for Cat {
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut number = false;
-        let mut files: Vec<&str> = Vec::new();
-        for a in args {
-            match a.as_str() {
-                "-n" => number = true,
-                "-u" => {} // Unbuffered: accepted, no-op.
-                other => files.push(other),
-            }
-        }
-        if files.is_empty() {
-            files.push("-");
-        }
+        // `-u`, unbuffered, is a no-op.
+        let files = match scan(args, "nu", &[], |name, _| {
+            number |= name == "n";
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "cat", &e),
+        };
         let mut line_no: u64 = 0;
         let mut at_line_start = true;
         for f in files {
@@ -75,10 +73,10 @@ impl Command for Tac {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "tac", &e),
+        };
         let mut data = Vec::new();
         for f in files {
             open_input(&io.fs, f, io.stdin)?.read_to_end(&mut data)?;

@@ -6,8 +6,9 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::lines::read_all_lines;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `comm [-1] [-2] [-3] file1 file2`.
 pub struct Comm;
@@ -21,28 +22,19 @@ impl Command for Comm {
         let mut show1 = true;
         let mut show2 = true;
         let mut show3 = true;
-        let mut files: Vec<&str> = Vec::new();
-        for a in args {
-            match a.as_str() {
-                "-" => files.push("-"),
-                s if s.starts_with('-')
-                    && s.len() > 1
-                    && s[1..].chars().all(|c| "123".contains(c)) =>
-                {
-                    for c in s[1..].chars() {
-                        match c {
-                            '1' => show1 = false,
-                            '2' => show2 = false,
-                            '3' => show3 = false,
-                            _ => unreachable!("guard checked flag set"),
-                        }
-                    }
-                }
-                other => files.push(other),
+        let files = match scan(args, "123", &[], |name, _| {
+            match name {
+                "1" => show1 = false,
+                "2" => show2 = false,
+                _ => show3 = false,
             }
-        }
+            Ok(())
+        }) {
+            Ok(operands) => operands.0,
+            Err(e) => return usage_error(io, "comm", &e),
+        };
         if files.len() != 2 {
-            return crate::usage_error(io, "comm", "needs exactly two files");
+            return usage_error(io, "comm", "needs exactly two files");
         }
         let mut r1 = open_input(&io.fs, files[0], io.stdin)?;
         let a = read_all_lines(&mut r1)?;
@@ -162,6 +154,6 @@ mod tests {
             b"",
         )
         .expect("run");
-        assert_eq!(out.status, 2);
+        assert_eq!(out.status, 1);
     }
 }

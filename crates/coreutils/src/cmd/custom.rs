@@ -9,8 +9,9 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::lines::{for_each_line, write_line};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `fetch [url…]` — reads each "URL" (a path in the local mirror) and
 /// concatenates the contents, simulating `curl -s`.
@@ -78,10 +79,10 @@ impl Command for Unrle {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "unrle", &e),
+        };
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {
@@ -232,7 +233,13 @@ impl Command for BigramsAux {
         // `--marked` is the map role: boundary markers are emitted for
         // the aggregator to stitch; the plain form is the sequential
         // command (no markers).
-        let marked = args.iter().any(|a| a == "--marked");
+        let mut marked = false;
+        if let Err(e) = scan(args, "", &["marked"], |_, _| {
+            marked = true;
+            Ok(())
+        }) {
+            return usage_error(io, "bigrams-aux", &e);
+        }
         let mut prev: Option<Vec<u8>> = None;
         let mut first: Option<Vec<u8>> = None;
         for_each_line(io.stdin, |line| {
@@ -278,10 +285,10 @@ impl Command for AwkReorder {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "awk-reorder", &e),
+        };
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {

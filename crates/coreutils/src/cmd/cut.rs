@@ -8,9 +8,10 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::bytemask::{copy_run, ByteSet, WINDOW};
 use crate::lines::{buffer_lines, for_each_block, parse_ranges};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `cut -f LIST [-d DELIM] [-s]` and `cut -c LIST`.
 ///
@@ -25,43 +26,39 @@ impl Command for Cut {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut fields: Option<String> = None;
-        let mut chars: Option<String> = None;
+        // The list, and whether it counts fields.
+        let mut list: Option<(&str, bool)> = None;
         let mut delim = b'\t';
         let mut suppress = false;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-f" => fields = it.next().cloned(),
-                "-c" => chars = it.next().cloned(),
-                "-d" => {
-                    let d = it.next().ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidInput, "-d needs arg")
-                    })?;
-                    delim = *d.as_bytes().first().unwrap_or(&b'\t');
-                }
-                "-s" => suppress = true,
-                _ if a.starts_with("-f") => fields = Some(a[2..].to_string()),
-                _ if a.starts_with("-c") => chars = Some(a[2..].to_string()),
-                _ if a.starts_with("-d") => delim = *a.as_bytes().get(2).unwrap_or(&b'\t'),
-                _ => files.push(a.clone()),
+        let files = match scan(args, "f:c:d:s", &[], |name, value| {
+            match name {
+                "f" | "c" if list.is_some() => return Err("only one list may be specified".into()),
+                "f" | "c" => list = Some((value, name == "f")),
+                // `-d ''` is NUL, as in GNU's.
+                "d" => match value.as_bytes() {
+                    [] => delim = 0,
+                    [d] => delim = *d,
+                    _ => return Err("the delimiter must be a single character".into()),
+                },
+                _ => suppress = true,
             }
-        }
-        let (ranges, by_fields) = match (&fields, &chars) {
-            (Some(f), None) => (parse_ranges(f), true),
-            (None, Some(c)) => (parse_ranges(c), false),
-            _ => return crate::usage_error(io, "cut", "specify exactly one of -f or -c"),
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "cut", &e),
         };
-        let ranges = match ranges {
-            Some(r) => r,
-            None => return crate::usage_error(io, "cut", "invalid list"),
+        let Some((list, by_fields)) = list else {
+            return usage_error(
+                io,
+                "cut",
+                "you must specify a list of bytes, characters, or fields",
+            );
         };
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
+        let Some(ranges) = parse_ranges(list) else {
+            return usage_error(io, "cut", "invalid list");
+        };
         let mut out = Vec::new();
-        for f in &files {
+        for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_block(&mut r, |block| {
                 let n = if by_fields {
@@ -335,6 +332,6 @@ mod tests {
             b"",
         )
         .expect("run");
-        assert_eq!(out.status, 2);
+        assert_eq!(out.status, 1);
     }
 }

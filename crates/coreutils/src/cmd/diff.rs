@@ -7,8 +7,9 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::lines::read_all_lines;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `diff file1 file2` (normal format: `aNcM`-style hunks).
 pub struct Diff;
@@ -19,9 +20,12 @@ impl Command for Diff {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.0,
+            Err(e) => return usage_error(io, "diff", &e),
+        };
         if files.len() != 2 {
-            return crate::usage_error(io, "diff", "needs exactly two files");
+            return usage_error(io, "diff", "needs exactly two files");
         }
         let mut r1 = open_input(&io.fs, files[0], io.stdin)?;
         let a = read_all_lines(&mut r1)?;

@@ -5,8 +5,9 @@ use std::io::{self, Write};
 use pash_regex::memmem::count_bytes;
 use pash_regex::{Matcher, Regex, Syntax};
 
+use crate::args::scan;
 use crate::lines::{buffer_lines, for_each_block};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `grep [-EFivcnwm] PATTERN [file…]`.
 ///
@@ -22,6 +23,7 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 /// per line.
 pub struct Grep;
 
+#[derive(Default)]
 struct Opts {
     ere: bool,
     fixed: bool,
@@ -51,51 +53,33 @@ impl Command for Grep {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut o = Opts {
-            ere: false,
-            fixed: false,
-            ignore_case: false,
-            invert: false,
-            count: false,
-            line_numbers: false,
-            word: false,
-            max: None,
-        };
-        let mut pattern: Option<String> = None;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-m" => {
-                    o.max = it.next().and_then(|s| s.parse().ok());
-                }
-                "-e" => pattern = it.next().cloned(),
-                s if s.starts_with('-') && s.len() > 1 && cluster_is_valid(&s[1..]) => {
-                    if apply_cluster(&s[1..], &mut o) {
-                        // A bare trailing `m` takes its count from the
-                        // next argument (`-vm 3`).
-                        o.max = it.next().and_then(|s| s.parse().ok());
-                    }
-                }
-                other => {
-                    if pattern.is_none() {
-                        pattern = Some(other.to_string());
-                    } else {
-                        files.push(other.to_string());
-                    }
-                }
+        let mut o = Opts::default();
+        let mut pattern: Option<&str> = None;
+        let mut operands = match scan(args, "EFivcnwm:e:", &[], |name, value| {
+            match name {
+                "E" => o.ere = true,
+                "F" => o.fixed = true,
+                "i" => o.ignore_case = true,
+                "v" => o.invert = true,
+                "c" => o.count = true,
+                "n" => o.line_numbers = true,
+                "w" => o.word = true,
+                "m" => o.max = Some(value.parse().map_err(|_| "invalid max count")?),
+                _ => pattern = Some(value),
             }
-        }
-        let pattern = match pattern {
-            Some(p) => p,
-            None => return crate::usage_error(io, "grep", "missing pattern"),
+            Ok(())
+        }) {
+            Ok(operands) => operands,
+            Err(e) => return usage_error(io, "grep", &e),
         };
-        let re = build_regex(&pattern, &o)
+        // Without `-e`, the first operand is the pattern.
+        let Some(pattern) = pattern.or_else(|| operands.shift()) else {
+            return usage_error(io, "grep", "missing pattern");
+        };
+        let re = build_regex(pattern, &o)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut m = re.matcher();
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
+        let files = operands.inputs();
         let mut t = Tally {
             any: false,
             count: 0,
@@ -119,48 +103,6 @@ impl Command for Grep {
             writeln!(io.stdout, "{}", t.count)?;
         }
         Ok(if t.any { 0 } else { 1 })
-    }
-}
-
-/// True when every char of a combined flag is a known single-letter
-/// option — allowing one trailing `m`, optionally with an attached
-/// count (`-m2`, `-vm2`, `-vm`).
-fn cluster_is_valid(body: &str) -> bool {
-    match body.find('m') {
-        None => body.chars().all(|c| "EFivcnw".contains(c)),
-        Some(i) => {
-            body[..i].chars().all(|c| "EFivcnw".contains(c))
-                && (body[i + 1..].is_empty() || body[i + 1..].chars().all(|c| c.is_ascii_digit()))
-        }
-    }
-}
-
-/// Applies a pre-validated flag cluster; returns true when a bare
-/// trailing `m` still needs its count from the next argument.
-fn apply_cluster(body: &str, o: &mut Opts) -> bool {
-    let (flags, max) = match body.find('m') {
-        None => (body, None),
-        Some(i) => (&body[..i], Some(&body[i + 1..])),
-    };
-    for c in flags.chars() {
-        match c {
-            'E' => o.ere = true,
-            'F' => o.fixed = true,
-            'i' => o.ignore_case = true,
-            'v' => o.invert = true,
-            'c' => o.count = true,
-            'n' => o.line_numbers = true,
-            'w' => o.word = true,
-            _ => unreachable!("cluster pre-validated"),
-        }
-    }
-    match max {
-        None => false,
-        Some("") => true,
-        Some(digits) => {
-            o.max = digits.parse().ok();
-            false
-        }
     }
 }
 

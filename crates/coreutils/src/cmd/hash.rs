@@ -2,8 +2,9 @@
 
 use std::io::{self, Read};
 
+use crate::args::scan;
 use crate::sha1::Sha1;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `sha1sum [file…]` — print `<hex>  <name>` per input.
 pub struct Sha1Sum;
@@ -14,10 +15,10 @@ impl Command for Sha1Sum {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "sha1sum", &e),
+        };
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             let mut h = Sha1::new();

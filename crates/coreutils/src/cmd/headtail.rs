@@ -5,8 +5,9 @@ use std::io;
 
 use pash_regex::memmem::memchr;
 
+use crate::args::scan;
 use crate::lines::for_each_block;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// Passes over up to `n` lines of `block`, taking each off `n`, and
 /// returns the offset just after them. A line ends after its `\n`, or
@@ -20,7 +21,15 @@ fn skip_lines(block: &[u8], n: &mut u64) -> usize {
     pos
 }
 
-/// `head [-n N] [-c N] [file…]`.
+/// A count as GNU reads it: digits after an optional `sign`; one too
+/// large for a `u64` is as good as endless.
+fn count(value: &str, sign: &[char]) -> Option<u64> {
+    let digits = value.strip_prefix(sign).unwrap_or(value);
+    let valid = !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
+    valid.then(|| digits.parse().unwrap_or(u64::MAX))
+}
+
+/// `head [-n N] [-c N] [file…]`, and the obsolete `head -N …`.
 ///
 /// `head` exits after N lines; under a pipe this is what triggers the
 /// dangling-FIFO problem of §5.2 (its producers must be SIGPIPE'd).
@@ -32,33 +41,27 @@ impl Command for Head {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut n_lines: Option<u64> = None;
-        let mut n_bytes: Option<u64> = None;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-n" => n_lines = it.next().and_then(|s| s.parse().ok()),
-                "-c" => n_bytes = it.next().and_then(|s| s.parse().ok()),
-                s if s.starts_with("-n") && s.len() > 2 => n_lines = s[2..].parse().ok(),
-                s if s.starts_with("-c") && s.len() > 2 => n_bytes = s[2..].parse().ok(),
-                s if s.starts_with('-')
-                    && s[1..].chars().all(|c| c.is_ascii_digit())
-                    && s.len() > 1 =>
-                {
-                    n_lines = s[1..].parse().ok()
-                }
-                other => files.push(other.to_string()),
-            }
+        // The count, and whether it counts bytes; the last option wins.
+        let (mut n, mut bytes) = (10, false);
+        // `head -N` is read only as the first word, as GNU reads it.
+        let mut args = args;
+        if let Some(k) = args.first().and_then(|w| count(w.strip_prefix('-')?, &[])) {
+            (n, args) = (k, &args[1..]);
         }
-        let n_lines = n_lines.unwrap_or(10);
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
-        for f in &files {
+        let files = match scan(args, "n:c:", &[], |name, value| {
+            bytes = name == "c";
+            let unit = if bytes { "bytes" } else { "lines" };
+            // So is GNU's "all but the last N" (`-n -N`), not supported.
+            n = count(value, &['+']).ok_or(format!("invalid number of {unit}: '{value}'"))?;
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "head", &e),
+        };
+        for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            if let Some(max) = n_bytes {
-                let mut remaining = max;
+            if bytes {
+                let mut remaining = n;
                 let mut buf = [0u8; 8192];
                 while remaining > 0 {
                     let want = (remaining as usize).min(buf.len());
@@ -69,8 +72,8 @@ impl Command for Head {
                     io.stdout.write_all(&buf[..n])?;
                     remaining -= n as u64;
                 }
-            } else if n_lines > 0 {
-                let mut left = n_lines;
+            } else if n > 0 {
+                let mut left = n;
                 for_each_block(&mut r, |block| {
                     let end = skip_lines(block, &mut left);
                     io.stdout.write_all(&block[..end])?;
@@ -82,7 +85,8 @@ impl Command for Head {
     }
 }
 
-/// `tail [-n N | -n +N] [file…]`.
+/// `tail [-n N | -n +N] [file…]`, and the obsolete `tail -N [file]`
+/// and `tail +N [file]`.
 ///
 /// `tail -n +N` (start *from* line N) is the stream-shifting idiom the
 /// Bi-grams benchmark uses; it is stateless-after-a-prefix, annotated
@@ -95,65 +99,64 @@ impl Command for Tail {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut from_start: Option<u64> = None;
-        let mut last: u64 = 10;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-n" => match it.next() {
-                    Some(v) if v.starts_with('+') => from_start = v[1..].parse().ok(),
-                    Some(v) => last = v.parse().unwrap_or(10),
-                    None => {}
-                },
-                s if s.starts_with("-n+") => from_start = s[3..].parse().ok(),
-                s if s.starts_with("+") && s[1..].chars().all(|c| c.is_ascii_digit()) => {
-                    // Historic form: `tail +2`.
-                    from_start = s[1..].parse().ok();
-                }
-                s if s.starts_with("-n") && s.len() > 2 => last = s[2..].parse().unwrap_or(10),
-                other => files.push(other.to_string()),
+        // The count, and whether it counts from the start (`+N`).
+        let (mut n, mut from_start) = (10, false);
+        // The obsolete form, as GNU reads it: the first word, followed
+        // by at most one file (`--` before it allowed).
+        let obsolete = match args {
+            [_] => true,
+            [_, next] => next == "-" || next == "--" || !next.starts_with('-'),
+            [_, next, _] => next == "--",
+            _ => false,
+        };
+        let mut args = args;
+        if let Some(first) = args
+            .first()
+            .filter(|w| obsolete && w.starts_with(['-', '+']))
+        {
+            if let Some(k) = count(first, &['-', '+']) {
+                (n, from_start, args) = (k, first.starts_with('+'), &args[1..]);
             }
         }
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
-        for f in &files {
+        let files = match scan(args, "n:", &[], |_, value| {
+            n = count(value, &['-', '+']).ok_or(format!("invalid number of lines: '{value}'"))?;
+            from_start = value.starts_with('+');
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "tail", &e),
+        };
+        for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
-            match from_start {
-                Some(start) => {
-                    let mut skip = start.saturating_sub(1);
-                    for_each_block(&mut r, |block| {
-                        let start = skip_lines(block, &mut skip);
-                        io.stdout.write_all(&block[start..])?;
-                        Ok(true)
-                    })?;
-                }
-                None if last > 0 => {
-                    // Grown as lines arrive: `last` is only a bound.
-                    let mut ring: VecDeque<Vec<u8>> = VecDeque::new();
-                    for_each_block(&mut r, |block| {
-                        let mut pos = 0;
-                        while pos < block.len() {
-                            let end =
-                                memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i + 1);
-                            let mut line = if ring.len() as u64 >= last {
-                                ring.pop_front().unwrap_or_default()
-                            } else {
-                                Vec::new()
-                            };
-                            line.clear();
-                            line.extend_from_slice(&block[pos..end]);
-                            ring.push_back(line);
-                            pos = end;
-                        }
-                        Ok(true)
-                    })?;
-                    for line in ring {
-                        io.stdout.write_all(&line)?;
+            if from_start {
+                let mut skip = n.saturating_sub(1);
+                for_each_block(&mut r, |block| {
+                    let start = skip_lines(block, &mut skip);
+                    io.stdout.write_all(&block[start..])?;
+                    Ok(true)
+                })?;
+            } else if n > 0 {
+                // Grown as lines arrive: `n` is only a bound.
+                let mut ring: VecDeque<Vec<u8>> = VecDeque::new();
+                for_each_block(&mut r, |block| {
+                    let mut pos = 0;
+                    while pos < block.len() {
+                        let end = memchr(b'\n', &block[pos..]).map_or(block.len(), |i| pos + i + 1);
+                        let mut line = if ring.len() as u64 >= n {
+                            ring.pop_front().unwrap_or_default()
+                        } else {
+                            Vec::new()
+                        };
+                        line.clear();
+                        line.extend_from_slice(&block[pos..end]);
+                        ring.push_back(line);
+                        pos = end;
                     }
+                    Ok(true)
+                })?;
+                for line in ring {
+                    io.stdout.write_all(&line)?;
                 }
-                None => {}
             }
         }
         Ok(0)

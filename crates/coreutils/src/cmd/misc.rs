@@ -3,8 +3,9 @@
 
 use std::io::{self, Read, Write};
 
+use crate::args::scan;
 use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `rev` — reverse the bytes of each line (class S); an unterminated one stays so.
 pub struct Rev;
@@ -15,10 +16,10 @@ impl Command for Rev {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "rev", &e),
+        };
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_record(&mut r, |line, terminated| {
@@ -95,29 +96,21 @@ impl Command for Paste {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut delims: Vec<u8> = vec![b'\t'];
         let mut serial = false;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-d" => {
-                    if let Some(d) = it.next() {
-                        delims = crate::cmd::tr::expand_set(d);
-                        if delims.is_empty() {
-                            delims.push(b'\t');
-                        }
+        let files = match scan(args, "sd:", &[], |name, value| {
+            match name {
+                "s" => serial = true,
+                _ => {
+                    delims = crate::cmd::tr::expand_set(value);
+                    if delims.is_empty() {
+                        delims.push(b'\t');
                     }
                 }
-                "-s" => serial = true,
-                "-" => files.push("-".to_string()),
-                s if s.starts_with("-d") && s.len() > 2 => {
-                    delims = crate::cmd::tr::expand_set(&s[2..]);
-                }
-                other => files.push(other.to_string()),
             }
-        }
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "paste", &e),
+        };
         // The first `-` reads stdin to its end, and the rest find it
         // empty.
         let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(files.len());
@@ -202,29 +195,18 @@ impl Command for Fold {
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut width = 80usize;
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let value = match a.as_str() {
-                "-w" => it.next().map_or("", String::as_str),
-                s if s.starts_with("-w") => &s[2..],
-                other => {
-                    files.push(other.to_string());
-                    continue;
-                }
-            };
-            match value.parse() {
-                Ok(w) if w > 0 => width = w,
-                _ => {
-                    writeln!(io.stderr, "fold: invalid number of columns: '{value}'")?;
-                    return Ok(1);
-                }
-            }
-        }
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
-        for f in &files {
+        let files = match scan(args, "w:", &[], |_, value| {
+            width = value
+                .parse()
+                .ok()
+                .filter(|&w| w > 0)
+                .ok_or_else(|| format!("invalid number of columns: '{value}'"))?;
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "fold", &e),
+        };
+        for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_record(&mut r, |line, terminated| {
                 let (mut start, mut column) = (0, 0);
@@ -253,9 +235,12 @@ impl Command for Tee {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.0,
+            Err(e) => return usage_error(io, "tee", &e),
+        };
         let mut writers: Vec<Box<dyn Write + Send>> = Vec::new();
-        for f in &files {
+        for f in files {
             writers.push(io.fs.create(f)?);
         }
         let mut buf = [0u8; 64 * 1024];
@@ -282,10 +267,10 @@ impl Command for Nl {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut files: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-        if files.is_empty() {
-            files.push("-");
-        }
+        let files = match scan(args, "", &[], |_, _| Ok(())) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "nl", &e),
+        };
         let mut n = 0u64;
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;

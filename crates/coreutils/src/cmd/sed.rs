@@ -10,9 +10,10 @@
 //! * addresses: line numbers and `/RE/`.
 //!
 //! Flags: `-n` (suppress auto-print), `-e SCRIPT` (multiple), `-E`
-//! (ERE). A script outside this subset — the last-line address `$`
-//! among it, which needs a line of lookahead — is a usage error
-//! (status 2), never a run with other bytes than GNU's.
+//! or `-r` (ERE). A script outside this subset — the last-line
+//! address `$` among it, which needs a line of lookahead — is a usage
+//! error (status 1, as GNU's), never a run with other bytes than
+//! GNU's.
 //! An unterminated last line is written unterminated, as GNU writes
 //! it: what follows it starts with the missing newline, and `q` adds
 //! it.
@@ -21,8 +22,9 @@ use std::io;
 
 use pash_regex::{Matcher, Regex, Syntax};
 
+use crate::args::scan;
 use crate::lines::{for_each_record, write_record};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// The `sed` command.
 ///
@@ -65,28 +67,24 @@ impl Command for Sed {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut quiet = false;
         let mut ere = false;
-        let mut scripts: Vec<String> = Vec::new();
-        let mut files: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-n" => quiet = true,
-                "-E" | "-r" => ere = true,
-                "-e" => match it.next() {
-                    Some(s) => scripts.push(s.clone()),
-                    None => {
-                        return crate::usage_error(io, "sed", "option requires an argument -- 'e'")
-                    }
-                },
-                other => files.push(other.to_string()),
+        let mut scripts: Vec<&str> = Vec::new();
+        let mut operands = match scan(args, "nEre:", &[], |name, value| {
+            match name {
+                "n" => quiet = true,
+                "e" => scripts.push(value),
+                _ => ere = true,
             }
-        }
+            Ok(())
+        }) {
+            Ok(operands) => operands,
+            Err(e) => return usage_error(io, "sed", &e),
+        };
         // Once any `-e` is given, every operand is a file, as in GNU.
         if scripts.is_empty() {
-            if files.is_empty() {
-                return crate::usage_error(io, "sed", "missing script");
+            match operands.shift() {
+                Some(script) => scripts.push(script),
+                None => return usage_error(io, "sed", "missing script"),
             }
-            scripts.push(files.remove(0));
         }
         let syntax = if ere { Syntax::Ere } else { Syntax::Bre };
         let mut instructions = Vec::new();
@@ -94,9 +92,7 @@ impl Command for Sed {
             for part in split_script(s) {
                 match parse_instruction(&part) {
                     Some(inst) => instructions.push(inst),
-                    None => {
-                        return crate::usage_error(io, "sed", &format!("invalid script `{part}`"))
-                    }
+                    None => return usage_error(io, "sed", &format!("invalid script `{part}`")),
                 }
             }
         }
@@ -128,9 +124,7 @@ impl Command for Sed {
             });
             wants_caps.push(caps);
         }
-        if files.is_empty() {
-            files.push("-".to_string());
-        }
+        let files = operands.inputs();
 
         let mut line_no: u64 = 0;
         let mut quit = false;
@@ -142,7 +136,7 @@ impl Command for Sed {
         let mut caps: Vec<Option<(usize, usize)>> = Vec::new();
         let mut missing_newline = false;
         let mut status = 0;
-        for f in &files {
+        for f in files {
             if quit {
                 break;
             }

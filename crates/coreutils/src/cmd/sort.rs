@@ -25,6 +25,7 @@ use std::io::{self, BufWriter, Write};
 
 use pash_regex::memmem::{memchr, memrchr};
 
+use crate::args::scan;
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{Keyed, Prepared, SortSpec};
 use crate::{CmdIo, Command, ExitStatus};
@@ -33,68 +34,48 @@ use crate::{CmdIo, Command, ExitStatus};
 pub struct Sort;
 
 /// Parsed invocation.
-pub struct SortArgs {
+pub struct SortArgs<'a> {
     /// Ordering specification.
     pub spec: SortSpec,
     /// `-m`: inputs are pre-sorted, merge only.
     pub merge: bool,
     /// `--parallel=N` thread count (1 = sequential).
     pub parallel: usize,
-    /// Input files (empty = stdin).
-    pub files: Vec<String>,
+    /// Input files (`-` is stdin).
+    pub files: Vec<&'a str>,
 }
 
-/// Parses sort arguments (shared with the runtime merge aggregator).
-/// Options cluster (`-rn`, `-nk2`); `-k` / `-t` take the rest of their
-/// word or the next one. An option outside the supported set is an
-/// error, `-` is stdin, and every word after `--` is an operand.
-pub fn parse_args(args: &[String]) -> Result<SortArgs, String> {
-    let mut out = SortArgs {
-        spec: SortSpec::default(),
-        merge: false,
-        parallel: 1,
-        files: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--" => out.files.extend(it.by_ref().cloned()),
-            s if s.starts_with("--parallel=") => {
-                out.parallel = s["--parallel=".len()..]
+/// Parses sort arguments (shared with the runtime merge aggregator)
+/// with the commands' one option scanner: `-n -r -u -m -k POS -t SEP`
+/// and `--parallel=N`; any other option is an error.
+pub fn parse_args(args: &[String]) -> Result<SortArgs<'_>, String> {
+    let mut spec = SortSpec::default();
+    let mut merge = false;
+    let mut parallel = 1;
+    let operands = scan(args, "nrumk:t:", &["parallel="], |name, value| {
+        match name {
+            "n" => spec.numeric = true,
+            "r" => spec.reverse = true,
+            "u" => spec.unique = true,
+            "m" => merge = true,
+            "k" => spec
+                .keys
+                .push(SortSpec::parse_key(value).ok_or(format!("bad key `{value}`"))?),
+            "t" => spec.separator = value.as_bytes().first().copied(),
+            _ => {
+                parallel = value
                     .parse()
-                    .map_err(|_| format!("bad --parallel in `{s}`"))?;
+                    .map_err(|_| format!("bad --parallel '{value}'"))?
             }
-            s if s.starts_with("--") => return Err(format!("unrecognized option '{s}'")),
-            s if s.len() > 1 && s.starts_with('-') => {
-                for (i, c) in s.char_indices().skip(1) {
-                    match c {
-                        'n' => out.spec.numeric = true,
-                        'r' => out.spec.reverse = true,
-                        'u' => out.spec.unique = true,
-                        'm' => out.merge = true,
-                        'k' | 't' => {
-                            let value = match &s[i + 1..] {
-                                "" => it
-                                    .next()
-                                    .ok_or(format!("option requires an argument -- '{c}'"))?,
-                                attached => attached,
-                            };
-                            if c == 'k' {
-                                let key = SortSpec::parse_key(value);
-                                out.spec.keys.push(key.ok_or(format!("bad key `{value}`"))?);
-                            } else {
-                                out.spec.separator = value.as_bytes().first().copied();
-                            }
-                            break;
-                        }
-                        _ => return Err(format!("invalid option -- '{c}'")),
-                    }
-                }
-            }
-            operand => out.files.push(operand.to_string()),
         }
-    }
-    Ok(out)
+        Ok(())
+    })?;
+    Ok(SortArgs {
+        spec,
+        merge,
+        parallel,
+        files: operands.inputs(),
+    })
 }
 
 impl Command for Sort {
@@ -154,14 +135,12 @@ impl Command for Sort {
 
 /// Appends every input to one buffer, restoring a missing final
 /// newline per file, and returns it with each file's end offset.
-fn read_inputs(io: &mut CmdIo<'_>, files: &[String]) -> io::Result<(Vec<u8>, Vec<usize>)> {
-    let stdin = ["-".to_string()];
-    let files = if files.is_empty() { &stdin } else { files };
+fn read_inputs(io: &mut CmdIo<'_>, files: &[&str]) -> io::Result<(Vec<u8>, Vec<usize>)> {
     let mut arena = Vec::new();
     let mut ends = Vec::with_capacity(files.len());
     for f in files {
         let before = arena.len();
-        if f == "-" {
+        if *f == "-" {
             io.stdin.read_to_end(&mut arena)?;
         } else {
             io.fs.open(f)?.read_to_end(&mut arena)?;
@@ -184,7 +163,7 @@ const MAX_THREADS: usize = 64;
 /// many chunks on scoped threads, and the chunks are gathered into runs
 /// and merged — GNU `sort --parallel` for the §6.5 microbenchmark.
 fn sort_lines<'a, E: Copy + Send>(
-    SortArgs { spec, parallel, .. }: &SortArgs,
+    SortArgs { spec, parallel, .. }: &SortArgs<'_>,
     arena: &[u8],
     out: &mut dyn Write,
     mut index: Vec<E>,

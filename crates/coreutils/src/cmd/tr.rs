@@ -23,9 +23,10 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::bytemask::{copy_run, low_bits, ByteSet, WINDOW};
 use crate::lines::BLOCK_SIZE;
-use crate::{CmdIo, Command, ExitStatus};
+use crate::{usage_error, CmdIo, Command, ExitStatus};
 
 /// The `tr` command. Stateless even *within* lines (§3.1 notes ~1/3 of
 /// class S commands share this property).
@@ -40,29 +41,34 @@ impl Command for Tr {
         let mut complement = false;
         let mut delete = false;
         let mut squeeze = false;
-        let mut sets: Vec<&str> = Vec::new();
-        for a in args {
-            if let Some(flags) = a.strip_prefix('-') {
-                if a == "-" || flags.chars().any(|c| !"cds".contains(c)) {
-                    sets.push(a);
-                    continue;
-                }
-                for c in flags.chars() {
-                    match c {
-                        'c' => complement = true,
-                        'd' => delete = true,
-                        's' => squeeze = true,
-                        _ => unreachable!("filtered above"),
-                    }
-                }
-            } else {
-                sets.push(a);
+        let sets = match scan(args, "cds", &[], |name, _| {
+            match name {
+                "c" => complement = true,
+                "d" => delete = true,
+                _ => squeeze = true,
             }
-        }
-        let set1 = match sets.first() {
-            Some(s) => expand_set(s),
-            None => return crate::usage_error(io, "tr", "missing operand"),
+            Ok(())
+        }) {
+            Ok(operands) => operands.0,
+            Err(e) => return usage_error(io, "tr", &e),
         };
+        // How many sets the mode takes, as GNU counts them.
+        let (least, most) = match (delete, squeeze) {
+            (true, false) => (1, 1),
+            (false, true) => (1, 2),
+            _ => (2, 2),
+        };
+        if sets.len() < least {
+            let msg = match sets.last() {
+                Some(last) => format!("missing operand after '{last}'"),
+                None => "missing operand".to_string(),
+            };
+            return usage_error(io, "tr", &msg);
+        }
+        if let Some(extra) = sets.get(most) {
+            return usage_error(io, "tr", &format!("extra operand '{extra}'"));
+        }
+        let set1 = expand_set(sets[0]);
         let mut member = [false; 256];
         for &b in &set1 {
             member[b as usize] = true;
@@ -79,7 +85,7 @@ impl Command for Tr {
         if translating {
             let set2 = expand_set(sets[1]);
             if set2.is_empty() {
-                return crate::usage_error(io, "tr", "empty SET2");
+                return usage_error(io, "tr", "empty SET2");
             }
             if complement {
                 // Complemented translation: map every member byte to
@@ -108,7 +114,7 @@ impl Command for Tr {
             } else {
                 let src = if delete {
                     // `-ds SET1 SET2`: squeeze SET2 after deleting SET1.
-                    sets.get(1).map(|s| expand_set(s)).unwrap_or_default()
+                    expand_set(sets[1])
                 } else {
                     set1.clone()
                 };

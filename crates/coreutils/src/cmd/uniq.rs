@@ -2,8 +2,9 @@
 
 use std::io;
 
+use crate::args::scan;
 use crate::lines::{buffer_lines, for_each_block, push_count};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `uniq [-c] [-d] [-u] [-i] [file]`.
 ///
@@ -12,6 +13,7 @@ use crate::{open_input, CmdIo, Command, ExitStatus};
 pub struct Uniq;
 
 /// Which groups print, and how.
+#[derive(Default)]
 struct Opts {
     count: bool,
     only_dup: bool,
@@ -54,29 +56,19 @@ impl Command for Uniq {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut o = Opts {
-            count: false,
-            only_dup: false,
-            only_uniq: false,
-            ignore_case: false,
-        };
-        let mut files: Vec<&str> = Vec::new();
-        for a in args {
-            match a.as_str() {
-                "-c" => o.count = true,
-                "-d" => o.only_dup = true,
-                "-u" => o.only_uniq = true,
-                "-i" => o.ignore_case = true,
-                "-ci" | "-ic" => {
-                    o.count = true;
-                    o.ignore_case = true;
-                }
-                other => files.push(other),
+        let mut o = Opts::default();
+        let files = match scan(args, "cdui", &[], |name, _| {
+            match name {
+                "c" => o.count = true,
+                "d" => o.only_dup = true,
+                "u" => o.only_uniq = true,
+                _ => o.ignore_case = true,
             }
-        }
-        if files.is_empty() {
-            files.push("-");
-        }
+            Ok(())
+        }) {
+            Ok(operands) => operands.inputs(),
+            Err(e) => return usage_error(io, "uniq", &e),
+        };
         // The open group is `held` × `n` between blocks. Inside a block
         // its first line is compared where it lies; only a group still
         // open at the block's end is copied out.

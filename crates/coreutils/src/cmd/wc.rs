@@ -4,7 +4,8 @@ use std::io;
 
 use pash_regex::memmem::count_bytes;
 
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::args::{scan, Operands};
+use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `wc [-lwcm] [file…]`.
 ///
@@ -54,7 +55,7 @@ pub fn count_stream<R: io::BufRead + ?Sized>(r: &mut R, words: bool) -> io::Resu
 }
 
 /// Which columns to print, in canonical order (lines, words, bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
     /// `-l`
     pub lines: bool,
@@ -99,38 +100,27 @@ impl Selection {
     }
 }
 
-/// Parses wc flags into a selection (shared with the aggregator).
-pub fn parse_selection(args: &[String]) -> (Selection, Vec<String>) {
-    let mut sel = Selection {
-        lines: false,
-        words: false,
-        bytes: false,
-    };
-    let mut any = false;
-    let mut files = Vec::new();
-    for a in args {
-        if a.starts_with('-') && a.len() > 1 && a[1..].chars().all(|c| "lwcm".contains(c)) {
-            for c in a[1..].chars() {
-                any = true;
-                match c {
-                    'l' => sel.lines = true,
-                    'w' => sel.words = true,
-                    'c' | 'm' => sel.bytes = true,
-                    _ => unreachable!("guard checked flag set"),
-                }
-            }
-        } else {
-            files.push(a.clone());
+/// Parses wc's argv with the commands' one option scanner (shared
+/// with the aggregator): the selection, and the operands or why the
+/// argv is refused.
+pub fn parse_selection(args: &[String]) -> (Selection, Result<Vec<&str>, String>) {
+    let mut sel = Selection::default();
+    let operands = scan(args, "lwcm", &[], |name, _| {
+        match name {
+            "l" => sel.lines = true,
+            "w" => sel.words = true,
+            _ => sel.bytes = true, // `-c`, `-m`: one count for bytes.
         }
-    }
-    if !any {
+        Ok(())
+    });
+    if !(sel.lines || sel.words || sel.bytes) {
         sel = Selection {
             lines: true,
             words: true,
             bytes: true,
         };
     }
-    (sel, files)
+    (sel, operands.map(|o| o.0))
 }
 
 impl Command for Wc {
@@ -139,11 +129,14 @@ impl Command for Wc {
     }
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let (sel, mut files) = parse_selection(args);
-        let from_stdin = files.is_empty();
-        if from_stdin {
-            files.push("-".to_string());
-        }
+        let (sel, operands) = parse_selection(args);
+        let operands = match operands {
+            Ok(operands) => operands,
+            Err(e) => return usage_error(io, "wc", &e),
+        };
+        // A count of stdin read by default is not labelled.
+        let from_stdin = operands.is_empty();
+        let files = Operands(operands).inputs();
         let mut total = Counts::default();
         let many = files.len() > 1;
         let width = sel.width(files.len());
@@ -153,7 +146,7 @@ impl Command for Wc {
             total.lines += c.lines;
             total.words += c.words;
             total.bytes += c.bytes;
-            let label = if from_stdin { None } else { Some(f.as_str()) };
+            let label = if from_stdin { None } else { Some(*f) };
             writeln!(io.stdout, "{}", sel.format(&c, label, width))?;
         }
         if many {

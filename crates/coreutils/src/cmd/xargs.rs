@@ -6,7 +6,8 @@
 
 use std::io::{self};
 
-use crate::{CmdIo, Command, ExitStatus};
+use crate::args::scan;
+use crate::{usage_error, CmdIo, Command, ExitStatus};
 
 /// The `xargs` command.
 pub struct Xargs;
@@ -18,26 +19,21 @@ impl Command for Xargs {
 
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut per_call: Option<usize> = None;
-        let mut inner: Vec<String> = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "-n" if inner.is_empty() => {
-                    per_call = it.next().and_then(|s| s.parse().ok());
-                }
-                s if s.starts_with("-n") && s.len() > 2 && inner.is_empty() => {
-                    per_call = s[2..].parse().ok();
-                }
-                other => inner.push(other.to_string()),
-            }
-        }
-        if inner.is_empty() {
-            inner.push("echo".to_string());
-        }
-        let cmd = io.registry.get(&inner[0]).ok_or_else(|| {
+        // The first operand ends the options: the rest is the inner
+        // command's argv.
+        let inner = match scan(args, "+n:", &[], |_, value| {
+            let n = value.parse().ok().filter(|&n| n > 0);
+            per_call = Some(n.ok_or_else(|| format!("invalid number \"{value}\" for -n option"))?);
+            Ok(())
+        }) {
+            Ok(operands) => operands.0,
+            Err(e) => return usage_error(io, "xargs", &e),
+        };
+        let (name, fixed) = inner.split_first().unwrap_or((&"echo", &[]));
+        let cmd = io.registry.get(name).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
-                format!("xargs: {}: command not found", inner[0]),
+                format!("xargs: {name}: command not found"),
             )
         })?;
 
@@ -50,10 +46,10 @@ impl Command for Xargs {
         if tokens.is_empty() {
             return Ok(0);
         }
-        let n = per_call.unwrap_or(tokens.len().max(1)).max(1);
+        let n = per_call.unwrap_or(tokens.len());
         let mut status = 0;
         for chunk in tokens.chunks(n) {
-            let mut argv: Vec<String> = inner[1..].to_vec();
+            let mut argv: Vec<String> = fixed.iter().map(|s| s.to_string()).collect();
             argv.extend(chunk.iter().cloned());
             let mut empty = io::BufReader::new(&b""[..]);
             let mut inner_io = CmdIo {

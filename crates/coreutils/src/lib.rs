@@ -7,9 +7,15 @@
 //! from a real `/bin/sh`, and (iii) inside unit tests against an
 //! in-memory filesystem.
 //!
-//! The commands implement exactly the flags that the PaSh annotation
-//! standard library mentions, so annotation fidelity is guaranteed by
-//! construction.
+//! Every command that takes options or files reads its argv through
+//! one scanner (`args`), as GNU getopt and the compiler's annotation
+//! classifier read it: short options cluster (`-cd`, `-sf2`); a value
+//! is the rest of its word or the next word; `--` ends the options,
+//! `-` is stdin, and options may follow operands except under `xargs`,
+//! whose first operand starts its inner command. An unknown option or
+//! a missing value is a [`usage_error`], never a file name: so are
+//! `head -n -N`, every long option but `sort --parallel=N`, `cat -A`,
+//! `nl -b…`, `grep -q` and `tee -a`. `echo` and `seq` are not scanned.
 //!
 //! # Examples
 //!
@@ -23,6 +29,7 @@
 //! assert_eq!(out.stdout, b"HELLO\n");
 //! ```
 
+mod args;
 mod bytemask;
 pub mod cmd;
 pub mod fs;
@@ -223,10 +230,16 @@ pub fn open_input<'a>(
     }
 }
 
-/// Writes a usage error to stderr and returns status 2.
+/// Writes a usage error to stderr and returns GNU's status for one:
+/// 2 for `sort`, `grep` and `diff` (whose 1 means "unordered", "no
+/// match" and "files differ"), 1 for every other command.
 pub fn usage_error(io: &mut CmdIo<'_>, name: &str, msg: &str) -> io::Result<ExitStatus> {
     writeln!(io.stderr, "{name}: {msg}")?;
-    Ok(2)
+    Ok(if matches!(name, "sort" | "grep" | "diff") {
+        2
+    } else {
+        1
+    })
 }
 
 #[cfg(test)]

@@ -469,7 +469,7 @@ fn sed_lines_match_the_host() {
 }
 
 /// What our `sed` cannot do as GNU does, it refuses: a usage error,
-/// status 2, and not one byte on stdout. The last-line address `$`
+/// status 1 as GNU's, and not one byte on stdout. The last-line address `$`
 /// needs a line of lookahead the stream loop does not keep.
 #[test]
 fn sed_refuses_the_addresses_it_lacks() {
@@ -484,8 +484,66 @@ fn sed_refuses_the_addresses_it_lacks() {
     for input in inputs(false) {
         for args in cases {
             let (stdout, status) = our_run("sed", args, &input);
-            assert_eq!(status, 2, "sed {args:?}");
+            assert_eq!(status, 1, "sed {args:?}");
             assert!(stdout.is_empty(), "sed {args:?} wrote {stdout:?}");
         }
+    }
+}
+
+/// One option scanner reads every command's argv as GNU getopt does:
+/// clusters (`-cd`, `-sf2`), a value in the rest of its word or the
+/// next, `--`, options after operands, and an unknown option or a
+/// missing value as a usage error with GNU's status (a count that
+/// does not parse, too). The input is sorted, so `comm` has no order
+/// to complain of and `uniq` has groups; one copy of it ends in an
+/// unterminated line.
+#[test]
+fn argv_forms_match_the_host() {
+    const ARGVS: [&[&str]; 35] = [
+        &["uniq", "-cd"],
+        &["uniq", "-dc"],
+        &["uniq", "--"],
+        &["uniq", "-c", "--"],
+        &["cut", "-sd", " ", "-f1"],
+        &["cut", "-d", " ", "-sf2"],
+        &["cut", "-sf1", "-d", " "],
+        &["cut", "-f"],
+        &["cut"],
+        &["cut", "-f1", "--"],
+        &["tr", "a"],
+        &["tr"],
+        &["tr", "-cd"],
+        &["tr", "--", "a", "b"],
+        &["head", "-n", "x"],
+        &["head", "-c", "x"],
+        &["tail", "-n", "x"],
+        &["tail", "-n"],
+        &["tail", "-2"],
+        &["head", "--", "-"],
+        &["head", "-n1", "--", "-"],
+        &["sed"],
+        &["sed", "-n"],
+        &["sed", "-ne", "2p"],
+        &["sed", "-nE", "-e", "2p"],
+        &["sed", "-En", "2p"],
+        &["grep", "-e", "b", "--"],
+        &["grep", "-ie", "B"],
+        &["grep", "-ce", "b"],
+        &["rev", "--"],
+        &["wc", "-l", "--"],
+        &["paste", "-sd,", "-"],
+        &["cat", "-nu"],
+        &["cat", "-un"],
+        &["comm", "-1", "-2", "--", "in.txt", "-"],
+    ];
+    let mut sorted: Vec<&[u8]> = Vec::new();
+    let text = corpus(3, 2_000, false);
+    sorted.extend(text.split_inclusive(|&b| b == b'\n'));
+    sorted.sort_unstable();
+    let sorted = sorted.concat();
+    let unterminated = [&sorted[..], b"zz, no newline"].concat();
+    let inputs: [&[u8]; 3] = [&sorted, &unterminated, b""];
+    for argv in ARGVS {
+        assert_matches_host(argv[0], &[&argv[1..]], &inputs, false);
     }
 }
