@@ -39,7 +39,7 @@
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
 #      then that 1 MB input, ending in an unterminated line, piped
-#      into eight stdin-fed pipelines on shell, threads and processes
+#      into eleven stdin-fed pipelines on shell, threads and processes
 #      under `timeout`, each byte-compared against the unmodified
 #      pipeline under host /bin/sh (the `tac` one reverses every part
 #      and the aggregator reverses the parts, so the unterminated line
@@ -47,7 +47,10 @@
 #      it unterminated; the `light-stream` workload's script, `tr -cs`
 #      and `cut -f 2,4-` run the position-mask kernels; `cut -sd ' '
 #      -f 1,2 | sed -ne /e/p` clusters its options, which every
-#      command must read as GNU's getopt does);
+#      command must read as GNU's getopt does; `sed -Ee s/e/E/ -e 1d`
+#      and `sort -rk 2` hold a second script and a value in a cluster,
+#      which the compiler must read as the command does: the first
+#      stays sequential, the second merges with its `-k 2`);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -273,8 +276,11 @@ echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
 # through `pash-agg-tac`'s reversal of the parts; `rev` and `sed` write
 # it last, with no newline added. The next three run the kernels that
 # find their bytes by 64-byte position masks (`tr -d`/`-s`, `cut -f`);
-# the last clusters its options (`-sd`, `-ne`), which every command
-# must read as GNU's getopt does.
+# the next clusters its options (`-sd`, `-ne`), which every command
+# must read as GNU's getopt does; the last two are read by the
+# compiler through the same scan: `1d` in the second `-e` keeps the
+# `sed` sequential, and the `sort` merge gets `-k`'s value out of its
+# cluster (`-rk 2`).
 STDIN_IN=target/bench-smoke/stdin-in.txt
 cp target/bench-smoke/schedule-shell-1000000/in.txt "$STDIN_IN"
 printf 'The Last, Line, Has No Newline' >>"$STDIN_IN"
@@ -282,7 +288,8 @@ n=0
 for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | tac' \
     'tr A-Z a-z | rev' 'tr A-Z a-z | sed s/e/E/' \
     "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '" \
-    "tr -cs A-Za-z '\n'" "cut -d ' ' -f 2,4-" "cut -sd ' ' -f 1,2 | sed -ne /e/p"; do
+    "tr -cs A-Za-z '\n'" "cut -d ' ' -f 2,4-" "cut -sd ' ' -f 1,2 | sed -ne /e/p" \
+    'sed -Ee s/e/E/ -e 1d' 'tr A-Z a-z | sort -rk 2'; do
     n=$((n + 1))
     LC_ALL=C /bin/sh -c "$script" <"$STDIN_IN" >"target/bench-smoke/stdin-host-$n.out"
     for b in shell threads processes; do

@@ -1,7 +1,7 @@
 //! Parser for the annotation description language (Appendix A).
 //!
 //! ```text
-//! <command>      ::= <name> [takes <option>…] '{' <pred-list> '}'
+//! <command>      ::= <name> '{' <pred-list> '}'
 //! <pred-list>    ::= '|' <predicate> <pred-list>
 //!                  | '|' 'otherwise' '=>' <assignment>
 //! <predicate>    ::= <option-pred> '=>' <assignment>
@@ -17,7 +17,9 @@
 //! ```
 //!
 //! `/\` and `\/` are accepted for `and` / `or`, `_` for `otherwise`
-//! (as in the paper's `comm` example).
+//! (as in the paper's `comm` example). Which options take a value is
+//! not annotation syntax: the command's own argv grammar says (see the
+//! [`crate::annot`] docs).
 
 use crate::annot::{AnnotationRecord, Assignment, Clause, IoSpec, OutSpec, Pred};
 use crate::classes::ParClass;
@@ -205,18 +207,6 @@ impl P {
 
     fn record(&mut self) -> Result<AnnotationRecord, Error> {
         let name = self.name()?;
-        let mut takes_value = Vec::new();
-        if self.peek() == Some(&Tok::Name("takes".to_string())) {
-            self.next()?;
-            while let Some(Tok::Name(n)) = self.peek() {
-                if n.starts_with('-') {
-                    takes_value.push(n.clone());
-                    self.next()?;
-                } else {
-                    break;
-                }
-            }
-        }
         self.expect(Tok::LBrace)?;
         let mut clauses = Vec::new();
         while self.peek() == Some(&Tok::Pipe) {
@@ -236,11 +226,7 @@ impl P {
         if clauses.is_empty() {
             return Err(Error::annotation(format!("record `{name}` has no clauses")));
         }
-        Ok(AnnotationRecord {
-            name,
-            takes_value,
-            clauses,
-        })
+        Ok(AnnotationRecord { name, clauses })
     }
 
     fn pred_or(&mut self) -> Result<Pred, Error> {
@@ -427,10 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_takes_clause() {
-        let rec =
-            parse_record("head takes -n -c { | _ => (P, [args[0:]], [stdout]) }").expect("parse");
-        assert_eq!(rec.takes_value, vec!["-n", "-c"]);
+    fn takes_is_no_keyword() {
+        // Option values come from the command's grammar, not the record.
+        assert!(parse_record("head takes -n -c { | _ => (P, [args[0:]], [stdout]) }").is_err());
     }
 
     #[test]

@@ -6,15 +6,24 @@
 //! [`Classification`]: the class, the ordered streamed inputs, the
 //! static ("configuration") inputs, and the output.
 //!
-//! Two extensions over the paper's grammar:
-//! * `takes -x -y` declares options that consume a following value, so
-//!   that `head -n 1` does not mistake `1` for a file;
-//! * aggregator selection is code, not annotation syntax, mirroring
-//!   the paper's "PaSh defines aggregators for many POSIX and GNU
-//!   commands" (§3.2, Custom Aggregators).
+//! A record says nothing of how its command reads an argv: the
+//! invocation is [`read`] as the command reads it, through the
+//! kernels' one scan (`pash_coreutils::args`) and the command's entry
+//! in their grammar table, so predicates see options by name and
+//! value, and `args[i]` is the i-th operand. An argv its command
+//! refuses before reading input (an unknown option, a missing value, a
+//! count or list it cannot read: `args::read`) is not classified, so
+//! it runs once and its usage error prints once.
+//!
+//! One extension over the paper's grammar: aggregator selection is
+//! code, not annotation syntax, mirroring the paper's "PaSh defines
+//! aggregators for many POSIX and GNU commands" (§3.2, Custom
+//! Aggregators).
 
 pub mod lang;
 pub mod stdlib;
+
+use pash_coreutils::args::{self, Grammar, Operands, Reading};
 
 use crate::classes::ParClass;
 
@@ -23,8 +32,6 @@ use crate::classes::ParClass;
 pub struct AnnotationRecord {
     /// Command name.
     pub name: String,
-    /// Options that consume a following argument.
-    pub takes_value: Vec<String>,
     /// Guarded clauses, evaluated in order.
     pub clauses: Vec<Clause>,
 }
@@ -71,9 +78,9 @@ pub struct Assignment {
 pub enum IoSpec {
     /// Standard input.
     Stdin,
-    /// The i-th non-option argument (0-based).
+    /// The i-th operand (0-based).
     Arg(usize),
-    /// A slice of the non-option arguments.
+    /// A slice of the operands.
     ArgRange(Option<usize>, Option<usize>),
 }
 
@@ -82,7 +89,7 @@ pub enum IoSpec {
 pub enum OutSpec {
     /// Standard output.
     Stdout,
-    /// The i-th non-option argument names the output file.
+    /// The i-th operand names the output file.
     Arg(usize),
 }
 
@@ -106,7 +113,7 @@ pub struct Classification {
     /// replicated to every parallel copy, §3.2's `comm -13` example).
     pub static_files: Vec<String>,
     /// The argv with streamed file arguments replaced: the first
-    /// streamed positional becomes `-` (read from stdin), later ones
+    /// streamed operand becomes `-` (read from stdin), later ones
     /// become stream markers (see [`stream_marker`]). This preserves
     /// positional arity — `comm -23 t1 t2` must still see two
     /// operands after t1 is rerouted through a pipe.
@@ -131,143 +138,105 @@ pub fn parse_stream_marker(s: &str) -> Option<usize> {
     inner.strip_prefix("PASH_STREAM")?.parse().ok()
 }
 
+/// How an invocation of a command the kernels do not scan (a record
+/// registered for it) is read: every option letter a flag. Such an
+/// invocation with options is classified only when its clause streams
+/// no operand.
+const FLAGS_ONLY: Grammar = Grammar {
+    name: "",
+    spec: "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+    long: &[],
+};
+
+/// Reads an invocation's arguments (without the command name) as the
+/// command `name` reads them: through the kernels' scan and `name`'s
+/// grammar. `None` when the scan refuses them.
+pub(crate) fn read<'a>(name: &str, args: &'a [String]) -> Option<Reading<'a>> {
+    args::read(args, args::grammar(name).unwrap_or(&FLAGS_ONLY)).ok()
+}
+
 impl AnnotationRecord {
     /// Evaluates the record against an invocation's arguments
     /// (excluding the command name).
     ///
     /// The returned `stream_argv` also excludes the name; library-
-    /// level classification prepends it. Returns `None` when no
-    /// clause matches (callers treat the command conservatively).
+    /// level classification prepends it. Returns `None` when the
+    /// command would refuse the arguments or no clause matches
+    /// (callers treat the command conservatively).
     pub fn classify(&self, args: &[String]) -> Option<Classification> {
-        let (options, positional, pos_indices) = split_options(args, &self.takes_value);
-        for clause in &self.clauses {
-            if eval_pred(&clause.pred, &options, args) {
-                return Some(resolve(
-                    self,
-                    &clause.assign,
-                    args,
-                    &positional,
-                    &pos_indices,
-                ));
-            }
+        self.classify_read(args, &read(&self.name, args)?)
+    }
+
+    /// [`AnnotationRecord::classify`] of arguments already read.
+    pub(crate) fn classify_read(&self, args: &[String], r: &Reading) -> Option<Classification> {
+        let clause = self.clauses.iter().find(|c| eval_pred(&c.pred, r))?;
+        // Without a grammar an option's value cannot be told from an
+        // operand, so an invocation with options streams no operand.
+        let streams_operands = clause.assign.inputs.iter().any(|i| *i != IoSpec::Stdin);
+        if streams_operands && !r.options.is_empty() && args::grammar(&self.name).is_none() {
+            return None;
         }
-        None
+        Some(resolve(&clause.assign, args, &r.operands))
     }
 }
 
-/// Splits args into options and positional (non-option) arguments.
-/// Every word after `--` is positional, as the commands read it.
-///
-/// Returns `(option tokens incl. expanded singles, positional values,
-/// positional indices into args)`.
-fn split_options(
-    args: &[String],
-    takes_value: &[String],
-) -> (Vec<String>, Vec<String>, Vec<usize>) {
-    let mut options = Vec::new();
-    let mut positional = Vec::new();
-    let mut pos_indices = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--" {
-            positional.extend_from_slice(&args[i + 1..]);
-            pos_indices.extend(i + 1..args.len());
-            break;
-        }
-        if a != "-" && a.starts_with('-') && a.len() > 1 {
-            options.push(a.clone());
-            // Expand combined single-letter flags: `-rn` ⇒ `-r`, `-n`.
-            if !a.starts_with("--")
-                && a.len() > 2
-                && a[1..].chars().all(|c| c.is_ascii_alphanumeric())
-            {
-                for c in a[1..].chars() {
-                    options.push(format!("-{c}"));
-                }
-            }
-            // The option a following value belongs to: this one, or the
-            // last flag of a cluster (`-cm 3`).
-            let taker = options.last().expect("an option was just pushed");
-            if takes_value.contains(taker) && i + 1 < args.len() {
-                // The following token is this option's value.
-                let value = format!("{taker}={}", args[i + 1]);
-                options.push(value);
-                i += 1;
-            }
-        } else {
-            positional.push(a.clone());
-            pos_indices.push(i);
-        }
-        i += 1;
-    }
-    (options, positional, pos_indices)
+/// A predicate's option as the scan names it: `-n` is `n`, `--marked`
+/// is `marked`.
+fn option_name(option: &str) -> &str {
+    option
+        .strip_prefix("--")
+        .or_else(|| option.strip_prefix('-'))
+        .unwrap_or(option)
 }
 
-fn eval_pred(p: &Pred, options: &[String], _args: &[String]) -> bool {
+fn eval_pred(p: &Pred, r: &Reading) -> bool {
     match p {
         Pred::Otherwise => true,
-        Pred::Option(o) => options.iter().any(|x| x == o),
-        Pred::Value(o, v) => options.iter().any(|x| x == &format!("{o}={v}")),
-        Pred::Not(inner) => !eval_pred(inner, options, _args),
-        Pred::And(a, b) => eval_pred(a, options, _args) && eval_pred(b, options, _args),
-        Pred::Or(a, b) => eval_pred(a, options, _args) || eval_pred(b, options, _args),
+        Pred::Option(o) => r.has(option_name(o)),
+        Pred::Value(o, v) => r.values(option_name(o)).any(|x| x == v),
+        Pred::Not(inner) => !eval_pred(inner, r),
+        Pred::And(a, b) => eval_pred(a, r) && eval_pred(b, r),
+        Pred::Or(a, b) => eval_pred(a, r) || eval_pred(b, r),
     }
 }
 
-fn resolve(
-    record: &AnnotationRecord,
-    assign: &Assignment,
-    args: &[String],
-    positional: &[String],
-    pos_indices: &[usize],
-) -> Classification {
-    let _ = record;
-    // Resolve streamed inputs and remember which positional indices
-    // they occupy (`None` for slots without a positional, i.e. the
-    // `stdin` keyword).
-    let mut inputs = Vec::new();
-    let mut slot_positions: Vec<Option<usize>> = Vec::new();
+fn resolve(assign: &Assignment, args: &[String], operands: &Operands) -> Classification {
+    let operands = &operands.0;
+    // Resolve streamed inputs and remember which argv positions they
+    // occupy (`None` for slots without an operand, i.e. the `stdin`
+    // keyword).
+    let mut slots: Vec<(InputSlot, Option<usize>)> = Vec::new();
     for spec in &assign.inputs {
-        match spec {
+        let streamed = match spec {
             IoSpec::Stdin => {
-                inputs.push(InputSlot::Stdin);
-                slot_positions.push(None);
+                slots.push((InputSlot::Stdin, None));
+                continue;
             }
-            IoSpec::Arg(i) => {
-                if let Some(v) = positional.get(*i) {
-                    slot_positions.push(Some(pos_indices[*i]));
-                    inputs.push(slot_for(v));
-                }
-            }
+            IoSpec::Arg(i) => operands.get(*i..=*i),
             IoSpec::ArgRange(lo, hi) => {
-                let lo = lo.unwrap_or(0);
-                let hi = hi.unwrap_or(positional.len()).min(positional.len());
-                for i in lo..hi {
-                    slot_positions.push(Some(pos_indices[i]));
-                    inputs.push(slot_for(&positional[i]));
-                }
+                let hi = hi.unwrap_or(operands.len()).min(operands.len());
+                operands.get(lo.unwrap_or(0)..hi)
             }
-        }
+        };
+        let streamed = streamed.unwrap_or_default().iter();
+        slots.extend(streamed.map(|&(at, word)| (slot_for(word), Some(at))));
     }
     // A command with no named inputs reads stdin.
-    if inputs.is_empty() {
-        inputs.push(InputSlot::Stdin);
-        slot_positions.push(None);
+    if slots.is_empty() {
+        slots.push((InputSlot::Stdin, None));
     }
-    // Static configuration files: positional args not streamed, that
-    // look like readable inputs, are left in argv (each copy re-reads
+    let (inputs, slot_positions): (Vec<InputSlot>, Vec<Option<usize>>) = slots.into_iter().unzip();
+    // Static configuration files: operands not streamed, that look
+    // like readable inputs, are left in argv (each copy re-reads
     // them). We only *report* them for the DFG's bookkeeping.
-    let streamed_positions: Vec<usize> = slot_positions.iter().flatten().copied().collect();
-    let static_files: Vec<String> = positional
+    let static_files: Vec<String> = operands
         .iter()
-        .zip(pos_indices)
-        .filter(|(_, idx)| !streamed_positions.contains(idx))
-        .map(|(v, _)| v.clone())
+        .filter(|(at, _)| !slot_positions.contains(&Some(*at)))
+        .map(|(_, word)| word.to_string())
         .collect();
     // argv for execution: the first streamed slot routes via stdin
-    // (its positional, if any, becomes `-`); later streamed
-    // positionals become markers.
+    // (its operand, if any, becomes `-`); later streamed operands
+    // become markers.
     let mut stream_argv: Vec<String> = args.to_vec();
     for (k, pos) in slot_positions.iter().enumerate() {
         if let Some(p) = pos {
@@ -369,7 +338,7 @@ mod tests {
             c.inputs,
             vec![InputSlot::File("f1".into()), InputSlot::File("f2".into())]
         );
-        // First streamed positional becomes `-`, the second a marker.
+        // First streamed operand becomes `-`, the second a marker.
         assert_eq!(
             c.stream_argv,
             vec![
@@ -382,14 +351,46 @@ mod tests {
     }
 
     #[test]
-    fn takes_value_protects_option_arguments() {
+    fn option_values_are_read_as_the_command_reads_them() {
         let rec =
-            lang::parse_record("head takes -n -c { | otherwise => (P, [args[0:]], [stdout]) }")
-                .expect("parse");
+            lang::parse_record("head { | otherwise => (P, [args[0:]], [stdout]) }").expect("parse");
         let c = classify(&rec, &["-n", "1"]);
         // `1` is -n's value, not a file.
         assert_eq!(c.inputs, vec![InputSlot::Stdin]);
         assert_eq!(c.stream_argv, vec!["-n", "1"]);
+        // So is the obsolete leading count, and a value in a cluster.
+        let c = classify(&rec, &["-5", "f"]);
+        assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
+        assert_eq!(c.stream_argv, vec!["-5", "-"]);
+        let rec = lang::parse_record("sort { | _ => (P, [args[0:]], [stdout]) }").expect("parse");
+        let c = classify(&rec, &["-rk", "2", "f"]);
+        assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
+        assert_eq!(c.stream_argv, vec!["-rk", "2", "-"]);
+    }
+
+    #[test]
+    fn an_argv_the_command_refuses_is_not_classified() {
+        let rec = lang::parse_record("grep { | _ => (S, [args[1:]], [stdout]) }").expect("parse");
+        assert!(rec.classify(&["-q".into(), "a1".into()]).is_none());
+        assert!(rec.classify(&["-e".into()]).is_none());
+        // So is a count or list it cannot read.
+        let rec = lang::parse_record("head { | _ => (P, [args[0:]], [stdout]) }").expect("parse");
+        assert!(rec.classify(&["-n".into(), "x".into()]).is_none());
+        let rec = lang::parse_record("cut { | _ => (S, [args[0:]], [stdout]) }").expect("parse");
+        assert!(rec.classify(&["-f1".into(), "-c1".into()]).is_none());
+        // A command the kernels lack reads every letter as a flag, and
+        // with options it streams no operand: `val` may be a value.
+        let rec = lang::parse_record(
+            "mycmd { | -q => (S, [stdin], [stdout]) | _ => (S, [args[0:]], [stdout]) }",
+        )
+        .expect("parse");
+        assert_eq!(classify(&rec, &["-qz"]).inputs, vec![InputSlot::Stdin]);
+        assert!(rec
+            .classify(&["-x".into(), "val".into(), "f".into()])
+            .is_none());
+        let c = classify(&rec, &["f"]);
+        assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
+        assert!(rec.classify(&["--long".into()]).is_none());
     }
 
     #[test]
@@ -414,12 +415,14 @@ mod tests {
     #[test]
     fn value_predicate() {
         let rec = lang::parse_record(
-            r#"x takes -d { | value -d = "," => (S, [stdin], [stdout]) | otherwise => (N, [stdin], [stdout]) }"#,
+            r#"cut { | value -d = "," => (S, [stdin], [stdout]) | otherwise => (N, [stdin], [stdout]) }"#,
         )
         .expect("parse");
-        let c = classify(&rec, &["-d", ","]);
+        let c = classify(&rec, &["-d", ",", "-f1"]);
         assert_eq!(c.class, ParClass::Stateless);
-        let c = classify(&rec, &["-d", ";"]);
+        let c = classify(&rec, &["-sd,", "-f1"]);
+        assert_eq!(c.class, ParClass::Stateless);
+        let c = classify(&rec, &["-d", ";", "-f1"]);
         assert_eq!(c.class, ParClass::NonParallelizable);
     }
 

@@ -5,7 +5,11 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::annot::{lang, AnnotationRecord, Classification};
+use pash_coreutils::args::Reading;
+use pash_coreutils::cmd::sed::rewrites_each_line;
+use pash_coreutils::cmd::tr::expand_set;
+
+use crate::annot::{lang, read, AnnotationRecord, Classification};
 use crate::classes::ParClass;
 
 /// The annotation records, in the Appendix-A description language.
@@ -22,10 +26,10 @@ cat {
 }
 tac { | _ => (P, [args[0:]], [stdout]) }
 tr { | _ => (S, [stdin], [stdout]) }
-cut takes -d -f -c {
+cut {
     | _ => (S, [args[0:]], [stdout])
 }
-grep takes -e -m {
+grep {
     | -e /\ (-n \/ -m) => (N, [args[0:]], [stdout])
     | -e /\ -c => (P, [args[0:]], [stdout])
     | -e => (S, [args[0:]], [stdout])
@@ -33,7 +37,7 @@ grep takes -e -m {
     | -c => (P, [args[1:]], [stdout])
     | _ => (S, [args[1:]], [stdout])
 }
-sort takes -k -t {
+sort {
     | _ => (P, [args[0:]], [stdout])
 }
 uniq {
@@ -41,24 +45,27 @@ uniq {
     | _ => (P, [args[0:]], [stdout])
 }
 wc { | _ => (P, [args[0:]], [stdout]) }
-head takes -n -c { | _ => (P, [args[0:]], [stdout]) }
-tail takes -n { | _ => (P, [args[0:]], [stdout]) }
+head { | _ => (P, [args[0:]], [stdout]) }
+tail { | _ => (P, [args[0:]], [stdout]) }
 comm {
     | -1 /\ -3 => (S, [args[1]], [stdout])
     | -2 /\ -3 => (S, [args[0]], [stdout])
     | _ => (P, [args[0], args[1]], [stdout])
 }
 rev { | _ => (S, [args[0:]], [stdout]) }
-fold takes -w { | _ => (S, [args[0:]], [stdout]) }
+fold { | _ => (S, [args[0:]], [stdout]) }
 nl { | _ => (P, [args[0:]], [stdout]) }
-paste takes -d { | _ => (N, [args[0:]], [stdout]) }
+paste { | _ => (N, [args[0:]], [stdout]) }
 sha1sum { | _ => (N, [args[0:]], [stdout]) }
 diff { | _ => (N, [args[0], args[1]], [stdout]) }
 seq { | _ => (E, [], [stdout]) }
 echo { | _ => (E, [], [stdout]) }
 tee { | _ => (E, [stdin], [stdout]) }
-xargs takes -n { | _ => (S, [stdin], [stdout]) }
-sed takes -e { | _ => (S, [args[1:]], [stdout]) }
+xargs { | _ => (S, [stdin], [stdout]) }
+sed {
+    | -e => (S, [args[0:]], [stdout])
+    | _ => (S, [args[1:]], [stdout])
+}
 
 # --- Benchmark commands annotated per §6.4 ---------------------------
 fetch { | _ => (S, [stdin], [stdout]) }
@@ -127,86 +134,54 @@ impl AnnotationLibrary {
         self.records.is_empty()
     }
 
-    /// Classifies an invocation `argv` (name + args).
+    /// Classifies an invocation `argv` (name + args), read as the
+    /// command reads it.
     ///
-    /// Returns `None` for unknown commands or unmatched clauses: the
-    /// conservative default (the front-end will not parallelize).
+    /// Returns `None` for unknown commands, arguments the command
+    /// would refuse, or unmatched clauses: the conservative default
+    /// (the front-end will not parallelize).
     pub fn classify(&self, argv: &[String]) -> Option<Classification> {
         let (name, args) = argv.split_first()?;
+        let record = self.records.get(name)?;
+        let r = read(name, args)?;
+        let mut c = record.classify_read(args, &r)?;
         // Refinements that need to look *inside* arguments; the DSL
         // only sees option occurrence (see module docs).
-        if name == "xargs" {
-            let mut c = self.classify_xargs(args)?;
-            c.stream_argv.insert(0, name.clone());
-            return Some(c);
-        }
-        let record = self.records.get(name)?;
-        // `tail +N` (historic form): `+N` is an option, not a file.
-        let is_plus = |a: &String| {
-            a.len() > 1 && a.starts_with('+') && a[1..].chars().all(|c| c.is_ascii_digit())
-        };
-        let rewritten: Vec<String>;
-        let args = if name == "tail" && args.iter().any(is_plus) {
-            rewritten = args
-                .iter()
-                .map(|a| {
-                    if is_plus(a) {
-                        format!("-n{a}")
-                    } else {
-                        a.clone()
-                    }
-                })
-                .collect();
-            &rewritten[..]
-        } else {
-            args
-        };
-        let mut c = record.classify(args)?;
-        if name == "sed" {
-            c.class = c.class.join(sed_script_class(args));
-        }
-        if name == "tr" {
-            c.class = c.class.join(tr_class(args));
-        }
-        if name == "tail" && args.iter().any(|a| a.starts_with("-n+") || a == "+") {
+        c.class = match name.as_str() {
+            "xargs" => self.xargs_class(args, &r),
+            "sed" => c.class.join(sed_script_class(&r)),
+            "tr" => c.class.join(tr_class(&r)),
             // `tail +N` drops a global prefix: not decomposable as a
             // uniform map (only the first chunk is affected).
-            c.class = c.class.join(ParClass::NonParallelizable);
+            "tail" if r.values("n").any(|n| n.starts_with('+')) => {
+                c.class.join(ParClass::NonParallelizable)
+            }
+            _ => c.class,
+        };
+        if name == "tail" {
+            // An obsolete `tail +N` (the count is its own word) runs as
+            // `tail -n+N`, the form every `tail` reads.
+            for &(at, _, count) in r.options.iter().filter(|o| args[o.0] == o.2) {
+                c.stream_argv[at] = format!("-n{count}");
+            }
         }
         c.stream_argv.insert(0, name.clone());
         Some(c)
     }
 
     /// `xargs -n 1 CMD…` is as parallelizable as `CMD` itself (§2's
-    /// `xargs -n 1 curl` and Fig. 3).
-    fn classify_xargs(&self, args: &[String]) -> Option<Classification> {
-        let record = self.records.get("xargs")?;
-        let base = record.classify(args)?;
-        // Find the inner command (first non-option arg, skipping -n's
-        // value).
-        let mut inner_start = None;
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "-n" {
-                i += 2;
-                continue;
-            }
-            if args[i].starts_with('-') && args[i].len() > 1 {
-                i += 1;
-                continue;
-            }
-            inner_start = Some(i);
-            break;
-        }
-        let class = match inner_start {
+    /// `xargs -n 1 curl` and Fig. 3). Its first operand starts the
+    /// inner command.
+    fn xargs_class(&self, args: &[String], r: &Reading) -> ParClass {
+        match r.operands.0.first() {
             None => ParClass::Stateless, // Default `echo`.
             // Argument-echoing commands are per-token maps under
             // xargs, even though they are class E standalone (they
             // consume no stream input on their own).
-            Some(s) if args[s] == "echo" || args[s] == "printf" => ParClass::Stateless,
-            Some(s) => {
+            Some(&(_, "echo" | "printf")) => ParClass::Stateless,
+            Some(&(at, _)) => {
                 let inner_class = self
-                    .classify(&args[s..])
+                    .classify(&args[at..])
                     .map(|c| c.class)
                     .unwrap_or(ParClass::SideEffectful);
                 // The inner command runs per input *token*; stateless
@@ -219,50 +194,26 @@ impl AnnotationLibrary {
                     inner_class
                 }
             }
-        };
-        Some(Classification { class, ..base })
+        }
     }
 }
 
-/// Conservative class contribution of a sed script.
+/// Class contribution of a sed script: its `-e` scripts, or without
+/// one its first operand, as the `sed` kernel parses them.
 ///
-/// Plain `s///` and `y///` are per-line rewrites (class S); anything
-/// with addresses, `d`, `p`, or `q` is order-sensitive and forces
-/// class N.
-fn sed_script_class(args: &[String]) -> ParClass {
-    let mut scripts: Vec<&String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-e" => {
-                if let Some(s) = it.next() {
-                    scripts.push(s);
-                }
-            }
-            "-n" => return ParClass::NonParallelizable,
-            "-E" | "-r" => {}
-            s if s.starts_with('-') => {}
-            _ => {
-                scripts.push(a);
-                break; // Remaining args are files.
-            }
-        }
+/// Unaddressed `s///` and `y///` are per-line rewrites (class S);
+/// anything with addresses, `d`, `p`, or `q`, a script the kernel
+/// refuses, and `-n` are order-sensitive and force class N.
+fn sed_script_class(r: &Reading) -> ParClass {
+    let mut scripts: Vec<&str> = r.values("e").collect();
+    if scripts.is_empty() {
+        scripts.extend(r.operands.0.first().map(|&(_, script)| script));
     }
-    for s in scripts {
-        let t = s.trim_start();
-        let per_line = t.starts_with("s") || t.starts_with("y");
-        if !per_line {
-            return ParClass::NonParallelizable;
-        }
-        // Multiple `;`-chained commands: all must be s/y.
-        for part in split_top_level(t) {
-            let p = part.trim_start();
-            if !(p.is_empty() || p.starts_with('s') || p.starts_with('y')) {
-                return ParClass::NonParallelizable;
-            }
-        }
+    if r.has("n") || !scripts.into_iter().all(rewrites_each_line) {
+        ParClass::NonParallelizable
+    } else {
+        ParClass::Stateless
     }
-    ParClass::Stateless
 }
 
 /// Class contribution of `tr`'s flags and sets.
@@ -272,120 +223,22 @@ fn sed_script_class(args: &[String]) -> ParClass {
 /// can include `\n`: a segment that starts inside such a run keeps a
 /// byte the whole input drops. So `-s` forces class N when it comes
 /// with a complement (`-c`, `-C`), whose set almost always holds `\n`,
-/// or when any set operand can hold `\n` (see [`tr_set_holds_newline`]).
-fn tr_class(args: &[String]) -> ParClass {
-    let mut squeeze = false;
-    let mut complement = false;
-    let mut sets = Vec::new();
-    for a in args {
-        match a.strip_prefix('-') {
-            Some(flags) if !flags.is_empty() && flags.chars().all(|c| "cCdst".contains(c)) => {
-                squeeze |= flags.contains('s');
-                complement |= flags.contains(['c', 'C']);
-            }
-            _ if a == "--squeeze-repeats" => squeeze = true,
-            _ if a == "--complement" => complement = true,
-            _ => sets.push(a),
-        }
-    }
-    if squeeze && (complement || sets.iter().any(|s| tr_set_holds_newline(s))) {
+/// or when any set operand holds `\n` as the `tr` kernel expands it:
+/// literally, as an escape (`\n`, `\012`), inside a range
+/// (`\001-\177`) or through a class (`[:space:]`, `[:cntrl:]`).
+fn tr_class(r: &Reading) -> ParClass {
+    let squeeze = r.has("s");
+    let complement = r.has("c") || r.has("C");
+    let mut sets = r.operands.0.iter().map(|&(_, set)| set);
+    if squeeze && (complement || sets.any(|set| expand_set(set).contains(&b'\n'))) {
         ParClass::NonParallelizable
     } else {
         ParClass::Stateless
     }
 }
 
-/// Whether a `tr` set operand can hold byte 0x0A: literally, as an
-/// escape (`\n`, `\012`), inside a range (`\001-\177`) or through a
-/// class (`[:space:]`, `[:cntrl:]`).
-fn tr_set_holds_newline(set: &str) -> bool {
-    if set.contains("[:space:]") || set.contains("[:cntrl:]") {
-        return true;
-    }
-    // Decode escapes first, remembering which bytes were escaped: only
-    // a bare `-` between two bytes makes a range.
-    let bytes = set.as_bytes();
-    let mut decoded: Vec<(u8, bool)> = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (b, used) = tr_unescape(bytes, i);
-        decoded.push((b, used > 1));
-        i += used;
-    }
-    decoded.iter().enumerate().any(|(j, &(b, _))| {
-        b == b'\n'
-            || matches!(decoded.get(j + 1..j + 3), Some(&[(b'-', false), (hi, _)])
-                if (b..=hi).contains(&b'\n'))
-    })
-}
-
-/// Decodes the `tr` set byte at `i`: a backslash escape (`\NNN` is
-/// one to three octal digits, as many as stay within 0377) or the byte
-/// itself. Returns the byte and how many input bytes it used.
-fn tr_unescape(bytes: &[u8], i: usize) -> (u8, usize) {
-    if bytes[i] != b'\\' || i + 1 >= bytes.len() {
-        return (bytes[i], 1);
-    }
-    let mut value = 0u32;
-    let mut digits = 0;
-    while let Some(&d @ b'0'..=b'7') = bytes.get(i + 1 + digits) {
-        let next = value * 8 + u32::from(d - b'0');
-        if digits == 3 || next > 0o377 {
-            break;
-        }
-        value = next;
-        digits += 1;
-    }
-    if digits > 0 {
-        return (value as u8, 1 + digits);
-    }
-    let b = match bytes[i + 1] {
-        b'a' => 0x07,
-        b'b' => 0x08,
-        b'f' => 0x0C,
-        b'n' => b'\n',
-        b'r' => b'\r',
-        b't' => b'\t',
-        b'v' => 0x0B,
-        other => other,
-    };
-    (b, 2)
-}
-
-/// Splits a sed script on `;` outside of s-expression bodies (an
-/// approximation sufficient for classification).
-fn split_top_level(s: &str) -> Vec<String> {
-    let bytes = s.as_bytes();
-    if bytes.len() >= 2 && (bytes[0] == b's' || bytes[0] == b'y') {
-        let delim = bytes[1];
-        // Count delimiters; after the third, `;` separates commands.
-        let mut seen = 0;
-        let mut i = 2;
-        while i < bytes.len() && seen < 2 {
-            if bytes[i] == b'\\' {
-                i += 2;
-                continue;
-            }
-            if bytes[i] == delim {
-                seen += 1;
-            }
-            i += 1;
-        }
-        // Skip flags.
-        while i < bytes.len() && bytes[i] != b';' {
-            i += 1;
-        }
-        if i < bytes.len() {
-            let mut rest = split_top_level(&s[i + 1..]);
-            rest.insert(0, s[..i].to_string());
-            return rest;
-        }
-        return vec![s.to_string()];
-    }
-    s.split(';').map(|p| p.to_string()).collect()
-}
-
-/// Maps a class-P invocation to its aggregator argv (§5.2).
+/// Maps a class-P invocation to its aggregator argv (§5.2), reading
+/// the invocation as the command reads it.
 ///
 /// The names refer to runtime commands implemented in `pash-runtime`
 /// (its registry extends the coreutils registry with them). Returns
@@ -393,71 +246,43 @@ fn split_top_level(s: &str) -> Vec<String> {
 /// sequential.
 pub fn aggregator_for(argv: &[String]) -> Option<Vec<String>> {
     let (name, args) = argv.split_first()?;
-    let flags: Vec<&String> = args.iter().filter(|a| a.starts_with('-')).collect();
+    let r = read(name, args)?;
+    // `agg` and the invocation's words but its operands and the
+    // options named `drop`, verbatim: the aggregator orders or counts
+    // as the command does.
+    let verbatim = |agg: &str, drop: &str| {
+        let kept = args.iter().enumerate().filter(|&(at, _)| {
+            !r.operands.0.iter().any(|&(i, _)| i == at)
+                && !r.options.iter().any(|&(i, n, _)| i == at && n == drop)
+        });
+        std::iter::once(agg.to_string())
+            .chain(kept.map(|(_, word)| word.clone()))
+            .collect()
+    };
     match name.as_str() {
         // sort: merge phase of merge-sort, same ordering flags
         // ("on GNU systems … `sort -m`", §5.2).
-        "sort" => {
-            let mut agg = vec!["pash-agg-sort".to_string()];
-            let mut it = args.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "-k" | "-t" => {
-                        agg.push(a.clone());
-                        if let Some(v) = it.next() {
-                            agg.push(v.clone());
-                        }
-                    }
-                    s if s.starts_with("--parallel") => {}
-                    s if s.starts_with('-') => agg.push(a.clone()),
-                    // File arguments are not part of the aggregator.
-                    _ => {}
-                }
-            }
-            Some(agg)
-        }
+        "sort" => Some(verbatim("pash-agg-sort", "parallel")),
         // uniq / uniq -c: boundary-condition combiners. They compare
         // bytes, so `-i` has none (and neither fold may move below a
         // sort's merge: case-equal lines are not adjacent there).
         "uniq" => {
-            if flags.iter().any(|f| f.contains(['d', 'u', 'i'])) {
+            if r.has("d") || r.has("u") || r.has("i") {
                 None
-            } else if flags.iter().any(|f| f.contains('c')) {
+            } else if r.has("c") {
                 Some(vec!["pash-agg-uniq-c".to_string()])
             } else {
                 Some(vec!["pash-agg-uniq".to_string()])
             }
         }
         // wc: adds per-part count vectors, any flag subset.
-        "wc" => {
-            let mut agg = vec!["pash-agg-wc".to_string()];
-            agg.extend(flags.iter().map(|f| f.to_string()));
-            Some(agg)
-        }
+        "wc" => Some(verbatim("pash-agg-wc", "")),
         // grep -c: sum of partial counts.
-        "grep" => {
-            if flags
-                .iter()
-                .any(|f| !f.starts_with("--") && f.contains('c'))
-            {
-                Some(vec!["pash-agg-sum".to_string()])
-            } else {
-                None
-            }
-        }
+        "grep" => r.has("c").then(|| vec!["pash-agg-sum".to_string()]),
         // tac: consume stream descriptors in reverse order.
         "tac" => Some(vec!["pash-agg-tac".to_string()]),
         // head/tail: re-apply over the concatenation.
-        "head" | "tail" => {
-            if args
-                .iter()
-                .any(|a| a.starts_with('+') || a.starts_with("-n+"))
-            {
-                None
-            } else {
-                Some(argv.to_vec())
-            }
-        }
+        "head" | "tail" => (!r.values("n").any(|n| n.starts_with('+'))).then(|| argv.to_vec()),
         // The Bi-grams-opt custom aggregator (§6.1).
         "bigrams-aux" => Some(vec!["pash-agg-bigram".to_string()]),
         // cat -n and nl would need renumbering; not provided.
@@ -589,6 +414,39 @@ mod tests {
     }
 
     #[test]
+    fn every_sed_script_counts() {
+        let n = Some(ParClass::NonParallelizable);
+        assert_eq!(class_of(&["sed", "-Ee", "s/a/b/", "-e", "1d"]), n);
+        assert_eq!(class_of(&["sed", "-ne", "s/a/b/p"]), n);
+        // An addressed `y` rewrites only the lines it selects.
+        assert_eq!(class_of(&["sed", "1y/a/b/"]), n);
+        assert_eq!(class_of(&["sed", "y/a/b/"]), Some(ParClass::Stateless));
+        assert_eq!(
+            class_of(&["sed", "-Ee", "s/a/b/", "-e", "y/a/b/"]),
+            Some(ParClass::Stateless)
+        );
+        // With `-e`, every operand is an input.
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["sed", "-e", "s/a/b/", "f"]))
+            .expect("classified");
+        assert_eq!(c.inputs, vec![InputSlot::File("f".to_string())]);
+    }
+
+    #[test]
+    fn an_argv_the_command_refuses_is_not_classified() {
+        assert_eq!(class_of(&["grep", "-q", "a1"]), None);
+        assert_eq!(class_of(&["sort", "-k"]), None);
+        assert_eq!(class_of(&["xargs", "-n"]), None);
+        // So is a value or operand count it refuses once scanned.
+        assert_eq!(class_of(&["head", "-n", "x"]), None);
+        assert_eq!(class_of(&["fold", "-w", "x"]), None);
+        assert_eq!(class_of(&["xargs", "-n", "0", "echo"]), None);
+        assert_eq!(class_of(&["cut", "-f1", "-c1"]), None);
+        assert_eq!(class_of(&["tr", "a"]), None);
+        assert_eq!(class_of(&["sort", "-k", "x"]), None);
+    }
+
+    #[test]
     fn xargs_inherits_inner_class() {
         assert_eq!(
             class_of(&["xargs", "-n", "1", "fetch"]),
@@ -599,12 +457,26 @@ mod tests {
             Some(ParClass::NonParallelizable)
         );
         assert_eq!(class_of(&["xargs", "echo"]), Some(ParClass::Stateless));
+        // The first operand starts the inner command, options and all.
+        assert_eq!(
+            class_of(&["xargs", "-n1", "sed", "-n", "p"]),
+            Some(ParClass::NonParallelizable)
+        );
     }
 
     #[test]
     fn tail_plus_is_not_parallelizable() {
         assert_eq!(class_of(&["tail", "-n", "5"]), Some(ParClass::Pure));
         assert_eq!(class_of(&["tail", "+2"]), Some(ParClass::NonParallelizable));
+        assert_eq!(
+            class_of(&["tail", "-n+2"]),
+            Some(ParClass::NonParallelizable)
+        );
+        assert_eq!(class_of(&["tail", "-3"]), Some(ParClass::Pure));
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["tail", "+2", "f"]))
+            .expect("classified");
+        assert_eq!(c.stream_argv, argv(&["tail", "-n+2", "-"]));
     }
 
     #[test]
@@ -649,7 +521,23 @@ mod tests {
             aggregator_for(&argv(&["head", "-n", "1"])),
             Some(argv(&["head", "-n", "1"]))
         );
+        // Option words verbatim, values in clusters too; operands and
+        // `--parallel` dropped.
+        assert_eq!(
+            aggregator_for(&argv(&["sort", "-rk", "2", "f"])),
+            Some(argv(&["pash-agg-sort", "-rk", "2"]))
+        );
+        assert_eq!(
+            aggregator_for(&argv(&["sort", "-nt", "a", "--parallel=2", "-k", "2"])),
+            Some(argv(&["pash-agg-sort", "-nt", "a", "-k", "2"]))
+        );
+        assert_eq!(
+            aggregator_for(&argv(&["grep", "-e", "c", "x"])),
+            None,
+            "`c` is -e's pattern, not -c"
+        );
         assert_eq!(aggregator_for(&argv(&["tail", "+2"])), None);
+        assert_eq!(aggregator_for(&argv(&["tail", "-n", "+2"])), None);
         assert_eq!(aggregator_for(&argv(&["uniq", "-d"])), None);
         assert_eq!(aggregator_for(&argv(&["uniq", "-ci"])), None);
         assert_eq!(aggregator_for(&argv(&["paste", "a", "b"])), None);

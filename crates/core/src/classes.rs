@@ -5,6 +5,8 @@
 //! difficulty of parallelization; a command under a set of flags is
 //! classified by its *least parallelizable* interpretation.
 
+use crate::annot::read;
+
 /// The four parallelizability classes of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParClass {
@@ -101,23 +103,17 @@ pub enum RrMode {
 /// equal are byte-identical and the merge output cannot depend on
 /// which worker sorted which block. `-u` switches the last resort off
 /// and keeps the *first* line of each key group, which does depend on
-/// it: `sort -u` stays on the segment path.
+/// it: `sort -u` stays on the segment path. An aggregator's options are
+/// read as `sort` reads them.
 pub fn aggregator_commutes(argv: &[String]) -> bool {
     match argv.split_first() {
         Some((name, args)) => match name.as_str() {
             "pash-agg-wc" | "pash-agg-sum" => true,
-            "pash-agg-sort" => !sort_flags_unique(args),
+            "pash-agg-sort" => read("sort", args).is_some_and(|r| !r.has("u")),
             _ => false,
         },
         None => false,
     }
-}
-
-/// True when a `sort` / `pash-agg-sort` argument list asks for `-u`
-/// (alone or in a cluster such as `-nu`). A value that merely looks
-/// like one (`-t -u`) also answers yes, which only costs parallelism.
-pub fn sort_flags_unique(args: &[String]) -> bool {
-    args.iter().any(|a| a.starts_with('-') && a.contains('u'))
 }
 
 /// True when an aggregator folds adjacent per-block outputs purely at
@@ -223,7 +219,14 @@ mod tests {
         );
         // Key ties fall to the whole line, so keyed and numeric
         // orders are total too.
-        for spec in [&["-n"][..], &["-rn"], &["-k", "2"], &["-t", ",", "-k2n"]] {
+        // (`-t -u` is a separator, not `-u`.)
+        for spec in [
+            &["-n"][..],
+            &["-rn"],
+            &["-k", "2"],
+            &["-t", ",", "-k2n"],
+            &["-t", "-u"],
+        ] {
             let mut argv = agg(&["pash-agg-sort"]);
             argv.extend(agg(spec));
             assert_eq!(

@@ -35,7 +35,8 @@
 //!   that `-u` would drop lines that are key-equal but not identical.
 //!   `uniq -c` has no such limit — the counted merge never takes `-u`.
 
-use crate::classes::{rr_mode, sort_flags_unique, RrMode};
+use crate::annot::read;
+use crate::classes::{rr_mode, RrMode};
 use crate::dfg::graph::{Dfg, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec};
 
 /// Split insertion policy (the Fig. 7 `Split` axis).
@@ -322,7 +323,13 @@ fn commute_fold_below_merge(g: &mut Dfg, id: NodeId) -> bool {
         return false;
     };
     let flags = &sort_argv[1..];
-    if sort_flags_unique(flags) || (!counted && flags.iter().any(|f| f != "-r")) {
+    let Some(r) = read("sort", flags) else {
+        return false;
+    };
+    // Plain `uniq` appends `-u`, so each word must be one `-r`: after
+    // a `--` the `-u` would be an operand.
+    let only_r = r.options.len() == flags.len() && r.options.iter().all(|o| o.1 == "r");
+    if r.has("u") || (!counted && !only_r) {
         return false;
     }
     let mut combined = sort_argv.clone();

@@ -12,7 +12,11 @@
 //! Profiles are computed from [`PlanOp`]s — the model consumes the
 //! lowered execution plan, never the compiler's DFG.
 
+use pash_coreutils::args::Reading;
+use pash_coreutils::cmd::headtail::count;
+
 use super::{MeasuredRate, MeasuredRates};
+use crate::annot::read;
 use crate::plan::{PlanOp, SplitMode};
 
 /// How a node consumes and produces.
@@ -137,32 +141,35 @@ impl CostModel {
         } else {
             argv
         };
-        let name = argv.first().map(|s| s.as_str()).unwrap_or("");
-        let args: Vec<&str> = argv.iter().skip(1).map(|s| s.as_str()).collect();
+        let (name, args) = argv
+            .split_first()
+            .map_or(("", &[][..]), |(name, args)| (name.as_str(), args));
+        // The invocation as the command reads it.
+        let r = read(name, args);
+        let has = |option: &str| r.as_ref().is_some_and(|r| r.has(option));
         let prior = match name {
             "tr" => Profile::streaming(250.0, 1.0),
             "grep" => {
                 // Pattern complexity dominates: a long alternation/
                 // closure pattern is the paper's expensive Grep.
-                let pattern_len = args
-                    .iter()
-                    .find(|a| !a.starts_with('-'))
-                    .map(|p| p.len())
-                    .unwrap_or(4);
+                let pattern_len = r
+                    .as_ref()
+                    .and_then(|r| r.values("e").next().or(r.operands.0.first().map(|o| o.1)))
+                    .map_or(4, str::len);
                 let rate = if pattern_len > 16 { 12.0 } else { 300.0 };
-                let ratio = if args.contains(&"-c") { 1e-6 } else { 0.4 };
+                let ratio = if has("c") { 1e-6 } else { 0.4 };
                 Profile::streaming(rate, ratio)
             }
             "cut" => Profile::streaming(70.0, 0.25),
             "sed" => Profile::streaming(45.0, 1.1),
             "sort" => Profile::blocking(28.0, 1.0),
             "uniq" => {
-                let ratio = if args.contains(&"-c") { 0.4 } else { 0.35 };
+                let ratio = if has("c") { 0.4 } else { 0.35 };
                 Profile::streaming(60.0, ratio)
             }
             "wc" => Profile::streaming(120.0, 1e-6),
             "head" => Profile {
-                close_after_out: Some(head_tail_bytes(&args)),
+                close_after_out: Some(head_tail_bytes(r.as_ref())),
                 ..Profile::streaming(250.0, 1.0)
             },
             "tail" => Profile::blocking(250.0, 0.01),
@@ -176,7 +183,9 @@ impl CostModel {
             "tac" => Profile::blocking(120.0, 1.0),
             "fetch" => Profile::streaming(40.0, FETCH_EXPANSION),
             // `xargs -n 1 fetch`: a document fetch per URL.
-            "xargs" if args.contains(&"fetch") => Profile::streaming(40.0, FETCH_EXPANSION),
+            "xargs" if r.is_some_and(|r| r.operands.0.first().is_some_and(|o| o.1 == "fetch")) => {
+                Profile::streaming(40.0, FETCH_EXPANSION)
+            }
             // The command runs in process, once per name: `pashc xargs
             // -n 1 wc -l` over 4 000 names of 0.2–1.1 KB files reads
             // 5.2–5.7 MB/s of names on 2 vCPUs (no traced row runs
@@ -202,9 +211,7 @@ impl CostModel {
             // `runtime.agg.mb_s` on `light-stream`, 1.1–1.4 GB/s.
             "pash-agg-reorder" => Profile::streaming(1100.0, 1.0),
             "head" => Profile {
-                close_after_out: Some(head_tail_bytes(
-                    &argv.iter().skip(1).map(|s| s.as_str()).collect::<Vec<_>>(),
-                )),
+                close_after_out: Some(head_tail_bytes(read(name, &argv[1..]).as_ref())),
                 ..Profile::streaming(MERGE_MB_S, 1.0)
             },
             "tail" => Profile::blocking(MERGE_MB_S, 0.01),
@@ -214,20 +221,14 @@ impl CostModel {
 }
 
 /// Output bytes after which `head`-like commands close (N lines × an
-/// assumed ~40-byte line).
-fn head_tail_bytes(args: &[&str]) -> f64 {
-    let mut n: f64 = 10.0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if *a == "-n" {
-            if let Some(v) = it.next() {
-                n = v.parse().unwrap_or(10.0);
-            }
-        } else if let Some(v) = a.strip_prefix("-n") {
-            n = v.parse().unwrap_or(10.0);
-        }
-    }
-    n * 40.0
+/// assumed ~40-byte line), from `-n`'s last count as the kernel reads
+/// it (10 when there is none or it does not parse).
+fn head_tail_bytes(r: Option<&Reading>) -> f64 {
+    let lines = r
+        .and_then(|r| r.values("n").last())
+        .and_then(|n| count(n, &['+']))
+        .unwrap_or(10);
+    lines as f64 * 40.0
 }
 
 #[cfg(test)]

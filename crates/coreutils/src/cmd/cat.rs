@@ -4,9 +4,9 @@ use std::io::{self, Read};
 
 use pash_regex::memmem::memrchr;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{for_each_record, write_record};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `cat [-n] [file…]` — concatenate inputs in argument order.
 ///
@@ -18,20 +18,14 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 pub struct Cat;
 
 impl Command for Cat {
-    fn name(&self) -> &'static str {
-        "cat"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut number = false;
         // `-u`, unbuffered, is a no-op.
-        let files = match scan(args, "nu", &[], |name, _| {
+        let files = scanned!(io, args, "cat", |name, _| {
             number |= name == "n";
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "cat", &e),
-        };
+        })
+        .inputs();
         let mut line_no: u64 = 0;
         let mut at_line_start = true;
         for f in files {
@@ -68,15 +62,8 @@ impl Command for Cat {
 pub struct Tac;
 
 impl Command for Tac {
-    fn name(&self) -> &'static str {
-        "tac"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "tac", &e),
-        };
+        let files = scanned!(io, args, "tac", |_, _| Ok(())).inputs();
         let mut data = Vec::new();
         for f in files {
             open_input(&io.fs, f, io.stdin)?.read_to_end(&mut data)?;

@@ -6,7 +6,7 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::read_all_lines;
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
@@ -14,25 +14,19 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 pub struct Comm;
 
 impl Command for Comm {
-    fn name(&self) -> &'static str {
-        "comm"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut show1 = true;
         let mut show2 = true;
         let mut show3 = true;
-        let files = match scan(args, "123", &[], |name, _| {
+        let files = scanned!(io, args, "comm", |name, _| {
             match name {
                 "1" => show1 = false,
                 "2" => show2 = false,
                 _ => show3 = false,
             }
             Ok(())
-        }) {
-            Ok(operands) => operands.0,
-            Err(e) => return usage_error(io, "comm", &e),
-        };
+        })
+        .words();
         if files.len() != 2 {
             return usage_error(io, "comm", "needs exactly two files");
         }

@@ -9,9 +9,9 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{for_each_line, write_line};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `fetch [url…]` — reads each "URL" (a path in the local mirror) and
 /// concatenates the contents, simulating `curl -s`.
@@ -21,10 +21,6 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 pub struct Fetch;
 
 impl Command for Fetch {
-    fn name(&self) -> &'static str {
-        "fetch"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         // Strip URL schemes: the workload generator lays mirrors out as
         // plain paths.
@@ -74,15 +70,8 @@ fn strip_scheme(u: &str) -> String {
 pub struct Unrle;
 
 impl Command for Unrle {
-    fn name(&self) -> &'static str {
-        "unrle"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "unrle", &e),
-        };
+        let files = scanned!(io, args, "unrle", |_, _| Ok(())).inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {
@@ -130,10 +119,6 @@ pub fn rle_encode(lines: &[Vec<u8>]) -> Vec<u8> {
 pub struct HtmlToText;
 
 impl Command for HtmlToText {
-    fn name(&self) -> &'static str {
-        "html-to-text"
-    }
-
     fn run(&self, _args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         for_each_line(io.stdin, |line| {
             let mut out: Vec<u8> = Vec::with_capacity(line.len());
@@ -188,10 +173,6 @@ fn decode_entity(rest: &[u8]) -> (&'static [u8], usize) {
 pub struct WordStem;
 
 impl Command for WordStem {
-    fn name(&self) -> &'static str {
-        "word-stem"
-    }
-
     fn run(&self, _args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         for_each_line(io.stdin, |line| {
             write_line(io.stdout, stem(line))?;
@@ -225,21 +206,15 @@ pub fn stem(word: &[u8]) -> &[u8] {
 pub struct BigramsAux;
 
 impl Command for BigramsAux {
-    fn name(&self) -> &'static str {
-        "bigrams-aux"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         // `--marked` is the map role: boundary markers are emitted for
         // the aggregator to stitch; the plain form is the sequential
         // command (no markers).
         let mut marked = false;
-        if let Err(e) = scan(args, "", &["marked"], |_, _| {
+        scanned!(io, args, "bigrams-aux", |_, _| {
             marked = true;
             Ok(())
-        }) {
-            return usage_error(io, "bigrams-aux", &e);
-        }
+        });
         let mut prev: Option<Vec<u8>> = None;
         let mut first: Option<Vec<u8>> = None;
         for_each_line(io.stdin, |line| {
@@ -280,15 +255,8 @@ impl Command for BigramsAux {
 pub struct AwkReorder;
 
 impl Command for AwkReorder {
-    fn name(&self) -> &'static str {
-        "awk-reorder"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "awk-reorder", &e),
-        };
+        let files = scanned!(io, args, "awk-reorder", |_, _| Ok(())).inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_line(&mut r, |line| {

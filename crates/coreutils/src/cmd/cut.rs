@@ -8,7 +8,7 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::bytemask::{copy_run, ByteSet, WINDOW};
 use crate::lines::{buffer_lines, for_each_block, parse_ranges};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
@@ -20,43 +20,48 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 /// annotation record resolves both to S.
 pub struct Cut;
 
-impl Command for Cut {
-    fn name(&self) -> &'static str {
-        "cut"
+/// `cut -d`'s delimiter, or its usage error. `-d ''` is NUL, as in
+/// GNU's.
+pub(crate) fn delimiter(value: &str) -> Result<u8, String> {
+    match value.as_bytes() {
+        [] => Ok(0),
+        [d] => Ok(*d),
+        _ => Err("the delimiter must be a single character".into()),
     }
+}
 
+/// `cut`'s usage error for a second `-f` or `-c`.
+pub(crate) const ONE_LIST: &str = "only one list may be specified";
+
+/// The ranges of `cut`'s one list, or its usage error.
+pub(crate) fn ranges(list: Option<&str>) -> Result<Vec<(usize, usize)>, &'static str> {
+    match list {
+        None => Err("you must specify a list of bytes, characters, or fields"),
+        Some(list) => parse_ranges(list).ok_or("invalid list"),
+    }
+}
+
+impl Command for Cut {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         // The list, and whether it counts fields.
         let mut list: Option<(&str, bool)> = None;
         let mut delim = b'\t';
         let mut suppress = false;
-        let files = match scan(args, "f:c:d:s", &[], |name, value| {
+        let files = scanned!(io, args, "cut", |name, value| {
             match name {
-                "f" | "c" if list.is_some() => return Err("only one list may be specified".into()),
+                "f" | "c" if list.is_some() => return Err(ONE_LIST.into()),
                 "f" | "c" => list = Some((value, name == "f")),
-                // `-d ''` is NUL, as in GNU's.
-                "d" => match value.as_bytes() {
-                    [] => delim = 0,
-                    [d] => delim = *d,
-                    _ => return Err("the delimiter must be a single character".into()),
-                },
+                "d" => delim = delimiter(value)?,
                 _ => suppress = true,
             }
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "cut", &e),
+        })
+        .inputs();
+        let ranges = match ranges(list.map(|(list, _)| list)) {
+            Ok(ranges) => ranges,
+            Err(e) => return usage_error(io, "cut", e),
         };
-        let Some((list, by_fields)) = list else {
-            return usage_error(
-                io,
-                "cut",
-                "you must specify a list of bytes, characters, or fields",
-            );
-        };
-        let Some(ranges) = parse_ranges(list) else {
-            return usage_error(io, "cut", "invalid list");
-        };
+        let by_fields = list.is_some_and(|(_, by_fields)| by_fields);
         let mut out = Vec::new();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;

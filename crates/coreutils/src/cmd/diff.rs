@@ -7,7 +7,7 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::read_all_lines;
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
@@ -15,15 +15,8 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 pub struct Diff;
 
 impl Command for Diff {
-    fn name(&self) -> &'static str {
-        "diff"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.0,
-            Err(e) => return usage_error(io, "diff", &e),
-        };
+        let files = scanned!(io, args, "diff", |_, _| Ok(())).words();
         if files.len() != 2 {
             return usage_error(io, "diff", "needs exactly two files");
         }

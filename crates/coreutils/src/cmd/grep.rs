@@ -5,11 +5,11 @@ use std::io::{self, Write};
 use pash_regex::memmem::count_bytes;
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{buffer_lines, for_each_block};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
-/// `grep [-EFivcnwm] PATTERN [file…]`.
+/// `grep [-EFivcnwm] PATTERN [file…]`, or `grep … -e PATTERN… [file…]`.
 ///
 /// Stateless per line in its filter form; `-c` moves it to class P
 /// (counts from parallel parts must be summed by an aggregator).
@@ -35,6 +35,11 @@ struct Opts {
     max: Option<u64>,
 }
 
+/// `grep -m`'s count, or its usage error.
+pub(crate) fn max_count(value: &str) -> Result<u64, String> {
+    value.parse().map_err(|_| "invalid max count".to_string())
+}
+
 /// Cross-file match accounting.
 struct Tally {
     any: bool,
@@ -48,14 +53,10 @@ struct Tally {
 }
 
 impl Command for Grep {
-    fn name(&self) -> &'static str {
-        "grep"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut o = Opts::default();
-        let mut pattern: Option<&str> = None;
-        let mut operands = match scan(args, "EFivcnwm:e:", &[], |name, value| {
+        let mut patterns: Vec<&str> = Vec::new();
+        let mut operands = scanned!(io, args, "grep", |name, value| {
             match name {
                 "E" => o.ere = true,
                 "F" => o.fixed = true,
@@ -64,21 +65,29 @@ impl Command for Grep {
                 "c" => o.count = true,
                 "n" => o.line_numbers = true,
                 "w" => o.word = true,
-                "m" => o.max = Some(value.parse().map_err(|_| "invalid max count")?),
-                _ => pattern = Some(value),
+                "m" => o.max = Some(max_count(value)?),
+                _ => patterns.push(value),
             }
             Ok(())
-        }) {
-            Ok(operands) => operands,
-            Err(e) => return usage_error(io, "grep", &e),
-        };
+        });
         // Without `-e`, the first operand is the pattern.
-        let Some(pattern) = pattern.or_else(|| operands.shift()) else {
-            return usage_error(io, "grep", "missing pattern");
+        if patterns.is_empty() {
+            match operands.shift() {
+                Some(pattern) => patterns.push(pattern),
+                None => return usage_error(io, "grep", "missing pattern"),
+            }
+        }
+        // Each line of a pattern is a pattern of its own.
+        let mut matchers = Vec::new();
+        for pattern in patterns.iter().flat_map(|p| p.split('\n')) {
+            let re = build_regex(pattern, &o)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            matchers.push(re.matcher());
+        }
+        let mut m = Patterns {
+            hits: vec![None; matchers.len()],
+            matchers,
         };
-        let re = build_regex(pattern, &o)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let mut m = re.matcher();
         let files = operands.inputs();
         let mut t = Tally {
             any: false,
@@ -103,6 +112,38 @@ impl Command for Grep {
             writeln!(io.stdout, "{}", t.count)?;
         }
         Ok(if t.any { 0 } else { 1 })
+    }
+}
+
+/// The matchers of grep's patterns: a line matches when any of them
+/// does, as GNU ORs its `-e` patterns. Each matcher's next hit in the
+/// block is kept until the scan passes it, so no pattern searches a
+/// stretch of the block twice.
+struct Patterns {
+    matchers: Vec<Matcher>,
+    /// Each matcher's first hit at or after the scan position, once
+    /// searched for in this block (`Some(None)`: there is none).
+    hits: Vec<Option<Option<(usize, usize)>>>,
+}
+
+impl Patterns {
+    /// The first line at or after `from` that some pattern matches
+    /// (see `Matcher::find_line`).
+    fn find_line(&mut self, block: &[u8], from: usize) -> Option<(usize, usize)> {
+        if let [m] = self.matchers.as_mut_slice() {
+            return m.find_line(block, from);
+        }
+        let mut first: Option<(usize, usize)> = None;
+        for (m, hit) in self.matchers.iter_mut().zip(&mut self.hits) {
+            let found = match *hit {
+                Some(found) if found.is_none_or(|(start, _)| start >= from) => found,
+                _ => *hit.insert(m.find_line(block, from)),
+            };
+            if let Some(line) = found.filter(|&(start, _)| first.is_none_or(|(s, _)| start < s)) {
+                first = Some(line);
+            }
+        }
+        first
     }
 }
 
@@ -177,12 +218,13 @@ fn on_gap(gap: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Resul
 /// and what lies between two of them is a run of lines it does not.
 /// The block's selected lines leave in one write.
 fn scan_block(
-    m: &mut Matcher,
+    m: &mut Patterns,
     block: &[u8],
     o: &Opts,
     out: &mut dyn Write,
     t: &mut Tally,
 ) -> io::Result<()> {
+    m.hits.fill(None);
     let mut pos = 0usize;
     while pos < block.len() && !t.stop {
         let hit = m.find_line(block, pos);
@@ -386,6 +428,17 @@ mod tests {
     #[test]
     fn explicit_e_pattern() {
         assert_eq!(out(&["-e", "-x"], "-x\nyy\n"), "-x\n");
+    }
+
+    #[test]
+    fn every_e_pattern_selects() {
+        let input = "a\nx\nb\nax\n";
+        assert_eq!(out(&["-e", "a", "-e", "x"], input), "a\nx\nax\n");
+        assert_eq!(out(&["-c", "-e", "x", "-e", "a"], input), "3\n");
+        assert_eq!(out(&["-v", "-e", "a", "-e", "x"], input), "b\n");
+        assert_eq!(out(&["-n", "-e", "b", "-e", "^x"], input), "2:x\n3:b\n");
+        // The lines of one pattern are patterns too.
+        assert_eq!(out(&["a\nb"], input), "a\nb\nax\n");
     }
 
     #[test]

@@ -2,23 +2,16 @@
 
 use std::io::{self, Read};
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::sha1::Sha1;
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `sha1sum [file…]` — print `<hex>  <name>` per input.
 pub struct Sha1Sum;
 
 impl Command for Sha1Sum {
-    fn name(&self) -> &'static str {
-        "sha1sum"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "sha1sum", &e),
-        };
+        let files = scanned!(io, args, "sha1sum", |_, _| Ok(())).inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             let mut h = Sha1::new();

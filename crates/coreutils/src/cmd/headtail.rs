@@ -5,9 +5,9 @@ use std::io;
 
 use pash_regex::memmem::memchr;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::for_each_block;
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// Passes over up to `n` lines of `block`, taking each off `n`, and
 /// returns the offset just after them. A line ends after its `\n`, or
@@ -23,10 +23,23 @@ fn skip_lines(block: &[u8], n: &mut u64) -> usize {
 
 /// A count as GNU reads it: digits after an optional `sign`; one too
 /// large for a `u64` is as good as endless.
-fn count(value: &str, sign: &[char]) -> Option<u64> {
+pub fn count(value: &str, sign: &[char]) -> Option<u64> {
     let digits = value.strip_prefix(sign).unwrap_or(value);
     let valid = !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
     valid.then(|| digits.parse().unwrap_or(u64::MAX))
+}
+
+/// The count `command` (`head` or `tail`) reads as the value of its
+/// option `option`, or its usage error. `head` lacks GNU's "all but the
+/// last N" (`-n -N`); `tail -n -N` is `tail -n N`.
+pub(crate) fn option_count(command: &str, option: &str, value: &str) -> Result<u64, String> {
+    let sign: &[char] = if command == "tail" {
+        &['-', '+']
+    } else {
+        &['+']
+    };
+    let unit = if option == "c" { "bytes" } else { "lines" };
+    count(value, sign).ok_or(format!("invalid number of {unit}: '{value}'"))
 }
 
 /// `head [-n N] [-c N] [file…]`, and the obsolete `head -N …`.
@@ -36,28 +49,16 @@ fn count(value: &str, sign: &[char]) -> Option<u64> {
 pub struct Head;
 
 impl Command for Head {
-    fn name(&self) -> &'static str {
-        "head"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         // The count, and whether it counts bytes; the last option wins.
+        // (The scan reads an obsolete `head -N` as `-n N`.)
         let (mut n, mut bytes) = (10, false);
-        // `head -N` is read only as the first word, as GNU reads it.
-        let mut args = args;
-        if let Some(k) = args.first().and_then(|w| count(w.strip_prefix('-')?, &[])) {
-            (n, args) = (k, &args[1..]);
-        }
-        let files = match scan(args, "n:c:", &[], |name, value| {
+        let files = scanned!(io, args, "head", |name, value| {
             bytes = name == "c";
-            let unit = if bytes { "bytes" } else { "lines" };
-            // So is GNU's "all but the last N" (`-n -N`), not supported.
-            n = count(value, &['+']).ok_or(format!("invalid number of {unit}: '{value}'"))?;
+            n = option_count("head", name, value)?;
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "head", &e),
-        };
+        })
+        .inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             if bytes {
@@ -94,38 +95,17 @@ impl Command for Head {
 pub struct Tail;
 
 impl Command for Tail {
-    fn name(&self) -> &'static str {
-        "tail"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        // The count, and whether it counts from the start (`+N`).
+        // The count, and whether it counts from the start (`+N`). (The
+        // scan reads an obsolete `tail -N` or `tail +N` as `-n N` or
+        // `-n +N`.)
         let (mut n, mut from_start) = (10, false);
-        // The obsolete form, as GNU reads it: the first word, followed
-        // by at most one file (`--` before it allowed).
-        let obsolete = match args {
-            [_] => true,
-            [_, next] => next == "-" || next == "--" || !next.starts_with('-'),
-            [_, next, _] => next == "--",
-            _ => false,
-        };
-        let mut args = args;
-        if let Some(first) = args
-            .first()
-            .filter(|w| obsolete && w.starts_with(['-', '+']))
-        {
-            if let Some(k) = count(first, &['-', '+']) {
-                (n, from_start, args) = (k, first.starts_with('+'), &args[1..]);
-            }
-        }
-        let files = match scan(args, "n:", &[], |_, value| {
-            n = count(value, &['-', '+']).ok_or(format!("invalid number of lines: '{value}'"))?;
+        let files = scanned!(io, args, "tail", |_, value| {
+            n = option_count("tail", "n", value)?;
             from_start = value.starts_with('+');
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "tail", &e),
-        };
+        })
+        .inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             if from_start {

@@ -3,23 +3,16 @@
 
 use std::io::{self, Read, Write};
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `rev` — reverse the bytes of each line (class S); an unterminated one stays so.
 pub struct Rev;
 
 impl Command for Rev {
-    fn name(&self) -> &'static str {
-        "rev"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "rev", &e),
-        };
+        let files = scanned!(io, args, "rev", |_, _| Ok(())).inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_record(&mut r, |line, terminated| {
@@ -36,10 +29,6 @@ impl Command for Rev {
 pub struct Seq;
 
 impl Command for Seq {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let nums: Vec<i64> = args.iter().filter_map(|a| a.parse().ok()).collect();
         let (first, incr, last) = match nums.as_slice() {
@@ -65,10 +54,6 @@ impl Command for Seq {
 pub struct Echo;
 
 impl Command for Echo {
-    fn name(&self) -> &'static str {
-        "echo"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut newline = true;
         let mut words: &[String] = args;
@@ -89,28 +74,18 @@ impl Command for Echo {
 pub struct Paste;
 
 impl Command for Paste {
-    fn name(&self) -> &'static str {
-        "paste"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut delims: Vec<u8> = vec![b'\t'];
         let mut serial = false;
-        let files = match scan(args, "sd:", &[], |name, value| {
+        let files = scanned!(io, args, "paste", |name, value| {
             match name {
                 "s" => serial = true,
-                _ => {
-                    delims = crate::cmd::tr::expand_set(value);
-                    if delims.is_empty() {
-                        delims.push(b'\t');
-                    }
-                }
+                // An empty list joins with nothing.
+                _ => delims = crate::cmd::tr::expand_set(value),
             }
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "paste", &e),
-        };
+        })
+        .inputs();
         // The first `-` reads stdin to its end, and the rest find it
         // empty.
         let mut inputs: Vec<Vec<u8>> = Vec::with_capacity(files.len());
@@ -129,13 +104,15 @@ impl Command for Paste {
                 column.push(b'\n');
             }
         }
+        // The delimiter after the `i`-th field of a row, if any.
+        let delim = |i: usize| delims.get(i % delims.len().max(1)).copied();
         // Every row goes into one buffer, written once.
         let mut out: Vec<u8> = Vec::with_capacity(inputs.iter().map(Vec::len).sum::<usize>() + 1);
         if serial {
             for input in &inputs {
                 for (i, line) in buffer_lines(input).enumerate() {
                     if i > 0 {
-                        out.push(delims[(i - 1) % delims.len()]);
+                        out.extend(delim(i - 1));
                     }
                     out.extend_from_slice(line);
                 }
@@ -148,7 +125,7 @@ impl Command for Paste {
                 let mut any = false;
                 for (ci, col) in columns.iter_mut().enumerate() {
                     if ci > 0 {
-                        out.push(delims[(ci - 1) % delims.len()]);
+                        out.extend(delim(ci - 1));
                     }
                     // A column that ran out leaves its field empty.
                     if let Some(line) = col.next() {
@@ -188,24 +165,20 @@ fn fold_column(column: usize, b: u8) -> usize {
     }
 }
 
-impl Command for Fold {
-    fn name(&self) -> &'static str {
-        "fold"
-    }
+/// `fold -w`'s width, or its usage error.
+pub(crate) fn columns(value: &str) -> Result<usize, String> {
+    let width = value.parse().ok().filter(|&w| w > 0);
+    width.ok_or_else(|| format!("invalid number of columns: '{value}'"))
+}
 
+impl Command for Fold {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut width = 80usize;
-        let files = match scan(args, "w:", &[], |_, value| {
-            width = value
-                .parse()
-                .ok()
-                .filter(|&w| w > 0)
-                .ok_or_else(|| format!("invalid number of columns: '{value}'"))?;
+        let files = scanned!(io, args, "fold", |_, value| {
+            width = columns(value)?;
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "fold", &e),
-        };
+        })
+        .inputs();
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             for_each_record(&mut r, |line, terminated| {
@@ -230,15 +203,8 @@ impl Command for Fold {
 pub struct Tee;
 
 impl Command for Tee {
-    fn name(&self) -> &'static str {
-        "tee"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.0,
-            Err(e) => return usage_error(io, "tee", &e),
-        };
+        let files = scanned!(io, args, "tee", |_, _| Ok(())).words();
         let mut writers: Vec<Box<dyn Write + Send>> = Vec::new();
         for f in files {
             writers.push(io.fs.create(f)?);
@@ -262,15 +228,8 @@ impl Command for Tee {
 pub struct Nl;
 
 impl Command for Nl {
-    fn name(&self) -> &'static str {
-        "nl"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let files = match scan(args, "", &[], |_, _| Ok(())) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "nl", &e),
-        };
+        let files = scanned!(io, args, "nl", |_, _| Ok(())).inputs();
         let mut n = 0u64;
         for f in files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
@@ -295,10 +254,6 @@ impl Command for Nl {
 pub struct True;
 
 impl Command for True {
-    fn name(&self) -> &'static str {
-        "true"
-    }
-
     fn run(&self, _args: &[String], _io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         Ok(0)
     }
@@ -308,10 +263,6 @@ impl Command for True {
 pub struct False;
 
 impl Command for False {
-    fn name(&self) -> &'static str {
-        "false"
-    }
-
     fn run(&self, _args: &[String], _io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         Ok(1)
     }
@@ -375,6 +326,12 @@ mod tests {
     #[test]
     fn paste_serial() {
         assert_eq!(run(&["paste", "-s", "c2"], ""), "1\t2\n");
+    }
+
+    #[test]
+    fn paste_empty_delimiter_list_joins_with_nothing() {
+        assert_eq!(run(&["paste", "-s", "-d", "", "c2"], ""), "12\n");
+        assert_eq!(run(&["paste", "-d", "", "c1", "c2"], ""), "a1\nb2\nc\n");
     }
 
     #[test]

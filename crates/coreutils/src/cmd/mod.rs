@@ -21,37 +21,37 @@ use std::sync::Arc;
 use crate::Command;
 
 /// All commands shipped by this crate.
-pub fn all_commands() -> Vec<Arc<dyn Command>> {
+pub fn all_commands() -> Vec<(&'static str, Arc<dyn Command>)> {
     vec![
-        Arc::new(cat::Cat),
-        Arc::new(cat::Tac),
-        Arc::new(tr::Tr),
-        Arc::new(cut::Cut),
-        Arc::new(grep::Grep),
-        Arc::new(sed::Sed),
-        Arc::new(sort::Sort),
-        Arc::new(uniq::Uniq),
-        Arc::new(wc::Wc),
-        Arc::new(headtail::Head),
-        Arc::new(headtail::Tail),
-        Arc::new(comm::Comm),
-        Arc::new(misc::Rev),
-        Arc::new(misc::Seq),
-        Arc::new(misc::Echo),
-        Arc::new(misc::Paste),
-        Arc::new(misc::Fold),
-        Arc::new(misc::Tee),
-        Arc::new(misc::Nl),
-        Arc::new(misc::True),
-        Arc::new(misc::False),
-        Arc::new(xargs::Xargs),
-        Arc::new(hash::Sha1Sum),
-        Arc::new(diff::Diff),
-        Arc::new(custom::Fetch),
-        Arc::new(custom::Unrle),
-        Arc::new(custom::HtmlToText),
-        Arc::new(custom::WordStem),
-        Arc::new(custom::BigramsAux),
-        Arc::new(custom::AwkReorder),
+        ("cat", Arc::new(cat::Cat)),
+        ("tac", Arc::new(cat::Tac)),
+        ("tr", Arc::new(tr::Tr)),
+        ("cut", Arc::new(cut::Cut)),
+        ("grep", Arc::new(grep::Grep)),
+        ("sed", Arc::new(sed::Sed)),
+        ("sort", Arc::new(sort::Sort)),
+        ("uniq", Arc::new(uniq::Uniq)),
+        ("wc", Arc::new(wc::Wc)),
+        ("head", Arc::new(headtail::Head)),
+        ("tail", Arc::new(headtail::Tail)),
+        ("comm", Arc::new(comm::Comm)),
+        ("rev", Arc::new(misc::Rev)),
+        ("seq", Arc::new(misc::Seq)),
+        ("echo", Arc::new(misc::Echo)),
+        ("paste", Arc::new(misc::Paste)),
+        ("fold", Arc::new(misc::Fold)),
+        ("tee", Arc::new(misc::Tee)),
+        ("nl", Arc::new(misc::Nl)),
+        ("true", Arc::new(misc::True)),
+        ("false", Arc::new(misc::False)),
+        ("xargs", Arc::new(xargs::Xargs)),
+        ("sha1sum", Arc::new(hash::Sha1Sum)),
+        ("diff", Arc::new(diff::Diff)),
+        ("fetch", Arc::new(custom::Fetch)),
+        ("unrle", Arc::new(custom::Unrle)),
+        ("html-to-text", Arc::new(custom::HtmlToText)),
+        ("word-stem", Arc::new(custom::WordStem)),
+        ("bigrams-aux", Arc::new(custom::BigramsAux)),
+        ("awk-reorder", Arc::new(custom::AwkReorder)),
     ]
 }

@@ -22,7 +22,7 @@ use std::io;
 
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{for_each_record, write_record};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
@@ -51,6 +51,7 @@ enum Instruction {
         print: bool,
     },
     Translit {
+        addr: Option<Address>,
         from: Vec<u8>,
         to: Vec<u8>,
     },
@@ -60,25 +61,18 @@ enum Instruction {
 }
 
 impl Command for Sed {
-    fn name(&self) -> &'static str {
-        "sed"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut quiet = false;
         let mut ere = false;
         let mut scripts: Vec<&str> = Vec::new();
-        let mut operands = match scan(args, "nEre:", &[], |name, value| {
+        let mut operands = scanned!(io, args, "sed", |name, value| {
             match name {
                 "n" => quiet = true,
                 "e" => scripts.push(value),
                 _ => ere = true,
             }
             Ok(())
-        }) {
-            Ok(operands) => operands,
-            Err(e) => return usage_error(io, "sed", &e),
-        };
+        });
         // Once any `-e` is given, every operand is a file, as in GNU.
         if scripts.is_empty() {
             match operands.shift() {
@@ -109,10 +103,10 @@ impl Command for Sed {
                 Instruction::Subst { re, addr, repl, .. } => {
                     (Some(re.as_str()), addr.as_ref(), repl_uses_groups(repl))
                 }
-                Instruction::Delete(a) | Instruction::Print(a) | Instruction::Quit(a) => {
-                    (None, a.as_ref(), false)
-                }
-                Instruction::Translit { .. } => (None, None, false),
+                Instruction::Delete(a)
+                | Instruction::Print(a)
+                | Instruction::Quit(a)
+                | Instruction::Translit { addr: a, .. } => (None, a.as_ref(), false),
             };
             compiled.push(match re {
                 Some(r) => Some(compile(r, syntax)?),
@@ -177,7 +171,10 @@ impl Command for Sed {
                                 }
                             }
                         }
-                        Instruction::Translit { from, to } => {
+                        Instruction::Translit { addr, from, to } => {
+                            if !addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
+                                continue;
+                            }
                             if !changed {
                                 space.clear();
                                 space.extend_from_slice(line);
@@ -277,6 +274,18 @@ fn repl_uses_groups(repl: &str) -> bool {
         }
     }
     false
+}
+
+/// Whether `script` rewrites each line on its own, as this `sed`
+/// parses it: every instruction an unaddressed `s` or `y`. Such a
+/// script may run on every part of a split input.
+pub fn rewrites_each_line(script: &str) -> bool {
+    split_script(script).iter().all(|part| {
+        matches!(
+            parse_instruction(part),
+            Some(Instruction::Subst { addr: None, .. } | Instruction::Translit { addr: None, .. })
+        )
+    })
 }
 
 /// Splits a script on `;` at top level (not inside s/// bodies).
@@ -408,7 +417,7 @@ fn parse_instruction(s: &str) -> Option<Instruction> {
         }
         b'y' => {
             let delim = *bytes.get(1)? as char;
-            let body: Vec<&str> = rest[2..].split(delim).collect();
+            let body: Vec<&str> = rest.get(2..)?.split(delim).collect();
             if body.len() < 2 {
                 return None;
             }
@@ -417,7 +426,7 @@ fn parse_instruction(s: &str) -> Option<Instruction> {
             if from.len() != to.len() {
                 return None;
             }
-            Some(Instruction::Translit { from, to })
+            Some(Instruction::Translit { addr, from, to })
         }
         b'd' if rest.len() == 1 => Some(Instruction::Delete(addr)),
         b'p' if rest.len() == 1 => Some(Instruction::Print(addr)),

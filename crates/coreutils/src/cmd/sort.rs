@@ -25,7 +25,7 @@ use std::io::{self, BufWriter, Write};
 
 use pash_regex::memmem::{memchr, memrchr};
 
-use crate::args::scan;
+use crate::args::{of, scan};
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{Keyed, Prepared, SortSpec};
 use crate::{CmdIo, Command, ExitStatus};
@@ -52,7 +52,7 @@ pub fn parse_args(args: &[String]) -> Result<SortArgs<'_>, String> {
     let mut spec = SortSpec::default();
     let mut merge = false;
     let mut parallel = 1;
-    let operands = scan(args, "nrumk:t:", &["parallel="], |name, value| {
+    let operands = scan(args, of("sort"), |name, value| {
         match name {
             "n" => spec.numeric = true,
             "r" => spec.reverse = true,
@@ -79,10 +79,6 @@ pub fn parse_args(args: &[String]) -> Result<SortArgs<'_>, String> {
 }
 
 impl Command for Sort {
-    fn name(&self) -> &'static str {
-        "sort"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let parsed = match parse_args(args) {
             Ok(p) => p,

@@ -1,6 +1,6 @@
 //! `tr` — translate, squeeze, or delete characters.
 //!
-//! Supports `tr SET1 SET2`, `-d SET1`, `-s SET1 [SET2]`, `-c`
+//! Supports `tr SET1 SET2`, `-d SET1`, `-s SET1 [SET2]`, `-c` or `-C`
 //! (complement), and combinations such as the classic word-splitting
 //! idiom `tr -cs A-Za-z '\n'`.
 //!
@@ -23,50 +23,54 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::bytemask::{copy_run, low_bits, ByteSet, WINDOW};
 use crate::lines::BLOCK_SIZE;
 use crate::{usage_error, CmdIo, Command, ExitStatus};
+
+/// Whether `tr` has as many sets as its mode takes, as GNU counts them:
+/// two to translate, one with `-d`, one or two with `-s`, two with
+/// `-ds`. Else its usage error.
+pub(crate) fn count_sets(sets: &[&str], delete: bool, squeeze: bool) -> Result<(), String> {
+    let (least, most) = match (delete, squeeze) {
+        (true, false) => (1, 1),
+        (false, true) => (1, 2),
+        _ => (2, 2),
+    };
+    if sets.len() < least {
+        return Err(match sets.last() {
+            Some(last) => format!("missing operand after '{last}'"),
+            None => "missing operand".to_string(),
+        });
+    }
+    match sets.get(most) {
+        Some(extra) => Err(format!("extra operand '{extra}'")),
+        None => Ok(()),
+    }
+}
 
 /// The `tr` command. Stateless even *within* lines (§3.1 notes ~1/3 of
 /// class S commands share this property).
 pub struct Tr;
 
 impl Command for Tr {
-    fn name(&self) -> &'static str {
-        "tr"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut complement = false;
         let mut delete = false;
         let mut squeeze = false;
-        let sets = match scan(args, "cds", &[], |name, _| {
+        let sets = scanned!(io, args, "tr", |name, _| {
             match name {
-                "c" => complement = true,
+                // `-C` complements characters, `-c` values: the same
+                // bytes in the C locale.
+                "c" | "C" => complement = true,
                 "d" => delete = true,
                 _ => squeeze = true,
             }
             Ok(())
-        }) {
-            Ok(operands) => operands.0,
-            Err(e) => return usage_error(io, "tr", &e),
-        };
-        // How many sets the mode takes, as GNU counts them.
-        let (least, most) = match (delete, squeeze) {
-            (true, false) => (1, 1),
-            (false, true) => (1, 2),
-            _ => (2, 2),
-        };
-        if sets.len() < least {
-            let msg = match sets.last() {
-                Some(last) => format!("missing operand after '{last}'"),
-                None => "missing operand".to_string(),
-            };
-            return usage_error(io, "tr", &msg);
-        }
-        if let Some(extra) = sets.get(most) {
-            return usage_error(io, "tr", &format!("extra operand '{extra}'"));
+        })
+        .words();
+        if let Err(e) = count_sets(&sets, delete, squeeze) {
+            return usage_error(io, "tr", &e);
         }
         let set1 = expand_set(sets[0]);
         let mut member = [false; 256];
@@ -414,6 +418,7 @@ fn class_bytes(name: &str) -> Vec<u8> {
         }
         "space" => out.extend([b' ', b'\t', b'\n', b'\r', 0x0B, 0x0C]),
         "blank" => out.extend([b' ', b'\t']),
+        "cntrl" => out.extend((0..=0x1F).chain([0x7F])),
         "punct" => {
             out.extend(b'!'..=b'/');
             out.extend(b':'..=b'@');

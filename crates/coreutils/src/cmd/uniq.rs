@@ -2,9 +2,9 @@
 
 use std::io;
 
-use crate::args::scan;
+use crate::args::scanned;
 use crate::lines::{buffer_lines, for_each_block, push_count};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_input, CmdIo, Command, ExitStatus};
 
 /// `uniq [-c] [-d] [-u] [-i] [file]`.
 ///
@@ -51,13 +51,9 @@ impl Opts {
 }
 
 impl Command for Uniq {
-    fn name(&self) -> &'static str {
-        "uniq"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut o = Opts::default();
-        let files = match scan(args, "cdui", &[], |name, _| {
+        let files = scanned!(io, args, "uniq", |name, _| {
             match name {
                 "c" => o.count = true,
                 "d" => o.only_dup = true,
@@ -65,10 +61,8 @@ impl Command for Uniq {
                 _ => o.ignore_case = true,
             }
             Ok(())
-        }) {
-            Ok(operands) => operands.inputs(),
-            Err(e) => return usage_error(io, "uniq", &e),
-        };
+        })
+        .inputs();
         // The open group is `held` × `n` between blocks. Inside a block
         // its first line is compared where it lies; only a group still
         // open at the block's end is copied out.

@@ -4,7 +4,7 @@ use std::io;
 
 use pash_regex::memmem::count_bytes;
 
-use crate::args::{scan, Operands};
+use crate::args::{of, scan, Operands};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `wc [-lwcm] [file…]`.
@@ -103,9 +103,9 @@ impl Selection {
 /// Parses wc's argv with the commands' one option scanner (shared
 /// with the aggregator): the selection, and the operands or why the
 /// argv is refused.
-pub fn parse_selection(args: &[String]) -> (Selection, Result<Vec<&str>, String>) {
+pub fn parse_selection(args: &[String]) -> (Selection, Result<Operands<'_>, String>) {
     let mut sel = Selection::default();
-    let operands = scan(args, "lwcm", &[], |name, _| {
+    let operands = scan(args, of("wc"), |name, _| {
         match name {
             "l" => sel.lines = true,
             "w" => sel.words = true,
@@ -120,14 +120,10 @@ pub fn parse_selection(args: &[String]) -> (Selection, Result<Vec<&str>, String>
             bytes: true,
         };
     }
-    (sel, operands.map(|o| o.0))
+    (sel, operands)
 }
 
 impl Command for Wc {
-    fn name(&self) -> &'static str {
-        "wc"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let (sel, operands) = parse_selection(args);
         let operands = match operands {
@@ -135,8 +131,8 @@ impl Command for Wc {
             Err(e) => return usage_error(io, "wc", &e),
         };
         // A count of stdin read by default is not labelled.
-        let from_stdin = operands.is_empty();
-        let files = Operands(operands).inputs();
+        let from_stdin = operands.0.is_empty();
+        let files = operands.inputs();
         let mut total = Counts::default();
         let many = files.len() > 1;
         let width = sel.width(files.len());

@@ -6,29 +6,28 @@
 
 use std::io::{self};
 
-use crate::args::scan;
-use crate::{usage_error, CmdIo, Command, ExitStatus};
+use crate::args::scanned;
+use crate::{CmdIo, Command, ExitStatus};
+
+/// `xargs -n`'s count, or its usage error.
+pub(crate) fn per_call_of(value: &str) -> Result<usize, String> {
+    let n = value.parse().ok().filter(|&n| n > 0);
+    n.ok_or_else(|| format!("invalid number \"{value}\" for -n option"))
+}
 
 /// The `xargs` command.
 pub struct Xargs;
 
 impl Command for Xargs {
-    fn name(&self) -> &'static str {
-        "xargs"
-    }
-
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let mut per_call: Option<usize> = None;
         // The first operand ends the options: the rest is the inner
         // command's argv.
-        let inner = match scan(args, "+n:", &[], |_, value| {
-            let n = value.parse().ok().filter(|&n| n > 0);
-            per_call = Some(n.ok_or_else(|| format!("invalid number \"{value}\" for -n option"))?);
+        let inner = scanned!(io, args, "xargs", |_, value| {
+            per_call = Some(per_call_of(value)?);
             Ok(())
-        }) {
-            Ok(operands) => operands.0,
-            Err(e) => return usage_error(io, "xargs", &e),
-        };
+        })
+        .words();
         let (name, fixed) = inner.split_first().unwrap_or((&"echo", &[]));
         let cmd = io.registry.get(name).ok_or_else(|| {
             io::Error::new(

@@ -8,14 +8,22 @@
 //! in-memory filesystem.
 //!
 //! Every command that takes options or files reads its argv through
-//! one scanner (`args`), as GNU getopt and the compiler's annotation
-//! classifier read it: short options cluster (`-cd`, `-sf2`); a value
-//! is the rest of its word or the next word; `--` ends the options,
-//! `-` is stdin, and options may follow operands except under `xargs`,
-//! whose first operand starts its inner command. An unknown option or
-//! a missing value is a [`usage_error`], never a file name: so are
-//! `head -n -N`, every long option but `sort --parallel=N`, `cat -A`,
-//! `nl -b…`, `grep -q` and `tee -a`. `echo` and `seq` are not scanned.
+//! one scanner, [`args::scan`], against its entry in one table,
+//! [`args::GRAMMARS`]; the compiler's annotation classifier,
+//! aggregator picker and cost model read an invocation through the
+//! same scan and the same entry ([`args::read`], which also makes the
+//! checks a command makes on its values and operand count before it
+//! reads input), so a word is an option, a value or an operand to both
+//! alike. The scan is GNU
+//! getopt's: short options cluster (`-cd`, `-sf2`); a value is the
+//! rest of its word or the next word; `--` ends the options, `-` is
+//! stdin, and options may follow operands except under `xargs`, whose
+//! first operand starts its inner command; `head -N`, `tail -N` and
+//! `tail +N` are read as `-n`'s value when the count is the first
+//! word. An unknown option or a missing value is a [`usage_error`],
+//! never a file name: so are `head -n -N`, every long option but
+//! `sort --parallel=N`, `cat -A`, `nl -b…`, `grep -q` and `tee -a`.
+//! `echo` and `seq` are not scanned.
 //!
 //! # Examples
 //!
@@ -29,7 +37,7 @@
 //! assert_eq!(out.stdout, b"HELLO\n");
 //! ```
 
-mod args;
+pub mod args;
 mod bytemask;
 pub mod cmd;
 pub mod fs;
@@ -65,9 +73,6 @@ pub struct CmdIo<'a> {
 
 /// A runnable command.
 pub trait Command: Send + Sync {
-    /// The command's name as invoked from a script.
-    fn name(&self) -> &'static str;
-
     /// Runs the command.
     ///
     /// `args` excludes the command name. A [`io::ErrorKind::BrokenPipe`]
@@ -83,14 +88,10 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Builds a registry from a list of commands.
-    pub fn from_commands(cmds: Vec<Arc<dyn Command>>) -> Self {
-        let mut table = HashMap::new();
-        for c in cmds {
-            table.insert(c.name(), c);
-        }
+    /// Builds a registry from a list of commands, each by its name.
+    pub fn from_commands(cmds: Vec<(&'static str, Arc<dyn Command>)>) -> Self {
         Registry {
-            table: Arc::new(table),
+            table: Arc::new(cmds.into_iter().collect()),
         }
     }
 

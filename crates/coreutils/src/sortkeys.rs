@@ -25,6 +25,9 @@ pub struct KeySpec {
     pub numeric: bool,
     /// `r` modifier: reverse this key.
     pub reverse: bool,
+    /// `b` modifier on the start position: the key starts after the
+    /// blanks that begin its first field.
+    pub skip_blanks: bool,
     /// Whether any per-key modifier was given (overrides globals).
     pub has_modifiers: bool,
 }
@@ -106,8 +109,8 @@ impl SortSpec {
     /// ignored (field granularity), matching what the PaSh benchmarks
     /// need.
     pub fn parse_key(arg: &str) -> Option<KeySpec> {
-        /// One `F[.C][OPTS]` position: (field, numeric, reverse, any option).
-        fn parse_pos(s: &str) -> Option<(usize, bool, bool, bool)> {
+        /// One `F[.C][OPTS]` position: (field, options).
+        fn parse_pos(s: &str) -> Option<(usize, &str)> {
             let digits = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
             let field: usize = s[..digits].parse().ok().filter(|&f| f > 0)?;
             let mut opts = &s[digits..];
@@ -115,28 +118,25 @@ impl SortSpec {
             if let Some(offset) = opts.strip_prefix('.') {
                 opts = offset.trim_start_matches(|c: char| c.is_ascii_digit());
             }
-            // `b` is accepted and changes nothing: leading blanks are
-            // never part of a field here.
-            opts.chars().all(|c| "nrb".contains(c)).then(|| {
-                (
-                    field,
-                    opts.contains('n'),
-                    opts.contains('r'),
-                    !opts.is_empty(),
-                )
-            })
+            opts.chars()
+                .all(|c| "nrb".contains(c))
+                .then_some((field, opts))
         }
         let (start, end) = match arg.split_once(',') {
             Some((start, end)) => (parse_pos(start)?, Some(parse_pos(end)?)),
             None => (parse_pos(arg)?, None),
         };
-        let (_, end_numeric, end_reverse, end_modified) = end.unwrap_or((0, false, false, false));
+        let end_opts = end.map_or("", |(_, opts)| opts);
+        let either = |c| start.1.contains(c) || end_opts.contains(c);
         Some(KeySpec {
             start_field: start.0,
-            end_field: end.map(|pos| pos.0),
-            numeric: start.1 || end_numeric,
-            reverse: start.2 || end_reverse,
-            has_modifiers: start.3 || end_modified,
+            end_field: end.map(|(field, _)| field),
+            numeric: either('n'),
+            reverse: either('r'),
+            // (A `b` on the end position only moves a character
+            // offset, which is ignored.)
+            skip_blanks: start.1.contains('b'),
+            has_modifiers: !start.1.is_empty() || !end_opts.is_empty(),
         })
     }
 
@@ -278,40 +278,52 @@ fn compare_values<T: PartialOrd>(a: &T, b: &T) -> Ordering {
     a.partial_cmp(b).unwrap_or(Ordering::Equal)
 }
 
-/// The byte ranges of a line's fields: split at every `separator`
-/// byte, or — the default — maximal runs of non-blank bytes (runs of
-/// blanks collapse, leading blanks belong to no field).
-fn field_ranges(line: &[u8], separator: Option<u8>) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut pos = 0;
-    std::iter::from_fn(move || {
-        let rest = line.get(pos..)?;
-        let range = match separator {
-            Some(sep) => pos..pos + rest.iter().position(|&b| b == sep).unwrap_or(rest.len()),
-            None => {
-                let start = pos + rest.iter().position(|b| !b.is_ascii_whitespace())?;
-                let word = &line[start..];
-                let len = word.iter().position(|b| b.is_ascii_whitespace());
-                start..start + len.unwrap_or(word.len())
-            }
-        };
-        pos = range.end + 1;
-        Some(range)
-    })
+/// The blanks that separate fields when there is no `-t`: GNU's
+/// (`isblank`, and the newline).
+fn blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n')
 }
 
-/// The byte range of one `-k` key: from the start of its first field
-/// to the end of its last, found in one pass; empty when the line has
-/// too few fields.
-fn key_range(line: &[u8], key: &KeySpec, separator: Option<u8>) -> Range<usize> {
-    let first = key.start_field.saturating_sub(1);
-    let count = key
-        .end_field
-        .map_or(usize::MAX, |end| end.saturating_sub(first));
-    let mut fields = field_ranges(line, separator).skip(first).take(count);
-    match fields.next() {
-        None => 0..0,
-        Some(head) => head.start..fields.last().map_or(head.end, |tail| tail.end),
+/// The offset just past the first `n` fields of `line`, as GNU's
+/// `begfield` and `limfield` skip them: a field runs up to a
+/// `separator` byte (the last one skipped is stepped over only
+/// `past_separator`), or — the default — is a run of blanks and then
+/// one of non-blanks, so a field begins with the blanks before it.
+fn skip_fields(line: &[u8], n: usize, separator: Option<u8>, past_separator: bool) -> usize {
+    let mut pos = 0;
+    for i in 0..n {
+        if pos == line.len() {
+            break;
+        }
+        let rest = &line[pos..];
+        pos += match separator {
+            Some(sep) => match rest.iter().position(|&b| b == sep) {
+                Some(at) => at + usize::from(past_separator || i + 1 < n),
+                None => rest.len(),
+            },
+            None => {
+                let blanks = rest.iter().position(|&b| !blank(b)).unwrap_or(rest.len());
+                let word = rest[blanks..].iter().position(|&b| blank(b));
+                blanks + word.unwrap_or(rest.len() - blanks)
+            }
+        };
     }
+    pos
+}
+
+/// The byte range of one `-k` key, as GNU's `sort` finds it: from the
+/// start of its first field (past its leading blanks under `b`) to the
+/// end of its last field, or of the line; empty when the line has too
+/// few fields.
+fn key_range(line: &[u8], key: &KeySpec, separator: Option<u8>) -> Range<usize> {
+    let mut start = skip_fields(line, key.start_field - 1, separator, true);
+    if key.skip_blanks {
+        start += line[start..].iter().take_while(|&&b| blank(b)).count();
+    }
+    let end = key
+        .end_field
+        .map_or(line.len(), |end| skip_fields(line, end, separator, false));
+    start..end.max(start)
 }
 
 #[cfg(test)]
@@ -452,16 +464,20 @@ mod tests {
     fn key_ranges_cover_first_to_last_field() {
         let k = |arg: &str| SortSpec::parse_key(arg).expect("key");
         let range = super::key_range;
-        assert_eq!(range(b"  a  bb c ", &k("2"), None), 5..9);
-        assert_eq!(range(b"  a  bb c ", &k("2,2"), None), 5..7);
-        assert_eq!(range(b"  a  bb c ", &k("1,9"), None), 2..9);
-        assert_eq!(range(b"a b", &k("3"), None), 0..0);
-        assert_eq!(range(b"a b", &k("2,1"), None), 0..0);
+        // A field begins with the blanks before it; `b` skips them.
+        assert_eq!(range(b"  a  bb c ", &k("2"), None), 3..10);
+        assert_eq!(range(b"  a  bb c ", &k("2b"), None), 5..10);
+        assert_eq!(range(b"  a  bb c ", &k("2,2"), None), 3..7);
+        assert_eq!(range(b"  a  bb c ", &k("2b,2"), None), 5..7);
+        assert_eq!(range(b"  a  bb c ", &k("1,9"), None), 0..10);
+        assert_eq!(range(b"a b", &k("3"), None), 3..3);
+        assert_eq!(range(b"a b", &k("2,1"), None), 1..1);
+        assert_eq!(range(b"a  ", &k("2"), None), 1..3);
         assert_eq!(range(b"", &k("1"), None), 0..0);
         assert_eq!(range(b"a::b:", &k("2"), Some(b':')), 2..5);
         assert_eq!(range(b"a::b:", &k("2,3"), Some(b':')), 2..4);
         assert_eq!(range(b"a::b:", &k("4"), Some(b':')), 5..5);
-        assert_eq!(range(b"a::b:", &k("5"), Some(b':')), 0..0);
+        assert_eq!(range(b"a::b:", &k("5"), Some(b':')), 5..5);
     }
 
     #[test]

@@ -612,6 +612,20 @@ fn spawn_and_reap<'scope, 'env>(
         )
         .at_node(id));
     }
+    // A runtime primitive (aggregator, split, relay) that fails exits
+    // 1, the multicall's error exit. It is no command verdict: on
+    // `threads` the same failure is the node's fatal error, and so it
+    // is here, not a region that ends 0 with part of its output.
+    if let Some(&(id, s)) = statuses
+        .iter()
+        .find(|&&(id, s)| s == 1 && r.nodes[id].spawn_spec().bin == SpawnBin::Runtime)
+    {
+        return Err(ExecError::fatal(
+            "node",
+            io::Error::other(format!("runtime primitive exited with status {s}")),
+        )
+        .at_node(id));
+    }
     Ok(RegionOutput {
         stdout,
         statuses,
@@ -686,6 +700,83 @@ mod tests {
         .expect("compile");
         let out = run_plan(&compiled.plan, None, &cfg, &root, stdin).expect("run");
         Some((out, root))
+    }
+
+    /// An aggregator whose argv its command refuses (`pash-agg-sort -k`
+    /// lacks `-k`'s value) is a fatal error at its node on both local
+    /// backends, not a region that ends 0 with an empty stdout.
+    #[test]
+    fn a_failing_aggregator_is_fatal_on_threads_and_processes() {
+        use crate::drive::RegionRunner;
+        use crate::exec::{ExecConfig, ThreadsRunner};
+        use crate::fault::FaultClass;
+        use pash_core::plan::{Arg, PlanEdge, PlanNode, PlanOp};
+        use pash_coreutils::{fs::Fs, Registry};
+
+        let Some(cfg) = located() else { return };
+        let seq = |from: &str| PlanNode {
+            op: PlanOp::Exec {
+                argv: ["seq", from, "9"]
+                    .iter()
+                    .map(|w| Arg::Lit(w.to_string()))
+                    .collect(),
+                framed: false,
+            },
+            stdin_inputs: Vec::new(),
+            inputs: Vec::new(),
+            outputs: vec![if from == "1" { 0 } else { 1 }],
+            output_producer: false,
+        };
+        let pipe = |from| PlanEdge {
+            kind: EndpointKind::Pipe,
+            from: Some(from),
+            to: Some(2),
+        };
+        let r = RegionPlan {
+            nodes: vec![
+                seq("1"),
+                seq("5"),
+                PlanNode {
+                    op: PlanOp::Aggregate {
+                        argv: vec!["pash-agg-sort".to_string(), "-k".to_string()],
+                    },
+                    stdin_inputs: Vec::new(),
+                    inputs: vec![0, 1],
+                    outputs: vec![2],
+                    output_producer: true,
+                },
+            ],
+            edges: vec![
+                pipe(0),
+                pipe(1),
+                PlanEdge {
+                    kind: EndpointKind::StdoutPipe,
+                    from: Some(2),
+                    to: None,
+                },
+            ],
+            replayable: true,
+        };
+        let root = scratch_with(&[]);
+        let registry = Registry::standard();
+        let fs: Arc<dyn Fs> = Arc::new(pash_coreutils::fs::MemFs::new());
+        let ecfg = ExecConfig::default();
+        let threads = ThreadsRunner {
+            registry: &registry,
+            fs: &fs,
+            cfg: &ecfg,
+        };
+        let processes = ProcessRunner::new(&cfg, &root).expect("binaries");
+        let runners: [(&str, &dyn RegionRunner); 2] =
+            [("threads", &threads), ("processes", &processes)];
+        for (name, runner) in runners {
+            let err = runner
+                .attempt(&r, b"", None, 0, None)
+                .expect_err("the aggregator fails");
+            assert_eq!(err.class, FaultClass::Fatal, "{name}: {err}");
+            assert_eq!(err.node, Some(2), "{name}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -22,8 +22,11 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pash::core::compile::PashConfig;
 use pash::coreutils::fs::MemFs;
 use pash::coreutils::{run_command, Registry};
+use pash::{run, BackendOutput, ProcSettings, RunEnv};
+use pash_bench::fixtures::runtime_binaries;
 
 /// The host's `util`, if it has one.
 fn host_path(util: &str) -> Option<PathBuf> {
@@ -207,7 +210,7 @@ fn tr_matches_the_host() {
     // `-d ,.` on the position masks, for deletion by at most four
     // bytes and squeezing by one (`-cs A-Za-z '\n'` after a table
     // map, `-s ' ' _` after a range map).
-    let cases: [&[&str]; 16] = [
+    let cases: [&[&str]; 17] = [
         &["A-Z", "a-z"],
         &["a-z", "A-Z"],
         &["abc,", "x"],
@@ -224,6 +227,7 @@ fn tr_matches_the_host() {
         &["-s", " ", "_"],
         &["-d", "\\000\\377"],
         &["-d", "\\n,.e"],
+        &["-s", "[:cntrl:]"],
     ];
     let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
@@ -494,12 +498,13 @@ fn sed_refuses_the_addresses_it_lacks() {
 /// clusters (`-cd`, `-sf2`), a value in the rest of its word or the
 /// next, `--`, options after operands, and an unknown option or a
 /// missing value as a usage error with GNU's status (a count that
-/// does not parse, too). The input is sorted, so `comm` has no order
+/// does not parse, too). Every `-e` pattern of a `grep` selects, and an
+/// empty `paste -d` list joins with nothing. The input is sorted, so `comm` has no order
 /// to complain of and `uniq` has groups; one copy of it ends in an
 /// unterminated line.
 #[test]
 fn argv_forms_match_the_host() {
-    const ARGVS: [&[&str]; 35] = [
+    const ARGVS: [&[&str]; 41] = [
         &["uniq", "-cd"],
         &["uniq", "-dc"],
         &["uniq", "--"],
@@ -526,12 +531,18 @@ fn argv_forms_match_the_host() {
         &["sed", "-ne", "2p"],
         &["sed", "-nE", "-e", "2p"],
         &["sed", "-En", "2p"],
+        &["sed", "2y/abc/xyz/"],
         &["grep", "-e", "b", "--"],
         &["grep", "-ie", "B"],
         &["grep", "-ce", "b"],
         &["rev", "--"],
         &["wc", "-l", "--"],
+        &["grep", "-e", "a", "-e", "x"],
+        &["grep", "-c", "-e", "a", "-e", "x"],
+        &["grep", "-F", "-e", "a", "-e", "x"],
+        &["grep", "-i", "-e", "A", "-e", "x"],
         &["paste", "-sd,", "-"],
+        &["paste", "-s", "-d", "", "-"],
         &["cat", "-nu"],
         &["cat", "-un"],
         &["comm", "-1", "-2", "--", "in.txt", "-"],
@@ -545,5 +556,68 @@ fn argv_forms_match_the_host() {
     let inputs: [&[u8]; 3] = [&sorted, &unterminated, b""];
     for argv in ARGVS {
         assert_matches_host(argv[0], &[&argv[1..]], &inputs, false);
+    }
+}
+
+/// The compiler reads an argv through the kernels' scan, so what it
+/// classifies, splits and aggregates is what the command runs: each
+/// argv behind `cat in.txt |`, compiled at widths 1, 2 and 4 and run on
+/// `threads` and on `processes`, prints the host shell's bytes with
+/// its status. A value in a cluster (`-rk 2`), a value that reads like
+/// a file (`-t a`) and a second script (`-e 1d`) reach the aggregator
+/// and the classifier as they reach the command; an addressed `y`
+/// stays on one copy, and an argv the command refuses once scanned
+/// (`-n x`, two lists) runs once, with the host's status.
+#[test]
+fn compiled_argvs_match_the_host_shell() {
+    const ARGVS: [&str; 8] = [
+        "sort -rk 2",
+        "sort -nt a -k 2",
+        "sed -Ee s/a/b/ -e 1d",
+        "grep -e a -e x",
+        "uniq -c",
+        "sed 1y/abc/xyz/",
+        "head -n x",
+        "cut -f1 -c1",
+    ];
+    let (Some(bins), Some(sh)) = (runtime_binaries(), host_path("sh")) else {
+        eprintln!("skipping: no multicall binaries or no host /bin/sh");
+        return;
+    };
+    let input = corpus(11, 4_000, false);
+    for (i, argv) in ARGVS.iter().enumerate() {
+        let script = format!("cat in.txt | {argv}");
+        let case = format!("compiled-{i}");
+        let (host, host_status) = host_run(&case, &sh, &["-c", &script], &input);
+        for backend in ["threads", "processes"] {
+            for width in [1, 2, 4] {
+                let env = RunEnv {
+                    proc: ProcSettings {
+                        pashc: Some(bins.0.clone()),
+                        pash_rt: Some(bins.1.clone()),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                env.fs.add("in.txt", input.clone());
+                let cfg = PashConfig {
+                    width,
+                    ..Default::default()
+                };
+                let out = match run(&script, &cfg, backend, &env) {
+                    Ok(BackendOutput::Execution(out)) => out,
+                    other => panic!("`{script}` on {backend} at width {width}: {other:?}"),
+                };
+                assert_eq!(
+                    String::from_utf8_lossy(&out.stdout),
+                    String::from_utf8_lossy(&host),
+                    "`{script}` on {backend} at width {width} differs from the host"
+                );
+                assert_eq!(
+                    out.status, host_status,
+                    "`{script}` on {backend} at width {width}: exit status"
+                );
+            }
+        }
     }
 }
