@@ -39,7 +39,7 @@
 #      region runs to completion on one thread) and one above it (a
 #      thread per node), each byte-compared against the shell backend;
 #      then that 1 MB input, ending in an unterminated line, piped
-#      into eleven stdin-fed pipelines on shell, threads and processes
+#      into twelve stdin-fed pipelines on shell, threads and processes
 #      under `timeout`, each byte-compared against the unmodified
 #      pipeline under host /bin/sh (the `tac` one reverses every part
 #      and the aggregator reverses the parts, so the unterminated line
@@ -50,7 +50,9 @@
 #      command must read as GNU's getopt does; `sed -Ee s/e/E/ -e 1d`
 #      and `sort -rk 2` hold a second script and a value in a cluster,
 #      which the compiler must read as the command does: the first
-#      stays sequential, the second merges with its `-k 2`);
+#      stays sequential, the second merges with its `-k 2`; `tr -d
+#      '[:xdigit:]' | sed '1s/e;f/X/;y/ghi/G-I/'` reads a class, a `;`
+#      inside an addressed body and a literal `y` list as GNU does);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -277,10 +279,12 @@ echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
 # it last, with no newline added. The next three run the kernels that
 # find their bytes by 64-byte position masks (`tr -d`/`-s`, `cut -f`);
 # the next clusters its options (`-sd`, `-ne`), which every command
-# must read as GNU's getopt does; the last two are read by the
+# must read as GNU's getopt does; the next two are read by the
 # compiler through the same scan: `1d` in the second `-e` keeps the
 # `sed` sequential, and the `sort` merge gets `-k`'s value out of its
-# cluster (`-rk 2`).
+# cluster (`-rk 2`). The last reads its operands as GNU does: a class
+# in a `tr` set, a `;` in an addressed `s` body, a `y` list with a `-`
+# that is no range.
 STDIN_IN=target/bench-smoke/stdin-in.txt
 cp target/bench-smoke/schedule-shell-1000000/in.txt "$STDIN_IN"
 printf 'The Last, Line, Has No Newline' >>"$STDIN_IN"
@@ -289,7 +293,8 @@ for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | ta
     'tr A-Z a-z | rev' 'tr A-Z a-z | sed s/e/E/' \
     "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '" \
     "tr -cs A-Za-z '\n'" "cut -d ' ' -f 2,4-" "cut -sd ' ' -f 1,2 | sed -ne /e/p" \
-    'sed -Ee s/e/E/ -e 1d' 'tr A-Z a-z | sort -rk 2'; do
+    'sed -Ee s/e/E/ -e 1d' 'tr A-Z a-z | sort -rk 2' \
+    "tr -d '[:xdigit:]' | sed '1s/e;f/X/;y/ghi/G-I/'"; do
     n=$((n + 1))
     LC_ALL=C /bin/sh -c "$script" <"$STDIN_IN" >"target/bench-smoke/stdin-host-$n.out"
     for b in shell threads processes; do

@@ -18,6 +18,7 @@ use pash_parser::unparse;
 
 use crate::annot::stdlib::{aggregator_for, map_for, AnnotationLibrary};
 use crate::annot::InputSlot;
+use crate::backend::shell_quote;
 use crate::classes::ParClass;
 use crate::dfg::{Dfg, Edge, EdgeId, Node, NodeKind, StreamSpec};
 use crate::Error;
@@ -150,18 +151,12 @@ impl Frontend<'_> {
             }
         }
         // Fallback: shell text with original separators.
-        let mut text = String::new();
-        for (k, ao) in run.iter().enumerate() {
-            text.push_str(&and_or_text(ao));
-            if k + 1 < run.len() {
-                text.push_str(" & ");
-            }
-        }
+        let texts: Vec<String> = run.iter().map(|ao| and_or_text(ao)).collect();
+        self.shell(texts.join(" & "));
         // Track assignments even on the fallback path.
         for ao in run {
             self.track_pipeline_env(&ao.first);
         }
-        self.out.steps.push(Step::Shell(text));
         Ok(())
     }
 
@@ -226,13 +221,35 @@ impl Frontend<'_> {
                 Ok(())
             }
             Err(_) => {
+                self.shell(unparse::pipeline_to_string(p));
                 self.track_pipeline_env(p);
-                self.out
-                    .steps
-                    .push(Step::Shell(unparse::pipeline_to_string(p)));
                 Ok(())
             }
         }
+    }
+
+    /// Emits `text` as a shell step, after the static bindings it
+    /// expands (`x=a; …`): the compiler folded the assignments that
+    /// made them, or unrolled the loop, and the step may run in a
+    /// shell of its own.
+    fn shell(&mut self, text: String) {
+        let expands = |name: &str| {
+            text.split('$').skip(1).any(|rest| {
+                let rest = rest.strip_prefix('{').unwrap_or(rest).strip_prefix(name);
+                rest.is_some_and(|r| {
+                    !r.starts_with(|c: char| c == '_' || c.is_ascii_alphanumeric())
+                })
+            })
+        };
+        let vars = self
+            .env
+            .sorted_vars()
+            .into_iter()
+            .filter(|(name, _)| expands(name));
+        let bindings: String = vars
+            .map(|(n, v)| format!("{n}={}; ", shell_quote(v)))
+            .collect();
+        self.out.steps.push(Step::Shell(bindings + &text));
     }
 
     /// Records static assignments that occur anywhere in a pipeline we

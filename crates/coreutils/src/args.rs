@@ -141,9 +141,9 @@ impl<'a> Reading<'a> {
 /// [`scan`]s `args` against `grammar` and keeps what it read. What its
 /// command refuses once scanned, before it reads any input, is refused
 /// too, with the command's error: the counts of `head`, `tail`, `fold`,
-/// `xargs` and `grep -m`, `cut`'s list and delimiter, `tr`'s number of
-/// sets, `sort`'s keys. A regular expression or a `sed` script is not
-/// compiled here.
+/// `xargs` and `grep -m`, `cut`'s list and delimiter, `tr`'s sets,
+/// `paste`'s list, `sort`'s keys. A regular expression or a `sed`
+/// script is not compiled here.
 pub fn read<'a>(args: &'a [String], grammar: &Grammar) -> Result<Reading<'a>, String> {
     let mut options = Vec::new();
     let operands = scan_at(args, grammar, |at, name, value| {
@@ -165,6 +165,7 @@ fn check(name: &str, args: &[String], r: &Reading) -> Result<(), String> {
             ("xargs", _) => xargs::per_call_of(value).map(|_| ()),
             ("grep", "m") => grep::max_count(value).map(|_| ()),
             ("cut", "d") => cut::delimiter(value).map(|_| ()),
+            ("paste", _) => misc::delimiters(value).map(|_| ()),
             _ => Ok(()),
         }?;
     }
@@ -179,11 +180,35 @@ fn check(name: &str, args: &[String], r: &Reading) -> Result<(), String> {
         }
         "tr" => {
             let sets: Vec<&str> = r.operands.0.iter().map(|&(_, set)| set).collect();
-            tr::count_sets(&sets, r.has("d"), r.has("s"))
+            let complement = r.has("c") || r.has("C");
+            tr::read_sets(&sets, complement, r.has("d"), r.has("s")).map(|_| ())
         }
         "sort" => sort::parse_args(args).map(|_| ()),
         _ => Ok(()),
     }
+}
+
+/// The byte a backslash escape stands for, as `tr` reads it (the other
+/// operand readers take some of these): `\\ \a \b \f \n \r \t \v`, and
+/// `\NNN`, one to three octal digits, as many as keep the value within
+/// 0377 (`\400` is `\40` and `0`). `rest` follows the backslash; returns
+/// the byte and the length of the escape in `rest`, `None` for none.
+pub(crate) fn escape(rest: &[u8]) -> Option<(u8, usize)> {
+    // Each escaping letter, then the byte it stands for.
+    const LETTERS: &[u8; 16] = b"\\\\a\x07b\x08f\x0cn\nr\rt\tv\x0b";
+    let &first = rest.first()?;
+    if let Some(pair) = LETTERS.chunks(2).find(|pair| pair[0] == first) {
+        return Some((pair[1], 1));
+    }
+    let (mut value, mut used) = (0u32, 0);
+    while let Some(&d @ b'0'..=b'7') = rest.get(used).filter(|_| used < 3) {
+        match value * 8 + u32::from(d - b'0') {
+            next @ 0..=0o377 => value = next,
+            _ => break,
+        }
+        used += 1;
+    }
+    (used > 0).then_some((value as u8, used))
 }
 
 /// The obsolete count word that `head -N` and `tail -N`/`tail +N` start
@@ -449,5 +474,42 @@ mod tests {
             )
         );
         assert!(grammar("head").is_some() && grammar("echo").is_none());
+    }
+
+    /// Every string of `alphabet`'s bytes up to four long.
+    fn strings_over(alphabet: &[u8]) -> Vec<String> {
+        let mut all = vec![String::new()];
+        let mut last = all.clone();
+        for _ in 0..4 {
+            last = last
+                .iter()
+                .flat_map(|s| alphabet.iter().map(move |&b| format!("{s}{}", b as char)))
+                .collect();
+            all.extend_from_slice(&last);
+        }
+        all
+    }
+
+    #[test]
+    fn operand_readers_are_total() {
+        use crate::cmd::{misc, tr};
+        use crate::{fs::MemFs, run_command, Registry};
+        for s in strings_over(b"[:]=*-\\az07n") {
+            for sets in [[s.as_str(), "xy"], ["az", s.as_str()]] {
+                for (c, d, q) in [
+                    (false, false, false),
+                    (true, false, true),
+                    (false, true, true),
+                ] {
+                    let _ = tr::read_sets(&sets, c, d, q);
+                }
+            }
+            let _ = misc::delimiters(&s);
+        }
+        let registry = Registry::standard();
+        for s in strings_over(b"sy/;\\1,adpqg") {
+            let fs = std::sync::Arc::new(MemFs::new());
+            run_command(&registry, fs, &["sed", &s], b"a\n1,d\n").expect("sed runs");
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::args::scanned;
+use crate::args::{escape, scanned};
 use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
 use crate::{open_input, CmdIo, Command, ExitStatus};
 
@@ -69,19 +69,43 @@ impl Command for Echo {
     }
 }
 
-/// `paste [-d LIST] file…` — merge corresponding lines. Side by side,
-/// the `-` operands take stdin's lines in turn, as GNU's do.
+/// `paste [-s] [-d LIST] file…` — merge corresponding lines. Side by
+/// side, the `-` operands take stdin's lines in turn, as GNU's do.
 pub struct Paste;
+
+/// `paste -d`'s list, as GNU's `paste` reads it: a literal list of
+/// one-byte delimiters used in turn, where `\0` (or an empty list) is
+/// an empty delimiter, `\\ \b \f \n \r \t \v` are [`escape`]'s and
+/// any other escaped byte stands for itself. A backslash that ends the
+/// list is an error.
+pub(crate) fn delimiters(list: &str) -> Result<Vec<Option<u8>>, String> {
+    let mut out = Vec::with_capacity(list.len());
+    let mut bytes = list.bytes();
+    while let Some(b) = bytes.next() {
+        // After a backslash, the byte it escapes, if any.
+        out.push(match (b == b'\\').then(|| bytes.next()) {
+            None => Some(b),
+            Some(None) => return Err(format!("delimiter list ends with a backslash: {list}")),
+            Some(Some(b'0')) => None,
+            // GNU's `paste` knows no `\a` and no octal escape.
+            Some(Some(c @ (b'a' | b'1'..=b'9'))) => Some(c),
+            Some(Some(c)) => Some(escape(&[c]).map_or(c, |(e, _)| e)),
+        });
+    }
+    if out.is_empty() {
+        out.push(None);
+    }
+    Ok(out)
+}
 
 impl Command for Paste {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
-        let mut delims: Vec<u8> = vec![b'\t'];
+        let mut delims = vec![Some(b'\t')];
         let mut serial = false;
         let files = scanned!(io, args, "paste", |name, value| {
             match name {
                 "s" => serial = true,
-                // An empty list joins with nothing.
-                _ => delims = crate::cmd::tr::expand_set(value),
+                _ => delims = delimiters(value)?,
             }
             Ok(())
         })
@@ -104,41 +128,31 @@ impl Command for Paste {
                 column.push(b'\n');
             }
         }
-        // The delimiter after the `i`-th field of a row, if any.
-        let delim = |i: usize| delims.get(i % delims.len().max(1)).copied();
+        // A row is an input's lines (serial), or the next line of each
+        // input, where one that ran out leaves its field empty.
+        let mut columns: Vec<_> = inputs.iter().map(|input| buffer_lines(input)).collect();
+        let rows: Vec<Vec<Option<&[u8]>>> = if serial {
+            columns
+                .into_iter()
+                .map(|lines| lines.map(Some).collect())
+                .collect()
+        } else {
+            std::iter::from_fn(|| {
+                let row: Vec<_> = columns.iter_mut().map(Iterator::next).collect();
+                row.iter().any(Option::is_some).then_some(row)
+            })
+            .collect()
+        };
         // Every row goes into one buffer, written once.
         let mut out: Vec<u8> = Vec::with_capacity(inputs.iter().map(Vec::len).sum::<usize>() + 1);
-        if serial {
-            for input in &inputs {
-                for (i, line) in buffer_lines(input).enumerate() {
-                    if i > 0 {
-                        out.extend(delim(i - 1));
-                    }
-                    out.extend_from_slice(line);
+        for row in rows {
+            for (i, field) in row.into_iter().enumerate() {
+                if i > 0 {
+                    out.extend(delims[(i - 1) % delims.len()]);
                 }
-                out.push(b'\n');
+                out.extend_from_slice(field.unwrap_or_default());
             }
-        } else {
-            let mut columns: Vec<_> = inputs.iter().map(|input| buffer_lines(input)).collect();
-            loop {
-                let row = out.len();
-                let mut any = false;
-                for (ci, col) in columns.iter_mut().enumerate() {
-                    if ci > 0 {
-                        out.extend(delim(ci - 1));
-                    }
-                    // A column that ran out leaves its field empty.
-                    if let Some(line) = col.next() {
-                        out.extend_from_slice(line);
-                        any = true;
-                    }
-                }
-                if !any {
-                    out.truncate(row);
-                    break;
-                }
-                out.push(b'\n');
-            }
+            out.push(b'\n');
         }
         io.stdout.write_all(&out)?;
         Ok(0)
@@ -332,6 +346,23 @@ mod tests {
     fn paste_empty_delimiter_list_joins_with_nothing() {
         assert_eq!(run(&["paste", "-s", "-d", "", "c2"], ""), "12\n");
         assert_eq!(run(&["paste", "-d", "", "c1", "c2"], ""), "a1\nb2\nc\n");
+    }
+
+    #[test]
+    fn a_delimiter_list_is_literal_bytes() {
+        let list = |l: &str| super::delimiters(l).expect("a list");
+        assert_eq!(list("a-c"), [Some(b'a'), Some(b'-'), Some(b'c')]);
+        assert_eq!(list("\\0x"), [None, Some(b'x')]);
+        assert_eq!(list("\\01"), [None, Some(b'1')]);
+        assert_eq!(
+            list("\\t\\\\\\a\\7\\q"),
+            [Some(b'\t'), Some(b'\\'), Some(b'a'), Some(b'7'), Some(b'q')]
+        );
+        assert!(super::delimiters("x\\").is_err());
+        assert_eq!(
+            run(&["paste", "-s", "-d", "\\0,", "c2", "c1"], ""),
+            "12\nab,c\n"
+        );
     }
 
     #[test]

@@ -1,19 +1,28 @@
-//! `sed` — a stream-editor subset.
+//! `sed` — a stream-editor subset, its script read in one pass over
+//! the bytes: instructions apart by `;` or a newline, each an optional
+//! address and a command, blanks around the address and after the
+//! command. Enough for every script in the paper's evaluation:
+//! * addresses: a line `N`, a range `N,M` (line `N` alone when `M` is
+//!   not past it, as in GNU), and `/RE/`, where `\/` is a slash;
+//! * `s/RE/REPL/FLAGS`, any ASCII delimiter but `\` and a newline
+//!   (`s;^;prefix;` as in Fig. 1), which stands for itself escaped.
+//!   In REPL `&` and `\0` are the match, `\1`…`\9` its groups, `\\ \a
+//!   \f \n \r \t \v` the escapes `tr` reads, and any other escaped
+//!   byte but a letter or digit is itself. FLAGS: `g` and `p`, once;
+//! * `y/SET1/SET2/`: literal lists of one length, REPL's escapes read
+//!   (`&` and the groups refused);
+//! * `d`, `p`, and `q` (on no address or one line);
+//! * options `-n`, `-e SCRIPT` (multiple), `-E` or `-r` (ERE).
 //!
-//! Supported script forms (enough for every script in the paper's
-//! evaluation):
-//! * `s/RE/REPL/[g]` with an arbitrary delimiter (`s;^;prefix;` as in
-//!   Fig. 1) and `\1…\9`/`&` in the replacement;
-//! * `y/SET1/SET2/` transliteration;
-//! * `[addr]d` deletion and `[addr]p` printing (with `-n`);
-//! * `q` quit;
-//! * addresses: line numbers and `/RE/`.
+//! Every other form is a usage error (status 1, as GNU's), never a run
+//! with other bytes than GNU's: the last-line address `$` (it needs a
+//! line of lookahead), line 0, `first~step`, a range to or from a
+//! pattern, `\cREc`, address flags, `!`, an empty RE or one the regex
+//! engine refuses (a back-reference among it), the `s` flags `N`, `i`,
+//! `I`, `m`, `M`, `e` and `w FILE`, a group RE lacks, any other
+//! escaped letter or digit in REPL or `y` (`\L`, `\U`, `\x41`, …), `q
+//! EXIT`, comments, braces and every other command.
 //!
-//! Flags: `-n` (suppress auto-print), `-e SCRIPT` (multiple), `-E`
-//! or `-r` (ERE). A script outside this subset — the last-line
-//! address `$` among it, which needs a line of lookahead — is a usage
-//! error (status 1, as GNU's), never a run with other bytes than
-//! GNU's.
 //! An unterminated last line is written unterminated, as GNU writes
 //! it: what follows it starts with the missing newline, and `q` adds
 //! it.
@@ -22,7 +31,7 @@ use std::io;
 
 use pash_regex::{Matcher, Regex, Syntax};
 
-use crate::args::scanned;
+use crate::args::{escape, scanned, Reading};
 use crate::lines::{for_each_record, write_record};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
@@ -33,31 +42,39 @@ use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 /// classifies conservatively (class N).
 pub struct Sed;
 
-#[derive(Debug, Clone)]
 enum Address {
     Line(u64),
-    /// `N,M` inclusive line range.
+    /// `N,M`: line `N`, and the lines after it up to `M`.
     Range(u64, u64),
     Pattern(String),
 }
 
-#[derive(Debug, Clone)]
-enum Instruction {
+/// A piece of a replacement: bytes, or the span of a group (0 for the
+/// whole match).
+enum Piece {
+    Text(Vec<u8>),
+    Group(usize),
+}
+
+enum Op {
+    /// `top`: the highest group `repl` names.
     Subst {
-        addr: Option<Address>,
         re: String,
-        repl: String,
+        repl: Vec<Piece>,
+        top: usize,
         global: bool,
         print: bool,
     },
-    Translit {
-        addr: Option<Address>,
-        from: Vec<u8>,
-        to: Vec<u8>,
-    },
-    Delete(Option<Address>),
-    Print(Option<Address>),
-    Quit(Option<Address>),
+    /// `y`: each byte's image.
+    Translit(Box<[u8; 256]>),
+    Delete,
+    Print,
+    Quit,
+}
+
+struct Instruction {
+    addr: Option<Address>,
+    op: Op,
 }
 
 impl Command for Sed {
@@ -83,40 +100,33 @@ impl Command for Sed {
         let syntax = if ere { Syntax::Ere } else { Syntax::Bre };
         let mut instructions = Vec::new();
         for s in &scripts {
-            for part in split_script(s) {
-                match parse_instruction(&part) {
-                    Some(inst) => instructions.push(inst),
-                    None => return usage_error(io, "sed", &format!("invalid script `{part}`")),
-                }
+            match parse(s) {
+                Ok(parsed) => instructions.extend(parsed),
+                Err(e) => return usage_error(io, "sed", &e),
             }
         }
         // Pre-compile matchers (tiered engines with per-instruction
-        // DFA caches that persist across the whole stream).
-        let mut compiled: Vec<Option<Matcher>> = Vec::new();
-        let mut addr_res: Vec<Option<Matcher>> = Vec::new();
-        // Whether each substitution's replacement references capture
-        // groups (`\1`…`\9`): only those pay for slot tracking; plain
-        // replacements run on the find tier.
-        let mut wants_caps: Vec<bool> = Vec::new();
+        // DFA caches that persist across the whole stream): each
+        // instruction's pattern and address.
+        let mut matchers: Vec<(Option<Matcher>, Option<Matcher>)> = Vec::new();
+        let pattern = |re: &str| Regex::new(re, syntax).map_err(|e| e.to_string());
         for inst in &instructions {
-            let (re, addr, caps) = match inst {
-                Instruction::Subst { re, addr, repl, .. } => {
-                    (Some(re.as_str()), addr.as_ref(), repl_uses_groups(repl))
-                }
-                Instruction::Delete(a)
-                | Instruction::Print(a)
-                | Instruction::Quit(a)
-                | Instruction::Translit { addr: a, .. } => (None, a.as_ref(), false),
+            let re = match &inst.op {
+                Op::Subst { re, top, .. } => match pattern(re) {
+                    Ok(regex) if *top <= regex.groups() => Ok(Some(regex.matcher())),
+                    Ok(_) => Err(format!("invalid reference \\{top} on `s' command's RHS")),
+                    Err(e) => Err(e),
+                },
+                _ => Ok(None),
             };
-            compiled.push(match re {
-                Some(r) => Some(compile(r, syntax)?),
-                None => None,
-            });
-            addr_res.push(match addr {
-                Some(Address::Pattern(p)) => Some(compile(p, syntax)?),
-                _ => None,
-            });
-            wants_caps.push(caps);
+            let addr = match &inst.addr {
+                Some(Address::Pattern(p)) => pattern(p).map(|regex| Some(regex.matcher())),
+                _ => Ok(None),
+            };
+            match (re, addr) {
+                (Ok(re), Ok(addr)) => matchers.push((re, addr)),
+                (Err(e), _) | (_, Err(e)) => return usage_error(io, "sed", &e),
+            }
         }
         let files = operands.inputs();
 
@@ -149,59 +159,48 @@ impl Command for Sed {
                 let mut changed = false;
                 let mut deleted = false;
                 let mut extra_prints = 0usize;
-                for (i, inst) in instructions.iter().enumerate() {
+                for (inst, (re, addr_re)) in instructions.iter().zip(&mut matchers) {
                     let pattern_space: &[u8] = if changed { &space } else { line };
-                    match inst {
-                        Instruction::Subst {
-                            addr,
+                    if !addr_hits(&inst.addr, line_no, addr_re, pattern_space) {
+                        continue;
+                    }
+                    match &inst.op {
+                        Op::Subst {
                             repl,
+                            top,
                             global,
                             print,
                             ..
                         } => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
-                                let m = compiled[i].as_mut().expect("subst has regex");
-                                let caps = wants_caps[i].then_some(&mut caps);
-                                if substitute(m, pattern_space, repl, *global, caps, &mut scratch) {
-                                    std::mem::swap(&mut space, &mut scratch);
-                                    changed = true;
-                                    if *print {
-                                        extra_prints += 1;
-                                    }
-                                }
+                            let m = re.as_mut().expect("subst has regex");
+                            // Only a replacement that names a group pays
+                            // for slot tracking; `&` and text run on the
+                            // find tier.
+                            let caps = (*top > 0).then_some(&mut caps);
+                            if substitute(m, pattern_space, repl, *global, caps, &mut scratch) {
+                                std::mem::swap(&mut space, &mut scratch);
+                                changed = true;
+                                extra_prints += usize::from(*print);
                             }
                         }
-                        Instruction::Translit { addr, from, to } => {
-                            if !addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
-                                continue;
-                            }
+                        Op::Translit(table) => {
                             if !changed {
                                 space.clear();
                                 space.extend_from_slice(line);
                                 changed = true;
                             }
                             for b in space.iter_mut() {
-                                if let Some(pos) = from.iter().position(|x| x == b) {
-                                    *b = *to.get(pos).copied().as_ref().unwrap_or(b);
-                                }
+                                *b = table[*b as usize];
                             }
                         }
-                        Instruction::Delete(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
-                                deleted = true;
-                                break;
-                            }
+                        Op::Delete => {
+                            deleted = true;
+                            break;
                         }
-                        Instruction::Print(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
-                                extra_prints += 1;
-                            }
-                        }
-                        Instruction::Quit(addr) => {
-                            if addr_hits(addr, line_no, &mut addr_res[i], pattern_space) {
-                                quit = true;
-                                break;
-                            }
+                        Op::Print => extra_prints += 1,
+                        Op::Quit => {
+                            quit = true;
+                            break;
                         }
                     }
                 }
@@ -226,16 +225,6 @@ impl Command for Sed {
     }
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidInput, msg)
-}
-
-fn compile(re: &str, syntax: Syntax) -> io::Result<Matcher> {
-    Regex::new(re, syntax)
-        .map(|r| r.matcher())
-        .map_err(|e| invalid(e.to_string()))
-}
-
 /// Does an address select the current line?
 fn addr_hits(
     addr: &Option<Address>,
@@ -246,193 +235,236 @@ fn addr_hits(
     match addr {
         None => true,
         Some(Address::Line(n)) => line_no == *n,
-        Some(Address::Range(a, b)) => line_no >= *a && line_no <= *b,
-        Some(Address::Pattern(_)) => m
-            .as_mut()
-            .map(|re| re.is_match(pattern_space))
-            .unwrap_or(false),
+        Some(Address::Range(a, b)) => line_no == *a || (line_no > *a && line_no <= *b),
+        Some(Address::Pattern(_)) => m.as_mut().is_some_and(|re| re.is_match(pattern_space)),
     }
 }
 
-/// Does a replacement string reference capture groups (`\1`…`\9`)?
-///
-/// `&` only needs the whole-match span, which the find tier already
-/// produces; numbered groups force the Pike VM's slot tracking. The
-/// walk is escape-aware, mirroring `apply_replacement`: in `\\1` the
-/// digit is literal text, not a group reference.
-fn repl_uses_groups(repl: &str) -> bool {
-    let b = repl.as_bytes();
-    let mut i = 0;
-    while i + 1 < b.len() {
-        if b[i] == b'\\' {
-            if b[i + 1].is_ascii_digit() && b[i + 1] != b'0' {
-                return true;
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
+/// Whether `sed`, read as `r`, rewrites each line on its own: no `-n`,
+/// and every instruction of its scripts (its `-e`s, or else its first
+/// operand) an unaddressed `s` or `y`, as this `sed` reads them. Such
+/// a `sed` may run on every part of a split input.
+pub fn rewrites_each_line(r: &Reading) -> bool {
+    let mut scripts: Vec<&str> = r.values("e").collect();
+    if scripts.is_empty() {
+        scripts.extend(r.operands.0.first().map(|&(_, script)| script));
     }
-    false
+    let per_line = |inst: &Instruction| {
+        inst.addr.is_none() && matches!(inst.op, Op::Subst { .. } | Op::Translit(_))
+    };
+    !r.has("n")
+        && scripts
+            .into_iter()
+            .all(|s| parse(s).is_ok_and(|is| is.iter().all(per_line)))
 }
 
-/// Whether `script` rewrites each line on its own, as this `sed`
-/// parses it: every instruction an unaddressed `s` or `y`. Such a
-/// script may run on every part of a split input.
-pub fn rewrites_each_line(script: &str) -> bool {
-    split_script(script).iter().all(|part| {
-        matches!(
-            parse_instruction(part),
-            Some(Instruction::Subst { addr: None, .. } | Instruction::Translit { addr: None, .. })
-        )
-    })
-}
-
-/// Splits a script on `;` at top level (not inside s/// bodies).
-fn split_script(s: &str) -> Vec<String> {
+/// Reads a script into its instructions, in one pass over its bytes;
+/// a form this `sed` lacks is an error.
+fn parse(script: &str) -> Result<Vec<Instruction>, String> {
+    let mut c = Cursor {
+        s: script.as_bytes(),
+        at: 0,
+    };
     let mut out = Vec::new();
-    let bytes = s.as_bytes();
-    let mut cur = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if (c == 's' || c == 'y') && i + 1 < bytes.len() && cur.trim().is_empty() {
-            // Consume the whole s/// or y/// with its delimiter.
-            let delim = bytes[i + 1];
-            let mut sections = 0;
-            let mut j = i + 2;
-            cur.push(c);
-            cur.push(delim as char);
-            while j < bytes.len() && sections < 2 {
-                if bytes[j] == b'\\' && j + 1 < bytes.len() {
-                    cur.push('\\');
-                    cur.push(bytes[j + 1] as char);
-                    j += 2;
-                    continue;
-                }
-                if bytes[j] == delim {
-                    sections += 1;
-                }
-                cur.push(bytes[j] as char);
-                j += 1;
-            }
-            // Trailing flags.
-            while j < bytes.len() && bytes[j] != b';' {
-                cur.push(bytes[j] as char);
-                j += 1;
-            }
-            i = j;
-            continue;
+    loop {
+        c.skip(b" \t\n;");
+        if c.peek().is_none() {
+            return Ok(out);
         }
-        if c == ';' {
-            if !cur.trim().is_empty() {
-                out.push(cur.trim().to_string());
-            }
-            cur.clear();
-        } else {
-            cur.push(c);
-        }
-        i += 1;
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
-    }
-    out
-}
-
-fn parse_address(s: &str) -> (Option<Address>, &str) {
-    let bytes = s.as_bytes();
-    if bytes.is_empty() {
-        return (None, s);
-    }
-    if bytes[0].is_ascii_digit() {
-        let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-        let n: u64 = s[..end].parse().unwrap_or(0);
-        // Range form `N,M`.
-        if s[end..].starts_with(',') {
-            let rest = &s[end + 1..];
-            let end2 = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end2 > 0 {
-                let m: u64 = rest[..end2].parse().unwrap_or(n);
-                return (Some(Address::Range(n, m)), &rest[end2..]);
-            }
-        }
-        return (Some(Address::Line(n)), &s[end..]);
-    }
-    if bytes[0] == b'/' {
-        if let Some(close) = s[1..].find('/') {
-            return (
-                Some(Address::Pattern(s[1..1 + close].to_string())),
-                &s[close + 2..],
-            );
-        }
-    }
-    (None, s)
-}
-
-fn parse_instruction(s: &str) -> Option<Instruction> {
-    let (addr, rest) = parse_address(s);
-    let bytes = rest.as_bytes();
-    match bytes.first()? {
-        b's' => {
-            let delim = *bytes.get(1)?;
-            let mut parts = vec![String::new()];
-            let mut i = 2;
-            while i < bytes.len() && parts.len() <= 2 {
-                if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                    if bytes[i + 1] == delim {
-                        parts.last_mut()?.push(delim as char);
-                    } else {
-                        parts.last_mut()?.push('\\');
-                        parts.last_mut()?.push(bytes[i + 1] as char);
+        let addr = c.address()?;
+        c.skip(b" \t");
+        let op = match c.next() {
+            Some(b's') => {
+                let (delim, [re, repl]) = c.bodies()?;
+                let (re, (repl, top)) = (regex(re, delim)?, replacement(repl, delim)?);
+                let (mut global, mut print) = (false, false);
+                loop {
+                    c.skip(b" \t");
+                    match c.peek() {
+                        Some(b'g') if !global => global = true,
+                        Some(b'p') if !print => print = true,
+                        _ => break,
                     }
-                    i += 2;
-                    continue;
+                    c.at += 1;
                 }
-                if bytes[i] == delim {
-                    parts.push(String::new());
-                } else {
-                    parts.last_mut()?.push(bytes[i] as char);
+                Op::Subst {
+                    re,
+                    repl,
+                    top,
+                    global,
+                    print,
                 }
-                i += 1;
             }
-            if parts.len() != 3 {
-                return None;
+            Some(b'y') => {
+                let (delim, [from, to]) = c.bodies()?;
+                let (from, to) = (list(from, delim)?, list(to, delim)?);
+                if from.len() != to.len() {
+                    return Err("strings for `y' command are different lengths".into());
+                }
+                let mut table = Box::new(std::array::from_fn(|b| b as u8));
+                for (&f, &t) in from.iter().zip(&to) {
+                    table[f as usize] = t;
+                }
+                Op::Translit(table)
             }
-            // Everything after the closing delimiter is flags.
-            if i < bytes.len() {
-                let tail: String = rest[i..].to_string();
-                parts[2].push_str(&tail);
-            }
-            let flags = &parts[2];
-            Some(Instruction::Subst {
-                addr,
-                re: parts[0].clone(),
-                repl: parts[1].clone(),
-                global: flags.contains('g'),
-                print: flags.contains('p'),
-            })
+            Some(b'd') => Op::Delete,
+            Some(b'p') => Op::Print,
+            Some(b'q') if !matches!(addr, Some(Address::Range(..))) => Op::Quit,
+            _ => return Err(format!("unknown command or form: `{script}`")),
+        };
+        c.skip(b" \t");
+        if !matches!(c.peek(), None | Some(b';' | b'\n')) {
+            return Err(format!("extra characters after command: `{script}`"));
         }
-        b'y' => {
-            let delim = *bytes.get(1)? as char;
-            let body: Vec<&str> = rest.get(2..)?.split(delim).collect();
-            if body.len() < 2 {
-                return None;
-            }
-            let from = crate::cmd::tr::expand_set(body[0]);
-            let to = crate::cmd::tr::expand_set(body[1]);
-            if from.len() != to.len() {
-                return None;
-            }
-            Some(Instruction::Translit { addr, from, to })
-        }
-        b'd' if rest.len() == 1 => Some(Instruction::Delete(addr)),
-        b'p' if rest.len() == 1 => Some(Instruction::Print(addr)),
-        b'q' if rest.len() == 1 => Some(Instruction::Quit(addr)),
-        _ => None,
+        out.push(Instruction { addr, op });
     }
+}
+
+/// A place in a script's bytes.
+struct Cursor<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.s.get(self.at).copied()
+    }
+
+    fn next(&mut self) -> Option<u8> {
+        let b = self.peek();
+        self.at += 1;
+        b
+    }
+
+    /// Moves past any of `bytes`.
+    fn skip(&mut self, bytes: &[u8]) {
+        while self.peek().is_some_and(|b| bytes.contains(&b)) {
+            self.at += 1;
+        }
+    }
+
+    /// A line number, if one starts here; 0 is an error.
+    fn line(&mut self) -> Result<Option<u64>, String> {
+        let start = self.at;
+        self.skip(b"0123456789");
+        let digits = std::str::from_utf8(&self.s[start..self.at]).unwrap_or_default();
+        match digits.parse() {
+            _ if digits.is_empty() => Ok(None),
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!("invalid line address {digits}")),
+        }
+    }
+
+    fn address(&mut self) -> Result<Option<Address>, String> {
+        if self.peek() == Some(b'/') {
+            let (_, [re]) = self.bodies()?;
+            return Ok(Some(Address::Pattern(regex(re, b'/')?)));
+        }
+        let Some(first) = self.line()? else {
+            return Ok(None);
+        };
+        self.skip(b" \t");
+        if self.peek() != Some(b',') {
+            return Ok(Some(Address::Line(first)));
+        }
+        self.at += 1;
+        self.skip(b" \t");
+        match self.line()? {
+            Some(last) => Ok(Some(Address::Range(first, last))),
+            None => Err("unexpected `,'".into()),
+        }
+    }
+
+    /// A delimiter (an ASCII byte but a backslash or a newline) and the
+    /// `N` bodies it ends, escapes left in.
+    fn bodies<const N: usize>(&mut self) -> Result<(u8, [&'a [u8]; N]), String> {
+        let delim = self
+            .next()
+            .filter(|&d| d.is_ascii() && d != b'\\' && d != b'\n');
+        let delim = delim.ok_or("an unusable delimiter")?;
+        let mut bodies = [&self.s[..0]; N];
+        for body in &mut bodies {
+            let start = self.at;
+            loop {
+                match self.peek() {
+                    None | Some(b'\n') => return Err("an unterminated body".into()),
+                    Some(b) if b == delim => break,
+                    Some(b) => self.at += 1 + usize::from(b == b'\\'),
+                }
+            }
+            *body = &self.s[start..self.at];
+            self.at += 1;
+        }
+        Ok((delim, bodies))
+    }
+}
+
+/// A pattern's body as the regex engine reads it: an escaped delimiter
+/// stands for itself; every other escape is the engine's.
+fn regex(raw: &[u8], delim: u8) -> Result<String, String> {
+    let mut out = Vec::with_capacity(raw.len());
+    let mut i = 0;
+    while let Some(&b) = raw.get(i) {
+        let len = if b == b'\\' { 2 } else { 1 };
+        let piece = raw.get(i..i + len).unwrap_or(&raw[i..]);
+        out.extend_from_slice(
+            piece
+                .strip_prefix(b"\\")
+                .filter(|e| *e == [delim])
+                .unwrap_or(piece),
+        );
+        i += len;
+    }
+    match String::from_utf8(out) {
+        Ok(re) if !re.is_empty() => Ok(re),
+        _ => Err("no previous regular expression".into()),
+    }
+}
+
+/// A `y` list: a replacement's bytes; `&` and `\0`…`\9` are refused.
+fn list(raw: &[u8], delim: u8) -> Result<Vec<u8>, String> {
+    let mut out = Vec::with_capacity(raw.len());
+    for piece in replacement(raw, delim)?.0 {
+        match piece {
+            Piece::Text(text) => out.extend(text),
+            Piece::Group(_) => return Err("`&' or a group in `y'".into()),
+        }
+    }
+    Ok(out)
+}
+
+/// A replacement's pieces, where `&` and `\0`…`\9` are groups, and the
+/// highest group it names. An escaped delimiter, or byte but a letter
+/// or digit, is itself; of the letters only [`escape`]'s but `\b`.
+fn replacement(raw: &[u8], delim: u8) -> Result<(Vec<Piece>, usize), String> {
+    let (mut pieces, mut text, mut top) = (Vec::new(), Vec::new(), 0);
+    let mut bytes = raw.iter().copied();
+    while let Some(b) = bytes.next() {
+        let escaped = if b == b'\\' { bytes.next() } else { None };
+        let group = match (b, escaped) {
+            (b'&', _) => 0,
+            (_, Some(c @ b'0'..=b'9')) => usize::from(c - b'0'),
+            (_, Some(c)) if c == delim => {
+                text.push(c);
+                continue;
+            }
+            (_, Some(c)) if !c.is_ascii_alphanumeric() || b"afnrtv".contains(&c) => {
+                text.push(escape(&[c]).map_or(c, |(e, _)| e));
+                continue;
+            }
+            (b'\\', _) => return Err("an escape `s' or `y' does not take".into()),
+            _ => {
+                text.push(b);
+                continue;
+            }
+        };
+        top = top.max(group);
+        pieces.push(Piece::Text(std::mem::take(&mut text)));
+        pieces.push(Piece::Group(group));
+    }
+    pieces.push(Piece::Text(text));
+    Ok((pieces, top))
 }
 
 /// Applies a substitution: when the pattern matches, builds the new
@@ -447,7 +479,7 @@ fn parse_instruction(s: &str) -> Option<Instruction> {
 fn substitute(
     re: &mut Matcher,
     line: &[u8],
-    repl: &str,
+    repl: &[Piece],
     global: bool,
     mut caps: Option<&mut Vec<Option<(usize, usize)>>>,
     out: &mut Vec<u8>,
@@ -478,7 +510,16 @@ fn substitute(
         let (s, e) = groups[0].expect("group 0 present");
         out.extend_from_slice(&line[at..s]);
         if e > s || prev_end != Some(s) {
-            apply_replacement(repl, line, groups, out);
+            for piece in repl {
+                match piece {
+                    Piece::Text(text) => out.extend_from_slice(text),
+                    Piece::Group(g) => {
+                        if let Some(Some((s, e))) = groups.get(*g) {
+                            out.extend_from_slice(&line[*s..*e]);
+                        }
+                    }
+                }
+            }
             matched = true;
         }
         if e == s {
@@ -499,39 +540,6 @@ fn substitute(
         out.extend_from_slice(&line[at..]);
     }
     matched
-}
-
-fn apply_replacement(repl: &str, line: &[u8], caps: &[Option<(usize, usize)>], out: &mut Vec<u8>) {
-    let bytes = repl.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if i + 1 < bytes.len() => {
-                let c = bytes[i + 1];
-                if c.is_ascii_digit() {
-                    let g = (c - b'0') as usize;
-                    if let Some(Some((s, e))) = caps.get(g) {
-                        out.extend_from_slice(&line[*s..*e]);
-                    }
-                } else if c == b'n' {
-                    out.push(b'\n');
-                } else {
-                    out.push(c);
-                }
-                i += 2;
-            }
-            b'&' => {
-                if let Some(Some((s, e))) = caps.first() {
-                    out.extend_from_slice(&line[*s..*e]);
-                }
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -689,9 +697,57 @@ mod tests {
         // `\\1` in the replacement is a literal backslash then `1`,
         // not a group reference (and must not force the capture tier).
         assert_eq!(sed(&[r"s/b/\\1/"], "abc\n"), "a\\1c\n");
-        assert!(!super::repl_uses_groups(r"\\1"));
-        assert!(super::repl_uses_groups(r"<\1>"));
-        assert!(super::repl_uses_groups(r"\\\2"));
-        assert!(!super::repl_uses_groups(r"\n&\\"));
+    }
+
+    #[test]
+    fn a_script_is_read_in_one_pass() {
+        assert_eq!(sed(&["1s/a;b/X/;y/x/y/"], "a;bx\nx\n"), "Xy\ny\n");
+        assert_eq!(sed(&[" 1 , 2 d ; p"], "a\nb\nc\n"), "c\nc\n");
+        assert_eq!(sed(&["3,1d"], "a\nb\nc\nd\n"), "a\nb\nd\n");
+        assert_eq!(sed(&["s,a\\,b,\\,\\n,g p"], "a,b\n"), ",\n\n,\n\n");
+        assert_eq!(sed(&["y/\\/\\t\\\\/|T-/"], "a/\tb\\\n"), "a|Tb-\n");
+        assert_eq!(sed(&["y/aa/bc/"], "a\n"), "c\n");
+        assert_eq!(sed(&["s/\\(b\\)/\\0\\1\\&/"], "abc\n"), "abb&c\n");
+    }
+
+    #[test]
+    fn what_sed_lacks_is_refused() {
+        let parses = |script: &str| super::parse(script).is_ok();
+        for script in [
+            "$d",
+            "0p",
+            "1~2d",
+            "1,/x/d",
+            "/x/,2d",
+            "/x/Id",
+            "\\,x,d",
+            "1!d",
+            "//d",
+            "s//x/",
+            "s/a/b/gg",
+            "s/a/b/w f",
+            "s/a/\\U&/",
+            "y/a/\\x41/",
+            "y/ab/c/",
+            "y/a/b/g",
+            "1,2q",
+            "q5",
+            "d p",
+            "{p}",
+            "#n",
+            "s/a\nb/c/",
+            "s\\a\\b\\",
+            "s/a/b",
+        ] {
+            assert!(!parses(script), "{script}");
+        }
+        let out = run_command(
+            &Registry::standard(),
+            Arc::new(MemFs::new()),
+            &["sed", "s/a/\\1/"],
+            b"a\n",
+        )
+        .expect("run");
+        assert_eq!((out.status, out.stdout.len()), (1, 0));
     }
 }

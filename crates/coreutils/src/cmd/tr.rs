@@ -2,7 +2,18 @@
 //!
 //! Supports `tr SET1 SET2`, `-d SET1`, `-s SET1 [SET2]`, `-c` or `-C`
 //! (complement), and combinations such as the classic word-splitting
-//! idiom `tr -cs A-Za-z '\n'`.
+//! idiom `tr -cs A-Za-z '\n'`. A set is read as GNU reads it in the C
+//! locale: escapes first (`\\ \a \b \f \n \r \t \v \NNN`; any other
+//! escaped byte, and a last lone backslash, is itself), then, where
+//! three bytes are left, constructs of unescaped `[ : = ] -`: the
+//! twelve classes `[:alnum:]` `alpha` `blank` `cntrl` `digit` `graph`
+//! `lower` `print` `punct` `space` `upper` `xdigit`, `[=c=]`, and
+//! `m-n` (reversed: an error). SET2, when it translates, holds no
+//! `[=c=]` and no class but `[:upper:]`/`[:lower:]`, each where SET1
+//! has one; it is not empty, nor ends in a class, when shorter than
+//! SET1; and it is one byte repeated when SET1 complements a class.
+//! The repeats `[c*]` and `[c*n]` are refused: status 1, GNU's usage
+//! status, as for every set GNU refuses.
 //!
 //! Input is read in place, one 64 KiB tile at a time, and each tile
 //! takes one of three paths:
@@ -23,31 +34,10 @@
 
 use std::io;
 
-use crate::args::scanned;
+use crate::args::{escape, scanned, Reading};
 use crate::bytemask::{copy_run, low_bits, ByteSet, WINDOW};
 use crate::lines::BLOCK_SIZE;
 use crate::{usage_error, CmdIo, Command, ExitStatus};
-
-/// Whether `tr` has as many sets as its mode takes, as GNU counts them:
-/// two to translate, one with `-d`, one or two with `-s`, two with
-/// `-ds`. Else its usage error.
-pub(crate) fn count_sets(sets: &[&str], delete: bool, squeeze: bool) -> Result<(), String> {
-    let (least, most) = match (delete, squeeze) {
-        (true, false) => (1, 1),
-        (false, true) => (1, 2),
-        _ => (2, 2),
-    };
-    if sets.len() < least {
-        return Err(match sets.last() {
-            Some(last) => format!("missing operand after '{last}'"),
-            None => "missing operand".to_string(),
-        });
-    }
-    match sets.get(most) {
-        Some(extra) => Err(format!("extra operand '{extra}'")),
-        None => Ok(()),
-    }
-}
 
 /// The `tr` command. Stateless even *within* lines (§3.1 notes ~1/3 of
 /// class S commands share this property).
@@ -58,7 +48,7 @@ impl Command for Tr {
         let mut complement = false;
         let mut delete = false;
         let mut squeeze = false;
-        let sets = scanned!(io, args, "tr", |name, _| {
+        let words = scanned!(io, args, "tr", |name, _| {
             match name {
                 // `-C` complements characters, `-c` values: the same
                 // bytes in the C locale.
@@ -69,70 +59,29 @@ impl Command for Tr {
             Ok(())
         })
         .words();
-        if let Err(e) = count_sets(&sets, delete, squeeze) {
-            return usage_error(io, "tr", &e);
-        }
-        let set1 = expand_set(sets[0]);
+        let (set1, set2) = match read_sets(&words, complement, delete, squeeze) {
+            Ok(sets) => sets,
+            Err(e) => return usage_error(io, "tr", &e),
+        };
         let mut member = [false; 256];
         for &b in &set1 {
             member[b as usize] = true;
         }
-        if complement {
-            for m in member.iter_mut() {
-                *m = !*m;
-            }
-        }
-
-        // Build the translation table when two sets are given.
+        // SET1's bytes map in order onto SET2's, the last of which
+        // stands in for any SET2 lacks.
         let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
-        let translating = !delete && sets.len() >= 2;
-        if translating {
-            let set2 = expand_set(sets[1]);
-            if set2.is_empty() {
-                return usage_error(io, "tr", "empty SET2");
-            }
-            if complement {
-                // Complemented translation: map every member byte to
-                // the last byte of SET2 (GNU behaviour for -c).
-                let last = *set2.last().expect("non-empty set2");
-                for (i, m) in member.iter().enumerate() {
-                    if *m {
-                        table[i] = last;
-                    }
-                }
-            } else {
-                for (i, &from) in set1.iter().enumerate() {
-                    let to = *set2.get(i).or(set2.last()).expect("non-empty set2");
-                    table[from as usize] = to;
-                }
+        let translating = !delete && set2.is_some();
+        if let Some(set2) = set2.as_ref().filter(|_| translating) {
+            for (i, &from) in set1.iter().enumerate() {
+                table[from as usize] = set2[i.min(set2.len() - 1)];
             }
         }
-        // The squeeze set: after translation, squeeze runs of bytes in
-        // SET2 (or SET1 when deleting/squeezing only).
+        // Runs of the bytes in the last set given are squeezed, after
+        // translation.
         let mut squeeze_member = [false; 256];
-        if squeeze {
-            if translating {
-                for &b in &expand_set(sets[1]) {
-                    squeeze_member[b as usize] = true;
-                }
-            } else {
-                let src = if delete {
-                    // `-ds SET1 SET2`: squeeze SET2 after deleting SET1.
-                    expand_set(sets[1])
-                } else {
-                    set1.clone()
-                };
-                for &b in &src {
-                    squeeze_member[b as usize] = true;
-                }
-                if !delete && complement {
-                    // `tr -cs A-Za-z '\n'` style: squeeze translated
-                    // output (single-set complement squeeze).
-                    squeeze_member = member;
-                }
-            }
+        for &b in set2.as_ref().unwrap_or(&set1).iter().filter(|_| squeeze) {
+            squeeze_member[b as usize] = true;
         }
-
         // Deletion is keyed on the input byte, squeezing on the
         // translated one; with neither, `tr` is a byte map.
         let classes: [u32; 256] = std::array::from_fn(|b| {
@@ -339,103 +288,205 @@ fn compact(tile: &[u8], classes: &[u32; 256], mut prev: u32, out: &mut [u8]) -> 
     (w, prev)
 }
 
-/// Expands a `tr` set: escapes, ranges (`a-z`), classes (`[:upper:]`).
-pub fn expand_set(spec: &str) -> Vec<u8> {
-    let bytes = spec.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        // POSIX class.
-        if bytes[i] == b'[' && i + 1 < bytes.len() && bytes[i + 1] == b':' {
-            if let Some(end) = spec[i..].find(":]") {
-                let name = &spec[i + 2..i + end];
-                out.extend(class_bytes(name));
-                i += end + 2;
-                continue;
-            }
-        }
-        let (c, used) = unescape_at(bytes, i);
-        // Range?
-        if i + used < bytes.len() && bytes[i + used] == b'-' && i + used + 1 < bytes.len() {
-            let (hi, used2) = unescape_at(bytes, i + used + 1);
-            if hi >= c {
-                for b in c..=hi {
-                    out.push(b);
-                }
-                i += used + 1 + used2;
-                continue;
-            }
-        }
-        out.push(c);
-        i += used;
-    }
-    out
-}
-
-/// Decodes one byte at `i`, handling `\n`-style escapes and `\NNN`:
-/// one to three octal digits, as many as keep the value within 0377
-/// (GNU reads `\400` as `\40` followed by `0`).
-fn unescape_at(bytes: &[u8], i: usize) -> (u8, usize) {
-    if bytes[i] != b'\\' || i + 1 >= bytes.len() {
-        return (bytes[i], 1);
-    }
-    let mut value = 0u32;
-    let mut digits = 0;
-    while let Some(&d @ b'0'..=b'7') = bytes.get(i + 1 + digits) {
-        let next = value * 8 + u32::from(d - b'0');
-        if digits == 3 || next > 0o377 {
-            break;
-        }
-        value = next;
-        digits += 1;
-    }
-    if digits > 0 {
-        return (value as u8, 1 + digits);
-    }
-    let c = match bytes[i + 1] {
-        b'n' => b'\n',
-        b't' => b'\t',
-        b'r' => b'\r',
-        other => other,
+/// `tr`'s sets, read from its operands as the module docs say: SET1's
+/// bytes (complemented under `-c`, in byte order) and SET2's, when
+/// given; or the usage error, for a set or for a number of sets the
+/// mode does not take (two to translate, one with `-d`, one or two
+/// with `-s`, two with `-ds`).
+pub(crate) fn read_sets(
+    words: &[&str],
+    complement: bool,
+    delete: bool,
+    squeeze: bool,
+) -> Result<(Vec<u8>, Option<Vec<u8>>), String> {
+    let (least, most) = match (delete, squeeze) {
+        (true, false) => (1, 1),
+        (false, true) => (1, 2),
+        _ => (2, 2),
     };
-    (c, 2)
+    if words.len() < least {
+        return Err(match words.last() {
+            Some(last) => format!("missing operand after '{last}'"),
+            None => "missing operand".to_string(),
+        });
+    }
+    if let Some(extra) = words.get(most) {
+        return Err(format!("extra operand '{extra}'"));
+    }
+    let s1 = Set::read(words[0])?;
+    let s2 = words.get(1).map(|w| Set::read(w)).transpose()?;
+    let mut set1 = s1.bytes;
+    if complement {
+        let listed = set1.iter().fold([false; 256], |mut m, &b| {
+            m[b as usize] = true;
+            m
+        });
+        set1 = (0..=255).filter(|&b| !listed[b as usize]).collect();
+    }
+    let Some(s2) = s2 else {
+        return Ok((set1, None));
+    };
+    let longer = set1.len() > s2.bytes.len();
+    let misaligned = !complement && s2.cases.iter().any(|at| !s1.cases.contains(at));
+    let class1 = s1.other_class || !s1.cases.is_empty();
+    let spread = complement && class1 && s2.bytes.windows(2).any(|w| w[0] != w[1]);
+    let rules = [
+        (s2.equiv, "[=c=] in SET2"),
+        (s2.other_class, "a class but [:upper:] or [:lower:] in SET2"),
+        (misaligned, "misaligned [:upper:] or [:lower:]"),
+        (longer && s2.bytes.is_empty(), "an empty SET2"),
+        (
+            longer && s2.ends_in_class,
+            "a class at the end of a shorter SET2",
+        ),
+        (spread, "a complemented class mapped to more than one byte"),
+    ];
+    match rules.iter().find(|rule| rule.0 && !delete) {
+        Some((_, what)) => Err(format!("when translating, {what}")),
+        None => Ok((set1, Some(s2.bytes))),
+    }
 }
 
-fn class_bytes(name: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    match name {
-        "upper" => out.extend(b'A'..=b'Z'),
-        "lower" => out.extend(b'a'..=b'z'),
-        "digit" => out.extend(b'0'..=b'9'),
-        "alpha" => {
-            out.extend(b'A'..=b'Z');
-            out.extend(b'a'..=b'z');
+/// Whether `tr`, read as `r`, squeezes a run that can cross a line
+/// end: with `-s` under a complement (whose set almost always holds
+/// `\n`), or with `\n` in a set as it is read — literally, as an
+/// escape (`\n`, `\012`), in a range (`\001-\177`) or through a
+/// class (`[:space:]`). A segment that starts inside such a run would
+/// keep a byte the whole input drops.
+pub fn squeezes_across_lines(r: &Reading) -> bool {
+    let words: Vec<&str> = r.operands.0.iter().map(|&(_, w)| w).collect();
+    let holds_newline = || {
+        let (set1, set2) = read_sets(&words, false, r.has("d"), true).unwrap_or_default();
+        set1.contains(&b'\n') || set2.is_some_and(|set| set.contains(&b'\n'))
+    };
+    r.has("s") && (r.has("c") || r.has("C") || holds_newline())
+}
+
+/// The test for a member of GNU's class `name` in the C locale, one of
+/// twelve.
+fn class(name: &[u8]) -> Option<fn(&u8) -> bool> {
+    Some(match name {
+        b"alnum" => u8::is_ascii_alphanumeric,
+        b"alpha" => u8::is_ascii_alphabetic,
+        b"blank" => |&b| b == b' ' || b == b'\t',
+        b"cntrl" => u8::is_ascii_control,
+        b"digit" => u8::is_ascii_digit,
+        b"graph" => u8::is_ascii_graphic,
+        b"lower" => u8::is_ascii_lowercase,
+        b"print" => |&b| b.is_ascii_graphic() || b == b' ',
+        b"punct" => u8::is_ascii_punctuation,
+        b"space" => |&b| b.is_ascii_whitespace() || b == 0x0b,
+        b"upper" => u8::is_ascii_uppercase,
+        b"xdigit" => u8::is_ascii_hexdigit,
+        _ => return None,
+    })
+}
+
+/// One `tr` set as it is read, with what SET2's rules ask of it.
+#[derive(Default)]
+struct Set {
+    bytes: Vec<u8>,
+    /// Where each `[:upper:]` and `[:lower:]` starts in `bytes`.
+    cases: Vec<usize>,
+    /// Whether it holds another class, and an `[=c=]`.
+    other_class: bool,
+    equiv: bool,
+    /// Whether its last element is a class.
+    ends_in_class: bool,
+}
+
+impl Set {
+    fn read(word: &str) -> Result<Set, String> {
+        let raw = word.as_bytes();
+        // Each byte, and whether it was escaped.
+        let mut s: Vec<(u8, bool)> = Vec::with_capacity(raw.len());
+        let mut i = 0;
+        while let Some(&b) = raw.get(i) {
+            i += 1;
+            match (b, raw.get(i)) {
+                (b'\\', Some(&next)) => {
+                    let (byte, used) = escape(&raw[i..]).unwrap_or((next, 1));
+                    s.push((byte, true));
+                    i += used;
+                }
+                _ => s.push((b, false)),
+            }
         }
-        "alnum" => {
-            out.extend(b'0'..=b'9');
-            out.extend(b'A'..=b'Z');
-            out.extend(b'a'..=b'z');
+        let plain = |at: usize, c: u8| s.get(at) == Some(&(c, false));
+        let mut set = Set::default();
+        let mut i = 0;
+        while let Some(&(b, _)) = s.get(i) {
+            set.ends_in_class = false;
+            let bracket = i + 2 < s.len() && plain(i, b'[');
+            // `[:name:]` or `[=c=]`, closed by the first `:]` or `=]`.
+            let kind = [b':', b'=']
+                .into_iter()
+                .find(|&k| bracket && plain(i + 1, k));
+            let close =
+                kind.and_then(|k| (i + 2..s.len()).find(|&j| plain(j, k) && plain(j + 1, b']')));
+            if let (Some(kind), Some(j)) = (kind, close) {
+                let name: Vec<u8> = s[i + 2..j].iter().map(|&(b, _)| b).collect();
+                let shown = String::from_utf8_lossy(&name);
+                i = j + 2;
+                if kind == b'=' {
+                    let [c] = name[..] else {
+                        return Err(format!("invalid equivalence class [={shown}=]"));
+                    };
+                    set.bytes.push(c);
+                    set.equiv = true;
+                    continue;
+                }
+                let Some(member) = class(&name) else {
+                    return Err(format!("invalid character class [:{shown}:]"));
+                };
+                match &name[..] {
+                    b"upper" | b"lower" => set.cases.push(set.bytes.len()),
+                    _ => set.other_class = true,
+                }
+                set.bytes.extend((0..=255u8).filter(member));
+                set.ends_in_class = true;
+                continue;
+            }
+            // `[c*]` or `[c*n]`: a `*` after one byte, and a `]` before
+            // any escaped byte.
+            let tail = s
+                .get(i + 3..)
+                .unwrap_or_default()
+                .iter()
+                .take_while(|e| !e.1);
+            if bracket && plain(i + 2, b'*') && tail.into_iter().any(|e| e.0 == b']') {
+                return Err("the repeats [c*] and [c*n] are not supported".into());
+            }
+            let (hi, width) = match i + 2 < s.len() && plain(i + 1, b'-') {
+                true => (s[i + 2].0, 3),
+                false => (b, 1),
+            };
+            if b > hi {
+                return Err(format!("reversed range {}-{}", b as char, hi as char));
+            }
+            set.bytes.extend(b..=hi);
+            i += width;
         }
-        "space" => out.extend([b' ', b'\t', b'\n', b'\r', 0x0B, 0x0C]),
-        "blank" => out.extend([b' ', b'\t']),
-        "cntrl" => out.extend((0..=0x1F).chain([0x7F])),
-        "punct" => {
-            out.extend(b'!'..=b'/');
-            out.extend(b':'..=b'@');
-            out.extend(b'['..=b'`');
-            out.extend(b'{'..=b'~');
-        }
-        _ => {}
+        Ok(set)
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::expand_set;
+    use super::read_sets;
     use crate::fs::MemFs;
     use crate::{run_command, Registry};
     use std::sync::Arc;
+
+    /// A set as `tr -d` reads it.
+    fn expand_set(spec: &str) -> Vec<u8> {
+        read_sets(&[spec], false, true, false).expect("a set").0
+    }
+
+    /// The usage error of `tr` with these sets, translating.
+    fn refusal(sets: [&str; 2]) -> String {
+        read_sets(&sets, false, false, false).expect_err("refused")
+    }
 
     fn tr(args: &[&str], input: &str) -> String {
         let mut argv = vec!["tr"];
@@ -519,6 +570,48 @@ mod tests {
     fn posix_classes() {
         assert_eq!(tr(&["[:upper:]", "[:lower:]"], "ABCdef"), "abcdef");
         assert_eq!(tr(&["-d", "[:digit:]"], "a1b2"), "ab");
+        assert_eq!(expand_set("[:xdigit:]"), b"0123456789ABCDEFabcdef");
+        assert_eq!(expand_set("[:space:]"), b"\t\n\x0b\x0c\r ");
+        assert_eq!(expand_set("[:graph:]").len(), 94);
+        assert_eq!(expand_set("[:print:]").len(), 95);
+        assert_eq!(expand_set("[:punct:]").len(), 32);
+        assert_eq!(expand_set("[=a=][=\\n=]"), b"a\n");
+        // Too short for a construct, or not closed: literal bytes.
+        assert_eq!(expand_set("[:]"), b"[:]");
+        assert_eq!(expand_set("[:a"), b"[:a");
+        assert_eq!(expand_set("\\[:alpha:]"), b"[:alpha:]");
+        assert_eq!(expand_set("a-"), b"a-");
+        assert_eq!(expand_set("a\\-c"), b"a-c");
+        assert_eq!(expand_set("ab\\"), b"ab\\");
+    }
+
+    #[test]
+    fn what_gnu_refuses_is_refused() {
+        let refused = |set: &str| read_sets(&[set], false, true, false).is_err();
+        for set in [
+            "c-a", "[:foo:]", "[::]", "[==]", "[=ab=]", "[a*]", "[a*3]", "x[:*]",
+        ] {
+            assert!(refused(set), "{set}");
+        }
+        assert!(refusal(["a", "[:digit:]"]).contains("a class but"));
+        assert!(refusal(["a", "[=b=]"]).contains("[=c=]"));
+        assert!(refusal(["[:alpha:]1", "x[:upper:]"]).contains("misaligned"));
+        assert!(refusal(["a[:upper:]", "[:lower:]b"]).contains("misaligned"));
+        assert!(refusal(["[:lower:]A", "[:upper:]"]).contains("at the end"));
+        assert!(refusal(["abc", ""]).contains("empty SET2"));
+        assert!(refusal(["abc", "[x*]"]).contains("repeat"));
+        // Aligned case classes translate; a complemented class goes to
+        // one byte.
+        assert!(read_sets(&["[:upper:]a", "[:lower:]b"], false, false, false).is_ok());
+        assert!(read_sets(&["[:lower:]", "x"], true, false, false).is_ok());
+        assert!(read_sets(&["[:lower:]", "xy"], true, false, false).is_err());
+        // Not translating, SET2 takes any class.
+        assert!(read_sets(&["a", "[:digit:]"], false, true, true).is_ok());
+    }
+
+    #[test]
+    fn a_complement_maps_in_byte_order() {
+        assert_eq!(tr(&["-c", "abc", "xy"], "abcd\0"), "abcyx");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::io::{self, BufRead, Read, Write};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use pash_coreutils::cmd::tr::expand_set;
 use pash_coreutils::fs::MemFs;
 use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry};
@@ -235,6 +234,21 @@ fn ref_cut_bytes(input: &[u8], list: &str) -> Vec<u8> {
             .map(|(_, &b)| b)
             .collect()
     }))
+}
+
+/// A set of the forms the `tr` cases use: bytes, ranges, `\n` and
+/// `\377`.
+fn expand_set(spec: &str) -> Vec<u8> {
+    let spec = spec.replace("\\n", "\n").replace("\\377", "\u{ff}");
+    let s: Vec<u8> = spec.chars().map(|c| c as u8).collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while let Some(&lo) = s.get(i) {
+        let range = s.get(i + 1) == Some(&b'-') && i + 2 < s.len();
+        out.extend(lo..=if range { s[i + 2] } else { lo });
+        i += if range { 3 } else { 1 };
+    }
+    out
 }
 
 /// `tr` one byte at a time, from the manual: delete members of SET1,

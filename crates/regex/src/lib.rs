@@ -221,6 +221,11 @@ impl Regex {
         &self.pattern
     }
 
+    /// The number of capture groups, the whole match not counted.
+    pub fn groups(&self) -> usize {
+        self.inner.prog.groups - 1
+    }
+
     /// Creates a [`Matcher`] for this pattern.
     ///
     /// The matcher owns the mutable lazy-DFA caches, so a hot loop

@@ -15,6 +15,7 @@ use pash::core::backend::{emit_program, emit_region, EmitConfig};
 use pash::core::compile::PashConfig;
 use pash::coreutils::fs::MemFs;
 use pash::runtime::exec::{run_script, ExecConfig};
+use pash::{BackendOutput, ProcSettings, RunEnv};
 use pash_bench::fixtures::{cached_corpus, registry, runtime_binaries};
 
 /// A shared corpus from the process-wide cache, cloned into the
@@ -194,4 +195,46 @@ fn emitted_head_over_segments_launches_one_job_per_node() {
         (threads.stdout, Some(threads.status))
     );
     assert!(took < Duration::from_secs(5), "teardown took {took:?}");
+}
+
+/// A step kept as shell text runs in a shell of its own on
+/// `processes`, and after an unrolled loop on `shell` too: it must
+/// still see the variables the compiler folded, the loop's among them.
+/// Stdout and status against the host's `/bin/sh`.
+#[test]
+fn shell_steps_see_the_variables_the_compiler_folded() {
+    let Some((pashc, pash_rt)) = build_binaries() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    for script in ["for x in a b; do ! echo $x; done", "x=a; ! echo $x"] {
+        let host = Command::new("/bin/sh")
+            .args(["-c", script])
+            .output()
+            .expect("run sh");
+        let cfg = PashConfig::default();
+        let (emitted, _) = run_under_sh(script, &cfg, &[], None).expect("binaries");
+        assert_eq!(
+            (emitted.stdout, emitted.status.code()),
+            (host.stdout.clone(), host.status.code()),
+            "`{script}` on shell"
+        );
+        let env = RunEnv {
+            proc: ProcSettings {
+                pashc: Some(pashc.clone()),
+                pash_rt: Some(pash_rt.clone()),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let out = match pash::run(script, &cfg, "processes", &env) {
+            Ok(BackendOutput::Execution(out)) => out,
+            other => panic!("`{script}` on processes: {other:?}"),
+        };
+        assert_eq!(
+            (out.stdout, Some(out.status)),
+            (host.stdout, host.status.code()),
+            "`{script}` on processes"
+        );
+    }
 }

@@ -210,7 +210,11 @@ fn tr_matches_the_host() {
     // `-d ,.` on the position masks, for deletion by at most four
     // bytes and squeezing by one (`-cs A-Za-z '\n'` after a table
     // map, `-s ' ' _` after a range map).
-    let cases: [&[&str]; 17] = [
+    // Then the sets as GNU reads them: its twelve classes, `[=c=]`,
+    // `\v`, `[:]` as three bytes, a complement mapped in byte order;
+    // and what it refuses with status 1: a reversed range, a class
+    // other than `[:upper:]`/`[:lower:]` in SET2, a misaligned one.
+    let cases: [&[&str]; 27] = [
         &["A-Z", "a-z"],
         &["a-z", "A-Z"],
         &["abc,", "x"],
@@ -228,8 +232,19 @@ fn tr_matches_the_host() {
         &["-d", "\\000\\377"],
         &["-d", "\\n,.e"],
         &["-s", "[:cntrl:]"],
+        &["-d", "[:xdigit:]"],
+        &["-d", "[:graph:]"],
+        &["-d", "[:print:]"],
+        &["-d", "[=a=]"],
+        &["\\v", "V"],
+        &["[:]", "xyz"],
+        &["-c", "abc", "xy"],
+        &["-d", "c-a"],
+        &["a", "[:digit:]"],
+        &["[:alpha:]1", "x[:upper:]"],
     ];
-    let inputs = inputs(true);
+    let mut inputs = inputs(true);
+    inputs.push(b"a=b [:] x\x0by\tz\x01 ~\x7f Ab9F\n".repeat(20));
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("tr", &cases, &inputs, false);
 }
@@ -354,14 +369,20 @@ fn cat_matches_the_host() {
 }
 
 /// Side by side, each `-` takes the next line of the one stdin; the
-/// operand form puts `in.txt` beside them.
+/// operand form puts `in.txt` beside them. A `-d` list is literal
+/// bytes, where `\0` is an empty delimiter.
 #[test]
 fn paste_matches_the_host() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 9] = [
         &["-", "-"],
         &["-d", ":", "-", "-", "-"],
         &["-"],
         &["-s", "-"],
+        &["-s", "-d", "a-c", "-"],
+        &["-s", "-d", "\\0", "-"],
+        &["-s", "-d", "[:digit:]", "-"],
+        &["-s", "-d", "[:]", "-"],
+        &["-d", "\\0\\t\\a\\1", "-", "-", "-"],
     ];
     let inputs = inputs(true);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
@@ -451,10 +472,14 @@ fn sed_substitution_matches_the_host() {
 
 /// Line addresses, deletion, printing twice and quitting: an
 /// unterminated last line is written without a newline, and a
-/// newline goes before anything written after it.
+/// newline goes before anything written after it. A script is read in
+/// one pass over its bytes: a `;` inside a body is the body's, a
+/// non-ASCII byte stays itself, a `y` list is literal, `\/` in an
+/// address is a slash, and a range that ends before it starts is its
+/// first line.
 #[test]
 fn sed_lines_match_the_host() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 17] = [
         &["p"],
         &["-n", "41p"],
         &["-n", "2p"],
@@ -466,30 +491,58 @@ fn sed_lines_match_the_host() {
         // Once `-e` is given, every operand is a file: this one does
         // not exist, which is status 2 after the others ran.
         &["s/a/b/", "-e", "p"],
+        &["1s/a;b/X/"],
+        &["1y/a;/b:/"],
+        &["s/\u{e9}/E/"],
+        &["y/a-c/x-z/"],
+        &["y/[:]/(;)/"],
+        &["/a\\/b/d"],
+        &["3,1d"],
+        &["s/a/\\t[&]/g;y/\\t/T/"],
     ];
-    let inputs = inputs(true);
+    let mut inputs = inputs(true);
+    inputs.push(
+        "a;b\na;\ncaf\u{e9}\nb-\na:b\na/b\nc\n"
+            .repeat(3)
+            .into_bytes(),
+    );
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
     assert_matches_host("sed", &cases, &inputs, true);
 }
 
 /// What our `sed` cannot do as GNU does, it refuses: a usage error,
 /// status 1 as GNU's, and not one byte on stdout. The last-line address `$`
-/// needs a line of lookahead the stream loop does not keep.
+/// needs a line of lookahead the stream loop does not keep; the `s`
+/// flags but `g` and `p` are not implemented.
 #[test]
 fn sed_refuses_the_addresses_it_lacks() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 9] = [
         &["$d"],
         &["-n", "$p"],
         &["$s/a/b/"],
         &["$="],
         &["1~2d"],
         &["/the/,$d"],
+        &["s/a/b/2"],
+        &["s/x/y/I"],
+        &["s/a/b/w f"],
     ];
+    assert_refused("sed", &cases);
+}
+
+/// `tr`'s twin of the above: the repeats `[c*]` and `[c*n]`.
+#[test]
+fn tr_refuses_the_repeats_it_lacks() {
+    assert_refused("tr", &[&["abc", "[x*]"], &["a-c", "[x*2]y"]]);
+}
+
+/// Each argv of `util` exits 1 on every input and writes nothing.
+fn assert_refused(util: &str, cases: &[&[&str]]) {
     for input in inputs(false) {
         for args in cases {
-            let (stdout, status) = our_run("sed", args, &input);
-            assert_eq!(status, 1, "sed {args:?}");
-            assert!(stdout.is_empty(), "sed {args:?} wrote {stdout:?}");
+            let (stdout, status) = our_run(util, args, &input);
+            assert_eq!(status, 1, "{util} {args:?}");
+            assert!(stdout.is_empty(), "{util} {args:?} wrote {stdout:?}");
         }
     }
 }
@@ -504,7 +557,7 @@ fn sed_refuses_the_addresses_it_lacks() {
 /// unterminated line.
 #[test]
 fn argv_forms_match_the_host() {
-    const ARGVS: [&[&str]; 41] = [
+    const ARGVS: [&[&str]; 46] = [
         &["uniq", "-cd"],
         &["uniq", "-dc"],
         &["uniq", "--"],
@@ -546,6 +599,11 @@ fn argv_forms_match_the_host() {
         &["cat", "-nu"],
         &["cat", "-un"],
         &["comm", "-1", "-2", "--", "in.txt", "-"],
+        &["tr", "-s", "[:]", "x"],
+        &["tr", "-d", "a-"],
+        &["paste", "-s", "-d", "x\\", "-"],
+        &["sed", "s/a/\\1/"],
+        &["sed", "s/\\(/x/"],
     ];
     let mut sorted: Vec<&[u8]> = Vec::new();
     let text = corpus(3, 2_000, false);
@@ -567,10 +625,11 @@ fn argv_forms_match_the_host() {
 /// a file (`-t a`) and a second script (`-e 1d`) reach the aggregator
 /// and the classifier as they reach the command; an addressed `y`
 /// stays on one copy, and an argv the command refuses once scanned
-/// (`-n x`, two lists) runs once, with the host's status.
+/// (`-n x`, two lists, a class SET2 may not hold) runs once, with the
+/// host's status; `tr`'s `[:]` is three bytes on every copy.
 #[test]
 fn compiled_argvs_match_the_host_shell() {
-    const ARGVS: [&str; 8] = [
+    const ARGVS: [&str; 28] = [
         "sort -rk 2",
         "sort -nt a -k 2",
         "sed -Ee s/a/b/ -e 1d",
@@ -579,6 +638,26 @@ fn compiled_argvs_match_the_host_shell() {
         "sed 1y/abc/xyz/",
         "head -n x",
         "cut -f1 -c1",
+        "tr -s '[:]' x",
+        "tr a '[:digit:]'",
+        "sed '1s/a;b/X/'",
+        "paste -s -d 'a-c'",
+        "sed '1y/a;/b:/'",
+        "sed 's/\u{e9}/E/'",
+        "sed 'y/a-c/x-z/'",
+        "sed 'y/[:]/(;)/'",
+        "sed '/a\\/b/d'",
+        "tr -d '[:xdigit:]'",
+        "tr -d '[:graph:]'",
+        "tr -d '[:print:]'",
+        "tr -d '[=a=]'",
+        "tr '\\v' V",
+        "tr '[:]' xyz",
+        "tr -d c-a",
+        "tr '[:alpha:]1' 'x[:upper:]'",
+        "paste -s -d '\\0'",
+        "paste -s -d '[:digit:]'",
+        "paste -s -d '[:]'",
     ];
     let (Some(bins), Some(sh)) = (runtime_binaries(), host_path("sh")) else {
         eprintln!("skipping: no multicall binaries or no host /bin/sh");
