@@ -34,12 +34,14 @@
 #   6. process-backend smoke: one corpus script as real children over
 #      FIFOs, byte-compared against the shell backend's output, whose
 #      script must name no `fileseg` producer, and the benchmark
-#      script the same way under `timeout`; then
-#      the threads backend on an input below one pipe buffer (the
-#      region runs to completion on one thread) and one above it (a
-#      thread per node), each byte-compared against the shell backend;
-#      then that 1 MB input, ending in an unterminated line, piped
-#      into twelve stdin-fed pipelines on shell, threads and processes
+#      script the same way; then the threads backend on an input below
+#      one pipe buffer (the region runs to completion on one thread)
+#      and one above it (a thread per node), each byte-compared against
+#      the shell backend, and `cat a.txt b.txt | tr A-Z a-z | grep e`
+#      on two 1 MB inputs (a relay in front of `cat`'s second input)
+#      against host /bin/sh; every run so far under `timeout`; then
+#      that 1 MB input, ending in an unterminated line, piped into
+#      twelve stdin-fed pipelines on shell, threads and processes
 #      under `timeout`, each byte-compared against the unmodified
 #      pipeline under host /bin/sh (the `tac` one reverses every part
 #      and the aggregator reverses the parts, so the unterminated line
@@ -209,13 +211,15 @@ echo "==> process backend smoke (cmp against the shell backend)"
 # The same script, same generated corpus, executed twice: once as an
 # emitted POSIX script under /bin/sh, once as real child processes
 # over FIFOs walking the lowered plan. The outputs must be identical.
+# Every backendrun of this step and the next runs under `timeout`: a
+# wedged FIFO graph or in-process edge is killed and fails the step.
 SMOKE_SCRIPT='cat in.txt | tr A-Z a-z | sort | uniq -c > out.txt'
 for b in shell processes; do
     rm -rf "target/bench-smoke/backend-$b"
     mkdir -p "target/bench-smoke/backend-$b"
-    ./target/release/backendrun --backend "$b" --width 4 \
+    timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
         --dir "target/bench-smoke/backend-$b" --gen in.txt:200000 \
-        -e "$SMOKE_SCRIPT"
+        -e "$SMOKE_SCRIPT" </dev/null
 done
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-processes/out.txt
@@ -252,13 +256,14 @@ done
 echo "==> schedule smoke (threads below and above one pipe buffer, cmp against shell)"
 # The threads backend picks a region's schedule from its input size:
 # 32 kB fits one 64 KiB pipe buffer and runs node by node on one
-# thread, 1 MB gets a thread per node and rings. Same script, same
-# plan, both sides of the line, each against /bin/sh.
+# thread, 1 MB gets a thread per node and rings, and each eager relay
+# is wired as one spill pipe. Same script, same plan, both sides of the
+# line, each against /bin/sh.
 for size in 32000 1000000; do
     for b in shell threads; do
         rm -rf "target/bench-smoke/schedule-$b-$size"
         mkdir -p "target/bench-smoke/schedule-$b-$size"
-        ./target/release/backendrun --backend "$b" --width 4 \
+        timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
             --dir "target/bench-smoke/schedule-$b-$size" --gen "in.txt:$size" \
             -e "$SMOKE_SCRIPT" </dev/null
     done
@@ -266,6 +271,21 @@ for size in 32000 1000000; do
         "target/bench-smoke/schedule-threads-$size/out.txt"
     test -s "target/bench-smoke/schedule-threads-$size/out.txt"
 done
+# A relay in front of `cat`'s second input, which `cat` reads only once
+# the first has ended: on threads its edge is a spill pipe, whose
+# producer must never wait for `cat`. Two 1 MB inputs, against the
+# unmodified script under the host's /bin/sh.
+CAT_SCRIPT='cat a.txt b.txt | tr A-Z a-z | grep e > out.txt'
+rm -rf target/bench-smoke/cat-threads target/bench-smoke/cat-host
+mkdir -p target/bench-smoke/cat-threads target/bench-smoke/cat-host
+timeout -s KILL 60 ./target/release/backendrun --backend threads --width 4 \
+    --dir target/bench-smoke/cat-threads --gen a.txt:1000000 --gen b.txt:1000000 \
+    -e "$CAT_SCRIPT" </dev/null
+cp target/bench-smoke/cat-threads/a.txt target/bench-smoke/cat-threads/b.txt \
+    target/bench-smoke/cat-host/
+(cd target/bench-smoke/cat-host && LC_ALL=C /bin/sh -c "$CAT_SCRIPT")
+cmp target/bench-smoke/cat-host/out.txt target/bench-smoke/cat-threads/out.txt
+test -s target/bench-smoke/cat-threads/out.txt
 
 echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
 # The program's stdin is the caller's bytes: a ring filled by a feeder

@@ -80,9 +80,12 @@ impl Command for Grep {
         // Each line of a pattern is a pattern of its own.
         let mut matchers = Vec::new();
         for pattern in patterns.iter().flat_map(|p| p.split('\n')) {
-            let re = build_regex(pattern, &o)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            matchers.push(re.matcher());
+            match build_regex(pattern, &o) {
+                Ok(re) => matchers.push(re.matcher()),
+                // GNU's status for a pattern that does not compile is
+                // its usage status, 2: 1 would read as "no match".
+                Err(e) => return usage_error(io, "grep", &e.to_string()),
+            }
         }
         let mut m = Patterns {
             hits: vec![None; matchers.len()],
@@ -341,6 +344,11 @@ mod tests {
     fn exit_status_reflects_match() {
         assert_eq!(grep(&["a"], "abc\n").status, 0);
         assert_eq!(grep(&["z"], "abc\n").status, 1);
+        // A pattern that does not compile is a usage error, not a miss.
+        for bad in [&["a\\("][..], &["-E", "a("], &["-e", "a", "-e", "b\\("]] {
+            let c = grep(bad, "abc\n");
+            assert_eq!((c.status, c.stdout.len()), (2, 0), "{bad:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   thread (see [`crate::exec`] for which schedule an attempt gets).
 //!   The primary boundary stdin takes the same form: a ring that a
 //!   feeder thread fills from the caller's bytes, or a copy of bytes
-//!   that fit one pipe buffer;
+//!   that fit one pipe buffer. An eager relay between two internal
+//!   pipes is wired, not run, under both forms: its two edges become
+//!   one — a [`spill_pipe`] whose writer never blocks, or one shared
+//!   buffer — from the relay's producer straight to its consumer, and
+//!   the relay's node has nothing left to do;
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
 //!   named FIFO per internal pipe edge in a private scratch
 //!   directory, created with `mkfifo(3)` and removed on drop — the
@@ -29,18 +33,18 @@
 //! buffering discipline, and edge naming stay in one place instead of
 //! being re-derived per backend.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, RegionPlan};
+use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, PlanNodeId, PlanOp, RegionPlan};
 use pash_coreutils::fs::Fs;
 
 use crate::fault::ArmedFault;
 use crate::fileseg::open_segment;
-use crate::pipe::{pipe_monitored, PipeMonitor, PipeWriter};
+use crate::pipe::{pipe_monitored, spill_pipe, PipeMonitor, PipeWriter};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -52,14 +56,15 @@ pub fn buffered(w: impl Write + Send + 'static) -> Box<dyn Write + Send> {
     Box::new(io::BufWriter::with_capacity(EDGE_WRITE_BUFFER, w))
 }
 
-/// The buffered writer of edge `e`, wrapped first by `fault` when `e`
-/// is its target.
+/// The buffered writer of the stream that `edges` carry (one edge, or
+/// a wired relay's edges), wrapped first by `fault` when it targets one
+/// of them.
 fn edge_writer(
     w: impl Write + Send + 'static,
-    e: PlanEdgeId,
+    edges: &[PlanEdgeId],
     fault: Option<&ArmedFault>,
 ) -> Box<dyn Write + Send> {
-    match fault.filter(|a| a.edge == Some(e)) {
+    match fault.filter(|a| a.edge.is_some_and(|e| edges.contains(&e))) {
         Some(a) => buffered(a.wrap(w, false)),
         None => buffered(w),
     }
@@ -77,6 +82,45 @@ impl Write for SharedVecWriter {
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
+
+/// The bytes that crossed a wired relay, counted by its stream's writer.
+type Tally = Arc<AtomicU64>;
+
+/// A writer that counts what it passes on into a [`Tally`].
+struct Tallied<W> {
+    inner: W,
+    tally: Tally,
+}
+
+impl<W: Write> Write for Tallied<W> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(data)?;
+        self.tally.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The relays of `r` that [`MemEdges::wire`] wires as their edge: every
+/// non-blocking `Relay` between two internal pipes, by input edge, with
+/// its node and its output edge. A blocking relay bounds its buffer on
+/// purpose and still runs, as does one at a boundary.
+fn wired_relays(r: &RegionPlan) -> HashMap<PlanEdgeId, (PlanNodeId, PlanEdgeId)> {
+    let pipe = |e: PlanEdgeId| r.edges[e].kind == EndpointKind::Pipe;
+    r.nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(id, n)| match (&n.op, &n.inputs[..], &n.outputs[..]) {
+            (PlanOp::Relay { blocking: false }, &[i], &[o]) if pipe(i) && pipe(o) => {
+                Some((i, (id, o)))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// How [`MemEdges`] realises a region's internal `Pipe` edges.
@@ -111,6 +155,8 @@ struct BufferWriter {
     slot: Slot,
     limit: usize,
     overflowed: Arc<AtomicBool>,
+    /// Counts the bytes left when the slot is a wired relay's.
+    tally: Option<Tally>,
 }
 
 impl Write for BufferWriter {
@@ -130,6 +176,9 @@ impl Write for BufferWriter {
 
 impl Drop for BufferWriter {
     fn drop(&mut self) {
+        if let Some(t) = &self.tally {
+            t.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
+        }
         *slot_lock(&self.slot) = std::mem::take(&mut self.buf);
     }
 }
@@ -143,9 +192,15 @@ impl Drop for BufferWriter {
 pub struct MemEdges {
     readers: HashMap<PlanEdgeId, Box<dyn Read + Send>>,
     writers: HashMap<PlanEdgeId, Box<dyn Write + Send>>,
-    /// [`Pipes::Buffer`] edges; their endpoints are made when taken.
+    /// [`Pipes::Buffer`] edges; their endpoints are made when taken. A
+    /// wired relay's input and output edges share one slot.
     slots: HashMap<PlanEdgeId, Slot>,
     slot_limit: usize,
+    /// The wired relays, each with the tally of its stream.
+    relays: Vec<(PlanNodeId, Tally)>,
+    /// The tally of each relayed [`Pipes::Buffer`] edge, by the edge its
+    /// producer writes.
+    slot_tallies: HashMap<PlanEdgeId, Tally>,
     overflowed: Arc<AtomicBool>,
     stdout: Arc<Mutex<Vec<u8>>>,
     monitors: Vec<PipeMonitor>,
@@ -161,6 +216,16 @@ impl MemEdges {
     /// wire at all (the in-process analogue of a `mkfifo` error) or
     /// gets its writer wrapped ([`ArmedFault::wrap`]). Buffer pipes
     /// carry no fault site: an armed attempt is wired with rings.
+    ///
+    /// An eager relay between two internal pipes is wired here, not
+    /// run (see [`MemEdges::wires_relay`]): the edge into it and the
+    /// edge out of it — and on through a chain of such relays — are one
+    /// transport from the producer of the first to the consumer of the
+    /// last. Under rings that is a [`spill_pipe`], whose writer never
+    /// blocks: what the eager relay is for. Under buffers it is one
+    /// slot. Each edge of the chain is still wired, as far as
+    /// [`ArmedFault::before_wiring`] can tell, and a stream fault on any
+    /// of them wraps the one writer.
     ///
     /// The primary boundary input, if it has a consumer, takes the
     /// pipe form too. Under rings it is one more ring, whose writing
@@ -187,22 +252,51 @@ impl MemEdges {
         let mut monitors: Vec<PipeMonitor> = Vec::new();
         let mut feeder = None;
         let mut stdin = Some(stdin);
+        let through = wired_relays(r);
+        let relayed: HashSet<PlanEdgeId> = through.values().map(|&(_, o)| o).collect();
+        let mut relays = Vec::new();
+        let mut slot_tallies = HashMap::new();
         for (e, edge) in r.edges.iter().enumerate() {
             if let Some(a) = fault {
                 a.before_wiring(e)?;
             }
             match &edge.kind {
-                EndpointKind::Pipe => match pipes {
-                    Pipes::Ring(capacity) => {
-                        let (w, rd, m) = pipe_monitored(capacity);
-                        monitors.push(m);
-                        writers.insert(e, edge_writer(w, e, fault));
-                        readers.insert(e, Box::new(rd));
+                // Carried by the edge into its relay.
+                EndpointKind::Pipe if relayed.contains(&e) => {}
+                EndpointKind::Pipe => {
+                    // The edges this stream crosses, through each wired
+                    // relay to the one its consumer reads.
+                    let mut chain = vec![e];
+                    let tally = Tally::default();
+                    while let Some(&(id, out)) = chain.last().and_then(|t| through.get(t)) {
+                        relays.push((id, tally.clone()));
+                        chain.push(out);
                     }
-                    Pipes::Buffer { .. } => {
-                        slots.insert(e, Slot::default());
+                    let tail = *chain.last().expect("the edge itself");
+                    match pipes {
+                        Pipes::Ring(capacity) if tail == e => {
+                            let (w, rd, m) = pipe_monitored(capacity);
+                            monitors.push(m);
+                            writers.insert(e, edge_writer(w, &chain, fault));
+                            readers.insert(e, Box::new(rd));
+                        }
+                        Pipes::Ring(capacity) => {
+                            let (w, rd, m) = spill_pipe(capacity);
+                            monitors.push(m);
+                            let w = Tallied { inner: w, tally };
+                            writers.insert(e, edge_writer(w, &chain, fault));
+                            readers.insert(tail, Box::new(rd));
+                        }
+                        Pipes::Buffer { .. } => {
+                            let slot = Slot::default();
+                            if tail != e {
+                                slot_tallies.insert(e, tally);
+                                slots.insert(tail, slot.clone());
+                            }
+                            slots.insert(e, slot);
+                        }
                     }
-                },
+                }
                 EndpointKind::StdinPipe { primary } => {
                     // Non-primary boundary inputs read empty streams,
                     // and so does a second primary one.
@@ -227,13 +321,13 @@ impl MemEdges {
                 }
                 EndpointKind::StdoutPipe => {
                     let w = SharedVecWriter(stdout.clone());
-                    writers.insert(e, edge_writer(w, e, fault));
+                    writers.insert(e, edge_writer(w, &[e], fault));
                 }
                 EndpointKind::InputFile(path) => {
                     readers.insert(e, fs.open(path)?);
                 }
                 EndpointKind::OutputFile(path) => {
-                    writers.insert(e, edge_writer(fs.create(path)?, e, fault));
+                    writers.insert(e, edge_writer(fs.create(path)?, &[e], fault));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
                     readers.insert(e, open_segment(fs.as_ref(), path, *part, *of)?);
@@ -250,6 +344,8 @@ impl MemEdges {
                 Pipes::Buffer { limit } => limit,
                 Pipes::Ring(_) => 0,
             },
+            relays,
+            slot_tallies,
             overflowed: Arc::default(),
             stdout,
             monitors,
@@ -304,6 +400,7 @@ impl MemEdges {
                         slot: slot.clone(),
                         limit: self.slot_limit,
                         overflowed: self.overflowed.clone(),
+                        tally: self.slot_tallies.get(&e).cloned(),
                     }),
                     None => Box::new(io::sink()),
                 }
@@ -311,21 +408,19 @@ impl MemEdges {
             .collect()
     }
 
-    /// If `node` has one input and one output and both are buffer
-    /// pipes, gives the input's buffer to the output edge — what an
-    /// identity node comes to once its producer is done — and returns
-    /// the number of bytes that changed hands. `None` (and nothing
-    /// moved) for a node wired any other way. Whether `node` *is* an
-    /// identity is the caller's knowledge.
-    pub fn hand_over(&mut self, node: &PlanNode) -> Option<u64> {
-        let (&[i], &[o]) = (&node.inputs[..], &node.outputs[..]) else {
-            return None;
-        };
-        let (from, to) = (self.slots.get(&i)?, self.slots.get(&o)?);
-        let bytes = std::mem::take(&mut *slot_lock(from));
-        let n = bytes.len() as u64;
-        *slot_lock(to) = bytes;
-        Some(n)
+    /// Whether node `id` is a relay this wiring made part of its edge:
+    /// the node has no endpoints to take and nothing to run.
+    pub fn wires_relay(&self, id: PlanNodeId) -> bool {
+        self.relays.iter().any(|(n, _)| *n == id)
+    }
+
+    /// Each wired relay with the bytes that have crossed it so far —
+    /// what its stream's producer put into the edge.
+    pub fn relayed(&self) -> Vec<(PlanNodeId, u64)> {
+        self.relays
+            .iter()
+            .map(|(id, t)| (*id, t.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Whether a buffer pipe refused a write that would have taken it
@@ -456,8 +551,10 @@ mod tests {
         fs.add("in.txt", b"b\na\n".to_vec());
         let fs: Arc<dyn Fs> = Arc::new(fs);
         let mut edges = MemEdges::wire(&r, &fs, &[], Pipes::Ring(1024), None).expect("wire");
-        // Taking every node's endpoints drains the maps completely.
-        for node in &r.nodes {
+        // Taking every running node's endpoints drains the maps
+        // completely.
+        let running = (0..r.nodes.len()).filter(|&id| !edges.wires_relay(id));
+        for node in running.map(|id| &r.nodes[id]).collect::<Vec<_>>() {
             let ins = edges.take_inputs(node);
             let outs = edges.take_outputs(node);
             assert_eq!(ins.len(), node.inputs.len());
@@ -467,8 +564,31 @@ mod tests {
         assert!(edges.writers.is_empty(), "all writers taken");
     }
 
+    /// The eager relay of `r` with its producer and its consumer.
+    fn relay_between(r: &RegionPlan) -> (PlanNodeId, &PlanNode, &PlanNode) {
+        let relay = r
+            .nodes
+            .iter()
+            .position(|n| matches!(n.op, PlanOp::Relay { blocking: false }))
+            .expect("relay");
+        let node = &r.nodes[relay];
+        let upstream = &r.nodes[r.edges[node.inputs[0]].from.expect("producer")];
+        let downstream = &r.nodes[r.edges[node.outputs[0]].to.expect("consumer")];
+        (relay, upstream, downstream)
+    }
+
+    /// Where `consumer` reads what the relay `relay` passes on.
+    fn relayed_input(r: &RegionPlan, relay: PlanNodeId, consumer: &PlanNode) -> usize {
+        let out = r.nodes[relay].outputs[0];
+        consumer
+            .inputs
+            .iter()
+            .position(|e| *e == out)
+            .expect("input position")
+    }
+
     #[test]
-    fn buffer_pipes_pass_whole_streams_and_relays_hand_them_over() {
+    fn buffer_pipes_pass_whole_streams_through_wired_relays() {
         let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
         let fs = MemFs::new();
         fs.add("in.txt", b"b\na\n".to_vec());
@@ -476,29 +596,17 @@ mod tests {
         let pipes = Pipes::Buffer { limit: 8 };
         let mut edges = MemEdges::wire(&r, &fs, &[], pipes, None).expect("wire");
         assert!(edges.take_monitors().is_empty(), "no rings, no monitors");
-        let relay = r
-            .nodes
-            .iter()
-            .find(|n| matches!(n.op, pash_core::plan::PlanOp::Relay { .. }))
-            .expect("relay");
-        let upstream = &r.nodes[r.edges[relay.inputs[0]].from.expect("producer")];
-        let downstream = &r.nodes[r.edges[relay.outputs[0]].to.expect("consumer")];
-        // A node that does not sit between two buffers moves nothing.
-        let last = r.nodes.last().expect("output producer");
-        assert_eq!(edges.hand_over(last), None);
+        let (relay, upstream, downstream) = relay_between(&r);
+        assert!(edges.wires_relay(relay));
         // The producer's bytes appear once it is done (dropped)...
         let mut outs = edges.take_outputs(upstream);
         outs[0].write_all(b"abc").expect("write");
         outs[0].write_all(b"de").expect("write");
         drop(outs);
-        // ...the relay passes the buffer on without reading it...
-        assert_eq!(edges.hand_over(relay), Some(5));
-        // ...and the consumer gets it whole.
-        let at = downstream
-            .inputs
-            .iter()
-            .position(|e| *e == relay.outputs[0])
-            .expect("input position");
+        // ...counted as having crossed the relay, which never ran...
+        assert!(edges.relayed().contains(&(relay, 5)));
+        // ...and the consumer gets them whole.
+        let at = relayed_input(&r, relay, downstream);
         let mut got = Vec::new();
         edges.take_inputs(downstream)[at]
             .read_to_end(&mut got)
@@ -506,10 +614,58 @@ mod tests {
         assert_eq!(got, b"abcde");
         // A stream past the limit is refused and remembered.
         assert!(!edges.overflowed());
-        let mut outs = edges.take_outputs(relay);
+        let other = r
+            .nodes
+            .iter()
+            .find(|n| {
+                !std::ptr::eq(*n, upstream)
+                    && matches!(n.op, PlanOp::Exec { .. })
+                    && r.edges[n.outputs[0]].kind == EndpointKind::Pipe
+            })
+            .expect("another node writing a pipe");
+        let mut outs = edges.take_outputs(other);
         outs[0].write_all(b"12345678").expect("at the limit");
         assert!(outs[0].write_all(b"9").is_err());
         assert!(edges.overflowed());
+    }
+
+    #[test]
+    fn a_wired_relay_is_one_spill_pipe() {
+        // Under rings the relay's two edges are one spill pipe: its
+        // producer writes far past the ring with no consumer running,
+        // and the consumer then reads it all, in order.
+        let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
+        let fs = MemFs::new();
+        fs.add("in.txt", Vec::new());
+        let fs: Arc<dyn Fs> = Arc::new(fs);
+        let relays = r
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, PlanOp::Relay { .. }))
+            .count();
+        let mut edges = MemEdges::wire(&r, &fs, &[], Pipes::Ring(16), None).expect("wire");
+        let pipes = r.internal_pipes().count();
+        assert_eq!(
+            edges.take_monitors().len(),
+            pipes - relays,
+            "one per relay fewer"
+        );
+        let (relay, upstream, downstream) = relay_between(&r);
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut outs = edges.take_outputs(upstream);
+        outs[0].write_all(&data).expect("never blocks");
+        drop(outs);
+        let at = relayed_input(&r, relay, downstream);
+        let mut got = Vec::new();
+        edges.take_inputs(downstream)[at]
+            .read_to_end(&mut got)
+            .expect("read");
+        assert_eq!(got, data);
+        assert!(edges.relayed().contains(&(relay, 100_000)));
+        // The relay has no endpoints of its own left to take.
+        let node = &r.nodes[relay];
+        assert!(!edges.readers.contains_key(&node.inputs[0]));
+        assert!(!edges.writers.contains_key(&node.outputs[0]));
     }
 
     #[test]
@@ -528,6 +684,7 @@ mod tests {
         let mut edges = MemEdges::wire(&r, &fs, &feed, Pipes::Ring(16), None).expect("wire");
         let mut w = edges.take_feeder().expect("a feeder for the stdin ring");
         let pipes = r.internal_pipes().count();
+        assert!(!r.nodes.iter().any(|n| matches!(n.op, PlanOp::Relay { .. })));
         assert_eq!(edges.take_monitors().len(), pipes + 1, "the stdin ring too");
         let mut got = Vec::new();
         std::thread::scope(|s| {

@@ -20,11 +20,20 @@
 //!   caller's bytes by one more scoped thread, the feeder.
 //! * **run-to-completion** — every node in plan order on the calling
 //!   thread, each pipe edge a buffer the producer leaves for the
-//!   consumer, a relay the identity it is. No thread, no ring, no
-//!   condvar: for a region whose whole input fits one pipe buffer
-//!   there is no steady state for concurrent nodes to pipeline, and
-//!   spawning them costs many times the work (`short-scripts` in
-//!   `bench/`).
+//!   consumer. No thread, no ring, no condvar: for a region whose whole
+//!   input fits one pipe buffer there is no steady state for
+//!   concurrent nodes to pipeline, and spawning them costs many times
+//!   the work (`short-scripts` in `bench/`).
+//!
+//! Under either schedule an eager relay between two pipe edges is not
+//! a node that runs but part of its edge ([`MemEdges::wire`]): one
+//! unbounded spill pipe, or one buffer, from the relay's producer to
+//! its consumer. The relay exists to take what its producer writes
+//! while the consumer is not reading yet (§5.2), and an in-process
+//! edge can do that itself, with no thread, no channel and no extra
+//! copy. Such a relay has status 0 and a profile row of the bytes that
+//! crossed it, with no busy time. A blocking relay still runs, through
+//! [`run_node`].
 //!
 //! The gate says "run to completion" when the input (files, file
 //! segments, stdin) is at most `ExecConfig::pipe_capacity` bytes *and*
@@ -320,22 +329,32 @@ fn deadline_exceeded(settings: Option<&SupervisorSettings>) -> ExecError {
 }
 
 /// The tail both schedules share once every node has a status and no
-/// infrastructure failed: the attempt's byte counts and timings
-/// describe a full run, so they are folded into the profile store
-/// (failed attempts would under-report bytes), and the region's
-/// status is the sequential pipeline's verdict — the fold over the
-/// real commands behind the output (the emitted script does the same
-/// with its `pash_spids` wait loop).
+/// infrastructure failed: each relay the wiring carried gets status 0
+/// and a profile row of the bytes that crossed it, in and out, with no
+/// busy time; the attempt's byte counts and timings describe a full
+/// run, so they are folded into the profile store (failed attempts
+/// would under-report bytes), and the region's status is the
+/// sequential pipeline's verdict — the fold over the real commands
+/// behind the output (the emitted script does the same with its
+/// `pash_spids` wait loop; a relay is never one of them).
 fn finish_attempt(
     r: &RegionPlan,
     cfg: &ExecConfig,
     profile: Option<&Arc<RegionProfile>>,
-    stdout: Vec<u8>,
-    statuses: Vec<(PlanNodeId, i32)>,
+    edges: &MemEdges,
+    mut statuses: Vec<(PlanNodeId, i32)>,
 ) -> RegionOutput {
+    for (id, n) in edges.relayed() {
+        if let Some(p) = profile {
+            p.add_in(id, n);
+            p.add_out(id, n);
+        }
+        statuses.push((id, 0));
+    }
     if let (Some(store), Some(p)) = (&cfg.profile, profile) {
         store.record(p);
     }
+    let stdout = std::mem::take(&mut *lock(&edges.stdout_handle()));
     let status_of = |id: PlanNodeId| {
         statuses
             .iter()
@@ -356,10 +375,10 @@ fn finish_attempt(
 /// The run-to-completion schedule: every node through [`run_node`] in
 /// plan (topological) order on the calling thread, each to completion
 /// before the next starts. A pipe edge is a buffer its finished
-/// producer leaves for its consumer ([`Pipes::Buffer`]); a `Relay`
-/// between two of them is the identity and hands its input buffer on
-/// without running. Nothing here can block, so the region deadline is
-/// checked against the clock once the last node is done.
+/// producer leaves for its consumer ([`Pipes::Buffer`]); an eager relay
+/// between two of them is wired as one buffer and does not run.
+/// Nothing here can block, so the region deadline is checked against
+/// the clock once the last node is done.
 ///
 /// `None` — nothing the caller can observe has happened — when a stream
 /// outgrew [`INLINE_STREAM_BUFFERS`] pipe capacities: a small input
@@ -384,32 +403,20 @@ fn run_to_completion(
     let profile = cfg.profile.as_ref().map(|_| RegionProfile::for_region(r));
     let mut statuses = Vec::with_capacity(r.nodes.len());
     for (id, node) in r.nodes.iter().enumerate() {
+        if edges.wires_relay(id) {
+            continue;
+        }
         let began = Instant::now();
-        let handed_over = match node.op {
-            PlanOp::Relay { .. } => edges.hand_over(node),
-            _ => None,
-        };
-        let res = match handed_over {
-            Some(n) => {
-                if let Some(p) = &profile {
-                    p.add_in(id, n);
-                    p.add_out(id, n);
-                }
-                Ok(0)
-            }
-            None => {
-                let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
-                run_node(
-                    &node.op,
-                    &node.stdin_inputs,
-                    ins,
-                    outs,
-                    registry,
-                    fs.clone(),
-                    &mut io::sink(),
-                )
-            }
-        };
+        let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
+        let res = run_node(
+            &node.op,
+            &node.stdin_inputs,
+            ins,
+            outs,
+            registry,
+            fs.clone(),
+            &mut io::sink(),
+        );
         if let Some(p) = &profile {
             p.add_busy(id, began.elapsed());
         }
@@ -425,18 +432,18 @@ fn run_to_completion(
     if deadline.is_some_and(|limit| started.elapsed() >= limit) {
         return Some(Err(deadline_exceeded(settings)));
     }
-    let stdout = std::mem::take(&mut *lock(&edges.stdout_handle()));
     Some(Ok(finish_attempt(
         r,
         cfg,
         profile.as_ref(),
-        stdout,
+        &edges,
         statuses,
     )))
 }
 
-/// The thread-per-node schedule: one scoped OS thread per plan node,
-/// bounded rings for pipe edges ([`Pipes::Ring`]), and the feeder — one
+/// The thread-per-node schedule: one scoped OS thread per plan node but
+/// the eager relays, which the wiring makes spill pipes, bounded rings
+/// for the other pipe edges ([`Pipes::Ring`]), and the feeder — one
 /// more scoped thread that copies `stdin` into the ring of the primary
 /// stdin edge, the job a parent's feeder does for a child's stdin in
 /// [`crate::proc`]. A consumer that stops early ends the feeder with
@@ -461,12 +468,11 @@ fn run_thread_per_node(
 ) -> Result<RegionOutput, ExecError> {
     let mut edges = MemEdges::wire(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
-    let stdout_buf = edges.stdout_handle();
     let monitors = edges.take_monitors();
     let feeder = edges.take_feeder();
     let deadline = settings.and_then(|s| s.region_deadline);
     let deadline_hit = Arc::new(AtomicBool::new(false));
-    let remaining = Arc::new(AtomicUsize::new(r.nodes.len()));
+    let remaining = Arc::new(AtomicUsize::new(r.nodes.len() - edges.relayed().len()));
     let profile = cfg.profile.as_ref().map(|_| RegionProfile::for_region(r));
 
     // Spawn one thread per node in plan (topological) order — order is
@@ -507,6 +513,9 @@ fn run_thread_per_node(
             handle.thread().clone()
         });
         for (id, node) in r.nodes.iter().enumerate() {
+            if edges.wires_relay(id) {
+                continue;
+            }
             let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
             let profile = profile.clone();
             let registry = registry.clone();
@@ -557,9 +566,8 @@ fn run_thread_per_node(
     if let Some(e) = lock(&hard_error).take() {
         return Err(e);
     }
-    let stdout = std::mem::take(&mut *lock(&stdout_buf));
     let statuses = std::mem::take(&mut *lock(&statuses));
-    Ok(finish_attempt(r, cfg, profile.as_ref(), stdout, statuses))
+    Ok(finish_attempt(r, cfg, profile.as_ref(), &edges, statuses))
 }
 
 /// Executes one node's work on the current thread: `op` over its
@@ -1433,12 +1441,212 @@ mod tests {
         assert!(observed[0].iter().all(|(_, i, o)| *i > 0.0 && *o > 0.0));
     }
 
-    fn first_region(src: &str, width: usize) -> RegionPlan {
+    /// `n` lines of mixed-case words with punctuation, as the
+    /// `light-stream` workload streams them.
+    fn prose(n: usize, salt: usize) -> Vec<u8> {
+        const WORDS: [&str; 7] = ["The", "river,", "Signal", "of", "the.", "Compiler", "e"];
+        (0..n)
+            .flat_map(|i| {
+                let words = (0..1 + (i * 7 + salt) % 9).map(|k| WORDS[(i + k * 3 + salt) % 7]);
+                let line = words.collect::<Vec<_>>().join(" ");
+                format!("{line}\n").into_bytes()
+            })
+            .collect()
+    }
+
+    /// Runs `f` on a thread of its own and fails if it has not
+    /// returned within `limit`: a wedged edge fails the test instead
+    /// of hanging it.
+    fn within(limit: std::time::Duration, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let t = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("wedged for {limit:?}"),
+            _ => t.join().expect("no panic"),
+        }
+    }
+
+    #[test]
+    fn wired_relays_never_wedge_a_full_edge() {
+        // 64-byte pipes fill at once, so every edge of these runs is
+        // full most of the time, the relays' included: the
+        // `light-stream` shape (r_split, relays, framed chains, the
+        // reorder aggregator), and a relay in front of `cat`'s second
+        // input, which `cat` reads only once the first has ended. Same
+        // bytes as width 1, under a watchdog.
+        within(std::time::Duration::from_secs(120), || {
+            let ecfg = ExecConfig {
+                pipe_capacity: 64,
+                ..Default::default()
+            };
+            let fs = Arc::new(MemFs::new());
+            fs.add("a.txt", prose(3_000, 1));
+            fs.add("b.txt", prose(3_000, 2));
+            let feed = prose(6_000, 3);
+            for (src, rr, stdin) in [
+                (
+                    "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '",
+                    true,
+                    &feed[..],
+                ),
+                ("cat a.txt b.txt | tr A-Z a-z | grep e", false, &[][..]),
+            ] {
+                let run_at = |width| {
+                    let reg = Registry::standard();
+                    let cfg = cfg_for(rr, width);
+                    let out = run_script(src, &cfg, &reg, fs.clone(), stdin.to_vec(), &ecfg);
+                    out.expect("run").stdout
+                };
+                let seq = run_at(1);
+                for width in [2, 4] {
+                    assert!(run_at(width) == seq, "`{src}` at width {width}");
+                    let region = first_region_with(src, &cfg_for(rr, width));
+                    assert!(region
+                        .nodes
+                        .iter()
+                        .any(|n| matches!(n.op, PlanOp::Relay { blocking: false })));
+                }
+            }
+            assert_eq!(schedules(&ecfg), (0, 6));
+        });
+    }
+
+    #[test]
+    fn a_wired_relay_takes_what_a_merge_is_not_reading_yet() {
+        // Fig. 6's stall, as a hand-built plan that would wedge: a
+        // general split writes its first part whole before its second,
+        // while the merge behind it needs a line of each to go on. The
+        // relay on the first part is all that takes the bytes the
+        // merge is not reading yet.
+        let pipe = |from, to| PlanEdge {
+            kind: EndpointKind::Pipe,
+            from: Some(from),
+            to: Some(to),
+        };
+        let node = |op, inputs: Vec<usize>, outputs, stdin_inputs| PlanNode {
+            op,
+            inputs,
+            outputs,
+            stdin_inputs,
+            output_producer: false,
+        };
+        let mut merge = node(
+            PlanOp::Aggregate {
+                argv: vec!["pash-agg-sort".to_string()],
+            },
+            vec![3, 2],
+            vec![4],
+            vec![],
+        );
+        merge.output_producer = true;
+        let r = RegionPlan {
+            nodes: vec![
+                node(
+                    PlanOp::Split {
+                        mode: SplitMode::General,
+                    },
+                    vec![0],
+                    vec![1, 2],
+                    vec![0],
+                ),
+                node(PlanOp::Relay { blocking: false }, vec![1], vec![3], vec![0]),
+                merge,
+            ],
+            edges: vec![
+                PlanEdge {
+                    kind: EndpointKind::StdinPipe { primary: true },
+                    from: None,
+                    to: Some(0),
+                },
+                pipe(0, 1),
+                pipe(0, 2),
+                pipe(1, 2),
+                PlanEdge {
+                    kind: EndpointKind::StdoutPipe,
+                    from: Some(2),
+                    to: None,
+                },
+            ],
+            replayable: true,
+        };
+        let sorted: Vec<u8> = (0..20_000)
+            .flat_map(|i| format!("{i:06}\n").into_bytes())
+            .collect();
+        within(std::time::Duration::from_secs(60), move || {
+            let (reg, fs) = fixture();
+            let fs: Arc<dyn Fs> = fs;
+            let ecfg = ExecConfig {
+                pipe_capacity: 64,
+                ..Default::default()
+            };
+            let runner = ThreadsRunner {
+                registry: &reg,
+                fs: &fs,
+                cfg: &ecfg,
+            };
+            let out = runner.attempt(&r, &sorted, None, 0, None).expect("attempt");
+            assert!(out.stdout == sorted);
+            assert_eq!(schedules(&ecfg), (0, 1));
+        });
+    }
+
+    #[test]
+    fn a_wired_relay_reports_its_bytes_and_no_busy_time() {
+        // On either schedule a relay carried by its edge has a profile
+        // row of the bytes that crossed it, in and out, and no busy
+        // time: it never ran.
+        let src = "cat in.txt | tr A-Z a-z | sort | uniq -c > out.txt";
         let cfg = PashConfig {
-            width,
+            width: 2,
             ..Default::default()
         };
-        let compiled = pash_core::compile::compile_cached(src, &cfg).expect("compile");
+        let region = first_region(src, 2);
+        for base in both_schedules() {
+            let (reg, fs) = fixture();
+            let store = Arc::new(ProfileStore::in_memory());
+            let ecfg = ExecConfig {
+                profile: Some(store.clone()),
+                ..base
+            };
+            run_script(src, &cfg, &reg, fs, Vec::new(), &ecfg).expect("run");
+            let stats = store
+                .region_stats(region.fingerprint())
+                .expect("region recorded");
+            let relays: Vec<_> = region
+                .nodes
+                .iter()
+                .zip(&stats.nodes)
+                .filter(|(node, _)| matches!(node.op, PlanOp::Relay { .. }))
+                .map(|(_, n)| n)
+                .collect();
+            assert!(!relays.is_empty());
+            for n in relays {
+                assert!(n.bytes_in > 0.0 && n.bytes_in == n.bytes_out, "{n:?}");
+                assert_eq!(n.busy_s, 0.0, "{n:?}");
+            }
+        }
+    }
+
+    fn cfg_for(rr: bool, width: usize) -> PashConfig {
+        if rr {
+            PashConfig::round_robin(width)
+        } else {
+            PashConfig {
+                width,
+                ..Default::default()
+            }
+        }
+    }
+
+    fn first_region(src: &str, width: usize) -> RegionPlan {
+        first_region_with(src, &cfg_for(false, width))
+    }
+
+    fn first_region_with(src: &str, cfg: &PashConfig) -> RegionPlan {
+        let compiled = pash_core::compile::compile_cached(src, cfg).expect("compile");
         let region = compiled.plan.regions().next().expect("region").clone();
         region
     }

@@ -70,7 +70,8 @@ pub use drive::{drive, RegionRunner};
 pub use exec::{run_program, run_script, ExecConfig, ProgramOutput, RegionOutput};
 pub use fault::{ExecError, FaultClass, FaultKind, FaultPlan, INFRA_STATUS};
 pub use pipe::{
-    pipe, pipe_monitored, MultiReader, PipeMonitor, PipeReader, PipeWriter, DEFAULT_PIPE_CAPACITY,
+    pipe, pipe_monitored, spill_pipe, MultiReader, PipeMonitor, PipeReader, PipeWriter,
+    DEFAULT_PIPE_CAPACITY,
 };
 pub use profile::{ProfileStore, RegionProfile};
 pub use remote::{run_program_remote, serve_worker, shutdown_worker, WorkerPool};

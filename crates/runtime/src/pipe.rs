@@ -12,6 +12,19 @@
 //!   [`std::io::ErrorKind::BrokenPipe`] — the SIGPIPE analogue that
 //!   terminates producers whose consumer exited early.
 //!
+//! A [`spill_pipe`] is the same ring built with one property fixed:
+//! it never blocks its writer. What the full ring has no room for —
+//! and everything written while earlier bytes are still spilled, so
+//! the order holds — is appended to a FIFO of owned chunks, which the
+//! reader drains after the ring. Growth copies nothing already
+//! buffered: a full chunk is never regrown, the next write starts
+//! another, and drained chunks go back to a small pool. This is an
+//! eager relay (§5.2) folded into its edge: in-process the buffer is
+//! ours, so the edge itself can be unbounded, and the `threads`
+//! backend wires each eager relay as one spill pipe
+//! ([`crate::edge::MemEdges`]). EOF, `BrokenPipe` (which frees the
+//! chunks) and poisoning behave as on the ring.
+//!
 //! The transport is a contiguous ring buffer: each read or write moves
 //! its whole run of bytes with at most two `copy_from_slice` calls
 //! (the run may wrap around the end of the ring), so a transfer costs
@@ -32,6 +45,7 @@
 //!   spinning pairs exchange the whole stream with zero futex
 //!   traffic.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -44,6 +58,13 @@ const _: () = assert!(pash_coreutils::lines::BLOCK_SIZE == DEFAULT_PIPE_CAPACITY
 /// How many times a full writer / empty reader re-checks after a
 /// `yield_now` before parking on the condvar for real.
 const SPIN_YIELDS: usize = 32;
+
+/// Smallest spill chunk: a write larger than this gets a chunk of its
+/// own size.
+const SPILL_CHUNK: usize = DEFAULT_PIPE_CAPACITY;
+
+/// Most drained chunks a spill pipe keeps for reuse.
+const SPILL_POOL: usize = 4;
 
 struct Inner {
     /// The ring storage, exactly `capacity` bytes, allocated once.
@@ -62,6 +83,15 @@ struct Inner {
     reader_parked: bool,
     /// The writer is parked on `space_available`.
     writer_parked: bool,
+    /// Built by [`spill_pipe`]: a full ring spills instead of blocking.
+    spills: bool,
+    /// Bytes written after the ring, oldest chunk first; every byte in
+    /// the ring precedes every byte here.
+    spilled: VecDeque<Vec<u8>>,
+    /// How much of the front chunk has been read.
+    spill_head: usize,
+    /// Drained chunks, emptied, for the next spill.
+    pool: Vec<Vec<u8>>,
 }
 
 impl Inner {
@@ -95,11 +125,72 @@ impl Inner {
         n
     }
 
-    /// Discards all buffered bytes — called exactly once, when the
-    /// reader closes, so blocked writers wake into the broken pipe.
+    /// Whether the reader has anything to take.
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.spilled.is_empty()
+    }
+
+    /// Buffers what it can of `data`, returning the count: into the
+    /// ring while nothing is spilled, and on a spill pipe the rest
+    /// into the spill, so all of it.
+    fn accept(&mut self, data: &[u8]) -> usize {
+        let n = if self.spilled.is_empty() {
+            self.push(data)
+        } else {
+            0
+        };
+        if !self.spills || n == data.len() {
+            return n;
+        }
+        let mut rest = &data[n..];
+        if let Some(last) = self.spilled.back_mut() {
+            let fits = rest.len().min(last.capacity() - last.len());
+            last.extend_from_slice(&rest[..fits]);
+            rest = &rest[fits..];
+        }
+        if !rest.is_empty() {
+            let mut chunk = self.pool.pop().unwrap_or_default();
+            chunk.reserve_exact(rest.len().max(SPILL_CHUNK));
+            chunk.extend_from_slice(rest);
+            self.spilled.push_back(chunk);
+        }
+        data.len()
+    }
+
+    /// Delivers up to `out.len()` bytes in order, the ring's before the
+    /// spill's; returns the count.
+    fn take(&mut self, out: &mut [u8]) -> usize {
+        let mut n = self.pop(out);
+        while n < out.len() {
+            let Some(front) = self.spilled.front() else {
+                break;
+            };
+            let chunk = &front[self.spill_head..];
+            let k = chunk.len().min(out.len() - n);
+            out[n..n + k].copy_from_slice(&chunk[..k]);
+            n += k;
+            self.spill_head += k;
+            if self.spill_head == front.len() {
+                let mut drained = self.spilled.pop_front().expect("front chunk");
+                self.spill_head = 0;
+                if self.pool.len() < SPILL_POOL {
+                    drained.clear();
+                    self.pool.push(drained);
+                }
+            }
+        }
+        n
+    }
+
+    /// Discards all buffered bytes and frees the spill — called exactly
+    /// once, when the reader closes, so blocked writers wake into the
+    /// broken pipe.
     fn drop_buffered(&mut self) {
         self.head = 0;
         self.len = 0;
+        self.spilled = VecDeque::new();
+        self.spill_head = 0;
+        self.pool = Vec::new();
     }
 }
 
@@ -129,6 +220,17 @@ pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
 /// Creates a bounded pipe plus a [`PipeMonitor`] handle that can
 /// poison it from outside (the region-deadline watchdog).
 pub fn pipe_monitored(capacity: usize) -> (PipeWriter, PipeReader, PipeMonitor) {
+    build(capacity, false)
+}
+
+/// Creates a spill pipe: a ring of `capacity` bytes whose writer never
+/// blocks, spilling what the ring has no room for (see the module
+/// header), plus its [`PipeMonitor`].
+pub fn spill_pipe(capacity: usize) -> (PipeWriter, PipeReader, PipeMonitor) {
+    build(capacity, true)
+}
+
+fn build(capacity: usize, spills: bool) -> (PipeWriter, PipeReader, PipeMonitor) {
     let capacity = capacity.max(1);
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
@@ -140,6 +242,10 @@ pub fn pipe_monitored(capacity: usize) -> (PipeWriter, PipeReader, PipeMonitor) 
             poisoned: false,
             reader_parked: false,
             writer_parked: false,
+            spills,
+            spilled: VecDeque::new(),
+            spill_head: 0,
+            pool: Vec::new(),
         }),
         data_available: Condvar::new(),
         space_available: Condvar::new(),
@@ -207,8 +313,8 @@ impl Write for PipeWriter {
                     "pipe reader closed",
                 ));
             }
-            if inner.len < inner.capacity() {
-                let n = inner.push(data);
+            if inner.len < inner.capacity() || inner.spills {
+                let n = inner.accept(data);
                 if inner.reader_parked {
                     inner.reader_parked = false;
                     self.shared.data_available.notify_one();
@@ -255,8 +361,8 @@ impl Read for PipeReader {
             if inner.poisoned {
                 return Err(poisoned_error());
             }
-            if inner.len > 0 {
-                let n = inner.pop(out);
+            if !inner.is_empty() {
+                let n = inner.take(out);
                 if inner.writer_parked {
                     inner.writer_parked = false;
                     self.shared.space_available.notify_one();
@@ -456,6 +562,110 @@ mod tests {
         });
     }
 
+    /// Chunks held in the spill of the pipe behind `w`.
+    fn spilled_chunks(w: &PipeWriter) -> usize {
+        w.shared.lock().spilled.len()
+    }
+
+    #[test]
+    fn spill_writer_never_blocks_without_a_reader() {
+        // No reader runs: a ring would park the writer at 16 bytes.
+        let (mut w, mut r, _) = spill_pipe(16);
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        for piece in data.chunks(777) {
+            assert_eq!(w.write(piece).expect("write"), piece.len());
+        }
+        assert!(spilled_chunks(&w) > 0);
+        drop(w);
+        let mut got = Vec::new();
+        r.read_to_end(&mut got).expect("read");
+        assert_eq!(got, data);
+    }
+
+    #[test]
+    fn spill_keeps_order_across_ring_and_spill() {
+        let (mut w, mut r, _) = spill_pipe(8);
+        let mut buf = [0u8; 64];
+        // Ring only.
+        w.write_all(b"abcde").expect("write");
+        assert_eq!(spilled_chunks(&w), 0);
+        // Three bytes fill the ring, four spill.
+        w.write_all(b"fghijkl").expect("write");
+        assert_eq!(spilled_chunks(&w), 1);
+        // The ring has room again, but the spill is not empty: these go
+        // behind it, not into the ring.
+        assert_eq!(r.read(&mut buf[..4]).expect("read"), 4);
+        assert_eq!(&buf[..4], b"abcd");
+        w.write_all(b"mn").expect("write");
+        assert_eq!(w.shared.lock().len, 4, "ring untouched while spilled");
+        // One read drains the ring, then the spill.
+        let n = r.read(&mut buf).expect("read");
+        assert_eq!(&buf[..n], b"efghijklmn");
+        assert_eq!(spilled_chunks(&w), 0);
+        // Drained: writes go to the ring again.
+        w.write_all(b"op").expect("write");
+        assert_eq!(spilled_chunks(&w), 0);
+        assert_eq!(w.shared.lock().len, 2);
+        drop(w);
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).expect("read");
+        assert_eq!(rest, b"op");
+    }
+
+    #[test]
+    fn spill_reader_drop_breaks_pipe_and_frees_chunks() {
+        let (mut w, r, _) = spill_pipe(4);
+        for _ in 0..300 {
+            w.write_all(&[1u8; 1000]).expect("spill");
+        }
+        assert!(spilled_chunks(&w) > 1);
+        drop(r);
+        {
+            let inner = w.shared.lock();
+            assert!(inner.spilled.is_empty() && inner.spilled.capacity() == 0);
+            assert!(inner.pool.is_empty());
+        }
+        let err = w.write(b"x").expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn poison_wakes_a_parked_spill_reader() {
+        let (mut w, mut r, m) = spill_pipe(4);
+        let t = std::thread::spawn(move || {
+            let mut buf = [0u8; 4];
+            r.read(&mut buf)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        m.poison();
+        let err = t.join().expect("join").expect_err("poisoned read");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let err = w.write(b"x").expect_err("poisoned write");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn spill_eof_comes_after_the_last_chunk() {
+        let (mut w, mut r, _) = spill_pipe(2);
+        w.write_all(b"ab").expect("ring");
+        w.write_all(&[b'c'; 70_000])
+            .expect("first chunk and a second");
+        w.write_all(b"z").expect("tail");
+        assert_eq!(spilled_chunks(&w), 2);
+        drop(w);
+        let mut got = Vec::new();
+        let mut buf = [0u8; 1000];
+        loop {
+            match r.read(&mut buf).expect("read") {
+                0 => break,
+                n => got.extend_from_slice(&buf[..n]),
+            }
+        }
+        assert_eq!(got.len(), 70_003);
+        assert_eq!(got.last(), Some(&b'z'));
+        assert_eq!(r.read(&mut buf).expect("sticky EOF"), 0);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -541,6 +751,40 @@ mod tests {
             drop(r);
             let err = w.write(b"x").expect_err("must fail");
             prop_assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        }
+
+        // A spill pipe is a `Vec` to its reader: on one thread, any
+        // sequence of writes and reads returns the bytes the model
+        // says, in order, and never blocks. Sizes up to 200 cross the
+        // ring's capacity and a spill chunk's boundary alike. The shim
+        // does not shrink, so a failure names its own sizes.
+        #[test]
+        fn prop_spill_pipe_is_a_vec(
+            capacity in 1usize..65,
+            ops in proptest::collection::vec((0usize..2, 1usize..200), 1..40),
+        ) {
+            let (mut w, mut r, _) = spill_pipe(capacity);
+            let mut model: std::collections::VecDeque<u8> = Default::default();
+            let (mut next, mut buf) = (0u8, [0u8; 200]);
+            for (i, &(op, size)) in ops.iter().enumerate() {
+                let case = format!("capacity {capacity}, op {i} of {ops:?}");
+                if op == 0 {
+                    let data: Vec<u8> = (0..size)
+                        .map(|_| { next = next.wrapping_add(1); next })
+                        .collect();
+                    prop_assert_eq!(w.write(&data).expect("write"), size, "{}", case);
+                    model.extend(&data);
+                } else if !model.is_empty() {
+                    let n = r.read(&mut buf[..size]).expect("read");
+                    let want: Vec<u8> = model.drain(..size.min(model.len())).collect();
+                    prop_assert_eq!(&buf[..n], &want[..], "{}", case);
+                }
+            }
+            drop(w);
+            let mut rest = Vec::new();
+            r.read_to_end(&mut rest).expect("read");
+            prop_assert_eq!(rest, model.into_iter().collect::<Vec<u8>>(),
+                "capacity {}, ops {:?}", capacity, ops);
         }
     }
 }

@@ -6,6 +6,13 @@
 //! preserving task-based parallelism". The *full* eager relay buffers
 //! without bound; the *blocking* variant has a bounded intermediate
 //! buffer (more pipelining than a bare FIFO, but still back-pressures).
+//!
+//! [`run_relay`] runs a relay that is a process or a thread of its own:
+//! a `pash-rt eager` child on the `processes` and `shell` backends, a
+//! blocking relay, or one with a boundary edge, on `threads`, and the
+//! relay layer of the benchmark harness. An unbounded relay between two
+//! in-process pipes never gets here: the `threads` backend wires it as
+//! its edge, one spill pipe ([`crate::edge::MemEdges::wire`]).
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc;

@@ -551,13 +551,14 @@ fn assert_refused(util: &str, cases: &[&[&str]]) {
 /// clusters (`-cd`, `-sf2`), a value in the rest of its word or the
 /// next, `--`, options after operands, and an unknown option or a
 /// missing value as a usage error with GNU's status (a count that
-/// does not parse, too). Every `-e` pattern of a `grep` selects, and an
-/// empty `paste -d` list joins with nothing. The input is sorted, so `comm` has no order
-/// to complain of and `uniq` has groups; one copy of it ends in an
+/// does not parse, and a `grep` pattern that does not compile, too).
+/// Every `-e` pattern of a `grep` selects, and an empty `paste -d` list
+/// joins with nothing. The input is sorted, so `comm` has no order to
+/// complain of and `uniq` has groups; one copy of it ends in an
 /// unterminated line.
 #[test]
 fn argv_forms_match_the_host() {
-    const ARGVS: [&[&str]; 46] = [
+    const ARGVS: [&[&str]; 48] = [
         &["uniq", "-cd"],
         &["uniq", "-dc"],
         &["uniq", "--"],
@@ -604,6 +605,8 @@ fn argv_forms_match_the_host() {
         &["paste", "-s", "-d", "x\\", "-"],
         &["sed", "s/a/\\1/"],
         &["sed", "s/\\(/x/"],
+        &["grep", "a\\("],
+        &["grep", "-E", "a("],
     ];
     let mut sorted: Vec<&[u8]> = Vec::new();
     let text = corpus(3, 2_000, false);
@@ -626,10 +629,11 @@ fn argv_forms_match_the_host() {
 /// and the classifier as they reach the command; an addressed `y`
 /// stays on one copy, and an argv the command refuses once scanned
 /// (`-n x`, two lists, a class SET2 may not hold) runs once, with the
-/// host's status; `tr`'s `[:]` is three bytes on every copy.
+/// host's status; `tr`'s `[:]` is three bytes on every copy, and a
+/// `grep` pattern that does not compile exits 2 on every copy.
 #[test]
 fn compiled_argvs_match_the_host_shell() {
-    const ARGVS: [&str; 28] = [
+    const ARGVS: [&str; 29] = [
         "sort -rk 2",
         "sort -nt a -k 2",
         "sed -Ee s/a/b/ -e 1d",
@@ -658,6 +662,7 @@ fn compiled_argvs_match_the_host_shell() {
         "paste -s -d '\\0'",
         "paste -s -d '[:digit:]'",
         "paste -s -d '[:]'",
+        "grep 'a\\('",
     ];
     let (Some(bins), Some(sh)) = (runtime_binaries(), host_path("sh")) else {
         eprintln!("skipping: no multicall binaries or no host /bin/sh");
