@@ -41,9 +41,11 @@
 #      on two 1 MB inputs (a relay in front of `cat`'s second input)
 #      against host /bin/sh; every run so far under `timeout`; then
 #      that 1 MB input, ending in an unterminated line, piped into
-#      twelve stdin-fed pipelines on shell, threads and processes
-#      under `timeout`, each byte-compared against the unmodified
-#      pipeline under host /bin/sh (the `tac` one reverses every part
+#      twelve stdin-fed pipelines, and its sorted lines into a
+#      thirteenth, `comm f.txt -` (a sorted file operand first, stdin
+#      as the second operand), on shell, threads and processes under
+#      `timeout`, each byte-compared against the unmodified pipeline
+#      under host /bin/sh (the `tac` one reverses every part
 #      and the aggregator reverses the parts, so the unterminated line
 #      must lead the output as it stands; `rev` and `sed` must leave
 #      it unterminated; the `light-stream` workload's script, `tr -cs`
@@ -54,7 +56,8 @@
 #      which the compiler must read as the command does: the first
 #      stays sequential, the second merges with its `-k 2`; `tr -d
 #      '[:xdigit:]' | sed '1s/e;f/X/;y/ghi/G-I/'` reads a class, a `;`
-#      inside an addressed body and a literal `y` list as GNU does);
+#      inside an addressed body and a literal `y` list as GNU does;
+#      `comm`'s stdin is its `-`, not its first operand);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -68,7 +71,8 @@
 #      tests, examples), every warning an error;
 #  11. size, printed and not gated: the non-test lines (those above
 #      each file's first `#[cfg(test)]`) of every `.rs` file outside
-#      `tests/`, `bench/` and `target/` (ROADMAP's Size number).
+#      every `tests/` directory, `bench/` and `target/` (ROADMAP's Size
+#      number).
 set -eu
 
 cd "$(dirname "$0")"
@@ -327,6 +331,24 @@ for script in 'tr A-Z a-z | cut -c 1-20' 'tr A-Z a-z | tr -d ,' 'tr A-Z a-z | ta
     done
     test -s "target/bench-smoke/stdin-threads-$n.out"
 done
+# `comm` first in the pipeline, a sorted file operand and sorted bytes
+# on stdin as its second operand: the stdin route goes to the `-`, and
+# the file is named in place.
+COMM=target/bench-smoke/stdin-comm
+rm -rf target/bench-smoke/stdin-comm
+mkdir -p "$COMM/host"
+LC_ALL=C sort -u "$STDIN_IN" >"$COMM/sorted.txt"
+awk 'NR % 3 != 0' "$COMM/sorted.txt" >"$COMM/host/f.txt"
+awk 'NR % 2 != 0' "$COMM/sorted.txt" >"$COMM/stdin.txt"
+(cd "$COMM/host" && LC_ALL=C /bin/sh -c 'comm f.txt -') <"$COMM/stdin.txt" >"$COMM/host.out"
+for b in shell threads processes; do
+    mkdir -p "$COMM/$b"
+    cp "$COMM/host/f.txt" "$COMM/$b/"
+    timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 4 \
+        --dir "$COMM/$b" -e 'comm f.txt -' <"$COMM/stdin.txt" >"$COMM/$b.out"
+    cmp "$COMM/host.out" "$COMM/$b.out"
+done
+test -s "$COMM/threads.out"
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region
@@ -405,7 +427,7 @@ echo "==> size (non-test lines; information, not a gate)"
 # shellcheck disable=SC2046
 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ }
     END { printf "    %d non-test lines in %d files\n", n, ARGC - 1 }' \
-    $(find . \( -path ./target -o -path ./bench -o -path ./tests \) -prune -o -name '*.rs' -print)
+    $(find . \( -path ./target -o -path ./bench -o -name tests \) -prune -o -name '*.rs' -print)
 
 rm -f "$bench_lock"
 echo "ci.sh: all green"

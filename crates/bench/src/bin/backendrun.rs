@@ -151,7 +151,9 @@ fn run_shell(script_text: &str, dir: &Path) -> i32 {
 
 /// Loads the files of `dir` into a `MemFs`, runs `run` over it
 /// hermetically, writes every file back into `dir` and prints the
-/// program's stdout. Returns its status.
+/// program's stdout. Returns its status; a file that cannot be written
+/// back (its directory does not exist) is reported, with status 2, as
+/// the shell reports an output it cannot create.
 fn through_memfs(
     backend: &str,
     dir: &Path,
@@ -171,7 +173,11 @@ fn through_memfs(
         std::process::exit(2);
     });
     for path in fs.paths() {
-        std::fs::write(dir.join(&path), fs.read(&path).expect("fs file")).expect("write output");
+        let bytes = fs.read(&path).expect("fs file");
+        if let Err(e) = std::fs::write(dir.join(&path), bytes) {
+            eprintln!("backendrun: {backend}: cannot create {path}: {e}");
+            std::process::exit(2);
+        }
     }
     print_bytes(&out.stdout);
     out.status

@@ -4,7 +4,11 @@
 //! list of clauses, each guarded by a predicate over the command's
 //! options. Evaluating a record against a concrete invocation yields a
 //! [`Classification`]: the class, the ordered streamed inputs, the
-//! static ("configuration") inputs, and the output.
+//! static ("configuration") inputs, the output, and the command line
+//! typed: each streamed operand is [`Arg::Stream`]`(k)` (the k-th
+//! input, named in place), except the one routed through stdin, which
+//! is the literal `-`. Every other word is an [`Arg::Lit`], whatever
+//! it holds.
 //!
 //! A record says nothing of how its command reads an argv: the
 //! invocation is [`read`] as the command reads it, through the
@@ -18,7 +22,9 @@
 //! One extension over the paper's grammar: aggregator selection is
 //! code, not annotation syntax, mirroring the paper's "PaSh defines
 //! aggregators for many POSIX and GNU commands" (§3.2, Custom
-//! Aggregators).
+//! Aggregators). [`stdlib::AnnotationLibrary::classify`] builds the
+//! aggregator ([`Aggregator`]) and the copies' map command from the
+//! same one reading of the invocation, and hands both to the DFG.
 
 pub mod lang;
 pub mod stdlib;
@@ -26,6 +32,8 @@ pub mod stdlib;
 use pash_coreutils::args::{self, Grammar, Operands, Reading};
 
 use crate::classes::ParClass;
+use crate::dfg::Aggregator;
+use crate::plan::Arg;
 
 /// A parsed annotation record for one command.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +77,7 @@ pub struct Assignment {
     pub class: ParClass,
     /// Streamed inputs, in consumption order.
     pub inputs: Vec<IoSpec>,
-    /// Outputs (only the first is used by the DFG).
+    /// Outputs, as declared (the DFG takes a command's stdout).
     pub outputs: Vec<OutSpec>,
 }
 
@@ -112,30 +120,20 @@ pub struct Classification {
     /// Static configuration inputs (file arguments *not* streamed;
     /// replicated to every parallel copy, §3.2's `comm -13` example).
     pub static_files: Vec<String>,
-    /// The argv with streamed file arguments replaced: the first
-    /// streamed operand becomes `-` (read from stdin), later ones
-    /// become stream markers (see [`stream_marker`]). This preserves
-    /// positional arity — `comm -23 t1 t2` must still see two
-    /// operands after t1 is rerouted through a pipe.
-    pub stream_argv: Vec<String>,
-    /// Whether output goes to stdout (always true in the benchmarks).
-    pub output_stdout: bool,
-}
-
-/// Placeholder in `stream_argv` for the k-th streamed input.
-///
-/// Markers never appear in emitted scripts or executed argv: the
-/// back-end replaces them with FIFO/file names and the executor with
-/// virtual stream paths; parallel copies strip them (each copy reads
-/// its single source on stdin).
-pub fn stream_marker(k: usize) -> String {
-    format!("\u{1}PASH_STREAM{k}\u{1}")
-}
-
-/// Recognizes a stream marker, returning its input index.
-pub fn parse_stream_marker(s: &str) -> Option<usize> {
-    let inner = s.strip_prefix('\u{1}')?.strip_suffix('\u{1}')?;
-    inner.strip_prefix("PASH_STREAM")?.parse().ok()
+    /// The argv with its streamed operands typed: the one routed
+    /// through stdin (the operand `-` if one is streamed, else the
+    /// first) becomes the literal `-`, each other becomes
+    /// [`Arg::Stream`] of its input. This preserves positional arity —
+    /// `comm -23 t1 t2` must still see two operands after t1 is
+    /// rerouted through a pipe.
+    pub argv: Vec<Arg>,
+    /// The argv each parallel copy runs: [`Classification::argv`]
+    /// without its [`Arg::Stream`] operands (a copy reads its one
+    /// source on stdin), or the command's own map command.
+    pub map: Vec<String>,
+    /// How parallel copies recombine: set by the library for a
+    /// class-P invocation whose aggregator it knows.
+    pub agg: Option<Aggregator>,
 }
 
 /// How an invocation of a command the kernels do not scan (a record
@@ -159,7 +157,7 @@ impl AnnotationRecord {
     /// Evaluates the record against an invocation's arguments
     /// (excluding the command name).
     ///
-    /// The returned `stream_argv` also excludes the name; library-
+    /// The returned `argv` and `map` also exclude the name; library-
     /// level classification prepends it. Returns `None` when the
     /// command would refuse the arguments or no clause matches
     /// (callers treat the command conservatively).
@@ -225,39 +223,47 @@ fn resolve(assign: &Assignment, args: &[String], operands: &Operands) -> Classif
     if slots.is_empty() {
         slots.push((InputSlot::Stdin, None));
     }
-    let (inputs, slot_positions): (Vec<InputSlot>, Vec<Option<usize>>) = slots.into_iter().unzip();
     // Static configuration files: operands not streamed, that look
     // like readable inputs, are left in argv (each copy re-reads
     // them). We only *report* them for the DFG's bookkeeping.
     let static_files: Vec<String> = operands
         .iter()
-        .filter(|(at, _)| !slot_positions.contains(&Some(*at)))
+        .filter(|(at, _)| !slots.iter().any(|s| s.1 == Some(*at)))
         .map(|(_, word)| word.to_string())
         .collect();
-    // argv for execution: the first streamed slot routes via stdin
-    // (its operand, if any, becomes `-`); later streamed operands
-    // become markers.
-    let mut stream_argv: Vec<String> = args.to_vec();
-    for (k, pos) in slot_positions.iter().enumerate() {
-        if let Some(p) = pos {
-            stream_argv[*p] = if k == 0 {
-                "-".to_string()
+    // One slot reads stdin: the one that reads it anyway (`-`, or the
+    // `stdin` keyword), else the first, whose operand becomes `-`.
+    // Every other streamed operand is named in place.
+    let on_stdin = slots
+        .iter()
+        .position(|s| s.0 == InputSlot::Stdin)
+        .unwrap_or(0);
+    let mut argv: Vec<Arg> = args.iter().cloned().map(Arg::Lit).collect();
+    for (k, (_, pos)) in slots.iter().enumerate() {
+        if let Some(p) = *pos {
+            argv[p] = if k == on_stdin {
+                Arg::Lit("-".to_string())
             } else {
-                stream_marker(k)
+                Arg::Stream(k)
             };
         }
     }
+    let map = lits(&argv);
     Classification {
         class: assign.class,
-        inputs,
+        inputs: slots.into_iter().map(|s| s.0).collect(),
         static_files,
-        stream_argv,
-        output_stdout: assign
-            .outputs
-            .first()
-            .map(|o| *o == OutSpec::Stdout)
-            .unwrap_or(true),
+        argv,
+        map,
+        agg: None,
     }
+}
+
+/// The literal words of a typed argv: what a parallel copy runs.
+pub(crate) fn lits(argv: &[Arg]) -> Vec<String> {
+    argv.iter()
+        .filter_map(|a| a.as_lit().map(str::to_string))
+        .collect()
 }
 
 fn slot_for(v: &str) -> InputSlot {
@@ -288,6 +294,11 @@ mod tests {
             .expect("classify")
     }
 
+    /// Literal words, typed.
+    fn words(ws: &[&str]) -> Vec<Arg> {
+        ws.iter().map(|w| Arg::Lit(w.to_string())).collect()
+    }
+
     #[test]
     fn comm_paper_example_first_clause() {
         let rec = comm_record();
@@ -296,7 +307,7 @@ mod tests {
         assert_eq!(c.inputs, vec![InputSlot::Stdin]);
         assert_eq!(c.static_files, vec!["dict.txt".to_string()]);
         // argv keeps the static file and the streamed `-` operand.
-        assert_eq!(c.stream_argv, vec!["-13", "dict.txt", "-"]);
+        assert_eq!(c.argv, words(&["-13", "dict.txt", "-"]));
     }
 
     #[test]
@@ -309,6 +320,30 @@ mod tests {
             vec![InputSlot::File("f1".into()), InputSlot::File("f2".into())]
         );
         assert!(c.static_files.is_empty());
+        // The first operand reads stdin, the second is named in place.
+        assert_eq!(c.argv, vec![Arg::Lit("-".into()), Arg::Stream(1)]);
+        assert_eq!(c.map, vec!["-"]);
+    }
+
+    #[test]
+    fn a_streamed_dash_reads_stdin_wherever_it_stands() {
+        let rec = comm_record();
+        let c = classify(&rec, &["f", "-"]);
+        assert_eq!(
+            c.inputs,
+            vec![InputSlot::File("f".into()), InputSlot::Stdin]
+        );
+        assert_eq!(c.argv, vec![Arg::Stream(0), Arg::Lit("-".into())]);
+        let c = classify(&rec, &["-12", "f", "-"]);
+        assert_eq!(
+            c.argv,
+            vec![Arg::Lit("-12".into()), Arg::Stream(0), Arg::Lit("-".into())]
+        );
+        // A literal word is never a stream, whatever it holds.
+        let rec = lang::parse_record("grep { | _ => (S, [args[1:]], [stdout]) }").expect("parse");
+        let c = classify(&rec, &["\u{1}PASH_STREAM0\u{1}"]);
+        assert_eq!(c.argv, words(&["\u{1}PASH_STREAM0\u{1}"]));
+        assert_eq!(c.inputs, vec![InputSlot::Stdin]);
     }
 
     #[test]
@@ -326,7 +361,7 @@ mod tests {
         let c = classify(&rec, &["a-z", "A-Z"]);
         assert_eq!(c.inputs, vec![InputSlot::Stdin]);
         // tr's sets stay in argv.
-        assert_eq!(c.stream_argv, vec!["a-z", "A-Z"]);
+        assert_eq!(c.argv, words(&["a-z", "A-Z"]));
     }
 
     #[test]
@@ -338,16 +373,11 @@ mod tests {
             c.inputs,
             vec![InputSlot::File("f1".into()), InputSlot::File("f2".into())]
         );
-        // First streamed operand becomes `-`, the second a marker.
-        assert_eq!(
-            c.stream_argv,
-            vec![
-                "-v".to_string(),
-                "pat".to_string(),
-                "-".to_string(),
-                stream_marker(1)
-            ]
-        );
+        // First streamed operand becomes `-`, the second is named.
+        let mut argv = words(&["-v", "pat", "-"]);
+        argv.push(Arg::Stream(1));
+        assert_eq!(c.argv, argv);
+        assert_eq!(c.map, vec!["-v", "pat", "-"]);
     }
 
     #[test]
@@ -357,15 +387,15 @@ mod tests {
         let c = classify(&rec, &["-n", "1"]);
         // `1` is -n's value, not a file.
         assert_eq!(c.inputs, vec![InputSlot::Stdin]);
-        assert_eq!(c.stream_argv, vec!["-n", "1"]);
+        assert_eq!(c.argv, words(&["-n", "1"]));
         // So is the obsolete leading count, and a value in a cluster.
         let c = classify(&rec, &["-5", "f"]);
         assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
-        assert_eq!(c.stream_argv, vec!["-5", "-"]);
+        assert_eq!(c.argv, words(&["-5", "-"]));
         let rec = lang::parse_record("sort { | _ => (P, [args[0:]], [stdout]) }").expect("parse");
         let c = classify(&rec, &["-rk", "2", "f"]);
         assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
-        assert_eq!(c.stream_argv, vec!["-rk", "2", "-"]);
+        assert_eq!(c.argv, words(&["-rk", "2", "-"]));
     }
 
     #[test]
@@ -403,7 +433,7 @@ mod tests {
         let c = classify(&rec, &["--", "-n"]);
         assert_eq!(c.class, ParClass::Stateless);
         assert_eq!(c.inputs, vec![InputSlot::File("-n".into())]);
-        assert_eq!(c.stream_argv, vec!["--", "-"]);
+        assert_eq!(c.argv, words(&["--", "-"]));
         let c = classify(&rec, &["-n", "--", "-", "f"]);
         assert_eq!(c.class, ParClass::Pure);
         assert_eq!(

@@ -1,6 +1,7 @@
 //! The annotation standard library (§3.2): records for POSIX/GNU
 //! commands plus the paper's benchmark-specific commands, and the
-//! aggregator registry for class-P commands.
+//! aggregators and map commands of class-P commands, built from the
+//! one reading of the invocation that classifies it.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -9,8 +10,10 @@ use pash_coreutils::args::Reading;
 use pash_coreutils::cmd::sed::rewrites_each_line;
 use pash_coreutils::cmd::tr::squeezes_across_lines;
 
-use crate::annot::{lang, read, AnnotationRecord, Classification};
+use crate::annot::{lang, lits, read, AnnotationRecord, Classification};
 use crate::classes::ParClass;
+use crate::dfg::{AggKind, Aggregator};
+use crate::plan::Arg;
 
 /// The annotation records, in the Appendix-A description language.
 ///
@@ -135,7 +138,9 @@ impl AnnotationLibrary {
     }
 
     /// Classifies an invocation `argv` (name + args), read as the
-    /// command reads it.
+    /// command reads it: the one reading of a command line during
+    /// compilation. A class-P invocation also gets its aggregator and
+    /// its copies' map command from that reading.
     ///
     /// Returns `None` for unknown commands, arguments the command
     /// would refuse, or unmatched clauses: the conservative default
@@ -164,10 +169,19 @@ impl AnnotationLibrary {
             // An obsolete `tail +N` (the count is its own word) runs as
             // `tail -n+N`, the form every `tail` reads.
             for &(at, _, count) in r.options.iter().filter(|o| args[o.0] == o.2) {
-                c.stream_argv[at] = format!("-n{count}");
+                c.argv[at] = Arg::Lit(format!("-n{count}"));
             }
         }
-        c.stream_argv.insert(0, name.clone());
+        c.argv.insert(0, Arg::Lit(name.clone()));
+        c.map = lits(&c.argv);
+        if c.class == ParClass::Pure {
+            c.agg = aggregator(argv, &r);
+            if name == "bigrams-aux" {
+                // The map role emits boundary markers the aggregator
+                // consumes; sequential runs must not see them.
+                c.map = vec![name.clone(), "--marked".to_string()];
+            }
+        }
         Some(c)
     }
 
@@ -200,20 +214,19 @@ impl AnnotationLibrary {
     }
 }
 
-/// Maps a class-P invocation to its aggregator argv (§5.2), reading
-/// the invocation as the command reads it.
+/// The aggregator of a class-P invocation `argv` (§5.2), from the
+/// reading `r` of its arguments.
 ///
 /// The names refer to runtime commands implemented in `pash-runtime`
 /// (its registry extends the coreutils registry with them). Returns
 /// `None` when no aggregator is known — the node then stays
 /// sequential.
-pub fn aggregator_for(argv: &[String]) -> Option<Vec<String>> {
+fn aggregator(argv: &[String], r: &Reading) -> Option<Aggregator> {
     let (name, args) = argv.split_first()?;
-    let r = read(name, args)?;
     // `agg` and the invocation's words but its operands and the
     // options named `drop`, verbatim: the aggregator orders or counts
     // as the command does.
-    let verbatim = |agg: &str, drop: &str| {
+    let verbatim = |agg: &str, drop: &str| -> Vec<String> {
         let kept = args.iter().enumerate().filter(|&(at, _)| {
             !r.operands.0.iter().any(|&(i, _)| i == at)
                 && !r.options.iter().any(|&(i, n, _)| i == at && n == drop)
@@ -222,47 +235,44 @@ pub fn aggregator_for(argv: &[String]) -> Option<Vec<String>> {
             .chain(kept.map(|(_, word)| word.clone()))
             .collect()
     };
-    match name.as_str() {
+    let one = |agg: &str| vec![agg.to_string()];
+    let (argv, kind) = match name.as_str() {
         // sort: merge phase of merge-sort, same ordering flags
         // ("on GNU systems … `sort -m`", §5.2).
-        "sort" => Some(verbatim("pash-agg-sort", "parallel")),
+        "sort" => {
+            let argv = verbatim("pash-agg-sort", "parallel");
+            let only_r = argv[1..].iter().all(|w| w == "-r");
+            (
+                argv,
+                AggKind::Merge {
+                    unique: r.has("u"),
+                    only_r,
+                },
+            )
+        }
         // uniq / uniq -c: boundary-condition combiners. They compare
         // bytes, so `-i` has none (and neither fold may move below a
         // sort's merge: case-equal lines are not adjacent there).
-        "uniq" => {
-            if r.has("d") || r.has("u") || r.has("i") {
-                None
-            } else if r.has("c") {
-                Some(vec!["pash-agg-uniq-c".to_string()])
-            } else {
-                Some(vec!["pash-agg-uniq".to_string()])
-            }
-        }
+        "uniq" if r.has("d") || r.has("u") || r.has("i") => return None,
+        "uniq" if r.has("c") => (one("pash-agg-uniq-c"), AggKind::Fold { counted: true }),
+        "uniq" => (one("pash-agg-uniq"), AggKind::Fold { counted: false }),
         // wc: adds per-part count vectors, any flag subset.
-        "wc" => Some(verbatim("pash-agg-wc", "")),
+        "wc" => (verbatim("pash-agg-wc", ""), AggKind::Sum),
         // grep -c: sum of partial counts.
-        "grep" => r.has("c").then(|| vec!["pash-agg-sum".to_string()]),
+        "grep" if r.has("c") => (one("pash-agg-sum"), AggKind::Sum),
         // tac: consume stream descriptors in reverse order.
-        "tac" => Some(vec!["pash-agg-tac".to_string()]),
+        "tac" => (one("pash-agg-tac"), AggKind::Plain),
         // head/tail: re-apply over the concatenation.
-        "head" | "tail" => (!r.values("n").any(|n| n.starts_with('+'))).then(|| argv.to_vec()),
-        // The Bi-grams-opt custom aggregator (§6.1).
-        "bigrams-aux" => Some(vec!["pash-agg-bigram".to_string()]),
+        "head" | "tail" if !r.values("n").any(|n| n.starts_with('+')) => {
+            (argv.to_vec(), AggKind::Plain)
+        }
+        // The Bi-grams-opt custom aggregator (§6.1): it consumes the
+        // marked output of its map command.
+        "bigrams-aux" => (one("pash-agg-bigram"), AggKind::Flat),
         // cat -n and nl would need renumbering; not provided.
-        _ => None,
-    }
-}
-
-/// Maps a class-P invocation to a distinct *map* command for its
-/// parallel copies, when the plain command does not serve (§3.2,
-/// Custom Aggregators). Returns `None` when copies run the original.
-pub fn map_for(argv: &[String]) -> Option<Vec<String>> {
-    match argv.first().map(|s| s.as_str()) {
-        // The map role emits boundary markers the aggregator consumes;
-        // sequential runs must not see them.
-        Some("bigrams-aux") => Some(vec!["bigrams-aux".to_string(), "--marked".to_string()]),
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some(Aggregator { argv, kind })
 }
 
 #[cfg(test)]
@@ -445,7 +455,8 @@ mod tests {
         let c = AnnotationLibrary::standard()
             .classify(&argv(&["tail", "+2", "f"]))
             .expect("classified");
-        assert_eq!(c.stream_argv, argv(&["tail", "-n+2", "-"]));
+        let words = argv(&["tail", "-n+2", "-"]);
+        assert_eq!(c.argv, words.into_iter().map(Arg::Lit).collect::<Vec<_>>());
     }
 
     #[test]
@@ -460,56 +471,89 @@ mod tests {
         assert_eq!(class_of(&["kubectl", "get", "pods"]), None);
     }
 
+    /// The aggregator argv classification gives `parts`.
+    fn agg_argv(parts: &[&str]) -> Option<Vec<String>> {
+        let c = AnnotationLibrary::standard().classify(&argv(parts))?;
+        c.agg.map(|a| a.argv)
+    }
+
     #[test]
     fn aggregators_for_pure_commands() {
         assert_eq!(
-            aggregator_for(&argv(&["sort", "-rn"])),
+            agg_argv(&["sort", "-rn"]),
             Some(argv(&["pash-agg-sort", "-rn"]))
         );
         assert_eq!(
-            aggregator_for(&argv(&["sort", "-k", "2", "-n"])),
+            agg_argv(&["sort", "-k", "2", "-n"]),
             Some(argv(&["pash-agg-sort", "-k", "2", "-n"]))
         );
+        assert_eq!(agg_argv(&["uniq", "-c"]), Some(argv(&["pash-agg-uniq-c"])));
+        assert_eq!(agg_argv(&["uniq"]), Some(argv(&["pash-agg-uniq"])));
         assert_eq!(
-            aggregator_for(&argv(&["uniq", "-c"])),
-            Some(argv(&["pash-agg-uniq-c"]))
-        );
-        assert_eq!(
-            aggregator_for(&argv(&["uniq"])),
-            Some(argv(&["pash-agg-uniq"]))
-        );
-        assert_eq!(
-            aggregator_for(&argv(&["wc", "-lw"])),
+            agg_argv(&["wc", "-lw"]),
             Some(argv(&["pash-agg-wc", "-lw"]))
         );
         assert_eq!(
-            aggregator_for(&argv(&["grep", "-c", "x"])),
+            agg_argv(&["grep", "-c", "x"]),
             Some(argv(&["pash-agg-sum"]))
         );
         assert_eq!(
-            aggregator_for(&argv(&["head", "-n", "1"])),
+            agg_argv(&["head", "-n", "1"]),
             Some(argv(&["head", "-n", "1"]))
         );
         // Option words verbatim, values in clusters too; operands and
         // `--parallel` dropped.
         assert_eq!(
-            aggregator_for(&argv(&["sort", "-rk", "2", "f"])),
+            agg_argv(&["sort", "-rk", "2", "f"]),
             Some(argv(&["pash-agg-sort", "-rk", "2"]))
         );
         assert_eq!(
-            aggregator_for(&argv(&["sort", "-nt", "a", "--parallel=2", "-k", "2"])),
+            agg_argv(&["sort", "-nt", "a", "--parallel=2", "-k", "2"]),
             Some(argv(&["pash-agg-sort", "-nt", "a", "-k", "2"]))
         );
         assert_eq!(
-            aggregator_for(&argv(&["grep", "-e", "c", "x"])),
+            agg_argv(&["grep", "-e", "c", "x"]),
             None,
             "`c` is -e's pattern, not -c"
         );
-        assert_eq!(aggregator_for(&argv(&["tail", "+2"])), None);
-        assert_eq!(aggregator_for(&argv(&["tail", "-n", "+2"])), None);
-        assert_eq!(aggregator_for(&argv(&["uniq", "-d"])), None);
-        assert_eq!(aggregator_for(&argv(&["uniq", "-ci"])), None);
-        assert_eq!(aggregator_for(&argv(&["paste", "a", "b"])), None);
+        assert_eq!(agg_argv(&["tail", "+2"]), None);
+        assert_eq!(agg_argv(&["tail", "-n", "+2"]), None);
+        assert_eq!(agg_argv(&["uniq", "-d"]), None);
+        assert_eq!(agg_argv(&["uniq", "-ci"]), None);
+        assert_eq!(agg_argv(&["paste", "a", "b"]), None);
+    }
+
+    #[test]
+    fn aggregators_say_what_the_transformations_need() {
+        let kind = |parts: &[&str]| {
+            let c = AnnotationLibrary::standard().classify(&argv(parts));
+            c.and_then(|c| c.agg).map(|a| a.kind)
+        };
+        let merge = |unique, only_r| Some(AggKind::Merge { unique, only_r });
+        assert_eq!(kind(&["sort"]), merge(false, true));
+        assert_eq!(kind(&["sort", "-r", "-r", "f"]), merge(false, true));
+        assert_eq!(kind(&["sort", "-r", "--parallel=2"]), merge(false, true));
+        assert_eq!(kind(&["sort", "-rr"]), merge(false, false));
+        assert_eq!(kind(&["sort", "-r", "--", "f"]), merge(false, false));
+        assert_eq!(kind(&["sort", "-nu"]), merge(true, false));
+        // `-t -u` is a separator, not `-u`.
+        assert_eq!(kind(&["sort", "-t", "-u"]), merge(false, false));
+        assert_eq!(kind(&["uniq", "-c"]), Some(AggKind::Fold { counted: true }));
+        assert_eq!(kind(&["uniq"]), Some(AggKind::Fold { counted: false }));
+        assert_eq!(kind(&["wc", "-l"]), Some(AggKind::Sum));
+        assert_eq!(kind(&["grep", "-c", "x"]), Some(AggKind::Sum));
+        assert_eq!(kind(&["tac"]), Some(AggKind::Plain));
+        assert_eq!(kind(&["bigrams-aux"]), Some(AggKind::Flat));
+        // Only class-P commands get one, and the map command with it.
+        assert_eq!(kind(&["grep", "x"]), None);
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["bigrams-aux"]))
+            .expect("classified");
+        assert_eq!(c.map, argv(&["bigrams-aux", "--marked"]));
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["grep", "x", "f1", "f2"]))
+            .expect("classified");
+        assert_eq!(c.map, argv(&["grep", "x", "-"]));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! difficulty of parallelization; a command under a set of flags is
 //! classified by its *least parallelizable* interpretation.
 
-use crate::annot::read;
+use crate::dfg::Aggregator;
 
 /// The four parallelizability classes of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,11 +32,6 @@ impl ParClass {
     /// flag" (§3.2).
     pub fn join(self, other: ParClass) -> ParClass {
         self.max(other)
-    }
-
-    /// True when PaSh may divide this command's input stream.
-    pub fn is_data_parallel(self) -> bool {
-        matches!(self, ParClass::Stateless | ParClass::Pure)
     }
 
     /// One-letter tag as used in the paper's tables.
@@ -92,55 +87,20 @@ pub enum RrMode {
     Raw,
 }
 
-/// True when an aggregator's combine step is commutative: the result
-/// does not depend on which blocks each parallel copy saw.
-///
-/// `wc` and `grep -c` sum count vectors, which commutes regardless of
-/// flags. `sort`'s merge commutes exactly when its comparison is a
-/// total order on lines, and without `-u` every comparison is: keys
-/// that tie — `-n`, `-k`, any mix — fall to the whole-line last resort
-/// (`SortSpec::compare_prepared`, as GNU does), so lines comparing
-/// equal are byte-identical and the merge output cannot depend on
-/// which worker sorted which block. `-u` switches the last resort off
-/// and keeps the *first* line of each key group, which does depend on
-/// it: `sort -u` stays on the segment path. An aggregator's options are
-/// read as `sort` reads them.
-pub fn aggregator_commutes(argv: &[String]) -> bool {
-    match argv.split_first() {
-        Some((name, args)) => match name.as_str() {
-            "pash-agg-wc" | "pash-agg-sum" => true,
-            "pash-agg-sort" => read("sort", args).is_some_and(|r| !r.has("u")),
-            _ => false,
-        },
-        None => false,
-    }
-}
-
-/// True when an aggregator folds adjacent per-block outputs purely at
-/// block boundaries (`f(x·x') = fold(f(x), f(x'))`), so parallel
-/// copies may run once per tagged round-robin block and a tag-ordered
-/// `pash-agg-frame-merge` wrapper recovers the sequential output.
-pub fn aggregator_frame_folds(argv: &[String]) -> bool {
-    matches!(
-        argv.first().map(String::as_str),
-        Some("pash-agg-uniq" | "pash-agg-uniq-c")
-    )
-}
-
 /// The round-robin capability of an invocation, given its class and
-/// (for class P) its aggregator argv.
+/// (for class P) its aggregator.
 ///
 /// Class-P commands qualify two ways: a commutative aggregator lets
-/// blocks flow untagged ([`aggregator_commutes`]), and a boundary-fold
+/// blocks flow untagged ([`Aggregator::commutes`]), and a boundary-fold
 /// aggregator lets copies consume tagged blocks one at a time with the
-/// fold re-applied in tag order ([`aggregator_frame_folds`]). Anything
+/// fold re-applied in tag order ([`Aggregator::frame_folds`]). Anything
 /// else — `sort -u`, the bigram stitcher — keeps the segment path.
-pub fn rr_mode(class: ParClass, agg: Option<&[String]>) -> RrMode {
+pub fn rr_mode(class: ParClass, agg: Option<&Aggregator>) -> RrMode {
     match class {
         ParClass::Stateless => RrMode::Framed,
         ParClass::Pure => match agg {
-            Some(argv) if aggregator_commutes(argv) => RrMode::Raw,
-            Some(argv) if aggregator_frame_folds(argv) => RrMode::Framed,
+            Some(agg) if agg.commutes() => RrMode::Raw,
+            Some(agg) if agg.frame_folds() => RrMode::Framed,
             _ => RrMode::No,
         },
         _ => RrMode::No,
@@ -162,6 +122,7 @@ impl std::fmt::Display for ParClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annot::stdlib::AnnotationLibrary;
 
     #[test]
     fn hierarchy_order() {
@@ -184,39 +145,23 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_subset() {
-        assert!(ParClass::Stateless.is_data_parallel());
-        assert!(ParClass::Pure.is_data_parallel());
-        assert!(!ParClass::NonParallelizable.is_data_parallel());
-        assert!(!ParClass::SideEffectful.is_data_parallel());
-    }
-
-    #[test]
     fn rr_capability_from_class_and_agg() {
-        let agg = |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(rr_mode(ParClass::Stateless, None), RrMode::Framed);
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-wc"]))),
-            RrMode::Raw
-        );
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-wc", "-lw"]))),
-            RrMode::Raw
-        );
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sum"]))),
-            RrMode::Raw
-        );
+        // The class and aggregator the standard library gives `argv`.
+        let rr = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let c = AnnotationLibrary::standard()
+                .classify(&argv)
+                .expect("classified");
+            rr_mode(c.class, c.agg.as_ref())
+        };
+        assert_eq!(rr(&["tr", "a", "b"]), RrMode::Framed);
+        assert_eq!(rr(&["wc"]), RrMode::Raw);
+        assert_eq!(rr(&["wc", "-lw"]), RrMode::Raw);
+        assert_eq!(rr(&["grep", "-c", "x"]), RrMode::Raw);
         // Whole-line comparisons are total orders: ties are
         // byte-identical, so the merge commutes.
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sort"]))),
-            RrMode::Raw
-        );
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-sort", "-r"]))),
-            RrMode::Raw
-        );
+        assert_eq!(rr(&["sort"]), RrMode::Raw);
+        assert_eq!(rr(&["sort", "-r"]), RrMode::Raw);
         // Key ties fall to the whole line, so keyed and numeric
         // orders are total too.
         // (`-t -u` is a separator, not `-u`.)
@@ -227,37 +172,26 @@ mod tests {
             &["-t", ",", "-k2n"],
             &["-t", "-u"],
         ] {
-            let mut argv = agg(&["pash-agg-sort"]);
-            argv.extend(agg(spec));
-            assert_eq!(
-                rr_mode(ParClass::Pure, Some(&argv)),
-                RrMode::Raw,
-                "{spec:?}"
-            );
+            let argv: Vec<&str> = std::iter::once("sort")
+                .chain(spec.iter().copied())
+                .collect();
+            assert_eq!(rr(&argv), RrMode::Raw, "{spec:?}");
         }
         // `-u` keeps the first line of a key group: order-sensitive.
         for spec in [&["-u"][..], &["-nu"], &["-k1,1", "-u"]] {
-            let mut argv = agg(&["pash-agg-sort"]);
-            argv.extend(agg(spec));
-            assert_eq!(rr_mode(ParClass::Pure, Some(&argv)), RrMode::No, "{spec:?}");
+            let argv: Vec<&str> = std::iter::once("sort")
+                .chain(spec.iter().copied())
+                .collect();
+            assert_eq!(rr(&argv), RrMode::No, "{spec:?}");
         }
         // Boundary folds consume tagged blocks via frame-merge.
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-uniq"]))),
-            RrMode::Framed
-        );
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-uniq-c"]))),
-            RrMode::Framed
-        );
+        assert_eq!(rr(&["uniq"]), RrMode::Framed);
+        assert_eq!(rr(&["uniq", "-c"]), RrMode::Framed);
         // The bigram stitcher relies on split-boundary markers.
-        assert_eq!(
-            rr_mode(ParClass::Pure, Some(&agg(&["pash-agg-bigram"]))),
-            RrMode::No
-        );
+        assert_eq!(rr(&["bigrams-aux"]), RrMode::No);
         assert_eq!(rr_mode(ParClass::Pure, None), RrMode::No);
-        assert_eq!(rr_mode(ParClass::NonParallelizable, None), RrMode::No);
-        assert_eq!(rr_mode(ParClass::SideEffectful, None), RrMode::No);
+        assert_eq!(rr(&["paste", "a"]), RrMode::No);
+        assert_eq!(rr(&["seq", "3"]), RrMode::No);
     }
 
     #[test]

@@ -8,8 +8,17 @@
 //! 2. file arguments that act as per-copy configuration ("static
 //!    inputs", e.g. `comm -13 dict -`'s dictionary) are not edges at
 //!    all — they replicate with the node.
+//!
+//! A command node holds its command line typed: a streamed operand
+//! named in argument position is [`Arg::Stream`]`(k)`, its k-th input
+//! edge, and every other word is an [`Arg::Lit`], so no literal word
+//! can be taken for a stream. A class-P command also carries its
+//! [`Aggregator`]: the runtime combiner's argv, kept verbatim, and the
+//! [`AggKind`] the transformations decide by, so none of them reads
+//! an argv again.
 
 use crate::classes::ParClass;
+use crate::plan::Arg;
 
 /// Index of a node in its graph.
 pub type NodeId = usize;
@@ -64,24 +73,102 @@ pub enum SplitKind {
     },
 }
 
+/// How the parallel copies of a class-P command recombine (§5.2):
+/// the runtime aggregator's argv, verbatim, and what the
+/// transformations may assume of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Aggregator {
+    /// The runtime command, name first, as lowering emits it.
+    pub argv: Vec<String>,
+    /// What kind of combiner it is.
+    pub kind: AggKind,
+}
+
+/// The kinds of aggregator the transformations tell apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggKind {
+    /// Adds per-part count vectors (`wc`, `grep -c`), whatever the
+    /// flags.
+    Sum,
+    /// `sort`'s k-way merge of sorted runs.
+    Merge {
+        /// The sort has `-u`.
+        unique: bool,
+        /// Each word of its flags is one `-r` (true with no flags),
+        /// so a `-u` appended to it merges whole lines.
+        only_r: bool,
+    },
+    /// `uniq`: folds adjacent equal lines where two parts meet.
+    Fold {
+        /// The fold counts (`uniq -c`).
+        counted: bool,
+    },
+    /// Any other combiner whose output has its inputs' format: a
+    /// re-applied `head`/`tail`, `tac`'s reversal, the counted merge.
+    Plain,
+    /// Consumes what it does not emit (the bigram stitcher's marked
+    /// map output, frame-merge's tagged frames).
+    Flat,
+    /// Restores the input order of tagged round-robin frames and
+    /// emits bare payloads.
+    Reorder,
+}
+
+impl Aggregator {
+    /// True when the combine step commutes: the result does not
+    /// depend on which blocks each parallel copy saw.
+    ///
+    /// Sums commute regardless of flags. `sort`'s merge commutes
+    /// exactly when its comparison is a total order on lines, and
+    /// without `-u` every comparison is: keys that tie — `-n`, `-k`,
+    /// any mix — fall to the whole-line last resort
+    /// (`SortSpec::compare_prepared`, as GNU does), so lines comparing
+    /// equal are byte-identical and the merge output cannot depend on
+    /// which worker sorted which block. `-u` switches the last resort
+    /// off and keeps the *first* line of each key group, which does
+    /// depend on it.
+    pub fn commutes(&self) -> bool {
+        matches!(
+            self.kind,
+            AggKind::Sum | AggKind::Merge { unique: false, .. }
+        )
+    }
+
+    /// True when it folds adjacent per-block outputs purely at block
+    /// boundaries (`f(x·x') = fold(f(x), f(x'))`), so parallel copies
+    /// may run once per tagged round-robin block and a tag-ordered
+    /// frame-merge wrapper recovers the sequential output.
+    pub fn frame_folds(&self) -> bool {
+        matches!(self.kind, AggKind::Fold { .. })
+    }
+
+    /// True when its output format equals its input format, making
+    /// binary reduction trees equivalent to one k-ary application.
+    pub fn associative(&self) -> bool {
+        !matches!(self.kind, AggKind::Flat | AggKind::Reorder)
+    }
+}
+
 /// Node kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
-    /// A command with its (stream-)argv and classification.
+    /// A command with its typed argv and classification.
     Command {
-        /// argv with streamed file args removed (stream on stdin).
-        argv: Vec<String>,
+        /// argv, name first: a streamed operand named in argument
+        /// position is [`Arg::Stream`]; the operand routed through
+        /// stdin, if any, is the literal `-`.
+        argv: Vec<Arg>,
         /// Parallelizability class of this invocation.
         class: ParClass,
-        /// Static configuration files replicated with each copy.
-        static_files: Vec<String>,
-        /// Aggregator argv, when the command is class P and one is
-        /// known (from [`crate::annot::stdlib::aggregator_for`]).
-        agg: Option<Vec<String>>,
-        /// Map argv for parallel copies, when it differs from the
-        /// command itself (§3.2, Custom Aggregators: "map can consume
-        /// (or extend) the output of the original command").
-        map: Option<Vec<String>>,
+        /// How parallel copies recombine, when the command is class P
+        /// and an aggregator is known.
+        agg: Option<Aggregator>,
+        /// The argv each parallel copy runs: the command without its
+        /// named stream operands (a copy reads its one source on
+        /// stdin), or a distinct map command (§3.2, Custom
+        /// Aggregators: "map can consume (or extend) the output of the
+        /// original command").
+        map: Vec<String>,
     },
     /// Ordered concatenation of inputs (`cat`).
     Cat,
@@ -92,10 +179,7 @@ pub enum NodeKind {
     /// producer (§5.2, Fig. 6).
     Relay,
     /// A multi-input aggregation function (§5.2).
-    Aggregate {
-        /// Aggregator argv (a runtime command).
-        argv: Vec<String>,
-    },
+    Aggregate(Aggregator),
 }
 
 /// A DFG node.
@@ -125,13 +209,16 @@ impl Node {
     /// A short display label.
     pub fn label(&self) -> String {
         match &self.kind {
-            NodeKind::Command { argv, .. } => argv.join(" "),
+            NodeKind::Command { argv, .. } => {
+                let words: Vec<&str> = argv.iter().map(Arg::lossy).collect();
+                words.join(" ")
+            }
             NodeKind::Cat => "cat".to_string(),
             NodeKind::Split(SplitKind::General) => "split".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: true }) => "split -rr".to_string(),
             NodeKind::Split(SplitKind::RoundRobin { framed: false }) => "split -rr-raw".to_string(),
             NodeKind::Relay => "eager".to_string(),
-            NodeKind::Aggregate { argv } => argv.join(" "),
+            NodeKind::Aggregate(agg) => agg.argv.join(" "),
         }
     }
 }
@@ -288,7 +375,7 @@ impl Dfg {
                     }
                 }
                 NodeKind::Relay => s.relays += 1,
-                NodeKind::Aggregate { .. } => s.aggregates += 1,
+                NodeKind::Aggregate(_) => s.aggregates += 1,
             }
         }
         s
@@ -399,95 +486,74 @@ impl Dfg {
         }
         self.kahn().map(drop)
     }
-
-    /// Renders the graph as text (one node per line) for debugging and
-    /// golden tests.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for id in self.topo_order() {
-            let node = self.node(id).expect("live id");
-            let ins: Vec<String> = node.inputs.iter().map(|e| edge_name(self, *e)).collect();
-            let outs: Vec<String> = node.outputs.iter().map(|e| edge_name(self, *e)).collect();
-            out.push_str(&format!(
-                "n{id}: {} [{}] -> [{}]\n",
-                node.label(),
-                ins.join(", "),
-                outs.join(", ")
-            ));
-        }
-        out
-    }
-}
-
-fn edge_name(g: &Dfg, e: EdgeId) -> String {
-    match &g.edge(e).spec {
-        StreamSpec::Pipe => format!("p{e}"),
-        StreamSpec::File(f) => f.clone(),
-        StreamSpec::FileSegment { path, part, of } => format!("{path}[{part}/{of}]"),
-    }
-}
-
-/// Convenience: builds a linear pipeline DFG from command specs.
-///
-/// Used heavily in tests; the front-end builds graphs the same way.
-pub fn linear_pipeline(commands: Vec<Node>, input: StreamSpec, output: StreamSpec) -> Dfg {
-    let mut g = Dfg::new();
-    let n = commands.len();
-    let mut prev_edge = g.add_edge(Edge {
-        spec: input,
-        from: None,
-        to: None,
-    });
-    for (i, mut node) in commands.into_iter().enumerate() {
-        let id_hint = g.nodes.len();
-        g.edges[prev_edge].to = Some(id_hint);
-        node.inputs = vec![prev_edge];
-        let out_spec = if i + 1 == n {
-            output.clone()
-        } else {
-            StreamSpec::Pipe
-        };
-        let out_edge = g.add_edge(Edge {
-            spec: out_spec,
-            from: Some(id_hint),
-            to: None,
-        });
-        node.outputs = vec![out_edge];
-        let id = g.add_node(node);
-        debug_assert_eq!(id, id_hint);
-        prev_edge = out_edge;
-    }
-    g
-}
-
-/// Builds a command node (edges filled in later).
-pub fn command_node(argv: &[&str], class: ParClass, agg: Option<Vec<String>>) -> Node {
-    Node {
-        kind: NodeKind::Command {
-            argv: argv.iter().map(|s| s.to_string()).collect(),
-            class,
-            static_files: Vec::new(),
-            agg,
-            map: None,
-        },
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::annot::stdlib::AnnotationLibrary;
+
+    /// Builds a linear pipeline DFG from command nodes.
+    pub(crate) fn linear_pipeline(
+        commands: Vec<Node>,
+        input: StreamSpec,
+        output: StreamSpec,
+    ) -> Dfg {
+        let mut g = Dfg::new();
+        let n = commands.len();
+        let mut prev_edge = g.add_edge(Edge {
+            spec: input,
+            from: None,
+            to: None,
+        });
+        for (i, mut node) in commands.into_iter().enumerate() {
+            let id_hint = g.nodes.len();
+            g.edges[prev_edge].to = Some(id_hint);
+            node.inputs = vec![prev_edge];
+            let out_spec = if i + 1 == n {
+                output.clone()
+            } else {
+                StreamSpec::Pipe
+            };
+            let out_edge = g.add_edge(Edge {
+                spec: out_spec,
+                from: Some(id_hint),
+                to: None,
+            });
+            node.outputs = vec![out_edge];
+            let id = g.add_node(node);
+            debug_assert_eq!(id, id_hint);
+            prev_edge = out_edge;
+        }
+        g
+    }
+
+    /// Builds a command node of literal words (edges filled in later).
+    pub(crate) fn command_node(argv: &[&str], class: ParClass, agg: Option<Aggregator>) -> Node {
+        let map: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Node {
+            kind: NodeKind::Command {
+                argv: map.iter().cloned().map(Arg::Lit).collect(),
+                class,
+                agg,
+                map,
+            },
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// The aggregator the standard library gives `sort`.
+    fn sort_agg() -> Option<Aggregator> {
+        let c = AnnotationLibrary::standard().classify(&["sort".to_string()]);
+        c.expect("classified").agg
+    }
 
     fn sample() -> Dfg {
         linear_pipeline(
             vec![
                 command_node(&["tr", "A-Z", "a-z"], ParClass::Stateless, None),
-                command_node(
-                    &["sort"],
-                    ParClass::Pure,
-                    Some(vec!["pash-agg-sort".to_string()]),
-                ),
+                command_node(&["sort"], ParClass::Pure, sort_agg()),
             ],
             StreamSpec::File("in.txt".into()),
             StreamSpec::File("out.txt".into()),
@@ -558,19 +624,11 @@ mod tests {
 
     #[test]
     fn parallelizable_requires_agg_for_pure() {
-        let with_agg = command_node(&["sort"], ParClass::Pure, Some(vec!["x".into()]));
+        let with_agg = command_node(&["sort"], ParClass::Pure, sort_agg());
         assert!(with_agg.is_parallelizable());
         let without = command_node(&["paste"], ParClass::Pure, None);
         assert!(!without.is_parallelizable());
         let stateless = command_node(&["tr"], ParClass::Stateless, None);
         assert!(stateless.is_parallelizable());
-    }
-
-    #[test]
-    fn render_lists_nodes() {
-        let g = sample();
-        let r = g.render();
-        assert!(r.contains("tr A-Z a-z"));
-        assert!(r.contains("in.txt"));
     }
 }

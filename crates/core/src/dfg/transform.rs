@@ -35,9 +35,11 @@
 //!   that `-u` would drop lines that are key-equal but not identical.
 //!   `uniq -c` has no such limit — the counted merge never takes `-u`.
 
-use crate::annot::read;
-use crate::classes::{rr_mode, RrMode};
-use crate::dfg::graph::{Dfg, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec};
+use crate::classes::{rr_mode, ParClass, RrMode};
+use crate::dfg::graph::{
+    AggKind, Aggregator, Dfg, Edge, EdgeId, Node, NodeId, NodeKind, SplitKind, StreamSpec,
+};
+use crate::plan::Arg;
 
 /// Split insertion policy (the Fig. 7 `Split` axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,7 +171,11 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
         // commute through it (consume the still-framed streams), the
         // round-robin analogue of the cat commute. A fresh reorder is
         // built over this node's copies below.
-        Some(p) if rr == RrMode::Framed && is_reorder(&g.node(p).expect("live node").kind) => {
+        Some(p)
+            if rr == RrMode::Framed
+                && matches!(&g.node(p).expect("live node").kind,
+                    NodeKind::Aggregate(a) if a.kind == AggKind::Reorder) =>
+        {
             let srcs = g.node(p).expect("live node").inputs.clone();
             g.remove_node(p);
             g.edge_mut(input_edge).from = None;
@@ -210,9 +216,7 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
     let n = sources.len();
     let node = g.node(id).expect("live node").clone();
     let output_edge = node.outputs[0];
-    // Each copy reads one source on stdin; stream markers (positions
-    // of further streamed args) disappear with the concatenation.
-    let copy_kind = sanitize_copy_kind(&node.kind);
+    let copy_kind = copy_kind(&node.kind);
     // Spawn n copies, one per source.
     let mut copy_outputs = Vec::with_capacity(n);
     for src in sources {
@@ -232,17 +236,21 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
     }
     // Combine copy outputs: cat for S, aggregation network for P.
     let agg = match &node.kind {
-        NodeKind::Command { agg, class, .. } if *class == crate::classes::ParClass::Pure => {
-            agg.clone()
-        }
+        NodeKind::Command { agg, class, .. } if *class == ParClass::Pure => agg.clone(),
         _ => None,
     };
     let combined = match agg {
         // Framed copies emit tagged blocks; a flat reordering
         // aggregator restores global input order (binary trees would
         // strip the frames an outer reorder still needs, so the shape
-        // is always flat — see `aggregator_associative`).
-        None if framed => build_agg_network(g, &copy_outputs, &[REORDER_AGG.to_string()]),
+        // is always flat — see `Aggregator::associative`).
+        None if framed => {
+            let reorder = Aggregator {
+                argv: vec!["pash-agg-reorder".to_string()],
+                kind: AggKind::Reorder,
+            };
+            build_agg_network(g, &copy_outputs, &reorder)
+        }
         None => {
             let cat_id = g.add_node(Node {
                 kind: NodeKind::Cat,
@@ -259,12 +267,16 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
         // order and re-applies the boundary fold incrementally. It
         // consumes frames but emits bare lines, so the network must be
         // one flat node.
-        Some(agg_argv) if framed => {
-            let mut argv = vec![FRAME_MERGE_AGG.to_string()];
-            argv.extend(agg_argv.iter().cloned());
-            build_agg_network(g, &copy_outputs, &argv)
+        Some(fold) if framed => {
+            let merge = Aggregator {
+                argv: std::iter::once("pash-agg-frame-merge".to_string())
+                    .chain(fold.argv)
+                    .collect(),
+                kind: AggKind::Flat,
+            };
+            build_agg_network(g, &copy_outputs, &merge)
         }
-        Some(agg_argv) => build_agg_network(g, &copy_outputs, &agg_argv),
+        Some(agg) => build_agg_network(g, &copy_outputs, &agg),
     };
     // Rewire the original output edge to the combiner and retire the
     // original node. The binary aggregation network created its own
@@ -279,10 +291,6 @@ fn try_parallelize_node(g: &mut Dfg, id: NodeId, cfg: &TransformConfig) {
     g.remove_node(id);
 }
 
-/// The sort family's merge aggregator, and its counted mode.
-const SORT_AGG: &str = "pash-agg-sort";
-const COUNTED_SORT_AGG: &str = "pash-agg-sort-c";
-
 /// Commutes a `uniq` / `uniq -c` below the merge network of the
 /// `sort` that feeds it (the law and its side conditions are in the
 /// module doc): one copy of the command goes on every leaf edge of the
@@ -292,61 +300,67 @@ const COUNTED_SORT_AGG: &str = "pash-agg-sort-c";
 /// valid — and the network's root takes over the command's output
 /// edge. Returns whether it fired.
 ///
-/// Fires only when `id` is a single-input command annotated with the
-/// `uniq` / `uniq -c` aggregator whose producer is a `pash-agg-sort`
-/// aggregator without `-u`, and for plain `uniq` with no flag but
-/// `-r`. A sequential `sort`, a `sort -u`, a command in between, or a
-/// file operand all leave some other producer there.
+/// Fires only when `id` is a single-input command whose aggregator is
+/// a fold and whose producer is a `sort` merge without `-u`, and for
+/// plain `uniq` one with no flag but `-r`. A sequential `sort`, a
+/// `sort -u`, a command in between, or a file operand all leave some
+/// other producer there.
 fn commute_fold_below_merge(g: &mut Dfg, id: NodeId) -> bool {
     let node = g.node(id).expect("live node").clone();
     let counted = match &node.kind {
-        NodeKind::Command { agg: Some(agg), .. } if node.inputs.len() == 1 => {
-            match agg.as_slice() {
-                [a] if a == "pash-agg-uniq" => false,
-                [a] if a == "pash-agg-uniq-c" => true,
-                _ => return false,
-            }
-        }
+        NodeKind::Command {
+            agg:
+                Some(Aggregator {
+                    kind: AggKind::Fold { counted },
+                    ..
+                }),
+            ..
+        } if node.inputs.len() == 1 => *counted,
         _ => return false,
     };
     let input_edge = node.inputs[0];
-    let merge_of = |g: &Dfg, e: EdgeId| -> Option<(NodeId, Vec<String>)> {
+    let merge_of = |g: &Dfg, e: EdgeId| -> Option<(NodeId, Aggregator)> {
         let p = g.edge(e).from?;
         match &g.node(p)?.kind {
-            NodeKind::Aggregate { argv } if argv.first().is_some_and(|a| a == SORT_AGG) => {
-                Some((p, argv.clone()))
+            NodeKind::Aggregate(agg) if matches!(agg.kind, AggKind::Merge { .. }) => {
+                Some((p, agg.clone()))
             }
             _ => None,
         }
     };
-    let Some((root, sort_argv)) = merge_of(g, input_edge) else {
-        return false;
-    };
-    let flags = &sort_argv[1..];
-    let Some(r) = read("sort", flags) else {
+    let Some((root, sort_merge)) = merge_of(g, input_edge) else {
         return false;
     };
     // Plain `uniq` appends `-u`, so each word must be one `-r`: after
     // a `--` the `-u` would be an operand.
-    let only_r = r.options.len() == flags.len() && r.options.iter().all(|o| o.1 == "r");
-    if r.has("u") || (!counted && !only_r) {
-        return false;
-    }
-    let mut combined = sort_argv.clone();
-    if counted {
-        combined[0] = COUNTED_SORT_AGG.to_string();
-    } else {
-        combined.push("-u".to_string());
-    }
+    let mut argv = sort_merge.argv.clone();
+    let kind = match sort_merge.kind {
+        AggKind::Merge { unique: false, .. } if counted => {
+            argv[0] = "pash-agg-sort-c".to_string();
+            AggKind::Plain
+        }
+        AggKind::Merge {
+            unique: false,
+            only_r: true,
+        } => {
+            argv.push("-u".to_string());
+            AggKind::Merge {
+                unique: true,
+                only_r: false,
+            }
+        }
+        _ => return false,
+    };
+    let combined = Aggregator { argv, kind };
     // Walk the network from its root: an input produced by the same
     // merge is an inner edge, any other a leaf (a sorted run).
-    let copy_kind = sanitize_copy_kind(&node.kind);
+    let copy_kind = copy_kind(&node.kind);
     let mut stack = vec![root];
     while let Some(agg_id) = stack.pop() {
         let inputs = g.node(agg_id).expect("aggregator").inputs.clone();
         for (slot, &e) in inputs.iter().enumerate() {
             match merge_of(g, e) {
-                Some((inner, argv)) if argv == sort_argv => stack.push(inner),
+                Some((inner, agg)) if agg == sort_merge => stack.push(inner),
                 _ => {
                     let folded = g.add_edge(Edge {
                         spec: StreamSpec::Pipe,
@@ -364,9 +378,7 @@ fn commute_fold_below_merge(g: &mut Dfg, id: NodeId) -> bool {
                 }
             }
         }
-        g.node_mut(agg_id).expect("aggregator").kind = NodeKind::Aggregate {
-            argv: combined.clone(),
-        };
+        g.node_mut(agg_id).expect("aggregator").kind = NodeKind::Aggregate(combined.clone());
     }
     // The root writes where the command wrote; the command retires.
     let output_edge = node.outputs[0];
@@ -379,65 +391,25 @@ fn commute_fold_below_merge(g: &mut Dfg, id: NodeId) -> bool {
     true
 }
 
-/// The reordering aggregator's argv head.
-pub const REORDER_AGG: &str = "pash-agg-reorder";
-
-/// The frame-merge wrapper's argv head: restores tag order over framed
-/// class-P copy outputs and re-applies the wrapped boundary fold.
-pub const FRAME_MERGE_AGG: &str = "pash-agg-frame-merge";
-
-/// True when `kind` is the reordering aggregator.
-fn is_reorder(kind: &NodeKind) -> bool {
-    matches!(kind, NodeKind::Aggregate { argv }
-        if argv.first().map(|s| s == REORDER_AGG).unwrap_or(false))
-}
-
 /// The round-robin capability of a node.
 fn node_rr_mode(node: &Node) -> RrMode {
     match &node.kind {
-        NodeKind::Command { class, agg, .. } => rr_mode(*class, agg.as_deref()),
+        NodeKind::Command { class, agg, .. } => rr_mode(*class, agg.as_ref()),
         _ => RrMode::No,
     }
 }
 
-/// True when an aggregator's output format equals its input format,
-/// making binary reduction trees equivalent to one k-ary application.
-fn aggregator_associative(argv: &[String]) -> bool {
-    // The bigram aggregator consumes *marked* map output but produces
-    // clean pairs — a projection, not a monoid operation. The reorder
-    // and frame-merge aggregators likewise consume tagged frames but
-    // emit bare payloads, so an inner copy would strip the frames an
-    // outer one still needs.
-    match argv.first() {
-        Some(s) => s != "pash-agg-bigram" && s != REORDER_AGG && s != FRAME_MERGE_AGG,
-        None => true,
-    }
-}
-
-/// Builds the argv parallel copies execute: the declared map command
-/// when one exists, else the original argv with stream markers
-/// removed (each copy reads its single source on stdin).
-fn sanitize_copy_kind(kind: &NodeKind) -> NodeKind {
+/// The kind parallel copies of a command run: its map command, which
+/// reads the copy's one source on stdin.
+fn copy_kind(kind: &NodeKind) -> NodeKind {
     match kind {
         NodeKind::Command {
-            argv,
-            class,
-            static_files,
-            agg,
-            map,
+            class, agg, map, ..
         } => NodeKind::Command {
-            argv: match map {
-                Some(m) => m.clone(),
-                None => argv
-                    .iter()
-                    .filter(|a| crate::annot::parse_stream_marker(a).is_none())
-                    .cloned()
-                    .collect(),
-            },
+            argv: map.iter().cloned().map(Arg::Lit).collect(),
             class: *class,
-            static_files: static_files.clone(),
             agg: agg.clone(),
-            map: None,
+            map: map.clone(),
         },
         other => other.clone(),
     }
@@ -538,12 +510,10 @@ fn split_sources(
 /// the aggregator is associative — its output must be in the same
 /// format as its inputs. Any other aggregator (bigram, reorder,
 /// frame-merge) is one flat node that sees every part at once.
-fn build_agg_network(g: &mut Dfg, parts: &[EdgeId], agg_argv: &[String]) -> NodeId {
-    if !aggregator_associative(agg_argv) {
+fn build_agg_network(g: &mut Dfg, parts: &[EdgeId], agg: &Aggregator) -> NodeId {
+    if !agg.associative() {
         let id = g.add_node(Node {
-            kind: NodeKind::Aggregate {
-                argv: agg_argv.to_vec(),
-            },
+            kind: NodeKind::Aggregate(agg.clone()),
             inputs: parts.to_vec(),
             outputs: vec![],
         });
@@ -572,9 +542,7 @@ fn build_agg_network(g: &mut Dfg, parts: &[EdgeId], agg_argv: &[String]) -> Node
             }
             let (a, b) = (layer[i], layer[i + 1]);
             let id = g.add_node(Node {
-                kind: NodeKind::Aggregate {
-                    argv: agg_argv.to_vec(),
-                },
+                kind: NodeKind::Aggregate(agg.clone()),
                 inputs: vec![a, b],
                 outputs: vec![],
             });
@@ -605,7 +573,7 @@ fn insert_eager_relays(g: &mut Dfg) {
     for id in ids {
         let node = g.node(id).expect("live id").clone();
         match node.kind {
-            NodeKind::Aggregate { .. } => {
+            NodeKind::Aggregate(_) => {
                 for &e in &node.inputs {
                     insert_relay_on_edge(g, e);
                 }
@@ -659,7 +627,8 @@ fn insert_relay_on_edge(g: &mut Dfg, e: EdgeId) {
 mod tests {
     use super::*;
     use crate::classes::ParClass;
-    use crate::dfg::graph::{command_node, linear_pipeline, DfgStats};
+    use crate::dfg::graph::tests::{command_node, linear_pipeline};
+    use crate::dfg::graph::DfgStats;
 
     fn grep_pipeline() -> Dfg {
         linear_pipeline(
@@ -677,26 +646,37 @@ mod tests {
         linear_pipeline(
             vec![
                 command_node(&["tr", "A-Z", "a-z"], ParClass::Stateless, None),
-                command_node(
-                    &["sort"],
-                    ParClass::Pure,
-                    Some(vec!["pash-agg-sort".to_string()]),
-                ),
+                node(&["sort"]),
             ],
             StreamSpec::File("in.txt".into()),
             StreamSpec::File("out.txt".into()),
         )
     }
 
-    /// A `sort FLAGS…` node with the aggregator the stdlib gives it.
-    fn sort_node(flags: &[&str]) -> Node {
-        let argv: Vec<&str> = std::iter::once("sort")
-            .chain(flags.iter().copied())
-            .collect();
-        let agg = std::iter::once("pash-agg-sort")
-            .chain(flags.iter().copied())
-            .map(String::from);
-        command_node(&argv, ParClass::Pure, Some(agg.collect()))
+    /// A command node as the standard library classifies `argv`.
+    fn node(argv: &[&str]) -> Node {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let c = crate::annot::stdlib::AnnotationLibrary::standard()
+            .classify(&argv)
+            .expect("classified");
+        Node {
+            kind: NodeKind::Command {
+                argv: c.argv,
+                class: c.class,
+                agg: c.agg,
+                map: c.map,
+            },
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// The number of reordering aggregators in `g`.
+    fn reorders(g: &Dfg) -> usize {
+        aggregators(g)
+            .iter()
+            .filter(|argv| argv[0] == "pash-agg-reorder")
+            .count()
     }
 
     /// The one region of `script`, translated with the standard
@@ -719,7 +699,7 @@ mod tests {
     fn aggregators(g: &Dfg) -> Vec<Vec<String>> {
         g.node_ids()
             .filter_map(|id| match &g.node(id).expect("live").kind {
-                NodeKind::Aggregate { argv } => Some(argv.clone()),
+                NodeKind::Aggregate(agg) => Some(agg.argv.clone()),
                 _ => None,
             })
             .collect()
@@ -855,11 +835,7 @@ mod tests {
         let pipeline = || {
             linear_pipeline(
                 vec![
-                    command_node(
-                        &["sort"],
-                        ParClass::Pure,
-                        Some(vec!["pash-agg-sort".to_string()]),
-                    ),
+                    node(&["sort"]),
                     command_node(&["grep", "x"], ParClass::Stateless, None),
                 ],
                 StreamSpec::File("in.txt".into()),
@@ -894,11 +870,7 @@ mod tests {
     fn split_outputs_get_relays_except_last() {
         let g = linear_pipeline(
             vec![
-                command_node(
-                    &["sort"],
-                    ParClass::Pure,
-                    Some(vec!["pash-agg-sort".to_string()]),
-                ),
+                node(&["sort"]),
                 command_node(&["grep", "x"], ParClass::Stateless, None),
             ],
             StreamSpec::File("in.txt".into()),
@@ -987,10 +959,7 @@ mod tests {
             )
         });
         assert!(has_rr, "expected a framed round-robin split");
-        let reorders = g
-            .node_ids()
-            .filter(|&id| is_reorder(&g.node(id).expect("live").kind))
-            .count();
+        let reorders = reorders(&g);
         assert_eq!(reorders, 1);
     }
 
@@ -999,11 +968,7 @@ mod tests {
         // `wc` aggregates with the commutative pash-agg-wc: blocks may
         // flow untagged and the normal aggregation network combines.
         let mut g = linear_pipeline(
-            vec![command_node(
-                &["wc", "-l"],
-                ParClass::Pure,
-                Some(vec!["pash-agg-wc".to_string()]),
-            )],
+            vec![node(&["wc", "-l"])],
             StreamSpec::File("in.txt".into()),
             StreamSpec::Pipe,
         );
@@ -1023,10 +988,7 @@ mod tests {
             )
         });
         assert!(has_raw, "expected a raw round-robin split");
-        let reorders = g
-            .node_ids()
-            .filter(|&id| is_reorder(&g.node(id).expect("live").kind))
-            .count();
+        let reorders = reorders(&g);
         assert_eq!(reorders, 0, "commutative agg needs no reorder");
         assert_eq!(g.stats().aggregates, 3, "binary pash-agg-wc tree");
     }
@@ -1042,7 +1004,7 @@ mod tests {
         let mut g = linear_pipeline(
             vec![
                 command_node(&["tr", "A-Z", "a-z"], ParClass::Stateless, None),
-                sort_node(&["-k", "2", "-u"]),
+                node(&["sort", "-k", "2", "-u"]),
             ],
             StreamSpec::File("in.txt".into()),
             StreamSpec::File("out.txt".into()),
@@ -1097,12 +1059,9 @@ mod tests {
             )
         });
         assert!(has_raw, "expected a raw round-robin split for sort");
-        let sort_aggs = g
-            .node_ids()
-            .filter(|&id| {
-                matches!(&g.node(id).expect("live").kind, NodeKind::Aggregate { argv }
-                    if argv.first().map(|s| s == "pash-agg-sort").unwrap_or(false))
-            })
+        let sort_aggs = aggregators(&g)
+            .iter()
+            .filter(|argv| argv[0] == "pash-agg-sort")
             .count();
         assert_eq!(sort_aggs, 3, "binary pash-agg-sort tree at width 4");
     }
@@ -1115,11 +1074,7 @@ mod tests {
         let mut g = linear_pipeline(
             vec![
                 command_node(&["tr", "A-Z", "a-z"], ParClass::Stateless, None),
-                command_node(
-                    &["uniq", "-c"],
-                    ParClass::Pure,
-                    Some(vec!["pash-agg-uniq-c".to_string()]),
-                ),
+                node(&["uniq", "-c"]),
             ],
             StreamSpec::File("in.txt".into()),
             StreamSpec::Pipe,
@@ -1140,24 +1095,14 @@ mod tests {
         assert_eq!(s.commands, 8);
         assert_eq!(s.splits, 1);
         assert_eq!(s.aggregates, 1);
-        let reorders = g
-            .node_ids()
-            .filter(|&id| is_reorder(&g.node(id).expect("live").kind))
-            .count();
+        let reorders = reorders(&g);
         assert_eq!(reorders, 0, "frame-merge subsumes the reorder");
-        let merge = g
-            .node_ids()
-            .find_map(|id| match &g.node(id).expect("live").kind {
-                NodeKind::Aggregate { argv }
-                    if argv.first().map(|s| s == FRAME_MERGE_AGG).unwrap_or(false) =>
-                {
-                    Some(argv.clone())
-                }
-                _ => None,
-            });
         assert_eq!(
-            merge.expect("frame-merge aggregator"),
-            vec![FRAME_MERGE_AGG.to_string(), "pash-agg-uniq-c".to_string()]
+            aggregators(&g),
+            vec![vec![
+                "pash-agg-frame-merge".to_string(),
+                "pash-agg-uniq-c".to_string()
+            ]]
         );
     }
 
@@ -1165,11 +1110,7 @@ mod tests {
     fn sized_split_used_for_file_inputs_only() {
         let g = linear_pipeline(
             vec![
-                command_node(
-                    &["sort"],
-                    ParClass::Pure,
-                    Some(vec!["pash-agg-sort".to_string()]),
-                ),
+                node(&["sort"]),
                 command_node(&["grep", "x"], ParClass::Stateless, None),
             ],
             StreamSpec::File("in.txt".into()),
@@ -1299,7 +1240,7 @@ mod tests {
             assert_eq!(g.stats().commuted, 0, "{script}");
             let merges = aggregators(&g);
             assert!(
-                merges.iter().all(|argv| argv[0] != COUNTED_SORT_AGG),
+                merges.iter().all(|argv| argv[0] != "pash-agg-sort-c"),
                 "{script}: {merges:?}"
             );
         }

@@ -16,11 +16,12 @@ use pash_parser::ast::{
 use pash_parser::expand::{expand_word, expand_word_single, StaticEnv, WordExpansion};
 use pash_parser::unparse;
 
-use crate::annot::stdlib::{aggregator_for, map_for, AnnotationLibrary};
-use crate::annot::InputSlot;
+use crate::annot::stdlib::AnnotationLibrary;
+use crate::annot::{Classification, InputSlot};
 use crate::backend::shell_quote;
 use crate::classes::ParClass;
 use crate::dfg::{Dfg, Edge, EdgeId, Node, NodeKind, StreamSpec};
+use crate::plan::Arg;
 use crate::Error;
 
 /// One step of a compiled program, executed in order.
@@ -326,60 +327,38 @@ impl Frontend<'_> {
                 }
             }
             // Classify; unknown commands run sequentially in place.
-            let (class, inputs, static_files, stream_argv, agg, map) =
-                match self.lib.classify(&argv) {
-                    Some(c) => {
-                        let (agg, map) = if c.class == ParClass::Pure {
-                            (aggregator_for(&argv), map_for(&argv))
-                        } else {
-                            (None, None)
-                        };
-                        (c.class, c.inputs, c.static_files, c.stream_argv, agg, map)
-                    }
-                    None => (
-                        ParClass::SideEffectful,
-                        vec![InputSlot::Stdin],
-                        Vec::new(),
-                        argv.clone(),
-                        None,
-                        None,
-                    ),
-                };
+            let c = self.lib.classify(&argv).unwrap_or_else(|| Classification {
+                class: ParClass::SideEffectful,
+                inputs: vec![InputSlot::Stdin],
+                static_files: Vec::new(),
+                argv: argv.iter().cloned().map(Arg::Lit).collect(),
+                map: argv,
+                agg: None,
+            });
+            let inputs = &c.inputs;
             // Resolve input slots to edges.
             let mut input_edges = Vec::with_capacity(inputs.len());
             let mut used_prev = false;
-            for slot in &inputs {
-                let e = match slot {
-                    InputSlot::Stdin => {
-                        if ci == 0 {
-                            // Region boundary: `< file` or the
-                            // script's stdin.
-                            match (&stdin_file, ci) {
-                                (Some(f), _) => g.add_edge(Edge {
-                                    spec: StreamSpec::File(f.clone()),
-                                    from: None,
-                                    to: None,
-                                }),
-                                (None, _) => g.add_edge(Edge {
-                                    spec: StreamSpec::Pipe,
-                                    from: None,
-                                    to: None,
-                                }),
-                            }
-                        } else {
-                            used_prev = true;
-                            prev_edge.ok_or_else(|| {
-                                Error::frontend("pipeline stage missing upstream pipe")
-                            })?
-                        }
+            for slot in inputs {
+                let spec = match slot {
+                    InputSlot::Stdin if ci > 0 => {
+                        used_prev = true;
+                        input_edges.push(prev_edge.ok_or_else(|| {
+                            Error::frontend("pipeline stage missing upstream pipe")
+                        })?);
+                        continue;
                     }
-                    InputSlot::File(f) => g.add_edge(Edge {
-                        spec: StreamSpec::File(f.clone()),
-                        from: None,
-                        to: None,
-                    }),
+                    // Region boundary: `< file` or the script's stdin.
+                    InputSlot::Stdin => stdin_file
+                        .clone()
+                        .map_or(StreamSpec::Pipe, StreamSpec::File),
+                    InputSlot::File(f) => StreamSpec::File(f.clone()),
                 };
-                input_edges.push(e);
+                input_edges.push(g.add_edge(Edge {
+                    spec,
+                    from: None,
+                    to: None,
+                }));
             }
             if ci > 0 && !used_prev {
                 return Err(Error::frontend(
@@ -394,23 +373,20 @@ impl Frontend<'_> {
             // Build the node. A plain `cat` *is* the DFG's
             // concatenation primitive — normalizing it lets the
             // parallelization transformation commute through it
-            // (Fig. 4).
-            let is_plain_cat = {
-                let core: Vec<&String> = stream_argv
+            // (Fig. 4): every word after the name is a streamed
+            // operand.
+            let is_plain_cat = c.argv[0].as_lit() == Some("cat")
+                && c.argv[1..]
                     .iter()
-                    .filter(|a| a.as_str() != "-" && crate::annot::parse_stream_marker(a).is_none())
-                    .collect();
-                core.len() == 1 && core[0] == "cat"
-            };
+                    .all(|a| matches!(a, Arg::Stream(_)) || a.as_lit() == Some("-"));
             let kind = if is_plain_cat {
                 NodeKind::Cat
             } else {
                 NodeKind::Command {
-                    argv: stream_argv,
-                    class,
-                    static_files,
-                    agg,
-                    map,
+                    argv: c.argv,
+                    class: c.class,
+                    agg: c.agg,
+                    map: c.map,
                 }
             };
             let node_id = g.add_node(Node {
@@ -532,10 +508,8 @@ mod tests {
         match &node.kind {
             NodeKind::Command { argv, .. } => {
                 // The streamed file arg became the `-` stdin operand.
-                assert_eq!(
-                    argv,
-                    &vec!["grep".to_string(), "foo".to_string(), "-".to_string()]
-                );
+                let words = ["grep", "foo", "-"].map(|w| Arg::Lit(w.to_string()));
+                assert_eq!(argv, &words.to_vec());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -572,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn comm_static_input_recorded() {
+    fn comm_static_input_replicates_with_the_node() {
         let tp = translate_src("sort words | comm -13 dict.txt -");
         let g = first_region(&tp);
         let comm_id = g
@@ -580,13 +554,12 @@ mod tests {
             .into_iter()
             .find(|&id| g.node(id).expect("live").label().starts_with("comm"))
             .expect("comm node");
-        match &g.node(comm_id).expect("live").kind {
-            NodeKind::Command {
-                static_files,
-                class,
-                ..
-            } => {
-                assert_eq!(static_files, &vec!["dict.txt".to_string()]);
+        let comm = g.node(comm_id).expect("live");
+        // The dictionary is a word of every copy, not an edge.
+        assert_eq!(comm.inputs.len(), 1);
+        match &comm.kind {
+            NodeKind::Command { map, class, .. } => {
+                assert_eq!(map, &["comm", "-13", "dict.txt", "-"]);
                 assert_eq!(*class, ParClass::Stateless);
             }
             other => panic!("unexpected {other:?}"),
@@ -630,10 +603,8 @@ mod tests {
         let g = first_region(&tp);
         match &g.node(g.topo_order()[0]).expect("live").kind {
             NodeKind::Command { agg, .. } => {
-                assert_eq!(
-                    agg.as_deref(),
-                    Some(&["pash-agg-sort".to_string(), "-rn".to_string()][..])
-                );
+                let agg = agg.as_ref().expect("an aggregator");
+                assert_eq!(agg.argv, ["pash-agg-sort", "-rn"]);
             }
             other => panic!("unexpected {other:?}"),
         }

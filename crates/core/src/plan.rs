@@ -5,15 +5,18 @@
 //! but an awkward one for execution: every consumer (shell emission,
 //! the threaded executor, the cost model) used to re-derive the same
 //! facts from it ad hoc — which edges are internal pipes vs. boundary
-//! files, which argv words are stream markers, which input routes via
-//! stdin, which nodes a region must wait on.
+//! files, which input routes via stdin, which nodes a region must wait
+//! on.
 //!
 //! [`lower`] computes those facts once and produces an
 //! [`ExecutionPlan`]: a flat, topologically-ordered IR in which
 //!
 //! * every node carries a resolved [`PlanOp`] — argv with explicit
-//!   stream roles ([`Arg::Stream`]) and the set of inputs routed via
-//!   stdin;
+//!   stream roles ([`Arg::Stream`], typed since classification: no
+//!   word is parsed back into one) and the set of inputs routed via
+//!   stdin (every input no [`Arg::Stream`] names);
+//! * an aggregator is its verbatim argv: what kind of combiner it is
+//!   mattered only to the transformations;
 //! * every edge carries a resolved [`EndpointKind`] (internal pipe,
 //!   boundary stdin, stdout sink, input/output file, file segment);
 //! * every region records its output-producer set, and the program
@@ -27,7 +30,6 @@
 //! [`ExecutionPlan::dump`] is deterministic, so the plan can be
 //! hashed and cached.
 
-use crate::annot::parse_stream_marker;
 use crate::dfg::{Dfg, NodeKind, SplitKind, StreamSpec};
 use crate::frontend::{Step, TranslatedProgram};
 use pash_parser::ast::AndOrOp;
@@ -81,13 +83,13 @@ pub struct PlanEdge {
     pub to: Option<PlanNodeId>,
 }
 
-/// One argv word of an [`PlanOp::Exec`] node.
+/// One argv word of a command: of an [`PlanOp::Exec`] node, and of
+/// a DFG command node from classification on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Arg {
     /// A literal word, passed through (and quoted by shell backends).
     Lit(String),
-    /// The k-th input edge of the node, named in argument position
-    /// (the lowered form of a stream marker).
+    /// The k-th input edge of the node, named in argument position.
     Stream(usize),
 }
 
@@ -98,6 +100,12 @@ impl Arg {
             Arg::Lit(s) => Some(s),
             Arg::Stream(_) => None,
         }
+    }
+
+    /// The word for display and cost modelling: a stream reference
+    /// reads as `-`.
+    pub fn lossy(&self) -> &str {
+        self.as_lit().unwrap_or("-")
     }
 }
 
@@ -160,14 +168,7 @@ impl PlanOp {
     /// (for display and cost modelling). `None` for non-exec ops.
     pub fn exec_argv_lossy(&self) -> Option<Vec<String>> {
         match self {
-            PlanOp::Exec { argv, .. } => Some(
-                argv.iter()
-                    .map(|a| match a {
-                        Arg::Lit(s) => s.clone(),
-                        Arg::Stream(_) => "-".to_string(),
-                    })
-                    .collect(),
-            ),
+            PlanOp::Exec { argv, .. } => Some(argv.iter().map(|a| a.lossy().to_string()).collect()),
             _ => None,
         }
     }
@@ -739,8 +740,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Lowers a translated (and transformed) program to its execution
 /// plan. This is the only place in the workspace that interprets
-/// [`NodeKind`]/[`StreamSpec`]/stream markers; every backend consumes
-/// the resolved plan.
+/// [`NodeKind`]/[`StreamSpec`]; every backend consumes the resolved
+/// plan.
 pub fn lower(tp: &TranslatedProgram) -> ExecutionPlan {
     let mut steps = Vec::with_capacity(tp.steps.len());
     for step in &tp.steps {
@@ -821,28 +822,21 @@ fn lower_region(g: &Dfg) -> RegionPlan {
         let outputs: Vec<PlanEdgeId> = node.outputs.iter().map(|&e| remap(e)).collect();
         let (op, stdin_inputs) = match &node.kind {
             NodeKind::Command { argv, .. } => {
-                let args: Vec<Arg> = argv
-                    .iter()
-                    .map(|a| match parse_stream_marker(a) {
-                        Some(k) => Arg::Stream(k),
-                        None => Arg::Lit(a.clone()),
-                    })
-                    .collect();
-                let marked: Vec<usize> = args
-                    .iter()
-                    .filter_map(|a| match a {
-                        Arg::Stream(k) => Some(*k),
-                        Arg::Lit(_) => None,
-                    })
-                    .collect();
-                let stdin: Vec<usize> = (0..inputs.len()).filter(|k| !marked.contains(k)).collect();
+                let named = |k: &usize| argv.contains(&Arg::Stream(*k));
+                let stdin: Vec<usize> = (0..inputs.len()).filter(|k| !named(k)).collect();
                 let framed = !inputs.is_empty() && inputs.iter().all(|&e| edge_framed[e]);
                 if framed {
                     for &e in &outputs {
                         edge_framed[e] = true;
                     }
                 }
-                (PlanOp::Exec { argv: args, framed }, stdin)
+                (
+                    PlanOp::Exec {
+                        argv: argv.clone(),
+                        framed,
+                    },
+                    stdin,
+                )
             }
             NodeKind::Cat => (PlanOp::Cat, Vec::new()),
             NodeKind::Split(kind) => {
@@ -879,7 +873,12 @@ fn lower_region(g: &Dfg) -> RegionPlan {
                     },
                 )
             }
-            NodeKind::Aggregate { argv } => (PlanOp::Aggregate { argv: argv.clone() }, Vec::new()),
+            NodeKind::Aggregate(agg) => (
+                PlanOp::Aggregate {
+                    argv: agg.argv.clone(),
+                },
+                Vec::new(),
+            ),
         };
         let output_producer = outputs.iter().any(|&e| edges[e].to.is_none());
         nodes.push(PlanNode {
@@ -1012,7 +1011,44 @@ mod tests {
     }
 
     #[test]
-    fn stream_markers_become_stream_args() {
+    fn streamed_operands_lower_typed() {
+        // A streamed `-` reads stdin wherever it stands; the file
+        // before it is named in place.
+        let plan = lowered("comm f -", 2);
+        let r = first_region(&plan);
+        let comm = &r.nodes[0];
+        let words = |ws: &[&str]| ws.iter().map(|w| Arg::Lit(w.to_string())).collect();
+        match &comm.op {
+            PlanOp::Exec { argv, .. } => {
+                let mut want: Vec<Arg> = words(&["comm"]);
+                want.extend([Arg::Stream(0), Arg::Lit("-".into())]);
+                assert_eq!(argv, &want);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(comm.stdin_inputs, vec![1]);
+        assert_eq!(
+            r.edges[comm.inputs[0]].kind,
+            EndpointKind::InputFile("f".into())
+        );
+        assert_eq!(
+            r.edges[comm.inputs[1]].kind,
+            EndpointKind::StdinPipe { primary: true }
+        );
+        // A literal word is a word, whatever it holds.
+        let plan = lowered("grep '\u{1}PASH_STREAM0\u{1}' g", 2);
+        let r = first_region(&plan);
+        let grep = r.nodes.iter().find(|n| matches!(n.op, PlanOp::Exec { .. }));
+        match &grep.expect("grep copies").op {
+            PlanOp::Exec { argv, .. } => {
+                assert_eq!(argv, &words(&["grep", "\u{1}PASH_STREAM0\u{1}", "-"]))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn static_operands_stay_literal() {
         let plan = lowered("sort words.txt | comm -13 dict.txt -", 1);
         let r = first_region(&plan);
         let comm = r

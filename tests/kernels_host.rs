@@ -40,6 +40,18 @@ fn host_path(util: &str) -> Option<PathBuf> {
 /// as in a pipeline: `wc` sizes its columns from a regular file's
 /// length) and present as `in.txt` in a fresh working directory.
 fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> (Vec<u8>, i32) {
+    host_run_in(case, util, args, &[("in.txt", input)], input)
+}
+
+/// `util ARGS…` on the host in a fresh working directory that holds
+/// `files`, `stdin` piped to it.
+fn host_run_in(
+    case: &str,
+    util: &PathBuf,
+    args: &[&str],
+    files: &[(&str, &[u8])],
+    stdin: &[u8],
+) -> (Vec<u8>, i32) {
     // Two tests of one utility run concurrently: a sequence number
     // keeps their directories apart.
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -50,7 +62,9 @@ fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> (Vec<u8>
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    std::fs::write(dir.join("in.txt"), input).expect("write input");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("write input");
+    }
     let mut child = Command::new(util)
         .args(args)
         .current_dir(&dir)
@@ -59,13 +73,14 @@ fn host_run(case: &str, util: &PathBuf, args: &[&str], input: &[u8]) -> (Vec<u8>
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn host utility");
-    let mut stdin = child.stdin.take().expect("piped stdin");
+    let child_stdin = child.stdin.take().expect("piped stdin");
     let out = std::thread::scope(|s| {
         // Fed from a second thread: the utility may fill its stdout
         // pipe long before it has read all of its stdin. One that
         // reads `in.txt` instead closes the pipe early; that is fine.
+        let (mut pipe, bytes) = (child_stdin, stdin);
         s.spawn(move || {
-            let _ = stdin.write_all(input);
+            let _ = pipe.write_all(bytes);
         });
         child.wait_with_output().expect("host utility exits")
     });
@@ -620,6 +635,51 @@ fn argv_forms_match_the_host() {
     }
 }
 
+/// `script` compiled at widths 1, 2 and 4 and run on `threads` and on
+/// `processes`, `files` in its directory and `stdin` on its stdin,
+/// prints `host`'s bytes with its status.
+fn assert_compiled_matches(
+    script: &str,
+    files: &[(&str, &[u8])],
+    stdin: &[u8],
+    host: &(Vec<u8>, i32),
+    bins: &(PathBuf, PathBuf),
+) {
+    for backend in ["threads", "processes"] {
+        for width in [1, 2, 4] {
+            let env = RunEnv {
+                stdin: stdin.to_vec(),
+                proc: ProcSettings {
+                    pashc: Some(bins.0.clone()),
+                    pash_rt: Some(bins.1.clone()),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            for (name, bytes) in files {
+                env.fs.add(*name, bytes.to_vec());
+            }
+            let cfg = PashConfig {
+                width,
+                ..Default::default()
+            };
+            let out = match run(script, &cfg, backend, &env) {
+                Ok(BackendOutput::Execution(out)) => out,
+                other => panic!("`{script}` on {backend} at width {width}: {other:?}"),
+            };
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&host.0),
+                "`{script}` on {backend} at width {width} differs from the host"
+            );
+            assert_eq!(
+                out.status, host.1,
+                "`{script}` on {backend} at width {width}: exit status"
+            );
+        }
+    }
+}
+
 /// The compiler reads an argv through the kernels' scan, so what it
 /// classifies, splits and aggregates is what the command runs: each
 /// argv behind `cat in.txt |`, compiled at widths 1, 2 and 4 and run on
@@ -630,10 +690,12 @@ fn argv_forms_match_the_host() {
 /// stays on one copy, and an argv the command refuses once scanned
 /// (`-n x`, two lists, a class SET2 may not hold) runs once, with the
 /// host's status; `tr`'s `[:]` is three bytes on every copy, and a
-/// `grep` pattern that does not compile exits 2 on every copy.
+/// `grep` pattern that does not compile exits 2 on every copy. A word
+/// is a word whatever it holds: the last pattern once spelt the
+/// compiler's in-band stream marker, and its input holds it.
 #[test]
 fn compiled_argvs_match_the_host_shell() {
-    const ARGVS: [&str; 29] = [
+    const ARGVS: [&str; 30] = [
         "sort -rk 2",
         "sort -nt a -k 2",
         "sed -Ee s/a/b/ -e 1d",
@@ -663,45 +725,52 @@ fn compiled_argvs_match_the_host_shell() {
         "paste -s -d '[:digit:]'",
         "paste -s -d '[:]'",
         "grep 'a\\('",
+        "grep '\u{1}PASH_STREAM0\u{1}'",
     ];
     let (Some(bins), Some(sh)) = (runtime_binaries(), host_path("sh")) else {
         eprintln!("skipping: no multicall binaries or no host /bin/sh");
         return;
     };
     let input = corpus(11, 4_000, false);
+    let marked = [&input[..], b"a \x01PASH_STREAM0\x01 b\n"].concat();
     for (i, argv) in ARGVS.iter().enumerate() {
+        let input = if argv.contains('\u{1}') {
+            &marked
+        } else {
+            &input
+        };
         let script = format!("cat in.txt | {argv}");
         let case = format!("compiled-{i}");
-        let (host, host_status) = host_run(&case, &sh, &["-c", &script], &input);
-        for backend in ["threads", "processes"] {
-            for width in [1, 2, 4] {
-                let env = RunEnv {
-                    proc: ProcSettings {
-                        pashc: Some(bins.0.clone()),
-                        pash_rt: Some(bins.1.clone()),
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                env.fs.add("in.txt", input.clone());
-                let cfg = PashConfig {
-                    width,
-                    ..Default::default()
-                };
-                let out = match run(&script, &cfg, backend, &env) {
-                    Ok(BackendOutput::Execution(out)) => out,
-                    other => panic!("`{script}` on {backend} at width {width}: {other:?}"),
-                };
-                assert_eq!(
-                    String::from_utf8_lossy(&out.stdout),
-                    String::from_utf8_lossy(&host),
-                    "`{script}` on {backend} at width {width} differs from the host"
-                );
-                assert_eq!(
-                    out.status, host_status,
-                    "`{script}` on {backend} at width {width}: exit status"
-                );
-            }
-        }
+        let host = host_run(&case, &sh, &["-c", &script], input);
+        assert_compiled_matches(&script, &[("in.txt", input)], &[], &host, &bins);
+    }
+}
+
+/// A streamed `-` reads the script's stdin wherever it stands: in
+/// `comm f -` fed on stdin the file is named and stdin is the second
+/// operand, on every backend and at every width, as in the host shell.
+#[test]
+fn a_streamed_dash_after_a_file_reads_stdin() {
+    let (Some(bins), Some(sh)) = (runtime_binaries(), host_path("sh")) else {
+        eprintln!("skipping: no multicall binaries or no host /bin/sh");
+        return;
+    };
+    // Two sorted, overlapping sets of distinct lines.
+    let mut lines: Vec<&[u8]> = Vec::new();
+    let text = corpus(5, 3_000, false);
+    lines.extend(text.split_inclusive(|&b| b == b'\n'));
+    lines.sort_unstable();
+    lines.dedup();
+    let pick = |keep: fn(usize) -> bool| -> Vec<u8> {
+        let kept = lines.iter().enumerate().filter(|&(i, _)| keep(i));
+        kept.flat_map(|(_, l)| l.iter().copied()).collect()
+    };
+    let file = pick(|i| i % 3 != 0);
+    let stdin = pick(|i| i % 2 != 0);
+    for script in ["comm f -", "comm -12 f -"] {
+        let files: [(&str, &[u8]); 1] = [("f", &file)];
+        let host = host_run_in("comm-stdin", &sh, &["-c", script], &files, &stdin);
+        assert!(!host.0.is_empty(), "`{script}` prints something");
+        assert_compiled_matches(script, &files, &stdin, &host, &bins);
     }
 }

@@ -79,7 +79,8 @@ const STATELESS: &[&[&str]] = &[
     &["fold", "-w", "7"],
 ];
 
-/// P-commands with their aggregators: `(map argv, agg argv)`.
+/// P-commands with the aggregators classification places:
+/// `(map argv, agg argv)`.
 fn pure_pairs() -> Vec<(Vec<String>, Vec<String>)> {
     let cases: Vec<Vec<&str>> = vec![
         vec!["sort"],
@@ -97,9 +98,11 @@ fn pure_pairs() -> Vec<(Vec<String>, Vec<String>)> {
         .into_iter()
         .map(|argv| {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            let agg = pash::core::annot::stdlib::aggregator_for(&argv)
+            let agg = pash::core::annot::stdlib::AnnotationLibrary::standard()
+                .classify(&argv)
+                .and_then(|c| c.agg)
                 .unwrap_or_else(|| panic!("no aggregator for {argv:?}"));
-            (argv, agg)
+            (argv, agg.argv)
         })
         .collect()
 }
