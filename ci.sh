@@ -57,7 +57,15 @@
 #      stays sequential, the second merges with its `-k 2`; `tr -d
 #      '[:xdigit:]' | sed '1s/e;f/X/;y/ghi/G-I/'` reads a class, a `;`
 #      inside an addressed body and a literal `y` list as GNU does;
-#      `comm`'s stdin is its `-`, not its first operand);
+#      `comm`'s stdin is its `-`, not its first operand); then the
+#      splitters' window: that input with one line longer than the
+#      4 MiB look-ahead spliced in, still ending unterminated, fed to
+#      `tr A-Z a-z | cut -d ' ' -f 1-4` (framed `r_split`) and `sort |
+#      uniq -c | sort -n` (raw `r_split`) under the round-robin policy
+#      at widths 2 and 4, on shell, threads and processes under
+#      `timeout`, each byte-compared against host /bin/sh; and `cat
+#      a.txt > nodir/out.txt` on the three must exit 2 and make no
+#      directory, as the host shell does;
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -349,6 +357,45 @@ for b in shell threads processes; do
     cmp "$COMM/host.out" "$COMM/$b.out"
 done
 test -s "$COMM/threads.out"
+# The splitters read into one window and deal blocks out of it in
+# place; a line longer than the 4 MiB look-ahead makes the window grow
+# past its bound and the cut read on to the line's end. About 1 MB of
+# lines around one such line, ending unterminated, dealt by framed
+# (`tr | cut`) and raw (behind `sort | uniq -c`'s merge) `r_split`.
+SPLIT_IN=target/bench-smoke/split-in.txt
+head -n 5000 "$STDIN_IN" >"$SPLIT_IN"
+awk 'BEGIN { for (i = 0; i < 200000; i++) printf "One Long Line Of Words, "; printf "\n" }' \
+    >>"$SPLIT_IN"
+tail -n +5001 "$STDIN_IN" >>"$SPLIT_IN"
+n=0
+for script in "tr A-Z a-z | cut -d ' ' -f 1-4" 'sort | uniq -c | sort -n'; do
+    n=$((n + 1))
+    LC_ALL=C /bin/sh -c "$script" <"$SPLIT_IN" >"target/bench-smoke/split-host-$n.out"
+    for width in 2 4; do
+        for b in shell threads processes; do
+            rm -rf "target/bench-smoke/split-$b"
+            mkdir -p "target/bench-smoke/split-$b"
+            timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width "$width" \
+                --split rr --dir "target/bench-smoke/split-$b" -e "$script" \
+                <"$SPLIT_IN" >"target/bench-smoke/split-$b-$n.out"
+            cmp "target/bench-smoke/split-host-$n.out" "target/bench-smoke/split-$b-$n.out"
+        done
+    done
+    test -s "target/bench-smoke/split-threads-$n.out"
+done
+# A redirection into a missing directory fails on every backend, with
+# the host shell's status, and makes no directory.
+for b in shell threads processes; do
+    rm -rf "target/bench-smoke/nodir-$b"
+    mkdir -p "target/bench-smoke/nodir-$b"
+    cp target/bench-smoke/cat-host/a.txt "target/bench-smoke/nodir-$b/"
+    status=0
+    timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 2 \
+        --dir "target/bench-smoke/nodir-$b" -e 'cat a.txt > nodir/out.txt' \
+        </dev/null 2>/dev/null || status=$?
+    test "$status" -eq 2
+    test ! -e "target/bench-smoke/nodir-$b/nodir"
+done
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region

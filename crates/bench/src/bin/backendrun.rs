@@ -12,9 +12,12 @@
 //! children over FIFOs), `threads` (in-process; directory contents are
 //! loaded into a `MemFs` and outputs written back), and `remote`
 //! (regions shipped to `pash-worker` daemons named by `--worker PATH`,
-//! repeatable; directory handling as for `threads`). The multi-call
-//! binaries are found next to this executable (or via
-//! `$PASHC`/`$PASH_RT`). Exits with the program's status.
+//! repeatable; directory handling as for `threads`). `--split sized`
+//! (the default, `PashConfig::best`) or `--split rr`
+//! (`PashConfig::round_robin`, which deals a stdin stream in tagged
+//! `r_split` blocks) picks the split policy. The multi-call binaries
+//! are found next to this executable (or via `$PASHC`/`$PASH_RT`).
+//! Exits with the program's status.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -31,6 +34,7 @@ use pash_runtime::run_program_remote;
 fn main() {
     let mut backend = "processes".to_string();
     let mut width = 4usize;
+    let mut round_robin = false;
     let mut dir = PathBuf::from("backendrun-work");
     let mut gens: Vec<(String, usize)> = Vec::new();
     let mut workers: Vec<PathBuf> = Vec::new();
@@ -44,6 +48,13 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
+            }
+            "--split" => {
+                round_robin = match args.next().as_deref() {
+                    Some("sized") => false,
+                    Some("rr") => true,
+                    _ => usage(),
+                }
             }
             "--dir" => dir = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--gen" => {
@@ -67,9 +78,10 @@ fn main() {
         }
     }
 
-    let cfg = PashConfig {
-        width,
-        ..PashConfig::best(width)
+    let cfg = if round_robin {
+        PashConfig::round_robin(width)
+    } else {
+        PashConfig::best(width)
     };
     let compiled = compile(&script, &cfg).unwrap_or_else(|e| {
         eprintln!("backendrun: compile: {e}");
@@ -195,8 +207,8 @@ fn die<T>(e: std::io::Error) -> T {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: backendrun [--backend shell|processes|threads|remote] [--width N] [--dir DIR] \
-         [--gen NAME:BYTES]… [--worker PATH]… -e SCRIPT"
+        "usage: backendrun [--backend shell|processes|threads|remote] [--width N] \
+         [--split sized|rr] [--dir DIR] [--gen NAME:BYTES]… [--worker PATH]… -e SCRIPT"
     );
     std::process::exit(2);
 }

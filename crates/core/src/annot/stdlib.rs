@@ -262,9 +262,13 @@ fn aggregator(argv: &[String], r: &Reading) -> Option<Aggregator> {
         "grep" if r.has("c") => (one("pash-agg-sum"), AggKind::Sum),
         // tac: consume stream descriptors in reverse order.
         "tac" => (one("pash-agg-tac"), AggKind::Plain),
-        // head/tail: re-apply over the concatenation.
+        // head/tail: re-apply over the concatenation — of its inputs,
+        // not of the invocation's files. Over two files or more the
+        // command takes lines from each file, which nothing re-applied
+        // over their concatenation gives back.
+        "head" | "tail" if r.operands.0.len() > 1 => return None,
         "head" | "tail" if !r.values("n").any(|n| n.starts_with('+')) => {
-            (argv.to_vec(), AggKind::Plain)
+            (verbatim(name, ""), AggKind::Plain)
         }
         // The Bi-grams-opt custom aggregator (§6.1): it consumes the
         // marked output of its map command.
@@ -501,6 +505,17 @@ mod tests {
             agg_argv(&["head", "-n", "1"]),
             Some(argv(&["head", "-n", "1"]))
         );
+        // The re-applied `head`/`tail` reads its inputs: the file
+        // operands stay with the invocation.
+        assert_eq!(
+            agg_argv(&["head", "-n", "1", "in.txt"]),
+            Some(argv(&["head", "-n", "1"]))
+        );
+        assert_eq!(
+            agg_argv(&["tail", "in.txt", "-n", "2"]),
+            Some(argv(&["tail", "-n", "2"]))
+        );
+        assert_eq!(agg_argv(&["head", "-n", "1", "a", "b"]), None);
         // Option words verbatim, values in clusters too; operands and
         // `--parallel` dropped.
         assert_eq!(

@@ -2,10 +2,10 @@
 
 use std::io::{self, Write};
 
-use pash_regex::memmem::count_bytes;
 use pash_regex::{Matcher, Regex, Syntax};
 
 use crate::args::scanned;
+use crate::bytemask::count_byte;
 use crate::lines::{buffer_lines, for_each_block};
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
@@ -170,7 +170,7 @@ fn select_line(line: &[u8], o: &Opts, t: &mut Tally) {
 
 /// Number of lines in a region (a final unterminated line counts).
 fn line_count(region: &[u8]) -> u64 {
-    let nl = count_bytes(b'\n', region) as u64;
+    let nl = count_byte(b'\n', region) as u64;
     nl + u64::from(region.last().is_some_and(|&b| b != b'\n'))
 }
 
@@ -179,7 +179,7 @@ fn line_count(region: &[u8]) -> u64 {
 const BULK: usize = 4096;
 
 /// Handles a run of whole lines the pattern does not match. Without
-/// `-v` it is skipped (its newlines counted word-at-a-time, only for
+/// `-v` it is skipped (its newlines counted a window at a time, only for
 /// `-n`); with `-v` every line of it is selected — as one copy or one
 /// bulk write when no per-line bookkeeping (`-n`, `-m`) is needed.
 fn on_gap(gap: &[u8], o: &Opts, out: &mut dyn Write, t: &mut Tally) -> io::Result<()> {
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn line_numbers_with_invert() {
-        // The scan path counts skipped lines word-at-a-time; numbers
+        // The scan path counts skipped lines a window at a time; numbers
         // must stay exact either way.
         assert_eq!(out(&["-vn", "b"], "a\nb\nc\nd\n"), "1:a\n3:c\n4:d\n");
     }

@@ -26,6 +26,7 @@ use std::io::{self, BufWriter, Write};
 use pash_regex::memmem::{memchr, memrchr};
 
 use crate::args::{of, scan};
+use crate::bytemask::count_byte;
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{Keyed, Prepared, SortSpec};
 use crate::{CmdIo, Command, ExitStatus};
@@ -226,7 +227,7 @@ impl Entry {
         if !spec.keys.is_empty() || u32::try_from(arena.len()).is_err() {
             return None;
         }
-        let mut index = Vec::with_capacity(pash_regex::memmem::count_bytes(b'\n', arena));
+        let mut index = Vec::with_capacity(count_byte(b'\n', arena));
         let mut start = 0;
         index.extend(buffer_lines(arena).map(|line| {
             // Both fit: neither passes the arena's length, checked above.

@@ -2,9 +2,8 @@
 
 use std::io;
 
-use pash_regex::memmem::count_bytes;
-
 use crate::args::{of, scan, Operands};
+use crate::bytemask::count_byte;
 use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
 
 /// `wc [-lwcm] [file…]`.
@@ -39,7 +38,7 @@ pub fn count_stream<R: io::BufRead + ?Sized>(r: &mut R, words: bool) -> io::Resu
             return Ok(c);
         }
         c.bytes += n as u64;
-        c.lines += count_bytes(b'\n', chunk) as u64;
+        c.lines += count_byte(b'\n', chunk) as u64;
         if words {
             for &b in chunk {
                 if b.is_ascii_whitespace() {

@@ -293,12 +293,10 @@ impl Fs for RealFs {
         Ok(Box::new(std::fs::File::open(self.resolve(path))?))
     }
 
+    /// Creates or truncates the file; a missing directory is an error,
+    /// as for the shell's `>` and GNU `tee`, not something to make.
     fn create(&self, path: &str) -> io::Result<Box<dyn Write + Send>> {
-        let p = self.resolve(path);
-        if let Some(parent) = p.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        Ok(Box::new(std::fs::File::create(p)?))
+        Ok(Box::new(std::fs::File::create(self.resolve(path))?))
     }
 
     fn size(&self, path: &str) -> io::Result<u64> {

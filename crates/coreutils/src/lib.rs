@@ -38,7 +38,7 @@
 //! ```
 
 pub mod args;
-mod bytemask;
+pub mod bytemask;
 pub mod cmd;
 pub mod fs;
 pub mod lines;

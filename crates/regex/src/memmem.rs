@@ -7,6 +7,11 @@
 //! skipping non-candidate input dominates total `grep`/`sed` time on
 //! literal-bearing patterns. A set of several literals goes to the
 //! SSSE3 Teddy searcher in [`crate::teddy`] instead.
+//!
+//! Counting a byte is not here: the one count of the workspace
+//! (`pash_coreutils::bytemask::count_byte`, 64-byte SSE2 masks) is
+//! several times faster than a word at a time, and `grep -n`, `wc` and
+//! the runtime's splitters all call it.
 
 const WORD: usize = std::mem::size_of::<usize>();
 const LO: usize = usize::from_ne_bytes([0x01; WORD]);
@@ -114,29 +119,6 @@ pub fn memrchr(b: u8, hay: &[u8]) -> Option<usize> {
         end = i;
     }
     hay[..end].iter().rposition(|&h| h == b)
-}
-
-/// Counts occurrences of byte `b` in `hay` one word at a time.
-///
-/// Used by `grep -n`/`-c -v` to keep line numbers while skipping whole
-/// non-candidate regions: counting `\n` this way costs a fraction of
-/// re-scanning the region per line.
-#[inline]
-pub fn count_bytes(b: u8, hay: &[u8]) -> usize {
-    const LOW7: usize = !HI;
-    let pat = splat(b);
-    let mut count = 0usize;
-    let mut i = 0;
-    while i + WORD <= hay.len() {
-        let x = load_word(hay, i) ^ pat;
-        // Exact per-lane "is zero" flags: adding within the low seven
-        // bits cannot carry into the next lane, unlike the borrow of
-        // `zero_lanes`, which would count the byte `b ^ 1` after `b`.
-        let nonzero = ((x & LOW7) + LOW7) | x;
-        count += (!nonzero & HI).count_ones() as usize;
-        i += WORD;
-    }
-    count + hay[i..].iter().filter(|&&h| h == b).count()
 }
 
 /// Estimated background frequency rank of each byte (0 = rarest).
@@ -347,28 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn count_newlines() {
-        let hay = b"a\nbb\nccc\n\nlast";
-        assert_eq!(count_bytes(b'\n', hay), 4);
-        let big: Vec<u8> = (0..997)
-            .map(|i| if i % 10 == 0 { b'\n' } else { b'x' })
-            .collect();
-        assert_eq!(
-            count_bytes(b'\n', &big),
-            big.iter().filter(|&&b| b == b'\n').count()
-        );
-    }
-
-    #[test]
-    fn count_is_exact_next_to_the_neighbouring_byte_value() {
-        // `b ^ 1` right after `b` is where a borrowing zero test
-        // over-counts: 0x0B (vertical tab) after a newline.
-        let hay = b"\n\x0b\n\x0bxxxx\n\x0b\x0b\n";
-        assert_eq!(count_bytes(b'\n', hay), 4);
-        assert_eq!(count_bytes(0x0b, hay), 4);
-    }
-
-    #[test]
     fn first_hit_is_exact_for_every_byte_pair_in_a_word() {
         // The lane after a hit can be flagged by the borrow; the
         // first hit must still be the one reported.
@@ -383,7 +343,6 @@ mod tests {
                     assert_eq!(memchr(a, &hay), Some(at), "{a} in {fill} at {at}");
                     assert_eq!(memchr2(a, b'Q', &hay), Some(at));
                     assert_eq!(memchr2(b'Q', a, &hay), Some(at));
-                    assert_eq!(count_bytes(a, &hay), 1);
                 }
             }
         }

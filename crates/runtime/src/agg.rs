@@ -359,6 +359,11 @@ fn for_each_frame_in_tag_order(
         return Ok(());
     }
     let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    // Payload buffers come back here once written, so a stream of
+    // blocks reuses at most `k` allocations (each zero-filled only
+    // where it grows) instead of a fresh one per frame.
+    let mut spare: Vec<Vec<u8>> = Vec::new();
+    let mut payload = Vec::new();
     let mut next: u64 = 0;
     let mut live = k;
     while live > 0 {
@@ -380,24 +385,36 @@ fn for_each_frame_in_tag_order(
                 .position(|r| r.is_some())
                 .expect("a live reader while live > 0")
         };
-        match readers[pick].as_mut().expect("picked live").next_frame()? {
-            Some((tag, payload)) => {
-                // `tag < next` means the tag was already emitted;
-                // both shapes are one lost-or-replayed block.
-                if tag < next || pending.insert(tag, payload).is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("duplicate r_split tag {tag}"),
-                    ));
-                }
+        let reader = readers[pick].as_mut().expect("picked live");
+        match reader.next_frame_into(&mut payload)? {
+            // The expected block, the common case on a conforming
+            // stream: written from the read buffer, never parked.
+            // (`next` itself is never pending: the loop below takes
+            // it out as soon as it is.)
+            Some(tag) if tag == next => {
+                sink(&payload)?;
+                next += 1;
+            }
+            // `tag < next` means the tag was already emitted; both
+            // shapes are one lost-or-replayed block.
+            Some(tag) if tag < next || pending.contains_key(&tag) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("duplicate r_split tag {tag}"),
+                ));
+            }
+            Some(tag) => {
+                let parked = std::mem::replace(&mut payload, spare.pop().unwrap_or_default());
+                pending.insert(tag, parked);
             }
             None => {
                 readers[pick] = None;
                 live -= 1;
             }
         }
-        while let Some(payload) = pending.remove(&next) {
-            sink(&payload)?;
+        while let Some(parked) = pending.remove(&next) {
+            sink(&parked)?;
+            spare.push(parked);
             next += 1;
         }
     }

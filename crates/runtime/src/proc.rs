@@ -436,13 +436,9 @@ fn spawn_and_reap<'scope, 'env>(
                     cmd.stdout(Stdio::null());
                 }
                 EndpointKind::OutputFile(p) => {
-                    let path = root.join(p);
-                    if let Some(parent) = path.parent() {
-                        std::fs::create_dir_all(parent).map_err(|e| {
-                            ExecError::classify("create output directory", e).at_node(id)
-                        })?;
-                    }
-                    let f = std::fs::File::create(path)
+                    // No directory is made for it: `> nodir/f` fails
+                    // as the shell's redirection does.
+                    let f = std::fs::File::create(root.join(p))
                         .map_err(|e| ExecError::classify("create output file", e).at_node(id))?;
                     cmd.stdout(Stdio::from(f));
                 }

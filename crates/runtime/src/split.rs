@@ -22,8 +22,24 @@
 //! the outputs must be exactly the input, or the stateless law does
 //! not apply. For `split_round_robin`, the *tag-ordered* concatenation
 //! of the blocks is the input — order is data, carried by the frames.
+//!
+//! What a block costs. Both splitters read into one [`Window`] — the
+//! bytes land in its free tail straight from the input, around the
+//! caller's `BufReader` — and write each block out of it in place: one
+//! copy in, one copy out. The rest is per block and runs a machine
+//! word or a 64-byte window at a time, not a byte at a time: the cut
+//! is a `memrchr` for the block's last newline (a `memchr` past it for
+//! a line longer than the block), and the line count that sizes the
+//! next block is a `count_byte` (`pash_coreutils::bytemask`). The
+//! window moves its undealt bytes to its front only when its free tail
+//! is shorter than a read and the bytes dealt before them outnumber
+//! them by a read, so a move copies less than was dealt; otherwise it
+//! doubles, so it grows with the bytes it holds.
 
 use crate::frame::write_frame;
+use pash_coreutils::bytemask::{count_byte, nth_byte};
+use pash_coreutils::lines::BLOCK_SIZE;
+use pash_regex::memmem::{memchr, memrchr};
 use std::io::{self, BufRead, Write};
 
 /// Default look-ahead window: inputs up to this size split exactly;
@@ -36,6 +52,11 @@ pub const MIN_ADAPTIVE_BLOCK: usize = 16 * 1024;
 
 /// The adaptive sizing targets this many lines per block.
 pub const TARGET_LINES_PER_BLOCK: u64 = 2048;
+
+/// Fewest bytes a read into the [`Window`] asks for: the capacity of
+/// the `BufReader` a split node reads through, so a read goes around
+/// that buffer and lands in the window directly.
+const READ_CHUNK: usize = BLOCK_SIZE;
 
 /// Picks a block size from the line density observed so far: aim at
 /// [`TARGET_LINES_PER_BLOCK`] lines of the average observed length,
@@ -53,6 +74,124 @@ pub fn adaptive_block_size(bytes_seen: u64, lines_seen: u64, max_block: usize) -
     want.max(MIN_ADAPTIVE_BLOCK).min(max_block)
 }
 
+/// A splitter's one buffer: input is read into its free tail, and
+/// blocks are written out of `buf[start..end]` in place.
+///
+/// All of `buf` is initialised — zeroed as it grows — so a read can
+/// borrow the free tail as a plain slice.
+#[derive(Default)]
+struct Window {
+    buf: Vec<u8>,
+    /// First byte not yet dealt.
+    start: usize,
+    /// End of the bytes read.
+    end: usize,
+    /// The input has reported its end.
+    eof: bool,
+}
+
+impl Window {
+    /// The bytes read and not yet dealt.
+    fn held(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Deals the first `n` held bytes.
+    fn consume(&mut self, n: usize) {
+        debug_assert!(n <= self.end - self.start);
+        self.start += n;
+    }
+
+    /// Reads until at least `want` bytes are held or the input ends;
+    /// returns whether they are.
+    fn fill(&mut self, input: &mut dyn BufRead, want: usize) -> io::Result<bool> {
+        while self.end - self.start < want {
+            let missing = want - (self.end - self.start);
+            if self.read(input, missing)? == 0 {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// One read of up to `max(want, READ_CHUNK)` bytes into the free
+    /// tail, making room first; returns how many arrived (0 at the end
+    /// of the input).
+    ///
+    /// The window grows with what it holds, not with what is asked: a
+    /// 4 MiB look-ahead over an 8 KiB input allocates 128 KiB. Room
+    /// for a read is made by moving the held bytes to the front, and
+    /// by doubling the window too unless the bytes dealt before them
+    /// outnumbered them by a read: a move that does not grow the
+    /// window copies less than was dealt since the last, and a block of
+    /// `B` bytes settles in a window of about `2 × (B + READ_CHUNK)`.
+    fn read(&mut self, input: &mut dyn BufRead, want: usize) -> io::Result<usize> {
+        if self.eof {
+            return Ok(0);
+        }
+        if self.buf.len() - self.end < READ_CHUNK {
+            let held = self.end - self.start;
+            let grow = self.start < held + READ_CHUNK;
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.start = 0;
+                self.end = held;
+            }
+            if grow {
+                let len = (2 * self.buf.len())
+                    .max(held + READ_CHUNK)
+                    .max(2 * READ_CHUNK);
+                self.buf.resize(len, 0);
+            }
+        }
+        let ask = want.max(READ_CHUNK).min(self.buf.len() - self.end);
+        let n = loop {
+            match input.read(&mut self.buf[self.end..self.end + ask]) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        self.end += n;
+        self.eof = n == 0;
+        Ok(n)
+    }
+
+    /// Where a block that must end at a line end ends, given that the
+    /// held bytes hold `block` of them: after the last newline within
+    /// the first `block` bytes, or, for a line longer than the block,
+    /// after the first newline past them (reading on until it
+    /// arrives). `None` when the input ends with no such newline: all
+    /// that is left is one unterminated line.
+    fn cut(&mut self, input: &mut dyn BufRead, block: usize) -> io::Result<Option<usize>> {
+        if let Some(p) = memrchr(b'\n', &self.held()[..block]) {
+            return Ok(Some(p + 1));
+        }
+        let mut from = block;
+        loop {
+            if let Some(p) = memchr(b'\n', &self.held()[from..]) {
+                return Ok(Some(from + p + 1));
+            }
+            from = self.end - self.start;
+            if self.read(input, 0)? == 0 {
+                return Ok(None);
+            }
+        }
+    }
+}
+
+/// Reads the input to its end and drops it.
+fn drain(input: &mut dyn BufRead) -> io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let n = chunk.len();
+        input.consume(n);
+    }
+}
+
 /// Splits the input into `outputs.len()` contiguous line-aligned
 /// chunks, writing them in order, under the default look-ahead.
 pub fn split_general(
@@ -68,7 +207,8 @@ pub fn split_general(
 /// * the concatenation of all outputs is exactly the input, byte for
 ///   byte: an unterminated last line stays unterminated;
 /// * every output is one contiguous line-aligned range;
-/// * buffered bytes never exceed the window plus one line.
+/// * the bytes held never exceed the window plus one read and one
+///   line.
 pub fn split_general_bounded(
     input: &mut dyn BufRead,
     outputs: &mut [Box<dyn Write + Send>],
@@ -78,57 +218,43 @@ pub fn split_general_bounded(
     if outputs.is_empty() {
         // Degenerate zero-output call: consume and discard, matching
         // the fully-buffered path's silent drop.
-        loop {
-            let chunk = input.fill_buf()?;
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            let n = chunk.len();
-            input.consume(n);
-        }
+        return drain(input);
     }
-    let mut buf: Vec<u8> = Vec::new();
-    let eof = fill(input, &mut buf, lookahead + 1)?;
-    if eof {
+    let mut win = Window::default();
+    if !win.fill(input, lookahead + 1)? {
         // The whole input fits: exact near-equal line counts.
-        return scatter_exact(buf, outputs);
+        return scatter_exact(win.held(), outputs);
     }
     // Streaming path: the per-output block size adapts to the line
     // density observed in the first window (short lines ⇒ smaller
     // blocks, long lines ⇒ up to the full window), bounded by the
     // look-ahead so buffering stays constant.
-    let block = adaptive_block_size(buf.len() as u64, count_newlines(&buf), lookahead);
+    let first = win.held();
+    let block = adaptive_block_size(
+        first.len() as u64,
+        count_byte(b'\n', first) as u64,
+        lookahead,
+    );
     let k = outputs.len();
     for i in 0..k.saturating_sub(1) {
-        let eof = fill(input, &mut buf, block)?;
-        if eof {
+        if !win.fill(input, block)? {
             // The tail arrived mid-stream: split what remains exactly
             // across the outputs not yet served.
-            return scatter_exact(buf, &mut outputs[i..]);
+            return scatter_exact(win.held(), &mut outputs[i..]);
         }
-        // Cut at the last newline inside the block; a single line
-        // longer than the block is kept whole (extend to its end).
-        let cut = match buf[..block.min(buf.len())]
-            .iter()
-            .rposition(|&b| b == b'\n')
-        {
-            Some(p) => p + 1,
-            None => match read_through_newline(input, &mut buf)? {
-                Some(p) => p + 1,
-                // EOF before any newline: everything left is one
-                // final (unterminated) line.
-                None => {
-                    return scatter_exact(buf, &mut outputs[i..]);
-                }
-            },
+        // A single line longer than the block is kept whole.
+        let Some(cut) = win.cut(input, block)? else {
+            // EOF before any newline: everything left is one final
+            // (unterminated) line.
+            return scatter_exact(win.held(), &mut outputs[i..]);
         };
-        write_last_chunk(&mut outputs[i], &buf[..cut])?;
-        buf.drain(..cut);
+        write_last_chunk(&mut outputs[i], &win.held()[..cut])?;
+        win.consume(cut);
     }
     // Last output: stream the remainder through without buffering.
     let last = outputs.last_mut().expect("outputs non-empty").as_mut();
-    write_chunk(last, &buf)?;
-    drop(buf);
+    write_chunk(last, win.held())?;
+    drop(win);
     loop {
         let chunk = input.fill_buf()?;
         if chunk.is_empty() {
@@ -163,8 +289,16 @@ pub fn split_round_robin(
 /// * every block is line-aligned, and a single line longer than the
 ///   block bound is kept whole;
 /// * block sizes adapt to the observed line density
-///   ([`adaptive_block_size`]), so buffering never exceeds the bound
-///   plus one line and load balances regardless of line-length skew.
+///   ([`adaptive_block_size`] over the exact byte and newline counts
+///   of the blocks dealt so far), so the bytes held never exceed the
+///   bound plus one read and one line, and load balances regardless of
+///   line-length skew.
+///
+/// The blocks are a function of the input bytes alone: block `t`
+/// holds the next `adaptive_block_size(bytes, lines, max_block)` bytes
+/// cut back to their last newline (or on to the first newline after
+/// them, for a longer line), and the rest of the input when less than
+/// that is left. How the reads happen to fall does not move a cut.
 pub fn split_round_robin_bounded(
     input: &mut dyn BufRead,
     outputs: &mut [Box<dyn Write + Send>],
@@ -173,61 +307,37 @@ pub fn split_round_robin_bounded(
 ) -> io::Result<()> {
     let max_block = max_block.max(1);
     if outputs.is_empty() {
-        loop {
-            let chunk = input.fill_buf()?;
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            let n = chunk.len();
-            input.consume(n);
-        }
+        return drain(input);
     }
     let k = outputs.len();
-    let mut buf: Vec<u8> = Vec::new();
+    let mut win = Window::default();
     let mut bytes_seen = 0u64;
     let mut lines_seen = 0u64;
     let mut tag = 0u64;
     loop {
         let block = adaptive_block_size(bytes_seen, lines_seen, max_block);
-        let eof = fill(input, &mut buf, block)?;
-        if buf.is_empty() {
+        let cut = if win.fill(input, block)? {
+            win.cut(input, block)?
+        } else {
+            None
+        };
+        // Without a cut, everything that remains is the final block.
+        let cut = cut.unwrap_or(win.held().len());
+        if cut == 0 {
             return Ok(());
         }
-        let cut = if eof {
-            // Everything that remains is the final block.
-            buf.len()
-        } else {
-            match buf[..block.min(buf.len())]
-                .iter()
-                .rposition(|&b| b == b'\n')
-            {
-                Some(p) => p + 1,
-                // A line longer than the block: keep it whole.
-                None => match read_through_newline(input, &mut buf)? {
-                    Some(p) => p + 1,
-                    None => buf.len(),
-                },
-            }
-        };
+        let payload = &win.held()[..cut];
         bytes_seen += cut as u64;
-        lines_seen += count_newlines(&buf[..cut]);
+        lines_seen += count_byte(b'\n', payload) as u64;
         let out = outputs[(tag as usize) % k].as_mut();
         if framed {
-            write_frame_abandoning(out, tag, &buf[..cut])?;
+            write_frame_abandoning(out, tag, payload)?;
         } else {
-            write_chunk(out, &buf[..cut])?;
+            write_chunk(out, payload)?;
         }
         tag += 1;
-        buf.drain(..cut);
-        if eof && buf.is_empty() {
-            return Ok(());
-        }
+        win.consume(cut);
     }
-}
-
-/// Number of newlines in a chunk.
-fn count_newlines(data: &[u8]) -> u64 {
-    data.iter().filter(|&&b| b == b'\n').count() as u64
 }
 
 /// [`write_frame`] with the same broken-pipe tolerance as
@@ -241,40 +351,6 @@ fn write_frame_abandoning(
         Ok(()) => Ok(()),
         Err(err) if err.kind() == io::ErrorKind::BrokenPipe => Ok(()),
         Err(err) => Err(err),
-    }
-}
-
-/// Reads until `buf` holds at least `target` bytes or EOF; returns
-/// whether EOF was reached.
-fn fill(input: &mut dyn BufRead, buf: &mut Vec<u8>, target: usize) -> io::Result<bool> {
-    while buf.len() < target {
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(true);
-        }
-        let n = chunk.len();
-        buf.extend_from_slice(chunk);
-        input.consume(n);
-    }
-    Ok(false)
-}
-
-/// Extends `buf` until it contains a newline at or past its current
-/// end-of-window, returning the newline's position (`None` at EOF).
-fn read_through_newline(input: &mut dyn BufRead, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
-    let mut from = buf.len();
-    loop {
-        if let Some(p) = buf[from..].iter().position(|&b| b == b'\n') {
-            return Ok(Some(from + p));
-        }
-        from = buf.len();
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        let n = chunk.len();
-        buf.extend_from_slice(chunk);
-        input.consume(n);
     }
 }
 
@@ -307,30 +383,23 @@ fn write_last_chunk(out: &mut Box<dyn Write + Send>, data: &[u8]) -> io::Result<
 /// Scatters fully-buffered data as contiguous chunks of near-equal
 /// line counts (the exact split of the paper). A final unterminated
 /// line counts as a line and is delivered as it is.
-fn scatter_exact(data: Vec<u8>, outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
-    // Line-start index; a trailing sentinel marks end-of-data so line
-    // `i` spans `starts[i]..starts[i + 1]`.
-    let mut starts: Vec<usize> = Vec::with_capacity(data.len() / 32 + 2);
-    if !data.is_empty() {
-        starts.push(0);
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' && i + 1 < data.len() {
-                starts.push(i + 1);
-            }
-        }
-    }
-    starts.push(data.len());
-
+fn scatter_exact(data: &[u8], outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
+    let unterminated = data.last().is_some_and(|&b| b != b'\n');
+    let n = count_byte(b'\n', data) + usize::from(unterminated);
     let k = outputs.len().max(1);
-    let n = starts.len() - 1;
     let base = n / k;
     let extra = n % k;
-    let mut idx = 0usize;
+    let mut s = 0usize;
     for (i, out) in outputs.iter_mut().enumerate() {
         let take = base + usize::from(i < extra);
-        let (s, e) = (starts[idx], starts[idx + take]);
+        // Past the `take`-th newline from `s`; the last line may have
+        // none, and then the range runs to the end.
+        let e = match take.checked_sub(1) {
+            None => s,
+            Some(nth) => nth_byte(b'\n', &data[s..], nth).map_or(data.len(), |p| s + p + 1),
+        };
         write_last_chunk(out, &data[s..e])?;
-        idx += take;
+        s = e;
     }
     Ok(())
 }
@@ -502,6 +571,11 @@ mod tests {
     }
 
     fn rr_split_with(input: &str, k: usize, framed: bool, max_block: usize) -> Vec<Vec<u8>> {
+        let mut r = io::BufReader::new(io::Cursor::new(input.as_bytes().to_vec()));
+        rr_deal(&mut r, k, framed, max_block)
+    }
+
+    fn rr_deal(input: &mut dyn BufRead, k: usize, framed: bool, max_block: usize) -> Vec<Vec<u8>> {
         let sinks: Vec<std::sync::Arc<std::sync::Mutex<Vec<u8>>>> =
             (0..k).map(|_| Default::default()).collect();
         struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
@@ -518,13 +592,158 @@ mod tests {
             .iter()
             .map(|s| Box::new(SharedSink(s.clone())) as Box<dyn Write + Send>)
             .collect();
-        let mut r = io::BufReader::new(io::Cursor::new(input.as_bytes().to_vec()));
-        split_round_robin_bounded(&mut r, &mut outs, framed, max_block).expect("r_split");
+        split_round_robin_bounded(input, &mut outs, framed, max_block).expect("r_split");
         drop(outs);
         sinks
             .iter()
             .map(|s| s.lock().expect("sink lock").clone())
             .collect()
+    }
+
+    /// The `(tag, len)` of every block `r_split` deals from `input`
+    /// under `max_block`, worked out a byte at a time: the definition
+    /// the splitter must meet however its reads fall.
+    fn reference_layout(input: &[u8], max_block: usize) -> Vec<(u64, usize)> {
+        let mut layout = Vec::new();
+        let (mut bytes, mut lines, mut at) = (0u64, 0u64, 0usize);
+        while at < input.len() {
+            let rest = &input[at..];
+            let block = adaptive_block_size(bytes, lines, max_block);
+            let len = if rest.len() < block {
+                rest.len()
+            } else if let Some(p) = rest[..block].iter().rposition(|&b| b == b'\n') {
+                p + 1
+            } else {
+                rest[block..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |p| block + p + 1)
+            };
+            bytes += len as u64;
+            lines += rest[..len].iter().filter(|&&b| b == b'\n').count() as u64;
+            layout.push((layout.len() as u64, len));
+            at += len;
+        }
+        layout
+    }
+
+    /// Hands its bytes out in reads of a fixed cycle of sizes, none of
+    /// them a block's, so cuts cannot lean on where reads end.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        turn: usize,
+    }
+
+    impl io::Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            const SIZES: [usize; 5] = [1, 7, 4093, 65_537, 300_007];
+            self.turn += 1;
+            let n = SIZES[self.turn % SIZES.len()]
+                .min(buf.len())
+                .min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Deals `input` both through a whole-buffer reader and a trickle
+    /// behind a small `BufReader`, and checks both against
+    /// [`reference_layout`]: framed, the tags and payload lengths;
+    /// raw, that output `i` is the blocks `i, i + k, …` back to back.
+    fn assert_layout(input: &[u8], k: usize, framed: bool, max_block: usize) {
+        let want = reference_layout(input, max_block);
+        let mut starts = vec![0usize];
+        for &(_, len) in &want {
+            starts.push(starts.last().expect("a start") + len);
+        }
+        let mut whole = io::BufReader::new(io::Cursor::new(input.to_vec()));
+        let mut trickle = io::BufReader::with_capacity(
+            1000,
+            Trickle {
+                data: input.to_vec(),
+                at: 0,
+                turn: 0,
+            },
+        );
+        for reader in [&mut whole as &mut dyn BufRead, &mut trickle] {
+            let parts = rr_deal(reader, k, framed, max_block);
+            let what = format!(
+                "{} bytes, k {k}, framed {framed}, bound {max_block}",
+                input.len()
+            );
+            if framed {
+                let mut got: Vec<(u64, usize)> = frames_of(&parts)
+                    .into_iter()
+                    .map(|(tag, payload)| (tag, payload.len()))
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(got, want, "{what}");
+            } else {
+                for (i, part) in parts.iter().enumerate() {
+                    let mut dealt = Vec::with_capacity(part.len());
+                    for t in (i..want.len()).step_by(k) {
+                        dealt.extend_from_slice(&input[starts[t]..starts[t + 1]]);
+                    }
+                    assert!(*part == dealt, "output {i}: {what}");
+                }
+            }
+        }
+    }
+
+    /// A seeded corpus of `lines` lines: mostly short, every so often
+    /// one of up to `long` bytes.
+    fn skewed_corpus(seed: u64, lines: usize, long: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut out = Vec::new();
+        for _ in 0..lines {
+            let len = match next() % 16 {
+                0 => next() as usize % long,
+                _ => next() as usize % 40,
+            };
+            out.extend((0..len).map(|i| b'a' + (i % 26) as u8));
+            out.push(b'\n');
+        }
+        out
+    }
+
+    #[test]
+    fn round_robin_frames_are_the_byte_counted_layout() {
+        let mut corpora = vec![
+            Vec::new(),
+            skewed_corpus(1, 3_000, 300),
+            skewed_corpus(2, 1_500, 40_000),
+        ];
+        // An unterminated tail, after short lines and alone.
+        let mut tail = skewed_corpus(3, 2_000, 500);
+        tail.extend_from_slice(b"no newline at the end");
+        corpora.push(tail);
+        corpora.push(b"one unterminated line".to_vec());
+        for bound in [1, 17, 16 * 1024] {
+            for input in &corpora {
+                for framed in [true, false] {
+                    assert_layout(input, 3, framed, bound);
+                }
+            }
+        }
+        // The default bound: lines longer than it, between short ones,
+        // and one at the very end without its newline.
+        let mut long = skewed_corpus(4, 4_000, 2_000);
+        long.extend(std::iter::repeat_n(b'x', DEFAULT_LOOKAHEAD + 12_345));
+        long.push(b'\n');
+        long.extend(skewed_corpus(5, 4_000, 2_000));
+        long.extend(std::iter::repeat_n(b'y', DEFAULT_LOOKAHEAD + 1));
+        for framed in [true, false] {
+            assert_layout(&long, 3, framed, DEFAULT_LOOKAHEAD);
+            assert_layout(&corpora[2], 2, framed, DEFAULT_LOOKAHEAD);
+        }
     }
 
     /// Reads every frame off each part; returns (tag, payload) pairs.
@@ -683,6 +902,17 @@ mod tests {
             frames.sort_by_key(|(t, _)| *t);
             let joined: Vec<u8> = frames.into_iter().flat_map(|(_, p)| p).collect();
             prop_assert_eq!(joined, input.into_bytes());
+        }
+
+        #[test]
+        fn prop_round_robin_layout_is_the_byte_counted_one(
+            lines in proptest::collection::vec("[a-z]{0,30}", 0..80),
+            tail in "[a-z]{0,12}",
+            k in 1usize..4,
+            block in 1usize..96,
+            framed in 0u8..2,
+        ) {
+            assert_layout(lines_then(&lines, &tail).as_bytes(), k, framed == 1, block);
         }
 
         #[test]

@@ -1167,3 +1167,65 @@ fn stdin_feeds_all_backends_identically() {
         &bins,
     );
 }
+
+/// An output redirection into a directory that does not exist fails
+/// the run on every backend and makes no directory, as in the host
+/// shell. `/bin/sh` and the `shell` backend's script report status 2
+/// (a failed redirection); `threads` and `processes`, over a real
+/// directory, fail the run with the open's error, which `backendrun`
+/// and `pashd` report as status 2. Nothing reaches stdout.
+#[test]
+fn a_missing_output_directory_fails_as_the_shell_does() {
+    use pash::coreutils::fs::RealFs;
+    use pash::coreutils::Registry;
+    use pash::runtime::exec::{run_program, ExecConfig};
+    use pash::runtime::proc::run_plan;
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let fs = MemFs::new();
+    fs.add(
+        "in.txt",
+        b"the quick brown fox\njumps over the lazy dog\n".to_vec(),
+    );
+    let script = "cat in.txt > nodir/out.txt";
+    let host = observe_host(script, &fs);
+    assert_eq!((host.stdout.as_slice(), host.status), (&b""[..], 2), "host");
+    for setup in [Setup::split(1), Setup::split(2)] {
+        let width = setup.cfg.width;
+        let shell = observe_shell(script, Arc::new(fs.clone()), &setup, &bins);
+        assert_eq!(shell, host, "shell at width {width}");
+        let plan = pash::compile(script, &setup.cfg).expect("compile").plan;
+        for backend in ["threads", "processes"] {
+            let dir = std::env::temp_dir().join(format!(
+                "pash-diff-nodir-{}-{backend}-{width}",
+                std::process::id()
+            ));
+            materialize(&fs, &dir);
+            let ran = match backend {
+                "threads" => run_program(
+                    &plan,
+                    None,
+                    &Registry::standard(),
+                    Arc::new(RealFs::new(&dir)),
+                    b"",
+                    &ExecConfig::default(),
+                ),
+                _ => {
+                    let settings = ProcSettings {
+                        pashc: Some(bins.0.clone()),
+                        pash_rt: Some(bins.1.clone()),
+                        ..Default::default()
+                    };
+                    run_plan(&plan, None, &settings, &dir, b"")
+                }
+            };
+            let made = dir.join("nodir").exists();
+            let _ = std::fs::remove_dir_all(&dir);
+            let err = ran.expect_err(&format!("{backend} at width {width} ran"));
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{backend}: {err}");
+            assert!(!made, "{backend} at width {width} made the directory");
+        }
+    }
+}

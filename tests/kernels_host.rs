@@ -692,7 +692,9 @@ fn assert_compiled_matches(
 /// host's status; `tr`'s `[:]` is three bytes on every copy, and a
 /// `grep` pattern that does not compile exits 2 on every copy. A word
 /// is a word whatever it holds: the last pattern once spelt the
-/// compiler's in-band stream marker, and its input holds it.
+/// compiler's in-band stream marker, and its input holds it. A `head`
+/// or `tail` that names its file is split over the file, and the
+/// aggregator re-applied to the parts reads the parts, not the file.
 #[test]
 fn compiled_argvs_match_the_host_shell() {
     const ARGVS: [&str; 30] = [
@@ -743,6 +745,12 @@ fn compiled_argvs_match_the_host_shell() {
         let case = format!("compiled-{i}");
         let host = host_run(&case, &sh, &["-c", &script], input);
         assert_compiled_matches(&script, &[("in.txt", input)], &[], &host, &bins);
+    }
+    for (i, script) in ["head -n 1 in.txt", "tail -n 1 in.txt"].iter().enumerate() {
+        let case = format!("compiled-file-{i}");
+        let files: [(&str, &[u8]); 1] = [("in.txt", &input)];
+        let host = host_run_in(&case, &sh, &["-c", script], &files, b"");
+        assert_compiled_matches(script, &files, &[], &host, &bins);
     }
 }
 
