@@ -63,9 +63,15 @@
 #      `tr A-Z a-z | cut -d ' ' -f 1-4` (framed `r_split`) and `sort |
 #      uniq -c | sort -n` (raw `r_split`) under the round-robin policy
 #      at widths 2 and 4, on shell, threads and processes under
-#      `timeout`, each byte-compared against host /bin/sh; and `cat
+#      `timeout`, each byte-compared against host /bin/sh; `cat
 #      a.txt > nodir/out.txt` on the three must exit 2 and make no
-#      directory, as the host shell does;
+#      directory, as the host shell does; `wc -l a.txt b.txt` and
+#      `sha1sum a.txt` at width 1 on the three, under `timeout`, must
+#      print the host /bin/sh's bytes, file names and column widths
+#      included (a streamed file operand reaches its command under its
+#      own name); and `wc -l a.txt nope` at width 2 on shell, whose
+#      copy of `wc` cannot open its missing file, must fail inside its
+#      `timeout` rather than wedge the eager relay behind it;
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -396,6 +402,36 @@ for b in shell threads processes; do
     test "$status" -eq 2
     test ! -e "target/bench-smoke/nodir-$b/nodir"
 done
+# A file operand keeps its own name, so what a command prints of it is
+# what the host prints.
+n=0
+for script in 'wc -l a.txt b.txt' 'sha1sum a.txt'; do
+    n=$((n + 1))
+    (cd target/bench-smoke/cat-host && LC_ALL=C /bin/sh -c "$script") \
+        >"target/bench-smoke/names-host-$n.out"
+    for b in shell threads processes; do
+        rm -rf "target/bench-smoke/names-$b"
+        mkdir -p "target/bench-smoke/names-$b"
+        cp target/bench-smoke/cat-host/a.txt target/bench-smoke/cat-host/b.txt \
+            "target/bench-smoke/names-$b/"
+        timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 1 \
+            --dir "target/bench-smoke/names-$b" -e "$script" \
+            </dev/null >"target/bench-smoke/names-$b-$n.out"
+        cmp "target/bench-smoke/names-host-$n.out" "target/bench-smoke/names-$b-$n.out"
+    done
+done
+# A missing input file fails the emitted script: the job opens its
+# output FIFO before its input file, so the relay reading that FIFO is
+# not left waiting in `open`. `timeout` kills a wedged run (status 137),
+# which fails the step.
+status=0
+timeout -s KILL 20 ./target/release/backendrun --backend shell --width 2 \
+    --dir target/bench-smoke/names-shell -e 'wc -l a.txt nope' \
+    </dev/null >/dev/null 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
+    echo "    wc -l a.txt nope on shell at width 2 ended with status $status" >&2
+    exit 1
+fi
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region
@@ -414,9 +450,10 @@ for _ in 1 2 3 4 5 6 7 8 9 10; do
     [ -S "$W1" ] && [ -S "$W2" ] && break
     sleep 0.2
 done
-./target/release/backendrun --backend remote --width 4 \
+# It reads no stdin: an inherited one that never ends would wedge it.
+timeout -s KILL 60 ./target/release/backendrun --backend remote --width 4 \
     --dir target/bench-smoke/backend-remote --gen in.txt:200000 \
-    --worker "$W1" --worker "$W2" -e "$SMOKE_SCRIPT"
+    --worker "$W1" --worker "$W2" -e "$SMOKE_SCRIPT" </dev/null
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-remote/out.txt
 test -s target/bench-smoke/backend-remote/out.txt

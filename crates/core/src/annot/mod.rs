@@ -5,10 +5,10 @@
 //! options. Evaluating a record against a concrete invocation yields a
 //! [`Classification`]: the class, the ordered streamed inputs, the
 //! static ("configuration") inputs, the output, and the command line
-//! typed: each streamed operand is [`Arg::Stream`]`(k)` (the k-th
-//! input, named in place), except the one routed through stdin, which
-//! is the literal `-`. Every other word is an [`Arg::Lit`], whatever
-//! it holds.
+//! typed: each streamed file operand is [`Arg::Stream`]`(k)` (the k-th
+//! input, named in place, so the command still sees the file's own
+//! name); every other word, a streamed `-` among them, is an
+//! [`Arg::Lit`], whatever it holds.
 //!
 //! A record says nothing of how its command reads an argv: the
 //! invocation is [`read`] as the command reads it, through the
@@ -120,16 +120,15 @@ pub struct Classification {
     /// Static configuration inputs (file arguments *not* streamed;
     /// replicated to every parallel copy, §3.2's `comm -13` example).
     pub static_files: Vec<String>,
-    /// The argv with its streamed operands typed: the one routed
-    /// through stdin (the operand `-` if one is streamed, else the
-    /// first) becomes the literal `-`, each other becomes
-    /// [`Arg::Stream`] of its input. This preserves positional arity —
-    /// `comm -23 t1 t2` must still see two operands after t1 is
-    /// rerouted through a pipe.
+    /// The argv with its streamed file operands typed: each becomes
+    /// [`Arg::Stream`] of its input, which a backend writes as the
+    /// file's path, so `wc -l t1 t2` still names `t1` and `t2`. A
+    /// streamed `-` stays the literal `-`.
     pub argv: Vec<Arg>,
-    /// The argv each parallel copy runs: [`Classification::argv`]
-    /// without its [`Arg::Stream`] operands (a copy reads its one
-    /// source on stdin), or the command's own map command.
+    /// The argv each parallel copy runs, which reads its one source on
+    /// stdin: [`Classification::argv`] with its first streamed file
+    /// operand as `-` (unless an input already is stdin) and the other
+    /// streamed operands dropped — or the command's own map command.
     pub map: Vec<String>,
     /// How parallel copies recombine: set by the library for a
     /// class-P invocation whose aggregator it knows.
@@ -231,27 +230,19 @@ fn resolve(assign: &Assignment, args: &[String], operands: &Operands) -> Classif
         .filter(|(at, _)| !slots.iter().any(|s| s.1 == Some(*at)))
         .map(|(_, word)| word.to_string())
         .collect();
-    // One slot reads stdin: the one that reads it anyway (`-`, or the
-    // `stdin` keyword), else the first, whose operand becomes `-`.
-    // Every other streamed operand is named in place.
-    let on_stdin = slots
-        .iter()
-        .position(|s| s.0 == InputSlot::Stdin)
-        .unwrap_or(0);
+    // Every streamed file operand is named in place; a streamed `-`
+    // is already the word that reads stdin.
     let mut argv: Vec<Arg> = args.iter().cloned().map(Arg::Lit).collect();
-    for (k, (_, pos)) in slots.iter().enumerate() {
-        if let Some(p) = *pos {
-            argv[p] = if k == on_stdin {
-                Arg::Lit("-".to_string())
-            } else {
-                Arg::Stream(k)
-            };
+    for (k, (slot, pos)) in slots.iter().enumerate() {
+        if let (InputSlot::File(_), Some(p)) = (slot, *pos) {
+            argv[p] = Arg::Stream(k);
         }
     }
-    let map = lits(&argv);
+    let inputs: Vec<InputSlot> = slots.into_iter().map(|s| s.0).collect();
+    let map = copy_argv(&argv, &inputs);
     Classification {
         class: assign.class,
-        inputs: slots.into_iter().map(|s| s.0).collect(),
+        inputs,
         static_files,
         argv,
         map,
@@ -259,10 +250,18 @@ fn resolve(assign: &Assignment, args: &[String], operands: &Operands) -> Classif
     }
 }
 
-/// The literal words of a typed argv: what a parallel copy runs.
-pub(crate) fn lits(argv: &[Arg]) -> Vec<String> {
+/// What a parallel copy of `argv` runs, reading its one source on
+/// stdin: the first input's operand (`Arg::Stream(0)`) becomes `-`
+/// unless some input already reads stdin, and the other streamed
+/// operands are dropped.
+pub(crate) fn copy_argv(argv: &[Arg], inputs: &[InputSlot]) -> Vec<String> {
+    let first_on_stdin = !inputs.contains(&InputSlot::Stdin);
     argv.iter()
-        .filter_map(|a| a.as_lit().map(str::to_string))
+        .filter_map(|a| match a {
+            Arg::Lit(w) => Some(w.clone()),
+            Arg::Stream(0) if first_on_stdin => Some("-".to_string()),
+            Arg::Stream(_) => None,
+        })
         .collect()
 }
 
@@ -320,8 +319,9 @@ mod tests {
             vec![InputSlot::File("f1".into()), InputSlot::File("f2".into())]
         );
         assert!(c.static_files.is_empty());
-        // The first operand reads stdin, the second is named in place.
-        assert_eq!(c.argv, vec![Arg::Lit("-".into()), Arg::Stream(1)]);
+        // Both operands are named in place; a copy reads the first on
+        // stdin.
+        assert_eq!(c.argv, vec![Arg::Stream(0), Arg::Stream(1)]);
         assert_eq!(c.map, vec!["-"]);
     }
 
@@ -373,9 +373,10 @@ mod tests {
             c.inputs,
             vec![InputSlot::File("f1".into()), InputSlot::File("f2".into())]
         );
-        // First streamed operand becomes `-`, the second is named.
-        let mut argv = words(&["-v", "pat", "-"]);
-        argv.push(Arg::Stream(1));
+        // Both streamed operands are named; a copy reads the first as
+        // `-` and drops the second.
+        let mut argv = words(&["-v", "pat"]);
+        argv.extend([Arg::Stream(0), Arg::Stream(1)]);
         assert_eq!(c.argv, argv);
         assert_eq!(c.map, vec!["-v", "pat", "-"]);
     }
@@ -391,11 +392,14 @@ mod tests {
         // So is the obsolete leading count, and a value in a cluster.
         let c = classify(&rec, &["-5", "f"]);
         assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
-        assert_eq!(c.argv, words(&["-5", "-"]));
+        assert_eq!(c.argv, vec![Arg::Lit("-5".into()), Arg::Stream(0)]);
         let rec = lang::parse_record("sort { | _ => (P, [args[0:]], [stdout]) }").expect("parse");
         let c = classify(&rec, &["-rk", "2", "f"]);
         assert_eq!(c.inputs, vec![InputSlot::File("f".into())]);
-        assert_eq!(c.argv, words(&["-rk", "2", "-"]));
+        let mut argv = words(&["-rk", "2"]);
+        argv.push(Arg::Stream(0));
+        assert_eq!(c.argv, argv);
+        assert_eq!(c.map, vec!["-rk", "2", "-"]);
     }
 
     #[test]
@@ -433,7 +437,8 @@ mod tests {
         let c = classify(&rec, &["--", "-n"]);
         assert_eq!(c.class, ParClass::Stateless);
         assert_eq!(c.inputs, vec![InputSlot::File("-n".into())]);
-        assert_eq!(c.argv, words(&["--", "-"]));
+        assert_eq!(c.argv, vec![Arg::Lit("--".into()), Arg::Stream(0)]);
+        assert_eq!(c.map, vec!["--", "-"]);
         let c = classify(&rec, &["-n", "--", "-", "f"]);
         assert_eq!(c.class, ParClass::Pure);
         assert_eq!(

@@ -10,7 +10,7 @@ use pash_coreutils::args::Reading;
 use pash_coreutils::cmd::sed::rewrites_each_line;
 use pash_coreutils::cmd::tr::squeezes_across_lines;
 
-use crate::annot::{lang, lits, read, AnnotationRecord, Classification};
+use crate::annot::{copy_argv, lang, read, AnnotationRecord, Classification};
 use crate::classes::ParClass;
 use crate::dfg::{AggKind, Aggregator};
 use crate::plan::Arg;
@@ -173,7 +173,7 @@ impl AnnotationLibrary {
             }
         }
         c.argv.insert(0, Arg::Lit(name.clone()));
-        c.map = lits(&c.argv);
+        c.map = copy_argv(&c.argv, &c.inputs);
         if c.class == ParClass::Pure {
             c.agg = aggregator(argv, &r);
             if name == "bigrams-aux" {
@@ -459,8 +459,10 @@ mod tests {
         let c = AnnotationLibrary::standard()
             .classify(&argv(&["tail", "+2", "f"]))
             .expect("classified");
-        let words = argv(&["tail", "-n+2", "-"]);
-        assert_eq!(c.argv, words.into_iter().map(Arg::Lit).collect::<Vec<_>>());
+        let mut words: Vec<Arg> = argv(&["tail", "-n+2"]).into_iter().map(Arg::Lit).collect();
+        words.push(Arg::Stream(0));
+        assert_eq!(c.argv, words);
+        assert_eq!(c.map, argv(&["tail", "-n+2", "-"]));
     }
 
     #[test]

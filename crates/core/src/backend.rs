@@ -132,6 +132,7 @@ pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
             SpawnBin::Runtime => "\"$PASH_RT\"",
         });
         let mut stdin_redirect: Option<String> = None;
+        let mut stdin_is_file = false;
         if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
             match &r.edges[e].kind {
                 // `sh` has no redirection for a segment of a file: the
@@ -145,6 +146,7 @@ pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
                 }
                 EndpointKind::InputFile(f) => {
                     stdin_redirect = Some(format!("< {}", shell_quote(f)));
+                    stdin_is_file = true;
                 }
                 // The region's boundary stdin: background jobs read
                 // /dev/null by default (POSIX), so the primary edge
@@ -168,21 +170,24 @@ pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
                 SpawnWord::Out(j) => line.push_str(&name_of(node.outputs[*j])),
             }
         }
-        if let Some(redirect) = stdin_redirect {
-            line.push_str(&format!(" {redirect}"));
+        // Output (split nodes named their outputs as arguments; the
+        // region's stdout is inherited).
+        let out_edge = spec.stdout_output.map(|j| node.outputs[j]);
+        let stdout_redirect = out_edge.and_then(|e| match &r.edges[e].kind {
+            EndpointKind::Pipe => Some(format!("> {}", pipe_name(region, e))),
+            EndpointKind::OutputFile(f) => Some(format!("> {}", shell_quote(f))),
+            _ => None,
+        });
+        // `sh` opens redirections in order and stops at the first that
+        // fails. A FIFO writer opens its FIFO before a file that may be
+        // missing, or the FIFO's reader waits in `open` for ever; else
+        // input first, as the host: `sort < nope > out` keeps `out`.
+        let mut redirects = [stdin_redirect, stdout_redirect];
+        if stdin_is_file && out_edge.is_some_and(|e| r.edges[e].kind == EndpointKind::Pipe) {
+            redirects.reverse();
         }
-        // Output (split nodes named their outputs as arguments).
-        if let Some(out_edge) = spec.stdout_output.map(|j| node.outputs[j]) {
-            match &r.edges[out_edge].kind {
-                EndpointKind::Pipe => {
-                    line.push_str(&format!(" > {}", pipe_name(region, out_edge)));
-                }
-                EndpointKind::OutputFile(f) => {
-                    line.push_str(&format!(" > {}", shell_quote(f)));
-                }
-                // Region stdout: inherit.
-                _ => {}
-            }
+        for redirect in redirects.into_iter().flatten() {
+            line.push_str(&format!(" {redirect}"));
         }
         line.push_str(" &\n");
         out.push_str(&line);

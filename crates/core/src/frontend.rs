@@ -507,9 +507,10 @@ mod tests {
         let node = g.node(g.topo_order()[0]).expect("node");
         match &node.kind {
             NodeKind::Command { argv, .. } => {
-                // The streamed file arg became the `-` stdin operand.
-                let words = ["grep", "foo", "-"].map(|w| Arg::Lit(w.to_string()));
-                assert_eq!(argv, &words.to_vec());
+                // The streamed file stays an operand, named by its input.
+                let mut words = ["grep", "foo"].map(|w| Arg::Lit(w.to_string())).to_vec();
+                words.push(Arg::Stream(0));
+                assert_eq!(argv, &words);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -562,7 +562,8 @@ impl RegionPlan {
     ///
     /// * every node's edge ids are in bounds and the edge points back;
     /// * every `stdin_inputs` / `Arg::Stream` position is a valid
-    ///   input index;
+    ///   input index, and an `Arg::Stream` names an `InputFile` edge
+    ///   (the command opens the file by its path; a pipe has none);
     /// * every op has the arity its interpreter takes for granted:
     ///   `Exec`, `Cat`, `Relay` and `Aggregate` exactly one output,
     ///   `Relay` and `Split` exactly one input, `Split` at least one
@@ -603,8 +604,11 @@ impl RegionPlan {
             if let PlanOp::Exec { argv, .. } = &node.op {
                 for a in argv {
                     if let Arg::Stream(k) = a {
-                        if *k >= node.inputs.len() {
+                        let Some(&e) = node.inputs.get(*k) else {
                             return Err(format!("node {i}: stream arg {k} out of range"));
+                        };
+                        if !matches!(self.edges[e].kind, EndpointKind::InputFile(_)) {
+                            return Err(format!("node {i}: stream arg {k} names no input file"));
                         }
                     }
                 }
@@ -1257,6 +1261,25 @@ mod tests {
                 .expect_err("bad arity rejected");
             assert!(err.contains(name), "{err}");
         }
+    }
+
+    #[test]
+    fn a_stream_operand_must_name_an_input_file() {
+        let plan = lowered("wc -l t1 t2 | sort > o", 1);
+        let r = first_region(&plan);
+        r.validate().expect("lowered operands name files");
+        let wc = &r.nodes[0];
+        let PlanOp::Exec { argv, .. } = &wc.op else {
+            panic!("{}", r.dump());
+        };
+        assert_eq!(&argv[2..], [Arg::Stream(0), Arg::Stream(1)]);
+        assert!(wc.stdin_inputs.is_empty(), "{}", r.dump());
+        // The same operand naming a pipe is refused: a pipe has no path
+        // for the command to open.
+        let mut piped = r.clone();
+        piped.edges[wc.inputs[1]].kind = EndpointKind::Pipe;
+        let err = piped.validate().expect_err("a pipe operand is refused");
+        assert!(err.contains("stream arg 1 names no input file"), "{err}");
     }
 
     #[test]

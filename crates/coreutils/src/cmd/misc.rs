@@ -5,7 +5,7 @@ use std::io::{self, Read, Write};
 
 use crate::args::{escape, scanned};
 use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{error_text, open_input, CmdIo, Command, ExitStatus};
 
 /// `rev` — reverse the bytes of each line (class S); an unterminated one stays so.
 pub struct Rev;
@@ -213,15 +213,23 @@ impl Command for Fold {
     }
 }
 
-/// `tee [file…]` — copy stdin to stdout and to files.
+/// `tee [file…]` — copy stdin to stdout and to files; one it cannot
+/// create is reported and skipped, with status 1, as GNU's.
 pub struct Tee;
 
 impl Command for Tee {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let files = scanned!(io, args, "tee", |_, _| Ok(())).words();
         let mut writers: Vec<Box<dyn Write + Send>> = Vec::new();
+        let mut status = 0;
         for f in files {
-            writers.push(io.fs.create(f)?);
+            match io.fs.create(f) {
+                Ok(w) => writers.push(w),
+                Err(e) => {
+                    writeln!(io.stderr, "tee: {f}: {}", error_text(&e))?;
+                    status = 1;
+                }
+            }
         }
         let mut buf = [0u8; 64 * 1024];
         loop {
@@ -234,7 +242,7 @@ impl Command for Tee {
                 w.write_all(&buf[..n])?;
             }
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

@@ -65,16 +65,20 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// The column width for a report over `operands` inputs (stdin
-    /// counts as one): GNU prints a lone count of a lone input bare
-    /// and right-aligns everything else, to seven columns here.
-    pub fn width(&self, operands: usize) -> usize {
+    /// The column width of a report over `inputs` (`-` is stdin), by
+    /// GNU's `compute_number_width`: a lone count of a lone input is
+    /// bare; else the digits of the named files' summed `size`, and at
+    /// least seven when stdin, a pipe of no known size, is one.
+    pub fn width(&self, inputs: &[&str], size: impl Fn(&str) -> Option<u64>) -> usize {
         let columns = usize::from(self.lines) + usize::from(self.words) + usize::from(self.bytes);
-        if columns == 1 && operands <= 1 {
-            1
-        } else {
-            7
+        if columns == 1 && inputs.len() <= 1 {
+            return 1;
         }
+        let named = inputs.iter().filter(|f| **f != "-");
+        let total: u64 = named.filter_map(|f| size(f)).sum();
+        let least = if inputs.contains(&"-") { 7 } else { 1 };
+        let digits = total.checked_ilog10().map_or(1, |d| d as usize + 1);
+        digits.max(least)
     }
 
     /// Formats one counts row under this selection, every count
@@ -134,7 +138,7 @@ impl Command for Wc {
         let files = operands.inputs();
         let mut total = Counts::default();
         let many = files.len() > 1;
-        let width = sel.width(files.len());
+        let width = sel.width(&files, |f| io.fs.size(f).ok());
         for f in &files {
             let mut r = open_input(&io.fs, f, io.stdin)?;
             let c = count_stream(&mut r, sel.words)?;
@@ -179,10 +183,28 @@ mod tests {
         assert_eq!(wc(&["-c"], ""), "0\n");
         assert_eq!(wc(&["-l", "w1"], ""), "2 w1\n");
         assert_eq!(wc(&["-lw"], "a b\n"), "      1       2\n");
+    }
+
+    #[test]
+    fn named_files_are_as_wide_as_their_summed_sizes() {
+        // GNU's `compute_number_width`: 14 + 2 bytes make two digits,
+        // a missing file adds nothing, stdin makes at least seven.
+        assert_eq!(wc(&["-l", "w1", "w2"], ""), " 2 w1\n 1 w2\n 3 total\n");
+        assert_eq!(wc(&["-lw", "w1"], ""), " 2  3 w1\n");
+        assert_eq!(wc(&["w2"], ""), "1 1 2 w2\n");
         assert_eq!(
-            wc(&["-l", "w1", "w2"], ""),
-            "      2 w1\n      1 w2\n      3 total\n"
+            wc(&["-l", "-", "w1"], "a\n"),
+            "      1 -\n      2 w1\n      3 total\n"
         );
+        let width = |inputs: &[&str]| {
+            let sel = super::Selection {
+                lines: true,
+                ..Default::default()
+            };
+            sel.width(inputs, |f| (f != "nope").then_some(16))
+        };
+        assert_eq!(width(&["nope", "w1"]), 2);
+        assert_eq!(width(&["nope", "nope"]), 1);
     }
 
     #[test]

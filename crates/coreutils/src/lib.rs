@@ -231,6 +231,14 @@ pub fn open_input<'a>(
     }
 }
 
+/// An I/O error as GNU's utilities print it: the system's message,
+/// without the ` (os error N)` Rust appends to it.
+pub fn error_text(e: &io::Error) -> String {
+    let text = e.to_string();
+    let end = text.find(" (os error ").unwrap_or(text.len());
+    text[..end].to_string()
+}
+
 /// Writes a usage error to stderr and returns GNU's status for one:
 /// 2 for `sort`, `grep` and `diff` (whose 1 means "unordered", "no
 /// match" and "files differ"), 1 for every other command.

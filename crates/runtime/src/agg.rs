@@ -234,9 +234,10 @@ fn agg_wc(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io:
         })?;
     }
     let counts = wc_counts_from(&sel, &total);
-    // The parts stood for one input: a lone count prints bare, as the
-    // sequential `wc` prints it.
-    writeln!(output, "{}", sel.format(&counts, None, sel.width(1)))?;
+    // The parts stood for one input on stdin: a lone count prints
+    // bare, as the sequential `wc` prints it.
+    let width = sel.width(&["-"], |_| None);
+    writeln!(output, "{}", sel.format(&counts, None, width))?;
     Ok(0)
 }
 

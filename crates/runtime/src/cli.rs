@@ -248,8 +248,9 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
         }
     };
     let mut stderr = io::stderr().lock();
-    // A command's standard input is its one input.
-    run_node(&op, &[0], ins, outs, &registry, fs, &mut stderr)
+    // A command's standard input is its one input; its argv already
+    // names each file operand by its path.
+    run_node(&op, &[0], &[], ins, outs, &registry, fs, &mut stderr)
 }
 
 /// Restores the default `SIGPIPE` disposition. Rust's startup sets it

@@ -54,8 +54,9 @@
 //! The executor never inspects the compiler's DFG: everything it
 //! needs (edge endpoint kinds, stream-argument roles, stdin routing,
 //! output producers, guard structure) arrives resolved in the plan.
+//! A command's streamed operand ([`Arg::Stream`]) is an input file's
+//! own path, opened through the run's [`Fs`] as on the other backends.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -142,53 +143,6 @@ impl RegionOutput {
     /// The region's overall status (see the `status` field).
     pub fn status(&self) -> i32 {
         self.status
-    }
-}
-
-/// A filesystem overlay that exposes in-flight streams as paths.
-///
-/// Stream-role arguments in a node's argv are rewritten to
-/// `pash://stream/k`; the command opens them like files, each exactly
-/// once.
-struct StreamFs {
-    base: Arc<dyn Fs>,
-    streams: Mutex<HashMap<String, Box<dyn Read + Send>>>,
-}
-
-impl StreamFs {
-    fn path_for(k: usize) -> String {
-        format!("pash://stream/{k}")
-    }
-}
-
-impl Fs for StreamFs {
-    fn open(&self, path: &str) -> io::Result<Box<dyn Read + Send>> {
-        if path.starts_with("pash://stream/") {
-            return self
-                .streams
-                .lock()
-                .expect("stream table lock")
-                .remove(path)
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("stream {path} already consumed"),
-                    )
-                });
-        }
-        self.base.open(path)
-    }
-
-    fn create(&self, path: &str) -> io::Result<Box<dyn Write + Send>> {
-        self.base.create(path)
-    }
-
-    fn size(&self, path: &str) -> io::Result<u64> {
-        self.base.size(path)
-    }
-
-    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-        self.base.list(dir)
     }
 }
 
@@ -305,6 +259,18 @@ fn endpoints(
     )
 }
 
+/// The path of each of `node`'s inputs that is a named file: what the
+/// node's `Arg::Stream(k)` is written as.
+fn input_files<'p>(r: &'p RegionPlan, node: &PlanNode) -> Vec<Option<&'p str>> {
+    node.inputs
+        .iter()
+        .map(|&e| match &r.edges[e].kind {
+            EndpointKind::InputFile(path) => Some(path.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
 /// What a node's result means for the attempt: an exit status — a
 /// `BrokenPipe` is SIGPIPE-style death, normal early-exit teardown —
 /// or the classified error that ends it.
@@ -411,6 +377,7 @@ fn run_to_completion(
         let res = run_node(
             &node.op,
             &node.stdin_inputs,
+            &input_files(r, node),
             ins,
             outs,
             registry,
@@ -535,6 +502,7 @@ fn run_thread_per_node(
                     let res = run_node(
                         &node.op,
                         &node.stdin_inputs,
+                        &input_files(r, node),
                         ins,
                         outs,
                         &registry,
@@ -577,9 +545,14 @@ fn run_thread_per_node(
 /// child process of the `processes` and `shell` backends
 /// ([`crate::cli`]) all end up here. The `expect`s below are arities
 /// [`RegionPlan::validate`] has checked.
+///
+/// A command's [`Arg::Stream`]`(k)` is the path `input_files[k]`, which
+/// it opens through `fs`; the reader wired for that input is dropped.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_node(
     op: &PlanOp,
     stdin_inputs: &[usize],
+    input_files: &[Option<&str>],
     mut ins: Vec<Box<dyn Read + Send>>,
     mut outs: Vec<Box<dyn Write + Send>>,
     registry: &Registry,
@@ -588,22 +561,21 @@ pub(crate) fn run_node(
 ) -> io::Result<i32> {
     match op {
         PlanOp::Exec { argv, framed } => {
-            // Stream-role args become virtual stream paths; the
-            // remaining inputs feed stdin in plan order.
+            let final_argv = argv
+                .iter()
+                .map(|a| match a {
+                    Arg::Lit(w) => Ok(w.clone()),
+                    Arg::Stream(k) => match input_files.get(*k) {
+                        Some(Some(path)) => Ok(path.to_string()),
+                        _ => Err(io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!("stream operand {k} names no input file"),
+                        )),
+                    },
+                })
+                .collect::<io::Result<Vec<String>>>()?;
+            // The inputs no operand names feed stdin, in plan order.
             let mut slots: Vec<Option<Box<dyn Read + Send>>> = ins.drain(..).map(Some).collect();
-            let mut stream_table: HashMap<String, Box<dyn Read + Send>> = HashMap::new();
-            let mut final_argv: Vec<String> = Vec::with_capacity(argv.len());
-            for a in argv {
-                match a {
-                    Arg::Lit(w) => final_argv.push(w.clone()),
-                    Arg::Stream(k) => {
-                        if let Some(r) = slots.get_mut(*k).and_then(|s| s.take()) {
-                            stream_table.insert(StreamFs::path_for(*k), r);
-                        }
-                        final_argv.push(StreamFs::path_for(*k));
-                    }
-                }
-            }
             let stdin_sources: Vec<Box<dyn Read + Send>> = stdin_inputs
                 .iter()
                 .filter_map(|&k| slots.get_mut(k).and_then(|s| s.take()))
@@ -611,14 +583,9 @@ pub(crate) fn run_node(
             let (name, args) = final_argv
                 .split_first()
                 .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty argv"))?;
-            let args = args.to_vec();
             let cmd = registry.get(name).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("{name}: not found"))
             })?;
-            let stream_fs = Arc::new(StreamFs {
-                base: fs,
-                streams: Mutex::new(stream_table),
-            });
             let mut out = outs.pop().expect("command has one output");
             if *framed {
                 return run_framed(
@@ -629,10 +596,10 @@ pub(crate) fn run_node(
                             stdin,
                             stdout,
                             stderr: &mut *stderr,
-                            fs: stream_fs.clone(),
+                            fs: fs.clone(),
                             registry,
                         };
-                        cmd.run(&args, &mut cio)
+                        cmd.run(args, &mut cio)
                     },
                 );
             }
@@ -642,10 +609,10 @@ pub(crate) fn run_node(
                 stdin: &mut stdin,
                 stdout: &mut out,
                 stderr,
-                fs: stream_fs,
+                fs,
                 registry,
             };
-            let status = cmd.run(&args, &mut cio)?;
+            let status = cmd.run(args, &mut cio)?;
             // Flush the edge buffer while errors can still be
             // reported; the drop-time flush swallows them.
             out.flush()?;

@@ -1229,3 +1229,36 @@ fn a_missing_output_directory_fails_as_the_shell_does() {
         }
     }
 }
+
+/// A streamed file operand reaches its command under its own name on
+/// every backend: at width 1, where the command runs as written, `wc`
+/// over one and two files and `sha1sum` of one print the file names
+/// and the column widths the host shell prints — on `threads` under
+/// both schedules, `processes`, `shell` and `remote` — and no internal
+/// name leaks.
+#[test]
+fn file_operands_keep_their_names_on_every_backend() {
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let make_fs = || {
+        let fs = Arc::new(MemFs::new());
+        fs.add("in.txt", b"one two\nthree\n".to_vec());
+        fs.add("in2.txt", b"x\n".to_vec());
+        fs
+    };
+    let setup = Setup::split(1);
+    for script in ["wc -l in.txt in2.txt", "wc in.txt", "sha1sum in.txt"] {
+        let host = observe_host(script, &make_fs());
+        assert_eq!(host.status, 0, "`{script}` on the host");
+        assert_backends_agree("operand names", script, &make_fs, &setup, &bins);
+        let threads = observe_threads(script, make_fs(), &setup, &setup.cfg, RUN_TO_COMPLETION);
+        assert_eq!(
+            String::from_utf8_lossy(&threads.stdout),
+            String::from_utf8_lossy(&host.stdout),
+            "`{script}` differs from the host"
+        );
+        assert_eq!(threads, host, "`{script}`");
+    }
+}

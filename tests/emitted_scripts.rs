@@ -238,3 +238,75 @@ fn shell_steps_see_the_variables_the_compiler_folded() {
         );
     }
 }
+
+/// A missing input file fails the emitted script instead of wedging
+/// it. At width 2 each copy of `wc -l` reads one file on its stdin and
+/// writes a FIFO an eager relay reads; the copy whose file is missing
+/// must still open that FIFO, or the relay waits in `open` for ever.
+/// So the job's `> fifo` comes before its `< file`. Under a killing
+/// watchdog: the script must end by itself, with the failed open's
+/// status, as the host shell's redirection failure ends with a status.
+#[test]
+fn a_missing_input_file_fails_the_emitted_script_under_a_watchdog() {
+    let Some((pashc, pash_rt)) = build_binaries() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    if !PathBuf::from("/usr/bin/timeout").exists() && !PathBuf::from("/bin/timeout").exists() {
+        eprintln!("skipping: the host has no `timeout`");
+        return;
+    }
+    let script = "wc -l t1 nope";
+    let compiled = pash::compile(script, &PashConfig::best(2)).expect("compile");
+    let emitted = emit_program(&compiled.plan, &EmitConfig);
+    assert!(emitted.contains(" < nope &\n"), "{emitted}");
+    let dir = std::env::temp_dir().join(format!("pash-e2e-nope-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("t1"), b"1\n2\n").expect("write input");
+    std::fs::write(dir.join("parallel.sh"), &emitted).expect("write script");
+    let started = Instant::now();
+    let out = Command::new("timeout")
+        .args(["-s", "KILL", "20", "/bin/sh", "parallel.sh"])
+        .current_dir(&dir)
+        .env("PASHC", &pashc)
+        .env("PASH_RT", &pash_rt)
+        .output()
+        .expect("run sh");
+    let took = started.elapsed();
+    let _ = std::fs::remove_dir_all(&dir);
+    // `timeout -s KILL` reports the kill as the signal, not a status.
+    assert!(
+        out.status.code().is_some(),
+        "the script wedged and was killed after {took:?}"
+    );
+    assert_ne!(out.status.code(), Some(0), "a missing file fails the run");
+    assert!(took < Duration::from_secs(10), "the script took {took:?}");
+}
+
+/// A missing input file leaves the job's output file as it was, as in
+/// the host shell, which opens `< nope` first and never reaches
+/// `> out`. Only a FIFO writer opens its output first (above); a user
+/// file keeps the input-first order, at width 1 and for a command that
+/// runs whole at every width.
+#[test]
+fn a_missing_input_file_leaves_the_output_file_untouched() {
+    let kept = b"kept by the failed open\n".to_vec();
+    for (script, width) in [("sort < nope > out", 1), ("sha1sum < nope > out", 2)] {
+        let cfg = PashConfig {
+            width,
+            ..Default::default()
+        };
+        let Some((out, left)) = run_under_sh(script, &cfg, &[("out", kept.clone())], Some("out"))
+        else {
+            eprintln!("skipping: no /bin/sh or binaries unavailable");
+            return;
+        };
+        assert!(!out.status.success(), "{script} at width {width}");
+        assert_eq!(
+            String::from_utf8_lossy(&left),
+            String::from_utf8_lossy(&kept),
+            "{script} at width {width} touched its output file"
+        );
+    }
+}

@@ -1,6 +1,7 @@
 //! Our `cut`, `tr`, `uniq`, `wc`, `head`, `tail`, `tac`, `nl`, `rev`,
-//! `fold`, `cat -n`, `paste`, `grep` and `sed` against the host's, byte
-//! for byte and exit status for exit status, under `LC_ALL=C`.
+//! `fold`, `cat -n`, `paste`, `grep`, `sed` and `tee` against the
+//! host's, byte for byte and exit status for exit status, under
+//! `LC_ALL=C`.
 //!
 //! The proptests in `crates/coreutils/tests/block_kernels.rs` compare
 //! the block kernels with references written from the same reading of
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pash::core::compile::PashConfig;
-use pash::coreutils::fs::MemFs;
+use pash::coreutils::fs::{MemFs, RealFs};
 use pash::coreutils::{run_command, Registry};
 use pash::{run, BackendOutput, ProcSettings, RunEnv};
 use pash_bench::fixtures::runtime_binaries;
@@ -294,14 +295,98 @@ fn uniq_matches_the_host() {
 
 #[test]
 fn wc_matches_the_host_on_stdin() {
-    // The file-operand form is left out for several counts: GNU sizes
-    // those columns from the file's length, ours are seven wide.
+    // Once on stdin (seven columns wide for several counts) and once
+    // naming `in.txt` (as wide as the file's length, GNU's rule).
     let cases: [&[&str]; 6] = [&["-l"], &["-w"], &["-c"], &["-lw"], &["-lc"], &[]];
     let inputs = inputs(false);
     let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-    if assert_matches_host("wc", &cases, &inputs, false) {
-        // A lone count of one operand is bare too (KNOWN_DIVERGENCES §2).
-        assert_matches_host("wc", &[&["-l"], &["-c"]], &inputs, true);
+    assert_matches_host("wc", &cases, &inputs, true);
+}
+
+/// `wc` over several operands names each and sizes its columns from
+/// the summed lengths of the named files, at least seven wide when one
+/// of them is stdin, and a lone count of a lone file is bare: GNU's
+/// `compute_number_width`, with the files in a directory of their own.
+#[test]
+fn wc_names_and_sizes_several_operands_as_the_host_does() {
+    let Some(host) = host_path("wc") else {
+        eprintln!("skipping: the host has no `wc`");
+        return;
+    };
+    let big = "x\n".repeat(2000).into_bytes();
+    let files: [(&str, &[u8]); 4] = [
+        ("in.txt", b"one two\nthree\n"),
+        ("in2.txt", b"x\n"),
+        ("big", &big),
+        ("small", b"1\n2\n"),
+    ];
+    let argvs: [&[&str]; 6] = [
+        &["in.txt"],
+        &["-l", "in.txt"],
+        &["-l", "in.txt", "in2.txt"],
+        &["-lw", "big", "small"],
+        &["-c", "-", "small"],
+        &["big", "in2.txt", "small"],
+    ];
+    let fs = Arc::new(MemFs::new());
+    for (name, bytes) in files {
+        fs.add(name, bytes.to_vec());
+    }
+    for (i, args) in argvs.iter().enumerate() {
+        let argv: Vec<&str> = std::iter::once("wc").chain(args.iter().copied()).collect();
+        let ours = run_command(&Registry::standard(), fs.clone(), &argv, b"a b\n").expect("runs");
+        let theirs = host_run_in(&format!("wc-operands-{i}"), &host, args, &files, b"a b\n");
+        assert_eq!(
+            String::from_utf8_lossy(&ours.stdout),
+            String::from_utf8_lossy(&theirs.0),
+            "wc {args:?}"
+        );
+        assert_eq!(ours.status, theirs.1, "wc {args:?}: exit status");
+    }
+}
+
+/// A file `tee` cannot create is reported and left out; stdin still
+/// reaches stdout and the other files, and the status is 1, as GNU's.
+/// (Over a real directory: an in-memory one has no directories to
+/// miss.)
+#[test]
+fn tee_goes_on_past_a_file_it_cannot_create() {
+    let Some(host) = host_path("tee") else {
+        eprintln!("skipping: the host has no `tee`");
+        return;
+    };
+    let dir = |who: &str| {
+        let d = std::env::temp_dir().join(format!("pash-tee-{}-{who}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).expect("mkdir");
+        d
+    };
+    let (ours_dir, host_dir) = (dir("ours"), dir("host"));
+    let fs = Arc::new(RealFs::new(ours_dir.clone()));
+    let argv = ["tee", "nodir/x", "ok.txt"];
+    let ours = run_command(&Registry::standard(), fs, &argv, b"hi\n").expect("runs");
+    let mut child = Command::new(&host)
+        .args(&argv[1..])
+        .current_dir(&host_dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn host tee");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(b"hi\n").expect("feed host tee");
+    drop(stdin);
+    let theirs = child.wait_with_output().expect("host tee exits");
+    assert_eq!(ours.stdout, theirs.stdout);
+    assert_eq!(Some(ours.status), theirs.status.code());
+    assert_eq!(
+        String::from_utf8_lossy(&ours.stderr),
+        "tee: nodir/x: No such file or directory\n"
+    );
+    for d in [&ours_dir, &host_dir] {
+        assert_eq!(std::fs::read(d.join("ok.txt")).expect("ok.txt"), b"hi\n");
+        assert!(!d.join("nodir").exists());
+        let _ = std::fs::remove_dir_all(d);
     }
 }
 
@@ -694,7 +779,8 @@ fn assert_compiled_matches(
 /// is a word whatever it holds: the last pattern once spelt the
 /// compiler's in-band stream marker, and its input holds it. A `head`
 /// or `tail` that names its file is split over the file, and the
-/// aggregator re-applied to the parts reads the parts, not the file.
+/// aggregator re-applied to the parts reads the parts, not the file;
+/// `sha1sum in.txt` prints the file's own name at every width.
 #[test]
 fn compiled_argvs_match_the_host_shell() {
     const ARGVS: [&str; 30] = [
@@ -746,7 +832,10 @@ fn compiled_argvs_match_the_host_shell() {
         let host = host_run(&case, &sh, &["-c", &script], input);
         assert_compiled_matches(&script, &[("in.txt", input)], &[], &host, &bins);
     }
-    for (i, script) in ["head -n 1 in.txt", "tail -n 1 in.txt"].iter().enumerate() {
+    for (i, script) in ["head -n 1 in.txt", "tail -n 1 in.txt", "sha1sum in.txt"]
+        .iter()
+        .enumerate()
+    {
         let case = format!("compiled-file-{i}");
         let files: [(&str, &[u8]); 1] = [("in.txt", &input)];
         let host = host_run_in(&case, &sh, &["-c", script], &files, b"");
