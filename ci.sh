@@ -63,7 +63,13 @@
 #      `tr A-Z a-z | cut -d ' ' -f 1-4` (framed `r_split`) and `sort |
 #      uniq -c | sort -n` (raw `r_split`) under the round-robin policy
 #      at widths 2 and 4, on shell, threads and processes under
-#      `timeout`, each byte-compared against host /bin/sh; `cat
+#      `timeout`, each byte-compared against host /bin/sh; three framed
+#      chains under the round-robin policy at width 8 on threads (frame
+#      queues between framed nodes) and processes (FIFOs of encoded
+#      frames), under `timeout`, each byte-compared against host
+#      /bin/sh: the `light-stream` script, one whose `sed 's/ /  /g'`
+#      grows every frame, and one whose `grep -v` empties most frames;
+#      `cat
 #      a.txt > nodir/out.txt` on the three must exit 2 and make no
 #      directory, as the host shell does; `wc -l a.txt b.txt` and
 #      `sha1sum a.txt` at width 1 on the three, under `timeout`, must
@@ -306,9 +312,9 @@ cmp target/bench-smoke/cat-host/out.txt target/bench-smoke/cat-threads/out.txt
 test -s target/bench-smoke/cat-threads/out.txt
 
 echo "==> stdin smoke (the 1 MB input piped in, cmp against host /bin/sh)"
-# The program's stdin is the caller's bytes: a ring filled by a feeder
-# thread on threads, the child's pipe on processes, the real fd on
-# shell. A wedged feeder is killed and fails the step. The input ends
+# The program's stdin is the caller's bytes: read in place on threads,
+# the child's pipe on processes, the real fd on shell. A wedged run is
+# killed and fails the step. The input ends
 # in a line with no newline, which every backend must hand on as the
 # host does; the backends share the splitter, so the oracle is the
 # unmodified script under the host's /bin/sh, not one of them. `tac`
@@ -388,6 +394,27 @@ for script in "tr A-Z a-z | cut -d ' ' -f 1-4" 'sort | uniq -c | sort -n'; do
         done
     done
     test -s "target/bench-smoke/split-threads-$n.out"
+done
+# Framed chains at width 8 under the round-robin policy: on threads
+# each edge between two framed nodes is a frame queue, whose frames
+# move as whole buffers; on processes a FIFO of encoded frames. The
+# `light-stream` script; a `sed` that makes every frame larger than
+# the block it was dealt as; and a `grep -v` that leaves most frames
+# empty (five lines of the input lack all three letters).
+n=0
+for script in "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '" \
+    "tr A-Z a-z | sed 's/ /  /g' | tr -s ' '" "tr A-Z a-z | grep -v -E 'e|o|a' | cut -c 1-8"; do
+    n=$((n + 1))
+    LC_ALL=C /bin/sh -c "$script" <"$STDIN_IN" >"target/bench-smoke/frames-host-$n.out"
+    for b in threads processes; do
+        rm -rf "target/bench-smoke/frames-$b"
+        mkdir -p "target/bench-smoke/frames-$b"
+        timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 8 \
+            --split rr --dir "target/bench-smoke/frames-$b" -e "$script" \
+            <"$STDIN_IN" >"target/bench-smoke/frames-$b-$n.out"
+        cmp "target/bench-smoke/frames-host-$n.out" "target/bench-smoke/frames-$b-$n.out"
+    done
+    test -s "target/bench-smoke/frames-threads-$n.out"
 done
 # A redirection into a missing directory fails on every backend, with
 # the host shell's status, and makes no directory.

@@ -32,7 +32,7 @@ pub const GRAMMARS: &[Grammar] = &[
     g("tac", "", &[]),
     g("tr", "cCds", &[]),
     g("cut", "f:c:d:s", &[]),
-    g("grep", "EFivcnwm:e:", &[]),
+    g("grep", "EFhivcnwm:e:", &[]),
     g("sed", "nEre:", &[]),
     g("sort", "nrumk:t:", &["parallel="]),
     g("uniq", "cdui", &[]),

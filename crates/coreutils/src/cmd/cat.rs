@@ -6,7 +6,7 @@ use pash_regex::memmem::memrchr;
 
 use crate::args::scanned;
 use crate::lines::{for_each_record, write_record};
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_input, open_or_report, CmdIo, Command, ExitStatus};
 
 /// `cat [-n] [file…]` — concatenate inputs in argument order.
 ///
@@ -28,8 +28,12 @@ impl Command for Cat {
         .inputs();
         let mut line_no: u64 = 0;
         let mut at_line_start = true;
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "cat", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             if number {
                 for_each_record(&mut r, |line, terminated| {
                     if at_line_start {
@@ -51,7 +55,7 @@ impl Command for Cat {
                 }
             }
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

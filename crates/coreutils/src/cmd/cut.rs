@@ -11,7 +11,7 @@ use std::io;
 use crate::args::scanned;
 use crate::bytemask::{copy_run, ByteSet, WINDOW};
 use crate::lines::{buffer_lines, for_each_block, parse_ranges};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_or_report, usage_error, CmdIo, Command, ExitStatus};
 
 /// `cut -f LIST [-d DELIM] [-s]` and `cut -c LIST`.
 ///
@@ -63,8 +63,12 @@ impl Command for Cut {
         };
         let by_fields = list.is_some_and(|(_, by_fields)| by_fields);
         let mut out = Vec::new();
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "cut", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             for_each_block(&mut r, |block| {
                 let n = if by_fields {
                     cut_fields(block, &ranges, delim, suppress, &mut out)
@@ -77,7 +81,7 @@ impl Command for Cut {
                 Ok(true)
             })?;
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

@@ -7,9 +7,9 @@ use pash_regex::{Matcher, Regex, Syntax};
 use crate::args::scanned;
 use crate::bytemask::count_byte;
 use crate::lines::{buffer_lines, for_each_block};
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_or_report, usage_error, CmdIo, Command, ExitStatus};
 
-/// `grep [-EFivcnwm] PATTERN [file…]`, or `grep … -e PATTERN… [file…]`.
+/// `grep [-EFhivcnwm] PATTERN [file…]`, or `grep … -e PATTERN… [file…]`.
 ///
 /// Stateless per line in its filter form; `-c` moves it to class P
 /// (counts from parallel parts must be summed by an aggregator).
@@ -65,6 +65,8 @@ impl Command for Grep {
                 "c" => o.count = true,
                 "n" => o.line_numbers = true,
                 "w" => o.word = true,
+                // No file names, which this grep never prints.
+                "h" => {}
                 "m" => o.max = Some(max_count(value)?),
                 _ => patterns.push(value),
             }
@@ -100,8 +102,12 @@ impl Command for Grep {
             line_no: 0,
             buf: Vec::new(),
         };
+        let mut failed = false;
         for f in &files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "grep", f, io.stdin, io.stderr)? else {
+                failed = true;
+                continue;
+            };
             t.line_no = 0;
             for_each_block(&mut r, |block| {
                 scan_block(&mut m, block, &o, io.stdout, &mut t)?;
@@ -114,7 +120,13 @@ impl Command for Grep {
         if o.count {
             writeln!(io.stdout, "{}", t.count)?;
         }
-        Ok(if t.any { 0 } else { 1 })
+        // An operand that could not be read is an error, 2, whatever
+        // the others matched.
+        Ok(match (failed, t.any) {
+            (true, _) => 2,
+            (false, true) => 0,
+            (false, false) => 1,
+        })
     }
 }
 

@@ -4,7 +4,7 @@ use std::io::{self, Read};
 
 use crate::args::scanned;
 use crate::sha1::Sha1;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_or_report, CmdIo, Command, ExitStatus};
 
 /// `sha1sum [file…]` — print `<hex>  <name>` per input.
 pub struct Sha1Sum;
@@ -12,8 +12,12 @@ pub struct Sha1Sum;
 impl Command for Sha1Sum {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let files = scanned!(io, args, "sha1sum", |_, _| Ok(())).inputs();
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "sha1sum", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             let mut h = Sha1::new();
             let mut buf = [0u8; 64 * 1024];
             loop {
@@ -25,7 +29,7 @@ impl Command for Sha1Sum {
             }
             writeln!(io.stdout, "{}  {}", crate::sha1::to_hex(&h.finish()), f)?;
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

@@ -7,7 +7,7 @@ use pash_regex::memmem::memchr;
 
 use crate::args::scanned;
 use crate::lines::for_each_block;
-use crate::{open_input, CmdIo, Command, ExitStatus};
+use crate::{open_or_report, CmdIo, Command, ExitStatus};
 
 /// Passes over up to `n` lines of `block`, taking each off `n`, and
 /// returns the offset just after them. A line ends after its `\n`, or
@@ -59,8 +59,12 @@ impl Command for Head {
             Ok(())
         })
         .inputs();
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "head", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             if bytes {
                 let mut remaining = n;
                 let mut buf = [0u8; 8192];
@@ -82,7 +86,7 @@ impl Command for Head {
                 })?;
             }
         }
-        Ok(0)
+        Ok(status)
     }
 }
 
@@ -106,8 +110,12 @@ impl Command for Tail {
             Ok(())
         })
         .inputs();
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "tail", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             if from_start {
                 let mut skip = n.saturating_sub(1);
                 for_each_block(&mut r, |block| {
@@ -139,7 +147,7 @@ impl Command for Tail {
                 }
             }
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

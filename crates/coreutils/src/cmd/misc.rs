@@ -5,7 +5,7 @@ use std::io::{self, Read, Write};
 
 use crate::args::{escape, scanned};
 use crate::lines::{buffer_lines, for_each_line, for_each_record, write_line, write_record};
-use crate::{error_text, open_input, CmdIo, Command, ExitStatus};
+use crate::{error_text, open_input, open_or_report, CmdIo, Command, ExitStatus};
 
 /// `rev` — reverse the bytes of each line (class S); an unterminated one stays so.
 pub struct Rev;
@@ -253,8 +253,12 @@ impl Command for Nl {
     fn run(&self, args: &[String], io: &mut CmdIo<'_>) -> io::Result<ExitStatus> {
         let files = scanned!(io, args, "nl", |_, _| Ok(())).inputs();
         let mut n = 0u64;
+        let mut status = 0;
         for f in files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "nl", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             for_each_line(&mut r, |line| {
                 if line.is_empty() {
                     // Padded as GNU pads an unnumbered line: number
@@ -268,7 +272,7 @@ impl Command for Nl {
                 Ok(true)
             })?;
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

@@ -4,7 +4,7 @@ use std::io;
 
 use crate::args::{of, scan, Operands};
 use crate::bytemask::count_byte;
-use crate::{open_input, usage_error, CmdIo, Command, ExitStatus};
+use crate::{open_or_report, usage_error, CmdIo, Command, ExitStatus};
 
 /// `wc [-lwcm] [file…]`.
 ///
@@ -139,8 +139,12 @@ impl Command for Wc {
         let mut total = Counts::default();
         let many = files.len() > 1;
         let width = sel.width(&files, |f| io.fs.size(f).ok());
+        let mut status = 0;
         for f in &files {
-            let mut r = open_input(&io.fs, f, io.stdin)?;
+            let Some(mut r) = open_or_report(&io.fs, "wc", f, io.stdin, io.stderr)? else {
+                status = 1;
+                continue;
+            };
             let c = count_stream(&mut r, sel.words)?;
             total.lines += c.lines;
             total.words += c.words;
@@ -151,7 +155,7 @@ impl Command for Wc {
         if many {
             writeln!(io.stdout, "{}", sel.format(&total, Some("total"), width))?;
         }
-        Ok(0)
+        Ok(status)
     }
 }
 

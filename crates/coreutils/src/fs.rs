@@ -163,9 +163,20 @@ impl Fs for MemFs {
         self.open_range(path, 0, u64::MAX)
     }
 
+    /// Fails with `NotFound`, as creating a file in a missing
+    /// directory does, unless the parent directory is the root or holds
+    /// a stored file: the tree has no empty directories.
     fn create(&self, path: &str) -> io::Result<Box<dyn Write + Send>> {
+        let path = normalize(path);
+        if let Some((dir, _)) = path.rsplit_once('/').filter(|(dir, _)| !dir.is_empty()) {
+            let prefix = format!("{dir}/");
+            let files = self.files.lock().expect("MemFs lock poisoned");
+            if !files.keys().any(|k| k.starts_with(&prefix)) {
+                return Err(not_found(&path));
+            }
+        }
         Ok(Box::new(MemWriter {
-            path: normalize(path),
+            path,
             buf: Vec::new(),
             files: self.files.clone(),
         }))

@@ -231,6 +231,29 @@ pub fn open_input<'a>(
     }
 }
 
+/// [`open_input`] for a command that goes on past an operand it
+/// cannot open, as GNU's do: the error goes to `stderr` in GNU's words
+/// and `None` comes back, for the caller to skip the operand and fail
+/// at the end.
+pub fn open_or_report<'a>(
+    fs: &Arc<dyn Fs>,
+    name: &str,
+    path: &str,
+    stdin: &'a mut dyn BufRead,
+    stderr: &mut dyn Write,
+) -> io::Result<Option<Input<'a>>> {
+    let e = match open_input(fs, path, stdin) {
+        Ok(r) => return Ok(Some(r)),
+        Err(e) => error_text(&e),
+    };
+    if matches!(name, "head" | "tail") {
+        writeln!(stderr, "{name}: cannot open '{path}' for reading: {e}")?;
+    } else {
+        writeln!(stderr, "{name}: {path}: {e}")?;
+    }
+    Ok(None)
+}
+
 /// An I/O error as GNU's utilities print it: the system's message,
 /// without the ` (os error N)` Rust appends to it.
 pub fn error_text(e: &io::Error) -> String {

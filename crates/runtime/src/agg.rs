@@ -23,11 +23,24 @@ use pash_coreutils::lines::{
 };
 use pash_coreutils::Registry;
 
-use crate::frame::FrameReader;
+use crate::edge::Source;
 use crate::scan::LineScanner;
 
 /// A boxed ordered input stream.
 pub type AggInput = Box<dyn Read + Send>;
+
+/// An input stream of any lifetime (the run's stdin is borrowed).
+type Stream<'a> = Box<dyn Read + Send + 'a>;
+
+/// Whether the aggregator `argv` reads its inputs as `r_split` frames
+/// ([`for_each_frame_in_tag_order`]), so an in-process edge into it can
+/// carry them whole.
+pub(crate) fn reads_frames(argv: &[String]) -> bool {
+    matches!(
+        argv.first().map(String::as_str),
+        Some("pash-agg-reorder" | "pash-agg-frame-merge")
+    )
+}
 
 /// Runs the aggregator named by `argv[0]` over ordered inputs.
 ///
@@ -40,9 +53,32 @@ pub fn run_aggregator(
     registry: &Registry,
     fs: Arc<dyn Fs>,
 ) -> io::Result<i32> {
+    let inputs = inputs.into_iter().map(Source::Bytes).collect();
+    aggregate(argv, inputs, output, registry, fs)
+}
+
+/// [`run_aggregator`] over inputs of either carrier: the frame
+/// aggregators take frames from each as it comes, the others read
+/// bytes.
+pub(crate) fn aggregate(
+    argv: &[String],
+    inputs: Vec<Source<'_>>,
+    output: &mut dyn Write,
+    registry: &Registry,
+    fs: Arc<dyn Fs>,
+) -> io::Result<i32> {
     let (name, args) = argv
         .split_first()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty aggregator argv"))?;
+    match name.as_str() {
+        "pash-agg-reorder" => return agg_reorder(inputs, output),
+        "pash-agg-frame-merge" => return agg_frame_merge(args, inputs, output),
+        _ => {}
+    }
+    let inputs = inputs
+        .into_iter()
+        .map(Source::into_bytes)
+        .collect::<io::Result<Vec<_>>>()?;
     match name.as_str() {
         "pash-agg-sort" => agg_sort(args, Records::Lines, inputs, output),
         "pash-agg-sort-c" => agg_sort(args, Records::Counted, inputs, output),
@@ -52,8 +88,6 @@ pub fn run_aggregator(
         "pash-agg-sum" => agg_sum(inputs, output),
         "pash-agg-tac" => agg_tac(inputs, output),
         "pash-agg-bigram" => agg_bigram(inputs, output),
-        "pash-agg-reorder" => agg_reorder(inputs, output),
-        "pash-agg-frame-merge" => agg_frame_merge(args, inputs, output),
         // Re-applied commands (e.g. `head -n 1`) run over the ordered
         // concatenation of the inputs.
         _ => {
@@ -89,7 +123,7 @@ pub fn run_aggregator(
 fn agg_sort(
     args: &[String],
     records: Records,
-    inputs: Vec<AggInput>,
+    inputs: Vec<Stream<'_>>,
     output: &mut dyn Write,
 ) -> io::Result<i32> {
     let parsed =
@@ -202,7 +236,7 @@ impl SeamFold {
 
 /// `uniq` / `uniq -c`: concatenate, folding the group that straddles
 /// each boundary ([`SeamFold`]).
-fn agg_uniq(counted: bool, inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_uniq(counted: bool, inputs: Vec<Stream<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     let mut fold = SeamFold::new(counted);
     for input in inputs {
         let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
@@ -216,7 +250,7 @@ fn agg_uniq(counted: bool, inputs: Vec<AggInput>, output: &mut dyn Write) -> io:
 }
 
 /// `wc`: sum per-part count vectors.
-fn agg_wc(args: &[String], inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_wc(args: &[String], inputs: Vec<Stream<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     let (sel, _) = wc::parse_selection(args);
     let mut total = [0u64; 3];
     for input in inputs {
@@ -258,7 +292,7 @@ fn wc_counts_from(sel: &wc::Selection, total: &[u64; 3]) -> wc::Counts {
 }
 
 /// `grep -c` and friends: sum one integer per input.
-fn agg_sum(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_sum(inputs: Vec<Stream<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     let mut total: i64 = 0;
     for input in inputs {
         let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
@@ -276,7 +310,7 @@ fn agg_sum(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
 }
 
 /// `tac`: consume stream descriptors in reverse order.
-fn agg_tac(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_tac(inputs: Vec<Stream<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     for mut input in inputs.into_iter().rev() {
         let mut buf = [0u8; 64 * 1024];
         loop {
@@ -296,7 +330,7 @@ fn agg_tac(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
 /// `\x01L\t<last-word>`; at every chunk boundary the pair
 /// `<last of i> <first of i+1>` was lost by the split and is
 /// re-inserted here.
-fn agg_bigram(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_bigram(inputs: Vec<Stream<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     let mut prev_last: Option<Vec<u8>> = None;
     for input in inputs {
         let mut reader = io::BufReader::with_capacity(BLOCK_SIZE, input);
@@ -342,7 +376,7 @@ fn agg_bigram(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> 
 /// — instead of blocking on inputs that will never produce the gap —
 /// is what lets the supervisor detect a lost block and recover.
 fn for_each_frame_in_tag_order(
-    inputs: Vec<AggInput>,
+    inputs: Vec<Source<'_>>,
     sink: &mut impl FnMut(&[u8]) -> io::Result<()>,
 ) -> io::Result<()> {
     fn missing_tag(next: u64) -> io::Error {
@@ -351,10 +385,7 @@ fn for_each_frame_in_tag_order(
             format!("r_split stream ended with tag {next} missing"),
         )
     }
-    let mut readers: Vec<Option<FrameReader<AggInput>>> = inputs
-        .into_iter()
-        .map(|i| Some(FrameReader::new(i)))
-        .collect();
+    let mut readers: Vec<Option<Source>> = inputs.into_iter().map(Some).collect();
     let k = readers.len();
     if k == 0 {
         return Ok(());
@@ -429,7 +460,7 @@ fn for_each_frame_in_tag_order(
 
 /// `pash-agg-reorder`: strips `r_split` frames and writes payloads
 /// back in tag order (see [`for_each_frame_in_tag_order`]).
-fn agg_reorder(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32> {
+fn agg_reorder(inputs: Vec<Source<'_>>, output: &mut dyn Write) -> io::Result<i32> {
     for_each_frame_in_tag_order(inputs, &mut |payload| output.write_all(payload))?;
     Ok(0)
 }
@@ -444,7 +475,7 @@ fn agg_reorder(inputs: Vec<AggInput>, output: &mut dyn Write) -> io::Result<i32>
 /// aggregators satisfy `f(x·x') = fold(f(x), f(x'))` exactly.
 fn agg_frame_merge(
     args: &[String],
-    inputs: Vec<AggInput>,
+    inputs: Vec<Source<'_>>,
     output: &mut dyn Write,
 ) -> io::Result<i32> {
     let mut fold = match args.first().map(String::as_str) {

@@ -41,6 +41,7 @@ use pash_core::plan::{Arg, PlanOp, SplitMode};
 use pash_coreutils::fs::{Fs, RealFs};
 use pash_coreutils::Registry;
 
+use crate::edge::{Sink, Source};
 use crate::exec::run_node;
 use crate::fault::{ArmedFault, INFRA_STATUS};
 use crate::fileseg::open_segment;
@@ -250,6 +251,8 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
     let mut stderr = io::stderr().lock();
     // A command's standard input is its one input; its argv already
     // names each file operand by its path.
+    let ins = ins.into_iter().map(Source::Bytes).collect();
+    let outs = outs.into_iter().map(Sink::Bytes).collect();
     run_node(&op, &[0], &[], ins, outs, &registry, fs, &mut stderr)
 }
 

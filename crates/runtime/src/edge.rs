@@ -5,25 +5,36 @@
 //! boundary stdin/stdout, file, file segment. This module decides
 //! *how* those edges move bytes, in the two ways the runtime knows:
 //!
-//! * [`MemEdges`] — in-process wiring for the `threads` backend:
-//!   readers the consuming node pulls its file or file segment
-//!   through, a shared buffer collecting region stdout, and internal
-//!   pipe edges in one of two forms ([`Pipes`]): bounded ring
-//!   [`crate::pipe`]s when every node has a thread of its own, or
-//!   growable buffers a finished producer leaves behind for its
-//!   consumer to take whole when the region runs to completion on one
-//!   thread (see [`crate::exec`] for which schedule an attempt gets).
-//!   The primary boundary stdin takes the same form: a ring that a
-//!   feeder thread fills from the caller's bytes, or a copy of bytes
-//!   that fit one pipe buffer. An eager relay between two internal
-//!   pipes is wired, not run, under both forms: its two edges become
-//!   one — a [`spill_pipe`] whose writer never blocks, or one shared
-//!   buffer — from the relay's producer straight to its consumer, and
-//!   the relay's node has nothing left to do;
+//! * [`MemEdges`] — in-process wiring for the `threads` backend. A
+//!   node takes each endpoint as a [`Source`] or a [`Sink`]: a byte
+//!   stream, or a queue of owned `r_split` frames. Which carrier an
+//!   internal pipe edge gets ([`Pipes`]):
+//!   - when every node has a thread of its own, a
+//!     [`crate::pipe::frame_queue`] where a frame writer (framed
+//!     `r_split`, framed command) feeds a frame reader (framed command,
+//!     `pash-agg-reorder`, `pash-agg-frame-merge`): the frame's buffer
+//!     moves, its bytes are not copied; a bounded byte
+//!     [`crate::pipe`] ring on every other edge, and on every edge of
+//!     an attempt with a fault armed (the fault plane's stream faults
+//!     live in the byte writer);
+//!   - when the region runs to completion on one thread, a growable
+//!     buffer a finished producer leaves behind for its consumer to
+//!     take whole (see [`crate::exec`] for which schedule an attempt
+//!     gets).
+//!
+//!   The primary boundary stdin is read in place under both: its
+//!   consumer reads the caller's bytes through a borrowed reader. An
+//!   eager relay between two internal pipes is wired, not run: its two
+//!   edges become one — a frame queue or a [`spill_pipe`] whose writer
+//!   never blocks, or one shared buffer — from the relay's producer
+//!   straight to its consumer, and the relay's node has nothing left
+//!   to do;
 //! * [`FifoDir`] — on-disk wiring for the `processes` backend: one
 //!   named FIFO per internal pipe edge in a private scratch
 //!   directory, created with `mkfifo(3)` and removed on drop — the
 //!   same artifact the emitted shell script builds with `mkfifo`.
+//!   Frames cross a FIFO in their byte form ([`crate::frame`]), as
+//!   they do under `shell`.
 //!
 //! (A `remote` region is wired by the worker that runs it, with
 //! [`MemEdges`]; what crosses the socket is one request and one reply,
@@ -39,12 +50,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pash_core::plan::{EndpointKind, PlanEdgeId, PlanNode, PlanNodeId, PlanOp, RegionPlan};
+use pash_core::plan::{
+    EndpointKind, PlanEdgeId, PlanNode, PlanNodeId, PlanOp, RegionPlan, SplitMode,
+};
 use pash_coreutils::fs::Fs;
 
+use crate::agg::reads_frames;
 use crate::fault::ArmedFault;
 use crate::fileseg::open_segment;
-use crate::pipe::{pipe_monitored, spill_pipe, PipeMonitor, PipeWriter};
+use crate::pipe::{frame_queue, pipe_monitored, spill_pipe, FrameRx, FrameTx, PipeMonitor};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -56,6 +70,51 @@ pub fn buffered(w: impl Write + Send + 'static) -> Box<dyn Write + Send> {
     Box::new(io::BufWriter::with_capacity(EDGE_WRITE_BUFFER, w))
 }
 
+/// The consuming end of an edge, as a node takes it.
+pub enum Source<'a> {
+    /// A byte stream (frames, if any, in their byte form).
+    Bytes(Box<dyn Read + Send + 'a>),
+    /// A queue of owned frames.
+    Frames(FrameRx),
+}
+
+/// The producing end of an edge, as a node takes it.
+pub enum Sink<'a> {
+    /// A byte stream (frames, if any, in their byte form).
+    Bytes(Box<dyn Write + Send + 'a>),
+    /// A queue of owned frames.
+    Frames(FrameTx),
+}
+
+/// The error of a node that reads or writes bytes on an edge wired to
+/// carry frames: the wiring and the plan disagree.
+fn frames_not_bytes() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "a frame queue is not a byte stream",
+    )
+}
+
+impl<'a> Source<'a> {
+    /// The byte stream of an edge that carries bytes.
+    pub fn into_bytes(self) -> io::Result<Box<dyn Read + Send + 'a>> {
+        match self {
+            Source::Bytes(r) => Ok(r),
+            Source::Frames(_) => Err(frames_not_bytes()),
+        }
+    }
+}
+
+impl<'a> Sink<'a> {
+    /// The byte stream of an edge that carries bytes.
+    pub fn into_bytes(self) -> io::Result<Box<dyn Write + Send + 'a>> {
+        match self {
+            Sink::Bytes(w) => Ok(w),
+            Sink::Frames(_) => Err(frames_not_bytes()),
+        }
+    }
+}
+
 /// The buffered writer of the stream that `edges` carry (one edge, or
 /// a wired relay's edges), wrapped first by `fault` when it targets one
 /// of them.
@@ -63,11 +122,13 @@ fn edge_writer(
     w: impl Write + Send + 'static,
     edges: &[PlanEdgeId],
     fault: Option<&ArmedFault>,
-) -> Box<dyn Write + Send> {
-    match fault.filter(|a| a.edge.is_some_and(|e| edges.contains(&e))) {
-        Some(a) => buffered(a.wrap(w, false)),
-        None => buffered(w),
-    }
+) -> Sink<'static> {
+    Sink::Bytes(
+        match fault.filter(|a| a.edge.is_some_and(|e| edges.contains(&e))) {
+            Some(a) => buffered(a.wrap(w, false)),
+            None => buffered(w),
+        },
+    )
 }
 
 /// A writer into a shared buffer (the region's stdout collector).
@@ -123,11 +184,42 @@ fn wired_relays(r: &RegionPlan) -> HashMap<PlanEdgeId, (PlanNodeId, PlanEdgeId)>
         .collect()
 }
 
+/// Whether a stream that `from` writes and `to` reads is a stream of
+/// frames both ends take whole: every output of a framed `r_split` or
+/// framed command, into a framed command's one stdin input or any
+/// input of a frame aggregator.
+fn carries_frames(
+    r: &RegionPlan,
+    from: Option<PlanNodeId>,
+    to: Option<PlanNodeId>,
+    e: PlanEdgeId,
+) -> bool {
+    let (Some(from), Some(to)) = (from, to) else {
+        return false;
+    };
+    let writes = matches!(
+        r.nodes[from].op,
+        PlanOp::Split {
+            mode: SplitMode::RoundRobin { framed: true }
+        } | PlanOp::Exec { framed: true, .. }
+    );
+    let to = &r.nodes[to];
+    let reads = match &to.op {
+        PlanOp::Exec { framed: true, .. } => {
+            matches!(&to.stdin_inputs[..], &[k] if to.inputs.get(k) == Some(&e))
+        }
+        PlanOp::Aggregate { argv } => reads_frames(argv),
+        _ => false,
+    };
+    writes && reads
+}
+
 /// How [`MemEdges`] realises a region's internal `Pipe` edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pipes {
-    /// A bounded ring of this many bytes per edge: producer and
-    /// consumer run concurrently and synchronize on it.
+    /// A bounded ring of this many bytes per edge, or a bounded frame
+    /// queue on an edge of frames: producer and consumer run
+    /// concurrently and synchronize on it.
     Ring(usize),
     /// A growable buffer per edge: the producer runs first and fills
     /// it, the consumer then takes it whole as a cursor — no ring, no
@@ -184,14 +276,15 @@ impl Drop for BufferWriter {
 }
 
 /// In-process transports for one region's edges: each edge id maps to
-/// a reader (consumer side), a writer (producer side), or both.
+/// a reader (consumer side), a writer (producer side), or both. `'a`
+/// is the caller's stdin, which the primary stdin edge borrows.
 ///
 /// Built once per region by [`MemEdges::wire`]; the executor then
 /// *takes* each node's endpoints as it reaches the node, leaving the
 /// maps empty when the region is fully wired.
-pub struct MemEdges {
-    readers: HashMap<PlanEdgeId, Box<dyn Read + Send>>,
-    writers: HashMap<PlanEdgeId, Box<dyn Write + Send>>,
+pub struct MemEdges<'a> {
+    readers: HashMap<PlanEdgeId, Source<'a>>,
+    writers: HashMap<PlanEdgeId, Sink<'static>>,
     /// [`Pipes::Buffer`] edges; their endpoints are made when taken. A
     /// wired relay's input and output edges share one slot.
     slots: HashMap<PlanEdgeId, Slot>,
@@ -204,53 +297,48 @@ pub struct MemEdges {
     overflowed: Arc<AtomicBool>,
     stdout: Arc<Mutex<Vec<u8>>>,
     monitors: Vec<PipeMonitor>,
-    /// The writing end of the primary stdin ring, for the feeder.
-    feeder: Option<PipeWriter>,
 }
 
-impl MemEdges {
+impl<'a> MemEdges<'a> {
     /// Wires every edge of `r`: internal edges in the `pipes` form,
-    /// the `stdin` feed for the primary boundary input, a shared
+    /// the `stdin` bytes for the primary boundary input, a shared
     /// collector for stdout edges, and `fs`-backed files/segments.
     /// An armed `fault` is delivered here: its target edge fails to
     /// wire at all (the in-process analogue of a `mkfifo` error) or
     /// gets its writer wrapped ([`ArmedFault::wrap`]). Buffer pipes
-    /// carry no fault site: an armed attempt is wired with rings.
+    /// and frame queues carry no fault site: an armed attempt is wired
+    /// with byte rings only.
     ///
     /// An eager relay between two internal pipes is wired here, not
     /// run (see [`MemEdges::wires_relay`]): the edge into it and the
     /// edge out of it — and on through a chain of such relays — are one
     /// transport from the producer of the first to the consumer of the
-    /// last. Under rings that is a [`spill_pipe`], whose writer never
-    /// blocks: what the eager relay is for. Under buffers it is one
-    /// slot. Each edge of the chain is still wired, as far as
-    /// [`ArmedFault::before_wiring`] can tell, and a stream fault on any
-    /// of them wraps the one writer.
+    /// last. Under rings that is a [`spill_pipe`], or a frame queue
+    /// built to spill, whose writer never blocks: what the eager relay
+    /// is for. Under buffers it is one slot. Each edge of the chain is
+    /// still wired, as far as [`ArmedFault::before_wiring`] can tell,
+    /// and a stream fault on any of them wraps the one writer.
     ///
-    /// The primary boundary input, if it has a consumer, takes the
-    /// pipe form too. Under rings it is one more ring, whose writing
-    /// end [`MemEdges::take_feeder`] hands to the thread that copies
-    /// `stdin` in — the caller's bytes stay borrowed, and a retry reads
-    /// them again from byte 0. Under buffers, where the region's whole
-    /// input fits one pipe buffer, the consumer reads a copy of
-    /// `stdin` through a cursor. The ring is no fault site either: the
-    /// fault plane never targets a boundary edge.
+    /// The primary boundary input, if it has a consumer, reads `stdin`
+    /// in place under either form: the caller's bytes stay borrowed,
+    /// and a retry wires them again from byte 0. A slice never blocks,
+    /// so it needs no monitor; and the fault plane never targets a
+    /// boundary edge.
     ///
     /// Boundary endpoints are made here, in edge order, whatever the
     /// pipe form — output files exist (truncated) before any node runs.
     pub fn wire(
         r: &RegionPlan,
         fs: &Arc<dyn Fs>,
-        stdin: &[u8],
+        stdin: &'a [u8],
         pipes: Pipes,
         fault: Option<&ArmedFault>,
-    ) -> io::Result<MemEdges> {
+    ) -> io::Result<MemEdges<'a>> {
         let stdout: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut readers: HashMap<PlanEdgeId, Box<dyn Read + Send>> = HashMap::new();
-        let mut writers: HashMap<PlanEdgeId, Box<dyn Write + Send>> = HashMap::new();
+        let mut readers: HashMap<PlanEdgeId, Source<'a>> = HashMap::new();
+        let mut writers: HashMap<PlanEdgeId, Sink<'static>> = HashMap::new();
         let mut slots: HashMap<PlanEdgeId, Slot> = HashMap::new();
         let mut monitors: Vec<PipeMonitor> = Vec::new();
-        let mut feeder = None;
         let mut stdin = Some(stdin);
         let through = wired_relays(r);
         let relayed: HashSet<PlanEdgeId> = through.values().map(|&(_, o)| o).collect();
@@ -273,23 +361,38 @@ impl MemEdges {
                         chain.push(out);
                     }
                     let tail = *chain.last().expect("the edge itself");
+                    let spills = tail != e;
                     match pipes {
-                        Pipes::Ring(capacity) if tail == e => {
+                        Pipes::Ring(_)
+                            if fault.is_none()
+                                && carries_frames(r, edge.from, r.edges[tail].to, tail) =>
+                        {
+                            let (mut w, rd, m) = frame_queue(spills);
+                            monitors.push(m);
+                            if spills {
+                                w.tap(Box::new(move |n| {
+                                    tally.fetch_add(n, Ordering::Relaxed);
+                                }));
+                            }
+                            writers.insert(e, Sink::Frames(w));
+                            readers.insert(tail, Source::Frames(rd));
+                        }
+                        Pipes::Ring(capacity) if !spills => {
                             let (w, rd, m) = pipe_monitored(capacity);
                             monitors.push(m);
                             writers.insert(e, edge_writer(w, &chain, fault));
-                            readers.insert(e, Box::new(rd));
+                            readers.insert(e, Source::Bytes(Box::new(rd)));
                         }
                         Pipes::Ring(capacity) => {
                             let (w, rd, m) = spill_pipe(capacity);
                             monitors.push(m);
                             let w = Tallied { inner: w, tally };
                             writers.insert(e, edge_writer(w, &chain, fault));
-                            readers.insert(tail, Box::new(rd));
+                            readers.insert(tail, Source::Bytes(Box::new(rd)));
                         }
                         Pipes::Buffer { .. } => {
                             let slot = Slot::default();
-                            if tail != e {
+                            if spills {
                                 slot_tallies.insert(e, tally);
                                 slots.insert(tail, slot.clone());
                             }
@@ -305,32 +408,21 @@ impl MemEdges {
                     } else {
                         None
                     };
-                    let reader: Box<dyn Read + Send> = match (feed, pipes) {
-                        (None, _) => Box::new(io::empty()),
-                        (Some(_), Pipes::Ring(capacity)) => {
-                            let (w, rd, m) = pipe_monitored(capacity);
-                            monitors.push(m);
-                            feeder = Some(w);
-                            Box::new(rd)
-                        }
-                        (Some(feed), Pipes::Buffer { .. }) => {
-                            Box::new(io::Cursor::new(feed.to_owned()))
-                        }
-                    };
-                    readers.insert(e, reader);
+                    readers.insert(e, Source::Bytes(Box::new(feed.unwrap_or_default())));
                 }
                 EndpointKind::StdoutPipe => {
                     let w = SharedVecWriter(stdout.clone());
                     writers.insert(e, edge_writer(w, &[e], fault));
                 }
                 EndpointKind::InputFile(path) => {
-                    readers.insert(e, fs.open(path)?);
+                    readers.insert(e, Source::Bytes(fs.open(path)?));
                 }
                 EndpointKind::OutputFile(path) => {
                     writers.insert(e, edge_writer(fs.create(path)?, &[e], fault));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
-                    readers.insert(e, open_segment(fs.as_ref(), path, *part, *of)?);
+                    let seg = open_segment(fs.as_ref(), path, *part, *of)?;
+                    readers.insert(e, Source::Bytes(seg));
                 }
                 // Detached edges need no transport.
                 EndpointKind::Detached => {}
@@ -349,20 +441,11 @@ impl MemEdges {
             overflowed: Arc::default(),
             stdout,
             monitors,
-            feeder,
         })
     }
 
-    /// Takes the writing end of the primary stdin ring, if this wiring
-    /// made one: whoever holds it must write the feed into it and drop
-    /// it, or the consumer never sees EOF. A consumer that stops early
-    /// makes the writes fail with `BrokenPipe`, which is not an error.
-    pub fn take_feeder(&mut self) -> Option<PipeWriter> {
-        self.feeder.take()
-    }
-
-    /// Takes the monitor handles of every ring, the stdin ring's
-    /// included (for the region-deadline watchdog).
+    /// Takes the monitor handles of every ring and frame queue (for the
+    /// region-deadline watchdog).
     pub fn take_monitors(&mut self) -> Vec<PipeMonitor> {
         std::mem::take(&mut self.monitors)
     }
@@ -370,7 +453,7 @@ impl MemEdges {
     /// Takes the consumer endpoints of `node`'s inputs, in input
     /// order. A buffer pipe reads as a cursor over what its producer
     /// left; untracked edges read as empty streams.
-    pub fn take_inputs(&mut self, node: &PlanNode) -> Vec<Box<dyn Read + Send>> {
+    pub fn take_inputs(&mut self, node: &PlanNode) -> Vec<Source<'a>> {
         node.inputs
             .iter()
             .map(|&e| {
@@ -379,7 +462,7 @@ impl MemEdges {
                         .slots
                         .get(&e)
                         .map(|s| std::mem::take(&mut *slot_lock(s)));
-                    Box::new(io::Cursor::new(bytes.unwrap_or_default()))
+                    Source::Bytes(Box::new(io::Cursor::new(bytes.unwrap_or_default())))
                 })
             })
             .collect()
@@ -387,14 +470,14 @@ impl MemEdges {
 
     /// Takes the producer endpoints of `node`'s outputs, in output
     /// order. Untracked edges discard their bytes.
-    pub fn take_outputs(&mut self, node: &PlanNode) -> Vec<Box<dyn Write + Send>> {
+    pub fn take_outputs(&mut self, node: &PlanNode) -> Vec<Sink<'static>> {
         node.outputs
             .iter()
-            .map(|&e| -> Box<dyn Write + Send> {
+            .map(|&e| {
                 if let Some(w) = self.writers.remove(&e) {
                     return w;
                 }
-                match self.slots.get(&e) {
+                Sink::Bytes(match self.slots.get(&e) {
                     Some(slot) => Box::new(BufferWriter {
                         buf: Vec::new(),
                         slot: slot.clone(),
@@ -403,7 +486,7 @@ impl MemEdges {
                         tally: self.slot_tallies.get(&e).cloned(),
                     }),
                     None => Box::new(io::sink()),
-                }
+                })
             })
             .collect()
     }
@@ -520,6 +603,7 @@ impl Drop for FifoDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
     use pash_core::compile::{compile, PashConfig};
     use pash_core::plan::PlanStep;
     use pash_coreutils::fs::MemFs;
@@ -587,6 +671,21 @@ mod tests {
             .expect("input position")
     }
 
+    /// The one byte writer of `node`'s first output.
+    fn byte_out(edges: &mut MemEdges, node: &PlanNode) -> Box<dyn Write + Send> {
+        let sink = edges.take_outputs(node).remove(0);
+        sink.into_bytes().expect("a byte edge")
+    }
+
+    /// All of what `node` reads on input `at`, as bytes.
+    fn read_in(edges: &mut MemEdges, node: &PlanNode, at: usize) -> Vec<u8> {
+        let source = edges.take_inputs(node).remove(at);
+        let mut got = Vec::new();
+        let mut r = source.into_bytes().expect("a byte edge");
+        r.read_to_end(&mut got).expect("read");
+        got
+    }
+
     #[test]
     fn buffer_pipes_pass_whole_streams_through_wired_relays() {
         let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
@@ -599,19 +698,15 @@ mod tests {
         let (relay, upstream, downstream) = relay_between(&r);
         assert!(edges.wires_relay(relay));
         // The producer's bytes appear once it is done (dropped)...
-        let mut outs = edges.take_outputs(upstream);
-        outs[0].write_all(b"abc").expect("write");
-        outs[0].write_all(b"de").expect("write");
-        drop(outs);
+        let mut out = byte_out(&mut edges, upstream);
+        out.write_all(b"abc").expect("write");
+        out.write_all(b"de").expect("write");
+        drop(out);
         // ...counted as having crossed the relay, which never ran...
         assert!(edges.relayed().contains(&(relay, 5)));
         // ...and the consumer gets them whole.
         let at = relayed_input(&r, relay, downstream);
-        let mut got = Vec::new();
-        edges.take_inputs(downstream)[at]
-            .read_to_end(&mut got)
-            .expect("read");
-        assert_eq!(got, b"abcde");
+        assert_eq!(read_in(&mut edges, downstream, at), b"abcde");
         // A stream past the limit is refused and remembered.
         assert!(!edges.overflowed());
         let other = r
@@ -623,9 +718,9 @@ mod tests {
                     && r.edges[n.outputs[0]].kind == EndpointKind::Pipe
             })
             .expect("another node writing a pipe");
-        let mut outs = edges.take_outputs(other);
-        outs[0].write_all(b"12345678").expect("at the limit");
-        assert!(outs[0].write_all(b"9").is_err());
+        let mut out = byte_out(&mut edges, other);
+        out.write_all(b"12345678").expect("at the limit");
+        assert!(out.write_all(b"9").is_err());
         assert!(edges.overflowed());
     }
 
@@ -652,15 +747,11 @@ mod tests {
         );
         let (relay, upstream, downstream) = relay_between(&r);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let mut outs = edges.take_outputs(upstream);
-        outs[0].write_all(&data).expect("never blocks");
-        drop(outs);
+        let mut out = byte_out(&mut edges, upstream);
+        out.write_all(&data).expect("never blocks");
+        drop(out);
         let at = relayed_input(&r, relay, downstream);
-        let mut got = Vec::new();
-        edges.take_inputs(downstream)[at]
-            .read_to_end(&mut got)
-            .expect("read");
-        assert_eq!(got, data);
+        assert_eq!(read_in(&mut edges, downstream, at), data);
         assert!(edges.relayed().contains(&(relay, 100_000)));
         // The relay has no endpoints of its own left to take.
         let node = &r.nodes[relay];
@@ -669,7 +760,61 @@ mod tests {
     }
 
     #[test]
-    fn primary_stdin_is_a_fed_ring_or_a_copy() {
+    fn frames_cross_as_buffers_only_between_framed_nodes() {
+        // The `light-stream` shape: r_split, framed commands, relays
+        // and the reorder aggregator.
+        let compiled = compile(
+            "tr A-Z a-z | cut -c 1-4 | tr -s ' '",
+            &PashConfig::round_robin(2),
+        )
+        .expect("compile");
+        let r = compiled.plan.regions().next().expect("region").clone();
+        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+        // Which endpoint kind each internal pipe edge gets, by edge,
+        // as its producer and its consumer take it.
+        let kinds = |pipes, fault: Option<&ArmedFault>| {
+            let mut edges = MemEdges::wire(&r, &fs, b"", pipes, fault).expect("wire");
+            let mut frames = Vec::new();
+            for (id, node) in r.nodes.iter().enumerate() {
+                if edges.wires_relay(id) {
+                    continue;
+                }
+                for (src, e) in edges.take_inputs(node).iter().zip(&node.inputs) {
+                    if matches!(src, Source::Frames(_)) {
+                        frames.push(("in", *e));
+                    }
+                }
+                for (sink, e) in edges.take_outputs(node).iter().zip(&node.outputs) {
+                    if matches!(sink, Sink::Frames(_)) {
+                        frames.push(("out", *e));
+                    }
+                }
+            }
+            frames
+        };
+        let framed = kinds(Pipes::Ring(1 << 16), None);
+        // Every edge but the boundary ones (stdin into the split,
+        // stdout out of the aggregator) and the ones into a wired relay
+        // carry frames, at both ends.
+        let relays = r
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, PlanOp::Relay { .. }))
+            .count();
+        let pipes = r.internal_pipes().count();
+        assert_eq!(framed.len(), 2 * (pipes - relays), "{framed:?}");
+        assert!(framed
+            .iter()
+            .all(|(_, e)| r.edges[*e].kind == EndpointKind::Pipe));
+        // Run to completion, or with a fault armed, it is bytes only.
+        assert!(kinds(Pipes::Buffer { limit: 1 << 16 }, None).is_empty());
+        let plan = FaultPlan::new(FaultKind::from_name("stall").expect("kind"), 1);
+        let armed = plan.arm(&r, false).expect("a site");
+        assert!(kinds(Pipes::Ring(1 << 16), Some(&armed)).is_empty());
+    }
+
+    #[test]
+    fn primary_stdin_is_read_in_place() {
         let r = region("tr A-Z a-z | sort", 1);
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
         let feed = b"B\nA\n".repeat(100);
@@ -679,38 +824,14 @@ mod tests {
             r.edges[consumer.inputs[0]].kind,
             EndpointKind::StdinPipe { primary: true }
         );
-        // Rings: a feeder writes the borrowed bytes through a ring the
-        // watchdog can poison; the consumer reads them all.
-        let mut edges = MemEdges::wire(&r, &fs, &feed, Pipes::Ring(16), None).expect("wire");
-        let mut w = edges.take_feeder().expect("a feeder for the stdin ring");
+        // Either form: the consumer reads the borrowed bytes, with no
+        // ring (and so no monitor) in between.
         let pipes = r.internal_pipes().count();
-        assert!(!r.nodes.iter().any(|n| matches!(n.op, PlanOp::Relay { .. })));
-        assert_eq!(edges.take_monitors().len(), pipes + 1, "the stdin ring too");
-        let mut got = Vec::new();
-        std::thread::scope(|s| {
-            // Dropping the writer when done is the consumer's EOF.
-            let feed = &feed;
-            s.spawn(move || w.write_all(feed).expect("feed"));
-            edges.take_inputs(consumer)[0]
-                .read_to_end(&mut got)
-                .expect("read");
-        });
-        assert_eq!(got, feed);
-        // A consumer that hangs up ends the feeder with a broken pipe.
-        let mut edges = MemEdges::wire(&r, &fs, &feed, Pipes::Ring(16), None).expect("wire");
-        let mut w = edges.take_feeder().expect("feeder");
-        drop(edges.take_inputs(consumer));
-        let err = w.write_all(&feed).expect_err("hung up");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // Buffers: no feeder, the consumer reads a copy.
-        let pipes = Pipes::Buffer { limit: 1 << 16 };
-        let mut edges = MemEdges::wire(&r, &fs, &feed, pipes, None).expect("wire");
-        assert!(edges.take_feeder().is_none());
-        let mut got = Vec::new();
-        edges.take_inputs(consumer)[0]
-            .read_to_end(&mut got)
-            .expect("read");
-        assert_eq!(got, feed);
+        for (form, monitors) in [(Pipes::Ring(16), pipes), (Pipes::Buffer { limit: 16 }, 0)] {
+            let mut edges = MemEdges::wire(&r, &fs, &feed, form, None).expect("wire");
+            assert_eq!(edges.take_monitors().len(), monitors, "{form:?}");
+            assert_eq!(read_in(&mut edges, consumer, 0), feed, "{form:?}");
+        }
     }
 
     #[test]

@@ -13,27 +13,36 @@
 //! what the runner can see of the region's input:
 //!
 //! * **thread-per-node** — one scoped OS thread per plan node, bounded
-//!   [`crate::pipe`] rings for edges: nodes overlap, a consumer can
-//!   hang up on its producer (SIGPIPE-style), memory is bounded by the
-//!   rings. What a stream larger than a pipe buffer needs. The run's
-//!   stdin reaches its consumer through a ring too, filled from the
-//!   caller's bytes by one more scoped thread, the feeder.
+//!   edges: nodes overlap, a consumer can hang up on its producer
+//!   (SIGPIPE-style), memory is bounded by the edges. What a stream
+//!   larger than a pipe buffer needs. An edge between two framed nodes
+//!   (framed `r_split` or command, into a framed command or a reorder
+//!   aggregator) is a queue of a few owned `r_split` frames
+//!   ([`crate::pipe::frame_queue`]): a frame's buffer moves from node
+//!   to node and each framed command reads it in place. Every other
+//!   edge, and every edge of an attempt with a fault armed, is a byte
+//!   [`crate::pipe`] ring.
 //! * **run-to-completion** — every node in plan order on the calling
 //!   thread, each pipe edge a buffer the producer leaves for the
 //!   consumer. No thread, no ring, no condvar: for a region whose whole
 //!   input fits one pipe buffer there is no steady state for
 //!   concurrent nodes to pipeline, and spawning them costs many times
-//!   the work (`short-scripts` in `bench/`).
+//!   the work (`short-scripts` in `bench/`). Frames cross these
+//!   buffers in their byte form.
+//!
+//! Under either schedule the run's stdin is read in place: its
+//! consumer reads the caller's bytes through a borrowed reader, with
+//! no copy, no ring and no thread to feed one.
 //!
 //! Under either schedule an eager relay between two pipe edges is not
 //! a node that runs but part of its edge ([`MemEdges::wire`]): one
-//! unbounded spill pipe, or one buffer, from the relay's producer to
-//! its consumer. The relay exists to take what its producer writes
-//! while the consumer is not reading yet (§5.2), and an in-process
-//! edge can do that itself, with no thread, no channel and no extra
-//! copy. Such a relay has status 0 and a profile row of the bytes that
-//! crossed it, with no busy time. A blocking relay still runs, through
-//! [`run_node`].
+//! unbounded spill pipe or frame queue, or one buffer, from the relay's
+//! producer to its consumer. The relay exists to take what its
+//! producer writes while the consumer is not reading yet (§5.2), and
+//! an in-process edge can do that itself, with no thread, no channel
+//! and no extra copy. Such a relay has status 0 and a profile row of
+//! the bytes that crossed it, with no busy time. A blocking relay still
+//! runs, through [`run_node`].
 //!
 //! The gate says "run to completion" when the input (files, file
 //! segments, stdin) is at most `ExecConfig::pipe_capacity` bytes *and*
@@ -41,12 +50,13 @@
 //! probe succeeded; [`fits_one_buffer`] has the reasons. Two of them
 //! are worth knowing here. An armed fault always picks thread-per-node
 //! because that is where the fault sites live (node spawn, edge
-//! wiring, the ring writer): injection keeps firing every path it
-//! fired before. A generator picks thread-per-node because nothing but
-//! a consumer closing the pipe bounds it — and since the gate only
-//! sees inputs, a run-to-completion attempt whose *streams* outgrow a
-//! few buffers abandons itself, unobserved, and the region runs
-//! thread-per-node after all. Both schedules share everything that is
+//! wiring, the ring writer), and byte rings on every edge: injection
+//! keeps firing every path it fired before. A generator picks
+//! thread-per-node because nothing but a consumer closing the pipe
+//! bounds it — and since the gate only sees inputs, a
+//! run-to-completion attempt whose *streams* outgrow a few buffers
+//! abandons itself, unobserved, and the region runs thread-per-node
+//! after all. Both schedules share everything that is
 //! not scheduling: [`RegionPlan::validate`] first, the one interpreter
 //! [`run_node`], `MemEdges` wiring of the boundary endpoints, the
 //! status fold, the profile record.
@@ -72,15 +82,15 @@ use pash_coreutils::fs::Fs;
 use pash_coreutils::lines::BLOCK_SIZE;
 use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
-use crate::agg::run_aggregator;
+use crate::agg::aggregate;
 use crate::drive::{drive, RegionRunner};
-use crate::edge::{MemEdges, Pipes};
+use crate::edge::{MemEdges, Pipes, Sink, Source};
 use crate::fault::{ArmedFault, ExecError};
 use crate::frame::run_framed;
 use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
 use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
 use crate::relay::{run_relay, RelayMode};
-use crate::split::{split_general, split_round_robin};
+use crate::split::{abandoned, deal_frames, split_general, split_round_robin, DEFAULT_LOOKAHEAD};
 use crate::supervise::SupervisorSettings;
 
 /// Executor configuration.
@@ -235,28 +245,38 @@ fn run_region_attempt(
 }
 
 /// A node's opened inputs and outputs, as [`run_node`] takes them.
-type Endpoints = (Vec<Box<dyn Read + Send>>, Vec<Box<dyn Write + Send>>);
+type Endpoints<'a> = (Vec<Source<'a>>, Vec<Sink<'static>>);
 
 /// Takes `node`'s endpoints off the wiring, counting their bytes into
-/// `profile` when the attempt is profiled.
-fn endpoints(
-    edges: &mut MemEdges,
+/// `profile` when the attempt is profiled: a frame on a frame queue
+/// counts what it would on bytes, header and payload.
+fn endpoints<'a>(
+    edges: &mut MemEdges<'a>,
     node: &PlanNode,
     id: PlanNodeId,
     profile: Option<&Arc<RegionProfile>>,
-) -> Endpoints {
+) -> Endpoints<'a> {
     let (ins, outs) = (edges.take_inputs(node), edges.take_outputs(node));
     let Some(p) = profile else {
         return (ins, outs);
     };
-    (
-        ins.into_iter()
-            .map(|r| Box::new(CountingReader::new(r, p.clone(), id)) as _)
-            .collect(),
-        outs.into_iter()
-            .map(|w| Box::new(CountingWriter::new(w, p.clone(), id)) as _)
-            .collect(),
-    )
+    let ins = ins.into_iter().map(|src| match src {
+        Source::Bytes(r) => Source::Bytes(Box::new(CountingReader::new(r, p.clone(), id))),
+        Source::Frames(mut q) => {
+            let p = p.clone();
+            q.tap(Box::new(move |n| p.add_in(id, n)));
+            Source::Frames(q)
+        }
+    });
+    let outs = outs.into_iter().map(|sink| match sink {
+        Sink::Bytes(w) => Sink::Bytes(Box::new(CountingWriter::new(w, p.clone(), id))),
+        Sink::Frames(mut q) => {
+            let p = p.clone();
+            q.tap(Box::new(move |n| p.add_out(id, n)));
+            Sink::Frames(q)
+        }
+    });
+    (ins.collect(), outs.collect())
 }
 
 /// The path of each of `node`'s inputs that is a named file: what the
@@ -409,19 +429,16 @@ fn run_to_completion(
 }
 
 /// The thread-per-node schedule: one scoped OS thread per plan node but
-/// the eager relays, which the wiring makes spill pipes, bounded rings
-/// for the other pipe edges ([`Pipes::Ring`]), and the feeder — one
-/// more scoped thread that copies `stdin` into the ring of the primary
-/// stdin edge, the job a parent's feeder does for a child's stdin in
-/// [`crate::proc`]. A consumer that stops early ends the feeder with
-/// `BrokenPipe`, which is not an error.
+/// the eager relays, which the wiring makes spill pipes or spilling
+/// frame queues, and bounded edges for the rest ([`Pipes::Ring`]): frame
+/// queues between framed nodes, byte rings elsewhere. The run's stdin
+/// is read in place by its consumer.
 ///
 /// The deadline is enforced by a watchdog thread: on expiry it poisons
-/// every in-memory pipe (unblocking parked readers and writers with
-/// `TimedOut`) and cancels any injected stall, so wedged node threads
-/// unwind promptly instead of hanging the scope. The thread-backend
-/// analogue of SIGKILL-after-grace. The stdin ring is among the
-/// poisoned, so a feeder blocked on it unwinds too. It sleeps parked;
+/// every in-memory pipe and frame queue (unblocking parked readers and
+/// writers with `TimedOut`) and cancels any injected stall, so wedged
+/// node threads unwind promptly instead of hanging the scope. The
+/// thread-backend analogue of SIGKILL-after-grace. It sleeps parked;
 /// the node that finishes last wakes it, so a supervised attempt ends
 /// with its last node and not at the watchdog's next look.
 fn run_thread_per_node(
@@ -436,7 +453,6 @@ fn run_thread_per_node(
     let mut edges = MemEdges::wire(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let monitors = edges.take_monitors();
-    let feeder = edges.take_feeder();
     let deadline = settings.and_then(|s| s.region_deadline);
     let deadline_hit = Arc::new(AtomicBool::new(false));
     let remaining = Arc::new(AtomicUsize::new(r.nodes.len() - edges.relayed().len()));
@@ -448,13 +464,6 @@ fn run_thread_per_node(
     let statuses: Arc<Mutex<Vec<(PlanNodeId, i32)>>> = Arc::new(Mutex::new(Vec::new()));
     let hard_error: Arc<Mutex<Option<ExecError>>> = Arc::new(Mutex::new(None));
     std::thread::scope(|scope| {
-        if let Some(mut w) = feeder {
-            // Hung up on or poisoned by the watchdog: either way the
-            // attempt's verdict comes from its nodes.
-            scope.spawn(move || {
-                let _ = w.write_all(stdin);
-            });
-        }
         let watchdog = deadline.map(|limit| {
             let remaining = remaining.clone();
             let deadline_hit = deadline_hit.clone();
@@ -553,8 +562,8 @@ pub(crate) fn run_node(
     op: &PlanOp,
     stdin_inputs: &[usize],
     input_files: &[Option<&str>],
-    mut ins: Vec<Box<dyn Read + Send>>,
-    mut outs: Vec<Box<dyn Write + Send>>,
+    mut ins: Vec<Source<'_>>,
+    mut outs: Vec<Sink<'_>>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
     stderr: &mut dyn Write,
@@ -575,8 +584,8 @@ pub(crate) fn run_node(
                 })
                 .collect::<io::Result<Vec<String>>>()?;
             // The inputs no operand names feed stdin, in plan order.
-            let mut slots: Vec<Option<Box<dyn Read + Send>>> = ins.drain(..).map(Some).collect();
-            let stdin_sources: Vec<Box<dyn Read + Send>> = stdin_inputs
+            let mut slots: Vec<Option<Source>> = ins.drain(..).map(Some).collect();
+            let stdin_sources: Vec<Source> = stdin_inputs
                 .iter()
                 .filter_map(|&k| slots.get_mut(k).and_then(|s| s.take()))
                 .collect();
@@ -587,24 +596,21 @@ pub(crate) fn run_node(
                 io::Error::new(io::ErrorKind::NotFound, format!("{name}: not found"))
             })?;
             let mut out = outs.pop().expect("command has one output");
+            let stdin = concatenated(stdin_sources)?;
             if *framed {
-                return run_framed(
-                    MultiReader::new(stdin_sources),
-                    &mut out,
-                    |stdin, stdout| {
-                        let mut cio = CmdIo {
-                            stdin,
-                            stdout,
-                            stderr: &mut *stderr,
-                            fs: fs.clone(),
-                            registry,
-                        };
-                        cmd.run(args, &mut cio)
-                    },
-                );
+                return run_framed(stdin, &mut out, |stdin, stdout| {
+                    let mut cio = CmdIo {
+                        stdin,
+                        stdout,
+                        stderr: &mut *stderr,
+                        fs: fs.clone(),
+                        registry,
+                    };
+                    cmd.run(args, &mut cio)
+                });
             }
-            let mut stdin =
-                io::BufReader::with_capacity(BLOCK_SIZE, MultiReader::new(stdin_sources));
+            let mut stdin = io::BufReader::with_capacity(BLOCK_SIZE, stdin.into_bytes()?);
+            let mut out = out.into_bytes()?;
             let mut cio = CmdIo {
                 stdin: &mut stdin,
                 stdout: &mut out,
@@ -619,8 +625,9 @@ pub(crate) fn run_node(
             Ok(status)
         }
         PlanOp::Cat => {
-            let mut out = outs.pop().expect("cat has one output");
-            for mut r in ins {
+            let mut out = outs.pop().expect("cat has one output").into_bytes()?;
+            for r in ins {
+                let mut r = r.into_bytes()?;
                 let mut buf = [0u8; 64 * 1024];
                 loop {
                     let n = r.read(&mut buf)?;
@@ -634,8 +641,8 @@ pub(crate) fn run_node(
             Ok(0)
         }
         PlanOp::Relay { blocking } => {
-            let input = ins.pop().expect("relay has one input");
-            let mut out = outs.pop().expect("relay has one output");
+            let input = ins.pop().expect("relay has one input").into_bytes()?;
+            let mut out = outs.pop().expect("relay has one output").into_bytes()?;
             let mode = if *blocking {
                 RelayMode::Blocking(BLOCKING_RELAY_CHUNKS)
             } else {
@@ -648,30 +655,48 @@ pub(crate) fn run_node(
         PlanOp::Split { mode } => {
             // No lowering produces the sized variant; it runs as the
             // general splitter. Round-robin deals tagged blocks.
-            let input = ins.pop().expect("split has one input");
+            let input = ins.pop().expect("split has one input").into_bytes()?;
             let mut r = io::BufReader::with_capacity(BLOCK_SIZE, input);
-            match mode {
-                SplitMode::RoundRobin { framed } => split_round_robin(&mut r, &mut outs, *framed)?,
-                SplitMode::General | SplitMode::Sized => split_general(&mut r, &mut outs)?,
+            if *mode == (SplitMode::RoundRobin { framed: true }) {
+                deal_frames(&mut r, &mut outs, DEFAULT_LOOKAHEAD)?;
+            } else {
+                let mut bytes = outs
+                    .drain(..)
+                    .map(Sink::into_bytes)
+                    .collect::<io::Result<Vec<_>>>()?;
+                match mode {
+                    SplitMode::RoundRobin { .. } => split_round_robin(&mut r, &mut bytes, false)?,
+                    SplitMode::General | SplitMode::Sized => split_general(&mut r, &mut bytes)?,
+                }
+                outs = bytes.into_iter().map(Sink::Bytes).collect();
             }
             for out in outs.iter_mut() {
                 // Same discipline as the split itself: a chunk whose
                 // consumer is gone is abandoned, not fatal.
-                match out.flush() {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
-                    Err(e) => return Err(e),
-                }
+                abandoned(out.flush())?;
             }
             Ok(0)
         }
         PlanOp::Aggregate { argv } => {
-            let mut out = outs.pop().expect("aggregate has one output");
-            let status = run_aggregator(argv, ins, &mut out, registry, fs)?;
+            let mut out = outs.pop().expect("aggregate has one output").into_bytes()?;
+            let status = aggregate(argv, ins, &mut out, registry, fs)?;
             out.flush()?;
             Ok(status)
         }
     }
+}
+
+/// One source reading `sources` in order: the one source itself — a
+/// frame queue stays one — or the concatenation of their bytes.
+fn concatenated(mut sources: Vec<Source<'_>>) -> io::Result<Source<'_>> {
+    if sources.len() == 1 {
+        return Ok(sources.pop().expect("one source"));
+    }
+    let bytes = sources
+        .into_iter()
+        .map(Source::into_bytes)
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(Source::Bytes(Box::new(MultiReader::new(bytes))))
 }
 
 /// Result of executing a whole plan.
@@ -1479,6 +1504,195 @@ mod tests {
             }
             assert_eq!(schedules(&ecfg), (0, 6));
         });
+    }
+
+    #[test]
+    fn framed_chains_print_the_width_one_bytes_at_every_width() {
+        // Every edge between two framed nodes is a frame queue here,
+        // and every byte ring holds 64 bytes: the `light-stream` chain,
+        // one whose `sed` grows every frame, and one whose `grep -v`
+        // empties most of them, at widths 2, 4 and 8 against width 1.
+        within(std::time::Duration::from_secs(120), || {
+            let ecfg = ExecConfig {
+                pipe_capacity: 64,
+                ..Default::default()
+            };
+            let fs = Arc::new(MemFs::new());
+            let feed = prose(20_000, 5);
+            for src in [
+                "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -d ',.' | tr -s ' '",
+                "tr A-Z a-z | sed 's/ /  /g' | tr -s ' '",
+                "tr A-Z a-z | grep -v e | cut -c 1-8",
+            ] {
+                let run_at = |width| {
+                    let reg = Registry::standard();
+                    let cfg = PashConfig::round_robin(width);
+                    let out = run_script(src, &cfg, &reg, fs.clone(), feed.clone(), &ecfg);
+                    out.expect("run").stdout
+                };
+                let seq = run_at(1);
+                assert!(!seq.is_empty(), "`{src}`");
+                for width in [2, 4, 8] {
+                    let region = first_region_with(src, &PashConfig::round_robin(width));
+                    assert!(region
+                        .nodes
+                        .iter()
+                        .any(|n| matches!(n.op, PlanOp::Exec { framed: true, .. })));
+                    assert!(run_at(width) == seq, "`{src}` at width {width}");
+                }
+            }
+        });
+    }
+
+    /// A command that dies of SIGPIPE on the block holding a `die`
+    /// line and copies every other block.
+    struct DieAt;
+
+    impl pash_coreutils::Command for DieAt {
+        fn run(&self, _args: &[String], io: &mut CmdIo<'_>) -> io::Result<i32> {
+            let mut block = Vec::new();
+            io.stdin.read_to_end(&mut block)?;
+            if block.windows(4).any(|w| w == b"die\n") {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            io.stdout.write_all(&block)?;
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn a_framed_stage_dying_mid_stream_ends_the_attempt_with_the_missing_tag() {
+        // r_split deals to two framed `die-at` copies and the reorder
+        // aggregator puts them back. The copy that takes the block with
+        // the `die` line dies (status 141, no error of its own), its
+        // edges close, and the reorder, holding later tags of the other
+        // copy, names the tag that never came: an `InvalidData` that
+        // ends the attempt, on both schedules — not a hang.
+        let pipe = |from, to| PlanEdge {
+            kind: EndpointKind::Pipe,
+            from: Some(from),
+            to: Some(to),
+        };
+        let node = |op, inputs: Vec<usize>, outputs, stdin_inputs| PlanNode {
+            op,
+            inputs,
+            outputs,
+            stdin_inputs,
+            output_producer: false,
+        };
+        let worker = |input, output| {
+            let op = PlanOp::Exec {
+                argv: vec![Arg::Lit("die-at".to_string())],
+                framed: true,
+            };
+            node(op, vec![input], vec![output], vec![0])
+        };
+        let mut reorder = node(
+            PlanOp::Aggregate {
+                argv: vec!["pash-agg-reorder".to_string()],
+            },
+            vec![3, 4],
+            vec![5],
+            vec![],
+        );
+        reorder.output_producer = true;
+        let split = PlanOp::Split {
+            mode: SplitMode::RoundRobin { framed: true },
+        };
+        let r = RegionPlan {
+            nodes: vec![
+                node(split, vec![0], vec![1, 2], vec![0]),
+                worker(1, 3),
+                worker(2, 4),
+                reorder,
+            ],
+            edges: vec![
+                PlanEdge {
+                    kind: EndpointKind::StdinPipe { primary: true },
+                    from: None,
+                    to: Some(0),
+                },
+                pipe(0, 1),
+                pipe(0, 2),
+                pipe(1, 3),
+                pipe(2, 3),
+                PlanEdge {
+                    kind: EndpointKind::StdoutPipe,
+                    from: Some(3),
+                    to: None,
+                },
+            ],
+            replayable: true,
+        };
+        let mut feed = b"line\n".repeat(30_000);
+        feed.extend_from_slice(b"die\n");
+        feed.extend(b"line\n".repeat(30_000));
+        within(std::time::Duration::from_secs(60), move || {
+            let reg = Registry::from_commands(vec![("die-at", Arc::new(DieAt))]);
+            let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+            for capacity in [64, 1 << 20] {
+                let ecfg = ExecConfig {
+                    pipe_capacity: capacity,
+                    ..Default::default()
+                };
+                let runner = ThreadsRunner {
+                    registry: &reg,
+                    fs: &fs,
+                    cfg: &ecfg,
+                };
+                let err = runner
+                    .attempt(&r, &feed, None, 0, None)
+                    .expect_err("a lost block");
+                let text = err.to_string();
+                assert!(text.contains("missing"), "capacity {capacity}: {text}");
+            }
+        });
+    }
+
+    #[test]
+    fn frame_queues_count_the_bytes_the_byte_carrier_counts() {
+        // The same run three ways — frame queues (thread-per-node),
+        // buffers (run to completion) and byte rings (a harmless fault
+        // armed, which keeps the byte carrier) — records the same bytes
+        // in and out for every node, relays included.
+        use crate::fault::{FaultKind, FaultPlan};
+        let src = "tr A-Z a-z | cut -d ' ' -f 1-4 | tr -s ' '";
+        let cfg = PashConfig::round_robin(2);
+        let region = first_region_with(src, &cfg);
+        let feed = prose(2_000, 7);
+        let delay = FaultKind::from_name("spawn-delay").expect("kind");
+        let carriers = [
+            (64, None),
+            (1 << 20, None),
+            (64, Some(FaultPlan::new(delay, 3))),
+        ];
+        let observed = carriers.map(|(pipe_capacity, fault)| {
+            let (reg, fs) = fixture();
+            let store = Arc::new(ProfileStore::in_memory());
+            let armed = u64::from(fault.is_some());
+            let ecfg = ExecConfig {
+                pipe_capacity,
+                profile: Some(store.clone()),
+                supervisor: SupervisorSettings {
+                    fault,
+                    ..Default::default()
+                },
+            };
+            run_script(src, &cfg, &reg, fs, feed.clone(), &ecfg).expect("run");
+            let c = &ecfg.supervisor.counters;
+            assert_eq!((c.injected(), c.retries()), (armed, 0));
+            let stats = store
+                .region_stats(region.fingerprint())
+                .expect("region recorded");
+            stats
+                .nodes
+                .iter()
+                .map(|n| (n.bytes_in, n.bytes_out))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(observed[0], observed[1], "frames vs buffers");
+        assert_eq!(observed[0], observed[2], "frames vs byte rings");
+        assert!(observed[0].iter().all(|&(i, o)| i > 0.0 && o > 0.0));
     }
 
     #[test]

@@ -16,11 +16,23 @@
 //! a raw stream being fed to a frame consumer (or vice versa): the
 //! first byte is `\x01`, which never starts a text line produced by
 //! the supported commands.
+//!
+//! Frames have two carriers, behind one source/sink pair: a node reads
+//! them with [`Source::next_frame_into`] and writes them with
+//! [`Sink::send_frame`] or [`Sink::put_frame`]. On a byte edge — a
+//! FIFO under `processes` and `shell`, a byte ring, a file, the wire —
+//! that is [`FrameReader`] and [`write_frame`] over the encoding above.
+//! On an in-process edge between two framed nodes of a `threads` region
+//! it is a [`crate::pipe::frame_queue`]: the same frame, its buffer
+//! moved instead of its bytes copied. The splitter's deal, the framed
+//! worker loop ([`run_framed`]) and the reorder aggregators are written
+//! once, over the pair.
 
 use std::io::{self, BufRead, Read, Write};
 
 use pash_core::plan::fold_statuses;
 
+use crate::edge::{Sink, Source};
 use crate::wire::{read_header, truncated};
 
 /// Frame magic: `\x01RSB` ("round-robin split block").
@@ -109,6 +121,52 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+impl Source<'_> {
+    /// The next frame off this source: its payload replaces
+    /// `payload`'s contents and its tag is returned; `None` at a clean
+    /// end of stream. On bytes this is [`FrameReader::next_frame_into`];
+    /// on a frame queue the frame's buffer is swapped in and the old
+    /// one goes back to the writer.
+    pub fn next_frame_into(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<u64>> {
+        match self {
+            Source::Bytes(r) => FrameReader::new(r).next_frame_into(payload),
+            Source::Frames(q) => q.recv(payload),
+        }
+    }
+}
+
+impl Sink<'_> {
+    /// Sends the frame built in `frame` under `tag` and leaves `frame`
+    /// empty for the next one: encoded on bytes, handed over whole on a
+    /// frame queue.
+    pub fn send_frame(&mut self, tag: u64, frame: &mut Vec<u8>) -> io::Result<()> {
+        match self {
+            Sink::Bytes(w) => {
+                write_frame(w, tag, frame)?;
+                frame.clear();
+                Ok(())
+            }
+            Sink::Frames(q) => q.send(tag, frame),
+        }
+    }
+
+    /// Sends a frame of a copy of `payload` under `tag`.
+    pub fn put_frame(&mut self, tag: u64, payload: &[u8]) -> io::Result<()> {
+        match self {
+            Sink::Bytes(w) => write_frame(w, tag, payload),
+            Sink::Frames(q) => q.send_copy(tag, payload),
+        }
+    }
+
+    /// Flushes a byte sink; a frame queue holds nothing back.
+    pub fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Sink::Bytes(w) => w.flush(),
+            Sink::Frames(_) => Ok(()),
+        }
+    }
+}
+
 /// The framed-worker loop (`PlanOp::Exec { framed: true }`, the
 /// `--framed` mode of the multi-call binaries): `run` executes the
 /// command once per tagged block of `input`, and its output goes to
@@ -118,20 +176,20 @@ impl<R: Read> FrameReader<R> {
 /// a miss only if every block missed).
 ///
 /// `run` reads a block in place — the payload buffer is its stdin —
-/// and both buffers are reused from frame to frame.
+/// and writes the block it makes straight into the buffer that is
+/// sent; on bytes both buffers are reused from frame to frame, on a
+/// frame queue they circulate between the nodes.
 pub fn run_framed(
-    input: impl Read,
-    out: &mut dyn Write,
+    mut input: Source<'_>,
+    out: &mut Sink<'_>,
     mut run: impl FnMut(&mut dyn BufRead, &mut Vec<u8>) -> io::Result<i32>,
 ) -> io::Result<i32> {
-    let mut frames = FrameReader::new(input);
     let mut payload = Vec::new();
     let mut produced = Vec::new();
     let mut statuses = Vec::new();
-    while let Some(tag) = frames.next_frame_into(&mut payload)? {
-        produced.clear();
+    while let Some(tag) = input.next_frame_into(&mut payload)? {
         statuses.push(run(&mut payload.as_slice(), &mut produced)?);
-        write_frame(out, tag, &produced)?;
+        out.send_frame(tag, &mut produced)?;
     }
     if statuses.is_empty() {
         // No blocks reached this worker: run once on empty input for
@@ -231,14 +289,27 @@ mod tests {
         Ok(i32::from(!block.contains(&b'x')))
     }
 
+    /// [`run_framed`] of [`shout`] over the byte form: the status and
+    /// the encoded output.
+    fn shout_bytes(input: Vec<u8>) -> io::Result<(i32, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut sink = Sink::Bytes(Box::new(&mut out));
+        let status = run_framed(
+            Source::Bytes(Box::new(io::Cursor::new(input))),
+            &mut sink,
+            shout,
+        )?;
+        drop(sink);
+        Ok((status, out))
+    }
+
     #[test]
     fn framed_worker_keeps_tags_and_folds_statuses() {
         let mut input = Vec::new();
         write_frame(&mut input, 1, b"x one\n").expect("write");
         write_frame(&mut input, 3, b"").expect("write");
         write_frame(&mut input, 5, b"three\n").expect("write");
-        let mut out = Vec::new();
-        let status = run_framed(io::Cursor::new(input), &mut out, shout).expect("run");
+        let (status, out) = shout_bytes(input).expect("run");
         // One block hit, so the fold reports success.
         assert_eq!(status, 0);
         let mut r = FrameReader::new(io::Cursor::new(out));
@@ -255,14 +326,40 @@ mod tests {
     }
 
     #[test]
+    fn framed_worker_moves_queued_frames_as_it_encodes_bytes() {
+        // The same worker between two frame queues: the same tags,
+        // payloads and status as over bytes.
+        use crate::pipe::frame_queue;
+        let (mut tx, rx, _) = frame_queue(true);
+        for (tag, payload) in [(1, &b"x one\n"[..]), (3, b""), (5, b"three\n")] {
+            tx.send_copy(tag, payload).expect("send");
+        }
+        drop(tx);
+        let (out_tx, mut out_rx, _) = frame_queue(true);
+        let mut sink = Sink::Frames(out_tx);
+        let status = run_framed(Source::Frames(rx), &mut sink, shout).expect("run");
+        drop(sink);
+        assert_eq!(status, 0);
+        let mut got = Vec::new();
+        let mut payload = Vec::new();
+        while let Some(tag) = out_rx.recv(&mut payload).expect("frame") {
+            got.push((tag, payload.clone()));
+        }
+        let want = [
+            (1, b"X ONE\n".to_vec()),
+            (3, Vec::new()),
+            (5, b"THREE\n".to_vec()),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn framed_worker_without_blocks_runs_once_for_the_status() {
-        let mut out = Vec::new();
-        let status = run_framed(io::empty(), &mut out, shout).expect("run");
+        let (status, out) = shout_bytes(Vec::new()).expect("run");
         assert_eq!(status, 1);
         assert!(out.is_empty(), "no block in, no frame out");
         // A damaged stream is an error, not a short run.
-        let err = run_framed(io::Cursor::new(b"\x01RS".to_vec()), &mut out, shout)
-            .expect_err("truncated header");
+        let err = shout_bytes(b"\x01RS".to_vec()).expect_err("truncated header");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -1,4 +1,4 @@
-//! In-process pipes with UNIX semantics.
+//! In-process pipes with UNIX semantics, and queues of whole frames.
 //!
 //! A [`pipe`] is a bounded byte buffer shared between one writer and
 //! one reader:
@@ -20,15 +20,26 @@
 //! buffered: a full chunk is never regrown, the next write starts
 //! another, and drained chunks go back to a small pool. This is an
 //! eager relay (§5.2) folded into its edge: in-process the buffer is
-//! ours, so the edge itself can be unbounded, and the `threads`
-//! backend wires each eager relay as one spill pipe
-//! ([`crate::edge::MemEdges`]). EOF, `BrokenPipe` (which frees the
-//! chunks) and poisoning behave as on the ring.
+//! ours, so the edge itself can be unbounded.
 //!
-//! The transport is a contiguous ring buffer: each read or write moves
-//! its whole run of bytes with at most two `copy_from_slice` calls
-//! (the run may wrap around the end of the ring), so a transfer costs
-//! O(chunks) lock acquisitions rather than O(bytes).
+//! A [`frame_queue`] carries `r_split` frames ([`crate::frame`]) as
+//! owned buffers instead of bytes: the writer hands a whole frame over
+//! with its tag, the reader takes the buffer and reads it in place,
+//! and the buffer it is done with goes back to the writer's pool in
+//! the same step. No byte of a frame is copied by the edge. The queue
+//! holds [`FRAME_QUEUE_DEPTH`] frames before its writer waits, or,
+//! built to spill, any number (a wired eager relay between two framed
+//! nodes). Which edge gets which carrier is [`crate::edge::MemEdges`]'s
+//! decision: on `threads`, a frame queue between a frame writer and a
+//! frame reader, a ring everywhere else.
+//!
+//! All three share one channel: EOF, `BrokenPipe` (which frees what is
+//! buffered) and poisoning ([`PipeMonitor`]) behave the same on each.
+//!
+//! The ring is contiguous: each read or write moves its whole run of
+//! bytes with at most two `copy_from_slice` calls (the run may wrap
+//! around the end of the ring), so a transfer costs O(chunks) lock
+//! acquisitions rather than O(bytes).
 //!
 //! Wakeups are batched behind park flags. The naive bounded-buffer
 //! discipline pays one condvar sleep *and* one condvar notify per
@@ -49,11 +60,17 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use crate::frame::HEADER_LEN;
+
 /// Default capacity, matching the Linux pipe buffer.
 pub const DEFAULT_PIPE_CAPACITY: usize = 64 * 1024;
 
 // Commands read their stdin through buffers of one ring-full.
 const _: () = assert!(pash_coreutils::lines::BLOCK_SIZE == DEFAULT_PIPE_CAPACITY);
+
+/// How many frames a bounded [`frame_queue`] holds before its writer
+/// waits.
+pub const FRAME_QUEUE_DEPTH: usize = 4;
 
 /// How many times a full writer / empty reader re-checks after a
 /// `yield_now` before parking on the condvar for real.
@@ -63,26 +80,27 @@ const SPIN_YIELDS: usize = 32;
 /// own size.
 const SPILL_CHUNK: usize = DEFAULT_PIPE_CAPACITY;
 
-/// Most drained chunks a spill pipe keeps for reuse.
-const SPILL_POOL: usize = 4;
+/// Most drained chunks or frame buffers a channel keeps for reuse.
+const POOL: usize = FRAME_QUEUE_DEPTH + 1;
 
-struct Inner {
+/// What a channel holds between its writer and its reader.
+trait Buffer {
+    /// Whether the writer may put now.
+    fn has_room(&self) -> bool;
+    /// Whether the reader has nothing to take.
+    fn is_empty(&self) -> bool;
+    /// Drops everything held — called once, when the reader closes.
+    fn discard(&mut self);
+}
+
+/// A byte ring, spilling past its capacity when built to.
+struct Ring {
     /// The ring storage, exactly `capacity` bytes, allocated once.
     buf: Box<[u8]>,
     /// Index of the first buffered byte.
     head: usize,
     /// Number of buffered bytes.
     len: usize,
-    writer_closed: bool,
-    reader_closed: bool,
-    /// Set by [`PipeMonitor::poison`] (the region-deadline watchdog):
-    /// both ends fail with `TimedOut` instead of blocking further.
-    poisoned: bool,
-    /// The reader is parked on `data_available` (set under the lock
-    /// just before waiting; a notifier clears it).
-    reader_parked: bool,
-    /// The writer is parked on `space_available`.
-    writer_parked: bool,
     /// Built by [`spill_pipe`]: a full ring spills instead of blocking.
     spills: bool,
     /// Bytes written after the ring, oldest chunk first; every byte in
@@ -94,7 +112,7 @@ struct Inner {
     pool: Vec<Vec<u8>>,
 }
 
-impl Inner {
+impl Ring {
     fn capacity(&self) -> usize {
         self.buf.len()
     }
@@ -123,11 +141,6 @@ impl Inner {
         self.head = (self.head + n) % cap;
         self.len -= n;
         n
-    }
-
-    /// Whether the reader has anything to take.
-    fn is_empty(&self) -> bool {
-        self.len == 0 && self.spilled.is_empty()
     }
 
     /// Buffers what it can of `data`, returning the count: into the
@@ -173,7 +186,7 @@ impl Inner {
             if self.spill_head == front.len() {
                 let mut drained = self.spilled.pop_front().expect("front chunk");
                 self.spill_head = 0;
-                if self.pool.len() < SPILL_POOL {
+                if self.pool.len() < POOL {
                     drained.clear();
                     self.pool.push(drained);
                 }
@@ -181,11 +194,18 @@ impl Inner {
         }
         n
     }
+}
 
-    /// Discards all buffered bytes and frees the spill — called exactly
-    /// once, when the reader closes, so blocked writers wake into the
-    /// broken pipe.
-    fn drop_buffered(&mut self) {
+impl Buffer for Ring {
+    fn has_room(&self) -> bool {
+        self.len < self.capacity() || self.spills
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.spilled.is_empty()
+    }
+
+    fn discard(&mut self) {
         self.head = 0;
         self.len = 0;
         self.spilled = VecDeque::new();
@@ -194,20 +214,172 @@ impl Inner {
     }
 }
 
-struct Shared {
-    inner: Mutex<Inner>,
+/// A queue of tagged frames and the pool of emptied frame buffers
+/// that goes back to the writer.
+struct Frames {
+    queue: VecDeque<(u64, Vec<u8>)>,
+    /// Frames held before the writer waits; `usize::MAX` spills.
+    depth: usize,
+    pool: Vec<Vec<u8>>,
+}
+
+impl Buffer for Frames {
+    fn has_room(&self) -> bool {
+        self.queue.len() < self.depth
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    fn discard(&mut self) {
+        self.queue = VecDeque::new();
+        self.pool = Vec::new();
+    }
+}
+
+/// A channel's buffer and the state of its two ends, under one lock.
+struct State<B> {
+    buf: B,
+    writer_closed: bool,
+    reader_closed: bool,
+    /// Set by [`PipeMonitor::poison`] (the region-deadline watchdog):
+    /// both ends fail with `TimedOut` instead of blocking further.
+    poisoned: bool,
+    /// The reader is parked on `data_available` (set under the lock
+    /// just before waiting; a notifier clears it).
+    reader_parked: bool,
+    /// The writer is parked on `space_available`.
+    writer_parked: bool,
+}
+
+struct Shared<B> {
+    inner: Mutex<State<B>>,
     /// The reader sleeps here for the empty→non-empty transition.
     data_available: Condvar,
     /// The writer sleeps here for the full→non-full transition.
     space_available: Condvar,
 }
 
-impl Shared {
-    /// Locks the ring, ignoring poison: no update to [`Inner`] panics
-    /// partway, so a peer that died holding the lock left it valid,
-    /// and the survivor must still see EOF or a broken pipe.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+/// Which end of a channel is waiting.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    Writer,
+    Reader,
+}
+
+impl<B: Buffer> Shared<B> {
+    fn new(buf: B) -> Arc<Shared<B>> {
+        Arc::new(Shared {
+            inner: Mutex::new(State {
+                buf,
+                writer_closed: false,
+                reader_closed: false,
+                poisoned: false,
+                reader_parked: false,
+                writer_parked: false,
+            }),
+            data_available: Condvar::new(),
+            space_available: Condvar::new(),
+        })
+    }
+
+    /// Locks the channel, ignoring poison: no update to [`State`]
+    /// panics partway, so a peer that died holding the lock left it
+    /// valid, and the survivor must still see EOF or a broken pipe.
+    fn lock(&self) -> MutexGuard<'_, State<B>> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Waits until `end` can go on and returns the lock: the writer
+    /// once there is room, the reader once there is something to take
+    /// — or `None`, at EOF. A poisoned channel fails both with
+    /// `TimedOut`, a closed reader fails the writer with `BrokenPipe`.
+    fn ready(&self, end: End) -> io::Result<Option<MutexGuard<'_, State<B>>>> {
+        let mut spins = 0;
+        let mut s = self.lock();
+        loop {
+            if s.poisoned {
+                return Err(poisoned_error());
+            }
+            match end {
+                End::Writer if s.reader_closed => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "pipe reader closed",
+                    ))
+                }
+                End::Writer if s.buf.has_room() => return Ok(Some(s)),
+                End::Reader if !s.buf.is_empty() => return Ok(Some(s)),
+                End::Reader if s.writer_closed => return Ok(None),
+                _ => {}
+            }
+            if spins < SPIN_YIELDS {
+                // The peer may be running: hand it the core instead of
+                // paying a futex round trip.
+                spins += 1;
+                drop(s);
+                std::thread::yield_now();
+                s = self.lock();
+            } else {
+                let cv = if end == End::Writer {
+                    s.writer_parked = true;
+                    &self.space_available
+                } else {
+                    s.reader_parked = true;
+                    &self.data_available
+                };
+                s = cv.wait(s).unwrap_or_else(|p| p.into_inner());
+            }
+        }
+    }
+
+    /// The writer's wait, which never ends in EOF.
+    fn writable(&self) -> io::Result<MutexGuard<'_, State<B>>> {
+        Ok(self.ready(End::Writer)?.expect("a writer never sees EOF"))
+    }
+
+    /// Wakes the peer of `end` if it parked, after `end` made progress.
+    fn wake_peer(&self, s: &mut State<B>, end: End) {
+        if end == End::Writer && s.reader_parked {
+            s.reader_parked = false;
+            self.data_available.notify_one();
+        } else if end == End::Reader && s.writer_parked {
+            s.writer_parked = false;
+            self.space_available.notify_one();
+        }
+    }
+
+    /// Closes `end`: the reader's EOF, or the writer's broken pipe
+    /// (what is buffered is dropped, so blocked writers wake into it).
+    fn close(&self, end: End) {
+        let mut s = self.lock();
+        if end == End::Writer {
+            s.writer_closed = true;
+        } else {
+            s.reader_closed = true;
+            s.buf.discard();
+        }
+        s.reader_parked = false;
+        s.writer_parked = false;
+        self.data_available.notify_all();
+        self.space_available.notify_all();
+    }
+}
+
+/// What a [`PipeMonitor`] can do to the channel it watches.
+trait Poison: Send + Sync {
+    fn poison(&self);
+}
+
+impl<B: Buffer + Send> Poison for Shared<B> {
+    fn poison(&self) {
+        let mut s = self.lock();
+        s.poisoned = true;
+        s.reader_parked = false;
+        s.writer_parked = false;
+        self.data_available.notify_all();
+        self.space_available.notify_all();
     }
 }
 
@@ -231,24 +403,14 @@ pub fn spill_pipe(capacity: usize) -> (PipeWriter, PipeReader, PipeMonitor) {
 }
 
 fn build(capacity: usize, spills: bool) -> (PipeWriter, PipeReader, PipeMonitor) {
-    let capacity = capacity.max(1);
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            buf: vec![0u8; capacity].into_boxed_slice(),
-            head: 0,
-            len: 0,
-            writer_closed: false,
-            reader_closed: false,
-            poisoned: false,
-            reader_parked: false,
-            writer_parked: false,
-            spills,
-            spilled: VecDeque::new(),
-            spill_head: 0,
-            pool: Vec::new(),
-        }),
-        data_available: Condvar::new(),
-        space_available: Condvar::new(),
+    let shared = Shared::new(Ring {
+        buf: vec![0u8; capacity.max(1)].into_boxed_slice(),
+        head: 0,
+        len: 0,
+        spills,
+        spilled: VecDeque::new(),
+        spill_head: 0,
+        pool: Vec::new(),
     });
     (
         PipeWriter {
@@ -261,23 +423,46 @@ fn build(capacity: usize, spills: bool) -> (PipeWriter, PipeReader, PipeMonitor)
     )
 }
 
-/// An out-of-band handle on a pipe, held by the deadline watchdog.
+/// Creates a frame queue (see the module header): bounded at
+/// [`FRAME_QUEUE_DEPTH`] frames, or, with `spills`, never blocking its
+/// writer; plus its [`PipeMonitor`].
+pub fn frame_queue(spills: bool) -> (FrameTx, FrameRx, PipeMonitor) {
+    let shared = Shared::new(Frames {
+        queue: VecDeque::new(),
+        depth: if spills {
+            usize::MAX
+        } else {
+            FRAME_QUEUE_DEPTH
+        },
+        pool: Vec::new(),
+    });
+    (
+        FrameTx {
+            shared: shared.clone(),
+            spare: Vec::new(),
+            taps: Vec::new(),
+        },
+        FrameRx {
+            shared: shared.clone(),
+            taps: Vec::new(),
+        },
+        PipeMonitor { shared },
+    )
+}
+
+/// An out-of-band handle on a pipe or frame queue, held by the deadline
+/// watchdog.
 pub struct PipeMonitor {
-    shared: Arc<Shared>,
+    shared: Arc<dyn Poison>,
 }
 
 impl PipeMonitor {
-    /// Poisons the pipe: both ends — including ones currently parked
-    /// on a condvar — fail with `TimedOut` instead of blocking. This
-    /// is how a region deadline unwedges node threads stuck on a
+    /// Poisons the channel: both ends — including ones currently
+    /// parked on a condvar — fail with `TimedOut` instead of blocking.
+    /// This is how a region deadline unwedges node threads stuck on a
     /// stalled edge.
     pub fn poison(&self) {
-        let mut inner = self.shared.lock();
-        inner.poisoned = true;
-        inner.reader_parked = false;
-        inner.writer_parked = false;
-        self.shared.data_available.notify_all();
-        self.shared.space_available.notify_all();
+        self.shared.poison();
     }
 }
 
@@ -288,12 +473,12 @@ fn poisoned_error() -> io::Error {
 
 /// The writing end of a [`pipe`].
 pub struct PipeWriter {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<Ring>>,
 }
 
 /// The reading end of a [`pipe`].
 pub struct PipeReader {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<Ring>>,
 }
 
 impl Write for PipeWriter {
@@ -301,39 +486,10 @@ impl Write for PipeWriter {
         if data.is_empty() {
             return Ok(0);
         }
-        let mut spins = 0;
-        let mut inner = self.shared.lock();
-        loop {
-            if inner.poisoned {
-                return Err(poisoned_error());
-            }
-            if inner.reader_closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "pipe reader closed",
-                ));
-            }
-            if inner.len < inner.capacity() || inner.spills {
-                let n = inner.accept(data);
-                if inner.reader_parked {
-                    inner.reader_parked = false;
-                    self.shared.data_available.notify_one();
-                }
-                return Ok(n);
-            }
-            if spins < SPIN_YIELDS {
-                // Full, but the reader may be running: hand it the
-                // core instead of paying a futex round trip.
-                spins += 1;
-                drop(inner);
-                std::thread::yield_now();
-                inner = self.shared.lock();
-            } else {
-                inner.writer_parked = true;
-                let woken = self.shared.space_available.wait(inner);
-                inner = woken.unwrap_or_else(|p| p.into_inner());
-            }
-        }
+        let mut s = self.shared.writable()?;
+        let n = s.buf.accept(data);
+        self.shared.wake_peer(&mut s, End::Writer);
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -343,10 +499,7 @@ impl Write for PipeWriter {
 
 impl Drop for PipeWriter {
     fn drop(&mut self) {
-        let mut inner = self.shared.lock();
-        inner.writer_closed = true;
-        inner.reader_parked = false;
-        self.shared.data_available.notify_one();
+        self.shared.close(End::Writer);
     }
 }
 
@@ -355,63 +508,131 @@ impl Read for PipeReader {
         if out.is_empty() {
             return Ok(0);
         }
-        let mut spins = 0;
-        let mut inner = self.shared.lock();
-        loop {
-            if inner.poisoned {
-                return Err(poisoned_error());
-            }
-            if !inner.is_empty() {
-                let n = inner.take(out);
-                if inner.writer_parked {
-                    inner.writer_parked = false;
-                    self.shared.space_available.notify_one();
-                }
-                return Ok(n);
-            }
-            if inner.writer_closed {
-                return Ok(0);
-            }
-            if spins < SPIN_YIELDS {
-                spins += 1;
-                drop(inner);
-                std::thread::yield_now();
-                inner = self.shared.lock();
-            } else {
-                inner.reader_parked = true;
-                let woken = self.shared.data_available.wait(inner);
-                inner = woken.unwrap_or_else(|p| p.into_inner());
-            }
-        }
+        let Some(mut s) = self.shared.ready(End::Reader)? else {
+            return Ok(0);
+        };
+        let n = s.buf.take(out);
+        self.shared.wake_peer(&mut s, End::Reader);
+        Ok(n)
     }
 }
 
 impl Drop for PipeReader {
     fn drop(&mut self) {
-        let mut inner = self.shared.lock();
-        inner.reader_closed = true;
-        inner.drop_buffered();
-        inner.writer_parked = false;
-        self.shared.space_available.notify_one();
+        self.shared.close(End::Reader);
+    }
+}
+
+/// Counts the bytes of each frame crossing an end, in their encoded
+/// size (header and payload): what the same frame costs on a byte
+/// edge, so a profile reads the same whichever carried it.
+pub type Tap = Box<dyn Fn(u64) + Send>;
+
+fn tap_all(taps: &[Tap], payload: usize) {
+    for tap in taps {
+        tap((HEADER_LEN + payload) as u64);
+    }
+}
+
+/// The writing end of a [`frame_queue`].
+pub struct FrameTx {
+    shared: Arc<Shared<Frames>>,
+    /// The buffer [`FrameTx::send_copy`] fills.
+    spare: Vec<u8>,
+    taps: Vec<Tap>,
+}
+
+impl FrameTx {
+    /// Hands the frame in `frame` over under `tag`, waiting while the
+    /// queue is full, and leaves `frame` an empty buffer from the pool
+    /// to build the next one in.
+    pub fn send(&mut self, tag: u64, frame: &mut Vec<u8>) -> io::Result<()> {
+        let len = frame.len();
+        let mut s = self.shared.writable()?;
+        let next = s.buf.pool.pop().unwrap_or_default();
+        s.buf.queue.push_back((tag, std::mem::replace(frame, next)));
+        self.shared.wake_peer(&mut s, End::Writer);
+        drop(s);
+        tap_all(&self.taps, len);
+        Ok(())
+    }
+
+    /// [`FrameTx::send`] of a copy of `payload`.
+    pub fn send_copy(&mut self, tag: u64, payload: &[u8]) -> io::Result<()> {
+        let mut frame = std::mem::take(&mut self.spare);
+        frame.extend_from_slice(payload);
+        let sent = self.send(tag, &mut frame);
+        frame.clear();
+        self.spare = frame;
+        sent
+    }
+
+    /// Counts every frame sent from now on into `tap`.
+    pub fn tap(&mut self, tap: Tap) {
+        self.taps.push(tap);
+    }
+}
+
+impl Drop for FrameTx {
+    fn drop(&mut self) {
+        self.shared.close(End::Writer);
+    }
+}
+
+/// The reading end of a [`frame_queue`].
+pub struct FrameRx {
+    shared: Arc<Shared<Frames>>,
+    taps: Vec<Tap>,
+}
+
+impl FrameRx {
+    /// Takes the next frame: its buffer replaces `payload`, whose old
+    /// buffer goes back to the writer's pool, and its tag is returned.
+    /// `None` once the writer is gone and every frame was taken.
+    pub fn recv(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<u64>> {
+        let Some(mut s) = self.shared.ready(End::Reader)? else {
+            return Ok(None);
+        };
+        let (tag, frame) = s.buf.queue.pop_front().expect("a frame to take");
+        let mut spent = std::mem::replace(payload, frame);
+        if spent.capacity() > 0 && s.buf.pool.len() < POOL {
+            spent.clear();
+            s.buf.pool.push(std::mem::take(&mut spent));
+        }
+        self.shared.wake_peer(&mut s, End::Reader);
+        drop(s);
+        tap_all(&self.taps, payload.len());
+        Ok(Some(tag))
+    }
+
+    /// Counts every frame taken from now on into `tap`.
+    pub fn tap(&mut self, tap: Tap) {
+        self.taps.push(tap);
+    }
+}
+
+impl Drop for FrameRx {
+    fn drop(&mut self) {
+        self.shared.close(End::Reader);
     }
 }
 
 /// Reads a sequence of readers one after another (ordered
 /// concatenation — how `cat`-style stdin is presented to commands).
-pub struct MultiReader {
-    sources: std::collections::VecDeque<Box<dyn Read + Send>>,
+pub struct MultiReader<'a> {
+    sources: VecDeque<Box<dyn Read + Send + 'a>>,
 }
 
-impl MultiReader {
+impl<'a> MultiReader<'a> {
     /// Builds a multi-reader over ordered sources.
-    pub fn new(sources: Vec<Box<dyn Read + Send>>) -> Self {
+    pub fn new(sources: Vec<Box<dyn Read + Send + 'a>>) -> Self {
         MultiReader {
             sources: sources.into(),
         }
     }
 }
 
-impl Read for MultiReader {
+impl Read for MultiReader<'_> {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
         loop {
             let src = match self.sources.front_mut() {
@@ -564,7 +785,7 @@ mod tests {
 
     /// Chunks held in the spill of the pipe behind `w`.
     fn spilled_chunks(w: &PipeWriter) -> usize {
-        w.shared.lock().spilled.len()
+        w.shared.lock().buf.spilled.len()
     }
 
     #[test]
@@ -597,7 +818,7 @@ mod tests {
         assert_eq!(r.read(&mut buf[..4]).expect("read"), 4);
         assert_eq!(&buf[..4], b"abcd");
         w.write_all(b"mn").expect("write");
-        assert_eq!(w.shared.lock().len, 4, "ring untouched while spilled");
+        assert_eq!(w.shared.lock().buf.len, 4, "ring untouched while spilled");
         // One read drains the ring, then the spill.
         let n = r.read(&mut buf).expect("read");
         assert_eq!(&buf[..n], b"efghijklmn");
@@ -605,7 +826,7 @@ mod tests {
         // Drained: writes go to the ring again.
         w.write_all(b"op").expect("write");
         assert_eq!(spilled_chunks(&w), 0);
-        assert_eq!(w.shared.lock().len, 2);
+        assert_eq!(w.shared.lock().buf.len, 2);
         drop(w);
         let mut rest = Vec::new();
         r.read_to_end(&mut rest).expect("read");
@@ -621,7 +842,8 @@ mod tests {
         assert!(spilled_chunks(&w) > 1);
         drop(r);
         {
-            let inner = w.shared.lock();
+            let guard = w.shared.lock();
+            let inner = &guard.buf;
             assert!(inner.spilled.is_empty() && inner.spilled.capacity() == 0);
             assert!(inner.pool.is_empty());
         }
@@ -664,6 +886,115 @@ mod tests {
         assert_eq!(got.len(), 70_003);
         assert_eq!(got.last(), Some(&b'z'));
         assert_eq!(r.read(&mut buf).expect("sticky EOF"), 0);
+    }
+
+    /// A frame of `len` bytes whose content names its tag.
+    fn frame_of(tag: u64, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (tag as usize + i) as u8).collect()
+    }
+
+    #[test]
+    fn frame_eof_comes_only_after_the_last_frame() {
+        let (mut tx, mut rx, _) = frame_queue(false);
+        for tag in 0..FRAME_QUEUE_DEPTH as u64 {
+            tx.send_copy(tag, &frame_of(tag, 10 * tag as usize))
+                .expect("room for a queue-full");
+        }
+        drop(tx);
+        let mut payload = Vec::new();
+        for tag in 0..FRAME_QUEUE_DEPTH as u64 {
+            assert_eq!(rx.recv(&mut payload).expect("frame"), Some(tag));
+            assert_eq!(payload, frame_of(tag, 10 * tag as usize));
+        }
+        assert_eq!(rx.recv(&mut payload).expect("EOF"), None);
+        assert_eq!(rx.recv(&mut payload).expect("sticky EOF"), None);
+    }
+
+    #[test]
+    fn a_full_frame_queue_parks_its_writer_until_a_frame_is_taken() {
+        let (mut tx, mut rx, _) = frame_queue(false);
+        for tag in 0..FRAME_QUEUE_DEPTH as u64 {
+            tx.send_copy(tag, b"x").expect("room");
+        }
+        let t = std::thread::spawn(move || tx.send_copy(99, b"late").map(|()| tx));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!t.is_finished(), "a full queue takes no more");
+        let mut payload = Vec::new();
+        assert_eq!(rx.recv(&mut payload).expect("frame"), Some(0));
+        drop(t.join().expect("join").expect("sent once there was room"));
+        let mut tags = Vec::new();
+        while let Some(tag) = rx.recv(&mut payload).expect("frame") {
+            tags.push(tag);
+        }
+        let want: Vec<u64> = (1..FRAME_QUEUE_DEPTH as u64).chain([99]).collect();
+        assert_eq!(tags, want);
+    }
+
+    #[test]
+    fn frame_reader_drop_breaks_the_queue_and_frees_its_buffers() {
+        for spills in [false, true] {
+            let (mut tx, rx, _) = frame_queue(spills);
+            for tag in 0..FRAME_QUEUE_DEPTH as u64 {
+                tx.send_copy(tag, &[7u8; 70_000]).expect("room");
+            }
+            // A writer parked on the full queue wakes into the break.
+            let parked = std::thread::spawn(move || {
+                let res = tx.send_copy(9, b"x");
+                (res, tx)
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(rx);
+            let (res, mut tx) = parked.join().expect("join");
+            if !spills {
+                assert_eq!(res.expect_err("broken").kind(), io::ErrorKind::BrokenPipe);
+            }
+            {
+                let s = tx.shared.lock();
+                assert!(s.buf.queue.is_empty() && s.buf.queue.capacity() == 0);
+                assert!(s.buf.pool.is_empty());
+            }
+            let err = tx.send_copy(10, b"y").expect_err("must fail");
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        }
+    }
+
+    #[test]
+    fn poison_wakes_a_parked_frame_reader_and_writer() {
+        let (tx, mut rx, m) = frame_queue(false);
+        let reader = std::thread::spawn(move || rx.recv(&mut Vec::new()));
+        let (mut tx2, rx2, m2) = frame_queue(false);
+        for tag in 0..FRAME_QUEUE_DEPTH as u64 {
+            tx2.send_copy(tag, b"x").expect("room");
+        }
+        let writer = std::thread::spawn(move || tx2.send_copy(9, b"x"));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        m.poison();
+        m2.poison();
+        let err = reader.join().expect("join").expect_err("poisoned read");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let err = writer.join().expect("join").expect_err("poisoned write");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        drop((tx, rx2));
+    }
+
+    #[test]
+    fn drained_frame_buffers_go_back_to_the_writer() {
+        let (mut tx, mut rx, _) = frame_queue(false);
+        let mut frame = Vec::with_capacity(64 * 1024);
+        frame.extend_from_slice(b"first");
+        let first = frame.as_ptr();
+        tx.send(0, &mut frame).expect("send");
+        assert!(frame.is_empty());
+        let mut payload = Vec::new();
+        assert_eq!(rx.recv(&mut payload).expect("frame"), Some(0));
+        // The reader holds the writer's buffer itself, not a copy.
+        assert_eq!((payload.as_ptr(), &payload[..]), (first, &b"first"[..]));
+        tx.send_copy(1, b"second").expect("send");
+        assert_eq!(rx.recv(&mut payload).expect("frame"), Some(1));
+        // The buffer the reader was done with is the writer's next.
+        let mut next = Vec::new();
+        tx.send(2, &mut next).expect("send");
+        assert_eq!((next.as_ptr(), next.capacity() >= 64 * 1024), (first, true));
     }
 
     proptest! {
@@ -785,6 +1116,44 @@ mod tests {
             r.read_to_end(&mut rest).expect("read");
             prop_assert_eq!(rest, model.into_iter().collect::<Vec<u8>>(),
                 "capacity {}, ops {:?}", capacity, ops);
+        }
+
+        // A frame queue is a `VecDeque` of frames to its reader: on one
+        // thread, sends (of 0 to 200 KB, empty frames included) and
+        // takes in any order return the frames the model says, in
+        // order; a bounded queue is only sent to while the model holds
+        // fewer than its depth. The shim does not shrink, so a failure
+        // names its own sizes.
+        #[test]
+        fn prop_frame_queue_is_a_vecdeque(
+            spills in 0u8..2,
+            ops in proptest::collection::vec((0usize..2, 0usize..200_000), 1..24),
+        ) {
+            let spills = spills == 1;
+            let (mut tx, mut rx, _) = frame_queue(spills);
+            let mut model: std::collections::VecDeque<(u64, usize)> = Default::default();
+            let (mut tag, mut payload) = (0u64, Vec::new());
+            for (i, &(op, size)) in ops.iter().enumerate() {
+                let case = format!("spills {spills}, op {i} of {ops:?}");
+                if op == 0 && (spills || model.len() < FRAME_QUEUE_DEPTH) {
+                    let mut frame = frame_of(tag, size);
+                    tx.send(tag, &mut frame).expect("room");
+                    prop_assert!(frame.is_empty(), "{}", case);
+                    model.push_back((tag, size));
+                    tag += 1;
+                } else if let Some((want, len)) = model.pop_front() {
+                    let got = rx.recv(&mut payload).expect("frame");
+                    prop_assert_eq!(got, Some(want), "{}", case);
+                    prop_assert!(payload == frame_of(want, len), "payload of tag {}: {}", want, case);
+                }
+            }
+            drop(tx);
+            while let Some((want, len)) = model.pop_front() {
+                prop_assert_eq!(rx.recv(&mut payload).expect("frame"), Some(want),
+                    "spills {}, ops {:?}", spills, ops);
+                prop_assert!(payload == frame_of(want, len), "tag {}, ops {:?}", want, ops);
+            }
+            prop_assert_eq!(rx.recv(&mut payload).expect("EOF"), None, "ops {:?}", ops);
         }
     }
 }

@@ -89,19 +89,19 @@ impl RegionProfile {
 }
 
 /// A profiling reader: counts consumed bytes into a node's counter.
-pub struct CountingReader {
-    inner: Box<dyn io::Read + Send>,
+pub struct CountingReader<'a> {
+    inner: Box<dyn io::Read + Send + 'a>,
     profile: Arc<RegionProfile>,
     node: usize,
 }
 
-impl CountingReader {
+impl<'a> CountingReader<'a> {
     /// Wraps `inner`, crediting reads to `profile`'s node `node`.
     pub fn new(
-        inner: Box<dyn io::Read + Send>,
+        inner: Box<dyn io::Read + Send + 'a>,
         profile: Arc<RegionProfile>,
         node: usize,
-    ) -> CountingReader {
+    ) -> CountingReader<'a> {
         CountingReader {
             inner,
             profile,
@@ -110,7 +110,7 @@ impl CountingReader {
     }
 }
 
-impl io::Read for CountingReader {
+impl io::Read for CountingReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
         self.profile.add_in(self.node, n as u64);
@@ -119,19 +119,19 @@ impl io::Read for CountingReader {
 }
 
 /// A profiling writer: counts produced bytes into a node's counter.
-pub struct CountingWriter {
-    inner: Box<dyn io::Write + Send>,
+pub struct CountingWriter<'a> {
+    inner: Box<dyn io::Write + Send + 'a>,
     profile: Arc<RegionProfile>,
     node: usize,
 }
 
-impl CountingWriter {
+impl<'a> CountingWriter<'a> {
     /// Wraps `inner`, crediting writes to `profile`'s node `node`.
     pub fn new(
-        inner: Box<dyn io::Write + Send>,
+        inner: Box<dyn io::Write + Send + 'a>,
         profile: Arc<RegionProfile>,
         node: usize,
-    ) -> CountingWriter {
+    ) -> CountingWriter<'a> {
         CountingWriter {
             inner,
             profile,
@@ -140,7 +140,7 @@ impl CountingWriter {
     }
 }
 
-impl io::Write for CountingWriter {
+impl io::Write for CountingWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
         self.profile.add_out(self.node, n as u64);

@@ -12,7 +12,8 @@
 //! blocking relay, or one with a boundary edge, on `threads`, and the
 //! relay layer of the benchmark harness. An unbounded relay between two
 //! in-process pipes never gets here: the `threads` backend wires it as
-//! its edge, one spill pipe ([`crate::edge::MemEdges::wire`]).
+//! its edge, one spill pipe or spilling frame queue
+//! ([`crate::edge::MemEdges::wire`]).
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc;
@@ -34,7 +35,7 @@ pub enum RelayMode {
 /// node); the eager reader thread then observes the closed channel and
 /// stops.
 pub fn run_relay(
-    mut input: impl Read + Send + 'static,
+    mut input: impl Read + Send,
     output: &mut dyn Write,
     mode: RelayMode,
 ) -> io::Result<u64> {
@@ -56,51 +57,53 @@ pub fn run_relay(
     // steady-state relay recycles a handful of buffers instead of
     // allocating a fresh `Vec` per 8 KiB of traffic.
     let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
-    // The eager half: consume input as fast as possible.
-    let reader = std::thread::spawn(move || -> io::Result<()> {
-        let mut buf = vec![0u8; CHUNK];
-        loop {
-            let n = input.read(&mut buf)?;
-            if n == 0 {
-                return Ok(());
+    std::thread::scope(|scope| {
+        // The eager half: consume input as fast as possible.
+        let reader = scope.spawn(move || -> io::Result<()> {
+            let mut buf = vec![0u8; CHUNK];
+            loop {
+                let n = input.read(&mut buf)?;
+                if n == 0 {
+                    return Ok(());
+                }
+                buf.truncate(n);
+                if !send(buf) {
+                    // Downstream hung up: stop pulling.
+                    return Ok(());
+                }
+                buf = pool_rx.try_recv().unwrap_or_default();
+                buf.resize(CHUNK, 0);
             }
-            buf.truncate(n);
-            if !send(buf) {
-                // Downstream hung up: stop pulling.
-                return Ok(());
+        });
+        // The push half: forward to the consumer at its own pace.
+        let mut total = 0u64;
+        let mut push_err: Option<io::Error> = None;
+        for chunk in &rx {
+            if push_err.is_none() {
+                match output.write_all(&chunk) {
+                    Ok(()) => total += chunk.len() as u64,
+                    Err(e) => push_err = Some(e),
+                }
             }
-            buf = pool_rx.try_recv().unwrap_or_default();
-            buf.resize(CHUNK, 0);
-        }
-    });
-    // The push half: forward to the consumer at its own pace.
-    let mut total = 0u64;
-    let mut push_err: Option<io::Error> = None;
-    for chunk in &rx {
-        if push_err.is_none() {
-            match output.write_all(&chunk) {
-                Ok(()) => total += chunk.len() as u64,
-                Err(e) => push_err = Some(e),
+            // Recycle regardless of the write outcome; if the reader is
+            // already gone the pool send fails harmlessly.
+            let _ = pool_tx.send(chunk);
+            // On error keep draining so the reader thread can finish
+            // quickly (matching SIGPIPE-style teardown).
+            if push_err.is_some() {
+                break;
             }
         }
-        // Recycle regardless of the write outcome; if the reader is
-        // already gone the pool send fails harmlessly.
-        let _ = pool_tx.send(chunk);
-        // On error keep draining so the reader thread can finish
-        // quickly (matching SIGPIPE-style teardown).
-        if push_err.is_some() {
-            break;
+        drop(rx);
+        let read_res = reader
+            .join()
+            .map_err(|_| io::Error::other("relay reader thread panicked"))?;
+        if let Some(e) = push_err {
+            return Err(e);
         }
-    }
-    drop(rx);
-    let read_res = reader
-        .join()
-        .map_err(|_| io::Error::other("relay reader thread panicked"))?;
-    if let Some(e) = push_err {
-        return Err(e);
-    }
-    read_res?;
-    Ok(total)
+        read_res?;
+        Ok(total)
+    })
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! them by a read, so a move copies less than was dealt; otherwise it
 //! doubles, so it grows with the bytes it holds.
 
-use crate::frame::write_frame;
+use crate::edge::Sink;
 use pash_coreutils::bytemask::{count_byte, nth_byte};
 use pash_coreutils::lines::BLOCK_SIZE;
 use pash_regex::memmem::{memchr, memrchr};
@@ -196,7 +196,7 @@ fn drain(input: &mut dyn BufRead) -> io::Result<()> {
 /// chunks, writing them in order, under the default look-ahead.
 pub fn split_general(
     input: &mut dyn BufRead,
-    outputs: &mut [Box<dyn Write + Send>],
+    outputs: &mut [Box<dyn Write + Send + '_>],
 ) -> io::Result<()> {
     split_general_bounded(input, outputs, DEFAULT_LOOKAHEAD)
 }
@@ -211,7 +211,7 @@ pub fn split_general(
 ///   line.
 pub fn split_general_bounded(
     input: &mut dyn BufRead,
-    outputs: &mut [Box<dyn Write + Send>],
+    outputs: &mut [Box<dyn Write + Send + '_>],
     lookahead: usize,
 ) -> io::Result<()> {
     let lookahead = lookahead.max(1);
@@ -274,7 +274,7 @@ pub fn split_general_bounded(
 /// order. Without, bare blocks flow to commutative consumers.
 pub fn split_round_robin(
     input: &mut dyn BufRead,
-    outputs: &mut [Box<dyn Write + Send>],
+    outputs: &mut [Box<dyn Write + Send + '_>],
     framed: bool,
 ) -> io::Result<()> {
     split_round_robin_bounded(input, outputs, framed, DEFAULT_LOOKAHEAD)
@@ -301,15 +301,46 @@ pub fn split_round_robin(
 /// that is left. How the reads happen to fall does not move a cut.
 pub fn split_round_robin_bounded(
     input: &mut dyn BufRead,
-    outputs: &mut [Box<dyn Write + Send>],
+    outputs: &mut [Box<dyn Write + Send + '_>],
     framed: bool,
     max_block: usize,
 ) -> io::Result<()> {
+    if framed {
+        let mut sinks: Vec<Sink> = outputs
+            .iter_mut()
+            .map(|out| Sink::Bytes(Box::new(out)))
+            .collect();
+        return deal_frames(input, &mut sinks, max_block);
+    }
+    deal(input, outputs.len(), max_block, |i, _, block| {
+        write_chunk(outputs[i].as_mut(), block)
+    })
+}
+
+/// The framed deal of [`split_round_robin_bounded`], onto sinks of
+/// either carrier: each block goes out as one frame under its tag.
+pub(crate) fn deal_frames(
+    input: &mut dyn BufRead,
+    sinks: &mut [Sink],
+    max_block: usize,
+) -> io::Result<()> {
+    deal(input, sinks.len(), max_block, |i, tag, block| {
+        abandoned(sinks[i].put_frame(tag, block))
+    })
+}
+
+/// Cuts the input into the blocks [`split_round_robin_bounded`]
+/// describes and hands block `t` to `emit(t mod k, t, block)`.
+fn deal(
+    input: &mut dyn BufRead,
+    k: usize,
+    max_block: usize,
+    mut emit: impl FnMut(usize, u64, &[u8]) -> io::Result<()>,
+) -> io::Result<()> {
     let max_block = max_block.max(1);
-    if outputs.is_empty() {
+    if k == 0 {
         return drain(input);
     }
-    let k = outputs.len();
     let mut win = Window::default();
     let mut bytes_seen = 0u64;
     let mut lines_seen = 0u64;
@@ -329,39 +360,25 @@ pub fn split_round_robin_bounded(
         let payload = &win.held()[..cut];
         bytes_seen += cut as u64;
         lines_seen += count_byte(b'\n', payload) as u64;
-        let out = outputs[(tag as usize) % k].as_mut();
-        if framed {
-            write_frame_abandoning(out, tag, payload)?;
-        } else {
-            write_chunk(out, payload)?;
-        }
+        emit((tag % k as u64) as usize, tag, payload)?;
         tag += 1;
         win.consume(cut);
     }
 }
 
-/// [`write_frame`] with the same broken-pipe tolerance as
-/// [`write_chunk`]: an early-exiting consumer abandons its blocks.
-fn write_frame_abandoning(
-    out: &mut (dyn Write + Send),
-    tag: u64,
-    payload: &[u8],
-) -> io::Result<()> {
-    match write_frame(out, tag, payload) {
-        Ok(()) => Ok(()),
+/// A write's result with a broken pipe read as success: a consumer
+/// that exited early abandons the rest of its blocks, and must not
+/// stall the others'.
+pub(crate) fn abandoned(res: io::Result<()>) -> io::Result<()> {
+    match res {
         Err(err) if err.kind() == io::ErrorKind::BrokenPipe => Ok(()),
-        Err(err) => Err(err),
+        res => res,
     }
 }
 
-/// A consumer that exited early must not stall the remaining chunks;
-/// treat its broken pipe as "chunk abandoned".
-fn write_chunk(out: &mut (dyn Write + Send), data: &[u8]) -> io::Result<()> {
-    match out.write_all(data) {
-        Ok(()) => Ok(()),
-        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => Ok(()),
-        Err(err) => Err(err),
-    }
+/// Writes one chunk, abandoned if its consumer is gone.
+fn write_chunk(out: &mut (dyn Write + Send + '_), data: &[u8]) -> io::Result<()> {
+    abandoned(out.write_all(data))
 }
 
 /// Writes an output's whole range and closes it: the writer is
@@ -370,7 +387,7 @@ fn write_chunk(out: &mut (dyn Write + Send), data: &[u8]) -> io::Result<()> {
 /// reads branch `i` to its end before it opens branch `i + 1`; held
 /// open, an early branch would keep it from ever opening the branch
 /// the split is still writing.
-fn write_last_chunk(out: &mut Box<dyn Write + Send>, data: &[u8]) -> io::Result<()> {
+fn write_last_chunk(out: &mut Box<dyn Write + Send + '_>, data: &[u8]) -> io::Result<()> {
     write_chunk(out.as_mut(), data)?;
     let flushed = out.flush();
     *out = Box::new(io::sink());
@@ -383,7 +400,7 @@ fn write_last_chunk(out: &mut Box<dyn Write + Send>, data: &[u8]) -> io::Result<
 /// Scatters fully-buffered data as contiguous chunks of near-equal
 /// line counts (the exact split of the paper). A final unterminated
 /// line counts as a line and is delivered as it is.
-fn scatter_exact(data: &[u8], outputs: &mut [Box<dyn Write + Send>]) -> io::Result<()> {
+fn scatter_exact(data: &[u8], outputs: &mut [Box<dyn Write + Send + '_>]) -> io::Result<()> {
     let unterminated = data.last().is_some_and(|&b| b != b'\n');
     let n = count_byte(b'\n', data) + usize::from(unterminated);
     let k = outputs.len().max(1);

@@ -1228,6 +1228,35 @@ fn a_missing_output_directory_fails_as_the_shell_does() {
             assert!(!made, "{backend} at width {width} made the directory");
         }
     }
+    // The same over a `MemFs` (`pash::run`, as `pashd` runs a request),
+    // on both schedules: the missing directory fails the run and stores
+    // nothing, and a directory that holds a file takes the output.
+    fs.add("dir/a.txt", b"x\n".to_vec());
+    for (schedule, capacity) in SCHEDULES {
+        for setup in [Setup::split(1), Setup::split(2)] {
+            let width = setup.cfg.width;
+            let mut env = RunEnv {
+                fs: Arc::new(fs.clone()),
+                ..Default::default()
+            };
+            env.exec.pipe_capacity = capacity;
+            let what = format!("{schedule} at width {width}");
+            match run(script, &setup.cfg, "threads", &env) {
+                Err(pash::RunError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{what}: {e}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(env.fs.read("nodir/out.txt").is_err(), "{what} stored it");
+            let ok = run("cat in.txt > dir/out.txt", &setup.cfg, "threads", &env);
+            assert!(ok.is_ok(), "{what}: {ok:?}");
+            assert_eq!(
+                env.fs.read("dir/out.txt").ok(),
+                fs.read("in.txt").ok(),
+                "{what}"
+            );
+        }
+    }
 }
 
 /// A streamed file operand reaches its command under its own name on

@@ -390,6 +390,50 @@ fn tee_goes_on_past_a_file_it_cannot_create() {
     }
 }
 
+/// An operand that cannot be opened is reported on stderr in GNU's
+/// words and skipped: the command goes on to the next and exits 1
+/// (`grep` 2), with the stdout the host prints. Over a real directory,
+/// so the message is the system's.
+#[test]
+fn a_missing_operand_is_reported_and_skipped() {
+    let rows: [&[&str]; 7] = [
+        &["cat", "nope", "t1"],
+        &["wc", "-l", "t1", "nope"],
+        &["nl", "nope", "t1"],
+        &["cut", "-c1", "nope", "t1"],
+        &["sha1sum", "nope", "t1"],
+        &["grep", "-h", "1", "nope", "t1"],
+        &["head", "-n", "1", "nope"],
+    ];
+    let files: [(&str, &[u8]); 1] = [("t1", b"1 one\n2 two\n")];
+    let dir = std::env::temp_dir().join(format!("pash-missing-operand-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join(files[0].0), files[0].1).expect("write t1");
+    let fs = Arc::new(RealFs::new(dir.clone()));
+    for (i, argv) in rows.iter().enumerate() {
+        let Some(host) = host_path(argv[0]) else {
+            eprintln!("skipping: the host has no `{}`", argv[0]);
+            continue;
+        };
+        let ours = run_command(&Registry::standard(), fs.clone(), argv, b"").expect("runs");
+        let theirs = host_run_in(&format!("missing-{i}"), &host, &argv[1..], &files, b"");
+        assert_eq!(
+            String::from_utf8_lossy(&ours.stdout),
+            String::from_utf8_lossy(&theirs.0),
+            "{argv:?}"
+        );
+        assert_eq!(ours.status, theirs.1, "{argv:?}: exit status");
+        let said = if argv[0] == "head" {
+            "head: cannot open 'nope' for reading: No such file or directory\n".to_string()
+        } else {
+            format!("{}: nope: No such file or directory\n", argv[0])
+        };
+        assert_eq!(String::from_utf8_lossy(&ours.stderr), said, "{argv:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn head_matches_the_host() {
     let cases: [&[&str]; 6] = [
