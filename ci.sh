@@ -75,9 +75,14 @@
 #      `sha1sum a.txt` at width 1 on the three, under `timeout`, must
 #      print the host /bin/sh's bytes, file names and column widths
 #      included (a streamed file operand reaches its command under its
-#      own name); and `wc -l a.txt nope` at width 2 on shell, whose
+#      own name); `wc -l a.txt nope` at width 2 on shell, whose
 #      copy of `wc` cannot open its missing file, must fail inside its
-#      `timeout` rather than wedge the eager relay behind it;
+#      `timeout` rather than wedge the eager relay behind it; and
+#      `cat nope a.txt`, `wc -l a.txt nope`, `tr a b < nope` and `sort
+#      < nope > out` at width 1 on the three, under `timeout`, must end
+#      with the host /bin/sh's stdout and exit status and leave `out`
+#      as it was (a file a command cannot open ends that command, not
+#      the run);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
 #      backend; then SIGTERM, and each worker must exit 0 within 10 s
@@ -459,6 +464,32 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
     echo "    wc -l a.txt nope on shell at width 2 ended with status $status" >&2
     exit 1
 fi
+# A file a command cannot open ends that command, as in the host shell,
+# and not the run: the host's stdout and exit status on every backend,
+# and `out`, which no row may touch, as it was.
+for script in 'cat nope a.txt' 'wc -l a.txt nope' 'tr a b < nope' 'sort < nope > out'; do
+    for b in host shell threads processes; do
+        d="target/bench-smoke/open-$b"
+        rm -rf "$d"
+        mkdir -p "$d"
+        cp target/bench-smoke/cat-host/a.txt "$d/"
+        echo kept >"$d/out"
+        status=0
+        if [ "$b" = host ]; then
+            (cd "$d" && LC_ALL=C /bin/sh -c "$script") >"$d.out" 2>/dev/null || status=$?
+            host=$status
+            continue
+        fi
+        timeout -s KILL 60 ./target/release/backendrun --backend "$b" --width 1 \
+            --dir "$d" -e "$script" </dev/null >"$d.out" 2>/dev/null || status=$?
+        if [ "$status" -ne "$host" ]; then
+            echo "    \`$script\` on $b ended with status $status, the host's with $host" >&2
+            exit 1
+        fi
+        cmp target/bench-smoke/open-host.out "$d.out"
+        echo kept | cmp - "$d/out"
+    done
+done
 
 echo "==> remote backend smoke (2 localhost workers, cmp against shell)"
 # The same corpus script again, this time with every parallel region

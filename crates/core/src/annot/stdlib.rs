@@ -44,8 +44,8 @@ sort {
     | _ => (P, [args[0:]], [stdout])
 }
 uniq {
-    | -d \/ -u => (N, [args[0:]], [stdout])
-    | _ => (P, [args[0:]], [stdout])
+    | -d \/ -u => (N, [args[0]], [stdout])
+    | _ => (P, [args[0]], [stdout])
 }
 wc { | _ => (P, [args[0:]], [stdout]) }
 head { | _ => (P, [args[0:]], [stdout]) }
@@ -158,6 +158,8 @@ impl AnnotationLibrary {
             // a `tr` each byte, unless it squeezes across line ends.
             "sed" if !rewrites_each_line(&r) => c.class.join(ParClass::NonParallelizable),
             "tr" if squeezes_across_lines(&r) => c.class.join(ParClass::NonParallelizable),
+            // `uniq IN OUT` writes OUT, once: it runs as written.
+            "uniq" if r.operands.0.len() > 1 => c.class.join(ParClass::NonParallelizable),
             // `tail +N` drops a global prefix: not decomposable as a
             // uniform map (only the first chunk is affected).
             "tail" if r.values("n").any(|n| n.starts_with('+')) => {
@@ -470,6 +472,17 @@ mod tests {
         assert_eq!(class_of(&["uniq"]), Some(ParClass::Pure));
         assert_eq!(class_of(&["uniq", "-c"]), Some(ParClass::Pure));
         assert_eq!(class_of(&["uniq", "-d"]), Some(ParClass::NonParallelizable));
+    }
+
+    #[test]
+    fn uniq_streams_its_input_and_runs_whole_when_it_names_an_output() {
+        let c = AnnotationLibrary::standard()
+            .classify(&argv(&["uniq", "in.txt", "out.txt"]))
+            .expect("classified");
+        assert_eq!(c.class, ParClass::NonParallelizable);
+        assert_eq!(c.inputs, [InputSlot::File("in.txt".to_string())]);
+        assert_eq!(c.static_files, ["out.txt"]);
+        assert_eq!(class_of(&["uniq", "in.txt"]), Some(ParClass::Pure));
     }
 
     #[test]

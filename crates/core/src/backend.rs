@@ -77,6 +77,9 @@ pub fn emit_program(plan: &ExecutionPlan, _cfg: &EmitConfig) -> String {
 fn emit_step(out: &mut String, step: &PlanStep, region_idx: &mut usize) {
     match step {
         PlanStep::Shell { text, .. } => {
+            // Its `$?` is the step before's status, as in the source
+            // script, not that of a region's cleanup.
+            out.push_str("(exit \"$pash_status\")\n");
             out.push_str(text);
             out.push_str("\npash_status=$?\n");
         }

@@ -21,7 +21,7 @@
 //! `sort | uniq -c` outputs by their text and adds the counts of equal
 //! texts.
 
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 
 use pash_regex::memmem::{memchr, memrchr};
 
@@ -29,7 +29,7 @@ use crate::args::{of, scan};
 use crate::bytemask::count_byte;
 use crate::lines::{add_counts, buffer_lines, parse_count_line, push_count};
 use crate::sortkeys::{Keyed, Prepared, SortSpec};
-use crate::{CmdIo, Command, ExitStatus};
+use crate::{open_or_report, CmdIo, Command, ExitStatus};
 
 /// The `sort` command (class P: map = sort, aggregate = merge).
 pub struct Sort;
@@ -86,7 +86,9 @@ impl Command for Sort {
             Err(e) => return crate::usage_error(io, "sort", &e),
         };
         let spec = &parsed.spec;
-        let (arena, ends) = read_inputs(io, &parsed.files)?;
+        let Some((arena, ends)) = read_inputs(io, &parsed.files)? else {
+            return Ok(2);
+        };
         if parsed.merge {
             let mut start = 0;
             let runs = ends.iter().map(|&end| {
@@ -132,22 +134,23 @@ impl Command for Sort {
 
 /// Appends every input to one buffer, restoring a missing final
 /// newline per file, and returns it with each file's end offset.
-fn read_inputs(io: &mut CmdIo<'_>, files: &[&str]) -> io::Result<(Vec<u8>, Vec<usize>)> {
+/// `None` when a file cannot be opened: GNU's message is on stderr,
+/// and nothing is sorted.
+fn read_inputs(io: &mut CmdIo<'_>, files: &[&str]) -> io::Result<Option<(Vec<u8>, Vec<usize>)>> {
     let mut arena = Vec::new();
     let mut ends = Vec::with_capacity(files.len());
     for f in files {
         let before = arena.len();
-        if *f == "-" {
-            io.stdin.read_to_end(&mut arena)?;
-        } else {
-            io.fs.open(f)?.read_to_end(&mut arena)?;
-        }
+        let Some(mut r) = open_or_report(&io.fs, "sort", f, io.stdin, io.stderr)? else {
+            return Ok(None);
+        };
+        r.read_to_end(&mut arena)?;
         if arena.len() > before && arena.last() != Some(&b'\n') {
             arena.push(b'\n');
         }
         ends.push(arena.len());
     }
-    Ok((arena, ends))
+    Ok(Some((arena, ends)))
 }
 
 /// Most threads `--parallel=N` is honoured with (a failed spawn would

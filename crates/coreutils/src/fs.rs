@@ -50,8 +50,9 @@ type FileMap = Arc<Mutex<HashMap<String, Arc<Vec<u8>>>>>;
 
 /// An in-memory filesystem.
 ///
-/// Cloning is cheap (shared storage). Writes become visible when the
-/// returned writer is dropped.
+/// Cloning is cheap (shared storage). [`Fs::create`] empties the file
+/// when it is called, as `open(2)`'s `O_TRUNC` does; what is written
+/// becomes visible when the returned writer is dropped.
 #[derive(Default, Clone)]
 pub struct MemFs {
     files: FileMap,
@@ -100,7 +101,7 @@ impl MemFs {
             .expect("MemFs lock poisoned")
             .get(&normalize(path))
             .map(|a| a.as_ref().clone())
-            .ok_or_else(|| not_found(path))
+            .ok_or_else(not_found)
     }
 
     /// Removes a file and returns its contents, moved out of the
@@ -111,7 +112,7 @@ impl MemFs {
             .lock()
             .expect("MemFs lock poisoned")
             .remove(&normalize(path))
-            .ok_or_else(|| not_found(path))?;
+            .ok_or_else(not_found)?;
         Ok(Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone()))
     }
 
@@ -151,11 +152,9 @@ fn normalize(p: &str) -> String {
     p.trim_start_matches("./").to_string()
 }
 
-fn not_found(path: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::NotFound,
-        format!("{path}: no such file or directory"),
-    )
+/// A missing file, in the system's words (a command names the path).
+fn not_found() -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, "No such file or directory")
 }
 
 impl Fs for MemFs {
@@ -163,18 +162,21 @@ impl Fs for MemFs {
         self.open_range(path, 0, u64::MAX)
     }
 
-    /// Fails with `NotFound`, as creating a file in a missing
-    /// directory does, unless the parent directory is the root or holds
-    /// a stored file: the tree has no empty directories.
+    /// Empties the file at once, or fails with `NotFound`, as creating
+    /// a file in a missing directory does, unless the parent directory
+    /// is the root or holds a stored file: the tree has no empty
+    /// directories.
     fn create(&self, path: &str) -> io::Result<Box<dyn Write + Send>> {
         let path = normalize(path);
+        let mut files = self.files.lock().expect("MemFs lock poisoned");
         if let Some((dir, _)) = path.rsplit_once('/').filter(|(dir, _)| !dir.is_empty()) {
             let prefix = format!("{dir}/");
-            let files = self.files.lock().expect("MemFs lock poisoned");
             if !files.keys().any(|k| k.starts_with(&prefix)) {
-                return Err(not_found(&path));
+                return Err(not_found());
             }
         }
+        files.insert(path.clone(), Arc::default());
+        drop(files);
         Ok(Box::new(MemWriter {
             path,
             buf: Vec::new(),
@@ -188,7 +190,7 @@ impl Fs for MemFs {
             .expect("MemFs lock poisoned")
             .get(&normalize(path))
             .map(|a| a.len() as u64)
-            .ok_or_else(|| not_found(path))
+            .ok_or_else(not_found)
     }
 
     fn open_range(&self, path: &str, start: u64, end: u64) -> io::Result<Box<dyn Read + Send>> {
@@ -198,7 +200,7 @@ impl Fs for MemFs {
             .expect("MemFs lock poisoned")
             .get(&normalize(path))
             .cloned()
-            .ok_or_else(|| not_found(path))?;
+            .ok_or_else(not_found)?;
         let len = data.len() as u64;
         let pos = start.min(len) as usize;
         let end = (end.min(len) as usize).max(pos);

@@ -246,10 +246,10 @@ pub fn open_or_report<'a>(
         Ok(r) => return Ok(Some(r)),
         Err(e) => error_text(&e),
     };
-    if matches!(name, "head" | "tail") {
-        writeln!(stderr, "{name}: cannot open '{path}' for reading: {e}")?;
-    } else {
-        writeln!(stderr, "{name}: {path}: {e}")?;
+    match name {
+        "head" | "tail" => writeln!(stderr, "{name}: cannot open '{path}' for reading: {e}")?,
+        "sort" => writeln!(stderr, "sort: cannot read: {path}: {e}")?,
+        _ => writeln!(stderr, "{name}: {path}: {e}")?,
     }
     Ok(None)
 }

@@ -7,24 +7,28 @@
 //! [`PlanOp`] is runnable as a standalone OS process. This module does
 //! not execute ops itself: it parses its argv — the rendering of a
 //! [`pash_core::plan::SpawnSpec`] — back into the [`PlanOp`] it denotes,
-//! opens the endpoints the argv names, and hands both to the threaded
-//! executor's [`run_node`]. What a node does is therefore written once,
-//! whichever backend runs it.
+//! names the endpoints the argv names, and hands both to the threaded
+//! executor's [`run_node`], which opens them as it opens a `threads`
+//! node's files. What a node does, and what a file it cannot open
+//! means, is therefore written once, whichever backend runs it.
 //!
 //! # Redirections (`--stdin` / `--stdin-seg` / `--stdout`)
 //!
 //! The process backend wires internal plan edges as named FIFOs.
 //! Opening a FIFO blocks until the peer end opens, so the *parent*
 //! must never open one — it would deadlock before spawning the peer.
-//! Instead the spawned command is told to open its own endpoints:
+//! Instead the spawned command is told to open its own endpoints, a
+//! FIFO or a file alike:
 //!
 //! ```text
-//! pashc --stdin /tmp/fifo-in --stdout /tmp/fifo-out grep foo
+//! pashc --stdin /tmp/fifo-in --stdout out.txt grep foo
 //! ```
 //!
-//! The open happens here, in the child, after every node of the
-//! region has been spawned — exactly when `sh` would perform `<`/`>`
-//! redirections in a background job.
+//! The open happens in the child, after every node of the region has
+//! been spawned — exactly when `sh` would perform `<`/`>` redirections
+//! in a background job, and in the same order: input first, so a
+//! missing input leaves the output file as it was. An output that is a
+//! FIFO is opened, and closed, even then: its reader waits in `open`.
 //!
 //! A file-segment edge is opened the same way, by the node that reads
 //! it — `sh` has no redirection for "lines 2/4 of this file", so both
@@ -34,41 +38,28 @@
 //! pashc --stdin-seg in.txt 1 4 --stdout /tmp/fifo-out tr A-Z a-z
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use pash_core::plan::{Arg, PlanOp, SplitMode};
 use pash_coreutils::fs::{Fs, RealFs};
 use pash_coreutils::Registry;
 
-use crate::edge::{Sink, Source};
+use crate::edge::{buffered, File, FileOut, Sink, Source};
 use crate::exec::run_node;
 use crate::fault::{ArmedFault, INFRA_STATUS};
-use crate::fileseg::open_segment;
-
-/// What a redirected standard input reads.
-#[derive(Debug, PartialEq, Eq)]
-enum StdinFrom {
-    /// `--stdin PATH`: a file or FIFO, whole.
-    Path(String),
-    /// `--stdin-seg PATH PART OF`: line-aligned segment `part` of `of`
-    /// of a file ([`crate::fileseg`]).
-    Segment {
-        path: String,
-        part: usize,
-        of: usize,
-    },
-}
 
 /// Leading `--stdin PATH` / `--stdin-seg PATH PART OF` / `--stdout
 /// PATH` / `--in PATH` redirections plus the valueless `--framed`
 /// worker-mode flag.
 #[derive(Debug, Default)]
 struct Redirections {
-    stdin: Option<StdinFrom>,
+    /// The inputs in order, each a file or FIFO, whole, or line-aligned
+    /// segment `(part, of)` of a file ([`crate::fileseg`]): a command's
+    /// one `--stdin`, an aggregator's `--in`s. None: the process's
+    /// stdin.
+    ins: Vec<(String, Option<(usize, usize)>)>,
     stdout: Option<String>,
-    /// Ordered input operands for the `agg` subcommand.
-    ins: Vec<String>,
     /// Run the command once per tagged input block, re-framing its
     /// output under the same tag (the `r_split` worker mode).
     framed: bool,
@@ -87,8 +78,8 @@ impl Redirections {
                     redir.framed = true;
                     1
                 }
-                ("--stdin", [path, ..]) => {
-                    redir.stdin = Some(StdinFrom::Path(path.clone()));
+                ("--stdin" | "--in", [path, ..]) => {
+                    redir.ins.push((path.clone(), None));
                     2
                 }
                 ("--stdin-seg", [path, part, of, ..]) => {
@@ -96,19 +87,12 @@ impl Redirections {
                         s.parse::<usize>()
                             .map_err(|_| invalid(format!("--stdin-seg: bad {what} `{s}`")))
                     };
-                    redir.stdin = Some(StdinFrom::Segment {
-                        path: path.clone(),
-                        part: number("PART", part)?,
-                        of: number("OF", of)?,
-                    });
+                    let segment = (number("PART", part)?, number("OF", of)?);
+                    redir.ins.push((path.clone(), Some(segment)));
                     4
                 }
                 ("--stdout", [path, ..]) => {
                     redir.stdout = Some(path.clone());
-                    2
-                }
-                ("--in", [path, ..]) => {
-                    redir.ins.push(path.clone());
                     2
                 }
                 ("--stdin-seg", _) => return Err(invalid(format!("{flag} needs PATH PART OF"))),
@@ -121,34 +105,39 @@ impl Redirections {
         Ok((redir, &args[i..]))
     }
 
-    /// Opens the input side: the redirected file (blocking until a
-    /// FIFO peer arrives), the redirected segment of a file of `fs`, or
-    /// the process's stdin.
-    fn open_stdin(&self, fs: &dyn Fs) -> io::Result<Box<dyn Read + Send>> {
-        Ok(match &self.stdin {
-            Some(StdinFrom::Path(p)) => Box::new(std::fs::File::open(p)?),
-            Some(StdinFrom::Segment { path, part, of }) => open_segment(fs, path, *part, *of)?,
-            None => Box::new(io::stdin()),
-        })
-    }
-
-    /// Opens the output side, buffered. When the parent armed this
-    /// child with a fault (`PASH_FAULT`, set by the process backend on
-    /// exactly one node per attempt), the writer is wrapped so a
-    /// stream fault fires at its byte offset — an injected death
-    /// aborts the whole process (SIGABRT, status 134). A malformed
-    /// spec is ignored: the injection plane never breaks a clean run.
-    fn open_stdout(&self) -> io::Result<Box<dyn Write + Send>> {
-        let raw: Box<dyn Write + Send> = match &self.stdout {
-            Some(p) => Box::new(io::BufWriter::new(std::fs::File::create(p)?)),
-            None => Box::new(io::BufWriter::new(io::stdout())),
-        };
+    /// The output side: the redirected file or FIFO, or the process's
+    /// stdout, buffered. When the parent armed this child with a fault
+    /// (`PASH_FAULT`, set by the process backend on exactly one node
+    /// per attempt), the writer is wrapped so a stream fault fires at
+    /// its byte offset — an injected death aborts the whole process
+    /// (SIGABRT, status 134). A malformed spec is ignored: the
+    /// injection plane never breaks a clean run.
+    fn stdout(&self) -> Sink<'static> {
         let fault = std::env::var("PASH_FAULT").ok();
-        Ok(match fault.and_then(|s| s.parse::<ArmedFault>().ok()) {
-            Some(a) => Box::new(a.wrap(raw, true)),
-            None => raw,
-        })
+        let fault = fault.and_then(|s| s.parse::<ArmedFault>().ok());
+        let wrap = move |w: Box<dyn Write + Send>| -> Box<dyn Write + Send> {
+            match fault {
+                Some(a) => Box::new(a.wrap(w, true)),
+                None => w,
+            }
+        };
+        match &self.stdout {
+            Some(p) => {
+                let mut file = output(p);
+                file.around.push(Box::new(wrap));
+                Sink::File(file)
+            }
+            None => Sink::Bytes(buffered(wrap(Box::new(io::stdout())))),
+        }
     }
+}
+
+/// An output this process names by `path`: a file, or a FIFO whose
+/// reader waits in `open` for it.
+fn output(path: &str) -> FileOut<'static> {
+    let mut file = File::new(path);
+    file.peer = std::fs::metadata(path).is_ok_and(|m| !m.is_file() && !m.is_dir());
+    file
 }
 
 /// The [`PlanOp`] an invocation denotes, with the output paths a split
@@ -221,39 +210,29 @@ pub fn run_multicall(args: &[String]) -> io::Result<i32> {
     };
     let fs: Arc<dyn Fs> = Arc::new(RealFs::new(std::env::current_dir()?));
     let (op, split_outs) = denoted_op(redir.framed, name, rest)?;
-    // This process, not its parent, opens what the argv names: an open
-    // of a FIFO blocks until the peer's.
-    let (ins, outs) = match &op {
-        PlanOp::Split { .. } => {
-            let outs = split_outs
-                .iter()
-                .map(|o| fs.create(o))
-                .collect::<io::Result<Vec<_>>>()?;
-            (vec![redir.open_stdin(fs.as_ref())?], outs)
-        }
-        PlanOp::Aggregate { .. } => {
-            let ins = redir
-                .ins
-                .iter()
-                .map(|f| fs.open(f))
-                .collect::<io::Result<Vec<_>>>()?;
-            (ins, vec![redir.open_stdout()?])
-        }
-        _ => {
-            // An input that cannot be opened still gets its output
-            // opened, and closed: a peer blocked in the open of that
-            // FIFO's other end would otherwise wait for ever.
-            let stdin = redir.open_stdin(fs.as_ref());
-            let stdout = redir.open_stdout()?;
-            (vec![stdin?], vec![stdout])
-        }
+    // This process, not its parent, opens what the argv names — in
+    // `run_node`, as every backend's node does: an open of a FIFO
+    // blocks until the peer's.
+    let mut ins: Vec<Source> = (redir.ins.iter())
+        .map(|(path, segment)| {
+            let mut file = File::new(path);
+            file.segment = *segment;
+            Source::File(file)
+        })
+        .collect();
+    if ins.is_empty() {
+        ins.push(Source::Bytes(Box::new(io::stdin())));
+    }
+    let outs = match &op {
+        PlanOp::Split { .. } => split_outs.iter().map(|o| Sink::File(output(o))).collect(),
+        _ => vec![redir.stdout()],
     };
     let mut stderr = io::stderr().lock();
-    // A command's standard input is its one input; its argv already
-    // names each file operand by its path.
-    let ins = ins.into_iter().map(Source::Bytes).collect();
-    let outs = outs.into_iter().map(Sink::Bytes).collect();
-    run_node(&op, &[0], &[], ins, outs, &registry, fs, &mut stderr)
+    // Every input is a redirection: a command's standard input is its
+    // one input, and its argv already names each file operand by its
+    // path.
+    let redirected: Vec<usize> = (0..ins.len()).collect();
+    run_node(&op, &redirected, ins, outs, &registry, fs, &mut stderr)
 }
 
 /// Restores the default `SIGPIPE` disposition. Rust's startup sets it
@@ -310,11 +289,15 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn whole(path: &str) -> Vec<(String, Option<(usize, usize)>)> {
+        vec![(path.to_string(), None)]
+    }
+
     #[test]
     fn redirections_split_off_the_front() {
         let args = s(&["--stdin", "a", "--stdout", "b", "grep", "--stdin"]);
         let (redir, rest) = Redirections::parse(&args).expect("parse");
-        assert_eq!(redir.stdin, Some(StdinFrom::Path("a".to_string())));
+        assert_eq!(redir.ins, whole("a"));
         assert_eq!(redir.stdout.as_deref(), Some("b"));
         // Later words are command args even if they look like flags.
         assert_eq!(rest, &s(&["grep", "--stdin"])[..]);
@@ -330,7 +313,7 @@ mod tests {
         let args = s(&["--framed", "--stdin", "a", "--stdout", "b", "grep", "x"]);
         let (redir, rest) = Redirections::parse(&args).expect("parse");
         assert!(redir.framed);
-        assert_eq!(redir.stdin, Some(StdinFrom::Path("a".to_string())));
+        assert_eq!(redir.ins, whole("a"));
         assert_eq!(rest, &s(&["grep", "x"])[..]);
         // Redirections first, flag after — order must not matter.
         let args = s(&["--stdin", "a", "--framed", "grep", "x"]);
@@ -362,19 +345,17 @@ mod tests {
         let stdin_from = |r: Option<&RegionPlan>, node: &PlanNode, k: usize| match r
             .map(|r| &r.edges[node.inputs[k]].kind)
         {
-            Some(EndpointKind::InputSegment { path, part, of }) => StdinFrom::Segment {
-                path: path.clone(),
-                part: *part,
-                of: *of,
-            },
-            _ => StdinFrom::Path(edge("in", k)),
+            Some(EndpointKind::InputSegment { path, part, of }) => {
+                (path.clone(), Some((*part, *of)))
+            }
+            _ => (edge("in", k), None),
         };
         let argv_of = |r: Option<&RegionPlan>, node: &PlanNode| -> Vec<String> {
             let spec = node.spawn_spec();
             let mut argv = Vec::new();
             match spec.stdin_input.map(|k| stdin_from(r, node, k)) {
-                Some(StdinFrom::Path(p)) => argv.extend(["--stdin".to_string(), p]),
-                Some(StdinFrom::Segment { path, part, of }) => {
+                Some((p, None)) => argv.extend(["--stdin".to_string(), p]),
+                Some((path, Some((part, of)))) => {
                     argv.extend(["--stdin-seg".to_string(), path]);
                     argv.extend([part.to_string(), of.to_string()]);
                 }
@@ -459,7 +440,8 @@ mod tests {
                         (PlanOp::Split { mode }, outs.collect())
                     }
                     PlanOp::Aggregate { .. } => {
-                        assert_eq!(redir.ins, inputs(node.inputs.len()), "{argv:?}");
+                        let ins = inputs(node.inputs.len()).into_iter().map(|p| (p, None));
+                        assert_eq!(redir.ins, ins.collect::<Vec<_>>(), "{argv:?}");
                         (node.op.clone(), Vec::new())
                     }
                     PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
@@ -467,8 +449,8 @@ mod tests {
                 assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
                 let stdin = node.stdin_inputs.first().map(|&k| stdin_from(r, node, k));
                 if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
-                    seen_segment |= matches!(stdin, Some(StdinFrom::Segment { .. }));
-                    assert_eq!(redir.stdin, stdin, "{argv:?}");
+                    seen_segment |= matches!(stdin, Some((_, Some(_))));
+                    assert_eq!(redir.ins, Vec::from_iter(stdin), "{argv:?}");
                 }
                 seen.insert(node.op.label());
             }

@@ -68,9 +68,10 @@ pub trait RegionRunner: Sync {
         None
     }
 
-    /// Runs a `Shell` step that is not a data-path no-op; the output
-    /// is the step's stdout and exit status.
-    fn shell_step(&self, text: &str) -> io::Result<ProgramOutput> {
+    /// Runs a `Shell` step that is not a data-path no-op, its `$?`
+    /// the `status` of the step before it; the output is the step's
+    /// stdout and exit status.
+    fn shell_step(&self, text: &str, _status: i32) -> io::Result<ProgramOutput> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             format!("cannot execute shell step on this backend: `{text}`"),
@@ -136,7 +137,7 @@ impl<'a> Run<'a> {
                 let feed = self.take_feed(r);
                 let fb = self.fallback_region(i);
                 let out = supervise_ladder(self.runner, r, fb, feed, self.supervisor)?;
-                self.status = out.status();
+                self.status = out.status;
                 append(&mut self.stdout, out.stdout);
             }
             // Folded into the compile-time environment already.
@@ -144,7 +145,7 @@ impl<'a> Run<'a> {
                 data_noop: true, ..
             } => self.status = 0,
             PlanStep::Shell { text, .. } => {
-                let out = self.runner.shell_step(text)?;
+                let out = self.runner.shell_step(text, self.status)?;
                 append(&mut self.stdout, out.stdout);
                 self.status = out.status;
             }

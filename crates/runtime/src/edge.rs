@@ -3,7 +3,8 @@
 //!
 //! Lowering decides *what* every edge is — internal pipe,
 //! boundary stdin/stdout, file, file segment. This module decides
-//! *how* those edges move bytes, in the two ways the runtime knows:
+//! *how* those edges move bytes, in the two ways the runtime knows. A
+//! file or file segment is handed to its node by name ([`File`]).
 //!
 //! * [`MemEdges`] — in-process wiring for the `threads` backend. A
 //!   node takes each endpoint as a [`Source`] or a [`Sink`]: a byte
@@ -53,12 +54,11 @@ use std::sync::{Arc, Mutex};
 use pash_core::plan::{
     EndpointKind, PlanEdgeId, PlanNode, PlanNodeId, PlanOp, RegionPlan, SplitMode,
 };
-use pash_coreutils::fs::Fs;
 
 use crate::agg::reads_frames;
+use crate::exec::lock;
 use crate::fault::ArmedFault;
-use crate::fileseg::open_segment;
-use crate::pipe::{frame_queue, pipe_monitored, spill_pipe, FrameRx, FrameTx, PipeMonitor};
+use crate::pipe::{frame_queue, pipe_monitored, spill_pipe, FrameRx, FrameTx, PipeMonitor, Tap};
 
 /// Buffer in front of every edge writer: commands emit line-sized
 /// writes, and each unbuffered write on a pipe edge is a lock
@@ -66,7 +66,7 @@ use crate::pipe::{frame_queue, pipe_monitored, spill_pipe, FrameRx, FrameTx, Pip
 pub const EDGE_WRITE_BUFFER: usize = 32 * 1024;
 
 /// Wraps an edge writer in the standard edge buffer.
-pub fn buffered(w: impl Write + Send + 'static) -> Box<dyn Write + Send> {
+pub fn buffered<'a>(w: impl Write + Send + 'a) -> Box<dyn Write + Send + 'a> {
     Box::new(io::BufWriter::with_capacity(EDGE_WRITE_BUFFER, w))
 }
 
@@ -76,6 +76,8 @@ pub enum Source<'a> {
     Bytes(Box<dyn Read + Send + 'a>),
     /// A queue of owned frames.
     Frames(FrameRx),
+    /// A file its node has not opened yet.
+    File(File<Box<dyn Read + Send + 'a>>),
 }
 
 /// The producing end of an edge, as a node takes it.
@@ -84,15 +86,76 @@ pub enum Sink<'a> {
     Bytes(Box<dyn Write + Send + 'a>),
     /// A queue of owned frames.
     Frames(FrameTx),
+    /// A file its node has not created yet.
+    File(File<Box<dyn Write + Send + 'a>>),
 }
 
-/// The error of a node that reads or writes bytes on an edge wired to
-/// carry frames: the wiring and the plan disagree.
-fn frames_not_bytes() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        "a frame queue is not a byte stream",
-    )
+/// A file its node opens when it runs ([`crate::exec::open_files`]),
+/// so one that is not there ends that node, not the region. `S` is the
+/// stream it opens as.
+pub struct File<S> {
+    /// The file's path.
+    pub path: String,
+    /// An input's line-aligned segment `(part, of)` ([`crate::fileseg`]).
+    pub segment: Option<(usize, usize)>,
+    /// An output another process waits in `open` for (a FIFO): it is
+    /// opened, and closed, even when its node fails before it.
+    pub peer: bool,
+    /// Put around the stream once it is open, first to last.
+    pub around: Vec<Box<dyn FnOnce(S) -> S + Send>>,
+}
+
+/// A file a node writes, created (truncated) when its node opens it.
+pub type FileOut<'a> = File<Box<dyn Write + Send + 'a>>;
+
+impl<S> File<S> {
+    /// The file at `path`.
+    pub fn new(path: &str) -> Self {
+        File {
+            path: path.to_string(),
+            segment: None,
+            peer: false,
+            around: Vec::new(),
+        }
+    }
+
+    /// `stream`, just opened as this file, with what goes around it.
+    pub(crate) fn opened(&mut self, stream: S) -> S {
+        let around = std::mem::take(&mut self.around);
+        around.into_iter().fold(stream, |s, wrap| wrap(s))
+    }
+}
+
+/// The error of a node that reads or writes bytes on an edge that is
+/// not a byte stream: a frame queue, or a file it did not open.
+pub(crate) fn not_bytes() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "the edge is not a byte stream")
+}
+
+/// A stream that counts the bytes crossing it into a [`Tap`].
+struct Tapped<T> {
+    inner: T,
+    tap: Tap,
+}
+
+impl<R: Read> Read for Tapped<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        (self.tap)(n as u64);
+        Ok(n)
+    }
+}
+
+impl<W: Write> Write for Tapped<W> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(data)?;
+        (self.tap)(n as u64);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 impl<'a> Source<'a> {
@@ -100,7 +163,24 @@ impl<'a> Source<'a> {
     pub fn into_bytes(self) -> io::Result<Box<dyn Read + Send + 'a>> {
         match self {
             Source::Bytes(r) => Ok(r),
-            Source::Frames(_) => Err(frames_not_bytes()),
+            _ => Err(not_bytes()),
+        }
+    }
+
+    /// This source, counting into `tap` every byte its node takes from
+    /// it: a frame as on a byte edge, a file once it is open.
+    pub fn tapped(self, tap: Tap) -> Self {
+        match self {
+            Source::Bytes(r) => Source::Bytes(Box::new(Tapped { inner: r, tap })),
+            Source::Frames(mut q) => {
+                q.tap(tap);
+                Source::Frames(q)
+            }
+            Source::File(mut f) => {
+                f.around
+                    .push(Box::new(move |r| Box::new(Tapped { inner: r, tap })));
+                Source::File(f)
+            }
         }
     }
 }
@@ -110,7 +190,24 @@ impl<'a> Sink<'a> {
     pub fn into_bytes(self) -> io::Result<Box<dyn Write + Send + 'a>> {
         match self {
             Sink::Bytes(w) => Ok(w),
-            Sink::Frames(_) => Err(frames_not_bytes()),
+            _ => Err(not_bytes()),
+        }
+    }
+
+    /// This sink, counting into `tap` every byte its node puts into it
+    /// (see [`Source::tapped`]).
+    pub fn tapped(self, tap: Tap) -> Self {
+        match self {
+            Sink::Bytes(w) => Sink::Bytes(Box::new(Tapped { inner: w, tap })),
+            Sink::Frames(mut q) => {
+                q.tap(tap);
+                Sink::Frames(q)
+            }
+            Sink::File(mut f) => {
+                f.around
+                    .push(Box::new(move |w| Box::new(Tapped { inner: w, tap })));
+                Sink::File(f)
+            }
         }
     }
 }
@@ -148,22 +245,12 @@ impl Write for SharedVecWriter {
 /// The bytes that crossed a wired relay, counted by its stream's writer.
 type Tally = Arc<AtomicU64>;
 
-/// A writer that counts what it passes on into a [`Tally`].
-struct Tallied<W> {
-    inner: W,
-    tally: Tally,
-}
-
-impl<W: Write> Write for Tallied<W> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(data)?;
-        self.tally.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
+/// A [`Tap`] that adds into `tally`.
+fn counted(tally: &Tally) -> Tap {
+    let tally = tally.clone();
+    Box::new(move |n| {
+        tally.fetch_add(n, Ordering::Relaxed);
+    })
 }
 
 /// The relays of `r` that [`MemEdges::wire`] wires as their edge: every
@@ -235,10 +322,6 @@ pub enum Pipes {
 /// producer is done.
 type Slot = Arc<Mutex<Vec<u8>>>;
 
-fn slot_lock(slot: &Slot) -> std::sync::MutexGuard<'_, Vec<u8>> {
-    slot.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Producer side of a [`Pipes::Buffer`] edge: collects privately and
 /// leaves the bytes in the edge's slot when dropped, i.e. when the
 /// producing node has run to completion.
@@ -247,8 +330,6 @@ struct BufferWriter {
     slot: Slot,
     limit: usize,
     overflowed: Arc<AtomicBool>,
-    /// Counts the bytes left when the slot is a wired relay's.
-    tally: Option<Tally>,
 }
 
 impl Write for BufferWriter {
@@ -268,10 +349,7 @@ impl Write for BufferWriter {
 
 impl Drop for BufferWriter {
     fn drop(&mut self) {
-        if let Some(t) = &self.tally {
-            t.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
-        }
-        *slot_lock(&self.slot) = std::mem::take(&mut self.buf);
+        *lock(&self.slot) = std::mem::take(&mut self.buf);
     }
 }
 
@@ -302,10 +380,11 @@ pub struct MemEdges<'a> {
 impl<'a> MemEdges<'a> {
     /// Wires every edge of `r`: internal edges in the `pipes` form,
     /// the `stdin` bytes for the primary boundary input, a shared
-    /// collector for stdout edges, and `fs`-backed files/segments.
+    /// collector for stdout edges, and each file or segment by name.
     /// An armed `fault` is delivered here: its target edge fails to
     /// wire at all (the in-process analogue of a `mkfifo` error) or
-    /// gets its writer wrapped ([`ArmedFault::wrap`]). Buffer pipes
+    /// gets its writer wrapped ([`ArmedFault::wrap`]), an output
+    /// file's once its node has opened it. Buffer pipes
     /// and frame queues carry no fault site: an armed attempt is wired
     /// with byte rings only.
     ///
@@ -325,11 +404,9 @@ impl<'a> MemEdges<'a> {
     /// so it needs no monitor; and the fault plane never targets a
     /// boundary edge.
     ///
-    /// Boundary endpoints are made here, in edge order, whatever the
-    /// pipe form — output files exist (truncated) before any node runs.
+    /// No file is opened here.
     pub fn wire(
         r: &RegionPlan,
-        fs: &Arc<dyn Fs>,
         stdin: &'a [u8],
         pipes: Pipes,
         fault: Option<&ArmedFault>,
@@ -370,9 +447,7 @@ impl<'a> MemEdges<'a> {
                             let (mut w, rd, m) = frame_queue(spills);
                             monitors.push(m);
                             if spills {
-                                w.tap(Box::new(move |n| {
-                                    tally.fetch_add(n, Ordering::Relaxed);
-                                }));
+                                w.tap(counted(&tally));
                             }
                             writers.insert(e, Sink::Frames(w));
                             readers.insert(tail, Source::Frames(rd));
@@ -386,7 +461,10 @@ impl<'a> MemEdges<'a> {
                         Pipes::Ring(capacity) => {
                             let (w, rd, m) = spill_pipe(capacity);
                             monitors.push(m);
-                            let w = Tallied { inner: w, tally };
+                            let w = Tapped {
+                                inner: w,
+                                tap: counted(&tally),
+                            };
                             writers.insert(e, edge_writer(w, &chain, fault));
                             readers.insert(tail, Source::Bytes(Box::new(rd)));
                         }
@@ -415,14 +493,20 @@ impl<'a> MemEdges<'a> {
                     writers.insert(e, edge_writer(w, &[e], fault));
                 }
                 EndpointKind::InputFile(path) => {
-                    readers.insert(e, Source::Bytes(fs.open(path)?));
-                }
-                EndpointKind::OutputFile(path) => {
-                    writers.insert(e, edge_writer(fs.create(path)?, &[e], fault));
+                    readers.insert(e, Source::File(File::new(path)));
                 }
                 EndpointKind::InputSegment { path, part, of } => {
-                    let seg = open_segment(fs.as_ref(), path, *part, *of)?;
-                    readers.insert(e, Source::Bytes(seg));
+                    let mut file = File::new(path);
+                    file.segment = Some((*part, *of));
+                    readers.insert(e, Source::File(file));
+                }
+                EndpointKind::OutputFile(path) => {
+                    let mut file: FileOut = File::new(path);
+                    if let Some(a) = fault.filter(|a| a.edge == Some(e)).cloned() {
+                        file.around
+                            .push(Box::new(move |w| Box::new(a.wrap(w, false))));
+                    }
+                    writers.insert(e, Sink::File(file));
                 }
                 // Detached edges need no transport.
                 EndpointKind::Detached => {}
@@ -458,10 +542,7 @@ impl<'a> MemEdges<'a> {
             .iter()
             .map(|&e| {
                 self.readers.remove(&e).unwrap_or_else(|| {
-                    let bytes = self
-                        .slots
-                        .get(&e)
-                        .map(|s| std::mem::take(&mut *slot_lock(s)));
+                    let bytes = self.slots.get(&e).map(|s| std::mem::take(&mut *lock(s)));
                     Source::Bytes(Box::new(io::Cursor::new(bytes.unwrap_or_default())))
                 })
             })
@@ -477,16 +558,19 @@ impl<'a> MemEdges<'a> {
                 if let Some(w) = self.writers.remove(&e) {
                     return w;
                 }
-                Sink::Bytes(match self.slots.get(&e) {
+                let sink = Sink::Bytes(match self.slots.get(&e) {
                     Some(slot) => Box::new(BufferWriter {
                         buf: Vec::new(),
                         slot: slot.clone(),
                         limit: self.slot_limit,
                         overflowed: self.overflowed.clone(),
-                        tally: self.slot_tallies.get(&e).cloned(),
                     }),
                     None => Box::new(io::sink()),
-                })
+                });
+                match self.slot_tallies.get(&e) {
+                    Some(t) => sink.tapped(counted(t)),
+                    None => sink,
+                }
             })
             .collect()
     }
@@ -631,10 +715,7 @@ mod tests {
     #[test]
     fn mem_wiring_covers_all_live_edges() {
         let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
-        let fs = MemFs::new();
-        fs.add("in.txt", b"b\na\n".to_vec());
-        let fs: Arc<dyn Fs> = Arc::new(fs);
-        let mut edges = MemEdges::wire(&r, &fs, &[], Pipes::Ring(1024), None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &[], Pipes::Ring(1024), None).expect("wire");
         // Taking every running node's endpoints drains the maps
         // completely.
         let running = (0..r.nodes.len()).filter(|&id| !edges.wires_relay(id));
@@ -689,11 +770,8 @@ mod tests {
     #[test]
     fn buffer_pipes_pass_whole_streams_through_wired_relays() {
         let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
-        let fs = MemFs::new();
-        fs.add("in.txt", b"b\na\n".to_vec());
-        let fs: Arc<dyn Fs> = Arc::new(fs);
         let pipes = Pipes::Buffer { limit: 8 };
-        let mut edges = MemEdges::wire(&r, &fs, &[], pipes, None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &[], pipes, None).expect("wire");
         assert!(edges.take_monitors().is_empty(), "no rings, no monitors");
         let (relay, upstream, downstream) = relay_between(&r);
         assert!(edges.wires_relay(relay));
@@ -730,15 +808,12 @@ mod tests {
         // producer writes far past the ring with no consumer running,
         // and the consumer then reads it all, in order.
         let r = region("cat in.txt | tr A-Z a-z | sort > out.txt", 2);
-        let fs = MemFs::new();
-        fs.add("in.txt", Vec::new());
-        let fs: Arc<dyn Fs> = Arc::new(fs);
         let relays = r
             .nodes
             .iter()
             .filter(|n| matches!(n.op, PlanOp::Relay { .. }))
             .count();
-        let mut edges = MemEdges::wire(&r, &fs, &[], Pipes::Ring(16), None).expect("wire");
+        let mut edges = MemEdges::wire(&r, &[], Pipes::Ring(16), None).expect("wire");
         let pipes = r.internal_pipes().count();
         assert_eq!(
             edges.take_monitors().len(),
@@ -769,11 +844,10 @@ mod tests {
         )
         .expect("compile");
         let r = compiled.plan.regions().next().expect("region").clone();
-        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
         // Which endpoint kind each internal pipe edge gets, by edge,
         // as its producer and its consumer take it.
         let kinds = |pipes, fault: Option<&ArmedFault>| {
-            let mut edges = MemEdges::wire(&r, &fs, b"", pipes, fault).expect("wire");
+            let mut edges = MemEdges::wire(&r, b"", pipes, fault).expect("wire");
             let mut frames = Vec::new();
             for (id, node) in r.nodes.iter().enumerate() {
                 if edges.wires_relay(id) {
@@ -816,7 +890,6 @@ mod tests {
     #[test]
     fn primary_stdin_is_read_in_place() {
         let r = region("tr A-Z a-z | sort", 1);
-        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
         let feed = b"B\nA\n".repeat(100);
         // `tr`, whose one input is the stdin edge.
         let consumer = &r.nodes[0];
@@ -828,17 +901,63 @@ mod tests {
         // ring (and so no monitor) in between.
         let pipes = r.internal_pipes().count();
         for (form, monitors) in [(Pipes::Ring(16), pipes), (Pipes::Buffer { limit: 16 }, 0)] {
-            let mut edges = MemEdges::wire(&r, &fs, &feed, form, None).expect("wire");
+            let mut edges = MemEdges::wire(&r, &feed, form, None).expect("wire");
             assert_eq!(edges.take_monitors().len(), monitors, "{form:?}");
             assert_eq!(read_in(&mut edges, consumer, 0), feed, "{form:?}");
         }
     }
 
     #[test]
-    fn mem_wiring_missing_input_file_errors() {
+    fn mem_wiring_names_files_and_opens_none() {
+        // Wiring a region over a missing input stores nothing and fails
+        // nothing: each file goes to its node by name. Run in plan
+        // order, the nodes then give what `sh` gives for the same line:
+        // `cat` reports the file and ends 1, `sort` sorts nothing and
+        // ends 0 (the pipeline's status), and `out.txt` is made, empty.
+        use crate::exec::run_node;
+        use pash_coreutils::{fs::Fs, Registry};
         let r = region("cat nope.txt | sort > out.txt", 1);
-        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-        assert!(MemEdges::wire(&r, &fs, &[], Pipes::Ring(1024), None).is_err());
+        let fs = Arc::new(MemFs::new());
+        let mut edges = MemEdges::wire(&r, &[], Pipes::Buffer { limit: 64 }, None).expect("wire");
+        assert!(fs.paths().is_empty(), "wiring stored nothing");
+        let mut named = |node: &PlanNode| {
+            let ins = edges.take_inputs(node);
+            let outs = edges.take_outputs(node);
+            let files = ins.iter().filter_map(|s| match s {
+                Source::File(f) => Some(f.path.clone()),
+                _ => None,
+            });
+            let files: Vec<String> = files.collect();
+            (files, ins, outs)
+        };
+        let mut statuses = Vec::new();
+        let mut said = Vec::new();
+        for node in &r.nodes {
+            let (files, ins, outs) = named(node);
+            if matches!(node.op, PlanOp::Cat) {
+                assert_eq!(files, ["nope.txt"]);
+            }
+            let dyn_fs: Arc<dyn Fs> = fs.clone();
+            let registry = Registry::standard();
+            let status = run_node(
+                &node.op,
+                &node.stdin_inputs,
+                ins,
+                outs,
+                &registry,
+                dyn_fs,
+                &mut said,
+            )
+            .expect("a status, not an error");
+            statuses.push(status);
+        }
+        assert_eq!(statuses, [1, 0]);
+        assert_eq!(
+            String::from_utf8_lossy(&said),
+            "cat: nope.txt: No such file or directory\n"
+        );
+        assert_eq!(fs.read("out.txt").expect("out.txt"), b"");
+        assert!(edges.stdout_handle().lock().expect("stdout").is_empty());
     }
 
     #[cfg(unix)]

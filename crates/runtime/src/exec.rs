@@ -45,9 +45,10 @@
 //! runs, through [`run_node`].
 //!
 //! The gate says "run to completion" when the input (files, file
-//! segments, stdin) is at most `ExecConfig::pipe_capacity` bytes *and*
-//! no fault is armed, every node has an input edge, and every size
-//! probe succeeded; [`fits_one_buffer`] has the reasons. Two of them
+//! segments, stdin; a file that is not there counts as empty) is at
+//! most `ExecConfig::pipe_capacity` bytes *and* no fault is armed and
+//! every node has an input edge; [`fits_one_buffer`] has the reasons.
+//! Both of them
 //! are worth knowing here. An armed fault always picks thread-per-node
 //! because that is where the fault sites live (node spawn, edge
 //! wiring, the ring writer), and byte rings on every edge: injection
@@ -61,11 +62,15 @@
 //! [`run_node`], `MemEdges` wiring of the boundary endpoints, the
 //! status fold, the profile record.
 //!
+//! A node's files arrive by name and [`run_node`] opens them
+//! ([`open_files`]): one that cannot be opened ends that node with a
+//! status, as in the shell, never the attempt.
+//!
 //! The executor never inspects the compiler's DFG: everything it
 //! needs (edge endpoint kinds, stream-argument roles, stdin routing,
 //! output producers, guard structure) arrives resolved in the plan.
 //! A command's streamed operand ([`Arg::Stream`]) is an input file's
-//! own path, opened through the run's [`Fs`] as on the other backends.
+//! own path, which the command opens itself, as on the other backends.
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -80,15 +85,16 @@ use pash_core::plan::{
 
 use pash_coreutils::fs::Fs;
 use pash_coreutils::lines::BLOCK_SIZE;
-use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
+use pash_coreutils::{error_text, CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::aggregate;
 use crate::drive::{drive, RegionRunner};
-use crate::edge::{MemEdges, Pipes, Sink, Source};
+use crate::edge::{buffered, MemEdges, Pipes, Sink, Source};
 use crate::fault::{ArmedFault, ExecError};
+use crate::fileseg::open_segment;
 use crate::frame::run_framed;
-use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
-use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
+use crate::pipe::{MultiReader, Tap, DEFAULT_PIPE_CAPACITY};
+use crate::profile::{ProfileStore, RegionProfile};
 use crate::relay::{run_relay, RelayMode};
 use crate::split::{abandoned, deal_frames, split_general, split_round_robin, DEFAULT_LOOKAHEAD};
 use crate::supervise::SupervisorSettings;
@@ -128,8 +134,8 @@ impl Default for ExecConfig {
 const BLOCKING_RELAY_CHUNKS: usize = 8;
 
 /// Locks a mutex, tolerating poison: a panicking node thread must not
-/// cascade into every other thread that shares the status table.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// cascade into every other thread that shares the lock.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -138,7 +144,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct RegionOutput {
     /// Bytes the region wrote to its stdout edge(s).
     pub stdout: Vec<u8>,
-    /// Exit status per node, in completion order.
+    /// Exit status per node that ran.
     pub statuses: Vec<(PlanNodeId, i32)>,
     /// The region's overall status: the [`fold_statuses`] fold over
     /// the region's [`RegionPlan::status_sources`] — the commands
@@ -147,13 +153,6 @@ pub struct RegionOutput {
     /// status; for a parallelized one it reproduces the sequential
     /// verdict (e.g. a `grep` miss stays status 1 at any width).
     pub status: i32,
-}
-
-impl RegionOutput {
-    /// The region's overall status (see the `status` field).
-    pub fn status(&self) -> i32 {
-        self.status
-    }
 }
 
 /// How large a stream inside a run-to-completion attempt may grow, in
@@ -169,7 +168,8 @@ const INLINE_STREAM_BUFFERS: usize = 4;
 /// pipeline, and the attempt runs to completion on the calling thread.
 ///
 /// Counted: the size of every `InputFile` edge, this region's share of
-/// every `InputSegment`'s file, and `feed` if the region has the
+/// every `InputSegment`'s file (one that cannot be sized counts as
+/// empty: its node reports it), and `feed` if the region has the
 /// primary stdin edge. The answer is "yes" only if, as well,
 ///
 /// 1. no fault is armed — the fault sites (spawn, edge wiring, ring
@@ -179,9 +179,7 @@ const INLINE_STREAM_BUFFERS: usize = 4;
 ///    bounded by nothing it reads and needs a live consumer that can
 ///    hang up on it (one that was lowered with the region's stdin as
 ///    its input and ignores it passes this test; its output then meets
-///    [`INLINE_STREAM_BUFFERS`]);
-/// 3. every size probe succeeds — a missing file falls through and
-///    fails where and how it always has.
+///    [`INLINE_STREAM_BUFFERS`]).
 ///
 /// Sizes are read now, not at compile time, so a region that reads
 /// what an earlier region of the same script wrote is judged on the
@@ -198,18 +196,14 @@ fn fits_one_buffer(
     }
     let mut total = 0u64;
     for edge in &r.edges {
-        let probed = match &edge.kind {
-            EndpointKind::InputFile(path) => fs.size(path),
+        total += match &edge.kind {
+            EndpointKind::InputFile(path) => fs.size(path).unwrap_or(0),
             EndpointKind::InputSegment { path, of, .. } => {
-                fs.size(path).map(|n| n.div_ceil((*of).max(1) as u64))
+                fs.size(path).unwrap_or(0).div_ceil((*of).max(1) as u64)
             }
-            EndpointKind::StdinPipe { primary: true } => Ok(feed.len() as u64),
-            _ => Ok(0),
+            EndpointKind::StdinPipe { primary: true } => feed.len() as u64,
+            _ => 0,
         };
-        match probed {
-            Ok(n) => total += n,
-            Err(_) => return false,
-        }
         if total > capacity as u64 {
             return false;
         }
@@ -244,12 +238,11 @@ fn run_region_attempt(
     run_thread_per_node(r, registry, fs, stdin, cfg, fault, settings)
 }
 
-/// A node's opened inputs and outputs, as [`run_node`] takes them.
+/// A node's inputs and outputs, as [`run_node`] takes them.
 type Endpoints<'a> = (Vec<Source<'a>>, Vec<Sink<'static>>);
 
 /// Takes `node`'s endpoints off the wiring, counting their bytes into
-/// `profile` when the attempt is profiled: a frame on a frame queue
-/// counts what it would on bytes, header and payload.
+/// `profile` when the attempt is profiled ([`Source::tapped`]).
 fn endpoints<'a>(
     edges: &mut MemEdges<'a>,
     node: &PlanNode,
@@ -260,35 +253,43 @@ fn endpoints<'a>(
     let Some(p) = profile else {
         return (ins, outs);
     };
-    let ins = ins.into_iter().map(|src| match src {
-        Source::Bytes(r) => Source::Bytes(Box::new(CountingReader::new(r, p.clone(), id))),
-        Source::Frames(mut q) => {
-            let p = p.clone();
-            q.tap(Box::new(move |n| p.add_in(id, n)));
-            Source::Frames(q)
-        }
-    });
-    let outs = outs.into_iter().map(|sink| match sink {
-        Sink::Bytes(w) => Sink::Bytes(Box::new(CountingWriter::new(w, p.clone(), id))),
-        Sink::Frames(mut q) => {
-            let p = p.clone();
-            q.tap(Box::new(move |n| p.add_out(id, n)));
-            Sink::Frames(q)
-        }
-    });
+    let tap = |add: fn(&RegionProfile, PlanNodeId, u64)| -> Tap {
+        let p = p.clone();
+        Box::new(move |n| add(&p, id, n))
+    };
+    let ins = ins
+        .into_iter()
+        .map(|s| s.tapped(tap(RegionProfile::add_in)));
+    let outs = outs
+        .into_iter()
+        .map(|s| s.tapped(tap(RegionProfile::add_out)));
     (ins.collect(), outs.collect())
 }
 
-/// The path of each of `node`'s inputs that is a named file: what the
-/// node's `Arg::Stream(k)` is written as.
-fn input_files<'p>(r: &'p RegionPlan, node: &PlanNode) -> Vec<Option<&'p str>> {
-    node.inputs
-        .iter()
-        .map(|&e| match &r.edges[e].kind {
-            EndpointKind::InputFile(path) => Some(path.as_str()),
-            _ => None,
-        })
-        .collect()
+/// [`run_node`] of plan node `id` over its endpoints, its busy time
+/// credited to `profile`.
+fn run_timed(
+    node: &PlanNode,
+    id: PlanNodeId,
+    (ins, outs): Endpoints,
+    registry: &Registry,
+    fs: Arc<dyn Fs>,
+    profile: Option<&Arc<RegionProfile>>,
+) -> io::Result<i32> {
+    let started = Instant::now();
+    let res = run_node(
+        &node.op,
+        &node.stdin_inputs,
+        ins,
+        outs,
+        registry,
+        fs,
+        &mut io::sink(),
+    );
+    if let Some(p) = profile {
+        p.add_busy(id, started.elapsed());
+    }
+    res
 }
 
 /// What a node's result means for the attempt: an exit status — a
@@ -303,8 +304,8 @@ fn node_status(id: PlanNodeId, res: io::Result<i32>) -> Result<i32, ExecError> {
 }
 
 /// The error of an attempt that outlived its region deadline, counted
-/// as a deadline kill.
-fn deadline_exceeded(settings: Option<&SupervisorSettings>) -> ExecError {
+/// as a deadline kill on `settings`.
+pub(crate) fn deadline_exceeded(settings: Option<&SupervisorSettings>) -> ExecError {
     if let Some(s) = settings {
         s.note_deadline_kill();
     }
@@ -382,31 +383,16 @@ fn run_to_completion(
     let pipes = Pipes::Buffer {
         limit: cfg.pipe_capacity.saturating_mul(INLINE_STREAM_BUFFERS),
     };
-    let mut edges = match MemEdges::wire(r, fs, stdin, pipes, None) {
-        Ok(edges) => edges,
-        Err(e) => return Some(Err(ExecError::classify("edge wiring", e))),
-    };
+    // Unarmed, wiring cannot fail: only an injected fault fails it.
+    let mut edges = MemEdges::wire(r, stdin, pipes, None).ok()?;
     let profile = cfg.profile.as_ref().map(|_| RegionProfile::for_region(r));
     let mut statuses = Vec::with_capacity(r.nodes.len());
     for (id, node) in r.nodes.iter().enumerate() {
         if edges.wires_relay(id) {
             continue;
         }
-        let began = Instant::now();
-        let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
-        let res = run_node(
-            &node.op,
-            &node.stdin_inputs,
-            &input_files(r, node),
-            ins,
-            outs,
-            registry,
-            fs.clone(),
-            &mut io::sink(),
-        );
-        if let Some(p) = &profile {
-            p.add_busy(id, began.elapsed());
-        }
+        let ends = endpoints(&mut edges, node, id, profile.as_ref());
+        let res = run_timed(node, id, ends, registry, fs.clone(), profile.as_ref());
         if edges.overflowed() {
             return None;
         }
@@ -450,7 +436,7 @@ fn run_thread_per_node(
     fault: Option<&ArmedFault>,
     settings: Option<&SupervisorSettings>,
 ) -> Result<RegionOutput, ExecError> {
-    let mut edges = MemEdges::wire(r, &fs, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
+    let mut edges = MemEdges::wire(r, stdin, Pipes::Ring(cfg.pipe_capacity), fault)
         .map_err(|e| ExecError::classify("edge wiring", e))?;
     let monitors = edges.take_monitors();
     let deadline = settings.and_then(|s| s.region_deadline);
@@ -492,7 +478,7 @@ fn run_thread_per_node(
             if edges.wires_relay(id) {
                 continue;
             }
-            let (ins, outs) = endpoints(&mut edges, node, id, profile.as_ref());
+            let ends = endpoints(&mut edges, node, id, profile.as_ref());
             let profile = profile.clone();
             let registry = registry.clone();
             let fs = fs.clone();
@@ -501,28 +487,11 @@ fn run_thread_per_node(
             let remaining = remaining.clone();
             let watchdog = watchdog.clone();
             scope.spawn(move || {
-                let res = (|| {
-                    // An injected spawn failure drops ins/outs, closing
-                    // the node's edges, so neighbours tear down.
-                    if let Some(a) = fault {
-                        a.before_spawn(id)?;
-                    }
-                    let started = Instant::now();
-                    let res = run_node(
-                        &node.op,
-                        &node.stdin_inputs,
-                        &input_files(r, node),
-                        ins,
-                        outs,
-                        &registry,
-                        fs,
-                        &mut io::sink(),
-                    );
-                    if let Some(p) = &profile {
-                        p.add_busy(id, started.elapsed());
-                    }
-                    res
-                })();
+                // An injected spawn failure drops the endpoints, closing
+                // the node's edges, so neighbours tear down.
+                let res = fault
+                    .map_or(Ok(()), |a| a.before_spawn(id))
+                    .and_then(|()| run_timed(node, id, ends, &registry, fs, profile.as_ref()));
                 match node_status(id, res) {
                     Ok(s) => lock(&statuses).push((id, s)),
                     Err(e) => {
@@ -547,35 +516,93 @@ fn run_thread_per_node(
     Ok(finish_attempt(r, cfg, profile.as_ref(), &edges, statuses))
 }
 
+/// The status of a node that could not open one of its files: the
+/// shell's for a command whose redirection fails.
+const OPEN_FAILED: i32 = 2;
+
+/// The one opener of a region's file endpoints, on every backend:
+/// through `fs`, each file of `ins` (whole, or one segment of it), then
+/// each of `outs` (created, behind the edge buffer), as the shell
+/// performs `< in > out`. The first that fails comes back with its
+/// path, and no file after it is created; but a peer output (a FIFO)
+/// is opened and closed, so the process waiting in `open` for its
+/// other end goes on.
+pub(crate) fn open_files<'s, 'a: 's, 'b: 's>(
+    fs: &dyn Fs,
+    ins: impl IntoIterator<Item = &'s mut Source<'a>>,
+    outs: impl IntoIterator<Item = &'s mut Sink<'b>>,
+) -> Result<(), (String, io::Error)> {
+    let mut failed = None;
+    for src in ins {
+        let Source::File(f) = src else { continue };
+        let opened = match f.segment {
+            Some((part, of)) => open_segment(fs, &f.path, part, of),
+            None => fs.open(&f.path),
+        };
+        match opened {
+            Ok(r) => *src = Source::Bytes(f.opened(r)),
+            Err(e) => {
+                failed = Some((f.path.clone(), e));
+                break;
+            }
+        }
+    }
+    for sink in outs {
+        let Sink::File(f) = sink else { continue };
+        if failed.is_some() && !f.peer {
+            continue;
+        }
+        match (fs.create(&f.path), failed.is_none()) {
+            (Ok(w), true) => *sink = Sink::Bytes(buffered(f.opened(w))),
+            // A peer's end, closed as soon as it is open.
+            (Ok(_), false) => {}
+            (Err(e), _) => {
+                failed.get_or_insert((f.path.clone(), e));
+            }
+        }
+    }
+    failed.map_or(Ok(()), Err)
+}
+
 /// Executes one node's work on the current thread: `op` over its
-/// opened input and output endpoints, `stdin_inputs` naming the inputs
-/// that feed a command's standard input. The one interpreter of
-/// [`PlanOp`] — a node of this backend under either schedule and a
-/// child process of the `processes` and `shell` backends
-/// ([`crate::cli`]) all end up here. The `expect`s below are arities
-/// [`RegionPlan::validate`] has checked.
+/// input and output endpoints, `stdin_inputs` naming the inputs that
+/// feed a command's standard input. The one interpreter of [`PlanOp`]
+/// — a node of this backend under either schedule and a child process
+/// of the `processes` and `shell` backends ([`crate::cli`]) all end up
+/// here. The `expect`s below are arities [`RegionPlan::validate`] has
+/// checked.
 ///
-/// A command's [`Arg::Stream`]`(k)` is the path `input_files[k]`, which
-/// it opens through `fs`; the reader wired for that input is dropped.
-#[allow(clippy::too_many_arguments)]
+/// Its redirections come first, as in the shell: [`open_files`] opens
+/// the files of `stdin_inputs`, then of `outs`, and one that cannot be
+/// opened ends the node with status 2 and a line on `stderr`. A
+/// command's [`Arg::Stream`]`(k)` is the path of its input `k`, which
+/// the command opens itself; [`PlanOp::Cat`] opens each of its inputs
+/// when it reaches it, as `cat` does.
 pub(crate) fn run_node(
     op: &PlanOp,
     stdin_inputs: &[usize],
-    input_files: &[Option<&str>],
     mut ins: Vec<Source<'_>>,
     mut outs: Vec<Sink<'_>>,
     registry: &Registry,
     fs: Arc<dyn Fs>,
     stderr: &mut dyn Write,
 ) -> io::Result<i32> {
+    let redirected = ins
+        .iter_mut()
+        .enumerate()
+        .filter(|(k, _)| stdin_inputs.contains(k));
+    if let Err((path, e)) = open_files(fs.as_ref(), redirected.map(|(_, s)| s), &mut outs) {
+        writeln!(stderr, "{path}: {}", error_text(&e))?;
+        return Ok(OPEN_FAILED);
+    }
     match op {
         PlanOp::Exec { argv, framed } => {
             let final_argv = argv
                 .iter()
                 .map(|a| match a {
                     Arg::Lit(w) => Ok(w.clone()),
-                    Arg::Stream(k) => match input_files.get(*k) {
-                        Some(Some(path)) => Ok(path.to_string()),
+                    Arg::Stream(k) => match ins.get(*k) {
+                        Some(Source::File(f)) => Ok(f.path.clone()),
                         _ => Err(io::Error::new(
                             io::ErrorKind::InvalidInput,
                             format!("stream operand {k} names no input file"),
@@ -626,7 +653,13 @@ pub(crate) fn run_node(
         }
         PlanOp::Cat => {
             let mut out = outs.pop().expect("cat has one output").into_bytes()?;
-            for r in ins {
+            let mut status = 0;
+            for mut r in ins {
+                if let Err((path, e)) = open_files(fs.as_ref(), [&mut r], None::<&mut Sink>) {
+                    writeln!(stderr, "cat: {path}: {}", error_text(&e))?;
+                    status = 1;
+                    continue;
+                }
                 let mut r = r.into_bytes()?;
                 let mut buf = [0u8; 64 * 1024];
                 loop {
@@ -638,7 +671,7 @@ pub(crate) fn run_node(
                 }
             }
             out.flush()?;
-            Ok(0)
+            Ok(status)
         }
         PlanOp::Relay { blocking } => {
             let input = ins.pop().expect("relay has one input").into_bytes()?;
@@ -1092,18 +1125,40 @@ mod tests {
     }
 
     #[test]
-    fn missing_input_file_is_error() {
-        let (reg, fs) = fixture();
-        let cfg = PashConfig::default();
-        let res = run_script(
-            "cat nonexistent.txt | sort",
-            &cfg,
-            &reg,
-            fs,
-            Vec::new(),
-            &ExecConfig::default(),
-        );
-        assert!(res.is_err());
+    fn a_missing_input_file_ends_the_node_that_opens_it() {
+        // As in `sh`: `cat` reports the file and the pipeline goes on,
+        // its status `sort`'s; `< nope` fails its command with 2 and
+        // `out.txt` is not made; a missing output directory fails its
+        // command with 2 and stores nothing. On both schedules, at
+        // width 1 and where copies open the file's segments — there
+        // the `cat` is gone, and its verdict lands on the `sort` copies
+        // that cannot open their segments: 2.
+        for ecfg in both_schedules() {
+            for width in [1, 4] {
+                let (reg, fs) = fixture();
+                let cfg = PashConfig {
+                    width,
+                    ..Default::default()
+                };
+                for (src, status) in [
+                    ("cat nonexistent.txt | sort", if width == 1 { 0 } else { 2 }),
+                    ("sort < nonexistent.txt > out.txt", 2),
+                    ("cat in.txt > nodir/out.txt", 2),
+                ] {
+                    let out = run_script(src, &cfg, &reg, fs.clone(), Vec::new(), &ecfg)
+                        .expect("a status, not an error");
+                    assert_eq!(
+                        (out.stdout, out.status),
+                        (Vec::new(), status),
+                        "`{src}` @{width}"
+                    );
+                }
+                assert!(fs.read("nodir/out.txt").is_err(), "@{width}: stored");
+                // At width 4 the merge behind `sort`'s copies makes
+                // `out.txt`, as the emitted script's does.
+                assert_eq!(fs.read("out.txt").is_ok(), width > 1, "@{width}");
+            }
+        }
     }
 
     #[test]

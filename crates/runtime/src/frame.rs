@@ -32,7 +32,7 @@ use std::io::{self, BufRead, Read, Write};
 
 use pash_core::plan::fold_statuses;
 
-use crate::edge::{Sink, Source};
+use crate::edge::{not_bytes, Sink, Source};
 use crate::wire::{read_header, truncated};
 
 /// Frame magic: `\x01RSB` ("round-robin split block").
@@ -131,6 +131,7 @@ impl Source<'_> {
         match self {
             Source::Bytes(r) => FrameReader::new(r).next_frame_into(payload),
             Source::Frames(q) => q.recv(payload),
+            Source::File(_) => Err(not_bytes()),
         }
     }
 }
@@ -147,6 +148,7 @@ impl Sink<'_> {
                 Ok(())
             }
             Sink::Frames(q) => q.send(tag, frame),
+            Sink::File(_) => Err(not_bytes()),
         }
     }
 
@@ -155,6 +157,7 @@ impl Sink<'_> {
         match self {
             Sink::Bytes(w) => write_frame(w, tag, payload),
             Sink::Frames(q) => q.send_copy(tag, payload),
+            Sink::File(_) => Err(not_bytes()),
         }
     }
 
@@ -162,7 +165,7 @@ impl Sink<'_> {
     pub fn flush(&mut self) -> io::Result<()> {
         match self {
             Sink::Bytes(w) => w.flush(),
-            Sink::Frames(_) => Ok(()),
+            Sink::Frames(_) | Sink::File(_) => Ok(()),
         }
     }
 }

@@ -12,11 +12,13 @@
 //!   ([`crate::edge::FifoDir`]); children open their own endpoints
 //!   (via argv naming or the multicall's `--stdin`/`--stdout`
 //!   redirections), so the parent never blocks in a FIFO open;
-//! * file edges resolve against the backend's root directory, which
-//!   is every child's working directory;
-//! * segment edges are opened by the child that reads them too
-//!   (`--stdin-seg PATH PART OF`) — a region forks exactly one child
-//!   per plan node;
+//! * file and segment edges are named to the child the same way
+//!   (`--stdin PATH`, `--stdin-seg PATH PART OF`, `--stdout PATH`),
+//!   resolved against the backend's root directory, which is every
+//!   child's working directory. The parent opens no file: the child
+//!   opens them as a `threads` node does, so a file it cannot open
+//!   ends that child with status 2, not the region — a region forks
+//!   exactly one child per plan node;
 //! * boundary stdin/stdout edges are anonymous pipes fed/drained by
 //!   parent threads; the feeder writes the caller's bytes straight from
 //!   the borrowed slice, from a thread scoped to the attempt.
@@ -37,13 +39,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pash_core::plan::{
-    fold_statuses, EndpointKind, ExecutionPlan, PlanEdgeId, PlanNodeId, RegionPlan, SpawnBin,
-    SpawnWord,
+    fold_statuses, EndpointKind, ExecutionPlan, PlanEdgeId, RegionPlan, SpawnBin, SpawnWord,
 };
 
 use crate::drive::{append, drive, RegionRunner};
 use crate::edge::FifoDir;
-use crate::exec::{ProgramOutput, RegionOutput};
+use crate::exec::{deadline_exceeded, ProgramOutput, RegionOutput};
 use crate::fault::{ArmedFault, ExecError, INFRA_STATUS};
 use crate::profile::ProfileStore;
 use crate::supervise::SupervisorSettings;
@@ -204,10 +205,12 @@ impl RegionRunner for ProcessRunner<'_> {
         run_region_attempt(r, self, feed, fault, supervised)
     }
 
-    fn shell_step(&self, text: &str) -> io::Result<ProgramOutput> {
+    fn shell_step(&self, text: &str, status: i32) -> io::Result<ProgramOutput> {
+        // A fresh `sh` starts with `$?` at 0; the script's has the
+        // status of the step before.
         let out = Command::new("/bin/sh")
             .arg("-c")
-            .arg(text)
+            .arg(format!("(exit {status}); {text}"))
             .current_dir(self.root)
             .stdin(Stdio::null())
             .output()?;
@@ -314,29 +317,19 @@ fn run_region_attempt(
     result
 }
 
-/// Waits for one child. With no deadline it blocks until the child
+/// Waits for one child until `deadline`: its status, or `None` once
+/// the deadline has passed. With no deadline it blocks until the child
 /// exits; with one it polls, so the deadline can interrupt the wait.
-/// Expiry reports a transient `TimedOut` error — the caller's error
-/// path SIGKILLs the whole region.
-fn wait_deadline(
-    child: &mut Child,
-    id: PlanNodeId,
-    deadline: Option<Instant>,
-) -> Result<i32, ExecError> {
-    let wait_err = |e| ExecError::classify("wait", e).at_node(id);
+fn wait_until(child: &mut Child, deadline: Option<Instant>) -> io::Result<Option<i32>> {
     let Some(dl) = deadline else {
-        return child.wait().map(exit_code).map_err(wait_err);
+        return child.wait().map(|st| Some(exit_code(st)));
     };
     loop {
-        if let Some(st) = child.try_wait().map_err(wait_err)? {
-            return Ok(exit_code(st));
+        if let Some(st) = child.try_wait()? {
+            return Ok(Some(exit_code(st)));
         }
         if Instant::now() >= dl {
-            return Err(ExecError::transient(
-                "region deadline",
-                io::Error::new(io::ErrorKind::TimedOut, "region deadline exceeded"),
-            )
-            .at_node(id));
+            return Ok(None);
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -369,6 +362,8 @@ fn spawn_and_reap<'scope, 'env>(
                 .map_err(|e| ExecError::transient("spawn", e).at_node(id))?;
         }
         let spec = node.spawn_spec();
+        let named =
+            |e| edge_name(r, fifos, e).map_err(|e| ExecError::fatal("edge naming", e).at_node(id));
         let bin = match spec.bin {
             SpawnBin::Coreutils => &runner.pashc,
             SpawnBin::Runtime => &runner.pash_rt,
@@ -382,74 +377,47 @@ fn spawn_and_reap<'scope, 'env>(
             cmd.env("PASH_FAULT", a.to_string());
         }
 
-        // Standard-input routing. FIFO endpoints are passed by path
-        // (`--stdin`) and opened by the child itself — a parent-side
-        // open would block until the peer spawns. A segment is named
-        // (`--stdin-seg`) and opened by the child as well: the parent
-        // has no fd that ends at a segment's last line.
+        // Standard-input routing. FIFO and file endpoints are passed by
+        // path (`--stdin`) and opened by the child itself — a
+        // parent-side open of a FIFO would block until the peer spawns.
+        // A segment is named (`--stdin-seg`) and opened by the child as
+        // well: the parent has no fd that ends at a segment's last line.
+        // Non-primary boundary inputs (and a second primary one, the
+        // feed taken) read empty streams.
+        cmd.stdin(Stdio::null());
         let mut feed: Option<&[u8]> = None;
-        match spec.stdin_input.map(|k| node.inputs[k]) {
-            None => {
-                cmd.stdin(Stdio::null());
-            }
-            Some(e) => match &r.edges[e].kind {
-                EndpointKind::Pipe => {
-                    cmd.arg("--stdin")
-                        .arg(fifos.path(e).expect("pipe edge has a fifo"));
-                    cmd.stdin(Stdio::null());
-                }
-                EndpointKind::InputFile(p) => {
-                    let f = std::fs::File::open(root.join(p))
-                        .map_err(|e| ExecError::classify("open input file", e).at_node(id))?;
-                    cmd.stdin(Stdio::from(f));
+        if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
+            match &r.edges[e].kind {
+                EndpointKind::Pipe | EndpointKind::InputFile(_) => {
+                    cmd.arg("--stdin").arg(named(e)?);
                 }
                 EndpointKind::InputSegment { path, part, of } => {
-                    cmd.arg("--stdin-seg")
-                        .arg(path)
-                        .arg(part.to_string())
-                        .arg(of.to_string());
-                    cmd.stdin(Stdio::null());
+                    cmd.arg("--stdin-seg").arg(path);
+                    cmd.arg(part.to_string()).arg(of.to_string());
                 }
                 EndpointKind::StdinPipe { primary: true } if stdin.is_some() => {
                     cmd.stdin(Stdio::piped());
                     feed = stdin.take();
                 }
-                // Non-primary boundary inputs (and a second primary
-                // one, the feed taken) read empty streams.
-                _ => {
-                    cmd.stdin(Stdio::null());
-                }
-            },
+                _ => {}
+            }
         }
 
-        // Standard-output routing.
+        // Standard-output routing (split nodes name their outputs in
+        // argv).
+        cmd.stdout(Stdio::null());
         let mut drain = false;
-        match spec.stdout_output.map(|j| node.outputs[j]) {
-            None => {
-                // Split nodes name their outputs in argv.
-                cmd.stdout(Stdio::null());
-            }
-            Some(e) => match &r.edges[e].kind {
-                EndpointKind::Pipe => {
-                    cmd.arg("--stdout")
-                        .arg(fifos.path(e).expect("pipe edge has a fifo"));
-                    cmd.stdout(Stdio::null());
-                }
-                EndpointKind::OutputFile(p) => {
-                    // No directory is made for it: `> nodir/f` fails
-                    // as the shell's redirection does.
-                    let f = std::fs::File::create(root.join(p))
-                        .map_err(|e| ExecError::classify("create output file", e).at_node(id))?;
-                    cmd.stdout(Stdio::from(f));
+        if let Some(e) = spec.stdout_output.map(|j| node.outputs[j]) {
+            match &r.edges[e].kind {
+                EndpointKind::Pipe | EndpointKind::OutputFile(_) => {
+                    cmd.arg("--stdout").arg(named(e)?);
                 }
                 EndpointKind::StdoutPipe => {
                     cmd.stdout(Stdio::piped());
                     drain = true;
                 }
-                _ => {
-                    cmd.stdout(Stdio::null());
-                }
-            },
+                _ => {}
+            }
         }
 
         // The argv proper, edge references resolved to paths.
@@ -459,16 +427,10 @@ fn spawn_and_reap<'scope, 'env>(
                     cmd.arg(s);
                 }
                 SpawnWord::In(k) => {
-                    cmd.arg(
-                        edge_name(r, fifos, node.inputs[*k])
-                            .map_err(|e| ExecError::fatal("edge naming", e).at_node(id))?,
-                    );
+                    cmd.arg(named(node.inputs[*k])?);
                 }
                 SpawnWord::Out(j) => {
-                    cmd.arg(
-                        edge_name(r, fifos, node.outputs[*j])
-                            .map_err(|e| ExecError::fatal("edge naming", e).at_node(id))?,
-                    );
+                    cmd.arg(named(node.outputs[*j])?);
                 }
             }
         }
@@ -505,71 +467,50 @@ fn spawn_and_reap<'scope, 'env>(
     }
 
     // Wait on the region's output producers, in node order — the
-    // emitted script's `wait $pash_out_pids`. A region deadline can
-    // interrupt these waits (the error path SIGKILLs).
-    let mut waited = vec![false; children.len()];
-    let mut producer_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
-    for (id, node) in r.nodes.iter().enumerate() {
-        if node.output_producer {
-            let s = wait_deadline(&mut children[id], id, deadline)?;
-            waited[id] = true;
-            producer_statuses.push((id, s));
-        }
-    }
-
-    // Then the status sources — the real commands behind the output,
-    // whose folded statuses reproduce the sequential verdict (the
-    // emitted script's `pash_spids` loop). Producers finishing
-    // implies their upstream sources have finished, so these waits
-    // cannot block on a still-streaming child.
+    // emitted script's `wait $pash_out_pids` — then on the status
+    // sources, the real commands behind the output, whose folded
+    // statuses reproduce the sequential verdict (the emitted script's
+    // `pash_spids` loop). Producers finishing implies their upstream
+    // sources have finished, so these waits cannot block on a
+    // still-streaming child. A region deadline can interrupt them (the
+    // error path SIGKILLs).
     let sources = r.status_sources();
-    let mut source_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
-    for &id in &sources {
-        if waited[id] {
-            let s = producer_statuses
-                .iter()
-                .find(|(n, _)| *n == id)
-                .map(|(_, s)| *s)
-                .unwrap_or(0);
-            source_statuses.push((id, s));
-        } else {
-            let s = wait_deadline(&mut children[id], id, deadline)?;
-            waited[id] = true;
-            source_statuses.push((id, s));
+    let producers = (0..r.nodes.len()).filter(|&id| r.nodes[id].output_producer);
+    let mut reaped: Vec<Option<i32>> = vec![None; children.len()];
+    for id in producers.chain(sources.iter().copied()) {
+        if reaped[id].is_some() {
+            continue;
         }
+        let waited = wait_until(&mut children[id], deadline)
+            .map_err(|e| ExecError::classify("wait", e).at_node(id))?;
+        // Expiry is transient; the caller's error path SIGKILLs the
+        // whole region, and counts the kill.
+        reaped[id] = Some(waited.ok_or_else(|| deadline_exceeded(None).at_node(id))?);
     }
 
     // Deliver PIPE to everything still running (`kill -s PIPE`, the
     // §5.2 dangling-FIFO fix), then reap with a bounded grace.
     for (id, child) in children.iter().enumerate() {
-        if !waited[id] {
+        if reaped[id].is_none() {
             kill_pipe(child.id());
         }
     }
-    let grace = Instant::now() + KILL_GRACE;
-    let mut other_statuses: Vec<(PlanNodeId, i32)> = Vec::new();
+    let grace = Some(Instant::now() + KILL_GRACE);
     let reap = |child: &mut Child| -> io::Result<i32> {
-        loop {
-            if let Some(st) = child.try_wait()? {
-                return Ok(exit_code(st));
-            }
-            if Instant::now() >= grace {
-                // A child ignoring PIPE while blocked in a FIFO open
-                // would hang the backend; SIGKILL is the backstop.
-                child.kill()?;
-                let st = child.wait()?;
-                return Ok(exit_code(st));
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        match wait_until(child, grace)? {
+            Some(s) => Ok(s),
+            // A child ignoring PIPE while blocked in a FIFO open would
+            // hang the backend; SIGKILL is the backstop.
+            None => child.kill().and_then(|()| child.wait()).map(exit_code),
         }
     };
-    for (id, child) in children.iter_mut().enumerate() {
-        if !waited[id] {
-            other_statuses.push((
-                id,
-                reap(child).map_err(|e| ExecError::classify("reap", e).at_node(id))?,
-            ));
-        }
+    let mut statuses = Vec::with_capacity(children.len());
+    for (id, (child, s)) in children.iter_mut().zip(reaped).enumerate() {
+        let s = match s {
+            Some(s) => s,
+            None => reap(child).map_err(|e| ExecError::classify("reap", e).at_node(id))?,
+        };
+        statuses.push((id, s));
     }
     let mut stdout = Vec::new();
     for d in drains {
@@ -578,15 +519,7 @@ fn spawn_and_reap<'scope, 'env>(
 
     // A region's status folds its source statuses — exactly what the
     // emitted script computes after `wait $pash_out_pids`.
-    let folded: Vec<i32> = source_statuses.iter().map(|(_, s)| *s).collect();
-    let status = fold_statuses(&folded);
-    let mut statuses = other_statuses;
-    for (id, s) in source_statuses {
-        if !producer_statuses.iter().any(|(n, _)| *n == id) {
-            statuses.push((id, s));
-        }
-    }
-    statuses.extend(producer_statuses);
+    let status = fold_statuses(&sources.iter().map(|&id| statuses[id].1).collect::<Vec<_>>());
 
     // Reserved statuses signal infrastructure death, not a command
     // verdict: 120 is the multicall's InvalidData report (a corrupted

@@ -13,16 +13,13 @@
 //! region's node `i`.
 
 use std::collections::HashMap;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pash_core::plan::RegionPlan;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use crate::exec::lock;
 
 /// Live counters for one plan node. All increments are relaxed
 /// atomics on the node's own cache line — the profiling hook costs a
@@ -85,70 +82,6 @@ impl RegionProfile {
         self.nodes[id]
             .busy_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-/// A profiling reader: counts consumed bytes into a node's counter.
-pub struct CountingReader<'a> {
-    inner: Box<dyn io::Read + Send + 'a>,
-    profile: Arc<RegionProfile>,
-    node: usize,
-}
-
-impl<'a> CountingReader<'a> {
-    /// Wraps `inner`, crediting reads to `profile`'s node `node`.
-    pub fn new(
-        inner: Box<dyn io::Read + Send + 'a>,
-        profile: Arc<RegionProfile>,
-        node: usize,
-    ) -> CountingReader<'a> {
-        CountingReader {
-            inner,
-            profile,
-            node,
-        }
-    }
-}
-
-impl io::Read for CountingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.profile.add_in(self.node, n as u64);
-        Ok(n)
-    }
-}
-
-/// A profiling writer: counts produced bytes into a node's counter.
-pub struct CountingWriter<'a> {
-    inner: Box<dyn io::Write + Send + 'a>,
-    profile: Arc<RegionProfile>,
-    node: usize,
-}
-
-impl<'a> CountingWriter<'a> {
-    /// Wraps `inner`, crediting writes to `profile`'s node `node`.
-    pub fn new(
-        inner: Box<dyn io::Write + Send + 'a>,
-        profile: Arc<RegionProfile>,
-        node: usize,
-    ) -> CountingWriter<'a> {
-        CountingWriter {
-            inner,
-            profile,
-            node,
-        }
-    }
-}
-
-impl io::Write for CountingWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.profile.add_out(self.node, n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 

@@ -552,8 +552,9 @@ fn execute_remote(
 ) -> Result<RegionOutput, ExecError> {
     let transient = |ctx: &'static str, e: io::Error| -> ExecError { ExecError::transient(ctx, e) };
     // Gather the inputs the region reads. A file the coordinator
-    // cannot open is simply not shipped: the worker's edge wiring then
-    // fails exactly like a local attempt on the same filesystem would.
+    // cannot open is simply not shipped: the worker's node that opens
+    // it then fails with a status, exactly like a local attempt's on
+    // the same filesystem would.
     let mut paths = r.reads_files();
     // Commands may also open literal argv operands by path (e.g. an
     // unsplittable `grep pat in.txt` keeps the file as a plain word,

@@ -1223,14 +1223,19 @@ fn a_missing_output_directory_fails_as_the_shell_does() {
             };
             let made = dir.join("nodir").exists();
             let _ = std::fs::remove_dir_all(&dir);
-            let err = ran.expect_err(&format!("{backend} at width {width} ran"));
-            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{backend}: {err}");
+            let out = ran.unwrap_or_else(|e| panic!("{backend} at width {width}: {e}"));
+            assert_eq!(
+                (out.stdout.as_slice(), out.status),
+                (host.stdout.as_slice(), host.status),
+                "{backend} at width {width}"
+            );
             assert!(!made, "{backend} at width {width} made the directory");
         }
     }
     // The same over a `MemFs` (`pash::run`, as `pashd` runs a request),
-    // on both schedules: the missing directory fails the run and stores
-    // nothing, and a directory that holds a file takes the output.
+    // on both schedules: the missing directory fails the command, the
+    // run ends with its status and stores nothing, and a directory that
+    // holds a file takes the output.
     fs.add("dir/a.txt", b"x\n".to_vec());
     for (schedule, capacity) in SCHEDULES {
         for setup in [Setup::split(1), Setup::split(2)] {
@@ -1242,8 +1247,8 @@ fn a_missing_output_directory_fails_as_the_shell_does() {
             env.exec.pipe_capacity = capacity;
             let what = format!("{schedule} at width {width}");
             match run(script, &setup.cfg, "threads", &env) {
-                Err(pash::RunError::Io(e)) => {
-                    assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{what}: {e}")
+                Ok(BackendOutput::Execution(o)) => {
+                    assert_eq!((o.stdout.as_slice(), o.status), (&b""[..], 2), "{what}")
                 }
                 other => panic!("{what}: {other:?}"),
             }
@@ -1289,5 +1294,140 @@ fn file_operands_keep_their_names_on_every_backend() {
             "`{script}` differs from the host"
         );
         assert_eq!(threads, host, "`{script}`");
+    }
+}
+
+/// What a run left behind: its stdout, its exit status, and the bytes
+/// of one file (`None` when it is not there).
+type Left = (Vec<u8>, i32, Option<Vec<u8>>);
+
+/// Runs `run` in a fresh directory holding the files of `fs` and
+/// returns what it left, `file` read back; no run may make `nodir/`.
+fn left_in_dir(
+    fs: &MemFs,
+    file: &str,
+    tag: &str,
+    run: impl FnOnce(&Path) -> std::io::Result<(Vec<u8>, i32)>,
+) -> Left {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pash-diff-open-{}-{tag}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    materialize(fs, &dir);
+    let ran = run(&dir);
+    let left = std::fs::read(dir.join(file)).ok();
+    let made = dir.join("nodir").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stdout, status) = ran.unwrap_or_else(|e| panic!("{tag}: an error, not a status: {e}"));
+    assert!(!made, "{tag} made a directory");
+    (stdout, status, left)
+}
+
+/// A file a command cannot open ends that command, as in the host
+/// shell, and not the run: `cat` and the commands that read operands
+/// report the file and go on, a failed `<` or `>` fails its command
+/// with status 2 and creates nothing after it, and an output file is
+/// emptied when it is opened (`sort u > u` leaves `u` empty). At width
+/// 1, on `threads` over a `MemFs` (both schedules) and over the real
+/// directory, and on `processes`: the host's stdout, status and file.
+/// At widths 2 and 4 every run ends with a status and the host's
+/// stdout, except where a cell is known to differ:
+/// * `wc -l t1 nope`: the copies count one source each and the names
+///   are lost (`2`, not `2 t1` and `2 total`, ROADMAP item 1); its
+///   status is 2, from the copy that cannot open `nope`;
+/// * `cat nope | tr 1 x`: the `cat` commutes into copies that read
+///   `nope` themselves, so its verdict lands on them: status 2, where
+///   the host's pipeline reports `tr`'s 0;
+/// * files are not compared: the merge behind `sort`'s copies makes
+///   `out` and truncates `u` after the copies have read it, as the
+///   emitted script's does.
+#[test]
+fn a_file_that_cannot_be_opened_ends_only_its_command() {
+    use pash::coreutils::fs::RealFs;
+    use pash::coreutils::Registry;
+    use pash::runtime::exec::{run_program, ExecConfig};
+    use pash::runtime::proc::run_plan;
+    let Some(bins) = harness() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let fs = MemFs::new();
+    fs.add("t1", b"1\n2\n".to_vec());
+    fs.add("u", b"b\na\n".to_vec());
+    fs.add("in.txt", b"x y\n".to_vec());
+    fs.add("out", b"kept\n".to_vec());
+    // Each script with the file whose bytes it must leave as the host.
+    let rows = [
+        ("cat nope t1", "t1"),
+        ("wc -l t1 nope", "t1"),
+        ("sha1sum nope t1", "t1"),
+        ("tr a b < nope", "out"),
+        ("sort u > u", "u"),
+        ("cat nope | tr 1 x", "out"),
+        ("sort < nope > out", "out"),
+        ("cat in.txt > nodir/out.txt", "nodir/out.txt"),
+    ];
+    let settings = ProcSettings {
+        pashc: Some(bins.0.clone()),
+        pash_rt: Some(bins.1.clone()),
+        ..Default::default()
+    };
+    for (script, file) in rows {
+        let host = left_in_dir(&fs, file, "host", |dir| {
+            let out = Command::new("/bin/sh")
+                .args(["-c", script])
+                .current_dir(dir)
+                .env("LC_ALL", "C")
+                .stdin(Stdio::null())
+                .stderr(Stdio::null())
+                .output()?;
+            Ok((out.stdout, out.status.code().unwrap_or(1)))
+        });
+        for width in [1, 2, 4] {
+            let cfg = PashConfig::best(width);
+            let plan = pash::compile(script, &cfg).expect("compile").plan;
+            let mut seen: Vec<(String, Left)> = Vec::new();
+            for (schedule, capacity) in SCHEDULES {
+                let mut env = RunEnv {
+                    fs: Arc::new(fs.snapshot()),
+                    ..Default::default()
+                };
+                env.exec.pipe_capacity = capacity;
+                let left = match run(script, &cfg, "threads", &env) {
+                    Ok(BackendOutput::Execution(o)) => (o.stdout, o.status, env.fs.read(file).ok()),
+                    other => panic!("`{script}` on threads at width {width}: {other:?}"),
+                };
+                assert!(env.fs.paths().iter().all(|p| !p.starts_with("nodir/")));
+                seen.push((format!("threads over a MemFs, {schedule}"), left));
+            }
+            let real = left_in_dir(&fs, file, "threads-real", |dir| {
+                let registry = Registry::standard();
+                let fs = Arc::new(RealFs::new(dir));
+                let out = run_program(&plan, None, &registry, fs, b"", &ExecConfig::default())?;
+                Ok((out.stdout, out.status))
+            });
+            seen.push(("threads over a directory".to_string(), real));
+            let procs = left_in_dir(&fs, file, "processes", |dir| {
+                let out = run_plan(&plan, None, &settings, dir, b"")?;
+                Ok((out.stdout, out.status))
+            });
+            seen.push(("processes".to_string(), procs));
+            for (who, left) in seen {
+                let what = format!("`{script}` on {who} at width {width}");
+                if width == 1 {
+                    assert_eq!(left, host, "{what}");
+                } else if script != "wc -l t1 nope" {
+                    assert_eq!(
+                        String::from_utf8_lossy(&left.0),
+                        String::from_utf8_lossy(&host.0),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 }

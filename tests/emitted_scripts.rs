@@ -239,6 +239,60 @@ fn shell_steps_see_the_variables_the_compiler_folded() {
     }
 }
 
+/// A step kept as shell text sees `$?`, the status of the step before
+/// it, on `processes` as on `shell`: a `sh -c` of its own starts at 0.
+/// Stdout and status against the host's `/bin/sh`.
+#[test]
+fn shell_steps_see_the_status_before_them() {
+    let Some((pashc, pash_rt)) = build_binaries() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let dir = std::env::temp_dir().join(format!("pash-e2e-status-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("t1"), b"1\n2\n").expect("write input");
+    for script in [
+        "false; echo st $?",
+        "grep zzz t1; echo st $?",
+        "tr a b < nope; echo st $?",
+        "grep 1 t1; echo st $?",
+    ] {
+        let host = Command::new("/bin/sh")
+            .args(["-c", script])
+            .current_dir(&dir)
+            .output()
+            .expect("run sh");
+        let cfg = PashConfig::default();
+        let files = [("t1", b"1\n2\n".to_vec())];
+        let (emitted, _) = run_under_sh(script, &cfg, &files, None).expect("binaries");
+        assert_eq!(
+            (emitted.stdout, emitted.status.code()),
+            (host.stdout.clone(), host.status.code()),
+            "`{script}` on shell"
+        );
+        let env = RunEnv {
+            proc: ProcSettings {
+                pashc: Some(pashc.clone()),
+                pash_rt: Some(pash_rt.clone()),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        env.fs.add("t1", b"1\n2\n".to_vec());
+        let out = match pash::run(script, &cfg, "processes", &env) {
+            Ok(BackendOutput::Execution(out)) => out,
+            other => panic!("`{script}` on processes: {other:?}"),
+        };
+        assert_eq!(
+            (out.stdout, Some(out.status)),
+            (host.stdout, host.status.code()),
+            "`{script}` on processes"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A missing input file fails the emitted script instead of wedging
 /// it. At width 2 each copy of `wc -l` reads one file on its stdin and
 /// writes a FIFO an eager relay reads; the copy whose file is missing
@@ -282,6 +336,49 @@ fn a_missing_input_file_fails_the_emitted_script_under_a_watchdog() {
     );
     assert_ne!(out.status.code(), Some(0), "a missing file fails the run");
     assert!(took < Duration::from_secs(10), "the script took {took:?}");
+}
+
+/// The `processes` twin of the test above: the copy of `wc -l` whose
+/// file is missing is a child told to open it (`--stdin nope`), and it
+/// still opens, and closes, the FIFO it writes, so the relay reading
+/// that FIFO is not left in `open`. The run must end by itself, with a
+/// status, under a watchdog that fails the test instead of hanging it.
+#[test]
+fn a_missing_input_file_fails_the_process_run_under_a_watchdog() {
+    let Some((pashc, pash_rt)) = build_binaries() else {
+        eprintln!("skipping: no /bin/sh or binaries unavailable");
+        return;
+    };
+    let script = "wc -l t1 nope";
+    let compiled = pash::compile(script, &PashConfig::best(2)).expect("compile");
+    let relays = compiled.plan.regions().flat_map(|r| &r.nodes);
+    let relays = relays.filter(|n| matches!(n.op, pash::core::plan::PlanOp::Relay { .. }));
+    assert!(relays.count() > 0, "a relay waits on a copy's FIFO");
+    let (done, finished) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let env = RunEnv {
+            proc: ProcSettings {
+                pashc: Some(pashc),
+                pash_rt: Some(pash_rt),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        env.fs.add("t1", b"1\n2\n".to_vec());
+        let _ = done.send(pash::run(script, &PashConfig::best(2), "processes", &env));
+    });
+    let out = match finished.recv_timeout(Duration::from_secs(20)) {
+        Ok(Ok(BackendOutput::Execution(out))) => out,
+        Ok(other) => panic!("`{script}` on processes: {other:?}"),
+        Err(_) => panic!("the run wedged for {:?}", started.elapsed()),
+    };
+    assert_ne!(out.status, 0, "a missing file fails the run");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "took {:?}",
+        started.elapsed()
+    );
 }
 
 /// A missing input file leaves the job's output file as it was, as in

@@ -17,14 +17,14 @@
 //! NUL (the host's stops the line there). Where our `sed` lacks an
 //! address form, it refuses the script.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pash::core::compile::PashConfig;
-use pash::coreutils::fs::{MemFs, RealFs};
+use pash::coreutils::fs::{Fs, MemFs, RealFs};
 use pash::coreutils::{run_command, Registry};
 use pash::{run, BackendOutput, ProcSettings, RunEnv};
 use pash_bench::fixtures::runtime_binaries;
@@ -392,11 +392,13 @@ fn tee_goes_on_past_a_file_it_cannot_create() {
 
 /// An operand that cannot be opened is reported on stderr in GNU's
 /// words and skipped: the command goes on to the next and exits 1
-/// (`grep` 2), with the stdout the host prints. Over a real directory,
-/// so the message is the system's.
+/// (`grep` 2), with the stdout the host prints; `sort` reads every
+/// input before it writes, so it prints nothing and exits 2. Over a
+/// real directory, whose message is the system's, and over a `MemFs`,
+/// whose message must be the same.
 #[test]
 fn a_missing_operand_is_reported_and_skipped() {
-    let rows: [&[&str]; 7] = [
+    let rows: [&[&str]; 8] = [
         &["cat", "nope", "t1"],
         &["wc", "-l", "t1", "nope"],
         &["nl", "nope", "t1"],
@@ -404,32 +406,38 @@ fn a_missing_operand_is_reported_and_skipped() {
         &["sha1sum", "nope", "t1"],
         &["grep", "-h", "1", "nope", "t1"],
         &["head", "-n", "1", "nope"],
+        &["sort", "nope", "t1"],
     ];
     let files: [(&str, &[u8]); 1] = [("t1", b"1 one\n2 two\n")];
     let dir = std::env::temp_dir().join(format!("pash-missing-operand-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     std::fs::write(dir.join(files[0].0), files[0].1).expect("write t1");
-    let fs = Arc::new(RealFs::new(dir.clone()));
+    let real: Arc<dyn Fs> = Arc::new(RealFs::new(dir.clone()));
+    let mem = MemFs::new();
+    mem.add(files[0].0, files[0].1.to_vec());
+    let mem: Arc<dyn Fs> = Arc::new(mem);
     for (i, argv) in rows.iter().enumerate() {
         let Some(host) = host_path(argv[0]) else {
             eprintln!("skipping: the host has no `{}`", argv[0]);
             continue;
         };
-        let ours = run_command(&Registry::standard(), fs.clone(), argv, b"").expect("runs");
         let theirs = host_run_in(&format!("missing-{i}"), &host, &argv[1..], &files, b"");
-        assert_eq!(
-            String::from_utf8_lossy(&ours.stdout),
-            String::from_utf8_lossy(&theirs.0),
-            "{argv:?}"
-        );
-        assert_eq!(ours.status, theirs.1, "{argv:?}: exit status");
-        let said = if argv[0] == "head" {
-            "head: cannot open 'nope' for reading: No such file or directory\n".to_string()
-        } else {
-            format!("{}: nope: No such file or directory\n", argv[0])
+        let said = match argv[0] {
+            "head" => "head: cannot open 'nope' for reading: No such file or directory\n",
+            "sort" => "sort: cannot read: nope: No such file or directory\n",
+            name => &format!("{name}: nope: No such file or directory\n"),
         };
-        assert_eq!(String::from_utf8_lossy(&ours.stderr), said, "{argv:?}");
+        for fs in [&real, &mem] {
+            let ours = run_command(&Registry::standard(), fs.clone(), argv, b"").expect("runs");
+            assert_eq!(
+                String::from_utf8_lossy(&ours.stdout),
+                String::from_utf8_lossy(&theirs.0),
+                "{argv:?}"
+            );
+            assert_eq!(ours.status, theirs.1, "{argv:?}: exit status");
+            assert_eq!(String::from_utf8_lossy(&ours.stderr), said, "{argv:?}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -914,4 +922,101 @@ fn a_streamed_dash_after_a_file_reads_stdin() {
         assert!(!host.0.is_empty(), "`{script}` prints something");
         assert_compiled_matches(script, &files, &stdin, &host, &bins);
     }
+}
+
+/// `sh -c script` on the host in a fresh working directory of its own
+/// holding `files`: its stdout, its status and the bytes it left in
+/// `file`.
+fn host_leaves(script: &str, files: &[(&str, &[u8])], file: &str) -> (Vec<u8>, i32, Vec<u8>) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pash-kernels-leaves-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("write input");
+    }
+    let out = Command::new("/bin/sh")
+        .args(["-c", script])
+        .current_dir(&dir)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run the host shell");
+    let left = std::fs::read(dir.join(file)).expect("the file is there");
+    let _ = std::fs::remove_dir_all(&dir);
+    (out.stdout, out.status.code().expect("not signalled"), left)
+}
+
+/// `script` compiled at each of `widths` on `threads` and `processes`
+/// (each over its own copy of `files`) leaves the host's stdout,
+/// status and `file`.
+fn assert_leaves_as_the_host(script: &str, files: &[(&str, &[u8])], file: &str, widths: &[usize]) {
+    let Some(bins) = runtime_binaries().filter(|_| host_path("sh").is_some()) else {
+        eprintln!("skipping: no multicall binaries or no host /bin/sh");
+        return;
+    };
+    let host = host_leaves(script, files, file);
+    for backend in ["threads", "processes"] {
+        for &width in widths {
+            let env = RunEnv {
+                proc: ProcSettings {
+                    pashc: Some(bins.0.clone()),
+                    pash_rt: Some(bins.1.clone()),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            for (name, bytes) in files {
+                env.fs.add(*name, bytes.to_vec());
+            }
+            let cfg = PashConfig {
+                width,
+                ..Default::default()
+            };
+            let out = match run(script, &cfg, backend, &env) {
+                Ok(BackendOutput::Execution(out)) => out,
+                other => panic!("`{script}` on {backend} at width {width}: {other:?}"),
+            };
+            let left = env.fs.read(file).expect("the file is there");
+            assert_eq!(
+                (out.stdout, out.status, left),
+                host.clone(),
+                "`{script}` on {backend} at width {width}"
+            );
+        }
+    }
+}
+
+/// An output file is emptied when its command opens it, before the
+/// command reads: `sort u > u` leaves `u` empty, on the host and over
+/// the `MemFs` the `threads` backend runs on, whose `create` used to
+/// empty a file only once its writer was done. (At width 1: wider, the
+/// copies read `u` before the merge behind them opens it.)
+#[test]
+fn an_output_file_is_emptied_when_it_is_opened() {
+    let fs = MemFs::new();
+    fs.add("u", b"b\na\n".to_vec());
+    let fs: Arc<dyn Fs> = Arc::new(fs);
+    let w = fs.create("u").expect("create");
+    let mut r = fs.open("u").expect("open");
+    let mut seen = Vec::new();
+    r.read_to_end(&mut seen).expect("read");
+    assert!(seen.is_empty(), "emptied by `create`, not by the drop");
+    drop(w);
+    let files: [(&str, &[u8]); 1] = [("u", b"b\na\n")];
+    assert_eq!(host_leaves("sort u > u", &files, "u").2, b"");
+    assert_leaves_as_the_host("sort u > u", &files, "u", &[1]);
+}
+
+/// `uniq IN OUT` writes OUT, as GNU's does, and prints nothing: the
+/// second operand is no input. The host runs in a directory of its own.
+#[test]
+fn uniq_writes_its_output_operand_as_the_host_does() {
+    let files: [(&str, &[u8]); 1] = [("uin", b"a\na\nb\nb\na\n")];
+    assert_leaves_as_the_host("uniq uin uout", &files, "uout", &[1, 2]);
+    assert_leaves_as_the_host("uniq -c uin uout", &files, "uout", &[1, 2]);
 }
