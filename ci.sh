@@ -85,8 +85,11 @@
 #      the run);
 #   7. remote-backend smoke: two pash-worker daemons on localhost
 #      sockets, the corpus at width 4, byte-compared against the shell
-#      backend; then SIGTERM, and each worker must exit 0 within 10 s
-#      and take its socket with it;
+#      backend; `uniq a.txt u.txt` at widths 1 and 2 under `timeout`,
+#      whose `u.txt` (a file a command writes by operand) must come
+#      back from the worker with the host /bin/sh's bytes; then
+#      SIGTERM, and each worker must exit 0 within 10 s and take its
+#      socket with it;
 #   8. end-to-end benchmark check: `bench/run.sh --quick` runs all four
 #      benchmark workloads once on every backend and through pashd, on
 #      small inputs, and compares every output byte for byte with the
@@ -452,9 +455,9 @@ for script in 'wc -l a.txt b.txt' 'sha1sum a.txt'; do
         cmp "target/bench-smoke/names-host-$n.out" "target/bench-smoke/names-$b-$n.out"
     done
 done
-# A missing input file fails the emitted script: the job opens its
-# output FIFO before its input file, so the relay reading that FIFO is
-# not left waiting in `open`. `timeout` kills a wedged run (status 137),
+# A missing input file fails the emitted script: the copy that cannot
+# open its input still opens, and closes, its output FIFO, so the
+# relay reading that FIFO is not left waiting in `open`. `timeout` kills a wedged run (status 137),
 # which fails the step.
 status=0
 timeout -s KILL 20 ./target/release/backendrun --backend shell --width 2 \
@@ -515,6 +518,21 @@ timeout -s KILL 60 ./target/release/backendrun --backend remote --width 4 \
 cmp target/bench-smoke/backend-shell/out.txt \
     target/bench-smoke/backend-remote/out.txt
 test -s target/bench-smoke/backend-remote/out.txt
+# A file a command writes by operand comes back from the worker that
+# ran the command, as an output redirection's does.
+d=target/bench-smoke/uniq
+rm -rf "$d-host"
+mkdir -p "$d-host"
+cp target/bench-smoke/cat-host/a.txt "$d-host/"
+(cd "$d-host" && LC_ALL=C /bin/sh -c 'uniq a.txt u.txt')
+for width in 1 2; do
+    rm -rf "$d-remote"
+    mkdir -p "$d-remote"
+    cp target/bench-smoke/cat-host/a.txt "$d-remote/"
+    timeout -s KILL 60 ./target/release/backendrun --backend remote --width "$width" \
+        --dir "$d-remote" --worker "$W1" --worker "$W2" -e 'uniq a.txt u.txt' </dev/null
+    cmp "$d-host/u.txt" "$d-remote/u.txt"
+done
 # SIGTERM drains a worker the way a `Shutdown` request does. The shell
 # reaps each worker while `timeout` polls, so `wait` then reports how
 # it exited.

@@ -6,6 +6,20 @@
 //! routine that delivers PIPE signals to any remaining upstream
 //! processes (the dangling-FIFO fix).
 //!
+//! A node's job is its [`crate::plan::SpawnSpec`] command line, word
+//! for word as the `processes` backend spawns it, each edge named by
+//! its FIFO or file:
+//!
+//! ```text
+//! "$PASHC" --stdin-seg in.txt 1 2 --stdout "$PASH_TMP"/r0_p5 grep foo &
+//! ```
+//!
+//! Its redirections are part of that command line, so the command
+//! opens its own FIFOs and files, as it does on `processes`; `sh`
+//! opens none of them. The only redirections `sh` performs are the
+//! region boundary's: `<&9` (the script's saved stdin) on the primary
+//! stdin edge, `< /dev/null` on another, and an inherited stdout.
+//!
 //! The emitted script is hermetic: coreutils commands run through
 //! `$PASHC` (the multi-call binary) and runtime primitives through
 //! `$PASH_RT`, both overridable via the environment.
@@ -36,12 +50,7 @@ pub fn emit_program(plan: &ExecutionPlan, _cfg: &EmitConfig) -> String {
     // and `/dev/stdin` inside one resolves to that same /dev/null —
     // so when a region consumes the script's stdin, the script saves
     // fd 0 up front and the primary consumer dups it back.
-    let reads_stdin = plan.regions().any(|r| {
-        r.edges
-            .iter()
-            .any(|e| matches!(e.kind, EndpointKind::StdinPipe { .. }))
-    });
-    if reads_stdin {
+    if plan.regions().any(RegionPlan::reads_stdin) {
         out.push_str("exec 9<&0\n");
     }
     out.push_str("pash_status=0\n");
@@ -119,52 +128,22 @@ pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
         out.push_str("pash_spids=\"\"\n");
     }
     for (idx, node) in r.nodes.iter().enumerate() {
-        let spec = node.spawn_spec();
-        let mut line = String::new();
-        // The readable name for an edge appearing in argument position.
+        let spec = r.spawn_spec(idx);
+        // An edge the command line names, by its transport. Lowering
+        // names no other kind.
         let name_of = |e: PlanEdgeId| -> String {
             match &r.edges[e].kind {
                 EndpointKind::Pipe => pipe_name(region, e),
                 EndpointKind::InputFile(f) | EndpointKind::OutputFile(f) => shell_quote(f),
-                // Region boundary input: inherit the script's stdin.
-                _ => "/dev/stdin".to_string(),
+                _ => "/dev/null".to_string(),
             }
         };
-        line.push_str(match spec.bin {
+        let mut line = String::from(match spec.bin {
             SpawnBin::Coreutils => "\"$PASHC\"",
             SpawnBin::Runtime => "\"$PASH_RT\"",
         });
-        let mut stdin_redirect: Option<String> = None;
-        let mut stdin_is_file = false;
-        if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
-            match &r.edges[e].kind {
-                // `sh` has no redirection for a segment of a file: the
-                // command opens its own, told which by a leading
-                // multicall redirection.
-                EndpointKind::InputSegment { path, part, of } => {
-                    line.push_str(&format!(" --stdin-seg {} {part} {of}", shell_quote(path)));
-                }
-                EndpointKind::Pipe => {
-                    stdin_redirect = Some(format!("< {}", pipe_name(region, e)));
-                }
-                EndpointKind::InputFile(f) => {
-                    stdin_redirect = Some(format!("< {}", shell_quote(f)));
-                    stdin_is_file = true;
-                }
-                // The region's boundary stdin: background jobs read
-                // /dev/null by default (POSIX), so the primary edge
-                // dups the script stdin saved as fd 9 by the header.
-                EndpointKind::StdinPipe { primary: true } => {
-                    stdin_redirect = Some("<&9".to_string());
-                }
-                EndpointKind::StdinPipe { primary: false } => {
-                    stdin_redirect = Some("< /dev/null".to_string());
-                }
-                _ => {}
-            }
-        }
-        // The command itself: the spawn spec's argv, edge references
-        // resolved to script names.
+        // The spawn spec's command line, redirections and all: the
+        // command opens its own FIFOs and files.
         for w in &spec.argv {
             line.push(' ');
             match w {
@@ -173,24 +152,14 @@ pub fn emit_region(r: &RegionPlan, region: usize, _cfg: &EmitConfig) -> String {
                 SpawnWord::Out(j) => line.push_str(&name_of(node.outputs[*j])),
             }
         }
-        // Output (split nodes named their outputs as arguments; the
-        // region's stdout is inherited).
-        let out_edge = spec.stdout_output.map(|j| node.outputs[j]);
-        let stdout_redirect = out_edge.and_then(|e| match &r.edges[e].kind {
-            EndpointKind::Pipe => Some(format!("> {}", pipe_name(region, e))),
-            EndpointKind::OutputFile(f) => Some(format!("> {}", shell_quote(f))),
-            _ => None,
-        });
-        // `sh` opens redirections in order and stops at the first that
-        // fails. A FIFO writer opens its FIFO before a file that may be
-        // missing, or the FIFO's reader waits in `open` for ever; else
-        // input first, as the host: `sort < nope > out` keeps `out`.
-        let mut redirects = [stdin_redirect, stdout_redirect];
-        if stdin_is_file && out_edge.is_some_and(|e| r.edges[e].kind == EndpointKind::Pipe) {
-            redirects.reverse();
-        }
-        for redirect in redirects.into_iter().flatten() {
-            line.push_str(&format!(" {redirect}"));
+        // The region's boundary: background jobs read /dev/null by
+        // default (POSIX), so the primary stdin edge dups the script
+        // stdin saved as fd 9 by the header; the region's stdout is
+        // inherited.
+        match spec.reads_stdin {
+            Some(true) => line.push_str(" <&9"),
+            Some(false) => line.push_str(" < /dev/null"),
+            None => {}
         }
         line.push_str(" &\n");
         out.push_str(&line);
@@ -288,7 +257,10 @@ mod tests {
         assert!(s.contains(" &\n"));
         assert!(s.contains("wait $pash_out_pids"));
         assert!(s.contains("kill -s PIPE"));
-        assert!(s.contains("\"$PASHC\" --stdin-seg in.txt 1 2 grep foo > "));
+        // A copy's redirections are its own words: it opens them.
+        assert!(s.contains(
+            "\"$PASHC\" --stdin-seg in.txt 1 2 --stdout \"$PASH_TMP\"/r0_p4 grep foo &\n"
+        ));
         assert!(s.contains("pash-agg-sort"));
         assert!(s.contains("eager"));
     }
@@ -351,6 +323,6 @@ mod tests {
     #[test]
     fn file_output_redirected() {
         let s = emit("grep x in.txt > result.txt", 2);
-        assert!(s.contains("> result.txt"));
+        assert!(s.contains(" --stdout result.txt cat "));
     }
 }

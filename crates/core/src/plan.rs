@@ -215,7 +215,7 @@ pub struct PlanNode {
     pub output_producer: bool,
 }
 
-/// One argv word of a node spawned as a standalone OS process.
+/// One word of a spawned node's command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpawnWord {
     /// Literal text (shell backends quote it).
@@ -239,88 +239,80 @@ pub enum SpawnBin {
     Runtime,
 }
 
-/// How to run one plan node as a standalone OS process: the argv
-/// (with edge references still symbolic) plus stdin/stdout routing.
+/// How to run one plan node as a standalone OS process
+/// ([`RegionPlan::spawn_spec`]): its whole command line, redirections
+/// included, with edge references still symbolic, plus the two
+/// region-boundary ends a backend plumbs itself.
 ///
-/// This is the single source of truth for per-node argv rendering —
-/// the shell emitter renders it into script text and the process
-/// backend renders it into a real `exec`, so the two cannot drift.
+/// This is the single source of truth for a spawned node — the shell
+/// emitter renders it into script text and the process backend into a
+/// real `exec`, word for word, so the two cannot drift. The words are
+/// the multicall's: `--stdin In(k)` for a pipe or file on the node's
+/// standard input, `--stdin-seg PATH PART OF` for a file segment,
+/// `--stdout Out(j)` for a pipe or file on its standard output; then
+/// an aggregator's `--in In(k)` words, `--framed`, and the subcommand
+/// with its operands (a split names its outputs there). A backend
+/// names each `In`/`Out` edge as its transport, a FIFO or a file path,
+/// and the child opens it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpawnSpec {
     /// The role name to invoke.
     pub bin: SpawnBin,
-    /// Argv after the binary name (subcommand first).
+    /// The command line after the binary name.
     pub argv: Vec<SpawnWord>,
-    /// Input position routed via the process's standard input, if any
-    /// (at most one — further stdin inputs do not occur in lowered
-    /// plans; ops with several inputs name them in argv instead).
-    pub stdin_input: Option<usize>,
-    /// Output position routed via the process's standard output, if
-    /// any (`None` only for split nodes, which name their outputs).
-    pub stdout_output: Option<usize>,
+    /// The edge the node's standard output feeds — a pipe, a file or
+    /// the region's stdout; `None` only for a split, which names its
+    /// outputs.
+    pub stdout_edge: Option<PlanEdgeId>,
+    /// The node's standard input is the region's stdin: `Some(true)`
+    /// on the primary boundary edge, which receives the program's
+    /// stdin, `Some(false)` on one that reads an empty stream.
+    pub reads_stdin: Option<bool>,
+    /// The node's standard output is the region's stdout.
+    pub writes_stdout: bool,
 }
 
 impl PlanNode {
-    /// The node's standalone-process form.
-    pub fn spawn_spec(&self) -> SpawnSpec {
-        let stdin_input = self.stdin_inputs.first().copied();
+    /// The role name and the words after the redirections: the
+    /// subcommand, its operands and the flags it takes ahead of them.
+    fn command_words(&self) -> (SpawnBin, Vec<SpawnWord>) {
+        let lit = |w: &str| SpawnWord::Lit(w.to_string());
         match &self.op {
-            PlanOp::Exec { argv, framed } => SpawnSpec {
-                bin: SpawnBin::Coreutils,
-                // `--framed` rides ahead of the command name: the
-                // multicall strips it as a leading redirection-style
-                // flag and wraps the command in a per-frame loop.
-                argv: framed
-                    .then(|| SpawnWord::Lit("--framed".to_string()))
+            // `--framed` rides ahead of the command name: the
+            // multicall strips it as a leading redirection-style flag
+            // and wraps the command in a per-frame loop.
+            PlanOp::Exec { argv, framed } => (
+                SpawnBin::Coreutils,
+                framed
+                    .then(|| lit("--framed"))
                     .into_iter()
                     .chain(argv.iter().map(|a| match a {
                         Arg::Lit(w) => SpawnWord::Lit(w.clone()),
                         Arg::Stream(k) => SpawnWord::In(*k),
                     }))
                     .collect(),
-                stdin_input,
-                stdout_output: Some(0),
-            },
-            PlanOp::Cat => SpawnSpec {
-                bin: SpawnBin::Coreutils,
-                argv: std::iter::once(SpawnWord::Lit("cat".to_string()))
+            ),
+            PlanOp::Cat => (
+                SpawnBin::Coreutils,
+                std::iter::once(lit("cat"))
                     .chain((0..self.inputs.len()).map(SpawnWord::In))
                     .collect(),
-                stdin_input: None,
-                stdout_output: Some(0),
-            },
+            ),
             PlanOp::Split { mode } => {
-                let mut argv = match mode {
-                    SplitMode::General | SplitMode::Sized => {
-                        vec![SpawnWord::Lit("split".to_string())]
-                    }
-                    SplitMode::RoundRobin { framed: true } => {
-                        vec![SpawnWord::Lit("r_split".to_string())]
-                    }
-                    SplitMode::RoundRobin { framed: false } => vec![
-                        SpawnWord::Lit("r_split".to_string()),
-                        SpawnWord::Lit("--raw".to_string()),
-                    ],
+                let mut words = match mode {
+                    SplitMode::General | SplitMode::Sized => vec![lit("split")],
+                    SplitMode::RoundRobin { framed: true } => vec![lit("r_split")],
+                    SplitMode::RoundRobin { framed: false } => vec![lit("r_split"), lit("--raw")],
                 };
-                argv.extend((0..self.outputs.len()).map(SpawnWord::Out));
-                SpawnSpec {
-                    bin: SpawnBin::Runtime,
-                    argv,
-                    stdin_input,
-                    stdout_output: None,
-                }
+                words.extend((0..self.outputs.len()).map(SpawnWord::Out));
+                (SpawnBin::Runtime, words)
             }
             PlanOp::Relay { blocking } => {
-                let mut argv = vec![SpawnWord::Lit("eager".to_string())];
+                let mut words = vec![lit("eager")];
                 if *blocking {
-                    argv.push(SpawnWord::Lit("--blocking".to_string()));
+                    words.push(lit("--blocking"));
                 }
-                SpawnSpec {
-                    bin: SpawnBin::Runtime,
-                    argv,
-                    stdin_input,
-                    stdout_output: Some(0),
-                }
+                (SpawnBin::Runtime, words)
             }
             PlanOp::Aggregate { argv } => {
                 // Inputs ride in `--in` redirections ahead of the
@@ -331,17 +323,11 @@ impl PlanNode {
                 // takes three lines of the ordered concatenation.)
                 let mut words = Vec::with_capacity(2 * self.inputs.len() + argv.len() + 1);
                 for k in 0..self.inputs.len() {
-                    words.push(SpawnWord::Lit("--in".to_string()));
-                    words.push(SpawnWord::In(k));
+                    words.extend([lit("--in"), SpawnWord::In(k)]);
                 }
-                words.push(SpawnWord::Lit("agg".to_string()));
-                words.extend(argv.iter().map(|a| SpawnWord::Lit(a.clone())));
-                SpawnSpec {
-                    bin: SpawnBin::Runtime,
-                    argv: words,
-                    stdin_input: None,
-                    stdout_output: Some(0),
-                }
+                words.push(lit("agg"));
+                words.extend(argv.iter().map(|a| lit(a)));
+                (SpawnBin::Runtime, words)
             }
         }
     }
@@ -461,6 +447,64 @@ impl RegionPlan {
             .map(|(i, _)| i)
     }
 
+    /// Node `id`'s standalone-process form: its redirections, rendered
+    /// from the kinds of the edges they name, ahead of its command.
+    ///
+    /// A command, split or relay reads at most one input on its
+    /// standard input (further stdin inputs do not occur in lowered
+    /// plans; ops with several inputs name them in argv instead), and
+    /// every op but a split writes its one output there.
+    pub fn spawn_spec(&self, id: PlanNodeId) -> SpawnSpec {
+        let node = &self.nodes[id];
+        let lit = |w: &str| SpawnWord::Lit(w.to_string());
+        let (bin, command) = node.command_words();
+        let mut argv = Vec::with_capacity(command.len() + 4);
+        let mut reads_stdin = None;
+        let stdin = match node.op {
+            PlanOp::Cat | PlanOp::Aggregate { .. } => None,
+            _ => node.stdin_inputs.first().copied(),
+        };
+        if let Some(k) = stdin {
+            match &self.edges[node.inputs[k]].kind {
+                EndpointKind::Pipe | EndpointKind::InputFile(_) => {
+                    argv.extend([lit("--stdin"), SpawnWord::In(k)]);
+                }
+                // No descriptor ends at a segment's last line: the
+                // command opens its own.
+                EndpointKind::InputSegment { path, part, of } => argv.extend([
+                    lit("--stdin-seg"),
+                    lit(path),
+                    lit(&part.to_string()),
+                    lit(&of.to_string()),
+                ]),
+                EndpointKind::StdinPipe { primary } => reads_stdin = Some(*primary),
+                _ => {}
+            }
+        }
+        let stdout_edge = match node.op {
+            PlanOp::Split { .. } => None,
+            _ => node.outputs.first().copied(),
+        };
+        let mut writes_stdout = false;
+        if let Some(e) = stdout_edge {
+            match &self.edges[e].kind {
+                EndpointKind::Pipe | EndpointKind::OutputFile(_) => {
+                    argv.extend([lit("--stdout"), SpawnWord::Out(0)]);
+                }
+                EndpointKind::StdoutPipe => writes_stdout = true,
+                _ => {}
+            }
+        }
+        argv.extend(command);
+        SpawnSpec {
+            bin,
+            argv,
+            stdout_edge,
+            reads_stdin,
+            writes_stdout,
+        }
+    }
+
     /// Whether this region consumes the program's stdin (has a
     /// primary boundary-stdin edge). Executors must leave stdin
     /// untouched for regions that don't — the emitted script keeps
@@ -540,17 +584,6 @@ impl RegionPlan {
             .filter_map(|e| match &e.kind {
                 EndpointKind::InputFile(p) => Some(p.clone()),
                 EndpointKind::InputSegment { path, .. } => Some(path.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Paths of files the region writes.
-    pub fn writes_files(&self) -> Vec<String> {
-        self.edges
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EndpointKind::OutputFile(p) => Some(p.clone()),
                 _ => None,
             })
             .collect()
@@ -1316,25 +1349,26 @@ mod tests {
         let r = first_region(&plan);
         let mut seen_split = false;
         let mut seen_agg = false;
-        for n in &r.nodes {
-            let spec = n.spawn_spec();
+        let stdin_pipe = [SpawnWord::Lit("--stdin".into()), SpawnWord::In(0)];
+        for (id, n) in r.nodes.iter().enumerate() {
+            let spec = r.spawn_spec(id);
             match &n.op {
                 PlanOp::Split { .. } => {
                     seen_split = true;
                     assert_eq!(spec.bin, SpawnBin::Runtime);
-                    assert_eq!(spec.stdout_output, None, "split names its outputs");
+                    assert_eq!(spec.stdout_edge, None, "split names its outputs");
                     let outs = spec
                         .argv
                         .iter()
                         .filter(|w| matches!(w, SpawnWord::Out(_)))
                         .count();
                     assert_eq!(outs, n.outputs.len());
-                    assert_eq!(spec.stdin_input, Some(0));
+                    assert_eq!(spec.argv[..2], stdin_pipe);
                 }
                 PlanOp::Aggregate { argv } => {
                     seen_agg = true;
                     assert_eq!(spec.bin, SpawnBin::Runtime);
-                    assert_eq!(spec.stdin_input, None);
+                    assert!(!spec.argv.contains(&stdin_pipe[0]));
                     // Inputs ride in `--in` pairs before `agg NAME`.
                     let agg_pos = spec
                         .argv
@@ -1355,11 +1389,11 @@ mod tests {
                 }
                 PlanOp::Exec { .. } | PlanOp::Cat => {
                     assert_eq!(spec.bin, SpawnBin::Coreutils);
-                    assert_eq!(spec.stdout_output, Some(0));
+                    assert_eq!(spec.stdout_edge, Some(n.outputs[0]));
                 }
                 PlanOp::Relay { .. } => {
                     assert_eq!(spec.bin, SpawnBin::Runtime);
-                    assert_eq!(spec.argv.first(), Some(&SpawnWord::Lit("eager".into())));
+                    assert!(spec.argv.contains(&SpawnWord::Lit("eager".into())));
                 }
             }
         }
@@ -1373,13 +1407,16 @@ mod tests {
         let comm = r
             .nodes
             .iter()
-            .find(|n| matches!(&n.op, PlanOp::Exec { argv, .. } if argv.first() == Some(&Arg::Lit("comm".into()))))
+            .position(|n| matches!(&n.op, PlanOp::Exec { argv, .. } if argv.first() == Some(&Arg::Lit("comm".into()))))
             .expect("comm node");
-        let spec = comm.spawn_spec();
-        // `-` is stdin-routed, so the spec carries a stdin input and no
-        // In() words.
-        assert_eq!(spec.stdin_input, Some(0));
-        assert!(spec.argv.iter().all(|w| matches!(w, SpawnWord::Lit(_))));
+        let spec = r.spawn_spec(comm);
+        // `-` is stdin-routed, so its pipe is the node's `--stdin` and
+        // the command's own words are all literal.
+        let stdin_pipe = [SpawnWord::Lit("--stdin".into()), SpawnWord::In(0)];
+        assert_eq!(spec.argv[..2], stdin_pipe);
+        assert!(spec.argv[2..]
+            .iter()
+            .all(|w| matches!(w, SpawnWord::Lit(_))));
     }
 
     #[test]

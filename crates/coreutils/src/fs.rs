@@ -104,18 +104,6 @@ impl MemFs {
             .ok_or_else(not_found)
     }
 
-    /// Removes a file and returns its contents, moved out of the
-    /// filesystem unless a snapshot still shares them (then copied).
-    pub fn take(&self, path: &str) -> io::Result<Vec<u8>> {
-        let contents = self
-            .files
-            .lock()
-            .expect("MemFs lock poisoned")
-            .remove(&normalize(path))
-            .ok_or_else(not_found)?;
-        Ok(Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone()))
-    }
-
     /// Lists every file with its shared contents, sorted by path.
     ///
     /// The `Arc`s are the storage cells themselves, so a caller can
@@ -132,6 +120,31 @@ impl MemFs {
             .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
+    }
+
+    /// The files this filesystem holds that `base` lacks or holds
+    /// other contents for, sorted by path: what a run on a
+    /// [`MemFs::snapshot`] of `base` created or wrote. Contents are
+    /// compared by `Arc` identity, so an unchanged file costs no byte
+    /// read. `self` is dropped before the bytes are taken, so a
+    /// written file's bytes are moved out; they are copied only if
+    /// something else still shares them.
+    pub fn changed_since(self, base: &MemFs) -> Vec<(String, Vec<u8>)> {
+        let base: HashMap<String, Arc<Vec<u8>>> = base.entries().into_iter().collect();
+        let changed: Vec<_> = self
+            .entries()
+            .into_iter()
+            .filter(|(path, contents)| base.get(path).is_none_or(|b| !Arc::ptr_eq(b, contents)))
+            .collect();
+        drop(self);
+        changed
+            .into_iter()
+            .map(|(path, contents)| {
+                let bytes =
+                    Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone());
+                (path, bytes)
+            })
+            .collect()
     }
 
     /// Lists all paths, sorted.
@@ -373,20 +386,24 @@ mod tests {
     }
 
     #[test]
-    fn memfs_take_moves_unshared_contents_out() {
-        let fs = MemFs::new();
-        fs.add("./a", b"1".to_vec());
-        fs.add("b", b"2".to_vec());
-        let snap = fs.snapshot();
-        let a = fs.entries()[0].1.as_ptr();
-        drop(snap);
-        let taken = fs.take("a").expect("a");
-        assert_eq!(taken.as_ptr(), a, "moved, not copied");
-        assert!(fs.read("a").is_err());
-        let snap = fs.snapshot();
-        assert_eq!(fs.take("b").expect("b"), b"2");
-        assert_eq!(snap.read("b").expect("still shared"), b"2");
-        assert!(fs.take("b").is_err());
+    fn memfs_changed_since_moves_what_a_snapshot_wrote_out() {
+        let base = MemFs::new();
+        base.add("./kept", b"1".to_vec());
+        base.add("rewritten", b"2".to_vec());
+        let run = base.snapshot();
+        run.add("rewritten", b"2".to_vec());
+        run.create("new")
+            .expect("create")
+            .write_all(b"3")
+            .expect("write");
+        // Sorted by path: kept, new, rewritten.
+        let new = run.entries()[1].1.as_ptr();
+        let changed = run.changed_since(&base);
+        let paths: Vec<&str> = changed.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["new", "rewritten"], "same bytes, new contents");
+        assert_eq!(changed[0].1.as_ptr(), new, "moved, not copied");
+        assert_eq!(base.read("rewritten").expect("base untouched"), b"2");
+        assert!(base.read("new").is_err());
     }
 
     #[test]

@@ -14,25 +14,26 @@
 //!
 //! # Redirections (`--stdin` / `--stdin-seg` / `--stdout`)
 //!
-//! The process backend wires internal plan edges as named FIFOs.
-//! Opening a FIFO blocks until the peer end opens, so the *parent*
-//! must never open one — it would deadlock before spawning the peer.
-//! Instead the spawned command is told to open its own endpoints, a
-//! FIFO or a file alike:
+//! A node's redirections are part of its command line, rendered once
+//! by [`pash_core::plan::RegionPlan::spawn_spec`]: the `processes`
+//! backend spawns that command line, and an emitted script runs it as
+//! a background job, word for word, each edge named by its FIFO or
+//! file. The spawned command opens its own endpoints on both — `sh`
+//! opens none. A parent must never open a FIFO, which blocks until the
+//! peer end opens: it would deadlock before spawning the peer.
 //!
 //! ```text
 //! pashc --stdin /tmp/fifo-in --stdout out.txt grep foo
 //! ```
 //!
 //! The open happens in the child, after every node of the region has
-//! been spawned — exactly when `sh` would perform `<`/`>` redirections
-//! in a background job, and in the same order: input first, so a
-//! missing input leaves the output file as it was. An output that is a
-//! FIFO is opened, and closed, even then: its reader waits in `open`.
+//! been spawned — when `sh` would perform `<`/`>` redirections in a
+//! background job, and in the same order: input first, so a missing
+//! input leaves the output file as it was. An output that is a FIFO is
+//! opened, and closed, even then: its reader waits in `open`.
 //!
-//! A file-segment edge is opened the same way, by the node that reads
-//! it — `sh` has no redirection for "lines 2/4 of this file", so both
-//! the process backend and emitted scripts spell it
+//! A file segment is named the same way — there is no redirection for
+//! "lines 2/4 of this file":
 //!
 //! ```text
 //! pashc --stdin-seg in.txt 1 4 --stdout /tmp/fifo-out tr A-Z a-z
@@ -142,7 +143,7 @@ fn output(path: &str) -> FileOut<'static> {
 
 /// The [`PlanOp`] an invocation denotes, with the output paths a split
 /// names as operands (every other op writes its stdout): the inverse
-/// of [`pash_core::plan::PlanNode::spawn_spec`]. A name that is no
+/// of [`pash_core::plan::RegionPlan::spawn_spec`]. A name that is no
 /// runtime primitive is a command to execute — `cat IN…` included, so
 /// [`PlanOp::Cat`] comes back as the `cat` command over named files.
 fn denoted_op(framed: bool, name: &str, rest: &[String]) -> io::Result<(PlanOp, Vec<String>)> {
@@ -322,15 +323,19 @@ mod tests {
         assert_eq!(rest, &s(&["grep", "x"])[..]);
     }
 
-    /// The round trip the `processes` and `shell` backends rely on:
-    /// what `spawn_spec` renders, this module reads back as the node's
-    /// own op — and the input redirection in front of it as the edge
-    /// it names.
+    /// The round trip the `processes` and `shell` backends rely on: the
+    /// command line [`RegionPlan::spawn_spec`] renders for a node, each
+    /// edge named by its transport as a backend names its FIFO or file,
+    /// reads back here as the node's own op over the node's own inputs
+    /// and output.
+    ///
+    /// [`RegionPlan::spawn_spec`]: pash_core::plan::RegionPlan::spawn_spec
     #[test]
     fn spawn_specs_parse_back_to_their_ops() {
         use pash_core::compile::{compile, PashConfig};
         use pash_core::dfg::transform::SplitPolicy;
-        use pash_core::plan::{EndpointKind, PlanNode, RegionPlan, SpawnWord};
+        use pash_core::plan::{EndpointKind, PlanEdge, PlanNode, RegionPlan, SpawnWord};
+        use std::collections::BTreeSet;
 
         // Stateless and pure stages over file and pipe sources, a
         // parallel stage after a sequential one (a multi-input cat), a
@@ -339,41 +344,38 @@ mod tests {
                       cat a.txt | sort | comm -23 - b.txt | head -n 1 | tr a-z A-Z > o.txt\n\
                       paste a.txt b.txt > p.txt\n\
                       tr a-z A-Z | grep X | wc -l";
-        let edge = |kind: &str, k: usize| format!("{kind}{k}");
-        // A segment edge is named by what it is, every other input by
-        // a transport path.
-        let stdin_from = |r: Option<&RegionPlan>, node: &PlanNode, k: usize| match r
-            .map(|r| &r.edges[node.inputs[k]].kind)
-        {
-            Some(EndpointKind::InputSegment { path, part, of }) => {
-                (path.clone(), Some((*part, *of)))
-            }
-            _ => (edge("in", k), None),
+        // Lowering reads a whole file by segment and emits only
+        // unbounded relays, so these plans hold no sized split and no
+        // blocking relay: a region built by hand holds one of each,
+        // the relay reading a file on its stdin.
+        let edge = |kind, from, to| PlanEdge { kind, from, to };
+        let node = |op, inputs, outputs| PlanNode {
+            op,
+            inputs,
+            outputs,
+            stdin_inputs: vec![0],
+            output_producer: false,
         };
-        let argv_of = |r: Option<&RegionPlan>, node: &PlanNode| -> Vec<String> {
-            let spec = node.spawn_spec();
-            let mut argv = Vec::new();
-            match spec.stdin_input.map(|k| stdin_from(r, node, k)) {
-                Some((p, None)) => argv.extend(["--stdin".to_string(), p]),
-                Some((path, Some((part, of)))) => {
-                    argv.extend(["--stdin-seg".to_string(), path]);
-                    argv.extend([part.to_string(), of.to_string()]);
-                }
-                None => {}
-            }
-            if let Some(j) = spec.stdout_output {
-                argv.extend(["--stdout".to_string(), edge("out", j)]);
-            }
-            argv.extend(spec.argv.iter().map(|w| match w {
-                SpawnWord::Lit(s) => s.clone(),
-                SpawnWord::In(k) => edge("in", *k),
-                SpawnWord::Out(j) => edge("out", *j),
-            }));
-            argv
+        let by_hand = RegionPlan {
+            nodes: vec![
+                node(PlanOp::Relay { blocking: true }, vec![0], vec![1]),
+                node(
+                    PlanOp::Split {
+                        mode: SplitMode::Sized,
+                    },
+                    vec![1],
+                    vec![2, 3],
+                ),
+            ],
+            edges: vec![
+                edge(EndpointKind::InputFile("a.txt".into()), None, Some(0)),
+                edge(EndpointKind::Pipe, Some(0), Some(1)),
+                edge(EndpointKind::Pipe, Some(1), None),
+                edge(EndpointKind::Pipe, Some(1), None),
+            ],
+            replayable: false,
         };
-        let mut seen = std::collections::BTreeSet::new();
-        let mut seen_framed = false;
-        let mut seen_segment = false;
+        let mut regions = vec![by_hand];
         for split in [SplitPolicy::Sized, SplitPolicy::RoundRobin] {
             let cfg = PashConfig {
                 width: 4,
@@ -381,42 +383,42 @@ mod tests {
                 ..Default::default()
             };
             let compiled = compile(script, &cfg).expect("compile");
-            // Lowering reads a whole file by segment and emits only
-            // unbounded relays, so these plans hold no sized split and
-            // no blocking relay; one of each is built by hand.
-            let sized = PlanNode {
-                op: PlanOp::Split {
-                    mode: SplitMode::Sized,
-                },
-                inputs: vec![0],
-                outputs: vec![1, 2],
-                stdin_inputs: vec![0],
-                output_producer: false,
-            };
-            let blocking = PlanNode {
-                op: PlanOp::Relay { blocking: true },
-                inputs: vec![0],
-                outputs: vec![1],
-                stdin_inputs: vec![0],
-                output_producer: false,
-            };
-            let lowered = compiled
-                .plan
-                .regions()
-                .flat_map(|r| r.nodes.iter().map(move |n| (Some(r), n)));
-            for (r, node) in lowered.chain([(None, &sized), (None, &blocking)]) {
-                let argv = argv_of(r, node);
+            regions.extend(compiled.plan.regions().cloned());
+        }
+        // An edge's transport here is its id.
+        let name = |e: usize| format!("e{e}");
+        let kind_of = |kind: &EndpointKind| match kind {
+            EndpointKind::Pipe => "fifo",
+            EndpointKind::InputFile(_) | EndpointKind::OutputFile(_) => "file",
+            EndpointKind::InputSegment { .. } => "segment",
+            EndpointKind::StdinPipe { .. } => "region stdin",
+            EndpointKind::StdoutPipe => "region stdout",
+            EndpointKind::Detached => "detached",
+        };
+        let mut seen = BTreeSet::new();
+        let mut seen_framed = false;
+        let (mut stdin_kinds, mut stdout_kinds) = (BTreeSet::new(), BTreeSet::new());
+        for r in &regions {
+            for (id, node) in r.nodes.iter().enumerate() {
+                let spec = r.spawn_spec(id);
+                let argv: Vec<String> = (spec.argv.iter())
+                    .map(|w| match w {
+                        SpawnWord::Lit(s) => s.clone(),
+                        SpawnWord::In(k) => name(node.inputs[*k]),
+                        SpawnWord::Out(j) => name(node.outputs[*j]),
+                    })
+                    .collect();
                 let (redir, rest) = Redirections::parse(&argv).expect("redirections");
-                let (name, rest) = rest.split_first().expect("command name");
-                let (op, outs) = denoted_op(redir.framed, name, rest).expect("op");
-                let inputs = |n: usize| (0..n).map(|k| edge("in", k)).collect::<Vec<_>>();
+                let (command, rest) = rest.split_first().expect("command name");
+                let (op, outs) = denoted_op(redir.framed, command, rest).expect("op");
+                let inputs = || node.inputs.iter().map(|&e| name(e));
                 let lits = |words: Vec<String>| words.into_iter().map(Arg::Lit).collect();
                 let (want, want_outs) = match &node.op {
                     // Stream operands arrive as the paths they name.
                     PlanOp::Exec { argv, framed } => {
                         let words = argv.iter().map(|a| match a {
                             Arg::Lit(w) => w.clone(),
-                            Arg::Stream(k) => edge("in", *k),
+                            Arg::Stream(k) => name(node.inputs[*k]),
                         });
                         let argv = lits(words.collect());
                         let framed = *framed;
@@ -425,9 +427,8 @@ mod tests {
                     }
                     // Ordered concatenation is the `cat` command.
                     PlanOp::Cat => {
-                        let mut words = vec!["cat".to_string()];
-                        words.extend(inputs(node.inputs.len()));
-                        let (argv, framed) = (lits(words), false);
+                        let words = std::iter::once("cat".to_string()).chain(inputs());
+                        let (argv, framed) = (lits(words.collect()), false);
                         (PlanOp::Exec { argv, framed }, Vec::new())
                     }
                     // A sized split is spawned as the general one.
@@ -436,22 +437,53 @@ mod tests {
                             SplitMode::Sized => SplitMode::General,
                             m => *m,
                         };
-                        let outs = (0..node.outputs.len()).map(|j| edge("out", j));
+                        let outs = node.outputs.iter().map(|&e| name(e));
                         (PlanOp::Split { mode }, outs.collect())
                     }
-                    PlanOp::Aggregate { .. } => {
-                        let ins = inputs(node.inputs.len()).into_iter().map(|p| (p, None));
-                        assert_eq!(redir.ins, ins.collect::<Vec<_>>(), "{argv:?}");
+                    PlanOp::Aggregate { .. } | PlanOp::Relay { .. } => {
                         (node.op.clone(), Vec::new())
                     }
-                    PlanOp::Relay { .. } => (node.op.clone(), Vec::new()),
                 };
                 assert_eq!((&op, &outs), (&want, &want_outs), "{argv:?}");
-                let stdin = node.stdin_inputs.first().map(|&k| stdin_from(r, node, k));
-                if !matches!(node.op, PlanOp::Cat | PlanOp::Aggregate { .. }) {
-                    seen_segment |= matches!(stdin, Some((_, Some(_))));
-                    assert_eq!(redir.ins, Vec::from_iter(stdin), "{argv:?}");
+                // The inputs the child opens: an aggregator's in order,
+                // and the one standard input of any other op but `cat`,
+                // its edge's transport or a segment of a file. The
+                // region's stdin is the backend's to plumb.
+                let mut want_ins: Vec<(String, Option<(usize, usize)>)> = Vec::new();
+                match &node.op {
+                    PlanOp::Aggregate { .. } => want_ins.extend(inputs().map(|p| (p, None))),
+                    PlanOp::Cat => {}
+                    _ => {
+                        if let Some(&e) = node.stdin_inputs.first().map(|&k| &node.inputs[k]) {
+                            let kind = &r.edges[e].kind;
+                            stdin_kinds.insert(kind_of(kind));
+                            match kind {
+                                EndpointKind::InputSegment { path, part, of } => {
+                                    want_ins.push((path.clone(), Some((*part, *of))))
+                                }
+                                EndpointKind::StdinPipe { primary } => {
+                                    assert_eq!(spec.reads_stdin, Some(*primary), "{argv:?}")
+                                }
+                                _ => want_ins.push((name(e), None)),
+                            }
+                        }
+                    }
                 }
+                assert_eq!(redir.ins, want_ins, "{argv:?}");
+                // Its standard output, but a split's: the edge's
+                // transport, or the region's stdout.
+                let stdout = match node.op {
+                    PlanOp::Split { .. } => None,
+                    _ => Some(node.outputs[0]),
+                };
+                assert_eq!(spec.stdout_edge, stdout, "{argv:?}");
+                let want_stdout = stdout.filter(|&e| {
+                    let kind = &r.edges[e].kind;
+                    stdout_kinds.insert(kind_of(kind));
+                    assert_eq!(spec.writes_stdout, kind == &EndpointKind::StdoutPipe);
+                    !spec.writes_stdout
+                });
+                assert_eq!(redir.stdout, want_stdout.map(name), "{argv:?}");
                 seen.insert(node.op.label());
             }
         }
@@ -470,7 +502,18 @@ mod tests {
         }
         assert!(seen.iter().any(|l| l.starts_with("pash-agg-")), "{seen:?}");
         assert!(seen_framed, "no framed worker in {seen:?}");
-        assert!(seen_segment, "no segment-fed node in {seen:?}");
+        for kind in ["segment", "fifo", "file", "region stdin"] {
+            assert!(
+                stdin_kinds.contains(kind),
+                "no {kind} on a stdin: {stdin_kinds:?}"
+            );
+        }
+        for kind in ["fifo", "file", "region stdout"] {
+            assert!(
+                stdout_kinds.contains(kind),
+                "no {kind} on a stdout: {stdout_kinds:?}"
+            );
+        }
         // A segment redirection short of an operand, or with a PART or
         // OF that is no number, is refused before anything is opened.
         for bad in [

@@ -442,7 +442,7 @@ fn pick_site(kind: FaultKind, seed: u64, r: &RegionPlan, connection: bool) -> Op
                 let node = &r.nodes[n];
                 let exec = matches!(node.op, PlanOp::Exec { .. });
                 // The edge the node's stdout feeds, if any.
-                let out = node.spawn_spec().stdout_output.map(|j| node.outputs[j]);
+                let out = r.spawn_spec(n).stdout_edge;
                 let site = match kind {
                     FaultKind::KillWorker | FaultKind::SpawnFail | FaultKind::SpawnDelay => {
                         exec.then_some(out)

@@ -4,24 +4,24 @@
 //!
 //! Each plan node becomes one child of the multi-call binaries
 //! (`pashc` for coreutils nodes, `pash-rt` for runtime primitives),
-//! with its argv rendered from the same
-//! [`pash_core::plan::SpawnSpec`] the shell emitter uses. Edge
-//! wiring comes from the runtime I/O layer ([`crate::edge`]):
+//! spawned with its [`pash_core::plan::SpawnSpec`] command line — the
+//! one an emitted script runs, word for word, its redirections
+//! (`--stdin PATH`, `--stdin-seg PATH PART OF`, `--stdout PATH`)
+//! included. The parent only names each edge the command line refers
+//! to, by its transport from the runtime I/O layer ([`crate::edge`]):
 //!
-//! * internal pipe edges are named FIFOs in a scratch directory
-//!   ([`crate::edge::FifoDir`]); children open their own endpoints
-//!   (via argv naming or the multicall's `--stdin`/`--stdout`
-//!   redirections), so the parent never blocks in a FIFO open;
-//! * file and segment edges are named to the child the same way
-//!   (`--stdin PATH`, `--stdin-seg PATH PART OF`, `--stdout PATH`),
-//!   resolved against the backend's root directory, which is every
-//!   child's working directory. The parent opens no file: the child
-//!   opens them as a `threads` node does, so a file it cannot open
-//!   ends that child with status 2, not the region — a region forks
-//!   exactly one child per plan node;
-//! * boundary stdin/stdout edges are anonymous pipes fed/drained by
-//!   parent threads; the feeder writes the caller's bytes straight from
-//!   the borrowed slice, from a thread scoped to the attempt.
+//! * an internal pipe edge is a named FIFO in a scratch directory
+//!   ([`crate::edge::FifoDir`]); the child opens its own end, so the
+//!   parent never blocks in a FIFO open;
+//! * a file edge is its path, resolved against the backend's root
+//!   directory, which is every child's working directory. The parent
+//!   opens no file: the child opens them as a `threads` node does, so
+//!   a file it cannot open ends that child with status 2, not the
+//!   region — a region forks exactly one child per plan node;
+//! * the region boundary is the parent's: the primary stdin edge is an
+//!   anonymous pipe fed by a parent thread, straight from the caller's
+//!   borrowed slice and scoped to the attempt, and the region's stdout
+//!   an anonymous pipe a parent thread drains.
 //!
 //! Teardown matches the emitted script: wait on the region's output
 //! producers, deliver `SIGPIPE` to everything still running (the
@@ -361,9 +361,7 @@ fn spawn_and_reap<'scope, 'env>(
             a.before_spawn(id)
                 .map_err(|e| ExecError::transient("spawn", e).at_node(id))?;
         }
-        let spec = node.spawn_spec();
-        let named =
-            |e| edge_name(r, fifos, e).map_err(|e| ExecError::fatal("edge naming", e).at_node(id));
+        let spec = r.spawn_spec(id);
         let bin = match spec.bin {
             SpawnBin::Coreutils => &runner.pashc,
             SpawnBin::Runtime => &runner.pash_rt,
@@ -376,64 +374,36 @@ fn spawn_and_reap<'scope, 'env>(
         if let Some(a) = fault.filter(|a| a.node == Some(id)) {
             cmd.env("PASH_FAULT", a.to_string());
         }
-
-        // Standard-input routing. FIFO and file endpoints are passed by
-        // path (`--stdin`) and opened by the child itself — a
-        // parent-side open of a FIFO would block until the peer spawns.
-        // A segment is named (`--stdin-seg`) and opened by the child as
-        // well: the parent has no fd that ends at a segment's last line.
-        // Non-primary boundary inputs (and a second primary one, the
-        // feed taken) read empty streams.
-        cmd.stdin(Stdio::null());
-        let mut feed: Option<&[u8]> = None;
-        if let Some(e) = spec.stdin_input.map(|k| node.inputs[k]) {
-            match &r.edges[e].kind {
-                EndpointKind::Pipe | EndpointKind::InputFile(_) => {
-                    cmd.arg("--stdin").arg(named(e)?);
-                }
-                EndpointKind::InputSegment { path, part, of } => {
-                    cmd.arg("--stdin-seg").arg(path);
-                    cmd.arg(part.to_string()).arg(of.to_string());
-                }
-                EndpointKind::StdinPipe { primary: true } if stdin.is_some() => {
-                    cmd.stdin(Stdio::piped());
-                    feed = stdin.take();
-                }
-                _ => {}
-            }
-        }
-
-        // Standard-output routing (split nodes name their outputs in
-        // argv).
-        cmd.stdout(Stdio::null());
-        let mut drain = false;
-        if let Some(e) = spec.stdout_output.map(|j| node.outputs[j]) {
-            match &r.edges[e].kind {
-                EndpointKind::Pipe | EndpointKind::OutputFile(_) => {
-                    cmd.arg("--stdout").arg(named(e)?);
-                }
-                EndpointKind::StdoutPipe => {
-                    cmd.stdout(Stdio::piped());
-                    drain = true;
-                }
-                _ => {}
-            }
-        }
-
-        // The argv proper, edge references resolved to paths.
+        // The spawn spec's command line, each edge named by its FIFO
+        // or file: the child opens its own — a parent-side open of a
+        // FIFO would block until the peer spawns.
+        let named =
+            |e| edge_name(r, fifos, e).map_err(|e| ExecError::fatal("edge naming", e).at_node(id));
         for w in &spec.argv {
             match w {
-                SpawnWord::Lit(s) => {
-                    cmd.arg(s);
-                }
-                SpawnWord::In(k) => {
-                    cmd.arg(named(node.inputs[*k])?);
-                }
-                SpawnWord::Out(j) => {
-                    cmd.arg(named(node.outputs[*j])?);
-                }
-            }
+                SpawnWord::Lit(s) => cmd.arg(s),
+                SpawnWord::In(k) => cmd.arg(named(node.inputs[*k])?),
+                SpawnWord::Out(j) => cmd.arg(named(node.outputs[*j])?),
+            };
         }
+        // The region's boundary: the primary stdin edge is fed the
+        // caller's bytes (a second one, the feed taken, and every
+        // other boundary input read empty streams), and the region's
+        // stdout is drained.
+        let feed = match spec.reads_stdin {
+            Some(true) => stdin.take(),
+            _ => None,
+        };
+        cmd.stdin(if feed.is_some() {
+            Stdio::piped()
+        } else {
+            Stdio::null()
+        });
+        cmd.stdout(if spec.writes_stdout {
+            Stdio::piped()
+        } else {
+            Stdio::null()
+        });
 
         let mut child = spawn_retrying_busy(&mut cmd).map_err(|e| {
             ExecError::classify(
@@ -452,7 +422,7 @@ fn spawn_and_reap<'scope, 'env>(
                 let _ = si.write_all(bytes);
             });
         }
-        if drain {
+        if spec.writes_stdout {
             let mut so = child.stdout.take().ok_or_else(|| {
                 ExecError::fatal("spawn", io::Error::other("piped child stdout missing"))
                     .at_node(id)
@@ -547,7 +517,7 @@ fn spawn_and_reap<'scope, 'env>(
     // is here, not a region that ends 0 with part of its output.
     if let Some(&(id, s)) = statuses
         .iter()
-        .find(|&&(id, s)| s == 1 && r.nodes[id].spawn_spec().bin == SpawnBin::Runtime)
+        .find(|&&(id, s)| s == 1 && r.spawn_spec(id).bin == SpawnBin::Runtime)
     {
         return Err(ExecError::fatal(
             "node",

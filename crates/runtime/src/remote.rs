@@ -36,10 +36,14 @@
 //!
 //! The worker itself is deliberately dumb: one unsupervised region
 //! attempt per request ([`ThreadsRunner`]'s, the one the
-//! coordinator's clean-local rung makes too), against an in-memory
-//! filesystem populated from the shipped files.
-//! All retry policy lives coordinator-side, so there is exactly one
-//! recovery ladder to reason about.
+//! coordinator's clean-local rung makes too), against a snapshot of
+//! an in-memory filesystem populated from the shipped files. Each
+//! node opens its own files, as it does on every backend, so the
+//! reply carries what the snapshot gained or changed
+//! ([`MemFs::changed_since`], the rule `pashd` answers a run with):
+//! a file a command writes by operand comes back as an output
+//! redirection's does. All retry policy lives coordinator-side, so
+//! there is exactly one recovery ladder to reason about.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -143,8 +147,10 @@ pub enum RegionReply {
     Done {
         /// What a local attempt would have returned.
         output: RegionOutput,
-        /// The output files the region declares, as the attempt left
-        /// them.
+        /// Every file the attempt created or wrote, as it left them:
+        /// an output redirection's and a file a command wrote by
+        /// operand (`tee f`, `uniq IN OUT`) alike
+        /// ([`MemFs::changed_since`] the shipped files).
         files: Vec<(String, Vec<u8>)>,
     },
     /// The attempt failed; `transient` says whether another attempt
@@ -419,7 +425,10 @@ pub fn serve_worker(listener: UnixListener, socket: &Path) -> io::Result<()> {
     )
 }
 
-/// Runs one shipped region attempt.
+/// Runs one shipped region attempt on a snapshot of the shipped files
+/// and answers with its output and every file it created or wrote.
+/// Its nodes open their own files, as on every backend: a command's
+/// file operand, an output redirection and a missing input alike.
 fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
     let parsed = req.fault.as_deref().map(str::parse::<ArmedFault>);
     let armed = match parsed.transpose() {
@@ -434,31 +443,33 @@ fn execute(req: ExecuteRequest, registry: &Registry) -> RegionReply {
     if let Some(a) = armed.as_ref().filter(|a| a.kind == FaultKind::SlowWorker) {
         std::thread::sleep(a.stall);
     }
-    let fs = Arc::new(MemFs::new());
+    // The attempt runs on a snapshot of the shipped files, and its
+    // reply carries every file the snapshot gained or changed: an
+    // output redirection's and a file a command wrote by operand alike.
+    let shipped = MemFs::new();
     for (path, bytes) in req.files {
-        fs.add(path, bytes);
+        shipped.add(path, bytes);
     }
+    let run = shipped.snapshot();
     // One unsupervised attempt: retries, deadlines and the fallback
     // ladder are the coordinator's. The attempt validates the region
     // first, so a malformed one is a fatal failure, not a panic.
-    let worker = ThreadsRunner {
-        registry,
-        fs: &(fs.clone() as Arc<dyn Fs>),
-        cfg: &ExecConfig::default(),
+    let attempt = {
+        let fs: Arc<dyn Fs> = Arc::new(run.clone());
+        let worker = ThreadsRunner {
+            registry,
+            fs: &fs,
+            cfg: &ExecConfig::default(),
+        };
+        worker.attempt(&req.region, &req.stdin, armed.as_ref(), 0, None)
     };
-    match worker.attempt(&req.region, &req.stdin, armed.as_ref(), 0, None) {
-        Ok(output) => {
-            let mut written = req.region.writes_files();
-            written.sort();
-            written.dedup();
-            // The attempt is over and the worker's filesystem goes with
-            // this reply: move the bytes out rather than copy them.
-            let files = written
-                .into_iter()
-                .filter_map(|path| fs.take(&path).ok().map(|bytes| (path, bytes)))
-                .collect();
-            RegionReply::Done { output, files }
-        }
+    match attempt {
+        // The attempt is over and the worker's filesystem goes with
+        // this reply: the bytes move out rather than being copied.
+        Ok(output) => RegionReply::Done {
+            output,
+            files: run.changed_since(&shipped),
+        },
         Err(e) => RegionReply::Failed {
             transient: e.is_transient(),
             message: e.to_string(),

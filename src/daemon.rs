@@ -22,8 +22,12 @@
 //! the socket (`PutFile`). Every run executes against
 //! [`MemFs::snapshot`] of the template — `Arc`-shared contents,
 //! independent tree — so concurrent runs never observe each other's
-//! writes. Files a run created or modified (detected by `Arc` pointer
-//! identity, no byte comparisons) are returned in the response.
+//! writes. Files a run created or modified are returned in the
+//! response: [`MemFs::changed_since`], the rule a `pash-worker` uses
+//! for the files a shipped region wrote, by `Arc` pointer identity
+//! with no byte comparisons. Every node opens its own files, whichever
+//! backend runs it, so a file a command writes by operand (`tee f`,
+//! `uniq IN OUT`) is one of them like an output redirection's.
 
 use std::io;
 use std::path::PathBuf;
@@ -174,35 +178,9 @@ impl Daemon {
             compile_micros,
             total_micros: 0, // filled by the server loop
             stdout,
-            files: changed_files(&self.template, env.fs),
+            files: Arc::unwrap_or_clone(env.fs).changed_since(&self.template),
         })
     }
-}
-
-/// Files in `run` that `template` lacks or holds different contents
-/// for — by `Arc` pointer identity, so unchanged corpus files cost
-/// nothing per request. The run's snapshot is dropped first, so a
-/// written file's bytes are moved into the reply; they are copied
-/// only if something else still shares them.
-fn changed_files(template: &MemFs, run: Arc<MemFs>) -> Vec<(String, Vec<u8>)> {
-    let base: std::collections::HashMap<String, Arc<Vec<u8>>> =
-        template.entries().into_iter().collect();
-    let changed: Vec<_> = run
-        .entries()
-        .into_iter()
-        .filter(|(path, contents)| {
-            base.get(path)
-                .is_none_or(|orig| !Arc::ptr_eq(orig, contents))
-        })
-        .collect();
-    drop(run);
-    changed
-        .into_iter()
-        .map(|(path, contents)| {
-            let bytes = Arc::try_unwrap(contents).unwrap_or_else(|shared| shared.as_ref().clone());
-            (path, bytes)
-        })
-        .collect()
 }
 
 /// Binds the socket and serves until a `Shutdown` request (SIGTERM

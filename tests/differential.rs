@@ -1327,6 +1327,51 @@ fn left_in_dir(
     (stdout, status, left)
 }
 
+/// `script` under the host's `/bin/sh` and utilities in `dir`: its
+/// stdout and exit status.
+fn on_host(script: &str, dir: &Path) -> std::io::Result<(Vec<u8>, i32)> {
+    let out = Command::new("/bin/sh")
+        .args(["-c", script])
+        .current_dir(dir)
+        .env("LC_ALL", "C")
+        .stdin(Stdio::null())
+        .stderr(Stdio::null())
+        .output()?;
+    Ok((out.stdout, out.status.code().unwrap_or(1)))
+}
+
+/// A file a command writes by operand comes back from a `remote`
+/// worker as an output redirection's does: `uniq IN OUT` and `tee F`
+/// at widths 1 and 2 leave the host's stdout, status and file, the
+/// host run in a directory of its own.
+#[test]
+fn a_remote_attempt_returns_every_file_it_wrote() {
+    if !PathBuf::from("/bin/sh").exists() {
+        eprintln!("skipping: no /bin/sh");
+        return;
+    }
+    let fs = MemFs::new();
+    fs.add("uin", b"a\na\nb\n".to_vec());
+    fs.add("t1", b"1\n2\n3\n".to_vec());
+    let workers = RemoteWorkers::spawn(2);
+    for (script, file) in [("uniq uin uout", "uout"), ("cat t1 | tee tf | wc -l", "tf")] {
+        let host = left_in_dir(&fs, file, "host", |dir| on_host(script, dir));
+        assert!(host.2.is_some(), "`{script}` writes {file} on the host");
+        for width in [1, 2] {
+            let env = RunEnv {
+                fs: Arc::new(fs.snapshot()),
+                workers: workers.sockets.clone(),
+                ..Default::default()
+            };
+            let left = match run(script, &PashConfig::best(width), "remote", &env) {
+                Ok(BackendOutput::Execution(o)) => (o.stdout, o.status, env.fs.read(file).ok()),
+                other => panic!("`{script}` on remote at width {width}: {other:?}"),
+            };
+            assert_eq!(left, host, "`{script}` on remote at width {width}");
+        }
+    }
+}
+
 /// A file a command cannot open ends that command, as in the host
 /// shell, and not the run: `cat` and the commands that read operands
 /// report the file and go on, a failed `<` or `>` fails its command
@@ -1377,16 +1422,7 @@ fn a_file_that_cannot_be_opened_ends_only_its_command() {
         ..Default::default()
     };
     for (script, file) in rows {
-        let host = left_in_dir(&fs, file, "host", |dir| {
-            let out = Command::new("/bin/sh")
-                .args(["-c", script])
-                .current_dir(dir)
-                .env("LC_ALL", "C")
-                .stdin(Stdio::null())
-                .stderr(Stdio::null())
-                .output()?;
-            Ok((out.stdout, out.status.code().unwrap_or(1)))
-        });
+        let host = left_in_dir(&fs, file, "host", |dir| on_host(script, dir));
         for width in [1, 2, 4] {
             let cfg = PashConfig::best(width);
             let plan = pash::compile(script, &cfg).expect("compile").plan;

@@ -297,7 +297,8 @@ fn shell_steps_see_the_status_before_them() {
 /// it. At width 2 each copy of `wc -l` reads one file on its stdin and
 /// writes a FIFO an eager relay reads; the copy whose file is missing
 /// must still open that FIFO, or the relay waits in `open` for ever.
-/// So the job's `> fifo` comes before its `< file`. Under a killing
+/// The copy opens both itself (`--stdin nope --stdout FIFO`), and
+/// opens and closes the FIFO when `nope` fails. Under a killing
 /// watchdog: the script must end by itself, with the failed open's
 /// status, as the host shell's redirection failure ends with a status.
 #[test]
@@ -313,7 +314,10 @@ fn a_missing_input_file_fails_the_emitted_script_under_a_watchdog() {
     let script = "wc -l t1 nope";
     let compiled = pash::compile(script, &PashConfig::best(2)).expect("compile");
     let emitted = emit_program(&compiled.plan, &EmitConfig);
-    assert!(emitted.contains(" < nope &\n"), "{emitted}");
+    assert!(
+        emitted.contains(" --stdin nope --stdout \"$PASH_TMP\"/"),
+        "{emitted}"
+    );
     let dir = std::env::temp_dir().join(format!("pash-e2e-nope-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -383,9 +387,9 @@ fn a_missing_input_file_fails_the_process_run_under_a_watchdog() {
 
 /// A missing input file leaves the job's output file as it was, as in
 /// the host shell, which opens `< nope` first and never reaches
-/// `> out`. Only a FIFO writer opens its output first (above); a user
-/// file keeps the input-first order, at width 1 and for a command that
-/// runs whole at every width.
+/// `> out`. Only a FIFO is still opened, and closed, after a failed
+/// input (above); a user file is not, at width 1 and for a command
+/// that runs whole at every width.
 #[test]
 fn a_missing_input_file_leaves_the_output_file_untouched() {
     let kept = b"kept by the failed open\n".to_vec();
@@ -406,4 +410,69 @@ fn a_missing_input_file_leaves_the_output_file_untouched() {
             "{script} at width {width} touched its output file"
         );
     }
+}
+
+/// A node's redirections are part of its command line, and the
+/// command opens its own FIFOs and files: over every suite script at
+/// widths 1, 2 and 4 under both split policies, the only redirections
+/// an emitted job carries are the region boundary's, `<&9` and
+/// `< /dev/null`.
+#[test]
+fn emitted_jobs_redirect_only_the_region_boundary() {
+    use pash::core::dfg::transform::SplitPolicy;
+    use pash_bench::suites::{oneliners, unix50};
+    let scripts = (oneliners::all().into_iter().map(|b| b.script))
+        .chain(unix50::all().into_iter().map(|p| p.script.to_string()))
+        .chain(
+            pash::workloads::nlp::scripts()
+                .into_iter()
+                .map(|b| b.script.to_string()),
+        );
+    let mut jobs = 0;
+    for script in scripts {
+        for width in [1, 2, 4] {
+            for split in [SplitPolicy::Sized, SplitPolicy::RoundRobin] {
+                let cfg = PashConfig {
+                    width,
+                    split,
+                    ..Default::default()
+                };
+                let plan = pash::compile(&script, &cfg).expect("compile").plan;
+                let emitted = emit_program(&plan, &EmitConfig);
+                let is_job = |l: &&str| l.starts_with("\"$PASH") && l.ends_with(" &");
+                for line in emitted.lines().filter(is_job) {
+                    jobs += 1;
+                    let words = line.trim_end_matches(" &");
+                    let words = (words.strip_suffix(" <&9"))
+                        .or_else(|| words.strip_suffix(" < /dev/null"))
+                        .unwrap_or(words);
+                    assert!(
+                        !unquoted(words).contains(['<', '>']),
+                        "width {width}, {split:?}: {line}\nscript: {script}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(jobs > 1000, "only {jobs} jobs emitted");
+}
+
+/// `line` without its quoted and escaped text: what `sh` reads as
+/// operators.
+fn unquoted(line: &str) -> String {
+    let mut out = String::new();
+    let mut chars = line.chars();
+    let mut quote = None;
+    while let Some(c) = chars.next() {
+        match (quote, c) {
+            (None, '\'' | '"') => quote = Some(c),
+            (None, '\\') => {
+                chars.next();
+            }
+            (None, c) => out.push(c),
+            (Some(q), c) if c == q => quote = None,
+            (Some(_), _) => {}
+        }
+    }
+    out
 }
